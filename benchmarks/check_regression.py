@@ -16,6 +16,15 @@ a metric regressed by more than ``--factor`` (default 3x -- tolerant
 enough for CI-runner noise and scheduling jitter, tight enough that a
 dead pool or an accidentally-cold warm path cannot slip through).
 
+Ratios cancel exactly what a cold start costs, so the gate also holds
+one **absolute** budget: the perf ledger's ``ote_stream`` smoke run
+(``benchmarks/ledger/run.py --out <dir>/ledger_ote.json``) must set up
+its Ferret pair within ``LEDGER_BUDGETS`` seconds and fail no
+operation.  The budget sits an order of magnitude above a healthy run
+(~0.3 s: 128 PKC OTs + one COT extension) and well below what any
+per-COT public-key path costs (~15 s), so runner speed cannot trip it
+and a regression to thousands of modexps cannot pass it.
+
 Usage:
     # in CI, after running each bench with --smoke --json-out <dir>/...
     python benchmarks/check_regression.py --smoke-dir <dir>
@@ -103,6 +112,42 @@ FLOORS = {
     # collapses the steady-state/first-request ratio to ~1.0x.
     "daemon": 1.05,
 }
+
+
+#: The ledger smoke result checked against absolute budgets, and the
+#: ceiling on each of its ``end_to_end`` entries (same units as there).
+LEDGER_SMOKE = "ledger_ote.json"
+LEDGER_BUDGETS = {
+    "setup_s": 3.0,
+}
+
+
+def check_ledger(path: Path) -> list:
+    """Absolute gate over one ledger run; returns failure strings."""
+    if not path.exists():
+        raise SystemExit(
+            f"regression gate: missing {path} (did the ledger smoke step run "
+            "with --out?)"
+        )
+    result = json.loads(path.read_text())
+    failures = []
+    for name, budget in LEDGER_BUDGETS.items():
+        value = result["end_to_end"][name]
+        status = "ok"
+        if value > budget:
+            status = "OVER BUDGET"
+            failures.append(
+                f"ledger {result['workload']}: {name} = {value:.2f}, over the "
+                f"absolute budget {budget:.2f} -- is setup running per-COT "
+                "public-key OTs again?"
+            )
+        print(f"  ledger/{name:9s} {value:8.2f}   budget   {budget:7.2f}   {status}")
+    if result["failed"]:
+        failures.append(
+            f"ledger {result['workload']}: {result['failed']} of "
+            f"{result['attempted']} operations failed: {result['problems']}"
+        )
+    return failures
 
 
 def load_smoke(smoke_dir: Path) -> dict:
@@ -228,6 +273,7 @@ def main(argv=None) -> int:
     baseline = json.loads(args.baseline.read_text())["metrics"]
     print(f"benchmark regression gate (tolerance {args.factor:.0f}x):")
     failures = check(metrics, baseline, args.factor)
+    failures += check_ledger(args.smoke_dir / LEDGER_SMOKE)
     if failures:
         print("\nFAIL:")
         for line in failures:

@@ -32,7 +32,7 @@ def make_pools(n, seed):
     choices = gen.integers(0, 2, n).astype(np.uint8)
     r, y, _, _ = run_pair(
         lambda ch: base_cot_send(ch, n, delta, gen),
-        lambda ch: base_cot_receive(ch, choices),
+        lambda ch: base_cot_receive(ch, choices, np.random.default_rng(seed + 1)),
     )
     return CotPool(sender=CotSenderBatch(delta, r)), CotPool(
         receiver=CotReceiverBatch(choices, y)

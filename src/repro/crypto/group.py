@@ -44,12 +44,11 @@ class FixedBaseExp:
     """Windowed fixed-base modular exponentiation.
 
     The base-OT Init computes many powers of the *same* base (the
-    receiver raises ``g`` once per OT), so a one-time table of
-    ``base^(d * 2^(w*i)) mod p`` turns every later exponentiation into
-    ~``exp_bits/w`` modular multiplications instead of a full
-    square-and-multiply ladder.  This is the classic fixed-base comb
-    that the ROADMAP names as the last setup bottleneck (~8 ms/OT of
-    pure-Python modexp).
+    receiver raises ``g`` and the sender's element ``A`` once per OT),
+    so a one-time table of ``base^(d * 2^(w*i)) mod p`` turns every
+    later exponentiation into ~``exp_bits/w`` modular multiplications
+    instead of a full square-and-multiply ladder (~0.35 ms instead of
+    ~1.7 ms in the default group; the table costs ~7 ladders to build).
     """
 
     def __init__(self, base: int, modulus: int, exp_bits: int, window: int = 5):
@@ -115,8 +114,12 @@ class SchnorrGroup:
         ladder -- the hot call of the base-OT receiver.
         """
         if self._g_table is None:
-            self._g_table = FixedBaseExp(self.g, self.p, self.q.bit_length())
+            self._g_table = self.fixed_base(self.g)
         return self._g_table.exp(scalar)
+
+    def fixed_base(self, base: int) -> FixedBaseExp:
+        """Window table for raising ``base`` to many scalars in [0, q]."""
+        return FixedBaseExp(base, self.p, self.q.bit_length())
 
     def mul(self, a: int, b: int) -> int:
         """a * b mod p."""

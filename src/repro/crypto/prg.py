@@ -23,6 +23,7 @@ import numpy as np
 from repro.crypto import blocks
 from repro.crypto.aes import AES128
 from repro.crypto.chacha import CONSTANTS as CHACHA_CONSTANTS
+from repro.crypto.chacha import make_states
 from repro.crypto.kernels import chacha_core
 from repro.errors import ParameterError
 
@@ -174,6 +175,32 @@ class ChaChaTreePrg(TreePrg):
         wanted = children[:, : self.arity, :].reshape(-1, 4)
         self.total_calls += n * calls
         return blocks.from_uint32(np.ascontiguousarray(wanted))
+
+
+#: Nonce of :func:`stream_expand`; the tree PRGs put (level, lane, salt)
+#: there, so a seed used for both can never yield the same ChaCha state.
+_STREAM_NONCE = np.frombuffer(b"cot-ext-strm", dtype="<u4")
+
+
+def stream_expand(seeds: np.ndarray, nbytes: int, rounds: int = 8) -> np.ndarray:
+    """Stretch every 128-bit seed into ``nbytes`` of ChaCha keystream.
+
+    All seeds and all their counter blocks go through *one* batched core
+    call (the IKNP-style base-COT extension expands its 128 seed pairs
+    this way).  Returns a (len(seeds), nbytes) uint8 matrix; row ``i``
+    depends on ``seeds[i]`` only.
+    """
+    blocks.require_blocks(seeds, "seeds")
+    m = seeds.shape[0]
+    per_seed = -(-nbytes // 64)  # 64-byte ChaCha blocks per seed
+    key = np.tile(blocks.to_uint32(seeds), (1, 2))  # the seed fills both key halves
+    states = make_states(
+        np.repeat(key, per_seed, axis=0),
+        np.tile(np.arange(per_seed, dtype=np.uint32), m),
+        np.broadcast_to(_STREAM_NONCE, (m * per_seed, 3)),
+    )
+    stream = chacha_core(states, rounds)
+    return stream.view(np.uint8).reshape(m, per_seed * 64)[:, :nbytes]
 
 
 def make_tree_prg(kind: str, arity: int) -> TreePrg:

@@ -2,9 +2,12 @@
 
 One protocol instance lives through three phases (Section 2.3):
 
-1. **setup** -- runs once: PKC base OTs create ``k + c`` genuine COT
+1. **setup** -- runs once: kappa = 128 PKC base OTs plus an IKNP-style
+   COT extension (:mod:`repro.ot.base_ot`) create ``k + c`` genuine COT
    correlations (``k`` feeding LPN, ``c`` feeding SPCOT's per-level
-   OTs).  This is the "Init" bar of Figure 1(b).
+   OTs).  This is the "Init" bar of Figure 1(b).  A party that already
+   holds such correlations (a shard worker given its slice of the
+   parent's) loads them with ``seed_base_cots`` and runs no PKC at all.
 2. **extend** -- repeatable: an interactive multi-point SPCOT produces
    ``w = v XOR u*Delta`` over n points, then both parties *locally*
    LPN-encode, stretching k correlations into n.  The first
@@ -50,6 +53,15 @@ class ExtendStats:
     rounds: int
 
 
+def _require_base_cots(config: FerretConfig, *columns: np.ndarray) -> None:
+    for column in columns:
+        if column.shape[0] != config.base_cots_needed:
+            raise ProtocolError(
+                f"first iteration needs {config.base_cots_needed} base COTs, "
+                f"got {column.shape[0]}"
+            )
+
+
 class FerretSender:
     """The COT sender: holds the global Delta."""
 
@@ -67,9 +79,21 @@ class FerretSender:
         self.last_stats = None
 
     def setup(self, channel: Channel) -> None:
-        """One-time init: run PKC base OTs for the first iteration."""
+        """One-time init: mint the first iteration's base COTs."""
+        self.seed_base_cots(*self.mint_base_cots(channel))
+
+    def mint_base_cots(self, channel: Channel, copies: int = 1) -> tuple:
+        """Run the base-COT protocol under ``self.delta`` for ``copies``
+        first iterations at once; returns ``(r,)``, whose consecutive
+        ``base_cots_needed``-row slices each fit :meth:`seed_base_cots`."""
+        need = copies * self.config.base_cots_needed
+        return (base_cot_send(channel, need, self.delta, self.rng),)
+
+    def seed_base_cots(self, r: np.ndarray) -> None:
+        """Load ``base_cots_needed`` sender COTs under ``self.delta`` as
+        the first iteration's state (what :meth:`setup` mints itself)."""
         cfg = self.config
-        r = base_cot_send(channel, cfg.base_cots_needed, self.delta, self.rng)
+        _require_base_cots(cfg, r)
         self._lpn_r = r[: cfg.params.k]
         self._spcot_pool = CotPool(
             sender=CotSenderBatch(self.delta, r[cfg.params.k :])
@@ -133,9 +157,19 @@ class FerretReceiver:
 
     def setup(self, channel: Channel) -> None:
         """One-time init, mirror of the sender's."""
+        self.seed_base_cots(*self.mint_base_cots(channel))
+
+    def mint_base_cots(self, channel: Channel, copies: int = 1) -> tuple:
+        """Mirror of the sender's; returns ``(bits, y)``."""
+        need = copies * self.config.base_cots_needed
+        bits = self.rng.integers(0, 2, need).astype(np.uint8)
+        return bits, base_cot_receive(channel, bits, self.rng)
+
+    def seed_base_cots(self, bits: np.ndarray, y: np.ndarray) -> None:
+        """Load ``base_cots_needed`` receiver COTs ``(bits, y)`` as the
+        first iteration's state (what :meth:`setup` mints itself)."""
         cfg = self.config
-        bits = self.rng.integers(0, 2, cfg.base_cots_needed).astype(np.uint8)
-        y = base_cot_receive(channel, bits)
+        _require_base_cots(cfg, bits, y)
         self._lpn_e = bits[: cfg.params.k]
         self._lpn_s = y[: cfg.params.k]
         self._spcot_pool = CotPool(

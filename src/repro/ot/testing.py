@@ -1,8 +1,8 @@
 """Dealer-style correlation fabrication for tests and benchmarks.
 
-The base-OT protocol (public-key operations) dominates small runs, so
-tests that exercise protocols *on top of* COTs fabricate the correlation
-directly: sample Delta and z, derive the receiver view.  This is the
+The base-COT protocol costs a fixed ~0.3 s of public-key operations
+per run, so tests that exercise protocols *on top of* COTs fabricate
+the correlation directly: sample Delta and z, derive the receiver view.  This is the
 genuine COT relation -- ``y = z XOR x*Delta`` -- just without the
 key-exchange transcript, so everything downstream (Gilboa, OT
 derandomization, triple generation) behaves identically.  Kept in one

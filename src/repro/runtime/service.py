@@ -7,7 +7,7 @@ role-switching workload (bit triples, the ReLU multiplexer) needs OTs
 both ways -- and a worker thread that keeps typed pools above their
 low watermarks by running ``extend()`` and derived production while
 consumers draw.  This is the Figure 1(b) amortization realized as a
-long-lived runtime: the ~seconds base-OT Init runs once per direction,
+long-lived runtime: the base-COT Init (128 PKC OTs) runs once per direction,
 then extends stream correlations to any number of sessions.
 
 **Determinism.**  A correlation only works if both parties consume the
@@ -764,9 +764,9 @@ class CorrelationService:
     def _run(self) -> None:
         try:
             if self._shard_mgr is not None:
-                # Sharded mode: base OTs run per shard pair over their
-                # own sockets; the parent endpoints only contribute the
-                # Delta and are never set up or extended.
+                # Sharded mode: the parent endpoints mint every shard's
+                # base COTs in one run (ShardManager.start) and are
+                # themselves never set up or extended.
                 self._shard_mgr.start()
             else:
                 self.ferret_fwd.setup(self._ch_fwd)

@@ -5,12 +5,19 @@ interleaves every interactive protocol, so COT production is bounded
 by a single interpreter no matter how many cores the host has.  This
 module shards the *raw* COT streams (``cot/fwd``, ``cot/rev``) across
 ``ServiceTuning.shards`` producer **process pairs**: shard i of party
-0 speaks to shard i of party 1 over its own socket, runs its own base
-OT setup, and turns Ferret extends around independently of every other
-shard -- true multi-core scaling, since each worker is a separate
-interpreter.  Derived production (bit/ring/matrix triples, truncation
-pairs, ROTs) stays in the parent service worker and consumes the
-merged pools exactly as before.
+0 speaks to shard i of party 1 over its own socket and turns Ferret
+extends around independently of every other shard -- true multi-core
+scaling, since each worker is a separate interpreter.  Derived
+production (bit/ring/matrix triples, truncation pairs, ROTs) stays in
+the parent service worker and consumes the merged pools exactly as
+before.
+
+Start-up is PKC-free in the workers: the two parent managers mint
+``shards x base_cots_needed`` base COTs per direction in ONE
+``base_cot_*`` run over the ``shard/hs`` sub-channel (128 public-key
+OTs whatever the shard count) and hand every worker its slice, which
+it loads with ``seed_base_cots``.  Cold start therefore does not grow
+with the number of shards.
 
 Correlation survives sharding because offsets are assigned by ONE
 authority: the party-0 leader.  Shards return finished extend batches
@@ -27,10 +34,10 @@ segments until the gap below them fills.  Both parties therefore
 materialize the *same* absolute-index stream under any interleaving
 of shard completions.
 
-Delta consistency: every sender-side shard endpoint overwrites its
-locally derived Delta with the parent sender's Delta before setup, so
-all shards of one direction produce correlations against the single
-pool Delta.
+Delta consistency: the parent mints under the pool's Delta, and every
+sender-side shard endpoint overwrites its locally derived Delta with it
+before loading its slice, so all shards of one direction produce
+correlations against the single pool Delta.
 
 Shard workers enable ``FerretConfig.overlap_encode``: inside each
 extend the LPN premix (``A @ state``) runs under the interactive MPCOT
@@ -68,14 +75,32 @@ _SHARD_OFF = struct.Struct("<4sQQQQ")  # op, seq, direction, lo, n
 _DIR_CODE = {"fwd": 0, "rev": 1}
 _DIR_NAME = {0: "fwd", 1: "rev"}
 
-#: Rendezvous budget for the per-shard socket handshake and base OTs.
-_SETUP_TIMEOUT_S = 120.0
+#: Rendezvous budget for one start-up step: a spawned worker booting,
+#: the per-shard socket handshake, the hand-over of its base COTs.  No
+#: public-key work happens inside it.
+_SETUP_TIMEOUT_S = 30.0
 
 
 def _shard_seed(seed: int, shard: int) -> int:
     """Base seed for shard ``shard``'s Ferret endpoints (the four
     per-role offsets mirror :func:`repro.ferret.protocol.ferret_pair`)."""
     return seed + 0x51AD + ((shard + 1) << 4)
+
+
+def _mint_base_cots(endpoint, channel, shards: int) -> list:
+    """One base-COT run covering every shard's first iteration.
+
+    ``endpoint`` is the parent's (otherwise idle) Ferret endpoint of one
+    direction: it contributes Delta or the choice bits, and its rng.
+    Returns, per shard, the columns its worker endpoint of the same role
+    takes in ``seed_base_cots``.
+    """
+    need = endpoint.config.base_cots_needed
+    columns = endpoint.mint_base_cots(channel, copies=shards)
+    return [
+        tuple(column[i * need : (i + 1) * need] for column in columns)
+        for i in range(shards)
+    ]
 
 
 def _worker_main(
@@ -93,10 +118,12 @@ def _worker_main(
 
     Party 0 listens on an ephemeral port and reports it to its parent
     (who forwards it in-band to the peer parent); party 1 waits for a
-    ``("connect", host, port)`` command.  After base-OT setup the loop
-    serves ``("ext", seq, direction)`` commands until ``("stop",)``.
+    ``("connect", host, port)`` command.  Both then take their base COTs
+    from a ``("seed", fwd_columns, rev_columns)`` command -- no PKC runs
+    here -- and serve ``("ext", seq, direction)`` until ``("stop",)``.
     """
     channel = None
+    t0 = time.monotonic()
     try:
         if party == 0:
             listener = SocketChannel.listen("127.0.0.1", 0)
@@ -122,10 +149,12 @@ def _worker_main(
             rev = FerretSender(cfg, seed=base + 3) if enable_reverse else None
             if rev is not None:
                 rev.delta = sender_delta.copy()
-        t0 = time.monotonic()
-        fwd.setup(channel)
+        msg = cmd_q.get(timeout=_SETUP_TIMEOUT_S)
+        if msg[0] != "seed":
+            raise ServiceError(f"shard {shard}: expected seed, got {msg[0]!r}")
+        fwd.seed_base_cots(*msg[1])
         if rev is not None:
-            rev.setup(channel)
+            rev.seed_base_cots(*msg[2])
         res_q.put(("ready", shard, time.monotonic() - t0))
         endpoints = {"fwd": fwd, "rev": rev}
         while True:
@@ -196,6 +225,9 @@ class ShardManager:
         self._expected: dict = {}
         self._announced: dict = {}
         self._results: dict = {}
+        #: Per shard.  ``setup_s`` is the worker's time-to-ready from its
+        #: entry point: interpreter boot, socket rendezvous and loading
+        #: its base COTs (the parents' mint is over before it starts).
         self.stats = [
             {"extends": 0, "items": 0, "busy_s": 0.0, "last_s": 0.0, "setup_s": 0.0}
             for _ in range(shards)
@@ -203,8 +235,10 @@ class ShardManager:
 
     # -- lifecycle -----------------------------------------------------------
     def start(self) -> None:
-        """Spawn workers, run the port handshake in-band, wait for every
-        shard's base-OT setup, then start the merge thread."""
+        """Mint every shard's base COTs (the two parents meet here, under
+        the link's own timeout), spawn the workers, run the port
+        handshake in-band, hand the COTs over, wait for every shard to
+        be ready, then start the merge thread."""
         service = self.service
         sender_delta = (
             service.ferret_fwd.delta if self.party == 0
@@ -212,6 +246,14 @@ class ShardManager:
             else None
         )
         enable_reverse = service.tuning.enable_reverse
+        fwd_seeds = _mint_base_cots(service.ferret_fwd, self._hs, self.shards)
+        rev_seeds = (
+            _mint_base_cots(service.ferret_rev, self._hs, self.shards)
+            if enable_reverse
+            else [None] * self.shards
+        )
+        # Workers start only now, so their rendezvous clocks never run
+        # while a parent is still waiting for a late peer above.
         for i in range(self.shards):
             proc = self._ctx.Process(
                 target=_worker_main,
@@ -238,6 +280,8 @@ class ShardManager:
             ports = struct.unpack(f"<{self.shards}Q", frame)
             for i, port in enumerate(ports):
                 self._cmd_qs[i].put(("connect", "127.0.0.1", port))
+        for i in range(self.shards):
+            self._cmd_qs[i].put(("seed", fwd_seeds[i], rev_seeds[i]))
         for _ in range(self.shards):
             msg = self._get_result(_SETUP_TIMEOUT_S)
             if msg[0] != "ready":

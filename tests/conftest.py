@@ -1,8 +1,8 @@
 """Shared fixtures: deterministic RNGs and pre-generated base COTs.
 
-Base OTs are the slowest primitive (public-key operations), so the
+Base COTs cost a fixed ~0.3 s of public-key operations per run, so the
 protocol tests share one session-scoped pool of genuine COT
-correlations produced through the real base-OT protocol.
+correlations produced through the real base-COT protocol.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ def shared_cots(delta):
     choices = gen.integers(0, 2, N_SHARED_COTS).astype(np.uint8)
     r, y, _, _ = run_pair(
         lambda ch: base_cot_send(ch, N_SHARED_COTS, delta, gen),
-        lambda ch: base_cot_receive(ch, choices),
+        lambda ch: base_cot_receive(ch, choices, np.random.default_rng(43)),
     )
     return CotSenderBatch(delta, r), CotReceiverBatch(choices, y)
 

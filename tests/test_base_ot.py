@@ -1,5 +1,7 @@
 """Schnorr group + PKC base OT tests (the OTE Init phase)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -11,13 +13,15 @@ from repro.crypto.group import (
     FixedBaseExp,
     SchnorrGroup,
 )
+from repro.errors import ProtocolError
 from repro.ot.base_ot import (
+    KAPPA,
     base_cot_receive,
     base_cot_send,
     base_ot_receive,
     base_ot_send,
 )
-from repro.ot.channel import run_pair
+from repro.ot.channel import PartyError, run_pair
 from repro.ot.cot import CotReceiverBatch, CotSenderBatch, verify_cot
 
 
@@ -134,7 +138,7 @@ class TestBaseOt:
         choices = rng.integers(0, 2, n).astype(np.uint8)
         r, y, _, _ = run_pair(
             lambda ch: base_cot_send(ch, n, delta, rng),
-            lambda ch: base_cot_receive(ch, choices),
+            lambda ch: base_cot_receive(ch, choices, rng),
         )
         assert verify_cot(CotSenderBatch(delta, r), CotReceiverBatch(choices, y))
 
@@ -145,35 +149,104 @@ class TestBaseOt:
         assert 0 < r.x.mean() < 1
 
 
+def _oracle_pad(group, dh_value, choice, index, message):
+    """message XOR SHA-256(element || "|choice|index")[:16], bytewise."""
+    digest = hashlib.sha256(
+        group.element_bytes(dh_value) + b"|%d|%d" % (choice, index)
+    ).digest()
+    return bytes(m ^ d for m, d in zip(blocks.to_bytes(message), digest))
+
+
+def sequential_ot_send(channel, messages0, messages1, group=DEFAULT_GROUP):
+    """The per-OT reference schedule (one element message per OT, plain
+    ``pow``, one pad at a time) the shipped batched code is checked
+    against.  It lives here, not in ``src/``: one path ships."""
+    n = messages0.shape[0]
+    a = group.random_scalar()
+    big_a = pow(group.g, a, group.p)
+    channel.send_int(n)
+    channel.send_bytes(group.element_bytes(big_a))
+    payload = b""
+    for i in range(n):
+        b_elem = int.from_bytes(channel.recv_bytes(), "big")
+        dh0 = pow(b_elem, a, group.p)
+        dh1 = dh0 * pow(big_a, -a, group.p) % group.p
+        payload += _oracle_pad(group, dh0, 0, i, messages0[i : i + 1])
+        payload += _oracle_pad(group, dh1, 1, i, messages1[i : i + 1])
+    channel.send_bytes(payload)
+
+
+def sequential_ot_receive(channel, choices, group=DEFAULT_GROUP):
+    n = channel.recv_int()
+    assert n == len(choices)
+    choices = [int(c) for c in choices]
+    big_a = int.from_bytes(channel.recv_bytes(), "big")
+    scalars = []
+    for c in choices:
+        b = group.random_scalar()
+        b_elem = pow(group.g, b, group.p) * (big_a if c else 1) % group.p
+        channel.send_bytes(group.element_bytes(b_elem))
+        scalars.append(b)
+    payload = channel.recv_bytes()
+    out = b""
+    for i, (b, c) in enumerate(zip(scalars, choices)):
+        cipher = payload[32 * i + 16 * c : 32 * i + 16 * c + 16]
+        out += _oracle_pad(
+            group, pow(big_a, b, group.p), c, i, blocks.from_bytes(cipher)
+        )
+    return blocks.from_bytes(out)
+
+
+class TamperedChannel:
+    """Rewrites the one outgoing message that has ``length`` bytes."""
+
+    def __init__(self, inner, length, rewrite):
+        self._inner = inner
+        self._length = length
+        self._rewrite = rewrite
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+    def send_bytes(self, data):
+        if len(data) == self._length:
+            data = self._rewrite(bytes(data))
+        self._inner.send_bytes(data)
+
+
+def assert_protocol_error(party_a, party_b, match):
+    with pytest.raises(PartyError, match=match) as info:
+        run_pair(party_a, party_b, recv_timeout=1.0)
+    assert isinstance(info.value.__cause__, ProtocolError)
+
+
 class TestBatchedSchedule:
-    """The batched wire schedule (one element blob, one payload) must be
-    output-equivalent to the sequential per-OT reference path."""
+    """The shipped wire schedule (one element blob, one payload) must be
+    output-equivalent to the sequential per-OT reference above."""
 
     N = 24
 
-    def run_base_cot(self, batched, seed=77):
+    def run_ot(self, send, receive, seed=77):
         gen = np.random.default_rng(seed)
-        delta = blocks.random_blocks(1, gen)
-        choices = np.random.default_rng(seed + 1).integers(0, 2, self.N).astype(np.uint8)
-        r, y, s_stats, r_stats = run_pair(
-            lambda ch: base_cot_send(ch, self.N, delta, gen, batched=batched),
-            lambda ch: base_cot_receive(ch, choices, batched=batched),
+        m0 = blocks.random_blocks(self.N, gen)
+        m1 = blocks.random_blocks(self.N, gen)
+        choices = gen.integers(0, 2, self.N).astype(np.uint8)
+        _, got, s_stats, r_stats = run_pair(
+            lambda ch: send(ch, m0, m1), lambda ch: receive(ch, choices)
         )
-        return delta, choices, r, y, s_stats, r_stats
+        return m0, m1, choices, got, s_stats, r_stats
 
     def test_batched_equivalent_to_sequential(self):
-        """Same seeds -> identical sender blocks and receiver outputs."""
-        d_b, c_b, r_b, y_b, _, _ = self.run_base_cot(batched=True)
-        d_s, c_s, r_s, y_s, _, _ = self.run_base_cot(batched=False)
-        assert np.array_equal(d_b, d_s) and np.array_equal(c_b, c_s)
-        assert np.array_equal(r_b, r_s)
-        assert np.array_equal(y_b, y_s)
-        assert verify_cot(CotSenderBatch(d_b, r_b), CotReceiverBatch(c_b, y_b))
+        """Same inputs -> the same chosen messages on both schedules."""
+        m0, m1, choices, got_b, _, _ = self.run_ot(base_ot_send, base_ot_receive)
+        _, _, _, got_s, _, _ = self.run_ot(sequential_ot_send, sequential_ot_receive)
+        assert np.array_equal(got_b, got_s)
+        assert np.array_equal(got_b, np.where(choices[:, None].astype(bool), m1, m0))
 
     def test_batched_collapses_message_count(self):
         """Receiver: n element messages -> 1; whole protocol O(1) messages."""
-        _, _, _, _, s_seq, r_seq = self.run_base_cot(batched=False)
-        _, _, _, _, s_bat, r_bat = self.run_base_cot(batched=True)
+        *_, s_seq, r_seq = self.run_ot(sequential_ot_send, sequential_ot_receive)
+        *_, s_bat, r_bat = self.run_ot(base_ot_send, base_ot_receive)
         assert r_seq.messages_sent == self.N  # one element per OT
         assert r_bat.messages_sent == 1  # one blob for all OTs
         assert s_bat.messages_sent == s_seq.messages_sent  # n, A, payload
@@ -182,36 +255,107 @@ class TestBatchedSchedule:
 
     def test_batched_bytes_on_wire_match(self):
         """Batching changes message boundaries, not the element bytes."""
-        _, _, _, _, s_seq, r_seq = self.run_base_cot(batched=False)
-        _, _, _, _, s_bat, r_bat = self.run_base_cot(batched=True)
+        *_, s_seq, r_seq = self.run_ot(sequential_ot_send, sequential_ot_receive)
+        *_, s_bat, r_bat = self.run_ot(base_ot_send, base_ot_receive)
         assert r_bat.bytes_sent == r_seq.bytes_sent
         assert s_bat.bytes_sent == s_seq.bytes_sent
 
     def test_batched_chosen_message_ot(self, rng):
-        """base_ot (not just base_cot) also runs on the batched schedule."""
+        """Chosen-message OT (not just base_cot) on the shipped schedule."""
         n = 10
         m0 = blocks.random_blocks(n, rng)
         m1 = blocks.random_blocks(n, rng)
         choices = rng.integers(0, 2, n).astype(np.uint8)
         _, got, _, _ = run_pair(
-            lambda ch: base_ot_send(ch, m0, m1, batched=True),
-            lambda ch: base_ot_receive(ch, choices, batched=True),
+            lambda ch: base_ot_send(ch, m0, m1),
+            lambda ch: base_ot_receive(ch, choices),
         )
         expect = np.where(choices[:, None].astype(bool), m1, m0)
         assert np.array_equal(got, expect)
 
     def test_mismatched_schedules_fail_loudly(self):
-        """A batched sender against a sequential receiver must not hang
-        or silently mis-deliver."""
-        from repro.errors import ReproError
-        from repro.ot.channel import PartyError
-
+        """The shipped sender against a per-OT receiver must not hang or
+        silently mis-deliver."""
         gen = np.random.default_rng(5)
         delta = blocks.random_blocks(1, gen)
         choices = gen.integers(0, 2, 4).astype(np.uint8)
-        with pytest.raises((PartyError, ReproError)):
-            run_pair(
-                lambda ch: base_cot_send(ch, 4, delta, gen, batched=True),
-                lambda ch: base_cot_receive(ch, choices, batched=False),
-                recv_timeout=2.0,
-            )
+        assert_protocol_error(
+            lambda ch: base_cot_send(ch, 4, delta, gen),
+            lambda ch: sequential_ot_receive(ch, choices),
+            match="element blob",
+        )
+
+
+class TestMalformedMessages:
+    """Every length the peer controls is checked before it is indexed."""
+
+    def test_truncated_sender_payload_is_a_protocol_error(self, rng):
+        n = 6
+        m0 = blocks.random_blocks(n, rng)
+        m1 = blocks.random_blocks(n, rng)
+        choices = rng.integers(0, 2, n).astype(np.uint8)
+        assert_protocol_error(
+            lambda ch: base_ot_send(
+                TamperedChannel(ch, 32 * n, lambda data: data[:-16]), m0, m1
+            ),
+            lambda ch: base_ot_receive(ch, choices),
+            match="sender payload has 176 bytes, expected 192",
+        )
+
+    @pytest.mark.parametrize("rewrite", [lambda d: d[:-1], lambda d: d + b"\0"])
+    def test_wrong_size_correction_matrix_is_a_protocol_error(self, rng, rewrite):
+        n = 200
+        delta = blocks.random_blocks(1, rng)
+        choices = rng.integers(0, 2, n).astype(np.uint8)
+        assert_protocol_error(
+            lambda ch: base_cot_send(ch, n, delta, rng),
+            lambda ch: base_cot_receive(
+                TamperedChannel(ch, KAPPA * 25, rewrite), choices, rng
+            ),
+            match="correction matrix has",
+        )
+
+    def test_disagreeing_cot_counts_are_a_protocol_error(self, rng):
+        """200 and 199 COTs pack into the same 25-byte rows: only the
+        announced count tells them apart."""
+        delta = blocks.random_blocks(1, rng)
+        choices = rng.integers(0, 2, 199).astype(np.uint8)
+        assert_protocol_error(
+            lambda ch: base_cot_send(ch, 200, delta, rng),
+            lambda ch: base_cot_receive(ch, choices, rng),
+            match="receiver extends to 199 COTs but sender wants 200",
+        )
+
+    @pytest.mark.parametrize("element", [0, 1, DEFAULT_GROUP.p - 1])
+    def test_degenerate_sender_element_rejected(self, rng, element):
+        choices = rng.integers(0, 2, 4).astype(np.uint8)
+        width = len(DEFAULT_GROUP.element_bytes(1))
+        assert_protocol_error(
+            lambda ch: base_ot_send(
+                TamperedChannel(
+                    ch, width, lambda _: DEFAULT_GROUP.element_bytes(element)
+                ),
+                blocks.zeros(4),
+                blocks.zeros(4),
+            ),
+            lambda ch: base_ot_receive(ch, choices),
+            match="sender sent a degenerate group element",
+        )
+
+    @pytest.mark.parametrize("element", [0, 1, DEFAULT_GROUP.p - 1])
+    def test_degenerate_receiver_element_rejected(self, rng, element):
+        n = 4
+        choices = rng.integers(0, 2, n).astype(np.uint8)
+        width = len(DEFAULT_GROUP.element_bytes(1))
+        assert_protocol_error(
+            lambda ch: base_ot_send(ch, blocks.zeros(n), blocks.zeros(n)),
+            lambda ch: base_ot_receive(
+                TamperedChannel(
+                    ch,
+                    n * width,
+                    lambda d: d[:width] + DEFAULT_GROUP.element_bytes(element) + d[2 * width :],
+                ),
+                choices,
+            ),
+            match="receiver sent a degenerate group element",
+        )

@@ -2,9 +2,10 @@
 suite via the ``slow`` marker; run explicitly with ``-m slow``.
 
 ROADMAP item: drive a Table 4 parameter set end-to-end.  The 2^20 row
-runs a real base-OT setup (~170k PKC OTs, tens of minutes in pure
-Python -- the exact Init cost Figure 1(b) amortizes) plus one extend
-through the provisioning service, then checks the COT invariant and the
+runs a real setup (128 PKC OTs IKNP-extended to ~170k base COTs -- the
+Init cost Figure 1(b) amortizes; it was ~170k PKC OTs and tens of
+minutes before the extension) plus one extend through the provisioning
+service, then checks the COT invariant and the
 net-output accounting.
 """
 
@@ -29,7 +30,7 @@ def test_table4_2pow20_through_service():
     cfg = FerretConfig.paper("2^20", arity=4, prg_kind="chacha8")
     tuning = ServiceTuning(
         # Forward direction only: the Table 4 rows measure one COT
-        # stream, and reverse would double the PKC setup for nothing.
+        # stream, and reverse would double the setup for nothing.
         enable_reverse=False,
         enable_triples=False,
         enable_rots=False,
@@ -91,8 +92,8 @@ def test_table4_2pow20_through_service():
 def test_table4_2pow20_through_4shard_service():
     """The same Table 4 2^20 row, produced by a 4-shard service.
 
-    Setup cost is 4 shard-pair base-OT setups running in parallel
-    processes; the assertions shift from the parent endpoints (which
+    Setup is one base-COT run in the parents covering all 4 shards'
+    first iterations; the assertions shift from the parent endpoints (which
     never extend in sharded mode) to the merged pool accounting and the
     per-shard telemetry.
     """

@@ -125,7 +125,7 @@ class TestConcurrency:
             out["r"] = base_cot_send(m0.sub("ot"), n, delta, rng)
 
         def receiver():
-            out["y"] = base_cot_receive(m1.sub("ot"), choices)
+            out["y"] = base_cot_receive(m1.sub("ot"), choices, rng)
 
         def chatter():
             for i in range(20):

@@ -244,7 +244,7 @@ class TestProtocolsOverSocketpair:
         choices = rng.integers(0, 2, n).astype(np.uint8)
         r, y, _, _ = socket_run_pair(
             lambda ch: base_cot_send(ch, n, delta, rng),
-            lambda ch: base_cot_receive(ch, choices),
+            lambda ch: base_cot_receive(ch, choices, rng),
         )
         assert verify_cot(CotSenderBatch(delta, r), CotReceiverBatch(choices, y))
 
@@ -277,9 +277,10 @@ from repro.ot.channel import SocketChannel
 port = int(sys.argv[1])
 n = int(sys.argv[2])
 seed = int(sys.argv[3])
-choices = np.random.default_rng(seed).integers(0, 2, n).astype(np.uint8)
+rng = np.random.default_rng(seed)
+choices = rng.integers(0, 2, n).astype(np.uint8)
 chan = SocketChannel.connect("127.0.0.1", port, timeout=60.0)
-y = base_cot_receive(chan, choices)
+y = base_cot_receive(chan, choices, rng)
 np.save(sys.stdout.buffer, y)
 chan.close()
 """
@@ -337,7 +338,7 @@ class TestMpcOverSockets:
             choices = gen.integers(0, 2, count).astype(np.uint8)
             r, y, _, _ = socket_run_pair(
                 lambda ch: base_cot_send(ch, count, delta, gen),
-                lambda ch: base_cot_receive(ch, choices),
+                lambda ch: base_cot_receive(ch, choices, np.random.default_rng(seed + 1)),
             )
             return (
                 CotPool(sender=CotSenderBatch(delta, r)),
