@@ -23,7 +23,10 @@ its Ferret pair within ``LEDGER_BUDGETS`` seconds and fail no
 operation.  The budget sits an order of magnitude above a healthy run
 (~0.3 s: 128 PKC OTs + one COT extension) and well below what any
 per-COT public-key path costs (~15 s), so runner speed cannot trip it
-and a regression to thousands of modexps cannot pass it.
+and a regression to thousands of modexps cannot pass it.  Next to it
+sit three **exact counts** from the same run's traced rows
+(``LEDGER_COUNTS``): one SPCOT exchange per extend.  Counts repeat
+exactly on any runner; timings do not.
 
 Usage:
     # in CI, after running each bench with --smoke --json-out <dir>/...
@@ -121,6 +124,18 @@ LEDGER_BUDGETS = {
     "setup_s": 3.0,
 }
 
+#: Allowed ``(lowest, highest)`` of exact ``per_layer`` counts of that
+#: run (per extend, the sender's lane): the one-shot SPCOT is one channel
+#: round trip, one batched OT and three messages (two OT vectors, masked
+#: sums + psi) per extend at the ledger's scale, where all trees share
+#: one depth.  A per-level exchange creeping back in reads 12 / 12 / 31;
+#: an untraced smoke run has no such rows at all.
+LEDGER_COUNTS = {
+    "rounds_per_extend": (1, 1),
+    "ot_from_cot.calls.snd": (1, 1),
+    "channel.msgs.snd": (1, 3),
+}
+
 
 def check_ledger(path: Path) -> list:
     """Absolute gate over one ledger run; returns failure strings."""
@@ -142,6 +157,17 @@ def check_ledger(path: Path) -> list:
                 "public-key OTs again?"
             )
         print(f"  ledger/{name:9s} {value:8.2f}   budget   {budget:7.2f}   {status}")
+    for name, (lowest, highest) in LEDGER_COUNTS.items():
+        value = result["per_layer"].get(name)
+        status = "ok"
+        if value is None or not lowest <= value <= highest:
+            status = "OUT OF RANGE"
+            failures.append(
+                f"ledger {result['workload']}: {name} = {value}, expected "
+                f"{lowest}..{highest} -- is SPCOT exchanging per GGM level "
+                "again (or was the smoke run made without --trace 1)?"
+            )
+        print(f"  ledger/{name:21s} {value}   allowed  {lowest}..{highest}   {status}")
     if result["failed"]:
         failures.append(
             f"ledger {result['workload']}: {result['failed']} of "

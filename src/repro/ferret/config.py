@@ -19,10 +19,6 @@ class FerretConfig:
         arity: GGM expansion arity (2 = Ferret baseline, 4 = Ironman).
         prg_kind: "aes" (CPU baseline) or "chacha8" (Ironman).
         matrix_seed: public seed expanding the fixed LPN matrix.
-        batched: run MPCOT's t trees level-synchronously (one channel
-            message per GGM level, Figure 8's inter-tree parallelism)
-            instead of tree by tree.  Outputs are bit-identical either
-            way; the sequential path survives as a reference oracle.
         overlap_encode: compute the ``A @ vec`` half of the LPN encode
             on a background thread while the interactive MPCOT (GGM
             expansion + channel rounds) runs, XORing the MPCOT output
@@ -36,7 +32,6 @@ class FerretConfig:
     arity: int = 2
     prg_kind: str = "aes"
     matrix_seed: int = 0xFE44E7
-    batched: bool = True
     overlap_encode: bool = False
 
     def __post_init__(self):

@@ -118,7 +118,6 @@ class FerretSender:
             cfg.params.n,
             cfg.params.t,
             self.rng,
-            batched=cfg.batched,
         )
         if premix is not None:
             z = premix.finish(w)
@@ -197,7 +196,6 @@ class FerretReceiver:
             self.prg,
             cfg.params.n,
             cfg.params.t,
-            batched=cfg.batched,
         )
         if premix_e is not None:
             x = premix_e.finish(u)

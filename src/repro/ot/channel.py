@@ -7,7 +7,8 @@ implement it:
 
 * :class:`LocalChannel` -- an in-memory duplex pair; parties run in two
   threads via :func:`run_pair` so genuinely interactive protocols
-  (SPCOT's level-by-level OTs) execute in their natural shape.
+  (derandomized OTs, SPCOT, the online MPC ops) execute in their
+  natural shape.
 * :class:`SocketChannel` -- length-prefixed messages over a real OS
   socket, so the same protocol code runs unchanged between two
   processes (or two machines).
@@ -133,6 +134,10 @@ class Channel:
 DEFAULT_RECV_TIMEOUT = 60.0
 
 
+#: Queue sentinel a closing :class:`LocalChannel` endpoint posts to its peer.
+_CLOSED = object()
+
+
 class LocalChannel(Channel):
     """One endpoint of an in-memory duplex pair (thread-safe).
 
@@ -170,8 +175,17 @@ class LocalChannel(Channel):
             data = self._inbox.get(timeout=timeout)
         except queue.Empty as exc:
             raise ChannelTimeout("recv timed out; is the peer still running?") from exc
+        if data is _CLOSED:
+            self._inbox.put(_CLOSED)  # every later receive fails the same way
+            raise ChannelClosed("peer closed the channel")
         self.stats.record_recv(len(data))
         return data
+
+    def close(self) -> None:
+        """Hang up: once the peer has drained what was sent before, its
+        ``recv_bytes`` raises :class:`ChannelClosed` at once instead of
+        waiting out its timeout (a socket's EOF, for the in-memory pair)."""
+        self._outbox.put(_CLOSED)
 
 
 class SocketChannel(Channel):
@@ -372,9 +386,12 @@ def run_pair(
     Each callable receives its :class:`LocalChannel` endpoint and runs in
     its own thread; returns ``(result_a, result_b)``.  Exceptions on
     either side are re-raised in the caller (wrapped in PartyError) so
-    test failures point at the faulting party.  ``timeout`` bounds the
-    whole execution; ``recv_timeout`` is each channel's blocking-receive
-    patience (raise both for paper-sized runs).
+    test failures point at the faulting party: a party that raises
+    closes its endpoint, so the peer fails with :class:`ChannelClosed`
+    in milliseconds instead of blocking until ``recv_timeout``, and the
+    error reported is the one that is not that echo.  ``timeout`` bounds
+    the whole execution; ``recv_timeout`` is each channel's
+    blocking-receive patience (raise both for paper-sized runs).
     """
     chan_a, chan_b = LocalChannel.pair(timeout=recv_timeout)
     results = {}
@@ -385,6 +402,7 @@ def run_pair(
             results[name] = fn(chan)
         except BaseException as exc:  # noqa: BLE001 - must cross the thread
             errors[name] = exc
+            chan.close()
 
     t_a = threading.Thread(target=runner, args=("a", party_a, chan_a), daemon=True)
     t_b = threading.Thread(target=runner, args=("b", party_b, chan_b), daemon=True)
@@ -394,6 +412,8 @@ def run_pair(
     t_b.join(timeout)
     if t_a.is_alive() or t_b.is_alive():
         raise ChannelError("protocol deadlocked (thread still alive after timeout)")
-    for name, exc in errors.items():
+    if errors:
+        # The root cause, not the ChannelClosed it provoked on the peer.
+        name, exc = min(errors.items(), key=lambda kv: isinstance(kv[1], ChannelClosed))
         raise PartyError(f"party {name!r} failed: {exc!r}") from exc
     return results["a"], results["b"], chan_a.stats, chan_b.stats

@@ -13,8 +13,8 @@ beaver-style derandomization:
 The CRHF breaks the Delta-correlation so one batch of COTs can safely
 pad many messages (tweaked by the OT index).  Callers that run many
 logically-distinct OT instances inside one batched call (e.g. the
-level-synchronous multi-tree SPCOT, one OT per tree) pass an explicit
-per-element ``tweaks`` vector instead of the contiguous
+one-shot multi-tree SPCOT, one OT per tree and GGM level) pass an
+explicit per-element ``tweaks`` vector instead of the contiguous
 ``tweak_base + i`` default, so each instance keeps the tweak it would
 have used sequentially.
 """
@@ -59,15 +59,15 @@ def ot_send_from_cot(
     if d.shape[0] != n:
         raise ProtocolError("correction bit vector has the wrong length")
     tweaks = _resolve_tweaks(tweaks, tweak_base, n)
-    # Pad for logical message j is H(z XOR (j XOR d) * Delta).
-    pad_d0 = crhf.hash_tweaked(
-        blocks.xor(cots.z, blocks.mul_bit(cots.delta, d)), tweaks
+    # Pad for logical message j is H(z XOR (j XOR d) * Delta); both pad
+    # vectors go through the hash in one pass.
+    keyed0 = blocks.xor(cots.z, blocks.mul_bit(cots.delta, d))
+    pads = crhf.hash_tweaked(
+        np.concatenate([keyed0, blocks.xor(keyed0, cots.delta)]),
+        np.concatenate([tweaks, tweaks]),
     )
-    pad_d1 = crhf.hash_tweaked(
-        blocks.xor(cots.z, blocks.mul_bit(cots.delta, d ^ 1)), tweaks
-    )
-    channel.send_blocks(blocks.xor(messages0, pad_d0))
-    channel.send_blocks(blocks.xor(messages1, pad_d1))
+    channel.send_blocks(blocks.xor(messages0, pads[:n]))
+    channel.send_blocks(blocks.xor(messages1, pads[n:]))
 
 
 def ot_receive_from_cot(
@@ -86,6 +86,10 @@ def ot_receive_from_cot(
     channel.send_bits(cots.x ^ choices)
     e0 = channel.recv_blocks()
     e1 = channel.recv_blocks()
+    if e0.shape[0] != n or e1.shape[0] != n:
+        raise ProtocolError(
+            f"OT reply has {e0.shape[0]} and {e1.shape[0]} blocks, expected {n} each"
+        )
     tweaks = _resolve_tweaks(tweaks, tweak_base, n)
     pads = crhf.hash_tweaked(cots.y, tweaks)
     chosen = np.where(choices[:, None].astype(bool), e1, e0)

@@ -9,16 +9,16 @@ both parties identically.
 
 The t trees are independent, which is exactly the inter-tree
 parallelism Ironman's hybrid expansion schedule exploits (Figure 8).
-The default execution path exploits it too: same-depth trees are
-grouped into contiguous runs (regular noise makes the block sizes
-differ by at most one, so there are at most two runs per execution)
-and each run goes through the **batched level-synchronous** SPCOT --
-all trees of the run advance one GGM level per interaction, with one
-channel message per level instead of one per tree per level.  That
-drops the per-execution round count from O(t * depth) to O(depth)
-while leaving outputs and PRG core-call counts bit-for-bit identical
-to the sequential reference path (``batched=False``), which is kept
-as an oracle for equivalence tests.
+Same-depth trees are grouped into contiguous runs (regular noise makes
+the block sizes differ by at most one, so there are at most two runs
+per execution) and each run is **one** one-shot SPCOT
+(:func:`repro.spcot.protocol.spcot_send_batch`): every GGM level's OTs
+of every tree of the run travel in a single exchange, so one execution
+costs one channel round trip per run, independent of t, depth and
+arity, and the GGM work is t-wide vectorized kernels.  Outputs, PRG
+core-call counts and COT consumption are bit-for-bit those of running
+the trees one by one, level by level; that reference lives in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -31,13 +31,7 @@ from repro.crypto.prg import TreePrg
 from repro.errors import ParameterError
 from repro.ot.channel import Channel
 from repro.ot.cot import CotPool
-from repro.spcot.protocol import (
-    cots_needed,
-    spcot_receive,
-    spcot_receive_batch,
-    spcot_send,
-    spcot_send_batch,
-)
+from repro.spcot.protocol import cots_needed, spcot_receive_batch, spcot_send_batch
 from repro.utils.bitops import next_power
 
 #: Tweak-space stride reserved per tree (holds all of its level tweaks).
@@ -82,8 +76,8 @@ def depth_runs(sizes: list, arity: int) -> list:
 
     Returns ``(first_tree, n_trees, depth)`` triples.  Regular noise
     splits [0, n) into blocks whose sizes differ by at most one, with
-    the larger blocks first, so there are at most two runs -- the
-    batched path handles one whole run per level-synchronous sweep.
+    the larger blocks first, so there are at most two runs -- each is
+    one one-shot SPCOT.
     """
     runs = []
     for idx, size in enumerate(sizes):
@@ -95,8 +89,8 @@ def depth_runs(sizes: list, arity: int) -> list:
     return [tuple(r) for r in runs]
 
 
-def _batched_schedule(sizes: list, arity: int) -> tuple:
-    """Shared sender/receiver plan for the batched path.
+def _schedule(sizes: list, arity: int) -> tuple:
+    """Shared sender/receiver plan of one execution.
 
     Returns ``(offsets, runs)`` where ``offsets[i]`` is tree i's start
     in the length-n output and ``runs`` holds ``(first, count, depth,
@@ -127,43 +121,20 @@ def mpcot_send(
     t: int,
     rng: np.random.Generator,
     crhf: Crhf = DEFAULT_CRHF,
-    batched: bool = True,
 ) -> np.ndarray:
-    """Sender side: returns the length-n block vector ``w``.
-
-    ``batched=True`` (the default) runs each same-depth run of trees
-    level-synchronously; ``batched=False`` is the sequential reference.
-    Both produce bit-identical outputs from the same ``rng`` state.
-    """
+    """Sender side: returns the length-n block vector ``w``."""
     sizes = block_sizes(n, t)
     out = blocks.zeros(n)
-    if batched:
-        offsets, runs = _batched_schedule(sizes, prg.arity)
-        for first, count, depth, tweak_bases in runs:
-            leaves = spcot_send_batch(
-                channel, pool, delta, prg, depth, count, rng,
-                tweak_bases=tweak_bases, crhf=crhf,
-            )
-            for i in range(count):
-                size = sizes[first + i]
-                start = offsets[first + i]
-                out[start : start + size] = leaves[i, :size]
-        return out
-    offset = 0
-    for tree_idx, size in enumerate(sizes):
-        depth = tree_depth_for(size, prg.arity)
-        leaves = spcot_send(
-            channel,
-            pool,
-            delta,
-            prg,
-            depth,
-            rng,
-            tweak_base=tree_idx * _TREE_TWEAK_STRIDE,
-            crhf=crhf,
+    offsets, runs = _schedule(sizes, prg.arity)
+    for first, count, depth, tweak_bases in runs:
+        leaves = spcot_send_batch(
+            channel, pool, delta, prg, depth, count, rng,
+            tweak_bases=tweak_bases, crhf=crhf,
         )
-        out[offset : offset + size] = leaves[:size]
-        offset += size
+        for i in range(count):
+            size = sizes[first + i]
+            start = offsets[first + i]
+            out[start : start + size] = leaves[i, :size]
     return out
 
 
@@ -175,13 +146,12 @@ def mpcot_receive(
     n: int,
     t: int,
     crhf: Crhf = DEFAULT_CRHF,
-    batched: bool = True,
 ) -> tuple:
     """Receiver side: returns (u, v) with u one-hot per block.
 
     ``u`` is the length-n 0/1 noise vector (t set bits at the global
     puncture positions); ``v`` the length-n block vector satisfying
-    ``w = v XOR u * Delta``.  ``batched`` must match the sender's.
+    ``w = v XOR u * Delta``.
     """
     sizes = block_sizes(n, t)
     alphas = np.asarray(alphas, dtype=np.int64)
@@ -194,32 +164,15 @@ def mpcot_receive(
             )
     u = np.zeros(n, dtype=np.uint8)
     v = blocks.zeros(n)
-    if batched:
-        offsets, runs = _batched_schedule(sizes, prg.arity)
-        for first, count, depth, tweak_bases in runs:
-            run_v, _ = spcot_receive_batch(
-                channel, pool, alphas[first : first + count], prg, depth,
-                tweak_bases=tweak_bases, crhf=crhf,
-            )
-            for i in range(count):
-                size = sizes[first + i]
-                start = offsets[first + i]
-                v[start : start + size] = run_v[i, :size]
-                u[start + alphas[first + i]] = 1
-        return u, v
-    offset = 0
-    for tree_idx, size in enumerate(sizes):
-        depth = tree_depth_for(size, prg.arity)
-        leaves = spcot_receive(
-            channel,
-            pool,
-            int(alphas[tree_idx]),
-            prg,
-            depth,
-            tweak_base=tree_idx * _TREE_TWEAK_STRIDE,
-            crhf=crhf,
+    offsets, runs = _schedule(sizes, prg.arity)
+    for first, count, depth, tweak_bases in runs:
+        run_v, _ = spcot_receive_batch(
+            channel, pool, alphas[first : first + count], prg, depth,
+            tweak_bases=tweak_bases, crhf=crhf,
         )
-        v[offset : offset + size] = leaves[:size]
-        u[offset + alphas[tree_idx]] = 1
-        offset += size
+        for i in range(count):
+            size = sizes[first + i]
+            start = offsets[first + i]
+            v[start : start + size] = run_v[i, :size]
+            u[start + alphas[first + i]] = 1
     return u, v

@@ -1,0 +1,139 @@
+"""Reference implementations the shipped protocols are compared against.
+
+``spcot_send`` / ``spcot_receive`` run ONE SPCOT instance the way the
+protocol is usually written down: level by level, one derandomized OT
+(and, for arity > 2, one key-tree transfer plus one masked-sums
+message) per GGM level, each with its own channel round trip.
+``mpcot_send_sequential`` / ``mpcot_receive_sequential`` run the t
+trees of a multi-point execution one after the other through them.
+
+The shipped one-shot path (``repro.spcot.protocol.spcot_*_batch`` under
+``repro.spcot.mpcot``) must reproduce these outputs bit for bit from
+the same rng state, with the same PRG core-call counts and the same COT
+consumption; only the message schedule differs.  The tweak layout and
+the key-tree PRG are spelled out here, not imported, so the comparison
+also pins the shipped schedule.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.crypto import blocks
+from repro.crypto.crhf import DEFAULT_CRHF
+from repro.crypto.prg import ChaChaTreePrg
+from repro.ot.ot_from_cot import ot_receive_from_cot, ot_send_from_cot
+from repro.spcot.ggm import PuncturedReconstructor, alpha_digits, expand_full, level_sums
+from repro.spcot.mpcot import block_sizes, tree_depth_for
+from repro.utils.bitops import log_base
+
+_KEY_TREE_PRG = ChaChaTreePrg(arity=2, rounds=8, salt=b"ironman-key-tree")
+_TREE_TWEAK_STRIDE = 1 << 20  # per tree
+_LEVEL_TWEAK_STRIDE = 64  # per GGM level inside a tree's stride
+_MASK_TWEAK_OFFSET = 32  # a level's masked sums, above its key-tree OT pads
+
+
+def spcot_send(channel, pool, delta, prg, depth, rng, tweak_base=0, crhf=DEFAULT_CRHF):
+    """Run SPCOT as the sender; returns the leaf vector ``w`` (l blocks)."""
+    m = prg.arity
+    seed = blocks.random_blocks(1, rng)
+    levels = expand_full(prg, seed, depth)
+    for level_idx in range(1, depth + 1):
+        sums = level_sums(levels[level_idx], m)
+        tweak = tweak_base + level_idx * _LEVEL_TWEAK_STRIDE
+        if m == 2:
+            cot = pool.take_sender(1)
+            ot_send_from_cot(channel, cot, sums[0:1], sums[1:2], tweak_base=tweak, crhf=crhf)
+        else:
+            kt_depth = log_base(m, 2)
+            kt_seed = blocks.random_blocks(1, rng)
+            kt_levels = expand_full(_KEY_TREE_PRG, kt_seed, kt_depth)
+            for kt_level in range(1, kt_depth + 1):
+                kt_sums = level_sums(kt_levels[kt_level], 2)
+                cot = pool.take_sender(1)
+                ot_send_from_cot(
+                    channel,
+                    cot,
+                    kt_sums[0:1],
+                    kt_sums[1:2],
+                    tweak_base=tweak + kt_level,
+                    crhf=crhf,
+                )
+            keys = kt_levels[-1]  # (m, 2) one-time keys q_j
+            mask_tweaks = np.arange(m, dtype=np.uint64) + np.uint64(tweak + _MASK_TWEAK_OFFSET)
+            channel.send_blocks(blocks.xor(sums, crhf.hash_tweaked(keys, mask_tweaks)))
+    leaves = levels[-1]
+    psi = blocks.xor(delta, blocks.xor_reduce(leaves))
+    channel.send_blocks(psi)
+    return leaves
+
+
+def spcot_receive(channel, pool, alpha, prg, depth, tweak_base=0, crhf=DEFAULT_CRHF):
+    """Run SPCOT as the receiver; returns ``v`` with the alpha-slot fixed up.
+
+    The returned vector satisfies ``w = v XOR one_hot(alpha) * Delta``
+    against the sender's ``w``.
+    """
+    m = prg.arity
+    digits = alpha_digits(alpha, m, depth)
+    recon = PuncturedReconstructor(prg, depth, digits)
+    for level_idx in range(1, depth + 1):
+        digit = digits[level_idx - 1]
+        tweak = tweak_base + level_idx * _LEVEL_TWEAK_STRIDE
+        if m == 2:
+            cot = pool.take_receiver(1)
+            choice = np.array([1 - digit], dtype=np.uint8)
+            known = ot_receive_from_cot(channel, cot, choice, tweak_base=tweak, crhf=crhf)
+            recon.feed_level({1 - digit: known})
+        else:
+            kt_depth = log_base(m, 2)
+            kt_digits = alpha_digits(digit, 2, kt_depth)
+            kt_recon = PuncturedReconstructor(_KEY_TREE_PRG, kt_depth, kt_digits)
+            for kt_level in range(1, kt_depth + 1):
+                kt_digit = kt_digits[kt_level - 1]
+                cot = pool.take_receiver(1)
+                choice = np.array([1 - kt_digit], dtype=np.uint8)
+                known = ot_receive_from_cot(
+                    channel, cot, choice, tweak_base=tweak + kt_level, crhf=crhf
+                )
+                kt_recon.feed_level({1 - kt_digit: known})
+            keys, _ = kt_recon.leaves()
+            masked = channel.recv_blocks()  # (m, 2)
+            mask_tweaks = np.arange(m, dtype=np.uint64) + np.uint64(tweak + _MASK_TWEAK_OFFSET)
+            unmasked = blocks.xor(masked, crhf.hash_tweaked(keys, mask_tweaks))
+            recon.feed_level({j: unmasked[j] for j in range(m) if j != digit})
+    v, hole = recon.leaves()
+    psi = channel.recv_blocks()
+    # v[hole] is currently zero, so the reduce covers exactly the known leaves.
+    v[hole] = blocks.xor(psi, blocks.xor_reduce(v)).reshape(2)
+    return v
+
+
+def mpcot_send_sequential(channel, pool, delta, prg, n, t, rng, crhf=DEFAULT_CRHF):
+    """Sender side of MPCOT, one tree after the other."""
+    out = blocks.zeros(n)
+    offset = 0
+    for tree_idx, size in enumerate(block_sizes(n, t)):
+        leaves = spcot_send(
+            channel, pool, delta, prg, tree_depth_for(size, prg.arity), rng,
+            tweak_base=tree_idx * _TREE_TWEAK_STRIDE, crhf=crhf,
+        )
+        out[offset : offset + size] = leaves[:size]
+        offset += size
+    return out
+
+
+def mpcot_receive_sequential(channel, pool, alphas, prg, n, t, crhf=DEFAULT_CRHF):
+    """Receiver side of MPCOT, one tree after the other; returns (u, v)."""
+    u = np.zeros(n, dtype=np.uint8)
+    v = blocks.zeros(n)
+    offset = 0
+    for tree_idx, size in enumerate(block_sizes(n, t)):
+        leaves = spcot_receive(
+            channel, pool, int(alphas[tree_idx]), prg, tree_depth_for(size, prg.arity),
+            tweak_base=tree_idx * _TREE_TWEAK_STRIDE, crhf=crhf,
+        )
+        v[offset : offset + size] = leaves[:size]
+        u[offset + alphas[tree_idx]] = 1
+        offset += size
+    return u, v

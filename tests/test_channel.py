@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.crypto import blocks
-from repro.errors import ChannelError, ChannelTimeout
+from repro.errors import ChannelClosed, ChannelError, ChannelTimeout
 from repro.ot.channel import LocalChannel, PartyError, run_pair
 
 
@@ -68,6 +68,18 @@ class TestLocalChannel:
         a, _ = LocalChannel.pair()
         with pytest.raises(ChannelError):
             a.recv_bytes(timeout=0.05)
+
+    def test_close_ends_the_peers_receives_after_pending_data(self):
+        a, b = LocalChannel.pair(timeout=30.0)
+        a.send_bytes(b"last words")
+        a.close()
+        assert b.recv_bytes() == b"last words"
+        started = time.monotonic()
+        for _ in range(2):  # sticky: every later receive fails at once
+            with pytest.raises(ChannelClosed):
+                b.recv_bytes()
+        assert time.monotonic() - started < 1.0
+        assert b.stats.bytes_received == len(b"last words")
 
     def test_timeout_is_a_channel_error_subclass(self):
         a, _ = LocalChannel.pair()
@@ -159,6 +171,23 @@ class TestRunPair:
 
         with pytest.raises(PartyError, match="boom"):
             run_pair(fail, idle)
+
+    def test_failing_party_unblocks_its_peer_at_once(self):
+        """The peer of a party that raised sees ChannelClosed in
+        milliseconds, and the caller sees the root cause, not that echo."""
+
+        def fail(ch):
+            raise ValueError("boom")
+
+        def wait(ch):
+            ch.recv_bytes()  # would block for the 60 s default
+
+        for party_a, party_b, culprit in [(fail, wait, "a"), (wait, fail, "b")]:
+            started = time.monotonic()
+            with pytest.raises(PartyError, match=f"party {culprit!r}.*boom") as err:
+                run_pair(party_a, party_b)
+            assert time.monotonic() - started < 2.0
+            assert isinstance(err.value.__cause__, ValueError)
 
     def test_recv_timeout_surfaced_through_run_pair(self):
         """run_pair(recv_timeout=...) reaches the channels, so paper-sized

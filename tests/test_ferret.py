@@ -4,12 +4,16 @@ import numpy as np
 import pytest
 
 from repro.errors import ProtocolError
+from repro.ferret import protocol as ferret_protocol
 from repro.ferret.config import FerretConfig
 from repro.ferret.protocol import FerretReceiver, FerretSender, ferret_pair
 from repro.lpn.params import LpnParams, scaled_params
 from repro.ot.channel import run_pair
 from repro.ot.cot import verify_cot
+from repro.spcot.mpcot import block_sizes, depth_runs
 from repro.utils.bitops import log_base
+
+from oracles import mpcot_receive_sequential, mpcot_send_sequential
 
 SMALL = FerretConfig.small(scale=1024, arity=4, prg_kind="chacha8")
 
@@ -102,6 +106,12 @@ def run_ferret_session(config, rounds=1, seed=7):
     return sender, receiver, s_out, r_out, s_stats, r_stats
 
 
+def use_sequential_mpcot(monkeypatch):
+    """Run Ferret's extend over the per-tree, per-level reference MPCOT."""
+    monkeypatch.setattr(ferret_protocol, "mpcot_send", mpcot_send_sequential)
+    monkeypatch.setattr(ferret_protocol, "mpcot_receive", mpcot_receive_sequential)
+
+
 class TestExtendStats:
     #: t deliberately much larger than the GGM depth so O(t * depth) and
     #: O(depth) round counts are far apart.
@@ -124,43 +134,48 @@ class TestExtendStats:
         for stats in (sender.last_stats, receiver.last_stats):
             assert stats.n_output == cfg.params.n - cfg.base_cots_needed
             assert stats.prg_calls > 0
-            assert stats.rounds > 0
+            assert stats.bytes_sent > 0
+        runs = len(depth_runs(block_sizes(cfg.params.n, cfg.params.t), cfg.arity))
+        assert sender.last_stats.rounds == runs
+        # The receiver opens its extend with a send (the correction bits);
+        # when setup() also ended on a send that is the same flight, not a
+        # new round.
+        assert receiver.last_stats.rounds in {runs - 1, runs}
 
-    @pytest.mark.parametrize("arity", [2, 4])
-    def test_extend_rounds_scale_with_depth_not_t(self, arity):
-        """Regression guard for the batched schedule: per-extend channel
-        rounds are O(depth * log2(arity)), independent of t."""
-        params = self.ROUND_PARAMS
+    @pytest.mark.parametrize(
+        "arity,params",
+        [
+            (2, ROUND_PARAMS),
+            (4, ROUND_PARAMS),
+            (4, LpnParams("deep", 8192, 2048, 4, 4, 0.0)),  # depth 6 instead of 3
+            (4, LpnParams("two-runs", 1987, 65, 32, 31, 0.0)),  # blocks of 65 and 64 leaves
+        ],
+        ids=["binary", "4ary", "deep", "two-runs"],
+    )
+    def test_extend_rounds_independent_of_depth_arity_and_t(self, arity, params):
+        """One SPCOT exchange per same-depth run, whatever the tree shape:
+        the sender answers the receiver's single message once per run."""
         cfg = FerretConfig(params=params, arity=arity, prg_kind="chacha8")
-        sender, receiver, _, _, _, _ = run_ferret_session(cfg)
-        depth = log_base(params.tree_leaves(arity), arity)
-        bits_per_level = log_base(arity, 2)
-        # Each binary OT flips direction twice; allow a small constant for
-        # the psi broadcast, masked sums, and at most two depth runs.
-        bound = 2 * (2 * depth * bits_per_level + 4)
-        seq_scale = params.t * depth  # what the sequential path would pay
-        for stats in (sender.last_stats, receiver.last_stats):
-            assert stats.rounds <= bound
-            assert stats.rounds < seq_scale / 4
+        sender, receiver, _, _, _, _ = run_ferret_session(cfg, rounds=2)
+        runs = len(depth_runs(block_sizes(params.n, params.t), arity))
+        assert sender.last_stats.rounds == runs
+        assert receiver.last_stats.rounds == runs  # second extend: follows a receive
 
-    def test_sequential_path_still_pays_per_tree_rounds(self):
-        """The oracle keeps its O(t * depth) shape -- proving the batched
-        default is what removed the factor of t."""
+    def test_sequential_path_still_pays_per_tree_rounds(self, monkeypatch):
+        """The oracle keeps its O(t * depth) shape -- proving the one-shot
+        protocol is what removed the factors of t and depth."""
         params = self.ROUND_PARAMS
-        cfg = FerretConfig(
-            params=params, arity=4, prg_kind="chacha8", batched=False
-        )
+        cfg = FerretConfig(params=params, arity=4, prg_kind="chacha8")
+        use_sequential_mpcot(monkeypatch)
         sender, _, _, _, _, _ = run_ferret_session(cfg)
         depth = log_base(params.tree_leaves(4), 4)
         assert sender.last_stats.rounds >= params.t * depth
 
-    def test_batched_and_sequential_outputs_match(self):
-        cfg_b = FerretConfig(params=self.ROUND_PARAMS, arity=4, prg_kind="chacha8")
-        cfg_s = FerretConfig(
-            params=self.ROUND_PARAMS, arity=4, prg_kind="chacha8", batched=False
-        )
-        _, _, sb, rb, _, _ = run_ferret_session(cfg_b, seed=21)
-        _, _, ss, rs, _, _ = run_ferret_session(cfg_s, seed=21)
+    def test_batched_and_sequential_outputs_match(self, monkeypatch):
+        cfg = FerretConfig(params=self.ROUND_PARAMS, arity=4, prg_kind="chacha8")
+        _, _, sb, rb, _, _ = run_ferret_session(cfg, seed=21)
+        use_sequential_mpcot(monkeypatch)
+        _, _, ss, rs, _, _ = run_ferret_session(cfg, seed=21)
         assert np.array_equal(sb[0].z, ss[0].z)
         assert np.array_equal(rb[0].x, rs[0].x)
         assert np.array_equal(rb[0].y, rs[0].y)

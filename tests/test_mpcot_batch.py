@@ -1,9 +1,9 @@
-"""Batched level-synchronous MPCOT vs the sequential reference oracle.
+"""One-shot MPCOT vs the sequential per-tree, per-level reference oracle.
 
-The batched path must be a pure schedule change: same outputs bit for
+The shipped path must be a pure schedule change: same outputs bit for
 bit, same PRG core-call counts (the Figure 7 quantity), same COT
 consumption -- only the channel-round count may differ, dropping from
-O(t * depth) to O(depth).
+O(t * depth) to one per same-depth run.
 """
 
 import numpy as np
@@ -34,6 +34,8 @@ from repro.spcot.mpcot import (
 )
 from repro.spcot.protocol import cots_needed, spcot_receive_batch, spcot_send_batch
 
+from oracles import mpcot_receive_sequential, mpcot_send_sequential
+
 
 def make_pools(n_cots, delta, seed=99):
     """Fabricated (not base-OT-derived) COT correlations for speed."""
@@ -48,18 +50,23 @@ def make_pools(n_cots, delta, seed=99):
 
 
 def run_both_paths(n, t, arity, prg_cls, delta, rng_seed=123, alpha_seed=5):
-    """Run sequential and batched MPCOT from identical starting state."""
+    """Run the sequential oracle (key False) and the shipped one-shot
+    MPCOT (key True) from identical starting state."""
     alphas = sample_alphas(n, t, np.random.default_rng(alpha_seed))
+    paths = {
+        False: (mpcot_send_sequential, mpcot_receive_sequential),
+        True: (mpcot_send, mpcot_receive),
+    }
     results = {}
-    for batched in (False, True):
+    for shipped, (send, receive) in paths.items():
         pool_s, pool_r = make_pools(mpcot_cots_needed(n, t, arity), delta)
         prg_s, prg_r = prg_cls(arity), prg_cls(arity)
         rng = np.random.default_rng(rng_seed)
         w, uv, s_stats, r_stats = run_pair(
-            lambda ch: mpcot_send(ch, pool_s, delta, prg_s, n, t, rng, batched=batched),
-            lambda ch: mpcot_receive(ch, pool_r, alphas, prg_r, n, t, batched=batched),
+            lambda ch: send(ch, pool_s, delta, prg_s, n, t, rng),
+            lambda ch: receive(ch, pool_r, alphas, prg_r, n, t),
         )
-        results[batched] = {
+        results[shipped] = {
             "w": w,
             "u": uv[0],
             "v": uv[1],
@@ -141,23 +148,25 @@ class TestBatchedSpcot:
             assert np.all(blocks.equal(w[i], expect))
 
     def test_rounds_independent_of_tree_count(self, delta, rng):
-        """One batched OT per level: rounds must not grow with t."""
-        rounds = {}
-        for t in (2, 16):
-            pool_s, pool_r = make_pools(t * 6, delta)
-            alphas = rng.integers(0, 64, t)
-            send_rng = np.random.default_rng(4)
-            prg_s, prg_r = ChaChaTreePrg(4), ChaChaTreePrg(4)
-            _, _, s_stats, _ = run_pair(
-                lambda ch: spcot_send_batch(ch, pool_s, delta, prg_s, 3, t, send_rng),
-                lambda ch: spcot_receive_batch(ch, pool_r, alphas, prg_r, 3),
-            )
-            rounds[t] = s_stats.rounds
-        assert rounds[2] == rounds[16]
+        """One exchange per run: the sender answers once, in three
+        messages, whatever t, depth and arity."""
+        for arity, depth in [(2, 6), (4, 3), (8, 2)]:
+            for t in (2, 16):
+                pool_s, pool_r = make_pools(t * cots_needed(arity**depth, arity), delta)
+                alphas = rng.integers(0, arity**depth, t)
+                send_rng = np.random.default_rng(4)
+                prg_s, prg_r = ChaChaTreePrg(arity), ChaChaTreePrg(arity)
+                _, _, s_stats, r_stats = run_pair(
+                    lambda ch: spcot_send_batch(ch, pool_s, delta, prg_s, depth, t, send_rng),
+                    lambda ch: spcot_receive_batch(ch, pool_r, alphas, prg_r, depth),
+                )
+                assert s_stats.rounds == 1
+                assert s_stats.messages_sent == 3  # e0, e1, masked sums + psi
+                assert r_stats.messages_sent == 1  # the correction bits
 
 
 class TestEquivalence:
-    """Batched MPCOT == sequential MPCOT, bit for bit."""
+    """One-shot MPCOT == sequential oracle, bit for bit."""
 
     @pytest.mark.parametrize(
         "arity,prg_cls,n,t",
@@ -187,11 +196,10 @@ class TestEquivalence:
         assert res[False]["pool_left"] == res[True]["pool_left"] == (0, 0)
 
     def test_batched_rounds_are_fewer(self, delta):
-        """t trees collapse into O(depth) rounds (t > depth_runs here)."""
+        """t * depth * log2(arity) OT round trips collapse into one per run."""
         res = run_both_paths(128, 8, 4, ChaChaTreePrg, delta)
-        seq_rounds = res[False]["rounds"][0]
-        bat_rounds = res[True]["rounds"][0]
-        assert bat_rounds * 4 <= seq_rounds
+        assert res[False]["rounds"][0] == 8 * 2 * 2  # t trees, depth 2, 2 key-tree levels
+        assert res[True]["rounds"][0] == len(depth_runs(block_sizes(128, 8), 4)) == 1
 
     @given(
         seed=st.integers(0, 10_000),
@@ -209,7 +217,7 @@ class TestEquivalence:
         assert np.array_equal(res[False]["u"], res[True]["u"])
         assert np.array_equal(res[False]["v"], res[True]["v"])
         assert res[False]["prg_calls"] == res[True]["prg_calls"]
-        # And the batched run is still a valid MPCOT.
+        # And the one-shot run is still a valid MPCOT.
         w, u, v = res[True]["w"], res[True]["u"], res[True]["v"]
         assert u.sum() == t
         assert np.all(blocks.equal(w, blocks.xor(v, blocks.mul_bit(delta, u))))

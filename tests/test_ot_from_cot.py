@@ -5,7 +5,7 @@ import pytest
 
 from repro.crypto import blocks
 from repro.errors import ProtocolError
-from repro.ot.channel import run_pair
+from repro.ot.channel import PartyError, run_pair
 from repro.ot.cot import CotPool
 from repro.ot.ot_from_cot import (
     cot_to_random_ot_receiver,
@@ -47,13 +47,14 @@ class TestChosenMessageOt:
     def test_length_mismatch_raises(self, cot_pools, rng):
         ps, pr = cot_pools
         m = blocks.random_blocks(4, rng)
-        with pytest.raises(Exception):
+        with pytest.raises(PartyError, match="party 'a'") as err:
             run_pair(
                 lambda ch: ot_send_from_cot(ch, ps.take_sender(5), m, m),
                 lambda ch: ot_receive_from_cot(
                     ch, pr.take_receiver(5), np.zeros(5, dtype=np.uint8)
                 ),
             )
+        assert isinstance(err.value.__cause__, ProtocolError)
 
     def test_online_communication_is_two_blocks_plus_bit(self, cot_pools, rng):
         ps, pr = cot_pools

@@ -7,18 +7,21 @@ from hypothesis import strategies as st
 
 from repro.crypto import blocks
 from repro.crypto.prg import AesTreePrg, ChaChaTreePrg
-from repro.ot.channel import run_pair
+from repro.errors import ProtocolError
+from repro.ot.channel import Channel, run_pair
 from repro.ot.cot import CotPool, CotReceiverBatch, CotSenderBatch
-from repro.spcot.protocol import cots_needed, spcot_receive, spcot_send
+from repro.spcot.protocol import cots_needed, spcot_receive_batch, spcot_send_batch
 
 
 def run_spcot(pools, delta, rng, prg_s, prg_r, depth, alpha, tweak=0):
+    """One SPCOT instance: the shipped one-shot protocol with a single tree."""
     ps, pr = pools
-    w, v, s_stats, r_stats = run_pair(
-        lambda ch: spcot_send(ch, ps, delta, prg_s, depth, rng, tweak),
-        lambda ch: spcot_receive(ch, pr, alpha, prg_r, depth, tweak),
+    w, (v, holes), s_stats, r_stats = run_pair(
+        lambda ch: spcot_send_batch(ch, ps, delta, prg_s, depth, 1, rng, tweak_bases=[tweak]),
+        lambda ch: spcot_receive_batch(ch, pr, [alpha], prg_r, depth, tweak_bases=[tweak]),
     )
-    return w, v, s_stats, r_stats
+    assert holes[0] == alpha
+    return w[0], v[0], s_stats, r_stats
 
 
 def check_invariant(w, v, delta, alpha):
@@ -120,3 +123,65 @@ class TestMixedPrg:
         assert check_invariant(w1, v1, delta, 5)
         assert check_invariant(w2, v2, delta, 5)
         assert not np.all(blocks.equal(w1, w2))
+
+
+class ScriptedChannel(Channel):
+    """Plays back a fixed list of inbound messages; sends go nowhere."""
+
+    def __init__(self, inbound):
+        super().__init__()
+        self._inbound = list(inbound)
+
+    def send_bytes(self, data):
+        self.stats.record_send(len(data))
+
+    def recv_bytes(self, timeout=None):
+        return self._inbound.pop(0)
+
+
+def packed_bits(n):
+    """What ``send_bits`` puts on the wire for ``n`` zero bits."""
+    return np.uint64(n).tobytes() + bytes((n + 7) // 8)
+
+
+class TestMalformedPeerMessages:
+    """A peer-controlled length is a ProtocolError on either side, never a
+    ParameterError (the caller's own arguments were fine) or a numpy
+    broadcasting error."""
+
+    DEPTH, T = 3, 2
+    N_OTS = T * cots_needed(4**DEPTH, 4)  # 12
+    REPLY = DEPTH * T * 4 + T  # masked sums of every level, then psi
+
+    def receive(self, cot_pools, inbound):
+        _, pr = cot_pools
+        return spcot_receive_batch(
+            ScriptedChannel(inbound), pr, [5, 9], ChaChaTreePrg(4), self.DEPTH
+        )
+
+    @pytest.mark.parametrize("n_bits", [N_OTS - 1, N_OTS + 1, 0])
+    def test_sender_rejects_wrong_length_corrections(self, cot_pools, delta, rng, n_bits):
+        ps, _ = cot_pools
+        channel = ScriptedChannel([packed_bits(n_bits)])
+        with pytest.raises(ProtocolError, match="correction bit vector"):
+            spcot_send_batch(channel, ps, delta, ChaChaTreePrg(4), self.DEPTH, self.T, rng)
+        assert channel.stats.messages_sent == 0  # nothing was answered
+
+    @pytest.mark.parametrize("n_e0,n_e1", [(N_OTS - 1, N_OTS), (N_OTS, N_OTS + 1)])
+    def test_receiver_rejects_wrong_length_ot_reply(self, cot_pools, n_e0, n_e1):
+        inbound = [bytes(16 * n_e0), bytes(16 * n_e1), bytes(16 * self.REPLY)]
+        with pytest.raises(ProtocolError, match="OT reply"):
+            self.receive(cot_pools, inbound)
+
+    @pytest.mark.parametrize("n_reply", [REPLY - 1, REPLY + 1, T])
+    def test_receiver_rejects_wrong_length_sums_and_psi(self, cot_pools, n_reply):
+        inbound = [bytes(16 * self.N_OTS)] * 2 + [bytes(16 * n_reply)]
+        with pytest.raises(ProtocolError, match="masked sums / psi reply"):
+            self.receive(cot_pools, inbound)
+
+    def test_well_formed_script_is_accepted(self, cot_pools):
+        """The same script at the right lengths goes through (garbage in,
+        garbage out): the rejections above are about length alone."""
+        inbound = [bytes(16 * self.N_OTS)] * 2 + [bytes(16 * self.REPLY)]
+        v, holes = self.receive(cot_pools, inbound)
+        assert v.shape == (self.T, 4**self.DEPTH, 2) and list(holes) == [5, 9]
