@@ -102,6 +102,13 @@ class CotPool:
         if (self.sender is None) == (self.receiver is None):
             raise ParameterError("pool must hold exactly one of sender/receiver batch")
 
+    @classmethod
+    def of(cls, batch) -> "CotPool":
+        """Wrap one batch in a pool of the batch's own role."""
+        if isinstance(batch, CotSenderBatch):
+            return cls(sender=batch)
+        return cls(receiver=batch)
+
     @property
     def size(self) -> int:
         batch = self.sender if self.sender is not None else self.receiver

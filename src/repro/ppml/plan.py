@@ -26,17 +26,15 @@ from dataclasses import dataclass, field
 
 from repro.errors import ParameterError, ServiceError, WaitTimeout
 from repro.mpc.compare import cots_needed, triples_needed
-from repro.mpc.matmul import MatmulDims, matmul_cots
+from repro.mpc.matmul import MatmulDims
 from repro.mpc.truncation import (
     FixedPointConfig,
     trunc_bit_triples,
     trunc_cots,
-    trunc_pair_bit_triples,
-    trunc_pair_cots,
     trunc_ring_triples,
 )
 from repro.ppml.layers import Conv2d, Graph, Linear
-from repro.runtime.pool import MatrixTriplePool, TruncPairPool
+from repro.runtime.recipes import BY_KIND, MTRI, RTRI, TPRC, TRI
 
 
 @dataclass
@@ -76,42 +74,34 @@ class CorrelationDemand:
     def matrix_triples(self) -> int:
         return sum(self.matrix.values())
 
+    def derived(self) -> list:
+        """``(recipe, pool key, count)`` of every derived kind drawn."""
+        items = [(TRI, (), self.bit_triples), (RTRI, (), self.ring_triples)]
+        items += [
+            (MTRI, (dims.m, dims.k, dims.n), count)
+            for dims, count in self.matrix.items()
+        ]
+        items += [(TPRC, (frac,), count) for frac, count in self.trunc_pairs.items()]
+        return [item for item in items if item[2] > 0]
+
     def total_cots(self, ring_bits: int) -> int:
         """All raw COTs behind this demand (consumer draws + derived).
 
-        Bit triples cost one COT per direction, ring triples
-        ``ring_bits`` per direction, matrix triples ``matmul_cots``
-        from a single direction, truncation pairs their forward COTs
-        plus the bit triples their generation consumes.
+        Derived kinds cost what their recipes' inputs say: bit triples
+        one COT per direction, ring triples ``ring_bits`` per
+        direction, matrix triples ``matmul_cots`` from a single
+        direction, truncation pairs their forward COTs plus the bit
+        triples their generation consumes.
         """
-        derived = self.bit_triples * 2 + self.ring_triples * ring_bits * 2
-        derived += sum(
-            int(matmul_cots(dims, ring_bits)) * count
-            for dims, count in self.matrix.items()
-        )
-        derived += sum(
-            (
-                trunc_pair_cots(ring_bits, frac)
-                + trunc_pair_bit_triples(ring_bits, frac) * 2
-            )
-            * count
-            for frac, count in self.trunc_pairs.items()
-        )
-        return self.cot_fwd + self.cot_rev + derived
+        _, cots = _expand(self, ring_bits, every_choice=False)
+        return self.cot_fwd + self.cot_rev + sum(cots.values())
 
     def as_pool_targets(self) -> dict:
         """Pool kind -> item count, the :meth:`CorrelationService.prefill`
         input (zero entries omitted)."""
-        targets = {
-            "cot/fwd": self.cot_fwd,
-            "cot/rev": self.cot_rev,
-            "tri": self.bit_triples,
-            "rtri": self.ring_triples,
-        }
-        for dims, count in self.matrix.items():
-            targets[MatrixTriplePool.key_for(dims.m, dims.k, dims.n)] = count
-        for frac, count in self.trunc_pairs.items():
-            targets[TruncPairPool.key_for(frac)] = count
+        targets = {"cot/fwd": self.cot_fwd, "cot/rev": self.cot_rev}
+        for recipe, key, count in self.derived():
+            targets[recipe.pool_name(*key)] = count
         return {kind: count for kind, count in targets.items() if count > 0}
 
 
@@ -216,57 +206,53 @@ def layer_demand(
     return demand
 
 
-def _layer_produce_counts(demand: CorrelationDemand, bits: int) -> dict:
-    """Pool production one layer's demand requires, per kind.
+def _expand(demand: CorrelationDemand, bits: int, every_choice: bool = True) -> tuple:
+    """Walk the recipe inputs behind a demand: ``(produce, cots)``.
 
-    Consumer draws (``as_pool_targets``) plus the bit triples that this
-    layer's truncation-pair generation consumes *internally* -- the
-    derived-of-derived input the worker must have produced before the
-    TPRC batch can run.
+    ``produce`` is the pool production the demand requires, per kind:
+    consumer draws (``as_pool_targets``) plus every derived item that
+    production consumes *internally* -- the bit triples
+    truncation-pair generation eats, which the worker must have
+    produced before the TPRC batch can run.  ``cots`` is the raw COTs
+    all that derived production reserves internally, per direction.
+    A recipe that picks ONE of its inputs by stock at runtime (matrix
+    triples) is charged to every candidate when ``every_choice``, else
+    to the first.
     """
-    counts = dict(demand.as_pool_targets())
-    internal_tri = sum(
-        count * trunc_pair_bit_triples(bits, frac)
-        for frac, count in demand.trunc_pairs.items()
-    )
-    if internal_tri:
-        counts["tri"] = counts.get("tri", 0) + internal_tri
-    return counts
+    produce = dict(demand.as_pool_targets())
+    cots = {}
+    work = demand.derived()
+    for recipe, key, count in work:  # grows while walking: derived-of-derived
+        inputs = recipe.inputs(bits, *key)
+        if recipe.choose is not None and not every_choice:
+            inputs = inputs[:1]
+        for src, per in inputs:
+            source = BY_KIND[src]
+            if source.direction is not None:
+                cots[src] = cots.get(src, 0) + count * per
+            else:
+                produce[src] = produce.get(src, 0) + count * per
+                work.append((source, (), count * per))
+    return produce, cots
+
+
+def _layer_produce_counts(demand: CorrelationDemand, bits: int) -> dict:
+    """Pool production one layer's demand requires, per kind."""
+    return _expand(demand, bits)[0]
 
 
 def _layer_internal_cots(demand: CorrelationDemand, bits: int) -> dict:
     """Raw COTs one layer's *derived production* reserves internally.
 
-    Bit triples (including the ones truncation-pair generation eats)
-    cost one COT per direction, ring triples ``bits`` per direction,
-    truncation pairs their forward COTs.  A matrix triple draws its
-    whole demand from ONE direction chosen by stock at runtime, so it
-    is charged to BOTH directions here -- conservative by at most one
-    layer's matrix demand in the unused direction, which the extend
-    batch quantum absorbs.  The pipeline adds this margin to the raw
-    COT watermark *before* scheduling the layer's derived production,
-    so internal reserves can never eat the stock that keeps already
-    ready layers' consumer draws warm.
+    A matrix triple draws its whole demand from ONE direction chosen by
+    stock at runtime, so it is charged to BOTH directions here --
+    conservative by at most one layer's matrix demand in the unused
+    direction, which the extend batch quantum absorbs.  The pipeline
+    adds this margin to the raw COT watermark *before* scheduling the
+    layer's derived production, so internal reserves can never eat the
+    stock that keeps already ready layers' consumer draws warm.
     """
-    tri = demand.bit_triples + sum(
-        count * trunc_pair_bit_triples(bits, frac)
-        for frac, count in demand.trunc_pairs.items()
-    )
-    mtri = sum(
-        int(matmul_cots(dims, bits)) * count
-        for dims, count in demand.matrix.items()
-    )
-    fwd = tri + demand.ring_triples * bits + mtri + sum(
-        count * trunc_pair_cots(bits, frac)
-        for frac, count in demand.trunc_pairs.items()
-    )
-    rev = tri + demand.ring_triples * bits + mtri
-    counts = {}
-    if fwd:
-        counts["cot/fwd"] = fwd
-    if rev:
-        counts["cot/rev"] = rev
-    return counts
+    return _expand(demand, bits)[1]
 
 
 #: Column titles matching :meth:`PreprocessingPlan.summary_rows`.

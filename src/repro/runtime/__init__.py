@@ -6,9 +6,11 @@ amortization argument assumes):
 
 * :mod:`repro.runtime.pool` -- thread-safe typed correlation pools with
   watermark refill, backpressure, and per-pool statistics;
+* :mod:`repro.runtime.recipes` -- the declarative table of production
+  ops (extends, bit/ring/matrix triples, truncation pairs, random
+  OTs): what each consumes, how it is commanded, made and pooled;
 * :mod:`repro.runtime.service` -- a per-party background worker that
-  keeps the pools filled by running Ferret extends (both directions)
-  and derived production (bit/ring/matrix triples, random OTs), with
+  keeps the pools filled by scheduling and running those recipes, with
   deterministic leader-side allocation so the two parties' draws stay
   correlated, plus ``prefill`` for planner-driven preprocessing;
 * :mod:`repro.runtime.mux` -- tagged sub-channel multiplexing so the
@@ -37,8 +39,6 @@ from repro.runtime.pool import (
     PoolStats,
     ReceiverCotPool,
     RingTriplePool,
-    RotReceiverPool,
-    RotSenderPool,
     SenderCotPool,
     TriplePool,
     TruncPairPool,
@@ -58,8 +58,6 @@ __all__ = [
     "PoolStats",
     "ReceiverCotPool",
     "RingTriplePool",
-    "RotReceiverPool",
-    "RotSenderPool",
     "SenderCotPool",
     "ServiceSession",
     "ServiceTuning",

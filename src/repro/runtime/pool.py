@@ -74,8 +74,9 @@ class PoolStats:
 class CorrelationPool:
     """Base pool: absolute-indexed stream of fixed-width numpy columns.
 
-    Subclasses fix the column layout and wrap take results in typed
-    batches.  ``low_watermark`` is the produced-ahead level below which
+    Subclasses fix the column layout and hide it behind :meth:`take` /
+    :meth:`append`, which speak the kind's typed batch.
+    ``low_watermark`` is the produced-ahead level below which
     the pool asks the service for a refill; ``high_watermark`` is the
     level the service tops up to.
     """
@@ -107,6 +108,10 @@ class CorrelationPool:
         self._pending_segments: dict = {}  # lo -> column arrays not yet contiguous
         self._trim_chunk = trim_chunk
         self._closed = False
+        #: Set by the service's pool factory: the production recipe that
+        #: fills this pool and the key a keyed kind was created under.
+        self.recipe = None
+        self.key = ()
         #: Optional liveness hook (set by the service): called on every
         #: wait tick; raises a typed ServiceError when the producer died
         #: or degraded, so blocked consumers fail fast with the cause
@@ -525,6 +530,14 @@ class CorrelationPool:
             self._columns = [col[cut:] for col in self._columns]
             self._base = self._done_upto
 
+    def take(self, lo: int, n: int, timeout: float = None):
+        """:meth:`take_columns` as this kind's typed batch."""
+        return self.take_columns(lo, n, timeout)
+
+    def append(self, batch) -> None:
+        """Append one production batch given as this kind's typed batch."""
+        self.append_columns(batch)
+
     def close(self) -> None:
         """Wake all blocked takers with an error (service shutdown)."""
         with self._cond:
@@ -539,10 +552,10 @@ class SenderCotPool(CorrelationPool):
         super().__init__(name, n_columns=1, **kwargs)
         self.delta = delta
 
-    def append_batch(self, batch: CotSenderBatch) -> None:
+    def append(self, batch: CotSenderBatch) -> None:
         self.append_columns((batch.z,))
 
-    def take_batch(self, lo: int, n: int, timeout: float = None) -> CotSenderBatch:
+    def take(self, lo: int, n: int, timeout: float = None) -> CotSenderBatch:
         (z,) = self.take_columns(lo, n, timeout)
         return CotSenderBatch(self.delta, z)
 
@@ -553,32 +566,12 @@ class ReceiverCotPool(CorrelationPool):
     def __init__(self, name: str, **kwargs):
         super().__init__(name, n_columns=2, **kwargs)
 
-    def append_batch(self, batch: CotReceiverBatch) -> None:
+    def append(self, batch: CotReceiverBatch) -> None:
         self.append_columns((batch.x, batch.y))
 
-    def take_batch(self, lo: int, n: int, timeout: float = None) -> CotReceiverBatch:
+    def take(self, lo: int, n: int, timeout: float = None) -> CotReceiverBatch:
         x, y = self.take_columns(lo, n, timeout)
         return CotReceiverBatch(x, y)
-
-
-class RotSenderPool(CorrelationPool):
-    """Random-OT sender pairs (m0, m1) from the Figure 2 conversion."""
-
-    def __init__(self, name: str, **kwargs):
-        super().__init__(name, n_columns=2, **kwargs)
-
-    def take_pairs(self, lo: int, n: int, timeout: float = None) -> tuple:
-        return self.take_columns(lo, n, timeout)
-
-
-class RotReceiverPool(CorrelationPool):
-    """Random-OT receiver view (choice bit, chosen message)."""
-
-    def __init__(self, name: str, **kwargs):
-        super().__init__(name, n_columns=2, **kwargs)
-
-    def take_pairs(self, lo: int, n: int, timeout: float = None) -> tuple:
-        return self.take_columns(lo, n, timeout)
 
 
 class TriplePool(CorrelationPool):
@@ -587,7 +580,10 @@ class TriplePool(CorrelationPool):
     def __init__(self, name: str, **kwargs):
         super().__init__(name, n_columns=3, **kwargs)
 
-    def take_triples(self, lo: int, n: int, timeout: float = None):
+    def append(self, triples) -> None:
+        self.append_columns((triples.a, triples.b, triples.c))
+
+    def take(self, lo: int, n: int, timeout: float = None):
         from repro.mpc.triples import BitTriples
 
         a, b, c = self.take_columns(lo, n, timeout)
@@ -601,7 +597,10 @@ class RingTriplePool(CorrelationPool):
         super().__init__(name, n_columns=3, **kwargs)
         self.bits = bits
 
-    def take_triples(self, lo: int, n: int, timeout: float = None):
+    def append(self, triples) -> None:
+        self.append_columns((triples.a, triples.b, triples.c))
+
+    def take(self, lo: int, n: int, timeout: float = None):
         from repro.mpc.triples import RingTriples
 
         a, b, c = self.take_columns(lo, n, timeout)
@@ -615,8 +614,8 @@ class TruncPairPool(CorrelationPool):
     the fractional width (``tprc/{frac}``) because a pair only rescales
     by its own shift amount, while ``bits`` is fixed service-wide like
     every other arithmetic pool.  Same absolute-index reserve/take and
-    watermark-refill semantics as RTRI/MTRI; the service's ``TPRC``
-    opcode produces batches from forward-direction COTs plus pooled bit
+    watermark-refill semantics as RTRI/MTRI; the ``TPRC`` recipe
+    produces batches from forward-direction COTs plus pooled bit
     triples (the two millionaires' comparisons inside generation).
     """
 
@@ -629,22 +628,10 @@ class TruncPairPool(CorrelationPool):
     def key_for(frac_bits: int) -> str:
         return f"tprc/{frac_bits}"
 
-    @property
-    def cots_per_item(self) -> int:
-        """Forward COTs one pair consumes -- the canonical count from
-        :func:`repro.mpc.truncation.trunc_pair_cots`, shared with the
-        generator so the scheduler's reservations cannot drift."""
-        from repro.mpc.truncation import trunc_pair_cots
+    def append(self, pairs) -> None:
+        self.append_columns((pairs.r, pairs.s))
 
-        return trunc_pair_cots(self.bits, self.frac_bits)
-
-    @property
-    def triples_per_item(self) -> int:
-        from repro.mpc.truncation import trunc_pair_bit_triples
-
-        return trunc_pair_bit_triples(self.bits, self.frac_bits)
-
-    def take_pairs(self, lo: int, n: int, timeout: float = None):
+    def take(self, lo: int, n: int, timeout: float = None):
         from repro.mpc.truncation import TruncPairs
 
         r, s = self.take_columns(lo, n, timeout)
@@ -671,16 +658,7 @@ class MatrixTriplePool(CorrelationPool):
     def key_for(m: int, k: int, n: int) -> str:
         return f"mtri/{m}x{k}x{n}"
 
-    @property
-    def cots_per_item(self) -> int:
-        """COTs one triple of this shape consumes -- the canonical
-        :func:`repro.mpc.matmul.matmul_cots` count, so the scheduler's
-        reservations can never drift from what the generator takes."""
-        from repro.mpc.matmul import MatmulDims, matmul_cots
-
-        return matmul_cots(MatmulDims(self.m, self.k, self.n), self.bits)
-
-    def append_triple(self, triple) -> None:
+    def append(self, triple) -> None:
         self.append_columns(
             (
                 triple.a.reshape(1, self.m * self.k),
@@ -689,9 +667,11 @@ class MatrixTriplePool(CorrelationPool):
             )
         )
 
-    def take_triple(self, lo: int, timeout: float = None):
+    def take(self, lo: int, n: int = 1, timeout: float = None):
         from repro.mpc.triples import MatrixTriples
 
+        if n != 1:
+            raise ServiceError(f"pool {self.name}: one matrix triple per take")
         a, b, c = self.take_columns(lo, 1, timeout)
         return MatrixTriples(
             a.reshape(self.m, self.k),

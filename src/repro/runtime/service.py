@@ -16,20 +16,28 @@ same one, so all allocation decisions are made on party 0 (the
 
 * consumer draws: party 0 reserves the absolute range in the pool and
   sends the offset to its peer session over the session sub-channel;
-* production (extends, triple generation, random-OT conversion): the
-  leader's worker sends a command frame on the ``prov/ctl`` sub-channel
-  naming the operation and the exact input ranges; the follower's
-  worker replays commands in order.
+* production: every op -- the two extends and each derived kind -- is
+  one entry of the recipe table (:mod:`repro.runtime.recipes`), which
+  states its opcode, frame layout, pool, input pools and per-item
+  counts, batch cap and generator.  The code here is generic over it:
+  the leader's scheduler walks the table in priority order, reserves
+  the inputs of the first pool that asks for a refill, and sends one
+  command frame on the ``prov/ctl`` sub-channel naming the op, the item
+  count and the exact input ranges; both workers execute it the same
+  way (take the inputs, generate, append), the follower replaying
+  commands in order.
 
 Thread interleaving on either host therefore cannot desynchronize the
 two parties: the command stream and the per-session offset streams are
 the only sources of truth.
 
-**Liveness.**  The leader only schedules triple/ROT production over
-ranges that are already produced (``try_reserve_produced``), so the
-worker never blocks waiting on an extend that the worker itself would
-have to run.  Consumer draws may over-reserve freely; the resulting
-negative pool level is exactly the demand signal the leader tops up.
+**Liveness.**  The leader only schedules derived production over
+ranges that are already produced (``try_reserve_produced``), and a kind
+whose inputs are short gets a batch of that input's own recipe -- at
+the bottom an extend -- scheduled in its place, so the worker never
+blocks waiting on production that the worker itself would have to run.
+Consumer draws may over-reserve freely; the resulting negative pool
+level is exactly the demand signal the leader tops up.
 """
 
 from __future__ import annotations
@@ -51,51 +59,21 @@ from repro.errors import (
 )
 from repro.ferret.config import FerretConfig
 from repro.ferret.protocol import FerretReceiver, FerretSender
-from repro.mpc.matmul import MatmulDims, generate_matrix_triples
-from repro.mpc.triples import generate_bit_triples, generate_ring_triples
-from repro.mpc.truncation import generate_trunc_pairs
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER
 from repro.ot.cot import CotPool
 from repro.ot.retry import RetryingChannel, RetryPolicy
-from repro.ot.ot_from_cot import (
-    cot_to_random_ot_receiver,
-    cot_to_random_ot_sender,
-    ot_receive_from_cot,
-    ot_send_from_cot,
-)
+from repro.ot.ot_from_cot import ot_receive_from_cot, ot_send_from_cot
 from repro.runtime.mux import MuxChannel
+from repro.runtime.pool import MatrixTriplePool, TruncPairPool
+from repro.runtime.recipes import BY_KIND, BY_OP, MTRI, RECIPES, TPRC, Command, sends
 from repro.runtime.shard import ShardManager
-from repro.runtime.pool import (
-    MatrixTriplePool,
-    ReceiverCotPool,
-    RingTriplePool,
-    RotReceiverPool,
-    RotSenderPool,
-    SenderCotPool,
-    TriplePool,
-    TruncPairPool,
-)
 
-#: Control frame: 4-byte opcode + three u64 arguments (count, range
-#: offsets); meaning of the offsets depends on the opcode.
-_CTL = struct.Struct("<4sQQQ")
-
-#: Matrix-triple frame: opcode + (m, k, n, direction, cot offset).
-_CTL_MTRI = struct.Struct("<4sQQQQQ")
-
-#: Truncation-pair frame: opcode + (count, frac, cot offset, tri offset).
-_CTL_TPRC = struct.Struct("<4sQQQQ")
-
-OP_EXTEND_FWD = b"EXT0"
-OP_EXTEND_REV = b"EXT1"
-OP_TRIPLES = b"TRI\x00"
-OP_RING_TRIPLES = b"RTRI"
-OP_MATRIX_TRIPLE = b"MTRI"
-OP_TRUNC_PAIRS = b"TPRC"
-OP_ROT_FWD = b"ROT0"
-OP_ROT_REV = b"ROT1"
+#: Control frames open with a 4-byte opcode.  Production ops and their
+#: frame layouts are the recipe table's; STOP keeps the commonest
+#: layout's three (unused) u64 arguments.
 OP_STOP = b"STOP"
+_STOP_FRAME = struct.pack("<4sQQQ", OP_STOP, 0, 0, 0)
 #: Resync frames (variable length: opcode + JSON payload).  SYNC is the
 #: leader's recovery barrier, SACK the follower's reply, NACK the
 #: follower's prompt "my command execution failed" signal.
@@ -106,6 +84,15 @@ OP_NACK = b"NACK"
 #: Transient transport faults the worker survives by degrading (and
 #: later resyncing) instead of dying.
 _TRANSIENT = (ChannelClosed, ChannelTimeout)
+
+#: How long an idle leader sleeps between scheduling passes when no
+#: pool wakes it.
+POLL_INTERVAL_S = 0.02
+#: How often a degraded worker attempts a resync barrier.
+DEGRADED_RETRY_S = 0.5
+#: How many times a worker whose loop died on a transient transport
+#: fault is restarted before the error becomes fatal.
+MAX_WORKER_RESTARTS = 1
 
 
 class _StopRequested(Exception):
@@ -141,29 +128,20 @@ class ServiceTuning:
     triple_high: int = 1024
     triple_chunk: int = 1024
     ring_bits: int = 32
-    rtri_low: int = 0
-    rtri_high: int = 0
     rtri_chunk: int = 256
     tprc_chunk: int = 64
     tprc_batch_chunks: int = 8
     rot_low: int = 0
     rot_high: int = 512
-    rot_chunk: int = 512
     enable_reverse: bool = True
     enable_triples: bool = True
     enable_ring_triples: bool = None
     enable_rots: bool = True
-    poll_interval_s: float = 0.02
     take_timeout_s: float = 300.0
     #: Retry/backoff bounds for the worker's blocking receives (sliced
     #: waits that re-check liveness) and, when the transport stack
     #: includes a ReconnectingChannel, its redial loop.
     retry: RetryPolicy = field(default_factory=RetryPolicy)
-    #: How often a degraded worker attempts a resync barrier.
-    degraded_retry_s: float = 0.5
-    #: How many times a worker whose loop died on a transient transport
-    #: fault is restarted before the error becomes fatal.
-    max_worker_restarts: int = 1
 
 
 class CorrelationService:
@@ -197,103 +175,29 @@ class CorrelationService:
         self.config = config
         self.tuning = tuning or ServiceTuning()
         self._ctl = mux.sub("prov/ctl")
-        # Provisioning data channels wait in policy-sized slices with a
-        # liveness probe between slices, so a worker blocked mid-protocol
-        # notices a stop request or a dead pump in ~attempt_timeout_s
-        # instead of after the full (mux-default) receive timeout.
-        retry = self.tuning.retry
-
-        def _wrap(tag: str) -> RetryingChannel:
-            return RetryingChannel(
-                mux.sub(tag), retry,
+        # Provisioning data channels (one per interactive recipe) wait in
+        # policy-sized slices with a liveness probe between slices, so a
+        # worker blocked mid-protocol notices a stop request or a dead
+        # pump in ~attempt_timeout_s instead of after the full
+        # (mux-default) receive timeout.
+        self._data = {
+            recipe.tag: RetryingChannel(
+                mux.sub(recipe.tag), self.tuning.retry,
                 probe=self._worker_probe, default_timeout=mux.timeout,
             )
-
-        self._ch_fwd = _wrap("prov/fwd")
-        self._ch_rev = _wrap("prov/rev")
-        self._ch_tri = _wrap("prov/tri")
-        self._ch_rtri = _wrap("prov/rtri")
-        self._ch_mtri = _wrap("prov/mtri")
-        self._ch_tprc = _wrap("prov/tprc")
-        self._data_channels = (
-            self._ch_fwd, self._ch_rev, self._ch_tri,
-            self._ch_rtri, self._ch_mtri, self._ch_tprc,
-        )
+            for recipe in RECIPES
+            if recipe.tag is not None
+        }
+        self._data_channels = tuple(self._data.values())
         self._rng = np.random.default_rng(seed + 0x7000 + party)
 
-        # Ferret endpoints: forward = party 0 sends, reverse = party 1.
-        if party == 0:
-            self.ferret_fwd = FerretSender(config, seed=seed)
-            self.ferret_rev = (
-                FerretReceiver(config, seed=seed + 2)
-                if self.tuning.enable_reverse
-                else None
-            )
-        else:
-            self.ferret_fwd = FerretReceiver(config, seed=seed + 1)
-            self.ferret_rev = (
-                FerretSender(config, seed=seed + 3)
-                if self.tuning.enable_reverse
-                else None
-            )
+        # Ferret endpoints, per-role seeds seed .. seed + 3.
+        def endpoint(direction: str, offset: int):
+            role = FerretSender if sends(party, direction) else FerretReceiver
+            return role(config, seed=seed + offset + party)
 
-        t = self.tuning
-        if t.shards < 1:
-            raise ServiceError("shards must be >= 1")
-        # Shard-aware defaults: with N producer shards, keep N extends'
-        # worth of output in flight so no shard idles against a full pool.
-        cot_low = (
-            t.cot_low if t.cot_low is not None
-            else max(1, config.net_output * t.shards // 4)
-        )
-        cot_high = t.cot_high if t.cot_high is not None else config.net_output * t.shards
-        self.pools: dict = {}
-        if party == 0:
-            self.pools["cot/fwd"] = SenderCotPool(
-                "cot/fwd", self.ferret_fwd.delta,
-                low_watermark=cot_low, high_watermark=cot_high,
-            )
-            if t.enable_reverse:
-                self.pools["cot/rev"] = ReceiverCotPool(
-                    "cot/rev", low_watermark=cot_low, high_watermark=cot_high
-                )
-        else:
-            self.pools["cot/fwd"] = ReceiverCotPool(
-                "cot/fwd", low_watermark=cot_low, high_watermark=cot_high
-            )
-            if t.enable_reverse:
-                self.pools["cot/rev"] = SenderCotPool(
-                    "cot/rev", self.ferret_rev.delta,
-                    low_watermark=cot_low, high_watermark=cot_high,
-                )
-        if t.enable_triples:
-            if not t.enable_reverse:
-                raise ServiceError("triple production needs the reverse direction")
-            self.pools["tri"] = TriplePool(
-                "tri", low_watermark=t.triple_low, high_watermark=t.triple_high
-            )
-        self._enable_rtri = (
-            t.enable_ring_triples
-            if t.enable_ring_triples is not None
-            else t.enable_reverse
-        )
-        if self._enable_rtri:
-            if not t.enable_reverse:
-                raise ServiceError("ring-triple production needs the reverse direction")
-            self.pools["rtri"] = RingTriplePool(
-                "rtri", t.ring_bits,
-                low_watermark=t.rtri_low, high_watermark=t.rtri_high,
-            )
-        if t.enable_rots:
-            fwd_rot = RotSenderPool if party == 0 else RotReceiverPool
-            self.pools["rot/fwd"] = fwd_rot(
-                "rot/fwd", low_watermark=t.rot_low, high_watermark=t.rot_high
-            )
-            if t.enable_reverse:
-                rev_rot = RotReceiverPool if party == 0 else RotSenderPool
-                self.pools["rot/rev"] = rev_rot(
-                    "rot/rev", low_watermark=t.rot_low, high_watermark=t.rot_high
-                )
+        self.ferret_fwd = endpoint("fwd", 0)
+        self.ferret_rev = endpoint("rev", 2) if self.tuning.enable_reverse else None
 
         # One wake event shared by every pool: any demand pulse (a
         # reserve dipping below the low watermark, a blocked take)
@@ -314,6 +218,33 @@ class CorrelationService:
         self.metrics.add_collector("reconnect", self._collect_reconnect)
         self.metrics.add_collector("draws", self.session_draw_counts)
 
+        t = self.tuning
+        if t.shards < 1:
+            raise ServiceError("shards must be >= 1")
+        # Shard-aware defaults: with N producer shards, keep N extends'
+        # worth of output in flight so no shard idles against a full pool.
+        self._cot_marks = {
+            "low_watermark": (
+                t.cot_low if t.cot_low is not None
+                else max(1, config.net_output * t.shards // 4)
+            ),
+            "high_watermark": (
+                t.cot_high if t.cot_high is not None
+                else config.net_output * t.shards
+            ),
+        }
+        self._alloc_lock = threading.Lock()
+        #: Set (under the allocation lock) once the worker has exited:
+        #: the pool factory hands out pools created later already closed.
+        self._worker_done = False
+        self.pools: dict = {}
+        # The keyless kinds this configuration switches on; the factory
+        # rejects one whose input pools are off (triples without the
+        # reverse direction).  Keyed pools are created on first use.
+        for recipe in RECIPES:
+            if recipe.on is not None and recipe.on(t):
+                self._pool(recipe)
+
         # Process-sharded raw-COT production (repro.runtime.shard):
         # shards=1 constructs none of the machinery, keeping the
         # single-worker stream byte-identical.
@@ -322,12 +253,6 @@ class CorrelationService:
             self._shard_mgr = ShardManager(self, t.shards, seed=seed)
             self.metrics.add_collector("shard", self._shard_mgr.collect)
 
-        for pool in self.pools.values():
-            pool.refill = self._wake
-            pool.failure_probe = self._pool_probe
-            pool.stall_observer = self._observe_stall
-
-        self._alloc_lock = threading.Lock()
         #: Leader-side per-kind totals of consumer (session) draws --
         #: what the preprocessing planner's demand is validated against.
         self.session_draws: dict = {}
@@ -425,10 +350,7 @@ class CorrelationService:
         a dead producer surfaces as a typed error with recovery hints
         instead of a hang.
         """
-        if self.error is not None:
-            raise ServiceError(
-                f"service worker failed: {self.error!r}"
-            ) from self.error
+        self._raise_if_failed()
         if self.degraded_since is not None:
             raise ServiceDegraded(
                 f"service is degraded (production down for "
@@ -459,22 +381,12 @@ class CorrelationService:
     def retry_stats(self) -> dict:
         """Recovery accounting: retried receive slices, degraded spells,
         resync barriers, and (when the transport stack reconnects)
-        redial/replay totals from the ReconnectingChannel underneath."""
-        out = {
-            "stalled_recvs": sum(c.stalled_recvs for c in self._data_channels),
-            "retry_slices": sum(c.retry_slices for c in self._data_channels),
-            "degraded_events": self.degraded_events,
-            "worker_restarts": self.worker_restarts,
-            "resyncs": self.resyncs,
-            "rolled_back": self.rolled_back,
-            "segments_dropped": self.segments_dropped,
-        }
-        base = getattr(self.mux, "base", None)
-        if base is not None and hasattr(base, "reconnect_events"):
-            out["reconnects"] = base.reconnects
-            out["replayed_frames"] = base.replayed_frames
-            out["replayed_bytes"] = base.replayed_bytes
-            out["reconnect_events"] = list(base.reconnect_events)
+        redial/replay totals from the ReconnectingChannel underneath --
+        the ``service/`` and ``reconnect/`` telemetry in one dict, plus
+        the reconnect event log."""
+        out = {**self._collect_service(), **self._collect_reconnect()}
+        if "reconnects" in out:
+            out["reconnect_events"] = list(self.mux.base.reconnect_events)
         return out
 
     # -- flight recorder ------------------------------------------------------
@@ -512,19 +424,26 @@ class CorrelationService:
         with self._alloc_lock:
             return dict(self.session_draws)
 
-    def _collect_pools(self) -> dict:
-        out = {}
+    def pool_stats(self) -> dict:
+        """Per pool kind: its draw/refill counters plus live levels."""
         with self._alloc_lock:
             pools = list(self.pools.items())
+        out = {}
         for kind, pool in pools:
             stats = pool.stats.as_dict()
             stats["level"] = pool.level
             stats["produced"] = pool.produced
             stats["deficit"] = pool.deficit
             stats["low_watermark"], stats["high_watermark"] = pool.watermarks
-            for key, value in stats.items():
-                out[f"{kind}/{key}"] = value
+            out[kind] = stats
         return out
+
+    def _collect_pools(self) -> dict:
+        return {
+            f"{kind}/{key}": value
+            for kind, stats in self.pool_stats().items()
+            for key, value in stats.items()
+        }
 
     def _collect_mux(self) -> dict:
         out = {}
@@ -611,63 +530,60 @@ class CorrelationService:
             self.session_draws[kind] = self.session_draws.get(kind, 0) + n
             return self.pools[kind].reserve(n)
 
-    def matrix_pool(self, m: int, k: int, n: int) -> MatrixTriplePool:
-        """The shape-keyed matrix-triple pool for (m, k, n), creating it
-        on first use.  Creation is local and idempotent, so sessions and
-        the command replay can each ensure the pool exists on their side
-        without any cross-party coordination."""
-        key = MatrixTriplePool.key_for(m, k, n)
+    def _named_pools(self, kinds, what: str) -> dict:
+        """The existing pools ``kinds`` name; an unknown kind is an error."""
         with self._alloc_lock:
-            pool = self.pools.get(key)
+            for kind in kinds:
+                if kind not in self.pools:
+                    raise ServiceError(f"{what}: unknown pool kind {kind!r}")
+            return {kind: self.pools[kind] for kind in kinds}
+
+    def _pool(self, recipe, *key):
+        """The one pool factory: the pool ``recipe`` fills under ``key``,
+        created on first use.
+
+        Creation is local and idempotent, so the constructor, sessions
+        and the command replay can each ensure a pool exists on their
+        side without any cross-party coordination.  A pool made after
+        the worker exited is closed at birth: waits on it fail with
+        ``PoolClosed`` at once instead of burning their timeout on a
+        producer that is gone.
+        """
+        name = recipe.pool_name(*key)
+        with self._alloc_lock:
+            pool = self.pools.get(name)
             if pool is None:
-                pool = MatrixTriplePool(
-                    key, m, k, n, self.tuning.ring_bits,
-                    low_watermark=0, high_watermark=0,
-                )
+                if recipe.choose is None:
+                    for src, _ in recipe.inputs(self.tuning.ring_bits, *key):
+                        if src not in self.pools:
+                            raise ServiceError(
+                                f"{recipe.label} production needs "
+                                f"{BY_KIND[src].label} production"
+                            )
+                pool = recipe.pool(self, name, *key)
+                pool.recipe, pool.key = recipe, key
                 pool.refill = self._wake
                 pool.failure_probe = self._pool_probe
                 pool.stall_observer = self._observe_stall
                 pool.tracer = self.tracer
-                self.pools[key] = pool
+                if self._worker_done:
+                    pool.close()
+                self.pools[name] = pool
             return pool
 
+    def matrix_pool(self, m: int, k: int, n: int) -> MatrixTriplePool:
+        """The shape-keyed matrix-triple pool for (m, k, n)."""
+        return self._pool(MTRI, m, k, n)
+
     def trunc_pool(self, frac_bits: int) -> TruncPairPool:
-        """The frac-keyed truncation-pair pool, creating it on first
-        use.  Like :meth:`matrix_pool`, creation is local and
-        idempotent; pair production additionally consumes pooled bit
-        triples, so the service must run with ``enable_triples``."""
-        if not self.tuning.enable_triples:
-            raise ServiceError("truncation pairs need bit-triple production")
-        key = TruncPairPool.key_for(frac_bits)
-        with self._alloc_lock:
-            pool = self.pools.get(key)
-            if pool is None:
-                pool = TruncPairPool(
-                    key, self.tuning.ring_bits, frac_bits,
-                    low_watermark=0, high_watermark=0,
-                )
-                pool.refill = self._wake
-                pool.failure_probe = self._pool_probe
-                pool.stall_observer = self._observe_stall
-                pool.tracer = self.tracer
-                self.pools[key] = pool
-            return pool
+        """The frac-keyed truncation-pair pool.  Pair production
+        consumes pooled bit triples, so the service must run with
+        ``enable_triples``."""
+        return self._pool(TPRC, frac_bits)
 
     def session(self, name: str) -> "ServiceSession":
         """A consumer session speaking over the ``sess/<name>`` sub-channel."""
         return ServiceSession(self, self.mux.sub(f"sess/{name}"), name)
-
-    def pool_stats(self) -> dict:
-        with self._alloc_lock:
-            pools = list(self.pools.items())
-        out = {}
-        for kind, pool in pools:
-            stats = pool.stats.as_dict()
-            stats["low_watermark"], stats["high_watermark"] = pool.watermarks
-            stats["level"] = pool.level
-            stats["produced"] = pool.produced
-            out[kind] = stats
-        return out
 
     # -- preprocessing phase -------------------------------------------------
     def prefill(self, targets: dict, timeout: float = None, one_shot: bool = False) -> None:
@@ -690,17 +606,14 @@ class CorrelationService:
         """
         timeout = self.tuning.take_timeout_s if timeout is None else timeout
         deadline = time.monotonic() + timeout
-        with self._alloc_lock:
-            for kind in targets:
-                if kind not in self.pools:
-                    raise ServiceError(f"prefill: unknown pool kind {kind!r}")
+        pools = self._named_pools(targets, "prefill")
         saved = None
         if self.party == 0:
             if one_shot:
-                saved = {kind: self.pools[kind].watermarks for kind in targets}
+                saved = {kind: pool.watermarks for kind, pool in pools.items()}
             for kind, count in targets.items():
                 if count > 0:
-                    self.pools[kind].raise_watermarks(low=count, high=count)
+                    pools[kind].raise_watermarks(low=count, high=count)
         self._wake.set()
         live = {kind: count for kind, count in targets.items() if count > 0}
         try:
@@ -714,13 +627,8 @@ class CorrelationService:
                 while True:
                     for kind, count in live.items():
                         self._raise_if_failed()
-                        self.pools[kind].wait_level(
-                            count, deadline - time.monotonic()
-                        )
-                    if all(
-                        self.pools[kind].level >= count
-                        for kind, count in live.items()
-                    ):
+                        pools[kind].wait_level(count, deadline - time.monotonic())
+                    if all(pools[kind].level >= count for kind, count in live.items()):
                         break
             else:
                 for kind, count in live.items():
@@ -728,13 +636,11 @@ class CorrelationService:
                     # The follower never reserves, so "produced ahead" is
                     # measured against what it has already taken -- repeated
                     # prefills wait for fresh production, not history.
-                    self.pools[kind].wait_available(
-                        count, deadline - time.monotonic()
-                    )
+                    pools[kind].wait_available(count, deadline - time.monotonic())
         finally:
             if saved is not None:
                 for kind, (low, high) in saved.items():
-                    self.pools[kind].set_watermarks(low, high)
+                    pools[kind].set_watermarks(low, high)
         self._raise_if_failed()
 
     def raise_produce_targets(self, targets: dict) -> None:
@@ -749,13 +655,7 @@ class CorrelationService:
         """
         if self.party != 0:
             raise ServiceError("only party 0 schedules production")
-        with self._alloc_lock:
-            for kind in targets:
-                if kind not in self.pools:
-                    raise ServiceError(
-                        f"produce target: unknown pool kind {kind!r}"
-                    )
-            pools = {kind: self.pools[kind] for kind in targets}
+        pools = self._named_pools(targets, "produce target")
         for kind, target in targets.items():
             pools[kind].raise_produce_target(target)
         self._wake.set()
@@ -769,9 +669,9 @@ class CorrelationService:
                 # themselves never set up or extended.
                 self._shard_mgr.start()
             else:
-                self.ferret_fwd.setup(self._ch_fwd)
+                self.ferret_fwd.setup(self._data["prov/fwd"])
                 if self.ferret_rev is not None:
-                    self.ferret_rev.setup(self._ch_rev)
+                    self.ferret_rev.setup(self._data["prov/rev"])
             self._ready.set()
             if self.party == 0:
                 try:
@@ -781,7 +681,7 @@ class CorrelationService:
                     # the leader loop died on an exception -- so its
                     # consumers fail fast instead of polling forever.
                     try:
-                        self._ctl.send_bytes(_CTL.pack(OP_STOP, 0, 0, 0))
+                        self._ctl.send_bytes(_STOP_FRAME)
                     except Exception:  # noqa: BLE001 - link may be gone
                         pass
             else:
@@ -798,7 +698,13 @@ class CorrelationService:
                     if self.error is None:
                         self.error = exc
             self._ready.set()
-            for pool in self.pools.values():
+            # Sessions may still be creating pools from other threads:
+            # snapshot under the lock, and have the factory close any
+            # pool created from here on.
+            with self._alloc_lock:
+                self._worker_done = True
+                pools = list(self.pools.values())
+            for pool in pools:
                 pool.close()
 
     def _run_loop(self, loop) -> None:
@@ -810,7 +716,7 @@ class CorrelationService:
                 loop()
                 return
             except _TRANSIENT as exc:
-                if self.worker_restarts >= self.tuning.max_worker_restarts:
+                if self.worker_restarts >= MAX_WORKER_RESTARTS:
                     raise
                 self.worker_restarts += 1
                 self._enter_degraded(exc)
@@ -824,11 +730,11 @@ class CorrelationService:
             self._check_peer_nack()
             if self.degraded_since is not None:
                 if not self._leader_resync():
-                    self._stop.wait(self.tuning.degraded_retry_s)
+                    self._stop.wait(DEGRADED_RETRY_S)
                     continue
             cmd = self._decide()
             if cmd is None:
-                self._wake.wait(self.tuning.poll_interval_s)
+                self._wake.wait(POLL_INTERVAL_S)
                 self._wake.clear()
                 continue
             try:
@@ -990,8 +896,8 @@ class CorrelationService:
             target = min(pool.produced, int(peer_produced.get(kind, pool.produced)))
             if target >= pool.produced:
                 continue
-            if kind in ("cot/fwd", "cot/rev"):
-                direction = "fwd" if kind == "cot/fwd" else "rev"
+            direction = pool.recipe.direction
+            if direction is not None:  # a raw-COT pool
                 last = self._last_extend.get(direction)
                 if last is None or last[1] != target:
                     raise ServiceError(
@@ -1003,48 +909,30 @@ class CorrelationService:
                 self._ferret_restore(direction, last[0])
             self.rolled_back += pool.rollback_to(target)
 
-    def _align_stale_command(self, cmd) -> None:
+    def _align_stale_command(self, cmd: Command) -> None:
         """Keep consumption aligned for commands issued before the
         leader noticed our failure (we cannot run their interactive
         protocol any more, but the leader consumed their inputs).
 
-        Local ROT conversions execute fully when their input range is
-        available -- identical output on both sides, pools stay level.
-        Interactive commands only have their pool *inputs* consumed
-        (the leader's execution of them timed out too, so neither side
-        appended output).  Inputs not yet produced locally are left to
-        the resync rollback, which erases the leader's view of them.
+        Local conversions (no data channel) execute fully when their
+        input ranges are available -- identical output on both sides,
+        pools stay level.  Interactive commands only have their pool
+        *inputs* consumed (the leader's execution of them timed out too,
+        so neither side appended output); extends have none.  Inputs
+        not yet produced locally are left to the resync rollback, which
+        erases the leader's view of them.
         """
-        op = cmd[0]
-        takes = []  # (pool kind, lo, n)
-        if op in (OP_ROT_FWD, OP_ROT_REV):
-            direction = "fwd" if op == OP_ROT_FWD else "rev"
-            _, n, lo, _ = cmd
-            if self.pools[f"cot/{direction}"].produced >= lo + n:
-                self._produce_rots(direction, n, lo)
+        ranges = self._input_ranges(cmd)
+        ready = [
+            (pool, lo, n) for pool, lo, n in ranges
+            if n > 0 and pool.produced >= lo + n
+        ]
+        if cmd.recipe.tag is None:
+            if len(ready) == len(ranges):
+                self._execute(cmd)
             return
-        if op == OP_TRIPLES:
-            _, n, lo_f, lo_r = cmd
-            takes = [("cot/fwd", lo_f, n), ("cot/rev", lo_r, n)]
-        elif op == OP_RING_TRIPLES:
-            _, n, lo_f, lo_r = cmd
-            bits = self.tuning.ring_bits
-            takes = [("cot/fwd", lo_f, n * bits), ("cot/rev", lo_r, n * bits)]
-        elif op == OP_MATRIX_TRIPLE:
-            _, m, k, n, direction, lo = cmd
-            pool = self.matrix_pool(m, k, n)
-            takes = [("cot/rev" if direction else "cot/fwd", lo, pool.cots_per_item)]
-        elif op == OP_TRUNC_PAIRS:
-            _, n, frac, lo_c, lo_t = cmd
-            pool = self.trunc_pool(frac)
-            takes = [
-                ("cot/fwd", lo_c, n * pool.cots_per_item),
-                ("tri", lo_t, n * pool.triples_per_item),
-            ]
-        # Extends consume no pool inputs: nothing to align.
-        for kind, lo, n in takes:
-            if n > 0 and self.pools[kind].produced >= lo + n:
-                self.pools[kind].take_columns(lo, n)
+        for pool, lo, n in ready:
+            pool.take_columns(lo, n)
 
     # -- ferret endpoint snapshots -------------------------------------------
     def _endpoint(self, direction: str):
@@ -1082,228 +970,129 @@ class CorrelationService:
             ep._spcot_pool._cursor = snap["spcot_cursor"]
         ep.iterations = snap["iterations"]
 
+    # -- command frames ------------------------------------------------------
     @staticmethod
-    def _encode(cmd: tuple) -> bytes:
-        if cmd[0] == OP_MATRIX_TRIPLE:
-            return _CTL_MTRI.pack(*cmd)
-        if cmd[0] == OP_TRUNC_PAIRS:
-            return _CTL_TPRC.pack(*cmd)
-        return _CTL.pack(*cmd)
+    def _encode(cmd: Command) -> bytes:
+        """Frame a command by its recipe's slot layout."""
+        key, offsets = iter(cmd.key), iter(cmd.offsets)
+        slots = {
+            "n": lambda: cmd.n,
+            "k": lambda: next(key),
+            "v": lambda: cmd.variant,
+            "o": lambda: next(offsets, 0),
+        }
+        recipe = cmd.recipe
+        return recipe.frame.pack(recipe.op, *(slots[c]() for c in recipe.layout))
 
     @staticmethod
-    def _decode(frame: bytes) -> tuple:
-        if frame[:4] == OP_MATRIX_TRIPLE:
-            return _CTL_MTRI.unpack(frame)
-        if frame[:4] == OP_TRUNC_PAIRS:
-            return _CTL_TPRC.unpack(frame)
-        return _CTL.unpack(frame)
+    def _decode(frame: bytes) -> Command:
+        recipe = BY_OP.get(bytes(frame[:4]))
+        if recipe is None:
+            raise ServiceError(f"unknown provisioning opcode {bytes(frame[:4])!r}")
+        scalars = {"n": 1, "v": 0}  # a frame without a count carries one item
+        lists = {"k": [], "o": []}
+        for c, value in zip(recipe.layout, recipe.frame.unpack(frame)[1:]):
+            if c in lists:
+                lists[c].append(value)
+            else:
+                scalars[c] = value
+        return Command(
+            recipe, tuple(lists["k"]), scalars["n"], scalars["v"], tuple(lists["o"])
+        )
 
-    def _starved(self, op):
-        """A derived producer is starved on raw COTs.
+    # -- scheduling (leader) and execution (both) ----------------------------
+    def _inputs(self, recipe, key: tuple, variant: int = None) -> tuple:
+        """``(variant, inputs)`` one command of ``recipe`` consumes: all
+        of the recipe's inputs, or -- for a recipe that chooses -- the
+        one ``variant`` names (``None``: chosen now, by stock)."""
+        inputs = recipe.inputs(self.tuning.ring_bits, *key)
+        if recipe.choose is None:
+            return 0, inputs
+        if variant is None:
+            variant = recipe.choose(self.pools)
+        return variant, inputs[variant : variant + 1]
 
-        Unsharded, the extend itself becomes the next command.  Sharded,
-        extends are not commands: nudge the shard fleet to keep at least
-        one extend of that direction in flight and return ``None`` so
-        the loop sleeps on ``_wake`` until the merger lands a batch.
-        """
-        if self._shard_mgr is None:
-            return (op, 0, 0, 0)
-        self._shard_mgr.request_extend("rev" if op == OP_EXTEND_REV else "fwd")
-        return None
+    def _input_ranges(self, cmd: Command) -> list:
+        """``(source pool, offset, count)`` per input of a command."""
+        _, inputs = self._inputs(cmd.recipe, cmd.key, cmd.variant)
+        return [
+            (self.pools[src], lo, cmd.n * per)
+            for (src, per), lo in zip(inputs, cmd.offsets)
+        ]
 
     def _decide(self):
         """Leader scheduling: pick the next production command, if any.
 
-        Extends come first (they are the only source of raw COTs), then
-        derived production over ranges that are *already produced*, so
-        the worker never deadlocks on its own output.
+        Of the pools asking for a refill, schedules the one whose recipe
+        comes first in the table's priority order -- extends (the only
+        source of raw COTs), then derived production.
 
         In sharded mode extends never become commands: raw-COT deficits
         are dispatched to the shard workers instead, and derived
         production waits for the merged pools to fill.
         """
-        t = self.tuning
-        pools = self.pools
-        if self._shard_mgr is not None:
+        sharded = self._shard_mgr is not None
+        if sharded:
             self._shard_mgr.request_refills()
-        else:
-            if pools["cot/fwd"].needs_refill():
-                return (OP_EXTEND_FWD, 0, 0, 0)
-            if t.enable_reverse and pools["cot/rev"].needs_refill():
-                return (OP_EXTEND_REV, 0, 0, 0)
         with self._alloc_lock:
-            if t.enable_triples and pools["tri"].needs_refill():
-                want = min(pools["tri"].deficit, t.triple_chunk)
-                avail = min(pools["cot/fwd"].level, pools["cot/rev"].level)
-                if avail <= 0:
-                    direction = (
-                        OP_EXTEND_FWD
-                        if pools["cot/fwd"].level <= pools["cot/rev"].level
-                        else OP_EXTEND_REV
-                    )
-                    return self._starved(direction)
-                want = min(want, avail)
-                lo_f = pools["cot/fwd"].try_reserve_produced(want)
-                lo_r = pools["cot/rev"].try_reserve_produced(want)
-                if lo_f is None or lo_r is None:  # pragma: no cover - racing
-                    return None
-                return (OP_TRIPLES, want, lo_f, lo_r)
-            if self._enable_rtri and pools["rtri"].needs_refill():
-                bits = t.ring_bits
-                want = min(
-                    pools["rtri"].deficit,
-                    t.rtri_chunk,
-                    pools["cot/fwd"].level // bits,
-                    pools["cot/rev"].level // bits,
-                )
-                if want <= 0:
-                    direction = (
-                        OP_EXTEND_FWD
-                        if pools["cot/fwd"].level <= pools["cot/rev"].level
-                        else OP_EXTEND_REV
-                    )
-                    return self._starved(direction)
-                lo_f = pools["cot/fwd"].try_reserve_produced(want * bits)
-                lo_r = pools["cot/rev"].try_reserve_produced(want * bits)
-                if lo_f is None or lo_r is None:  # pragma: no cover - racing
-                    return None
-                return (OP_RING_TRIPLES, want, lo_f, lo_r)
-            mtri_cmd = self._decide_matrix()
-            if mtri_cmd is not None:
-                return mtri_cmd
-            tprc_cmd = self._decide_trunc()
-            if tprc_cmd is not None:
-                return tprc_cmd
-            if t.enable_rots and pools["rot/fwd"].needs_refill():
-                want = min(
-                    pools["rot/fwd"].deficit, t.rot_chunk, pools["cot/fwd"].level
-                )
-                if want <= 0:
-                    return self._starved(OP_EXTEND_FWD)
-                lo = pools["cot/fwd"].try_reserve_produced(want)
-                if lo is None:  # pragma: no cover - racing
-                    return None
-                return (OP_ROT_FWD, want, lo, 0)
-            if t.enable_rots and t.enable_reverse and pools["rot/rev"].needs_refill():
-                want = min(
-                    pools["rot/rev"].deficit, t.rot_chunk, pools["cot/rev"].level
-                )
-                if want <= 0:
-                    return self._starved(OP_EXTEND_REV)
-                lo = pools["cot/rev"].try_reserve_produced(want)
-                if lo is None:  # pragma: no cover - racing
-                    return None
-                return (OP_ROT_REV, want, lo, 0)
-        return None
-
-    def _decide_matrix(self):
-        """Matrix-triple scheduling (caller holds the allocation lock).
-
-        A triple consumes its whole COT demand from ONE direction --
-        whichever has more stock -- because the Gilboa sender role for
-        both cross terms belongs to that direction's COT sender.
-        """
-        t = self.tuning
-        pools = self.pools
-        for pool in list(pools.values()):
-            if not isinstance(pool, MatrixTriplePool) or not pool.needs_refill():
-                continue
-            needed = pool.cots_per_item
-            if t.enable_reverse and pools["cot/rev"].level > pools["cot/fwd"].level:
-                direction, src = 1, pools["cot/rev"]
-            else:
-                direction, src = 0, pools["cot/fwd"]
-            if src.level < needed:
-                return self._starved(OP_EXTEND_REV if direction else OP_EXTEND_FWD)
-            lo = src.try_reserve_produced(needed)
-            if lo is None:  # pragma: no cover - racing
+            asking = [
+                pool for pool in self.pools.values()
+                if pool.needs_refill() and not (sharded and pool.recipe.direction)
+            ]
+            if not asking:
                 return None
-            return (OP_MATRIX_TRIPLE, pool.m, pool.k, pool.n, direction, lo)
-        return None
+            # min() keeps the first created among one recipe's pools.
+            pool = min(asking, key=lambda pool: RECIPES.index(pool.recipe))
+            return self._schedule(pool, pool.deficit)
 
-    def _decide_trunc(self):
-        """Truncation-pair scheduling (caller holds the allocation lock).
+    def _schedule(self, pool, want: int):
+        """One command adding up to ``want`` items to ``pool`` (caller
+        holds the allocation lock), or ``None`` when nothing can run.
 
-        Pair generation is derived-of-derived production: it consumes
-        forward COTs *and* pooled bit triples.  When triple stock is the
-        bottleneck the leader schedules a triple batch first, so the
-        worker never waits on its own output.  Deep deficits fuse up to
-        ``tprc_batch_chunks`` chunks into ONE command when stock allows,
-        so pair production pays the millionaires'/B2A opening rounds
-        once per fused batch instead of once per chunk.
+        Inputs are reserved only over ranges that are *already
+        produced*, so the worker never deadlocks on its own output.  A
+        pool whose inputs cannot cover a single item is starved: the
+        command becomes a batch of the short input's own recipe --
+        bit triples for a truncation pair, and at the bottom of every
+        chain an extend (sharded: a nudge to the shard fleet to keep
+        one extend of that direction in flight, and ``None`` so the
+        loop sleeps on ``_wake`` until the merger lands a batch).  Raw
+        COTs are checked before derived inputs, and of two short COT
+        directions the lower level is extended first, ties going to the
+        first listed (forward).
         """
-        t = self.tuning
-        pools = self.pools
-        batch_cap = t.tprc_chunk * max(1, t.tprc_batch_chunks)
-        for pool in list(pools.values()):
-            if not isinstance(pool, TruncPairPool) or not pool.needs_refill():
-                continue
-            want = min(pool.deficit, batch_cap)
-            want = min(
-                want,
-                pools["cot/fwd"].level // pool.cots_per_item,
-                pools["tri"].level // pool.triples_per_item,
+        recipe = pool.recipe
+        variant, inputs = self._inputs(recipe, pool.key)
+        if not inputs:
+            if self._shard_mgr is None:
+                return Command(recipe)
+            self._shard_mgr.request_extend(recipe.direction)
+            return None
+        want = max(1, min(want, recipe.cap(self.tuning)))
+        sources = [(self.pools[src], per) for src, per in inputs]
+        n = min(want, *(src.level // per for src, per in sources))
+        if n <= 0:
+            short = [(src, per) for src, per in sources if src.level < per]
+            # min() keeps the first listed among equals.
+            src, per = min(
+                short, key=lambda sp: (sp[0].recipe.direction is None, sp[0].level)
             )
-            if want <= 0:
-                if pools["cot/fwd"].level < pool.cots_per_item:
-                    return self._starved(OP_EXTEND_FWD)
-                # Starved on bit triples: run one triple batch.
-                need = min(pool.deficit, batch_cap) * pool.triples_per_item
-                n = min(t.triple_chunk, max(need - pools["tri"].level, 1))
-                avail = min(pools["cot/fwd"].level, pools["cot/rev"].level)
-                if avail <= 0:
-                    direction = (
-                        OP_EXTEND_FWD
-                        if pools["cot/fwd"].level <= pools["cot/rev"].level
-                        else OP_EXTEND_REV
-                    )
-                    return self._starved(direction)
-                n = min(n, avail)
-                lo_f = pools["cot/fwd"].try_reserve_produced(n)
-                lo_r = pools["cot/rev"].try_reserve_produced(n)
-                if lo_f is None or lo_r is None:  # pragma: no cover - racing
-                    return None
-                return (OP_TRIPLES, n, lo_f, lo_r)
-            lo_c = pools["cot/fwd"].try_reserve_produced(want * pool.cots_per_item)
-            lo_t = pools["tri"].try_reserve_produced(want * pool.triples_per_item)
-            if lo_c is None or lo_t is None:  # pragma: no cover - racing
-                return None
-            return (OP_TRUNC_PAIRS, want, pool.frac_bits, lo_c, lo_t)
-        return None
+            return self._schedule(src, max(want * per - src.level, 1))
+        offsets = tuple(src.try_reserve_produced(n * per) for src, per in sources)
+        return Command(recipe, pool.key, n, variant, offsets)
 
-    def _execute(self, cmd) -> None:
-        tr = self.tracer
-        if not tr.enabled:
-            return self._execute_cmd(cmd)
-        op = cmd[0].decode("ascii", errors="replace").rstrip("\x00")
-        with tr.span(f"produce.{op}", cat="produce", n=int(cmd[1])):
-            return self._execute_cmd(cmd)
+    def _execute(self, cmd: Command) -> None:
+        """Run one command -- take its inputs at the commanded offsets,
+        generate, append -- as both workers do in lockstep."""
+        recipe = cmd.recipe
+        pool = self._pool(recipe, *cmd.key)
+        with self.tracer.span(f"produce.{recipe.name}", cat="produce", n=cmd.n):
+            taken = [src.take(lo, n) for src, lo, n in self._input_ranges(cmd)]
+            pool.append(
+                recipe.produce(self, self._data.get(recipe.tag), pool, cmd, *taken)
+            )
 
-    def _execute_cmd(self, cmd) -> None:
-        op = cmd[0]
-        if op == OP_MATRIX_TRIPLE:
-            self._produce_matrix_triple(*cmd[1:])
-            return
-        if op == OP_TRUNC_PAIRS:
-            self._produce_trunc_pairs(*cmd[1:])
-            return
-        _, n, lo_a, lo_b = cmd
-        if op == OP_EXTEND_FWD:
-            self._run_extend("fwd", self.ferret_fwd, self._ch_fwd)
-        elif op == OP_EXTEND_REV:
-            self._run_extend("rev", self.ferret_rev, self._ch_rev)
-        elif op == OP_TRIPLES:
-            self._produce_triples(n, lo_a, lo_b)
-        elif op == OP_RING_TRIPLES:
-            self._produce_ring_triples(n, lo_a, lo_b)
-        elif op == OP_ROT_FWD:
-            self._produce_rots("fwd", n, lo_a)
-        elif op == OP_ROT_REV:
-            self._produce_rots("rev", n, lo_a)
-        else:
-            raise ServiceError(f"unknown provisioning opcode {op!r}")
-
-    def _run_extend(self, direction: str, endpoint, channel) -> None:
+    def _run_extend(self, direction: str, channel):
         """One extend, snapshot-protected for abandon/rollback.
 
         Extend mutates endpoint state mid-protocol (rng draws, SPCOT
@@ -1312,101 +1101,15 @@ class CorrelationService:
         extend keeps its snapshot in ``_last_extend`` so a later resync
         can undo it if the peer's half never finished.
         """
-        pool = self.pools[f"cot/{direction}"]
         snap = self._ferret_snapshot(direction)
-        produced_before = pool.produced
         try:
-            batch = endpoint.extend(channel)
+            batch = self._endpoint(direction).extend(channel)
         except _TRANSIENT:
             self._ferret_restore(direction, snap)
             raise
-        pool.append_batch(batch)
-        self._last_extend[direction] = (snap, produced_before)
+        self._last_extend[direction] = (snap, self.pools[f"cot/{direction}"].produced)
         self.extends[direction] += 1
-
-    def _produce_triples(self, n: int, lo_fwd: int, lo_rev: int) -> None:
-        """Both workers run one triple-generation batch in lockstep."""
-        fwd = self.pools["cot/fwd"].take_batch(lo_fwd, n)
-        rev = self.pools["cot/rev"].take_batch(lo_rev, n)
-        if self.party == 0:
-            send_pool, recv_pool = CotPool(sender=fwd), CotPool(receiver=rev)
-        else:
-            send_pool, recv_pool = CotPool(sender=rev), CotPool(receiver=fwd)
-        triples = generate_bit_triples(
-            self._ch_tri, n, send_pool, recv_pool, self._rng,
-            party=self.party, tweak_base=lo_fwd,
-        )
-        self.pools["tri"].append_columns((triples.a, triples.b, triples.c))
-
-    def _produce_ring_triples(self, n: int, lo_fwd: int, lo_rev: int) -> None:
-        """Lockstep Gilboa ring-triple batch over both COT directions."""
-        bits = self.tuning.ring_bits
-        fwd = self.pools["cot/fwd"].take_batch(lo_fwd, n * bits)
-        rev = self.pools["cot/rev"].take_batch(lo_rev, n * bits)
-        if self.party == 0:
-            send_pool, recv_pool = CotPool(sender=fwd), CotPool(receiver=rev)
-            send_tweak, recv_tweak = lo_fwd, lo_rev
-        else:
-            send_pool, recv_pool = CotPool(sender=rev), CotPool(receiver=fwd)
-            send_tweak, recv_tweak = lo_rev, lo_fwd
-        triples = generate_ring_triples(
-            self._ch_rtri, n, bits, send_pool, recv_pool, self._rng,
-            party=self.party, send_tweak_base=send_tweak, recv_tweak_base=recv_tweak,
-        )
-        self.pools["rtri"].append_columns((triples.a, triples.b, triples.c))
-
-    def _produce_matrix_triple(
-        self, m: int, k: int, n: int, direction: int, lo: int
-    ) -> None:
-        """Generate one (m,k,n) matrix triple from one direction's COTs.
-
-        ``direction`` 0 draws from cot/fwd (party 0 is the Ferret -- and
-        therefore Gilboa -- sender), 1 from cot/rev (party 1 sends):
-        both Fig 16 role directions are live code paths picked by stock.
-        """
-        pool = self.matrix_pool(m, k, n)
-        batch = self.pools["cot/rev" if direction else "cot/fwd"].take_batch(
-            lo, pool.cots_per_item
-        )
-        if (self.party == 0) == (direction == 0):
-            cot_pool = CotPool(sender=batch)
-        else:
-            cot_pool = CotPool(receiver=batch)
-        triple = generate_matrix_triples(
-            self._ch_mtri, MatmulDims(m, k, n), pool.bits, cot_pool, self._rng,
-            party=self.party, ot_sender=direction, tweak_base=lo,
-        )
-        pool.append_triple(triple)
-
-    def _produce_trunc_pairs(self, n: int, frac: int, lo_cot: int, lo_tri: int) -> None:
-        """Lockstep truncation-pair batch: forward COTs + pooled triples.
-
-        Party 0 is the millionaires'/Gilboa OT sender (the forward COT
-        direction), mirroring the online wrap-fixed protocol's roles.
-        """
-        pool = self.trunc_pool(frac)
-        batch = self.pools["cot/fwd"].take_batch(lo_cot, n * pool.cots_per_item)
-        if self.party == 0:
-            cot_pool = CotPool(sender=batch)
-        else:
-            cot_pool = CotPool(receiver=batch)
-        triples = self.pools["tri"].take_triples(lo_tri, n * pool.triples_per_item)
-        pairs = generate_trunc_pairs(
-            self._ch_tprc, n, pool.bits, frac, cot_pool, triples, self._rng,
-            party=self.party, tweak_base=lo_cot,
-        )
-        pool.append_columns((pairs.r, pairs.s))
-
-    def _produce_rots(self, direction: str, n: int, lo: int) -> None:
-        """Figure 2 conversion of pooled COTs into random OTs (local)."""
-        batch = self.pools[f"cot/{direction}"].take_batch(lo, n)
-        am_sender = (self.party == 0) == (direction == "fwd")
-        if am_sender:
-            m0, m1 = cot_to_random_ot_sender(batch, tweak_base=lo)
-            self.pools[f"rot/{direction}"].append_columns((m0, m1))
-        else:
-            bits, chosen = cot_to_random_ot_receiver(batch, tweak_base=lo)
-            self.pools[f"rot/{direction}"].append_columns((bits, chosen))
+        return batch
 
 
 class ServiceSession:
@@ -1444,9 +1147,18 @@ class ServiceSession:
         return lo
 
     def _take(self, kind: str, lo: int, n: int):
-        return self.service.pools[kind].take_batch(
+        return self.service.pools[kind].take(
             lo, n, timeout=self.service.tuning.take_timeout_s
         )
+
+    def _draw(self, kind: str, n: int) -> tuple:
+        """(n items of ``kind`` as the pool's typed batch, absolute offset)."""
+        lo = self._alloc(kind, n)
+        return self._take(kind, lo, n), lo
+
+    def _direction(self, sending: bool) -> str:
+        """The COT direction in which this party sends (or receives)."""
+        return "fwd" if sends(self.party, "fwd") == sending else "rev"
 
     def _alloc_many(self, requests: list) -> list:
         """One allocation round-trip for several draws.
@@ -1478,37 +1190,25 @@ class ServiceSession:
     # -- typed draws ---------------------------------------------------------
     def draw_sender_cots(self, n: int) -> tuple:
         """(CotSenderBatch, absolute offset) in this party's send direction."""
-        kind = "cot/fwd" if self.party == 0 else "cot/rev"
-        lo = self._alloc(kind, n)
-        return self._take(kind, lo, n), lo
+        return self._draw(f"cot/{self._direction(True)}", n)
 
     def draw_receiver_cots(self, n: int) -> tuple:
         """(CotReceiverBatch, absolute offset); pairs the peer's sender draw."""
-        kind = "cot/rev" if self.party == 0 else "cot/fwd"
-        lo = self._alloc(kind, n)
-        return self._take(kind, lo, n), lo
+        return self._draw(f"cot/{self._direction(False)}", n)
 
     def sender_cot_pool(self, n: int) -> CotPool:
-        batch, _ = self.draw_sender_cots(n)
-        return CotPool(sender=batch)
+        return CotPool.of(self.draw_sender_cots(n)[0])
 
     def receiver_cot_pool(self, n: int) -> CotPool:
-        batch, _ = self.draw_receiver_cots(n)
-        return CotPool(receiver=batch)
+        return CotPool.of(self.draw_receiver_cots(n)[0])
 
     def draw_triples(self, n: int):
         """This party's shares of n pooled Beaver bit triples."""
-        lo = self._alloc("tri", n)
-        return self.service.pools["tri"].take_triples(
-            lo, n, timeout=self.service.tuning.take_timeout_s
-        )
+        return self._draw("tri", n)[0]
 
     def draw_ring_triples(self, n: int):
         """This party's shares of n pooled mod-2^k Beaver triples."""
-        lo = self._alloc("rtri", n)
-        return self.service.pools["rtri"].take_triples(
-            lo, n, timeout=self.service.tuning.take_timeout_s
-        )
+        return self._draw("rtri", n)[0]
 
     def draw_trunc_pairs(self, n: int, frac_bits: int):
         """This party's shares of n pooled truncation pairs (r, r>>frac).
@@ -1516,9 +1216,7 @@ class ServiceSession:
         Both parties' calls ensure the frac-keyed pool exists locally;
         the leader reserves the range and announces its offset.
         """
-        pool = self.service.trunc_pool(frac_bits)
-        lo = self._alloc(pool.name, n)
-        return pool.take_pairs(lo, n, timeout=self.service.tuning.take_timeout_s)
+        return self._draw(self.service.trunc_pool(frac_bits).name, n)[0]
 
     def draw_matrix_triple(self, m: int, k: int, n: int):
         """One pooled matrix Beaver triple of shape (m, k) @ (k, n).
@@ -1528,9 +1226,7 @@ class ServiceSession:
         A warm (prefilled) pool serves instantly; a cold pool stalls
         here while the service produces on demand.
         """
-        pool = self.service.matrix_pool(m, k, n)
-        lo = self._alloc(pool.name, 1)
-        return pool.take_triple(lo, timeout=self.service.tuning.take_timeout_s)
+        return self._draw(self.service.matrix_pool(m, k, n).name, 1)[0]
 
     def draw_matmul_rescale(self, m: int, k: int, n: int, fx, mode: str = "pair"):
         """Fused matmul+rescale draw: ONE allocation round-trip covers
@@ -1558,56 +1254,33 @@ class ServiceSession:
                 f"service produces {svc_bits}-bit correlations, "
                 f"config wants {fx.bits}"
             )
-        mpool = self.service.matrix_pool(m, k, n)
         n_el = m * n
-        requests = [(mpool.name, 1)]
+        wanted = [("triple", self.service.matrix_pool(m, k, n).name, 1)]
         if mode == "pair":
-            tpool = self.service.trunc_pool(fx.frac_bits)
-            requests.append((tpool.name, n_el))
+            wanted.append(("pairs", self.service.trunc_pool(fx.frac_bits).name, n_el))
         elif mode in ("wrap", "exact"):
             exact = mode == "exact"
-            requests.append(("cot/fwd", trunc_cots(n_el, fx, exact)))
-            requests.append(("tri", trunc_bit_triples(n_el, fx, exact)))
-            requests.append(("rtri", trunc_ring_triples(n_el, fx, exact)))
+            wanted.append(("cot_pool", "cot/fwd", trunc_cots(n_el, fx, exact)))
+            wanted.append(("triples", "tri", trunc_bit_triples(n_el, fx, exact)))
+            wanted.append(("ring_triples", "rtri", trunc_ring_triples(n_el, fx, exact)))
         else:
             raise ServiceError(f"unknown truncation mode {mode!r}")
-        offsets = self._alloc_many(requests)
-        timeout = self.service.tuning.take_timeout_s
-        triple = mpool.take_triple(offsets[0], timeout=timeout)
-        if mode == "pair":
-            pairs = tpool.take_pairs(offsets[1], n_el, timeout=timeout)
-            return triple, {"pairs": pairs}
-        batch = self._take("cot/fwd", offsets[1], requests[1][1])
-        cot_pool = (
-            CotPool(sender=batch) if self.party == 0 else CotPool(receiver=batch)
-        )
-        triples = self.service.pools["tri"].take_triples(
-            offsets[2], requests[2][1], timeout=timeout
-        )
-        ring_triples = self.service.pools["rtri"].take_triples(
-            offsets[3], requests[3][1], timeout=timeout
-        )
-        return triple, {
-            "cot_pool": cot_pool,
-            "triples": triples,
-            "ring_triples": ring_triples,
+        offsets = self._alloc_many([(kind, count) for _, kind, count in wanted])
+        material = {
+            name: self._take(kind, lo, count)
+            for (name, kind, count), lo in zip(wanted, offsets)
         }
+        if "cot_pool" in material:
+            material["cot_pool"] = CotPool.of(material["cot_pool"])
+        return material.pop("triple"), material
 
     def draw_random_ots_send(self, n: int) -> tuple:
         """(m0, m1) random-OT message pairs (this party is the sender)."""
-        kind = "rot/fwd" if self.party == 0 else "rot/rev"
-        lo = self._alloc(kind, n)
-        return self.service.pools[kind].take_pairs(
-            lo, n, timeout=self.service.tuning.take_timeout_s
-        )
+        return self._draw(f"rot/{self._direction(True)}", n)[0]
 
     def draw_random_ots_receive(self, n: int) -> tuple:
         """(choice bits, chosen messages); pairs the peer's send draw."""
-        kind = "rot/rev" if self.party == 0 else "rot/fwd"
-        lo = self._alloc(kind, n)
-        return self.service.pools[kind].take_pairs(
-            lo, n, timeout=self.service.tuning.take_timeout_s
-        )
+        return self._draw(f"rot/{self._direction(False)}", n)[0]
 
     # -- chosen-message OT straight off the pool -----------------------------
     def ot_send(self, messages0: np.ndarray, messages1: np.ndarray) -> None:

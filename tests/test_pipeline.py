@@ -13,6 +13,8 @@ from repro.mpc.sharing import ArithmeticShares, from_signed, share_arith_nd
 from repro.mpc.triples import ring_mask_u64
 from repro.mpc.truncation import (
     FixedPointConfig,
+    trunc_pair_bit_triples,
+    trunc_pair_cots,
     trunc_preproc_messages,
 )
 from repro.ot.channel import LocalChannel, run_concurrently
@@ -406,8 +408,8 @@ class TestBatchedTprcProduction:
             pool = svc0.trunc_pool(FX.frac_bits)
             svc1.trunc_pool(FX.frac_bits)
             stock = {
-                "cot/fwd": n * pool.cots_per_item + 512,
-                "tri": n * pool.triples_per_item + 64,
+                "cot/fwd": n * trunc_pair_cots(BITS, FX.frac_bits) + 512,
+                "tri": n * trunc_pair_bit_triples(BITS, FX.frac_bits) + 64,
             }
             ctx = (svc0.error, svc1.error)
             run_both(lambda: svc0.prefill(stock, 240.0),

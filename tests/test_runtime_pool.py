@@ -10,6 +10,7 @@ from repro.crypto import blocks
 from repro.errors import ServiceError
 from repro.mpc.triples import BitTriples, MatrixTriples, RingTriples, dealer_matrix_triples
 from repro.ot.cot import CotReceiverBatch, CotSenderBatch, verify_cot
+from repro.runtime.recipes import MTRI
 from repro.runtime.pool import (
     CorrelationPool,
     MatrixTriplePool,
@@ -33,10 +34,10 @@ class TestLevelsAndWatermarks:
     def test_reserve_take_roundtrip(self):
         delta, z, _, _ = make_cot_arrays(64)
         pool = SenderCotPool("p", delta)
-        pool.append_batch(CotSenderBatch(delta, z))
+        pool.append(CotSenderBatch(delta, z))
         lo = pool.reserve(10)
         assert lo == 0
-        batch = pool.take_batch(lo, 10)
+        batch = pool.take(lo, 10)
         assert np.array_equal(batch.z, z[:10])
         lo2 = pool.reserve(5)
         assert lo2 == 10
@@ -52,7 +53,7 @@ class TestLevelsAndWatermarks:
     def test_refill_event_set_below_watermark(self):
         delta, z, _, _ = make_cot_arrays(32)
         pool = SenderCotPool("p", delta, low_watermark=16, high_watermark=32)
-        pool.append_batch(CotSenderBatch(delta, z))
+        pool.append(CotSenderBatch(delta, z))
         assert not pool.refill.is_set()
         pool.reserve(20)  # level 12 < 16
         assert pool.refill.is_set()
@@ -60,7 +61,7 @@ class TestLevelsAndWatermarks:
     def test_try_reserve_produced_refuses_unproduced(self):
         delta, z, _, _ = make_cot_arrays(16)
         pool = SenderCotPool("p", delta)
-        pool.append_batch(CotSenderBatch(delta, z))
+        pool.append(CotSenderBatch(delta, z))
         assert pool.try_reserve_produced(10) == 0
         assert pool.try_reserve_produced(10) is None  # only 6 left
         assert pool.try_reserve_produced(6) == 10
@@ -74,13 +75,13 @@ class TestBlockingAndBackpressure:
         got = {}
 
         def taker():
-            got["batch"] = pool.take_batch(lo, 32, timeout=10.0)
+            got["batch"] = pool.take(lo, 32, timeout=10.0)
 
         t = threading.Thread(target=taker)
         t.start()
         time.sleep(0.1)
         assert "batch" not in got  # still stalled
-        pool.append_batch(CotSenderBatch(delta, z))
+        pool.append(CotSenderBatch(delta, z))
         t.join(5.0)
         assert np.array_equal(got["batch"].z, z)
         assert pool.stats.stalled_draws == 1
@@ -91,21 +92,21 @@ class TestBlockingAndBackpressure:
         pool = TriplePool("tri")
         lo = pool.reserve(4)
         with pytest.raises(ServiceError, match="timed out"):
-            pool.take_triples(lo, 4, timeout=0.1)
+            pool.take(lo, 4, timeout=0.1)
 
     def test_take_after_close_serves_already_produced_data(self):
         """Shutdown must not strand data that is already in the buffer:
         only takes of *unproduced* ranges fail after close."""
         delta, z, _, _ = make_cot_arrays(16)
         pool = SenderCotPool("p", delta)
-        pool.append_batch(CotSenderBatch(delta, z))
+        pool.append(CotSenderBatch(delta, z))
         lo = pool.reserve(10)
         pool.close()
-        batch = pool.take_batch(lo, 10)  # data existed before close
+        batch = pool.take(lo, 10)  # data existed before close
         assert np.array_equal(batch.z, z[:10])
         lo2 = pool.reserve(10)  # beyond what was ever produced
         with pytest.raises(ServiceError, match="closed"):
-            pool.take_batch(lo2, 10, timeout=0.5)
+            pool.take(lo2, 10, timeout=0.5)
 
     def test_append_grows_capacity_geometrically(self):
         """Many small refills must not degrade into per-append copies of
@@ -119,7 +120,7 @@ class TestBlockingAndBackpressure:
             total += 37
         assert pool.produced == total
         lo = pool.reserve(total)
-        t = pool.take_triples(lo, total)
+        t = pool.take(lo, total)
         assert len(t) == total
         # Internal buffer over-allocates (capacity >= produced).
         assert pool._columns[0].shape[0] >= total
@@ -131,7 +132,7 @@ class TestBlockingAndBackpressure:
 
         def taker():
             try:
-                pool.take_triples(lo, 4, timeout=30.0)
+                pool.take(lo, 4, timeout=30.0)
             except ServiceError as exc:
                 errors.append(exc)
 
@@ -152,7 +153,7 @@ class TestWatermarkEdges:
         trips the event on that very reserve."""
         delta, z, _, _ = make_cot_arrays(64)
         pool = SenderCotPool("p", delta, low_watermark=16, high_watermark=64)
-        pool.append_batch(CotSenderBatch(delta, z))
+        pool.append(CotSenderBatch(delta, z))
         pool.reserve(48)  # level == 16 == low: no refill yet
         assert pool.level == pool.low_watermark
         assert not pool.needs_refill()
@@ -195,7 +196,7 @@ class TestWatermarkEdges:
         pool.append_columns((a, a, a))  # half of the demand, never more
         start = time.monotonic()
         with pytest.raises(ServiceError, match=r"timed out waiting for \[0, 16\)"):
-            pool.take_triples(lo, 16, timeout=0.3)
+            pool.take(lo, 16, timeout=0.3)
         assert time.monotonic() - start < 5.0
 
     def test_wait_level_and_raise_watermarks(self):
@@ -227,12 +228,12 @@ class TestTypedPools:
         delta, z, x, y = make_cot_arrays(48)
         sp = SenderCotPool("s", delta)
         rp = ReceiverCotPool("r")
-        sp.append_batch(CotSenderBatch(delta, z))
-        rp.append_batch(CotReceiverBatch(x, y))
+        sp.append(CotSenderBatch(delta, z))
+        rp.append(CotReceiverBatch(x, y))
         lo = sp.reserve(20)
         rp.reserve(20)
-        sb = sp.take_batch(lo, 20)
-        rb = rp.take_batch(lo, 20)
+        sb = sp.take(lo, 20)
+        rb = rp.take(lo, 20)
         assert verify_cot(sb, rb)
 
     def test_triple_pool_roundtrip(self):
@@ -241,7 +242,7 @@ class TestTypedPools:
         pool = TriplePool("tri")
         pool.append_columns((a, b, a & b))
         lo = pool.reserve(30)
-        t = pool.take_triples(lo, 30)
+        t = pool.take(lo, 30)
         assert isinstance(t, BitTriples)
         assert np.array_equal(t.c, t.a & t.b)
 
@@ -274,7 +275,7 @@ class TestTypedPools:
         pool = RingTriplePool("rtri", bits=16)
         pool.append_columns((a, b, (a * b) & np.uint64(0xFFFF)))
         lo = pool.reserve(40)
-        t = pool.take_triples(lo, 40)
+        t = pool.take(lo, 40)
         assert isinstance(t, RingTriples)
         assert t.bits == 16
         assert np.array_equal(t.c, (t.a * t.b) & np.uint64(0xFFFF))
@@ -285,10 +286,10 @@ class TestTypedPools:
         pool = MatrixTriplePool("mtri/3x5x4", 3, 5, 4, bits=32,
                                 low_watermark=0, high_watermark=0)
         assert pool.name == MatrixTriplePool.key_for(3, 5, 4)
-        assert pool.cots_per_item == (3 * 5 + 5 * 4) * 32
-        pool.append_triple(t0)
+        assert MTRI.inputs(32, 3, 5, 4)[0] == ("cot/fwd", (3 * 5 + 5 * 4) * 32)
+        pool.append(t0)
         lo = pool.reserve(1)
-        got = pool.take_triple(lo)
+        got = pool.take(lo)
         assert isinstance(got, MatrixTriples)
         assert np.array_equal(got.a, t0.a)
         assert np.array_equal(got.c, t0.c)
@@ -296,10 +297,10 @@ class TestTypedPools:
     def test_stats_accumulate(self):
         delta, z, _, _ = make_cot_arrays(100)
         pool = SenderCotPool("p", delta)
-        pool.append_batch(CotSenderBatch(delta, z))
+        pool.append(CotSenderBatch(delta, z))
         for _ in range(4):
             lo = pool.reserve(25)
-            pool.take_batch(lo, 25)
+            pool.take(lo, 25)
         s = pool.stats
         assert s.draws == 4 and s.items_drawn == 100
         assert s.refills == 1 and s.items_refilled == 100
@@ -373,8 +374,8 @@ class TestOutOfOrderAppend:
         spool.append_columns_at(0, (z,))
         rpool.append_columns_at(8, (x[8:], y[8:]))
         rpool.append_columns_at(0, (x[:8], y[:8]))
-        s = spool.take_batch(0, 12, timeout=1.0)
-        r = rpool.take_batch(0, 12, timeout=1.0)
+        s = spool.take(0, 12, timeout=1.0)
+        r = rpool.take(0, 12, timeout=1.0)
         assert verify_cot(s, r)
 
     def test_column_length_mismatch_rejected(self):

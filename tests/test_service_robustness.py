@@ -9,6 +9,7 @@ import pytest
 from repro.errors import (
     ChannelClosed,
     ChannelTimeout,
+    PoolClosed,
     ServiceDegraded,
 )
 from repro.ferret.config import FerretConfig
@@ -50,8 +51,8 @@ def test_transient_fault_degrades_resyncs_and_recovers():
         svc1.wait_ready()
         # Shorten the follower's abandoned-command stall so the test
         # does not wait out the paper-scale mux timeout.
-        svc1._ch_fwd.default_timeout = 3.0
-        svc1._ch_rev.default_timeout = 3.0
+        for channel in svc1._data_channels:
+            channel.default_timeout = 3.0
 
         real_execute = svc0._execute
         tripped = threading.Event()
@@ -168,6 +169,62 @@ def test_worker_restart_once_then_fatal():
         svc2._run_loop(always_dies)
     assert svc2.worker_restarts == 1  # restarted once, then fatal
     mux.close()
+
+
+def test_pool_created_after_worker_exit_is_closed():
+    """A keyed pool first touched after stop() must fail its draws the
+    way every pre-existing pool does -- ``PoolClosed`` at once -- not
+    burn ``take_timeout_s`` waiting on a producer that is gone."""
+    import dataclasses
+
+    tuning = dataclasses.replace(TUNING, take_timeout_s=5.0)
+    svc0, svc1 = start_service_pair(tuning, seed=0x0FC)
+    svc0.wait_ready()
+    svc1.wait_ready()
+    svc0.stop()
+    svc1.stop()
+    start = time.monotonic()
+    with pytest.raises(PoolClosed):
+        svc0.session("late").draw_matrix_triple(2, 2, 2)
+    assert time.monotonic() - start < 1.0
+
+
+def test_pools_created_while_worker_exits_all_end_closed():
+    """Sessions creating keyed pools race the worker's teardown: whether
+    a pool lands before the teardown's snapshot or after it, it must end
+    closed -- none may slip between the snapshot and the factory."""
+    import sys
+
+    svc0, svc1 = start_service_pair(seed=0x0FD)
+    svc0.wait_ready()
+    svc1.wait_ready()
+    done = threading.Event()
+
+    def create(lane):
+        i = 0
+        while not done.is_set():
+            i += 1
+            svc0.matrix_pool(lane + 1, i, 1)
+
+    threads = [threading.Thread(target=create, args=(lane,)) for lane in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        time.sleep(0.05)
+        svc0.stop()
+        svc1.stop()
+        before = len(svc0.pools)
+        time.sleep(0.05)  # creation goes on past the teardown
+        done.set()
+        for thread in threads:
+            thread.join(30.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(svc0.pools) > before
+    assert all(pool._closed for pool in svc0.pools.values())
 
 
 def test_follower_stop_fast_path_when_degraded():
