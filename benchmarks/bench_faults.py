@@ -44,7 +44,6 @@ from pathlib import Path
 import numpy as np
 from bench_io import add_bench_args, write_payload, write_trace
 from bench_pipeline import (
-    FIRST_BLOCK_LAYER,
     FX,
     MASK,
     PARAMS,
@@ -52,8 +51,9 @@ from bench_pipeline import (
     SHAPE,
     SMOKE_SHAPE,
     build_model,
+    first_gate,
     make_shares,
-    online_block_fn,
+    online_fn,
 )
 
 from repro.ferret.config import FerretConfig
@@ -204,13 +204,13 @@ def run_scenario(shape, chaos: bool, window, tracers=None) -> dict:
         pipe0 = plan.prefill_pipelined(svc0, timeout=600.0)
         pipe1 = plan.prefill_pipelined(svc1, timeout=600.0)
         z0, z1 = run_concurrently(
-            online_block_fn(svc0, 0, shape, shares, pipe0),
-            online_block_fn(svc1, 1, shape, shares, pipe1),
+            online_fn(svc0, 0, plan, shares, pipe0),
+            online_fn(svc1, 1, plan, shares, pipe1),
             timeout=600.0,
         )
         e2e_s = time.perf_counter() - t0
         pipe0.finish(), pipe1.finish()
-        ttfo_s = pipe0.ready_elapsed(FIRST_BLOCK_LAYER)
+        ttfo_s = pipe0.ready_elapsed(first_gate(plan))
 
         # Bit-exactness and plan exactness survive the fault schedule.
         assert np.array_equal((z0 + z1) & MASK, expect), (

@@ -4,10 +4,11 @@ import pytest
 
 from repro.core.calibration import FIG16_COMM_REDUCTION, FIG16_LATENCY_REDUCTION
 from repro.lpn.params import TABLE4_BY_LABEL
+from repro.mpc.matmul import FIG16_DIMS
 from repro.nmp.accelerator import IronmanAccelerator
 from repro.nmp.config import IRONMAN_1MB
 from repro.ppml.inference import IronmanOte
-from repro.ppml.matmul import FIG16_DIMS, matmul_cost
+from repro.ppml.matmul import matmul_cost
 from repro.ppml.network import LAN
 from repro.utils.tables import print_table
 from repro.utils.units import fmt_bytes

@@ -41,15 +41,13 @@ from bench_io import add_bench_args, write_payload, write_trace
 
 from repro.ferret.config import FerretConfig
 from repro.lpn.params import LpnParams
-from repro.mpc.matmul import matmul_rescale_via_service, matmul_via_service
-from repro.mpc.relu import relu_via_service
-from repro.mpc.sharing import ArithmeticShares, from_signed, share_arith_nd
+from repro.mpc.sharing import from_signed, share_arith_nd
 from repro.mpc.triples import ring_mask_u64
 from repro.mpc.truncation import FixedPointConfig
 from repro.ot.channel import LocalChannel, run_concurrently
 from repro.ppml.layers import Activation, Graph, Linear, Rescale
 from repro.ppml.plan import plan_graph
-from repro.runtime import CorrelationService, MuxChannel, ServiceTuning
+from repro.runtime import CorrelationService, MuxChannel, ServiceTuning, compile_ops, run_online
 
 PARAMS = LpnParams("bench-pipe", 1 << 14, 512, 512, 32, 0.0)
 RING_BITS = 16
@@ -64,10 +62,6 @@ SHAPE = (8, 32, 32, 48, 16)
 SMOKE_SHAPE = (4, 16, 16, 24, 8)
 JSON_PATH = Path(__file__).resolve().parents[1] / "BENCH_pipeline.json"
 MASK = ring_mask_u64(RING_BITS)
-#: Plan-layer index whose correlations the first online block draws
-#: (linear + rescale), and the wait index of every later block.
-FIRST_BLOCK_LAYER = 1
-BLOCK_WAITS = (1, 2, 4, 5, 6)
 
 
 def build_model(shape) -> Graph:
@@ -122,46 +116,19 @@ def make_shares(shape, rng):
     return shares, expect
 
 
-def online_block_fn(svc, party, shape, shares, pipe=None):
-    """One party's online phase; waits on the pipeline when given one."""
-    m, k, h1, h2, out = shape
+def online_fn(svc, party, plan, shares, pipe=None):
+    """One party's online phase; gated on the pipeline when given one."""
+    weights = [shares[key][party] for key in ("w1", "w2", "w3")]
+    return lambda: run_online(
+        plan, svc.session("pipe-mlp"), weights, [shares["x"][party]],
+        np.random.default_rng(90 + party),
+        pipe.wait_layer if pipe is not None else None,
+    )[0]
 
-    def wait(i):
-        if pipe is not None:
-            pipe.wait_layer(i)
 
-    def run():
-        session = svc.session("pipe-mlp")
-        tr = svc.tracer  # NULL_TRACER unless a --trace-out run attached one
-        rng = np.random.default_rng(90 + party)
-        wait(BLOCK_WAITS[0])
-        with tr.span("online.layer", cat="online", layer=BLOCK_WAITS[0], op="matmul"):
-            h = matmul_rescale_via_service(
-                session, shares["x"][party], shares["w1"][party], FX,
-                mode="exact", rng=rng,
-            )
-        wait(BLOCK_WAITS[1])
-        with tr.span("online.layer", cat="online", layer=BLOCK_WAITS[1], op="relu"):
-            r, _ = relu_via_service(
-                session, ArithmeticShares(h.reshape(-1), RING_BITS), rng
-            )
-            h = r.values.astype(np.uint64).reshape(m, h1)
-        wait(BLOCK_WAITS[2])
-        with tr.span("online.layer", cat="online", layer=BLOCK_WAITS[2], op="matmul"):
-            h = matmul_rescale_via_service(
-                session, h, shares["w2"][party], FX, mode="exact", rng=rng
-            )
-        wait(BLOCK_WAITS[3])
-        with tr.span("online.layer", cat="online", layer=BLOCK_WAITS[3], op="relu"):
-            r, _ = relu_via_service(
-                session, ArithmeticShares(h.reshape(-1), RING_BITS), rng
-            )
-            h = r.values.astype(np.uint64).reshape(m, h2)
-        wait(BLOCK_WAITS[4])
-        with tr.span("online.layer", cat="online", layer=BLOCK_WAITS[4], op="matmul"):
-            return matmul_via_service(session, h, shares["w3"][party])
-
-    return run
+def first_gate(plan) -> int:
+    """Plan-layer index the first online op waits for (linear + rescale)."""
+    return compile_ops(plan.graph)[0][1]
 
 
 def run_scenario(shape, pipelined: bool, tracers=None) -> dict:
@@ -180,13 +147,13 @@ def run_scenario(shape, pipelined: bool, tracers=None) -> dict:
         pipe0 = plan.prefill_pipelined(svc0, timeout=600.0)
         pipe1 = plan.prefill_pipelined(svc1, timeout=600.0)
         z0, z1 = run_concurrently(
-            online_block_fn(svc0, 0, shape, shares, pipe0),
-            online_block_fn(svc1, 1, shape, shares, pipe1),
+            online_fn(svc0, 0, plan, shares, pipe0),
+            online_fn(svc1, 1, plan, shares, pipe1),
             timeout=600.0,
         )
         e2e_s = time.perf_counter() - t0
         pipe0.finish(), pipe1.finish()
-        ttfo_s = pipe0.ready_elapsed(FIRST_BLOCK_LAYER)
+        ttfo_s = pipe0.ready_elapsed(first_gate(plan))
         preprocessing_s = pipe0.ready_elapsed(plan_layers(plan) - 1)
     else:
         run_concurrently(
@@ -196,8 +163,8 @@ def run_scenario(shape, pipelined: bool, tracers=None) -> dict:
         )
         ttfo_s = preprocessing_s = time.perf_counter() - t0
         z0, z1 = run_concurrently(
-            online_block_fn(svc0, 0, shape, shares),
-            online_block_fn(svc1, 1, shape, shares),
+            online_fn(svc0, 0, plan, shares),
+            online_fn(svc1, 1, plan, shares),
             timeout=600.0,
         )
         e2e_s = time.perf_counter() - t0

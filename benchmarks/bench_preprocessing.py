@@ -36,14 +36,12 @@ from bench_io import add_bench_args, write_payload
 
 from repro.ferret.config import FerretConfig
 from repro.lpn.params import LpnParams
-from repro.mpc.matmul import matmul_via_service
-from repro.mpc.relu import relu_via_service
-from repro.mpc.sharing import ArithmeticShares, share_arith_nd
+from repro.mpc.sharing import share_arith_nd
 from repro.mpc.triples import ring_mask_u64
 from repro.ot.channel import LocalChannel, run_concurrently
 from repro.ppml.layers import Activation, Graph, Linear
 from repro.ppml.plan import plan_graph
-from repro.runtime import CorrelationService, MuxChannel, ServiceTuning
+from repro.runtime import CorrelationService, MuxChannel, ServiceTuning, run_online
 from repro.utils.tables import print_table
 
 PARAMS = LpnParams("bench-pre", 1 << 14, 512, 512, 32, 0.0)
@@ -85,21 +83,12 @@ def start_services():
     return svc0, svc1, mux0, mux1
 
 
-def online_inference(svc, party, shape, shares, name):
-    m, k, h, out = shape
-
-    def run():
-        session = svc.session(name)
-        rng = np.random.default_rng(7 + party)
-        z = matmul_via_service(session, shares["x"][party], shares["w1"][party])
-        r, _ = relu_via_service(
-            session, ArithmeticShares(z.reshape(-1), RING_BITS), rng
-        )
-        return matmul_via_service(
-            session, r.values.astype(np.uint64).reshape(m, h), shares["w2"][party]
-        )
-
-    return run
+def online_inference(svc, party, plan, shares, name):
+    weights = [shares["w1"][party], shares["w2"][party]]
+    return lambda: run_online(
+        plan, svc.session(name), weights, [shares["x"][party]],
+        np.random.default_rng(7 + party),
+    )[0]
 
 
 def make_shares(shape, rng):
@@ -137,8 +126,8 @@ def run_scenario(shape, warm: bool) -> dict:
 
     t1 = time.perf_counter()
     z0, z1 = run_concurrently(
-        online_inference(svc0, 0, shape, shares, "bench-mlp"),
-        online_inference(svc1, 1, shape, shares, "bench-mlp"),
+        online_inference(svc0, 0, plan, shares, "bench-mlp"),
+        online_inference(svc1, 1, plan, shares, "bench-mlp"),
         timeout=600.0,
     )
     online_s = time.perf_counter() - t1

@@ -26,7 +26,10 @@ per-COT public-key path costs (~15 s), so runner speed cannot trip it
 and a regression to thousands of modexps cannot pass it.  Next to it
 sit three **exact counts** from the same run's traced rows
 (``LEDGER_COUNTS``): one SPCOT exchange per extend.  Counts repeat
-exactly on any runner; timings do not.
+exactly on any runner; timings do not.  A traced ``infer_single`` run
+(``--out <dir>/ledger_infer.json``) must report every online-op row
+(``LEDGER_ONLINE_ROWS``): the ledger times those ops by patching their
+call sites from outside, so a refactor that moves them reads as zero.
 
 Usage:
     # in CI, after running each bench with --smoke --json-out <dir>/...
@@ -137,14 +140,45 @@ LEDGER_COUNTS = {
 }
 
 
-def check_ledger(path: Path) -> list:
-    """Absolute gate over one ledger run; returns failure strings."""
+#: The traced ``infer_single`` smoke result and the online-op rows it
+#: must carry (see the module docstring).
+LEDGER_INFER_SMOKE = "ledger_infer.json"
+LEDGER_ONLINE_ROWS = (
+    "online.linear_rescale_ms.p0",
+    "online.linear_ms.p0",
+    "online.relu_ms.p0",
+)
+
+
+def load_ledger(path: Path) -> dict:
     if not path.exists():
         raise SystemExit(
             f"regression gate: missing {path} (did the ledger smoke step run "
             "with --out?)"
         )
-    result = json.loads(path.read_text())
+    return json.loads(path.read_text())
+
+
+def check_ledger_infer(path: Path) -> list:
+    """Every online-op row of the traced infer_single run is non-zero."""
+    rows = load_ledger(path)["per_layer"]
+    dead = [name for name in LEDGER_ONLINE_ROWS if not rows.get(name)]
+    print(f"  ledger/online-op rows  {len(LEDGER_ONLINE_ROWS) - len(dead)} of "
+          f"{len(LEDGER_ONLINE_ROWS)} non-zero   {'MISSING' if dead else 'ok'}")
+    if not dead:
+        return []
+    return [
+        f"ledger infer_single: {', '.join(dead)} missing or 0 -- "
+        "benchmarks/ledger/spans.py PATCHES wraps repro.runtime.daemon."
+        "{matmul_rescale_via_service, matmul_via_service, relu_via_service}; "
+        "run_online must call them through that module (or the smoke run "
+        "lacked --trace 1)"
+    ]
+
+
+def check_ledger(path: Path) -> list:
+    """Absolute gate over one ledger run; returns failure strings."""
+    result = load_ledger(path)
     failures = []
     for name, budget in LEDGER_BUDGETS.items():
         value = result["end_to_end"][name]
@@ -300,6 +334,7 @@ def main(argv=None) -> int:
     print(f"benchmark regression gate (tolerance {args.factor:.0f}x):")
     failures = check(metrics, baseline, args.factor)
     failures += check_ledger(args.smoke_dir / LEDGER_SMOKE)
+    failures += check_ledger_infer(args.smoke_dir / LEDGER_INFER_SMOKE)
     if failures:
         print("\nFAIL:")
         for line in failures:

@@ -22,47 +22,33 @@ This example runs the whole shape end to end:
   starts as soon as layer i's correlations are pooled, while a
   background thread keeps layer i+1's production running under the
   online rounds -- the software analogue of Ironman's Fig. 8 schedule
-  overlap.  Each linear+rescale block runs on the fused
+  overlap.  The online phase is ``repro.runtime.run_online``, the one
+  executor of a planned graph: it gates each op on
+  ``pipe.wait_layer`` and runs each linear+rescale block on the fused
   ``matmul_rescale_via_service`` verb, so one allocation round-trip
   covers the matrix-triple draw and the truncation draws;
 * the result is **bit-exact** against a plaintext numpy fixed-point
   oracle, every draw matches the plan, and no planned pool ever
   stalls -- layer 0's preprocessing is the only thing the first online
-  round ever waited for;
-* finally four legacy mixed sessions (two ReLU batches, a MaxPool
-  window, a GMW AND layer) plus a pooled pair-mode truncation demo run
-  concurrently over the same link.
+  round ever waited for.
 
 Run:  python examples/inference_service.py
 """
 
 import argparse
-import threading
 
 import numpy as np
 
 from repro.ferret.config import FerretConfig
-from repro.mpc.matmul import matmul_rescale_via_service, matmul_via_service
-from repro.mpc.maxpool import max_via_service
-from repro.mpc.relu import relu_via_service
-from repro.mpc.sharing import (
-    ArithmeticShares,
-    from_signed,
-    reconstruct_arith,
-    share_arith,
-    share_arith_nd,
-    share_bool,
-    to_signed,
-)
-from repro.mpc.triples import and_shared, ring_mask_u64, triples_via_service
-from repro.mpc.truncation import FixedPointConfig, trunc_via_service
+from repro.mpc.sharing import from_signed, share_arith_nd
+from repro.mpc.triples import ring_mask_u64
+from repro.mpc.truncation import FixedPointConfig
 from repro.ot.channel import LocalChannel, run_concurrently
 from repro.ppml.layers import Activation, Graph, Linear, Rescale
 from repro.ppml.plan import SUMMARY_HEADER, plan_graph
-from repro.runtime import CorrelationService, MuxChannel, ServiceTuning
+from repro.runtime import CorrelationService, MuxChannel, ServiceTuning, compile_ops, run_online
 from repro.utils.tables import print_table
 
-BITS = 14
 RING_BITS = 16
 MASK = ring_mask_u64(RING_BITS)
 
@@ -85,66 +71,12 @@ def build_model() -> Graph:
     return g
 
 
-def quantized_inference(session, pipe, x_sh, w1_sh, w2_sh, w3_sh, seed):
-    """The pipelined online phase with per-layer fixed-point rescaling.
-
-    Each block gates on ``pipe.wait_layer`` -- the index of the LAST
-    plan layer whose correlations it draws -- so layer i's openings run
-    while the service produces layer i+1's triples underneath.
-    """
-    rng = np.random.default_rng(seed)
-    pipe.wait_layer(1)  # linear1 + rescale pooled; layers 2+ still producing
-    h = matmul_rescale_via_service(session, x_sh, w1_sh, FX, mode="exact", rng=rng)
-    pipe.wait_layer(2)
-    r, _ = relu_via_service(session, ArithmeticShares(h.reshape(-1), RING_BITS), rng)
-    h = r.values.astype(np.uint64).reshape(M, H1)
-    pipe.wait_layer(4)
-    h = matmul_rescale_via_service(session, h, w2_sh, FX, mode="exact", rng=rng)
-    pipe.wait_layer(5)
-    return matmul_via_service(session, h, w3_sh)
-
-
 def fixed_point_oracle(x, w1, w2, w3):
     """Plaintext reference: integer fixed-point, floor rescale per layer."""
     h = (x @ w1) >> FX.frac_bits
     h = np.maximum(h, 0)
     h = (h @ w2) >> FX.frac_bits
     return ((h @ w3).astype(np.int64) & int(MASK)).astype(np.uint64)
-
-
-def consumer_relu(session, shares, seed):
-    y, _ = relu_via_service(session, shares, np.random.default_rng(seed))
-    return y
-
-
-def consumer_maxpool(session, a, b, seed):
-    return max_via_service(session, a, b, np.random.default_rng(seed))
-
-
-def consumer_and_layer(session, x_bits, y_bits, party):
-    triples = triples_via_service(session, len(x_bits))
-    return and_shared(session.channel, triples, x_bits, y_bits, party)
-
-
-def consumer_pair_trunc(session, x_sh):
-    """Pair-mode truncation: one opening round off the tprc pool."""
-    return trunc_via_service(session, x_sh, FX, mode="pair")
-
-
-def run_party(party, service, jobs, results):
-    """One party's half of every consumer session, each in its own thread."""
-    threads = []
-    for name, fn in jobs:
-        session = service.session(name)
-
-        def run(fn=fn, session=session, name=name):
-            results[(party, name)] = fn(session)
-
-        threads.append(threading.Thread(target=run, name=f"p{party}-{name}"))
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
 
 
 def main():
@@ -197,15 +129,18 @@ def main():
     w2_sh = share_arith_nd(from_signed(w2_plain, RING_BITS), rng, bits=RING_BITS)
     w3_sh = share_arith_nd(from_signed(w3_plain, RING_BITS), rng, bits=RING_BITS)
 
-    # ---- online phase 1: the pipelined quantized MLP, alone ---------------
+    # ---- online phase: each op gates on the LAST plan layer whose ---------
+    # correlations it draws, so layer i's openings run while the service
+    # produces layer i+1's triples underneath.
+    def online(svc, pipe, party, seed):
+        return lambda: run_online(
+            plan, svc.session("qmlp"),
+            [w1_sh[party], w2_sh[party], w3_sh[party]], [x_sh[party]],
+            np.random.default_rng(seed), pipe.wait_layer,
+        )[0]
+
     z0, z1 = run_concurrently(
-        lambda: quantized_inference(
-            svc0.session("qmlp"), pipe0, x_sh[0], w1_sh[0], w2_sh[0], w3_sh[0], 30
-        ),
-        lambda: quantized_inference(
-            svc1.session("qmlp"), pipe1, x_sh[1], w1_sh[1], w2_sh[1], w3_sh[1], 40
-        ),
-        timeout=300.0,
+        online(svc0, pipe0, 0, 30), online(svc1, pipe1, 1, 40), timeout=300.0
     )
     pipe0.finish()
     pipe1.finish()
@@ -213,10 +148,11 @@ def main():
     expect = fixed_point_oracle(x_plain, w1_plain, w2_plain, w3_plain)
     assert np.array_equal(got, expect), "quantized inference != fixed-point oracle"
     print(f"\nquantized 3-layer MLP online output bit-exact vs oracle {got.shape}")
-    ready = [pipe0.ready_elapsed(i) for i in range(pipe0.n_layers)]
+    first_gate = compile_ops(model)[0][1]  # linear1 + rescale pooled
     print(
         "pipelined prefill: first layer online after "
-        f"{ready[1]:.2f}s, full plan pooled after {ready[-1]:.2f}s"
+        f"{pipe0.ready_elapsed(first_gate):.2f}s, full plan pooled after "
+        f"{pipe0.ready_elapsed(pipe0.n_layers - 1):.2f}s"
     )
 
     # The planner's demand is exact: draws == plan, and with the online
@@ -230,68 +166,8 @@ def main():
         assert stall_after[kind] == stall_before.get(kind, 0), kind
     print("online draws == plan for every pool kind; zero production stalls")
 
-    # ---- online phase 2: mixed legacy sessions + pair-mode truncation -----
-    acts_a = rng.integers(-2000, 2000, 24)
-    acts_b = rng.integers(-2000, 2000, 24)
-    win_x = rng.integers(-2000, 2000, 12)
-    win_y = rng.integers(-2000, 2000, 12)
-    gate_x = rng.integers(0, 2, 64).astype(np.uint8)
-    gate_y = rng.integers(0, 2, 64).astype(np.uint8)
-    tr_vals = rng.integers(-(1 << FX.mag_bits) + 1, 1 << FX.mag_bits, 16)
-    a0, a1 = share_arith(from_signed(acts_a, BITS).astype(np.uint64), rng, bits=BITS)
-    b0, b1 = share_arith(from_signed(acts_b, BITS).astype(np.uint64), rng, bits=BITS)
-    wx0, wx1 = share_arith(from_signed(win_x, BITS).astype(np.uint64), rng, bits=BITS)
-    wy0, wy1 = share_arith(from_signed(win_y, BITS).astype(np.uint64), rng, bits=BITS)
-    gx0, gx1 = share_bool(gate_x, rng)
-    gy0, gy1 = share_bool(gate_y, rng)
-    tr_sh = share_arith_nd(from_signed(tr_vals, RING_BITS), rng, bits=RING_BITS)
-
-    jobs0 = [
-        ("relu-a", lambda s: consumer_relu(s, a0, 10)),
-        ("relu-b", lambda s: consumer_relu(s, b0, 11)),
-        ("maxpool", lambda s: consumer_maxpool(s, wx0, wy0, 12)),
-        ("and-layer", lambda s: consumer_and_layer(s, gx0.bits_vec, gy0.bits_vec, 0)),
-        ("pair-trunc", lambda s: consumer_pair_trunc(s, tr_sh[0])),
-    ]
-    jobs1 = [
-        ("relu-a", lambda s: consumer_relu(s, a1, 20)),
-        ("relu-b", lambda s: consumer_relu(s, b1, 21)),
-        ("maxpool", lambda s: consumer_maxpool(s, wx1, wy1, 22)),
-        ("and-layer", lambda s: consumer_and_layer(s, gx1.bits_vec, gy1.bits_vec, 1)),
-        ("pair-trunc", lambda s: consumer_pair_trunc(s, tr_sh[1])),
-    ]
-    results = {}
-    t0 = threading.Thread(target=run_party, args=(0, svc0, jobs0, results))
-    t1 = threading.Thread(target=run_party, args=(1, svc1, jobs1, results))
-    t0.start(), t1.start()
-    t0.join(), t1.join()
     svc0.stop()
     svc1.stop()
-
-    relu_a = to_signed(
-        reconstruct_arith(results[(0, "relu-a")], results[(1, "relu-a")]), BITS
-    )
-    relu_b = to_signed(
-        reconstruct_arith(results[(0, "relu-b")], results[(1, "relu-b")]), BITS
-    )
-    mx = to_signed(
-        reconstruct_arith(results[(0, "maxpool")], results[(1, "maxpool")]), BITS
-    )
-    gates = results[(0, "and-layer")] ^ results[(1, "and-layer")]
-    assert np.array_equal(relu_a, np.maximum(acts_a, 0))
-    assert np.array_equal(relu_b, np.maximum(acts_b, 0))
-    assert np.array_equal(mx, np.maximum(win_x, win_y))
-    assert np.array_equal(gates, gate_x & gate_y)
-    # Pair-mode truncation is probabilistic: floor(x/2^f) or one more,
-    # except for the 2^(mag+1-bits) mask-wrap event (worth 2^(bits-f)).
-    tr = (results[(0, "pair-trunc")] + results[(1, "pair-trunc")]) & MASK
-    diff = FX.to_signed((tr - FX.trunc_reference(from_signed(tr_vals, RING_BITS))) & MASK)
-    wrap = 1 << (RING_BITS - FX.frac_bits)
-    assert np.all(np.isin(diff, [0, 1, -wrap, 1 - wrap])), diff
-    exact_frac = float(np.mean(np.isin(diff, [0, 1])))
-    print(f"5 concurrent sessions finished; all reconstructions correct")
-    print(f"pair-mode truncation within contract ({exact_frac:.0%} wrap-free)")
-
     print(f"\nextends run: fwd={svc0.extends['fwd']}, rev={svc0.extends['rev']}")
     print("pool stats (party 0):")
     for kind, stats in sorted(svc0.pool_stats().items()):

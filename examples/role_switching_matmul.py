@@ -11,7 +11,8 @@ Run:  python examples/role_switching_matmul.py
 """
 
 from repro import IronmanSystem
-from repro.ppml.matmul import FIG16_DIMS, matmul_cost
+from repro.mpc.matmul import FIG16_DIMS
+from repro.ppml.matmul import matmul_cost
 from repro.ppml.network import LAN
 from repro.utils.tables import print_table
 from repro.utils.units import fmt_bytes

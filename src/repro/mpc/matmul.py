@@ -247,8 +247,6 @@ def matmul_online(
     y_share: np.ndarray,
     triple: MatrixTriples,
     party: int,
-    rescale: bool = False,
-    truncator=None,
 ) -> np.ndarray:
     """Online Beaver MatMul: this party's share of ``X @ Y`` mod 2^bits.
 
@@ -256,18 +254,7 @@ def matmul_online(
     matching matrix triple.  The only traffic is one opening message
     per party (``matmul_online_bytes`` exactly); all OT work happened
     at preprocessing time.
-
-    With ``rescale=True`` the product shares are fed through a secure
-    fixed-point truncation before returning, so scale-2^f operands come
-    back at scale 2^f instead of 2^(2f) and layers compose.
-    ``truncator(channel, flat_shares, party) -> flat_shares`` supplies
-    the protocol (see :mod:`repro.mpc.truncation`); both parties must
-    pass equivalent ones.
     """
-    if rescale and truncator is None:
-        # Fail before any opening crosses the wire: a late error here
-        # would strand the peer mid-protocol with the triple spent.
-        raise ParameterError("rescale=True needs a truncator protocol")
     mask = ring_mask_u64(triple.bits)
     x_share = np.asarray(x_share, dtype=np.uint64) & mask
     y_share = np.asarray(y_share, dtype=np.uint64) & mask
@@ -293,38 +280,18 @@ def matmul_online(
     z = (triple.c + d @ triple.b + triple.a @ e) & mask
     if party == 0:
         z = (z + d @ e) & mask
-    if rescale:
-        z = np.asarray(
-            truncator(channel, z.reshape(-1), party), dtype=np.uint64
-        ).reshape(m, n) & mask
     return z
 
 
-def matmul_via_service(
-    session,
-    x_share: np.ndarray,
-    y_share: np.ndarray,
-    fx=None,
-    rescale: bool = False,
-    trunc_mode: str = "exact",
-    rng=None,
-) -> np.ndarray:
+def matmul_via_service(session, x_share: np.ndarray, y_share: np.ndarray) -> np.ndarray:
     """Secure MatMul drawing its matrix triple from a service session.
 
     Dims are inferred from the share shapes; the session draws one
     pooled matrix triple (preprocessed in the background -- or produced
     on demand if the pool is cold) and runs the online phase over the
-    session sub-channel.  With ``rescale=True`` the product is then
-    truncated back to scale 2^f through
-    :func:`repro.mpc.truncation.trunc_via_service`, drawing the
-    truncation correlations (pairs or comparison material, per
-    ``trunc_mode``) from the same session -- the per-layer rescaling
-    step of quantized inference.
+    session sub-channel.  A product that needs rescaling back to scale
+    2^f goes through :func:`matmul_rescale_via_service` instead.
     """
-    if rescale and fx is None:
-        # Validate before the triple draw: failing later wastes a
-        # preprocessed triple and strands the peer on the session channel.
-        raise ParameterError("rescale=True needs a FixedPointConfig")
     x_share = np.asarray(x_share, dtype=np.uint64)
     y_share = np.asarray(y_share, dtype=np.uint64)
     if x_share.ndim != 2 or y_share.ndim != 2 or x_share.shape[1] != y_share.shape[0]:
@@ -332,14 +299,7 @@ def matmul_via_service(
     triple = session.draw_matrix_triple(
         x_share.shape[0], x_share.shape[1], y_share.shape[1]
     )
-    z = matmul_online(session.channel, x_share, y_share, triple, session.party)
-    if rescale:
-        from repro.mpc.truncation import trunc_via_service
-
-        z = trunc_via_service(
-            session, z.reshape(-1), fx, mode=trunc_mode, rng=rng
-        ).reshape(z.shape)
-    return z
+    return matmul_online(session.channel, x_share, y_share, triple, session.party)
 
 
 def matmul_rescale_via_service(
@@ -352,9 +312,9 @@ def matmul_rescale_via_service(
 ) -> np.ndarray:
     """Fused secure MatMul + fixed-point rescale on one session verb.
 
-    Functionally identical to ``matmul_via_service(..., rescale=True)``
-    -- same correlation kinds and counts, so preprocessing plans price
-    both paths the same -- but the matrix-triple draw and the
+    Functionally identical to :func:`matmul_via_service` followed by
+    :func:`repro.mpc.truncation.trunc_via_service` -- same correlation
+    kinds and counts -- but the matrix-triple draw and the
     truncation draws share ONE allocation round-trip
     (:meth:`repro.runtime.service.ServiceSession.draw_matmul_rescale`):
     party 0 announces every pool offset in a single message instead of

@@ -19,16 +19,7 @@ from dataclasses import dataclass
 # Canonical definitions live with the executable protocol
 # (repro.mpc.matmul); the analytical model here prices the same counts
 # and per-COT byte constant, so the two layers cannot silently diverge.
-# Re-exported for backwards compatibility.
-from repro.mpc.matmul import (  # noqa: F401 - re-exports
-    BYTES_PER_COT,
-    DEFAULT_BITS,
-    FIG16_DIMS,
-    MatmulDims,
-    matmul_cots,
-    matmul_online_bytes,
-    matmul_preproc_bytes,
-)
+from repro.mpc.matmul import BYTES_PER_COT, DEFAULT_BITS, MatmulDims, matmul_cots
 from repro.ppml.inference import OteProvider
 from repro.ppml.network import NetworkModel
 

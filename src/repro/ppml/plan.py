@@ -261,12 +261,17 @@ SUMMARY_HEADER = ["layer", "cot_fwd", "cot_rev", "bit triples", "matrix", "trunc
 
 @dataclass
 class PreprocessingPlan:
-    """A model's full preprocessing schedule: per-layer + total demand."""
+    """A model's full preprocessing schedule: per-layer + total demand,
+    plus what :func:`repro.runtime.daemon.run_online` needs to execute
+    it in the mode it was priced in (graph, fixed-point format, mode)."""
 
     model: str
     bits: int
     demand: CorrelationDemand
     per_layer: list  # (layer name, CorrelationDemand)
+    graph: Graph = None
+    fx: FixedPointConfig = None
+    trunc_mode: str = "exact"
 
     def pool_targets(self) -> dict:
         return self.demand.as_pool_targets()
@@ -404,7 +409,7 @@ def plan_graph(
         demand = layer_demand(layer, in_shape, out_shape, bits, fx, trunc_mode)
         per_layer.append((layer.name, demand))
         total.merge(demand)
-    return PreprocessingPlan(graph.name, bits, total, per_layer)
+    return PreprocessingPlan(graph.name, bits, total, per_layer, graph, fx, trunc_mode)
 
 
 class PipelinedPrefill:

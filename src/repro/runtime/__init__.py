@@ -30,6 +30,8 @@ from repro.runtime.daemon import (
     DaemonRequest,
     InferenceDaemon,
     Lease,
+    compile_ops,
+    run_online,
 )
 from repro.runtime.mux import MuxChannel, SubChannel
 from repro.runtime.pool import (
@@ -64,4 +66,6 @@ __all__ = [
     "SubChannel",
     "TriplePool",
     "TruncPairPool",
+    "compile_ops",
+    "run_online",
 ]

@@ -86,10 +86,10 @@ class DaemonConfig:
     max_batch: int = 8
     #: Bound on every internal wait (prefill, verdicts, online draws).
     request_timeout_s: float = 120.0
-    #: Truncation mode of the Rescale layers ("pair"/"wrap"/"exact").
-    trunc_mode: str = "exact"
-    #: Base seed of the party-local online masking RNG.
-    online_seed: int = 0x1207
+
+
+#: Base seed of the party-local online masking RNG.
+ONLINE_SEED = 0x1207
 
 
 @dataclass
@@ -154,15 +154,18 @@ class DaemonRequest:
                 )
         if self.error is not None:
             raise self.error
-        if self.expired:
+        # Snapshot, claim, THEN check expiry: a reaper that picked this
+        # request before ``claimed`` was set may drop the output any time.
+        output = self.output
+        self.claimed = True
+        if self.expired or output is None:
             raise LeaseExpired(
                 f"request {self.seq} ({self.session}): lease "
                 f"{self.lease.token} expired before the result was claimed",
                 session=self.session,
                 token=self.lease.token,
             )
-        self.claimed = True
-        return self.output
+        return output
 
 
 class _PendingSubmit:
@@ -175,14 +178,13 @@ class _PendingSubmit:
         self.reject = None  # (reason, inflight, limit)
 
 
-def _compile_ops(graph) -> list:
+def compile_ops(graph) -> list:
     """Flatten the traced graph into executable online ops.
 
     Returns ``(kind, plan_layer_index, weight_index)`` tuples where the
     plan layer index is the LAST plan layer whose correlations the op
     draws (the ``wait_layer`` gate).  Linear+Rescale pairs fuse into the
-    single-allocation-round ``matmul_rescale_via_service`` verb, exactly
-    like the hand-written example serving loops.
+    single-allocation-round ``matmul_rescale_via_service`` verb.
     """
     ops = []
     trace = graph.trace
@@ -200,10 +202,63 @@ def _compile_ops(graph) -> list:
             i += 1
         else:
             raise ParameterError(
-                f"daemon cannot serve layer {layer.name!r}; supported: "
+                f"cannot run layer {layer.name!r} online; supported: "
                 "Linear[, Rescale], Activation('relu')"
             )
     return ops
+
+
+def _servable_ops(plan, weights) -> list:
+    """The plan's online ops, or a ParameterError before any draw."""
+    ops = compile_ops(plan.graph)
+    fused = any(op[0] == "linear_rescale" for op in ops)
+    if plan.demand.unplanned or (fused and plan.fx is None):
+        raise ParameterError(
+            f"plan {plan.model!r} leaves {plan.demand.unplanned} unplanned "
+            "(Rescale layers need plan_graph(fx=FixedPointConfig))"
+        )
+    n_linear = sum(op[0] != "relu" for op in ops)
+    if len(weights) != n_linear:
+        raise ParameterError(
+            f"model has {n_linear} linear layers, got {len(weights)} weight shares"
+        )
+    return ops
+
+
+def run_online(plan, session, weights, inputs, rng, wait_layer=None) -> list:
+    """One party's online phase of a planned graph: B >= 1 input shares
+    in, B output shares out -- the one place the online verbs are
+    sequenced.
+
+    Linear layers draw per input, ReLUs fuse the batch into one draw
+    sequence (linear demand, one round).  Each op first calls
+    ``wait_layer(gate)`` (:meth:`PipelinedPrefill.wait_layer`; nothing
+    after an all-at-once prefill) and runs in an ``online.layer`` span,
+    in the truncation format and mode the plan was priced in.
+    """
+    ops = _servable_ops(plan, weights)
+    tracer = session.service.tracer
+    acts = list(inputs)
+    for kind, gate, wi in ops:
+        if wait_layer is not None:
+            wait_layer(gate)
+        with tracer.span("online.layer", cat="online", layer=gate, op=kind):
+            if kind == "linear_rescale":
+                acts = [
+                    matmul_rescale_via_service(
+                        session, a, weights[wi], plan.fx, mode=plan.trunc_mode, rng=rng
+                    )
+                    for a in acts
+                ]
+            elif kind == "linear":
+                acts = [matmul_via_service(session, a, weights[wi]) for a in acts]
+            else:  # relu, fused across the batch
+                shape = acts[0].shape
+                flat = np.concatenate([a.reshape(-1) for a in acts])
+                r, _ = relu_via_service(session, ArithmeticShares(flat, plan.bits), rng)
+                parts = np.split(r.values.astype(np.uint64), len(acts))
+                acts = [part.reshape(shape) for part in parts]
+    return acts
 
 
 class InferenceDaemon:
@@ -219,20 +274,10 @@ class InferenceDaemon:
         self.service = service
         self.party = service.party
         self.cfg = cfg or DaemonConfig()
-        self.graph = graph
-        self.fx = fx
-        self.plan = plan_graph(
-            graph, bits=service.tuning.ring_bits, fx=fx,
-            trunc_mode=self.cfg.trunc_mode,
-        )
-        self._ops = _compile_ops(graph)
-        n_linear = sum(op[0] != "relu" for op in self._ops)
-        if len(weights) != n_linear:
-            raise ParameterError(
-                f"model has {n_linear} linear layers, got {len(weights)} "
-                "weight shares"
-            )
+        # Rescales truncate in plan_graph's default mode, "exact".
+        self.plan = plan_graph(graph, bits=service.tuning.ring_bits, fx=fx)
         self.weights = list(weights)
+        _servable_ops(self.plan, self.weights)  # fail here, not on request 0
         # Consumer-COT totals of ONE pass through the plan; the draws
         # floor handed to each pipeline advances by batch x this, so an
         # overlapped pipeline never mistakes the previous request's
@@ -326,7 +371,7 @@ class InferenceDaemon:
             raise ParameterError(
                 f"batch of {len(inputs)} outside 1..{self.cfg.max_batch}"
             )
-        want = tuple(self.graph.input_shape)
+        want = tuple(self.plan.graph.input_shape)
         for arr in inputs:
             if tuple(arr.shape) != want:
                 raise ParameterError(
@@ -618,43 +663,18 @@ class InferenceDaemon:
                 self._finish_request(req, error=exc)
 
     def _run_online(self, req: DaemonRequest) -> list:
-        """One request's MPC online phase: per-layer lockstep draws,
-        gated on the request's own pipeline."""
-        bits = self.service.tuning.ring_bits
-        rng = np.random.default_rng(
-            self.cfg.online_seed + 1000003 * req.seq + self.party
-        )
-        sess = self._session
-        acts = list(req.inputs)
-        first = True
-        for kind, gate, wi in self._ops:
+        """One request's online phase, gated on its own pipeline."""
+        rng = np.random.default_rng(ONLINE_SEED + 1000003 * req.seq + self.party)
+
+        def wait_layer(gate):
             t0 = time.monotonic()
             req.pipe.wait_layer(gate, self.cfg.request_timeout_s)
-            if first:
+            if req.first_wait_s is None:
                 req.first_wait_s = time.monotonic() - t0
-                first = False
-            if kind == "linear_rescale":
-                w = self.weights[wi]
-                acts = [
-                    matmul_rescale_via_service(
-                        sess, a, w, self.fx, mode=self.cfg.trunc_mode, rng=rng
-                    )
-                    for a in acts
-                ]
-            elif kind == "linear":
-                w = self.weights[wi]
-                acts = [matmul_via_service(sess, a, w) for a in acts]
-            else:  # relu, fused across the batch: linear demand, 1 round
-                shape = acts[0].shape
-                flat = np.concatenate([a.reshape(-1) for a in acts])
-                r, _ = relu_via_service(sess, ArithmeticShares(flat, bits), rng)
-                vals = r.values.astype(np.uint64)
-                n = int(np.prod(shape))
-                acts = [
-                    vals[b * n:(b + 1) * n].reshape(shape)
-                    for b in range(req.batch)
-                ]
-        return acts
+
+        return run_online(
+            self.plan, self._session, self.weights, req.inputs, rng, wait_layer
+        )
 
     def _finish_request(self, req: DaemonRequest, error=None) -> None:
         if req.done.is_set():

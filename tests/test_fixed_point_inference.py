@@ -8,9 +8,8 @@ import pytest
 
 from repro.errors import ChannelError, ParameterError, ServiceError
 from repro.ferret.config import FerretConfig
-from repro.mpc.matmul import matmul_via_service
-from repro.mpc.relu import relu_via_service
-from repro.mpc.sharing import ArithmeticShares, from_signed, share_arith_nd
+from repro.mpc.matmul import matmul_rescale_via_service, matmul_via_service
+from repro.mpc.sharing import from_signed, share_arith_nd
 from repro.mpc.triples import ring_mask_u64
 from repro.mpc.truncation import (
     FixedPointConfig,
@@ -25,7 +24,7 @@ from repro.mpc.truncation import (
 from repro.ot.channel import LocalChannel, run_concurrently
 from repro.ppml.layers import Activation, Graph, Linear, Rescale
 from repro.ppml.plan import plan_graph, trunc_demand
-from repro.runtime import CorrelationService, MuxChannel, ServiceTuning
+from repro.runtime import CorrelationService, MuxChannel, ServiceTuning, run_online
 
 CFG = FerretConfig.small(scale=1024, arity=4, prg_kind="chacha8")
 BITS = 16
@@ -109,24 +108,11 @@ class TestQuantizedInference:
         }
 
         def infer(svc, party):
-            def run():
-                session = svc.session("fx-mlp")
-                rng = np.random.default_rng(60 + party)
-                h = matmul_via_service(
-                    session, shares["x"][party], shares["w1"][party],
-                    fx=FX, rescale=True, rng=rng,
-                )
-                r, _ = relu_via_service(
-                    session, ArithmeticShares(h.reshape(-1), BITS), rng
-                )
-                h = r.values.astype(np.uint64).reshape(M, H1)
-                h = matmul_via_service(
-                    session, h, shares["w2"][party],
-                    fx=FX, rescale=True, rng=rng,
-                )
-                return matmul_via_service(session, h, shares["w3"][party])
-
-            return run
+            weights = [shares[key][party] for key in ("w1", "w2", "w3")]
+            return lambda: run_online(
+                plan, svc.session("fx-mlp"), weights, [shares["x"][party]],
+                np.random.default_rng(60 + party),
+            )[0]
 
         z0, z1 = run_both(infer(svc0, 0), infer(svc1, 1),
                           ctx=(svc0.error, svc1.error))
@@ -169,6 +155,49 @@ class TestQuantizedInference:
         after = {k: s["stalled_draws"] for k, s in svc0.pool_stats().items()}
         for kind in planned_run["plan"].pool_targets():
             assert after[kind] == planned_run["stall_before"].get(kind, 0), kind
+
+
+class TestUnfusedReference:
+    """The unfused matmul -> trunc sequence lives here, as the reference
+    the fused ``matmul_rescale_via_service`` verb is held against."""
+
+    def test_fused_block_equals_unfused_sequence(self, services):
+        svc0, svc1, _, _ = services
+        gen = np.random.default_rng(29)
+        x = gen.integers(-8, 8, (M, K))
+        w = gen.integers(-4, 4, (K, H1))
+        x_sh = share_arith_nd(from_signed(x, BITS), gen, bits=BITS)
+        w_sh = share_arith_nd(from_signed(w, BITS), gen, bits=BITS)
+
+        def unfused(session, party, rng):
+            z = matmul_via_service(session, x_sh[party], w_sh[party])
+            flat = trunc_via_service(session, z.reshape(-1), FX, rng=rng)
+            return flat.reshape(z.shape)
+
+        def fused(session, party, rng):
+            return matmul_rescale_via_service(
+                session, x_sh[party], w_sh[party], FX, rng=rng
+            )
+
+        outputs, draws = {}, {}
+        for name, verb in (("unfused", unfused), ("fused", fused)):
+            before = dict(svc0.session_draws)
+            z0, z1 = run_both(
+                lambda: verb(svc0.session(name), 0, np.random.default_rng(1)),
+                lambda: verb(svc1.session(name), 1, np.random.default_rng(2)),
+                ctx=(svc0.error, svc1.error),
+            )
+            outputs[name] = (z0 + z1) & MASK
+            draws[name] = {
+                kind: count - before.get(kind, 0)
+                for kind, count in svc0.session_draws.items()
+                if count != before.get(kind, 0)
+            }
+        expect = (((x @ w) >> FX.frac_bits).astype(np.int64) & int(MASK)).astype(np.uint64)
+        assert np.array_equal(outputs["unfused"], expect)
+        assert np.array_equal(outputs["fused"], expect)
+        # Same correlation kinds and counts: one plan prices both.
+        assert draws["fused"] == draws["unfused"] and draws["fused"]
 
 
 class TestTruncPairPool:
@@ -315,15 +344,14 @@ class TestPlannerPairMode:
         assert CRYPTFLOW2.online_bytes(g.nonlinear_counts()) == 0
 
     def test_rescale_validation_fails_before_any_draw(self):
-        """rescale=True without fx/truncator must fail before a triple
-        is drawn or an opening crosses the wire."""
-        from repro.mpc.matmul import matmul_online, matmul_via_service
-        from repro.mpc.triples import dealer_matrix_triples
-
+        """A rescale without a FixedPointConfig must fail before a
+        triple is drawn or an opening crosses the wire: at the fused
+        verb, and at the executor for a plan priced without ``fx``."""
         with pytest.raises(ParameterError, match="FixedPointConfig"):
-            matmul_via_service(None, np.zeros((2, 3)), np.zeros((3, 2)), rescale=True)
-        t0, _ = dealer_matrix_triples(2, 3, 2, BITS, np.random.default_rng(0))
-        with pytest.raises(ParameterError, match="truncator"):
-            matmul_online(
-                None, np.zeros((2, 3)), np.zeros((3, 2)), t0, 0, rescale=True
-            )
+            matmul_rescale_via_service(None, np.zeros((2, 3)), np.zeros((3, 2)), None)
+        g = Graph("gap", (2, 3))
+        g.add(Linear(2))
+        g.add(Rescale())
+        with pytest.raises(ParameterError, match="FixedPointConfig"):
+            run_online(plan_graph(g, bits=BITS), None, [np.zeros((3, 2))],
+                       [np.zeros((2, 3))], np.random.default_rng(0))

@@ -4,11 +4,11 @@ import pytest
 
 from repro.errors import ParameterError
 from repro.lpn.params import TABLE4_BY_LABEL
+from repro.mpc.matmul import FIG16_DIMS
 from repro.nmp.accelerator import IronmanAccelerator
 from repro.nmp.config import IRONMAN_1MB
 from repro.ppml.inference import IronmanOte
 from repro.ppml.matmul import (
-    FIG16_DIMS,
     MatmulDims,
     matmul_comm_bytes,
     matmul_cost,

@@ -8,13 +8,12 @@ import pytest
 from repro.errors import ChannelError
 from repro.ferret.config import FerretConfig
 from repro.mpc.matmul import matmul_via_service
-from repro.mpc.relu import relu_via_service
-from repro.mpc.sharing import ArithmeticShares, share_arith_nd
+from repro.mpc.sharing import share_arith_nd
 from repro.mpc.triples import ring_mask_u64, ring_triples_via_service
 from repro.ot.channel import LocalChannel, run_concurrently
 from repro.ppml.layers import Activation, Graph, Linear
 from repro.ppml.plan import plan_graph
-from repro.runtime import CorrelationService, MuxChannel, ServiceTuning
+from repro.runtime import CorrelationService, MuxChannel, ServiceTuning, run_online
 
 CFG = FerretConfig.small(scale=1024, arity=4, prg_kind="chacha8")
 BITS = 16
@@ -152,16 +151,11 @@ class TestPlannedInference:
         w2_sh = share_matrix(w2, gen)
 
         def infer(svc, party):
-            def run():
-                session = svc.session("planned-mlp")
-                rng = np.random.default_rng(60 + party)
-                h = matmul_via_service(session, x_sh[party], w1_sh[party])
-                h_shares = ArithmeticShares(h.reshape(-1), BITS)
-                r, _ = relu_via_service(session, h_shares, rng)
-                h2 = r.values.astype(np.uint64).reshape(4, 6)
-                return matmul_via_service(session, h2, w2_sh[party])
-
-            return run
+            return lambda: run_online(
+                plan, svc.session("planned-mlp"),
+                [w1_sh[party], w2_sh[party]], [x_sh[party]],
+                np.random.default_rng(60 + party),
+            )[0]
 
         z0, z1 = run_both(infer(svc0, 0), infer(svc1, 1),
                           ctx=(svc0.error, svc1.error))

@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.errors import AdmissionReject, LeaseExpired
+from repro.errors import AdmissionReject, LeaseExpired, ParameterError
 from repro.ferret.config import FerretConfig
 from repro.mpc.sharing import from_signed, share_arith_nd
 from repro.mpc.triples import ring_mask_u64
@@ -28,7 +28,9 @@ from repro.ppml.layers import Activation, Graph, Linear, Rescale
 from repro.runtime import (
     CorrelationService,
     DaemonConfig,
+    DaemonRequest,
     InferenceDaemon,
+    Lease,
     MuxChannel,
     ServiceTuning,
 )
@@ -307,6 +309,42 @@ class TestLeases:
             assert np.array_equal((r0[0] + r1[0]) & MASK, stack["oracle"](x2))
         finally:
             stop_daemon_pair(stack)
+
+
+    def test_reaper_racing_a_claim_never_yields_none(self):
+        """The reaper picks a request as stale BEFORE ``claimed`` is
+        set and drops the output right after the claimant's last look
+        at ``expired``: the claimant gets LeaseExpired, never None."""
+
+        class ReapedAtClaim(DaemonRequest):
+            def __setattr__(self, name, value):
+                super().__setattr__(name, value)
+                if name == "claimed" and value:
+                    # What _reaper_loop does to a request it found stale.
+                    super().__setattr__("expired", True)
+                    super().__setattr__("output", None)
+
+        req = ReapedAtClaim(0, "cli", [np.zeros((M, K))], Lease("t", "cli", 30.0), 5.0)
+        req.output = [np.zeros((M, OUT), dtype=np.uint64)]
+        req.done.set()
+        with pytest.raises(LeaseExpired):
+            req.result(1.0)
+
+
+class TestConstructionFailsFast:
+    def test_rescale_without_fx_rejected_by_the_constructor(self):
+        """The planner books a Rescale without ``fx`` as unplanned; the
+        daemon must refuse that plan with a typed error up front, not
+        on the online thread after request 0 produced a layer."""
+        base0, _ = LocalChannel.pair()
+        mux0 = MuxChannel(base0)
+        svc0 = CorrelationService(0, mux0, CFG, ServiceTuning(**TUNING))
+        try:
+            with pytest.raises(ParameterError, match="FixedPointConfig"):
+                InferenceDaemon(svc0, build_graph(), [None, None], fx=None)
+            assert "daemon/ctl" not in mux0.stats_by_tag()
+        finally:
+            mux0.close()
 
 
 class TestReattachAfterDisconnect:

@@ -12,6 +12,7 @@ import pytest
 
 from repro.errors import ServiceError
 from repro.ferret.config import FerretConfig
+from repro.mpc.maxpool import max_via_service
 from repro.mpc.relu import relu_via_service
 from repro.mpc.sharing import from_signed, reconstruct_arith, share_arith, to_signed
 from repro.mpc.triples import triples_via_service
@@ -68,19 +69,31 @@ def run_sessions(svc0, svc1, jobs, timeout=180.0):
 
 @pytest.fixture(scope="module")
 def service_run():
-    """One shared service pair driving 5 concurrent mixed sessions."""
+    """One shared service pair driving 7 concurrent mixed sessions."""
     svc0, svc1, mux0, mux1 = start_service_pair()
     rng = np.random.default_rng(0xAB)
     vals_a = rng.integers(-400, 400, 12)
     vals_b = rng.integers(-400, 400, 12)
     sh_a = share_arith(from_signed(vals_a, BITS).astype(np.uint64), rng, bits=BITS)
     sh_b = share_arith(from_signed(vals_b, BITS).astype(np.uint64), rng, bits=BITS)
+    # MaxPool window operands: |x - y| must stay inside the signed ring.
+    win_x = rng.integers(-200, 200, 12)
+    win_y = rng.integers(-200, 200, 12)
+    sh_x = share_arith(from_signed(win_x, BITS).astype(np.uint64), rng, bits=BITS)
+    sh_y = share_arith(from_signed(win_y, BITS).astype(np.uint64), rng, bits=BITS)
 
     def relu_job(shares_pair):
         def fn(session, party):
             local_rng = np.random.default_rng(100 + party)
             y, d = relu_via_service(session, shares_pair[party], local_rng)
             return y
+
+        return fn
+
+    def maxpool_job(a_pair, b_pair):
+        def fn(session, party):
+            local_rng = np.random.default_rng(200 + party)
+            return max_via_service(session, a_pair[party], b_pair[party], local_rng)
 
         return fn
 
@@ -117,6 +130,7 @@ def service_run():
     jobs = [
         ("relu-a", relu_job(sh_a)),
         ("relu-b", relu_job(sh_b)),
+        ("maxpool", maxpool_job(sh_x, sh_y)),
         ("triples-1", triples_job(300)),
         ("triples-2", triples_job(150)),
         ("raw-cot", raw_cot_job(200)),
@@ -133,6 +147,7 @@ def service_run():
         "mux1": mux1,
         "vals_a": vals_a,
         "vals_b": vals_b,
+        "window": (win_x, win_y),
     }
     mux0.close(), mux1.close()
 
@@ -148,6 +163,11 @@ class TestConcurrentSessions:
                            ("relu-b", service_run["vals_b"])):
             got = to_signed(reconstruct_arith(r[(0, name)], r[(1, name)]), BITS)
             assert np.array_equal(got, np.maximum(vals, 0)), name
+
+    def test_maxpool_session_correct(self, service_run):
+        r = service_run["results"]
+        got = to_signed(reconstruct_arith(r[(0, "maxpool")], r[(1, "maxpool")]), BITS)
+        assert np.array_equal(got, np.maximum(*service_run["window"]))
 
     def test_triple_sessions_satisfy_and_relation(self, service_run):
         r = service_run["results"]

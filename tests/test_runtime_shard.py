@@ -15,9 +15,7 @@ import pytest
 
 from repro.errors import ServiceError
 from repro.ferret.config import FerretConfig
-from repro.mpc.matmul import matmul_rescale_via_service, matmul_via_service
-from repro.mpc.relu import relu_via_service
-from repro.mpc.sharing import ArithmeticShares, from_signed, share_arith_nd
+from repro.mpc.sharing import from_signed, share_arith_nd
 from repro.mpc.triples import ring_mask_u64
 from repro.mpc.truncation import FixedPointConfig
 from repro.ot.channel import ChannelError, LocalChannel, SocketChannel, run_concurrently
@@ -27,7 +25,7 @@ from repro.ot.reconnect import ReconnectingChannel
 from repro.ot.retry import RetryPolicy
 from repro.ppml.layers import Activation, Graph, Linear, Rescale
 from repro.ppml.plan import plan_graph
-from repro.runtime import CorrelationService, MuxChannel, ServiceTuning
+from repro.runtime import CorrelationService, MuxChannel, ServiceTuning, run_online
 from repro.runtime.shard import ShardManager
 
 CFG = FerretConfig.small(scale=1024, arity=4, prg_kind="chacha8")
@@ -410,23 +408,12 @@ class TestShardedPipelinedMlp:
         pipe1 = plan.prefill_pipelined(svc1, timeout=240.0)
 
         def infer(svc, pipe, party):
-            def run():
-                session = svc.session("shard-pipe-mlp")
-                rng = np.random.default_rng(70 + party)
-                pipe.wait_layer(1)
-                h = matmul_rescale_via_service(
-                    session, shares["x"][party], shares["w1"][party], FX,
-                    mode="exact", rng=rng,
-                )
-                pipe.wait_layer(2)
-                r, _ = relu_via_service(
-                    session, ArithmeticShares(h.reshape(-1), BITS), rng
-                )
-                h = r.values.astype(np.uint64).reshape(M, H)
-                pipe.wait_layer(3)
-                return matmul_via_service(session, h, shares["w2"][party])
-
-            return run
+            return lambda: run_online(
+                plan, svc.session("shard-pipe-mlp"),
+                [shares["w1"][party], shares["w2"][party]],
+                [shares["x"][party]],
+                np.random.default_rng(70 + party), pipe.wait_layer,
+            )[0]
 
         try:
             z0, z1 = run_concurrently(

@@ -136,7 +136,6 @@ class TestSharedConstants:
     def test_dims_and_counts_are_reexports(self):
         assert ppml_matmul.MatmulDims is MatmulDims
         assert ppml_matmul.matmul_cots is matmul_cots
-        assert ppml_matmul.FIG16_DIMS is FIG16_DIMS
 
 
 class TestGilboaChunking:
