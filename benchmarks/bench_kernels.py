@@ -18,6 +18,7 @@ from repro.ferret.config import FerretConfig
 from repro.ferret.protocol import ferret_pair
 from repro.lpn.encode import encode_blocks
 from repro.lpn.matrix import generate_matrix
+from repro.lpn.params import TABLE4_BY_LABEL
 from repro.lpn.sorting import sort_indices
 from repro.ot.cot import verify_cot
 from repro.spcot.ggm import expand_full
@@ -51,10 +52,19 @@ def test_kernel_ggm_expand_aes_2ary(benchmark):
     assert levels[-1].shape[0] == 2**12
 
 
-def test_kernel_lpn_encode(benchmark):
-    matrix = generate_matrix(1 << 16, 1 << 12, seed=3)
-    vec = blocks.random_blocks(1 << 12, RNG)
-    addend = blocks.random_blocks(1 << 16, RNG)
+@pytest.mark.parametrize(
+    "n,k",
+    [
+        (1 << 16, 1 << 12),  # 64 KB vector: every gather hits L1/L2
+        # 2.7 MB vector, 49 MB index stream: the ledger's lpn_paper regime
+        (TABLE4_BY_LABEL["2^20"].n, TABLE4_BY_LABEL["2^20"].k),
+    ],
+    ids=["64k-rows", "table4-2^20"],
+)
+def test_kernel_lpn_encode(benchmark, n, k):
+    matrix = generate_matrix(n, k, seed=3)
+    vec = blocks.random_blocks(k, RNG)
+    addend = blocks.random_blocks(n, RNG)
     out = benchmark(encode_blocks, matrix, vec, addend)
     assert out.shape == addend.shape
 

@@ -24,9 +24,11 @@ operation.  The budget sits an order of magnitude above a healthy run
 (~0.3 s: 128 PKC OTs + one COT extension) and well below what any
 per-COT public-key path costs (~15 s), so runner speed cannot trip it
 and a regression to thousands of modexps cannot pass it.  Next to it
-sit three **exact counts** from the same run's traced rows
-(``LEDGER_COUNTS``): one SPCOT exchange per extend.  Counts repeat
-exactly on any runner; timings do not.  A traced ``infer_single`` run
+sit ranges on the same run's traced rows (``LEDGER_ROWS``): three
+**exact counts** -- one SPCOT exchange per extend -- and one **share**,
+LPN encode's part of the sender's extend lane.  Counts repeat exactly
+on any runner; timings do not, but a share of one run's own extend time
+cancels runner speed too.  A traced ``infer_single`` run
 (``--out <dir>/ledger_infer.json``) must report every online-op row
 (``LEDGER_ONLINE_ROWS``): the ledger times those ops by patching their
 call sites from outside, so a refactor that moves them reads as zero.
@@ -127,16 +129,23 @@ LEDGER_BUDGETS = {
     "setup_s": 3.0,
 }
 
-#: Allowed ``(lowest, highest)`` of exact ``per_layer`` counts of that
-#: run (per extend, the sender's lane): the one-shot SPCOT is one channel
-#: round trip, one batched OT and three messages (two OT vectors, masked
-#: sums + psi) per extend at the ledger's scale, where all trees share
-#: one depth.  A per-level exchange creeping back in reads 12 / 12 / 31;
-#: an untraced smoke run has no such rows at all.
-LEDGER_COUNTS = {
-    "rounds_per_extend": (1, 1),
-    "ot_from_cot.calls.snd": (1, 1),
-    "channel.msgs.snd": (1, 3),
+#: Allowed ``(lowest, highest, what a miss suggests)`` of ``per_layer``
+#: rows of that run (per extend, the sender's lane).  Exact counts: the
+#: one-shot SPCOT is one channel round trip, one batched OT and three
+#: messages (two OT vectors, masked sums + psi) per extend at the
+#: ledger's scale, where all trees share one depth; a per-level exchange
+#: creeping back in reads 12 / 12 / 31.  One share: the column-at-a-time
+#: LPN gather-XOR is ~0.06 of the lane; a gather of all d rows walked by
+#: a strided ``reduce`` (what it replaced) reads >= 0.4.  An untraced
+#: smoke run has no such rows at all.
+_PER_LEVEL = "is SPCOT exchanging per GGM level again"
+LEDGER_ROWS = {
+    "rounds_per_extend": (1, 1, _PER_LEVEL),
+    "ot_from_cot.calls.snd": (1, 1, _PER_LEVEL),
+    "channel.msgs.snd": (1, 3, _PER_LEVEL),
+    "ote.lpn_share.snd": (
+        0, 0.25, "is repro.lpn.encode gathering whole (rows, d) temporaries again",
+    ),
 }
 
 
@@ -191,15 +200,15 @@ def check_ledger(path: Path) -> list:
                 "public-key OTs again?"
             )
         print(f"  ledger/{name:9s} {value:8.2f}   budget   {budget:7.2f}   {status}")
-    for name, (lowest, highest) in LEDGER_COUNTS.items():
+    for name, (lowest, highest, hint) in LEDGER_ROWS.items():
         value = result["per_layer"].get(name)
         status = "ok"
         if value is None or not lowest <= value <= highest:
             status = "OUT OF RANGE"
             failures.append(
                 f"ledger {result['workload']}: {name} = {value}, expected "
-                f"{lowest}..{highest} -- is SPCOT exchanging per GGM level "
-                "again (or was the smoke run made without --trace 1)?"
+                f"{lowest}..{highest} -- {hint} (or was the smoke run made "
+                "without --trace 1)?"
             )
         print(f"  ledger/{name:21s} {value}   allowed  {lowest}..{highest}   {status}")
     if result["failed"]:

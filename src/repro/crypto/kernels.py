@@ -7,8 +7,11 @@ classic IKNP bit-transpose hot spot -- Ferret-style LPN never
 transposes, it gathers).  When ``numba`` is importable, both kernels
 run as parallel JIT loops; when it is not -- the common case, numba is
 an *optional* dependency and is never installed by this repo -- every
-call falls through to the vectorized numpy implementations, which
-remain the bit-exact oracles the equivalence tests compare against.
+call falls through to the in-place numpy kernels
+(:func:`repro.crypto.chacha.chacha_core`, the column-at-a-time loop in
+:mod:`repro.lpn.encode`).  The bit-exact oracles all of them are tested
+against -- word-at-a-time ChaCha, gather-then-``reduce`` LPN -- live in
+``tests/oracles.py``.
 
 The one place that does transpose is the IKNP-style extension that
 mints Ferret's first base COTs (:mod:`repro.ot.base_ot`): its packed
@@ -36,7 +39,7 @@ try:  # pragma: no cover - exercised only where numba is installed
     import numba
 
     HAVE_NUMBA = True
-except ImportError:  # numpy oracle only
+except ImportError:  # numpy kernels only
     numba = None
     HAVE_NUMBA = False
 
@@ -97,12 +100,12 @@ if HAVE_NUMBA:  # pragma: no cover - exercised only where numba is installed
 def chacha_core(initial: np.ndarray, rounds: int) -> np.ndarray:
     """ChaCha permutation + feed-forward; compiled when numba is present.
 
-    Same contract as :func:`repro.crypto.chacha.chacha_core` (the
-    oracle); bit-identical output either way.
+    Same contract as :func:`repro.crypto.chacha.chacha_core` (the numpy
+    kernel); bit-identical output either way.
     """
     if HAVE_NUMBA and initial.shape[0] >= NUMBA_MIN_ROWS:
         if rounds % 2 != 0 or rounds <= 0:
-            return _chacha_core_numpy(initial, rounds)  # let the oracle raise
+            return _chacha_core_numpy(initial, rounds)  # raises
         out = np.empty_like(initial)
         _chacha_rows(np.ascontiguousarray(initial), rounds // 2, out)
         return out
@@ -116,7 +119,7 @@ def gather_xor_blocks(
 
     Compiled row-parallel loop under numba; ``None`` when numba is
     absent or the batch is too small, telling the caller to run its
-    numpy chunk loop (the oracle) instead.
+    numpy column loop instead (the oracle is ``tests/oracles.py``).
     """
     if not HAVE_NUMBA or indices.shape[0] < NUMBA_MIN_ROWS:
         return None

@@ -8,8 +8,10 @@ computations are all instances of two kernels:
 * bit kernel:    ``out[j] = (sum_{i in A_j} bits[i]) mod 2 XOR u[j]``
   (receiver: x = eA XOR u).
 
-Both are chunked numpy gathers so multi-million-output encodes stay
-within a bounded working set.
+Both run one in-place gather-XOR loop, a chunk of rows and one index
+column at a time, so the working set is two L2-resident buffers
+whatever ``n`` is.  The textbook formulation (gather all ``d`` rows of
+a chunk, then XOR-reduce them) is the reference in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -23,8 +25,31 @@ from repro.crypto.kernels import gather_xor_blocks
 from repro.errors import ParameterError
 from repro.lpn.matrix import LpnMatrix
 
-#: Rows per processing chunk (bounds gather temporaries to ~10 MB).
-CHUNK_ROWS = 1 << 16
+#: Rows per processing chunk: the accumulator slice and the gather
+#: buffer (128 KB each for blocks) stay in L2 across the d column passes.
+CHUNK_ROWS = 1 << 13
+
+
+def _gather_xor(matrix: LpnMatrix, vec: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out[j] ^= XOR_{i in A_j} vec[i]`` on block or bit rows.
+
+    Works in ``out`` (which it returns) unless the compiled kernel ran.
+    ``mode="clip"`` only skips numpy's bounds-check copy through a
+    temporary: ``LpnMatrix`` range-checked its read-only indices.
+    """
+    fast = gather_xor_blocks(matrix.indices, vec, out) if vec.ndim == 2 else None
+    if fast is not None:  # compiled path (numba); bit-exact vs the loop below
+        return fast
+    vec = np.ascontiguousarray(vec)  # else np.take copies it on every call
+    buf = np.empty((min(matrix.n, CHUNK_ROWS),) + vec.shape[1:], dtype=vec.dtype)
+    for start in range(0, matrix.n, CHUNK_ROWS):
+        acc = out[start : start + CHUNK_ROWS]
+        got = buf[: acc.shape[0]]
+        for t in range(matrix.d):
+            column = matrix.indices[start : start + CHUNK_ROWS, t]
+            np.take(vec, column, axis=0, out=got, mode="clip")
+            np.bitwise_xor(acc, got, out=acc)
+    return out
 
 
 def encode_blocks(matrix: LpnMatrix, vec: np.ndarray, addend: np.ndarray) -> np.ndarray:
@@ -35,33 +60,18 @@ def encode_blocks(matrix: LpnMatrix, vec: np.ndarray, addend: np.ndarray) -> np.
         raise ParameterError(f"input vector must have k={matrix.k} blocks")
     if addend.shape[0] != matrix.n:
         raise ParameterError(f"addend must have n={matrix.n} blocks")
-    fast = gather_xor_blocks(matrix.indices, vec, addend)
-    if fast is not None:  # compiled path (numba); bit-exact vs the loop below
-        return fast
-    out = np.empty_like(addend)
-    for start in range(0, matrix.n, CHUNK_ROWS):
-        stop = min(start + CHUNK_ROWS, matrix.n)
-        gathered = vec[matrix.indices[start:stop]]  # (rows, d, 2)
-        acc = np.bitwise_xor.reduce(gathered, axis=1)
-        out[start:stop] = np.bitwise_xor(acc, addend[start:stop])
-    return out
+    return _gather_xor(matrix, vec, addend.copy())
 
 
 def encode_bits(matrix: LpnMatrix, bits: np.ndarray, addend_bits: np.ndarray) -> np.ndarray:
     """Bit kernel: ``A * bits XOR addend_bits`` over GF(2)."""
     bits = np.asarray(bits, dtype=np.uint8)
-    addend_bits = np.asarray(addend_bits, dtype=np.uint8)
     if bits.shape[0] != matrix.k:
         raise ParameterError(f"input bit vector must have k={matrix.k} entries")
-    if addend_bits.shape[0] != matrix.n:
+    out = np.array(addend_bits, dtype=np.uint8)  # a copy: the kernel's accumulator
+    if out.shape[0] != matrix.n:
         raise ParameterError(f"addend must have n={matrix.n} bits")
-    out = np.empty(matrix.n, dtype=np.uint8)
-    for start in range(0, matrix.n, CHUNK_ROWS):
-        stop = min(start + CHUNK_ROWS, matrix.n)
-        gathered = bits[matrix.indices[start:stop]]  # (rows, d)
-        acc = np.bitwise_xor.reduce(gathered, axis=1)
-        out[start:stop] = acc ^ addend_bits[start:stop]
-    return out
+    return _gather_xor(matrix, bits, out)
 
 
 class EncodePremix:
@@ -91,11 +101,11 @@ class EncodePremix:
         self._thread.start()
 
     def finish(self, addend: np.ndarray) -> np.ndarray:
-        """Join the background product and XOR in the late addend."""
+        """Join the background product and XOR the late addend into it."""
         self._thread.join()
         if self._error is not None:
             raise self._error
-        return np.bitwise_xor(self._result, addend)
+        return np.bitwise_xor(self._result, addend, out=self._result)
 
 
 def premix_blocks(matrix: LpnMatrix, vec: np.ndarray) -> EncodePremix:
@@ -103,8 +113,7 @@ def premix_blocks(matrix: LpnMatrix, vec: np.ndarray) -> EncodePremix:
     blocks.require_blocks(vec, "vec")
     if vec.shape[0] != matrix.k:
         raise ParameterError(f"input vector must have k={matrix.k} blocks")
-    zeros = np.zeros((matrix.n, 2), dtype=vec.dtype)
-    return EncodePremix(lambda: encode_blocks(matrix, vec, zeros))
+    return EncodePremix(lambda: _gather_xor(matrix, vec, blocks.zeros(matrix.n)))
 
 
 def premix_bits(matrix: LpnMatrix, bits: np.ndarray) -> EncodePremix:
@@ -112,8 +121,7 @@ def premix_bits(matrix: LpnMatrix, bits: np.ndarray) -> EncodePremix:
     bits = np.asarray(bits, dtype=np.uint8)
     if bits.shape[0] != matrix.k:
         raise ParameterError(f"input bit vector must have k={matrix.k} entries")
-    zeros = np.zeros(matrix.n, dtype=np.uint8)
-    return EncodePremix(lambda: encode_bits(matrix, bits, zeros))
+    return EncodePremix(lambda: _gather_xor(matrix, bits, np.zeros(matrix.n, dtype=np.uint8)))
 
 
 def encode_streamed(

@@ -28,11 +28,14 @@ class LpnMatrix:
     """Index representation of the d-local LPN matrix."""
 
     def __init__(self, indices: np.ndarray, k: int):
-        indices = np.asarray(indices, dtype=np.int32)
+        indices = np.asarray(indices, dtype=np.int32).view()
         if indices.ndim != 2:
             raise ParameterError("indices must be a (n, d) array")
         if indices.size and (indices.min() < 0 or indices.max() >= k):
             raise ParameterError("matrix indices out of range [0, k)")
+        # Read-only (the view leaves a caller's own array writable): the
+        # encode kernel gathers unchecked on the strength of the test above.
+        indices.setflags(write=False)
         self.indices = indices
         self.k = k
 

@@ -13,6 +13,13 @@ the same rng state, with the same PRG core-call counts and the same COT
 consumption; only the message schedule differs.  The tweak layout and
 the key-tree PRG are spelled out here, not imported, so the comparison
 also pins the shipped schedule.
+
+``chacha_core_reference`` and ``encode_blocks_reference`` /
+``encode_bits_reference`` are the numpy formulations ``repro.crypto.
+chacha`` and ``repro.lpn.encode`` shipped before their in-place kernels
+(one ``(n,)`` array per ChaCha state word; gather all ``d`` rows, then
+``np.bitwise_xor.reduce``), kept word for word: the kernels must match
+them bit for bit.
 """
 
 from __future__ import annotations
@@ -137,3 +144,75 @@ def mpcot_receive_sequential(channel, pool, alphas, prg, n, t, crhf=DEFAULT_CRHF
         u[offset + alphas[tree_idx]] = 1
         offset += size
     return u, v
+
+
+# -- ChaCha: the RFC 8439 round structure, one (n,) array per state word --
+
+_U32 = np.uint32
+
+
+def _rotl(x: np.ndarray, k: int) -> np.ndarray:
+    """Rotate-left each uint32 lane by ``k`` bits."""
+    return (x << _U32(k)) | (x >> _U32(32 - k))
+
+
+def _quarter_round(state: list, a: int, b: int, c: int, d: int) -> None:
+    """In-place ChaCha quarter round on state word indices a, b, c, d."""
+    state[a] = state[a] + state[b]
+    state[d] = _rotl(state[d] ^ state[a], 16)
+    state[c] = state[c] + state[d]
+    state[b] = _rotl(state[b] ^ state[c], 12)
+    state[a] = state[a] + state[b]
+    state[d] = _rotl(state[d] ^ state[a], 8)
+    state[c] = state[c] + state[d]
+    state[b] = _rotl(state[b] ^ state[c], 7)
+
+
+def _double_round(state: list) -> None:
+    """One ChaCha double round: 4 column rounds then 4 diagonal rounds."""
+    _quarter_round(state, 0, 4, 8, 12)
+    _quarter_round(state, 1, 5, 9, 13)
+    _quarter_round(state, 2, 6, 10, 14)
+    _quarter_round(state, 3, 7, 11, 15)
+    _quarter_round(state, 0, 5, 10, 15)
+    _quarter_round(state, 1, 6, 11, 12)
+    _quarter_round(state, 2, 7, 8, 13)
+    _quarter_round(state, 3, 4, 9, 14)
+
+
+def chacha_core_reference(initial: np.ndarray, rounds: int) -> np.ndarray:
+    """ChaCha permutation + feed-forward on (n, 16) uint32 states."""
+    work = [initial[:, i].copy() for i in range(16)]
+    for _ in range(rounds // 2):
+        _double_round(work)
+    out = np.empty_like(initial)
+    for i in range(16):
+        out[:, i] = work[i] + initial[:, i]
+    return out
+
+
+# -- LPN: gather a chunk's d rows at once, XOR-reduce them --
+
+LPN_CHUNK_ROWS = 1 << 16
+
+
+def encode_blocks_reference(matrix, vec, addend):
+    """Block kernel: ``A * vec XOR addend`` over GF(2^128)."""
+    out = np.empty_like(addend)
+    for start in range(0, matrix.n, LPN_CHUNK_ROWS):
+        stop = min(start + LPN_CHUNK_ROWS, matrix.n)
+        gathered = vec[matrix.indices[start:stop]]  # (rows, d, 2)
+        acc = np.bitwise_xor.reduce(gathered, axis=1)
+        out[start:stop] = np.bitwise_xor(acc, addend[start:stop])
+    return out
+
+
+def encode_bits_reference(matrix, bits, addend_bits):
+    """Bit kernel: ``A * bits XOR addend_bits`` over GF(2)."""
+    out = np.empty(matrix.n, dtype=np.uint8)
+    for start in range(0, matrix.n, LPN_CHUNK_ROWS):
+        stop = min(start + LPN_CHUNK_ROWS, matrix.n)
+        gathered = bits[matrix.indices[start:stop]]  # (rows, d)
+        acc = np.bitwise_xor.reduce(gathered, axis=1)
+        out[start:stop] = acc ^ addend_bits[start:stop]
+    return out

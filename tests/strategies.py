@@ -1,14 +1,20 @@
 """Hypothesis strategies shared by the property tests.
 
 One place for the generators later property tests compose (graph
-shapes today; fault schedules, pool op sequences and stream partitions
-belong here too) instead of re-declaring them per test file.
+shapes and data-plane kernel inputs today; fault schedules, pool op
+sequences and stream partitions belong here too) instead of
+re-declaring them per test file.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
+import numpy as np
 from hypothesis import strategies as st
 
+from repro.crypto import blocks
+from repro.lpn.matrix import LpnMatrix
 from repro.ppml.layers import Activation, Graph, Linear, Rescale
 
 
@@ -37,5 +43,88 @@ class GraphStrategies:
                 if draw(st.booleans()):
                     graph.add(Activation("relu"))
             return graph
+
+        return build()
+
+
+class EncodeCase(NamedTuple):
+    """One LPN encode: the matrix, both kernels' inputs and the block
+    and bit addends (``bits`` / ``addend_bits`` share the layouts)."""
+
+    matrix: LpnMatrix
+    vec: np.ndarray
+    addend: np.ndarray
+    bits: np.ndarray
+    addend_bits: np.ndarray
+
+
+def _laid_out(draw, make, rows: int) -> np.ndarray:
+    """``make(rows)`` as drawn: contiguous, the tail of a longer array
+    (``z[k:]``, how Ferret carries its LPN state) or every second row."""
+    layout = draw(st.sampled_from(("contiguous", "tail", "strided")))
+    if layout == "tail":
+        return make(rows + 3)[3:]
+    if layout == "strided":
+        return make(2 * rows)[::2]
+    return make(rows)
+
+
+class KernelStrategies:
+    """Inputs for the data-plane kernels (LPN gather-XOR, ChaCha core)."""
+
+    @staticmethod
+    def lpn_encode_cases(
+        sizes, localities=(1, 10), max_k: int = 40
+    ) -> st.SearchStrategy[EncodeCase]:
+        """Encodes with n from ``sizes`` (0 allowed), d from
+        ``localities``, 1 <= k <= max_k, the index array handed to
+        :class:`LpnMatrix` as int32 or int64, and every vector either
+        contiguous or a non-contiguous view.
+        """
+
+        @st.composite
+        def build(draw):
+            n = draw(st.sampled_from(sizes))
+            d = draw(st.sampled_from(localities))
+            k = draw(st.integers(min_value=1, max_value=max_k))
+            index_dtype = draw(st.sampled_from((np.int32, np.int64)))
+            rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+            matrix = LpnMatrix(rng.integers(0, k, size=(n, d), dtype=index_dtype), k)
+
+            def some_blocks(rows):
+                return blocks.random_blocks(rows, rng)
+
+            def some_bits(rows):
+                return rng.integers(0, 2, rows, dtype=np.uint8)
+
+            return EncodeCase(
+                matrix,
+                _laid_out(draw, some_blocks, k),
+                _laid_out(draw, some_blocks, n),
+                _laid_out(draw, some_bits, k),
+                _laid_out(draw, some_bits, n),
+            )
+
+        return build()
+
+    @staticmethod
+    def chacha_states(sizes) -> st.SearchStrategy[np.ndarray]:
+        """(n, 16) uint32 state batches, n from ``sizes``: contiguous, a
+        row-strided view, or the 16 middle columns of a wider array."""
+
+        @st.composite
+        def build(draw):
+            n = draw(st.sampled_from(sizes))
+            rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+            layout = draw(st.sampled_from(("contiguous", "rows", "columns")))
+
+            def states(rows, width=16):
+                return rng.integers(0, 1 << 32, size=(rows, width), dtype=np.uint32)
+
+            if layout == "rows":
+                return states(2 * n)[::2]
+            if layout == "columns":
+                return states(n, 20)[:, 2:18]
+            return states(n)
 
         return build()

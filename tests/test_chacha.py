@@ -2,6 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import chacha_core_reference
+from strategies import KernelStrategies
 
 from repro.crypto import chacha
 from repro.errors import ParameterError
@@ -65,6 +69,28 @@ class TestBatch:
                 chacha.make_states(kw[i : i + 1], counters[i : i + 1], nw[i : i + 1]), 8
             )
             assert np.array_equal(batch[i], single[0])
+
+    @given(
+        initial=KernelStrategies.chacha_states(sizes=(1, 7, 28, 1792)),
+        rounds=st.sampled_from((8, 12, 20)),
+        chunk=st.sampled_from((5, chacha.CHUNK_STATES)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_property_core_matches_word_at_a_time_reference(self, initial, rounds, chunk):
+        """The four-lane in-place kernel against the per-word reference,
+        on contiguous and strided batches, whole and split into chunks;
+        the input comes back untouched."""
+        kept = initial.copy()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(chacha, "CHUNK_STATES", chunk)
+            got = chacha.chacha_core(initial, rounds)
+        assert got.dtype == np.uint32 and got.shape == initial.shape
+        assert np.array_equal(got, chacha_core_reference(initial, rounds))
+        assert np.array_equal(initial, kept)
+        assert not np.shares_memory(got, initial)
+
+    def test_empty_batch(self):
+        assert chacha.chacha_core(np.zeros((0, 16), dtype=np.uint32), 8).shape == (0, 16)
 
     def test_keystream_prefix_property(self):
         long = chacha.keystream(RFC_KEY, RFC_NONCE, 200)

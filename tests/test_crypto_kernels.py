@@ -1,16 +1,17 @@
 """Optional compiled kernels: dispatch transparency and oracles.
 
 ``repro.crypto.kernels`` must be value-transparent -- bit-identical to
-the numpy oracles whether or not numba is importable -- and the
+the numpy oracles (``tests/oracles.py``) whether or not numba is
+importable -- and the
 ChaChaTreePrg state-template cache (the hoisted key schedule) must not
 change a single expanded block.
 """
 
 import numpy as np
 import pytest
+from oracles import chacha_core_reference as chacha_oracle
 
 from repro.crypto import kernels
-from repro.crypto.chacha import chacha_core as chacha_oracle
 from repro.crypto.prg import ChaChaTreePrg, make_tree_prg
 from repro.crypto import blocks
 

@@ -5,9 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import encode_bits_reference, encode_blocks_reference
+from strategies import KernelStrategies
+
 from repro.crypto import blocks
 from repro.errors import ParameterError
-from repro.lpn.encode import encode_bits, encode_blocks, encode_streamed
+from repro.lpn import encode as lpn_encode
+from repro.lpn.encode import (
+    encode_bits,
+    encode_blocks,
+    encode_streamed,
+    premix_bits,
+    premix_blocks,
+)
 from repro.lpn.matrix import LpnMatrix, generate_matrix
 from repro.lpn.params import LPN_LOCALITY, TABLE4, TABLE4_BY_LABEL, scaled_params
 from repro.lpn.security import estimate_security, gauss_attack_bits, meets_128_bits
@@ -98,6 +108,25 @@ class TestMatrix:
     def test_out_of_range_indices_rejected(self):
         with pytest.raises(ParameterError):
             LpnMatrix(np.array([[0, 99]], dtype=np.int32), k=10)
+        with pytest.raises(ParameterError):
+            LpnMatrix(np.array([[0, -1]], dtype=np.int64), k=10)
+
+    def test_indices_are_read_only(self):
+        """The kernel gathers unchecked, so the constructor's range check
+        has to hold for the life of the matrix; a caller's own array is
+        left writable."""
+        mine = np.array([[0, 3], [2, 1]], dtype=np.int32)
+        m = LpnMatrix(mine, k=4)
+        with pytest.raises(ValueError):
+            m.indices[0, 0] = 99
+        assert mine.flags.writeable
+        assert not generate_matrix(10, 4, seed=1).indices.flags.writeable
+        assert not m.permuted_columns(np.arange(4)[::-1]).indices.flags.writeable
+
+
+#: A chunk small enough for Hypothesis-sized encodes to cross it.
+SMALL_CHUNK = 8
+CHUNK_EDGES = (0, 1, SMALL_CHUNK - 1, SMALL_CHUNK, SMALL_CHUNK + 1, 2 * SMALL_CHUNK + 3)
 
 
 class TestEncode:
@@ -148,6 +177,44 @@ class TestEncode:
             encode_blocks(m, blocks.random_blocks(7, rng), blocks.random_blocks(10, rng))
         with pytest.raises(ParameterError):
             encode_blocks(m, blocks.random_blocks(8, rng), blocks.random_blocks(9, rng))
+
+    def test_premix_finish_equals_encode(self, rng):
+        """A premix is the same kernel started from zeros; ``finish``
+        XORs the late addend into its own buffer, not into the caller's."""
+        m = generate_matrix(50, 12, seed=6)
+        vec, addend = blocks.random_blocks(12, rng), blocks.random_blocks(50, rng)
+        bits = rng.integers(0, 2, 12, dtype=np.uint8)
+        addend_bits = rng.integers(0, 2, 50, dtype=np.uint8)
+        kept = addend.copy(), addend_bits.copy()
+        assert np.array_equal(premix_blocks(m, vec).finish(addend), encode_blocks(m, vec, addend))
+        assert np.array_equal(
+            premix_bits(m, bits).finish(addend_bits), encode_bits(m, bits, addend_bits)
+        )
+        assert np.array_equal(addend, kept[0]) and np.array_equal(addend_bits, kept[1])
+
+    @given(case=KernelStrategies.lpn_encode_cases(sizes=CHUNK_EDGES))
+    @settings(max_examples=120, deadline=None)
+    def test_property_kernels_match_reference_across_chunks(self, case):
+        """Both kernels against the gather-then-reduce references, on
+        every side of a chunk boundary (no other tier-1 encode has more
+        rows than one chunk), int32 / int64 indices, d = 1 and 10, and
+        non-contiguous inputs, which must come back untouched."""
+        kept = [a.copy() for a in case[1:]]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(lpn_encode, "CHUNK_ROWS", SMALL_CHUNK)
+            got_blocks = encode_blocks(case.matrix, case.vec, case.addend)
+            got_bits = encode_bits(case.matrix, case.bits, case.addend_bits)
+        assert np.array_equal(
+            got_blocks, encode_blocks_reference(case.matrix, case.vec, case.addend)
+        )
+        assert np.array_equal(
+            got_bits, encode_bits_reference(case.matrix, case.bits, case.addend_bits)
+        )
+        assert got_blocks.dtype == blocks.BLOCK_DTYPE and got_bits.dtype == np.uint8
+        for before, after in zip(kept, case[1:]):
+            assert np.array_equal(before, after)
+        assert not np.shares_memory(got_blocks, case.addend)
+        assert not np.shares_memory(got_bits, case.addend_bits)
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=20, deadline=None)
