@@ -13,6 +13,7 @@ import pytest
 from repro.crypto import blocks
 from repro.crypto.aes import AES128
 from repro.crypto.chacha import keystream
+from repro.crypto.crhf import DEFAULT_CRHF
 from repro.crypto.prg import AesTreePrg, ChaChaTreePrg
 from repro.ferret.config import FerretConfig
 from repro.ferret.protocol import ferret_pair
@@ -20,7 +21,11 @@ from repro.lpn.encode import encode_blocks
 from repro.lpn.matrix import generate_matrix
 from repro.lpn.params import TABLE4_BY_LABEL
 from repro.lpn.sorting import sort_indices
-from repro.ot.cot import verify_cot
+from repro.mpc.matmul import MatmulDims, generate_matrix_triples, matmul_cots
+from repro.mpc.triples import ring_mask_u64
+from repro.ot.channel import run_pair
+from repro.ot.cot import CotPool, verify_cot
+from repro.ot.testing import fake_cots
 from repro.spcot.ggm import expand_full
 
 RNG = np.random.default_rng(99)
@@ -31,6 +36,40 @@ def test_kernel_aes_batch(benchmark):
     cipher = AES128(b"bench-key-16byte")
     out = benchmark(cipher.encrypt_blocks, BATCH)
     assert out.shape == BATCH.shape
+
+
+@pytest.mark.parametrize(
+    "n",
+    # The ledger's call sizes: SPCOT hashes ~150 blocks per call (all
+    # per-call floor), a Gilboa chunk 4096 (the per-block slope).
+    [150, 4096],
+)
+def test_kernel_crhf_hash_tweaked(benchmark, n):
+    tweaks = np.arange(n, dtype=np.uint64)
+    out = benchmark(DEFAULT_CRHF.hash_tweaked, BATCH[:n], tweaks)
+    assert out.shape == (n, 2)
+
+
+def test_kernel_matrix_triple_pair(benchmark):
+    """Both parties of one Gilboa matrix triple at the ledger's first
+    layer, (4,24,24) on a 16-bit ring: 41472 AES blocks."""
+    dims, bits = MatmulDims(4, 24, 24), 16
+    sender, receiver = fake_cots(int(matmul_cots(dims, bits)), seed=5)
+
+    def run():
+        pools = (CotPool(receiver=receiver), CotPool(sender=sender))
+
+        def party(p):
+            return lambda ch: generate_matrix_triples(
+                ch, dims, bits, pools[p], np.random.default_rng(p), party=p
+            )
+
+        return run_pair(party(0), party(1))
+
+    t0, t1, _, _ = benchmark(run)
+    mask = ring_mask_u64(bits)
+    a, b = (t0.a + t1.a) & mask, (t0.b + t1.b) & mask
+    assert np.array_equal((t0.c + t1.c) & mask, (a @ b) & mask)
 
 
 def test_kernel_chacha8_keystream(benchmark):

@@ -32,6 +32,8 @@ cancels runner speed too.  A traced ``infer_single`` run
 (``--out <dir>/ledger_infer.json``) must report every online-op row
 (``LEDGER_ONLINE_ROWS``): the ledger times those ops by patching their
 call sites from outside, so a refactor that moves them reads as zero.
+The same run carries one more share: matrix-triple production's part of
+the worker's six ``produce.*`` rows (``MTRI_SHARE_CEILING``).
 
 Usage:
     # in CI, after running each bench with --smoke --json-out <dir>/...
@@ -159,6 +161,14 @@ LEDGER_ONLINE_ROWS = (
 )
 
 
+#: Ceiling on ``produce.MTRI`` as a share of that run's summed
+#: ``produce.*.ms_per_req.p0`` rows (one run's own worker time, so runner
+#: speed cancels).  0.33 with Gilboa pads packed eight to an AES block on
+#: the ledger's 16-bit ring; 0.57 when every two pads cost a block.
+PRODUCE_OPS = ("EXT0", "EXT1", "TRI", "RTRI", "MTRI", "TPRC")
+MTRI_SHARE_CEILING = 0.45
+
+
 def load_ledger(path: Path) -> dict:
     if not path.exists():
         raise SystemExit(
@@ -169,20 +179,36 @@ def load_ledger(path: Path) -> dict:
 
 
 def check_ledger_infer(path: Path) -> list:
-    """Every online-op row of the traced infer_single run is non-zero."""
+    """Every online-op row of the traced infer_single run is non-zero, and
+    matrix triples are not most of the worker's production time."""
     rows = load_ledger(path)["per_layer"]
+    failures = []
     dead = [name for name in LEDGER_ONLINE_ROWS if not rows.get(name)]
     print(f"  ledger/online-op rows  {len(LEDGER_ONLINE_ROWS) - len(dead)} of "
           f"{len(LEDGER_ONLINE_ROWS)} non-zero   {'MISSING' if dead else 'ok'}")
-    if not dead:
-        return []
-    return [
-        f"ledger infer_single: {', '.join(dead)} missing or 0 -- "
-        "benchmarks/ledger/spans.py PATCHES wraps repro.runtime.daemon."
-        "{matmul_rescale_via_service, matmul_via_service, relu_via_service}; "
-        "run_online must call them through that module (or the smoke run "
-        "lacked --trace 1)"
-    ]
+    if dead:
+        failures.append(
+            f"ledger infer_single: {', '.join(dead)} missing or 0 -- "
+            "benchmarks/ledger/spans.py PATCHES wraps repro.runtime.daemon."
+            "{matmul_rescale_via_service, matmul_via_service, relu_via_service}; "
+            "run_online must call them through that module (or the smoke run "
+            "lacked --trace 1)"
+        )
+    produce = {op: rows.get(f"produce.{op}.ms_per_req.p0") or 0.0 for op in PRODUCE_OPS}
+    mtri = produce["MTRI"]
+    share = mtri / sum(produce.values()) if mtri else float("nan")  # untraced: no rows
+    ok = share <= MTRI_SHARE_CEILING
+    print(f"  ledger/produce.MTRI share  {share:.3f}   ceiling  {MTRI_SHARE_CEILING}"
+          f"   {'ok' if ok else 'OUT OF RANGE'}")
+    if not ok:
+        failures.append(
+            f"ledger infer_single: produce.MTRI is {share:.3f} of the produce.* "
+            f"rows, expected <= {MTRI_SHARE_CEILING} -- is repro.mpc.triples."
+            "_expand_ring_pads hashing once per two ring pads again instead of "
+            "once per 128 // lane-width (or was the smoke run made without "
+            "--trace 1)?"
+        )
+    return failures
 
 
 def check_ledger(path: Path) -> list:

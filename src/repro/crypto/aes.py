@@ -12,6 +12,14 @@ formulation; tables are derived programmatically from the GF(2^8)
 arithmetic rather than hard-coded, which keeps the module
 self-verifying (the known-answer tests pin it to FIPS-197 vectors).
 
+The kernel holds ``n`` states column-major as one ``(4, n)`` uint32
+array and reads byte ``i`` of all four columns through the array's
+uint8 view, so a round is four whole-state table gathers and seven
+in-place XORs -- no shift, no mask, ~120 numpy calls per batch.  The
+word-at-a-time formulation (one ``(n,)`` array per state column, bytes
+pulled out with ``>>`` and ``& 0xFF``) is the reference in
+``tests/oracles.py``.
+
 Only encryption is implemented: every use in this package (PRG, CRHF)
 is encrypt-only, as in the Ferret/EMP codebase.
 """
@@ -91,11 +99,16 @@ def _build_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     return t0, t1, t2, t3
 
 
-_T0, _T1, _T2, _T3 = _build_tables()
-_SBOX_U32 = _SBOX.astype(np.uint32)
-
 #: Number of AES-128 rounds.
 ROUNDS = 10
+
+#: Blocks per processing chunk: state + scratch (~0.4 MB) stay in L2.
+CHUNK_BLOCKS = 1 << 13
+
+#: Per round, the table byte ``i`` of a column goes through.  The final
+#: round has no MixColumns: its "T-tables" are the S-box shifted to byte i.
+_LAST = tuple(_SBOX.astype(np.uint32) << np.uint32(8 * i) for i in range(4))
+_ROUND_TABLES = (_build_tables(),) * (ROUNDS - 1) + (_LAST,)
 
 
 def expand_key(key: bytes) -> np.ndarray:
@@ -133,75 +146,34 @@ class AES128:
     def encrypt_blocks(self, data: np.ndarray) -> np.ndarray:
         """Encrypt a block array (shape (n, 2) uint64) under this key."""
         w = blocks.to_uint32(data)
-        n = w.shape[0]
-        rk = self._rk
-        s0 = w[:, 0] ^ rk[0, 0]
-        s1 = w[:, 1] ^ rk[0, 1]
-        s2 = w[:, 2] ^ rk[0, 2]
-        s3 = w[:, 3] ^ rk[0, 3]
-        mask = np.uint32(0xFF)
-        for rnd in range(1, ROUNDS):
-            t0 = (
-                _T0[s0 & mask]
-                ^ _T1[(s1 >> np.uint32(8)) & mask]
-                ^ _T2[(s2 >> np.uint32(16)) & mask]
-                ^ _T3[s3 >> np.uint32(24)]
-                ^ rk[rnd, 0]
-            )
-            t1 = (
-                _T0[s1 & mask]
-                ^ _T1[(s2 >> np.uint32(8)) & mask]
-                ^ _T2[(s3 >> np.uint32(16)) & mask]
-                ^ _T3[s0 >> np.uint32(24)]
-                ^ rk[rnd, 1]
-            )
-            t2 = (
-                _T0[s2 & mask]
-                ^ _T1[(s3 >> np.uint32(8)) & mask]
-                ^ _T2[(s0 >> np.uint32(16)) & mask]
-                ^ _T3[s1 >> np.uint32(24)]
-                ^ rk[rnd, 2]
-            )
-            t3 = (
-                _T0[s3 & mask]
-                ^ _T1[(s0 >> np.uint32(8)) & mask]
-                ^ _T2[(s1 >> np.uint32(16)) & mask]
-                ^ _T3[s2 >> np.uint32(24)]
-                ^ rk[rnd, 3]
-            )
-            s0, s1, s2, s3 = t0, t1, t2, t3
-        # Final round: SubBytes + ShiftRows + AddRoundKey (no MixColumns).
-        sb = _SBOX_U32
-        o0 = (
-            sb[s0 & mask]
-            | (sb[(s1 >> np.uint32(8)) & mask] << np.uint32(8))
-            | (sb[(s2 >> np.uint32(16)) & mask] << np.uint32(16))
-            | (sb[s3 >> np.uint32(24)] << np.uint32(24))
-        ) ^ rk[10, 0]
-        o1 = (
-            sb[s1 & mask]
-            | (sb[(s2 >> np.uint32(8)) & mask] << np.uint32(8))
-            | (sb[(s3 >> np.uint32(16)) & mask] << np.uint32(16))
-            | (sb[s0 >> np.uint32(24)] << np.uint32(24))
-        ) ^ rk[10, 1]
-        o2 = (
-            sb[s2 & mask]
-            | (sb[(s3 >> np.uint32(8)) & mask] << np.uint32(8))
-            | (sb[(s0 >> np.uint32(16)) & mask] << np.uint32(16))
-            | (sb[s1 >> np.uint32(24)] << np.uint32(24))
-        ) ^ rk[10, 2]
-        o3 = (
-            sb[s3 & mask]
-            | (sb[(s0 >> np.uint32(8)) & mask] << np.uint32(8))
-            | (sb[(s1 >> np.uint32(16)) & mask] << np.uint32(16))
-            | (sb[s2 >> np.uint32(24)] << np.uint32(24))
-        ) ^ rk[10, 3]
-        out = np.empty((n, 4), dtype=np.uint32)
-        out[:, 0] = o0
-        out[:, 1] = o1
-        out[:, 2] = o2
-        out[:, 3] = o3
+        out = np.empty(w.shape, dtype=np.uint32)
+        for start in range(0, w.shape[0], CHUNK_BLOCKS):
+            chunk = slice(start, start + CHUNK_BLOCKS)
+            self._encrypt_chunk(w[chunk], out[chunk])
         return blocks.from_uint32(out)
+
+    def _encrypt_chunk(self, w: np.ndarray, out: np.ndarray) -> None:
+        """``out = AES(w)`` on (n, 4) uint32 words; all scratch is call-local
+        (both parties' threads share instances, see ``DEFAULT_CRHF``)."""
+        n = w.shape[0]
+        rk = self._rk[:, :, None]
+        s = np.empty((4, n), dtype=np.uint32)  # s[c] is column c of every block
+        nxt = np.empty((4, n), dtype=np.uint32)
+        g = np.empty((4, n), dtype=np.uint32)
+        np.bitwise_xor(w.T, rk[0], out=s)  # never in place: w may be the caller's
+        for rnd, tables in enumerate(_ROUND_TABLES, start=1):
+            byte = s.view(np.uint8).reshape(4, n, 4)  # byte[c, :, i]: row i of column c
+            # Column c takes T_i[row i of column c + i]: ShiftRows is the
+            # row offset of the XOR.  mode="clip" skips the buffered bounds
+            # check; a uint8 index into a 256-entry table cannot clip.
+            np.take(tables[0], byte[:, :, 0], out=nxt, mode="clip")
+            np.bitwise_xor(nxt, rk[rnd], out=nxt)
+            for i in (1, 2, 3):
+                np.take(tables[i], byte[:, :, i], out=g, mode="clip")
+                np.bitwise_xor(nxt[: 4 - i], g[i:], out=nxt[: 4 - i])
+                np.bitwise_xor(nxt[4 - i :], g[:i], out=nxt[4 - i :])
+            s, nxt = nxt, s
+        out[...] = s.T
 
     def encrypt_bytes(self, plaintext: bytes) -> bytes:
         """Encrypt a byte string whose length is a multiple of 16 (ECB)."""

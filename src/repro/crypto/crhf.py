@@ -11,6 +11,11 @@ the EMP toolkit that Ferret builds on:
 where ``sigma(a || b) = (a XOR b) || a`` is a linear orthomorphism on
 64-bit halves.  A tweaked variant folds a per-instance index into the
 input, which is how many parallel OTs can share one hash key.
+
+Every COT a PPML layer consumes passes through here, and without AES-NI
+the hash is not free: tweak and sigma are folded into one ``(n, 2)``
+buffer and the feed-forward is XORed into the cipher's output in place.
+``tests/oracles.py::crhf_hash_reference`` is the step-by-step form.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ import numpy as np
 
 from repro.crypto import blocks
 from repro.crypto.aes import AES128
+from repro.errors import ParameterError
 
 _DEFAULT_KEY = bytes.fromhex("0f1e2d3c4b5a69788796a5b4c3d2e1f0")
 
@@ -26,7 +32,7 @@ _DEFAULT_KEY = bytes.fromhex("0f1e2d3c4b5a69788796a5b4c3d2e1f0")
 def sigma(x: np.ndarray) -> np.ndarray:
     """The orthomorphism sigma(a || b) = (a XOR b) || a on 64-bit halves."""
     out = np.empty_like(x)
-    out[:, 0] = x[:, 0] ^ x[:, 1]
+    np.bitwise_xor(x[:, 0], x[:, 1], out=out[:, 0])
     out[:, 1] = x[:, 0]
     return out
 
@@ -37,19 +43,31 @@ class Crhf:
     def __init__(self, key: bytes = _DEFAULT_KEY):
         self._cipher = AES128(key)
 
+    def _mmo(self, s: np.ndarray) -> np.ndarray:
+        """``AES(s) XOR s``, the feed-forward XORed into the cipher's output."""
+        out = self._cipher.encrypt_blocks(s)
+        out ^= s
+        return out
+
     def hash(self, x: np.ndarray) -> np.ndarray:
         """Hash a block array elementwise."""
-        blocks.require_blocks(x, "x")
-        s = sigma(x)
-        return blocks.xor(self._cipher.encrypt_blocks(s), s)
+        return self._mmo(sigma(blocks.require_blocks(x, "x")))
 
     def hash_tweaked(self, x: np.ndarray, tweaks: np.ndarray) -> np.ndarray:
-        """Hash with a per-element 64-bit tweak (e.g. the OT index)."""
+        """Hash with a per-element 64-bit tweak (e.g. the OT index).
+
+        ``tweaks`` must be one per block, shape ``(n,)``: a scalar would
+        broadcast, and every OT of the batch would then share one tweak.
+        """
         blocks.require_blocks(x, "x")
-        tweaked = x.copy()
-        tweaked[:, 1] ^= np.asarray(tweaks, dtype=np.uint64)
-        s = sigma(tweaked)
-        return blocks.xor(self._cipher.encrypt_blocks(s), s)
+        tweaks = np.asarray(tweaks, dtype=np.uint64)
+        if tweaks.shape != x.shape[:1]:
+            raise ParameterError(
+                f"tweaks must have shape {x.shape[:1]}, got {tweaks.shape}"
+            )
+        s = sigma(x)
+        s[:, 0] ^= tweaks  # the tweak sits in x's high half, which sigma folds low
+        return self._mmo(s)
 
 
 #: Shared default instance; protocols that need domain separation build

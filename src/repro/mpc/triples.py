@@ -16,10 +16,12 @@ On a COT correlation the chosen-message pair collapses to *half a
 message*: the receiver derandomizes with one correction bit and the
 sender ships a single masked ring element per correlation
 (:func:`gilboa_send` / :func:`gilboa_receive`), the per-COT online
-payload the analytical models charge.  Ring triples consume
-``bits`` COTs per element per direction; matrix triples batch whole
-rows/columns of the peer operand as the correlated payload, which is
-how one secure MatMul costs ``(m*k + k*n) * bits`` COTs rather than
+payload the analytical models charge.  The masks are ``bits``-wide
+lanes of the COT block's CRHF output (:func:`_expand_ring_pads`), so on
+a 16-bit ring one AES block pads eight payload slots.  Ring triples
+consume ``bits`` COTs per element per direction; matrix triples batch
+whole rows/columns of the peer operand as the correlated payload, which
+is how one secure MatMul costs ``(m*k + k*n) * bits`` COTs rather than
 ``m*k*n`` (see :mod:`repro.mpc.matmul`).
 """
 
@@ -136,8 +138,8 @@ def triples_via_service(session, n: int) -> BitTriples:
 # Arithmetic (mod 2^k) triples via Gilboa multiplication
 # ---------------------------------------------------------------------------
 
-#: Tweak stride separating the payload slots one COT pads (a Gilboa
-#: payload wider than two ring elements hashes the block repeatedly).
+#: Tweak stride separating the hashes of one COT (a Gilboa payload wider
+#: than one hash output's worth of ring pads hashes the block repeatedly).
 _PAD_STRIDE = np.uint64(1) << np.uint64(48)
 
 
@@ -149,18 +151,28 @@ def ring_mask_u64(bits: int) -> np.uint64:
 
 
 def _expand_ring_pads(
-    x: np.ndarray, tweaks: np.ndarray, width: int, crhf: Crhf
+    x: np.ndarray, tweaks: np.ndarray, width: int, bits: int, crhf: Crhf
 ) -> np.ndarray:
-    """Stretch one block per COT into ``width`` uint64 ring pads."""
-    n = x.shape[0]
-    n_hashes = (width + 1) // 2
-    out = np.empty((n, 2 * n_hashes), dtype=np.uint64)
+    """Stretch one block per COT into ``width`` mod-2^bits ring pads.
+
+    Every 128-bit hash output is cut into the narrowest little-endian
+    lanes that hold ``bits`` (8 / 16 / 32 / 64 bits wide: 16 / 8 / 4 / 2
+    pads per hash), so a COT costs ``ceil(width / lanes)`` AES blocks.
+    Disjoint slices of one CRHF output are as pseudorandom as the
+    truncation to ``bits`` itself.  Pad derivation is part of the
+    protocol: all four ``gilboa_*`` functions, on both parties, go
+    through here.
+    """
+    lane_bytes = next(b for b in (1, 2, 4, 8) if 8 * b >= bits)
+    lanes = blocks.BLOCK_BYTES // lane_bytes
+    out = np.empty((x.shape[0], width), dtype=np.uint64)
     tweaks = np.asarray(tweaks, dtype=np.uint64)
-    for j in range(n_hashes):
+    for j in range(-(-width // lanes)):
         h = crhf.hash_tweaked(x, tweaks + np.uint64(j) * _PAD_STRIDE)
-        out[:, 2 * j] = h[:, 0]
-        out[:, 2 * j + 1] = h[:, 1]
-    return out[:, :width]
+        cols = out[:, j * lanes : (j + 1) * lanes]  # the last hash may be cut short
+        cols[...] = h.view(f"<u{lane_bytes}")[:, : cols.shape[1]]
+    out &= ring_mask_u64(bits)
+    return out
 
 
 def gilboa_send(
@@ -195,11 +207,11 @@ def gilboa_send(
     width = corr.shape[1]
     # Pad for logical choice j is expand(z XOR (j XOR d) * Delta).
     pad0 = _expand_ring_pads(
-        blocks.xor(cots.z, blocks.mul_bit(cots.delta, d)), tweaks, width, crhf
-    ) & mask
+        blocks.xor(cots.z, blocks.mul_bit(cots.delta, d)), tweaks, width, bits, crhf
+    )
     pad1 = _expand_ring_pads(
-        blocks.xor(cots.z, blocks.mul_bit(cots.delta, d ^ 1)), tweaks, width, crhf
-    ) & mask
+        blocks.xor(cots.z, blocks.mul_bit(cots.delta, d ^ 1)), tweaks, width, bits, crhf
+    )
     channel.send_ring((corr + pad0 + pad1) & mask)
     return (np.uint64(0) - pad0) & mask
 
@@ -219,7 +231,7 @@ def gilboa_receive(
         raise ProtocolError("COT batch and choice vector must have equal length")
     mask = ring_mask_u64(bits)
     channel.send_bits(cots.x ^ choices)
-    pad_mine = _expand_ring_pads(cots.y, tweaks, width, crhf) & mask
+    pad_mine = _expand_ring_pads(cots.y, tweaks, width, bits, crhf)
     c = channel.recv_ring().reshape(choices.shape[0], width)
     return np.where(choices[:, None].astype(bool), (c - pad_mine) & mask, pad_mine)
 
@@ -260,11 +272,11 @@ def gilboa_send_stream(
         d_chunk = d[start:stop]
         tw = tweaks[start:stop]
         pad0 = _expand_ring_pads(
-            blocks.xor(z, blocks.mul_bit(cots.delta, d_chunk)), tw, width, crhf
-        ) & mask
+            blocks.xor(z, blocks.mul_bit(cots.delta, d_chunk)), tw, width, bits, crhf
+        )
         pad1 = _expand_ring_pads(
-            blocks.xor(z, blocks.mul_bit(cots.delta, d_chunk ^ 1)), tw, width, crhf
-        ) & mask
+            blocks.xor(z, blocks.mul_bit(cots.delta, d_chunk ^ 1)), tw, width, bits, crhf
+        )
         channel.send_ring((corr + pad0 + pad1) & mask)
         yield start, (np.uint64(0) - pad0) & mask
 
@@ -295,8 +307,8 @@ def gilboa_receive_stream(
     for start in range(0, len(cots), chunk_rows):
         stop = min(start + chunk_rows, len(cots))
         pad_mine = _expand_ring_pads(
-            cots.y[start:stop], tweaks[start:stop], width, crhf
-        ) & mask
+            cots.y[start:stop], tweaks[start:stop], width, bits, crhf
+        )
         c = channel.recv_ring().reshape(stop - start, width)
         picked = choices[start:stop, None].astype(bool)
         yield start, np.where(picked, (c - pad_mine) & mask, pad_mine)

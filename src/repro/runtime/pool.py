@@ -40,6 +40,11 @@ from repro.ot.cot import CotReceiverBatch, CotSenderBatch
 #: hang forever on a dead producer.
 DEFAULT_WAIT_TIMEOUT_S = 300.0
 
+#: Consumed bytes a pool holds on to before it compacts its buffers.  In
+#: bytes, not items: one matrix-triple item is a whole triple (megabytes
+#: at Fig. 16 shapes) drawn one per request, one COT item is 16 bytes.
+TRIM_BYTES = 1 << 18
+
 
 @dataclass
 class PoolStats:
@@ -87,7 +92,6 @@ class CorrelationPool:
         n_columns: int,
         low_watermark: int = 0,
         high_watermark: int = None,
-        trim_chunk: int = 1 << 15,
     ):
         self.name = name
         self.low_watermark = low_watermark
@@ -106,7 +110,6 @@ class CorrelationPool:
         self._done_upto = 0  # contiguous prefix fully taken
         self._pending_done: dict = {}  # lo -> hi of out-of-order takes
         self._pending_segments: dict = {}  # lo -> column arrays not yet contiguous
-        self._trim_chunk = trim_chunk
         self._closed = False
         #: Set by the service's pool factory: the production recipe that
         #: fills this pool and the key a keyed kind was created under.
@@ -521,13 +524,19 @@ class CorrelationPool:
                 self._note_stall(start, f"take [{lo}, {lo + n})")
 
     def _mark_done(self, lo: int, hi: int) -> None:
-        """Advance the contiguous-done frontier; trim old buffer prefix."""
+        """Advance the contiguous-done frontier; compact the buffers once
+        the done prefix holds ``TRIM_BYTES``.  The live tail moves to the
+        front of the same buffers (takers hold copies, never views), so a
+        consumed item is overwritten by the appends that follow instead of
+        pinning its buffer, and capacity stays near the live high-water."""
         self._pending_done[lo] = hi
         while self._done_upto in self._pending_done:
             self._done_upto = self._pending_done.pop(self._done_upto)
         cut = self._done_upto - self._base
-        if cut >= self._trim_chunk:
-            self._columns = [col[cut:] for col in self._columns]
+        if cut * sum(col[0].nbytes for col in self._columns) >= TRIM_BYTES:
+            keep = self._produced - self._done_upto
+            for col in self._columns:
+                col[:keep] = col[cut : cut + keep]
             self._base = self._done_upto
 
     def take(self, lo: int, n: int, timeout: float = None):

@@ -19,7 +19,11 @@ also pins the shipped schedule.
 chacha`` and ``repro.lpn.encode`` shipped before their in-place kernels
 (one ``(n,)`` array per ChaCha state word; gather all ``d`` rows, then
 ``np.bitwise_xor.reduce``), kept word for word: the kernels must match
-them bit for bit.
+them bit for bit.  ``aes_encrypt_blocks_reference`` is likewise the
+T-table formulation ``repro.crypto.aes`` shipped before its column-major
+kernel (one ``(n,)`` array per state column, bytes pulled out with
+``>>`` and ``& 0xFF``), and ``crhf_hash_reference`` the MMO hash as
+``repro.crypto.crhf`` wrote it then (copy, tweak, sigma, encrypt, XOR).
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.crypto import blocks
+from repro.crypto.aes import _SBOX, _build_tables, expand_key
 from repro.crypto.crhf import DEFAULT_CRHF
 from repro.crypto.prg import ChaChaTreePrg
 from repro.ot.ot_from_cot import ot_receive_from_cot, ot_send_from_cot
@@ -216,3 +221,96 @@ def encode_bits_reference(matrix, bits, addend_bits):
         acc = np.bitwise_xor.reduce(gathered, axis=1)
         out[start:stop] = acc ^ addend_bits[start:stop]
     return out
+
+
+# -- AES: one (n,) array per state column, bytes shifted and masked out --
+
+_T0, _T1, _T2, _T3 = _build_tables()
+_SBOX_U32 = _SBOX.astype(np.uint32)
+_AES_ROUNDS = 10
+
+
+def aes_encrypt_blocks_reference(key: bytes, data: np.ndarray) -> np.ndarray:
+    """Encrypt a block array (shape (n, 2) uint64) under ``key``."""
+    w = blocks.to_uint32(data)
+    n = w.shape[0]
+    rk = expand_key(key)
+    s0 = w[:, 0] ^ rk[0, 0]
+    s1 = w[:, 1] ^ rk[0, 1]
+    s2 = w[:, 2] ^ rk[0, 2]
+    s3 = w[:, 3] ^ rk[0, 3]
+    mask = np.uint32(0xFF)
+    for rnd in range(1, _AES_ROUNDS):
+        t0 = (
+            _T0[s0 & mask]
+            ^ _T1[(s1 >> np.uint32(8)) & mask]
+            ^ _T2[(s2 >> np.uint32(16)) & mask]
+            ^ _T3[s3 >> np.uint32(24)]
+            ^ rk[rnd, 0]
+        )
+        t1 = (
+            _T0[s1 & mask]
+            ^ _T1[(s2 >> np.uint32(8)) & mask]
+            ^ _T2[(s3 >> np.uint32(16)) & mask]
+            ^ _T3[s0 >> np.uint32(24)]
+            ^ rk[rnd, 1]
+        )
+        t2 = (
+            _T0[s2 & mask]
+            ^ _T1[(s3 >> np.uint32(8)) & mask]
+            ^ _T2[(s0 >> np.uint32(16)) & mask]
+            ^ _T3[s1 >> np.uint32(24)]
+            ^ rk[rnd, 2]
+        )
+        t3 = (
+            _T0[s3 & mask]
+            ^ _T1[(s0 >> np.uint32(8)) & mask]
+            ^ _T2[(s1 >> np.uint32(16)) & mask]
+            ^ _T3[s2 >> np.uint32(24)]
+            ^ rk[rnd, 3]
+        )
+        s0, s1, s2, s3 = t0, t1, t2, t3
+    # Final round: SubBytes + ShiftRows + AddRoundKey (no MixColumns).
+    sb = _SBOX_U32
+    o0 = (
+        sb[s0 & mask]
+        | (sb[(s1 >> np.uint32(8)) & mask] << np.uint32(8))
+        | (sb[(s2 >> np.uint32(16)) & mask] << np.uint32(16))
+        | (sb[s3 >> np.uint32(24)] << np.uint32(24))
+    ) ^ rk[10, 0]
+    o1 = (
+        sb[s1 & mask]
+        | (sb[(s2 >> np.uint32(8)) & mask] << np.uint32(8))
+        | (sb[(s3 >> np.uint32(16)) & mask] << np.uint32(16))
+        | (sb[s0 >> np.uint32(24)] << np.uint32(24))
+    ) ^ rk[10, 1]
+    o2 = (
+        sb[s2 & mask]
+        | (sb[(s3 >> np.uint32(8)) & mask] << np.uint32(8))
+        | (sb[(s0 >> np.uint32(16)) & mask] << np.uint32(16))
+        | (sb[s1 >> np.uint32(24)] << np.uint32(24))
+    ) ^ rk[10, 2]
+    o3 = (
+        sb[s3 & mask]
+        | (sb[(s0 >> np.uint32(8)) & mask] << np.uint32(8))
+        | (sb[(s1 >> np.uint32(16)) & mask] << np.uint32(16))
+        | (sb[s2 >> np.uint32(24)] << np.uint32(24))
+    ) ^ rk[10, 3]
+    out = np.empty((n, 4), dtype=np.uint32)
+    out[:, 0] = o0
+    out[:, 1] = o1
+    out[:, 2] = o2
+    out[:, 3] = o3
+    return blocks.from_uint32(out)
+
+
+def crhf_hash_reference(key: bytes, x: np.ndarray, tweaks=None) -> np.ndarray:
+    """MMO hash ``AES(s) XOR s`` of ``s = sigma(x)``, the optional per-block
+    tweak XORed into x's high half first."""
+    tweaked = x.copy()
+    if tweaks is not None:
+        tweaked[:, 1] ^= np.asarray(tweaks, dtype=np.uint64)
+    s = np.empty_like(tweaked)  # sigma(a || b) = (a XOR b) || a
+    s[:, 0] = tweaked[:, 0] ^ tweaked[:, 1]
+    s[:, 1] = tweaked[:, 0]
+    return blocks.xor(aes_encrypt_blocks_reference(key, s), s)

@@ -69,8 +69,30 @@ def _laid_out(draw, make, rows: int) -> np.ndarray:
     return make(rows)
 
 
+#: A small stand-in for ``repro.crypto.aes.CHUNK_BLOCKS`` (tests patch it
+#: in) and the batch sizes that sit on and around its boundaries.
+AES_TEST_CHUNK = 8
+AES_CHUNK_EDGE_SIZES = (
+    0, 1, 2, AES_TEST_CHUNK - 1, AES_TEST_CHUNK, AES_TEST_CHUNK + 1, 2 * AES_TEST_CHUNK + 3
+)
+
+
 class KernelStrategies:
-    """Inputs for the data-plane kernels (LPN gather-XOR, ChaCha core)."""
+    """Inputs for the data-plane kernels (LPN gather-XOR, ChaCha core,
+    fixed-key AES / CRHF)."""
+
+    @staticmethod
+    def block_arrays(sizes) -> st.SearchStrategy[np.ndarray]:
+        """(n, 2) uint64 block arrays, n from ``sizes`` (0 allowed):
+        contiguous, the tail of a longer array or every second row."""
+
+        @st.composite
+        def build(draw):
+            n = draw(st.sampled_from(sizes))
+            rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+            return _laid_out(draw, lambda rows: blocks.random_blocks(rows, rng), n)
+
+        return build()
 
     @staticmethod
     def lpn_encode_cases(

@@ -2,8 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import aes_encrypt_blocks_reference
+from strategies import AES_CHUNK_EDGE_SIZES, AES_TEST_CHUNK, KernelStrategies
 
-from repro.crypto import blocks
+from repro.crypto import aes, blocks
 from repro.crypto.aes import AES128, ROUNDS, _SBOX, expand_key
 from repro.errors import ParameterError
 
@@ -57,6 +61,27 @@ class TestKeySchedule:
 
 
 class TestBatchKernel:
+    @given(
+        data=KernelStrategies.block_arrays(AES_CHUNK_EDGE_SIZES),
+        key=st.binary(min_size=16, max_size=16),
+        chunk=st.sampled_from((AES_TEST_CHUNK, aes.CHUNK_BLOCKS)),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_property_kernel_matches_word_at_a_time_reference(self, data, key, chunk):
+        """The column-major in-place kernel against the per-column
+        reference, on contiguous and strided batches, whole and split into
+        chunks; the input comes back untouched (at n = 1 a transposed view
+        of it is already contiguous, so an in-place first round would
+        write through)."""
+        kept = data.copy()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(aes, "CHUNK_BLOCKS", chunk)
+            got = AES128(key).encrypt_blocks(data)
+        assert got.dtype == np.uint64 and got.shape == data.shape
+        assert np.array_equal(got, aes_encrypt_blocks_reference(key, data))
+        assert np.array_equal(data, kept)
+        assert not np.shares_memory(got, data)
+
     def test_batch_matches_per_block(self, rng):
         cipher = AES128(FIPS_KEY)
         data = blocks.random_blocks(33, rng)

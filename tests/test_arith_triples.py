@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.crypto.crhf import DEFAULT_CRHF, Crhf
 from repro.errors import ParameterError
 from repro.mpc.triples import (
     RingTriples,
@@ -10,7 +11,9 @@ from repro.mpc.triples import (
     dealer_ring_triples,
     generate_ring_triples,
     gilboa_receive,
+    gilboa_receive_stream,
     gilboa_send,
+    gilboa_send_stream,
     mul_shared,
     ring_mask_u64,
     ring_triple_cots,
@@ -19,6 +22,116 @@ from repro.ot.channel import run_pair
 from repro.ot.cot import CotPool
 
 from repro.ot.testing import fake_cots
+
+
+class CountingCrhf(Crhf):
+    """The default-key CRHF that counts the AES blocks it is asked for."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = []  # both parties' threads append; += would race
+
+    @property
+    def blocks(self):
+        return sum(self.calls)
+
+    def hash_tweaked(self, x, tweaks):
+        self.calls.append(x.shape[0])
+        return super().hash_tweaked(x, tweaks)
+
+
+def lanes_per_hash(bits):
+    """Ring pads one 128-bit hash output yields: its narrowest lanes >= bits."""
+    return 128 // next(w for w in (8, 16, 32, 64) if w >= bits)
+
+
+class TestPadPacking:
+    """One hash output pads ``lanes_per_hash(bits)`` payload slots."""
+
+    @pytest.mark.parametrize("bits", [8, 12, 16, 32, 64])
+    @pytest.mark.parametrize("width", [1, 7, 8, 9, 24])
+    def test_one_shot_and_streamed_agree_share_for_share(self, bits, width):
+        n = 37
+        sender, receiver = fake_cots(n, seed=bits + width)
+        gen = np.random.default_rng(bits * 100 + width)
+        mask = ring_mask_u64(bits)
+        corr = gen.integers(0, 1 << 63, (n, width), dtype=np.uint64) & mask
+        choices = gen.integers(0, 2, n).astype(np.uint8)
+        tweaks = np.arange(5000, 5000 + n, dtype=np.uint64)
+        counter = CountingCrhf()
+
+        s, t, _, _ = run_pair(
+            lambda ch: gilboa_send(ch, sender, corr, bits, tweaks, counter),
+            lambda ch: gilboa_receive(ch, receiver, choices, width, bits, tweaks, counter),
+        )
+        # Sender hashes both pads of a COT, receiver one; never more
+        # hashes than it takes to cover ``width`` lanes.
+        assert counter.blocks == 3 * n * -(-width // lanes_per_hash(bits))
+        assert np.array_equal((s + t) & mask, corr * choices[:, None] & mask)
+        assert s.max() <= mask and t.max() <= mask
+
+        for chunk_rows in (1, 5, 36, n, n + 1):  # uneven splits, one short tail
+            def stream_send(ch):
+                out = np.empty((n, width), dtype=np.uint64)
+                for start, share in gilboa_send_stream(
+                    ch, sender, lambda a, b: corr[a:b], width, bits, tweaks, chunk_rows
+                ):
+                    out[start : start + share.shape[0]] = share
+                return out
+
+            def stream_receive(ch):
+                out = np.empty((n, width), dtype=np.uint64)
+                for start, share in gilboa_receive_stream(
+                    ch, receiver, choices, width, bits, tweaks, chunk_rows
+                ):
+                    out[start : start + share.shape[0]] = share
+                return out
+
+            s_stream, t_stream, _, _ = run_pair(stream_send, stream_receive)
+            assert np.array_equal(s_stream, s) and np.array_equal(t_stream, t)
+
+    def test_pads_of_one_cot_are_distinct_lanes(self):
+        """Width-8 pads on a 16-bit ring are the eight uint16 lanes of ONE
+        hash; a ninth slot starts the next hash at tweak + 2^48."""
+        n, bits = 6, 16
+        _, receiver = fake_cots(n, seed=3)
+        tweaks = np.arange(n, dtype=np.uint64)
+        zero = np.zeros(n, dtype=np.uint8)  # receiver's share is then the bare pad
+
+        def pads(width):
+            def send(ch):
+                ch.recv_bits()
+                ch.send_ring(np.zeros(n * width, dtype=np.uint64))
+
+            _, got, _, _ = run_pair(
+                send, lambda ch: gilboa_receive(ch, receiver, zero, width, bits, tweaks)
+            )
+            return got
+
+        first = DEFAULT_CRHF.hash_tweaked(receiver.y, tweaks).view("<u2")
+        second = DEFAULT_CRHF.hash_tweaked(receiver.y, tweaks + (np.uint64(1) << np.uint64(48)))
+        assert np.array_equal(pads(8), first)
+        assert np.array_equal(pads(9), np.hstack([first, second.view("<u2")[:, :1]]))
+
+    def test_ring_triples_hash_three_blocks_per_cot(self, monkeypatch):
+        """Scalar cross terms are width 1: one hash per pad, as before."""
+        n, bits = 10, 16
+        n_cots = ring_triple_cots(n, bits)
+        send_f, recv_f = fake_cots(n_cots, seed=3)
+        send_r, recv_r = fake_cots(n_cots, seed=4)
+        counter = CountingCrhf()
+        monkeypatch.setattr(DEFAULT_CRHF, "hash_tweaked", counter.hash_tweaked)
+        run_pair(
+            lambda ch: generate_ring_triples(
+                ch, n, bits, CotPool(sender=send_f), CotPool(receiver=recv_r),
+                np.random.default_rng(10), party=0,
+            ),
+            lambda ch: generate_ring_triples(
+                ch, n, bits, CotPool(sender=send_r), CotPool(receiver=recv_f),
+                np.random.default_rng(20), party=1,
+            ),
+        )
+        assert counter.blocks == 2 * 3 * n * bits  # 3 n bits per direction
 
 
 class TestGilboaPrimitive:

@@ -9,7 +9,9 @@ state-template race was exactly that and was found by luck).  This
 test shrinks the interpreter's switch interval so threads are
 preempted inside those calls, runs more party threads than the host
 has cores, checks every batch, and requires the output stream to be
-byte-identical to the one produced at the default interval.
+byte-identical to the one produced at the default interval.  A second
+test aims at ``DEFAULT_CRHF`` alone: threads hash different batches
+through the one shared instance and each compares with the reference.
 """
 
 import hashlib
@@ -17,8 +19,10 @@ import sys
 import threading
 
 import numpy as np
+from oracles import crhf_hash_reference
 
 from repro.crypto import blocks
+from repro.crypto.crhf import _DEFAULT_KEY, DEFAULT_CRHF
 from repro.ferret.config import FerretConfig
 from repro.ferret.protocol import FerretReceiver, FerretSender
 from repro.ot.channel import LocalChannel
@@ -85,3 +89,35 @@ def test_extend_is_bit_exact_under_a_tiny_switch_interval():
     finally:
         sys.setswitchinterval(interval)
     assert hammered == calm
+
+
+def test_shared_default_crhf_under_a_tiny_switch_interval():
+    """Both parties' threads hash through ``DEFAULT_CRHF``; AES scratch
+    kept on the instance instead of the call would mix their states."""
+    mismatches, finished, threads = [], [], []
+
+    def hammer(seed, n):
+        gen = np.random.default_rng(seed)
+        for _ in range(40):
+            x = blocks.random_blocks(n, gen)
+            tweaks = gen.integers(0, 2**64, n, dtype=np.uint64)
+            if not np.array_equal(
+                DEFAULT_CRHF.hash_tweaked(x, tweaks),
+                crhf_hash_reference(_DEFAULT_KEY, x, tweaks),
+            ):
+                mismatches.append(seed)
+        finished.append(seed)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for seed, n in ((41, 150), (42, 150), (43, 1024)):
+            threads.append(threading.Thread(target=hammer, args=(seed, n), daemon=True))
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(JOIN_TIMEOUT_S)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(finished) == [41, 42, 43]  # none hung, none raised
+    assert not mismatches

@@ -10,6 +10,7 @@ from repro.crypto import blocks
 from repro.errors import ServiceError
 from repro.mpc.triples import BitTriples, MatrixTriples, RingTriples, dealer_matrix_triples
 from repro.ot.cot import CotReceiverBatch, CotSenderBatch, verify_cot
+from repro.runtime import pool as pool_module
 from repro.runtime.recipes import MTRI
 from repro.runtime.pool import (
     CorrelationPool,
@@ -246,10 +247,11 @@ class TestTypedPools:
         assert isinstance(t, BitTriples)
         assert np.array_equal(t.c, t.a & t.b)
 
-    def test_out_of_order_takes_and_trim(self):
+    def test_out_of_order_takes_and_trim(self, monkeypatch):
         """Sessions may take reserved ranges out of order; the buffer is
         trimmed only once the contiguous prefix is consumed."""
-        pool = CorrelationPool("raw", n_columns=1, trim_chunk=64)
+        monkeypatch.setattr(pool_module, "TRIM_BYTES", 64 * 8)
+        pool = CorrelationPool("raw", n_columns=1)
         data = np.arange(256, dtype=np.uint64)
         pool.append_columns((data,))
         lo_a = pool.reserve(64)
@@ -293,6 +295,43 @@ class TestTypedPools:
         assert isinstance(got, MatrixTriples)
         assert np.array_equal(got.a, t0.a)
         assert np.array_equal(got.c, t0.c)
+
+    def test_consumed_matrix_triples_are_freed(self):
+        """One item is a whole triple, drawn one per request: trimming
+        counts consumed bytes, so a long-lived pool's buffers stay under a
+        fixed ceiling however many triples pass through (an item-count
+        rule kept every consumed triple alive for 32768 requests)."""
+        m, k, n = 4, 24, 24
+        t0, _ = dealer_matrix_triples(m, k, n, 16, np.random.default_rng(23))
+        pool = MatrixTriplePool(MatrixTriplePool.key_for(m, k, n), m, k, n, bits=16)
+        item_bytes = 8 * (m * k + k * n + m * n)
+        for cycle in range(500):
+            t0.c[0, 0] = cycle
+            pool.append(t0)
+            got = pool.take(pool.reserve(1))
+            assert got.c[0, 0] == cycle and np.array_equal(got.a, t0.a)
+            held = sum(col.nbytes for col in pool._columns)
+            assert held <= 2 * (pool_module.TRIM_BYTES + 2 * item_bytes)
+        assert pool._base > 0  # it did trim, not just never grow
+
+    def test_trim_keeps_the_live_tail(self, monkeypatch):
+        """Compaction moves produced-but-untaken rows (and rows taken out
+        of order above the done frontier) to the front unchanged."""
+        monkeypatch.setattr(pool_module, "TRIM_BYTES", 16 * 8)
+        pool = CorrelationPool("raw", n_columns=2)
+        data = np.arange(100, dtype=np.uint64)
+        pool.append_columns((data, data.astype(np.uint8)))
+        assert pool.reserve(100) == 0
+        pool.take_columns(40, 10)  # above the frontier: stays live
+        for lo in range(0, 40, 8):  # trims at 16, again at 32 (overlapping move)
+            vals, small = pool.take_columns(lo, 8)
+            assert np.array_equal(vals, data[lo : lo + 8])
+            assert np.array_equal(small, data[lo : lo + 8])
+        pool.append_columns((data + 100, data.astype(np.uint8)))
+        vals, _ = pool.take_columns(50, 150)
+        assert np.array_equal(vals, np.arange(50, 200, dtype=np.uint64))
+        with pytest.raises(ServiceError, match="trimmed"):
+            pool.take_columns(8, 8)
 
     def test_stats_accumulate(self):
         delta, z, _, _ = make_cot_arrays(100)

@@ -4,6 +4,7 @@ Beaver online phase, validated against the analytical cost model."""
 import numpy as np
 import pytest
 
+from repro.crypto.crhf import DEFAULT_CRHF
 from repro.errors import ParameterError, ProtocolError
 from repro.mpc.matmul import (
     BYTES_PER_COT,
@@ -87,6 +88,41 @@ class TestPipelineSmall:
         predicted = matmul_preproc_bytes(dims, bits) + matmul_online_bytes(dims)
         assert metrics["bytes"] == predicted
         assert matmul_online_bytes(dims) <= matmul_comm_bytes(dims, bits)
+
+
+class TestPadPacking:
+    """Gilboa pads are ``bits``-wide lanes of the hash output: on a
+    16-bit ring one AES block pads eight payload slots, not two."""
+
+    @pytest.mark.parametrize(
+        "dims,aes_blocks",
+        # Both parties, both cross terms: 3 x rows x ceil(width / 8).
+        [(MatmulDims(4, 24, 24), 41472), (MatmulDims(4, 24, 12), 23040)],
+        ids=lambda v: getattr(v, "label", v),
+    )
+    def test_ledger_shapes_hash_exactly_this_many_blocks(self, monkeypatch, dims, aes_blocks):
+        bits = 16
+        hashed = []
+        inner = DEFAULT_CRHF.hash_tweaked
+        monkeypatch.setattr(
+            DEFAULT_CRHF, "hash_tweaked",
+            lambda x, tweaks: hashed.append(x.shape[0]) or inner(x, tweaks),
+        )
+        sender_cots, receiver_cots = fake_cots(int(matmul_cots(dims, bits)), seed=5)
+        pools = {1: CotPool(sender=sender_cots), 0: CotPool(receiver=receiver_cots)}
+
+        def party(p):
+            return lambda ch: generate_matrix_triples(
+                ch, dims, bits, pools[p], np.random.default_rng(p), party=p
+            )
+
+        t0, t1, st0, st1 = run_pair(party(0), party(1))
+        assert sum(hashed) == aes_blocks
+        # Pads never go on the wire: the byte model is untouched.
+        assert st0.bytes_sent + st1.bytes_sent == matmul_preproc_bytes(dims, bits)
+        mask = ring_mask_u64(bits)
+        a, b = (t0.a + t1.a) & mask, (t0.b + t1.b) & mask
+        assert np.array_equal((t0.c + t1.c) & mask, (a @ b) & mask)
 
 
 class TestFig16Online:
