@@ -3,8 +3,7 @@
 The provisioning service's single worker thread caps raw-COT
 production at one core.  ``ServiceTuning.shards`` moves extends into N
 producer process pairs (:mod:`repro.runtime.shard`), each its own
-interpreter with its own socket, overlapping GGM expansion and the LPN
-premix inside every extend.  This benchmark sweeps the shard count
+interpreter with its own socket.  This benchmark sweeps the shard count
 (1 / 2 / 4 / 8) over an otherwise identical service pair and reports:
 
 * aggregate forward-COT serve throughput (drawn COTs/s);

@@ -19,20 +19,12 @@ class FerretConfig:
         arity: GGM expansion arity (2 = Ferret baseline, 4 = Ironman).
         prg_kind: "aes" (CPU baseline) or "chacha8" (Ironman).
         matrix_seed: public seed expanding the fixed LPN matrix.
-        overlap_encode: compute the ``A @ vec`` half of the LPN encode
-            on a background thread while the interactive MPCOT (GGM
-            expansion + channel rounds) runs, XORing the MPCOT output
-            in at the end.  Purely local scheduling: outputs and wire
-            bytes are bit-identical either way (XOR associativity).
-            Shard workers enable it; default off preserves the
-            single-threaded extend.
     """
 
     params: LpnParams
     arity: int = 2
     prg_kind: str = "aes"
     matrix_seed: int = 0xFE44E7
-    overlap_encode: bool = False
 
     def __post_init__(self):
         if self.arity < 2 or self.arity & (self.arity - 1):

@@ -30,7 +30,7 @@ import numpy as np
 from repro.crypto import blocks
 from repro.errors import ProtocolError
 from repro.ferret.config import FerretConfig
-from repro.lpn.encode import encode_bits, encode_blocks, premix_bits, premix_blocks
+from repro.lpn.encode import encode_bits, encode_blocks
 from repro.lpn.matrix import generate_matrix
 from repro.ot.base_ot import base_cot_receive, base_cot_send
 from repro.ot.channel import Channel, run_pair
@@ -107,9 +107,6 @@ class FerretSender:
         prev_calls = self.prg.total_calls
         prev_bytes = channel.stats.bytes_sent
         prev_rounds = channel.stats.rounds
-        # Overlapped extend: A @ r only needs last iteration's LPN state,
-        # so it runs under the interactive MPCOT instead of after it.
-        premix = premix_blocks(self.matrix, self._lpn_r) if cfg.overlap_encode else None
         w = mpcot_send(
             channel,
             self._spcot_pool,
@@ -119,10 +116,7 @@ class FerretSender:
             cfg.params.t,
             self.rng,
         )
-        if premix is not None:
-            z = premix.finish(w)
-        else:
-            z = encode_blocks(self.matrix, self._lpn_r, w)
+        z = encode_blocks(self.matrix, self._lpn_r, w)
         reserve = cfg.base_cots_needed
         self._lpn_r = z[: cfg.params.k].copy()
         self._spcot_pool = CotPool(
@@ -184,11 +178,6 @@ class FerretReceiver:
         prev_bytes = channel.stats.bytes_sent
         prev_rounds = channel.stats.rounds
         alphas = sample_alphas(cfg.params.n, cfg.params.t, self.rng)
-        if cfg.overlap_encode:
-            premix_e = premix_bits(self.matrix, self._lpn_e)
-            premix_s = premix_blocks(self.matrix, self._lpn_s)
-        else:
-            premix_e = premix_s = None
         u, v = mpcot_receive(
             channel,
             self._spcot_pool,
@@ -197,12 +186,8 @@ class FerretReceiver:
             cfg.params.n,
             cfg.params.t,
         )
-        if premix_e is not None:
-            x = premix_e.finish(u)
-            y = premix_s.finish(v)
-        else:
-            x = encode_bits(self.matrix, self._lpn_e, u)
-            y = encode_blocks(self.matrix, self._lpn_s, v)
+        x = encode_bits(self.matrix, self._lpn_e, u)
+        y = encode_blocks(self.matrix, self._lpn_s, v)
         reserve = cfg.base_cots_needed
         self._lpn_e = x[: cfg.params.k].copy()
         self._lpn_s = y[: cfg.params.k].copy()

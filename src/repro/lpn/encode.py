@@ -16,12 +16,9 @@ a chunk, then XOR-reduce them) is the reference in ``tests/oracles.py``.
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 
 from repro.crypto import blocks
-from repro.crypto.kernels import gather_xor_blocks
 from repro.errors import ParameterError
 from repro.lpn.matrix import LpnMatrix
 
@@ -33,13 +30,10 @@ CHUNK_ROWS = 1 << 13
 def _gather_xor(matrix: LpnMatrix, vec: np.ndarray, out: np.ndarray) -> np.ndarray:
     """``out[j] ^= XOR_{i in A_j} vec[i]`` on block or bit rows.
 
-    Works in ``out`` (which it returns) unless the compiled kernel ran.
-    ``mode="clip"`` only skips numpy's bounds-check copy through a
-    temporary: ``LpnMatrix`` range-checked its read-only indices.
+    Works in ``out``, which it returns.  ``mode="clip"`` only skips
+    numpy's bounds-check copy through a temporary: ``LpnMatrix``
+    range-checked its read-only indices.
     """
-    fast = gather_xor_blocks(matrix.indices, vec, out) if vec.ndim == 2 else None
-    if fast is not None:  # compiled path (numba); bit-exact vs the loop below
-        return fast
     vec = np.ascontiguousarray(vec)  # else np.take copies it on every call
     buf = np.empty((min(matrix.n, CHUNK_ROWS),) + vec.shape[1:], dtype=vec.dtype)
     for start in range(0, matrix.n, CHUNK_ROWS):
@@ -72,56 +66,6 @@ def encode_bits(matrix: LpnMatrix, bits: np.ndarray, addend_bits: np.ndarray) ->
     if out.shape[0] != matrix.n:
         raise ParameterError(f"addend must have n={matrix.n} bits")
     return _gather_xor(matrix, bits, out)
-
-
-class EncodePremix:
-    """The matrix-product half of an LPN encode, started early.
-
-    ``A @ vec`` depends only on the LPN state carried between
-    iterations -- not on the MPCOT output it is eventually XORed with
-    -- so a Ferret extend can compute it on a background thread while
-    the interactive MPCOT (channel rounds + GGM tree expansion) is
-    still in flight, overlapping the extend's two stages.  XOR
-    associativity makes ``finish(w)`` bit-identical to running
-    :func:`encode_blocks` / :func:`encode_bits` after the fact, which
-    is exactly what the equivalence tests assert.
-    """
-
-    def __init__(self, fn):
-        self._result = None
-        self._error = None
-
-        def run():
-            try:
-                self._result = fn()
-            except BaseException as exc:  # re-raised on finish()
-                self._error = exc
-
-        self._thread = threading.Thread(target=run, name="lpn-premix", daemon=True)
-        self._thread.start()
-
-    def finish(self, addend: np.ndarray) -> np.ndarray:
-        """Join the background product and XOR the late addend into it."""
-        self._thread.join()
-        if self._error is not None:
-            raise self._error
-        return np.bitwise_xor(self._result, addend, out=self._result)
-
-
-def premix_blocks(matrix: LpnMatrix, vec: np.ndarray) -> EncodePremix:
-    """Start ``A @ vec`` (block kernel, zero addend) in the background."""
-    blocks.require_blocks(vec, "vec")
-    if vec.shape[0] != matrix.k:
-        raise ParameterError(f"input vector must have k={matrix.k} blocks")
-    return EncodePremix(lambda: _gather_xor(matrix, vec, blocks.zeros(matrix.n)))
-
-
-def premix_bits(matrix: LpnMatrix, bits: np.ndarray) -> EncodePremix:
-    """Start ``A @ bits`` (bit kernel, zero addend) in the background."""
-    bits = np.asarray(bits, dtype=np.uint8)
-    if bits.shape[0] != matrix.k:
-        raise ParameterError(f"input bit vector must have k={matrix.k} entries")
-    return EncodePremix(lambda: _gather_xor(matrix, bits, np.zeros(matrix.n, dtype=np.uint8)))
 
 
 def encode_streamed(

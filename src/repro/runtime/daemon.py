@@ -34,8 +34,9 @@ serving loop into that daemon:
   dropped client coming back -- so wiring it as a
   ``ReconnectingChannel.state_provider`` lets a client re-attach
   (:meth:`InferenceDaemon.attach`) to its in-flight request instead of
-  orphaning reserved pool ranges.  Unclaimed results of expired leases
-  are dropped by a reaper (``lease.expire`` span).
+  orphaning reserved pool ranges.  A request leaves the lease table
+  when its result is claimed; unclaimed results of expired leases are
+  dropped by a reaper (``lease.expire`` span).
 
 Determinism contract: the leader (party 0) makes every admission
 decision and announces it on the ``daemon/ctl`` sub-channel; the
@@ -119,7 +120,7 @@ class Lease:
 class DaemonRequest:
     """One admitted request: inputs in, lease out, result share held."""
 
-    def __init__(self, seq, session, inputs, lease, timeout_s):
+    def __init__(self, seq, session, inputs, lease, timeout_s, on_claim=None):
         self.seq = seq
         self.session = session
         self.inputs = inputs  # list of B input shares
@@ -130,6 +131,7 @@ class DaemonRequest:
         self.output = None  # list of B output shares once done
         self.error = None
         self.claimed = False
+        self._on_claim = on_claim  # the daemon forgets a claimed request
         self.expired = False
         self.done = threading.Event()
         self._pipe_ready = threading.Event()
@@ -158,6 +160,8 @@ class DaemonRequest:
         # request before ``claimed`` was set may drop the output any time.
         output = self.output
         self.claimed = True
+        if self._on_claim is not None:
+            self._on_claim(self)
         if self.expired or output is None:
             raise LeaseExpired(
                 f"request {self.seq} ({self.session}): lease "
@@ -480,7 +484,9 @@ class InferenceDaemon:
 
     def _admit_locked(self, seq, session, inputs, token) -> DaemonRequest:
         lease = Lease(token, session, self.cfg.lease_ttl_s)
-        req = DaemonRequest(seq, session, inputs, lease, self.cfg.request_timeout_s)
+        req = DaemonRequest(
+            seq, session, inputs, lease, self.cfg.request_timeout_s, self._forget
+        )
         self._requests[seq] = req
         self.admitted += 1
         self.batch_items += req.batch
@@ -488,6 +494,13 @@ class InferenceDaemon:
         self._online_q.append(req)
         self._q_cond.notify_all()
         return req
+
+    def _forget(self, req: DaemonRequest) -> None:
+        """Drop a claimed request (and with it its pipeline's thread,
+        events and schedule) from the live table; from here on its
+        lease is gone, as after expiry."""
+        with self._lock:
+            self._requests.pop(req.seq, None)
 
     def attach(self, session: str, token: str) -> DaemonRequest:
         """Re-attach a (re)connected client to its in-flight request by

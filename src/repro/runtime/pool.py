@@ -86,6 +86,10 @@ class CorrelationPool:
     level the service tops up to.
     """
 
+    #: Nothing parks in a pool; benchmarks/ledger/fixture.py's teardown
+    #: gate still reads this, and goes with it in the next benchmark PR.
+    pending_segments = 0
+
     def __init__(
         self,
         name: str,
@@ -109,7 +113,6 @@ class CorrelationPool:
         self._base = 0  # absolute index of the first retained element
         self._done_upto = 0  # contiguous prefix fully taken
         self._pending_done: dict = {}  # lo -> hi of out-of-order takes
-        self._pending_segments: dict = {}  # lo -> column arrays not yet contiguous
         self._closed = False
         #: Set by the service's pool factory: the production recipe that
         #: fills this pool and the key a keyed kind was created under.
@@ -179,97 +182,25 @@ class CorrelationPool:
             self._columns[i] = fresh
         self._columns[i][used:need] = arr
 
-    def append_columns(self, arrays: tuple) -> None:
-        """Append one production batch (equal-length column arrays)."""
+    def append_columns(self, arrays: tuple) -> int:
+        """Append one production batch (equal-length column arrays) at
+        the produced frontier; returns the absolute offset it landed at
+        (what a shard leader announces to its follower)."""
         n = arrays[0].shape[0]
         if any(a.shape[0] != n for a in arrays):
             raise ServiceError(f"pool {self.name}: column lengths disagree")
         with self._cond:
             if self._closed:
                 raise ServiceError(f"pool {self.name} is closed")
-            used = self._produced - self._base
+            lo = self._produced
+            used = lo - self._base
             for i, arr in enumerate(arrays):
                 self._grow(i, arr, used)
             self._produced += n
             self.stats.refills += 1
             self.stats.items_refilled += n
             self._cond.notify_all()
-
-    def append_columns_at(self, lo: int, arrays: tuple) -> None:
-        """Append one production batch at absolute stream offset ``lo``.
-
-        Shard mergers deliver batches out of arrival order: shard s may
-        finish the range starting at ``lo`` before the shard owning the
-        range below it has landed.  Batches at the produced frontier are
-        appended immediately; batches beyond it are parked and drained
-        the moment the gap below them fills, so ``produced`` only ever
-        advances over a contiguous prefix -- consumers never observe a
-        hole.  ``append_columns`` remains the (byte-identical)
-        single-producer path: it IS ``append_columns_at(produced, ...)``.
-        """
-        n = arrays[0].shape[0]
-        if any(a.shape[0] != n for a in arrays):
-            raise ServiceError(f"pool {self.name}: column lengths disagree")
-        with self._cond:
-            if self._closed:
-                raise ServiceError(f"pool {self.name} is closed")
-            if lo < self._produced:
-                raise ServiceError(
-                    f"pool {self.name}: segment at {lo} overlaps the produced "
-                    f"frontier {self._produced}"
-                )
-            if lo in self._pending_segments:
-                raise ServiceError(
-                    f"pool {self.name}: duplicate segment at offset {lo}"
-                )
-            # Range disjointness: a segment whose *span* intersects a
-            # parked neighbor at a different offset would survive the
-            # duplicate guard, get parked, and later merge stale data
-            # over the neighbor's range -- silent stream corruption.
-            for seg_lo, seg in self._pending_segments.items():
-                seg_n = seg[0].shape[0]
-                if lo < seg_lo + seg_n and seg_lo < lo + n:
-                    raise ServiceError(
-                        f"pool {self.name}: segment [{lo},{lo + n}) overlaps "
-                        f"parked segment [{seg_lo},{seg_lo + seg_n})"
-                    )
-            self._pending_segments[lo] = tuple(arrays)
-            advanced = False
-            while self._produced in self._pending_segments:
-                seg = self._pending_segments.pop(self._produced)
-                used = self._produced - self._base
-                for i, arr in enumerate(seg):
-                    self._grow(i, arr, used)
-                self._produced += seg[0].shape[0]
-                self.stats.refills += 1
-                self.stats.items_refilled += seg[0].shape[0]
-                advanced = True
-            if advanced:
-                self._cond.notify_all()
-
-    @property
-    def pending_segments(self) -> int:
-        """Out-of-order segments parked above the produced frontier."""
-        with self._lock:
-            return len(self._pending_segments)
-
-    def drop_pending_segments(self) -> int:
-        """Discard every parked out-of-order segment; returns the count.
-
-        The reconnect resync barrier rolls both parties to the minimum
-        of their produced counts and re-produces everything above it.
-        A parked segment that survived on one side only would collide
-        with the re-produced range at merge time (duplicate/overlap
-        ``ServiceError``), so resync clears the parking lot outright --
-        sharded producers will regenerate those ranges from the new
-        frontier.
-        """
-        with self._cond:
-            dropped = len(self._pending_segments)
-            self._pending_segments.clear()
-            if dropped and self.needs_refill():
-                self.refill.set()
-            return dropped
+            return lo
 
     def rollback_to(self, produced: int) -> int:
         """Discard production past absolute position ``produced``.
@@ -292,17 +223,6 @@ class CorrelationPool:
                     f"pool {self.name}: cannot roll back to {produced}; items "
                     f"up to {taken_hi} were already consumed"
                 )
-            # Parked out-of-order segments describe production beyond the
-            # frontier; a rollback invalidates that future, so they are
-            # re-produced rather than replayed from stale buffers.  A
-            # segment that merely *straddles* the rollback point
-            # (seg_lo < produced < seg_lo + len) is just as stale past
-            # ``produced``, so only segments entirely below it survive.
-            self._pending_segments = {
-                seg_lo: seg
-                for seg_lo, seg in self._pending_segments.items()
-                if seg_lo + seg[0].shape[0] <= produced
-            }
             if produced >= self._produced:
                 return 0
             dropped = self._produced - produced

@@ -267,7 +267,6 @@ class CorrelationService:
         self.worker_restarts = 0
         self.resyncs = 0  # successful resync barriers
         self.rolled_back = 0  # pool items discarded by resyncs
-        self.segments_dropped = 0  # parked shard segments discarded by resyncs
         self._sync_nonce = 0
         self._nack_sent = False
         #: Last completed extend per direction: (endpoint snapshot taken
@@ -479,7 +478,6 @@ class CorrelationService:
             "worker_restarts": self.worker_restarts,
             "resyncs": self.resyncs,
             "rolled_back": self.rolled_back,
-            "segments_dropped": self.segments_dropped,
         }
 
     def _collect_reconnect(self) -> dict:
@@ -501,23 +499,11 @@ class CorrelationService:
         ``state_provider`` to this)."""
         with self._alloc_lock:
             pools = {kind: pool.produced for kind, pool in self.pools.items()}
-            pending = {
-                kind: pool.pending_segments
-                for kind, pool in self.pools.items()
-                if pool.pending_segments
-            }
-        state = {
+        return {
             "party": self.party,
             "tags": self.mux.receive_counts(),
             "pools": pools,
         }
-        if pending:
-            # Parked out-of-order shard segments are NOT resumable state
-            # (the resync barrier discards them); surfacing the count
-            # lets the peer's handshake log explain a larger-than-
-            # expected re-produce after a sharded reconnect.
-            state["pending_segments"] = pending
-        return state
 
     # -- allocation (leader authority) --------------------------------------
     def reserve(self, kind: str, n: int) -> int:
@@ -885,14 +871,6 @@ class CorrelationService:
         with self._alloc_lock:
             pools = dict(self.pools)
         for kind, pool in pools.items():
-            # Parked out-of-order shard segments are one-sided state: a
-            # segment that survived here but not on the peer would later
-            # collide with the peer's re-produced range (duplicate or
-            # overlapping-segment ServiceError at merge time).  The
-            # barrier discards them on BOTH sides unconditionally --
-            # even pools whose produced frontier does not move can be
-            # holding parked futures above it.
-            self.segments_dropped += pool.drop_pending_segments()
             target = min(pool.produced, int(peer_produced.get(kind, pool.produced)))
             if target >= pool.produced:
                 continue

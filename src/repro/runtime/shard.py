@@ -28,20 +28,17 @@ batch at its pool's produced frontier (arrival order) and announces
 multiplexes tags, so no new wire assumptions are introduced.  The
 follower merger pairs each announcement with its local copy of that
 batch (shard i's sequence of extends is identical on both parties, so
-seq identifies the batch) and lands it with
-:meth:`CorrelationPool.append_columns_at`, which parks out-of-arrival
-segments until the gap below them fills.  Both parties therefore
-materialize the *same* absolute-index stream under any interleaving
-of shard completions.
+seq identifies the batch) and lands batches in announced order per
+direction: a batch whose turn has not come, or whose local result is
+still outstanding, waits in the manager -- nothing parks in the pool,
+every landing is at its produced frontier, and the announced ``lo`` is
+checked against it.  Both parties therefore materialize the *same*
+absolute-index stream under any interleaving of shard completions.
 
 Delta consistency: the parent mints under the pool's Delta, and every
 sender-side shard endpoint overwrites its locally derived Delta with it
 before loading its slice, so all shards of one direction produce
 correlations against the single pool Delta.
-
-Shard workers enable ``FerretConfig.overlap_encode``: inside each
-extend the LPN premix (``A @ state``) runs under the interactive MPCOT
-(the PR 1 leftover), which is bit-identical by XOR associativity.
 
 Limits: sharded services assume a healthy transport -- the degraded-
 mode resync barrier cannot roll back raw-COT pools (there is no
@@ -52,7 +49,7 @@ machinery: the service is byte-identical to the single-worker stream.
 
 from __future__ import annotations
 
-import dataclasses
+import collections
 import multiprocessing
 import queue
 import struct
@@ -79,6 +76,8 @@ _DIR_NAME = {0: "fwd", 1: "rev"}
 #: the per-shard socket handshake, the hand-over of its base COTs.  No
 #: public-key work happens inside it.
 _SETUP_TIMEOUT_S = 30.0
+#: Slice of any wait on the workers between looks at their exit codes.
+_POLL_S = 0.2
 
 
 def _shard_seed(seed: int, shard: int) -> int:
@@ -136,17 +135,14 @@ def _worker_main(
             channel = SocketChannel.connect(
                 msg[1], msg[2], connect_timeout=_SETUP_TIMEOUT_S
             )
-        # Overlap GGM expansion / MPCOT rounds with the LPN premix
-        # inside every extend (bit-identical; see FerretConfig).
-        cfg = dataclasses.replace(config, overlap_encode=True)
         base = _shard_seed(seed, shard)
         if party == 0:
-            fwd = FerretSender(cfg, seed=base)
+            fwd = FerretSender(config, seed=base)
             fwd.delta = sender_delta.copy()
-            rev = FerretReceiver(cfg, seed=base + 2) if enable_reverse else None
+            rev = FerretReceiver(config, seed=base + 2) if enable_reverse else None
         else:
-            fwd = FerretReceiver(cfg, seed=base + 1)
-            rev = FerretSender(cfg, seed=base + 3) if enable_reverse else None
+            fwd = FerretReceiver(config, seed=base + 1)
+            rev = FerretSender(config, seed=base + 3) if enable_reverse else None
             if rev is not None:
                 rev.delta = sender_delta.copy()
         msg = cmd_q.get(timeout=_SETUP_TIMEOUT_S)
@@ -192,7 +188,7 @@ class ShardManager:
     The leader side dispatches (``request_refills`` is called from the
     scheduling loop in place of OP_EXTEND commands) and merges results
     in arrival order; the follower side replays the leader's dispatch
-    stream and merges at announced offsets.  All shard bookkeeping is
+    stream and merges in announced order.  All shard bookkeeping is
     surfaced through :meth:`collect` (the ``shard/...`` telemetry
     namespace) and ``shard.extend`` tracer spans, so a pool stall is
     attributable to the shard that was still busy when it happened.
@@ -221,9 +217,10 @@ class ShardManager:
         #: not yet merged) so refill decisions don't over-dispatch.
         self._inflight = {"fwd": 0, "rev": 0}
         #: Follower: seq -> (shard, direction) for dispatched commands;
-        #: announced offsets and local results waiting for each other.
+        #: per direction, the FIFO of announced (seq, lo, n) not yet
+        #: landed; seq -> local result not yet landed.
         self._expected: dict = {}
-        self._announced: dict = {}
+        self._announced = {d: collections.deque() for d in _DIR_CODE}
         self._results: dict = {}
         #: Per shard.  ``setup_s`` is the worker's time-to-ready from its
         #: entry point: interpreter boot, socket rendezvous and loading
@@ -276,7 +273,16 @@ class ShardManager:
                 ports[msg[1]] = msg[2]
             self._hs.send_bytes(struct.pack(f"<{self.shards}Q", *ports))
         else:
-            frame = self._hs.recv_bytes(timeout=_SETUP_TIMEOUT_S)
+            deadline = time.monotonic() + _SETUP_TIMEOUT_S
+            frame = None
+            while frame is None:
+                try:
+                    frame = self._hs.recv_bytes(timeout=_POLL_S)
+                except ChannelTimeout:
+                    if (dead := self._exited_worker()) is not None:
+                        raise dead from None
+                    if time.monotonic() >= deadline:
+                        raise
             ports = struct.unpack(f"<{self.shards}Q", frame)
             for i, port in enumerate(ports):
                 self._cmd_qs[i].put(("connect", "127.0.0.1", port))
@@ -294,15 +300,42 @@ class ShardManager:
         )
         self._merge_thread.start()
 
-    def _get_result(self, timeout: float):
-        """One result-queue message, turning worker errors fatal."""
+    def _exited_worker(self):
+        """A ``ServiceError`` naming a worker process that exited while
+        it should be serving, else None: one that dies without posting
+        ``("error", ...)`` -- killed, or failing before its entry point
+        runs -- would otherwise be a silent timeout."""
+        for i, proc in enumerate(self._procs):
+            # Code first, flag second: stop() sets the flag before it
+            # tells the workers to exit.
+            code = proc.exitcode
+            if code is not None and not self._stop.is_set():
+                return ServiceError(f"shard {i} exited with code {code}")
+        return None
+
+    def _poll_result(self, timeout: float):
+        """One result-queue message, or None after ``timeout`` idle
+        seconds; worker errors and worker deaths are fatal.  Exit codes
+        are read before the queue, so what a dying worker managed to
+        post is reported in preference to its death."""
+        dead = self._exited_worker()
         try:
             msg = self._res_q.get(timeout=timeout)
-        except queue.Empty as exc:
-            raise ServiceError("shard worker did not respond in time") from exc
+        except queue.Empty:
+            if dead is not None:
+                raise dead from None
+            return None
         if msg[0] == "error":
             raise ServiceError(f"shard {msg[1]} failed: {msg[2]}")
         return msg
+
+    def _get_result(self, timeout: float):
+        """The next result-queue message of a start-up step."""
+        deadline = time.monotonic() + timeout
+        while time.monotonic() < deadline:
+            if (msg := self._poll_result(_POLL_S)) is not None:
+                return msg
+        raise ServiceError("shard worker did not respond in time")
 
     def stop(self, timeout: float = 10.0) -> None:
         """Drain in-flight extends, stop workers, join the merge thread."""
@@ -414,21 +447,14 @@ class ShardManager:
         """Append shard batches in arrival order; announce offsets."""
         service = self.service
         while not self._stop.is_set():
-            try:
-                msg = self._res_q.get(timeout=0.1)
-            except queue.Empty:
-                continue
-            if msg[0] == "error":
-                self._fail(ServiceError(f"shard {msg[1]} failed: {msg[2]}"))
-                return
-            if msg[0] != "ext":
+            msg = self._poll_result(0.1)
+            if msg is None or msg[0] != "ext":
                 continue
             _, shard, seq, direction, payload, elapsed = msg
             pool = service.pools[f"cot/{direction}"]
-            lo = pool.produced
             n = payload[0].shape[0]
             try:
-                pool.append_columns_at(lo, payload)
+                lo = pool.append_columns(payload)
             except ServiceError:
                 if self._stop.is_set():
                     return  # pool closed during shutdown: benign
@@ -449,8 +475,7 @@ class ShardManager:
             service._wake.set()
 
     def _follower_merge_loop(self) -> None:
-        """Replay leader dispatches; land batches at announced offsets."""
-        service = self.service
+        """Replay leader dispatches; land batches in announced order."""
         while not self._stop.is_set():
             try:
                 frame = self._ctl.recv_bytes(timeout=0.05)
@@ -461,56 +486,61 @@ class ShardManager:
                     return
                 raise
             if frame is not None:
-                op = bytes(frame[:4])
-                if op == OP_SHARD_CMD:
-                    _, seq, shard, code = _SHARD_CMD.unpack(frame)
-                    direction = _DIR_NAME[code]
-                    self._expected[seq] = (shard, direction)
-                    self._cmd_qs[shard].put(("ext", seq, direction))
-                elif op == OP_SHARD_OFF:
-                    _, seq, code, lo, n = _SHARD_OFF.unpack(frame)
-                    self._announced[seq] = (_DIR_NAME[code], lo, n)
-            while True:  # drain local results without blocking
-                try:
-                    msg = self._res_q.get_nowait()
-                except queue.Empty:
-                    break
-                if msg[0] == "error":
-                    self._fail(ServiceError(f"shard {msg[1]} failed: {msg[2]}"))
-                    return
+                self._on_ctl(frame)
+            # Drain local results without blocking.
+            while (msg := self._poll_result(0)) is not None:
                 if msg[0] == "ext":
                     _, shard, seq, direction, payload, elapsed = msg
                     self._results[seq] = (shard, direction, payload, elapsed)
             self._merge_ready()
 
+    def _on_ctl(self, frame) -> None:
+        """Follower: replay one leader frame -- dispatch the commanded
+        extend, or queue the announced offset behind its direction's
+        earlier ones."""
+        op = bytes(frame[:4])
+        if op == OP_SHARD_CMD:
+            _, seq, shard, code = _SHARD_CMD.unpack(frame)
+            direction = _DIR_NAME[code]
+            self._expected[seq] = (shard, direction)
+            self._cmd_qs[shard].put(("ext", seq, direction))
+        elif op == OP_SHARD_OFF:
+            _, seq, code, lo, n = _SHARD_OFF.unpack(frame)
+            self._announced[_DIR_NAME[code]].append((seq, lo, n))
+
     def _merge_ready(self) -> None:
-        """Land every (announcement, local result) pair that is complete."""
+        """Land, per direction and in announced order, every batch whose
+        local result has arrived.  The leader announced in its own
+        landing order, so each landing is at the pool's frontier (the
+        peer's ``lo`` is checked against it), and a missing ``fwd``
+        result never holds back ``rev``."""
         service = self.service
-        for seq in [s for s in self._announced if s in self._results]:
-            direction, lo, n = self._announced.pop(seq)
-            shard, local_dir, payload, elapsed = self._results.pop(seq)
-            self._expected.pop(seq, None)
-            if local_dir != direction or payload[0].shape[0] != n:
-                raise ServiceError(
-                    f"shard merge mismatch at seq {seq}: announced "
-                    f"({direction}, n={n}), local ({local_dir}, "
-                    f"n={payload[0].shape[0]})"
-                )
-            pool = service.pools[f"cot/{direction}"]
-            t0 = service.tracer.now()
-            try:
-                pool.append_columns_at(lo, payload)
-            except ServiceError:
-                if self._stop.is_set():
-                    return  # pool closed during shutdown: benign
-                raise
-            self._record(shard, direction, n, elapsed)
-            if service.tracer.enabled:
-                service.tracer.complete(
-                    "shard.merge", t0, service.tracer.now(), cat="shard",
-                    shard=shard, direction=direction, n=n, lo=lo,
-                )
-            service.extends[direction] += 1
+        for direction, announced in self._announced.items():
+            while announced and announced[0][0] in self._results:
+                seq, lo, n = announced.popleft()
+                shard, local_dir, payload, elapsed = self._results.pop(seq)
+                self._expected.pop(seq, None)
+                pool = service.pools[f"cot/{local_dir}"]
+                local = (local_dir, pool.produced, payload[0].shape[0])
+                if local != (direction, lo, n):
+                    raise ServiceError(
+                        f"shard merge mismatch at seq {seq}: announced "
+                        f"(direction, lo, n) = {(direction, lo, n)}, local {local}"
+                    )
+                t0 = service.tracer.now()
+                try:
+                    pool.append_columns(payload)
+                except ServiceError:
+                    if self._stop.is_set():
+                        return  # pool closed during shutdown: benign
+                    raise
+                self._record(shard, direction, n, elapsed)
+                if service.tracer.enabled:
+                    service.tracer.complete(
+                        "shard.merge", t0, service.tracer.now(), cat="shard",
+                        shard=shard, direction=direction, n=n, lo=lo,
+                    )
+                service.extends[direction] += 1
 
     def _record(self, shard: int, direction: str, n: int, elapsed: float) -> None:
         s = self.stats[shard]
@@ -534,5 +564,7 @@ class ShardManager:
             out["inflight/fwd"] = self._inflight["fwd"]
             out["inflight/rev"] = self._inflight["rev"]
         else:
-            out["pending_merge"] = len(self._announced) + len(self._results)
+            out["pending_merge"] = len(self._results) + sum(
+                map(len, self._announced.values())
+            )
         return out

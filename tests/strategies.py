@@ -1,8 +1,8 @@
 """Hypothesis strategies shared by the property tests.
 
 One place for the generators later property tests compose (graph
-shapes and data-plane kernel inputs today; fault schedules, pool op
-sequences and stream partitions belong here too) instead of
+shapes, data-plane kernel inputs and stream partitions today; fault
+schedules and pool op sequences belong here too) instead of
 re-declaring them per test file.
 """
 
@@ -45,6 +45,20 @@ class GraphStrategies:
             return graph
 
         return build()
+
+
+class StreamStrategies:
+    """Strategies over a pool's absolute-index production stream."""
+
+    @staticmethod
+    def partitions(lo: int, hi: int, max_cuts: int = 8) -> st.SearchStrategy[list]:
+        """Consecutive ``(lo, hi)`` segments covering ``[lo, hi)`` -- the
+        batches a shard fleet lands a stream in.  Compose with
+        ``st.permutations`` for an arrival order."""
+        if hi - lo <= 1:
+            return st.just([(lo, hi)])
+        cuts = st.sets(st.integers(lo + 1, hi - 1), max_size=max_cuts).map(sorted)
+        return cuts.map(lambda c: list(zip([lo] + c, c + [hi])))
 
 
 class EncodeCase(NamedTuple):

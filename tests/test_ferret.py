@@ -194,29 +194,3 @@ class TestVariants:
         a = FerretSender(SMALL, seed=1).matrix
         b = FerretReceiver(SMALL, seed=99).matrix
         assert np.array_equal(a.indices, b.indices)
-
-
-class TestOverlapEncode:
-    """``overlap_encode=True`` moves the LPN premix onto a background
-    thread under the interactive MPCOT phase; the output stream must be
-    bit-identical (the premix is XOR-associative, nothing else moves)."""
-
-    def test_bit_exact_vs_sequential(self):
-        import dataclasses
-
-        cfg_over = dataclasses.replace(SMALL, overlap_encode=True)
-        s_a, r_a, _, _ = ferret_pair(SMALL, rounds=3, seed=21)
-        s_b, r_b, _, _ = ferret_pair(cfg_over, rounds=3, seed=21)
-        for batch_a, batch_b in zip(s_a, s_b):
-            assert np.array_equal(batch_a.z, batch_b.z)
-        for batch_a, batch_b in zip(r_a, r_b):
-            assert np.array_equal(batch_a.x, batch_b.x)
-            assert np.array_equal(batch_a.y, batch_b.y)
-
-    def test_overlapped_stream_still_correlated(self):
-        import dataclasses
-
-        cfg_over = dataclasses.replace(SMALL, overlap_encode=True)
-        s_out, r_out, _, _ = ferret_pair(cfg_over, rounds=2, seed=22)
-        for s, r in zip(s_out, r_out):
-            assert verify_cot(s, r)

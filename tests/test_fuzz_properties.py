@@ -4,9 +4,13 @@ Hypothesis drives randomized-but-reproducible inputs through the
 runtime's pure-ish cores: the mux frame codec must round-trip and
 reject malformed bytes with a typed error, per-tag byte attribution
 must partition the base channel's totals exactly under any tag
-interleaving, and the pool's absolute-index accounting must hold under
-any legal sequence of append/reserve/take/target/rollback operations.
+interleaving, the pool's absolute-index accounting must hold under
+any legal sequence of append/reserve/take/target/rollback operations,
+and a follower shard merger must land the leader's stream under any
+arrival order of its own workers' results.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,8 +18,12 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from strategies import StreamStrategies  # noqa: E402
+
 from repro.errors import ChannelError, ServiceError  # noqa: E402
+from repro.obs.trace import NULL_TRACER  # noqa: E402
 from repro.ot.channel import LocalChannel  # noqa: E402
+from repro.runtime import shard  # noqa: E402
 from repro.runtime.mux import MuxChannel, decode_frame, encode_frame  # noqa: E402
 from repro.runtime.pool import CorrelationPool  # noqa: E402
 
@@ -188,153 +196,117 @@ def test_rollback_respects_taken_frontier(produced, taken, rollback):
 
 
 # -- shard merge -------------------------------------------------------------
-def _partition(data, lo, hi, label):
-    """Consecutive segments covering [lo, hi) -- a shard ownership map."""
-    if hi - lo <= 1:
-        return [(lo, hi)]
-    cuts = sorted(
-        data.draw(
-            st.sets(st.integers(lo + 1, hi - 1), max_size=8), label=f"{label}-cuts"
-        )
+DIRECTIONS = tuple(shard._DIR_CODE)
+
+
+def _follower():
+    """A follower ``ShardManager`` over two bare pools: no service
+    worker, no mux, no processes -- only the merge step is driven."""
+    pools = {f"cot/{d}": CorrelationPool(f"cot/{d}", 1) for d in DIRECTIONS}
+    service = SimpleNamespace(
+        party=1,
+        mux=SimpleNamespace(sub=lambda tag: None),
+        pools=pools,
+        tracer=NULL_TRACER,
+        extends=dict.fromkeys(DIRECTIONS, 0),
     )
-    bounds = [lo] + cuts + [hi]
-    return list(zip(bounds, bounds[1:]))
+    return shard.ShardManager(service, 2, seed=0), pools
+
+
+def _leader_stream(data):
+    """A two-direction stream as the leader landed it: per direction a
+    partition of ``[0, n)`` into batches, the two announcement orders
+    merged at random, and sequence numbers (dispatch order) unrelated
+    to landing order.  Returns ``[(seq, direction, lo, hi), ...]`` in
+    announcement order."""
+    per_dir = {
+        d: data.draw(
+            StreamStrategies.partitions(0, data.draw(st.integers(1, 40), label=f"n-{d}")),
+            label=f"batches-{d}",
+        )
+        for d in DIRECTIONS
+    }
+    merge = data.draw(
+        st.permutations([d for d in DIRECTIONS for _ in per_dir[d]]), label="merge"
+    )
+    seqs = data.draw(st.permutations(range(len(merge))), label="seqs")
+    queues = {d: iter(per_dir[d]) for d in DIRECTIONS}
+    return [(seq, d, *next(queues[d])) for seq, d in zip(seqs, merge)]
+
+
+def _soff(seq, direction, lo, n):
+    return shard._SHARD_OFF.pack(shard.OP_SHARD_OFF, seq, shard._DIR_CODE[direction], lo, n)
+
+
+def _content(direction, lo, hi):
+    """The stream's values: absolute index, tagged with its direction."""
+    return np.arange(lo, hi, dtype=np.uint64) + (1000 if direction == "rev" else 0)
 
 
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
-def test_shard_partition_merges_to_sequential_stream(data):
-    """Any partition of a pool's stream space into shard segments,
-    landed via ``append_columns_at`` in any interleaving, merges to the
-    exact sequential stream (content and accounting) -- including
-    across a ``rollback_to``, which must discard every parked segment
-    (post-rollback offsets are reassigned by the merger)."""
-    n = data.draw(st.integers(1, 60), label="n")
-    vals = np.arange(n, dtype=np.uint64)
-    pool = CorrelationPool("shard-fuzz", 1)
+def test_follower_lands_announced_and_arrived_prefix(data):
+    """Announcements arrive in leader order, local results in any
+    permutation, the two interleaved at random: after every step each
+    pool has advanced over exactly the longest prefix of its
+    direction's announcements whose results are all in (so one
+    direction never waits on the other), and the final streams are the
+    leader's."""
+    stream = _leader_stream(data)
+    arrivals = data.draw(st.permutations(stream), label="arrivals")
+    steps = data.draw(
+        st.permutations(["announce"] * len(stream) + ["arrive"] * len(stream)),
+        label="interleave",
+    )
+    mgr, pools = _follower()
+    announce, arrive = iter(stream), iter(arrivals)
+    announced = {d: [] for d in DIRECTIONS}
+    arrived = set()
+    for step in steps:
+        if step == "announce":
+            seq, d, lo, hi = next(announce)
+            announced[d].append((seq, hi))
+            mgr._on_ctl(_soff(seq, d, lo, hi - lo))
+        else:
+            seq, d, lo, hi = next(arrive)
+            arrived.add(seq)
+            mgr._results[seq] = (seq % 2, d, (_content(d, lo, hi),), 0.0)
+        mgr._merge_ready()
+        for d in DIRECTIONS:
+            frontier = 0
+            for seq, hi in announced[d]:
+                if seq not in arrived:
+                    break
+                frontier = hi
+            assert pools[f"cot/{d}"].produced == frontier, (d, step)
+    assert mgr.collect()["pending_merge"] == 0
+    for d in DIRECTIONS:
+        n = max(hi for _, dd, _, hi in stream if dd == d)
+        (got,) = pools[f"cot/{d}"].take_columns(0, n, timeout=1.0)
+        assert np.array_equal(got, _content(d, 0, n))
+    assert sum(s["extends"] for s in mgr.stats) == len(stream)
 
-    segs = _partition(data, 0, n, "first")
-    order = data.draw(st.permutations(segs), label="order")
-    n_before = data.draw(st.integers(0, len(order)), label="n_before")
-    do_rollback = data.draw(st.booleans(), label="rollback")
-    if not do_rollback:
-        n_before = len(order)
 
-    for lo, hi in order[:n_before]:
-        pool.append_columns_at(lo, (vals[lo:hi],))
-    expect = list(vals[: pool.produced])
-
-    if do_rollback:
-        r = data.draw(st.integers(0, pool.produced), label="r")
-        pool.rollback_to(r)
-        assert pool.produced == r
-        # A real rollback reassigns offsets: nothing may stay parked.
-        assert pool.pending_segments == 0
-        del expect[r:]
-        # The merger re-produces [r, n) -- fresh content, any order.
-        fresh = np.arange(1000, 1000 + n, dtype=np.uint64)
-        for lo, hi in data.draw(
-            st.permutations(_partition(data, r, n, "second")), label="order2"
-        ):
-            pool.append_columns_at(lo, (fresh[lo:hi],))
-        expect.extend(fresh[r:n])
-
-    assert pool.produced == n
-    assert pool.pending_segments == 0
-    assert pool.level == n  # nothing reserved
-    (got,) = pool.take_columns(0, n, timeout=1.0)
-    assert got.tolist() == expect
-
-
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(data=st.data())
-def test_out_of_order_append_interleaved_with_rollback(data):
-    """Model-based fuzz of ``append_columns_at`` interleaved with
-    ``rollback_to`` and sequential takes: the pool must mirror a simple
-    reference model exactly -- frontier, parked-segment count, stream
-    content -- under any interleaving.  In particular a rollback must
-    discard every parked segment not entirely below the target
-    (straddlers included), and an arriving segment whose range overlaps
-    a parked one must be rejected, never merged."""
-    pool = CorrelationPool("ooo-fuzz", 1)
-    stream = []  # model: values landed below the frontier, in order
-    parked = {}  # model: lo -> values parked above the frontier
-    counter = 0  # fresh value source; rollbacks never reuse values
-    next_take = 0
-
-    for _ in range(data.draw(st.integers(1, 30), label="steps")):
-        op = data.draw(st.sampled_from(["append_at", "take", "rollback"]))
-        if op == "append_at":
-            lo = data.draw(
-                st.integers(max(0, len(stream) - 3), len(stream) + 16), label="lo"
-            )
-            k = data.draw(st.integers(1, 6), label="k")
-            vals = np.arange(counter, counter + k, dtype=np.uint64)
-            overlap = any(
-                lo < seg_lo + len(seg) and seg_lo < lo + k
-                for seg_lo, seg in parked.items()
-            )
-            if lo < len(stream):
-                with pytest.raises(ServiceError, match="produced frontier"):
-                    pool.append_columns_at(lo, (vals,))
-            elif lo in parked:
-                with pytest.raises(ServiceError, match="duplicate segment"):
-                    pool.append_columns_at(lo, (vals,))
-            elif overlap:
-                with pytest.raises(ServiceError, match="overlaps parked"):
-                    pool.append_columns_at(lo, (vals,))
-            else:
-                pool.append_columns_at(lo, (vals,))
-                counter += k
-                parked[lo] = list(vals)
-                while len(stream) in parked:
-                    stream.extend(parked.pop(len(stream)))
-        elif op == "take":
-            k = data.draw(st.integers(1, 6), label="take-k")
-            if len(stream) - next_take >= k:
-                (got,) = pool.take_columns(next_take, k, timeout=1.0)
-                assert got.tolist() == stream[next_take : next_take + k]
-                next_take += k
-        else:  # rollback
-            r = data.draw(st.integers(0, len(stream) + 8), label="r")
-            if r < next_take:
-                with pytest.raises(ServiceError, match="cannot roll back"):
-                    pool.rollback_to(r)
-            else:
-                pool.rollback_to(r)
-                del stream[r:]
-                # Only segments entirely below the target survive; a
-                # straddler is stale past it and must be re-produced.
-                parked = {
-                    lo: seg
-                    for lo, seg in parked.items()
-                    if lo + len(seg) <= r
-                }
-
-        assert pool.produced == len(stream)
-        assert pool.pending_segments == len(parked)
-        assert pool.level == len(stream)  # nothing reserved
-
-    if len(stream) > next_take:
-        (got,) = pool.take_columns(
-            next_take, len(stream) - next_take, timeout=1.0
-        )
-        assert got.tolist() == stream[next_take:]
-
-
-@settings(max_examples=40, deadline=None)
-@given(data=st.data())
-def test_shard_segments_reject_overlap_and_duplicates(data):
-    """The merge path refuses segments that overlap the produced
-    frontier or duplicate a parked offset -- silent double-append would
-    desynchronize the two parties' mirrored streams."""
-    n = data.draw(st.integers(2, 30), label="n")
-    pool = CorrelationPool("shard-dup", 1)
-    pool.append_columns_at(0, (np.arange(n, dtype=np.uint64),))
-    below = data.draw(st.integers(0, n - 1), label="below")
-    with pytest.raises(ServiceError, match="overlaps the produced frontier"):
-        pool.append_columns_at(below, (np.zeros(1, dtype=np.uint64),))
-    ahead = data.draw(st.integers(n + 1, n + 10), label="ahead")
-    pool.append_columns_at(ahead, (np.zeros(2, dtype=np.uint64),))
-    with pytest.raises(ServiceError, match="duplicate segment"):
-        pool.append_columns_at(ahead, (np.zeros(2, dtype=np.uint64),))
+def test_follower_rejects_an_announcement_that_disagrees(data):
+    """The announced ``(direction, lo, n)`` is the peer's word: one that
+    is not this party's frontier, or not this party's batch, is a typed
+    error at its landing, never a silently shifted stream."""
+    stream = _leader_stream(data)
+    victim = data.draw(st.integers(0, len(stream) - 1), label="victim")
+    lie = data.draw(st.sampled_from(["lo", "n", "direction"]), label="lie")
+    mgr, pools = _follower()
+    for seq, d, lo, hi in stream:  # every local result is already in
+        mgr._results[seq] = (seq % 2, d, (_content(d, lo, hi),), 0.0)
+    with pytest.raises(ServiceError, match="shard merge mismatch"):
+        for i, (seq, d, lo, hi) in enumerate(stream):
+            n = hi - lo
+            if i == victim and lie == "lo":
+                lo = data.draw(st.integers(0, hi + 3).filter(lambda v: v != lo), label="lo")
+            elif i == victim and lie == "n":
+                n += 1
+            elif i == victim:
+                d = DIRECTIONS[1 - DIRECTIONS.index(d)]
+            mgr._on_ctl(_soff(seq, d, lo, n))
+            mgr._merge_ready()

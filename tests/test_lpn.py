@@ -11,13 +11,7 @@ from strategies import KernelStrategies
 from repro.crypto import blocks
 from repro.errors import ParameterError
 from repro.lpn import encode as lpn_encode
-from repro.lpn.encode import (
-    encode_bits,
-    encode_blocks,
-    encode_streamed,
-    premix_bits,
-    premix_blocks,
-)
+from repro.lpn.encode import encode_bits, encode_blocks, encode_streamed
 from repro.lpn.matrix import LpnMatrix, generate_matrix
 from repro.lpn.params import LPN_LOCALITY, TABLE4, TABLE4_BY_LABEL, scaled_params
 from repro.lpn.security import estimate_security, gauss_attack_bits, meets_128_bits
@@ -177,20 +171,6 @@ class TestEncode:
             encode_blocks(m, blocks.random_blocks(7, rng), blocks.random_blocks(10, rng))
         with pytest.raises(ParameterError):
             encode_blocks(m, blocks.random_blocks(8, rng), blocks.random_blocks(9, rng))
-
-    def test_premix_finish_equals_encode(self, rng):
-        """A premix is the same kernel started from zeros; ``finish``
-        XORs the late addend into its own buffer, not into the caller's."""
-        m = generate_matrix(50, 12, seed=6)
-        vec, addend = blocks.random_blocks(12, rng), blocks.random_blocks(50, rng)
-        bits = rng.integers(0, 2, 12, dtype=np.uint8)
-        addend_bits = rng.integers(0, 2, 50, dtype=np.uint8)
-        kept = addend.copy(), addend_bits.copy()
-        assert np.array_equal(premix_blocks(m, vec).finish(addend), encode_blocks(m, vec, addend))
-        assert np.array_equal(
-            premix_bits(m, bits).finish(addend_bits), encode_bits(m, bits, addend_bits)
-        )
-        assert np.array_equal(addend, kept[0]) and np.array_equal(addend_bits, kept[1])
 
     @given(case=KernelStrategies.lpn_encode_cases(sizes=CHUNK_EDGES))
     @settings(max_examples=120, deadline=None)

@@ -187,6 +187,16 @@ class TestDaemonServing:
         with pytest.raises(LeaseExpired):
             stack["d0"].attach("att", "lease-no-such-token")
 
+    def test_claimed_requests_leave_the_table(self, stack):
+        """A claimed request used to stay in the lease table for good,
+        with its pipeline's thread and events: a serving daemon grew by
+        one entry per request, all walked on every attach / resume."""
+        xs = [stack["rng"].integers(-8, 8, (M, K)) for _ in range(40)]
+        outs, _ = self._roundtrip(stack, xs, session="many")
+        assert np.array_equal(outs[-1], stack["oracle"](xs[-1]))
+        for d in (stack["d0"], stack["d1"]):
+            assert len(d._requests) <= d.cfg.max_inflight
+
     def test_daemon_metrics_ride_the_service_registry(self, stack):
         tel = stack["svc0"].telemetry()
         assert tel["daemon/p0/admitted"] >= 5

@@ -1,5 +1,6 @@
 """Unit tests for the typed correlation pools (runtime/pool.py)."""
 
+import sys
 import threading
 import time
 
@@ -347,131 +348,51 @@ class TestTypedPools:
         assert s.as_dict()["items_drawn"] == 100
 
 
-class TestOutOfOrderAppend:
-    """append_columns_at: the shard-merge landing zone."""
+class TestAppendColumns:
+    """append_columns: every landing is at the frontier, and says where."""
 
-    def test_in_order_is_plain_append(self):
-        pool = CorrelationPool("ooo", 1)
-        pool.append_columns_at(0, (np.arange(4, dtype=np.uint64),))
-        pool.append_columns_at(4, (np.arange(4, 8, dtype=np.uint64),))
-        assert pool.produced == 8
-        assert pool.pending_segments == 0
-        (got,) = pool.take_columns(0, 8, timeout=1.0)
-        assert got.tolist() == list(range(8))
+    def test_racing_appenders_get_disjoint_contiguous_offsets(self):
+        # The shard leader announces the returned offset to its peer, so
+        # under racing appenders it must be where THAT batch landed:
+        # reading ``produced`` around the call could not promise it.
+        pool = CorrelationPool("race", 1)
+        per_thread, landed = 200, {0: [], 1: []}
+        start = threading.Barrier(2)
 
-    def test_gap_parks_until_filled(self):
-        pool = CorrelationPool("ooo", 1)
-        pool.append_columns_at(4, (np.arange(4, 8, dtype=np.uint64),))
-        assert pool.produced == 0
-        assert pool.pending_segments == 1
-        pool.append_columns_at(8, (np.arange(8, 10, dtype=np.uint64),))
-        assert pool.produced == 0
-        assert pool.pending_segments == 2
-        # The gap fills: everything drains in one sweep.
-        pool.append_columns_at(0, (np.arange(4, dtype=np.uint64),))
-        assert pool.produced == 10
-        assert pool.pending_segments == 0
-        (got,) = pool.take_columns(0, 10, timeout=1.0)
-        assert got.tolist() == list(range(10))
+        def appender(who):
+            gen = np.random.default_rng(who)
+            start.wait(5.0)
+            for i in range(per_thread):
+                n = int(gen.integers(1, 6))
+                tag = np.full(n, who * per_thread + i, dtype=np.uint64)
+                landed[who].append((pool.append_columns((tag,)), n, tag[0]))
 
-    def test_parked_segment_wakes_blocked_taker_on_drain(self):
-        pool = CorrelationPool("ooo", 1)
-        out = {}
-
-        def taker():
-            (got,) = pool.take_columns(0, 6, timeout=5.0)
-            out["got"] = got.tolist()
-
-        t = threading.Thread(target=taker)
-        t.start()
-        pool.append_columns_at(3, (np.arange(3, 6, dtype=np.uint64),))
-        pool.append_columns_at(0, (np.arange(3, dtype=np.uint64),))
-        t.join(5.0)
-        assert out["got"] == list(range(6))
-
-    def test_rollback_discards_parked_segments(self):
-        pool = CorrelationPool("ooo", 1)
-        pool.append_columns_at(0, (np.arange(4, dtype=np.uint64),))
-        pool.append_columns_at(6, (np.arange(6, 9, dtype=np.uint64),))
-        assert pool.pending_segments == 1
-        dropped = pool.rollback_to(2)
-        assert dropped == 2
-        assert pool.produced == 2
-        # Post-rollback offsets are reassigned by the merger: stale
-        # parked segments must not resurface.
-        assert pool.pending_segments == 0
-        pool.append_columns_at(2, (np.arange(20, 24, dtype=np.uint64),))
-        (got,) = pool.take_columns(0, 6, timeout=1.0)
-        assert got.tolist() == [0, 1, 20, 21, 22, 23]
-
-    def test_cot_pool_stays_correlated_over_out_of_order_merge(self):
-        delta, z, x, y = make_cot_arrays(12, seed=5)
-        spool = SenderCotPool("cot-s", delta)
-        rpool = ReceiverCotPool("cot-r")
-        # Sender lands in order; receiver merges the same stream with
-        # the tail arriving first (different shard finished early).
-        spool.append_columns_at(0, (z,))
-        rpool.append_columns_at(8, (x[8:], y[8:]))
-        rpool.append_columns_at(0, (x[:8], y[:8]))
-        s = spool.take(0, 12, timeout=1.0)
-        r = rpool.take(0, 12, timeout=1.0)
-        assert verify_cot(s, r)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=appender, args=(w,)) for w in (0, 1)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for who in (0, 1):  # landing order is call order, per appender
+            offsets = [lo for lo, _, _ in landed[who]]
+            assert offsets == sorted(offsets) and len(offsets) == per_thread
+        frontier = 0
+        for lo, n, tag in sorted(landed[0] + landed[1]):
+            assert lo == frontier  # disjoint and contiguous
+            (got,) = pool.take_columns(lo, n, timeout=1.0)
+            assert (got == tag).all()  # and it is that batch that sits there
+            frontier += n
+        assert pool.produced == frontier
+        assert pool.stats.refills == 2 * per_thread
 
     def test_column_length_mismatch_rejected(self):
-        pool = CorrelationPool("ooo", 2)
+        pool = CorrelationPool("cols", 2)
         with pytest.raises(ServiceError, match="lengths disagree"):
-            pool.append_columns_at(
-                0, (np.zeros(3, dtype=np.uint64), np.zeros(2, dtype=np.uint64))
+            pool.append_columns(
+                (np.zeros(3, dtype=np.uint64), np.zeros(2, dtype=np.uint64))
             )
-
-    def test_range_overlap_with_parked_segment_rejected(self):
-        # Regression: the duplicate guard only caught an exact-lo match;
-        # a segment overlapping a parked neighbor at a DIFFERENT offset
-        # was parked too and silently corrupted the merged stream.
-        pool = CorrelationPool("ooo", 1)
-        pool.append_columns_at(100, (np.arange(50, dtype=np.uint64),))
-        with pytest.raises(ServiceError, match="overlaps parked segment"):
-            pool.append_columns_at(120, (np.arange(50, dtype=np.uint64),))
-        with pytest.raises(ServiceError, match="overlaps parked segment"):
-            pool.append_columns_at(80, (np.arange(30, dtype=np.uint64),))
-        # Entirely contained inside a parked range is an overlap too.
-        with pytest.raises(ServiceError, match="overlaps parked segment"):
-            pool.append_columns_at(110, (np.arange(10, dtype=np.uint64),))
-        # Exactly adjacent ranges are disjoint and must still park.
-        pool.append_columns_at(150, (np.arange(10, dtype=np.uint64),))
-        pool.append_columns_at(90, (np.arange(10, dtype=np.uint64),))
-        assert pool.pending_segments == 3
-
-    def test_rollback_discards_straddling_parked_segment(self):
-        # Regression: a parked segment straddling the rollback point
-        # (seg_lo < produced < seg_lo + len) survived the `seg_lo <
-        # produced` filter and later replayed stale production past the
-        # rollback, contradicting "re-produced rather than replayed".
-        pool = CorrelationPool("ooo", 1)
-        pool.append_columns_at(0, (np.arange(10, dtype=np.uint64),))
-        pool.take_columns(0, 4, timeout=1.0)
-        pool.append_columns_at(12, (np.arange(112, 120, dtype=np.uint64),))
-        assert pool.pending_segments == 1
-        # Roll back to 15, INSIDE the parked [12, 20): the segment is
-        # stale past the rollback point and must go, even though the
-        # produced frontier (10) itself does not move.
-        assert pool.rollback_to(15) == 0
-        assert pool.produced == 10
-        assert pool.pending_segments == 0
-        # Filling the gap must NOT drain the stale segment's range.
-        pool.append_columns_at(10, (np.arange(210, 212, dtype=np.uint64),))
-        assert pool.produced == 12
-        # Re-produced data owns [12, 20) outright.
-        pool.append_columns_at(12, (np.arange(212, 220, dtype=np.uint64),))
-        (got,) = pool.take_columns(10, 10, timeout=1.0)
-        assert got.tolist() == list(range(210, 220))
-
-    def test_drop_pending_segments_clears_the_parking_lot(self):
-        pool = CorrelationPool("ooo", 1)
-        pool.append_columns_at(0, (np.arange(4, dtype=np.uint64),))
-        pool.append_columns_at(8, (np.arange(8, 12, dtype=np.uint64),))
-        pool.append_columns_at(16, (np.arange(16, 20, dtype=np.uint64),))
-        assert pool.drop_pending_segments() == 2
-        assert pool.pending_segments == 0
-        assert pool.produced == 4
-        assert pool.drop_pending_segments() == 0

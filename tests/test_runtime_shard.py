@@ -7,6 +7,7 @@ the pipelined MLP example keeps its draws==plan / zero-stall guarantees
 when the raw-COT stream underneath it is produced by shard processes.
 """
 
+import os
 import threading
 import time
 
@@ -25,7 +26,7 @@ from repro.ot.reconnect import ReconnectingChannel
 from repro.ot.retry import RetryPolicy
 from repro.ppml.layers import Activation, Graph, Linear, Rescale
 from repro.ppml.plan import plan_graph
-from repro.runtime import CorrelationService, MuxChannel, ServiceTuning, run_online
+from repro.runtime import CorrelationService, MuxChannel, ServiceTuning, run_online, shard
 from repro.runtime.shard import ShardManager
 
 CFG = FerretConfig.small(scale=1024, arity=4, prg_kind="chacha8")
@@ -187,50 +188,77 @@ class TestShardsOneIsByteIdentical:
             ShardManager(object(), 1, seed=0)
 
 
-class TestReconnectUnderShards:
-    """Transport loss while the pools hold shard-merge state: the resync
-    barrier must discard parked out-of-order segments (one-sided state
-    that would collide with the peer's re-produced ranges), and a
-    2-shard pair over a reconnecting main link must heal a real
-    disconnect and keep serving verifiable correlations."""
+def _die_at_boot(*args):
+    """A shard worker entry point that dies without a word to its
+    parent (module level: spawn pickles it by reference)."""
+    os._exit(3)
 
-    def test_resync_barrier_drops_parked_segments(self):
-        base_a, base_b = LocalChannel.pair(timeout=60.0)
-        mux0 = MuxChannel(base_a, timeout=60.0)
-        svc = CorrelationService(
-            0, mux0, CFG, ServiceTuning(shards=SHARDS), seed=1
+
+class TestWorkerDeath:
+    def test_worker_exit_at_boot_fails_both_services_fast(self, monkeypatch):
+        """Nobody posts ``("error", ...)`` for a worker that never ran:
+        the managers have to notice the exit code themselves, not sit
+        out the 30 s rendezvous budget."""
+        monkeypatch.setattr(shard, "_worker_main", _die_at_boot)
+        tuning = ServiceTuning(
+            shards=SHARDS, enable_reverse=False, enable_triples=False,
+            enable_rots=False,
         )
+        svc0, svc1, mux0, mux1 = start_service_pair(tuning)
         try:
-            pool = svc.pools["tri"]
-
-            def cols(n, fill):
-                return tuple(
-                    np.full(n, fill, dtype=np.uint8) for _ in range(3)
-                )
-
-            pool.append_columns_at(0, cols(8, 1))
-            pool.append_columns_at(12, cols(4, 2))  # parked: hole at [8,12)
-            assert pool.pending_segments == 1
-            # Parked state is visible to the resume handshake.
-            assert "pending_segments" in svc.resume_state()
-
-            # Barrier with matching frontiers: produced does not move,
-            # but the parked segment above it must still be discarded.
-            svc._rollback_pools({"tri": 8})
-            assert pool.pending_segments == 0
-            assert svc.segments_dropped == 1
-            assert pool.produced == 8
-            assert "pending_segments" not in svc.resume_state()
-
-            # The vacated range belongs to whoever re-produces it: both
-            # the straddled offset and the previously parked one must
-            # land without duplicate/overlap complaints.
-            pool.append_columns_at(8, cols(4, 3))
-            pool.append_columns_at(12, cols(4, 4))
-            assert pool.produced == 16
-            assert pool.pending_segments == 0
+            # The clock starts once the workers are dead: booting four
+            # interpreters is most of a second on two cores, and it is
+            # the noticing that is bounded here, not the spawning.
+            deadline = time.monotonic() + 60.0
+            while not all(
+                len(svc._shard_mgr._procs) == SHARDS
+                and all(p.exitcode is not None for p in svc._shard_mgr._procs)
+                for svc in (svc0, svc1)
+            ):
+                assert time.monotonic() < deadline, "workers never died"
+                time.sleep(0.02)
+            t0 = time.monotonic()
+            for svc in (svc0, svc1):
+                with pytest.raises(ServiceError, match=r"shard \d exited with code 3"):
+                    svc.wait_ready(60.0)
+            assert time.monotonic() - t0 < 2.0
         finally:
-            mux0.close()
+            for svc in (svc0, svc1):
+                with pytest.raises(ServiceError, match="exited with code 3"):
+                    svc.stop()
+            mux0.close(), mux1.close()
+
+
+    def test_worker_killed_mid_run_fails_blocked_draws(self):
+        """A killed worker posts nothing either; the leader's merge loop
+        notices on its idle tick and closes the pools, so a draw waiting
+        on production fails at once instead of after its take timeout."""
+        tuning = ServiceTuning(
+            shards=SHARDS, enable_reverse=False, enable_triples=False,
+            enable_rots=False,
+        )
+        svc0, svc1, mux0, mux1 = start_service_pair(tuning)
+        try:
+            svc0.wait_ready(240.0), svc1.wait_ready(240.0)
+            svc0._shard_mgr._procs[1].kill()
+            t0 = time.monotonic()
+            with pytest.raises(ServiceError, match="closed while waiting"):
+                svc0.session("orphan").draw_sender_cots(100 * CFG.net_output)
+            assert time.monotonic() - t0 < 5.0
+            with pytest.raises(ServiceError, match="shard 1 exited with code -9"):
+                svc0._shard_mgr.check_failed()
+        finally:
+            for svc in (svc0, svc1):
+                try:
+                    svc.stop()
+                except ServiceError:
+                    pass  # the dead shard, reported once more
+            mux0.close(), mux1.close()
+
+
+class TestReconnectUnderShards:
+    """A 2-shard pair over a reconnecting main link must heal a real
+    disconnect and keep serving verifiable correlations."""
 
     def test_reconnect_heals_and_serves(self):
         tuning = ServiceTuning(
@@ -341,17 +369,18 @@ class TestReconnectUnderShards:
             assert chaos.injected, "scheduled disconnect was not injected"
 
             # Healed link still serves verifiable COTs off the merged
-            # shard stream, and no parked segment survived the outage.
+            # shard stream, and the follower's merger holds nothing back.
             s, r = run_pair(
                 lambda: svc0.session("heal").draw_sender_cots(64)[0],
                 lambda: svc1.session("heal").draw_receiver_cots(64)[0],
                 ctx=(svc0.error, svc1.error),
             )
             assert verify_cot(s, r)
-            for svc in (svc0, svc1):
-                assert svc.error is None
-                for kind, pool in svc.pools.items():
-                    assert pool.pending_segments == 0, kind
+            assert svc0.error is None and svc1.error is None
+            deadline = time.monotonic() + 30.0
+            while svc1.telemetry()["shard/pending_merge"]:
+                assert time.monotonic() < deadline, "follower merge never drained"
+                time.sleep(0.05)
         finally:
             svc0.stop(), svc1.stop()
             mux0.close(), mux1.close()
