@@ -33,10 +33,10 @@ from repro.ferret.config import FerretConfig
 from repro.lpn.params import LpnParams
 from repro.mpc.sharing import from_signed, share_arith_nd
 from repro.mpc.triples import ring_mask_u64
-from repro.mpc.truncation import FixedPointConfig, trunc_via_service
+from repro.mpc.truncation import FixedPointConfig, trunc_draws, trunc_via_service
 from repro.obs import NULL_TRACER, Tracer
 from repro.ot.channel import LocalChannel, run_concurrently
-from repro.ppml.plan import trunc_demand
+from repro.ppml.plan import CorrelationDemand
 from repro.runtime import CorrelationService, MuxChannel, ServiceTuning
 from repro.utils.tables import print_table
 
@@ -77,9 +77,8 @@ def run_all(n: int, iters: int) -> dict:
     pair-truncation onlines of ``n`` elements each."""
     svc0, svc1, mux0, mux1 = start_services()
     try:
-        demand = trunc_demand(n, FX, "pair")
-        for frac in demand.trunc_pairs:
-            svc0.trunc_pool(frac), svc1.trunc_pool(frac)
+        demand = CorrelationDemand().add(trunc_draws(n, FX, "pair"))
+        svc0.trunc_pool(FX.frac_bits), svc1.trunc_pool(FX.frac_bits)
         # Prefill every iteration's demand up front (plus the warmup
         # pass) so the timed onlines never wait on production.
         runs = 2 * iters + 1

@@ -148,8 +148,10 @@ def run_scenario(shape, warm: bool) -> dict:
         "online_s": online_s,
         "stall_s": stall_s,
         "planned_cots": plan.demand.total_cots(RING_BITS),
-        "matrix_triples": plan.demand.matrix_triples,
-        "bit_triples": plan.demand.bit_triples,
+        "matrix_triples": sum(
+            n for kind, n in plan.pool_targets().items() if kind.startswith("mtri/")
+        ),
+        "bit_triples": plan.pool_targets().get("tri", 0),
         "extends": dict(svc0.extends),
     }
 

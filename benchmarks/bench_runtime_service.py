@@ -81,10 +81,7 @@ def run_scenario(n_sessions: int, draw_per_session: int, chunk: int) -> dict:
             remaining = draw_per_session
             while remaining:
                 n = min(chunk, remaining)
-                if party == 0:
-                    drawn.append(session.draw_sender_cots(n)[0])
-                else:
-                    drawn.append(session.draw_receiver_cots(n)[0])
+                drawn.extend(session.draw([("cot/fwd", (), n)])[0])
                 remaining -= n
             results[(party, idx)] = drawn
         except BaseException as exc:  # noqa: BLE001

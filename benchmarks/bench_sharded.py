@@ -95,10 +95,7 @@ def run_scenario(
             remaining = per_session
             while remaining:
                 n = min(chunk, remaining)
-                if party == 0:
-                    batch = session.draw_sender_cots(n)[0]
-                else:
-                    batch = session.draw_receiver_cots(n)[0]
+                (batch,), _ = session.draw([("cot/fwd", (), n)])
                 if first is None:
                     first = batch
                 remaining -= n

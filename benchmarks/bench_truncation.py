@@ -44,12 +44,13 @@ from repro.mpc.sharing import from_signed, share_arith_nd
 from repro.mpc.triples import ring_mask_u64
 from repro.mpc.truncation import (
     FixedPointConfig,
+    trunc_draws,
     trunc_online_bytes,
     trunc_online_messages,
     trunc_via_service,
 )
 from repro.ot.channel import LocalChannel, run_concurrently
-from repro.ppml.plan import trunc_demand
+from repro.ppml.plan import CorrelationDemand
 from repro.runtime import CorrelationService, MuxChannel, ServiceTuning
 from repro.utils.tables import print_table
 
@@ -60,9 +61,6 @@ N_ELEMENTS = {"pair": 512, "exact": 128}
 SMOKE_ELEMENTS = {"pair": 32, "exact": 16}
 JSON_PATH = Path(__file__).resolve().parents[1] / "BENCH_truncation.json"
 MASK = ring_mask_u64(RING_BITS)
-#: Leader allocation offsets one trunc_via_service call announces.
-ALLOCS = {"pair": 1, "exact": 3}
-
 
 def start_services():
     tuning = ServiceTuning(
@@ -86,10 +84,11 @@ def start_services():
 def run_scenario(mode: str, warm: bool, n: int) -> dict:
     """One fresh service pair; truncate n shared elements online."""
     svc0, svc1, mux0, mux1 = start_services()
-    demand = trunc_demand(n, FX, mode)
+    draws = trunc_draws(n, FX, mode)
+    demand = CorrelationDemand().add(draws)
     targets = demand.as_pool_targets()
-    for frac in demand.trunc_pairs:
-        svc0.trunc_pool(frac), svc1.trunc_pool(frac)
+    if mode == "pair":
+        svc0.trunc_pool(FX.frac_bits), svc1.trunc_pool(FX.frac_bits)
 
     preprocessing_s = 0.0
     if warm:
@@ -129,10 +128,11 @@ def run_scenario(mode: str, warm: bool, n: int) -> dict:
     measured = sum(
         mux.stats_by_tag()[tag].bytes_sent for mux in (mux0, mux1)
     )
-    messages = trunc_online_messages(FX, mode) + ALLOCS[mode]
+    # The leader announces one offset per drawn pool, in one message.
+    messages = trunc_online_messages(FX, mode) + 1
     model = (
         trunc_online_bytes(n, FX, mode)
-        + 8 * ALLOCS[mode]
+        + 8 * len(draws)
         + (2 + len(tag)) * messages
     )
     stats = svc0.pool_stats()

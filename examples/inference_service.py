@@ -25,8 +25,8 @@ This example runs the whole shape end to end:
   overlap.  The online phase is ``repro.runtime.run_online``, the one
   executor of a planned graph: it gates each op on
   ``pipe.wait_layer`` and runs each linear+rescale block on the fused
-  ``matmul_rescale_via_service`` verb, so one allocation round-trip
-  covers the matrix-triple draw and the truncation draws;
+  ``matmul_rescale_via_service`` verb, whose one draw covers the
+  matrix triple and the truncation material;
 * the result is **bit-exact** against a plaintext numpy fixed-point
   oracle, every draw matches the plan, and no planned pool ever
   stalls -- layer 0's preprocessing is the only thing the first online
@@ -45,7 +45,7 @@ from repro.mpc.triples import ring_mask_u64
 from repro.mpc.truncation import FixedPointConfig
 from repro.ot.channel import LocalChannel, run_concurrently
 from repro.ppml.layers import Activation, Graph, Linear, Rescale
-from repro.ppml.plan import SUMMARY_HEADER, plan_graph
+from repro.ppml.plan import plan_graph
 from repro.runtime import CorrelationService, MuxChannel, ServiceTuning, compile_ops, run_online
 from repro.utils.tables import print_table
 
@@ -106,9 +106,10 @@ def main():
     model = build_model()
     plan = plan_graph(model, bits=RING_BITS, fx=FX)
     print()
+    header, *rows = plan.summary_rows()
     print_table(
-        SUMMARY_HEADER,
-        plan.summary_rows(),
+        header,
+        rows,
         title=f"preprocessing plan: {plan.model} (fixed point {FX.bits}.{FX.frac_bits})",
     )
     stall_before = {k: s["stalled_draws"] for k, s in svc0.pool_stats().items()}

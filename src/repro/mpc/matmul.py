@@ -25,6 +25,11 @@ preprocessing/online split an actual code path:
   ``C + D@B_p + A_p@E (+ D@E)``.  With warm pools the online phase
   does no OT work at all -- the Figure 1(b)/Section 5.2 amortization
   realized for linear layers.
+* **Service verbs** -- :func:`matmul_via_service` draws
+  :func:`matmul_draws` (one matrix triple of its shape) from a session;
+  :func:`matmul_rescale_via_service` draws that plus
+  :func:`repro.mpc.truncation.trunc_draws` in the same allocation
+  message.  The planner prices the same lists.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ from repro.mpc.triples import (
     gilboa_send_stream,
     ring_mask_u64,
 )
+from repro.mpc.truncation import require_service_ring, trunc_draws, truncate
 from repro.ot.channel import Channel
 from repro.ot.cot import CotPool
 
@@ -283,22 +289,31 @@ def matmul_online(
     return z
 
 
-def matmul_via_service(session, x_share: np.ndarray, y_share: np.ndarray) -> np.ndarray:
-    """Secure MatMul drawing its matrix triple from a service session.
+def matmul_draws(m: int, k: int, n: int) -> list:
+    """The ``(pool kind, key, count)`` list one secure MatMul consumes:
+    one preprocessed matrix triple of its shape."""
+    return [("mtri", (m, k, n), 1)]
 
-    Dims are inferred from the share shapes; the session draws one
-    pooled matrix triple (preprocessed in the background -- or produced
-    on demand if the pool is cold) and runs the online phase over the
-    session sub-channel.  A product that needs rescaling back to scale
-    2^f goes through :func:`matmul_rescale_via_service` instead.
-    """
+
+def _matmul_shares(x_share, y_share) -> tuple:
     x_share = np.asarray(x_share, dtype=np.uint64)
     y_share = np.asarray(y_share, dtype=np.uint64)
     if x_share.ndim != 2 or y_share.ndim != 2 or x_share.shape[1] != y_share.shape[0]:
         raise ParameterError("share shapes must be (m,k) and (k,n)")
-    triple = session.draw_matrix_triple(
-        x_share.shape[0], x_share.shape[1], y_share.shape[1]
-    )
+    return x_share, y_share
+
+
+def matmul_via_service(session, x_share: np.ndarray, y_share: np.ndarray) -> np.ndarray:
+    """Secure MatMul drawing its matrix triple from a service session.
+
+    Dims are inferred from the share shapes; the session draws
+    :func:`matmul_draws` (preprocessed in the background -- or produced
+    on demand if the pool is cold) and runs the online phase over the
+    session sub-channel.  A product that needs rescaling back to scale
+    2^f goes through :func:`matmul_rescale_via_service` instead.
+    """
+    x_share, y_share = _matmul_shares(x_share, y_share)
+    (triple,), _ = session.draw(matmul_draws(*x_share.shape, y_share.shape[1]))
     return matmul_online(session.channel, x_share, y_share, triple, session.party)
 
 
@@ -313,36 +328,21 @@ def matmul_rescale_via_service(
     """Fused secure MatMul + fixed-point rescale on one session verb.
 
     Functionally identical to :func:`matmul_via_service` followed by
-    :func:`repro.mpc.truncation.trunc_via_service` -- same correlation
-    kinds and counts -- but the matrix-triple draw and the
-    truncation draws share ONE allocation round-trip
-    (:meth:`repro.runtime.service.ServiceSession.draw_matmul_rescale`):
-    party 0 announces every pool offset in a single message instead of
-    one per kind.  Under a pipelined prefill this is the per-layer
-    online verb, so each layer costs one allocation round plus its
-    opening rounds and nothing else.
+    :func:`repro.mpc.truncation.trunc_via_service`, and it consumes
+    exactly their two lists (:func:`matmul_draws` +
+    :func:`~repro.mpc.truncation.trunc_draws`) -- drawn together, so
+    the layer pays one allocation message instead of two.
     """
     if fx is None:
         raise ParameterError("the fused matmul+rescale verb needs a FixedPointConfig")
-    x_share = np.asarray(x_share, dtype=np.uint64)
-    y_share = np.asarray(y_share, dtype=np.uint64)
-    if x_share.ndim != 2 or y_share.ndim != 2 or x_share.shape[1] != y_share.shape[0]:
-        raise ParameterError("share shapes must be (m,k) and (k,n)")
-    triple, trunc = session.draw_matmul_rescale(
-        x_share.shape[0], x_share.shape[1], y_share.shape[1], fx, mode
+    require_service_ring(session, fx)
+    x_share, y_share = _matmul_shares(x_share, y_share)
+    m, n = x_share.shape[0], y_share.shape[1]
+    (triple, *material), _ = session.draw(
+        matmul_draws(m, x_share.shape[1], n) + trunc_draws(m * n, fx, mode)
     )
     z = matmul_online(session.channel, x_share, y_share, triple, session.party)
-    from repro.mpc.truncation import truncate_pair_online, truncate_shares
-
-    flat = z.reshape(-1)
-    if mode == "pair":
-        out = truncate_pair_online(
-            session.channel, flat, trunc["pairs"], fx, session.party
-        )
-    else:
-        out = truncate_shares(
-            session.channel, flat, fx, session.party,
-            trunc["cot_pool"], trunc["triples"], trunc["ring_triples"],
-            rng=rng, exact=(mode == "exact"),
-        )
+    out = truncate(
+        session.channel, z.reshape(-1), fx, session.party, material, mode, rng
+    )
     return np.asarray(out, dtype=np.uint64).reshape(z.shape)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ParameterError
-from repro.mpc.relu import relu_pair
+from repro.mpc.relu import relu_draws, relu_pair, relu_via_service
 from repro.mpc.sharing import ArithmeticShares, ring_mask
 from repro.mpc.triples import BitTriples
 from repro.ot.channel import Channel
@@ -60,6 +60,11 @@ def max_pair(
     )
 
 
+def max_draws(n: int, bits: int) -> list:
+    """What one secure max of n element pairs consumes: one ReLU's list."""
+    return relu_draws(n, bits)
+
+
 def max_via_service(
     session, a: ArithmeticShares, b: ArithmeticShares, rng
 ) -> ArithmeticShares:
@@ -70,6 +75,4 @@ def max_via_service(
     MaxPool windows run as just another consumer session next to ReLU
     and triple traffic.
     """
-    from repro.mpc.relu import relu_via_service
-
     return _max_from_relu(a, b, lambda diff: relu_via_service(session, diff, rng))

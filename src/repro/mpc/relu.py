@@ -12,6 +12,10 @@ input ``2^(l-1)-1-low0`` and P1's private input ``low1`` -- and
 ``DReLU = NOT msb``.  ReLU multiplexes the arithmetic shares with the
 boolean DReLU shares through two OTs (one per direction, again the
 unified-architecture workload).
+
+What one ReLU consumes from a provisioning service is declared once, in
+:func:`relu_draws`: :func:`relu_via_service` draws that list and the
+preprocessing planner prices it.
 """
 
 from __future__ import annotations
@@ -19,7 +23,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.crypto import blocks
-from repro.mpc.compare import millionaire_p0, millionaire_p1
+from repro.mpc.compare import (
+    cots_needed,
+    millionaire_p0,
+    millionaire_p1,
+    triples_needed,
+)
 from repro.mpc.sharing import ArithmeticShares, BooleanShares, ring_mask
 from repro.mpc.triples import BitTriples
 from repro.ot.channel import Channel
@@ -126,32 +135,33 @@ def relu_pair(
     return y, d
 
 
+def relu_draws(n: int, bits: int) -> list:
+    """The ordered ``(pool kind, key, count)`` list one ReLU of n
+    ``bits``-bit shares consumes: the comparison's per-level COTs (P0
+    sends), one mux COT per element in each direction, and the
+    comparison's bit triples."""
+    return [
+        ("cot/fwd", (), cots_needed(n, bits - 1)),
+        ("cot/fwd", (), n),
+        ("cot/rev", (), n),
+        ("tri", (), triples_needed(n, bits - 1)),
+    ]
+
+
 def relu_via_service(session, shares: ArithmeticShares, rng) -> tuple:
     """ReLU drawing every correlation from a provisioning-service session.
 
     Instead of hand-building COT pools and pre-generating triples (the
-    inline-Ferret pattern of the examples), both parties draw from the
-    shared :class:`repro.runtime.service.CorrelationService` pools and
-    run the unchanged :func:`relu_pair` over the session's sub-channel.
-    The draw sequence below is identical on both sides, which is what
-    keeps the two parties' correlations aligned.
+    inline-Ferret pattern of the examples), both parties draw
+    :func:`relu_draws` from the shared
+    :class:`repro.runtime.service.CorrelationService` pools -- each
+    gets its own role's half of every range -- and run the unchanged
+    :func:`relu_pair` over the session's sub-channel.
     """
-    from repro.mpc.compare import cots_needed, triples_needed
-    from repro.mpc.triples import triples_via_service
-
-    n = len(shares)
-    n_cmp = cots_needed(n, shares.bits - 1)
-    n_tri = triples_needed(n, shares.bits - 1)
-    party = session.party
-    if party == 0:
-        cmp_pool = session.sender_cot_pool(n_cmp)  # P0 sends the level OTs
-        send_pool = session.sender_cot_pool(n)
-        recv_pool = session.receiver_cot_pool(n)
-    else:
-        cmp_pool = session.receiver_cot_pool(n_cmp)
-        recv_pool = session.receiver_cot_pool(n)  # pairs P0's sender draw
-        send_pool = session.sender_cot_pool(n)
-    triples = triples_via_service(session, n_tri)
+    (cmp, fwd, rev, triples), _ = session.draw(relu_draws(len(shares), shares.bits))
+    # Party 0 is the COT sender forward, party 1 in reverse.
+    send, recv = (fwd, rev) if session.party == 0 else (rev, fwd)
     return relu_pair(
-        session.channel, shares, cmp_pool, send_pool, recv_pool, triples, rng, party
+        session.channel, shares, CotPool.of(cmp), CotPool.of(send), CotPool.of(recv),
+        triples, rng, session.party,
     )

@@ -123,17 +123,6 @@ def generate_bit_triples(
     return BitTriples(a, b, c)
 
 
-def triples_via_service(session, n: int) -> BitTriples:
-    """Draw n pooled triples from a provisioning-service session.
-
-    Both parties call this in lockstep; the service generated the
-    triples in the background (cross-direction OTs over its own
-    sub-channel), so the online cost here is one allocation offset on
-    the session channel plus a possible stall if the pool is behind.
-    """
-    return session.draw_triples(n)
-
-
 # ---------------------------------------------------------------------------
 # Arithmetic (mod 2^k) triples via Gilboa multiplication
 # ---------------------------------------------------------------------------
@@ -477,11 +466,6 @@ def dealer_matrix_triples(
         MatrixTriples(a0, b0, c0, bits),
         MatrixTriples((a - a0) & mask, (b - b0) & mask, (c - c0) & mask, bits),
     )
-
-
-def ring_triples_via_service(session, n: int) -> RingTriples:
-    """Draw n pooled mod-2^k triples from a provisioning-service session."""
-    return session.draw_ring_triples(n)
 
 
 def mul_shared(

@@ -31,8 +31,11 @@ frameworks use, all driven by one :class:`FixedPointConfig`:
 
 Every mode consumes only pooled correlations (trunc pairs, comparison
 COTs, bit triples, ring triples for B2A), so truncation slots into the
-preprocessing/online split like MatMul and ReLU: demand is exactly
-countable by :mod:`repro.ppml.plan` and prefilled by the service.  The
+preprocessing/online split like MatMul and ReLU.  The mode is
+dispatched twice and no more: :func:`trunc_draws` lists what a mode
+consumes (drawn by :func:`trunc_via_service` and the fused
+matmul+rescale verb, priced by :mod:`repro.ppml.plan`) and
+:func:`truncate` runs its protocol on the drawn batches.  The
 byte predictors (:func:`trunc_online_bytes`,
 :func:`trunc_preproc_bytes`) are exact and equality-tested against
 measured channel stats.
@@ -158,20 +161,28 @@ def trunc_pair_bit_triples(cfg_bits: int, frac_bits: int) -> int:
     return 2 * (cfg_bits + frac_bits)
 
 
-def trunc_cots(n: int, cfg: FixedPointConfig, exact: bool = True) -> int:
-    """Forward COTs the online wrap-fixed/exact truncation of n elements
-    draws: one ``bits``-bit comparison always, plus the ``frac``-bit
-    borrow comparison in exact mode."""
-    return n * (cfg.bits + (cfg.frac_bits if exact else 0))
+def trunc_draws(n: int, cfg: FixedPointConfig, mode: str = "exact") -> list:
+    """The ordered ``(pool kind, key, count)`` list one online truncation
+    of n elements consumes -- what :func:`trunc_via_service` draws and
+    the planner prices.
 
-
-def trunc_bit_triples(n: int, cfg: FixedPointConfig, exact: bool = True) -> int:
-    return 2 * trunc_cots(n, cfg, exact)
-
-
-def trunc_ring_triples(n: int, cfg: FixedPointConfig, exact: bool = True) -> int:
-    """Ring triples for the B2A of the wrap (and, exact mode, borrow) bits."""
-    return 2 * n if exact else n
+    ``pair``: one pooled truncation pair per element.  ``wrap`` /
+    ``exact``: the forward COTs of the ``bits``-bit wrap comparison
+    (plus, exact mode, the ``frac``-bit borrow comparison), two bit
+    triples per comparison level, and one ring triple per correction
+    bit for the B2A.
+    """
+    if mode == "pair":
+        return [("tprc", (cfg.frac_bits,), n)]
+    if mode not in ("wrap", "exact"):
+        raise ParameterError(f"unknown truncation mode {mode!r}")
+    exact = mode == "exact"
+    cots = n * (cfg.bits + (cfg.frac_bits if exact else 0))
+    return [
+        ("cot/fwd", (), cots),
+        ("tri", (), 2 * cots),
+        ("rtri", (), 2 * n if exact else n),
+    ]
 
 
 def _bits_msg(n_bits: int) -> int:
@@ -450,8 +461,9 @@ def truncate_shares(
 
     Args:
         pool: COT pool in the direction where party 0 is the sender.
-        triples: ``trunc_bit_triples`` Beaver bit triples (consumed).
-        ring_triples: ``trunc_ring_triples`` mod-2^bits triples for B2A.
+        triples: Beaver bit triples, 2 per comparison level (consumed).
+        ring_triples: mod-2^bits triples for B2A, one per correction
+            bit; counts as :func:`trunc_draws` lists them.
         rng: party 0's comparison OT masks; defaults to a fresh
             OS-seeded generator -- these masks are one-time pads over
             party 0's private share bits, so they must never come from
@@ -514,6 +526,37 @@ def truncate_shares(
 # ---------------------------------------------------------------------------
 
 
+def truncate(
+    channel: Channel,
+    x_share: np.ndarray,
+    cfg: FixedPointConfig,
+    party: int,
+    material: list,
+    mode: str = "exact",
+    rng: np.random.Generator = None,
+) -> np.ndarray:
+    """Run the ``mode`` truncation protocol on ``material``: the batches
+    :func:`trunc_draws` names for the same ``(n, cfg, mode)``, in its
+    order (the one place a mode picks its protocol)."""
+    if mode == "pair":
+        (pairs,) = material
+        return truncate_pair_online(channel, x_share, pairs, cfg, party)
+    cots, triples, ring_triples = material
+    return truncate_shares(
+        channel, x_share, cfg, party, CotPool.of(cots), triples, ring_triples,
+        rng=rng, exact=(mode == "exact"),
+    )
+
+
+def require_service_ring(session, cfg: FixedPointConfig) -> None:
+    """Fail before any draw when the session's service pools another ring."""
+    svc_bits = session.service.tuning.ring_bits
+    if svc_bits != cfg.bits:
+        raise ParameterError(
+            f"service produces {svc_bits}-bit correlations, config wants {cfg.bits}"
+        )
+
+
 def trunc_via_service(
     session,
     x_share: np.ndarray,
@@ -525,30 +568,10 @@ def trunc_via_service(
 
     ``mode`` is ``"pair"`` (pooled truncation pairs, one online round),
     ``"wrap"`` (wrap-fixed, within one ULP) or ``"exact"`` (bit-exact).
-    Both parties call in lockstep with the same mode; the draw sequence
-    is identical on both sides, which keeps correlations aligned.
+    Both parties call in lockstep with the same mode; the session draws
+    :func:`trunc_draws` in one allocation message.
     """
-    svc_bits = session.service.tuning.ring_bits
-    if svc_bits != cfg.bits:
-        raise ParameterError(
-            f"service produces {svc_bits}-bit correlations, config wants {cfg.bits}"
-        )
+    require_service_ring(session, cfg)
     x = np.asarray(x_share, dtype=np.uint64).reshape(-1)
-    n = x.shape[0]
-    if mode == "pair":
-        pairs = session.draw_trunc_pairs(n, cfg.frac_bits)
-        return truncate_pair_online(session.channel, x, pairs, cfg, session.party)
-    if mode not in ("wrap", "exact"):
-        raise ParameterError(f"unknown truncation mode {mode!r}")
-    exact = mode == "exact"
-    n_cots = trunc_cots(n, cfg, exact)
-    if session.party == 0:
-        pool = session.sender_cot_pool(n_cots)
-    else:
-        pool = session.receiver_cot_pool(n_cots)
-    triples = session.draw_triples(trunc_bit_triples(n, cfg, exact))
-    ring_triples = session.draw_ring_triples(trunc_ring_triples(n, cfg, exact))
-    return truncate_shares(
-        session.channel, x, cfg, session.party, pool, triples, ring_triples,
-        rng=rng, exact=exact,
-    )
+    material, _ = session.draw(trunc_draws(x.shape[0], cfg, mode))
+    return truncate(session.channel, x, cfg, session.party, material, mode, rng)

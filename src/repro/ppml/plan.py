@@ -4,16 +4,20 @@ Ironman's premise is that COT correlations are *preprocessing*: the
 accelerator mass-produces them ahead of time and the online phase
 merely consumes them (Section 5.2, Figure 16).  This module is the
 bridge from a model to that contract: walk a :class:`repro.ppml.layers.Graph`
-trace, charge every layer its exact correlation demand -- matrix-triple
-shapes for linear/conv layers, comparison COTs + bit triples + mux COTs
-for ReLU/MaxPool -- and drive a :class:`repro.runtime.CorrelationService`
-to prefill its pools before the online phase starts.
+trace, charge every layer its exact correlation demand and drive a
+:class:`repro.runtime.CorrelationService` to prefill its pools before
+the online phase starts.
 
-Demand counts mirror the *executable* consumers one-for-one:
-``relu_demand`` counts exactly what :func:`repro.mpc.relu.relu_via_service`
-draws, ``matmul_demand`` what :func:`repro.mpc.matmul.matmul_via_service`
-draws, so a prefilled service serves the whole online phase without a
-single production stall (asserted by the test suite).
+What a layer consumes is not restated here.  Every online verb
+declares its ordered ``(pool kind, key, count)`` list once, beside
+itself (:func:`repro.mpc.relu.relu_draws`,
+:func:`repro.mpc.matmul.matmul_draws`,
+:func:`repro.mpc.truncation.trunc_draws`, ...); the session draws that
+list (:meth:`repro.runtime.service.ServiceSession.draw`) and the
+planner sums it, so a prefilled service serves the whole online phase
+without a single production stall by construction.  What derived
+production consumes *internally* comes from the recipe table
+(:func:`_expand`).
 """
 
 from __future__ import annotations
@@ -22,67 +26,53 @@ import json
 import math
 import threading
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.errors import ParameterError, ServiceError, WaitTimeout
-from repro.mpc.compare import cots_needed, triples_needed
-from repro.mpc.matmul import MatmulDims
-from repro.mpc.truncation import (
-    FixedPointConfig,
-    trunc_bit_triples,
-    trunc_cots,
-    trunc_ring_triples,
-)
+from repro.mpc.matmul import matmul_draws
+from repro.mpc.maxpool import max_draws
+from repro.mpc.relu import relu_draws
+from repro.mpc.truncation import FixedPointConfig, trunc_draws
 from repro.ppml.layers import Conv2d, Graph, Linear
-from repro.runtime.recipes import BY_KIND, MTRI, RTRI, TPRC, TRI
+from repro.runtime.recipes import BY_KIND, RECIPES
 
 
 @dataclass
 class CorrelationDemand:
     """Exact correlation counts one workload draws from the service.
 
-    Directions are named from the shared pool perspective: ``cot_fwd``
-    is the direction where party 0 is the COT sender.  ``matrix`` maps
-    :class:`MatmulDims` to triple counts; ``unplanned`` records
+    ``draws`` sums the workload's ``*_draws`` lists into one counter
+    over ``(pool kind, key)``, in shared-pool names (``cot/fwd`` is the
+    direction where party 0 is the COT sender); ``unplanned`` records
     nonlinear/linear work with no executable OT protocol here yet
     (GELU, softmax, layernorm, raw attention MACs) so a plan is honest
     about its coverage.
     """
 
-    cot_fwd: int = 0
-    cot_rev: int = 0
-    bit_triples: int = 0
-    ring_triples: int = 0
-    matrix: dict = field(default_factory=dict)
-    trunc_pairs: dict = field(default_factory=dict)  # frac_bits -> count
-    unplanned: dict = field(default_factory=dict)
+    draws: Counter = field(default_factory=Counter)
+    unplanned: Counter = field(default_factory=Counter)
 
-    def merge(self, other: "CorrelationDemand") -> "CorrelationDemand":
-        self.cot_fwd += other.cot_fwd
-        self.cot_rev += other.cot_rev
-        self.bit_triples += other.bit_triples
-        self.ring_triples += other.ring_triples
-        for dims, count in other.matrix.items():
-            self.matrix[dims] = self.matrix.get(dims, 0) + count
-        for frac, count in other.trunc_pairs.items():
-            self.trunc_pairs[frac] = self.trunc_pairs.get(frac, 0) + count
-        for kind, count in other.unplanned.items():
-            self.unplanned[kind] = self.unplanned.get(kind, 0) + count
+    def add(self, requests: list, times: int = 1) -> "CorrelationDemand":
+        """Charge one verb's draw list, ``times`` over."""
+        for kind, key, count in requests:
+            self.draws[kind, key] += count * times
         return self
 
-    @property
-    def matrix_triples(self) -> int:
-        return sum(self.matrix.values())
+    def merge(self, other: "CorrelationDemand") -> "CorrelationDemand":
+        self.draws.update(other.draws)
+        self.unplanned.update(other.unplanned)
+        return self
 
-    def derived(self) -> list:
-        """``(recipe, pool key, count)`` of every derived kind drawn."""
-        items = [(TRI, (), self.bit_triples), (RTRI, (), self.ring_triples)]
-        items += [
-            (MTRI, (dims.m, dims.k, dims.n), count)
-            for dims, count in self.matrix.items()
+    def drawn(self) -> list:
+        """``(recipe, pool key, count)`` of every pool drawn from, in
+        the recipe table's order."""
+        drawn = [
+            (BY_KIND[kind], key, count)
+            for (kind, key), count in self.draws.items()
+            if count > 0
         ]
-        items += [(TPRC, (frac,), count) for frac, count in self.trunc_pairs.items()]
-        return [item for item in items if item[2] > 0]
+        return sorted(drawn, key=lambda item: RECIPES.index(item[0]))
 
     def total_cots(self, ring_bits: int) -> int:
         """All raw COTs behind this demand (consumer draws + derived).
@@ -94,64 +84,13 @@ class CorrelationDemand:
         triples their generation consumes.
         """
         _, cots = _expand(self, ring_bits, every_choice=False)
-        return self.cot_fwd + self.cot_rev + sum(cots.values())
+        drawn = sum(n for recipe, _, n in self.drawn() if recipe.direction is not None)
+        return drawn + sum(cots.values())
 
     def as_pool_targets(self) -> dict:
-        """Pool kind -> item count, the :meth:`CorrelationService.prefill`
-        input (zero entries omitted)."""
-        targets = {"cot/fwd": self.cot_fwd, "cot/rev": self.cot_rev}
-        for recipe, key, count in self.derived():
-            targets[recipe.pool_name(*key)] = count
-        return {kind: count for kind, count in targets.items() if count > 0}
-
-
-def relu_demand(n_elements: int, bits: int) -> CorrelationDemand:
-    """Exactly what ``relu_via_service`` draws for n shared elements:
-    comparison COTs (P0 sender), one mux COT per element per direction,
-    and the comparison's bit triples."""
-    cmp_bits = bits - 1
-    return CorrelationDemand(
-        cot_fwd=cots_needed(n_elements, cmp_bits) + n_elements,
-        cot_rev=n_elements,
-        bit_triples=triples_needed(n_elements, cmp_bits),
-    )
-
-
-def max_demand(n_comparisons: int, bits: int) -> CorrelationDemand:
-    """Secure max costs one ReLU per pairwise comparison (maxpool_cmp)."""
-    return relu_demand(n_comparisons, bits)
-
-
-def matmul_demand(dims: MatmulDims, count: int = 1) -> CorrelationDemand:
-    """One preprocessed matrix triple per secure MatMul of this shape."""
-    return CorrelationDemand(matrix={dims: count})
-
-
-def mul_demand(n_elements: int) -> CorrelationDemand:
-    """Elementwise Beaver multiplication: one ring triple per element."""
-    return CorrelationDemand(ring_triples=n_elements)
-
-
-def trunc_demand(
-    n_elements: int, fx: FixedPointConfig, mode: str = "exact"
-) -> CorrelationDemand:
-    """Exactly what ``trunc_via_service`` draws for n rescaled elements.
-
-    ``pair`` mode consumes one pooled truncation pair per element (the
-    one-round probabilistic protocol); ``wrap``/``exact`` consume the
-    comparison COTs (party 0 sender), their bit triples, and the ring
-    triples the B2A of the correction bits multiplies with.
-    """
-    if mode == "pair":
-        return CorrelationDemand(trunc_pairs={fx.frac_bits: n_elements})
-    if mode not in ("wrap", "exact"):
-        raise ParameterError(f"unknown truncation mode {mode!r}")
-    exact = mode == "exact"
-    return CorrelationDemand(
-        cot_fwd=trunc_cots(n_elements, fx, exact),
-        bit_triples=trunc_bit_triples(n_elements, fx, exact),
-        ring_triples=trunc_ring_triples(n_elements, fx, exact),
-    )
+        """Pool name -> item count, the :meth:`CorrelationService.prefill`
+        input and the shape of ``service.session_draw_counts()``."""
+        return {recipe.pool_name(*key): n for recipe, key, n in self.drawn()}
 
 
 def layer_demand(
@@ -162,47 +101,48 @@ def layer_demand(
     fx: FixedPointConfig = None,
     trunc_mode: str = "exact",
 ) -> CorrelationDemand:
-    """Correlation demand of one applied layer.
+    """Correlation demand of one applied layer: the draw list of the
+    verb that executes it.
 
     Linear/Conv2d become matrix-triple shapes (conv via im2col, one
     triple per group); ReLU-family activations and MaxPool comparisons
-    charge the exact service draws; Rescale layers charge truncation
-    demand when a :class:`FixedPointConfig` is given; every other cost
-    lands in ``unplanned`` so coverage gaps are visible, not silent.
+    charge their verbs' draws; Rescale layers charge truncation draws
+    when a :class:`FixedPointConfig` is given; every other cost lands
+    in ``unplanned`` so coverage gaps are visible, not silent.
     """
     demand = CorrelationDemand()
     if isinstance(layer, Linear):
         m = math.prod(in_shape[:-1]) if len(in_shape) > 1 else 1
-        demand.merge(matmul_demand(MatmulDims(m, in_shape[-1], layer.out_features)))
-        return demand
+        return demand.add(matmul_draws(m, in_shape[-1], layer.out_features))
     if isinstance(layer, Conv2d):
         c = in_shape[0]
         _, oh, ow = out_shape
-        dims = MatmulDims(
-            oh * ow,
-            (c // layer.groups) * layer.kernel * layer.kernel,
-            layer.out_channels // layer.groups,
+        return demand.add(
+            matmul_draws(
+                oh * ow,
+                (c // layer.groups) * layer.kernel * layer.kernel,
+                layer.out_channels // layer.groups,
+            ),
+            times=layer.groups,
         )
-        demand.merge(matmul_demand(dims, count=layer.groups))
-        return demand
     _, cost = layer.apply(in_shape)
     for kind, count in cost.nonlinear.items():
         if kind == "relu":
-            demand.merge(relu_demand(count, bits))
+            demand.add(relu_draws(count, bits))
         elif kind == "maxpool_cmp":
-            demand.merge(max_demand(count, bits))
+            demand.add(max_draws(count, bits))
         elif kind == "trunc" and fx is not None:
             if fx.bits != bits:
                 raise ParameterError(
                     f"fixed-point config is {fx.bits}-bit but the plan ring is {bits}-bit"
                 )
-            demand.merge(trunc_demand(count, fx, trunc_mode))
+            demand.add(trunc_draws(count, fx, trunc_mode))
         else:
             # relu6 (two comparisons, no service protocol yet), gelu,
             # softmax, layernorm, avgpool truncation: honest gaps.
-            demand.unplanned[kind] = demand.unplanned.get(kind, 0) + count
+            demand.unplanned[kind] += count
     if cost.macs:
-        demand.unplanned["macs"] = demand.unplanned.get("macs", 0) + cost.macs
+        demand.unplanned["macs"] += cost.macs
     return demand
 
 
@@ -219,9 +159,9 @@ def _expand(demand: CorrelationDemand, bits: int, every_choice: bool = True) -> 
     triples) is charged to every candidate when ``every_choice``, else
     to the first.
     """
-    produce = dict(demand.as_pool_targets())
+    produce = demand.as_pool_targets()
     cots = {}
-    work = demand.derived()
+    work = demand.drawn()
     for recipe, key, count in work:  # grows while walking: derived-of-derived
         inputs = recipe.inputs(bits, *key)
         if recipe.choose is not None and not every_choice:
@@ -255,10 +195,6 @@ def _layer_internal_cots(demand: CorrelationDemand, bits: int) -> dict:
     return _expand(demand, bits)[1]
 
 
-#: Column titles matching :meth:`PreprocessingPlan.summary_rows`.
-SUMMARY_HEADER = ["layer", "cot_fwd", "cot_rev", "bit triples", "matrix", "trunc pairs"]
-
-
 @dataclass
 class PreprocessingPlan:
     """A model's full preprocessing schedule: per-layer + total demand,
@@ -284,10 +220,9 @@ class PreprocessingPlan:
             )
 
     def _ensure_pools(self, service) -> None:
-        for dims in self.demand.matrix:
-            service.matrix_pool(dims.m, dims.k, dims.n)
-        for frac in self.demand.trunc_pairs:
-            service.trunc_pool(frac)
+        """Create the keyed (shape / frac) pools the plan draws from."""
+        for kind, key in self.demand.draws:
+            service._pool_name(kind, key)
 
     def prefill(self, service, timeout: float = None, one_shot: bool = False) -> None:
         """Drive one party's service through the preprocessing phase.
@@ -372,20 +307,17 @@ class PreprocessingPlan:
         )
 
     def summary_rows(self) -> list:
-        """Printable per-layer rows: layer, COTs per direction, bit
-        triples, matrix-triple shapes, and truncation pairs (for
-        ``print_table`` with :data:`SUMMARY_HEADER`)."""
-        rows = []
-        for name, d in self.per_layer:
-            mats = ", ".join(
-                f"{dims.label}x{count}" for dims, count in d.matrix.items()
-            ) or "-"
-            pairs = ", ".join(
-                f"f{frac}x{count}" for frac, count in d.trunc_pairs.items()
-            ) or "-"
-            rows.append(
-                [name, str(d.cot_fwd), str(d.cot_rev), str(d.bit_triples), mats, pairs]
-            )
+        """Printable plan table, header row first: one column per pool
+        kind the plan draws from, one row per layer.  A keyed kind's
+        cell lists ``key: count`` per pool (``4x12x6: 1``)."""
+        kinds = list(dict.fromkeys(recipe.kind for recipe, _, _ in self.demand.drawn()))
+        rows = [["layer", *kinds]]
+        for name, demand in self.per_layer:
+            cells = {kind: [] for kind in kinds}
+            for recipe, key, count in demand.drawn():
+                label = "x".join(map(str, key))
+                cells[recipe.kind].append(f"{label}: {count}" if key else str(count))
+            rows.append([name, *(", ".join(cells[kind]) or "-" for kind in kinds)])
         return rows
 
 

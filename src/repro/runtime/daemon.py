@@ -179,7 +179,8 @@ class _PendingSubmit:
         self.inputs = inputs
         self.event = threading.Event()
         self.request = None
-        self.reject = None  # (reason, inflight, limit)
+        self.reject = None  # (inflight, limit)
+        self.error = None  # why the daemon gave up on this submission
 
 
 def compile_ops(graph) -> list:
@@ -218,7 +219,7 @@ def _servable_ops(plan, weights) -> list:
     fused = any(op[0] == "linear_rescale" for op in ops)
     if plan.demand.unplanned or (fused and plan.fx is None):
         raise ParameterError(
-            f"plan {plan.model!r} leaves {plan.demand.unplanned} unplanned "
+            f"plan {plan.model!r} leaves {dict(plan.demand.unplanned)} unplanned "
             "(Rescale layers need plan_graph(fx=FixedPointConfig))"
         )
     n_linear = sum(op[0] != "relu" for op in ops)
@@ -472,6 +473,10 @@ class InferenceDaemon:
                 f"session {session!r}: no admission verdict from the leader "
                 f"within {self.cfg.request_timeout_s}s"
             )
+        if pending.error is not None:
+            raise DaemonError(
+                f"session {session!r}: submission abandoned: {pending.error}"
+            ) from pending.error
         if pending.reject is not None:
             inflight, limit = pending.reject
             raise AdmissionReject(
@@ -578,13 +583,15 @@ class InferenceDaemon:
                 pending.event.set()
                 continue
             if len(pending.inputs) != msg["batch"]:
-                self._fail_all(
-                    DaemonError(
-                        f"session {msg['session']!r}: leader admitted batch "
-                        f"{msg['batch']}, local submission has "
-                        f"{len(pending.inputs)}"
-                    )
+                exc = DaemonError(
+                    f"session {msg['session']!r}: leader admitted batch "
+                    f"{msg['batch']}, local submission has "
+                    f"{len(pending.inputs)}"
                 )
+                # Already popped, so _fail_all cannot reach this one.
+                pending.error = exc
+                pending.event.set()
+                self._fail_all(exc)
                 return
             with self._lock:
                 req = self._admit_locked(
@@ -716,7 +723,7 @@ class InferenceDaemon:
         for req in live:
             self._finish_request(req, error=exc)
         for p in pendings:
-            p.reject = (0, 0)
+            p.error = exc
             p.event.set()
 
     def _reaper_loop(self) -> None:

@@ -13,8 +13,8 @@ production stream:
 * ``take(lo, n)`` (both parties) blocks until the range has been
   produced and returns its contents.
 
-Party 0 reserves and tells party 1 the offset in-band (one integer on
-the session's sub-channel), so draws land on mirrored correlations no
+Party 0 reserves and tells party 1 the offsets in-band (one message on
+the session's sub-channel per consumer verb), so draws land on mirrored correlations no
 matter how threads interleave on either host.
 
 Backpressure is demand-driven: ``reserve`` may run ahead of production
@@ -32,6 +32,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import PoolClosed, PoolTimeout, ServiceError
+from repro.mpc.triples import BitTriples, MatrixTriples, RingTriples
+from repro.mpc.truncation import TruncPairs
 from repro.obs.trace import NULL_TRACER
 from repro.ot.cot import CotReceiverBatch, CotSenderBatch
 
@@ -513,8 +515,6 @@ class TriplePool(CorrelationPool):
         self.append_columns((triples.a, triples.b, triples.c))
 
     def take(self, lo: int, n: int, timeout: float = None):
-        from repro.mpc.triples import BitTriples
-
         a, b, c = self.take_columns(lo, n, timeout)
         return BitTriples(a, b, c)
 
@@ -530,8 +530,6 @@ class RingTriplePool(CorrelationPool):
         self.append_columns((triples.a, triples.b, triples.c))
 
     def take(self, lo: int, n: int, timeout: float = None):
-        from repro.mpc.triples import RingTriples
-
         a, b, c = self.take_columns(lo, n, timeout)
         return RingTriples(a, b, c, self.bits)
 
@@ -561,8 +559,6 @@ class TruncPairPool(CorrelationPool):
         self.append_columns((pairs.r, pairs.s))
 
     def take(self, lo: int, n: int, timeout: float = None):
-        from repro.mpc.truncation import TruncPairs
-
         r, s = self.take_columns(lo, n, timeout)
         return TruncPairs(r, s, self.bits, self.frac_bits)
 
@@ -597,8 +593,6 @@ class MatrixTriplePool(CorrelationPool):
         )
 
     def take(self, lo: int, n: int = 1, timeout: float = None):
-        from repro.mpc.triples import MatrixTriples
-
         if n != 1:
             raise ServiceError(f"pool {self.name}: one matrix triple per take")
         a, b, c = self.take_columns(lo, 1, timeout)

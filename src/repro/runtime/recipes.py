@@ -6,9 +6,12 @@ tag, pool spec, the pools it consumes and how many items of each one
 output item costs, its batch cap, and the generator call.  The generic
 halves read it: :class:`repro.runtime.service.CorrelationService`
 (scheduler, frame codec, executor, stale-command alignment, pool
-factory, session draws) and the planner's internal-demand walk in
-:mod:`repro.ppml.plan`.  Adding a kind is one entry here plus its
-generator and its pool class.
+factory), :meth:`repro.runtime.service.ServiceSession.draw` (a
+consumer's ``(pool kind, key, count)`` requests name kinds of this
+table) and the planner in :mod:`repro.ppml.plan` (the same requests,
+summed, plus the internal-demand walk over ``inputs``).  Adding a kind
+is one entry here plus its generator and its pool class; a verb
+consumes it by naming it in its ``*_draws`` list.
 
 :data:`RECIPES` is in scheduling priority order: extends first (the
 only source of raw COTs), then derived production.

@@ -14,8 +14,13 @@ then extends stream correlations to any number of sessions.
 same one, so all allocation decisions are made on party 0 (the
 *leader*) and propagated in-band:
 
-* consumer draws: party 0 reserves the absolute range in the pool and
-  sends the offset to its peer session over the session sub-channel;
+* consumer draws: a session draws an ordered list of ``(pool kind,
+  key, count)`` -- what the consuming verb's ``*_draws`` function
+  declares -- through the one :meth:`ServiceSession.draw`: party 0
+  reserves every absolute range in list order and sends all offsets to
+  its peer session in one message over the session sub-channel.  The
+  service knows pool kinds only through the recipe table, never what a
+  verb is;
 * production: every op -- the two extends and each derived kind -- is
   one entry of the recipe table (:mod:`repro.runtime.recipes`), which
   states its opcode, frame layout, pool, input pools and per-item
@@ -61,7 +66,6 @@ from repro.ferret.config import FerretConfig
 from repro.ferret.protocol import FerretReceiver, FerretSender
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER
-from repro.ot.cot import CotPool
 from repro.ot.retry import RetryingChannel, RetryPolicy
 from repro.ot.ot_from_cot import ot_receive_from_cot, ot_send_from_cot
 from repro.runtime.mux import MuxChannel
@@ -556,6 +560,16 @@ class CorrelationService:
                     pool.close()
                 self.pools[name] = pool
             return pool
+
+    def _pool_name(self, kind: str, key: tuple) -> str:
+        """The name of the pool a ``(pool kind, key)`` request means; a
+        keyed pool is made on first use (see :meth:`_pool`)."""
+        recipe = BY_KIND.get(kind)
+        if recipe is None:
+            raise ServiceError(f"unknown pool kind {kind!r}")
+        if key:
+            self._pool(recipe, *key)
+        return recipe.pool_name(*key)
 
     def matrix_pool(self, m: int, k: int, n: int) -> MatrixTriplePool:
         """The shape-keyed matrix-triple pool for (m, k, n)."""
@@ -1091,7 +1105,7 @@ class CorrelationService:
 
 
 class ServiceSession:
-    """One consumer's handle on the service: typed draws + a channel.
+    """One consumer's handle on the service: :meth:`draw` + a channel.
 
     The session's sub-channel carries both the allocation offsets and
     whatever protocol traffic the consumer runs; peers must create
@@ -1108,169 +1122,57 @@ class ServiceSession:
     def party(self) -> int:
         return self.service.party
 
-    # -- allocation handshake ------------------------------------------------
-    def _alloc(self, kind: str, n: int) -> int:
-        """Party 0 reserves and announces the range; party 1 receives it."""
-        if self.party == 0:
-            lo = self.service.reserve(kind, n)
-            self.channel.send_int(lo)
-        else:
-            lo = self.channel.recv_int()
-        tr = self.service.tracer
-        if tr.enabled:
-            tr.instant(
-                "session.alloc", cat="session",
-                session=self.name, kind=kind, n=n, lo=lo,
-            )
-        return lo
+    def draw(self, requests: list) -> tuple:
+        """Draw a consumer's whole correlation list: ``(batches, offsets)``.
 
-    def _take(self, kind: str, lo: int, n: int):
-        return self.service.pools[kind].take(
-            lo, n, timeout=self.service.tuning.take_timeout_s
-        )
-
-    def _draw(self, kind: str, n: int) -> tuple:
-        """(n items of ``kind`` as the pool's typed batch, absolute offset)."""
-        lo = self._alloc(kind, n)
-        return self._take(kind, lo, n), lo
-
-    def _direction(self, sending: bool) -> str:
-        """The COT direction in which this party sends (or receives)."""
-        return "fwd" if sends(self.party, "fwd") == sending else "rev"
-
-    def _alloc_many(self, requests: list) -> list:
-        """One allocation round-trip for several draws.
-
-        ``requests`` is a list of ``(kind, n)``; party 0 reserves every
-        range and announces ALL offsets in one message (a uint64
-        vector), so a fused verb pays one wire round for its whole
-        correlation shopping list instead of one per pool kind.
+        ``requests`` is an ordered list of ``(pool kind, key, count)``
+        in shared-pool names -- what a verb's ``*_draws`` function
+        returns (``("cot/fwd", (), n)``, ``("mtri", (m, k, n), 1)``).
+        Both parties ensure the keyed pools exist locally; party 0
+        reserves every range in list order and announces ALL offsets in
+        one message (a uint64 vector), party 1 receives them; each then
+        takes its own role's typed batch of every range -- a warm pool
+        serves instantly, a cold one stalls here while the service
+        produces on demand.
         """
+        svc = self.service
+        wanted = [(svc._pool_name(kind, key), count) for kind, key, count in requests]
         if self.party == 0:
-            offsets = [self.service.reserve(kind, n) for kind, n in requests]
+            offsets = [svc.reserve(name, count) for name, count in wanted]
             self.channel.send_ring(np.asarray(offsets, dtype=np.uint64))
         else:
             got = self.channel.recv_ring()
-            if got.shape[0] != len(requests):
+            if got.shape[0] != len(wanted):
                 raise ServiceError(
-                    f"fused allocation expected {len(requests)} offsets, "
-                    f"got {got.shape[0]}"
+                    f"allocation expected {len(wanted)} offsets, got {got.shape[0]}"
                 )
             offsets = [int(v) for v in got]
-        tr = self.service.tracer
+        tr = svc.tracer
         if tr.enabled:
             tr.instant(
                 "session.alloc", cat="session", session=self.name,
-                kinds=",".join(kind for kind, _ in requests),
+                kinds=",".join(name for name, _ in wanted),
             )
-        return offsets
-
-    # -- typed draws ---------------------------------------------------------
-    def draw_sender_cots(self, n: int) -> tuple:
-        """(CotSenderBatch, absolute offset) in this party's send direction."""
-        return self._draw(f"cot/{self._direction(True)}", n)
-
-    def draw_receiver_cots(self, n: int) -> tuple:
-        """(CotReceiverBatch, absolute offset); pairs the peer's sender draw."""
-        return self._draw(f"cot/{self._direction(False)}", n)
-
-    def sender_cot_pool(self, n: int) -> CotPool:
-        return CotPool.of(self.draw_sender_cots(n)[0])
-
-    def receiver_cot_pool(self, n: int) -> CotPool:
-        return CotPool.of(self.draw_receiver_cots(n)[0])
-
-    def draw_triples(self, n: int):
-        """This party's shares of n pooled Beaver bit triples."""
-        return self._draw("tri", n)[0]
-
-    def draw_ring_triples(self, n: int):
-        """This party's shares of n pooled mod-2^k Beaver triples."""
-        return self._draw("rtri", n)[0]
-
-    def draw_trunc_pairs(self, n: int, frac_bits: int):
-        """This party's shares of n pooled truncation pairs (r, r>>frac).
-
-        Both parties' calls ensure the frac-keyed pool exists locally;
-        the leader reserves the range and announces its offset.
-        """
-        return self._draw(self.service.trunc_pool(frac_bits).name, n)[0]
-
-    def draw_matrix_triple(self, m: int, k: int, n: int):
-        """One pooled matrix Beaver triple of shape (m, k) @ (k, n).
-
-        Both parties' calls ensure the shape-keyed pool exists locally;
-        the leader reserves the next triple and announces its offset.
-        A warm (prefilled) pool serves instantly; a cold pool stalls
-        here while the service produces on demand.
-        """
-        return self._draw(self.service.matrix_pool(m, k, n).name, 1)[0]
-
-    def draw_matmul_rescale(self, m: int, k: int, n: int, fx, mode: str = "pair"):
-        """Fused matmul+rescale draw: ONE allocation round-trip covers
-        the matrix-triple draw AND the truncation material for the
-        ``m*n`` product elements.
-
-        Returns ``(matrix_triple, trunc_material)`` where the material
-        dict holds ``pairs`` (pair mode) or ``cot_pool`` / ``triples``
-        / ``ring_triples`` (wrap/exact mode) -- exactly what
-        :func:`repro.mpc.truncation.truncate_pair_online` /
-        :func:`~repro.mpc.truncation.truncate_shares` consume.  The
-        per-kind draw counts are identical to the unfused
-        ``draw_matrix_triple`` + ``trunc_via_service`` path, so
-        preprocessing plans price both the same.
-        """
-        from repro.mpc.truncation import (
-            trunc_bit_triples,
-            trunc_cots,
-            trunc_ring_triples,
-        )
-
-        svc_bits = self.service.tuning.ring_bits
-        if svc_bits != fx.bits:
-            raise ServiceError(
-                f"service produces {svc_bits}-bit correlations, "
-                f"config wants {fx.bits}"
-            )
-        n_el = m * n
-        wanted = [("triple", self.service.matrix_pool(m, k, n).name, 1)]
-        if mode == "pair":
-            wanted.append(("pairs", self.service.trunc_pool(fx.frac_bits).name, n_el))
-        elif mode in ("wrap", "exact"):
-            exact = mode == "exact"
-            wanted.append(("cot_pool", "cot/fwd", trunc_cots(n_el, fx, exact)))
-            wanted.append(("triples", "tri", trunc_bit_triples(n_el, fx, exact)))
-            wanted.append(("ring_triples", "rtri", trunc_ring_triples(n_el, fx, exact)))
-        else:
-            raise ServiceError(f"unknown truncation mode {mode!r}")
-        offsets = self._alloc_many([(kind, count) for _, kind, count in wanted])
-        material = {
-            name: self._take(kind, lo, count)
-            for (name, kind, count), lo in zip(wanted, offsets)
-        }
-        if "cot_pool" in material:
-            material["cot_pool"] = CotPool.of(material["cot_pool"])
-        return material.pop("triple"), material
-
-    def draw_random_ots_send(self, n: int) -> tuple:
-        """(m0, m1) random-OT message pairs (this party is the sender)."""
-        return self._draw(f"rot/{self._direction(True)}", n)[0]
-
-    def draw_random_ots_receive(self, n: int) -> tuple:
-        """(choice bits, chosen messages); pairs the peer's send draw."""
-        return self._draw(f"rot/{self._direction(False)}", n)[0]
+        batches = [
+            svc.pools[name].take(lo, count, timeout=svc.tuning.take_timeout_s)
+            for (name, count), lo in zip(wanted, offsets)
+        ]
+        return batches, offsets
 
     # -- chosen-message OT straight off the pool -----------------------------
+    def _draw_cots(self, sending: bool, n: int) -> tuple:
+        """(this party's batch, tweaks) of n COTs in the direction where
+        it sends (or receives)."""
+        direction = "fwd" if sends(self.party, "fwd") == sending else "rev"
+        (batch,), (lo,) = self.draw([(f"cot/{direction}", (), n)])
+        return batch, np.arange(lo, lo + n, dtype=np.uint64)
+
     def ot_send(self, messages0: np.ndarray, messages1: np.ndarray) -> None:
         """Chosen-message OT sender over the session channel."""
-        n = messages0.shape[0]
-        batch, lo = self.draw_sender_cots(n)
-        tweaks = np.arange(lo, lo + n, dtype=np.uint64)
+        batch, tweaks = self._draw_cots(True, messages0.shape[0])
         ot_send_from_cot(self.channel, batch, messages0, messages1, tweaks=tweaks)
 
     def ot_receive(self, choices: np.ndarray) -> np.ndarray:
         """Chosen-message OT receiver; returns messages[choices[i]]."""
-        n = np.asarray(choices).shape[0]
-        batch, lo = self.draw_receiver_cots(n)
-        tweaks = np.arange(lo, lo + n, dtype=np.uint64)
+        batch, tweaks = self._draw_cots(False, np.asarray(choices).shape[0])
         return ot_receive_from_cot(self.channel, batch, choices, tweaks=tweaks)

@@ -47,6 +47,20 @@ class GraphStrategies:
         return build()
 
 
+class VerbStrategies:
+    """Strategies over the online verbs a service session serves."""
+
+    @staticmethod
+    def shapes(verb: str, max_elements: int = 8, max_dim: int = 4) -> st.SearchStrategy[tuple]:
+        """The size of one ``<verb>_via_service`` call: ``(m, k, n)`` for
+        the matmul verbs, ``(n,)`` shared elements for the elementwise
+        ones -- small, because a live service produces each example's
+        demand."""
+        if verb.startswith("matmul"):
+            return st.tuples(*[st.integers(1, max_dim)] * 3)
+        return st.tuples(st.integers(1, max_elements))
+
+
 class StreamStrategies:
     """Strategies over a pool's absolute-index production stream."""
 

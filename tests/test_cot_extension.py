@@ -255,8 +255,8 @@ class TestPkcCounts:
             assert pkc_counts == {"send": [KAPPA] * 2, "receive": [KAPPA] * 2}
             n = CFG.net_output + 10  # crosses a shard batch boundary
             s, r = run_concurrently(
-                lambda: services[0].session("c").draw_sender_cots(n)[0],
-                lambda: services[1].session("c").draw_receiver_cots(n)[0],
+                lambda: services[0].session("c").draw([("cot/fwd", (), n)])[0][0],
+                lambda: services[1].session("c").draw([("cot/fwd", (), n)])[0][0],
                 timeout=120.0,
             )
             assert verify_cot(s, r)

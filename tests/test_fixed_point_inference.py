@@ -5,14 +5,16 @@ pooled truncation-pair (tprc) production path."""
 
 import numpy as np
 import pytest
+from parties import run_both, start_service_pair
 
-from repro.errors import ChannelError, ParameterError, ServiceError
+from repro.errors import ParameterError, ServiceError
 from repro.ferret.config import FerretConfig
 from repro.mpc.matmul import matmul_rescale_via_service, matmul_via_service
 from repro.mpc.sharing import from_signed, share_arith_nd
 from repro.mpc.triples import ring_mask_u64
 from repro.mpc.truncation import (
     FixedPointConfig,
+    trunc_draws,
     trunc_pair_bit_triples,
     trunc_pair_cots,
     trunc_online_bytes,
@@ -21,9 +23,9 @@ from repro.mpc.truncation import (
     trunc_preproc_messages,
     trunc_via_service,
 )
-from repro.ot.channel import LocalChannel, run_concurrently
+from repro.ot.channel import LocalChannel
 from repro.ppml.layers import Activation, Graph, Linear, Rescale
-from repro.ppml.plan import plan_graph, trunc_demand
+from repro.ppml.plan import CorrelationDemand, plan_graph
 from repro.runtime import CorrelationService, MuxChannel, ServiceTuning, run_online
 
 CFG = FerretConfig.small(scale=1024, arity=4, prg_kind="chacha8")
@@ -61,20 +63,9 @@ def fixed_point_oracle(x, w1, w2, w3):
     return ((h @ w3).astype(np.int64) & int(MASK)).astype(np.uint64)
 
 
-def run_both(fn0, fn1, timeout=300.0, ctx=()):
-    try:
-        return run_concurrently(fn0, fn1, timeout)
-    except ChannelError as exc:
-        pytest.fail(f"{exc!r} (svc errors: {ctx})")
-
-
 @pytest.fixture(scope="module")
 def services():
-    base_a, base_b = LocalChannel.pair(timeout=180.0)
-    mux0 = MuxChannel(base_a, timeout=180.0)
-    mux1 = MuxChannel(base_b, timeout=180.0)
-    svc0 = CorrelationService(0, mux0, CFG, TUNING, seed=0x5C4).start()
-    svc1 = CorrelationService(1, mux1, CFG, TUNING, seed=0x5C4).start()
+    svc0, svc1, mux0, mux1 = start_service_pair(CFG, TUNING, seed=0x5C4)
     yield svc0, svc1, mux0, mux1
     svc0.stop(), svc1.stop()
     mux0.close(), mux1.close()
@@ -136,10 +127,9 @@ class TestQuantizedInference:
         plan = planned_run["plan"]
         rescale_demands = [d for name, d in plan.per_layer if name == "rescale"]
         assert len(rescale_demands) == 2
-        d1 = trunc_demand(M * H1, FX)
-        assert rescale_demands[0].cot_fwd == d1.cot_fwd
-        assert rescale_demands[0].bit_triples == d1.bit_triples
-        assert rescale_demands[0].ring_triples == d1.ring_triples
+        d1 = CorrelationDemand().add(trunc_draws(M * H1, FX, "exact"))
+        assert rescale_demands[0].draws == d1.draws
+        assert set(d1.as_pool_targets()) == {"cot/fwd", "tri", "rtri"}
         assert plan.demand.unplanned == {}
         assert len(plan.per_layer) == 6  # trace covered every layer
 
@@ -207,7 +197,7 @@ class TestTruncPairPool:
         svc0, svc1, _, _ = services
 
         def draw(svc):
-            return lambda: svc.session("tprc-d").draw_trunc_pairs(9, FX.frac_bits)
+            return lambda: svc.session("tprc-d").draw(trunc_draws(9, FX, "pair"))[0][0]
 
         p0, p1 = run_both(draw(svc0), draw(svc1), ctx=(svc0.error, svc1.error))
         r = (p0.r + p1.r) & MASK
@@ -265,11 +255,12 @@ class TestTruncPairPool:
         framing = (2 + len(b"prov/tprc")) * trunc_preproc_messages(FX)
         assert tag_bytes() - before == trunc_preproc_bytes(n, FX) + framing
 
-    @pytest.mark.parametrize("mode,n_allocs", [("exact", 3), ("pair", 1)])
-    def test_online_trunc_session_bytes_match_model(self, services, mode, n_allocs):
+    @pytest.mark.parametrize("mode,n_offsets", [("exact", 3), ("pair", 1)])
+    def test_online_trunc_session_bytes_match_model(self, services, mode, n_offsets):
         """Online truncation over a dedicated session sub-channel moves
-        exactly trunc_online_bytes plus the leader's allocation offsets
-        and the per-message mux framing."""
+        exactly trunc_online_bytes plus the leader's ONE allocation
+        message (an offset per drawn pool) and the per-message mux
+        framing."""
         svc0, svc1, mux0, mux1 = services
         name = f"bytes-{mode}"
         tag = f"sess/{name}".encode()
@@ -285,10 +276,11 @@ class TestTruncPairPool:
         measured = sum(
             mux.stats_by_tag()[tag.decode()].bytes_sent for mux in (mux0, mux1)
         )
-        messages = trunc_online_messages(FX, mode) + n_allocs
+        assert n_offsets == len(trunc_draws(n, FX, mode))
+        messages = trunc_online_messages(FX, mode) + 1
         expect = (
             trunc_online_bytes(n, FX, mode)
-            + 8 * n_allocs  # party 0's pool-offset announcements
+            + 8 * n_offsets  # party 0's pool-offset announcement
             + (2 + len(tag)) * messages
         )
         assert measured == expect
@@ -316,12 +308,12 @@ class TestPlannerPairMode:
         assert "rtri" not in targets and "tri" not in targets
         # The plan table renders the pair demand, not an all-zero row.
         rescale_row = next(r for r in plan.summary_rows() if r[0] == "rescale")
-        assert rescale_row[-1] == f"f{FX.frac_bits}x8"
+        assert rescale_row[-1] == f"{FX.frac_bits}: 8"
         # total_cots charges the pair's COTs plus its generation triples.
         pair_only = plan_graph(g, bits=BITS, fx=FX, trunc_mode="pair")
         exact = plan_graph(g, bits=BITS, fx=FX, trunc_mode="exact")
         assert pair_only.demand.total_cots(BITS) > 0
-        assert exact.demand.cot_fwd == 8 * (BITS + FX.frac_bits)
+        assert exact.pool_targets()["cot/fwd"] == 8 * (BITS + FX.frac_bits)
 
     def test_rescale_without_fx_is_an_honest_gap(self):
         g = Graph("gap", (2, 3))

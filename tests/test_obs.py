@@ -297,16 +297,10 @@ def test_service_telemetry_and_set_tracer():
         assert mux0.tracer is tr0 and mux1.tracer is tr1
         assert all(pool.tracer is tr0 for pool in svc0.pools.values())
 
-        def draw(svc, party):
-            session = svc.session("obs-test")
-            if party == 0:
-                session.draw_sender_cots(64)
-            else:
-                session.draw_receiver_cots(64)
+        def draw(svc):
+            svc.session("obs-test").draw([("cot/fwd", (), 64)])
 
-        run_concurrently(
-            lambda: draw(svc0, 0), lambda: draw(svc1, 1), timeout=120.0
-        )
+        run_concurrently(lambda: draw(svc0), lambda: draw(svc1), timeout=120.0)
 
         telemetry = svc0.telemetry()
         draws = {k: v for k, v in telemetry.items() if k.startswith("draws/")}

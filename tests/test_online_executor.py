@@ -9,20 +9,18 @@ the oracle and stay independent of ``compile_ops``.
 
 import numpy as np
 import pytest
+from parties import run_both, start_service_pair
 
-from repro.errors import ChannelError, ParameterError
+from repro.errors import ParameterError
 from repro.ferret.config import FerretConfig
 from repro.mpc.sharing import from_signed, share_arith_nd
 from repro.mpc.triples import ring_mask_u64
 from repro.mpc.truncation import FixedPointConfig
-from repro.ot.channel import LocalChannel, run_concurrently
 from repro.ppml.layers import Activation, Graph, Linear, MaxPool2d, Rescale
 from repro.ppml.plan import plan_graph
 from repro.runtime import (
-    CorrelationService,
     DaemonConfig,
     InferenceDaemon,
-    MuxChannel,
     ServiceTuning,
     compile_ops,
     run_online,
@@ -85,21 +83,14 @@ def random_model(graph, gen, batch=1):
     ]
 
 
-def run_both(fn0, fn1, svcs, timeout=300.0):
-    try:
-        return run_concurrently(fn0, fn1, timeout)
-    except ChannelError as exc:
-        pytest.fail(f"{exc!r} (svc errors: {[s.error for s in svcs]})")
+def errors(svcs) -> tuple:
+    return tuple(svc.error for svc in svcs)
 
 
 @pytest.fixture(scope="module")
 def services():
-    base_a, base_b = LocalChannel.pair(timeout=180.0)
-    muxes = MuxChannel(base_a, timeout=180.0), MuxChannel(base_b, timeout=180.0)
-    svcs = tuple(
-        CorrelationService(p, mux, CFG, TUNING, seed=0xE7EC).start()
-        for p, mux in enumerate(muxes)
-    )
+    *svcs, mux0, mux1 = start_service_pair(CFG, TUNING, seed=0xE7EC)
+    muxes = mux0, mux1
     yield svcs, muxes
     for svc in svcs:
         svc.stop()
@@ -173,7 +164,7 @@ class TestThreeWaysOneAnswer:
             stalls = {k: s["stalled_draws"] for k, s in svc0.pool_stats().items()}
             sent = mux0.stats_by_tag().get(f"sess/{tag}")
             sent = (sent.bytes_sent, sent.messages_sent) if sent else (0, 0)
-            z0, z1 = run_both(lambda: go(0), lambda: go(1), svcs)
+            z0, z1 = run_both(lambda: go(0), lambda: go(1), ctx=errors(svcs))
             after = mux0.stats_by_tag()[f"sess/{tag}"]
             msgs = after.messages_sent - sent[1]
             return {
@@ -235,7 +226,10 @@ class TestThreeWaysOneAnswer:
                     "cli", parties[p][0][:batch]
                 ).result(120.0),
             )
-        run_both(lambda: daemons[0].stop(60.0), lambda: daemons[1].stop(60.0), svcs)
+        run_both(
+            lambda: daemons[0].stop(60.0), lambda: daemons[1].stop(60.0),
+            ctx=errors(svcs),
+        )
         return {"runs": out, "plan": plan, "expect": expect}
 
     @pytest.mark.parametrize("batch", [1, 3])
@@ -280,7 +274,7 @@ class TestGraphSweep:
                 np.random.default_rng(party),
             )[0]
 
-        z0, z1 = run_both(lambda: go(0), lambda: go(1), svcs)
+        z0, z1 = run_both(lambda: go(0), lambda: go(1), ctx=errors(svcs))
         assert np.array_equal((z0 + z1) & MASK, oracle(graph, xs[0], ws))
         after = svcs[0].session_draw_counts()
         for kind, count in plan.pool_targets().items():

@@ -52,11 +52,7 @@ def test_table4_2pow20_through_service():
     out = {}
 
     def consumer(party, svc):
-        session = svc.session("table4")
-        if party == 0:
-            out[0] = session.draw_sender_cots(n_draw)[0]
-        else:
-            out[1] = session.draw_receiver_cots(n_draw)[0]
+        (out[party],), _ = svc.session("table4").draw([("cot/fwd", (), n_draw)])
 
     t0 = threading.Thread(target=consumer, args=(0, svc0))
     t1 = threading.Thread(target=consumer, args=(1, svc1))
@@ -120,11 +116,9 @@ def test_table4_2pow20_through_4shard_service():
     out = {}
 
     def consumer(party, svc):
-        session = svc.session("table4-sharded")
-        if party == 0:
-            out[0] = session.draw_sender_cots(n_draw)[0]
-        else:
-            out[1] = session.draw_receiver_cots(n_draw)[0]
+        (out[party],), _ = svc.session("table4-sharded").draw(
+            [("cot/fwd", (), n_draw)]
+        )
 
     t0 = threading.Thread(target=consumer, args=(0, svc0))
     t1 = threading.Thread(target=consumer, args=(1, svc1))

@@ -4,23 +4,24 @@ session verb, and chunk-fused TPRC production."""
 
 import numpy as np
 import pytest
+from parties import run_both, start_service_pair
 
-from repro.errors import ChannelError, ServiceError
+from repro.errors import ParameterError
 from repro.ferret.config import FerretConfig
 from repro.mpc.matmul import matmul_rescale_via_service, matmul_via_service
 from repro.mpc.sharing import from_signed, share_arith_nd
 from repro.mpc.triples import ring_mask_u64
 from repro.mpc.truncation import (
     FixedPointConfig,
+    trunc_draws,
     trunc_pair_bit_triples,
     trunc_pair_cots,
     trunc_preproc_messages,
     trunc_via_service,
 )
-from repro.ot.channel import LocalChannel, run_concurrently
 from repro.ppml.layers import Activation, Graph, Linear, Rescale
 from repro.ppml.plan import plan_graph
-from repro.runtime import CorrelationService, MuxChannel, ServiceTuning, run_online
+from repro.runtime import ServiceTuning, run_online
 from repro.runtime.pool import TriplePool
 
 CFG = FerretConfig.small(scale=1024, arity=4, prg_kind="chacha8")
@@ -40,25 +41,9 @@ TUNING = ServiceTuning(
 M, K, H, OUT = 4, 8, 6, 48
 
 
-def run_both(fn0, fn1, timeout=300.0, ctx=()):
-    try:
-        return run_concurrently(fn0, fn1, timeout)
-    except ChannelError as exc:
-        pytest.fail(f"{exc!r} (svc errors: {ctx})")
-
-
-def start_service_pair(tuning=TUNING, seed=0x1CE):
-    base_a, base_b = LocalChannel.pair(timeout=180.0)
-    mux0 = MuxChannel(base_a, timeout=180.0)
-    mux1 = MuxChannel(base_b, timeout=180.0)
-    svc0 = CorrelationService(0, mux0, CFG, tuning, seed=seed).start()
-    svc1 = CorrelationService(1, mux1, CFG, tuning, seed=seed).start()
-    return svc0, svc1, mux0, mux1
-
-
 @pytest.fixture(scope="module")
 def services():
-    svc0, svc1, mux0, mux1 = start_service_pair()
+    svc0, svc1, mux0, mux1 = start_service_pair(CFG, TUNING, seed=0x1CE)
     yield svc0, svc1, mux0, mux1
     svc0.stop(), svc1.stop()
     mux0.close(), mux1.close()
@@ -263,7 +248,7 @@ class TestForwardOnlyPipeline:
             enable_reverse=False, enable_triples=False,
             enable_ring_triples=False, enable_rots=False,
         )
-        svc0, svc1, mux0, mux1 = start_service_pair(tuning, seed=0x1F0)
+        svc0, svc1, mux0, mux1 = start_service_pair(CFG, tuning, seed=0x1F0)
         try:
             g = Graph("FwdOnly", (3, 5))
             g.add(Linear(4))
@@ -340,10 +325,10 @@ class TestFusedMatmulRescale:
         assert np.all(np.isin(diff, [0, 1, -wrap, 1 - wrap])), diff
 
     def test_one_allocation_round_trip(self, services):
-        """The fused verb announces ALL pool offsets in one message:
-        exact-mode rescale needs 4 draws, so the fused session moves 3
-        fewer messages than the unfused matmul-then-trunc sequence
-        (kept here as the reference) and reconstructs the same values."""
+        """Every verb announces ALL its pool offsets in one message,
+        so the fused session moves one message fewer than the unfused
+        matmul-then-trunc sequence (kept here as the reference) and
+        reconstructs the same values."""
         svc0, svc1, mux0, _ = services
         gen = np.random.default_rng(7)
         x = gen.integers(-4, 4, (2, 3))
@@ -374,13 +359,16 @@ class TestFusedMatmulRescale:
         stats = mux0.stats_by_tag()
         unfused_msgs = stats["sess/cnt-unfused"].messages_sent
         fused = stats["sess/cnt-fused"].messages_sent
-        assert fused == unfused_msgs - 3, (fused, unfused_msgs)
+        assert fused == unfused_msgs - 1, (fused, unfused_msgs)
         assert np.array_equal((f0 + f1) & MASK, (u0 + u1) & MASK)
 
     def test_unknown_mode_rejected(self, services):
         svc0, _, _, _ = services
-        with pytest.raises(ServiceError, match="unknown truncation mode"):
-            svc0.session("fuse-bad").draw_matmul_rescale(2, 2, 2, FX, mode="nope")
+        shares = np.zeros((2, 2), dtype=np.uint64)
+        with pytest.raises(ParameterError, match="unknown truncation mode"):
+            matmul_rescale_via_service(
+                svc0.session("fuse-bad"), shares, shares, FX, mode="nope"
+            )
 
 
 class TestBatchedTprcProduction:
@@ -394,7 +382,7 @@ class TestBatchedTprcProduction:
             tprc_chunk=4, tprc_batch_chunks=4,
             enable_rots=False,
         )
-        svc0, svc1, mux0, mux1 = start_service_pair(tuning, seed=0x7A7)
+        svc0, svc1, mux0, mux1 = start_service_pair(CFG, tuning, seed=0x7A7)
         try:
             n = 16
             pool = svc0.trunc_pool(FX.frac_bits)
@@ -424,8 +412,8 @@ class TestBatchedTprcProduction:
             assert tprc_messages() - before_msgs == trunc_preproc_messages(FX)
             # And the pairs are real: both parties' shares reconstruct.
             p0, p1 = run_both(
-                lambda: svc0.session("tb").draw_trunc_pairs(n, FX.frac_bits),
-                lambda: svc1.session("tb").draw_trunc_pairs(n, FX.frac_bits),
+                lambda: svc0.session("tb").draw(trunc_draws(n, FX, "pair"))[0][0],
+                lambda: svc1.session("tb").draw(trunc_draws(n, FX, "pair"))[0][0],
                 ctx=ctx,
             )
             r = (p0.r + p1.r) & MASK

@@ -4,16 +4,12 @@ import pytest
 
 from repro.errors import ParameterError
 from repro.mpc.compare import cots_needed, triples_needed
-from repro.mpc.matmul import MatmulDims
-from repro.ppml.layers import Activation, Conv2d, Graph, Linear, MaxPool2d
+from repro.mpc.matmul import matmul_draws
+from repro.mpc.relu import relu_draws
+from repro.mpc.truncation import FixedPointConfig
+from repro.ppml.layers import Activation, Conv2d, Graph, Linear, MaxPool2d, Rescale
 from repro.ppml.models import resnet18
-from repro.ppml.plan import (
-    CorrelationDemand,
-    matmul_demand,
-    mul_demand,
-    plan_graph,
-    relu_demand,
-)
+from repro.ppml.plan import CorrelationDemand, plan_graph
 
 BITS = 16
 
@@ -45,38 +41,41 @@ class TestGraphTrace:
 class TestLayerDemand:
     def test_relu_demand_mirrors_service_draws(self):
         n = 32
-        d = relu_demand(n, BITS)
-        assert d.cot_fwd == cots_needed(n, BITS - 1) + n
-        assert d.cot_rev == n
-        assert d.bit_triples == triples_needed(n, BITS - 1)
+        g = Graph("relu", (n,))
+        g.add(Activation("relu"))
+        plan = plan_graph(g, bits=BITS)
+        assert plan.demand.draws == CorrelationDemand().add(relu_draws(n, BITS)).draws
+        assert plan.pool_targets() == {
+            "cot/fwd": cots_needed(n, BITS - 1) + n,
+            "cot/rev": n,
+            "tri": triples_needed(n, BITS - 1),
+        }
 
     def test_linear_becomes_matrix_triple(self):
         plan = plan_graph(tiny_mlp(), bits=BITS)
-        assert plan.demand.matrix == {
-            MatmulDims(4, 16, 8): 1,
-            MatmulDims(4, 8, 4): 1,
-        }
+        matrix = {k: n for k, n in plan.pool_targets().items() if k.startswith("mtri/")}
+        assert matrix == {"mtri/4x16x8": 1, "mtri/4x8x4": 1}
 
     def test_conv_becomes_im2col_matmul_per_group(self):
         g = Graph("conv", (8, 10, 10))
         g.add(Conv2d(16, 3, stride=1, padding=1, groups=2))
         plan = plan_graph(g, bits=BITS)
         # oh = ow = 10; k = (8/2)*9 = 36; n = 16/2 = 8; one triple per group.
-        assert plan.demand.matrix == {MatmulDims(100, 36, 8): 2}
+        assert plan.pool_targets() == {"mtri/100x36x8": 2}
 
     def test_maxpool_charges_one_relu_per_comparison(self):
         g = Graph("mp", (2, 8, 8))
         g.add(MaxPool2d(2, 2))
         plan = plan_graph(g, bits=BITS)
         cmps = 2 * 4 * 4 * 3  # c*oh*ow*(k^2-1)
-        assert plan.demand.cot_fwd == relu_demand(cmps, BITS).cot_fwd
-        assert plan.demand.bit_triples == triples_needed(cmps, BITS - 1)
+        assert plan.demand.draws == CorrelationDemand().add(relu_draws(cmps, BITS)).draws
+        assert plan.pool_targets()["tri"] == triples_needed(cmps, BITS - 1)
 
     def test_unplanned_kinds_are_visible(self):
         g = Graph("gelu", (4, 8))
         g.add(Activation("gelu"))
         plan = plan_graph(g, bits=BITS)
-        assert plan.demand.matrix == {}
+        assert plan.pool_targets() == {}
         assert plan.demand.unplanned == {"gelu": 32}
 
     def test_relu6_is_not_silently_planned_as_relu(self):
@@ -85,7 +84,7 @@ class TestLayerDemand:
         g = Graph("relu6", (4, 8))
         g.add(Activation("relu6"))
         plan = plan_graph(g, bits=BITS)
-        assert plan.demand.cot_fwd == 0 and plan.demand.bit_triples == 0
+        assert plan.pool_targets() == {}
         assert plan.demand.unplanned == {"relu6": 32}
 
 
@@ -95,9 +94,8 @@ class TestPlanAggregation:
         total = CorrelationDemand()
         for _, d in plan.per_layer:
             total.merge(d)
-        assert total.cot_fwd == plan.demand.cot_fwd
-        assert total.bit_triples == plan.demand.bit_triples
-        assert total.matrix == plan.demand.matrix
+        assert total.draws == plan.demand.draws
+        assert total.as_pool_targets() == plan.pool_targets()
 
     def test_pool_targets_mapping(self):
         plan = plan_graph(tiny_mlp(), bits=BITS)
@@ -111,14 +109,15 @@ class TestPlanAggregation:
         assert "rtri" not in targets  # nothing demanded none planned
 
     def test_mul_and_matmul_demand_helpers(self):
-        d = matmul_demand(MatmulDims(2, 3, 4), count=5)
-        d.merge(mul_demand(7))
-        assert d.matrix_triples == 5 and d.ring_triples == 7
-        assert d.as_pool_targets()["rtri"] == 7
+        d = CorrelationDemand().add(matmul_draws(2, 3, 4), times=5)
+        d.merge(CorrelationDemand().add([("rtri", (), 7)]))
+        assert d.as_pool_targets() == {"mtri/2x3x4": 5, "rtri": 7}
 
     def test_total_cots_accounts_derived_production(self):
-        d = CorrelationDemand(cot_fwd=10, cot_rev=20, bit_triples=5,
-                              ring_triples=3, matrix={MatmulDims(2, 3, 4): 2})
+        d = CorrelationDemand().add([
+            ("cot/fwd", (), 10), ("cot/rev", (), 20), ("tri", (), 5),
+            ("rtri", (), 3), ("mtri", (2, 3, 4), 2),
+        ])
         expect = 10 + 20 + 5 * 2 + 3 * 16 * 2 + 2 * (2 * 3 + 3 * 4) * 16
         assert d.total_cots(ring_bits=16) == expect
 
@@ -126,12 +125,36 @@ class TestPlanAggregation:
 class TestRealModels:
     def test_resnet18_plans_without_error(self):
         plan = plan_graph(resnet18(), bits=32)
-        assert plan.demand.matrix_triples > 20  # one per conv/linear
-        assert plan.demand.cot_fwd > 0 and plan.demand.bit_triples > 0
-        assert plan.demand.total_cots(32) > plan.demand.cot_fwd
+        targets = plan.pool_targets()
+        matrix = sum(n for kind, n in targets.items() if kind.startswith("mtri/"))
+        assert matrix > 20  # one per conv/linear
+        assert targets["cot/fwd"] > 0 and targets["tri"] > 0
+        assert plan.demand.total_cots(32) > targets["cot/fwd"]
         # im2col shape of the stem conv: 112*112 outputs, 3*49 inputs, 64 out.
-        assert MatmulDims(112 * 112, 147, 64) in plan.demand.matrix
-        assert len(plan.summary_rows()) == len(plan.per_layer)
+        assert f"mtri/{112 * 112}x147x64" in targets
+        assert len(plan.summary_rows()) == 1 + len(plan.per_layer)
+
+    @pytest.mark.parametrize("mode", ["pair", "wrap", "exact"])
+    def test_summary_rows_show_every_kind_the_plan_draws(self, mode):
+        """The printed table has a column for every pool kind in
+        ``pool_targets()`` -- the B2A ring triples of an exact-mode
+        Rescale included -- and each layer's cell shows its count."""
+        g = tiny_mlp()
+        g.add(Rescale())
+        fx = FixedPointConfig(bits=BITS, frac_bits=4, mag_bits=9)
+        plan = plan_graph(g, bits=BITS, fx=fx, trunc_mode=mode)
+        header, *rows = plan.summary_rows()
+        def column_of(pool_name):  # "mtri/4x16x8" sits under "mtri"
+            (column,) = [
+                c for c in header[1:] if pool_name == c or pool_name.startswith(c + "/")
+            ]
+            return column
+
+        assert header[0] == "layer"
+        assert {column_of(name) for name in plan.pool_targets()} == set(header[1:])
+        rescale = dict(zip(header, rows[-1]))
+        for name, count in plan.per_layer[-1][1].as_pool_targets().items():
+            assert str(count) in rescale[column_of(name)], (name, rescale)
 
     def test_prefill_rejects_ring_width_mismatch(self):
         class FakeTuning:

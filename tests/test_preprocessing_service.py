@@ -4,13 +4,13 @@ pooled ring + matrix triples, planner-driven prefill, stall-free online.
 
 import numpy as np
 import pytest
+from parties import run_both, start_service_pair
 
-from repro.errors import ChannelError
 from repro.ferret.config import FerretConfig
-from repro.mpc.matmul import matmul_via_service
+from repro.mpc.matmul import matmul_draws, matmul_via_service
 from repro.mpc.sharing import share_arith_nd
-from repro.mpc.triples import ring_mask_u64, ring_triples_via_service
-from repro.ot.channel import LocalChannel, run_concurrently
+from repro.mpc.triples import ring_mask_u64
+from repro.ot.channel import LocalChannel
 from repro.ppml.layers import Activation, Graph, Linear
 from repro.ppml.plan import plan_graph
 from repro.runtime import CorrelationService, MuxChannel, ServiceTuning, run_online
@@ -23,23 +23,6 @@ TUNING = ServiceTuning(
     rtri_chunk=128,
 )
 MASK = ring_mask_u64(BITS)
-
-
-def start_service_pair(seed=0x77):
-    base_a, base_b = LocalChannel.pair(timeout=180.0)
-    mux0 = MuxChannel(base_a, timeout=180.0)
-    mux1 = MuxChannel(base_b, timeout=180.0)
-    svc0 = CorrelationService(0, mux0, CFG, TUNING, seed=seed).start()
-    svc1 = CorrelationService(1, mux1, CFG, TUNING, seed=seed).start()
-    return svc0, svc1, mux0, mux1
-
-
-def run_both(fn0, fn1, timeout=300.0, ctx=()):
-    """Both parties in lockstep, decorating failures with service errors."""
-    try:
-        return run_concurrently(fn0, fn1, timeout)
-    except ChannelError as exc:
-        pytest.fail(f"{exc!r} (svc errors: {ctx})")
 
 
 def tiny_model():
@@ -56,7 +39,7 @@ def share_matrix(values, gen):
 
 @pytest.fixture(scope="module")
 def services():
-    svc0, svc1, mux0, mux1 = start_service_pair()
+    svc0, svc1, mux0, mux1 = start_service_pair(CFG, TUNING, seed=0x77)
     yield svc0, svc1
     svc0.stop(), svc1.stop()
     mux0.close(), mux1.close()
@@ -67,7 +50,7 @@ class TestPooledArithmeticTriples:
         svc0, svc1 = services
 
         def draw(svc):
-            return lambda: ring_triples_via_service(svc.session("rtri-t"), 30)
+            return lambda: svc.session("rtri-t").draw([("rtri", (), 30)])[0][0]
 
         t0, t1 = run_both(draw(svc0), draw(svc1), ctx=(svc0.error, svc1.error))
         a = (t0.a + t1.a) & MASK
@@ -79,7 +62,7 @@ class TestPooledArithmeticTriples:
         svc0, svc1 = services
 
         def draw(svc):
-            return lambda: svc.session("mtri-t").draw_matrix_triple(3, 7, 5)
+            return lambda: svc.session("mtri-t").draw(matmul_draws(3, 7, 5))[0][0]
 
         t0, t1 = run_both(draw(svc0), draw(svc1), ctx=(svc0.error, svc1.error))
         a = (t0.a + t1.a) & MASK
@@ -96,8 +79,8 @@ class TestPooledArithmeticTriples:
         run_both(lambda: svc0.prefill(targets, 120.0),
                  lambda: svc1.prefill(targets, 120.0), ctx=ctx)
         run_both(
-            lambda: ring_triples_via_service(svc0.session("pre-again"), 15),
-            lambda: ring_triples_via_service(svc1.session("pre-again"), 15),
+            lambda: svc0.session("pre-again").draw([("rtri", (), 15)]),
+            lambda: svc1.session("pre-again").draw([("rtri", (), 15)]),
             ctx=ctx,
         )
         drawn_after_consume = svc1.pools["rtri"].stats.items_drawn

@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.errors import AdmissionReject, LeaseExpired, ParameterError
+from repro.errors import AdmissionReject, DaemonError, LeaseExpired, ParameterError
 from repro.ferret.config import FerretConfig
 from repro.mpc.sharing import from_signed, share_arith_nd
 from repro.mpc.triples import ring_mask_u64
@@ -268,6 +268,40 @@ class TestAdmissionControl:
                 assert rejects[party].inflight == 2
                 assert rejects[party].limit == 2
             assert d0.rejected == 1 and d1.rejected == 1
+        finally:
+            stop_daemon_pair(stack)
+
+    def test_failed_follower_submit_raises_the_cause_not_a_reject(self):
+        """A follower submission still waiting for its verdict when the
+        daemon gives up (dead ctl stream, no local submission, batch
+        mismatch) fails with that cause -- not with the retry-me
+        ``AdmissionReject`` of a full window."""
+        dcfg = DaemonConfig(lease_ttl_s=30.0, request_timeout_s=120.0)
+        stack = start_daemon_pair(dcfg, seed=0xFA1)
+        d1, rng = stack["d1"], stack["rng"]
+        try:
+            share = share_input(rng.integers(-8, 8, (M, K)), rng)[1]
+            raised = []
+
+            def follower():
+                try:
+                    d1.submit("lonely", share)  # the leader never submits
+                except DaemonError as exc:
+                    raised.append(exc)
+
+            thread = threading.Thread(target=follower)
+            thread.start()
+            deadline = time.monotonic() + 30.0
+            while not d1._pending.get("lonely"):
+                assert time.monotonic() < deadline, "submission never queued"
+                time.sleep(0.01)
+            cause = DaemonError("x")
+            d1._fail_all(cause)
+            thread.join(30.0)
+            assert not thread.is_alive()
+            (exc,) = raised
+            assert not isinstance(exc, AdmissionReject)
+            assert exc.__cause__ is cause and "x" in str(exc)
         finally:
             stop_daemon_pair(stack)
 

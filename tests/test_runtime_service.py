@@ -15,7 +15,6 @@ from repro.ferret.config import FerretConfig
 from repro.mpc.maxpool import max_via_service
 from repro.mpc.relu import relu_via_service
 from repro.mpc.sharing import from_signed, reconstruct_arith, share_arith, to_signed
-from repro.mpc.triples import triples_via_service
 from repro.ot.channel import LocalChannel
 from repro.ot.cot import verify_cot
 from repro.runtime import CorrelationService, MuxChannel, ServiceTuning
@@ -99,17 +98,13 @@ def service_run():
 
     def triples_job(n):
         def fn(session, party):
-            return triples_via_service(session, n)
+            return session.draw([("tri", (), n)])[0][0]
 
         return fn
 
     def raw_cot_job(n):
         def fn(session, party):
-            if party == 0:
-                batch, lo = session.draw_sender_cots(n)
-            else:
-                batch, lo = session.draw_receiver_cots(n)
-            return batch
+            return session.draw([("cot/fwd", (), n)])[0][0]
 
         return fn
 
@@ -218,9 +213,7 @@ class TestServiceLifecycle:
         svc0, svc1, mux0, mux1 = start_service_pair(seed=0xD1)
 
         def rot_job(session, party):
-            if party == 0:
-                return session.draw_random_ots_send(50)
-            return session.draw_random_ots_receive(50)
+            return session.draw([("rot/fwd", (), 50)])[0][0]
 
         results = run_sessions(svc0, svc1, [("rot", rot_job)])
         m0, m1 = results[(0, "rot")]
@@ -263,7 +256,7 @@ class TestServiceLifecycle:
         # Never started: draws must time out against the empty pool.
         session = svc0.session("orphan")
         with pytest.raises(ServiceError):
-            session.draw_triples(4)
+            session.draw([("tri", (), 4)])
         mux0.close()
 
     def test_party_validation(self):

@@ -83,8 +83,8 @@ class TestShardedService:
         # More than one extend's worth, so draws cross shard boundaries.
         n = CFG.net_output + CFG.net_output // 2
         s, r = run_pair(
-            lambda: svc0.session("cot").draw_sender_cots(n)[0],
-            lambda: svc1.session("cot").draw_receiver_cots(n)[0],
+            lambda: svc0.session("cot").draw([("cot/fwd", (), n)])[0][0],
+            lambda: svc1.session("cot").draw([("cot/fwd", (), n)])[0][0],
             ctx=(svc0.error, svc1.error),
         )
         assert isinstance(s, CotSenderBatch) and isinstance(r, CotReceiverBatch)
@@ -93,8 +93,8 @@ class TestShardedService:
     def test_derived_triples_ride_merged_stream(self, services):
         svc0, svc1 = services
         t0, t1 = run_pair(
-            lambda: svc0.session("tri").draw_triples(300),
-            lambda: svc1.session("tri").draw_triples(300),
+            lambda: svc0.session("tri").draw([("tri", (), 300)])[0][0],
+            lambda: svc1.session("tri").draw([("tri", (), 300)])[0][0],
             ctx=(svc0.error, svc1.error),
         )
         a = t0.a ^ t1.a
@@ -146,8 +146,8 @@ class TestShardsOneIsByteIdentical:
         svc0, svc1, mux0, mux1 = start_service_pair(tuning, seed=seed)
         try:
             s, r = run_pair(
-                lambda: svc0.session("id").draw_sender_cots(n)[0],
-                lambda: svc1.session("id").draw_receiver_cots(n)[0],
+                lambda: svc0.session("id").draw([("cot/fwd", (), n)])[0][0],
+                lambda: svc1.session("id").draw([("cot/fwd", (), n)])[0][0],
                 ctx=(svc0.error, svc1.error),
             )
         finally:
@@ -243,7 +243,7 @@ class TestWorkerDeath:
             svc0._shard_mgr._procs[1].kill()
             t0 = time.monotonic()
             with pytest.raises(ServiceError, match="closed while waiting"):
-                svc0.session("orphan").draw_sender_cots(100 * CFG.net_output)
+                svc0.session("orphan").draw([("cot/fwd", (), 100 * CFG.net_output)])
             assert time.monotonic() - t0 < 5.0
             with pytest.raises(ServiceError, match="shard 1 exited with code -9"):
                 svc0._shard_mgr.check_failed()
@@ -356,8 +356,8 @@ class TestReconnectUnderShards:
             # to dip any pool below its low watermark (no extends are
             # scheduled across the outage).
             t0, t1 = run_pair(
-                lambda: svc0.session("heal").draw_triples(32),
-                lambda: svc1.session("heal").draw_triples(32),
+                lambda: svc0.session("heal").draw([("tri", (), 32)])[0][0],
+                lambda: svc1.session("heal").draw([("tri", (), 32)])[0][0],
                 ctx=(svc0.error, svc1.error),
             )
             assert np.array_equal(t0.c ^ t1.c, (t0.a ^ t1.a) & (t0.b ^ t1.b))
@@ -371,8 +371,8 @@ class TestReconnectUnderShards:
             # Healed link still serves verifiable COTs off the merged
             # shard stream, and the follower's merger holds nothing back.
             s, r = run_pair(
-                lambda: svc0.session("heal").draw_sender_cots(64)[0],
-                lambda: svc1.session("heal").draw_receiver_cots(64)[0],
+                lambda: svc0.session("heal").draw([("cot/fwd", (), 64)])[0][0],
+                lambda: svc1.session("heal").draw([("cot/fwd", (), 64)])[0][0],
                 ctx=(svc0.error, svc1.error),
             )
             assert verify_cot(s, r)

@@ -13,7 +13,6 @@ from repro.errors import (
     ServiceDegraded,
 )
 from repro.ferret.config import FerretConfig
-from repro.mpc.triples import triples_via_service
 from repro.ot.channel import LocalChannel
 from repro.runtime import CorrelationService, MuxChannel, ServiceTuning
 
@@ -83,7 +82,7 @@ def test_transient_fault_degrades_resyncs_and_recovers():
         out = {}
 
         def draw(party, svc):
-            out[party] = triples_via_service(svc.session("after-fault"), 128)
+            (out[party],), _ = svc.session("after-fault").draw([("tri", (), 128)])
 
         t0 = threading.Thread(target=draw, args=(0, svc0))
         t1 = threading.Thread(target=draw, args=(1, svc1))
@@ -185,7 +184,7 @@ def test_pool_created_after_worker_exit_is_closed():
     svc1.stop()
     start = time.monotonic()
     with pytest.raises(PoolClosed):
-        svc0.session("late").draw_matrix_triple(2, 2, 2)
+        svc0.session("late").draw([("mtri", (2, 2, 2), 1)])
     assert time.monotonic() - start < 1.0
 
 

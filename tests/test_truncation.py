@@ -16,13 +16,11 @@ from repro.mpc.truncation import (
     dealer_trunc_pairs,
     generate_trunc_pairs,
     millionaire_bytes,
-    trunc_bit_triples,
-    trunc_cots,
+    trunc_draws,
     trunc_online_bytes,
     trunc_pair_bit_triples,
     trunc_pair_cots,
     trunc_preproc_bytes,
-    trunc_ring_triples,
     truncate_pair_online,
     truncate_shares,
 )
@@ -68,9 +66,12 @@ def run_truncate(values, cfg, exact, seed=0):
     rng = np.random.default_rng(seed)
     n = values.shape[0]
     x0, x1 = share_values(values, cfg.bits, rng)
-    sender, receiver = fake_cots(trunc_cots(n, cfg, exact), seed=seed + 1)
-    t0, t1 = dealer_bit_triples(trunc_bit_triples(n, cfg, exact), rng)
-    rt0, rt1 = dealer_ring_triples(trunc_ring_triples(n, cfg, exact), cfg.bits, rng)
+    (_, _, n_cots), (_, _, n_tri), (_, _, n_rtri) = trunc_draws(
+        n, cfg, "exact" if exact else "wrap"
+    )
+    sender, receiver = fake_cots(n_cots, seed=seed + 1)
+    t0, t1 = dealer_bit_triples(n_tri, rng)
+    rt0, rt1 = dealer_ring_triples(n_rtri, cfg.bits, rng)
     z0, z1, st0, st1 = run_pair(
         lambda ch: truncate_shares(
             ch, x0, cfg, 0, CotPool(sender=sender), t0, rt0,
