@@ -2,8 +2,8 @@
 
 Unlike the figure/table benches (which drive the *hardware models*),
 these measure the actual Python/numpy implementation: the batch
-ciphers, GGM expansion, LPN encoding, and a full scaled-down OTE
-iteration.  They guard against performance regressions in the library
+ciphers, GGM expansion, LPN encoding, one secure comparison, and a full
+scaled-down OTE iteration.  They guard against performance regressions in the library
 itself.
 """
 
@@ -21,8 +21,9 @@ from repro.lpn.encode import encode_blocks
 from repro.lpn.matrix import generate_matrix
 from repro.lpn.params import TABLE4_BY_LABEL
 from repro.lpn.sorting import sort_indices
+from repro.mpc.compare import cots_needed, millionaire_p0, millionaire_p1, triples_needed
 from repro.mpc.matmul import MatmulDims, generate_matrix_triples, matmul_cots
-from repro.mpc.triples import ring_mask_u64
+from repro.mpc.triples import dealer_bit_triples, ring_mask_u64
 from repro.ot.channel import run_pair
 from repro.ot.cot import CotPool, verify_cot
 from repro.ot.testing import fake_cots
@@ -70,6 +71,34 @@ def test_kernel_matrix_triple_pair(benchmark):
     mask = ring_mask_u64(bits)
     a, b = (t0.a + t1.a) & mask, (t0.b + t1.b) & mask
     assert np.array_equal((t0.c + t1.c) & mask, (a @ b) & mask)
+
+
+@pytest.mark.parametrize(
+    "bits",
+    # The ledger's comparisons over n = 96: the 15-bit ReLU carry and the
+    # exact Rescale's 16-bit wrap and 4-bit borrow.
+    [15, 16, 4],
+)
+def test_kernel_millionaire(benchmark, bits):
+    """Both parties of one comparison over a LocalChannel pair, on dealt
+    COTs and bit triples: one level-OT exchange plus the AND tree."""
+    n = 96
+    sender, receiver = fake_cots(cots_needed(n, bits), seed=bits)
+    gen = np.random.default_rng(bits)
+    x = gen.integers(0, 1 << bits, n, dtype=np.uint64)
+    y = gen.integers(0, 1 << bits, n, dtype=np.uint64)
+
+    def run():
+        t0, t1 = dealer_bit_triples(triples_needed(n, bits), np.random.default_rng(0))
+        return run_pair(
+            lambda ch: millionaire_p0(
+                ch, x, bits, CotPool(sender=sender), t0, np.random.default_rng(1)
+            ),
+            lambda ch: millionaire_p1(ch, y, bits, CotPool(receiver=receiver), t1),
+        )
+
+    g0, g1, _, _ = benchmark(run)
+    assert np.array_equal(g0 ^ g1, (y > x).astype(np.uint8))
 
 
 def test_kernel_chacha8_keystream(benchmark):

@@ -33,7 +33,9 @@ cancels runner speed too.  A traced ``infer_single`` run
 (``LEDGER_ONLINE_ROWS``): the ledger times those ops by patching their
 call sites from outside, so a refactor that moves them reads as zero.
 The same run carries one more share: matrix-triple production's part of
-the worker's six ``produce.*`` rows (``MTRI_SHARE_CEILING``).
+the worker's six ``produce.*`` rows (``MTRI_SHARE_CEILING``), and two
+exact per-request counts of the online phase under ceilings
+(``LEDGER_INFER_CEILINGS``): its wire bytes and its mux frames.
 
 Usage:
     # in CI, after running each bench with --smoke --json-out <dir>/...
@@ -168,6 +170,16 @@ LEDGER_ONLINE_ROWS = (
 PRODUCE_OPS = ("EXT0", "EXT1", "TRI", "RTRI", "MTRI", "TPRC")
 MTRI_SHARE_CEILING = 0.45
 
+#: Ceilings on exact per-request counts of that run (host independent).
+#: With every comparison one level-OT exchange of 1-bit lanes plus a
+#: log-depth AND tree, a request's online phase is 28 692 B in ~130 mux
+#: frames; the bit-serial scan with 1-bit OT messages in two 16-byte
+#: blocks read 145 557 B and 395.3 frames.
+LEDGER_INFER_CEILINGS = {
+    "online_bytes_per_req": 40_000,
+    "mux.frames_per_req": 220,
+}
+
 
 def load_ledger(path: Path) -> dict:
     if not path.exists():
@@ -179,8 +191,9 @@ def load_ledger(path: Path) -> dict:
 
 
 def check_ledger_infer(path: Path) -> list:
-    """Every online-op row of the traced infer_single run is non-zero, and
-    matrix triples are not most of the worker's production time."""
+    """Every online-op row of the traced infer_single run is non-zero,
+    matrix triples are not most of the worker's production time, and the
+    online phase's bytes and frames per request stay under ceilings."""
     rows = load_ledger(path)["per_layer"]
     failures = []
     dead = [name for name in LEDGER_ONLINE_ROWS if not rows.get(name)]
@@ -208,6 +221,19 @@ def check_ledger_infer(path: Path) -> list:
             "once per 128 // lane-width (or was the smoke run made without "
             "--trace 1)?"
         )
+    for name, ceiling in LEDGER_INFER_CEILINGS.items():
+        value = rows.get(name)
+        ok = value is not None and value <= ceiling
+        print(f"  ledger/{name:21s} {value}   ceiling  {ceiling}   {'ok' if ok else 'OVER'}")
+        if not ok:
+            failures.append(
+                f"ledger infer_single: {name} = {value}, expected <= {ceiling} -- "
+                "is repro.mpc.compare scanning bits one OT exchange per level "
+                "again, or are ot_send_from_cot / ot_receive_from_cot called "
+                "without a payload width (bits=...) so narrow messages travel "
+                "as two 16-byte blocks (or was the smoke run made without "
+                "--trace 1)?"
+            )
     return failures
 
 

@@ -11,7 +11,8 @@ so the carry is exactly one millionaires' comparison with P0's private
 input ``2^(l-1)-1-low0`` and P1's private input ``low1`` -- and
 ``DReLU = NOT msb``.  ReLU multiplexes the arithmetic shares with the
 boolean DReLU shares through two OTs (one per direction, again the
-unified-architecture workload).
+unified-architecture workload), each ring element a ``bits``-wide lane
+of the OT reply (2 B on a 16-bit ring).
 
 What one ReLU consumes from a provisioning service is declared once, in
 :func:`relu_draws`: :func:`relu_via_service` draws that list and the
@@ -22,7 +23,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.crypto import blocks
 from repro.mpc.compare import (
     cots_needed,
     millionaire_p0,
@@ -84,18 +84,16 @@ def _mux_party(
 
     def send_side(tweak):
         r = rng.integers(0, 1 << x.bits, n, dtype=np.uint64)
-        m0 = blocks.zeros(n)
-        m0[:, 0] = r
-        m1 = blocks.zeros(n)
-        m1[:, 0] = (r + coeff) & mask
-        ot_send_from_cot(channel, send_pool.take_sender(n), m0, m1, tweak_base=tweak)
+        ot_send_from_cot(
+            channel, send_pool.take_sender(n), r, (r + coeff) & mask,
+            tweak_base=tweak, bits=x.bits,
+        )
         return (-r) & mask
 
     def recv_side(tweak):
-        got = ot_receive_from_cot(
-            channel, recv_pool.take_receiver(n), b.bits_vec, tweak_base=tweak
+        return ot_receive_from_cot(
+            channel, recv_pool.take_receiver(n), b.bits_vec, tweak_base=tweak, bits=x.bits
         )
-        return got[:, 0] & mask
 
     if party == 0:
         u = send_side(_MUX_TWEAK)
@@ -126,7 +124,7 @@ def relu_pair(
     """Full ReLU on additive shares: DReLU then multiplex.
 
     Returns (relu_shares, drelu_shares).  ``cmp_pool`` feeds the
-    comparison's per-level OTs (this party's fixed role); the mux needs
+    comparison's level OTs (this party's fixed role); the mux needs
     OTs in *both* directions, hence the separate send/recv pools --
     the role-switching requirement Section 5.2 motivates.
     """
@@ -137,7 +135,7 @@ def relu_pair(
 
 def relu_draws(n: int, bits: int) -> list:
     """The ordered ``(pool kind, key, count)`` list one ReLU of n
-    ``bits``-bit shares consumes: the comparison's per-level COTs (P0
+    ``bits``-bit shares consumes: the comparison's level COTs (P0
     sends), one mux COT per element in each direction, and the
     comparison's bit triples."""
     return [

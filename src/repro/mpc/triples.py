@@ -66,26 +66,20 @@ class BitTriples:
         return head
 
 
-def _bits_to_blocks(bits_vec: np.ndarray) -> np.ndarray:
-    out = blocks.zeros(bits_vec.shape[0])
-    out[:, 0] = bits_vec.astype(np.uint64)
-    return out
-
-
 def _cross_product_sender(channel, pool: CotPool, my_bits, rng, tweak) -> np.ndarray:
     """OT-sender half of a cross term: returns share r of my_bits * theirs."""
     n = my_bits.shape[0]
     r = rng.integers(0, 2, n).astype(np.uint8)
-    m0 = _bits_to_blocks(r)
-    m1 = _bits_to_blocks(r ^ my_bits)
-    ot_send_from_cot(channel, pool.take_sender(n), m0, m1, tweak_base=tweak)
+    ot_send_from_cot(channel, pool.take_sender(n), r, r ^ my_bits, tweak_base=tweak, bits=1)
     return r
 
 
 def _cross_product_receiver(channel, pool: CotPool, my_bits, tweak) -> np.ndarray:
     """OT-receiver half: returns share (r XOR a*b) of the cross term."""
-    got = ot_receive_from_cot(channel, pool.take_receiver(my_bits.shape[0]), my_bits, tweak_base=tweak)
-    return (got[:, 0] & np.uint64(1)).astype(np.uint8)
+    got = ot_receive_from_cot(
+        channel, pool.take_receiver(my_bits.shape[0]), my_bits, tweak_base=tweak, bits=1
+    )
+    return got.astype(np.uint8)
 
 
 def generate_bit_triples(
@@ -164,6 +158,16 @@ def _expand_ring_pads(
     return out
 
 
+def _recv_payload(channel: Channel, rows: int, width: int) -> np.ndarray:
+    """The sender's masked ``(rows, width)`` ring payload, length-checked."""
+    c = channel.recv_ring()
+    if c.shape[0] != rows * width:
+        raise ProtocolError(
+            f"masked payload has {c.shape[0]} ring elements, expected {rows * width}"
+        )
+    return c.reshape(rows, width)
+
+
 def gilboa_send(
     channel: Channel,
     cots: CotSenderBatch,
@@ -221,7 +225,7 @@ def gilboa_receive(
     mask = ring_mask_u64(bits)
     channel.send_bits(cots.x ^ choices)
     pad_mine = _expand_ring_pads(cots.y, tweaks, width, bits, crhf)
-    c = channel.recv_ring().reshape(choices.shape[0], width)
+    c = _recv_payload(channel, choices.shape[0], width)
     return np.where(choices[:, None].astype(bool), (c - pad_mine) & mask, pad_mine)
 
 
@@ -298,7 +302,7 @@ def gilboa_receive_stream(
         pad_mine = _expand_ring_pads(
             cots.y[start:stop], tweaks[start:stop], width, bits, crhf
         )
-        c = channel.recv_ring().reshape(stop - start, width)
+        c = _recv_payload(channel, stop - start, width)
         picked = choices[start:stop, None].astype(bool)
         yield start, np.where(picked, (c - pad_mine) & mask, pad_mine)
 
@@ -436,6 +440,14 @@ def generate_ring_triples(
     return RingTriples(a, b, c, bits)
 
 
+def dealer_bit_triples(n: int, rng: np.random.Generator) -> tuple:
+    """Trusted-dealer bit triples: (party0 shares, party1 shares)."""
+    a = rng.integers(0, 2, n).astype(np.uint8)
+    b = rng.integers(0, 2, n).astype(np.uint8)
+    sa, sb, sc = (rng.integers(0, 2, n).astype(np.uint8) for _ in range(3))
+    return BitTriples(sa, sb, sc), BitTriples(a ^ sa, b ^ sb, (a & b) ^ sc)
+
+
 def dealer_ring_triples(n: int, bits: int, rng: np.random.Generator) -> tuple:
     """Trusted-dealer ring triples: (party0 shares, party1 shares)."""
     mask = ring_mask_u64(bits)
@@ -494,6 +506,8 @@ def mul_shared(
     else:
         theirs = channel.recv_ring()
         channel.send_ring(mine)
+    if theirs.shape[0] != mine.shape[0]:
+        raise ProtocolError("peer opening has the wrong length")
     d = (d_share + theirs[:n]) & mask
     e = (e_share + theirs[n:]) & mask
     share = (batch.c + d * batch.b + e * batch.a) & mask
@@ -527,6 +541,8 @@ def and_shared(
     else:
         theirs = channel.recv_bits()
         channel.send_bits(np.concatenate([d_share, e_share]))
+    if theirs.shape[0] != 2 * n:
+        raise ProtocolError("peer opening has the wrong length")
     d = d_share ^ theirs[:n]
     e = e_share ^ theirs[n:]
     share = batch.c ^ (d & batch.b) ^ (e & batch.a)

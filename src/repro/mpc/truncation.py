@@ -49,10 +49,12 @@ import numpy as np
 
 from repro.errors import ParameterError, ProtocolError
 from repro.mpc.compare import (
+    _bits_msg,
     millionaire_bytes,
     millionaire_messages,
     millionaire_p0,
     millionaire_p1,
+    triples_needed,
 )
 from repro.mpc.triples import (
     BitTriples,
@@ -66,8 +68,9 @@ from repro.ot.channel import Channel
 from repro.ot.cot import CotPool
 
 #: Tweak offset separating the second (low-part) millionaires' run from
-#: the first; the per-level stride inside one run is 2^16 (compare.py),
-#: so 2^26 keeps the two comparison batches disjoint.
+#: the first; one run's level OTs take the contiguous tweaks
+#: ``tweak_base + [0, l*n)`` (compare.py), so 2^26 keeps the two
+#: comparison batches disjoint.
 _CARRY_TWEAK = 1 << 26
 
 #: Tweak offset of the Gilboa B2A batch inside one truncation call.
@@ -157,8 +160,9 @@ def trunc_pair_cots(cfg_bits: int, frac_bits: int) -> int:
 
 
 def trunc_pair_bit_triples(cfg_bits: int, frac_bits: int) -> int:
-    """Bit triples one truncation pair consumes (2 per comparison level)."""
-    return 2 * (cfg_bits + frac_bits)
+    """Bit triples one truncation pair consumes: its two comparisons'
+    AND trees (:func:`repro.mpc.compare.triples_needed`)."""
+    return triples_needed(1, cfg_bits) + triples_needed(1, frac_bits)
 
 
 def trunc_draws(n: int, cfg: FixedPointConfig, mode: str = "exact") -> list:
@@ -168,26 +172,20 @@ def trunc_draws(n: int, cfg: FixedPointConfig, mode: str = "exact") -> list:
 
     ``pair``: one pooled truncation pair per element.  ``wrap`` /
     ``exact``: the forward COTs of the ``bits``-bit wrap comparison
-    (plus, exact mode, the ``frac``-bit borrow comparison), two bit
-    triples per comparison level, and one ring triple per correction
-    bit for the B2A.
+    (plus, exact mode, the ``frac``-bit borrow comparison), the bit
+    triples of their AND trees, and one ring triple per correction bit
+    for the B2A.
     """
     if mode == "pair":
         return [("tprc", (cfg.frac_bits,), n)]
     if mode not in ("wrap", "exact"):
         raise ParameterError(f"unknown truncation mode {mode!r}")
-    exact = mode == "exact"
-    cots = n * (cfg.bits + (cfg.frac_bits if exact else 0))
+    widths = (cfg.bits, cfg.frac_bits) if mode == "exact" else (cfg.bits,)
     return [
-        ("cot/fwd", (), cots),
-        ("tri", (), 2 * cots),
-        ("rtri", (), 2 * n if exact else n),
+        ("cot/fwd", (), n * sum(widths)),
+        ("tri", (), sum(triples_needed(n, w) for w in widths)),
+        ("rtri", (), n * len(widths)),
     ]
-
-
-def _bits_msg(n_bits: int) -> int:
-    """Wire bytes of one ``send_bits`` message (8-byte length header)."""
-    return 8 + (n_bits + 7) // 8
 
 
 def trunc_online_bytes(n: int, cfg: FixedPointConfig, mode: str = "exact") -> int:
@@ -426,6 +424,8 @@ def truncate_pair_online(
     else:
         theirs = channel.recv_ring()
         channel.send_ring(mine)
+    if theirs.shape[0] != mine.shape[0]:
+        raise ProtocolError("peer opening has the wrong length")
     c = (mine + theirs) & mask
     z = (np.uint64(0) - pairs.s) & mask
     if party == 0:
@@ -461,7 +461,8 @@ def truncate_shares(
 
     Args:
         pool: COT pool in the direction where party 0 is the sender.
-        triples: Beaver bit triples, 2 per comparison level (consumed).
+        triples: Beaver bit triples for the comparisons' AND trees
+            (consumed).
         ring_triples: mod-2^bits triples for B2A, one per correction
             bit; counts as :func:`trunc_draws` lists them.
         rng: party 0's comparison OT masks; defaults to a fresh

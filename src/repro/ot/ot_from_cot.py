@@ -17,6 +17,13 @@ one-shot multi-tree SPCOT, one OT per tree and GGM level) pass an
 explicit per-element ``tweaks`` vector instead of the contiguous
 ``tweak_base + i`` default, so each instance keeps the tweak it would
 have used sequentially.
+
+Payloads narrower than a block (a comparison's 1-bit level term, a
+16-bit ring element) pass ``bits``: the pad of message j is then the
+low ``bits`` of its hash, and the sender's reply is ONE message of both
+masked vectors packed as ``bits``-wide lanes (1-bit lanes 8 per byte,
+wider ones in the narrowest of 1 / 2 / 4 / 8 bytes) instead of two
+16-byte block arrays.  Both parties must pass the same ``bits``.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ import numpy as np
 
 from repro.crypto import blocks
 from repro.crypto.crhf import DEFAULT_CRHF, Crhf
-from repro.errors import ProtocolError
+from repro.errors import ParameterError, ProtocolError
 from repro.ot.channel import Channel
 from repro.ot.cot import CotReceiverBatch, CotSenderBatch
 
@@ -40,6 +47,41 @@ def _resolve_tweaks(tweaks, tweak_base: int, n: int) -> np.ndarray:
     return tweaks
 
 
+def _lane_bytes(bits: int) -> int:
+    if not 1 <= bits <= 64:
+        raise ParameterError("OT payload width must be in [1, 64] bits")
+    return next(b for b in (1, 2, 4, 8) if 8 * b >= bits)
+
+
+def _lane_mask(bits: int) -> np.uint64:
+    return np.uint64((1 << bits) - 1)
+
+
+def ot_reply_bytes(n: int, bits: int = None) -> int:
+    """Wire bytes of the sender's reply to n OTs of ``bits``-wide
+    payloads (``None``: two 16-byte block arrays)."""
+    if bits is None:
+        return 2 * blocks.BLOCK_BYTES * n
+    lane = _lane_bytes(bits)
+    return (2 * n + 7) // 8 if bits == 1 else 2 * n * lane
+
+
+def _pack_lanes(values: np.ndarray, bits: int) -> bytes:
+    if bits == 1:
+        return np.packbits(values.astype(np.uint8), bitorder="little").tobytes()
+    return values.astype(f"<u{_lane_bytes(bits)}").tobytes()
+
+
+def _unpack_lanes(data: bytes, n: int, bits: int) -> np.ndarray:
+    """The 2n lanes of a reply to n OTs (masked message 0s, then 1s)."""
+    if len(data) != ot_reply_bytes(n, bits):
+        raise ProtocolError(f"OT reply has {len(data)} bytes, expected {ot_reply_bytes(n, bits)}")
+    if bits == 1:
+        packed = np.frombuffer(data, dtype=np.uint8)
+        return np.unpackbits(packed, count=2 * n, bitorder="little").astype(np.uint64)
+    return np.frombuffer(data, dtype=f"<u{_lane_bytes(bits)}").astype(np.uint64)
+
+
 def ot_send_from_cot(
     channel: Channel,
     cots: CotSenderBatch,
@@ -48,10 +90,20 @@ def ot_send_from_cot(
     tweak_base: int = 0,
     crhf: Crhf = DEFAULT_CRHF,
     tweaks: np.ndarray = None,
+    bits: int = None,
 ) -> None:
-    """Chosen-message OT sender using one COT per message pair."""
-    blocks.require_blocks(messages0, "messages0")
-    blocks.require_blocks(messages1, "messages1")
+    """Chosen-message OT sender using one COT per message pair.
+
+    Messages are ``(n, 2)`` blocks, or with ``bits`` ``(n,)`` integers
+    below ``2^bits`` sent as packed lanes in one reply.
+    """
+    if bits is None:
+        blocks.require_blocks(messages0, "messages0")
+        blocks.require_blocks(messages1, "messages1")
+    else:
+        _lane_bytes(bits)  # a bad width fails before anything is received
+        messages0 = np.asarray(messages0, dtype=np.uint64)
+        messages1 = np.asarray(messages1, dtype=np.uint64)
     n = messages0.shape[0]
     if len(cots) != n or messages1.shape[0] != n:
         raise ProtocolError("COT batch and message arrays must have equal length")
@@ -66,8 +118,13 @@ def ot_send_from_cot(
         np.concatenate([keyed0, blocks.xor(keyed0, cots.delta)]),
         np.concatenate([tweaks, tweaks]),
     )
-    channel.send_blocks(blocks.xor(messages0, pads[:n]))
-    channel.send_blocks(blocks.xor(messages1, pads[n:]))
+    if bits is None:
+        channel.send_blocks(blocks.xor(messages0, pads[:n]))
+        channel.send_blocks(blocks.xor(messages1, pads[n:]))
+        return
+    # A narrow pad is the low ``bits`` of the hash output.
+    masked = (np.concatenate([messages0, messages1]) ^ pads[:, 0]) & _lane_mask(bits)
+    channel.send_bytes(_pack_lanes(masked, bits))
 
 
 def ot_receive_from_cot(
@@ -77,13 +134,20 @@ def ot_receive_from_cot(
     tweak_base: int = 0,
     crhf: Crhf = DEFAULT_CRHF,
     tweaks: np.ndarray = None,
+    bits: int = None,
 ) -> np.ndarray:
-    """Chosen-message OT receiver; returns messages[choices[i]] per i."""
+    """Chosen-message OT receiver; returns messages[choices[i]] per i
+    (blocks, or ``(n,)`` uint64 with ``bits``)."""
     choices = np.asarray(choices, dtype=np.uint8)
     n = choices.shape[0]
     if len(cots) != n:
         raise ProtocolError("COT batch and choice vector must have equal length")
     channel.send_bits(cots.x ^ choices)
+    if bits is not None:
+        masked = _unpack_lanes(channel.recv_bytes(), n, bits)
+        pads = crhf.hash_tweaked(cots.y, _resolve_tweaks(tweaks, tweak_base, n))
+        chosen = np.where(choices.astype(bool), masked[n:], masked[:n])
+        return (chosen ^ pads[:, 0]) & _lane_mask(bits)
     e0 = channel.recv_blocks()
     e1 = channel.recv_blocks()
     if e0.shape[0] != n or e1.shape[0] != n:

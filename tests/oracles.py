@@ -24,6 +24,13 @@ T-table formulation ``repro.crypto.aes`` shipped before its column-major
 kernel (one ``(n,)`` array per state column, bytes pulled out with
 ``>>`` and ``& 0xFF``), and ``crhf_hash_reference`` the MMO hash as
 ``repro.crypto.crhf`` wrote it then (copy, tweak, sigma, encrypt, XOR).
+
+``millionaire_p0_reference`` / ``millionaire_p1_reference`` are the
+bit-serial comparison ``repro.mpc.compare`` shipped before its one-shot
+level OTs and log-depth AND tree: scan MSB -> LSB, one chosen-message OT
+(1-bit payload in two 16-byte blocks) and two ``and_shared`` calls per
+level, ``2l`` triples.  The shipped comparison must reconstruct to the
+same ``[Y > X]``; shares, triple counts and wire bytes differ.
 """
 
 from __future__ import annotations
@@ -34,6 +41,7 @@ from repro.crypto import blocks
 from repro.crypto.aes import _SBOX, _build_tables, expand_key
 from repro.crypto.crhf import DEFAULT_CRHF
 from repro.crypto.prg import ChaChaTreePrg
+from repro.mpc.triples import and_shared
 from repro.ot.ot_from_cot import ot_receive_from_cot, ot_send_from_cot
 from repro.spcot.ggm import PuncturedReconstructor, alpha_digits, expand_full, level_sums
 from repro.spcot.mpcot import block_sizes, tree_depth_for
@@ -314,3 +322,54 @@ def crhf_hash_reference(key: bytes, x: np.ndarray, tweaks=None) -> np.ndarray:
     s[:, 0] = tweaked[:, 0] ^ tweaked[:, 1]
     s[:, 1] = tweaked[:, 0]
     return blocks.xor(aes_encrypt_blocks_reference(key, s), s)
+
+
+#: Tweak stride per bit level (one OT batch per level).
+_LEVEL_STRIDE = 1 << 16
+
+
+def _bit(values: np.ndarray, position: int) -> np.ndarray:
+    return ((values >> np.uint64(position)) & np.uint64(1)).astype(np.uint8)
+
+
+def millionaire_p0_reference(channel, x_private, bits, pool, triples, rng, tweak_base=0):
+    """P0 side; returns its XOR share of [Y > X]."""
+    x_private = np.asarray(x_private, dtype=np.uint64)
+    n = x_private.shape[0]
+    gt = np.zeros(n, dtype=np.uint8)
+    eq = np.ones(n, dtype=np.uint8)  # P0 holds share 1, P1 share 0
+    for level in range(bits - 1, -1, -1):
+        x_i = _bit(x_private, level)
+        tweak = tweak_base + level * _LEVEL_STRIDE
+        # t = (NOT x_i) * y_i via OT: P0 offers (r, r XOR NOT x_i).
+        r = rng.integers(0, 2, n).astype(np.uint8)
+        m0 = blocks.zeros(n)
+        m0[:, 0] = r
+        m1 = blocks.zeros(n)
+        m1[:, 0] = r ^ (x_i ^ 1)
+        ot_send_from_cot(channel, pool.take_sender(n), m0, m1, tweak_base=tweak)
+        t_share = r
+        # eq_i = NOT(x_i XOR y_i): P0 share = NOT x_i, P1 share = y_i.
+        eqi_share = x_i ^ 1
+        step = and_shared(channel, triples, eq, t_share, party=0)
+        gt = gt ^ step
+        eq = and_shared(channel, triples, eq, eqi_share, party=0)
+    return gt
+
+
+def millionaire_p1_reference(channel, y_private, bits, pool, triples, tweak_base=0):
+    """P1 side; returns its XOR share of [Y > X]."""
+    y_private = np.asarray(y_private, dtype=np.uint64)
+    n = y_private.shape[0]
+    gt = np.zeros(n, dtype=np.uint8)
+    eq = np.zeros(n, dtype=np.uint8)
+    for level in range(bits - 1, -1, -1):
+        y_i = _bit(y_private, level)
+        tweak = tweak_base + level * _LEVEL_STRIDE
+        got = ot_receive_from_cot(channel, pool.take_receiver(n), y_i, tweak_base=tweak)
+        t_share = (got[:, 0] & np.uint64(1)).astype(np.uint8)
+        eqi_share = y_i
+        step = and_shared(channel, triples, eq, t_share, party=1)
+        gt = gt ^ step
+        eq = and_shared(channel, triples, eq, eqi_share, party=1)
+    return gt

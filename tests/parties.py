@@ -1,5 +1,6 @@
 """The one party-pair harness of the service-level tests: run two
-parties in lockstep, and start a CorrelationService pair to run them on.
+parties in lockstep, and start a CorrelationService pair to run them on;
+plus a one-sided :class:`ScriptedChannel` that plays a misbehaving peer.
 
 A plain module, not ``conftest.py``: the whole-tree run also loads
 ``benchmarks/conftest.py`` under the same module name, so ``from
@@ -8,10 +9,11 @@ conftest import ...`` resolves to whichever was loaded last.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.errors import ChannelError
-from repro.ot.channel import LocalChannel, run_concurrently
+from repro.ot.channel import Channel, LocalChannel, run_concurrently
 from repro.runtime import CorrelationService, MuxChannel
 
 
@@ -33,3 +35,22 @@ def start_service_pair(cfg, tuning, seed):
     svc0 = CorrelationService(0, mux0, cfg, tuning, seed=seed).start()
     svc1 = CorrelationService(1, mux1, cfg, tuning, seed=seed).start()
     return svc0, svc1, mux0, mux1
+
+
+class ScriptedChannel(Channel):
+    """Plays back a fixed list of inbound messages; sends go nowhere."""
+
+    def __init__(self, inbound):
+        super().__init__()
+        self._inbound = list(inbound)
+
+    def send_bytes(self, data):
+        self.stats.record_send(len(data))
+
+    def recv_bytes(self, timeout=None):
+        return self._inbound.pop(0)
+
+
+def packed_bits(n):
+    """What ``send_bits`` puts on the wire for ``n`` zero bits."""
+    return np.uint64(n).tobytes() + bytes((n + 7) // 8)

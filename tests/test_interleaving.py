@@ -12,6 +12,10 @@ has cores, checks every batch, and requires the output stream to be
 byte-identical to the one produced at the default interval.  A second
 test aims at ``DEFAULT_CRHF`` alone: threads hash different batches
 through the one shared instance and each compares with the reference.
+A third runs the online verbs -- ReLU and exact truncation, whose
+comparisons push one large level-OT batch each through that CRHF --
+on three service pairs at once and checks them against the plaintext
+fixed-point oracle.
 """
 
 import hashlib
@@ -20,13 +24,18 @@ import threading
 
 import numpy as np
 from oracles import crhf_hash_reference
+from parties import start_service_pair
 
 from repro.crypto import blocks
 from repro.crypto.crhf import _DEFAULT_KEY, DEFAULT_CRHF
 from repro.ferret.config import FerretConfig
 from repro.ferret.protocol import FerretReceiver, FerretSender
+from repro.mpc.relu import relu_via_service
+from repro.mpc.sharing import ArithmeticShares
+from repro.mpc.truncation import FixedPointConfig, trunc_via_service
 from repro.ot.channel import LocalChannel
 from repro.ot.cot import verify_cot
+from repro.runtime import ServiceTuning
 
 #: (arity, seed) per concurrent session; 2 threads each.
 SESSIONS = [(4, 31), (4, 32), (2, 33)]
@@ -121,3 +130,60 @@ def test_shared_default_crhf_under_a_tiny_switch_interval():
         sys.setswitchinterval(interval)
     assert sorted(finished) == [41, 42, 43]  # none hung, none raised
     assert not mismatches
+
+
+FX = FixedPointConfig(bits=16, frac_bits=4)
+VERB_TUNING = ServiceTuning(
+    ring_bits=16, triple_low=0, triple_high=0, triple_chunk=512, rtri_chunk=128,
+    enable_rots=False,
+)
+VERB_ELEMENTS = 24
+
+
+def test_online_verbs_under_a_tiny_switch_interval():
+    """Three service pairs run ReLU then exact truncation concurrently;
+    every reconstruction must equal the numpy oracle bit for bit."""
+    cfg = FerretConfig.small(scale=1024, arity=4, prg_kind="chacha8")
+    pairs = [start_service_pair(cfg, VERB_TUNING, seed=0x1E + idx) for idx in range(3)]
+    mask = FX.mask
+    gen = np.random.default_rng(51)
+    values = gen.integers(0, 1 << 16, (len(pairs), VERB_ELEMENTS), dtype=np.uint64)
+    share0 = gen.integers(0, 1 << 16, values.shape, dtype=np.uint64)
+    shares = (share0, (values - share0) & mask)
+    outputs, errors, threads = {}, [], []
+
+    def party(idx, p):
+        try:
+            session = pairs[idx][p].session("hammer")
+            rng = np.random.default_rng(100 * idx + p)
+            relu, _ = relu_via_service(session, ArithmeticShares(shares[p][idx], 16), rng)
+            trunc = trunc_via_service(session, shares[p][idx], FX, "exact", rng)
+            outputs[idx, p] = (relu.values.astype(np.uint64), trunc)
+        except BaseException as exc:  # noqa: BLE001 - reported by the assert below
+            errors.append((idx, p, exc))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for idx in range(len(pairs)):
+            for p in (0, 1):
+                threads.append(threading.Thread(
+                    target=party, args=(idx, p), name=f"verbs{idx}-p{p}", daemon=True
+                ))
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(4 * JOIN_TIMEOUT_S)
+    finally:
+        sys.setswitchinterval(interval)
+        for svc0, svc1, mux0, mux1 in pairs:
+            svc0.stop(), svc1.stop()
+            mux0.close(), mux1.close()
+    assert not errors, errors
+    assert not any(thread.is_alive() for thread in threads)
+    signed = FX.to_signed(values)
+    for idx in range(len(pairs)):
+        (relu0, trunc0), (relu1, trunc1) = outputs[idx, 0], outputs[idx, 1]
+        want_relu = np.where(signed[idx] >= 0, values[idx], 0).astype(np.uint64)
+        assert np.array_equal((relu0 + relu1) & mask, want_relu)
+        assert np.array_equal((trunc0 + trunc1) & mask, FX.trunc_reference(values[idx]))

@@ -1,0 +1,83 @@
+"""Every online opening checks the length the peer sent: a short, an
+over-long or a 1-element reply is a ProtocolError at the receiving
+site, never a numpy error or -- for a 1-element reply that numpy would
+broadcast -- silently wrong shares."""
+
+import numpy as np
+import pytest
+from parties import ScriptedChannel, packed_bits
+
+from repro.errors import ProtocolError
+from repro.mpc.triples import (
+    and_shared,
+    dealer_bit_triples,
+    dealer_ring_triples,
+    gilboa_receive,
+    gilboa_receive_stream,
+    mul_shared,
+)
+from repro.mpc.truncation import FixedPointConfig, dealer_trunc_pairs, truncate_pair_online
+from repro.ot.testing import fake_cots
+
+N, BITS = 5, 16
+CFG = FixedPointConfig(BITS, 4, 9)
+
+
+def ring(count):
+    return np.zeros(count, np.uint64).tobytes()
+
+
+def and_site(count):
+    t0, _ = dealer_bit_triples(N, np.random.default_rng(0))
+    zeros = np.zeros(N, np.uint8)
+    and_shared(ScriptedChannel([packed_bits(count)]), t0, zeros, zeros, party=0)
+
+
+def mul_site(count):
+    r0, _ = dealer_ring_triples(N, BITS, np.random.default_rng(0))
+    zeros = np.zeros(N, np.uint64)
+    mul_shared(ScriptedChannel([ring(count)]), r0, zeros, zeros, party=0)
+
+
+def trunc_pair_site(count):
+    p0, _ = dealer_trunc_pairs(N, BITS, CFG.frac_bits, np.random.default_rng(0))
+    truncate_pair_online(ScriptedChannel([ring(count)]), np.zeros(N, np.uint64), p0, CFG, 0)
+
+
+def gilboa_site(count):
+    _, receiver = fake_cots(N)
+    tweaks = np.arange(N, dtype=np.uint64)
+    gilboa_receive(ScriptedChannel([ring(count)]), receiver, np.ones(N, np.uint8), 1, BITS, tweaks)
+
+
+def gilboa_stream_site(count):
+    _, receiver = fake_cots(N)
+    tweaks = np.arange(N, dtype=np.uint64)
+    list(gilboa_receive_stream(
+        ScriptedChannel([ring(count)]), receiver, np.ones(N, np.uint8), 1, BITS, tweaks, N
+    ))
+
+
+#: (site, the element count an honest peer sends).
+SITES = {
+    "and_shared": (and_site, 2 * N),
+    "mul_shared": (mul_site, 2 * N),
+    "truncate_pair_online": (trunc_pair_site, N),
+    "gilboa_receive": (gilboa_site, N),
+    "gilboa_receive_stream": (gilboa_stream_site, N),
+}
+
+
+@pytest.mark.parametrize("reply", ["short", "long", "one"])
+@pytest.mark.parametrize("site", sorted(SITES))
+def test_wrong_length_reply_is_a_protocol_error(site, reply):
+    run, honest = SITES[site]
+    count = {"short": honest - 1, "long": honest + 1, "one": 1}[reply]
+    with pytest.raises(ProtocolError):
+        run(count)
+
+
+@pytest.mark.parametrize("site", sorted(SITES))
+def test_honest_length_passes(site):
+    run, honest = SITES[site]
+    run(honest)

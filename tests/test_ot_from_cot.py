@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from repro.crypto import blocks
-from repro.errors import ProtocolError
+from repro.errors import ParameterError, ProtocolError
 from repro.ot.channel import PartyError, run_pair
 from repro.ot.cot import CotPool
 from repro.ot.ot_from_cot import (
     cot_to_random_ot_receiver,
     cot_to_random_ot_sender,
     ot_receive_from_cot,
+    ot_reply_bytes,
     ot_send_from_cot,
 )
 
@@ -69,6 +70,35 @@ class TestChosenMessageOt:
         )
         assert s_stats.bytes_sent == 2 * 16 * n  # the two masked vectors
         assert r_stats.bytes_sent == 8 + (n + 7) // 8  # packed corrections
+
+
+class TestNarrowPayloads:
+    """With ``bits`` the reply is one message of packed lanes."""
+
+    @pytest.mark.parametrize("bits", [1, 5, 16, 33, 64])
+    def test_receiver_gets_chosen_and_reply_is_packed(self, cot_pools, rng, bits):
+        ps, pr = cot_pools
+        n = 37
+        m0, m1 = rng.integers(0, 1 << bits, (2, n), dtype=np.uint64)
+        choices = rng.integers(0, 2, n).astype(np.uint8)
+        _, got, s_stats, r_stats = run_pair(
+            lambda ch: ot_send_from_cot(ch, ps.take_sender(n), m0, m1, 7, bits=bits),
+            lambda ch: ot_receive_from_cot(ch, pr.take_receiver(n), choices, 7, bits=bits),
+        )
+        assert np.array_equal(got, np.where(choices.astype(bool), m1, m0))
+        assert s_stats.messages_sent == 1
+        assert s_stats.bytes_sent == ot_reply_bytes(n, bits)
+        assert r_stats.bytes_sent == 8 + (n + 7) // 8
+
+    def test_reply_sizes(self):
+        assert ot_reply_bytes(96, 1) == 24  # two 1-bit lanes per OT
+        assert ot_reply_bytes(96, 16) == 2 * 2 * 96
+        assert ot_reply_bytes(96) == 2 * 16 * 96
+
+    def test_bad_width_is_the_callers_error(self, cot_pools):
+        ps, _ = cot_pools
+        with pytest.raises(ParameterError):
+            ot_send_from_cot(None, ps.take_sender(2), np.zeros(2), np.zeros(2), bits=0)
 
 
 class TestRandomOtConversion:

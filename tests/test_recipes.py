@@ -23,7 +23,7 @@ from repro.runtime import CorrelationService, MuxChannel, ServiceTuning
 from repro.runtime.recipes import RECIPES, Command
 
 CFG = FerretConfig.small(scale=1024, arity=4, prg_kind="chacha8")  # 1008 COTs/extend
-MTRI_KEY, TPRC_KEY = (2, 3, 2), (8,)  # 384 COTs/triple; 42 COTs + 80 bit triples/pair
+MTRI_KEY, TPRC_KEY = (2, 3, 2), (8,)  # 384 COTs/triple; 42 COTs + 68 bit triples/pair
 
 
 def service_pair(tuning):
@@ -48,16 +48,20 @@ def service_pair(tuning):
 #: starving: it starts from the fwd/rev tie, and its one-pair TPRC
 #: commands reach "30 forward COTs short of a pair AND bit triples short"
 #: with stock for a triple batch left -- raw COTs go first.
+#: Re-recorded when a truncation pair's bit triples went from 80 to
+#: 68 (the log-depth comparison: ``2(l-1) - popcount(l-1)`` per
+#: element, 57 at l = 32 plus 11 at l = 8): TPRC frames carry the
+#: pair batch's ``tri`` pool offset, so both streams moved with it.
 GOLDEN = {
     "watermarks": (
         dict(triple_chunk=96, tprc_chunk=4, tprc_batch_chunks=2),
         10,
-        "f2e214e30caf30641040376b82b1dedac5b0ed33b3ba6683f2a3a6cefae96c46",
+        "3501e876367ae0746f59e9479ca38b39192e7608e859c66c01da11940837bc05",
     ),
     "starved": (
         dict(cot_low=0, cot_high=0, triple_chunk=80, tprc_chunk=1, tprc_batch_chunks=1),
         30,
-        "2a0d95f5672050c3bbf3793126cea4839998945a2fb50b1f8a5b020d77872f7f",
+        "58766163086f289a51d7ffcf4a890b674466980abfa3f67fde6690dc60e142a1",
     ),
 }
 
@@ -207,32 +211,36 @@ def both(n):
 
 
 #: ``_layer_internal_cots`` / ``_layer_produce_counts`` per layer, as the
-#: hand-kept formulas of commit 29417b5 returned them.
+#: hand-kept formulas of commit 29417b5 returned them, with the bit
+#: triples of the log-depth comparison (``2(l-1) - popcount(l-1)`` per
+#: element): 25 for a 15-bit ReLU / MaxPool comparison (was 30), 26 + 4
+#: for a 16-bit Rescale's wrap and 4-bit borrow comparisons or one
+#: ``tprc/4`` pair (was 40).  A bit triple costs one COT each way.
 PLAN_GOLDEN = [
     (
         quantized_mlp, "pair",
-        [both(1920), {"cot/fwd": 1488, "cot/rev": 960}, both(720), both(864),
-         {"cot/fwd": 1240, "cot/rev": 800}, both(560)],
-        [{"mtri/4x12x6": 1}, {"tprc/4": 24, "tri": 960},
-         {"cot/fwd": 384, "cot/rev": 24, "tri": 720}, {"mtri/4x6x5": 1},
-         {"tprc/4": 20, "tri": 800}, {"mtri/4x5x3": 1}],
-        9680,
+        [both(1920), {"cot/fwd": 1248, "cot/rev": 720}, both(600), both(864),
+         {"cot/fwd": 1040, "cot/rev": 600}, both(560)],
+        [{"mtri/4x12x6": 1}, {"tprc/4": 24, "tri": 720},
+         {"cot/fwd": 384, "cot/rev": 24, "tri": 600}, {"mtri/4x6x5": 1},
+         {"tprc/4": 20, "tri": 600}, {"mtri/4x5x3": 1}],
+        8560,
     ),
     (
         quantized_mlp, "exact",
-        [both(1920), both(1728), both(720), both(864), both(1440), both(560)],
-        [{"mtri/4x12x6": 1}, {"cot/fwd": 480, "tri": 960, "rtri": 48},
-         {"cot/fwd": 384, "cot/rev": 24, "tri": 720}, {"mtri/4x6x5": 1},
-         {"cot/fwd": 400, "tri": 800, "rtri": 40}, {"mtri/4x5x3": 1}],
-        12408,
+        [both(1920), both(1488), both(600), both(864), both(1240), both(560)],
+        [{"mtri/4x12x6": 1}, {"cot/fwd": 480, "tri": 720, "rtri": 48},
+         {"cot/fwd": 384, "cot/rev": 24, "tri": 600}, {"mtri/4x6x5": 1},
+         {"cot/fwd": 400, "tri": 600, "rtri": 40}, {"mtri/4x5x3": 1}],
+        11288,
     ),
     (
         conv_block, "pair",
-        [both(39168), {"cot/fwd": 31744, "cot/rev": 20480}, both(15360), both(11520)],
-        [{"mtri/64x18x4": 2}, {"tprc/4": 512, "tri": 20480},
-         {"cot/fwd": 8192, "cot/rev": 512, "tri": 15360},
-         {"cot/fwd": 6144, "cot/rev": 384, "tri": 11520}],
-        160384,
+        [both(39168), {"cot/fwd": 26624, "cot/rev": 15360}, both(12800), both(9600)],
+        [{"mtri/64x18x4": 2}, {"tprc/4": 512, "tri": 15360},
+         {"cot/fwd": 8192, "cot/rev": 512, "tri": 12800},
+         {"cot/fwd": 6144, "cot/rev": 384, "tri": 9600}],
+        141184,
     ),
 ]
 

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from parties import ScriptedChannel, packed_bits
 
 from repro.crypto import blocks
 from repro.crypto.prg import AesTreePrg, ChaChaTreePrg
 from repro.errors import ProtocolError
-from repro.ot.channel import Channel, run_pair
+from repro.ot.channel import run_pair
 from repro.ot.cot import CotPool, CotReceiverBatch, CotSenderBatch
 from repro.spcot.protocol import cots_needed, spcot_receive_batch, spcot_send_batch
 
@@ -123,25 +124,6 @@ class TestMixedPrg:
         assert check_invariant(w1, v1, delta, 5)
         assert check_invariant(w2, v2, delta, 5)
         assert not np.all(blocks.equal(w1, w2))
-
-
-class ScriptedChannel(Channel):
-    """Plays back a fixed list of inbound messages; sends go nowhere."""
-
-    def __init__(self, inbound):
-        super().__init__()
-        self._inbound = list(inbound)
-
-    def send_bytes(self, data):
-        self.stats.record_send(len(data))
-
-    def recv_bytes(self, timeout=None):
-        return self._inbound.pop(0)
-
-
-def packed_bits(n):
-    """What ``send_bits`` puts on the wire for ``n`` zero bits."""
-    return np.uint64(n).tobytes() + bytes((n + 7) // 8)
 
 
 class TestMalformedPeerMessages:

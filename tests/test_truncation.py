@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import ParameterError, ProtocolError
 from repro.mpc.triples import (
-    BitTriples,
+    dealer_bit_triples,
     dealer_ring_triples,
     ring_mask_u64,
 )
@@ -30,15 +30,6 @@ from repro.ot.cot import CotPool
 from repro.ot.testing import fake_cots
 
 SWEEP = [(16, 4), (16, 12), (32, 8), (32, 12), (64, 4), (64, 8)]
-
-
-def dealer_bit_triples(n, rng):
-    """Plaintext bit triples, XOR-shared between the two parties."""
-    a = rng.integers(0, 2, n).astype(np.uint8)
-    b = rng.integers(0, 2, n).astype(np.uint8)
-    c = a & b
-    sa, sb, sc = (rng.integers(0, 2, n).astype(np.uint8) for _ in range(3))
-    return BitTriples(sa, sb, sc), BitTriples(a ^ sa, b ^ sb, c ^ sc)
 
 
 def full_ring_values(bits, rng, n_random=48):
