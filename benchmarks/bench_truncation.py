@@ -12,9 +12,10 @@ through the provisioning runtime:
   two millionaires' comparisons + Gilboa B2A per pair) is timed
   separately, so the warm-vs-cold split shows what the preprocessing
   phase buys.
-* **exact mode** -- the wrap-fixed comparison protocol (bit-exact
-  floor), whose online phase consumes pooled comparison COTs, bit
-  triples and B2A ring triples.
+* **exact mode** -- the same shift protocol a pair is made with, run
+  online on the value itself (bit-exact floor): two comparisons and a
+  Gilboa B2A on pooled forward COTs and bit triples, exactly the
+  correlations one pair costs.
 
 Byte accounting is validated exactly: the measured per-tag session
 bytes must equal ``trunc_online_bytes`` plus the leader's allocation

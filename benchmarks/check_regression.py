@@ -32,10 +32,9 @@ cancels runner speed too.  A traced ``infer_single`` run
 (``--out <dir>/ledger_infer.json``) must report every online-op row
 (``LEDGER_ONLINE_ROWS``): the ledger times those ops by patching their
 call sites from outside, so a refactor that moves them reads as zero.
-The same run carries one more share: matrix-triple production's part of
-the worker's six ``produce.*`` rows (``MTRI_SHARE_CEILING``), and two
-exact per-request counts of the online phase under ceilings
-(``LEDGER_INFER_CEILINGS``): its wire bytes and its mux frames.
+The same run carries two exact per-request counts of the online phase
+under ceilings (``LEDGER_INFER_CEILINGS``): its wire bytes and its mux
+frames.
 
 Usage:
     # in CI, after running each bench with --smoke --json-out <dir>/...
@@ -163,20 +162,19 @@ LEDGER_ONLINE_ROWS = (
 )
 
 
-#: Ceiling on ``produce.MTRI`` as a share of that run's summed
-#: ``produce.*.ms_per_req.p0`` rows (one run's own worker time, so runner
-#: speed cancels).  0.33 with Gilboa pads packed eight to an AES block on
-#: the ledger's 16-bit ring; 0.57 when every two pads cost a block.
-PRODUCE_OPS = ("EXT0", "EXT1", "TRI", "RTRI", "MTRI", "TPRC")
-MTRI_SHARE_CEILING = 0.45
-
 #: Ceilings on exact per-request counts of that run (host independent).
 #: With every comparison one level-OT exchange of 1-bit lanes plus a
-#: log-depth AND tree, a request's online phase is 28 692 B in ~130 mux
-#: frames; the bit-serial scan with 1-bit OT messages in two 16-byte
-#: blocks read 145 557 B and 395.3 frames.
+#: log-depth AND tree, and exact truncation's B2A a Gilboa exchange, a
+#: request's online phase is ~24 094 B, and the link carries ~118 mux
+#: frames (online and production).  The Rescale's 2 x 96 correction bits
+#: cost _bits_msg(192) + 192 x 8 = 1 568 B that way; a Beaver B2A on ring
+#: triples opens 2 x (2 x 192) x 8 = 6 144 B, so 28 692 - 6 144 + 1 568 =
+#: 24 116, less the 8 B pool offset and 13 B of plan announcement the
+#: ring-triple pool cost.  The Beaver form reads 28 692, over the bytes
+#: ceiling (both forms are two online messages).  The bit-serial scan with
+#: 1-bit OT messages in two 16-byte blocks read 145 557 B and 395.3 frames.
 LEDGER_INFER_CEILINGS = {
-    "online_bytes_per_req": 40_000,
+    "online_bytes_per_req": 26_000,
     "mux.frames_per_req": 220,
 }
 
@@ -192,8 +190,8 @@ def load_ledger(path: Path) -> dict:
 
 def check_ledger_infer(path: Path) -> list:
     """Every online-op row of the traced infer_single run is non-zero,
-    matrix triples are not most of the worker's production time, and the
-    online phase's bytes and frames per request stay under ceilings."""
+    and the online phase's bytes and frames per request stay under
+    ceilings."""
     rows = load_ledger(path)["per_layer"]
     failures = []
     dead = [name for name in LEDGER_ONLINE_ROWS if not rows.get(name)]
@@ -207,20 +205,6 @@ def check_ledger_infer(path: Path) -> list:
             "run_online must call them through that module (or the smoke run "
             "lacked --trace 1)"
         )
-    produce = {op: rows.get(f"produce.{op}.ms_per_req.p0") or 0.0 for op in PRODUCE_OPS}
-    mtri = produce["MTRI"]
-    share = mtri / sum(produce.values()) if mtri else float("nan")  # untraced: no rows
-    ok = share <= MTRI_SHARE_CEILING
-    print(f"  ledger/produce.MTRI share  {share:.3f}   ceiling  {MTRI_SHARE_CEILING}"
-          f"   {'ok' if ok else 'OUT OF RANGE'}")
-    if not ok:
-        failures.append(
-            f"ledger infer_single: produce.MTRI is {share:.3f} of the produce.* "
-            f"rows, expected <= {MTRI_SHARE_CEILING} -- is repro.mpc.triples."
-            "_expand_ring_pads hashing once per two ring pads again instead of "
-            "once per 128 // lane-width (or was the smoke run made without "
-            "--trace 1)?"
-        )
     for name, ceiling in LEDGER_INFER_CEILINGS.items():
         value = rows.get(name)
         ok = value is not None and value <= ceiling
@@ -229,10 +213,10 @@ def check_ledger_infer(path: Path) -> list:
             failures.append(
                 f"ledger infer_single: {name} = {value}, expected <= {ceiling} -- "
                 "is repro.mpc.compare scanning bits one OT exchange per level "
-                "again, or are ot_send_from_cot / ot_receive_from_cot called "
+                "again, are ot_send_from_cot / ot_receive_from_cot called "
                 "without a payload width (bits=...) so narrow messages travel "
-                "as two 16-byte blocks (or was the smoke run made without "
-                "--trace 1)?"
+                "as two 16-byte blocks, or is exact truncation's B2A a Beaver "
+                "opening again (or was the smoke run made without --trace 1)?"
             )
     return failures
 

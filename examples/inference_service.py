@@ -11,12 +11,12 @@ This example runs the whole shape end to end:
   sub-channels (`prov/*` for the background Ferret extends and derived
   production, `sess/*` for consumers);
 * a :class:`repro.runtime.CorrelationService` per party keeps typed
-  pools (COTs both directions, bit/ring/matrix triples, truncation
+  pools (COTs both directions, bit/matrix triples, truncation
   pairs, random OTs) above their low watermarks in a worker thread;
 * a **preprocessing planner** walks a quantized 3-layer MLP graph --
   matmul -> trunc -> ReLU -> matmul -> trunc -> matmul -- computes its
   exact per-layer correlation demand (matrix triples, comparison COTs,
-  bit triples, the B2A ring triples of secure truncation);
+  bit triples, the comparison and B2A COTs of secure truncation);
 * the **pipelined preprocessing** phase (``plan.prefill_pipelined``)
   then streams that demand layer by layer: the online phase of layer i
   starts as soon as layer i's correlations are pooled, while a

@@ -17,14 +17,7 @@ from repro.mpc.sharing import (
     share_arith,
     share_bool,
 )
-from repro.mpc.triples import (
-    BitTriples,
-    MatrixTriples,
-    RingTriples,
-    generate_bit_triples,
-    generate_ring_triples,
-    mul_shared,
-)
+from repro.mpc.triples import BitTriples, MatrixTriples, generate_bit_triples
 from repro.mpc.compare import millionaire_p0, millionaire_p1
 from repro.mpc.matmul import (
     FIG16_DIMS,
@@ -58,18 +51,15 @@ __all__ = [
     "truncate_shares",
     "MatmulDims",
     "MatrixTriples",
-    "RingTriples",
     "drelu_pair",
     "generate_bit_triples",
     "generate_matrix_triples",
-    "generate_ring_triples",
     "matmul_cots",
     "matmul_online",
     "matmul_via_service",
     "max_pair",
     "millionaire_p0",
     "millionaire_p1",
-    "mul_shared",
     "reconstruct_arith",
     "reconstruct_bool",
     "relu_pair",

@@ -1,4 +1,4 @@
-"""Beaver triples from OT correlations: bits, ring elements, matrices.
+"""Beaver triples from OT correlations: bits and matrices.
 
 A bit triple gives the parties XOR shares of bits (a, b, c) with
 ``c = a AND b``; one triple evaluates one AND gate on shared bits
@@ -7,7 +7,7 @@ A bit triple gives the parties XOR shares of bits (a, b, c) with
 the role-switching workload Ironman's unified architecture serves
 (Section 5.2).
 
-Arithmetic (mod 2^k) triples use the same COT substrate through
+Arithmetic (mod 2^k) products use the same COT substrate through
 **Gilboa multiplication**: the cross product ``x * y`` of two privately
 held ring elements decomposes over the bits of x -- for bit position t
 the holder of y (the OT *sender*) offers the correlated pair
@@ -18,9 +18,8 @@ sender ships a single masked ring element per correlation
 (:func:`gilboa_send` / :func:`gilboa_receive`), the per-COT online
 payload the analytical models charge.  The masks are ``bits``-wide
 lanes of the COT block's CRHF output (:func:`_expand_ring_pads`), so on
-a 16-bit ring one AES block pads eight payload slots.  Ring triples
-consume ``bits`` COTs per element per direction; matrix triples batch
-whole rows/columns of the peer operand as the correlated payload, which
+a 16-bit ring one AES block pads eight payload slots.  Matrix triples
+batch whole rows/columns of the peer operand as the correlated payload, which
 is how one secure MatMul costs ``(m*k + k*n) * bits`` COTs rather than
 ``m*k*n`` (see :mod:`repro.mpc.matmul`).
 """
@@ -308,35 +307,6 @@ def gilboa_receive_stream(
 
 
 @dataclass
-class RingTriples:
-    """One party's additive shares of n triples (a, b, c = a*b) mod 2^bits."""
-
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    bits: int = 32
-
-    def __post_init__(self):
-        mask = ring_mask_u64(self.bits)
-        self.a = np.asarray(self.a, dtype=np.uint64) & mask
-        self.b = np.asarray(self.b, dtype=np.uint64) & mask
-        self.c = np.asarray(self.c, dtype=np.uint64) & mask
-        if not (self.a.shape == self.b.shape == self.c.shape):
-            raise ParameterError("triple component lengths disagree")
-
-    def __len__(self) -> int:
-        return self.a.shape[0]
-
-    def take(self, n: int) -> "RingTriples":
-        """Split off the first n triples (consuming them)."""
-        if n > len(self):
-            raise ParameterError(f"only {len(self)} ring triples left, need {n}")
-        head = RingTriples(self.a[:n], self.b[:n], self.c[:n], self.bits)
-        self.a, self.b, self.c = self.a[n:], self.b[n:], self.c[n:]
-        return head
-
-
-@dataclass
 class MatrixTriples:
     """One party's shares of a matrix Beaver triple: C = A @ B mod 2^bits.
 
@@ -374,93 +344,12 @@ def _bit_decompose(values: np.ndarray, bits: int) -> np.ndarray:
     ).reshape(-1)
 
 
-def _gilboa_cross_send(channel, pool: CotPool, payload, bits, tweak_base) -> np.ndarray:
-    """Sender half of a scalar cross term: share of (their a) * (my payload)."""
-    payload = np.asarray(payload, dtype=np.uint64)
-    n = payload.shape[0]
-    mask = ring_mask_u64(bits)
-    shifts = np.uint64(1) << np.arange(bits, dtype=np.uint64)
-    corr = ((payload[:, None] * shifts[None, :]) & mask).reshape(n * bits, 1)
-    tweaks = np.arange(tweak_base, tweak_base + n * bits, dtype=np.uint64)
-    s = gilboa_send(channel, pool.take_sender(n * bits), corr, bits, tweaks)
-    return s.reshape(n, bits).sum(axis=1, dtype=np.uint64) & mask
-
-
-def _gilboa_cross_receive(channel, pool: CotPool, my_vals, bits, tweak_base) -> np.ndarray:
-    """Receiver half: share of (my value) * (their payload)."""
-    my_vals = np.asarray(my_vals, dtype=np.uint64)
-    n = my_vals.shape[0]
-    mask = ring_mask_u64(bits)
-    choices = _bit_decompose(my_vals, bits)
-    tweaks = np.arange(tweak_base, tweak_base + n * bits, dtype=np.uint64)
-    t = gilboa_receive(channel, pool.take_receiver(n * bits), choices, 1, bits, tweaks)
-    return t.reshape(n, bits).sum(axis=1, dtype=np.uint64) & mask
-
-
-def ring_triple_cots(n: int, bits: int) -> int:
-    """COTs n ring triples consume in EACH direction (bits per element)."""
-    return n * bits
-
-
-def generate_ring_triples(
-    channel: Channel,
-    n: int,
-    bits: int,
-    send_pool: CotPool,
-    recv_pool: CotPool,
-    rng: np.random.Generator,
-    party: int,
-    send_tweak_base: int = 0,
-    recv_tweak_base: int = 0,
-) -> RingTriples:
-    """Generate n mod-2^bits Beaver triples; both parties call symmetrically.
-
-    Cross term 1 is ``a0*b1`` (P0 selects with its bits of a, P1 ships
-    payloads of b) and runs over the direction where P1 is the COT
-    sender; cross term 2 is ``a1*b0`` the other way around -- the same
-    role-switching shape as bit triples, ``n*bits`` COTs per direction.
-
-    Tweak bases must equal the absolute pool offsets of the consumed
-    ranges (per direction) so both parties hash with matching tweaks.
-    """
-    mask = ring_mask_u64(bits)
-    a = rng.integers(0, 1 << bits, n, dtype=np.uint64)
-    b = rng.integers(0, 1 << bits, n, dtype=np.uint64)
-    if party == 0:
-        # term 1: choices from a0, payload b1 (P0 receives).
-        t1 = _gilboa_cross_receive(channel, recv_pool, a, bits, recv_tweak_base)
-        # term 2: choices from a1, payload b0 (P0 sends).
-        t2 = _gilboa_cross_send(channel, send_pool, b, bits, send_tweak_base)
-    elif party == 1:
-        t1 = _gilboa_cross_send(channel, send_pool, b, bits, send_tweak_base)
-        t2 = _gilboa_cross_receive(channel, recv_pool, a, bits, recv_tweak_base)
-    else:
-        raise ParameterError("party must be 0 or 1")
-    c = (a * b + t1 + t2) & mask
-    return RingTriples(a, b, c, bits)
-
-
 def dealer_bit_triples(n: int, rng: np.random.Generator) -> tuple:
     """Trusted-dealer bit triples: (party0 shares, party1 shares)."""
     a = rng.integers(0, 2, n).astype(np.uint8)
     b = rng.integers(0, 2, n).astype(np.uint8)
     sa, sb, sc = (rng.integers(0, 2, n).astype(np.uint8) for _ in range(3))
     return BitTriples(sa, sb, sc), BitTriples(a ^ sa, b ^ sb, (a & b) ^ sc)
-
-
-def dealer_ring_triples(n: int, bits: int, rng: np.random.Generator) -> tuple:
-    """Trusted-dealer ring triples: (party0 shares, party1 shares)."""
-    mask = ring_mask_u64(bits)
-    a = rng.integers(0, 1 << bits, n, dtype=np.uint64)
-    b = rng.integers(0, 1 << bits, n, dtype=np.uint64)
-    c = (a * b) & mask
-    a0 = rng.integers(0, 1 << bits, n, dtype=np.uint64)
-    b0 = rng.integers(0, 1 << bits, n, dtype=np.uint64)
-    c0 = rng.integers(0, 1 << bits, n, dtype=np.uint64)
-    return (
-        RingTriples(a0, b0, c0, bits),
-        RingTriples((a - a0) & mask, (b - b0) & mask, (c - c0) & mask, bits),
-    )
 
 
 def dealer_matrix_triples(
@@ -478,42 +367,6 @@ def dealer_matrix_triples(
         MatrixTriples(a0, b0, c0, bits),
         MatrixTriples((a - a0) & mask, (b - b0) & mask, (c - c0) & mask, bits),
     )
-
-
-def mul_shared(
-    channel: Channel,
-    triples: RingTriples,
-    x: np.ndarray,
-    y: np.ndarray,
-    party: int,
-) -> np.ndarray:
-    """Beaver multiplication of additively shared ring vectors.
-
-    Both parties open ``d = x - a`` and ``e = y - b`` (one message
-    each) and return this party's share of ``x * y`` mod 2^bits.
-    """
-    mask = ring_mask_u64(triples.bits)
-    x = np.asarray(x, dtype=np.uint64) & mask
-    y = np.asarray(y, dtype=np.uint64) & mask
-    n = x.shape[0]
-    batch = triples.take(n)
-    d_share = (x - batch.a) & mask
-    e_share = (y - batch.b) & mask
-    mine = np.concatenate([d_share, e_share])
-    if party == 0:
-        channel.send_ring(mine)
-        theirs = channel.recv_ring()
-    else:
-        theirs = channel.recv_ring()
-        channel.send_ring(mine)
-    if theirs.shape[0] != mine.shape[0]:
-        raise ProtocolError("peer opening has the wrong length")
-    d = (d_share + theirs[:n]) & mask
-    e = (e_share + theirs[n:]) & mask
-    share = (batch.c + d * batch.b + e * batch.a) & mask
-    if party == 0:
-        share = (share + d * e) & mask
-    return share
 
 
 def and_shared(

@@ -4,33 +4,34 @@ Quantized inference multiplies scale-2^f fixed-point operands, so every
 product carries scale 2^(2f); without a secure rescaling step the scale
 doubles at every linear layer and a multi-layer network overflows the
 ring (the reason PR 3's MLP had to budget magnitudes by hand).  This
-module supplies the missing primitive in the three shapes PPML
-frameworks use, all driven by one :class:`FixedPointConfig`:
+module supplies the missing primitive in the two shapes PPML frameworks
+use, both driven by one :class:`FixedPointConfig` and both built on ONE
+shift protocol (:func:`_shift_shares`): on a shared ``y = y0 + y1 mod
+2^bits`` each party shifts its own share, the share wrap
+``[y0 + y1 >= 2^bits]`` and the low borrow ``[l0 + l1 >= 2^f]`` come
+from two millionaires' comparisons on the *private* shares (the DReLU
+carry shape, :mod:`repro.mpc.compare`), and one Gilboa B2A (one COT per
+bit) arithmetizes them: the outputs sum to exactly ``floor(y / 2^f)``.
 
 * **Pair mode** (:func:`truncate_pair_online`) -- the ABY3-style
   probabilistic truncation.  Preprocessing provides a **truncation
-  pair**: additive shares of a uniform mask ``r`` and of ``r >> f``
+  pair** -- an exact truncation of a random mask, paid ahead of time:
+  additive shares of a uniform ``r`` and of ``r >> f``
   (:func:`generate_trunc_pairs`, pooled by the runtime's
   ``TruncPairPool`` under the ``TPRC`` opcode).  Online, the parties
   open ``c = x + r`` (one ring element each -- a single round, no OT)
   and output ``(c >> f) - [r >> f]``.  Requires ``mag_bits`` headroom:
   with ``|x| < 2^mag_bits`` the result is ``floor(x / 2^f)`` or one
   more, except with probability ``2^(mag_bits + 1 - bits)``.
-* **Wrap-fixed mode** (:func:`truncate_shares` with ``exact=False``) --
-  CrypTFlow2-style: each party shifts its own share locally, and the
-  share-wrap bit ``t = [x0 + x1 >= 2^bits]`` -- exactly the DReLU carry
-  shape -- is computed with one millionaires' comparison on the two
-  *private* shares (:mod:`repro.mpc.compare`) and subtracted after a
-  B2A conversion.  Correct within one ULP (``floor(x/2^f) - 1`` or
-  exact) for EVERY ring value and share split -- no headroom needed.
-* **Exact mode** (``exact=True``) -- additionally fixes the low-part
-  borrow ``[l0 + l1 >= 2^f]`` with a second (``f``-bit) millionaires'
-  comparison: the output is bit-exact ``floor(x / 2^f)``, which is what
-  lets a whole quantized network be equality-tested against a plaintext
-  fixed-point oracle.
+* **Exact mode** (:func:`truncate_shares`) -- the shift protocol run
+  online on ``x`` itself (party 0 folds in the two's-complement bias):
+  bit-exact ``floor(x / 2^f)`` for EVERY ring value and share split, no
+  headroom needed, which is what lets a whole quantized network be
+  equality-tested against a plaintext fixed-point oracle.  It consumes
+  exactly the correlations one truncation pair costs.
 
-Every mode consumes only pooled correlations (trunc pairs, comparison
-COTs, bit triples, ring triples for B2A), so truncation slots into the
+Both modes consume only pooled correlations (trunc pairs, or comparison
+COTs and bit triples), so truncation slots into the
 preprocessing/online split like MatMul and ReLU.  The mode is
 dispatched twice and no more: :func:`trunc_draws` lists what a mode
 consumes (drawn by :func:`trunc_via_service` and the fused
@@ -56,14 +57,7 @@ from repro.mpc.compare import (
     millionaire_p1,
     triples_needed,
 )
-from repro.mpc.triples import (
-    BitTriples,
-    RingTriples,
-    gilboa_receive,
-    gilboa_send,
-    mul_shared,
-    ring_mask_u64,
-)
+from repro.mpc.triples import BitTriples, gilboa_receive, gilboa_send, ring_mask_u64
 from repro.ot.channel import Channel
 from repro.ot.cot import CotPool
 
@@ -92,8 +86,8 @@ class FixedPointConfig:
     Z_2^bits (two's complement).  ``mag_bits`` is the magnitude bound
     promised by the caller (``|x| < 2^mag_bits`` for every value fed to
     pair-mode truncation); the headroom ``bits - 1 - mag_bits`` is what
-    makes probabilistic truncation safe.  Exact/wrap-fixed truncation
-    does not need it.
+    makes probabilistic truncation safe.  Exact truncation does not
+    need it.
     """
 
     bits: int
@@ -153,16 +147,22 @@ class FixedPointConfig:
 
 
 def trunc_pair_cots(cfg_bits: int, frac_bits: int) -> int:
-    """Forward-direction COTs one truncation pair consumes at
-    preprocessing: a ``bits``-bit and a ``frac``-bit millionaires'
-    comparison (one COT per level) plus 2 Gilboa B2A correlations."""
+    """Forward-direction COTs one run of the shift protocol consumes per
+    element (one truncation pair, or one exact online truncation): a
+    ``bits``-bit and a ``frac``-bit millionaires' comparison (one COT per
+    level) plus 2 Gilboa B2A correlations."""
     return cfg_bits + frac_bits + 2
 
 
 def trunc_pair_bit_triples(cfg_bits: int, frac_bits: int) -> int:
-    """Bit triples one truncation pair consumes: its two comparisons'
-    AND trees (:func:`repro.mpc.compare.triples_needed`)."""
+    """Bit triples the shift protocol consumes per element: its two
+    comparisons' AND trees (:func:`repro.mpc.compare.triples_needed`)."""
     return triples_needed(1, cfg_bits) + triples_needed(1, frac_bits)
+
+
+def _require_exact(mode: str) -> None:
+    if mode != "exact":
+        raise ParameterError(f"unknown truncation mode {mode!r}")
 
 
 def trunc_draws(n: int, cfg: FixedPointConfig, mode: str = "exact") -> list:
@@ -170,49 +170,38 @@ def trunc_draws(n: int, cfg: FixedPointConfig, mode: str = "exact") -> list:
     of n elements consumes -- what :func:`trunc_via_service` draws and
     the planner prices.
 
-    ``pair``: one pooled truncation pair per element.  ``wrap`` /
-    ``exact``: the forward COTs of the ``bits``-bit wrap comparison
-    (plus, exact mode, the ``frac``-bit borrow comparison), the bit
-    triples of their AND trees, and one ring triple per correction bit
-    for the B2A.
+    ``pair``: one pooled truncation pair per element.  ``exact``: what n
+    truncation pairs cost to make -- the shift protocol's forward COTs
+    and the bit triples of its comparisons' AND trees.
     """
     if mode == "pair":
         return [("tprc", (cfg.frac_bits,), n)]
-    if mode not in ("wrap", "exact"):
-        raise ParameterError(f"unknown truncation mode {mode!r}")
-    widths = (cfg.bits, cfg.frac_bits) if mode == "exact" else (cfg.bits,)
+    _require_exact(mode)
     return [
-        ("cot/fwd", (), n * sum(widths)),
-        ("tri", (), sum(triples_needed(n, w) for w in widths)),
-        ("rtri", (), n * len(widths)),
+        ("cot/fwd", (), n * trunc_pair_cots(cfg.bits, cfg.frac_bits)),
+        ("tri", (), n * trunc_pair_bit_triples(cfg.bits, cfg.frac_bits)),
     ]
 
 
 def trunc_online_bytes(n: int, cfg: FixedPointConfig, mode: str = "exact") -> int:
     """Exact online wire bytes (both parties) of one n-element truncation.
 
-    ``pair``: one masked-share opening each.  ``wrap``/``exact``: the
-    millionaires' comparison(s) plus one Beaver opening for the B2A of
-    the correction bits (2 ring elements per multiplied element, each
-    party).
+    ``pair``: one masked-share opening each.  ``exact``: the shift
+    protocol, byte for byte what an n-pair batch costs
+    (:func:`trunc_preproc_bytes`).
     """
     if mode == "pair":
         return 2 * 8 * n
-    if mode not in ("wrap", "exact"):
-        raise ParameterError(f"unknown truncation mode {mode!r}")
-    total = millionaire_bytes(n, cfg.bits)
-    b2a = n
-    if mode == "exact":
-        total += millionaire_bytes(n, cfg.frac_bits)
-        b2a = 2 * n
-    return total + 2 * (2 * b2a) * 8
+    _require_exact(mode)
+    return trunc_preproc_bytes(n, cfg)
 
 
 def trunc_preproc_bytes(n: int, cfg: FixedPointConfig) -> int:
-    """Exact preprocessing wire bytes (both parties) of one n-pair
-    ``generate_trunc_pairs`` batch: two millionaires' comparisons plus
-    the Gilboa B2A half-messages (one bit + one masked ring element per
-    correlation, 2n correlations)."""
+    """Exact wire bytes (both parties) of one n-element run of the shift
+    protocol (a ``generate_trunc_pairs`` batch or an exact online
+    truncation): two millionaires' comparisons plus the Gilboa B2A
+    half-messages (one bit + one masked ring element per correlation,
+    2n correlations)."""
     gilboa = _bits_msg(2 * n) + 2 * n * 8
     return (
         millionaire_bytes(n, cfg.bits)
@@ -230,16 +219,12 @@ def trunc_online_messages(cfg: FixedPointConfig, mode: str = "exact") -> int:
     """
     if mode == "pair":
         return 2
-    if mode not in ("wrap", "exact"):
-        raise ParameterError(f"unknown truncation mode {mode!r}")
-    msgs = millionaire_messages(cfg.bits) + 2  # + the Beaver opening
-    if mode == "exact":
-        msgs += millionaire_messages(cfg.frac_bits)
-    return msgs
+    _require_exact(mode)
+    return trunc_preproc_messages(cfg)
 
 
 def trunc_preproc_messages(cfg: FixedPointConfig) -> int:
-    """Messages (both parties) of one ``generate_trunc_pairs`` batch."""
+    """Messages (both parties) of one run of the shift protocol."""
     return (
         millionaire_messages(cfg.bits)
         + millionaire_messages(cfg.frac_bits)
@@ -301,27 +286,78 @@ def _b2a_gilboa(
     scales: np.ndarray,
     bits: int,
     party: int,
-    ot_sender: int,
     tweak_base: int,
 ) -> np.ndarray:
     """Arithmetic shares of ``(b0 XOR b1) * scale`` from XOR bit shares.
 
-    One Gilboa correlation per bit: the sender's correlated payload is
-    ``(1 - 2*b_s) * scale`` and the receiver selects with its bit, so
-    the outputs sum to ``b_r*(1 - 2*b_s)*scale``; the sender adds
-    ``b_s*scale`` locally to complete ``(b_s + b_r - 2*b_s*b_r)*scale``.
+    One Gilboa correlation per bit, party 0 the sender: its correlated
+    payload is ``(1 - 2*b_0) * scale`` and party 1 selects with its bit,
+    so the outputs sum to ``b_1*(1 - 2*b_0)*scale``; party 0 adds
+    ``b_0*scale`` locally to complete ``(b_0 + b_1 - 2*b_0*b_1)*scale``.
     """
     mask = ring_mask_u64(bits)
     n = bit_shares.shape[0]
     tweaks = np.arange(tweak_base, tweak_base + n, dtype=np.uint64)
     b = bit_shares.astype(np.uint64)
     scales = np.asarray(scales, dtype=np.uint64)
-    if party == ot_sender:
+    if party == 0:
         corr = ((_U64_ONE - np.uint64(2) * b) * scales & mask).reshape(n, 1)
         share = gilboa_send(channel, pool.take_sender(n), corr, bits, tweaks)
         return (share.reshape(n) + b * scales) & mask
     got = gilboa_receive(channel, pool.take_receiver(n), b, 1, bits, tweaks)
     return got.reshape(n) & mask
+
+
+def _shift_shares(
+    channel: Channel,
+    y: np.ndarray,
+    bits: int,
+    frac_bits: int,
+    pool: CotPool,
+    triples: BitTriples,
+    rng: np.random.Generator,
+    party: int,
+    tweak_base: int,
+) -> np.ndarray:
+    """This party's share of exactly ``y >> f`` for ``y = y0 + y1 mod
+    2^bits`` (the one shift protocol behind both truncation modes).
+
+    The locally shifted shares ``y_p >> f`` differ from the shares of
+    ``y >> f`` by the share wrap ``[y0 + y1 >= 2^bits]`` (worth
+    ``-2^(bits-f)``) and the low borrow ``[l0 + l1 >= 2^f]`` (worth 1) --
+    both millionaires' comparisons on *privately held* inputs (the DReLU
+    carry shape), their XOR-shared outputs arithmetized with one Gilboa
+    B2A.  Party 0 is the COT sender throughout; consumes
+    :func:`trunc_pair_cots` COTs and :func:`trunc_pair_bit_triples` bit
+    triples per element.
+    """
+    n = y.shape[0]
+    mask = ring_mask_u64(bits)
+    low_mask = np.uint64((1 << frac_bits) - 1)
+    low = y & low_mask
+    if party == 0:
+        wrap = millionaire_p0(
+            channel, mask - y, bits, pool, triples, rng, tweak_base=tweak_base
+        )
+        borrow = millionaire_p0(
+            channel, low_mask - low, frac_bits, pool, triples, rng,
+            tweak_base=tweak_base + _CARRY_TWEAK,
+        )
+    else:
+        wrap = millionaire_p1(channel, y, bits, pool, triples, tweak_base=tweak_base)
+        borrow = millionaire_p1(
+            channel, low, frac_bits, pool, triples,
+            tweak_base=tweak_base + _CARRY_TWEAK,
+        )
+    big = _U64_ONE << np.uint64(bits - frac_bits)
+    scales = np.concatenate(
+        [np.full(n, big, dtype=np.uint64), np.ones(n, dtype=np.uint64)]
+    )
+    arith = _b2a_gilboa(
+        channel, pool, np.concatenate([wrap, borrow]), scales, bits,
+        party, tweak_base=tweak_base + _B2A_TWEAK,
+    )
+    return ((y >> np.uint64(frac_bits)) - arith[:n] + arith[n:]) & mask
 
 
 def generate_trunc_pairs(
@@ -337,44 +373,18 @@ def generate_trunc_pairs(
 ) -> TruncPairs:
     """Two-party generation of n truncation pairs (preprocessing phase).
 
-    Each party samples its ``r`` share privately; the shares of
-    ``r >> f`` then differ from the locally shifted shares by the share
-    wrap ``u = [r0 + r1 >= 2^bits]`` (worth ``2^(bits-f)``) and the low
-    carry ``[l0 + l1 >= 2^f]`` (worth 1) -- both are millionaires'
-    comparisons on *privately held* inputs (the DReLU carry shape),
-    their XOR-shared outputs arithmetized with one Gilboa B2A each.
-    Consumes ``trunc_pair_cots`` COTs (party 0 the COT sender) and
-    ``trunc_pair_bit_triples`` bit triples per pair.
+    Each party samples its ``r`` share privately, then the shift
+    protocol (:func:`_shift_shares`) turns the shares of ``r`` into
+    shares of exactly ``r >> f``.  Consumes ``trunc_pair_cots`` COTs
+    (party 0 the COT sender) and ``trunc_pair_bit_triples`` bit triples
+    per pair.
     """
     if party not in (0, 1):
         raise ParameterError("party must be 0 or 1")
-    mask = ring_mask_u64(bits)
-    low_mask = np.uint64((1 << frac_bits) - 1)
     r = _rand_ring(rng, n, bits)
-    low = r & low_mask
-    if party == 0:
-        u = millionaire_p0(
-            channel, mask - r, bits, pool, triples, rng, tweak_base=tweak_base
-        )
-        carry = millionaire_p0(
-            channel, low_mask - low, frac_bits, pool, triples, rng,
-            tweak_base=tweak_base + _CARRY_TWEAK,
-        )
-    else:
-        u = millionaire_p1(channel, r, bits, pool, triples, tweak_base=tweak_base)
-        carry = millionaire_p1(
-            channel, low, frac_bits, pool, triples,
-            tweak_base=tweak_base + _CARRY_TWEAK,
-        )
-    big = _U64_ONE << np.uint64(bits - frac_bits)
-    scales = np.concatenate(
-        [np.full(n, big, dtype=np.uint64), np.ones(n, dtype=np.uint64)]
+    s = _shift_shares(
+        channel, r, bits, frac_bits, pool, triples, rng, party, tweak_base
     )
-    arith = _b2a_gilboa(
-        channel, pool, np.concatenate([u, carry]), scales, bits,
-        party, ot_sender=0, tweak_base=tweak_base + _B2A_TWEAK,
-    )
-    s = ((r >> np.uint64(frac_bits)) - arith[:n] + arith[n:]) & mask
     return TruncPairs(r, s, bits, frac_bits)
 
 
@@ -441,30 +451,20 @@ def truncate_shares(
     party: int,
     pool: CotPool,
     triples: BitTriples,
-    ring_triples: RingTriples,
     rng: np.random.Generator = None,
-    exact: bool = True,
     tweak_base: int = 0,
 ) -> np.ndarray:
-    """Wrap-fixed / exact truncation of additively shared ring values.
+    """Exact truncation of additively shared ring values.
 
-    Each party arithmetic-shifts its own share (after party 0 folds in
-    the two's-complement bias), then the share-wrap bit
-    ``t = [y0 + y1 >= 2^bits]`` is recovered with a millionaires'
-    comparison on the private shares and subtracted (worth
-    ``2^(bits-f)``).  With ``exact=True`` the low-part borrow
-    ``[l0 + l1 >= 2^f]`` is fixed the same way and the result is
-    bit-exact ``floor(x/2^f)`` for every ring value; with
-    ``exact=False`` it is ``floor(x/2^f)`` or one less.  The correction
-    bits are arithmetized with ring-triple Beaver products (no online
-    OT beyond the comparisons).
+    Party 0 folds in the two's-complement bias ``2^(bits-1)``, the shift
+    protocol (:func:`_shift_shares`) shifts the biased value exactly,
+    and party 0 removes the shifted bias: the result is bit-exact
+    ``floor(x/2^f)`` for every ring value and share split.
 
     Args:
         pool: COT pool in the direction where party 0 is the sender.
         triples: Beaver bit triples for the comparisons' AND trees
-            (consumed).
-        ring_triples: mod-2^bits triples for B2A, one per correction
-            bit; counts as :func:`trunc_draws` lists them.
+            (consumed); counts as :func:`trunc_draws` lists them.
         rng: party 0's comparison OT masks; defaults to a fresh
             OS-seeded generator -- these masks are one-time pads over
             party 0's private share bits, so they must never come from
@@ -472,51 +472,11 @@ def truncate_shares(
     """
     mask = cfg.mask
     k, f = cfg.bits, cfg.frac_bits
-    x = _as_flat_shares(x_share, mask)
-    n = x.shape[0]
-    if ring_triples.bits != k:
-        raise ProtocolError(
-            f"B2A ring triples are mod 2^{ring_triples.bits}, need 2^{k}"
-        )
+    y = _as_flat_shares(x_share, mask)
     rng = rng if rng is not None else np.random.default_rng()
-    y = x
     if party == 0:
-        y = (x + (_U64_ONE << np.uint64(k - 1))) & mask
-    low_mask = np.uint64((1 << f) - 1)
-    low = y & low_mask
-    if party == 0:
-        t_bit = millionaire_p0(
-            channel, mask - y, k, pool, triples, rng, tweak_base=tweak_base
-        )
-    else:
-        t_bit = millionaire_p1(channel, y, k, pool, triples, tweak_base=tweak_base)
-    if exact:
-        if party == 0:
-            c_bit = millionaire_p0(
-                channel, low_mask - low, f, pool, triples, rng,
-                tweak_base=tweak_base + _CARRY_TWEAK,
-            )
-        else:
-            c_bit = millionaire_p1(
-                channel, low, f, pool, triples,
-                tweak_base=tweak_base + _CARRY_TWEAK,
-            )
-        bits_mine = np.concatenate([t_bit, c_bit])
-    else:
-        bits_mine = t_bit
-    # B2A: each party contributes its XOR share as one arithmetic
-    # operand of a Beaver product; b = b0 + b1 - 2*b0*b1.
-    b_vals = bits_mine.astype(np.uint64)
-    zeros = np.zeros_like(b_vals)
-    if party == 0:
-        prod = mul_shared(channel, ring_triples, b_vals, zeros, party)
-    else:
-        prod = mul_shared(channel, ring_triples, zeros, b_vals, party)
-    arith = (b_vals - np.uint64(2) * prod) & mask
-    big = _U64_ONE << np.uint64(k - f)
-    z = ((y >> np.uint64(f)) - arith[:n] * big) & mask
-    if exact:
-        z = (z + arith[n:]) & mask
+        y = (y + (_U64_ONE << np.uint64(k - 1))) & mask
+    z = _shift_shares(channel, y, k, f, pool, triples, rng, party, tweak_base)
     if party == 0:
         z = (z - (_U64_ONE << np.uint64(k - 1 - f))) & mask
     return z
@@ -542,10 +502,9 @@ def truncate(
     if mode == "pair":
         (pairs,) = material
         return truncate_pair_online(channel, x_share, pairs, cfg, party)
-    cots, triples, ring_triples = material
+    cots, triples = material
     return truncate_shares(
-        channel, x_share, cfg, party, CotPool.of(cots), triples, ring_triples,
-        rng=rng, exact=(mode == "exact"),
+        channel, x_share, cfg, party, CotPool.of(cots), triples, rng=rng
     )
 
 
@@ -567,8 +526,8 @@ def trunc_via_service(
 ) -> np.ndarray:
     """Truncation drawing every correlation from a provisioning session.
 
-    ``mode`` is ``"pair"`` (pooled truncation pairs, one online round),
-    ``"wrap"`` (wrap-fixed, within one ULP) or ``"exact"`` (bit-exact).
+    ``mode`` is ``"pair"`` (pooled truncation pairs, one online round)
+    or ``"exact"`` (bit-exact).
     Both parties call in lockstep with the same mode; the session draws
     :func:`trunc_draws` in one allocation message.
     """

@@ -78,8 +78,7 @@ class CorrelationDemand:
         """All raw COTs behind this demand (consumer draws + derived).
 
         Derived kinds cost what their recipes' inputs say: bit triples
-        one COT per direction, ring triples ``ring_bits`` per
-        direction, matrix triples ``matmul_cots`` from a single
+        one COT per direction, matrix triples ``matmul_cots`` from a single
         direction, truncation pairs their forward COTs plus the bit
         triples their generation consumes.
         """
@@ -333,7 +332,7 @@ def plan_graph(
     every ring/matrix triple); it must match the serving service's
     ``ServiceTuning.ring_bits``.  ``fx`` prices the graph's Rescale
     layers as executable truncation demand (``trunc_mode`` selecting
-    pair/wrap/exact); without it they surface as unplanned.
+    pair/exact); without it they surface as unplanned.
     """
     total = CorrelationDemand()
     per_layer = []

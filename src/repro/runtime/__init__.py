@@ -7,7 +7,7 @@ amortization argument assumes):
 * :mod:`repro.runtime.pool` -- thread-safe typed correlation pools with
   watermark refill, backpressure, and per-pool statistics;
 * :mod:`repro.runtime.recipes` -- the declarative table of production
-  ops (extends, bit/ring/matrix triples, truncation pairs, random
+  ops (extends, bit/matrix triples, truncation pairs, random
   OTs): what each consumes, how it is commanded, made and pooled;
 * :mod:`repro.runtime.service` -- a per-party background worker that
   keeps the pools filled by scheduling and running those recipes, with
@@ -40,7 +40,6 @@ from repro.runtime.pool import (
     MatrixTriplePool,
     PoolStats,
     ReceiverCotPool,
-    RingTriplePool,
     SenderCotPool,
     TriplePool,
     TruncPairPool,
@@ -59,7 +58,6 @@ __all__ = [
     "MuxChannel",
     "PoolStats",
     "ReceiverCotPool",
-    "RingTriplePool",
     "SenderCotPool",
     "ServiceSession",
     "ServiceTuning",

@@ -1,7 +1,7 @@
 """Thread-safe typed correlation pools with watermark bookkeeping.
 
 A pool buffers one kind of correlation (sender COTs, receiver COTs,
-random OTs, bit/ring triples, shape-keyed matrix triples) produced by
+random OTs, bit triples, shape-keyed matrix triples, truncation pairs) produced by
 the background provisioning service and consumed by concurrent
 sessions.  The crucial design point
 is that a correlation is only useful if *both* parties consume the same
@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import PoolClosed, PoolTimeout, ServiceError
-from repro.mpc.triples import BitTriples, MatrixTriples, RingTriples
+from repro.mpc.triples import BitTriples, MatrixTriples
 from repro.mpc.truncation import TruncPairs
 from repro.obs.trace import NULL_TRACER
 from repro.ot.cot import CotReceiverBatch, CotSenderBatch
@@ -519,21 +519,6 @@ class TriplePool(CorrelationPool):
         return BitTriples(a, b, c)
 
 
-class RingTriplePool(CorrelationPool):
-    """Arithmetic (mod 2^bits) Beaver-triple shares (a, b, c)."""
-
-    def __init__(self, name: str, bits: int, **kwargs):
-        super().__init__(name, n_columns=3, **kwargs)
-        self.bits = bits
-
-    def append(self, triples) -> None:
-        self.append_columns((triples.a, triples.b, triples.c))
-
-    def take(self, lo: int, n: int, timeout: float = None):
-        a, b, c = self.take_columns(lo, n, timeout)
-        return RingTriples(a, b, c, self.bits)
-
-
 class TruncPairPool(CorrelationPool):
     """Fixed-point truncation pairs (r, r >> frac) for one frac width.
 
@@ -541,7 +526,7 @@ class TruncPairPool(CorrelationPool):
     the fractional width (``tprc/{frac}``) because a pair only rescales
     by its own shift amount, while ``bits`` is fixed service-wide like
     every other arithmetic pool.  Same absolute-index reserve/take and
-    watermark-refill semantics as RTRI/MTRI; the ``TPRC`` recipe
+    watermark-refill semantics as MTRI; the ``TPRC`` recipe
     produces batches from forward-direction COTs plus pooled bit
     triples (the two millionaires' comparisons inside generation).
     """

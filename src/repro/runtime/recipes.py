@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from repro.mpc.matmul import MatmulDims, generate_matrix_triples, matmul_cots
-from repro.mpc.triples import generate_bit_triples, generate_ring_triples
+from repro.mpc.triples import generate_bit_triples
 from repro.mpc.truncation import (
     generate_trunc_pairs,
     trunc_pair_bit_triples,
@@ -36,7 +36,6 @@ from repro.runtime.pool import (
     CorrelationPool,
     MatrixTriplePool,
     ReceiverCotPool,
-    RingTriplePool,
     SenderCotPool,
     TriplePool,
     TruncPairPool,
@@ -116,27 +115,17 @@ def _cot_pool(direction: str):
 # -- generators ---------------------------------------------------------------
 # Tweak bases are the absolute pool offsets of the consumed ranges, so
 # both parties hash with matching tweaks.
-def _by_role(svc, cmd, fwd, rev) -> list:
-    """The two directions' ``(CotPool, offset)``, this party's sender
-    role first."""
-    pairs = [(CotPool.of(fwd), cmd.offsets[0]), (CotPool.of(rev), cmd.offsets[1])]
-    return pairs if sends(svc.party, "fwd") else pairs[::-1]
+def _by_role(svc, fwd, rev) -> list:
+    """The two directions' ``CotPool``, this party's sender role first."""
+    pools = [CotPool.of(fwd), CotPool.of(rev)]
+    return pools if sends(svc.party, "fwd") else pools[::-1]
 
 
 def _bit_triples(svc, ch, pool, cmd, fwd, rev):
     """Both workers run one triple-generation batch in lockstep."""
-    (send, _), (recv, _) = _by_role(svc, cmd, fwd, rev)
+    send, recv = _by_role(svc, fwd, rev)
     return generate_bit_triples(
         ch, cmd.n, send, recv, svc._rng, party=svc.party, tweak_base=cmd.offsets[0]
-    )
-
-
-def _ring_triples(svc, ch, pool, cmd, fwd, rev):
-    """Lockstep Gilboa ring-triple batch over both COT directions."""
-    (send, send_lo), (recv, recv_lo) = _by_role(svc, cmd, fwd, rev)
-    return generate_ring_triples(
-        ch, cmd.n, pool.bits, send, recv, svc._rng,
-        party=svc.party, send_tweak_base=send_lo, recv_tweak_base=recv_lo,
     )
 
 
@@ -159,7 +148,7 @@ def _matrix_triple(svc, ch, pool, cmd, cots):
 
 def _trunc_pairs(svc, ch, pool, cmd, cots, triples):
     """Party 0 is the millionaires'/Gilboa OT sender (the forward COT
-    direction), mirroring the online wrap-fixed protocol's roles."""
+    direction), the same roles exact online truncation runs."""
     return generate_trunc_pairs(
         ch, cmd.n, pool.bits, pool.frac_bits, CotPool.of(cots), triples, svc._rng,
         party=svc.party, tweak_base=cmd.offsets[0],
@@ -213,17 +202,6 @@ TRI = Recipe(
     cap=lambda t: t.triple_chunk,
     produce=_bit_triples,
 )
-RTRI = Recipe(
-    op=b"RTRI", layout="noo", kind="rtri", label="ring-triple", tag="prov/rtri",
-    # Unset, ring triples follow the reverse direction they need.
-    on=lambda t: (
-        t.enable_reverse if t.enable_ring_triples is None else t.enable_ring_triples
-    ),
-    pool=lambda svc, name: RingTriplePool(name, svc.tuning.ring_bits, **_PLAN_DRIVEN),
-    inputs=lambda bits: (("cot/fwd", bits), ("cot/rev", bits)),
-    cap=lambda t: t.rtri_chunk,
-    produce=_ring_triples,
-)
 MTRI = Recipe(
     op=b"MTRI", layout="kkkvo", kind="mtri", label="matrix-triple", tag="prov/mtri",
     key_for=MatrixTriplePool.key_for,
@@ -257,6 +235,6 @@ TPRC = Recipe(
 ROT0 = _rot(b"ROT0", "fwd", on=lambda t: t.enable_rots)
 ROT1 = _rot(b"ROT1", "rev", on=lambda t: t.enable_rots and t.enable_reverse)
 
-RECIPES = (EXT0, EXT1, TRI, RTRI, MTRI, TPRC, ROT0, ROT1)
+RECIPES = (EXT0, EXT1, TRI, MTRI, TPRC, ROT0, ROT1)
 BY_OP = {recipe.op: recipe for recipe in RECIPES}
 BY_KIND = {recipe.kind: recipe for recipe in RECIPES}

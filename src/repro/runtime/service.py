@@ -109,11 +109,10 @@ class ServiceTuning:
 
     ``None`` watermarks are derived from the Ferret config at service
     construction (keep about one extend's output in flight).
-    ``ring_bits`` fixes the ring Z_2^bits of every arithmetic (ring and
-    matrix) triple the service produces -- both parties must agree, and
-    preprocessing plans must be computed at the same width.
-    ``enable_ring_triples=None`` follows ``enable_reverse`` (ring
-    triples, like bit triples, need OTs both ways).
+    ``ring_bits`` fixes the ring Z_2^bits of every arithmetic
+    correlation (matrix triples, truncation pairs) the service produces
+    -- both parties must agree, and preprocessing plans must be computed
+    at the same width.
     ``tprc_batch_chunks`` caps how many ``tprc_chunk``-sized batches
     one TPRC command may fuse when stock allows: pair generation pays
     its millionaires'/B2A message rounds once per command, so fusing
@@ -132,14 +131,13 @@ class ServiceTuning:
     triple_high: int = 1024
     triple_chunk: int = 1024
     ring_bits: int = 32
-    rtri_chunk: int = 256
+    rtri_chunk: int = 256  # unread; benchmarks/ledger/fixture.py is its only writer
     tprc_chunk: int = 64
     tprc_batch_chunks: int = 8
     rot_low: int = 0
     rot_high: int = 512
     enable_reverse: bool = True
     enable_triples: bool = True
-    enable_ring_triples: bool = None
     enable_rots: bool = True
     take_timeout_s: float = 300.0
     #: Retry/backoff bounds for the worker's blocking receives (sliced
@@ -577,8 +575,8 @@ class CorrelationService:
 
     def trunc_pool(self, frac_bits: int) -> TruncPairPool:
         """The frac-keyed truncation-pair pool.  Pair production
-        consumes pooled bit triples, so the service must run with
-        ``enable_triples``."""
+        consumes pooled bit triples (as exact online truncation does),
+        so the service must run with ``enable_triples``."""
         return self._pool(TPRC, frac_bits)
 
     def session(self, name: str) -> "ServiceSession":

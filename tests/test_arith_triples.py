@@ -1,4 +1,5 @@
-"""Arithmetic (mod 2^k) Beaver triples via Gilboa multiplication."""
+"""Gilboa multiplication over COTs (the arithmetic primitive under matrix
+triples and B2A) and the matrix-triple dealer."""
 
 import numpy as np
 import pytest
@@ -6,20 +7,14 @@ import pytest
 from repro.crypto.crhf import DEFAULT_CRHF, Crhf
 from repro.errors import ParameterError
 from repro.mpc.triples import (
-    RingTriples,
     dealer_matrix_triples,
-    dealer_ring_triples,
-    generate_ring_triples,
     gilboa_receive,
     gilboa_receive_stream,
     gilboa_send,
     gilboa_send_stream,
-    mul_shared,
     ring_mask_u64,
-    ring_triple_cots,
 )
 from repro.ot.channel import run_pair
-from repro.ot.cot import CotPool
 
 from repro.ot.testing import fake_cots
 
@@ -113,27 +108,6 @@ class TestPadPacking:
         assert np.array_equal(pads(8), first)
         assert np.array_equal(pads(9), np.hstack([first, second.view("<u2")[:, :1]]))
 
-    def test_ring_triples_hash_three_blocks_per_cot(self, monkeypatch):
-        """Scalar cross terms are width 1: one hash per pad, as before."""
-        n, bits = 10, 16
-        n_cots = ring_triple_cots(n, bits)
-        send_f, recv_f = fake_cots(n_cots, seed=3)
-        send_r, recv_r = fake_cots(n_cots, seed=4)
-        counter = CountingCrhf()
-        monkeypatch.setattr(DEFAULT_CRHF, "hash_tweaked", counter.hash_tweaked)
-        run_pair(
-            lambda ch: generate_ring_triples(
-                ch, n, bits, CotPool(sender=send_f), CotPool(receiver=recv_r),
-                np.random.default_rng(10), party=0,
-            ),
-            lambda ch: generate_ring_triples(
-                ch, n, bits, CotPool(sender=send_r), CotPool(receiver=recv_f),
-                np.random.default_rng(20), party=1,
-            ),
-        )
-        assert counter.blocks == 2 * 3 * n * bits  # 3 n bits per direction
-
-
 class TestGilboaPrimitive:
     @pytest.mark.parametrize("bits,width", [(16, 1), (32, 3), (64, 2)])
     def test_shares_sum_to_selected_correlation(self, bits, width):
@@ -166,71 +140,12 @@ class TestGilboaPrimitive:
         assert st_r.bytes_sent == 8 + (n + 7) // 8  # packed bits + header
 
 
-class TestRingTriples:
-    @pytest.mark.parametrize("bits", [8, 16, 32, 64])
-    def test_generated_triples_satisfy_relation(self, bits):
-        n = 24
-        n_cots = ring_triple_cots(n, bits)
-        send_f, recv_f = fake_cots(n_cots, seed=3)  # fwd: P0 is sender
-        send_r, recv_r = fake_cots(n_cots, seed=4)  # rev: P1 is sender
-
-        def p0(ch):
-            return generate_ring_triples(
-                ch, n, bits, CotPool(sender=send_f), CotPool(receiver=recv_r),
-                np.random.default_rng(10), party=0,
-            )
-
-        def p1(ch):
-            return generate_ring_triples(
-                ch, n, bits, CotPool(sender=send_r), CotPool(receiver=recv_f),
-                np.random.default_rng(20), party=1,
-            )
-
-        t0, t1, _, _ = run_pair(p0, p1)
-        mask = ring_mask_u64(bits)
-        a = (t0.a + t1.a) & mask
-        b = (t0.b + t1.b) & mask
-        c = (t0.c + t1.c) & mask
-        assert np.array_equal(c, (a * b) & mask)
-        # Shares alone look uniform, not like the plaintext product.
-        assert not np.array_equal(t0.c, c)
-
-    def test_dealer_triples_satisfy_relation(self):
-        t0, t1 = dealer_ring_triples(50, 32, np.random.default_rng(7))
-        mask = ring_mask_u64(32)
-        a = (t0.a + t1.a) & mask
-        b = (t0.b + t1.b) & mask
-        assert np.array_equal((t0.c + t1.c) & mask, (a * b) & mask)
-
-    def test_take_consumes(self):
-        t = RingTriples(np.arange(10), np.arange(10), np.zeros(10), bits=8)
-        head = t.take(4)
-        assert len(head) == 4 and len(t) == 6
-        with pytest.raises(ParameterError):
-            t.take(7)
-
+class TestRingMask:
     def test_bad_ring_width_rejected(self):
         with pytest.raises(ParameterError):
             ring_mask_u64(65)
         with pytest.raises(ParameterError):
             ring_mask_u64(0)
-
-
-class TestBeaverMultiplication:
-    def test_mul_shared_reconstructs_product(self):
-        bits, n = 16, 30
-        gen = np.random.default_rng(11)
-        mask = ring_mask_u64(bits)
-        t0, t1 = dealer_ring_triples(n, bits, gen)
-        x = gen.integers(0, 1 << bits, n, dtype=np.uint64)
-        y = gen.integers(0, 1 << bits, n, dtype=np.uint64)
-        x0 = gen.integers(0, 1 << bits, n, dtype=np.uint64)
-        y0 = gen.integers(0, 1 << bits, n, dtype=np.uint64)
-        s0, s1, _, _ = run_pair(
-            lambda ch: mul_shared(ch, t0, x0, y0, 0),
-            lambda ch: mul_shared(ch, t1, (x - x0) & mask, (y - y0) & mask, 1),
-        )
-        assert np.array_equal((s0 + s1) & mask, (x * y) & mask)
 
 
 class TestDealerMatrixTriples:

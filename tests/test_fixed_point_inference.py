@@ -38,7 +38,7 @@ MASK = ring_mask_u64(BITS)
 TUNING = ServiceTuning(
     ring_bits=BITS,
     triple_low=256, triple_high=1024, triple_chunk=512,
-    rtri_chunk=128, tprc_chunk=64,
+    tprc_chunk=64,
     enable_rots=False,
 )
 
@@ -123,13 +123,13 @@ class TestQuantizedInference:
 
     def test_plan_prices_rescale_layers(self, planned_run):
         """Rescale layers translate into executable truncation demand --
-        comparison COTs, their bit triples, and B2A ring triples."""
+        comparison and B2A COTs, and the comparisons' bit triples."""
         plan = planned_run["plan"]
         rescale_demands = [d for name, d in plan.per_layer if name == "rescale"]
         assert len(rescale_demands) == 2
         d1 = CorrelationDemand().add(trunc_draws(M * H1, FX, "exact"))
         assert rescale_demands[0].draws == d1.draws
-        assert set(d1.as_pool_targets()) == {"cot/fwd", "tri", "rtri"}
+        assert set(d1.as_pool_targets()) == {"cot/fwd", "tri"}
         assert plan.demand.unplanned == {}
         assert len(plan.per_layer) == 6  # trace covered every layer
 
@@ -255,7 +255,7 @@ class TestTruncPairPool:
         framing = (2 + len(b"prov/tprc")) * trunc_preproc_messages(FX)
         assert tag_bytes() - before == trunc_preproc_bytes(n, FX) + framing
 
-    @pytest.mark.parametrize("mode,n_offsets", [("exact", 3), ("pair", 1)])
+    @pytest.mark.parametrize("mode,n_offsets", [("exact", 2), ("pair", 1)])
     def test_online_trunc_session_bytes_match_model(self, services, mode, n_offsets):
         """Online truncation over a dedicated session sub-channel moves
         exactly trunc_online_bytes plus the leader's ONE allocation
@@ -288,7 +288,7 @@ class TestTruncPairPool:
     def test_trunc_pool_requires_bit_triples(self):
         base_a, _ = LocalChannel.pair()
         mux0 = MuxChannel(base_a)
-        bad = ServiceTuning(enable_triples=False, enable_ring_triples=False)
+        bad = ServiceTuning(enable_triples=False)
         svc = CorrelationService(0, mux0, CFG, bad)
         with pytest.raises(ServiceError, match="bit-triple"):
             svc.trunc_pool(4)
@@ -305,7 +305,7 @@ class TestPlannerPairMode:
         plan = plan_graph(g, bits=BITS, fx=FX, trunc_mode="pair")
         targets = plan.pool_targets()
         assert targets[f"tprc/{FX.frac_bits}"] == 8
-        assert "rtri" not in targets and "tri" not in targets
+        assert "tri" not in targets
         # The plan table renders the pair demand, not an all-zero row.
         rescale_row = next(r for r in plan.summary_rows() if r[0] == "rescale")
         assert rescale_row[-1] == f"{FX.frac_bits}: 8"
@@ -313,7 +313,9 @@ class TestPlannerPairMode:
         pair_only = plan_graph(g, bits=BITS, fx=FX, trunc_mode="pair")
         exact = plan_graph(g, bits=BITS, fx=FX, trunc_mode="exact")
         assert pair_only.demand.total_cots(BITS) > 0
-        assert exact.pool_targets()["cot/fwd"] == 8 * (BITS + FX.frac_bits)
+        assert exact.pool_targets()["cot/fwd"] == 8 * trunc_pair_cots(BITS, FX.frac_bits)
+        # Exact mode runs the pair's own shift protocol online.
+        assert exact.demand.total_cots(BITS) == pair_only.demand.total_cots(BITS)
 
     def test_rescale_without_fx_is_an_honest_gap(self):
         g = Graph("gap", (2, 3))

@@ -11,10 +11,9 @@ from repro.errors import ProtocolError
 from repro.mpc.triples import (
     and_shared,
     dealer_bit_triples,
-    dealer_ring_triples,
     gilboa_receive,
     gilboa_receive_stream,
-    mul_shared,
+    gilboa_send,
 )
 from repro.mpc.truncation import FixedPointConfig, dealer_trunc_pairs, truncate_pair_online
 from repro.ot.testing import fake_cots
@@ -33,15 +32,17 @@ def and_site(count):
     and_shared(ScriptedChannel([packed_bits(count)]), t0, zeros, zeros, party=0)
 
 
-def mul_site(count):
-    r0, _ = dealer_ring_triples(N, BITS, np.random.default_rng(0))
-    zeros = np.zeros(N, np.uint64)
-    mul_shared(ScriptedChannel([ring(count)]), r0, zeros, zeros, party=0)
-
-
 def trunc_pair_site(count):
     p0, _ = dealer_trunc_pairs(N, BITS, CFG.frac_bits, np.random.default_rng(0))
     truncate_pair_online(ScriptedChannel([ring(count)]), np.zeros(N, np.uint64), p0, CFG, 0)
+
+
+def gilboa_send_site(count):
+    """Party 0 of exact truncation's B2A: the peer sends the correction bits."""
+    sender, _ = fake_cots(N)
+    tweaks = np.arange(N, dtype=np.uint64)
+    corr = np.ones((N, 1), np.uint64)
+    gilboa_send(ScriptedChannel([packed_bits(count)]), sender, corr, BITS, tweaks)
 
 
 def gilboa_site(count):
@@ -61,8 +62,8 @@ def gilboa_stream_site(count):
 #: (site, the element count an honest peer sends).
 SITES = {
     "and_shared": (and_site, 2 * N),
-    "mul_shared": (mul_site, 2 * N),
     "truncate_pair_online": (trunc_pair_site, N),
+    "gilboa_send": (gilboa_send_site, N),
     "gilboa_receive": (gilboa_site, N),
     "gilboa_receive_stream": (gilboa_stream_site, N),
 }

@@ -34,7 +34,6 @@ MASK = ring_mask_u64(BITS)
 TUNING = ServiceTuning(
     ring_bits=BITS,
     triple_low=0, triple_high=0, triple_chunk=512,
-    rtri_chunk=128,
     enable_rots=False,
 )
 
@@ -95,11 +94,19 @@ class TestPoolProduceTargets:
         assert pool.watermarks == (7, 7)
 
 
+def pair_pool(svc0, svc1) -> str:
+    """Both parties' ``tprc`` pool for FX (plan-driven, like every keyed
+    pool); returns its kind."""
+    svc1.trunc_pool(FX.frac_bits)
+    return svc0.trunc_pool(FX.frac_bits).name
+
+
 class TestOneShotPrefill:
     def test_one_shot_restores_pre_plan_watermarks(self, services):
         svc0, svc1, _, _ = services
+        tprc = pair_pool(svc0, svc1)
         before = {k: s for k, s in svc0.pool_stats().items()}
-        targets = {"tri": 600, "rtri": 12}
+        targets = {"tri": 600, tprc: 12}
         ctx = (svc0.error, svc1.error)
         run_both(
             lambda: svc0.prefill(targets, 180.0, one_shot=True),
@@ -112,18 +119,19 @@ class TestOneShotPrefill:
             assert after[kind]["high_watermark"] == before[kind]["high_watermark"], kind
         # The stock itself IS there -- only the refill pressure is gone.
         assert svc0.pools["tri"].level >= 600
-        assert svc0.pools["rtri"].level >= 12
+        assert svc0.pools[tprc].level >= 12
 
     def test_default_prefill_keeps_raised_watermarks(self, services):
         svc0, svc1, _, _ = services
-        targets = {"rtri": 20}
+        tprc = pair_pool(svc0, svc1)
+        targets = {tprc: 20}
         ctx = (svc0.error, svc1.error)
         run_both(
             lambda: svc0.prefill(targets, 180.0),
             lambda: svc1.prefill(targets, 180.0),
             ctx=ctx,
         )
-        assert svc0.pool_stats()["rtri"]["low_watermark"] >= 20
+        assert svc0.pool_stats()[tprc]["low_watermark"] >= 20
 
 
 class TestPipelinedPrefill:
@@ -245,8 +253,7 @@ class TestForwardOnlyPipeline:
         falls back to cot/fwd, which carries its own charge)."""
         tuning = ServiceTuning(
             ring_bits=BITS,
-            enable_reverse=False, enable_triples=False,
-            enable_ring_triples=False, enable_rots=False,
+            enable_reverse=False, enable_triples=False, enable_rots=False,
         )
         svc0, svc1, mux0, mux1 = start_service_pair(CFG, tuning, seed=0x1F0)
         try:

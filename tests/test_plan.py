@@ -106,19 +106,20 @@ class TestPlanAggregation:
         assert targets["tri"] == triples_needed(n_relu, BITS - 1)
         assert targets["mtri/4x16x8"] == 1
         assert targets["mtri/4x8x4"] == 1
-        assert "rtri" not in targets  # nothing demanded none planned
+        assert "tprc/4" not in targets  # nothing demanded none planned
 
     def test_mul_and_matmul_demand_helpers(self):
         d = CorrelationDemand().add(matmul_draws(2, 3, 4), times=5)
-        d.merge(CorrelationDemand().add([("rtri", (), 7)]))
-        assert d.as_pool_targets() == {"mtri/2x3x4": 5, "rtri": 7}
+        d.merge(CorrelationDemand().add([("tri", (), 7)]))
+        assert d.as_pool_targets() == {"mtri/2x3x4": 5, "tri": 7}
 
     def test_total_cots_accounts_derived_production(self):
         d = CorrelationDemand().add([
             ("cot/fwd", (), 10), ("cot/rev", (), 20), ("tri", (), 5),
-            ("rtri", (), 3), ("mtri", (2, 3, 4), 2),
+            ("tprc", (4,), 3), ("mtri", (2, 3, 4), 2),
         ])
-        expect = 10 + 20 + 5 * 2 + 3 * 16 * 2 + 2 * (2 * 3 + 3 * 4) * 16
+        # A 16-bit tprc/4 pair: 16 + 4 + 2 forward COTs and 26 + 4 bit triples.
+        expect = 10 + 20 + 5 * 2 + 3 * (22 + 30 * 2) + 2 * (2 * 3 + 3 * 4) * 16
         assert d.total_cots(ring_bits=16) == expect
 
 
@@ -134,11 +135,11 @@ class TestRealModels:
         assert f"mtri/{112 * 112}x147x64" in targets
         assert len(plan.summary_rows()) == 1 + len(plan.per_layer)
 
-    @pytest.mark.parametrize("mode", ["pair", "wrap", "exact"])
+    @pytest.mark.parametrize("mode", ["pair", "exact"])
     def test_summary_rows_show_every_kind_the_plan_draws(self, mode):
         """The printed table has a column for every pool kind in
-        ``pool_targets()`` -- the B2A ring triples of an exact-mode
-        Rescale included -- and each layer's cell shows its count."""
+        ``pool_targets()`` -- the tprc pairs of a pair-mode Rescale
+        included -- and each layer's cell shows its count."""
         g = tiny_mlp()
         g.add(Rescale())
         fx = FixedPointConfig(bits=BITS, frac_bits=4, mag_bits=9)

@@ -1,5 +1,6 @@
 """Preprocessing/online phase split through the provisioning service:
-pooled ring + matrix triples, planner-driven prefill, stall-free online.
+pooled matrix triples and truncation pairs, planner-driven prefill,
+stall-free online.
 """
 
 import numpy as np
@@ -20,7 +21,6 @@ BITS = 16
 TUNING = ServiceTuning(
     ring_bits=BITS,
     triple_low=256, triple_high=1024, triple_chunk=512,
-    rtri_chunk=128,
 )
 MASK = ring_mask_u64(BITS)
 
@@ -46,18 +46,6 @@ def services():
 
 
 class TestPooledArithmeticTriples:
-    def test_ring_triple_draws_reconstruct(self, services):
-        svc0, svc1 = services
-
-        def draw(svc):
-            return lambda: svc.session("rtri-t").draw([("rtri", (), 30)])[0][0]
-
-        t0, t1 = run_both(draw(svc0), draw(svc1), ctx=(svc0.error, svc1.error))
-        a = (t0.a + t1.a) & MASK
-        b = (t0.b + t1.b) & MASK
-        assert np.array_equal((t0.c + t1.c) & MASK, (a * b) & MASK)
-        assert t0.bits == BITS
-
     def test_matrix_triple_draws_reconstruct(self, services):
         svc0, svc1 = services
 
@@ -74,20 +62,22 @@ class TestPooledArithmeticTriples:
         both parties -- the follower's wait cannot be satisfied by
         historical production alone."""
         svc0, svc1 = services
-        targets = {"rtri": 15}
+        kind = svc0.trunc_pool(4).name
+        svc1.trunc_pool(4)
+        targets = {kind: 15}
         ctx = (svc0.error, svc1.error)
         run_both(lambda: svc0.prefill(targets, 120.0),
                  lambda: svc1.prefill(targets, 120.0), ctx=ctx)
         run_both(
-            lambda: svc0.session("pre-again").draw([("rtri", (), 15)]),
-            lambda: svc1.session("pre-again").draw([("rtri", (), 15)]),
+            lambda: svc0.session("pre-again").draw([("tprc", (4,), 15)]),
+            lambda: svc1.session("pre-again").draw([("tprc", (4,), 15)]),
             ctx=ctx,
         )
-        drawn_after_consume = svc1.pools["rtri"].stats.items_drawn
+        drawn_after_consume = svc1.pools[kind].stats.items_drawn
         run_both(lambda: svc0.prefill(targets, 120.0),
                  lambda: svc1.prefill(targets, 120.0), ctx=ctx)
-        assert svc0.pools["rtri"].level >= 15
-        assert svc1.pools["rtri"].produced - drawn_after_consume >= 15
+        assert svc0.pools[kind].level >= 15
+        assert svc1.pools[kind].produced - drawn_after_consume >= 15
 
     def test_matmul_via_service_reconstructs(self, services):
         svc0, svc1 = services
@@ -182,18 +172,6 @@ class TestPlannedInference:
 
 
 class TestServiceValidation:
-    def test_ring_triples_require_reverse(self):
-        base_a, _ = LocalChannel.pair()
-        mux0 = MuxChannel(base_a)
-        bad = ServiceTuning(
-            enable_reverse=False, enable_triples=False, enable_ring_triples=True
-        )
-        from repro.errors import ServiceError
-
-        with pytest.raises(ServiceError):
-            CorrelationService(0, mux0, CFG, bad)
-        mux0.close()
-
     def test_prefill_unknown_kind_fails_loudly(self):
         base_a, _ = LocalChannel.pair()
         mux0 = MuxChannel(base_a)

@@ -9,7 +9,7 @@ import pytest
 
 from repro.crypto import blocks
 from repro.errors import ServiceError
-from repro.mpc.triples import BitTriples, MatrixTriples, RingTriples, dealer_matrix_triples
+from repro.mpc.triples import BitTriples, MatrixTriples, dealer_matrix_triples
 from repro.ot.cot import CotReceiverBatch, CotSenderBatch, verify_cot
 from repro.runtime import pool as pool_module
 from repro.runtime.recipes import MTRI
@@ -17,7 +17,6 @@ from repro.runtime.pool import (
     CorrelationPool,
     MatrixTriplePool,
     ReceiverCotPool,
-    RingTriplePool,
     SenderCotPool,
     TriplePool,
 )
@@ -270,18 +269,6 @@ class TestTypedPools:
         assert np.array_equal(d_vals, data[192:224])
         with pytest.raises(ServiceError, match="trimmed"):
             pool.take_columns(lo_a, 8)
-
-    def test_ring_triple_pool_roundtrip(self):
-        gen = np.random.default_rng(21)
-        a = gen.integers(0, 1 << 16, 40, dtype=np.uint64)
-        b = gen.integers(0, 1 << 16, 40, dtype=np.uint64)
-        pool = RingTriplePool("rtri", bits=16)
-        pool.append_columns((a, b, (a * b) & np.uint64(0xFFFF)))
-        lo = pool.reserve(40)
-        t = pool.take(lo, 40)
-        assert isinstance(t, RingTriples)
-        assert t.bits == 16
-        assert np.array_equal(t.c, (t.a * t.b) & np.uint64(0xFFFF))
 
     def test_matrix_triple_pool_roundtrip(self):
         gen = np.random.default_rng(22)

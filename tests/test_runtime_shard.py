@@ -403,7 +403,6 @@ class TestShardedPipelinedMlp:
             shards=SHARDS,
             ring_bits=BITS,
             triple_low=0, triple_high=0, triple_chunk=512,
-            rtri_chunk=128,
             enable_rots=False,
         )
         svc0, svc1, mux0, mux1 = start_service_pair(tuning, seed=0x1CE)

@@ -5,11 +5,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ParameterError, ProtocolError
-from repro.mpc.triples import (
-    dealer_bit_triples,
-    dealer_ring_triples,
-    ring_mask_u64,
-)
+from repro.mpc.triples import dealer_bit_triples, ring_mask_u64
 from repro.mpc.truncation import (
     FixedPointConfig,
     TruncPairs,
@@ -18,6 +14,7 @@ from repro.mpc.truncation import (
     millionaire_bytes,
     trunc_draws,
     trunc_online_bytes,
+    trunc_online_messages,
     trunc_pair_bit_triples,
     trunc_pair_cots,
     trunc_preproc_bytes,
@@ -51,28 +48,26 @@ def share_values(values, bits, rng):
     return x0, (values - x0) & mask
 
 
-def run_truncate(values, cfg, exact, seed=0):
-    """Full two-party wrap-fixed/exact truncation; returns the
-    reconstruction and both parties' wire stats."""
+def run_truncate(values, cfg, seed=0):
+    """Full two-party exact truncation on exactly the correlations
+    ``trunc_draws`` lists; returns the reconstruction and both parties'
+    wire stats.  Asserts every drawn COT and bit triple is consumed."""
     rng = np.random.default_rng(seed)
     n = values.shape[0]
     x0, x1 = share_values(values, cfg.bits, rng)
-    (_, _, n_cots), (_, _, n_tri), (_, _, n_rtri) = trunc_draws(
-        n, cfg, "exact" if exact else "wrap"
-    )
+    (_, _, n_cots), (_, _, n_tri) = trunc_draws(n, cfg, "exact")
     sender, receiver = fake_cots(n_cots, seed=seed + 1)
     t0, t1 = dealer_bit_triples(n_tri, rng)
-    rt0, rt1 = dealer_ring_triples(n_rtri, cfg.bits, rng)
+    pool0, pool1 = CotPool(sender=sender), CotPool(receiver=receiver)
     z0, z1, st0, st1 = run_pair(
         lambda ch: truncate_shares(
-            ch, x0, cfg, 0, CotPool(sender=sender), t0, rt0,
-            np.random.default_rng(seed + 2), exact=exact,
+            ch, x0, cfg, 0, pool0, t0, np.random.default_rng(seed + 2)
         ),
-        lambda ch: truncate_shares(
-            ch, x1, cfg, 1, CotPool(receiver=receiver), t1, rt1, exact=exact
-        ),
+        lambda ch: truncate_shares(ch, x1, cfg, 1, pool1, t1),
         timeout=600.0,
     )
+    assert pool0.remaining == pool1.remaining == 0
+    assert len(t0) == len(t1) == 0
     return (z0 + z1) & cfg.mask, st0, st1
 
 
@@ -108,20 +103,8 @@ class TestExactSweep:
         cfg = FixedPointConfig(bits, frac)
         rng = np.random.default_rng(bits * 100 + frac)
         values = full_ring_values(bits, rng)
-        got, _, _ = run_truncate(values, cfg, exact=True, seed=bits + frac)
+        got, _, _ = run_truncate(values, cfg, seed=bits + frac)
         assert np.array_equal(got, cfg.trunc_reference(values))
-
-    @pytest.mark.parametrize("bits,frac", SWEEP, ids=lambda p: str(p))
-    def test_wrap_mode_within_one_ulp(self, bits, frac):
-        """Without the low-carry fix the result is floor(x/2^f) or one
-        less -- inside the +-1 ULP contract for EVERY ring value."""
-        cfg = FixedPointConfig(bits, frac)
-        rng = np.random.default_rng(bits * 200 + frac)
-        values = full_ring_values(bits, rng)
-        got, _, _ = run_truncate(values, cfg, exact=False, seed=bits + frac + 7)
-        diff = cfg.to_signed((got - cfg.trunc_reference(values)) & cfg.mask)
-        assert np.all((diff >= -1) & (diff <= 1)), diff
-        assert np.all(diff <= 0)  # the one-sided direction is known
 
     def test_multiple_share_splits_same_value(self):
         """Exactness must hold whichever way the ring value splits."""
@@ -129,7 +112,7 @@ class TestExactSweep:
         value = np.uint64((1 << 31) + 12345)  # most negative region
         for seed in range(5):
             values = np.full(4, value, dtype=np.uint64)
-            got, _, _ = run_truncate(values, cfg, exact=True, seed=seed)
+            got, _, _ = run_truncate(values, cfg, seed=seed)
             assert np.array_equal(got, cfg.trunc_reference(values)), seed
 
 
@@ -224,14 +207,19 @@ class TestPairGeneration:
 class TestByteModels:
     """Measured wire bytes equal the analytical predictors exactly."""
 
-    @pytest.mark.parametrize("mode", ["exact", "wrap"])
-    def test_online_bytes_match_model(self, mode):
+    def test_online_bytes_match_model(self):
+        """Exact online truncation costs what one pair batch costs, on
+        the wire byte for byte and message for message."""
         cfg = FixedPointConfig(16, 4)
         rng = np.random.default_rng(3)
         values = full_ring_values(16, rng, n_random=9)
-        _, st0, st1 = run_truncate(values, cfg, exact=mode == "exact", seed=5)
+        n = values.shape[0]
+        _, st0, st1 = run_truncate(values, cfg, seed=5)
         measured = st0.bytes_sent + st1.bytes_sent
-        assert measured == trunc_online_bytes(values.shape[0], cfg, mode)
+        assert measured == trunc_online_bytes(n, cfg, "exact")
+        assert measured == trunc_preproc_bytes(n, cfg)
+        messages = st0.messages_sent + st1.messages_sent
+        assert messages == trunc_online_messages(cfg, "exact")
 
     def test_pair_online_bytes_match_model(self):
         cfg = FixedPointConfig(32, 8, 12)
@@ -246,15 +234,16 @@ class TestByteModels:
         assert st0.bytes_sent + st1.bytes_sent == trunc_online_bytes(21, cfg, "pair")
 
     def test_millionaire_bytes_helper_composition(self):
-        """The online model decomposes into comparisons + one Beaver
-        opening -- the shape the documentation claims."""
+        """The online model decomposes into two comparisons + one Gilboa
+        B2A of 2n bits -- the shape the documentation claims."""
         cfg = FixedPointConfig(32, 8)
         n = 10
         assert trunc_online_bytes(n, cfg, "exact") == (
-            millionaire_bytes(n, 32) + millionaire_bytes(n, 8) + 2 * (2 * 2 * n) * 8
+            millionaire_bytes(n, 32) + millionaire_bytes(n, 8) + (8 + 3) + 2 * n * 8
         )
         assert trunc_online_bytes(n, cfg, "pair") == 16 * n
 
     def test_unknown_mode_rejected(self):
-        with pytest.raises(ParameterError):
-            trunc_online_bytes(4, FixedPointConfig(16, 4), "nope")
+        for mode in ("nope", "wrap"):  # wrap-fixed mode is gone
+            with pytest.raises(ParameterError):
+                trunc_online_bytes(4, FixedPointConfig(16, 4), mode)

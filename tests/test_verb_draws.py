@@ -35,7 +35,6 @@ FX = FixedPointConfig(bits=BITS, frac_bits=4, mag_bits=9)
 TUNING = ServiceTuning(
     ring_bits=BITS,
     triple_low=0, triple_high=0, triple_chunk=512,
-    rtri_chunk=128,
     enable_rots=False,
 )
 
@@ -92,7 +91,7 @@ def setup(verb, mode, shape):
     )
 
 
-MODES = ("pair", "wrap", "exact")
+MODES = ("pair", "exact")
 
 
 @pytest.mark.parametrize(
