@@ -118,7 +118,6 @@ def make_tuning() -> ServiceTuning:
     return ServiceTuning(
         ring_bits=RING_BITS,
         triple_low=0, triple_high=0, triple_chunk=512,
-        enable_rots=False,
         take_timeout_s=TIMEOUT,
     )
 

@@ -141,7 +141,6 @@ def start_stack():
     tuning = ServiceTuning(
         ring_bits=RING_BITS,
         triple_low=0, triple_high=0, triple_chunk=1024,
-        enable_rots=False,
         take_timeout_s=600.0,
     )
     cfg = FerretConfig(params=PARAMS, arity=4, prg_kind="chacha8")

@@ -57,8 +57,7 @@ def start_services():
     tuning = ServiceTuning(
         ring_bits=RING_BITS,
         triple_low=0, triple_high=0, triple_chunk=1024,
-        tprc_chunk=1024,
-        enable_rots=False,
+        tprc_chunk=8192,
         take_timeout_s=600.0,
     )
     cfg = FerretConfig(params=PARAMS, arity=4, prg_kind="chacha8")
@@ -78,7 +77,7 @@ def run_all(n: int, iters: int) -> dict:
     svc0, svc1, mux0, mux1 = start_services()
     try:
         demand = CorrelationDemand().add(trunc_draws(n, FX, "pair"))
-        svc0.trunc_pool(FX.frac_bits), svc1.trunc_pool(FX.frac_bits)
+        svc0.pool("tprc", (FX.frac_bits,)), svc1.pool("tprc", (FX.frac_bits,))
         # Prefill every iteration's demand up front (plus the warmup
         # pass) so the timed onlines never wait on production.
         runs = 2 * iters + 1

@@ -85,7 +85,6 @@ def start_services():
     tuning = ServiceTuning(
         ring_bits=RING_BITS,
         triple_low=0, triple_high=0, triple_chunk=1024,
-        enable_rots=False,
         take_timeout_s=600.0,
     )
     cfg = FerretConfig(params=PARAMS, arity=4, prg_kind="chacha8")

@@ -70,7 +70,6 @@ def start_services():
     tuning = ServiceTuning(
         ring_bits=RING_BITS,
         triple_low=256, triple_high=2048, triple_chunk=1024,
-        enable_rots=False,
         take_timeout_s=600.0,
     )
     base0, base1 = LocalChannel.pair(timeout=600.0)

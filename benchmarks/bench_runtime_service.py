@@ -55,8 +55,6 @@ def run_scenario(n_sessions: int, draw_per_session: int, chunk: int) -> dict:
     cfg = make_config()
     tuning = ServiceTuning(
         enable_reverse=False,
-        enable_triples=False,
-        enable_rots=False,
         cot_low=max(1, cfg.net_output // 4),
         cot_high=cfg.net_output,
         take_timeout_s=600.0,

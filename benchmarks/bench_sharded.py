@@ -67,8 +67,6 @@ def run_scenario(
     tuning = ServiceTuning(
         shards=shards,
         enable_reverse=False,
-        enable_triples=False,
-        enable_rots=False,
         take_timeout_s=600.0,
     )
     base_a, base_b = LocalChannel.pair(timeout=600.0)

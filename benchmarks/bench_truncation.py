@@ -67,8 +67,7 @@ def start_services():
     tuning = ServiceTuning(
         ring_bits=RING_BITS,
         triple_low=256, triple_high=2048, triple_chunk=1024,
-        tprc_chunk=1024,
-        enable_rots=False,
+        tprc_chunk=8192,
         take_timeout_s=600.0,
     )
     cfg = FerretConfig(params=PARAMS, arity=4, prg_kind="chacha8")
@@ -89,7 +88,7 @@ def run_scenario(mode: str, warm: bool, n: int) -> dict:
     demand = CorrelationDemand().add(draws)
     targets = demand.as_pool_targets()
     if mode == "pair":
-        svc0.trunc_pool(FX.frac_bits), svc1.trunc_pool(FX.frac_bits)
+        svc0.pool("tprc", (FX.frac_bits,)), svc1.pool("tprc", (FX.frac_bits,))
 
     preprocessing_s = 0.0
     if warm:

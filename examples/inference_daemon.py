@@ -66,7 +66,7 @@ def main() -> None:
     tuning = dict(
         ring_bits=RING_BITS,
         triple_low=0, triple_high=0, triple_chunk=512,
-        enable_rots=False, take_timeout_s=TIMEOUT,
+        take_timeout_s=TIMEOUT,
     )
     base0, base1 = LocalChannel.pair(timeout=TIMEOUT)
     mux0 = MuxChannel(base0, timeout=TIMEOUT)

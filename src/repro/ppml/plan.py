@@ -219,14 +219,15 @@ class PreprocessingPlan:
             )
 
     def _ensure_pools(self, service) -> None:
-        """Create the keyed (shape / frac) pools the plan draws from."""
+        """Create every pool the plan draws from (and, through the
+        service's factory, the pools those are made of)."""
         for kind, key in self.demand.draws:
-            service._pool_name(kind, key)
+            service.pool(kind, key)
 
     def prefill(self, service, timeout: float = None, one_shot: bool = False) -> None:
         """Drive one party's service through the preprocessing phase.
 
-        Ensures every shape-keyed matrix pool exists, then blocks until
+        Ensures every pool the plan draws from exists, then blocks until
         all planned correlations are produced ahead.  Both parties call
         this (leader raises watermarks, follower waits for the mirrored
         production); afterwards the online phase runs stall-free.

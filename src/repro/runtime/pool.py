@@ -1,7 +1,7 @@
 """Thread-safe typed correlation pools with watermark bookkeeping.
 
 A pool buffers one kind of correlation (sender COTs, receiver COTs,
-random OTs, bit triples, shape-keyed matrix triples, truncation pairs) produced by
+bit triples, shape-keyed matrix triples, truncation pairs) produced by
 the background provisioning service and consumed by concurrent
 sessions.  The crucial design point
 is that a correlation is only useful if *both* parties consume the same
@@ -379,8 +379,8 @@ class CorrelationPool:
     def try_reserve_produced(self, n: int) -> int:
         """Reserve only if the range is already fully produced, else None.
 
-        The service worker uses this for internal consumption (triple /
-        ROT production) so it never blocks itself waiting for extends it
+        The service worker uses this for internal consumption (derived
+        production) so it never blocks itself waiting for extends it
         is the only one able to run.
         """
         with self._lock:

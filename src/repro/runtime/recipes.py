@@ -30,19 +30,14 @@ from repro.mpc.truncation import (
     trunc_pair_bit_triples,
     trunc_pair_cots,
 )
-from repro.ot.cot import CotPool, CotSenderBatch
-from repro.ot.ot_from_cot import cot_to_random_ot_receiver, cot_to_random_ot_sender
+from repro.ot.cot import CotPool
 from repro.runtime.pool import (
-    CorrelationPool,
     MatrixTriplePool,
     ReceiverCotPool,
     SenderCotPool,
     TriplePool,
     TruncPairPool,
 )
-
-#: Most random OTs one ROT command converts.
-ROT_CHUNK = 512
 
 #: Pools filled by preprocessing plans only (absolute produce targets,
 #: one-shot prefills): no standing watermark refill.
@@ -72,9 +67,8 @@ class Recipe:
     pool: Callable  # (svc, name, *key) -> CorrelationPool
     inputs: Callable
     produce: Callable
+    tag: str  # data sub-channel
     cap: Callable = None  # (tuning) -> most items one command produces
-    on: Callable = None  # (tuning) -> made at construction; None: on first use
-    tag: str = None  # data sub-channel; None for a local conversion
     key_for: Callable = None
     choose: Callable = None
     direction: str = None  # extends only: the Ferret endpoint they run
@@ -155,46 +149,21 @@ def _trunc_pairs(svc, ch, pool, cmd, cots, triples):
     )
 
 
-def _random_ots(svc, ch, pool, cmd, cots):
-    """Figure 2 conversion of pooled COTs into random OTs (local)."""
-    convert = (
-        cot_to_random_ot_sender
-        if isinstance(cots, CotSenderBatch)
-        else cot_to_random_ot_receiver
-    )
-    return convert(cots, tweak_base=cmd.offsets[0])
-
-
 # -- the table ----------------------------------------------------------------
-def _extend(op: bytes, direction: str, label: str, on: Callable) -> Recipe:
+def _extend(op: bytes, direction: str, label: str) -> Recipe:
     return Recipe(
         op=op, layout="noo", kind=f"cot/{direction}", label=label,
         tag=f"prov/{direction}", direction=direction,
-        on=on, pool=_cot_pool(direction),
+        pool=_cot_pool(direction),
         inputs=lambda bits: (),
         produce=lambda svc, ch, pool, cmd: svc._run_extend(direction, ch),
     )
 
 
-def _rot(op: bytes, direction: str, on: Callable) -> Recipe:
-    return Recipe(
-        op=op, layout="noo", kind=f"rot/{direction}", label="random-OT",
-        on=on,
-        # Either role's view is two plain columns: (m0, m1) or (choice, chosen).
-        pool=lambda svc, name: CorrelationPool(
-            name, 2, low_watermark=svc.tuning.rot_low, high_watermark=svc.tuning.rot_high
-        ),
-        inputs=lambda bits: ((f"cot/{direction}", 1),),
-        cap=lambda t: ROT_CHUNK,
-        produce=_random_ots,
-    )
-
-
-EXT0 = _extend(b"EXT0", "fwd", "forward-COT", on=lambda t: True)
-EXT1 = _extend(b"EXT1", "rev", "reverse-COT", on=lambda t: t.enable_reverse)
+EXT0 = _extend(b"EXT0", "fwd", "forward-COT")
+EXT1 = _extend(b"EXT1", "rev", "reverse-COT")
 TRI = Recipe(
     op=b"TRI\x00", layout="noo", kind="tri", label="bit-triple", tag="prov/tri",
-    on=lambda t: t.enable_triples,
     pool=lambda svc, name: TriplePool(
         name, low_watermark=svc.tuning.triple_low, high_watermark=svc.tuning.triple_high
     ),
@@ -216,9 +185,9 @@ MTRI = Recipe(
     produce=_matrix_triple,
 )
 #: Derived-of-derived: pairs consume forward COTs *and* pooled bit
-#: triples.  Deep deficits fuse up to ``tprc_batch_chunks`` chunks into
-#: ONE command when stock allows, so pair production pays the
-#: millionaires'/B2A opening rounds once per fused batch.
+#: triples.  A deficit up to ``tprc_chunk`` pairs runs as ONE command
+#: when stock allows, so pair production pays the millionaires'/B2A
+#: opening rounds once per batch.
 TPRC = Recipe(
     op=b"TPRC", layout="nkoo", kind="tprc", label="truncation-pair", tag="prov/tprc",
     key_for=TruncPairPool.key_for,
@@ -229,12 +198,9 @@ TPRC = Recipe(
         ("cot/fwd", trunc_pair_cots(bits, frac)),
         ("tri", trunc_pair_bit_triples(bits, frac)),
     ),
-    cap=lambda t: t.tprc_chunk * max(1, t.tprc_batch_chunks),
+    cap=lambda t: t.tprc_chunk,
     produce=_trunc_pairs,
 )
-ROT0 = _rot(b"ROT0", "fwd", on=lambda t: t.enable_rots)
-ROT1 = _rot(b"ROT1", "rev", on=lambda t: t.enable_rots and t.enable_reverse)
-
-RECIPES = (EXT0, EXT1, TRI, MTRI, TPRC, ROT0, ROT1)
+RECIPES = (EXT0, EXT1, TRI, MTRI, TPRC)
 BY_OP = {recipe.op: recipe for recipe in RECIPES}
 BY_KIND = {recipe.kind: recipe for recipe in RECIPES}

@@ -67,10 +67,8 @@ from repro.ferret.protocol import FerretReceiver, FerretSender
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER
 from repro.ot.retry import RetryingChannel, RetryPolicy
-from repro.ot.ot_from_cot import ot_receive_from_cot, ot_send_from_cot
 from repro.runtime.mux import MuxChannel
-from repro.runtime.pool import MatrixTriplePool, TruncPairPool
-from repro.runtime.recipes import BY_KIND, BY_OP, MTRI, RECIPES, TPRC, Command, sends
+from repro.runtime.recipes import BY_KIND, BY_OP, RECIPES, Command, sends
 from repro.runtime.shard import ShardManager
 
 #: Control frames open with a 4-byte opcode.  Production ops and their
@@ -113,10 +111,12 @@ class ServiceTuning:
     correlation (matrix triples, truncation pairs) the service produces
     -- both parties must agree, and preprocessing plans must be computed
     at the same width.
-    ``tprc_batch_chunks`` caps how many ``tprc_chunk``-sized batches
-    one TPRC command may fuse when stock allows: pair generation pays
-    its millionaires'/B2A message rounds once per command, so fusing
-    chunks amortizes the per-chunk opening rounds of deep deficits.
+    ``tprc_chunk`` caps how many pairs one TPRC command makes: pair
+    generation pays its millionaires'/B2A message rounds once per
+    command, so a deep deficit runs as few, large commands.
+    ``enable_reverse`` builds the reverse-direction Ferret endpoint;
+    without it, a kind that consumes reverse COTs (bit triples, and
+    truncation pairs through them) fails on first use.
     ``shards`` moves raw-COT production into that many producer
     *process pairs* (see :mod:`repro.runtime.shard`); 1 keeps today's
     in-thread extends byte-identically.  Derived ``None`` COT
@@ -132,13 +132,9 @@ class ServiceTuning:
     triple_chunk: int = 1024
     ring_bits: int = 32
     rtri_chunk: int = 256  # unread; benchmarks/ledger/fixture.py is its only writer
-    tprc_chunk: int = 64
-    tprc_batch_chunks: int = 8
-    rot_low: int = 0
-    rot_high: int = 512
+    tprc_chunk: int = 512
     enable_reverse: bool = True
-    enable_triples: bool = True
-    enable_rots: bool = True
+    enable_rots: bool = True  # unread; benchmarks/ledger/fixture.py is its only writer
     take_timeout_s: float = 300.0
     #: Retry/backoff bounds for the worker's blocking receives (sliced
     #: waits that re-check liveness) and, when the transport stack
@@ -156,7 +152,7 @@ class CorrelationService:
             ``sess/<name>`` sub-channels.
         config: the Ferret configuration (shared by both directions).
         tuning: watermarks / batch sizes; both parties should pass
-            equal ``enable_*`` flags.
+            equal ``enable_reverse``.
         seed: base seed for the Ferret endpoints; both parties must
             pass the same value (they derive distinct per-role seeds
             from it, mirroring :func:`repro.ferret.protocol.ferret_pair`).
@@ -177,7 +173,7 @@ class CorrelationService:
         self.config = config
         self.tuning = tuning or ServiceTuning()
         self._ctl = mux.sub("prov/ctl")
-        # Provisioning data channels (one per interactive recipe) wait in
+        # Provisioning data channels (one per recipe) wait in
         # policy-sized slices with a liveness probe between slices, so a
         # worker blocked mid-protocol notices a stop request or a dead
         # pump in ~attempt_timeout_s instead of after the full
@@ -188,7 +184,6 @@ class CorrelationService:
                 probe=self._worker_probe, default_timeout=mux.timeout,
             )
             for recipe in RECIPES
-            if recipe.tag is not None
         }
         self._data_channels = tuple(self._data.values())
         self._rng = np.random.default_rng(seed + 0x7000 + party)
@@ -240,11 +235,10 @@ class CorrelationService:
         #: the pool factory hands out pools created later already closed.
         self._worker_done = False
         self.pools: dict = {}
-        # The keyless kinds this configuration switches on; the factory
-        # rejects one whose input pools are off (triples without the
-        # reverse direction).  Keyed pools are created on first use.
+        # The raw-COT pools of the endpoints built above; every derived
+        # pool is made on first use (see _pool).
         for recipe in RECIPES:
-            if recipe.on is not None and recipe.on(t):
+            if recipe.direction is not None and self._endpoint(recipe.direction) is not None:
                 self._pool(recipe)
 
         # Process-sharded raw-COT production (repro.runtime.shard):
@@ -519,35 +513,58 @@ class CorrelationService:
             return self.pools[kind].reserve(n)
 
     def _named_pools(self, kinds, what: str) -> dict:
-        """The existing pools ``kinds`` name; an unknown kind is an error."""
-        with self._alloc_lock:
-            for kind in kinds:
-                if kind not in self.pools:
+        """The pools ``kinds`` name.  An unkeyed kind is made on first
+        use; a keyed pool (``mtri/2x3x2``) must already exist."""
+        pools = {}
+        for kind in kinds:
+            pool = self.pools.get(kind)
+            if pool is None:
+                recipe = BY_KIND.get(kind)
+                if recipe is None or recipe.key_for is not None:
                     raise ServiceError(f"{what}: unknown pool kind {kind!r}")
-            return {kind: self.pools[kind] for kind in kinds}
+                pool = self._pool(recipe)
+            pools[kind] = pool
+        return pools
+
+    def pool(self, kind: str, key: tuple = ()):
+        """The pool a ``(pool kind, key)`` request names, made on first
+        use: ``pool("tri")``, ``pool("mtri", (m, k, n))``,
+        ``pool("tprc", (frac_bits,))``."""
+        recipe = BY_KIND.get(kind)
+        if recipe is None or bool(key) != (recipe.key_for is not None):
+            raise ServiceError(f"unknown pool kind {kind!r} (key {key!r})")
+        return self._pool(recipe, *key)
 
     def _pool(self, recipe, *key):
         """The one pool factory: the pool ``recipe`` fills under ``key``,
         created on first use.
 
-        Creation is local and idempotent, so the constructor, sessions
-        and the command replay can each ensure a pool exists on their
-        side without any cross-party coordination.  A pool made after
-        the worker exited is closed at birth: waits on it fail with
+        A raw-COT pool exists when its Ferret endpoint does.  A derived
+        pool first ensures its inputs (all of them, unless the recipe
+        chooses one by stock), so a kind whose inputs reach a missing
+        endpoint fails here, when something first asks for it.
+        Creation is local and idempotent, so sessions, plans and the
+        command replay can each ensure a pool exists on their side
+        without any cross-party coordination.  A pool made after the
+        worker exited is closed at birth: waits on it fail with
         ``PoolClosed`` at once instead of burning their timeout on a
         producer that is gone.
         """
         name = recipe.pool_name(*key)
+        if name not in self.pools:
+            if recipe.direction is not None and self._endpoint(recipe.direction) is None:
+                raise ServiceError(f"no {recipe.label} production (enable_reverse=False)")
+            if recipe.choose is None:
+                for src, _ in recipe.inputs(self.tuning.ring_bits, *key):
+                    source = BY_KIND[src]
+                    if source.direction is not None and self._endpoint(source.direction) is None:
+                        raise ServiceError(
+                            f"{recipe.label} production needs {source.label} production"
+                        )
+                    self._pool(source)
         with self._alloc_lock:
             pool = self.pools.get(name)
             if pool is None:
-                if recipe.choose is None:
-                    for src, _ in recipe.inputs(self.tuning.ring_bits, *key):
-                        if src not in self.pools:
-                            raise ServiceError(
-                                f"{recipe.label} production needs "
-                                f"{BY_KIND[src].label} production"
-                            )
                 pool = recipe.pool(self, name, *key)
                 pool.recipe, pool.key = recipe, key
                 pool.refill = self._wake
@@ -559,26 +576,6 @@ class CorrelationService:
                 self.pools[name] = pool
             return pool
 
-    def _pool_name(self, kind: str, key: tuple) -> str:
-        """The name of the pool a ``(pool kind, key)`` request means; a
-        keyed pool is made on first use (see :meth:`_pool`)."""
-        recipe = BY_KIND.get(kind)
-        if recipe is None:
-            raise ServiceError(f"unknown pool kind {kind!r}")
-        if key:
-            self._pool(recipe, *key)
-        return recipe.pool_name(*key)
-
-    def matrix_pool(self, m: int, k: int, n: int) -> MatrixTriplePool:
-        """The shape-keyed matrix-triple pool for (m, k, n)."""
-        return self._pool(MTRI, m, k, n)
-
-    def trunc_pool(self, frac_bits: int) -> TruncPairPool:
-        """The frac-keyed truncation-pair pool.  Pair production
-        consumes pooled bit triples (as exact online truncation does),
-        so the service must run with ``enable_triples``."""
-        return self._pool(TPRC, frac_bits)
-
     def session(self, name: str) -> "ServiceSession":
         """A consumer session speaking over the ``sess/<name>`` sub-channel."""
         return ServiceSession(self, self.mux.sub(f"sess/{name}"), name)
@@ -589,7 +586,7 @@ class CorrelationService:
         ``targets`` holds that many items produced ahead.
 
         ``targets`` maps pool kind (including ``mtri/...`` keys created
-        beforehand via :meth:`matrix_pool`) to the number of items the
+        beforehand via :meth:`pool`) to the number of items the
         online phase will draw.  On the leader this *raises the
         low watermark* to the target, so the worker also keeps the pool
         warm for the next batch after consumption -- the steady-state
@@ -904,25 +901,15 @@ class CorrelationService:
         leader noticed our failure (we cannot run their interactive
         protocol any more, but the leader consumed their inputs).
 
-        Local conversions (no data channel) execute fully when their
-        input ranges are available -- identical output on both sides,
-        pools stay level.  Interactive commands only have their pool
-        *inputs* consumed (the leader's execution of them timed out too,
-        so neither side appended output); extends have none.  Inputs
-        not yet produced locally are left to the resync rollback, which
-        erases the leader's view of them.
+        Only the command's pool *inputs* are consumed (the leader's
+        execution of it timed out too, so neither side appended
+        output); extends have none.  Inputs not yet produced locally
+        are left to the resync rollback, which erases the leader's view
+        of them.
         """
-        ranges = self._input_ranges(cmd)
-        ready = [
-            (pool, lo, n) for pool, lo, n in ranges
-            if n > 0 and pool.produced >= lo + n
-        ]
-        if cmd.recipe.tag is None:
-            if len(ready) == len(ranges):
-                self._execute(cmd)
-            return
-        for pool, lo, n in ready:
-            pool.take_columns(lo, n)
+        for pool, lo, n in self._input_ranges(cmd):
+            if n > 0 and pool.produced >= lo + n:
+                pool.take_columns(lo, n)
 
     # -- ferret endpoint snapshots -------------------------------------------
     def _endpoint(self, direction: str):
@@ -1079,7 +1066,7 @@ class CorrelationService:
         with self.tracer.span(f"produce.{recipe.name}", cat="produce", n=cmd.n):
             taken = [src.take(lo, n) for src, lo, n in self._input_ranges(cmd)]
             pool.append(
-                recipe.produce(self, self._data.get(recipe.tag), pool, cmd, *taken)
+                recipe.produce(self, self._data[recipe.tag], pool, cmd, *taken)
             )
 
     def _run_extend(self, direction: str, channel):
@@ -1126,7 +1113,7 @@ class ServiceSession:
         ``requests`` is an ordered list of ``(pool kind, key, count)``
         in shared-pool names -- what a verb's ``*_draws`` function
         returns (``("cot/fwd", (), n)``, ``("mtri", (m, k, n), 1)``).
-        Both parties ensure the keyed pools exist locally; party 0
+        Both parties ensure the pools exist locally; party 0
         reserves every range in list order and announces ALL offsets in
         one message (a uint64 vector), party 1 receives them; each then
         takes its own role's typed batch of every range -- a warm pool
@@ -1134,7 +1121,7 @@ class ServiceSession:
         produces on demand.
         """
         svc = self.service
-        wanted = [(svc._pool_name(kind, key), count) for kind, key, count in requests]
+        wanted = [(svc.pool(kind, key).name, count) for kind, key, count in requests]
         if self.party == 0:
             offsets = [svc.reserve(name, count) for name, count in wanted]
             self.channel.send_ring(np.asarray(offsets, dtype=np.uint64))
@@ -1156,21 +1143,3 @@ class ServiceSession:
             for (name, count), lo in zip(wanted, offsets)
         ]
         return batches, offsets
-
-    # -- chosen-message OT straight off the pool -----------------------------
-    def _draw_cots(self, sending: bool, n: int) -> tuple:
-        """(this party's batch, tweaks) of n COTs in the direction where
-        it sends (or receives)."""
-        direction = "fwd" if sends(self.party, "fwd") == sending else "rev"
-        (batch,), (lo,) = self.draw([(f"cot/{direction}", (), n)])
-        return batch, np.arange(lo, lo + n, dtype=np.uint64)
-
-    def ot_send(self, messages0: np.ndarray, messages1: np.ndarray) -> None:
-        """Chosen-message OT sender over the session channel."""
-        batch, tweaks = self._draw_cots(True, messages0.shape[0])
-        ot_send_from_cot(self.channel, batch, messages0, messages1, tweaks=tweaks)
-
-    def ot_receive(self, choices: np.ndarray) -> np.ndarray:
-        """Chosen-message OT receiver; returns messages[choices[i]]."""
-        batch, tweaks = self._draw_cots(False, np.asarray(choices).shape[0])
-        return ot_receive_from_cot(self.channel, batch, choices, tweaks=tweaks)

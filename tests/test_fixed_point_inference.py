@@ -32,14 +32,10 @@ CFG = FerretConfig.small(scale=1024, arity=4, prg_kind="chacha8")
 BITS = 16
 FX = FixedPointConfig(bits=BITS, frac_bits=4, mag_bits=9)
 MASK = ring_mask_u64(BITS)
-#: enable_rots=False keeps production deterministic for the byte-model
-#: test (ROT refill would concurrently drain cot/fwd stock and split
-#: TPRC batches); nothing below draws random OTs.
 TUNING = ServiceTuning(
     ring_bits=BITS,
     triple_low=256, triple_high=1024, triple_chunk=512,
-    tprc_chunk=64,
-    enable_rots=False,
+    tprc_chunk=512,
 )
 
 M, K, H1, H2, OUT = 4, 12, 6, 5, 3
@@ -229,8 +225,8 @@ class TestTruncPairPool:
         sub-channel -- measured per-tag, both ends."""
         svc0, svc1, mux0, mux1 = services
         n = 11
-        pool = svc0.trunc_pool(FX.frac_bits)
-        svc1.trunc_pool(FX.frac_bits)
+        pool = svc0.pool("tprc", (FX.frac_bits,))
+        svc1.pool("tprc", (FX.frac_bits,))
         stock = {
             "cot/fwd": n * trunc_pair_cots(BITS, FX.frac_bits) + 512,
             "tri": n * trunc_pair_bit_triples(BITS, FX.frac_bits) + 256,
@@ -286,12 +282,15 @@ class TestTruncPairPool:
         assert measured == expect
 
     def test_trunc_pool_requires_bit_triples(self):
+        """Pairs consume bit triples, which consume reverse COTs: a
+        forward-only service refuses the pool when it is first asked
+        for, naming the missing production."""
         base_a, _ = LocalChannel.pair()
         mux0 = MuxChannel(base_a)
-        bad = ServiceTuning(enable_triples=False)
-        svc = CorrelationService(0, mux0, CFG, bad)
-        with pytest.raises(ServiceError, match="bit-triple"):
-            svc.trunc_pool(4)
+        svc = CorrelationService(0, mux0, CFG, ServiceTuning(enable_reverse=False))
+        with pytest.raises(ServiceError, match="reverse-COT"):
+            svc.pool("tprc", (4,))
+        assert set(svc.pools) == {"cot/fwd"}
         mux0.close()
 
 

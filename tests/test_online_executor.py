@@ -38,7 +38,6 @@ MASK = ring_mask_u64(BITS)
 TUNING = ServiceTuning(
     ring_bits=BITS,
     triple_low=0, triple_high=0, triple_chunk=512,
-    enable_rots=False,
 )
 LAYERS = {"L": Linear, "R": Rescale, "a": lambda: Activation("relu")}
 

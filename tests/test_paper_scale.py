@@ -32,8 +32,6 @@ def test_table4_2pow20_through_service():
         # Forward direction only: the Table 4 rows measure one COT
         # stream, and reverse would double the setup for nothing.
         enable_reverse=False,
-        enable_triples=False,
-        enable_rots=False,
         cot_low=1,
         cot_high=cfg.net_output,
         take_timeout_s=PATIENCE,
@@ -98,8 +96,6 @@ def test_table4_2pow20_through_4shard_service():
     tuning = ServiceTuning(
         shards=shards,
         enable_reverse=False,
-        enable_triples=False,
-        enable_rots=False,
         cot_low=1,
         cot_high=cfg.net_output,
         take_timeout_s=PATIENCE,

@@ -34,7 +34,6 @@ MASK = ring_mask_u64(BITS)
 TUNING = ServiceTuning(
     ring_bits=BITS,
     triple_low=0, triple_high=0, triple_chunk=512,
-    enable_rots=False,
 )
 
 M, K, H, OUT = 4, 8, 6, 48
@@ -97,8 +96,8 @@ class TestPoolProduceTargets:
 def pair_pool(svc0, svc1) -> str:
     """Both parties' ``tprc`` pool for FX (plan-driven, like every keyed
     pool); returns its kind."""
-    svc1.trunc_pool(FX.frac_bits)
-    return svc0.trunc_pool(FX.frac_bits).name
+    svc1.pool("tprc", (FX.frac_bits,))
+    return svc0.pool("tprc", (FX.frac_bits,)).name
 
 
 class TestOneShotPrefill:
@@ -253,7 +252,7 @@ class TestForwardOnlyPipeline:
         falls back to cot/fwd, which carries its own charge)."""
         tuning = ServiceTuning(
             ring_bits=BITS,
-            enable_reverse=False, enable_triples=False, enable_rots=False,
+            enable_reverse=False,
         )
         svc0, svc1, mux0, mux1 = start_service_pair(CFG, tuning, seed=0x1F0)
         try:
@@ -379,21 +378,24 @@ class TestFusedMatmulRescale:
 
 
 class TestBatchedTprcProduction:
-    def test_deep_deficit_fused_into_one_command(self):
-        """16 pairs with a 4-pair chunk and stocked inputs run as ONE
-        TPRC command (4 chunks fused), paying the millionaires'/B2A
-        message rounds once instead of four times."""
+    """``tprc_chunk`` is the most pairs one TPRC command makes: 16 pairs
+    with stocked inputs run as 16 / ``tprc_chunk`` commands, and every
+    command pays the millionaires'/B2A message rounds once."""
+
+    N = 16
+
+    def run_deficit(self, chunk: int) -> int:
+        """TPRC messages moved producing ``N`` pairs at a ``chunk`` cap."""
+        n = self.N
         tuning = ServiceTuning(
             ring_bits=BITS,
             triple_low=0, triple_high=0, triple_chunk=512,
-            tprc_chunk=4, tprc_batch_chunks=4,
-            enable_rots=False,
+            tprc_chunk=chunk,
         )
         svc0, svc1, mux0, mux1 = start_service_pair(CFG, tuning, seed=0x7A7)
         try:
-            n = 16
-            pool = svc0.trunc_pool(FX.frac_bits)
-            svc1.trunc_pool(FX.frac_bits)
+            pool = svc0.pool("tprc", (FX.frac_bits,))
+            svc1.pool("tprc", (FX.frac_bits,))
             stock = {
                 "cot/fwd": n * trunc_pair_cots(BITS, FX.frac_bits) + 512,
                 "tri": n * trunc_pair_bit_triples(BITS, FX.frac_bits) + 64,
@@ -414,9 +416,7 @@ class TestBatchedTprcProduction:
                 lambda: svc1.prefill({pool.name: n}, 240.0),
                 ctx=ctx,
             )
-            # One fused command moves trunc_preproc_messages; four
-            # unfused 4-pair chunks would move four times that.
-            assert tprc_messages() - before_msgs == trunc_preproc_messages(FX)
+            moved = tprc_messages() - before_msgs
             # And the pairs are real: both parties' shares reconstruct.
             p0, p1 = run_both(
                 lambda: svc0.session("tb").draw(trunc_draws(n, FX, "pair"))[0][0],
@@ -427,6 +427,13 @@ class TestBatchedTprcProduction:
             assert np.array_equal(
                 (p0.s + p1.s) & MASK, r >> np.uint64(FX.frac_bits)
             )
+            return moved
         finally:
             svc0.stop(), svc1.stop()
             mux0.close(), mux1.close()
+
+    def test_deep_deficit_fused_into_one_command(self):
+        assert self.run_deficit(self.N) == trunc_preproc_messages(FX)
+
+    def test_deep_deficit_split_at_the_chunk_cap(self):
+        assert self.run_deficit(self.N // 4) == 4 * trunc_preproc_messages(FX)

@@ -62,8 +62,8 @@ class TestPooledArithmeticTriples:
         both parties -- the follower's wait cannot be satisfied by
         historical production alone."""
         svc0, svc1 = services
-        kind = svc0.trunc_pool(4).name
-        svc1.trunc_pool(4)
+        kind = svc0.pool("tprc", (4,)).name
+        svc1.pool("tprc", (4,))
         targets = {kind: 15}
         ctx = (svc0.error, svc1.error)
         run_both(lambda: svc0.prefill(targets, 120.0),

@@ -15,12 +15,15 @@ import pytest
 
 from repro.crypto import blocks
 from repro.ferret.config import FerretConfig
-from repro.mpc.truncation import FixedPointConfig
+from repro.mpc.matmul import matmul_draws
+from repro.mpc.maxpool import max_draws
+from repro.mpc.relu import relu_draws
+from repro.mpc.truncation import FixedPointConfig, trunc_draws
 from repro.ot.channel import LocalChannel
 from repro.ppml.layers import Activation, Conv2d, Graph, Linear, MaxPool2d, Rescale
 from repro.ppml.plan import _layer_internal_cots, _layer_produce_counts, plan_graph
 from repro.runtime import CorrelationService, MuxChannel, ServiceTuning
-from repro.runtime.recipes import RECIPES, Command
+from repro.runtime.recipes import BY_KIND, RECIPES, Command
 
 CFG = FerretConfig.small(scale=1024, arity=4, prg_kind="chacha8")  # 1008 COTs/extend
 MTRI_KEY, TPRC_KEY = (2, 3, 2), (8,)  # 384 COTs/triple; 42 COTs + 68 bit triples/pair
@@ -34,8 +37,8 @@ def service_pair(tuning):
         for party, mux in enumerate(muxes)
     ]
     for svc in services:
-        svc.matrix_pool(*MTRI_KEY)
-        svc.trunc_pool(*TPRC_KEY)
+        svc.pool("mtri", MTRI_KEY)
+        svc.pool("tprc", TPRC_KEY)
     return services, muxes
 
 
@@ -57,16 +60,21 @@ def service_pair(tuning):
 #: ``rtri`` left the produce targets (and ``rtri_chunk=`` the tuning),
 #: and the 40 ring triples' RTRI commands and the extends that fed
 #: them (32 COTs per direction each) left both streams.
+#: Re-pinned once more when ROT production went: ``rot/*`` left the
+#: produce targets and the split TPRC cap became one ``tprc_chunk``
+#: (4 x 2 = 8, 1 x 1 = 1).  Both digests are the ROT-free stream of the
+#: parent tree (the same scenarios with ROT production switched off):
+#: without ROT commands, nothing else in either stream moved.
 GOLDEN = {
     "watermarks": (
-        dict(triple_chunk=96, tprc_chunk=4, tprc_batch_chunks=2),
+        dict(triple_chunk=96, tprc_chunk=8),
         10,
-        "63e89ed8431d04881780e55bd8c30f783d255d5580b746eee5976b351bcaf904",
+        "733a271c79904032093077975157ec01e5c0b7349a036b62a6621bf8ba403138",
     ),
     "starved": (
-        dict(cot_low=0, cot_high=0, triple_chunk=80, tprc_chunk=1, tprc_batch_chunks=1),
+        dict(cot_low=0, cot_high=0, triple_chunk=80, tprc_chunk=1),
         30,
-        "a29d788f4314c4c27f73065ea38e81574432cf08b8dfef07e6c22e0737fd6c2d",
+        "bac78b123b95d05c4285d2b200a38f16c28cb3a092495a9cb4e0b7fa7a665d61",
     ),
 }
 
@@ -74,10 +82,7 @@ GOLDEN = {
 @pytest.mark.parametrize("case", sorted(GOLDEN))
 def test_command_stream_matches_golden_transcript(case):
     knobs, trunc_pairs, digest = GOLDEN[case]
-    tuning = ServiceTuning(
-        ring_bits=32, triple_low=0, triple_high=0,
-        rot_low=0, rot_high=64, **knobs,
-    )
+    tuning = ServiceTuning(ring_bits=32, triple_low=0, triple_high=0, **knobs)
     (leader, follower), muxes = service_pair(tuning)
     frames = []
     send = leader._ctl.send_bytes
@@ -87,10 +92,7 @@ def test_command_stream_matches_golden_transcript(case):
         send(data)
 
     leader._ctl.send_bytes = recording_send
-    leader.raise_produce_targets({
-        "tri": 200, "mtri/2x3x2": 3, "tprc/8": trunc_pairs,
-        "rot/fwd": 700, "rot/rev": 300,
-    })
+    leader.raise_produce_targets({"tri": 200, "mtri/2x3x2": 3, "tprc/8": trunc_pairs})
     try:
         for svc in (leader, follower):
             svc.start()
@@ -146,7 +148,7 @@ def stock(pool, n):
 )
 def test_starved_kind_schedules_its_short_input(levels, wanted, frame):
     tuning = ServiceTuning(
-        cot_low=0, cot_high=0, triple_low=0, triple_high=0, enable_rots=False
+        cot_low=0, cot_high=0, triple_low=0, triple_high=0
     )
     (leader, _), muxes = service_pair(tuning)
     for kind, n in levels.items():
@@ -158,6 +160,21 @@ def test_starved_kind_schedules_its_short_input(levels, wanted, frame):
 
 
 # -- table-derived views ----------------------------------------------------------
+def test_every_recipe_kind_has_a_consumer():
+    """A pool exists because something draws it: every kind of the
+    table is another recipe's input or drawn by an online verb."""
+    keys = {"mtri": MTRI_KEY, "tprc": TPRC_KEY}
+    inputs = {
+        src for recipe in RECIPES
+        for src, _ in recipe.inputs(32, *keys.get(recipe.kind, ()))
+    }
+    draws = [
+        *trunc_draws(3, FX, "exact"), *trunc_draws(3, FX, "pair"),
+        *relu_draws(3, 16), *matmul_draws(2, 3, 2), *max_draws(3, 16),
+    ]
+    assert set(BY_KIND) - inputs - {kind for kind, _, _ in draws} == set()
+
+
 @pytest.mark.parametrize("recipe", RECIPES, ids=lambda recipe: recipe.name)
 def test_stale_command_takes_inputs_times_n_at_frame_offsets(recipe):
     """A degraded follower consumes exactly what the leader's command
@@ -181,8 +198,6 @@ def test_stale_command_takes_inputs_times_n_at_frame_offsets(recipe):
         cmd = Command(recipe, key, n if inputs else 0, variant, offsets)
         follower._align_stale_command(follower._decode(follower._encode(cmd)))
         assert taken == [(src, lo, n * per) for (src, per), lo in zip(used, offsets)]
-        if recipe.tag is None:  # a local conversion runs to completion
-            assert follower.pools[recipe.kind].produced == n
         for mux in muxes:
             mux.close()
 

@@ -15,13 +15,16 @@ from repro.ferret.config import FerretConfig
 from repro.mpc.maxpool import max_via_service
 from repro.mpc.relu import relu_via_service
 from repro.mpc.sharing import from_signed, reconstruct_arith, share_arith, to_signed
+from repro.mpc.truncation import FixedPointConfig
 from repro.ot.channel import LocalChannel
 from repro.ot.cot import verify_cot
+from repro.ppml.layers import Activation, Graph, Linear, Rescale
+from repro.ppml.plan import plan_graph
 from repro.runtime import CorrelationService, MuxChannel, ServiceTuning
 
 CFG = FerretConfig.small(scale=1024, arity=4, prg_kind="chacha8")
 TUNING = ServiceTuning(
-    triple_low=256, triple_high=1024, triple_chunk=512, rot_low=32, rot_high=128
+    triple_low=256, triple_high=1024, triple_chunk=512
 )
 BITS = 10
 
@@ -68,7 +71,7 @@ def run_sessions(svc0, svc1, jobs, timeout=180.0):
 
 @pytest.fixture(scope="module")
 def service_run():
-    """One shared service pair driving 7 concurrent mixed sessions."""
+    """One shared service pair driving 6 concurrent mixed sessions."""
     svc0, svc1, mux0, mux1 = start_service_pair()
     rng = np.random.default_rng(0xAB)
     vals_a = rng.integers(-400, 400, 12)
@@ -108,20 +111,6 @@ def service_run():
 
         return fn
 
-    def chosen_ot_job(n):
-        gen = np.random.default_rng(55)
-        m0v = np.zeros((n, 2), dtype=np.uint64)
-        m1v = np.ones((n, 2), dtype=np.uint64)
-        choices = gen.integers(0, 2, n).astype(np.uint8)
-
-        def fn(session, party):
-            if party == 0:
-                session.ot_send(m0v, m1v)
-                return choices  # expectation for the asserting side
-            return session.ot_receive(choices)
-
-        return fn
-
     jobs = [
         ("relu-a", relu_job(sh_a)),
         ("relu-b", relu_job(sh_b)),
@@ -129,7 +118,6 @@ def service_run():
         ("triples-1", triples_job(300)),
         ("triples-2", triples_job(150)),
         ("raw-cot", raw_cot_job(200)),
-        ("chosen-ot", chosen_ot_job(40)),
     ]
     results = run_sessions(svc0, svc1, jobs)
     svc0.stop()
@@ -176,13 +164,6 @@ class TestConcurrentSessions:
         r = service_run["results"]
         assert verify_cot(r[(0, "raw-cot")], r[(1, "raw-cot")])
 
-    def test_chosen_message_ot_transfers(self, service_run):
-        r = service_run["results"]
-        choices, got = r[(0, "chosen-ot")], r[(1, "chosen-ot")]
-        expect = choices.astype(np.uint64)
-        assert np.array_equal(got[:, 0], expect)
-        assert np.array_equal(got[:, 1], expect)
-
     def test_sessions_share_one_link(self, service_run):
         mux0 = service_run["mux0"]
         tags = mux0.tags
@@ -208,21 +189,6 @@ class TestConcurrentSessions:
 
 
 class TestServiceLifecycle:
-    def test_random_ot_pools(self):
-        """ROT draws: sender pairs and receiver choices stay consistent."""
-        svc0, svc1, mux0, mux1 = start_service_pair(seed=0xD1)
-
-        def rot_job(session, party):
-            return session.draw([("rot/fwd", (), 50)])[0][0]
-
-        results = run_sessions(svc0, svc1, [("rot", rot_job)])
-        m0, m1 = results[(0, "rot")]
-        bits, chosen = results[(1, "rot")]
-        expect = np.where(bits[:, None].astype(bool), m1, m0)
-        assert np.array_equal(chosen, expect)
-        svc0.stop(), svc1.stop()
-        mux0.close(), mux1.close()
-
     def test_follower_stop_first_is_graceful(self):
         """Stopping party 1 before party 0 must not wedge the leader:
         the follower keeps replaying commands until STOP arrives."""
@@ -267,9 +233,62 @@ class TestServiceLifecycle:
         mux0.close()
 
     def test_triples_require_reverse_direction(self):
+        """A forward-only service builds; its first bit-triple draw
+        fails, naming the reverse-COT production triples need."""
         base_a, _ = LocalChannel.pair()
         mux0 = MuxChannel(base_a)
-        bad = ServiceTuning(enable_reverse=False, enable_triples=True)
-        with pytest.raises(ServiceError):
-            CorrelationService(0, mux0, CFG, bad)
+        svc0 = CorrelationService(0, mux0, CFG, ServiceTuning(enable_reverse=False))
+        with pytest.raises(ServiceError, match="bit-triple production needs reverse-COT"):
+            svc0.session("tri").draw([("tri", (), 4)])
         mux0.close()
+
+
+class TestPoolsOnFirstUse:
+    """A pool exists because something draws it: the constructor makes
+    the raw-COT pools of its endpoints, and a draw, a plan or a named
+    prefill target makes the rest -- the same ones on both parties."""
+
+    def test_fresh_service_holds_only_raw_cot_pools(self):
+        for tuning, kinds in (
+            (ServiceTuning(), {"cot/fwd", "cot/rev"}),
+            (ServiceTuning(enable_reverse=False), {"cot/fwd"}),
+        ):
+            base_a, _ = LocalChannel.pair()
+            mux0 = MuxChannel(base_a)
+            assert set(CorrelationService(0, mux0, CFG, tuning).pools) == kinds
+            mux0.close()
+
+    def test_prefill_names_an_unkeyed_pool_into_being(self):
+        svc0, svc1, mux0, mux1 = start_service_pair(seed=0xF1)
+        try:
+            run_sessions(svc0, svc1, [
+                ("fill", lambda session, party: session.service.prefill({"tri": 64})),
+            ])
+            for svc in (svc0, svc1):
+                assert svc.pools["tri"].produced >= 64
+        finally:
+            svc0.stop(), svc1.stop()
+            mux0.close(), mux1.close()
+
+    def test_plan_and_draw_make_the_same_pools_on_both_parties(self):
+        fx = FixedPointConfig(bits=16, frac_bits=4, mag_bits=9)
+        tuning = ServiceTuning(ring_bits=16, triple_low=0, triple_high=0)
+        svc0, svc1, mux0, mux1 = start_service_pair(tuning, seed=0xF2)
+        graph = Graph("FirstUse", (2, 6))
+        for layer in (Linear(4), Rescale(), Activation("relu")):
+            graph.add(layer)
+        plan = plan_graph(graph, bits=16, fx=fx, trunc_mode="pair")
+        draws = [(kind, key, count) for (kind, key), count in plan.demand.draws.items()]
+
+        def job(session, party):
+            plan.prefill(session.service)
+            return session.draw(draws)
+
+        try:
+            run_sessions(svc0, svc1, [("plan", job)])
+            assert {"mtri/2x6x4", "tprc/4", "tri"} <= set(svc0.pools)
+            assert svc0.pools.keys() == svc1.pools.keys()
+            assert svc0.resume_state()["pools"].keys() == svc1.resume_state()["pools"].keys()
+        finally:
+            svc0.stop(), svc1.stop()
+            mux0.close(), mux1.close()

@@ -69,7 +69,6 @@ class TestShardedService:
         tuning = ServiceTuning(
             shards=SHARDS,
             triple_low=64, triple_high=256, triple_chunk=128,
-            rot_low=0, rot_high=64,
         )
         svc0, svc1, mux0, mux1 = start_service_pair(tuning)
         svc0.wait_ready(240.0)
@@ -157,8 +156,8 @@ class TestShardsOneIsByteIdentical:
 
     def test_stream_matches_default_tuning(self):
         n = CFG.net_output // 2
-        base = ServiceTuning(enable_triples=False, enable_rots=False)
-        one = ServiceTuning(shards=1, enable_triples=False, enable_rots=False)
+        base = ServiceTuning()
+        one = ServiceTuning(shards=1)
         s_a, r_a = self._draw(base, n, seed=0xBEE)
         s_b, r_b = self._draw(one, n, seed=0xBEE)
         assert np.array_equal(s_a.z, s_b.z)
@@ -201,8 +200,7 @@ class TestWorkerDeath:
         out the 30 s rendezvous budget."""
         monkeypatch.setattr(shard, "_worker_main", _die_at_boot)
         tuning = ServiceTuning(
-            shards=SHARDS, enable_reverse=False, enable_triples=False,
-            enable_rots=False,
+            shards=SHARDS, enable_reverse=False,
         )
         svc0, svc1, mux0, mux1 = start_service_pair(tuning)
         try:
@@ -234,8 +232,7 @@ class TestWorkerDeath:
         notices on its idle tick and closes the pools, so a draw waiting
         on production fails at once instead of after its take timeout."""
         tuning = ServiceTuning(
-            shards=SHARDS, enable_reverse=False, enable_triples=False,
-            enable_rots=False,
+            shards=SHARDS, enable_reverse=False,
         )
         svc0, svc1, mux0, mux1 = start_service_pair(tuning)
         try:
@@ -264,7 +261,6 @@ class TestReconnectUnderShards:
         tuning = ServiceTuning(
             shards=SHARDS,
             triple_low=64, triple_high=256, triple_chunk=128,
-            enable_rots=False,
         )
         listener = SocketChannel.listen()
         port = listener.port
@@ -403,7 +399,6 @@ class TestShardedPipelinedMlp:
             shards=SHARDS,
             ring_bits=BITS,
             triple_low=0, triple_high=0, triple_chunk=512,
-            enable_rots=False,
         )
         svc0, svc1, mux0, mux1 = start_service_pair(tuning, seed=0x1CE)
         svc0.wait_ready(240.0)

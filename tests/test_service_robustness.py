@@ -18,7 +18,7 @@ from repro.runtime import CorrelationService, MuxChannel, ServiceTuning
 
 CFG = FerretConfig.small(scale=1024, arity=4, prg_kind="chacha8")
 TUNING = ServiceTuning(
-    triple_low=256, triple_high=1024, triple_chunk=512, rot_low=32, rot_high=128
+    triple_low=256, triple_high=1024, triple_chunk=512
 )
 
 
@@ -112,7 +112,7 @@ def test_degraded_pool_wait_raises_typed_error_with_hint():
     svc = CorrelationService(0, mux, CFG, TUNING)  # never started
     svc._enter_degraded(ChannelClosed("link lost"))
 
-    pool = svc.pools["tri"]
+    pool = svc.pool("tri")
     stock = np.ones((3, 16), dtype=np.uint8)
     pool.append_columns(stock)
 
@@ -203,7 +203,7 @@ def test_pools_created_while_worker_exits_all_end_closed():
         i = 0
         while not done.is_set():
             i += 1
-            svc0.matrix_pool(lane + 1, i, 1)
+            svc0.pool("mtri", (lane + 1, i, 1))
 
     threads = [threading.Thread(target=create, args=(lane,)) for lane in range(8)]
     interval = sys.getswitchinterval()
@@ -224,6 +224,41 @@ def test_pools_created_while_worker_exits_all_end_closed():
     assert not any(thread.is_alive() for thread in threads)
     assert len(svc0.pools) > before
     assert all(pool._closed for pool in svc0.pools.values())
+
+
+def test_concurrent_first_use_makes_each_pool_once():
+    """Threads asking for derived pools at once -- each request first
+    ensuring the ``tri`` pool it is made of -- all get the one pool
+    object per name: no creation is doubled or lost."""
+    import sys
+
+    base_a, _ = LocalChannel.pair()
+    mux0 = MuxChannel(base_a)
+    svc0 = CorrelationService(0, mux0, CFG, TUNING)
+    fracs = range(1, 9)
+    seen = [[] for _ in range(8)]
+
+    def create(lane):
+        for frac in fracs:
+            seen[lane].append(svc0.pool("tprc", (frac,)))
+        seen[lane].append(svc0.pool("tri"))
+
+    threads = [threading.Thread(target=create, args=(lane,)) for lane in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(30.0)
+    finally:
+        sys.setswitchinterval(interval)
+        mux0.close()
+    assert not any(thread.is_alive() for thread in threads)
+    expect = [svc0.pools[f"tprc/{frac}"] for frac in fracs] + [svc0.pools["tri"]]
+    assert len(svc0.pools) == len(expect) + 2  # + cot/fwd, cot/rev
+    for lane in seen:
+        assert all(got is want for got, want in zip(lane, expect, strict=True))
 
 
 def test_follower_stop_fast_path_when_degraded():
