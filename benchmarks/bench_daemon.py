@@ -112,12 +112,12 @@ def share_input(x, rng):
 
 
 def make_tuning() -> ServiceTuning:
-    # Background watermark refills off: every correlation in the run is
-    # plan-driven, so the cold/steady contrast (and the zero-stall
-    # contract) measures the daemon's scheduling, nothing else.
+    # Every derived correlation in the run is plan-driven, so the
+    # cold/steady contrast (and the zero-stall contract) measures the
+    # daemon's scheduling, nothing else.
     return ServiceTuning(
         ring_bits=RING_BITS,
-        triple_low=0, triple_high=0, triple_chunk=512,
+        triple_chunk=512,
         take_timeout_s=TIMEOUT,
     )
 

@@ -9,8 +9,8 @@ MLP from ``bench_pipeline`` over real sockets with the full reconnect
 stack; the only difference is the fault schedule armed at prefill
 start:
 
-* **clean** -- an empty schedule (it still counts operations, which
-  calibrates the chaos window);
+* **clean** -- an empty schedule (it still counts operations: the
+  chaos window is derived from those counts, :func:`chaos_window`);
 * **chaos** -- a seeded :meth:`FaultSchedule.chaos` on each side: at
   least one mid-prefill disconnect, one truncated frame (mid-frame EOF
   at the peer's framing layer), receive-timeout bursts, and delays.
@@ -66,11 +66,6 @@ from repro.runtime import CorrelationService, MuxChannel, ServiceTuning
 
 JSON_PATH = Path(__file__).resolve().parents[1] / "BENCH_faults.json"
 CHAOS_SEED = 0xFA17
-#: Op-index range (relative to arming, i.e. prefill start) the faults
-#: land in.  Chosen well inside the prefill traffic at each scale so
-#: disconnects strike mid-prefill and every scheduled event fires.
-WINDOW = (30, 400)
-SMOKE_WINDOW = (20, 150)
 #: Redial budget per outage: generous attempts, fast capped backoff --
 #: an injected fault should cost milliseconds, not a paper-scale stall.
 POLICY = RetryPolicy(
@@ -140,7 +135,7 @@ def start_stack():
     epochs, and each service's resume state rides the handshake."""
     tuning = ServiceTuning(
         ring_bits=RING_BITS,
-        triple_low=0, triple_high=0, triple_chunk=1024,
+        triple_chunk=1024,
         take_timeout_s=600.0,
     )
     cfg = FerretConfig(params=PARAMS, arity=4, prg_kind="chacha8")
@@ -164,6 +159,17 @@ def start_stack():
     return svc0, svc1, mux0, mux1, rc0, rc1, server, client, listener
 
 
+def chaos_window(armed_ops: dict) -> tuple:
+    """The op-index range (relative to arming, i.e. prefill start) the
+    faults land in: the second quarter of the fewest sends or receives
+    either side counted in the clean run.  Every op class a schedule
+    strikes sees at least that many ops (faults only add redials and
+    replays), so every scheduled event fires, and the disconnects land
+    in the first half of the run, while production still streams."""
+    fewest = min(n for ops in armed_ops.values() for n in ops.values())
+    return fewest // 4, fewest // 2
+
+
 def chaos_schedules(window):
     """Server side gets the full menagerie (the required disconnect and
     truncated frame included); the client side contributes its own
@@ -176,7 +182,9 @@ def chaos_schedules(window):
     return server, client
 
 
-def run_scenario(shape, chaos: bool, window, tracers=None) -> dict:
+def run_scenario(shape, window=None, tracers=None) -> dict:
+    """One run: clean with ``window`` None, else chaos in that window."""
+    chaos = window is not None
     svc0, svc1, mux0, mux1, rc0, rc1, server, client, listener = start_stack()
     try:
         if tracers is not None:
@@ -192,8 +200,8 @@ def run_scenario(shape, chaos: bool, window, tracers=None) -> dict:
         if chaos:
             sched_server, sched_client = chaos_schedules(window)
         else:
-            # Empty schedules still count ops: the clean run calibrates
-            # the chaos window against real prefill traffic.
+            # Empty schedules still count ops: chaos_window derives the
+            # chaos run's fault window from them.
             sched_server, sched_client = FaultSchedule(()), FaultSchedule(())
         server.arm(sched_server)
         client.arm(sched_client)
@@ -228,17 +236,18 @@ def run_scenario(shape, chaos: bool, window, tracers=None) -> dict:
         if chaos:
             assert sched_server.remaining() == 0, (
                 f"{sched_server.remaining()} server faults never fired; "
-                f"ops={sched_server.counts} -- widen/lower the window"
+                f"ops={sched_server.counts}, window {window}"
             )
             assert sched_client.remaining() == 0, (
                 f"{sched_client.remaining()} client faults never fired; "
-                f"ops={sched_client.counts}"
+                f"ops={sched_client.counts}, window {window}"
             )
             assert rc0.reconnects + rc1.reconnects >= 1, "no redial happened"
 
         events = list(rc0.reconnect_events) + list(rc1.reconnect_events)
         row = {
             "mode": "chaos" if chaos else "clean",
+            "window": list(window) if chaos else None,
             "e2e_s": e2e_s,
             "ttfo_s": ttfo_s,
             "reconnects": rc0.reconnects + rc1.reconnects,
@@ -265,13 +274,12 @@ def run_scenario(shape, chaos: bool, window, tracers=None) -> dict:
     return row
 
 
-def run_all(shape, window, tracers=None) -> list:
+def run_all(shape, tracers=None) -> list:
     # The chaos run is the one worth a timeline: redials, replay, and
     # resync barriers interleaved with the prefill/online spans.
-    return [
-        run_scenario(shape, chaos=False, window=window),
-        run_scenario(shape, chaos=True, window=window, tracers=tracers),
-    ]
+    clean = run_scenario(shape)
+    window = chaos_window(clean["armed_ops"])
+    return [clean, run_scenario(shape, window, tracers=tracers)]
 
 
 def report(rows, shape) -> None:
@@ -322,7 +330,7 @@ def check(rows) -> None:
     )
 
 
-def payload(rows, shape, window) -> dict:
+def payload(rows, shape) -> dict:
     clean, chaos = rows
     return {
         "bench": "faults",
@@ -333,7 +341,7 @@ def payload(rows, shape, window) -> dict:
             "ring_bits": RING_BITS,
             "mlp_shape": list(shape),
             "chaos_seed": CHAOS_SEED,
-            "window": list(window),
+            "window": chaos["window"],
             "machine": platform.machine(),
         },
         "scenarios": rows,
@@ -344,8 +352,8 @@ def payload(rows, shape, window) -> dict:
     }
 
 
-def write_json(rows, shape, window, path: Path = JSON_PATH) -> None:
-    path.write_text(json.dumps(payload(rows, shape, window), indent=2) + "\n")
+def write_json(rows, shape, path: Path = JSON_PATH) -> None:
+    path.write_text(json.dumps(payload(rows, shape), indent=2) + "\n")
     print(f"wrote {path}")
 
 
@@ -371,30 +379,28 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     add_bench_args(
         parser,
-        smoke_help="tiny MLP and a tighter fault window; does not touch "
-        "the committed JSON",
+        smoke_help="tiny MLP; does not touch the committed JSON",
         trace=True,
     )
     args = parser.parse_args(argv)
     shape = SMOKE_SHAPE if args.smoke else SHAPE
-    window = SMOKE_WINDOW if args.smoke else WINDOW
     tracers = None
     if args.trace_out is not None:
         from repro.obs import Tracer
 
         tracers = [Tracer(party=0), Tracer(party=1)]
-    rows = run_all(shape, window, tracers=tracers)
+    rows = run_all(shape, tracers=tracers)
     report(rows, shape)
     check(rows)
     if args.trace_out is not None:
         counts = write_trace(args.trace_out, tracers)
         check_trace(counts, rows)
     if args.json_out is not None:
-        write_payload(args.json_out, payload(rows, shape, window))
+        write_payload(args.json_out, payload(rows, shape))
     if args.smoke:
         print("smoke OK")
         return 0
-    write_json(rows, shape, window)
+    write_json(rows, shape)
     return 0
 
 

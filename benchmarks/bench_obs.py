@@ -56,7 +56,7 @@ OVERHEAD_CEILING = 1.05
 def start_services():
     tuning = ServiceTuning(
         ring_bits=RING_BITS,
-        triple_low=0, triple_high=0, triple_chunk=1024,
+        triple_chunk=1024,
         tprc_chunk=8192,
         take_timeout_s=600.0,
     )

@@ -78,13 +78,13 @@ def build_model(shape) -> Graph:
 
 
 def start_services():
-    # Zero steady-state triple watermarks: production is driven purely
-    # by the plan (prefill watermarks / pipelined produce targets), so
-    # no background refill competes with the planned consumer draws for
-    # raw COT stock and the zero-stall assertion is deterministic.
+    # Derived production is driven purely by the plan's produce
+    # targets, so no background refill competes with the planned
+    # consumer draws for raw COT stock and the zero-stall assertion is
+    # deterministic.
     tuning = ServiceTuning(
         ring_bits=RING_BITS,
-        triple_low=0, triple_high=0, triple_chunk=1024,
+        triple_chunk=1024,
         take_timeout_s=600.0,
     )
     cfg = FerretConfig(params=PARAMS, arity=4, prg_kind="chacha8")
@@ -155,8 +155,8 @@ def run_scenario(shape, pipelined: bool, tracers=None) -> dict:
         preprocessing_s = pipe0.ready_elapsed(plan_layers(plan) - 1)
     else:
         run_concurrently(
-            lambda: plan.prefill(svc0, timeout=600.0, one_shot=True),
-            lambda: plan.prefill(svc1, timeout=600.0, one_shot=True),
+            lambda: plan.prefill(svc0, timeout=600.0),
+            lambda: plan.prefill(svc1, timeout=600.0),
             timeout=600.0,
         )
         ttfo_s = preprocessing_s = time.perf_counter() - t0

@@ -65,7 +65,7 @@ def main() -> None:
     cfg = FerretConfig.small(scale=1024, arity=4, prg_kind="chacha8")
     tuning = dict(
         ring_bits=RING_BITS,
-        triple_low=0, triple_high=0, triple_chunk=512,
+        triple_chunk=512,
         take_timeout_s=TIMEOUT,
     )
     base0, base1 = LocalChannel.pair(timeout=TIMEOUT)

@@ -10,9 +10,10 @@ This example runs the whole shape end to end:
 * two parties share ONE duplex link, multiplexed into tagged
   sub-channels (`prov/*` for the background Ferret extends and derived
   production, `sess/*` for consumers);
-* a :class:`repro.runtime.CorrelationService` per party keeps typed
-  pools (COTs both directions, bit/matrix triples, truncation
-  pairs, random OTs) above their low watermarks in a worker thread;
+* a :class:`repro.runtime.CorrelationService` per party fills typed
+  pools (COTs both directions, bit/matrix triples, truncation pairs)
+  in a worker thread: out to the absolute produce targets a plan sets,
+  and the raw-COT pools also above their low watermarks;
 * a **preprocessing planner** walks a quantized 3-layer MLP graph --
   matmul -> trunc -> ReLU -> matmul -> trunc -> matmul -- computes its
   exact per-layer correlation demand (matrix triples, comparison COTs,
@@ -97,7 +98,7 @@ def main():
     mux0, mux1 = MuxChannel(base0), MuxChannel(base1)
     tuning = ServiceTuning(
         shards=args.shards,
-        ring_bits=RING_BITS, triple_low=512, triple_high=2048, triple_chunk=512
+        ring_bits=RING_BITS, triple_chunk=512
     )
     svc0 = CorrelationService(0, mux0, cfg, tuning).start()
     svc1 = CorrelationService(1, mux1, cfg, tuning).start()

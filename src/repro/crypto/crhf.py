@@ -9,7 +9,7 @@ the EMP toolkit that Ferret builds on:
     H(x) = AES_K(sigma(x)) XOR sigma(x)
 
 where ``sigma(a || b) = (a XOR b) || a`` is a linear orthomorphism on
-64-bit halves.  A tweaked variant folds a per-instance index into the
+64-bit halves.  A tweaked form folds a per-instance index into the
 input, which is how many parallel OTs can share one hash key.
 
 Every COT a PPML layer consumes passes through here, and without AES-NI

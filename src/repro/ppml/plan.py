@@ -5,8 +5,10 @@ accelerator mass-produces them ahead of time and the online phase
 merely consumes them (Section 5.2, Figure 16).  This module is the
 bridge from a model to that contract: walk a :class:`repro.ppml.layers.Graph`
 trace, charge every layer its exact correlation demand and drive a
-:class:`repro.runtime.CorrelationService` to prefill its pools before
-the online phase starts.
+:class:`repro.runtime.CorrelationService` to produce it, layer by
+layer, as absolute produce targets -- stream positions -- on every pool
+the plan reaches (:class:`PipelinedPrefill`; :meth:`PreprocessingPlan.prefill`
+is that pipeline run to completion).
 
 What a layer consumes is not restated here.  Every online verb
 declares its ordered ``(pool kind, key, count)`` list once, beside
@@ -17,7 +19,9 @@ list (:meth:`repro.runtime.service.ServiceSession.draw`) and the
 planner sums it, so a prefilled service serves the whole online phase
 without a single production stall by construction.  What derived
 production consumes *internally* comes from the recipe table
-(:func:`_expand`).
+(:func:`repro.runtime.recipes.expand`).  Every recipe's inputs are
+fixed (a matrix triple always draws forward COTs), so the positions a
+plan's draws and its derived production reserve are plan constants.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from repro.mpc.maxpool import max_draws
 from repro.mpc.relu import relu_draws
 from repro.mpc.truncation import FixedPointConfig, trunc_draws
 from repro.ppml.layers import Conv2d, Graph, Linear
-from repro.runtime.recipes import BY_KIND, RECIPES
+from repro.runtime.recipes import BY_KIND, RECIPES, expand
 
 
 @dataclass
@@ -78,13 +82,12 @@ class CorrelationDemand:
         """All raw COTs behind this demand (consumer draws + derived).
 
         Derived kinds cost what their recipes' inputs say: bit triples
-        one COT per direction, matrix triples ``matmul_cots`` from a single
-        direction, truncation pairs their forward COTs plus the bit
-        triples their generation consumes.
+        one COT per direction, matrix triples ``matmul_cots`` forward
+        COTs, truncation pairs their forward COTs plus the bit triples
+        their generation consumes.
         """
-        _, cots = _expand(self, ring_bits, every_choice=False)
-        drawn = sum(n for recipe, _, n in self.drawn() if recipe.direction is not None)
-        return drawn + sum(cots.values())
+        wanted = expand(self.drawn(), ring_bits)
+        return sum(wanted.get(recipe.kind, 0) for recipe in RECIPES if recipe.direction)
 
     def as_pool_targets(self) -> dict:
         """Pool name -> item count, the :meth:`CorrelationService.prefill`
@@ -145,55 +148,6 @@ def layer_demand(
     return demand
 
 
-def _expand(demand: CorrelationDemand, bits: int, every_choice: bool = True) -> tuple:
-    """Walk the recipe inputs behind a demand: ``(produce, cots)``.
-
-    ``produce`` is the pool production the demand requires, per kind:
-    consumer draws (``as_pool_targets``) plus every derived item that
-    production consumes *internally* -- the bit triples
-    truncation-pair generation eats, which the worker must have
-    produced before the TPRC batch can run.  ``cots`` is the raw COTs
-    all that derived production reserves internally, per direction.
-    A recipe that picks ONE of its inputs by stock at runtime (matrix
-    triples) is charged to every candidate when ``every_choice``, else
-    to the first.
-    """
-    produce = demand.as_pool_targets()
-    cots = {}
-    work = demand.drawn()
-    for recipe, key, count in work:  # grows while walking: derived-of-derived
-        inputs = recipe.inputs(bits, *key)
-        if recipe.choose is not None and not every_choice:
-            inputs = inputs[:1]
-        for src, per in inputs:
-            source = BY_KIND[src]
-            if source.direction is not None:
-                cots[src] = cots.get(src, 0) + count * per
-            else:
-                produce[src] = produce.get(src, 0) + count * per
-                work.append((source, (), count * per))
-    return produce, cots
-
-
-def _layer_produce_counts(demand: CorrelationDemand, bits: int) -> dict:
-    """Pool production one layer's demand requires, per kind."""
-    return _expand(demand, bits)[0]
-
-
-def _layer_internal_cots(demand: CorrelationDemand, bits: int) -> dict:
-    """Raw COTs one layer's *derived production* reserves internally.
-
-    A matrix triple draws its whole demand from ONE direction chosen by
-    stock at runtime, so it is charged to BOTH directions here --
-    conservative by at most one layer's matrix demand in the unused
-    direction, which the extend batch quantum absorbs.  The pipeline
-    adds this margin to the raw COT watermark *before* scheduling the
-    layer's derived production, so internal reserves can never eat the
-    stock that keeps already ready layers' consumer draws warm.
-    """
-    return _expand(demand, bits)[1]
-
-
 @dataclass
 class PreprocessingPlan:
     """A model's full preprocessing schedule: per-layer + total demand,
@@ -224,47 +178,25 @@ class PreprocessingPlan:
         for kind, key in self.demand.draws:
             service.pool(kind, key)
 
-    def prefill(self, service, timeout: float = None, one_shot: bool = False) -> None:
-        """Drive one party's service through the preprocessing phase.
-
-        Ensures every pool the plan draws from exists, then blocks until
-        all planned correlations are produced ahead.  Both parties call
-        this (leader raises watermarks, follower waits for the mirrored
-        production); afterwards the online phase runs stall-free.
-        ``one_shot=True`` restores the pre-plan watermarks once the
-        targets are met, so a plan served exactly once does not leave
-        inflated refill targets behind.
+    def prefill(self, service, timeout: float = None) -> None:
+        """Drive one party's service through the whole preprocessing
+        phase: :meth:`prefill_pipelined` run to completion.  Both
+        parties call this; afterwards the online phase runs stall-free.
         """
-        self._validate_service(service)
-        self._ensure_pools(service)
-        service.prefill(self.pool_targets(), timeout, one_shot=one_shot)
+        pipe = self.prefill_pipelined(service, timeout)
+        pipe.wait_all(timeout)
+        pipe.finish(timeout)
 
-    def layer_schedule(self) -> tuple:
-        """Per-layer production targets for the pipeline.
-
-        Returns ``(cum_derived, cum_cot, internal_cot)``: for each
-        layer index, the total items every derived pool kind must have
-        produced for layers ``0..i`` inclusive (consumer draws plus the
-        bit triples TPRC generation consumes internally); the
-        cumulative raw consumer COT draws per direction; and that
-        single layer's internal raw-COT production demand
-        (:func:`_layer_internal_cots`).  Raw COT stock is managed by
-        level watermarks rather than stream positions because extends
-        arrive in fixed-size batches and derived production also feeds
-        on them.
-        """
-        cum_derived, cum_cot, internal_cot = [], [], []
-        total_d, total_c = {}, {}
+    def cumulative_production(self) -> list:
+        """Per layer i, pool name -> items production adds for layers
+        ``0..i``: their draws expanded through the recipes' inputs
+        (:func:`repro.runtime.recipes.expand`), raw COTs included."""
+        out, total = [], {}
         for _, demand in self.per_layer:
-            for kind, count in _layer_produce_counts(demand, self.bits).items():
-                if kind.startswith("cot/"):
-                    total_c[kind] = total_c.get(kind, 0) + count
-                else:
-                    total_d[kind] = total_d.get(kind, 0) + count
-            cum_derived.append(dict(total_d))
-            cum_cot.append(dict(total_c))
-            internal_cot.append(_layer_internal_cots(demand, self.bits))
-        return cum_derived, cum_cot, internal_cot
+            for kind, count in expand(demand.drawn(), self.bits).items():
+                total[kind] = total.get(kind, 0) + count
+            out.append(dict(total))
+        return out
 
     def prefill_pipelined(
         self,
@@ -273,7 +205,7 @@ class PreprocessingPlan:
         tag: str = None,
         batch: int = 1,
         channel=None,
-        draws_baseline: dict = None,
+        start: dict = None,
     ) -> "PipelinedPrefill":
         """Start the streaming preprocessing pipeline (non-blocking).
 
@@ -285,26 +217,25 @@ class PreprocessingPlan:
         overlap (Fig. 8) -- so time-to-first-layer-online is one
         layer's preprocessing, not the whole plan's.  Call
         :meth:`PipelinedPrefill.finish` after the online phase to
-        restore steady-state watermarks and surface worker errors.
+        surface worker errors.
 
-        ``batch`` scales every per-layer produce target and raw-COT
-        watermark by B: the online phase then pushes B inputs through
-        the same plan (B matrix-triple draws per linear layer, B-times
-        the elements through each fused nonlinear draw).  ``channel``
-        reuses an existing sub-channel for the in-band baseline
-        exchange instead of allocating a fresh ``pipe/<plan>`` tag --
-        long-lived daemons start many pipelines and per-pipeline tags
-        would leak mux queues.  ``draws_baseline`` overrides the live
-        per-kind session-draw snapshot the raw-COT watermarks are
-        computed against: a pipeline overlapping a previous request's
-        online tail passes the PLANNED cumulative floor instead, so the
-        tail's still-draining draws are not mistaken for its own.
+        ``batch`` scales every per-layer produce target by B: the online
+        phase then pushes B inputs through the same plan (B
+        matrix-triple draws per linear layer, B-times the elements
+        through each fused nonlinear draw).  ``channel`` reuses an
+        existing sub-channel for the in-band start exchange instead of
+        allocating a fresh ``pipe/<plan>`` tag -- long-lived daemons
+        start many pipelines and per-pipeline tags would leak mux
+        queues.  ``start`` (read on the leader only) is the stream
+        position, pool name -> items, this run's draws begin at; by
+        default the leader's ``reserved`` counts.  A pipeline
+        overlapping a previous request's online tail passes where that
+        request's positions end, so the tail's still-pending draws are
+        not counted as its own.
         """
         self._validate_service(service)
         self._ensure_pools(service)
-        return PipelinedPrefill(
-            self, service, timeout, tag, batch, channel, draws_baseline
-        )
+        return PipelinedPrefill(self, service, timeout, tag, batch, channel, start)
 
     def summary_rows(self) -> list:
         """Printable plan table, header row first: one column per pool
@@ -350,23 +281,26 @@ class PipelinedPrefill:
 
     Created by :meth:`PreprocessingPlan.prefill_pipelined` on BOTH
     parties.  A background thread walks the plan's layers in order; for
-    each layer it schedules exactly that layer's correlation production
-    (absolute produce targets for derived pools, cumulative consumer
-    watermarks for raw COTs), waits for it to land, and marks the layer
-    ready -- then immediately moves on to the next layer while the
-    caller runs the current layer's online rounds.  The online phase
-    gates each layer's draws on :meth:`wait_layer`, so it starts after
-    ONE layer's preprocessing instead of the whole plan's, and never
-    stalls a pool afterwards.
+    each layer it raises a produce target of ``start + cumulative
+    count`` on every pool the plan reaches
+    (:meth:`PreprocessingPlan.cumulative_production`, times the batch)
+    -- the raw-COT pools first, so their stock covers every consumer
+    draw and derived reservation through the layer before derived
+    production reserves any -- waits for it to land, and marks the
+    layer ready; then it moves on to the next layer while the caller
+    runs the current layer's online rounds.  The online phase gates
+    each layer's draws on :meth:`wait_layer`, so it starts after ONE
+    layer's preprocessing instead of the whole plan's, and never stalls
+    a pool afterwards.  The pipeline never reads or writes a watermark.
 
-    Determinism: absolute targets are computed from the leader's pool
-    baselines and shipped to the follower in-band over a dedicated
-    ``pipe/<plan>`` sub-channel (production streams are mirrored
-    command-by-command, so leader stream positions are valid on both
-    sides).  The follower waits on the same produced counts; only the
-    leader schedules.
+    Determinism: ``start`` is the leader's stream position, shipped to
+    the follower in-band over a ``pipe/<plan>`` sub-channel (production
+    streams are mirrored command by command, so leader stream positions
+    are valid on both sides).  Only the leader schedules; both wait on
+    the same produced counts.  :attr:`end` is where this run's
+    positions end, ``start`` plus the batch-scaled plan totals.
 
-    The pipeline assumes the planned workload is the dominant consumer
+    The pipeline assumes the planned workload is the only consumer
     while it runs (same contract as ``prefill``): concurrent unplanned
     sessions may re-introduce stalls, never wrong results.
     """
@@ -379,7 +313,7 @@ class PipelinedPrefill:
         tag: str,
         batch: int = 1,
         channel=None,
-        draws_baseline: dict = None,
+        start: dict = None,
     ):
         if batch < 1:
             raise ParameterError(f"batch must be >= 1, got {batch}")
@@ -391,18 +325,15 @@ class PipelinedPrefill:
         )
         self.error = None
         self.n_layers = len(plan.per_layer)
-        self._cum_derived, self._cum_cot, self._internal_cot = plan.layer_schedule()
-        if batch > 1:
-            # Demand counts are linear in element count, so a B-input
-            # request through the same shapes is exactly B-times every
-            # per-layer target and watermark.
-            scale = lambda seq: [  # noqa: E731
-                {kind: count * batch for kind, count in layer.items()}
-                for layer in seq
-            ]
-            self._cum_derived = scale(self._cum_derived)
-            self._cum_cot = scale(self._cum_cot)
-            self._internal_cot = scale(self._internal_cot)
+        # Demand counts are linear in element count, so a B-input
+        # request through the same shapes is exactly B-times every
+        # per-layer target.
+        self._layers = [
+            {kind: count * batch for kind, count in layer.items()}
+            for layer in plan.cumulative_production()
+        ]
+        self._start = start
+        self.end = None
         self._ready = [threading.Event() for _ in range(self.n_layers)]
         self._t0 = time.monotonic()
         self._ready_elapsed = [None] * self.n_layers
@@ -410,28 +341,7 @@ class PipelinedPrefill:
             channel if channel is not None
             else service.mux.sub(tag or f"pipe/{plan.model}")
         )
-        self._draws_baseline = (
-            service.session_draw_counts()
-            if draws_baseline is None
-            else dict(draws_baseline)
-        )
-        self._saved_cot_marks = None
         self._finished = False
-        if service.party == 0:
-            kinds = set()
-            for layer in self._cum_cot:
-                kinds.update(layer)
-            for layer in self._internal_cot:
-                kinds.update(layer)
-            # A forward-only service has no cot/rev pool; the internal
-            # margin charged to the missing direction simply cannot be
-            # reserved there (matrix production falls back to cot/fwd,
-            # whose own charge already covers it).
-            self._saved_cot_marks = {
-                kind: service.pools[kind].watermarks
-                for kind in sorted(kinds)
-                if kind in service.pools
-            }
         self._thread = threading.Thread(
             target=self._run,
             name=f"pipelined-prefill-p{service.party}",
@@ -443,49 +353,29 @@ class PipelinedPrefill:
     def _run(self) -> None:
         try:
             svc = self.service
-            derived_kinds = sorted(self._cum_derived[-1]) if self._cum_derived else []
+            totals = self._layers[-1] if self._layers else {}
             if svc.party == 0:
-                baseline = {
-                    kind: svc.pools[kind].produced for kind in derived_kinds
-                }
-                self._channel.send_bytes(json.dumps(baseline).encode())
+                start = self._start
+                if start is None:
+                    start = {kind: svc.pools[kind].reserved for kind in totals}
+                self._channel.send_bytes(json.dumps(start).encode())
             else:
-                baseline = json.loads(
+                start = json.loads(
                     self._channel.recv_bytes(timeout=self.timeout).decode()
                 )
-            for i in range(self.n_layers):
+            self.end = {kind: start[kind] + count for kind, count in totals.items()}
+            for i, layer in enumerate(self._layers):
                 deadline = time.monotonic() + self.timeout
+                raw, derived = {}, {}
+                for kind, count in layer.items():
+                    stage = raw if svc.pools[kind].recipe.direction else derived
+                    stage[kind] = start[kind] + count
                 with svc.tracer.span(
                     "prefill.layer", cat="prefill",
                     layer=i, op=self.plan.per_layer[i][0],
                 ):
-                    if svc.party == 0:
-                        # Raw COT stock first: before this layer's derived
-                        # production may reserve raw COTs internally, the
-                        # level must cover (a) every already-ready layer's
-                        # consumer demand not yet drawn -- so the overlapped
-                        # online phase keeps finding produced ranges -- plus
-                        # (b) this layer's internal reserves.  The watermark
-                        # is re-set (possibly LOWERED) each layer from the
-                        # live draw counters, so extends track the plan
-                        # just-in-time instead of front-loading the total.
-                        for kind, level in self._cot_levels(i).items():
-                            svc._raise_if_failed()
-                            pool = svc.pools[kind]
-                            low = max(level, self._saved_cot_marks[kind][0])
-                            pool.set_watermarks(low, low)
-                            pool.wait_level(low, deadline - time.monotonic())
-                    targets = {
-                        kind: baseline[kind] + count
-                        for kind, count in self._cum_derived[i].items()
-                    }
-                    if svc.party == 0:
-                        svc.raise_produce_targets(targets)
-                    for kind, target in targets.items():
-                        svc._raise_if_failed()
-                        svc.pools[kind].wait_produced(
-                            target, deadline - time.monotonic()
-                        )
+                    svc.produce_to(raw, deadline - time.monotonic())
+                    svc.produce_to(derived, deadline - time.monotonic())
                     self._ready_elapsed[i] = time.monotonic() - self._t0
                     self._ready[i].set()
                 if svc.tracer.enabled:
@@ -495,24 +385,6 @@ class PipelinedPrefill:
                     )
         except BaseException as exc:  # noqa: BLE001 - crossing a thread
             self.error = exc
-
-    def _cot_levels(self, i: int) -> dict:
-        """Raw-COT level targets before layer i's production starts:
-        undrawn consumer demand of layers ``0..i`` (consumers of layer
-        i start the moment it is marked ready) plus layer i's internal
-        production reserves."""
-        levels = {}
-        kinds = (set(self._cum_cot[i]) | set(self._internal_cot[i])) & set(
-            self._saved_cot_marks
-        )
-        draws = self.service.session_draw_counts()
-        for kind in sorted(kinds):
-            drawn = draws.get(kind, 0) - self._draws_baseline.get(
-                kind, 0
-            )
-            undrawn = max(0, self._cum_cot[i].get(kind, 0) - drawn)
-            levels[kind] = undrawn + self._internal_cot[i].get(kind, 0)
-        return levels
 
     # -- caller side ---------------------------------------------------------
     def _check_failed(self) -> None:
@@ -560,35 +432,18 @@ class PipelinedPrefill:
         """Seconds from pipeline start until layer i was ready."""
         return self._ready_elapsed[i]
 
-    def finish(self, timeout: float = None, restore: bool = True) -> None:
-        """Join the producer thread and restore steady-state watermarks.
-
-        Call after the online phase: the raised raw-COT consumer
-        watermarks drop back to their pre-pipeline values (produce
-        targets are absolute, so they are already inert), leaving the
-        service in the same steady-state shape a one-shot ``prefill``
-        leaves behind.  Idempotent; raises if either the pipeline
-        thread or the service worker failed.
-
-        ``restore=False`` skips the watermark restore: a daemon chaining
-        pipelines back-to-back must not clobber the marks the NEXT
-        request's pipeline already set -- it restores steady-state marks
-        once, at shutdown.
-        """
+    def finish(self, timeout: float = None) -> None:
+        """Join the producer thread; raises if either the pipeline
+        thread or the service worker failed.  Idempotent.  The produce
+        targets are absolute, so nothing is left to undo."""
         if self._finished:
             self._check_failed()
             return
         self._thread.join(self.timeout if timeout is None else timeout)
         if self._thread.is_alive():
-            # Still producing: restoring now would be clobbered by the
-            # thread's own per-layer watermark updates.  Leave state
-            # untouched so a later finish() can complete the job.
             raise WaitTimeout(
                 "pipelined prefill producer did not finish in time",
                 what="producer join",
             )
-        if restore and self._saved_cot_marks is not None:
-            for kind, (low, high) in self._saved_cot_marks.items():
-                self.service.pools[kind].set_watermarks(low, high)
         self._finished = True
         self._check_failed()

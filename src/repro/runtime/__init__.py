@@ -5,10 +5,12 @@ producer/consumer system (the deployment shape the paper's Figure 1(b)
 amortization argument assumes):
 
 * :mod:`repro.runtime.pool` -- thread-safe typed correlation pools with
-  watermark refill, backpressure, and per-pool statistics;
+  produce targets, raw-COT watermark refill, backpressure, and per-pool
+  statistics;
 * :mod:`repro.runtime.recipes` -- the declarative table of production
-  ops (extends, bit/matrix triples, truncation pairs, random
-  OTs): what each consumes, how it is commanded, made and pooled;
+  ops (extends, bit/matrix triples, truncation pairs): what each
+  consumes, how it is commanded, made and pooled, and the one walk that
+  expands draws into the production behind them;
 * :mod:`repro.runtime.service` -- a per-party background worker that
   keeps the pools filled by scheduling and running those recipes, with
   deterministic leader-side allocation so the two parties' draws stay

@@ -16,17 +16,20 @@ serving loop into that daemon:
   batch-scaled :class:`repro.ppml.plan.PipelinedPrefill` per request:
   request r+1's layer-0 produce targets are raised the moment request
   r's *production* finishes -- while r's online tail is still draining
-  -- so the pool never idles between requests.  Watermarks are restored
-  once, at daemon shutdown (``finish(restore=False)`` per request).
+  -- so the pool never idles between requests.  The chain is
+  arithmetic: request r+1's stream positions start where request r's
+  end, ``start + batch x plan totals``, because a request's draws and
+  the derived production behind them are plan constants.  Nothing about
+  the pools' watermarks changes, at any point.
 * **Batched inference.**  A request may carry B>1 inputs through one
-  pipelined plan: every per-layer produce target and raw-COT watermark
-  scales by B, linear layers draw B matrix triples, and nonlinears fuse
-  the whole batch into one draw sequence.
+  pipelined plan: every per-layer produce target scales by B, linear
+  layers draw B matrix triples, and nonlinears fuse the whole batch
+  into one draw sequence.
 * **Admission control + per-session backpressure.**  The leader bounds
   daemon-wide in-flight requests (typed
   :class:`repro.errors.AdmissionReject` when full) and each session
   blocks at ``session_inflight`` unfinished submissions -- backpressure
-  on top of (not instead of) the pool watermarks.
+  on top of (not instead of) the pools' own.
 * **Leases ride the resume handshake.**  Every admitted request gets a
   lease token + expiry.  :meth:`InferenceDaemon.resume_state` wraps the
   service's PR-6 resume state with the live lease table and *renews*
@@ -43,7 +46,9 @@ decision and announces it on the ``daemon/ctl`` sub-channel; the
 follower executes admitted requests in announcement order.  Both
 parties therefore construct pipelines and issue draws in the same
 global order, which is what keeps the absolute-index correlation
-streams mirrored.
+streams mirrored.  A ``daemon/ctl`` frame the follower cannot parse
+fails every pending and live request at once with a typed
+:class:`repro.errors.ProtocolError` as the cause.
 """
 
 from __future__ import annotations
@@ -63,6 +68,7 @@ from repro.errors import (
     DaemonError,
     LeaseExpired,
     ParameterError,
+    ProtocolError,
 )
 from repro.mpc.matmul import matmul_rescale_via_service, matmul_via_service
 from repro.mpc.relu import relu_via_service
@@ -91,6 +97,28 @@ class DaemonConfig:
 
 #: Base seed of the party-local online masking RNG.
 ONLINE_SEED = 0x1207
+
+#: The leader's ``daemon/ctl`` messages: op -> the fields it carries.
+_CTL_FIELDS = {
+    "stop": (),
+    "reject": ("session", "inflight", "limit"),
+    "admit": ("seq", "session", "batch", "token"),
+}
+
+
+def _parse_ctl(frame) -> dict:
+    """One ``daemon/ctl`` message, or a ProtocolError saying what is
+    wrong with it (not JSON, not an object, unknown op, missing field)."""
+    try:
+        msg = json.loads(bytes(frame).decode())
+        missing = [name for name in _CTL_FIELDS[msg["op"]] if name not in msg]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ProtocolError(
+            f"malformed daemon/ctl frame {bytes(frame)[:64]!r}: {exc!r}"
+        ) from exc
+    if missing:
+        raise ProtocolError(f"daemon/ctl {msg['op']!r} frame lacks {missing}")
+    return msg
 
 
 @dataclass
@@ -272,7 +300,7 @@ class InferenceDaemon:
     Construct on both parties with the same graph/config and this
     party's weight shares, ``start()`` after the service is running,
     then ``submit``/``result`` per session.  ``stop()`` drains in-flight
-    work and restores the service's steady-state watermarks.
+    work.
     """
 
     def __init__(self, service, graph, weights, fx=None, cfg: DaemonConfig = None):
@@ -283,12 +311,6 @@ class InferenceDaemon:
         self.plan = plan_graph(graph, bits=service.tuning.ring_bits, fx=fx)
         self.weights = list(weights)
         _servable_ops(self.plan, self.weights)  # fail here, not on request 0
-        # Consumer-COT totals of ONE pass through the plan; the draws
-        # floor handed to each pipeline advances by batch x this, so an
-        # overlapped pipeline never mistakes the previous request's
-        # undrained tail draws for its own (see _schedule_loop).
-        _, cum_cot, _ = self.plan.layer_schedule()
-        self._plan_cot_totals = cum_cot[-1] if cum_cot else {}
         self._ctl = service.mux.sub("daemon/ctl")
         self._pipe_ch = service.mux.sub("daemon/pipe")
         self._session = service.session("daemon")
@@ -298,11 +320,13 @@ class InferenceDaemon:
         self._sess_slots: dict = {}  # session -> Semaphore
         self._pending: dict = {}  # follower: session -> deque[_PendingSubmit]
         self._pending_cond = threading.Condition(self._lock)
+        self._failure = None  # follower: why its control stream gave up
         self._prefill_q: deque = deque()
         self._online_q: deque = deque()
         self._q_cond = threading.Condition(self._lock)
-        self._draw_floor: dict = {}
-        self._saved_marks: dict = {}
+        #: Where the next request's stream positions start: the last
+        #: pipeline's ``end`` (None: the leader measures its own).
+        self._start = None
         self._closing = False
         self._stopped = threading.Event()
         self._threads: list = []
@@ -319,11 +343,6 @@ class InferenceDaemon:
     def start(self) -> "InferenceDaemon":
         self.plan._validate_service(self.service)
         self.plan._ensure_pools(self.service)
-        self._draw_floor = self.service.session_draw_counts()
-        for kind in ("cot/fwd", "cot/rev"):
-            pool = self.service.pools.get(kind)
-            if pool is not None:
-                self._saved_marks[kind] = pool.watermarks
         self.service.metrics.add_collector(f"daemon/p{self.party}", self._collect)
         targets = [self._schedule_loop, self._online_loop, self._reaper_loop]
         if self.party != 0:
@@ -341,9 +360,7 @@ class InferenceDaemon:
 
         The leader announces the shutdown on ``daemon/ctl`` so the
         follower's daemon stops at the same point in the request
-        stream; both restore the watermarks saved at start (pipelines
-        run with ``restore=False``, so the last request's marks are
-        still live).
+        stream.
         """
         timeout = self.cfg.request_timeout_s if timeout is None else timeout
         deadline = time.monotonic() + timeout
@@ -364,10 +381,6 @@ class InferenceDaemon:
             self._q_cond.notify_all()
         for t in self._threads:
             t.join(max(0.1, deadline - time.monotonic()))
-        for kind, (low, high) in self._saved_marks.items():
-            pool = self.service.pools.get(kind)
-            if pool is not None:
-                pool.set_watermarks(low, high)
 
     # -- client surface ------------------------------------------------------
     def _normalize_inputs(self, x_share) -> list:
@@ -466,6 +479,10 @@ class InferenceDaemon:
     def _submit_follower(self, session: str, inputs: list) -> DaemonRequest:
         pending = _PendingSubmit(inputs)
         with self._lock:
+            if self._failure is not None:
+                raise DaemonError(
+                    f"session {session!r}: daemon control stream failed: {self._failure}"
+                ) from self._failure
             self._pending.setdefault(session, deque()).append(pending)
             self._pending_cond.notify_all()
         if not pending.event.wait(self.cfg.request_timeout_s):
@@ -553,6 +570,15 @@ class InferenceDaemon:
 
     # -- follower control stream ---------------------------------------------
     def _ctl_loop(self) -> None:
+        """Follower: apply the leader's verdicts in order.  However the
+        loop ends -- the leader's stop, a dead or malformed control
+        stream -- ``stop()`` has nothing left to wait for."""
+        try:
+            self._apply_ctl()
+        finally:
+            self._stopped.set()
+
+    def _apply_ctl(self) -> None:
         while not self._closing:
             try:
                 frame = self._ctl.recv_bytes(timeout=0.25)
@@ -562,10 +588,13 @@ class InferenceDaemon:
                 if not self._closing:
                     self._fail_all(DaemonError(f"daemon ctl stream died: {exc!r}"))
                 return
-            msg = json.loads(frame.decode() if isinstance(frame, bytes) else bytes(frame).decode())
+            try:
+                msg = _parse_ctl(frame)
+            except ProtocolError as exc:
+                self._fail_all(exc)
+                return
             op = msg["op"]
             if op == "stop":
-                self._stopped.set()
                 return
             pending = self._pop_pending(msg["session"])
             if pending is None:
@@ -630,7 +659,8 @@ class InferenceDaemon:
         """Chain one batch-scaled pipeline per request, in admission
         order.  Request r+1's pipeline starts the moment r's PRODUCTION
         is done -- r's online tail still draining -- which is the whole
-        cross-request overlap."""
+        cross-request overlap -- at the stream positions where r's end.
+        After a failed pipeline the leader measures them afresh."""
         while True:
             req = self._next(self._prefill_q)
             if req is None:
@@ -641,15 +671,13 @@ class InferenceDaemon:
                     timeout=self.cfg.request_timeout_s,
                     batch=req.batch,
                     channel=self._pipe_ch,
-                    draws_baseline=dict(self._draw_floor),
+                    start=self._start,
                 )
-                for kind, count in self._plan_cot_totals.items():
-                    self._draw_floor[kind] = (
-                        self._draw_floor.get(kind, 0) + count * req.batch
-                    )
                 req._pipe_ready.set()
                 req.pipe.wait_all(self.cfg.request_timeout_s)
+                self._start = req.pipe.end
             except BaseException as exc:  # noqa: BLE001 - crossing a thread
+                self._start = None
                 self._finish_request(req, error=exc)
                 req._pipe_ready.set()
                 if not self._closing:
@@ -702,10 +730,8 @@ class InferenceDaemon:
         req.error = error
         if req.pipe is not None and error is None:
             # The producer thread already finished (wait_all gated the
-            # next pipeline on it); restore=False leaves the watermarks
-            # to the NEXT request's pipeline -- stop() restores the
-            # daemon-start marks once.
-            req.pipe.finish(self.cfg.request_timeout_s, restore=False)
+            # next pipeline on it).
+            req.pipe.finish(self.cfg.request_timeout_s)
         with self._lock:
             if error is None:
                 self.completed += 1
@@ -717,6 +743,7 @@ class InferenceDaemon:
 
     def _fail_all(self, exc: Exception) -> None:
         with self._lock:
+            self._failure = exc
             live = [r for r in self._requests.values() if not r.done.is_set()]
             pendings = [p for q in self._pending.values() for p in q]
             self._pending.clear()

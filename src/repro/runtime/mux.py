@@ -158,7 +158,7 @@ class MuxChannel:
     ``heartbeat_s`` (both peers must agree) starts a beat thread
     sending empty ``hb/`` frames at that interval; if *nothing* arrives
     for ``heartbeat_miss`` intervals the pump declares the peer dead
-    and poisons every inbox, so ``wait_level``-style callers fail in
+    and poisons every inbox, so ``wait_produced``-style callers fail in
     seconds instead of their full deadline.
     """
 

@@ -1,4 +1,4 @@
-"""Thread-safe typed correlation pools with watermark bookkeeping.
+"""Thread-safe typed correlation pools with refill bookkeeping.
 
 A pool buffers one kind of correlation (sender COTs, receiver COTs,
 bit triples, shape-keyed matrix triples, truncation pairs) produced by
@@ -17,17 +17,22 @@ Party 0 reserves and tells party 1 the offsets in-band (one message on
 the session's sub-channel per consumer verb), so draws land on mirrored correlations no
 matter how threads interleave on either host.
 
-Backpressure is demand-driven: ``reserve`` may run ahead of production
-(level goes negative), which trips the ``refill`` event the service
-worker waits on; ``take`` blocks until the worker catches up, with the
-wait recorded as stall time in :class:`PoolStats`.
+Production is asked for in two ways, both fixed at construction or
+stated as stream positions: the watermarks (set once, when the pool is
+made) keep ``level`` between them, and an absolute produce target
+(:meth:`CorrelationPool.raise_produce_target`) asks for production out
+to a position and goes inert once it is passed.  Backpressure is
+demand-driven: ``reserve`` may run ahead of production (level goes
+negative, below any low watermark), which trips the ``refill`` event
+the service worker waits on; ``take`` blocks until the worker catches
+up, with the wait recorded as stall time in :class:`PoolStats`.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -85,7 +90,7 @@ class CorrelationPool:
     :meth:`append`, which speak the kind's typed batch.
     ``low_watermark`` is the produced-ahead level below which
     the pool asks the service for a refill; ``high_watermark`` is the
-    level the service tops up to.
+    level the service tops up to.  Both are fixed for the pool's life.
     """
 
     #: Nothing parks in a pool; benchmarks/ledger/fixture.py's teardown
@@ -236,43 +241,11 @@ class CorrelationPool:
             self._cond.notify_all()
             return dropped
 
-    # -- prefill / waiting --------------------------------------------------
-    def raise_watermarks(self, low: int = None, high: int = None) -> None:
-        """Raise (never lower) the refill watermarks; used by prefill.
-
-        Raising ``low`` to a planned demand makes the service keep that
-        many items produced ahead of all reservations -- the
-        preprocessing-phase contract.
-        """
-        with self._cond:
-            if low is not None:
-                self.low_watermark = max(self.low_watermark, low)
-            if high is not None:
-                self.high_watermark = max(
-                    self.high_watermark, high, self.low_watermark
-                )
-            if self.needs_refill():
-                self.refill.set()
-
+    # -- produce targets / waiting -------------------------------------------
     @property
     def watermarks(self) -> tuple:
-        """(low, high) refill watermarks, e.g. to snapshot before a
-        one-shot prefill raises them."""
+        """(low, high) refill watermarks, as constructed."""
         return (self.low_watermark, self.high_watermark)
-
-    def set_watermarks(self, low: int, high: int = None) -> None:
-        """Set (possibly LOWERING) the refill watermarks.
-
-        The inverse of :meth:`raise_watermarks`: a one-shot
-        preprocessing plan restores the pre-plan watermarks after its
-        targets are met, so the steady-state service does not keep
-        refilling to a demand that was consumed once and is gone.
-        """
-        with self._cond:
-            self.low_watermark = low
-            self.high_watermark = max(low, high if high is not None else low)
-            if self.needs_refill():
-                self.refill.set()
 
     def raise_produce_target(self, produced: int) -> None:
         """Ask production for an absolute produced-count floor.
@@ -280,10 +253,10 @@ class CorrelationPool:
         Unlike a watermark (a *level*: produced ahead of reservations,
         so consumer draws re-trigger refills forever), a produce target
         is an absolute position in the production stream: once
-        ``self.produced`` reaches it, it is inert.  The pipelined
-        preprocessing planner uses this to schedule exactly one layer's
-        demand without leaving steady-state refill pressure behind.
-        Never lowers an existing target.
+        ``self.produced`` reaches it, it is inert.  Prefills and the
+        pipelined preprocessing planner use this to schedule exactly the
+        demand they price without leaving refill pressure behind.  Never
+        lowers an existing target.
         """
         with self._cond:
             if produced > self._produce_target:
@@ -306,15 +279,17 @@ class CorrelationPool:
                 "pool.wait", end - dur, end, cat="stall", pool=self.name, what=what
             )
 
-    def _wait(self, pred, timeout: float, what: str) -> None:
+    def wait_produced(self, target: int, timeout: float = None) -> None:
+        """Block until the absolute produced count reaches ``target``."""
         if timeout is None:
             timeout = DEFAULT_WAIT_TIMEOUT_S
         deadline = time.monotonic() + timeout
         start = time.monotonic()
+        what = f"produced {target}"
         waited = False
         try:
             with self._cond:
-                while not pred() and not self._closed:
+                while self._produced < target and not self._closed:
                     waited = True
                     remaining = deadline - time.monotonic()
                     if remaining <= 0:
@@ -328,7 +303,7 @@ class CorrelationPool:
                         self.failure_probe()
                     self.refill.set()
                     self._cond.wait(min(remaining, 0.2))
-                if not pred():
+                if self._produced < target:
                     raise PoolClosed(
                         f"pool {self.name} closed while waiting for {what}",
                         pool=self.name,
@@ -336,35 +311,6 @@ class CorrelationPool:
         finally:
             if waited:
                 self._note_stall(start, what)
-
-    def wait_level(self, target: int, timeout: float = None) -> None:
-        """Block until ``level`` (produced ahead of reserved) >= target."""
-        self._wait(
-            lambda: self._produced - self._reserved >= target, timeout,
-            f"level {target}",
-        )
-
-    def wait_produced(self, target: int, timeout: float = None) -> None:
-        """Block until the absolute produced count reaches ``target``."""
-        self._wait(lambda: self._produced >= target, timeout, f"produced {target}")
-
-    def wait_available(self, count: int, timeout: float = None) -> None:
-        """Block until ``count`` items beyond everything already taken
-        are produced.
-
-        The follower-side prefill wait: a follower never reserves (its
-        offsets arrive from the leader), so ``level`` cannot express
-        "produced ahead" there -- but items already *taken* are known,
-        and fresh production must clear them.  Measured from the call,
-        so repeated prefills after consumption wait for new items
-        instead of being satisfied by historical production.
-        """
-        with self._lock:
-            base = self.stats.items_drawn
-        self._wait(
-            lambda: self._produced - base >= count, timeout,
-            f"{count} fresh items",
-        )
 
     # -- consumer side ------------------------------------------------------
     def reserve(self, n: int) -> int:
@@ -526,7 +472,7 @@ class TruncPairPool(CorrelationPool):
     the fractional width (``tprc/{frac}``) because a pair only rescales
     by its own shift amount, while ``bits`` is fixed service-wide like
     every other arithmetic pool.  Same absolute-index reserve/take and
-    watermark-refill semantics as MTRI; the ``TPRC`` recipe
+    produce-target semantics as MTRI; the ``TPRC`` recipe
     produces batches from forward-direction COTs plus pooled bit
     triples (the two millionaires' comparisons inside generation).
     """
@@ -553,7 +499,7 @@ class MatrixTriplePool(CorrelationPool):
 
     One pool item is one whole triple (A, B, C = A@B), stored as three
     flattened row-columns, so the absolute-index reserve/take semantics
-    and watermark refill work unchanged: ``reserve(1)`` claims the next
+    and produce targets work unchanged: ``reserve(1)`` claims the next
     triple of this shape, the service produces ``deficit`` more.  The
     preprocessing planner keys its matrix-triple demand by the same
     :meth:`key_for` string.

@@ -9,9 +9,12 @@ halves read it: :class:`repro.runtime.service.CorrelationService`
 factory), :meth:`repro.runtime.service.ServiceSession.draw` (a
 consumer's ``(pool kind, key, count)`` requests name kinds of this
 table) and the planner in :mod:`repro.ppml.plan` (the same requests,
-summed, plus the internal-demand walk over ``inputs``).  Adding a kind
-is one entry here plus its generator and its pool class; a verb
-consumes it by naming it in its ``*_draws`` list.
+summed).  :func:`expand` is the one walk over ``inputs`` that turns
+draws into the production behind them; the planner, the pipelined
+prefill and :meth:`repro.runtime.service.CorrelationService.prefill`
+all ask for production through it.  Adding a kind is one entry here
+plus its generator and its pool class; a verb consumes it by naming it
+in its ``*_draws`` list.
 
 :data:`RECIPES` is in scheduling priority order: extends first (the
 only source of raw COTs), then derived production.
@@ -39,8 +42,9 @@ from repro.runtime.pool import (
     TruncPairPool,
 )
 
-#: Pools filled by preprocessing plans only (absolute produce targets,
-#: one-shot prefills): no standing watermark refill.
+#: Pools filled by absolute produce targets (plans, prefills) and by
+#: draws that outrun production: no standing watermark refill.  Only
+#: the raw-COT pools keep one.
 _PLAN_DRIVEN = {"low_watermark": 0, "high_watermark": 0}
 
 
@@ -50,14 +54,12 @@ class Recipe:
 
     ``layout`` names the u64 slots of the command frame after the
     4-byte opcode: ``n`` item count (absent: one item per command),
-    ``k`` one element of the target pool's key, ``v`` the input
-    variant, ``o`` the reserved offset of the next input (zero once the
-    inputs run out).  ``inputs(bits, *key)`` lists ``(source pool kind,
-    source items per output item)``; with ``choose`` set a command
-    consumes only the one input ``choose(pools)`` indexes, and carries
-    that index as its variant.  ``produce(svc, channel, pool, cmd,
-    *taken)`` returns the batch to append, given the inputs taken in
-    ``inputs`` order.
+    ``k`` one element of the target pool's key, ``o`` the reserved
+    offset of the next input (zero once the inputs run out).
+    ``inputs(bits, *key)`` lists ``(source pool kind, source items per
+    output item)``; every command consumes all of them.  ``produce(svc,
+    channel, pool, cmd, *taken)`` returns the batch to append, given the
+    inputs taken in ``inputs`` order.
     """
 
     op: bytes
@@ -70,7 +72,6 @@ class Recipe:
     tag: str  # data sub-channel
     cap: Callable = None  # (tuning) -> most items one command produces
     key_for: Callable = None
-    choose: Callable = None
     direction: str = None  # extends only: the Ferret endpoint they run
 
     def __post_init__(self):
@@ -87,7 +88,6 @@ class Command(NamedTuple):
     recipe: Recipe
     key: tuple = ()  # target pool key: (m, k, n), (frac,) or ()
     n: int = 0  # items to produce
-    variant: int = 0
     offsets: tuple = ()  # absolute start of each input's reserved range
 
 
@@ -123,20 +123,13 @@ def _bit_triples(svc, ch, pool, cmd, fwd, rev):
     )
 
 
-def _richer_direction(pools) -> int:
-    """A matrix triple consumes its whole COT demand from ONE direction
-    -- whichever has more stock -- because the Gilboa sender role for
-    both cross terms belongs to that direction's COT sender."""
-    return int("cot/rev" in pools and pools["cot/rev"].level > pools["cot/fwd"].level)
-
-
 def _matrix_triple(svc, ch, pool, cmd, cots):
-    """Variant 0 draws from cot/fwd (party 0 is the Ferret -- and
-    therefore Gilboa -- sender), 1 from cot/rev (party 1 sends): both
-    Fig 16 role directions are live code paths picked by stock."""
+    """Forward COTs only: party 0 is the Ferret -- and therefore Gilboa
+    -- sender for both cross terms, the role TPRC runs too.  A fixed
+    direction keeps every matrix triple's COT charge a plan constant."""
     return generate_matrix_triples(
         ch, MatmulDims(*cmd.key), pool.bits, CotPool.of(cots), svc._rng,
-        party=svc.party, ot_sender=cmd.variant, tweak_base=cmd.offsets[0],
+        party=svc.party, ot_sender=0, tweak_base=cmd.offsets[0],
     )
 
 
@@ -164,23 +157,18 @@ EXT0 = _extend(b"EXT0", "fwd", "forward-COT")
 EXT1 = _extend(b"EXT1", "rev", "reverse-COT")
 TRI = Recipe(
     op=b"TRI\x00", layout="noo", kind="tri", label="bit-triple", tag="prov/tri",
-    pool=lambda svc, name: TriplePool(
-        name, low_watermark=svc.tuning.triple_low, high_watermark=svc.tuning.triple_high
-    ),
+    pool=lambda svc, name: TriplePool(name, **_PLAN_DRIVEN),
     inputs=lambda bits: (("cot/fwd", 1), ("cot/rev", 1)),
     cap=lambda t: t.triple_chunk,
     produce=_bit_triples,
 )
 MTRI = Recipe(
-    op=b"MTRI", layout="kkkvo", kind="mtri", label="matrix-triple", tag="prov/mtri",
+    op=b"MTRI", layout="kkko", kind="mtri", label="matrix-triple", tag="prov/mtri",
     key_for=MatrixTriplePool.key_for,
     pool=lambda svc, name, m, k, n: MatrixTriplePool(
         name, m, k, n, svc.tuning.ring_bits, **_PLAN_DRIVEN
     ),
-    inputs=lambda bits, m, k, n: tuple(
-        (src, matmul_cots(MatmulDims(m, k, n), bits)) for src in ("cot/fwd", "cot/rev")
-    ),
-    choose=_richer_direction,
+    inputs=lambda bits, m, k, n: (("cot/fwd", matmul_cots(MatmulDims(m, k, n), bits)),),
     cap=lambda t: 1,
     produce=_matrix_triple,
 )
@@ -204,3 +192,21 @@ TPRC = Recipe(
 RECIPES = (EXT0, EXT1, TRI, MTRI, TPRC)
 BY_OP = {recipe.op: recipe for recipe in RECIPES}
 BY_KIND = {recipe.kind: recipe for recipe in RECIPES}
+
+
+def expand(requests, bits: int) -> dict:
+    """Pool name -> items production adds to serve ``requests``.
+
+    ``requests`` are ``(recipe, pool key, count)`` draws; the walk
+    charges each to its pool and, through the recipes' ``inputs``, every
+    item the derived production behind it consumes -- the bit triples a
+    truncation pair eats, and at the bottom the raw COTs of each
+    direction -- in the order the walk first meets each pool.
+    """
+    out = {}
+    work = list(requests)
+    for recipe, key, count in work:  # grows while walking: derived-of-derived
+        name = recipe.pool_name(*key)
+        out[name] = out.get(name, 0) + count
+        work.extend((BY_KIND[src], (), count * per) for src, per in recipe.inputs(bits, *key))
+    return out

@@ -4,11 +4,13 @@ One :class:`CorrelationService` runs per party.  It owns up to two
 Ferret endpoints -- the *forward* direction (party 0 is the COT sender)
 and the *reverse* direction (party 1 is the sender), because every
 role-switching workload (bit triples, the ReLU multiplexer) needs OTs
-both ways -- and a worker thread that keeps typed pools above their
-low watermarks by running ``extend()`` and derived production while
-consumers draw.  This is the Figure 1(b) amortization realized as a
-long-lived runtime: the base-COT Init (128 PKC OTs) runs once per direction,
-then extends stream correlations to any number of sessions.
+both ways -- and a worker thread that runs ``extend()`` and derived
+production while consumers draw: out to the absolute produce targets
+plans and prefills set, and for the raw-COT pools also back up to their
+high watermark whenever their level dips below the low one.  This is
+the Figure 1(b) amortization realized as a long-lived runtime: the
+base-COT Init (128 PKC OTs) runs once per direction, then extends
+stream correlations to any number of sessions.
 
 **Determinism.**  A correlation only works if both parties consume the
 same one, so all allocation decisions are made on party 0 (the
@@ -68,7 +70,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER
 from repro.ot.retry import RetryingChannel, RetryPolicy
 from repro.runtime.mux import MuxChannel
-from repro.runtime.recipes import BY_KIND, BY_OP, RECIPES, Command, sends
+from repro.runtime.recipes import BY_KIND, BY_OP, RECIPES, Command, expand, sends
 from repro.runtime.shard import ShardManager
 
 #: Control frames open with a 4-byte opcode.  Production ops and their
@@ -103,10 +105,13 @@ class _StopRequested(Exception):
 
 @dataclass
 class ServiceTuning:
-    """Watermarks and batch sizes for the provisioning worker.
+    """Raw-COT watermarks and batch sizes for the provisioning worker.
 
-    ``None`` watermarks are derived from the Ferret config at service
-    construction (keep about one extend's output in flight).
+    The raw-COT pools are the only ones with a standing watermark
+    refill; every derived pool is filled by produce targets and by
+    draws that outrun it.  ``None`` watermarks are derived from the
+    Ferret config at service construction (keep about one extend's
+    output in flight).
     ``ring_bits`` fixes the ring Z_2^bits of every arithmetic
     correlation (matrix triples, truncation pairs) the service produces
     -- both parties must agree, and preprocessing plans must be computed
@@ -127,8 +132,8 @@ class ServiceTuning:
     cot_low: int = None
     cot_high: int = None
     shards: int = 1
-    triple_low: int = 128
-    triple_high: int = 1024
+    triple_low: int = 128  # unread; benchmarks/ledger/fixture.py is its only writer
+    triple_high: int = 1024  # unread; benchmarks/ledger/fixture.py is its only writer
     triple_chunk: int = 1024
     ring_bits: int = 32
     rtri_chunk: int = 256  # unread; benchmarks/ledger/fixture.py is its only writer
@@ -540,9 +545,8 @@ class CorrelationService:
         created on first use.
 
         A raw-COT pool exists when its Ferret endpoint does.  A derived
-        pool first ensures its inputs (all of them, unless the recipe
-        chooses one by stock), so a kind whose inputs reach a missing
-        endpoint fails here, when something first asks for it.
+        pool first ensures its inputs, so a kind whose inputs reach a
+        missing endpoint fails here, when something first asks for it.
         Creation is local and idempotent, so sessions, plans and the
         command replay can each ensure a pool exists on their side
         without any cross-party coordination.  A pool made after the
@@ -554,14 +558,13 @@ class CorrelationService:
         if name not in self.pools:
             if recipe.direction is not None and self._endpoint(recipe.direction) is None:
                 raise ServiceError(f"no {recipe.label} production (enable_reverse=False)")
-            if recipe.choose is None:
-                for src, _ in recipe.inputs(self.tuning.ring_bits, *key):
-                    source = BY_KIND[src]
-                    if source.direction is not None and self._endpoint(source.direction) is None:
-                        raise ServiceError(
-                            f"{recipe.label} production needs {source.label} production"
-                        )
-                    self._pool(source)
+            for src, _ in recipe.inputs(self.tuning.ring_bits, *key):
+                source = BY_KIND[src]
+                if source.direction is not None and self._endpoint(source.direction) is None:
+                    raise ServiceError(
+                        f"{recipe.label} production needs {source.label} production"
+                    )
+                self._pool(source)
         with self._alloc_lock:
             pool = self.pools.get(name)
             if pool is None:
@@ -581,78 +584,61 @@ class CorrelationService:
         return ServiceSession(self, self.mux.sub(f"sess/{name}"), name)
 
     # -- preprocessing phase -------------------------------------------------
-    def prefill(self, targets: dict, timeout: float = None, one_shot: bool = False) -> None:
+    def prefill(self, targets: dict, timeout: float = None) -> None:
         """Run the preprocessing phase: block until every pool in
-        ``targets`` holds that many items produced ahead.
+        ``targets`` holds that many items past this party's position.
 
-        ``targets`` maps pool kind (including ``mtri/...`` keys created
-        beforehand via :meth:`pool`) to the number of items the
-        online phase will draw.  On the leader this *raises the
-        low watermark* to the target, so the worker also keeps the pool
-        warm for the next batch after consumption -- the steady-state
-        service shape.  Both parties call this before their online
-        phase; the follower waits for the mirrored production to land.
-
-        With ``one_shot=True`` the leader restores every targeted
-        pool's pre-call watermarks once the targets are met: the plan
-        is served exactly once and no inflated refill target is left
-        behind to make the worker regenerate demand that will never
-        come back (the pipelined-prefill contract).
+        ``targets`` maps pool name (``mtri/...`` / ``tprc/...`` pools
+        are made on first use) to the number of items the online phase
+        will draw.  The targets expand through the recipes' inputs
+        (:func:`repro.runtime.recipes.expand`) into absolute produce
+        targets at this party's position plus the expanded count: the
+        leader's position is a pool's ``reserved`` count, the follower's
+        (which never reserves) the items it has taken -- equal when both
+        parties call this with no draws in flight.  The leader schedules
+        the targets; both wait for them.  Targets go inert once
+        production passes them, so no refill pressure outlives the
+        call.
         """
         timeout = self.tuning.take_timeout_s if timeout is None else timeout
-        deadline = time.monotonic() + timeout
         pools = self._named_pools(targets, "prefill")
-        saved = None
+        wanted = expand(
+            [(pool.recipe, pool.key, targets[kind]) for kind, pool in pools.items()],
+            self.tuning.ring_bits,
+        )
+        goals = {}
+        for kind, count in wanted.items():
+            pool = self.pools[kind]
+            position = pool.reserved if self.party == 0 else pool.stats.items_drawn
+            goals[kind] = position + count
+        self.produce_to(goals, timeout)
+
+    def produce_to(self, goals: dict, timeout: float) -> None:
+        """Schedule (leader) and wait for (both parties) absolute
+        produced-count ``goals``, pool name -> position."""
+        deadline = time.monotonic() + timeout
         if self.party == 0:
-            if one_shot:
-                saved = {kind: pool.watermarks for kind, pool in pools.items()}
-            for kind, count in targets.items():
-                if count > 0:
-                    pools[kind].raise_watermarks(low=count, high=count)
-        self._wake.set()
-        live = {kind: count for kind, count in targets.items() if count > 0}
-        try:
-            if self.party == 0:
-                # Loop until every target holds SIMULTANEOUSLY: derived
-                # production scheduled while one kind is being waited on
-                # reserves raw COTs internally and can eat an
-                # already-checked level back below its target.  Once all
-                # derived targets are met that internal consumption
-                # stops, so the re-check converges.
-                while True:
-                    for kind, count in live.items():
-                        self._raise_if_failed()
-                        pools[kind].wait_level(count, deadline - time.monotonic())
-                    if all(pools[kind].level >= count for kind, count in live.items()):
-                        break
-            else:
-                for kind, count in live.items():
-                    self._raise_if_failed()
-                    # The follower never reserves, so "produced ahead" is
-                    # measured against what it has already taken -- repeated
-                    # prefills wait for fresh production, not history.
-                    pools[kind].wait_available(count, deadline - time.monotonic())
-        finally:
-            if saved is not None:
-                for kind, (low, high) in saved.items():
-                    pools[kind].set_watermarks(low, high)
+            self.raise_produce_targets(goals)
+        for kind, goal in goals.items():
+            self._raise_if_failed()
+            self.pools[kind].wait_produced(goal, deadline - time.monotonic())
         self._raise_if_failed()
 
     def raise_produce_targets(self, targets: dict) -> None:
         """Leader-side: schedule production out to absolute stream positions.
 
-        ``targets`` maps pool kind to an absolute produced-count floor
-        (see :meth:`CorrelationPool.raise_produce_target`).  Unlike
-        :meth:`prefill` this does not block and does not touch
-        watermarks: the pipelined planner raises one layer's targets,
-        lets the online phase overlap, and the targets go inert as soon
-        as production passes them.
+        ``targets`` maps pool name to an absolute produced-count floor
+        (see :meth:`CorrelationPool.raise_produce_target`); raised under
+        the allocation lock, so the scheduler sees all of them or none.
+        Does not block: the targets go inert as soon as production
+        passes them.
         """
         if self.party != 0:
             raise ServiceError("only party 0 schedules production")
         pools = self._named_pools(targets, "produce target")
-        for kind, target in targets.items():
-            pools[kind].raise_produce_target(target)
+        with self._alloc_lock:
+            for kind, target in targets.items():
+                pools[kind].raise_produce_target(target)
         self._wake.set()
 
     # -- worker -------------------------------------------------------------
@@ -955,7 +941,6 @@ class CorrelationService:
         slots = {
             "n": lambda: cmd.n,
             "k": lambda: next(key),
-            "v": lambda: cmd.variant,
             "o": lambda: next(offsets, 0),
         }
         recipe = cmd.recipe
@@ -966,32 +951,19 @@ class CorrelationService:
         recipe = BY_OP.get(bytes(frame[:4]))
         if recipe is None:
             raise ServiceError(f"unknown provisioning opcode {bytes(frame[:4])!r}")
-        scalars = {"n": 1, "v": 0}  # a frame without a count carries one item
+        n = 1  # a frame without a count carries one item
         lists = {"k": [], "o": []}
         for c, value in zip(recipe.layout, recipe.frame.unpack(frame)[1:]):
             if c in lists:
                 lists[c].append(value)
             else:
-                scalars[c] = value
-        return Command(
-            recipe, tuple(lists["k"]), scalars["n"], scalars["v"], tuple(lists["o"])
-        )
+                n = value
+        return Command(recipe, tuple(lists["k"]), n, tuple(lists["o"]))
 
     # -- scheduling (leader) and execution (both) ----------------------------
-    def _inputs(self, recipe, key: tuple, variant: int = None) -> tuple:
-        """``(variant, inputs)`` one command of ``recipe`` consumes: all
-        of the recipe's inputs, or -- for a recipe that chooses -- the
-        one ``variant`` names (``None``: chosen now, by stock)."""
-        inputs = recipe.inputs(self.tuning.ring_bits, *key)
-        if recipe.choose is None:
-            return 0, inputs
-        if variant is None:
-            variant = recipe.choose(self.pools)
-        return variant, inputs[variant : variant + 1]
-
     def _input_ranges(self, cmd: Command) -> list:
         """``(source pool, offset, count)`` per input of a command."""
-        _, inputs = self._inputs(cmd.recipe, cmd.key, cmd.variant)
+        inputs = cmd.recipe.inputs(self.tuning.ring_bits, *cmd.key)
         return [
             (self.pools[src], lo, cmd.n * per)
             for (src, per), lo in zip(inputs, cmd.offsets)
@@ -1039,7 +1011,7 @@ class CorrelationService:
         first listed (forward).
         """
         recipe = pool.recipe
-        variant, inputs = self._inputs(recipe, pool.key)
+        inputs = recipe.inputs(self.tuning.ring_bits, *pool.key)
         if not inputs:
             if self._shard_mgr is None:
                 return Command(recipe)
@@ -1056,7 +1028,7 @@ class CorrelationService:
             )
             return self._schedule(src, max(want * per - src.level, 1))
         offsets = tuple(src.try_reserve_produced(n * per) for src, per in sources)
-        return Command(recipe, pool.key, n, variant, offsets)
+        return Command(recipe, pool.key, n, offsets)
 
     def _execute(self, cmd: Command) -> None:
         """Run one command -- take its inputs at the commanded offsets,

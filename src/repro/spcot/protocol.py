@@ -1,5 +1,5 @@
 """The SPCOT sub-protocol (Single-Point Correlated OT, Section 2.3.1),
-including the paper's m-ary variant with (m-1)-out-of-m OT (Section 4.2).
+including the paper's m-ary form with (m-1)-out-of-m OT (Section 4.2).
 
 One SPCOT instance gives the sender a vector ``w`` of ``l`` blocks and
 the receiver a secret position ``alpha`` plus a vector ``v`` such that

@@ -134,7 +134,7 @@ def test_shared_default_crhf_under_a_tiny_switch_interval():
 
 FX = FixedPointConfig(bits=16, frac_bits=4)
 VERB_TUNING = ServiceTuning(
-    ring_bits=16, triple_low=0, triple_high=0, triple_chunk=512,
+    ring_bits=16, triple_chunk=512,
 )
 VERB_ELEMENTS = 24
 

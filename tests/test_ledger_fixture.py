@@ -12,7 +12,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks" / "led
 import fixture  # noqa: E402
 
 from repro.ppml.plan import plan_graph  # noqa: E402
-from repro.runtime.recipes import BY_KIND  # noqa: E402
+from repro.runtime.recipes import BY_KIND, expand  # noqa: E402
 
 
 def test_fixture_builds_and_plans_on_recipe_kinds():
@@ -27,3 +27,10 @@ def test_fixture_builds_and_plans_on_recipe_kinds():
     # ring triples at 16 bits x 2 directions, plus the 192 forward COTs
     # of the Gilboa B2A that replaced it.
     assert plan.demand.total_cots(16) == 37_152 - 192 * 32 + 192 == 31_200
+    # Per direction: consumer draws (3 648 forward, 96 reverse), the
+    # 5 280 bit triples' one COT each way, and both matrix triples'
+    # (m k + k n) x 16 COTs -- 10 752 at 4x24x24, 6 144 at 4x24x12 --
+    # from the forward direction only.
+    wanted = expand(plan.demand.drawn(), 16)
+    assert wanted["cot/fwd"] == 3_648 + 5_280 + 10_752 + 6_144 == 25_824
+    assert wanted["cot/rev"] == 96 + 5_280 == 5_376

@@ -284,7 +284,7 @@ def test_report_attributes_stalls_to_layers(capsys):
 
 def test_service_telemetry_and_set_tracer():
     cfg = FerretConfig.small(scale=1024, arity=4, prg_kind="chacha8")
-    tuning = ServiceTuning(triple_low=0, triple_high=0, triple_chunk=256)
+    tuning = ServiceTuning(triple_chunk=256)
     base0, base1 = LocalChannel.pair(timeout=120.0)
     mux0, mux1 = MuxChannel(base0, timeout=120.0), MuxChannel(base1, timeout=120.0)
     svc0 = CorrelationService(0, mux0, cfg, tuning, seed=0x0B5).start()

@@ -37,7 +37,7 @@ MASK = ring_mask_u64(BITS)
 #: Plan-driven production only, so the zero-stall checks are deterministic.
 TUNING = ServiceTuning(
     ring_bits=BITS,
-    triple_low=0, triple_high=0, triple_chunk=512,
+    triple_chunk=512,
 )
 LAYERS = {"L": Linear, "R": Rescale, "a": lambda: Activation("relu")}
 
@@ -193,7 +193,7 @@ class TestThreeWaysOneAnswer:
 
             def go(party):
                 plan._ensure_pools(svcs[party])
-                svcs[party].prefill(targets, 240.0, one_shot=True)
+                svcs[party].prefill(targets, 240.0)
                 return online("allat", party, batch)
 
             return go
@@ -266,7 +266,7 @@ class TestGraphSweep:
 
         def go(party):
             x_sh, w_sh = parties[party]
-            plan.prefill(svcs[party], timeout=240.0, one_shot=True)
+            plan.prefill(svcs[party], timeout=240.0)
             return run_online(
                 plan, svcs[party].session("sweep"), w_sh, x_sh,
                 np.random.default_rng(party),

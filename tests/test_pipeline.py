@@ -1,6 +1,6 @@
-"""Pipelined layer-by-layer prefill: overlap, one-shot watermark
-lowering, plan exactness under pipelining, the fused matmul+rescale
-session verb, and chunk-fused TPRC production."""
+"""Pipelined layer-by-layer prefill: overlap, prefills that leave no
+refill pressure behind, plan exactness under pipelining, the fused
+matmul+rescale session verb, and chunk-fused TPRC production."""
 
 import numpy as np
 import pytest
@@ -21,20 +21,17 @@ from repro.mpc.truncation import (
 )
 from repro.ppml.layers import Activation, Graph, Linear, Rescale
 from repro.ppml.plan import plan_graph
-from repro.runtime import ServiceTuning, run_online
+from repro.runtime import InferenceDaemon, ServiceTuning, run_online
 from repro.runtime.pool import TriplePool
 
 CFG = FerretConfig.small(scale=1024, arity=4, prg_kind="chacha8")
 BITS = 16
 FX = FixedPointConfig(bits=BITS, frac_bits=4, mag_bits=9)
 MASK = ring_mask_u64(BITS)
-#: Zero steady-state triple watermarks: production is plan-driven only,
-#: so the zero-stall assertions below are deterministic (no background
-#: refill competes with planned consumers for raw COT stock).
-TUNING = ServiceTuning(
-    ring_bits=BITS,
-    triple_low=0, triple_high=0, triple_chunk=512,
-)
+#: Derived production is plan-driven only (no derived pool has a
+#: standing refill), so the zero-stall assertions below are
+#: deterministic.
+TUNING = ServiceTuning(ring_bits=BITS, triple_chunk=512)
 
 M, K, H, OUT = 4, 8, 6, 48
 
@@ -83,15 +80,6 @@ class TestPoolProduceTargets:
         pool.raise_produce_target(4)
         assert pool.produce_target == 10
 
-    def test_set_watermarks_lowers(self):
-        pool = TriplePool("tri", low_watermark=5, high_watermark=20)
-        pool.raise_watermarks(low=50, high=80)
-        assert pool.watermarks == (50, 80)
-        pool.set_watermarks(5, 20)
-        assert pool.watermarks == (5, 20)
-        pool.set_watermarks(7)
-        assert pool.watermarks == (7, 7)
-
 
 def pair_pool(svc0, svc1) -> str:
     """Both parties' ``tprc`` pool for FX (plan-driven, like every keyed
@@ -100,37 +88,68 @@ def pair_pool(svc0, svc1) -> str:
     return svc0.pool("tprc", (FX.frac_bits,)).name
 
 
-class TestOneShotPrefill:
-    def test_one_shot_restores_pre_plan_watermarks(self, services):
-        svc0, svc1, _, _ = services
-        tprc = pair_pool(svc0, svc1)
-        before = {k: s for k, s in svc0.pool_stats().items()}
-        targets = {"tri": 600, tprc: 12}
-        ctx = (svc0.error, svc1.error)
-        run_both(
-            lambda: svc0.prefill(targets, 180.0, one_shot=True),
-            lambda: svc1.prefill(targets, 180.0, one_shot=True),
-            ctx=ctx,
-        )
-        after = svc0.pool_stats()
-        for kind in targets:
-            assert after[kind]["low_watermark"] == before[kind]["low_watermark"], kind
-            assert after[kind]["high_watermark"] == before[kind]["high_watermark"], kind
-        # The stock itself IS there -- only the refill pressure is gone.
-        assert svc0.pools["tri"].level >= 600
-        assert svc0.pools[tprc].level >= 12
+def small_shares(gen, shape):
+    return share_arith_nd(from_signed(gen.integers(-4, 4, shape), BITS), gen, bits=BITS)
 
-    def test_default_prefill_keeps_raised_watermarks(self, services):
+
+class TestOneShotPrefill:
+    def test_every_way_of_asking_leaves_watermarks_as_constructed(self, services):
+        """Every way to ask for production -- ``service.prefill``,
+        ``plan.prefill``, a finished pipeline, a daemon's requests --
+        raises absolute produce targets only: afterwards every pool's
+        watermarks are the ones it was built with (the raw-COT marks;
+        none on a derived pool) and every target is met, so no refill
+        pressure is left behind on either party."""
         svc0, svc1, _, _ = services
         tprc = pair_pool(svc0, svc1)
-        targets = {tprc: 20}
+        # Shapes no other test here draws: TestPipelinedPrefill pins
+        # that its last matrix triple was never produced before it.
+        g = Graph("NoPressure", (2, K))
+        for layer in (Linear(4), Rescale(), Activation("relu"), Linear(3)):
+            g.add(layer)
+        plan = plan_graph(g, bits=BITS, fx=FX)
+        gen = np.random.default_rng(0x5A)
+        weights = [small_shares(gen, (K, 4)), small_shares(gen, (4, 3))]
+        x = small_shares(gen, (2, K))
         ctx = (svc0.error, svc1.error)
-        run_both(
-            lambda: svc0.prefill(targets, 180.0),
-            lambda: svc1.prefill(targets, 180.0),
-            ctx=ctx,
-        )
-        assert svc0.pool_stats()[tprc]["low_watermark"] >= 20
+
+        def assert_no_pressure(way):
+            for svc in (svc0, svc1):
+                cot = (svc._cot_marks["low_watermark"], svc._cot_marks["high_watermark"])
+                for kind, pool in svc.pools.items():
+                    built = cot if pool.recipe.direction else (0, 0)
+                    assert pool.watermarks == built, (way, svc.party, kind)
+                    assert pool.produce_target <= pool.produced, (way, svc.party, kind)
+
+        targets = {"tri": 600, tprc: 12}
+        run_both(lambda: svc0.prefill(targets, 180.0),
+                 lambda: svc1.prefill(targets, 180.0), ctx=ctx)
+        assert svc0.pools["tri"].level >= 600 and svc0.pools[tprc].level >= 12
+        assert_no_pressure("service.prefill")
+
+        run_both(lambda: plan.prefill(svc0, 180.0),
+                 lambda: plan.prefill(svc1, 180.0), ctx=ctx)
+        assert_no_pressure("plan.prefill")
+
+        def pipelined(svc, party):
+            pipe = plan.prefill_pipelined(svc, timeout=180.0)
+            run_online(
+                plan, svc.session("no-pressure"), [w[party] for w in weights],
+                [x[party]], np.random.default_rng(party), pipe.wait_layer,
+            )
+            pipe.finish()
+
+        run_both(lambda: pipelined(svc0, 0), lambda: pipelined(svc1, 1), ctx=ctx)
+        assert_no_pressure("finished pipeline")
+
+        daemons = [
+            InferenceDaemon(svc, g, [w[party] for w in weights], fx=FX).start()
+            for party, svc in enumerate((svc0, svc1))
+        ]
+        run_both(lambda: daemons[0].submit("np", x[0]).result(120.0),
+                 lambda: daemons[1].submit("np", x[1]).result(120.0), ctx=ctx)
+        run_both(lambda: daemons[0].stop(60.0), lambda: daemons[1].stop(60.0), ctx=ctx)
+        assert_no_pressure("InferenceDaemon.stop")
 
 
 class TestPipelinedPrefill:
@@ -231,8 +250,9 @@ class TestPipelinedPrefill:
             assert after[kind] == planned_run["stall_before"].get(kind, 0), kind
 
     def test_finish_restored_cot_watermarks(self, planned_run):
-        """No inflated refill targets left behind: the raised raw-COT
-        consumer watermarks are back at their pre-pipeline values."""
+        """No inflated refill targets left behind: the pipeline asks
+        for production by stream position only, so the raw-COT
+        watermarks are their pre-pipeline values."""
         svc0 = planned_run["svc0"]
         for kind, marks in planned_run["cot_marks_before"].items():
             assert svc0.pools[kind].watermarks == marks, kind
@@ -247,9 +267,7 @@ class TestPipelinedPrefill:
 class TestForwardOnlyPipeline:
     def test_linear_plan_on_forward_only_service(self):
         """A forward-only service (no cot/rev pool) must still pipeline
-        a linear-layer plan: the internal matrix-triple margin charged
-        to the missing reverse direction is simply dropped (production
-        falls back to cot/fwd, which carries its own charge)."""
+        a linear-layer plan: matrix triples draw forward COTs only."""
         tuning = ServiceTuning(
             ring_bits=BITS,
             enable_reverse=False,
@@ -387,11 +405,7 @@ class TestBatchedTprcProduction:
     def run_deficit(self, chunk: int) -> int:
         """TPRC messages moved producing ``N`` pairs at a ``chunk`` cap."""
         n = self.N
-        tuning = ServiceTuning(
-            ring_bits=BITS,
-            triple_low=0, triple_high=0, triple_chunk=512,
-            tprc_chunk=chunk,
-        )
+        tuning = ServiceTuning(ring_bits=BITS, triple_chunk=512, tprc_chunk=chunk)
         svc0, svc1, mux0, mux1 = start_service_pair(CFG, tuning, seed=0x7A7)
         try:
             pool = svc0.pool("tprc", (FX.frac_bits,))

@@ -8,6 +8,7 @@ import hashlib
 import json
 import struct
 import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -21,9 +22,9 @@ from repro.mpc.relu import relu_draws
 from repro.mpc.truncation import FixedPointConfig, trunc_draws
 from repro.ot.channel import LocalChannel
 from repro.ppml.layers import Activation, Conv2d, Graph, Linear, MaxPool2d, Rescale
-from repro.ppml.plan import _layer_internal_cots, _layer_produce_counts, plan_graph
+from repro.ppml.plan import plan_graph
 from repro.runtime import CorrelationService, MuxChannel, ServiceTuning
-from repro.runtime.recipes import BY_KIND, RECIPES, Command
+from repro.runtime.recipes import BY_KIND, RECIPES, Command, expand
 
 CFG = FerretConfig.small(scale=1024, arity=4, prg_kind="chacha8")  # 1008 COTs/extend
 MTRI_KEY, TPRC_KEY = (2, 3, 2), (8,)  # 384 COTs/triple; 42 COTs + 68 bit triples/pair
@@ -65,16 +66,25 @@ def service_pair(tuning):
 #: (4 x 2 = 8, 1 x 1 = 1).  Both digests are the ROT-free stream of the
 #: parent tree (the same scenarios with ROT production switched off):
 #: without ROT commands, nothing else in either stream moved.
+#: Re-pinned when matrix triples stopped choosing their COT direction
+#: by stock: MTRI frames lost their ``v`` (variant) slot and always
+#: draw ``cot/fwd``.  Both digests equal the parent tree's streams with
+#: the MTRI choice forced to forward (``MTRI.choose = lambda pools: 0``)
+#: and the then always-zero ``v`` slot cut out of each MTRI frame:
+#: same 22 / 75 frames, same op sequence, same counts and offsets --
+#: ``watermarks`` runs ``EXT0 EXT1 TRI TRI TRI MTRI MTRI EXT0 MTRI TPRC
+#: ...``, where stock had sent the three triples to whichever direction
+#: was richer.
 GOLDEN = {
     "watermarks": (
         dict(triple_chunk=96, tprc_chunk=8),
         10,
-        "733a271c79904032093077975157ec01e5c0b7349a036b62a6621bf8ba403138",
+        "44a0d25e45383ebc30259c5b89a022ffb157b268d9297f0494d5ce84b4952c60",
     ),
     "starved": (
         dict(cot_low=0, cot_high=0, triple_chunk=80, tprc_chunk=1),
         30,
-        "bac78b123b95d05c4285d2b200a38f16c28cb3a092495a9cb4e0b7fa7a665d61",
+        "a39257bb479f030a70ed6d6dad159a3175b1872fa069f88eb0a800476b0756a9",
     ),
 }
 
@@ -82,7 +92,7 @@ GOLDEN = {
 @pytest.mark.parametrize("case", sorted(GOLDEN))
 def test_command_stream_matches_golden_transcript(case):
     knobs, trunc_pairs, digest = GOLDEN[case]
-    tuning = ServiceTuning(ring_bits=32, triple_low=0, triple_high=0, **knobs)
+    tuning = ServiceTuning(ring_bits=32, **knobs)
     (leader, follower), muxes = service_pair(tuning)
     frames = []
     send = leader._ctl.send_bytes
@@ -147,9 +157,7 @@ def stock(pool, n):
     ],
 )
 def test_starved_kind_schedules_its_short_input(levels, wanted, frame):
-    tuning = ServiceTuning(
-        cot_low=0, cot_high=0, triple_low=0, triple_high=0
-    )
+    tuning = ServiceTuning(cot_low=0, cot_high=0)
     (leader, _), muxes = service_pair(tuning)
     for kind, n in levels.items():
         stock(leader.pools[kind], n)
@@ -182,24 +190,22 @@ def test_stale_command_takes_inputs_times_n_at_frame_offsets(recipe):
     key = {"mtri": MTRI_KEY, "tprc": TPRC_KEY}.get(recipe.kind, ())
     n = 3 if "n" in recipe.layout else 1
     inputs = recipe.inputs(32, *key)
-    for variant in range(len(inputs) if recipe.choose else 1):
-        (_, follower), muxes = service_pair(ServiceTuning(ring_bits=32))
-        used = inputs[variant:variant + 1] if recipe.choose else inputs
-        offsets = tuple(5 + 2 * i for i in range(len(used)))
-        taken = []
-        for (src, per), lo in zip(used, offsets):
-            pool = follower.pools[src]
-            stock(pool, lo + n * per)
-            real = pool.take_columns
-            pool.take_columns = (
-                lambda lo, count, timeout=None, src=src, real=real:
-                taken.append((src, lo, count)) or real(lo, count, timeout)
-            )
-        cmd = Command(recipe, key, n if inputs else 0, variant, offsets)
-        follower._align_stale_command(follower._decode(follower._encode(cmd)))
-        assert taken == [(src, lo, n * per) for (src, per), lo in zip(used, offsets)]
-        for mux in muxes:
-            mux.close()
+    (_, follower), muxes = service_pair(ServiceTuning(ring_bits=32))
+    offsets = tuple(5 + 2 * i for i in range(len(inputs)))
+    taken = []
+    for (src, per), lo in zip(inputs, offsets):
+        pool = follower.pools[src]
+        stock(pool, lo + n * per)
+        real = pool.take_columns
+        pool.take_columns = (
+            lambda lo, count, timeout=None, src=src, real=real:
+            taken.append((src, lo, count)) or real(lo, count, timeout)
+        )
+    cmd = Command(recipe, key, n if inputs else 0, offsets)
+    follower._align_stale_command(follower._decode(follower._encode(cmd)))
+    assert taken == [(src, lo, n * per) for (src, per), lo in zip(inputs, offsets)]
+    for mux in muxes:
+        mux.close()
 
 
 #: Ops the ledger still has rows for but the table no longer runs: the
@@ -239,8 +245,10 @@ def both(n):
     return {"cot/fwd": n, "cot/rev": n}
 
 
-#: ``_layer_internal_cots`` / ``_layer_produce_counts`` per layer, as the
-#: hand-kept formulas of commit 29417b5 returned them, with the bit
+#: The raw COTs a layer's derived production reserves (``internal``)
+#: and the pool production its draws need (``produce``: the draws plus
+#: the bit triples TPRC eats), as the hand-kept formulas of commit
+#: 29417b5 returned them, with the bit
 #: triples of the log-depth comparison (``2(l-1) - popcount(l-1)`` per
 #: element): 25 for a 15-bit ReLU / MaxPool comparison (was 30), 26 + 4
 #: for a 16-bit Rescale's wrap and 4-bit borrow comparisons or one
@@ -248,12 +256,17 @@ def both(n):
 #: Exact mode consumes what a pair costs to make: ``n (16 + 4 + 2)``
 #: forward COTs (the two comparisons and a 2-bit Gilboa B2A) and the
 #: same 30 n bit triples, so its total IS pair mode's.
+#: A matrix triple's ``matmul_cots`` are charged to ``cot/fwd`` only
+#: (it always draws forward COTs; the planner used to charge both
+#: directions because stock picked one at runtime).  The totals do not
+#: move: they already charged the first, forward, direction.
+#: :func:`expand` is one walk returning both parts summed.
 MLP_TOTAL_COTS = 8560
 PLAN_GOLDEN = [
     (
         quantized_mlp, "pair",
-        [both(1920), {"cot/fwd": 1248, "cot/rev": 720}, both(600), both(864),
-         {"cot/fwd": 1040, "cot/rev": 600}, both(560)],
+        [{"cot/fwd": 1920}, {"cot/fwd": 1248, "cot/rev": 720}, both(600),
+         {"cot/fwd": 864}, {"cot/fwd": 1040, "cot/rev": 600}, {"cot/fwd": 560}],
         [{"mtri/4x12x6": 1}, {"tprc/4": 24, "tri": 720},
          {"cot/fwd": 384, "cot/rev": 24, "tri": 600}, {"mtri/4x6x5": 1},
          {"tprc/4": 20, "tri": 600}, {"mtri/4x5x3": 1}],
@@ -261,7 +274,8 @@ PLAN_GOLDEN = [
     ),
     (
         quantized_mlp, "exact",
-        [both(1920), both(720), both(600), both(864), both(600), both(560)],
+        [{"cot/fwd": 1920}, both(720), both(600), {"cot/fwd": 864}, both(600),
+         {"cot/fwd": 560}],
         [{"mtri/4x12x6": 1}, {"cot/fwd": 528, "tri": 720},
          {"cot/fwd": 384, "cot/rev": 24, "tri": 600}, {"mtri/4x6x5": 1},
          {"cot/fwd": 440, "tri": 600}, {"mtri/4x5x3": 1}],
@@ -269,7 +283,8 @@ PLAN_GOLDEN = [
     ),
     (
         conv_block, "pair",
-        [both(39168), {"cot/fwd": 26624, "cot/rev": 15360}, both(12800), both(9600)],
+        [{"cot/fwd": 39168}, {"cot/fwd": 26624, "cot/rev": 15360}, both(12800),
+         both(9600)],
         [{"mtri/64x18x4": 2}, {"tprc/4": 512, "tri": 15360},
          {"cot/fwd": 8192, "cot/rev": 512, "tri": 12800},
          {"cot/fwd": 6144, "cot/rev": 384, "tri": 9600}],
@@ -288,6 +303,7 @@ def test_planner_counts_from_recipes_match_recorded(model, mode, internal, produ
         graph.add(layer)
     plan = plan_graph(graph, bits=16, fx=FX, trunc_mode=mode)
     demands = [demand for _, demand in plan.per_layer]
-    assert [_layer_internal_cots(d, 16) for d in demands] == internal
-    assert [_layer_produce_counts(d, 16) for d in demands] == produce
+    assert [Counter(expand(d.drawn(), 16)) for d in demands] == [
+        Counter(i) + Counter(p) for i, p in zip(internal, produce)
+    ]
     assert plan.demand.total_cots(16) == total

@@ -15,7 +15,13 @@ import time
 import numpy as np
 import pytest
 
-from repro.errors import AdmissionReject, DaemonError, LeaseExpired, ParameterError
+from repro.errors import (
+    AdmissionReject,
+    DaemonError,
+    LeaseExpired,
+    ParameterError,
+    ProtocolError,
+)
 from repro.ferret.config import FerretConfig
 from repro.mpc.sharing import from_signed, share_arith_nd
 from repro.mpc.triples import ring_mask_u64
@@ -221,6 +227,65 @@ class TestDaemonServing:
         )
 
 
+class TestStreamPositions:
+    """The daemon chains requests by arithmetic -- request r+1's stream
+    positions start at request r's ``start + batch x plan totals`` --
+    which holds only if every request reserves exactly its plan: matrix
+    triples draw one fixed COT direction and no derived pool refills on
+    its own, even under a tuning that still sets ``triple_low`` /
+    ``triple_high`` (``TUNING`` does; both are unread)."""
+
+    def test_positions_stay_exact_across_chained_requests(self):
+        dcfg = DaemonConfig(
+            max_inflight=4, session_inflight=2,
+            lease_ttl_s=30.0, request_timeout_s=120.0,
+        )
+        stack = start_daemon_pair(dcfg, seed=0x905)
+        d0, d1, svc0, rng = stack["d0"], stack["d1"], stack["svc0"], stack["rng"]
+        try:
+            plan = d0.plan
+            planned = plan.pool_targets()
+            totals = plan.cumulative_production()[-1]
+            draws_before = svc0.session_draw_counts()
+            stats = svc0.pool_stats()
+            stalls_before = {kind: stats[kind]["stalled_draws"] for kind in planned}
+            reserved_before = {kind: svc0.pools[kind].reserved for kind in totals}
+
+            # Five single requests, submitted back to back: with two in
+            # flight per session, request r+1's production overlaps
+            # request r's online phase.  Then one B = 3 request.
+            xs = [rng.integers(-8, 8, (M, K)) for _ in range(8)]
+            shares = [share_input(x, rng) for x in xs]
+
+            def party(d, i):
+                reqs = [d.submit("pos", sh[i]) for sh in shares[:5]]
+                outs = [r.result(120.0)[0] for r in reqs]
+                outs += d.submit("pos", [sh[i] for sh in shares[5:]]).result(120.0)
+                return outs
+
+            r0, r1 = run_concurrently(
+                lambda: party(d0, 0), lambda: party(d1, 1), 240.0
+            )
+            for x, a, b in zip(xs, r0, r1):
+                assert np.array_equal((a + b) & MASK, stack["oracle"](x))
+
+            items = 8
+            draws = svc0.session_draw_counts()
+            for kind, count in planned.items():
+                assert draws.get(kind, 0) - draws_before.get(kind, 0) == count * items, kind
+            stats = svc0.pool_stats()
+            for kind in planned:
+                assert stats[kind]["stalled_draws"] == stalls_before[kind], kind
+            running = {
+                kind: reserved_before[kind] + count * items for kind, count in totals.items()
+            }
+            assert d0._start == running
+            for kind, position in running.items():
+                assert svc0.pools[kind].reserved == position, kind
+        finally:
+            stop_daemon_pair(stack)
+
+
 class TestAdmissionControl:
     """The leader's window rejects with a typed error on both parties.
 
@@ -302,6 +367,52 @@ class TestAdmissionControl:
             (exc,) = raised
             assert not isinstance(exc, AdmissionReject)
             assert exc.__cause__ is cause and "x" in str(exc)
+        finally:
+            stop_daemon_pair(stack)
+
+
+class TestMalformedControlFrame:
+    """A ``daemon/ctl`` frame the follower cannot parse -- not JSON, an
+    unknown op, a missing field -- used to kill the follower's control
+    thread silently, leaving every pending ``submit`` to wait out
+    ``request_timeout_s``.  It now fails them at once, typed."""
+
+    @pytest.mark.parametrize(
+        "frame",
+        [b"{not json", b'["admit"]', b'{"op": "bogus", "session": "cli"}',
+         b'{"op": "admit", "session": "cli"}'],
+        ids=["not-json", "not-an-object", "unknown-op", "missing-field"],
+    )
+    def test_pending_follower_submit_fails_fast(self, frame):
+        dcfg = DaemonConfig(lease_ttl_s=30.0, request_timeout_s=120.0)
+        stack = start_daemon_pair(dcfg, seed=0xBAD)
+        d0, d1, rng = stack["d0"], stack["d1"], stack["rng"]
+        try:
+            share = share_input(rng.integers(-8, 8, (M, K)), rng)[1]
+            raised = []
+
+            def follower():
+                try:
+                    d1.submit("cli", share)
+                except DaemonError as exc:
+                    raised.append(exc)
+
+            thread = threading.Thread(target=follower)
+            thread.start()
+            deadline = time.monotonic() + 30.0
+            while not d1._pending.get("cli"):
+                assert time.monotonic() < deadline, "submission never queued"
+                time.sleep(0.01)
+            start = time.monotonic()
+            d0._ctl.send_bytes(frame)
+            thread.join(5.0)
+            assert not thread.is_alive(), "follower submit still waiting"
+            assert time.monotonic() - start < 1.5
+            (exc,) = raised
+            assert isinstance(exc.__cause__, ProtocolError)
+            # The control stream is gone: later submissions fail at once.
+            with pytest.raises(DaemonError, match="control stream failed"):
+                d1.submit("cli", share)
         finally:
             stop_daemon_pair(stack)
 

@@ -200,13 +200,14 @@ class TestWatermarkEdges:
             pool.take(lo, 16, timeout=0.3)
         assert time.monotonic() - start < 5.0
 
-    def test_wait_level_and_raise_watermarks(self):
-        """prefill's pool contract: raise-only watermarks, blocking wait."""
+    def test_wait_produced_and_raise_produce_target(self):
+        """prefill's pool contract: a raise-only absolute produce
+        target, a blocking wait on the produced count."""
         pool = TriplePool("tri", low_watermark=4, high_watermark=8)
-        pool.raise_watermarks(low=32)
-        pool.raise_watermarks(low=16, high=2)  # never lowers
-        assert pool.low_watermark == 32
-        assert pool.high_watermark >= 32
+        pool.raise_produce_target(32)
+        pool.raise_produce_target(16)  # never lowers
+        assert pool.produce_target == 32
+        assert pool.refill.is_set()
         gen = np.random.default_rng(6)
         a = gen.integers(0, 2, 32).astype(np.uint8)
 
@@ -216,12 +217,12 @@ class TestWatermarkEdges:
 
         t = threading.Thread(target=producer)
         t.start()
-        pool.wait_level(32, timeout=10.0)
+        pool.wait_produced(32, timeout=10.0)
         t.join(5.0)
-        assert pool.level >= 32
-        pool.wait_produced(32, timeout=1.0)
+        assert pool.produced >= 32
+        assert pool.watermarks == (4, 8)
         with pytest.raises(ServiceError, match="timed out"):
-            pool.wait_level(1000, timeout=0.1)
+            pool.wait_produced(1000, timeout=0.1)
 
 
 class TestTypedPools:

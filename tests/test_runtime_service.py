@@ -272,7 +272,7 @@ class TestPoolsOnFirstUse:
 
     def test_plan_and_draw_make_the_same_pools_on_both_parties(self):
         fx = FixedPointConfig(bits=16, frac_bits=4, mag_bits=9)
-        tuning = ServiceTuning(ring_bits=16, triple_low=0, triple_high=0)
+        tuning = ServiceTuning(ring_bits=16)
         svc0, svc1, mux0, mux1 = start_service_pair(tuning, seed=0xF2)
         graph = Graph("FirstUse", (2, 6))
         for layer in (Linear(4), Rescale(), Activation("relu")):

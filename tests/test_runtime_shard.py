@@ -398,7 +398,7 @@ class TestShardedPipelinedMlp:
         tuning = ServiceTuning(
             shards=SHARDS,
             ring_bits=BITS,
-            triple_low=0, triple_high=0, triple_chunk=512,
+            triple_chunk=512,
         )
         svc0, svc1, mux0, mux1 = start_service_pair(tuning, seed=0x1CE)
         svc0.wait_ready(240.0)

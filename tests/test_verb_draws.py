@@ -34,7 +34,7 @@ BITS = 16
 FX = FixedPointConfig(bits=BITS, frac_bits=4, mag_bits=9)
 TUNING = ServiceTuning(
     ring_bits=BITS,
-    triple_low=0, triple_high=0, triple_chunk=512,
+    triple_chunk=512,
 )
 
 
