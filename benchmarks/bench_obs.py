@@ -4,10 +4,10 @@ The observability layer promises two things: disabled instrumentation
 costs nothing on the hot path (every site guards on ``tracer.enabled``
 against the shared ``NULL_TRACER``), and *enabled* instrumentation
 stays under a 5% tax.  This benchmark measures the second promise the
-only honest way -- the same warm pair-mode truncation online phase, on
-the same live service pair, with tracing toggled between interleaved
-iterations (interleaving cancels drift from pool levels, allocator
-state, and CPU frequency).
+only honest way -- the same warm exact-truncation online phase (its
+comparison COTs and bit triples prefilled), on the same live service
+pair, with tracing toggled between interleaved iterations (interleaving
+cancels drift from pool levels, allocator state, and CPU frequency).
 
 Headline: **instrumentation_overhead** = min(enabled online) /
 min(disabled online).  ``check_regression.py`` gates it at 1.05x in
@@ -57,7 +57,6 @@ def start_services():
     tuning = ServiceTuning(
         ring_bits=RING_BITS,
         triple_chunk=1024,
-        tprc_chunk=8192,
         take_timeout_s=600.0,
     )
     cfg = FerretConfig(params=PARAMS, arity=4, prg_kind="chacha8")
@@ -73,11 +72,10 @@ def start_services():
 
 def run_all(n: int, iters: int) -> dict:
     """One warm service pair; ``iters`` interleaved (disabled, enabled)
-    pair-truncation onlines of ``n`` elements each."""
+    exact-truncation onlines of ``n`` elements each."""
     svc0, svc1, mux0, mux1 = start_services()
     try:
-        demand = CorrelationDemand().add(trunc_draws(n, FX, "pair"))
-        svc0.pool("tprc", (FX.frac_bits,)), svc1.pool("tprc", (FX.frac_bits,))
+        demand = CorrelationDemand().add(trunc_draws(n, FX))
         # Prefill every iteration's demand up front (plus the warmup
         # pass) so the timed onlines never wait on production.
         runs = 2 * iters + 1
@@ -99,12 +97,8 @@ def run_all(n: int, iters: int) -> dict:
             name = f"obs-{label}"
             t0 = time.perf_counter()
             z0, z1 = run_concurrently(
-                lambda: trunc_via_service(
-                    svc0.session(name), shares[0], FX, mode="pair"
-                ),
-                lambda: trunc_via_service(
-                    svc1.session(name), shares[1], FX, mode="pair"
-                ),
+                lambda: trunc_via_service(svc0.session(name), shares[0], FX),
+                lambda: trunc_via_service(svc1.session(name), shares[1], FX),
                 timeout=600.0,
             )
             elapsed = time.perf_counter() - t0
@@ -153,7 +147,7 @@ def report(row) -> None:
             )
         ],
         title=(
-            f"Instrumentation overhead, pair truncation n={row['elements']}, "
+            f"Instrumentation overhead, exact truncation n={row['elements']}, "
             f"interleaved"
         ),
     )

@@ -58,7 +58,6 @@ BASELINE_PATH = Path(__file__).resolve().parents[1] / "BENCH_smoke_baseline.json
 METRICS = {
     "runtime_service": lambda p: p["amortization_gain"],
     "preprocessing": lambda p: p["online_speedup_warm_vs_cold"],
-    "truncation": lambda p: p["online_speedup_warm_vs_cold"]["pair"],
     "pipeline": lambda p: p["ttfo_speedup"],
     "faults": lambda p: p["recovery_efficiency"],
     "obs": lambda p: p["instrumentation_overhead"],
@@ -80,7 +79,6 @@ MIN_CORES = {
 DESCRIPTIONS = {
     "runtime_service": "per-COT amortization gain (1 session vs many)",
     "preprocessing": "warm-pool vs cold online speedup",
-    "truncation": "pair-mode warm vs cold online speedup",
     "pipeline": "time-to-first-layer-online, all-at-once vs pipelined",
     "faults": "chaos recovery efficiency (clean e2e / faulted e2e)",
     "obs": "enabled-instrumentation overhead (traced / untraced online)",

@@ -11,7 +11,7 @@ This example runs the whole shape end to end:
   sub-channels (`prov/*` for the background Ferret extends and derived
   production, `sess/*` for consumers);
 * a :class:`repro.runtime.CorrelationService` per party fills typed
-  pools (COTs both directions, bit/matrix triples, truncation pairs)
+  pools (COTs both directions, bit and matrix triples)
   in a worker thread: out to the absolute produce targets a plan sets,
   and the raw-COT pools also above their low watermarks;
 * a **preprocessing planner** walks a quantized 3-layer MLP graph --

@@ -31,10 +31,7 @@ from repro.mpc.maxpool import max_pair
 from repro.mpc.relu import drelu_pair, relu_pair
 from repro.mpc.truncation import (
     FixedPointConfig,
-    TruncPairs,
-    generate_trunc_pairs,
     trunc_via_service,
-    truncate_pair_online,
     truncate_shares,
 )
 
@@ -44,10 +41,7 @@ __all__ = [
     "BooleanShares",
     "FIG16_DIMS",
     "FixedPointConfig",
-    "TruncPairs",
-    "generate_trunc_pairs",
     "trunc_via_service",
-    "truncate_pair_online",
     "truncate_shares",
     "MatmulDims",
     "MatrixTriples",

@@ -46,7 +46,7 @@ from repro.mpc.triples import (
     gilboa_send_stream,
     ring_mask_u64,
 )
-from repro.mpc.truncation import require_service_ring, trunc_draws, truncate
+from repro.mpc.truncation import require_service_ring, trunc_draws, truncate_shares
 from repro.ot.channel import Channel
 from repro.ot.cot import CotPool
 
@@ -322,7 +322,6 @@ def matmul_rescale_via_service(
     x_share: np.ndarray,
     y_share: np.ndarray,
     fx,
-    mode: str = "exact",
     rng=None,
 ) -> np.ndarray:
     """Fused secure MatMul + fixed-point rescale on one session verb.
@@ -338,11 +337,12 @@ def matmul_rescale_via_service(
     require_service_ring(session, fx)
     x_share, y_share = _matmul_shares(x_share, y_share)
     m, n = x_share.shape[0], y_share.shape[1]
-    (triple, *material), _ = session.draw(
-        matmul_draws(m, x_share.shape[1], n) + trunc_draws(m * n, fx, mode)
+    (triple, cots, triples), _ = session.draw(
+        matmul_draws(m, x_share.shape[1], n) + trunc_draws(m * n, fx)
     )
     z = matmul_online(session.channel, x_share, y_share, triple, session.party)
-    out = truncate(
-        session.channel, z.reshape(-1), fx, session.party, material, mode, rng
+    out = truncate_shares(
+        session.channel, z.reshape(-1), fx, session.party, CotPool.of(cots),
+        triples, rng=rng,
     )
     return np.asarray(out, dtype=np.uint64).reshape(z.shape)

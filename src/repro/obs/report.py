@@ -1,7 +1,7 @@
 """Stall-attribution report over a recorded Chrome-trace file.
 
 ``python -m repro.obs.report trace.json`` answers "where did the online
-phase block, and on what?" -- e.g. *online blocked 38 ms on tprc/8
+phase block, and on what?" -- e.g. *online blocked 38 ms on mtri/4x24x24
 refill during layer 2*.  It pairs B/E events back into spans, finds the
 stall spans (``pool.wait`` from :class:`repro.runtime.pool.CorrelationPool`,
 ``online.wait`` from pipelined prefill), and attributes each to the

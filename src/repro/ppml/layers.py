@@ -120,8 +120,8 @@ class Rescale(Layer):
     scale stays at 2^f instead of doubling per product.  Shape-neutral;
     charges one ``trunc`` nonlinear element per value, which the
     preprocessing planner expands into exact truncation demand
-    (comparison and B2A COTs + bit triples, or pooled
-    truncation pairs) for the :class:`repro.mpc.truncation` protocols.
+    (comparison and B2A COTs + bit triples) for the
+    :class:`repro.mpc.truncation` protocol.
     """
 
     name: str = "rescale"

@@ -83,8 +83,7 @@ class CorrelationDemand:
 
         Derived kinds cost what their recipes' inputs say: bit triples
         one COT per direction, matrix triples ``matmul_cots`` forward
-        COTs, truncation pairs their forward COTs plus the bit triples
-        their generation consumes.
+        COTs.
         """
         wanted = expand(self.drawn(), ring_bits)
         return sum(wanted.get(recipe.kind, 0) for recipe in RECIPES if recipe.direction)
@@ -101,7 +100,6 @@ def layer_demand(
     out_shape: tuple,
     bits: int,
     fx: FixedPointConfig = None,
-    trunc_mode: str = "exact",
 ) -> CorrelationDemand:
     """Correlation demand of one applied layer: the draw list of the
     verb that executes it.
@@ -138,7 +136,7 @@ def layer_demand(
                 raise ParameterError(
                     f"fixed-point config is {fx.bits}-bit but the plan ring is {bits}-bit"
                 )
-            demand.add(trunc_draws(count, fx, trunc_mode))
+            demand.add(trunc_draws(count, fx))
         else:
             # relu6 (two comparisons, no service protocol yet), gelu,
             # softmax, layernorm, avgpool truncation: honest gaps.
@@ -152,7 +150,7 @@ def layer_demand(
 class PreprocessingPlan:
     """A model's full preprocessing schedule: per-layer + total demand,
     plus what :func:`repro.runtime.daemon.run_online` needs to execute
-    it in the mode it was priced in (graph, fixed-point format, mode)."""
+    it as it was priced (graph, fixed-point format)."""
 
     model: str
     bits: int
@@ -160,7 +158,6 @@ class PreprocessingPlan:
     per_layer: list  # (layer name, CorrelationDemand)
     graph: Graph = None
     fx: FixedPointConfig = None
-    trunc_mode: str = "exact"
 
     def pool_targets(self) -> dict:
         return self.demand.as_pool_targets()
@@ -256,23 +253,22 @@ def plan_graph(
     graph: Graph,
     bits: int = 32,
     fx: FixedPointConfig = None,
-    trunc_mode: str = "exact",
 ) -> PreprocessingPlan:
     """Walk a traced model graph into a :class:`PreprocessingPlan`.
 
     ``bits`` is the arithmetic ring width of the activations (and so of
     every ring/matrix triple); it must match the serving service's
     ``ServiceTuning.ring_bits``.  ``fx`` prices the graph's Rescale
-    layers as executable truncation demand (``trunc_mode`` selecting
-    pair/exact); without it they surface as unplanned.
+    layers as executable (exact) truncation demand; without it they
+    surface as unplanned.
     """
     total = CorrelationDemand()
     per_layer = []
     for layer, in_shape, out_shape in graph.trace:
-        demand = layer_demand(layer, in_shape, out_shape, bits, fx, trunc_mode)
+        demand = layer_demand(layer, in_shape, out_shape, bits, fx)
         per_layer.append((layer.name, demand))
         total.merge(demand)
-    return PreprocessingPlan(graph.name, bits, total, per_layer, graph, fx, trunc_mode)
+    return PreprocessingPlan(graph.name, bits, total, per_layer, graph, fx)
 
 
 class PipelinedPrefill:

@@ -8,7 +8,7 @@ amortization argument assumes):
   produce targets, raw-COT watermark refill, backpressure, and per-pool
   statistics;
 * :mod:`repro.runtime.recipes` -- the declarative table of production
-  ops (extends, bit/matrix triples, truncation pairs): what each
+  ops (extends, bit and matrix triples): what each
   consumes, how it is commanded, made and pooled, and the one walk that
   expands draws into the production behind them;
 * :mod:`repro.runtime.service` -- a per-party background worker that
@@ -44,7 +44,6 @@ from repro.runtime.pool import (
     ReceiverCotPool,
     SenderCotPool,
     TriplePool,
-    TruncPairPool,
 )
 from repro.runtime.service import CorrelationService, ServiceSession, ServiceTuning
 
@@ -65,7 +64,6 @@ __all__ = [
     "ServiceTuning",
     "SubChannel",
     "TriplePool",
-    "TruncPairPool",
     "compile_ops",
     "run_online",
 ]

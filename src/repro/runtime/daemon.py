@@ -267,7 +267,7 @@ def run_online(plan, session, weights, inputs, rng, wait_layer=None) -> list:
     sequence (linear demand, one round).  Each op first calls
     ``wait_layer(gate)`` (:meth:`PipelinedPrefill.wait_layer`; nothing
     after an all-at-once prefill) and runs in an ``online.layer`` span,
-    in the truncation format and mode the plan was priced in.
+    in the truncation format the plan was priced in.
     """
     ops = _servable_ops(plan, weights)
     tracer = session.service.tracer
@@ -278,9 +278,7 @@ def run_online(plan, session, weights, inputs, rng, wait_layer=None) -> list:
         with tracer.span("online.layer", cat="online", layer=gate, op=kind):
             if kind == "linear_rescale":
                 acts = [
-                    matmul_rescale_via_service(
-                        session, a, weights[wi], plan.fx, mode=plan.trunc_mode, rng=rng
-                    )
+                    matmul_rescale_via_service(session, a, weights[wi], plan.fx, rng=rng)
                     for a in acts
                 ]
             elif kind == "linear":
@@ -307,7 +305,6 @@ class InferenceDaemon:
         self.service = service
         self.party = service.party
         self.cfg = cfg or DaemonConfig()
-        # Rescales truncate in plan_graph's default mode, "exact".
         self.plan = plan_graph(graph, bits=service.tuning.ring_bits, fx=fx)
         self.weights = list(weights)
         _servable_ops(self.plan, self.weights)  # fail here, not on request 0

@@ -1,7 +1,7 @@
 """Thread-safe typed correlation pools with refill bookkeeping.
 
 A pool buffers one kind of correlation (sender COTs, receiver COTs,
-bit triples, shape-keyed matrix triples, truncation pairs) produced by
+bit triples, shape-keyed matrix triples) produced by
 the background provisioning service and consumed by concurrent
 sessions.  The crucial design point
 is that a correlation is only useful if *both* parties consume the same
@@ -38,7 +38,6 @@ import numpy as np
 
 from repro.errors import PoolClosed, PoolTimeout, ServiceError
 from repro.mpc.triples import BitTriples, MatrixTriples
-from repro.mpc.truncation import TruncPairs
 from repro.obs.trace import NULL_TRACER
 from repro.ot.cot import CotReceiverBatch, CotSenderBatch
 
@@ -463,35 +462,6 @@ class TriplePool(CorrelationPool):
     def take(self, lo: int, n: int, timeout: float = None):
         a, b, c = self.take_columns(lo, n, timeout)
         return BitTriples(a, b, c)
-
-
-class TruncPairPool(CorrelationPool):
-    """Fixed-point truncation pairs (r, r >> frac) for one frac width.
-
-    One pool item is one pair of mod-2^bits shares; pools are keyed by
-    the fractional width (``tprc/{frac}``) because a pair only rescales
-    by its own shift amount, while ``bits`` is fixed service-wide like
-    every other arithmetic pool.  Same absolute-index reserve/take and
-    produce-target semantics as MTRI; the ``TPRC`` recipe
-    produces batches from forward-direction COTs plus pooled bit
-    triples (the two millionaires' comparisons inside generation).
-    """
-
-    def __init__(self, name: str, bits: int, frac_bits: int, **kwargs):
-        super().__init__(name, n_columns=2, **kwargs)
-        self.bits = bits
-        self.frac_bits = frac_bits
-
-    @staticmethod
-    def key_for(frac_bits: int) -> str:
-        return f"tprc/{frac_bits}"
-
-    def append(self, pairs) -> None:
-        self.append_columns((pairs.r, pairs.s))
-
-    def take(self, lo: int, n: int, timeout: float = None):
-        r, s = self.take_columns(lo, n, timeout)
-        return TruncPairs(r, s, self.bits, self.frac_bits)
 
 
 class MatrixTriplePool(CorrelationPool):

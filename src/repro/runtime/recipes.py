@@ -17,7 +17,9 @@ plus its generator and its pool class; a verb consumes it by naming it
 in its ``*_draws`` list.
 
 :data:`RECIPES` is in scheduling priority order: extends first (the
-only source of raw COTs), then derived production.
+only source of raw COTs), then derived production.  Every derived
+recipe's inputs are raw-COT pools, so a starved derived kind is fed by
+one extend and never by other derived production.
 """
 
 from __future__ import annotations
@@ -28,18 +30,12 @@ from typing import Callable, NamedTuple
 
 from repro.mpc.matmul import MatmulDims, generate_matrix_triples, matmul_cots
 from repro.mpc.triples import generate_bit_triples
-from repro.mpc.truncation import (
-    generate_trunc_pairs,
-    trunc_pair_bit_triples,
-    trunc_pair_cots,
-)
 from repro.ot.cot import CotPool
 from repro.runtime.pool import (
     MatrixTriplePool,
     ReceiverCotPool,
     SenderCotPool,
     TriplePool,
-    TruncPairPool,
 )
 
 #: Pools filled by absolute produce targets (plans, prefills) and by
@@ -86,7 +82,7 @@ class Command(NamedTuple):
     """One production command, as scheduled, framed and replayed."""
 
     recipe: Recipe
-    key: tuple = ()  # target pool key: (m, k, n), (frac,) or ()
+    key: tuple = ()  # target pool key: (m, k, n) or ()
     n: int = 0  # items to produce
     offsets: tuple = ()  # absolute start of each input's reserved range
 
@@ -125,20 +121,12 @@ def _bit_triples(svc, ch, pool, cmd, fwd, rev):
 
 def _matrix_triple(svc, ch, pool, cmd, cots):
     """Forward COTs only: party 0 is the Ferret -- and therefore Gilboa
-    -- sender for both cross terms, the role TPRC runs too.  A fixed
-    direction keeps every matrix triple's COT charge a plan constant."""
+    -- sender for both cross terms, the role truncation runs too.  A
+    fixed direction keeps every matrix triple's COT charge a plan
+    constant."""
     return generate_matrix_triples(
         ch, MatmulDims(*cmd.key), pool.bits, CotPool.of(cots), svc._rng,
         party=svc.party, ot_sender=0, tweak_base=cmd.offsets[0],
-    )
-
-
-def _trunc_pairs(svc, ch, pool, cmd, cots, triples):
-    """Party 0 is the millionaires'/Gilboa OT sender (the forward COT
-    direction), the same roles exact online truncation runs."""
-    return generate_trunc_pairs(
-        ch, cmd.n, pool.bits, pool.frac_bits, CotPool.of(cots), triples, svc._rng,
-        party=svc.party, tweak_base=cmd.offsets[0],
     )
 
 
@@ -172,24 +160,7 @@ MTRI = Recipe(
     cap=lambda t: 1,
     produce=_matrix_triple,
 )
-#: Derived-of-derived: pairs consume forward COTs *and* pooled bit
-#: triples.  A deficit up to ``tprc_chunk`` pairs runs as ONE command
-#: when stock allows, so pair production pays the millionaires'/B2A
-#: opening rounds once per batch.
-TPRC = Recipe(
-    op=b"TPRC", layout="nkoo", kind="tprc", label="truncation-pair", tag="prov/tprc",
-    key_for=TruncPairPool.key_for,
-    pool=lambda svc, name, frac: TruncPairPool(
-        name, svc.tuning.ring_bits, frac, **_PLAN_DRIVEN
-    ),
-    inputs=lambda bits, frac: (
-        ("cot/fwd", trunc_pair_cots(bits, frac)),
-        ("tri", trunc_pair_bit_triples(bits, frac)),
-    ),
-    cap=lambda t: t.tprc_chunk,
-    produce=_trunc_pairs,
-)
-RECIPES = (EXT0, EXT1, TRI, MTRI, TPRC)
+RECIPES = (EXT0, EXT1, TRI, MTRI)
 BY_OP = {recipe.op: recipe for recipe in RECIPES}
 BY_KIND = {recipe.kind: recipe for recipe in RECIPES}
 
@@ -198,14 +169,13 @@ def expand(requests, bits: int) -> dict:
     """Pool name -> items production adds to serve ``requests``.
 
     ``requests`` are ``(recipe, pool key, count)`` draws; the walk
-    charges each to its pool and, through the recipes' ``inputs``, every
-    item the derived production behind it consumes -- the bit triples a
-    truncation pair eats, and at the bottom the raw COTs of each
-    direction -- in the order the walk first meets each pool.
+    charges each to its pool and, through the recipes' ``inputs``, the
+    raw COTs of each direction the derived production behind it
+    consumes, in the order the walk first meets each pool.
     """
     out = {}
     work = list(requests)
-    for recipe, key, count in work:  # grows while walking: derived-of-derived
+    for recipe, key, count in work:  # grows while walking: a draw's inputs
         name = recipe.pool_name(*key)
         out[name] = out.get(name, 0) + count
         work.extend((BY_KIND[src], (), count * per) for src, per in recipe.inputs(bits, *key))

@@ -40,9 +40,9 @@ the only sources of truth.
 
 **Liveness.**  The leader only schedules derived production over
 ranges that are already produced (``try_reserve_produced``), and a kind
-whose inputs are short gets a batch of that input's own recipe -- at
-the bottom an extend -- scheduled in its place, so the worker never
-blocks waiting on production that the worker itself would have to run.
+whose raw-COT inputs are short gets that direction's extend scheduled in
+its place, so the worker never blocks waiting on production that the
+worker itself would have to run.
 Consumer draws may over-reserve freely; the resulting negative pool
 level is exactly the demand signal the leader tops up.
 """
@@ -113,15 +113,12 @@ class ServiceTuning:
     Ferret config at service construction (keep about one extend's
     output in flight).
     ``ring_bits`` fixes the ring Z_2^bits of every arithmetic
-    correlation (matrix triples, truncation pairs) the service produces
-    -- both parties must agree, and preprocessing plans must be computed
-    at the same width.
-    ``tprc_chunk`` caps how many pairs one TPRC command makes: pair
-    generation pays its millionaires'/B2A message rounds once per
-    command, so a deep deficit runs as few, large commands.
+    correlation (matrix triples) the service produces -- both parties
+    must agree, and preprocessing plans must be computed at the same
+    width.
     ``enable_reverse`` builds the reverse-direction Ferret endpoint;
-    without it, a kind that consumes reverse COTs (bit triples, and
-    truncation pairs through them) fails on first use.
+    without it, a kind that consumes reverse COTs (bit triples) fails on
+    first use.
     ``shards`` moves raw-COT production into that many producer
     *process pairs* (see :mod:`repro.runtime.shard`); 1 keeps today's
     in-thread extends byte-identically.  Derived ``None`` COT
@@ -137,7 +134,6 @@ class ServiceTuning:
     triple_chunk: int = 1024
     ring_bits: int = 32
     rtri_chunk: int = 256  # unread; benchmarks/ledger/fixture.py is its only writer
-    tprc_chunk: int = 512
     enable_reverse: bool = True
     enable_rots: bool = True  # unread; benchmarks/ledger/fixture.py is its only writer
     take_timeout_s: float = 300.0
@@ -533,8 +529,7 @@ class CorrelationService:
 
     def pool(self, kind: str, key: tuple = ()):
         """The pool a ``(pool kind, key)`` request names, made on first
-        use: ``pool("tri")``, ``pool("mtri", (m, k, n))``,
-        ``pool("tprc", (frac_bits,))``."""
+        use: ``pool("tri")``, ``pool("mtri", (m, k, n))``."""
         recipe = BY_KIND.get(kind)
         if recipe is None or bool(key) != (recipe.key_for is not None):
             raise ServiceError(f"unknown pool kind {kind!r} (key {key!r})")
@@ -545,7 +540,7 @@ class CorrelationService:
         created on first use.
 
         A raw-COT pool exists when its Ferret endpoint does.  A derived
-        pool first ensures its inputs, so a kind whose inputs reach a
+        pool first ensures its raw-COT inputs, so a kind that needs a
         missing endpoint fails here, when something first asks for it.
         Creation is local and idempotent, so sessions, plans and the
         command replay can each ensure a pool exists on their side
@@ -560,7 +555,7 @@ class CorrelationService:
                 raise ServiceError(f"no {recipe.label} production (enable_reverse=False)")
             for src, _ in recipe.inputs(self.tuning.ring_bits, *key):
                 source = BY_KIND[src]
-                if source.direction is not None and self._endpoint(source.direction) is None:
+                if self._endpoint(source.direction) is None:
                     raise ServiceError(
                         f"{recipe.label} production needs {source.label} production"
                     )
@@ -588,9 +583,9 @@ class CorrelationService:
         """Run the preprocessing phase: block until every pool in
         ``targets`` holds that many items past this party's position.
 
-        ``targets`` maps pool name (``mtri/...`` / ``tprc/...`` pools
-        are made on first use) to the number of items the online phase
-        will draw.  The targets expand through the recipes' inputs
+        ``targets`` maps pool name (``mtri/...`` pools are made on first
+        use) to the number of items the online phase will draw.  The
+        targets expand through the recipes' inputs
         (:func:`repro.runtime.recipes.expand`) into absolute produce
         targets at this party's position plus the expanded count: the
         leader's position is a pool's ``reserved`` count, the follower's
@@ -999,36 +994,33 @@ class CorrelationService:
         holds the allocation lock), or ``None`` when nothing can run.
 
         Inputs are reserved only over ranges that are *already
-        produced*, so the worker never deadlocks on its own output.  A
-        pool whose inputs cannot cover a single item is starved: the
-        command becomes a batch of the short input's own recipe --
-        bit triples for a truncation pair, and at the bottom of every
-        chain an extend (sharded: a nudge to the shard fleet to keep
-        one extend of that direction in flight, and ``None`` so the
-        loop sleeps on ``_wake`` until the merger lands a batch).  Raw
-        COTs are checked before derived inputs, and of two short COT
-        directions the lower level is extended first, ties going to the
-        first listed (forward).
+        produced*, so the worker never deadlocks on its own output.
+        Every derived recipe's inputs are raw-COT pools, so a pool whose
+        inputs cannot cover a single item is starved on a direction: the
+        command becomes that direction's extend (sharded: a nudge to the
+        shard fleet to keep one extend of that direction in flight, and
+        ``None`` so the loop sleeps on ``_wake`` until the merger lands
+        a batch).  Of two short directions the lower level is extended
+        first, ties going to the first listed (forward).
         """
         recipe = pool.recipe
         inputs = recipe.inputs(self.tuning.ring_bits, *pool.key)
-        if not inputs:
-            if self._shard_mgr is None:
-                return Command(recipe)
-            self._shard_mgr.request_extend(recipe.direction)
-            return None
-        want = max(1, min(want, recipe.cap(self.tuning)))
-        sources = [(self.pools[src], per) for src, per in inputs]
-        n = min(want, *(src.level // per for src, per in sources))
-        if n <= 0:
-            short = [(src, per) for src, per in sources if src.level < per]
+        if inputs:
+            want = max(1, min(want, recipe.cap(self.tuning)))
+            sources = [(self.pools[src], per) for src, per in inputs]
+            n = min(want, *(src.level // per for src, per in sources))
+            if n > 0:
+                offsets = tuple(src.try_reserve_produced(n * per) for src, per in sources)
+                return Command(recipe, pool.key, n, offsets)
             # min() keeps the first listed among equals.
-            src, per = min(
-                short, key=lambda sp: (sp[0].recipe.direction is None, sp[0].level)
-            )
-            return self._schedule(src, max(want * per - src.level, 1))
-        offsets = tuple(src.try_reserve_produced(n * per) for src, per in sources)
-        return Command(recipe, pool.key, n, offsets)
+            recipe = min(
+                (src for src, per in sources if src.level < per),
+                key=lambda src: src.level,
+            ).recipe
+        if self._shard_mgr is None:
+            return Command(recipe)
+        self._shard_mgr.request_extend(recipe.direction)
+        return None
 
     def _execute(self, cmd: Command) -> None:
         """Run one command -- take its inputs at the commanded offsets,

@@ -8,7 +8,7 @@ module shards the *raw* COT streams (``cot/fwd``, ``cot/rev``) across
 0 speaks to shard i of party 1 over its own socket and turns Ferret
 extends around independently of every other shard -- true multi-core
 scaling, since each worker is a separate interpreter.  Derived
-production (bit/matrix triples, truncation pairs) stays in
+production (bit and matrix triples) stays in
 the parent service worker and consumes the merged pools exactly as
 before.
 

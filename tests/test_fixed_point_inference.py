@@ -1,7 +1,7 @@
 """End-to-end quantized fixed-point inference through the provisioning
 service: plan -> prefill -> online 3-layer MLP with per-layer secure
 rescaling, bit-exact against a plaintext fixed-point oracle, plus the
-pooled truncation-pair (tprc) production path."""
+truncation verb's byte model and the planner's Rescale pricing."""
 
 import numpy as np
 import pytest
@@ -14,13 +14,9 @@ from repro.mpc.sharing import from_signed, share_arith_nd
 from repro.mpc.triples import ring_mask_u64
 from repro.mpc.truncation import (
     FixedPointConfig,
+    trunc_bytes,
     trunc_draws,
-    trunc_pair_bit_triples,
-    trunc_pair_cots,
-    trunc_online_bytes,
-    trunc_online_messages,
-    trunc_preproc_bytes,
-    trunc_preproc_messages,
+    trunc_messages,
     trunc_via_service,
 )
 from repro.ot.channel import LocalChannel
@@ -35,7 +31,6 @@ MASK = ring_mask_u64(BITS)
 TUNING = ServiceTuning(
     ring_bits=BITS,
     triple_low=256, triple_high=1024, triple_chunk=512,
-    tprc_chunk=512,
 )
 
 M, K, H1, H2, OUT = 4, 12, 6, 5, 3
@@ -123,7 +118,7 @@ class TestQuantizedInference:
         plan = planned_run["plan"]
         rescale_demands = [d for name, d in plan.per_layer if name == "rescale"]
         assert len(rescale_demands) == 2
-        d1 = CorrelationDemand().add(trunc_draws(M * H1, FX, "exact"))
+        d1 = CorrelationDemand().add(trunc_draws(M * H1, FX))
         assert rescale_demands[0].draws == d1.draws
         assert set(d1.as_pool_targets()) == {"cot/fwd", "tri"}
         assert plan.demand.unplanned == {}
@@ -186,135 +181,56 @@ class TestUnfusedReference:
         assert draws["fused"] == draws["unfused"] and draws["fused"]
 
 
-class TestTruncPairPool:
-    """The tprc pool kind: TPRC production, draws, and byte model."""
+class TestTruncationService:
+    """The truncation verb on a service: byte model and the pools it
+    needs."""
 
-    def test_drawn_pairs_reconstruct_exactly(self, services):
-        svc0, svc1, _, _ = services
-
-        def draw(svc):
-            return lambda: svc.session("tprc-d").draw(trunc_draws(9, FX, "pair"))[0][0]
-
-        p0, p1 = run_both(draw(svc0), draw(svc1), ctx=(svc0.error, svc1.error))
-        r = (p0.r + p1.r) & MASK
-        s = (p0.s + p1.s) & MASK
-        assert np.array_equal(s, r >> np.uint64(FX.frac_bits))
-        assert svc0.session_draws[f"tprc/{FX.frac_bits}"] >= 9
-
-    def test_pair_mode_trunc_via_service(self, services):
-        svc0, svc1, _, _ = services
-        gen = np.random.default_rng(4)
-        vals = from_signed(
-            gen.integers(-(1 << FX.mag_bits) + 1, 1 << FX.mag_bits, 10), BITS
-        ).astype(np.uint64)
-        x0, x1 = share_arith_nd(vals, gen, bits=BITS)
-        z0, z1 = run_both(
-            lambda: trunc_via_service(svc0.session("tprc-t"), x0, FX, mode="pair"),
-            lambda: trunc_via_service(svc1.session("tprc-t"), x1, FX, mode="pair"),
-            ctx=(svc0.error, svc1.error),
-        )
-        diff = FX.to_signed(((z0 + z1) - FX.trunc_reference(vals)) & MASK)
-        wrap = 1 << (BITS - FX.frac_bits)
-        # Probabilistic contract: floor or floor+1, except the rare
-        # (2^(mag+1-bits)) mask-wrap event worth 2^(bits-f).
-        assert np.all(np.isin(diff, [0, 1, -wrap, 1 - wrap])), diff
-
-    def test_tprc_production_bytes_match_model(self, services):
-        """One prefilled TPRC batch moves exactly trunc_preproc_bytes
-        (plus the known per-message mux tag framing) over the prov/tprc
-        sub-channel -- measured per-tag, both ends."""
-        svc0, svc1, mux0, mux1 = services
-        n = 11
-        pool = svc0.pool("tprc", (FX.frac_bits,))
-        svc1.pool("tprc", (FX.frac_bits,))
-        stock = {
-            "cot/fwd": n * trunc_pair_cots(BITS, FX.frac_bits) + 512,
-            "tri": n * trunc_pair_bit_triples(BITS, FX.frac_bits) + 256,
-        }
-        ctx = (svc0.error, svc1.error)
-        run_both(lambda: svc0.prefill(stock, 240.0),
-                 lambda: svc1.prefill(stock, 240.0), ctx=ctx)
-
-        def tag_bytes():
-            total = 0
-            for mux in (mux0, mux1):
-                stats = mux.stats_by_tag().get("prov/tprc")
-                total += stats.bytes_sent if stats else 0
-            return total
-
-        before = tag_bytes()
-        run_both(
-            lambda: svc0.prefill({pool.name: pool.level + n}, 240.0),
-            lambda: svc1.prefill({pool.name: n}, 240.0),
-            ctx=ctx,
-        )
-        framing = (2 + len(b"prov/tprc")) * trunc_preproc_messages(FX)
-        assert tag_bytes() - before == trunc_preproc_bytes(n, FX) + framing
-
-    @pytest.mark.parametrize("mode,n_offsets", [("exact", 2), ("pair", 1)])
-    def test_online_trunc_session_bytes_match_model(self, services, mode, n_offsets):
+    def test_online_trunc_session_bytes_match_model(self, services):
         """Online truncation over a dedicated session sub-channel moves
-        exactly trunc_online_bytes plus the leader's ONE allocation
-        message (an offset per drawn pool) and the per-message mux
+        exactly trunc_bytes plus the leader's ONE allocation message (an
+        offset per drawn pool: cot/fwd and tri) and the per-message mux
         framing."""
         svc0, svc1, mux0, mux1 = services
-        name = f"bytes-{mode}"
+        name = "trunc-bytes"
         tag = f"sess/{name}".encode()
         gen = np.random.default_rng(8)
         n = 6
         vals = from_signed(gen.integers(-200, 200, n), BITS).astype(np.uint64)
         x0, x1 = share_arith_nd(vals, gen, bits=BITS)
         run_both(
-            lambda: trunc_via_service(svc0.session(name), x0, FX, mode=mode),
-            lambda: trunc_via_service(svc1.session(name), x1, FX, mode=mode),
+            lambda: trunc_via_service(svc0.session(name), x0, FX),
+            lambda: trunc_via_service(svc1.session(name), x1, FX),
             ctx=(svc0.error, svc1.error),
         )
         measured = sum(
             mux.stats_by_tag()[tag.decode()].bytes_sent for mux in (mux0, mux1)
         )
-        assert n_offsets == len(trunc_draws(n, FX, mode))
-        messages = trunc_online_messages(FX, mode) + 1
+        n_offsets = len(trunc_draws(n, FX))
+        assert n_offsets == 2
+        messages = trunc_messages(FX) + 1
         expect = (
-            trunc_online_bytes(n, FX, mode)
+            trunc_bytes(n, FX)
             + 8 * n_offsets  # party 0's pool-offset announcement
             + (2 + len(tag)) * messages
         )
         assert measured == expect
 
-    def test_trunc_pool_requires_bit_triples(self):
-        """Pairs consume bit triples, which consume reverse COTs: a
-        forward-only service refuses the pool when it is first asked
-        for, naming the missing production."""
+    def test_forward_only_refuses_truncation(self):
+        """Truncation draws bit triples, which consume reverse COTs: a
+        forward-only service refuses the ``tri`` pool when it is first
+        asked for, naming the missing production, before any draw."""
         base_a, _ = LocalChannel.pair()
         mux0 = MuxChannel(base_a)
         svc = CorrelationService(0, mux0, CFG, ServiceTuning(enable_reverse=False))
         with pytest.raises(ServiceError, match="reverse-COT"):
-            svc.pool("tprc", (4,))
+            svc.session("fwd-only").draw(trunc_draws(4, FX))
         assert set(svc.pools) == {"cot/fwd"}
         mux0.close()
 
 
-class TestPlannerPairMode:
-    """Pair-mode planning: Rescale layers become tprc pool targets."""
-
-    def test_pair_mode_targets_and_total_cots(self):
-        g = Graph("pair", (2, 3))
-        g.add(Linear(4))
-        g.add(Rescale())
-        plan = plan_graph(g, bits=BITS, fx=FX, trunc_mode="pair")
-        targets = plan.pool_targets()
-        assert targets[f"tprc/{FX.frac_bits}"] == 8
-        assert "tri" not in targets
-        # The plan table renders the pair demand, not an all-zero row.
-        rescale_row = next(r for r in plan.summary_rows() if r[0] == "rescale")
-        assert rescale_row[-1] == f"{FX.frac_bits}: 8"
-        # total_cots charges the pair's COTs plus its generation triples.
-        pair_only = plan_graph(g, bits=BITS, fx=FX, trunc_mode="pair")
-        exact = plan_graph(g, bits=BITS, fx=FX, trunc_mode="exact")
-        assert pair_only.demand.total_cots(BITS) > 0
-        assert exact.pool_targets()["cot/fwd"] == 8 * trunc_pair_cots(BITS, FX.frac_bits)
-        # Exact mode runs the pair's own shift protocol online.
-        assert exact.demand.total_cots(BITS) == pair_only.demand.total_cots(BITS)
+class TestPlannerRescale:
+    """Planning Rescale layers: priced with a FixedPointConfig, an
+    honest gap without one."""
 
     def test_rescale_without_fx_is_an_honest_gap(self):
         g = Graph("gap", (2, 3))

@@ -156,7 +156,7 @@ def test_online_verbs_under_a_tiny_switch_interval():
             session = pairs[idx][p].session("hammer")
             rng = np.random.default_rng(100 * idx + p)
             relu, _ = relu_via_service(session, ArithmeticShares(shares[p][idx], 16), rng)
-            trunc = trunc_via_service(session, shares[p][idx], FX, "exact", rng)
+            trunc = trunc_via_service(session, shares[p][idx], FX, rng)
             outputs[idx, p] = (relu.values.astype(np.uint64), trunc)
         except BaseException as exc:  # noqa: BLE001 - reported by the assert below
             errors.append((idx, p, exc))

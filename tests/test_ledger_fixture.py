@@ -18,9 +18,7 @@ from repro.runtime.recipes import BY_KIND, expand  # noqa: E402
 def test_fixture_builds_and_plans_on_recipe_kinds():
     fixture.service_tuning()
     fixture.ferret_config()
-    plan = plan_graph(
-        fixture.build_model(1).graph, bits=16, fx=fixture.FX, trunc_mode="exact"
-    )
+    plan = plan_graph(fixture.build_model(1).graph, bits=16, fx=fixture.FX)
     kinds = {kind for kind, _ in plan.demand.draws}
     assert kinds and kinds <= set(BY_KIND)
     # Per request: the 37 152 COTs of the ring-triple B2A, less its 192

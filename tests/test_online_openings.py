@@ -15,11 +15,9 @@ from repro.mpc.triples import (
     gilboa_receive_stream,
     gilboa_send,
 )
-from repro.mpc.truncation import FixedPointConfig, dealer_trunc_pairs, truncate_pair_online
 from repro.ot.testing import fake_cots
 
 N, BITS = 5, 16
-CFG = FixedPointConfig(BITS, 4, 9)
 
 
 def ring(count):
@@ -30,11 +28,6 @@ def and_site(count):
     t0, _ = dealer_bit_triples(N, np.random.default_rng(0))
     zeros = np.zeros(N, np.uint8)
     and_shared(ScriptedChannel([packed_bits(count)]), t0, zeros, zeros, party=0)
-
-
-def trunc_pair_site(count):
-    p0, _ = dealer_trunc_pairs(N, BITS, CFG.frac_bits, np.random.default_rng(0))
-    truncate_pair_online(ScriptedChannel([ring(count)]), np.zeros(N, np.uint64), p0, CFG, 0)
 
 
 def gilboa_send_site(count):
@@ -62,7 +55,6 @@ def gilboa_stream_site(count):
 #: (site, the element count an honest peer sends).
 SITES = {
     "and_shared": (and_site, 2 * N),
-    "truncate_pair_online": (trunc_pair_site, N),
     "gilboa_send": (gilboa_send_site, N),
     "gilboa_receive": (gilboa_site, N),
     "gilboa_receive_stream": (gilboa_stream_site, N),

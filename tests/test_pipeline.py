@@ -1,24 +1,16 @@
 """Pipelined layer-by-layer prefill: overlap, prefills that leave no
-refill pressure behind, plan exactness under pipelining, the fused
-matmul+rescale session verb, and chunk-fused TPRC production."""
+refill pressure behind, plan exactness under pipelining, and the fused
+matmul+rescale session verb."""
 
 import numpy as np
 import pytest
 from parties import run_both, start_service_pair
 
-from repro.errors import ParameterError
 from repro.ferret.config import FerretConfig
 from repro.mpc.matmul import matmul_rescale_via_service, matmul_via_service
 from repro.mpc.sharing import from_signed, share_arith_nd
 from repro.mpc.triples import ring_mask_u64
-from repro.mpc.truncation import (
-    FixedPointConfig,
-    trunc_draws,
-    trunc_pair_bit_triples,
-    trunc_pair_cots,
-    trunc_preproc_messages,
-    trunc_via_service,
-)
+from repro.mpc.truncation import FixedPointConfig, trunc_via_service
 from repro.ppml.layers import Activation, Graph, Linear, Rescale
 from repro.ppml.plan import plan_graph
 from repro.runtime import InferenceDaemon, ServiceTuning, run_online
@@ -81,13 +73,6 @@ class TestPoolProduceTargets:
         assert pool.produce_target == 10
 
 
-def pair_pool(svc0, svc1) -> str:
-    """Both parties' ``tprc`` pool for FX (plan-driven, like every keyed
-    pool); returns its kind."""
-    svc1.pool("tprc", (FX.frac_bits,))
-    return svc0.pool("tprc", (FX.frac_bits,)).name
-
-
 def small_shares(gen, shape):
     return share_arith_nd(from_signed(gen.integers(-4, 4, shape), BITS), gen, bits=BITS)
 
@@ -101,8 +86,8 @@ class TestOneShotPrefill:
         none on a derived pool) and every target is met, so no refill
         pressure is left behind on either party."""
         svc0, svc1, _, _ = services
-        tprc = pair_pool(svc0, svc1)
-        # Shapes no other test here draws: TestPipelinedPrefill pins
+        # Shapes no other test here draws (a keyed pool is made before
+        # a prefill names it): TestPipelinedPrefill pins
         # that its last matrix triple was never produced before it.
         g = Graph("NoPressure", (2, K))
         for layer in (Linear(4), Rescale(), Activation("relu"), Linear(3)):
@@ -121,10 +106,12 @@ class TestOneShotPrefill:
                     assert pool.watermarks == built, (way, svc.party, kind)
                     assert pool.produce_target <= pool.produced, (way, svc.party, kind)
 
-        targets = {"tri": 600, tprc: 12}
+        mtri = svc0.pool("mtri", (3, 5, 2)).name
+        svc1.pool("mtri", (3, 5, 2))
+        targets = {"tri": 600, mtri: 2}
         run_both(lambda: svc0.prefill(targets, 180.0),
                  lambda: svc1.prefill(targets, 180.0), ctx=ctx)
-        assert svc0.pools["tri"].level >= 600 and svc0.pools[tprc].level >= 12
+        assert svc0.pools["tri"].level >= 600 and svc0.pools[mtri].level >= 2
         assert_no_pressure("service.prefill")
 
         run_both(lambda: plan.prefill(svc0, 180.0),
@@ -313,40 +300,16 @@ class TestFusedMatmulRescale:
         y_sh = share_arith_nd(from_signed(y, BITS), gen, bits=BITS)
         z0, z1 = run_both(
             lambda: matmul_rescale_via_service(
-                svc0.session("fuse-x"), x_sh[0], y_sh[0], FX, mode="exact"
+                svc0.session("fuse-x"), x_sh[0], y_sh[0], FX
             ),
             lambda: matmul_rescale_via_service(
-                svc1.session("fuse-x"), x_sh[1], y_sh[1], FX, mode="exact"
+                svc1.session("fuse-x"), x_sh[1], y_sh[1], FX
             ),
             ctx=(svc0.error, svc1.error),
         )
         expect = ((x @ y) >> FX.frac_bits).astype(np.int64)
         expect = (expect & int(MASK)).astype(np.uint64)
         assert np.array_equal((z0 + z1) & MASK, expect)
-
-    def test_pair_mode_within_contract(self, services):
-        svc0, svc1, _, _ = services
-        gen = np.random.default_rng(6)
-        x = gen.integers(-4, 4, (2, 6))
-        y = gen.integers(-2, 2, (6, 3))
-        x_sh = share_arith_nd(from_signed(x, BITS), gen, bits=BITS)
-        y_sh = share_arith_nd(from_signed(y, BITS), gen, bits=BITS)
-        z0, z1 = run_both(
-            lambda: matmul_rescale_via_service(
-                svc0.session("fuse-p"), x_sh[0], y_sh[0], FX, mode="pair"
-            ),
-            lambda: matmul_rescale_via_service(
-                svc1.session("fuse-p"), x_sh[1], y_sh[1], FX, mode="pair"
-            ),
-            ctx=(svc0.error, svc1.error),
-        )
-        got = (z0 + z1) & MASK
-        ref = FX.trunc_reference(
-            ((x @ y).astype(np.int64) & int(MASK)).astype(np.uint64).reshape(-1)
-        ).reshape(got.shape)
-        diff = FX.to_signed((got - ref) & MASK)
-        wrap = 1 << (BITS - FX.frac_bits)
-        assert np.all(np.isin(diff, [0, 1, -wrap, 1 - wrap])), diff
 
     def test_one_allocation_round_trip(self, services):
         """Every verb announces ALL its pool offsets in one message,
@@ -373,10 +336,10 @@ class TestFusedMatmulRescale:
         )
         f0, f1 = run_both(
             lambda: matmul_rescale_via_service(
-                svc0.session("cnt-fused"), x_sh[0], y_sh[0], FX, mode="exact"
+                svc0.session("cnt-fused"), x_sh[0], y_sh[0], FX
             ),
             lambda: matmul_rescale_via_service(
-                svc1.session("cnt-fused"), x_sh[1], y_sh[1], FX, mode="exact"
+                svc1.session("cnt-fused"), x_sh[1], y_sh[1], FX
             ),
             ctx=(svc0.error, svc1.error),
         )
@@ -385,69 +348,3 @@ class TestFusedMatmulRescale:
         fused = stats["sess/cnt-fused"].messages_sent
         assert fused == unfused_msgs - 1, (fused, unfused_msgs)
         assert np.array_equal((f0 + f1) & MASK, (u0 + u1) & MASK)
-
-    def test_unknown_mode_rejected(self, services):
-        svc0, _, _, _ = services
-        shares = np.zeros((2, 2), dtype=np.uint64)
-        with pytest.raises(ParameterError, match="unknown truncation mode"):
-            matmul_rescale_via_service(
-                svc0.session("fuse-bad"), shares, shares, FX, mode="nope"
-            )
-
-
-class TestBatchedTprcProduction:
-    """``tprc_chunk`` is the most pairs one TPRC command makes: 16 pairs
-    with stocked inputs run as 16 / ``tprc_chunk`` commands, and every
-    command pays the millionaires'/B2A message rounds once."""
-
-    N = 16
-
-    def run_deficit(self, chunk: int) -> int:
-        """TPRC messages moved producing ``N`` pairs at a ``chunk`` cap."""
-        n = self.N
-        tuning = ServiceTuning(ring_bits=BITS, triple_chunk=512, tprc_chunk=chunk)
-        svc0, svc1, mux0, mux1 = start_service_pair(CFG, tuning, seed=0x7A7)
-        try:
-            pool = svc0.pool("tprc", (FX.frac_bits,))
-            svc1.pool("tprc", (FX.frac_bits,))
-            stock = {
-                "cot/fwd": n * trunc_pair_cots(BITS, FX.frac_bits) + 512,
-                "tri": n * trunc_pair_bit_triples(BITS, FX.frac_bits) + 64,
-            }
-            ctx = (svc0.error, svc1.error)
-            run_both(lambda: svc0.prefill(stock, 240.0),
-                     lambda: svc1.prefill(stock, 240.0), ctx=ctx)
-            def tprc_messages():
-                total = 0
-                for mux in (mux0, mux1):
-                    stats = mux.stats_by_tag().get("prov/tprc")
-                    total += stats.messages_sent if stats else 0
-                return total
-
-            before_msgs = tprc_messages()
-            run_both(
-                lambda: svc0.prefill({pool.name: pool.level + n}, 240.0),
-                lambda: svc1.prefill({pool.name: n}, 240.0),
-                ctx=ctx,
-            )
-            moved = tprc_messages() - before_msgs
-            # And the pairs are real: both parties' shares reconstruct.
-            p0, p1 = run_both(
-                lambda: svc0.session("tb").draw(trunc_draws(n, FX, "pair"))[0][0],
-                lambda: svc1.session("tb").draw(trunc_draws(n, FX, "pair"))[0][0],
-                ctx=ctx,
-            )
-            r = (p0.r + p1.r) & MASK
-            assert np.array_equal(
-                (p0.s + p1.s) & MASK, r >> np.uint64(FX.frac_bits)
-            )
-            return moved
-        finally:
-            svc0.stop(), svc1.stop()
-            mux0.close(), mux1.close()
-
-    def test_deep_deficit_fused_into_one_command(self):
-        assert self.run_deficit(self.N) == trunc_preproc_messages(FX)
-
-    def test_deep_deficit_split_at_the_chunk_cap(self):
-        assert self.run_deficit(self.N // 4) == 4 * trunc_preproc_messages(FX)

@@ -6,7 +6,7 @@ from repro.errors import ParameterError
 from repro.mpc.compare import cots_needed, triples_needed
 from repro.mpc.matmul import matmul_draws
 from repro.mpc.relu import relu_draws
-from repro.mpc.truncation import FixedPointConfig
+from repro.mpc.truncation import FixedPointConfig, trunc_draws
 from repro.ppml.layers import Activation, Conv2d, Graph, Linear, MaxPool2d, Rescale
 from repro.ppml.models import resnet18
 from repro.ppml.plan import CorrelationDemand, plan_graph
@@ -106,7 +106,6 @@ class TestPlanAggregation:
         assert targets["tri"] == triples_needed(n_relu, BITS - 1)
         assert targets["mtri/4x16x8"] == 1
         assert targets["mtri/4x8x4"] == 1
-        assert "tprc/4" not in targets  # nothing demanded none planned
 
     def test_mul_and_matmul_demand_helpers(self):
         d = CorrelationDemand().add(matmul_draws(2, 3, 4), times=5)
@@ -116,9 +115,11 @@ class TestPlanAggregation:
     def test_total_cots_accounts_derived_production(self):
         d = CorrelationDemand().add([
             ("cot/fwd", (), 10), ("cot/rev", (), 20), ("tri", (), 5),
-            ("tprc", (4,), 3), ("mtri", (2, 3, 4), 2),
+            *trunc_draws(3, FixedPointConfig(bits=16, frac_bits=4)),
+            ("mtri", (2, 3, 4), 2),
         ])
-        # A 16-bit tprc/4 pair: 16 + 4 + 2 forward COTs and 26 + 4 bit triples.
+        # A 16-bit truncation by 4 bits: 16 + 4 + 2 forward COTs and
+        # 26 + 4 bit triples per element.
         expect = 10 + 20 + 5 * 2 + 3 * (22 + 30 * 2) + 2 * (2 * 3 + 3 * 4) * 16
         assert d.total_cots(ring_bits=16) == expect
 
@@ -135,15 +136,13 @@ class TestRealModels:
         assert f"mtri/{112 * 112}x147x64" in targets
         assert len(plan.summary_rows()) == 1 + len(plan.per_layer)
 
-    @pytest.mark.parametrize("mode", ["pair", "exact"])
-    def test_summary_rows_show_every_kind_the_plan_draws(self, mode):
+    def test_summary_rows_show_every_kind_the_plan_draws(self):
         """The printed table has a column for every pool kind in
-        ``pool_targets()`` -- the tprc pairs of a pair-mode Rescale
-        included -- and each layer's cell shows its count."""
+        ``pool_targets()`` and each layer's cell shows its count."""
         g = tiny_mlp()
         g.add(Rescale())
         fx = FixedPointConfig(bits=BITS, frac_bits=4, mag_bits=9)
-        plan = plan_graph(g, bits=BITS, fx=fx, trunc_mode=mode)
+        plan = plan_graph(g, bits=BITS, fx=fx)
         header, *rows = plan.summary_rows()
         def column_of(pool_name):  # "mtri/4x16x8" sits under "mtri"
             (column,) = [

@@ -62,15 +62,15 @@ class TestPooledArithmeticTriples:
         both parties -- the follower's wait cannot be satisfied by
         historical production alone."""
         svc0, svc1 = services
-        kind = svc0.pool("tprc", (4,)).name
-        svc1.pool("tprc", (4,))
+        kind = svc0.pool("tri").name
+        svc1.pool("tri")
         targets = {kind: 15}
         ctx = (svc0.error, svc1.error)
         run_both(lambda: svc0.prefill(targets, 120.0),
                  lambda: svc1.prefill(targets, 120.0), ctx=ctx)
         run_both(
-            lambda: svc0.session("pre-again").draw([("tprc", (4,), 15)]),
-            lambda: svc1.session("pre-again").draw([("tprc", (4,), 15)]),
+            lambda: svc0.session("pre-again").draw([("tri", (), 15)]),
+            lambda: svc1.session("pre-again").draw([("tri", (), 15)]),
             ctx=ctx,
         )
         drawn_after_consume = svc1.pools[kind].stats.items_drawn

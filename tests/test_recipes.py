@@ -27,7 +27,7 @@ from repro.runtime import CorrelationService, MuxChannel, ServiceTuning
 from repro.runtime.recipes import BY_KIND, RECIPES, Command, expand
 
 CFG = FerretConfig.small(scale=1024, arity=4, prg_kind="chacha8")  # 1008 COTs/extend
-MTRI_KEY, TPRC_KEY = (2, 3, 2), (8,)  # 384 COTs/triple; 42 COTs + 68 bit triples/pair
+MTRI_KEY = (2, 3, 2)  # 384 COTs/triple
 
 
 def service_pair(tuning):
@@ -39,7 +39,6 @@ def service_pair(tuning):
     ]
     for svc in services:
         svc.pool("mtri", MTRI_KEY)
-        svc.pool("tprc", TPRC_KEY)
     return services, muxes
 
 
@@ -75,23 +74,27 @@ def service_pair(tuning):
 #: ``watermarks`` runs ``EXT0 EXT1 TRI TRI TRI MTRI MTRI EXT0 MTRI TPRC
 #: ...``, where stock had sent the three triples to whichever direction
 #: was richer.
+#: Re-pinned when truncation pairs went: the TPRC recipe and
+#: ``tprc_chunk`` are gone, so ``tprc/8`` left the produce targets and
+#: no command feeds a derived kind from another derived kind.  Both
+#: digests are the parent tree's streams of these scenarios with only
+#: the ``tprc/8`` target removed, reproduced byte for byte: 10 frames
+#: each, ``EXT0 EXT1 TRI TRI TRI MTRI MTRI EXT0 MTRI STOP``.
 GOLDEN = {
     "watermarks": (
-        dict(triple_chunk=96, tprc_chunk=8),
-        10,
-        "44a0d25e45383ebc30259c5b89a022ffb157b268d9297f0494d5ce84b4952c60",
+        dict(triple_chunk=96),
+        "628cecb0d36d469c2ec121470d3b76119b31348b8632849628475e71c6136ef0",
     ),
     "starved": (
-        dict(cot_low=0, cot_high=0, triple_chunk=80, tprc_chunk=1),
-        30,
-        "a39257bb479f030a70ed6d6dad159a3175b1872fa069f88eb0a800476b0756a9",
+        dict(cot_low=0, cot_high=0, triple_chunk=80),
+        "9c9489937f0a0016027413d1976c13dc6cca29c6bad4408939a332e546c2615c",
     ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN))
 def test_command_stream_matches_golden_transcript(case):
-    knobs, trunc_pairs, digest = GOLDEN[case]
+    knobs, digest = GOLDEN[case]
     tuning = ServiceTuning(ring_bits=32, **knobs)
     (leader, follower), muxes = service_pair(tuning)
     frames = []
@@ -102,7 +105,7 @@ def test_command_stream_matches_golden_transcript(case):
         send(data)
 
     leader._ctl.send_bytes = recording_send
-    leader.raise_produce_targets({"tri": 200, "mtri/2x3x2": 3, "tprc/8": trunc_pairs})
+    leader.raise_produce_targets({"tri": 200, "mtri/2x3x2": 3})
     try:
         for svc in (leader, follower):
             svc.start()
@@ -125,10 +128,10 @@ def test_command_stream_matches_golden_transcript(case):
         sha.update(frame)
     ops = " ".join(frame[:4].rstrip(b"\x00").decode() for frame in frames)
     assert sha.hexdigest() == digest, f"{len(frames)} frames: {ops}"
-    assert follower.pools["tprc/8"].produced == trunc_pairs
+    assert follower.pools["mtri/2x3x2"].produced == 3
 
 
-# -- the scheduler's two tie rules, state by state -------------------------------
+# -- the scheduler's tie rule, state by state -------------------------------------
 def stock(pool, n):
     """Append ``n`` zero items in the pool's own column layout."""
     if pool.name.startswith("cot/"):
@@ -148,17 +151,15 @@ def stock(pool, n):
         ({"cot/fwd": 5, "cot/rev": 0}, "tri", (b"EXT1", 0, 0, 0)),
         # ...and with both stocked the batch itself runs, cut to stock.
         ({"cot/fwd": 1, "cot/rev": 40}, "tri", (b"TRI\x00", 1, 0, 0)),
-        # Raw COTs short AND bit triples short: the extend goes first,
-        # though a 30-triple batch could run.
-        ({"cot/fwd": 30, "cot/rev": 50, "tri": 10}, "tprc/8", (b"EXT0", 0, 0, 0)),
-        # Only bit triples short: one TRI batch for the missing 70, cut
-        # to the 50 COTs per direction in stock.
-        ({"cot/fwd": 50, "cot/rev": 50, "tri": 10}, "tprc/8", (b"TRI\x00", 50, 0, 0)),
+        # A matrix triple short of its 384 forward COTs extends forward,
+        # whatever the reverse stock.
+        ({"cot/fwd": 100, "cot/rev": 0}, "mtri/2x3x2", (b"EXT0", 0, 0, 0)),
     ],
 )
 def test_starved_kind_schedules_its_short_input(levels, wanted, frame):
     tuning = ServiceTuning(cot_low=0, cot_high=0)
     (leader, _), muxes = service_pair(tuning)
+    leader.pool("tri")
     for kind, n in levels.items():
         stock(leader.pools[kind], n)
     leader.pools[wanted].raise_produce_target(1)
@@ -171,23 +172,32 @@ def test_starved_kind_schedules_its_short_input(levels, wanted, frame):
 def test_every_recipe_kind_has_a_consumer():
     """A pool exists because something draws it: every kind of the
     table is another recipe's input or drawn by an online verb."""
-    keys = {"mtri": MTRI_KEY, "tprc": TPRC_KEY}
+    keys = {"mtri": MTRI_KEY}
     inputs = {
         src for recipe in RECIPES
         for src, _ in recipe.inputs(32, *keys.get(recipe.kind, ()))
     }
     draws = [
-        *trunc_draws(3, FX, "exact"), *trunc_draws(3, FX, "pair"),
-        *relu_draws(3, 16), *matmul_draws(2, 3, 2), *max_draws(3, 16),
+        *trunc_draws(3, FX), *relu_draws(3, 16), *matmul_draws(2, 3, 2),
+        *max_draws(3, 16),
     ]
     assert set(BY_KIND) - inputs - {kind for kind, _, _ in draws} == set()
+
+
+def test_derived_inputs_are_raw_cot_pools():
+    """The scheduler feeds a starved derived kind with one extend, never
+    with other derived production: every input is an extend's pool."""
+    keys = {"mtri": MTRI_KEY}
+    for recipe in RECIPES:
+        for src, _ in recipe.inputs(32, *keys.get(recipe.kind, ())):
+            assert BY_KIND[src].direction is not None, (recipe.name, src)
 
 
 @pytest.mark.parametrize("recipe", RECIPES, ids=lambda recipe: recipe.name)
 def test_stale_command_takes_inputs_times_n_at_frame_offsets(recipe):
     """A degraded follower consumes exactly what the leader's command
     reserved: per input, ``n x per-item`` items at the frame's offset."""
-    key = {"mtri": MTRI_KEY, "tprc": TPRC_KEY}.get(recipe.kind, ())
+    key = {"mtri": MTRI_KEY}.get(recipe.kind, ())
     n = 3 if "n" in recipe.layout else 1
     inputs = recipe.inputs(32, *key)
     (_, follower), muxes = service_pair(ServiceTuning(ring_bits=32))
@@ -209,9 +219,10 @@ def test_stale_command_takes_inputs_times_n_at_frame_offsets(recipe):
 
 
 #: Ops the ledger still has rows for but the table no longer runs: the
-#: rows read 0.  RTRI (ring triples) went with the Beaver B2A; its rows
-#: leave with the next change to the benchmark, and this set with them.
-RETIRED_OPS = {"RTRI"}
+#: rows read 0.  RTRI (ring triples) went with the Beaver B2A, TPRC
+#: (truncation pairs) with pair-mode truncation; their rows leave with
+#: the next change to the benchmark, and this set with them.
+RETIRED_OPS = {"RTRI", "TPRC"}
 
 
 def test_every_ledger_produce_row_names_a_recipe():
@@ -246,46 +257,34 @@ def both(n):
 
 
 #: The raw COTs a layer's derived production reserves (``internal``)
-#: and the pool production its draws need (``produce``: the draws plus
-#: the bit triples TPRC eats), as the hand-kept formulas of commit
-#: 29417b5 returned them, with the bit
+#: and the pool production its draws need (``produce``), as the
+#: hand-kept formulas of commit 29417b5 returned them, with the bit
 #: triples of the log-depth comparison (``2(l-1) - popcount(l-1)`` per
 #: element): 25 for a 15-bit ReLU / MaxPool comparison (was 30), 26 + 4
-#: for a 16-bit Rescale's wrap and 4-bit borrow comparisons or one
-#: ``tprc/4`` pair (was 40).  A bit triple costs one COT each way.
-#: Exact mode consumes what a pair costs to make: ``n (16 + 4 + 2)``
-#: forward COTs (the two comparisons and a 2-bit Gilboa B2A) and the
-#: same 30 n bit triples, so its total IS pair mode's.
+#: for a 16-bit Rescale's wrap and 4-bit borrow comparisons (was 40).
+#: A bit triple costs one COT each way.  A Rescale of n elements draws
+#: ``n (16 + 4 + 2)`` forward COTs (the two comparisons and a 2-bit
+#: Gilboa B2A) and 30 n bit triples, what the retired truncation pairs
+#: cost to make, so the totals recorded in pair mode still hold.
 #: A matrix triple's ``matmul_cots`` are charged to ``cot/fwd`` only
 #: (it always draws forward COTs; the planner used to charge both
 #: directions because stock picked one at runtime).  The totals do not
 #: move: they already charged the first, forward, direction.
 #: :func:`expand` is one walk returning both parts summed.
-MLP_TOTAL_COTS = 8560
 PLAN_GOLDEN = [
     (
-        quantized_mlp, "pair",
-        [{"cot/fwd": 1920}, {"cot/fwd": 1248, "cot/rev": 720}, both(600),
-         {"cot/fwd": 864}, {"cot/fwd": 1040, "cot/rev": 600}, {"cot/fwd": 560}],
-        [{"mtri/4x12x6": 1}, {"tprc/4": 24, "tri": 720},
-         {"cot/fwd": 384, "cot/rev": 24, "tri": 600}, {"mtri/4x6x5": 1},
-         {"tprc/4": 20, "tri": 600}, {"mtri/4x5x3": 1}],
-        MLP_TOTAL_COTS,
-    ),
-    (
-        quantized_mlp, "exact",
+        quantized_mlp,
         [{"cot/fwd": 1920}, both(720), both(600), {"cot/fwd": 864}, both(600),
          {"cot/fwd": 560}],
         [{"mtri/4x12x6": 1}, {"cot/fwd": 528, "tri": 720},
          {"cot/fwd": 384, "cot/rev": 24, "tri": 600}, {"mtri/4x6x5": 1},
          {"cot/fwd": 440, "tri": 600}, {"mtri/4x5x3": 1}],
-        MLP_TOTAL_COTS,
+        8560,
     ),
     (
-        conv_block, "pair",
-        [{"cot/fwd": 39168}, {"cot/fwd": 26624, "cot/rev": 15360}, both(12800),
-         both(9600)],
-        [{"mtri/64x18x4": 2}, {"tprc/4": 512, "tri": 15360},
+        conv_block,
+        [{"cot/fwd": 39168}, both(15360), both(12800), both(9600)],
+        [{"mtri/64x18x4": 2}, {"cot/fwd": 11264, "tri": 15360},
          {"cot/fwd": 8192, "cot/rev": 512, "tri": 12800},
          {"cot/fwd": 6144, "cot/rev": 384, "tri": 9600}],
         141184,
@@ -294,14 +293,13 @@ PLAN_GOLDEN = [
 
 
 @pytest.mark.parametrize(
-    "model, mode, internal, produce, total", PLAN_GOLDEN,
-    ids=["mlp-pair", "mlp-exact", "conv-pair"],
+    "model, internal, produce, total", PLAN_GOLDEN, ids=["mlp-exact", "conv-exact"],
 )
-def test_planner_counts_from_recipes_match_recorded(model, mode, internal, produce, total):
+def test_planner_counts_from_recipes_match_recorded(model, internal, produce, total):
     graph, layers = model()
     for layer in layers:
         graph.add(layer)
-    plan = plan_graph(graph, bits=16, fx=FX, trunc_mode=mode)
+    plan = plan_graph(graph, bits=16, fx=FX)
     demands = [demand for _, demand in plan.per_layer]
     assert [Counter(expand(d.drawn(), 16)) for d in demands] == [
         Counter(i) + Counter(p) for i, p in zip(internal, produce)

@@ -277,7 +277,7 @@ class TestPoolsOnFirstUse:
         graph = Graph("FirstUse", (2, 6))
         for layer in (Linear(4), Rescale(), Activation("relu")):
             graph.add(layer)
-        plan = plan_graph(graph, bits=16, fx=fx, trunc_mode="pair")
+        plan = plan_graph(graph, bits=16, fx=fx)
         draws = [(kind, key, count) for (kind, key), count in plan.demand.draws.items()]
 
         def job(session, party):
@@ -286,7 +286,7 @@ class TestPoolsOnFirstUse:
 
         try:
             run_sessions(svc0, svc1, [("plan", job)])
-            assert {"mtri/2x6x4", "tprc/4", "tri"} <= set(svc0.pools)
+            assert {"mtri/2x6x4", "tri"} <= set(svc0.pools)
             assert svc0.pools.keys() == svc1.pools.keys()
             assert svc0.resume_state()["pools"].keys() == svc1.resume_state()["pools"].keys()
         finally:

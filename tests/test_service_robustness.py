@@ -228,19 +228,19 @@ def test_pools_created_while_worker_exits_all_end_closed():
 
 def test_concurrent_first_use_makes_each_pool_once():
     """Threads asking for derived pools at once -- each request first
-    ensuring the ``tri`` pool it is made of -- all get the one pool
+    ensuring the raw-COT pools it is made of -- all get the one pool
     object per name: no creation is doubled or lost."""
     import sys
 
     base_a, _ = LocalChannel.pair()
     mux0 = MuxChannel(base_a)
     svc0 = CorrelationService(0, mux0, CFG, TUNING)
-    fracs = range(1, 9)
+    shapes = [(m, 2, 2) for m in range(1, 9)]
     seen = [[] for _ in range(8)]
 
     def create(lane):
-        for frac in fracs:
-            seen[lane].append(svc0.pool("tprc", (frac,)))
+        for shape in shapes:
+            seen[lane].append(svc0.pool("mtri", shape))
         seen[lane].append(svc0.pool("tri"))
 
     threads = [threading.Thread(target=create, args=(lane,)) for lane in range(8)]
@@ -255,7 +255,7 @@ def test_concurrent_first_use_makes_each_pool_once():
         sys.setswitchinterval(interval)
         mux0.close()
     assert not any(thread.is_alive() for thread in threads)
-    expect = [svc0.pools[f"tprc/{frac}"] for frac in fracs] + [svc0.pools["tri"]]
+    expect = [svc0.pools[f"mtri/{m}x2x2"] for m, _, _ in shapes] + [svc0.pools["tri"]]
     assert len(svc0.pools) == len(expect) + 2  # + cot/fwd, cot/rev
     for lane in seen:
         assert all(got is want for got, want in zip(lane, expect, strict=True))

@@ -1,24 +1,17 @@
-"""Secure fixed-point truncation: property sweeps across ring widths,
-pair generation, and exact byte-model validation."""
+"""Secure fixed-point truncation: property sweeps across ring widths
+and exact byte-model validation."""
 
 import numpy as np
 import pytest
 
-from repro.errors import ParameterError, ProtocolError
+from repro.errors import ParameterError
 from repro.mpc.triples import dealer_bit_triples, ring_mask_u64
 from repro.mpc.truncation import (
     FixedPointConfig,
-    TruncPairs,
-    dealer_trunc_pairs,
-    generate_trunc_pairs,
     millionaire_bytes,
+    trunc_bytes,
     trunc_draws,
-    trunc_online_bytes,
-    trunc_online_messages,
-    trunc_pair_bit_triples,
-    trunc_pair_cots,
-    trunc_preproc_bytes,
-    truncate_pair_online,
+    trunc_messages,
     truncate_shares,
 )
 from repro.ot.channel import run_pair
@@ -51,11 +44,12 @@ def share_values(values, bits, rng):
 def run_truncate(values, cfg, seed=0):
     """Full two-party exact truncation on exactly the correlations
     ``trunc_draws`` lists; returns the reconstruction and both parties'
-    wire stats.  Asserts every drawn COT and bit triple is consumed."""
+    wire stats.  Asserts every drawn COT and bit triple is consumed, so
+    each call pins the protocol's exact correlation use."""
     rng = np.random.default_rng(seed)
     n = values.shape[0]
     x0, x1 = share_values(values, cfg.bits, rng)
-    (_, _, n_cots), (_, _, n_tri) = trunc_draws(n, cfg, "exact")
+    (_, _, n_cots), (_, _, n_tri) = trunc_draws(n, cfg)
     sender, receiver = fake_cots(n_cots, seed=seed + 1)
     t0, t1 = dealer_bit_triples(n_tri, rng)
     pool0, pool1 = CotPool(sender=sender), CotPool(receiver=receiver)
@@ -116,134 +110,27 @@ class TestExactSweep:
             assert np.array_equal(got, cfg.trunc_reference(values)), seed
 
 
-class TestPairMode:
-    """Probabilistic pair truncation: within {0, +1} of floor(x/2^f)
-    given mag_bits headroom (failure probability 2^(mag+1-bits))."""
-
-    @pytest.mark.parametrize(
-        "bits,frac,mag", [(32, 8, 12), (32, 4, 10), (64, 12, 24)],
-        ids=lambda p: str(p),
-    )
-    def test_pair_truncation_within_contract(self, bits, frac, mag):
-        cfg = FixedPointConfig(bits, frac, mag)
-        rng = np.random.default_rng(bits + frac + mag)
-        signed = rng.integers(-(1 << mag) + 1, 1 << mag, 64)
-        values = signed.astype(np.int64).astype(np.uint64) & cfg.mask
-        x0, x1 = share_values(values, bits, rng)
-        p0, p1 = dealer_trunc_pairs(values.shape[0], bits, frac, rng)
-        z0, z1, _, _ = run_pair(
-            lambda ch: truncate_pair_online(ch, x0, p0, cfg, 0),
-            lambda ch: truncate_pair_online(ch, x1, p1, cfg, 1),
-        )
-        diff = cfg.to_signed(
-            ((z0 + z1) - cfg.trunc_reference(values)) & cfg.mask
-        )
-        assert np.all((diff >= 0) & (diff <= 1)), diff
-
-    def test_pair_mode_requires_headroom_config(self):
-        cfg = FixedPointConfig(32, 8)  # no mag_bits
-        p0, _ = dealer_trunc_pairs(4, 32, 8, np.random.default_rng(0))
-        with pytest.raises(ParameterError, match="mag_bits"):
-            truncate_pair_online(None, np.zeros(4, dtype=np.uint64), p0, cfg, 0)
-
-    def test_mismatched_pairs_rejected(self):
-        cfg = FixedPointConfig(32, 8, 12)
-        p0, _ = dealer_trunc_pairs(4, 32, 4, np.random.default_rng(0))
-        with pytest.raises(ProtocolError):
-            truncate_pair_online(None, np.zeros(4, dtype=np.uint64), p0, cfg, 0)
-        with pytest.raises(ProtocolError):
-            truncate_pair_online(
-                None, np.zeros(7, dtype=np.uint64),
-                TruncPairs(p0.r, p0.s, 32, 8), cfg, 0,
-            )
-
-
-class TestPairGeneration:
-    """Two-party (r, r >> f) generation: the shifted shares sum exactly."""
-
-    @pytest.mark.parametrize("bits,frac", [(16, 4), (32, 8), (64, 12)],
-                             ids=lambda p: str(p))
-    def test_generated_pairs_reconstruct_exactly(self, bits, frac):
-        n = 12
-        rng = np.random.default_rng(bits + frac)
-        sender, receiver = fake_cots(n * trunc_pair_cots(bits, frac), seed=frac)
-        t0, t1 = dealer_bit_triples(n * trunc_pair_bit_triples(bits, frac), rng)
-        p0, p1, st0, st1 = run_pair(
-            lambda ch: generate_trunc_pairs(
-                ch, n, bits, frac, CotPool(sender=sender), t0,
-                np.random.default_rng(1), party=0,
-            ),
-            lambda ch: generate_trunc_pairs(
-                ch, n, bits, frac, CotPool(receiver=receiver), t1,
-                np.random.default_rng(2), party=1,
-            ),
-            timeout=600.0,
-        )
-        mask = ring_mask_u64(bits)
-        r = (p0.r + p1.r) & mask
-        s = (p0.s + p1.s) & mask
-        assert np.array_equal(s, r >> np.uint64(frac))
-        cfg = FixedPointConfig(bits, frac)
-        assert st0.bytes_sent + st1.bytes_sent == trunc_preproc_bytes(n, cfg)
-
-    def test_generation_consumes_exact_correlation_counts(self):
-        bits, frac, n = 16, 4, 5
-        rng = np.random.default_rng(9)
-        sender, receiver = fake_cots(n * trunc_pair_cots(bits, frac) + 64)
-        t0, t1 = dealer_bit_triples(n * trunc_pair_bit_triples(bits, frac) + 64, rng)
-        pool0, pool1 = CotPool(sender=sender), CotPool(receiver=receiver)
-        run_pair(
-            lambda ch: generate_trunc_pairs(
-                ch, n, bits, frac, pool0, t0, np.random.default_rng(1), 0
-            ),
-            lambda ch: generate_trunc_pairs(
-                ch, n, bits, frac, pool1, t1, np.random.default_rng(2), 1
-            ),
-        )
-        assert pool0.size - pool0.remaining == n * trunc_pair_cots(bits, frac)
-        assert len(t0) == 64  # leftover = what we over-provisioned
-
-
 class TestByteModels:
     """Measured wire bytes equal the analytical predictors exactly."""
 
     def test_online_bytes_match_model(self):
-        """Exact online truncation costs what one pair batch costs, on
-        the wire byte for byte and message for message."""
+        """Truncation moves what the model predicts, on the wire byte
+        for byte and message for message."""
         cfg = FixedPointConfig(16, 4)
         rng = np.random.default_rng(3)
         values = full_ring_values(16, rng, n_random=9)
         n = values.shape[0]
         _, st0, st1 = run_truncate(values, cfg, seed=5)
         measured = st0.bytes_sent + st1.bytes_sent
-        assert measured == trunc_online_bytes(n, cfg, "exact")
-        assert measured == trunc_preproc_bytes(n, cfg)
+        assert measured == trunc_bytes(n, cfg)
         messages = st0.messages_sent + st1.messages_sent
-        assert messages == trunc_online_messages(cfg, "exact")
-
-    def test_pair_online_bytes_match_model(self):
-        cfg = FixedPointConfig(32, 8, 12)
-        rng = np.random.default_rng(4)
-        values = rng.integers(0, 1 << 12, 21).astype(np.uint64)
-        x0, x1 = share_values(values, 32, rng)
-        p0, p1 = dealer_trunc_pairs(21, 32, 8, rng)
-        _, _, st0, st1 = run_pair(
-            lambda ch: truncate_pair_online(ch, x0, p0, cfg, 0),
-            lambda ch: truncate_pair_online(ch, x1, p1, cfg, 1),
-        )
-        assert st0.bytes_sent + st1.bytes_sent == trunc_online_bytes(21, cfg, "pair")
+        assert messages == trunc_messages(cfg)
 
     def test_millionaire_bytes_helper_composition(self):
         """The online model decomposes into two comparisons + one Gilboa
         B2A of 2n bits -- the shape the documentation claims."""
         cfg = FixedPointConfig(32, 8)
         n = 10
-        assert trunc_online_bytes(n, cfg, "exact") == (
+        assert trunc_bytes(n, cfg) == (
             millionaire_bytes(n, 32) + millionaire_bytes(n, 8) + (8 + 3) + 2 * n * 8
         )
-        assert trunc_online_bytes(n, cfg, "pair") == 16 * n
-
-    def test_unknown_mode_rejected(self):
-        for mode in ("nope", "wrap"):  # wrap-fixed mode is gone
-            with pytest.raises(ParameterError):
-                trunc_online_bytes(4, FixedPointConfig(16, 4), mode)

@@ -1,6 +1,5 @@
 """What an online verb consumes is declared once, in its ``*_draws``
-list: on a live service pair every verb, in every truncation mode,
-draws exactly that list, the planner prices exactly that list, and the
+list: on a live service pair every verb draws exactly that list, the planner prices exactly that list, and the
 whole list costs one allocation message."""
 
 from collections import Counter
@@ -50,7 +49,7 @@ def shares(party, *shape):
     return np.random.default_rng(party).integers(0, 1 << BITS, shape, dtype=np.uint64)
 
 
-def setup(verb, mode, shape):
+def setup(verb, shape):
     """``(draw list, (input shape, layers) of the one-verb graph,
     run(session, party))``."""
     if verb in ("relu", "max"):
@@ -72,8 +71,8 @@ def setup(verb, mode, shape):
     if verb == "trunc":
         (n,) = shape
         return (
-            trunc_draws(n, FX, mode), ((n,), [Rescale()]),
-            lambda s, p: trunc_via_service(s, shares(p, n), FX, mode),
+            trunc_draws(n, FX), ((n,), [Rescale()]),
+            lambda s, p: trunc_via_service(s, shares(p, n), FX),
         )
     m, k, n = shape
     if verb == "matmul":
@@ -82,28 +81,19 @@ def setup(verb, mode, shape):
             lambda s, p: matmul_via_service(s, shares(p, m, k), shares(p, k, n)),
         )
     return (
-        matmul_draws(m, k, n) + trunc_draws(m * n, FX, mode),
+        matmul_draws(m, k, n) + trunc_draws(m * n, FX),
         ((m, k), [Linear(n), Rescale()]),
-        lambda s, p: matmul_rescale_via_service(
-            s, shares(p, m, k), shares(p, k, n), FX, mode
-        ),
+        lambda s, p: matmul_rescale_via_service(s, shares(p, m, k), shares(p, k, n), FX),
     )
 
 
-MODES = ("pair", "exact")
-
-
-@pytest.mark.parametrize(
-    "verb, mode",
-    [("relu", None), ("max", None), ("matmul", None)]
-    + [(verb, mode) for verb in ("matmul_rescale", "trunc") for mode in MODES],
-)
+@pytest.mark.parametrize("verb", ["relu", "max", "matmul", "matmul_rescale", "trunc"])
 @settings(max_examples=5, deadline=None)
 @given(data=st.data())
-def test_verb_draws_its_list_the_plan_prices_it_one_allocation(services, verb, mode, data):
+def test_verb_draws_its_list_the_plan_prices_it_one_allocation(services, verb, data):
     svc0, svc1 = services
     shape = data.draw(VerbStrategies.shapes(verb))
-    draws, (in_shape, layers), run = setup(verb, mode, shape)
+    draws, (in_shape, layers), run = setup(verb, shape)
     wanted = [(BY_KIND[kind].pool_name(*key), count) for kind, key, count in draws]
     declared = Counter()
     for name, count in wanted:
@@ -112,7 +102,7 @@ def test_verb_draws_its_list_the_plan_prices_it_one_allocation(services, verb, m
     graph = Graph(verb, in_shape)
     for layer in layers:
         graph.add(layer)
-    plan = plan_graph(graph, bits=BITS, fx=FX, trunc_mode=mode or "exact")
+    plan = plan_graph(graph, bits=BITS, fx=FX)
     assert plan.pool_targets() == declared
 
     # The leader's session, with its reserves and sends logged in order.
