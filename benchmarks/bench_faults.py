@@ -5,9 +5,9 @@ The fault-tolerance stack (``FaultyChannel`` -> ``ReconnectingChannel``
 faults inside the retry budget are *invisible* to the protocol: same
 bits, same pool draws, bounded extra latency.  This benchmark proves it
 end to end.  Both scenarios run the same pipelined quantized 3-block
-MLP from ``bench_pipeline`` over real sockets with the full reconnect
-stack; the only difference is the fault schedule armed at prefill
-start:
+MLP (matmul+rescale -> ReLU, twice, then a final matmul) over real
+sockets with the full reconnect stack; the only difference is the fault
+schedule armed at prefill start:
 
 * **clean** -- an empty schedule (it still counts operations: the
   chaos window is derived from those counts, :func:`chaos_window`);
@@ -43,27 +43,30 @@ from pathlib import Path
 
 import numpy as np
 from bench_io import add_bench_args, write_payload, write_trace
-from bench_pipeline import (
-    FX,
-    MASK,
-    PARAMS,
-    RING_BITS,
-    SHAPE,
-    SMOKE_SHAPE,
-    build_model,
-    first_gate,
-    make_shares,
-    online_fn,
-)
 
 from repro.ferret.config import FerretConfig
+from repro.lpn.params import LpnParams
+from repro.mpc.sharing import from_signed, share_arith_nd
+from repro.mpc.triples import ring_mask_u64
+from repro.mpc.truncation import FixedPointConfig
 from repro.ot.channel import SocketChannel, run_concurrently
 from repro.ot.faults import FaultSchedule, FaultStats, FaultyChannel
 from repro.ot.reconnect import ReconnectingChannel
 from repro.ot.retry import RetryPolicy
+from repro.ppml.layers import Activation, Graph, Linear, Rescale
 from repro.ppml.plan import plan_graph
-from repro.runtime import CorrelationService, MuxChannel, ServiceTuning
+from repro.runtime import CorrelationService, MuxChannel, ServiceTuning, compile_ops, run_online
 
+PARAMS = LpnParams("bench-pipe", 1 << 14, 512, 512, 32, 0.0)
+RING_BITS = 16
+FX = FixedPointConfig(bits=RING_BITS, frac_bits=4, mag_bits=9)
+#: The benchmarked MLP: (M x K) @ (K x H1) -> trunc -> ReLU
+#:                        @ (H1 x H2) -> trunc -> ReLU -> @ (H2 x OUT).
+SHAPE = (8, 32, 32, 48, 16)
+#: The CI-sized MLP: still big enough that derived production (not the
+#: first extend) dominates the prefill the faults are injected into.
+SMOKE_SHAPE = (4, 16, 16, 24, 8)
+MASK = ring_mask_u64(RING_BITS)
 JSON_PATH = Path(__file__).resolve().parents[1] / "BENCH_faults.json"
 CHAOS_SEED = 0xFA17
 #: Redial budget per outage: generous attempts, fast capped backoff --
@@ -72,6 +75,50 @@ POLICY = RetryPolicy(
     attempts=10, backoff_s=0.02, backoff_factor=2.0, max_backoff_s=0.5,
     deadline_s=60.0,
 )
+
+
+def build_model(shape) -> Graph:
+    m, k, h1, h2, out = shape
+    g = Graph("PipeMLP", (m, k))
+    g.add(Linear(h1))
+    g.add(Rescale())
+    g.add(Activation("relu"))
+    g.add(Linear(h2))
+    g.add(Rescale())
+    g.add(Activation("relu"))
+    g.add(Linear(out))
+    return g
+
+
+def make_shares(shape, rng):
+    m, k, h1, h2, out = shape
+    x = rng.integers(-8, 8, (m, k))
+    w1 = rng.integers(-3, 3, (k, h1))
+    w2 = rng.integers(-3, 3, (h1, h2))
+    w3 = rng.integers(-3, 3, (h2, out))
+    shares = {
+        key: share_arith_nd(from_signed(mat, RING_BITS), rng, bits=RING_BITS)
+        for key, mat in (("x", x), ("w1", w1), ("w2", w2), ("w3", w3))
+    }
+    h = np.maximum((x @ w1) >> FX.frac_bits, 0)
+    h = np.maximum((h @ w2) >> FX.frac_bits, 0)
+    expect = ((h @ w3).astype(np.int64) & int(MASK)).astype(np.uint64)
+    return shares, expect
+
+
+def online_fn(svc, party, plan, shares, pipe=None):
+    """One party's online phase; gated on the pipeline when given one."""
+    weights = [shares[key][party] for key in ("w1", "w2", "w3")]
+    return lambda: run_online(
+        plan, svc.session("pipe-mlp"), weights, [shares["x"][party]],
+        np.random.default_rng(90 + party),
+        pipe.wait_layer if pipe is not None else None,
+    )[0]
+
+
+def first_gate(plan) -> int:
+    """Plan-layer index the first online op waits for (linear + rescale)."""
+    return compile_ops(plan.graph)[0][1]
 
 
 class FaultySide:

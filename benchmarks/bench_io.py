@@ -19,7 +19,13 @@ def add_bench_args(parser, smoke_help: str, trace: bool = False) -> None:
     """The common benchmark flags: ``--smoke``, ``--json-out``, and
     (when ``trace``) ``--trace-out``."""
     parser.add_argument("--smoke", action="store_true", help=smoke_help)
-    add_json_out_arg(parser)
+    parser.add_argument(
+        "--json-out",
+        type=Path,
+        default=None,
+        help="also write the (smoke) payload to this path, e.g. for the "
+        "CI regression gate",
+    )
     if trace:
         parser.add_argument(
             "--trace-out",
@@ -29,16 +35,6 @@ def add_bench_args(parser, smoke_help: str, trace: bool = False) -> None:
             "Chrome-trace/Perfetto JSON timeline to this path "
             "(open at https://ui.perfetto.dev)",
         )
-
-
-def add_json_out_arg(parser) -> None:
-    parser.add_argument(
-        "--json-out",
-        type=Path,
-        default=None,
-        help="also write the (smoke) payload to this path, e.g. for the "
-        "CI regression gate",
-    )
 
 
 def write_payload(path: Path, payload: dict) -> None:

@@ -1,20 +1,27 @@
 """CI benchmark regression gate: smoke runs vs. the committed baseline.
 
-The committed ``BENCH_*.json`` files record full-scale headline numbers,
-but CI only runs the ``--smoke`` shapes -- so raw times are not
-comparable across scales (or runner hardware).  What IS comparable is
-each benchmark's **warm-path ratio**: how much faster the
-pooled/preprocessed path is than its cold counterpart *at the same
-smoke scale on the same machine*.  Machine speed cancels in the ratio,
-and a dead pool (production silently stalling the warm path) collapses
-it toward 1.
+Four legacy runtime benches still hold a behaviour no perf-ledger
+workload gates yet.  CI runs each at its ``--smoke`` shape, so raw
+times are not comparable across scales (or runner hardware); what IS
+comparable is one **ratio** of two runs at the same smoke scale on the
+same machine, where machine speed cancels:
+
+* ``faults`` -- recovery efficiency, clean e2e / chaos e2e
+  (``bench_faults``: a resume path that limps collapses it);
+* ``obs`` -- traced / untraced warm online time (``bench_obs``: a fixed
+  ceiling, the flight recorder's <= 1.05x contract);
+* ``sharded`` -- 2-shard / 1-shard serve throughput (``bench_sharded``:
+  a stalled merge path collapses it; gated only on >= 4 cores);
+* ``daemon`` -- first-request / steady-state time-to-first-layer-online
+  (``bench_daemon``: a daemon that stopped overlapping request r+1's
+  production with request r collapses it toward 1).
 
 This gate reads the smoke payloads the benchmarks wrote with
-``--json-out``, compares each warm-path metric against the committed
-smoke baseline (``BENCH_smoke_baseline.json``), and fails the job when
-a metric regressed by more than ``--factor`` (default 3x -- tolerant
-enough for CI-runner noise and scheduling jitter, tight enough that a
-dead pool or an accidentally-cold warm path cannot slip through).
+``--json-out``, compares each ratio against the committed smoke
+baseline (``BENCH_smoke_baseline.json``), and fails the job when a
+ratio regressed by more than ``--factor`` (default 3x -- tolerant
+enough for CI-runner noise and scheduling jitter), fell below its
+absolute floor (``FLOORS``) or rose above its ceiling (``CEILINGS``).
 
 Ratios cancel exactly what a cold start costs, so the gate also holds
 one **absolute** budget: the perf ledger's ``ote_stream`` smoke run
@@ -54,11 +61,8 @@ from pathlib import Path
 
 BASELINE_PATH = Path(__file__).resolve().parents[1] / "BENCH_smoke_baseline.json"
 
-#: Bench name -> warm-path ratio extractor over that bench's payload.
+#: Bench name -> ratio extractor over that bench's payload.
 METRICS = {
-    "runtime_service": lambda p: p["amortization_gain"],
-    "preprocessing": lambda p: p["online_speedup_warm_vs_cold"],
-    "pipeline": lambda p: p["ttfo_speedup"],
     "faults": lambda p: p["recovery_efficiency"],
     "obs": lambda p: p["instrumentation_overhead"],
     "sharded": lambda p: p["scaling"]["2"],
@@ -77,9 +81,6 @@ MIN_CORES = {
 
 #: What each metric means, for the failure message.
 DESCRIPTIONS = {
-    "runtime_service": "per-COT amortization gain (1 session vs many)",
-    "preprocessing": "warm-pool vs cold online speedup",
-    "pipeline": "time-to-first-layer-online, all-at-once vs pipelined",
     "faults": "chaos recovery efficiency (clean e2e / faulted e2e)",
     "obs": "enabled-instrumentation overhead (traced / untraced online)",
     "sharded": "2-shard vs 1-shard COT serve throughput ratio",
@@ -89,21 +90,19 @@ DESCRIPTIONS = {
 #: Ceiling metrics: *lower* is better, and the committed baseline value
 #: is a fixed contract rather than a measurement -- the gate fails when
 #: the smoke value exceeds it.  The relative-factor and floor logic
-#: (built for higher-is-better warm-path ratios) does not apply.
+#: (built for higher-is-better ratios) does not apply.
 CEILINGS = {
     # The flight recorder's promise: enabling spans + metrics on a live
     # service costs under 5% of warm online time.
     "obs": 1.05,
 }
 
-#: Absolute floors, enforced independently of the relative factor.  A
-#: completely broken warm path collapses each ratio to ~1.0x, and for
-#: low-baseline metrics baseline/factor can fall below that -- the
-#: relative gate alone would wave the breakage through.  Floors sit
-#: between "dead" (~1.0x) and the low end of healthy smoke runs.
+#: Absolute floors, enforced independently of the relative factor.  For
+#: low-baseline metrics baseline/factor can fall below what a broken
+#: path reads -- the relative gate alone would wave the breakage
+#: through.  Each floor sits between "broken" and the low end of
+#: healthy smoke runs.
 FLOORS = {
-    "preprocessing": 1.2,
-    "pipeline": 1.3,
     # Recovery efficiency sits near 1.0 when redials heal in
     # milliseconds; a resume path that limps through on retry-budget
     # exhaustion collapses it by orders of magnitude.  The bench itself
@@ -278,8 +277,9 @@ def update_baseline(metrics: dict, path: Path) -> None:
     payload = {
         "bench": "smoke_baseline",
         "note": (
-            "warm-path ratio metrics measured at --smoke scale on a healthy "
-            "tree; refreshed via benchmarks/check_regression.py --update"
+            "ratio metrics of the legacy runtime benches (faults, obs, "
+            "sharded, daemon) measured at --smoke scale on a healthy tree; "
+            "refreshed via benchmarks/check_regression.py --update"
         ),
         "metrics": metrics,
     }

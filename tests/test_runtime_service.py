@@ -188,6 +188,43 @@ class TestConcurrentSessions:
         assert service_run["svc1"].extends == svc0.extends
 
 
+def test_one_setup_serves_every_session_and_extend(monkeypatch):
+    """Fig. 1(b)'s amortization, stated exactly: however many sessions
+    and extends a service pair runs, each party mints base COTs once
+    per Ferret endpoint -- four base-COT runs in all."""
+    import repro.ferret.protocol as protocol
+
+    calls = []
+    for name in ("base_cot_send", "base_cot_receive"):
+        def counted(channel, *args, _real=getattr(protocol, name), _name=name):
+            calls.append((_name, id(channel.base)))
+            return _real(channel, *args)
+
+        monkeypatch.setattr(protocol, name, counted)
+    svc0, svc1, mux0, mux1 = start_service_pair(seed=0xA3)
+    # Party 0 sends on the forward link and receives on the reverse one;
+    # party 1 mirrors it.
+    endpoints = [
+        ("base_cot_send", id(mux0.sub("prov/fwd"))),
+        ("base_cot_receive", id(mux0.sub("prov/rev"))),
+        ("base_cot_receive", id(mux1.sub("prov/fwd"))),
+        ("base_cot_send", id(mux1.sub("prov/rev"))),
+    ]
+    per_session = CFG.net_output // 3
+    try:
+        results = run_sessions(svc0, svc1, [
+            (f"cot-{i}", lambda session, party: session.draw([("cot/fwd", (), per_session)])[0][0])
+            for i in range(6)
+        ])
+        assert svc0.extends["fwd"] >= 2
+        assert svc1.extends == svc0.extends
+        assert verify_cot(results[(0, "cot-5")], results[(1, "cot-5")])
+    finally:
+        svc0.stop(), svc1.stop()
+        mux0.close(), mux1.close()
+    assert sorted(calls) == sorted(endpoints)
+
+
 class TestServiceLifecycle:
     def test_follower_stop_first_is_graceful(self):
         """Stopping party 1 before party 0 must not wedge the leader:
