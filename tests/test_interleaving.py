@@ -15,7 +15,10 @@ through the one shared instance and each compares with the reference.
 A third runs the online verbs -- ReLU and exact truncation, whose
 comparisons push one large level-OT batch each through that CRHF --
 on three service pairs at once and checks them against the plaintext
-fixed-point oracle.
+fixed-point oracle.  A fourth does the same for derived production:
+three service pairs make bit triples (``produce.TRI``) and a matrix
+triple (``produce.MTRI``) at once, and every reconstruction must
+satisfy ``c = a AND b`` and ``C = A @ B``.
 """
 
 import hashlib
@@ -137,27 +140,21 @@ VERB_TUNING = ServiceTuning(
     ring_bits=16, triple_chunk=512,
 )
 VERB_ELEMENTS = 24
+#: Two TRI commands per pair (``triple_chunk`` 512), one MTRI.
+DERIVED_DRAWS = [("tri", (), 700), ("mtri", (3, 5, 4), 1)]
 
 
-def test_online_verbs_under_a_tiny_switch_interval():
-    """Three service pairs run ReLU then exact truncation concurrently;
-    every reconstruction must equal the numpy oracle bit for bit."""
+def hammer_service_pairs(body, seeds):
+    """One started service pair per seed; both parties of every pair run
+    ``body(idx, party, svc)`` on their own threads at once under a tiny
+    switch interval.  Returns ``{(idx, party): result}``."""
     cfg = FerretConfig.small(scale=1024, arity=4, prg_kind="chacha8")
-    pairs = [start_service_pair(cfg, VERB_TUNING, seed=0x1E + idx) for idx in range(3)]
-    mask = FX.mask
-    gen = np.random.default_rng(51)
-    values = gen.integers(0, 1 << 16, (len(pairs), VERB_ELEMENTS), dtype=np.uint64)
-    share0 = gen.integers(0, 1 << 16, values.shape, dtype=np.uint64)
-    shares = (share0, (values - share0) & mask)
+    pairs = [start_service_pair(cfg, VERB_TUNING, seed=seed) for seed in seeds]
     outputs, errors, threads = {}, [], []
 
     def party(idx, p):
         try:
-            session = pairs[idx][p].session("hammer")
-            rng = np.random.default_rng(100 * idx + p)
-            relu, _ = relu_via_service(session, ArithmeticShares(shares[p][idx], 16), rng)
-            trunc = trunc_via_service(session, shares[p][idx], FX, rng)
-            outputs[idx, p] = (relu.values.astype(np.uint64), trunc)
+            outputs[idx, p] = body(idx, p, pairs[idx][p])
         except BaseException as exc:  # noqa: BLE001 - reported by the assert below
             errors.append((idx, p, exc))
 
@@ -167,7 +164,7 @@ def test_online_verbs_under_a_tiny_switch_interval():
         for idx in range(len(pairs)):
             for p in (0, 1):
                 threads.append(threading.Thread(
-                    target=party, args=(idx, p), name=f"verbs{idx}-p{p}", daemon=True
+                    target=party, args=(idx, p), name=f"hammer{idx}-p{p}", daemon=True
                 ))
         for thread in threads:
             thread.start()
@@ -180,9 +177,49 @@ def test_online_verbs_under_a_tiny_switch_interval():
             mux0.close(), mux1.close()
     assert not errors, errors
     assert not any(thread.is_alive() for thread in threads)
+    return outputs
+
+
+def test_online_verbs_under_a_tiny_switch_interval():
+    """Three service pairs run ReLU then exact truncation concurrently;
+    every reconstruction must equal the numpy oracle bit for bit."""
+    mask = FX.mask
+    gen = np.random.default_rng(51)
+    values = gen.integers(0, 1 << 16, (3, VERB_ELEMENTS), dtype=np.uint64)
+    share0 = gen.integers(0, 1 << 16, values.shape, dtype=np.uint64)
+    shares = (share0, (values - share0) & mask)
+
+    def body(idx, p, svc):
+        session = svc.session("hammer")
+        rng = np.random.default_rng(100 * idx + p)
+        relu, _ = relu_via_service(session, ArithmeticShares(shares[p][idx], 16), rng)
+        trunc = trunc_via_service(session, shares[p][idx], FX, rng)
+        return relu.values.astype(np.uint64), trunc
+
+    outputs = hammer_service_pairs(body, [0x1E + idx for idx in range(3)])
     signed = FX.to_signed(values)
-    for idx in range(len(pairs)):
+    for idx in range(3):
         (relu0, trunc0), (relu1, trunc1) = outputs[idx, 0], outputs[idx, 1]
         want_relu = np.where(signed[idx] >= 0, values[idx], 0).astype(np.uint64)
         assert np.array_equal((relu0 + relu1) & mask, want_relu)
         assert np.array_equal((trunc0 + trunc1) & mask, FX.trunc_reference(values[idx]))
+
+
+def test_derived_production_under_a_tiny_switch_interval():
+    """Three service pairs prefill bit triples and a matrix triple
+    concurrently, then draw them; every triple must reconstruct."""
+
+    def body(idx, p, svc):
+        targets = {svc.pool(kind, key).name: count for kind, key, count in DERIVED_DRAWS}
+        svc.prefill(targets, 4 * JOIN_TIMEOUT_S)
+        batches, _ = svc.session("derived").draw(DERIVED_DRAWS)
+        return batches
+
+    outputs = hammer_service_pairs(body, [0x2E + idx for idx in range(3)])
+    mask = FX.mask
+    for idx in range(3):
+        (tri0, mtri0), (tri1, mtri1) = outputs[idx, 0], outputs[idx, 1]
+        assert len(tri0) == len(tri1) == DERIVED_DRAWS[0][2]
+        assert np.array_equal(tri0.c ^ tri1.c, (tri0.a ^ tri1.a) & (tri0.b ^ tri1.b))
+        a, b = (mtri0.a + mtri1.a) & mask, (mtri0.b + mtri1.b) & mask
+        assert np.array_equal((mtri0.c + mtri1.c) & mask, (a @ b) & mask)
