@@ -81,7 +81,7 @@ def test_kernel_matrix_triple_pair(benchmark):
 )
 def test_kernel_millionaire(benchmark, bits):
     """Both parties of one comparison over a LocalChannel pair, on dealt
-    COTs and bit triples: one level-OT exchange plus the AND tree."""
+    COTs and bit triples: one digit-OT exchange plus the AND tree."""
     n = 96
     sender, receiver = fake_cots(cots_needed(n, bits), seed=bits)
     gen = np.random.default_rng(bits)

@@ -160,19 +160,23 @@ LEDGER_ONLINE_ROWS = (
 
 
 #: Ceilings on exact per-request counts of that run (host independent).
-#: With every comparison one level-OT exchange of 1-bit lanes plus a
-#: log-depth AND tree, and exact truncation's B2A a Gilboa exchange, a
-#: request's online phase is ~24 094 B, and the link carries ~118 mux
-#: frames (online and production).  The Rescale's 2 x 96 correction bits
-#: cost _bits_msg(192) + 192 x 8 = 1 568 B that way; a Beaver B2A on ring
-#: triples opens 2 x (2 x 192) x 8 = 6 144 B, so 28 692 - 6 144 + 1 568 =
-#: 24 116, less the 8 B pool offset and 13 B of plan announcement the
-#: ring-triple pool cost.  The Beaver form reads 28 692, over the bytes
-#: ceiling (both forms are two online messages).  The bit-serial scan with
-#: 1-bit OT messages in two 16-byte blocks read 145 557 B and 395.3 frames.
+#: With every comparison one digit-OT exchange (4-bit digits, one reply
+#: of 16 two-bit lanes per digit) plus a log-depth AND tree over the
+#: digits, and exact truncation's B2A a Gilboa exchange, a request's
+#: online phase is ~24 250 B, and the link carries ~51 mux frames
+#: (online and production).  The digit replies cost ~+280 B over the
+#: 1-bit-lane bit leaves (24 094 B), less the framing of the 12 tree
+#: openings they save: ~+120 B net.  Bit triples are hashed from COTs
+#: both parties hold, so ``produce.TRI`` sends no frames; with one OT
+#: exchange per direction per triple batch (11 batches a request) the
+#: link read 118.6 frames, over the frames ceiling.  A Beaver B2A on
+#: ring triples opens 2 x (2 x 192) x 8 = 6 144 B where the Gilboa one
+#: sends _bits_msg(192) + 192 x 8 = 1 568 B, over the bytes ceiling.
+#: The bit-serial scan with 1-bit OT messages in two 16-byte blocks read
+#: 145 557 B and 395.3 frames.
 LEDGER_INFER_CEILINGS = {
     "online_bytes_per_req": 26_000,
-    "mux.frames_per_req": 220,
+    "mux.frames_per_req": 80,
 }
 
 
@@ -209,11 +213,12 @@ def check_ledger_infer(path: Path) -> list:
         if not ok:
             failures.append(
                 f"ledger infer_single: {name} = {value}, expected <= {ceiling} -- "
-                "is repro.mpc.compare scanning bits one OT exchange per level "
-                "again, are ot_send_from_cot / ot_receive_from_cot called "
-                "without a payload width (bits=...) so narrow messages travel "
-                "as two 16-byte blocks, or is exact truncation's B2A a Beaver "
-                "opening again (or was the smoke run made without --trace 1)?"
+                "is repro.mpc.compare back to one leaf per bit, do bit triples "
+                "send OT messages again, are ot_send_from_cot / "
+                "ot_receive_from_cot called without a payload width (bits=...) "
+                "so narrow messages travel as two 16-byte blocks, or is exact "
+                "truncation's B2A a Beaver opening again (or was the smoke run "
+                "made without --trace 1)?"
             )
     return failures
 

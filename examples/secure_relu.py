@@ -3,7 +3,8 @@
 
 Two parties hold additive shares of a neuron activation vector.  They
 (1) extend base OTs into COT correlations, (2) burn them in Beaver
-bit-triple generation and per-bit comparison OTs, and (3) evaluate
+bit triples (hashed locally, no messages) and the comparison's
+per-digit OTs, and (3) evaluate
 DReLU + multiplexer -- ending with fresh shares of ReLU(x) while
 neither party learns x.  Note the mux needs OTs in *both* directions:
 the role-switching workload Ironman's unified unit exists for.
@@ -55,10 +56,8 @@ def main():
     tri0_s, tri1_r = make_pools(n_tri, 14)
     tri1_s, tri0_r = make_pools(n_tri, 15)
     rng0, rng1 = np.random.default_rng(1), np.random.default_rng(2)
-    t0, t1, _, _ = run_pair(
-        lambda ch: generate_bit_triples(ch, n_tri, tri0_s, tri0_r, rng0, party=0),
-        lambda ch: generate_bit_triples(ch, n_tri, tri1_s, tri1_r, rng1, party=1),
-    )
+    t0 = generate_bit_triples(n_tri, tri0_s, tri0_r, party=0)
+    t1 = generate_bit_triples(n_tri, tri1_s, tri1_r, party=1)
     print(f"preprocessing: {n_cmp} comparison COTs, {n_tri} bit triples, "
           f"{2 * N} mux COTs (both directions)")
 

@@ -3,34 +3,37 @@
 P0 holds private X, P1 holds private Y (both l-bit vectors); the
 parties end with XOR shares of ``[Y > X]``.  This is the primitive
 under DReLU/ReLU/MaxPool in CrypTFlow2-style frameworks (Section 2.2),
-and it has their shape: one batch of OTs, then a log-depth AND tree.
+and it has their shape: one batch of digit OTs, then a log-depth AND
+tree (Rathee et al., CCS'20).
 
-Per bit level i (l-1 = MSB) the leaf pair is
+Both inputs are cut into ``q = ceil(l/4)`` digits of 4 bits, MSB first
+(the top digit zero-padded).  Per digit position the leaf pair is
 
-    gt_i = t_i = (NOT x_i) AND y_i        eq_i = NOT(x_i XOR y_i)
+    gt_d = [y_d > x_d]        eq_d = [y_d = x_d]
 
-``t_i`` couples one private bit from each party, so it is one
-chosen-message OT with a 1-bit payload; ``eq_i`` is free (P0's share
-``NOT x_i``, P1's ``y_i``).  No leaf depends on another, so all ``l * n``
-level OTs run as ONE OT-from-COT exchange (one correction-bit message,
-one reply of packed 1-bit lanes, one CRHF pass per party), tweaked by
-the contiguous range ``tweak_base + j*n + i`` for the j-th level from
-the top.  The leaves then fold MSB-first with the associative
+and one 1-out-of-16 OT on 4 COTs gives both shares at once: P0 keeps
+a random 2-bit ``(r_gt, r_eq)`` and offers message
+``j -> (r_gt XOR [j > x_d], r_eq XOR [j = x_d])``; P1 selects with its
+digit (:func:`repro.ot.ot_from_cot.ot_n_send_from_cot`).  No leaf depends
+on another, so all ``q * n`` digit OTs run as ONE exchange (one
+correction-bit message, one reply of 16 two-bit lanes per digit, one
+CRHF pass per party) on the contiguous tweaks ``tweak_base + [0,
+4qn)``.  The leaves then fold MSB-first with the associative
 
     (gt, eq)_hi o (gt, eq)_lo = (gt_hi XOR eq_hi*gt_lo, eq_hi*eq_lo)
 
 pairing neighbours level by level (an odd last node passes through), so
-the tree is ``ceil(log2 l)`` deep and every AND of a tree level is one
+the tree is ``ceil(log2 q)`` deep and every AND of a tree level is one
 :func:`and_shared` opening.  The ``eq`` of the rightmost node of every
 level is never read (the root's, and recursively its low child's), so
-its AND is skipped: ``2(l-1) - popcount(l-1)`` triples per element
-(:func:`triples_needed`).  One comparison costs ``2 + 2*ceil(log2 l)``
-messages (:func:`millionaire_messages`), all of them party 0 first
-within a tree level, so a raw socket pair without a pump cannot
-deadlock.  The tree shape and the tweak layout are protocol: both
-parties must run the same version.  The bit-serial scan this replaced
-(one OT exchange and two ANDs per level) is the reference in
-``tests/oracles.py``.
+its AND is skipped: ``2(q-1) - popcount(q-1)`` triples per element
+(:func:`triples_needed`), none at all for ``l <= 4``.  One comparison
+costs ``2 + 2*ceil(log2 q)`` messages (:func:`millionaire_messages`),
+all of them party 0 first within a tree level, so a raw socket pair
+without a pump cannot deadlock.  The digit width (a protocol constant,
+like the tree shape and the tweak layout) must match on both parties.
+The bit-leaf tree this replaced (one 1-bit OT per level, ``l`` leaves)
+is the reference in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -41,13 +44,26 @@ from repro.errors import ParameterError
 from repro.mpc.triples import BitTriples, and_shared
 from repro.ot.channel import Channel
 from repro.ot.cot import CotPool
-from repro.ot.ot_from_cot import ot_receive_from_cot, ot_reply_bytes, ot_send_from_cot
+from repro.ot.ot_from_cot import ot_n_receive_from_cot, ot_n_reply_bytes, ot_n_send_from_cot
+
+# Unused here but bound: benchmarks/ledger/spans.py patches these names
+# in this module.
+from repro.ot.ot_from_cot import ot_receive_from_cot, ot_send_from_cot  # noqa: F401
+
+#: Bits per digit leaf: one 1-out-of-2^DIGIT OT each.
+DIGIT = 4
+_MESSAGES = 1 << DIGIT
+_LANE = 2  # (gt, eq) share bits per message
 
 
-def _tree_widths(bits: int) -> list:
-    """Nodes per element at each AND level of the tree over ``bits``
+def _digit_count(bits: int) -> int:
+    return -(-bits // DIGIT)
+
+
+def _tree_widths(leaves: int) -> list:
+    """Nodes per element at each AND level of the tree over ``leaves``
     leaves (a level of m nodes costs m - 1 ANDs per element)."""
-    widths, m = [], bits
+    widths, m = [], leaves
     while m > 1:
         widths.append(m)
         m = (m + 1) // 2
@@ -56,14 +72,16 @@ def _tree_widths(bits: int) -> list:
 
 def triples_needed(n_elements: int, bits: int) -> int:
     """Beaver bit triples one comparison batch consumes:
-    ``2(l-1) - popcount(l-1)`` per element (every tree level of m nodes
-    costs m - 1 ANDs, and m is even exactly at the set bits of l - 1)."""
-    return (2 * (bits - 1) - bin(bits - 1).count("1")) * n_elements
+    ``2(q-1) - popcount(q-1)`` per element for ``q`` digits (every tree
+    level of m nodes costs m - 1 ANDs, and m is even exactly at the set
+    bits of q - 1)."""
+    q = _digit_count(bits)
+    return (2 * (q - 1) - bin(q - 1).count("1")) * n_elements
 
 
 def cots_needed(n_elements: int, bits: int) -> int:
-    """Base COTs for the level OTs: one per level per element."""
-    return bits * n_elements
+    """Base COTs for the digit OTs: ``DIGIT`` per digit per element."""
+    return DIGIT * _digit_count(bits) * n_elements
 
 
 def _bits_msg(n_bits: int) -> int:
@@ -74,15 +92,15 @@ def _bits_msg(n_bits: int) -> int:
 def millionaire_bytes(n_elements: int, bits: int) -> int:
     """Exact wire bytes (both parties) of one comparison batch.
 
-    The level OTs: the receiver's correction bits and the sender's one
-    reply of packed 1-bit lanes.  Then per tree level of m nodes one
+    The digit OTs: the receiver's correction bits and the sender's one
+    reply of packed 2-bit lanes.  Then per tree level of m nodes one
     opening of ``2(m-1)n`` bits from each party.  Kept beside the
     protocol so a wire-format change here cannot silently strand the
     predictors (the truncation byte models build on this).
     """
-    ots = bits * n_elements
-    total = _bits_msg(ots) + ot_reply_bytes(ots, 1)
-    for m in _tree_widths(bits):
+    digits = _digit_count(bits) * n_elements
+    total = _bits_msg(DIGIT * digits) + ot_n_reply_bytes(digits, _MESSAGES, _LANE)
+    for m in _tree_widths(_digit_count(bits)):
         total += 2 * _bits_msg(2 * (m - 1) * n_elements)
     return total
 
@@ -93,22 +111,25 @@ def millionaire_messages(bits: int) -> int:
     level.  Multiplied by a transport's per-message framing (e.g. the
     mux tag header) this converts :func:`millionaire_bytes` into framed
     predictions."""
-    return 2 + 2 * len(_tree_widths(bits))
+    return 2 + 2 * len(_tree_widths(_digit_count(bits)))
 
 
-def _bit_levels(values: np.ndarray, bits: int) -> np.ndarray:
-    """``(bits, n)`` uint8 bit matrix, row 0 the most significant bit."""
-    positions = np.arange(bits - 1, -1, -1, dtype=np.uint64)
-    return ((values[None, :] >> positions[:, None]) & np.uint64(1)).astype(np.uint8)
+def _digits(values: np.ndarray, bits: int) -> np.ndarray:
+    """``(q, n)`` uint64 digit matrix, row 0 the most significant digit."""
+    shifts = DIGIT * np.arange(_digit_count(bits) - 1, -1, -1, dtype=np.uint64)
+    return (values[None, :] >> shifts[:, None]) & np.uint64(_MESSAGES - 1)
 
 
-def _fold(channel: Channel, triples: BitTriples, gt, eq, party: int) -> np.ndarray:
-    """Fold ``(bits, n)`` leaf shares MSB-first into the share of gt.
+def _fold(channel: Channel, triples: BitTriples, leaves, party: int) -> np.ndarray:
+    """Fold ``(q, n)`` leaf shares (gt in bit 0, eq in bit 1) MSB-first
+    into the share of gt.
 
-    ``eq`` holds every row but the last: the rightmost node's eq is
-    never read, at any level.  A level of m nodes ANDs ``m // 2`` gt
-    terms and ``(m - 1) // 2`` eq terms in one opening.
+    The last row's eq is dropped: the rightmost node's eq is never
+    read, at any level.  A level of m nodes ANDs ``m // 2`` gt terms and
+    ``(m - 1) // 2`` eq terms in one opening.
     """
+    gt = (leaves & np.uint64(1)).astype(np.uint8)
+    eq = (leaves[:-1] >> np.uint64(1)).astype(np.uint8)
     n = gt.shape[1]
     for m in _tree_widths(gt.shape[0]):
         pairs, keep = m // 2, (m - 1) // 2
@@ -131,15 +152,16 @@ def millionaire_p0(
     tweak_base: int = 0,
 ) -> np.ndarray:
     """P0 side; returns its XOR share of [Y > X]."""
-    x_levels = _bit_levels(np.asarray(x_private, dtype=np.uint64), bits)
-    not_x = x_levels ^ 1
-    # t = (NOT x_i) * y_i via OT: P0 offers (r, r XOR NOT x_i), keeps r.
-    r = rng.integers(0, 2, not_x.shape, dtype=np.uint8)
-    ot_send_from_cot(
-        channel, pool.take_sender(r.size), r.reshape(-1), (r ^ not_x).reshape(-1),
-        tweak_base=tweak_base, bits=1,
+    x = _digits(np.asarray(x_private, dtype=np.uint64), bits)[..., None]
+    # Message j of a digit: (r_gt ^ [j > x_d]) | (r_eq ^ [j = x_d]) << 1.
+    j = np.arange(_MESSAGES, dtype=np.uint64)
+    table = (j > x).astype(np.uint64) | (j == x).astype(np.uint64) << np.uint64(1)
+    r = rng.integers(0, 1 << _LANE, x.shape, dtype=np.uint64)
+    ot_n_send_from_cot(
+        channel, pool.take_sender(DIGIT * r.size), (table ^ r).reshape(r.size, _MESSAGES),
+        _LANE, tweak_base=tweak_base,
     )
-    return _fold(channel, triples, r, not_x[:-1], party=0)
+    return _fold(channel, triples, r[..., 0], party=0)
 
 
 def millionaire_p1(
@@ -151,13 +173,12 @@ def millionaire_p1(
     tweak_base: int = 0,
 ) -> np.ndarray:
     """P1 side; returns its XOR share of [Y > X]."""
-    y_levels = _bit_levels(np.asarray(y_private, dtype=np.uint64), bits)
-    t = ot_receive_from_cot(
-        channel, pool.take_receiver(y_levels.size), y_levels.reshape(-1),
-        tweak_base=tweak_base, bits=1,
+    y = _digits(np.asarray(y_private, dtype=np.uint64), bits)
+    got = ot_n_receive_from_cot(
+        channel, pool.take_receiver(DIGIT * y.size), y.reshape(-1), _MESSAGES, _LANE,
+        tweak_base=tweak_base,
     )
-    t = t.astype(np.uint8).reshape(y_levels.shape)
-    return _fold(channel, triples, t, y_levels[:-1], party=1)
+    return _fold(channel, triples, got.reshape(y.shape), party=1)
 
 
 def validate_inputs(values: np.ndarray, bits: int) -> np.ndarray:

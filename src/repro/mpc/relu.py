@@ -124,7 +124,7 @@ def relu_pair(
     """Full ReLU on additive shares: DReLU then multiplex.
 
     Returns (relu_shares, drelu_shares).  ``cmp_pool`` feeds the
-    comparison's level OTs (this party's fixed role); the mux needs
+    comparison's digit OTs (this party's fixed role); the mux needs
     OTs in *both* directions, hence the separate send/recv pools --
     the role-switching requirement Section 5.2 motivates.
     """
@@ -135,7 +135,7 @@ def relu_pair(
 
 def relu_draws(n: int, bits: int) -> list:
     """The ordered ``(pool kind, key, count)`` list one ReLU of n
-    ``bits``-bit shares consumes: the comparison's level COTs (P0
+    ``bits``-bit shares consumes: the comparison's digit COTs (P0
     sends), one mux COT per element in each direction, and the
     comparison's bit triples."""
     return [

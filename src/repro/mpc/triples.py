@@ -3,9 +3,11 @@
 A bit triple gives the parties XOR shares of bits (a, b, c) with
 ``c = a AND b``; one triple evaluates one AND gate on shared bits
 (GMW).  Each triple needs the two cross products ``a0*b1`` and
-``a1*b0`` -- one chosen-message OT in each direction, which is exactly
-the role-switching workload Ironman's unified architecture serves
-(Section 5.2).
+``a1*b0`` -- one COT in each direction, which is exactly the
+role-switching workload Ironman's unified architecture serves (Section
+5.2).  A COT is already a random OT once hashed (the paper's Figure 2
+COT -> ROT step), so the cross products cost no messages at all
+(:func:`generate_bit_triples`, the random-OT triples of ABY).
 
 Arithmetic (mod 2^k) products use the same COT substrate through
 **Gilboa multiplication**: the cross product ``x * y`` of two privately
@@ -35,7 +37,10 @@ from repro.crypto.crhf import DEFAULT_CRHF, Crhf
 from repro.errors import ParameterError, ProtocolError
 from repro.ot.channel import Channel
 from repro.ot.cot import CotPool, CotReceiverBatch, CotSenderBatch
-from repro.ot.ot_from_cot import ot_receive_from_cot, ot_send_from_cot
+
+# Unused here but bound: benchmarks/ledger/spans.py patches these names
+# in this module.
+from repro.ot.ot_from_cot import ot_receive_from_cot, ot_send_from_cot  # noqa: F401
 
 
 @dataclass
@@ -65,55 +70,45 @@ class BitTriples:
         return head
 
 
-def _cross_product_sender(channel, pool: CotPool, my_bits, rng, tweak) -> np.ndarray:
-    """OT-sender half of a cross term: returns share r of my_bits * theirs."""
-    n = my_bits.shape[0]
-    r = rng.integers(0, 2, n).astype(np.uint8)
-    ot_send_from_cot(channel, pool.take_sender(n), r, r ^ my_bits, tweak_base=tweak, bits=1)
-    return r
-
-
-def _cross_product_receiver(channel, pool: CotPool, my_bits, tweak) -> np.ndarray:
-    """OT-receiver half: returns share (r XOR a*b) of the cross term."""
-    got = ot_receive_from_cot(
-        channel, pool.take_receiver(my_bits.shape[0]), my_bits, tweak_base=tweak, bits=1
-    )
-    return got.astype(np.uint8)
-
-
 def generate_bit_triples(
-    channel: Channel,
     n: int,
     send_pool: CotPool,
     recv_pool: CotPool,
-    rng: np.random.Generator,
     party: int,
     tweak_base: int = 0,
+    crhf: Crhf = DEFAULT_CRHF,
 ) -> BitTriples:
-    """Generate n bit triples; both parties call this symmetrically.
+    """Generate n bit triples locally; both parties call this on their
+    halves of the same two COT ranges.  Nothing crosses the wire.
+
+    In the direction where this party sends (COT ``(z, z XOR Delta)``)
+    it takes ``u = lsb H(z)`` and ``a = u XOR lsb H(z XOR Delta)``; in
+    the one where it receives (``(x, y)``) it takes ``b = x`` and
+    ``v = lsb H(y)``.  The peer's v on this party's COT is ``u XOR a*b'``,
+    so ``u XOR v'`` shares one cross product, and ``c = a*b XOR u XOR v``
+    shares ``(a XOR a')(b XOR b')``.
 
     Args:
-        send_pool: COT pool in which this party is the *sender* (used
-            for the cross term where it offers messages).
+        send_pool: COT pool in which this party is the *sender*.
         recv_pool: COT pool in which this party is the *receiver*.
-        party: 0 or 1; fixes the order of the two OT directions so the
-            parties stay in lockstep.
+        party: 0 or 1; party 0 sends forward, whose COTs take tweaks
+            ``tweak_base + i``, the reverse ones ``tweak_base + n + i``.
     """
-    a = rng.integers(0, 2, n).astype(np.uint8)
-    b = rng.integers(0, 2, n).astype(np.uint8)
-    if party == 0:
-        # direction 1: P0 sends a0, P1 selects with b1.
-        r_mine = _cross_product_sender(channel, send_pool, a, rng, tweak_base)
-        # direction 2: P1 sends a1, P0 selects with b0.
-        t_mine = _cross_product_receiver(channel, recv_pool, b, tweak_base + n)
-    elif party == 1:
-        t_mine = _cross_product_receiver(channel, recv_pool, b, tweak_base)
-        r_mine = _cross_product_sender(channel, send_pool, a, rng, tweak_base + n)
-    else:
+    if party not in (0, 1):
         raise ParameterError("party must be 0 or 1")
-    # c_i = a_i*b_i (local) XOR own shares of both cross terms.
-    c = (a & b) ^ r_mine ^ t_mine
-    return BitTriples(a, b, c)
+    sent, received = send_pool.take_sender(n), recv_pool.take_receiver(n)
+    fwd = np.arange(tweak_base, tweak_base + n, dtype=np.uint64)
+    rev = fwd + np.uint64(n)
+    send_tweaks, recv_tweaks = (fwd, rev) if party == 0 else (rev, fwd)
+    h = crhf.hash_tweaked(
+        np.concatenate([sent.z, blocks.xor(sent.z, sent.delta), received.y]),
+        np.concatenate([send_tweaks, send_tweaks, recv_tweaks]),
+    )
+    lsb = (h[:, 0] & np.uint64(1)).astype(np.uint8)
+    u, v = lsb[:n], lsb[2 * n :]
+    a = u ^ lsb[n : 2 * n]
+    b = received.x.astype(np.uint8)
+    return BitTriples(a, b, (a & b) ^ u ^ v)
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,7 @@ import numpy as np
 from repro.errors import ParameterError
 from repro.mpc.compare import (
     _bits_msg,
+    cots_needed,
     millionaire_bytes,
     millionaire_messages,
     millionaire_p0,
@@ -47,8 +48,8 @@ from repro.ot.channel import Channel
 from repro.ot.cot import CotPool
 
 #: Tweak offset separating the second (low-part) millionaires' run from
-#: the first; one run's level OTs take the contiguous tweaks
-#: ``tweak_base + [0, l*n)`` (compare.py), so 2^26 keeps the two
+#: the first; one run's digit OTs take the contiguous tweaks
+#: ``tweak_base + [0, cots_needed(n, l))`` (compare.py), so 2^26 keeps the two
 #: comparison batches disjoint.
 _CARRY_TWEAK = 1 << 26
 
@@ -128,9 +129,10 @@ class FixedPointConfig:
 
 def trunc_cots(cfg_bits: int, frac_bits: int) -> int:
     """Forward-direction COTs one truncation consumes per element: a
-    ``bits``-bit and a ``frac``-bit millionaires' comparison (one COT per
-    level) plus 2 Gilboa B2A correlations."""
-    return cfg_bits + frac_bits + 2
+    ``bits``-bit and a ``frac``-bit millionaires' comparison
+    (:func:`repro.mpc.compare.cots_needed`) plus 2 Gilboa B2A
+    correlations."""
+    return cots_needed(1, cfg_bits) + cots_needed(1, frac_bits) + 2
 
 
 def trunc_bit_triples(cfg_bits: int, frac_bits: int) -> int:

@@ -24,6 +24,17 @@ low ``bits`` of its hash, and the sender's reply is ONE message of both
 masked vectors packed as ``bits``-wide lanes (1-bit lanes 8 per byte,
 wider ones in the narrowest of 1 / 2 / 4 / 8 bytes) instead of two
 16-byte block arrays.  Both parties must pass the same ``bits``.
+
+:func:`ot_n_send_from_cot` / :func:`ot_n_receive_from_cot` run a
+1-out-of-N OT (N = 2^m messages of ``lane_bits`` each) on m COTs per
+instance, the digit OT of a CrypTFlow2-style comparison.  COT
+``i*n + e`` carries bit i (LSB first) of instance e's choice.  The pad
+of message j is the XOR over i of bits ``[j*lane_bits, (j+1)*lane_bits)``
+of ``H(z_i XOR j_i*Delta)``: every message reads its own slice of each
+hash, so the pads of two messages the receiver did not choose never
+cancel against each other (XORing whole-hash pads would hand it the XOR
+of those messages).  The reply is all N masked lanes of every instance,
+packed into ``N*lane_bits/8`` bytes each, in one message.
 """
 
 from __future__ import annotations
@@ -158,6 +169,103 @@ def ot_receive_from_cot(
     pads = crhf.hash_tweaked(cots.y, tweaks)
     chosen = np.where(choices[:, None].astype(bool), e1, e0)
     return blocks.xor(chosen, pads)
+
+
+def _word_bytes(n_messages: int, lane_bits: int) -> int:
+    """Bytes of one instance's packed reply (all N masked lanes)."""
+    width = n_messages * lane_bits
+    if n_messages < 2 or n_messages & (n_messages - 1) or width > 64 or width % 8:
+        raise ParameterError(
+            "1-out-of-N OT needs N a power of two and N * lane_bits a "
+            "multiple of 8 that fits one 64-bit hash word"
+        )
+    return width // 8
+
+
+def ot_n_reply_bytes(n: int, n_messages: int, lane_bits: int) -> int:
+    """Wire bytes of the sender's reply to n 1-out-of-N OTs."""
+    return n * _word_bytes(n_messages, lane_bits)
+
+
+def _choice_bits(cots, n: int, n_messages: int, lane_bits: int) -> int:
+    """m = log2 N, once ``cots`` is known to hold m COTs per instance."""
+    _word_bytes(n_messages, lane_bits)
+    m = n_messages.bit_length() - 1
+    if len(cots) != m * n:
+        raise ProtocolError(f"1-out-of-{n_messages} OT on {n} instances needs {m * n} COTs")
+    return m
+
+
+def _unpack_words(data: bytes, n: int, n_messages: int, lane_bits: int) -> np.ndarray:
+    """The n packed words of a reply to n 1-out-of-N OTs."""
+    word = _word_bytes(n_messages, lane_bits)
+    if len(data) != n * word:
+        raise ProtocolError(
+            f"1-out-of-{n_messages} OT reply has {len(data)} bytes, expected {n * word}"
+        )
+    wide = np.zeros((n, 8), dtype=np.uint8)
+    wide[:, :word] = np.frombuffer(data, dtype=np.uint8).reshape(n, word)
+    return wide.view("<u8")[:, 0]
+
+
+def ot_n_send_from_cot(
+    channel: Channel,
+    cots: CotSenderBatch,
+    table: np.ndarray,
+    lane_bits: int,
+    tweak_base: int = 0,
+    crhf: Crhf = DEFAULT_CRHF,
+) -> None:
+    """1-out-of-N OT sender: instance e offers ``table[e, :]``.
+
+    ``table`` is ``(n, N)`` integers below ``2^lane_bits``; ``cots``
+    holds ``m*n`` COTs, ``N = 2^m``.
+    """
+    table = np.asarray(table, dtype=np.uint64)
+    n, n_messages = table.shape
+    m = _choice_bits(cots, n, n_messages, lane_bits)
+    d = channel.recv_bits()
+    if d.shape[0] != m * n:
+        raise ProtocolError("correction bit vector has the wrong length")
+    keyed0 = blocks.xor(cots.z, blocks.mul_bit(cots.delta, d))  # the key of j_i = 0
+    tweaks = _resolve_tweaks(None, tweak_base, m * n)
+    h = crhf.hash_tweaked(
+        np.concatenate([keyed0, blocks.xor(keyed0, cots.delta)]),
+        np.concatenate([tweaks, tweaks]),
+    )[:, 0]
+    h0, h1 = h[: m * n].reshape(m, n), h[m * n :].reshape(m, n)
+    j = np.arange(n_messages, dtype=np.uint64)
+    shifts = j * np.uint64(lane_bits)
+    lane = _lane_mask(lane_bits)
+    words = np.bitwise_or.reduce((table & lane) << shifts, axis=1)
+    for i in range(m):
+        # The lanes of messages whose index has bit i set take the Delta-flip key.
+        flip = np.bitwise_or.reduce((lane << shifts)[(j >> np.uint64(i)) & np.uint64(1) == 1])
+        words ^= (h0[i] & ~flip) | (h1[i] & flip)
+    word = _word_bytes(n_messages, lane_bits)
+    channel.send_bytes(words.astype("<u8").view(np.uint8).reshape(n, 8)[:, :word].tobytes())
+
+
+def ot_n_receive_from_cot(
+    channel: Channel,
+    cots: CotReceiverBatch,
+    choices: np.ndarray,
+    n_messages: int,
+    lane_bits: int,
+    tweak_base: int = 0,
+    crhf: Crhf = DEFAULT_CRHF,
+) -> np.ndarray:
+    """1-out-of-N OT receiver: ``(n,)`` uint64, message ``choices[e]``
+    of instance e."""
+    choices = np.asarray(choices, dtype=np.uint64)
+    n = choices.shape[0]
+    m = _choice_bits(cots, n, n_messages, lane_bits)
+    planes = (choices[None, :] >> np.arange(m, dtype=np.uint64)[:, None]) & np.uint64(1)
+    channel.send_bits(cots.x ^ planes.astype(np.uint8).reshape(-1))
+    words = _unpack_words(channel.recv_bytes(), n, n_messages, lane_bits)
+    h = crhf.hash_tweaked(cots.y, _resolve_tweaks(None, tweak_base, m * n))[:, 0]
+    pads = np.bitwise_xor.reduce(h.reshape(m, n), axis=0)
+    return ((words ^ pads) >> (choices * np.uint64(lane_bits))) & _lane_mask(lane_bits)
 
 
 def cot_to_random_ot_sender(

@@ -112,11 +112,10 @@ def _by_role(svc, fwd, rev) -> list:
 
 
 def _bit_triples(svc, ch, pool, cmd, fwd, rev):
-    """Both workers run one triple-generation batch in lockstep."""
+    """Both workers hash their halves of the same COT ranges; the
+    channel stays silent."""
     send, recv = _by_role(svc, fwd, rev)
-    return generate_bit_triples(
-        ch, cmd.n, send, recv, svc._rng, party=svc.party, tweak_base=cmd.offsets[0]
-    )
+    return generate_bit_triples(cmd.n, send, recv, party=svc.party, tweak_base=cmd.offsets[0])
 
 
 def _matrix_triple(svc, ch, pool, cmd, cots):

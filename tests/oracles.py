@@ -26,11 +26,14 @@ kernel (one ``(n,)`` array per state column, bytes pulled out with
 ``repro.crypto.crhf`` wrote it then (copy, tweak, sigma, encrypt, XOR).
 
 ``millionaire_p0_reference`` / ``millionaire_p1_reference`` are the
-bit-serial comparison ``repro.mpc.compare`` shipped before its one-shot
-level OTs and log-depth AND tree: scan MSB -> LSB, one chosen-message OT
-(1-bit payload in two 16-byte blocks) and two ``and_shared`` calls per
-level, ``2l`` triples.  The shipped comparison must reconstruct to the
-same ``[Y > X]``; shares, triple counts and wire bytes differ.
+bit-leaf comparison ``repro.mpc.compare`` shipped before its 4-bit
+digit leaves: one leaf per bit level, ``t_i = (NOT x_i) AND y_i`` by one
+1-bit-lane OT per level (all levels in one exchange, tweaks
+``tweak_base + j*n + i`` for the j-th level from the MSB) and ``eq_i``
+free, folded by the same log-depth AND tree over ``l`` leaves
+(:func:`bit_leaf_triples` triples, ``l*n`` COTs).  The shipped
+comparison must reconstruct to the same ``[Y > X]``; shares, COT and
+triple counts and wire bytes differ.
 """
 
 from __future__ import annotations
@@ -324,52 +327,60 @@ def crhf_hash_reference(key: bytes, x: np.ndarray, tweaks=None) -> np.ndarray:
     return blocks.xor(aes_encrypt_blocks_reference(key, s), s)
 
 
-#: Tweak stride per bit level (one OT batch per level).
-_LEVEL_STRIDE = 1 << 16
+def bit_leaf_triples(n_elements: int, bits: int) -> int:
+    """Bit triples the bit-leaf reference consumes: ``2(l-1) -
+    popcount(l-1)`` per element."""
+    return (2 * (bits - 1) - bin(bits - 1).count("1")) * n_elements
 
 
-def _bit(values: np.ndarray, position: int) -> np.ndarray:
-    return ((values >> np.uint64(position)) & np.uint64(1)).astype(np.uint8)
+def _bit_levels(values: np.ndarray, bits: int) -> np.ndarray:
+    """``(bits, n)`` uint8 bit matrix, row 0 the most significant bit."""
+    positions = np.arange(bits - 1, -1, -1, dtype=np.uint64)
+    return ((values[None, :] >> positions[:, None]) & np.uint64(1)).astype(np.uint8)
+
+
+def _tree_widths(leaves: int) -> list:
+    widths, m = [], leaves
+    while m > 1:
+        widths.append(m)
+        m = (m + 1) // 2
+    return widths
+
+
+def _fold(channel, triples, gt, eq, party):
+    """Fold ``(bits, n)`` leaf shares MSB-first into the share of gt;
+    ``eq`` holds every row but the last."""
+    n = gt.shape[1]
+    for m in _tree_widths(gt.shape[0]):
+        pairs, keep = m // 2, (m - 1) // 2
+        lhs = np.concatenate([eq[0 : 2 * pairs : 2], eq[0 : 2 * keep : 2]])
+        rhs = np.concatenate([gt[1 : 2 * pairs : 2], eq[1 : 2 * keep : 2]])
+        prod = and_shared(channel, triples, lhs.reshape(-1), rhs.reshape(-1), party)
+        prod = prod.reshape(pairs + keep, n)
+        gt = np.concatenate([gt[0 : 2 * pairs : 2] ^ prod[:pairs], gt[2 * pairs :]])
+        eq = prod[pairs:]
+    return gt[0]
 
 
 def millionaire_p0_reference(channel, x_private, bits, pool, triples, rng, tweak_base=0):
     """P0 side; returns its XOR share of [Y > X]."""
-    x_private = np.asarray(x_private, dtype=np.uint64)
-    n = x_private.shape[0]
-    gt = np.zeros(n, dtype=np.uint8)
-    eq = np.ones(n, dtype=np.uint8)  # P0 holds share 1, P1 share 0
-    for level in range(bits - 1, -1, -1):
-        x_i = _bit(x_private, level)
-        tweak = tweak_base + level * _LEVEL_STRIDE
-        # t = (NOT x_i) * y_i via OT: P0 offers (r, r XOR NOT x_i).
-        r = rng.integers(0, 2, n).astype(np.uint8)
-        m0 = blocks.zeros(n)
-        m0[:, 0] = r
-        m1 = blocks.zeros(n)
-        m1[:, 0] = r ^ (x_i ^ 1)
-        ot_send_from_cot(channel, pool.take_sender(n), m0, m1, tweak_base=tweak)
-        t_share = r
-        # eq_i = NOT(x_i XOR y_i): P0 share = NOT x_i, P1 share = y_i.
-        eqi_share = x_i ^ 1
-        step = and_shared(channel, triples, eq, t_share, party=0)
-        gt = gt ^ step
-        eq = and_shared(channel, triples, eq, eqi_share, party=0)
-    return gt
+    x_levels = _bit_levels(np.asarray(x_private, dtype=np.uint64), bits)
+    not_x = x_levels ^ 1
+    # t = (NOT x_i) * y_i via OT: P0 offers (r, r XOR NOT x_i), keeps r.
+    r = rng.integers(0, 2, not_x.shape, dtype=np.uint8)
+    ot_send_from_cot(
+        channel, pool.take_sender(r.size), r.reshape(-1), (r ^ not_x).reshape(-1),
+        tweak_base=tweak_base, bits=1,
+    )
+    return _fold(channel, triples, r, not_x[:-1], party=0)
 
 
 def millionaire_p1_reference(channel, y_private, bits, pool, triples, tweak_base=0):
     """P1 side; returns its XOR share of [Y > X]."""
-    y_private = np.asarray(y_private, dtype=np.uint64)
-    n = y_private.shape[0]
-    gt = np.zeros(n, dtype=np.uint8)
-    eq = np.zeros(n, dtype=np.uint8)
-    for level in range(bits - 1, -1, -1):
-        y_i = _bit(y_private, level)
-        tweak = tweak_base + level * _LEVEL_STRIDE
-        got = ot_receive_from_cot(channel, pool.take_receiver(n), y_i, tweak_base=tweak)
-        t_share = (got[:, 0] & np.uint64(1)).astype(np.uint8)
-        eqi_share = y_i
-        step = and_shared(channel, triples, eq, t_share, party=1)
-        gt = gt ^ step
-        eq = and_shared(channel, triples, eq, eqi_share, party=1)
-    return gt
+    y_levels = _bit_levels(np.asarray(y_private, dtype=np.uint64), bits)
+    t = ot_receive_from_cot(
+        channel, pool.take_receiver(y_levels.size), y_levels.reshape(-1),
+        tweak_base=tweak_base, bits=1,
+    )
+    t = t.astype(np.uint8).reshape(y_levels.shape)
+    return _fold(channel, triples, t, y_levels[:-1], party=1)

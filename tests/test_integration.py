@@ -68,10 +68,8 @@ class TestExtendedCorrelationsPowerOnlinePhase:
         tri0_r = CotPool(receiver=p0_rev.take_receiver(n_tri))
 
         rng0, rng1 = np.random.default_rng(6), np.random.default_rng(7)
-        t0, t1, _, _ = run_pair(
-            lambda ch: generate_bit_triples(ch, n_tri, tri0_s, tri0_r, rng0, party=0),
-            lambda ch: generate_bit_triples(ch, n_tri, tri1_s, tri1_r, rng1, party=1),
-        )
+        t0 = generate_bit_triples(n_tri, tri0_s, tri0_r, party=0)
+        t1 = generate_bit_triples(n_tri, tri1_s, tri1_r, party=1)
         m0, m1, _, _ = run_pair(
             lambda ch: max_pair(ch, a0, b0, cmp0, mux0_s, mux0_r, t0, rng0, party=0),
             lambda ch: max_pair(ch, a1, b1, cmp1, mux1_s, mux1_r, t1, rng1, party=1),

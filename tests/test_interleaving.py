@@ -13,7 +13,7 @@ byte-identical to the one produced at the default interval.  A second
 test aims at ``DEFAULT_CRHF`` alone: threads hash different batches
 through the one shared instance and each compares with the reference.
 A third runs the online verbs -- ReLU and exact truncation, whose
-comparisons push one large level-OT batch each through that CRHF --
+comparisons push one large digit-OT batch each through that CRHF --
 on three service pairs at once and checks them against the plaintext
 fixed-point oracle.  A fourth does the same for derived production:
 three service pairs make bit triples (``produce.TRI``) and a matrix

@@ -21,14 +21,17 @@ def test_fixture_builds_and_plans_on_recipe_kinds():
     plan = plan_graph(fixture.build_model(1).graph, bits=16, fx=fixture.FX)
     kinds = {kind for kind, _ in plan.demand.draws}
     assert kinds and kinds <= set(BY_KIND)
-    # Per request: the 37 152 COTs of the ring-triple B2A, less its 192
-    # ring triples at 16 bits x 2 directions, plus the 192 forward COTs
-    # of the Gilboa B2A that replaced it.
-    assert plan.demand.total_cots(16) == 37_152 - 192 * 32 + 192 == 31_200
-    # Per direction: consumer draws (3 648 forward, 96 reverse), the
-    # 5 280 bit triples' one COT each way, and both matrix triples'
-    # (m k + k n) x 16 COTs -- 10 752 at 4x24x24, 6 144 at 4x24x12 --
-    # from the forward direction only.
+    # Per request: 768 bit triples (4 per element for each of the ReLU's
+    # 15-bit comparison and the Rescale's 16-bit wrap comparison; its
+    # 4-bit borrow comparison is one digit leaf and needs none) at one
+    # COT each way, the comparisons' 4 COTs per digit, and both matrix
+    # triples.
+    assert plan.demand.total_cots(16) == 22_272
+    # Per direction: consumer draws (3 744 forward: 96 x (16 + 1) for the
+    # ReLU, 96 x 22 for the Rescale; 96 reverse), the 768 bit triples'
+    # one COT each way, and both matrix triples' (m k + k n) x 16 COTs
+    # -- 10 752 at 4x24x24, 6 144 at 4x24x12 -- from the forward
+    # direction only.
     wanted = expand(plan.demand.drawn(), 16)
-    assert wanted["cot/fwd"] == 3_648 + 5_280 + 10_752 + 6_144 == 25_824
-    assert wanted["cot/rev"] == 96 + 5_280 == 5_376
+    assert wanted["cot/fwd"] == 3_744 + 768 + 10_752 + 6_144 == 21_408
+    assert wanted["cot/rev"] == 96 + 768 == 864

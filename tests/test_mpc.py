@@ -59,11 +59,8 @@ def triple_pair(fwd_pools, rev_pools):
     """Correlated BitTriples for both parties (fresh per test)."""
     p0_send, p1_recv = make_pools(256, 7, "f")
     p1_send, p0_recv = make_pools(256, 8, "r")
-    rng0, rng1 = np.random.default_rng(1), np.random.default_rng(2)
-    t0, t1, _, _ = run_pair(
-        lambda ch: generate_bit_triples(ch, 256, p0_send, p0_recv, rng0, party=0),
-        lambda ch: generate_bit_triples(ch, 256, p1_send, p1_recv, rng1, party=1),
-    )
+    t0 = generate_bit_triples(256, p0_send, p0_recv, party=0)
+    t1 = generate_bit_triples(256, p1_send, p1_recv, party=1)
     return t0, t1
 
 
@@ -135,10 +132,8 @@ class TestMillionaire:
         tp1_s, tp0_r = make_pools(triples_needed(n, bits), seed + 2, "r")
         rng0, rng1 = np.random.default_rng(3), np.random.default_rng(4)
         nt = triples_needed(n, bits)
-        t0, t1, _, _ = run_pair(
-            lambda ch: generate_bit_triples(ch, nt, tp0_s, tp0_r, rng0, party=0),
-            lambda ch: generate_bit_triples(ch, nt, tp1_s, tp1_r, rng1, party=1),
-        )
+        t0 = generate_bit_triples(nt, tp0_s, tp0_r, party=0)
+        t1 = generate_bit_triples(nt, tp1_s, tp1_r, party=1)
         g0, g1, _, _ = run_pair(
             lambda ch: millionaire_p0(ch, x_vals, bits, p0_pool, t0, rng0),
             lambda ch: millionaire_p1(ch, y_vals, bits, p1_pool, t1),
@@ -183,10 +178,8 @@ class TestRelu:
         tp0_s, tp1_r = make_pools(nt, seed + 4, "tf")
         tp1_s, tp0_r = make_pools(nt, seed + 5, "tr")
         rng0, rng1 = np.random.default_rng(5), np.random.default_rng(6)
-        t0, t1, _, _ = run_pair(
-            lambda ch: generate_bit_triples(ch, nt, tp0_s, tp0_r, rng0, party=0),
-            lambda ch: generate_bit_triples(ch, nt, tp1_s, tp1_r, rng1, party=1),
-        )
+        t0 = generate_bit_triples(nt, tp0_s, tp0_r, party=0)
+        t1 = generate_bit_triples(nt, tp1_s, tp1_r, party=1)
         (y0, d0), (y1, d1), _, _ = run_pair(
             lambda ch: relu_pair(ch, s0, cmp0, mux0_s, mux0_r, t0, rng0, party=0),
             lambda ch: relu_pair(ch, s1, cmp1, mux1_s, mux1_r, t1, rng1, party=1),

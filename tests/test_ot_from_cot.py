@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from parties import ScriptedChannel, packed_bits
 
 from repro.crypto import blocks
 from repro.errors import ParameterError, ProtocolError
@@ -10,10 +11,14 @@ from repro.ot.cot import CotPool
 from repro.ot.ot_from_cot import (
     cot_to_random_ot_receiver,
     cot_to_random_ot_sender,
+    ot_n_receive_from_cot,
+    ot_n_reply_bytes,
+    ot_n_send_from_cot,
     ot_receive_from_cot,
     ot_reply_bytes,
     ot_send_from_cot,
 )
+from repro.ot.testing import fake_cots
 
 
 def run_ot(pools, rng, n, tweak_base=0):
@@ -99,6 +104,72 @@ class TestNarrowPayloads:
         ps, _ = cot_pools
         with pytest.raises(ParameterError):
             ot_send_from_cot(None, ps.take_sender(2), np.zeros(2), np.zeros(2), bits=0)
+
+
+class TestOneOutOfN:
+    """1-out-of-16 OT of 2-bit lanes on 4 COTs per instance (the
+    comparison's digit OT)."""
+
+    def test_receiver_gets_chosen_lane_in_one_packed_reply(self, rng):
+        n = 37
+        sender, receiver = fake_cots(4 * n, seed=5)
+        table = rng.integers(0, 4, (n, 16), dtype=np.uint64)
+        choices = rng.integers(0, 16, n, dtype=np.uint64)
+        choices[:16] = np.arange(16)  # every message index at least once
+        _, got, s_stats, r_stats = run_pair(
+            lambda ch: ot_n_send_from_cot(ch, sender, table, 2, tweak_base=9),
+            lambda ch: ot_n_receive_from_cot(ch, receiver, choices, 16, 2, tweak_base=9),
+        )
+        assert np.array_equal(got, table[np.arange(n), choices])
+        assert s_stats.messages_sent == 1
+        assert s_stats.bytes_sent == ot_n_reply_bytes(n, 16, 2) == 4 * n
+        assert r_stats.bytes_sent == len(packed_bits(4 * n))
+
+    def test_unchosen_pads_do_not_cancel(self):
+        """Every message reads its own slice of each hash.  XORed
+        whole-hash pads would make ``pad_j ^ pad_j'`` the same for every
+        pair of indices differing in the same choice bit, handing the
+        receiver XORs of messages it did not choose."""
+        n = 64
+        sender, _ = fake_cots(4 * n, seed=6)
+        replies = []
+
+        class Capture(ScriptedChannel):
+            def send_bytes(self, data):
+                replies.append(data)
+
+        # An all-zero table: the reply is the pads themselves.
+        ot_n_send_from_cot(
+            Capture([packed_bits(4 * n)]), sender, np.zeros((n, 16), np.uint64), 2
+        )
+        words = np.frombuffer(replies[0], dtype="<u4").astype(np.uint64)
+        pads = (words[:, None] >> (2 * np.arange(16, dtype=np.uint64))) & np.uint64(3)
+        same = (pads[:, 0] ^ pads[:, 1]) == (pads[:, 2] ^ pads[:, 3])
+        assert same.mean() < 0.5  # independent 2-bit pads agree 1 time in 4
+
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_peer_lengths_are_protocol_errors(self, delta):
+        n = 5
+        sender, receiver = fake_cots(4 * n)
+        with pytest.raises(ProtocolError, match="correction bit vector"):
+            ot_n_send_from_cot(
+                ScriptedChannel([packed_bits(4 * n + delta)]), sender,
+                np.zeros((n, 16), np.uint64), 2,
+            )
+        with pytest.raises(ProtocolError, match="OT reply"):
+            ot_n_receive_from_cot(
+                ScriptedChannel([bytes(4 * n + delta)]), receiver,
+                np.zeros(n, np.uint64), 16, 2,
+            )
+
+    def test_cot_count_and_shape_are_the_callers_error(self):
+        sender, _ = fake_cots(8)
+        with pytest.raises(ProtocolError, match="needs 12 COTs"):
+            ot_n_send_from_cot(None, sender, np.zeros((3, 16), np.uint64), 2)
+        with pytest.raises(ParameterError):
+            ot_n_send_from_cot(None, sender, np.zeros((2, 12), np.uint64), 2)
+        with pytest.raises(ParameterError):
+            ot_n_reply_bytes(1, 64, 2)  # 128 lanes' bits exceed one hash word
 
 
 class TestRandomOtConversion:

@@ -119,8 +119,8 @@ class TestPlanAggregation:
             ("mtri", (2, 3, 4), 2),
         ])
         # A 16-bit truncation by 4 bits: 16 + 4 + 2 forward COTs and
-        # 26 + 4 bit triples per element.
-        expect = 10 + 20 + 5 * 2 + 3 * (22 + 30 * 2) + 2 * (2 * 3 + 3 * 4) * 16
+        # 4 + 0 bit triples per element.
+        expect = 10 + 20 + 5 * 2 + 3 * (22 + 4 * 2) + 2 * (2 * 3 + 3 * 4) * 16
         assert d.total_cots(ring_bits=16) == expect
 
 

@@ -57,6 +57,32 @@ class TestPooledArithmeticTriples:
         b = (t0.b + t1.b) & MASK
         assert np.array_equal((t0.c + t1.c) & MASK, (a @ b) & MASK)
 
+    def test_bit_triples_move_no_bytes(self, services):
+        """Both parties hash bit triples out of COT ranges they already
+        hold: producing them sends nothing on ``prov/tri``."""
+        svc0, svc1 = services
+        n = 700  # two TRI commands at triple_chunk 512
+        ctx = (svc0.error, svc1.error)
+
+        def tri_bytes():
+            stats = [svc.mux.stats_by_tag().get("prov/tri") for svc in (svc0, svc1)]
+            return sum(st.bytes_sent + st.bytes_received for st in stats if st is not None)
+
+        before = tri_bytes()
+        produced = svc0.pool("tri").produced
+        svc1.pool("tri")
+        targets = {"tri": n}
+        run_both(lambda: svc0.prefill(targets, 120.0),
+                 lambda: svc1.prefill(targets, 120.0), ctx=ctx)
+        t0, t1 = (batches[0] for batches in run_both(
+            lambda: svc0.session("tri-bytes").draw([("tri", (), n)])[0],
+            lambda: svc1.session("tri-bytes").draw([("tri", (), n)])[0],
+            ctx=ctx,
+        ))
+        assert svc0.pools["tri"].produced - produced >= n
+        assert np.array_equal(t0.c ^ t1.c, (t0.a ^ t1.a) & (t0.b ^ t1.b))
+        assert tri_bytes() == before == 0
+
     def test_repeated_prefill_waits_for_fresh_production(self, services):
         """A second prefill after consumption must provide NEW items on
         both parties -- the follower's wait cannot be satisfied by

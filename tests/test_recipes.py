@@ -258,14 +258,14 @@ def both(n):
 
 #: The raw COTs a layer's derived production reserves (``internal``)
 #: and the pool production its draws need (``produce``), as the
-#: hand-kept formulas of commit 29417b5 returned them, with the bit
-#: triples of the log-depth comparison (``2(l-1) - popcount(l-1)`` per
-#: element): 25 for a 15-bit ReLU / MaxPool comparison (was 30), 26 + 4
-#: for a 16-bit Rescale's wrap and 4-bit borrow comparisons (was 40).
-#: A bit triple costs one COT each way.  A Rescale of n elements draws
-#: ``n (16 + 4 + 2)`` forward COTs (the two comparisons and a 2-bit
-#: Gilboa B2A) and 30 n bit triples, what the retired truncation pairs
-#: cost to make, so the totals recorded in pair mode still hold.
+#: hand-kept formulas of commit 29417b5 returned them, re-priced for
+#: the 4-bit digit leaves of the comparison: 4 COTs per digit (16 for a
+#: 15-bit ReLU / MaxPool comparison, was 15) and ``2(q-1) -
+#: popcount(q-1)`` bit triples over q digits (4 for the 15-bit
+#: comparison, was 25; 4 + 0 for a 16-bit Rescale's wrap and 4-bit
+#: borrow comparisons, was 26 + 4).  A bit triple costs one COT each
+#: way.  A Rescale of n elements draws ``n (16 + 4 + 2)`` forward COTs
+#: (the two comparisons and a 2-bit Gilboa B2A) and 4 n bit triples.
 #: A matrix triple's ``matmul_cots`` are charged to ``cot/fwd`` only
 #: (it always draws forward COTs; the planner used to charge both
 #: directions because stock picked one at runtime).  The totals do not
@@ -274,20 +274,20 @@ def both(n):
 PLAN_GOLDEN = [
     (
         quantized_mlp,
-        [{"cot/fwd": 1920}, both(720), both(600), {"cot/fwd": 864}, both(600),
+        [{"cot/fwd": 1920}, both(96), both(96), {"cot/fwd": 864}, both(80),
          {"cot/fwd": 560}],
-        [{"mtri/4x12x6": 1}, {"cot/fwd": 528, "tri": 720},
-         {"cot/fwd": 384, "cot/rev": 24, "tri": 600}, {"mtri/4x6x5": 1},
-         {"cot/fwd": 440, "tri": 600}, {"mtri/4x5x3": 1}],
-        8560,
+        [{"mtri/4x12x6": 1}, {"cot/fwd": 528, "tri": 96},
+         {"cot/fwd": 408, "cot/rev": 24, "tri": 96}, {"mtri/4x6x5": 1},
+         {"cot/fwd": 440, "tri": 80}, {"mtri/4x5x3": 1}],
+        5288,
     ),
     (
         conv_block,
-        [{"cot/fwd": 39168}, both(15360), both(12800), both(9600)],
-        [{"mtri/64x18x4": 2}, {"cot/fwd": 11264, "tri": 15360},
-         {"cot/fwd": 8192, "cot/rev": 512, "tri": 12800},
-         {"cot/fwd": 6144, "cot/rev": 384, "tri": 9600}],
-        141184,
+        [{"cot/fwd": 39168}, both(2048), both(2048), both(1536)],
+        [{"mtri/64x18x4": 2}, {"cot/fwd": 11264, "tri": 2048},
+         {"cot/fwd": 8704, "cot/rev": 512, "tri": 2048},
+         {"cot/fwd": 6528, "cot/rev": 384, "tri": 1536}],
+        77824,
     ),
 ]
 

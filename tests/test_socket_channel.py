@@ -321,7 +321,7 @@ class TestTwoRealProcesses:
 
 class TestMpcOverSockets:
     def test_relu_preprocessing_and_online_over_sockets(self, rng):
-        """A full ReLU (triples + comparison + mux) with every message on
+        """A full ReLU (comparison + mux, on locally made triples) with every message on
         a real socket -- the protocol stack is transport-agnostic."""
         from repro.mpc.compare import cots_needed, triples_needed
         from repro.mpc.relu import relu_pair
@@ -352,10 +352,8 @@ class TestMpcOverSockets:
         tp0_s, tp1_r = make_pools(nt, 44)
         tp1_s, tp0_r = make_pools(nt, 45)
         rng0, rng1 = np.random.default_rng(7), np.random.default_rng(8)
-        t0, t1, _, _ = socket_run_pair(
-            lambda ch: generate_bit_triples(ch, nt, tp0_s, tp0_r, rng0, party=0),
-            lambda ch: generate_bit_triples(ch, nt, tp1_s, tp1_r, rng1, party=1),
-        )
+        t0 = generate_bit_triples(nt, tp0_s, tp0_r, party=0)
+        t1 = generate_bit_triples(nt, tp1_s, tp1_r, party=1)
         (y0, _), (y1, _), _, _ = socket_run_pair(
             lambda ch: relu_pair(ch, s0, cmp0, mux0_s, mux0_r, t0, rng0, party=0),
             lambda ch: relu_pair(ch, s1, cmp1, mux1_s, mux1_r, t1, rng1, party=1),
