@@ -31,9 +31,10 @@ operation.  The budget sits an order of magnitude above a healthy run
 (~0.3 s: 128 PKC OTs + one COT extension) and well below what any
 per-COT public-key path costs (~15 s), so runner speed cannot trip it
 and a regression to thousands of modexps cannot pass it.  Next to it
-sit ranges on the same run's traced rows (``LEDGER_ROWS``): three
-**exact counts** -- one SPCOT exchange per extend -- and one **share**,
-LPN encode's part of the sender's extend lane.  Counts repeat exactly
+sit ranges on the same run's traced rows (``LEDGER_ROWS``): four
+**exact counts** -- one SPCOT exchange per extend, and the sender's
+PRG calls of a GGM forest pruned to the leaves MPCOT keeps -- and one
+**share**, LPN encode's part of the sender's extend lane.  Counts repeat exactly
 on any runner; timings do not, but a share of one run's own extend time
 cancels runner speed too.  A traced ``infer_single`` run
 (``--out <dir>/ledger_infer.json``) must report every online-op row
@@ -134,7 +135,10 @@ LEDGER_BUDGETS = {
 #: one-shot SPCOT is one channel round trip, one batched OT and three
 #: messages (two OT vectors, masked sums + psi) per extend at the
 #: ledger's scale, where all trees share one depth; a per-level exchange
-#: creeping back in reads 12 / 12 / 31.  One share: the column-at-a-time
+#: creeping back in reads 12 / 12 / 31.  The sender's tree-PRG calls are
+#: ``mpcot_prg_calls(19 086, 7, 4, "chacha8")`` = 6 377 when each tree
+#: expands only the nodes above its 2 727 kept leaves; full 4 096-leaf
+#: trees read 9 555.  One share: the column-at-a-time
 #: LPN gather-XOR is ~0.06 of the lane; a gather of all d rows walked by
 #: a strided ``reduce`` (what it replaced) reads >= 0.4.  An untraced
 #: smoke run has no such rows at all.
@@ -143,6 +147,9 @@ LEDGER_ROWS = {
     "rounds_per_extend": (1, 1, _PER_LEVEL),
     "ot_from_cot.calls.snd": (1, 1, _PER_LEVEL),
     "channel.msgs.snd": (1, 3, _PER_LEVEL),
+    "prg.calls.snd": (
+        6377, 6377, "is SPCOT expanding the surplus leaves of each GGM tree again",
+    ),
     "ote.lpn_share.snd": (
         0, 0.25, "is repro.lpn.encode gathering whole (rows, d) temporaries again",
     ),

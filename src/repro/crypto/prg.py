@@ -25,6 +25,7 @@ from repro.crypto.aes import AES128
 from repro.crypto.chacha import CONSTANTS as CHACHA_CONSTANTS
 from repro.crypto.chacha import chacha_core, make_states
 from repro.errors import ParameterError
+from repro.utils.bitops import log_base
 
 #: Blocks produced per ChaCha core invocation (512-bit output).
 CHACHA_BLOCKS_PER_CALL = 4
@@ -213,20 +214,42 @@ def make_tree_prg(kind: str, arity: int) -> TreePrg:
     raise ParameterError(f"unknown PRG kind {kind!r}")
 
 
+def calls_per_node(arity: int, prg_kind: str) -> int:
+    """Core calls to expand one node: ``arity`` for AES, ``ceil(arity/4)``
+    for ChaCha."""
+    if prg_kind == "aes":
+        return arity
+    if prg_kind.startswith("chacha"):
+        return -(-arity // CHACHA_BLOCKS_PER_CALL)
+    raise ParameterError(f"unknown PRG kind {prg_kind!r}")
+
+
 def expansion_calls(n_leaves: int, arity: int, prg_kind: str) -> int:
     """Closed-form PRG core-call count to expand a tree with ``n_leaves``.
 
     Matches the paper's accounting (Section 4.1): internal nodes number
     ``(leaves - 1) / (m - 1)``; AES issues ``m`` calls per node, ChaCha
-    ``ceil(m / 4)``.
+    ``ceil(m / 4)``.  This counts *full* trees, which is what the
+    CPU-baseline and hardware models price; the runtime's MPCOT prunes
+    each tree to the leaves it keeps and expands
+    ``repro.spcot.mpcot.mpcot_prg_calls`` (see
+    :func:`pruned_expansion_calls`).
     """
     if n_leaves < 1:
         raise ParameterError("n_leaves must be positive")
-    internal = (n_leaves - 1) // (arity - 1)
-    if prg_kind == "aes":
-        per_node = arity
-    elif prg_kind.startswith("chacha"):
-        per_node = -(-arity // CHACHA_BLOCKS_PER_CALL)
-    else:
-        raise ParameterError(f"unknown PRG kind {prg_kind!r}")
-    return internal * per_node
+    return (n_leaves - 1) // (arity - 1) * calls_per_node(arity, prg_kind)
+
+
+def pruned_expansion_calls(kept: int, n_leaves: int, arity: int, prg_kind: str) -> int:
+    """Core calls to expand only the nodes above the first ``kept`` of a
+    tree's ``n_leaves`` leaves (``n_leaves`` a power of ``arity``).
+
+    Level ``i`` of a depth-``d`` tree expands ``ceil(kept / m**(d-i))``
+    nodes, at the per-node cost of :func:`expansion_calls`, which this
+    equals at ``kept == n_leaves``.
+    """
+    depth = log_base(n_leaves, arity)
+    if not 1 <= kept <= n_leaves:
+        raise ParameterError(f"kept leaves {kept} outside [1, {n_leaves}]")
+    nodes = sum(-(-kept // arity ** (depth - i)) for i in range(depth))
+    return nodes * calls_per_node(arity, prg_kind)

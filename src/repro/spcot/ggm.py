@@ -10,17 +10,29 @@ all sums except slot ``alpha_i`` can reconstruct every leaf except the
 one at position ``alpha`` -- that reconstruction lives here too so the
 protocol module stays purely about message flow.
 
-Besides the single-tree primitives, this module carries their *batched*
-counterparts (:func:`batched_expand_full`, :func:`batched_level_sums`,
-:class:`BatchedTreeLevels`, :class:`BatchedPuncturedReconstructor`).
-MPCOT runs t independent trees, and Ironman's hybrid expansion schedule
-(Figure 8) gets its pipeline utilization exactly from that inter-tree
-parallelism: all t trees advance level-synchronously, so every PRG
-expansion operates on ``t * arity**level`` nodes at once.  The batched
-representation stores one ``(t * nodes_per_tree, 2)`` block array per
-level (tree-major: tree ``i`` owns rows ``[i * nodes_per_tree,
-(i + 1) * nodes_per_tree)``), which turns the per-level work of all t
-trees into single vectorized numpy kernels instead of ``t`` small ones.
+Besides the single-tree primitives (the full-tree reference), this
+module carries their *batched* counterparts (:func:`batched_expand_full`,
+:func:`batched_level_sums`, :class:`BatchedTreeLevels`,
+:class:`BatchedPuncturedReconstructor`).  MPCOT runs t independent
+trees, and Ironman's hybrid expansion schedule (Figure 8) gets its
+pipeline utilization exactly from that inter-tree parallelism: all t
+trees advance level-synchronously, so every PRG expansion operates on
+all t trees' nodes of a level at once.  The batched representation
+stores one ``(t * nodes_per_tree, 2)`` block array per level
+(tree-major: tree ``i`` owns rows ``[i * nodes_per_tree, (i + 1) *
+nodes_per_tree)``), which turns the per-level work of all t trees into
+single vectorized numpy kernels instead of ``t`` small ones.
+
+The batched forms build a *pruned* forest.  A caller that keeps only
+the first ``kept`` leaves of each tree (MPCOT keeps a regular-noise
+block, usually not a power of the arity) passes ``kept``, and level
+``i`` expands only its first ``p_i = ceil(kept / arity**(depth - i))``
+nodes -- the ones with a kept leaf below them (:func:`pruned_widths`).
+A level then holds ``arity * p_{i-1}`` computed nodes per tree, always
+a multiple of the arity, and its slot sums cover exactly those.  The
+surplus nodes are never computed, by either party.  Kept leaves depend
+only on their root path, so they equal the full tree's bit for bit.
+Without ``kept`` the whole tree is built.
 """
 
 from __future__ import annotations
@@ -155,23 +167,62 @@ def reconstruct_punctured(
 # ---------------------------------------------------------------------------
 
 
-def batched_expand_full(prg: TreePrg, seeds: np.ndarray, depth: int) -> list:
-    """Expand ``t`` seeds into all levels of ``t`` trees at once.
+def pruned_widths(arity: int, depth: int, kept: int = None) -> list:
+    """Per-level node counts ``p_0 .. p_depth`` of a pruned tree.
 
-    ``seeds`` is a ``(t, 2)`` block array; ``levels[i]`` holds all trees'
-    level-``i`` nodes as one ``(t * arity**i, 2)`` array, tree-major.
-    Because :meth:`TreePrg.expand` places the children of parent ``p`` at
-    rows ``[p * arity, (p + 1) * arity)``, tree-major layout is preserved
-    level to level, and PRG core-call counts are identical to expanding
-    the trees one by one.
+    ``p_i = ceil(kept / arity**(depth - i))`` is the number of level-``i``
+    nodes with one of the first ``kept`` leaves below them; only those
+    are expanded.  ``p_0 = 1`` and ``p_depth = kept``; at ``kept =
+    arity**depth`` (the default) every level is full.
     """
     if depth < 1:
         raise ParameterError("tree depth must be >= 1")
+    if kept is None:
+        kept = arity**depth
+    if not 1 <= kept <= arity**depth:
+        raise ParameterError(f"kept leaves {kept} outside [1, {arity}^{depth}]")
+    return [-(-kept // arity ** (depth - i)) for i in range(depth + 1)]
+
+
+def _expand_prefix(
+    prg: TreePrg, nodes: np.ndarray, n_trees: int, count: int, level: int
+) -> np.ndarray:
+    """Expand the first ``count`` nodes of every tree of a batched level."""
+    if nodes.shape[0] != n_trees * count:
+        nodes = np.ascontiguousarray(nodes.reshape(n_trees, -1, 2)[:, :count])
+        nodes = nodes.reshape(-1, 2)
+    return prg.expand(nodes, level)
+
+
+def batched_expand_full(
+    prg: TreePrg, seeds: np.ndarray, depth: int, kept: int = None
+) -> list:
+    """Expand ``t`` seeds into all computed levels of ``t`` trees at once.
+
+    ``seeds`` is a ``(t, 2)`` block array; ``levels[i]`` holds all trees'
+    computed level-``i`` nodes as one ``(t * arity * p_{i-1}, 2)`` array,
+    tree-major (see :func:`pruned_widths`; ``kept=None`` builds full
+    trees, ``arity**i`` nodes per tree).  Because :meth:`TreePrg.expand`
+    places the children of parent ``p`` at rows ``[p * arity, (p + 1) *
+    arity)``, tree-major layout is preserved level to level, and every
+    computed node equals its full-tree counterpart.
+    """
     seeds = blocks.require_blocks(np.ascontiguousarray(seeds), "seeds")
+    widths = pruned_widths(prg.arity, depth, kept)
     levels = [seeds]
     for lvl in range(depth):
-        levels.append(prg.expand(levels[-1], lvl))
+        levels.append(_expand_prefix(prg, levels[-1], seeds.shape[0], widths[lvl], lvl))
     return levels
+
+
+def tree_xor(per_tree: np.ndarray) -> np.ndarray:
+    """XOR of each tree's rows: ``(t, rows, k)`` -> ``(t, k)``.
+
+    Reduces a contiguous ``(t, k, rows)`` copy along its last axis:
+    numpy's reduce over the middle axis walks ``k``-element inner loops
+    and is ~10x slower at the ledger's leaf level (7 x 2 728 blocks).
+    """
+    return np.bitwise_xor.reduce(np.ascontiguousarray(per_tree.transpose(0, 2, 1)), axis=2)
 
 
 def batched_level_sums(nodes: np.ndarray, arity: int, n_trees: int) -> np.ndarray:
@@ -180,14 +231,13 @@ def batched_level_sums(nodes: np.ndarray, arity: int, n_trees: int) -> np.ndarra
     ``nodes`` is a ``(t * nodes_per_tree, 2)`` tree-major level; the
     result is ``(t, arity, 2)`` where ``out[i, j]`` is tree ``i``'s XOR
     of nodes at positions congruent to ``j`` mod ``arity`` -- one
-    ``bitwise_xor.reduce`` over a 4-d reshape, no Python loop over trees.
+    :func:`tree_xor` over a 3-d reshape, no Python loop over trees.
     """
     if n_trees < 1:
         raise ParameterError("need at least one tree")
     if nodes.shape[0] % (n_trees * arity) != 0:
         raise ParameterError("level size must be a multiple of n_trees * arity")
-    grouped = nodes.reshape(n_trees, -1, arity, 2)
-    return np.bitwise_xor.reduce(grouped, axis=1)
+    return tree_xor(nodes.reshape(n_trees, -1, arity * 2)).reshape(n_trees, arity, 2)
 
 
 class BatchedTreeLevels:
@@ -195,15 +245,16 @@ class BatchedTreeLevels:
 
     Thin convenience over :func:`batched_expand_full` that exposes the
     per-level slot sums and the final per-tree leaf matrix the batched
-    SPCOT sender needs.
+    SPCOT sender needs.  With ``kept`` given, only the nodes above the
+    first ``kept`` leaves of each tree are computed.
     """
 
-    def __init__(self, prg: TreePrg, seeds: np.ndarray, depth: int):
+    def __init__(self, prg: TreePrg, seeds: np.ndarray, depth: int, kept: int = None):
         self.prg = prg
         self.arity = prg.arity
         self.depth = depth
         self.n_trees = np.ascontiguousarray(seeds).shape[0]
-        self.levels = batched_expand_full(prg, seeds, depth)
+        self.levels = batched_expand_full(prg, seeds, depth, kept)
 
     def sums(self, level: int) -> np.ndarray:
         """``(t, arity, 2)`` slot sums of level ``level`` (1-based)."""
@@ -212,7 +263,8 @@ class BatchedTreeLevels:
         return batched_level_sums(self.levels[level], self.arity, self.n_trees)
 
     def leaves(self) -> np.ndarray:
-        """All leaves as a ``(t, arity**depth, 2)`` per-tree matrix."""
+        """The computed leaves as a ``(t, arity * p_{depth-1}, 2)`` per-tree
+        matrix; the first ``kept`` columns are the kept leaves."""
         return self.levels[-1].reshape(self.n_trees, -1, 2)
 
 
@@ -223,10 +275,13 @@ class BatchedPuncturedReconstructor:
     advance one level per :meth:`feed_level` call, carried as a single
     tree-major block array, with the per-tree holes tracked as an index
     vector.  ``digits`` is a ``(t, depth)`` int array of per-tree
-    punctured digits (big-endian, as from :func:`alpha_digits`).
+    punctured digits (big-endian, as from :func:`alpha_digits`).  With
+    ``kept`` given it rebuilds the same pruned forest as
+    :class:`BatchedTreeLevels`; every puncture must then lie among the
+    kept leaves, so each hole path is among the computed nodes.
     """
 
-    def __init__(self, prg: TreePrg, depth: int, digits: np.ndarray):
+    def __init__(self, prg: TreePrg, depth: int, digits: np.ndarray, kept: int = None):
         self.prg = prg
         self.arity = prg.arity
         self.depth = depth
@@ -237,6 +292,10 @@ class BatchedPuncturedReconstructor:
             raise ParameterError("need at least one tree")
         if np.any((self.digits < 0) | (self.digits >= self.arity)):
             raise ParameterError(f"digits must lie in [0, {self.arity})")
+        self.widths = pruned_widths(self.arity, depth, kept)
+        holes = self.digits @ (self.arity ** np.arange(depth - 1, -1, -1, dtype=np.int64))
+        if np.any(holes >= self.widths[-1]):
+            raise ParameterError(f"punctures must lie among the first {self.widths[-1]} leaves")
         self.n_trees = self.digits.shape[0]
         self.level = 0
         self.nodes = None
@@ -266,8 +325,8 @@ class BatchedPuncturedReconstructor:
             self.nodes = nodes
             self.holes = digit.copy()
         else:
-            per_tree = m**self.level
-            children = self.prg.expand(self.nodes, self.level)
+            per_tree = self.widths[self.level]
+            children = _expand_prefix(self.prg, self.nodes, t, per_tree, self.level)
             # Each hole parent expanded a zero stand-in; blank its children
             # so the vectorized slot sums below cover only known nodes.
             hole_parents = tree_ids * per_tree + self.holes
@@ -287,8 +346,9 @@ class BatchedPuncturedReconstructor:
     def leaves(self) -> tuple:
         """Return ``((t, leaves, 2)`` per-tree leaves, ``(t,)`` holes).
 
-        Each tree's hole leaf is zero-filled, exactly like the
-        single-tree reconstructor.
+        ``leaves`` counts the computed leaves, as
+        :meth:`BatchedTreeLevels.leaves`.  Each tree's hole leaf is
+        zero-filled, exactly like the single-tree reconstructor.
         """
         if not self.done:
             raise ParameterError("tree reconstruction is not finished")

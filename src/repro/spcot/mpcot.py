@@ -4,8 +4,12 @@ Ferret's LPN step needs a length-n one-hot-union vector with exactly t
 set positions, distributed regularly: position ``i`` of block ``b``
 (blocks partition [0, n) evenly) carries the b-th SPCOT's puncture.
 Each block is covered by one GGM tree whose leaf count is the smallest
-power of the arity that fits the block; surplus leaves are dropped by
-both parties identically.
+power of the arity that fits the block.  The trees are pruned: each
+same-depth run keeps the first ``max(block sizes)`` leaves of its trees
+(public, from ``n`` and ``t``), and the leaves past them -- and every
+node with only such leaves below it -- are never computed, by either
+party (:func:`repro.spcot.ggm.pruned_widths`).  At the ledger's scale
+that is 2 727 of 4 096 leaves per tree and a third fewer PRG calls.
 
 The t trees are independent, which is exactly the inter-tree
 parallelism Ironman's hybrid expansion schedule exploits (Figure 8).
@@ -15,10 +19,10 @@ per execution) and each run is **one** one-shot SPCOT
 (:func:`repro.spcot.protocol.spcot_send_batch`): every GGM level's OTs
 of every tree of the run travel in a single exchange, so one execution
 costs one channel round trip per run, independent of t, depth and
-arity, and the GGM work is t-wide vectorized kernels.  Outputs, PRG
-core-call counts and COT consumption are bit-for-bit those of running
-the trees one by one, level by level; that reference lives in
-``tests/oracles.py``.
+arity, and the GGM work is t-wide vectorized kernels.  Outputs and COT
+consumption are bit-for-bit those of running full trees one by one,
+level by level (that reference lives in ``tests/oracles.py``); the PRG
+core calls are fewer, exactly :func:`mpcot_prg_calls`.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import numpy as np
 
 from repro.crypto import blocks
 from repro.crypto.crhf import DEFAULT_CRHF, Crhf
-from repro.crypto.prg import TreePrg
+from repro.crypto.prg import TreePrg, calls_per_node, pruned_expansion_calls
 from repro.errors import ParameterError
 from repro.ot.channel import Channel
 from repro.ot.cot import CotPool
@@ -64,6 +68,23 @@ def mpcot_cots_needed(n: int, t: int, arity: int) -> int:
     )
 
 
+def mpcot_prg_calls(n: int, t: int, arity: int, prg_kind: str) -> tuple:
+    """``(sender, receiver)`` tree-PRG core calls of one execution.
+
+    Each tree of a same-depth run expands only the nodes above the run's
+    kept leaves (:func:`repro.crypto.prg.pruned_expansion_calls`).  The
+    receiver never expands a root -- it learns level 1 from the sums --
+    so its count is the sender's minus ``t`` root expansions (``t``
+    calls for ChaCha at arity <= 4).  Key-tree PRG calls are not counted.
+    """
+    _, runs = _schedule(block_sizes(n, t), arity)
+    sender = sum(
+        count * pruned_expansion_calls(kept, arity**depth, arity, prg_kind)
+        for _, count, depth, kept, _ in runs
+    )
+    return sender, sender - t * calls_per_node(arity, prg_kind)
+
+
 def sample_alphas(n: int, t: int, rng: np.random.Generator) -> np.ndarray:
     """Sample one puncture position per regular block (local offsets)."""
     return np.array(
@@ -94,9 +115,11 @@ def _schedule(sizes: list, arity: int) -> tuple:
 
     Returns ``(offsets, runs)`` where ``offsets[i]`` is tree i's start
     in the length-n output and ``runs`` holds ``(first, count, depth,
-    tweak_bases)`` per same-depth run.  Both parties must derive the
-    identical per-tree tweak schedule from this single place -- a
-    desync would silently garble the OT pads.
+    kept, tweak_bases)`` per same-depth run, ``kept`` being the run's
+    largest block: the leaves each of its trees is pruned to.  Both
+    parties must derive the identical tree shapes and per-tree tweak
+    schedule from this single place -- a desync would silently garble
+    the OT pads or the level sums.
     """
     offsets = np.concatenate([[0], np.cumsum(sizes)])
     runs = [
@@ -104,6 +127,7 @@ def _schedule(sizes: list, arity: int) -> tuple:
             first,
             count,
             depth,
+            max(sizes[first : first + count]),
             np.arange(first, first + count, dtype=np.uint64)
             * np.uint64(_TREE_TWEAK_STRIDE),
         )
@@ -126,10 +150,10 @@ def mpcot_send(
     sizes = block_sizes(n, t)
     out = blocks.zeros(n)
     offsets, runs = _schedule(sizes, prg.arity)
-    for first, count, depth, tweak_bases in runs:
+    for first, count, depth, kept, tweak_bases in runs:
         leaves = spcot_send_batch(
             channel, pool, delta, prg, depth, count, rng,
-            tweak_bases=tweak_bases, crhf=crhf,
+            tweak_bases=tweak_bases, crhf=crhf, kept=kept,
         )
         for i in range(count):
             size = sizes[first + i]
@@ -165,10 +189,10 @@ def mpcot_receive(
     u = np.zeros(n, dtype=np.uint8)
     v = blocks.zeros(n)
     offsets, runs = _schedule(sizes, prg.arity)
-    for first, count, depth, tweak_bases in runs:
+    for first, count, depth, kept, tweak_bases in runs:
         run_v, _ = spcot_receive_batch(
             channel, pool, alphas[first : first + count], prg, depth,
-            tweak_bases=tweak_bases, crhf=crhf,
+            tweak_bases=tweak_bases, crhf=crhf, kept=kept,
         )
         for i in range(count):
             size = sizes[first + i]

@@ -16,6 +16,15 @@ from an m-leaf binary GGM "key tree" whose punctured transfer (log2(m)
 base COTs) hands the receiver every key ``q_j`` except ``q_{alpha_i}``,
 and the sender broadcasts the sums masked as ``K_j XOR H(q_j)``.
 
+A caller that keeps only the first ``kept`` leaves (MPCOT's
+regular-noise blocks) passes ``kept``, and both parties build the same
+pruned tree: a node with no kept leaf below it is never computed, and
+the level sums and ``psi`` cover the computed nodes only
+(:mod:`repro.spcot.ggm`).  The puncture lies among the kept leaves, so
+its path is always computed, and the receiver learns sums over public
+positions only.  Pruning changes the values of the sums and ``psi`` but
+not their count, so both parties must agree on ``kept``.
+
 :func:`spcot_send_batch` / :func:`spcot_receive_batch` run ``t``
 same-depth instances in **one shot**.  Nothing a level's OT carries
 depends on an earlier level's answer: the receiver's choice bits are
@@ -36,7 +45,8 @@ whatever the depth, arity or ``t``.  Pooled COTs are consumed in
 (level, key-tree level, tree) order and every OT and mask keeps its own
 tweak (per-tree base + per-level stride + key-tree level / slot), the
 schedule of the per-tree reference in ``tests/oracles.py``, whose
-outputs this path reproduces bit for bit.
+outputs this path reproduces bit for bit on the kept leaves (the
+reference builds full trees).
 """
 
 from __future__ import annotations
@@ -56,6 +66,7 @@ from repro.spcot.ggm import (
     alpha_digits,
     batched_expand_full,
     batched_level_sums,
+    tree_xor,
 )
 from repro.utils.bitops import log_base
 
@@ -149,15 +160,18 @@ def spcot_send_batch(
     rng: np.random.Generator,
     tweak_bases: np.ndarray = None,
     crhf: Crhf = DEFAULT_CRHF,
+    kept: int = None,
 ) -> np.ndarray:
     """Run ``n_trees`` same-depth SPCOT instances in one shot.
 
-    Expands every tree (and, for arity > 2, every level's key tree),
-    takes all ``n_trees * depth * log2(arity)`` pooled COTs at once and
-    answers the receiver's single correction-bit message with one
-    flight: the batched OT's two vectors, then the masked sums of every
-    level followed by the psi blocks.  Returns the per-tree leaf matrix
-    ``(n_trees, arity**depth, 2)``.
+    Expands every tree (pruned to its first ``kept`` leaves when given;
+    and, for arity > 2, every level's key tree), takes all ``n_trees *
+    depth * log2(arity)`` pooled COTs at once and answers the receiver's
+    single correction-bit message with one flight: the batched OT's two
+    vectors, then the masked sums of every level followed by the psi
+    blocks.  Returns the per-tree matrix of computed leaves, ``(n_trees,
+    arity**depth, 2)`` for full trees; its first ``kept`` columns are
+    the kept leaves.
     """
     m = prg.arity
     t = n_trees
@@ -165,11 +179,12 @@ def spcot_send_batch(
         raise ParameterError("need at least one tree")
     tweak_bases = _resolve_tweak_bases(tweak_bases, t)
     seeds, kt_seeds = _batch_seeds(rng, t, depth, m)
-    trees = BatchedTreeLevels(prg, seeds, depth)
+    trees = BatchedTreeLevels(prg, seeds, depth, kept)
     sums = np.stack([trees.sums(lvl) for lvl in range(1, depth + 1)])  # (depth, t, m, 2)
     level_tweaks, ot_tweaks = _ot_tweaks(tweak_bases, depth, m)
     leaves = trees.leaves()  # (t, l, 2)
-    reply = blocks.xor(delta, np.bitwise_xor.reduce(leaves, axis=1))  # psi, (t, 2)
+    # psi, (t, 2): the leaf level's slot sums XOR to all computed leaves.
+    reply = blocks.xor(delta, np.bitwise_xor.reduce(sums[-1], axis=1))
     if m == 2:
         offers = sums
     else:
@@ -203,12 +218,15 @@ def spcot_receive_batch(
     depth: int,
     tweak_bases: np.ndarray = None,
     crhf: Crhf = DEFAULT_CRHF,
+    kept: int = None,
 ) -> tuple:
-    """Receiver side of :func:`spcot_send_batch`.
+    """Receiver side of :func:`spcot_send_batch` (same ``kept``; every
+    alpha must be below it).
 
-    Returns ``(v, holes)``: the per-tree vectors ``(t, arity**depth, 2)``
-    with each tree's alpha slot fixed up, and the per-tree hole indices.
-    A reply of the wrong length raises :class:`ProtocolError`.
+    Returns ``(v, holes)``: the per-tree vectors over the computed
+    leaves, shaped like the sender's, with each tree's alpha slot fixed
+    up, and the per-tree hole indices.  A reply of the wrong length
+    raises :class:`ProtocolError`.
     """
     m = prg.arity
     alphas = np.asarray(alphas, dtype=np.int64)
@@ -255,12 +273,12 @@ def spcot_receive_batch(
             reply[:n_masked],
             crhf.hash_tweaked(keys.reshape(-1, 2), _mask_tweaks(level_tweaks, m)),
         ).reshape(depth, t, m, 2)
-    recon = BatchedPuncturedReconstructor(prg, depth, digits)
+    recon = BatchedPuncturedReconstructor(prg, depth, digits, kept)
     for level_sums in sums:
         recon.feed_level(level_sums)
     v, holes = recon.leaves()
     # Hole slots are zero, so the per-tree reduce covers exactly the
-    # known leaves of each tree.
-    known_xor = np.bitwise_xor.reduce(v, axis=1)
+    # known computed leaves of each tree.
+    known_xor = tree_xor(v)
     v[np.arange(t), holes] = blocks.xor(reply[n_masked:], known_xor)
     return v, holes

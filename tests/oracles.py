@@ -9,8 +9,10 @@ trees of a multi-point execution one after the other through them.
 
 The shipped one-shot path (``repro.spcot.protocol.spcot_*_batch`` under
 ``repro.spcot.mpcot``) must reproduce these outputs bit for bit from
-the same rng state, with the same PRG core-call counts and the same COT
-consumption; only the message schedule differs.  The tweak layout and
+the same rng state, with the same COT consumption.  The message
+schedule differs, and so does the PRG core-call count: these build full
+trees, while the shipped path never computes a node that has no kept
+leaf below it (``repro.spcot.mpcot.mpcot_prg_calls``).  The tweak layout and
 the key-tree PRG are spelled out here, not imported, so the comparison
 also pins the shipped schedule.
 

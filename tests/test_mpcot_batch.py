@@ -1,9 +1,10 @@
 """One-shot MPCOT vs the sequential per-tree, per-level reference oracle.
 
-The shipped path must be a pure schedule change: same outputs bit for
-bit, same PRG core-call counts (the Figure 7 quantity), same COT
-consumption -- only the channel-round count may differ, dropping from
-O(t * depth) to one per same-depth run.
+The shipped path must keep the oracle's outputs bit for bit and its COT
+consumption.  Two things differ: the channel-round count drops from
+O(t * depth) to one per same-depth run, and the PRG core calls drop to
+:func:`mpcot_prg_calls` because the shipped trees are pruned to the
+leaves each block keeps, while the oracle expands full trees.
 """
 
 import numpy as np
@@ -12,21 +13,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto import blocks
-from repro.crypto.prg import AesTreePrg, ChaChaTreePrg
+from repro.crypto.prg import AesTreePrg, ChaChaTreePrg, expansion_calls, make_tree_prg
+from repro.errors import ParameterError
+from repro.lpn.params import TABLE4_BY_LABEL
 from repro.ot.channel import run_pair
 from repro.ot.cot import CotPool, CotReceiverBatch, CotSenderBatch
 from repro.spcot.ggm import (
     BatchedPuncturedReconstructor,
+    BatchedTreeLevels,
     alpha_digits,
     batched_expand_full,
     batched_level_sums,
     expand_full,
     level_sums,
+    pruned_widths,
+    tree_xor,
 )
 from repro.spcot.mpcot import (
     block_sizes,
     depth_runs,
     mpcot_cots_needed,
+    mpcot_prg_calls,
     mpcot_receive,
     mpcot_send,
     sample_alphas,
@@ -119,6 +126,11 @@ class TestBatchedGgm:
         expect[np.arange(t), alphas] = 0
         assert np.array_equal(leaves, expect)
 
+    @pytest.mark.parametrize("shape", [(1, 1, 2), (3, 5, 8), (7, 2728, 2)])
+    def test_tree_xor_matches_middle_axis_reduce(self, shape, rng):
+        per_tree = blocks.random_blocks(int(np.prod(shape)) // 2, rng).reshape(shape)
+        assert np.array_equal(tree_xor(per_tree), np.bitwise_xor.reduce(per_tree, axis=1))
+
     def test_reconstructor_validates_digit_shape(self):
         with pytest.raises(Exception):
             BatchedPuncturedReconstructor(ChaChaTreePrg(4), 3, np.zeros((2, 2)))
@@ -126,6 +138,55 @@ class TestBatchedGgm:
             BatchedPuncturedReconstructor(
                 ChaChaTreePrg(4), 2, np.full((2, 2), 7)
             )  # digit out of range
+
+
+class TestPrunedGgm:
+    """A forest pruned to the first ``kept`` leaves of each tree equals the
+    full expansion on every kept leaf and hole."""
+
+    @pytest.mark.parametrize("arity,depth,t", [(2, 5, 3), (4, 3, 4), (8, 2, 2)])
+    @pytest.mark.parametrize("which", ["one", "one_past_a_subtree", "all"])
+    def test_prefixes_and_holes_match_full_trees(self, arity, depth, t, which, rng):
+        kept = {"one": 1, "one_past_a_subtree": arity ** (depth - 1) + 1, "all": arity**depth}[
+            which
+        ]
+        seeds = blocks.random_blocks(t, rng)
+        full = BatchedTreeLevels(ChaChaTreePrg(arity), seeds, depth)
+        pruned = BatchedTreeLevels(ChaChaTreePrg(arity), seeds, depth, kept)
+        full_leaves = full.leaves()
+        assert np.array_equal(pruned.leaves()[:, :kept], full_leaves[:, :kept])
+
+        widths = pruned_widths(arity, depth, kept)
+        alphas = rng.integers(0, kept, t)
+        digits = np.array([alpha_digits(int(a), arity, depth) for a in alphas])
+        recon = BatchedPuncturedReconstructor(ChaChaTreePrg(arity), depth, digits, kept)
+        for lvl in range(1, depth + 1):
+            assert pruned.levels[lvl].shape[0] == t * arity * widths[lvl - 1]
+            recon.feed_level(pruned.sums(lvl))
+        leaves, holes = recon.leaves()
+        assert np.array_equal(holes, alphas)
+        expect = full_leaves[:, :kept].copy()
+        expect[np.arange(t), alphas] = 0
+        assert np.array_equal(leaves[:, :kept], expect)
+
+    def test_pruned_tree_expands_only_the_kept_paths(self):
+        prg = ChaChaTreePrg(4)
+        BatchedTreeLevels(prg, blocks.zeros(3), 3, kept=17)
+        # p = 1, 2, 5 nodes expanded at levels 0, 1, 2 of each tree.
+        assert pruned_widths(4, 3, 17) == [1, 2, 5, 17]
+        assert prg.total_calls == 3 * (1 + 2 + 5)
+
+    @pytest.mark.parametrize("kept", [0, 65])
+    def test_kept_outside_the_tree_raises(self, kept):
+        with pytest.raises(ParameterError):
+            BatchedTreeLevels(ChaChaTreePrg(4), blocks.zeros(2), 3, kept)
+        with pytest.raises(ParameterError):
+            BatchedPuncturedReconstructor(ChaChaTreePrg(4), 3, np.zeros((2, 3)), kept)
+
+    def test_puncture_past_the_kept_leaves_raises(self):
+        digits = np.array([alpha_digits(17, 4, 3)])
+        with pytest.raises(ParameterError):
+            BatchedPuncturedReconstructor(ChaChaTreePrg(4), 3, digits, kept=17)
 
 
 class TestBatchedSpcot:
@@ -187,9 +248,25 @@ class TestEquivalence:
 
     @pytest.mark.parametrize("arity,prg_cls", [(2, AesTreePrg), (4, ChaChaTreePrg)])
     def test_prg_calls_identical(self, delta, arity, prg_cls):
-        """Figure 7's paper-reported quantity must be schedule-invariant."""
-        res = run_both_paths(90, 6, arity, prg_cls, delta)
-        assert res[False]["prg_calls"] == res[True]["prg_calls"]
+        """The shipped count is the pruned closed form, below the full-tree
+        oracle's, with the same outputs."""
+        res = run_both_paths(90, 4, arity, prg_cls, delta)
+        kind = "aes" if prg_cls is AesTreePrg else "chacha8"
+        shipped, oracle = res[True]["prg_calls"], res[False]["prg_calls"]
+        assert shipped == mpcot_prg_calls(90, 4, arity, kind)
+        assert all(s < o for s, o in zip(shipped, oracle))
+        for key in ("w", "u", "v"):
+            assert np.array_equal(res[False][key], res[True][key])
+
+    def test_pruning_at_two_levels(self, delta):
+        """Blocks of 21 (not a power of 4) prune levels 1 and 2 of every
+        depth-3 tree; the kept leaves still match the oracle."""
+        assert pruned_widths(4, 3, 21) == [1, 2, 6, 21]  # full: 1, 4, 16, 64
+        res = run_both_paths(105, 5, 4, ChaChaTreePrg, delta)
+        for key in ("w", "u", "v"):
+            assert np.array_equal(res[False][key], res[True][key])
+        assert res[True]["prg_calls"] == mpcot_prg_calls(105, 5, 4, "chacha8") == (45, 40)
+        assert res[False]["prg_calls"] == (5 * 21, 5 * 20)
 
     def test_cot_consumption_identical(self, delta):
         res = run_both_paths(100, 7, 4, ChaChaTreePrg, delta)
@@ -216,11 +293,50 @@ class TestEquivalence:
         assert np.array_equal(res[False]["w"], res[True]["w"])
         assert np.array_equal(res[False]["u"], res[True]["u"])
         assert np.array_equal(res[False]["v"], res[True]["v"])
-        assert res[False]["prg_calls"] == res[True]["prg_calls"]
+        shipped, oracle = res[True]["prg_calls"], res[False]["prg_calls"]
+        assert shipped == mpcot_prg_calls(n, t, arity, "chacha8")
+        assert all(s <= o for s, o in zip(shipped, oracle))
         # And the one-shot run is still a valid MPCOT.
         w, u, v = res[True]["w"], res[True]["u"], res[True]["v"]
         assert u.sum() == t
         assert np.all(blocks.equal(w, blocks.xor(v, blocks.mul_bit(delta, u))))
+
+
+class TestPrgCallClosedForm:
+    """ROADMAP 1(a) at a small scale: the measured PRG core calls of both
+    parties equal :func:`mpcot_prg_calls`."""
+
+    @pytest.mark.parametrize(
+        "arity,n,t,n_runs",
+        [
+            (2, 69, 3, 1),  # blocks of 23 in 32-leaf trees
+            (2, 50, 3, 2),  # 17, 17 | 16
+            (4, 100, 5, 1),  # blocks of 20 in 64-leaf trees
+            (4, 50, 3, 2),  # 17, 17 | 16
+            (8, 60, 3, 1),  # blocks of 20 in 64-leaf trees
+            (8, 129, 2, 2),  # 65 | 64
+        ],
+    )
+    @pytest.mark.parametrize("kind", ["aes", "chacha8"])
+    def test_measured_calls_equal_closed_form(self, delta, arity, n, t, n_runs, kind):
+        assert len(depth_runs(block_sizes(n, t), arity)) == n_runs
+        pool_s, pool_r = make_pools(mpcot_cots_needed(n, t, arity), delta)
+        prg_s, prg_r = make_tree_prg(kind, arity), make_tree_prg(kind, arity)
+        alphas = sample_alphas(n, t, np.random.default_rng(7))
+        rng = np.random.default_rng(8)
+        run_pair(
+            lambda ch: mpcot_send(ch, pool_s, delta, prg_s, n, t, rng),
+            lambda ch: mpcot_receive(ch, pool_r, alphas, prg_r, n, t),
+        )
+        assert (prg_s.total_calls, prg_r.total_calls) == mpcot_prg_calls(n, t, arity, kind)
+
+    def test_table4_2pow20_count(self):
+        """480 trees of 4 096 leaves, each keeping 2 544 or 2 545 of them."""
+        params = TABLE4_BY_LABEL["2^20"]
+        sender, receiver = mpcot_prg_calls(params.n, params.t, 4, "chacha8")
+        assert sender == 408_480
+        assert receiver == sender - params.t
+        assert params.t * expansion_calls(4096, 4, "chacha8") == 655_200
 
 
 class TestDepthRuns:

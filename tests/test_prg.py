@@ -10,6 +10,7 @@ from repro.crypto.prg import (
     ChaChaTreePrg,
     expansion_calls,
     make_tree_prg,
+    pruned_expansion_calls,
 )
 from repro.errors import ParameterError
 
@@ -110,6 +111,36 @@ class TestClosedForm:
     def test_rejects_unknown_kind(self):
         with pytest.raises(ParameterError):
             expansion_calls(16, 2, "des")
+
+
+class TestPrunedClosedForm:
+    """Expanding only the nodes above the first ``kept`` leaves."""
+
+    @pytest.mark.parametrize("arity,depth", [(2, 5), (4, 3), (8, 2), (32, 2)])
+    @pytest.mark.parametrize("kind", ["aes", "chacha8"])
+    def test_full_tree_equals_expansion_calls(self, arity, depth, kind):
+        leaves = arity**depth
+        assert pruned_expansion_calls(leaves, leaves, arity, kind) == expansion_calls(
+            leaves, arity, kind
+        )
+
+    def test_ledger_tree(self):
+        # 2 727 of 4 096 leaves: 1 + 3 + 11 + 43 + 171 + 682 ChaCha calls.
+        assert pruned_expansion_calls(2727, 4096, 4, "chacha8") == 911
+        assert expansion_calls(4096, 4, "chacha8") == 1365
+
+    def test_one_leaf_is_one_path(self):
+        assert pruned_expansion_calls(1, 4**6, 4, "chacha8") == 6
+        assert pruned_expansion_calls(1, 2**5, 2, "aes") == 5 * 2
+
+    @pytest.mark.parametrize("kept", [0, 65])
+    def test_rejects_kept_outside_the_tree(self, kept):
+        with pytest.raises(ParameterError):
+            pruned_expansion_calls(kept, 64, 4, "chacha8")
+
+    def test_rejects_leaf_count_not_a_power(self):
+        with pytest.raises(ParameterError):
+            pruned_expansion_calls(10, 48, 4, "chacha8")
 
 
 class TestFactory:
