@@ -40,9 +40,9 @@ cancels runner speed too.  A traced ``infer_single`` run
 (``--out <dir>/ledger_infer.json``) must report every online-op row
 (``LEDGER_ONLINE_ROWS``): the ledger times those ops by patching their
 call sites from outside, so a refactor that moves them reads as zero.
-The same run carries two exact per-request counts of the online phase
-under ceilings (``LEDGER_INFER_CEILINGS``): its wire bytes and its mux
-frames.
+The same run carries three exact per-request counts under ceilings
+(``LEDGER_INFER_CEILINGS``): the online phase's wire bytes, the
+provisioning traffic's bytes and the link's mux frames.
 
 Usage:
     # in CI, after running each bench with --smoke --json-out <dir>/...
@@ -167,22 +167,25 @@ LEDGER_ONLINE_ROWS = (
 
 
 #: Ceilings on exact per-request counts of that run (host independent).
+#: Every ring value crosses the wire at the ledger's 16-bit ring width,
+#: 2 bytes a lane (``repro.ot.channel.lanes_bytes``): a request's online
+#: phase is ~10 430 B and its production traffic ~231 200 B, where the
+#: 8-byte ring frames this codec replaced read 24 250 B and 894 600 B
+#: (the Gilboa payloads of the matrix triples were 886 880 of those).
 #: With every comparison one digit-OT exchange (4-bit digits, one reply
 #: of 16 two-bit lanes per digit) plus a log-depth AND tree over the
-#: digits, and exact truncation's B2A a Gilboa exchange, a request's
-#: online phase is ~24 250 B, and the link carries ~51 mux frames
-#: (online and production).  The digit replies cost ~+280 B over the
-#: 1-bit-lane bit leaves (24 094 B), less the framing of the 12 tree
-#: openings they save: ~+120 B net.  Bit triples are hashed from COTs
-#: both parties hold, so ``produce.TRI`` sends no frames; with one OT
-#: exchange per direction per triple batch (11 batches a request) the
-#: link read 118.6 frames, over the frames ceiling.  A Beaver B2A on
-#: ring triples opens 2 x (2 x 192) x 8 = 6 144 B where the Gilboa one
-#: sends _bits_msg(192) + 192 x 8 = 1 568 B, over the bytes ceiling.
-#: The bit-serial scan with 1-bit OT messages in two 16-byte blocks read
-#: 145 557 B and 395.3 frames.
+#: digits, and exact truncation's B2A a Gilboa exchange, the link
+#: carries ~51 mux frames (online and production).  Bit triples are
+#: hashed from COTs both parties hold, so ``produce.TRI`` sends no
+#: frames; with one OT exchange per direction per triple batch (11
+#: batches a request) the link read 118.6 frames, over the frames
+#: ceiling.  A Beaver B2A on ring triples opens 2 x (2 x 192) x 2 =
+#: 1 536 B where the Gilboa one sends lanes_bytes(192, 1) + 192 x 2 =
+#: 416 B.  The bit-serial scan with 1-bit OT messages in two 16-byte
+#: blocks read 145 557 B and 395.3 frames.
 LEDGER_INFER_CEILINGS = {
-    "online_bytes_per_req": 26_000,
+    "online_bytes_per_req": 12_000,
+    "mux.prov_bytes_per_req": 260_000,
     "mux.frames_per_req": 80,
 }
 
@@ -220,8 +223,10 @@ def check_ledger_infer(path: Path) -> list:
         if not ok:
             failures.append(
                 f"ledger infer_single: {name} = {value}, expected <= {ceiling} -- "
-                "is repro.mpc.compare back to one leaf per bit, do bit triples "
-                "send OT messages again, are ot_send_from_cot / "
+                "do ring values cross the wire wider than their ring again "
+                "(repro.ot.channel.send_lanes at 64 bits instead of the ring's "
+                "width), is repro.mpc.compare back to one leaf per bit, do bit "
+                "triples send OT messages again, are ot_send_from_cot / "
                 "ot_receive_from_cot called without a payload width (bits=...) "
                 "so narrow messages travel as two 16-byte blocks, or is exact "
                 "truncation's B2A a Beaver opening again (or was the smoke run "

@@ -42,7 +42,7 @@ import numpy as np
 
 from repro.errors import ParameterError
 from repro.mpc.triples import BitTriples, and_shared
-from repro.ot.channel import Channel
+from repro.ot.channel import Channel, lanes_bytes
 from repro.ot.cot import CotPool
 from repro.ot.ot_from_cot import ot_n_receive_from_cot, ot_n_reply_bytes, ot_n_send_from_cot
 
@@ -84,11 +84,6 @@ def cots_needed(n_elements: int, bits: int) -> int:
     return DIGIT * _digit_count(bits) * n_elements
 
 
-def _bits_msg(n_bits: int) -> int:
-    """Wire bytes of one ``send_bits`` message (8-byte length header)."""
-    return 8 + (n_bits + 7) // 8
-
-
 def millionaire_bytes(n_elements: int, bits: int) -> int:
     """Exact wire bytes (both parties) of one comparison batch.
 
@@ -99,9 +94,9 @@ def millionaire_bytes(n_elements: int, bits: int) -> int:
     predictors (the truncation byte models build on this).
     """
     digits = _digit_count(bits) * n_elements
-    total = _bits_msg(DIGIT * digits) + ot_n_reply_bytes(digits, _MESSAGES, _LANE)
+    total = lanes_bytes(DIGIT * digits, 1) + ot_n_reply_bytes(digits, _MESSAGES, _LANE)
     for m in _tree_widths(_digit_count(bits)):
-        total += 2 * _bits_msg(2 * (m - 1) * n_elements)
+        total += 2 * lanes_bytes(2 * (m - 1) * n_elements, 1)
     return total
 
 

@@ -20,11 +20,11 @@ preprocessing/online split an actual code path:
   1.4x latency claim).  Both directions are real code paths here with
   measurable bytes.
 * **Online** -- :func:`matmul_online` consumes one triple: the parties
-  open masked operands ``D = X - A`` and ``E = Y - B`` (one message
-  each, :func:`matmul_online_bytes` exactly) and locally combine
-  ``C + D@B_p + A_p@E (+ D@E)``.  With warm pools the online phase
-  does no OT work at all -- the Figure 1(b)/Section 5.2 amortization
-  realized for linear layers.
+  open masked operands ``D = X - A`` and ``E = Y - B`` (one lane frame
+  each at the triple's ring width, :func:`matmul_online_bytes` exactly)
+  and locally combine ``C + D@B_p + A_p@E (+ D@E)``.  With warm pools
+  the online phase does no OT work at all -- the Figure 1(b)/Section
+  5.2 amortization realized for linear layers.
 * **Service verbs** -- :func:`matmul_via_service` draws
   :func:`matmul_draws` (one matrix triple of its shape) from a session;
   :func:`matmul_rescale_via_service` draws that plus
@@ -47,7 +47,7 @@ from repro.mpc.triples import (
     ring_mask_u64,
 )
 from repro.mpc.truncation import require_service_ring, trunc_draws, truncate_shares
-from repro.ot.channel import Channel
+from repro.ot.channel import Channel, lanes_bytes
 from repro.ot.cot import CotPool
 
 #: Default operand bit-width (quantized inference).
@@ -106,37 +106,34 @@ def matmul_cots(dims: MatmulDims, bits: int = DEFAULT_BITS) -> int:
     return (dims.m * dims.k + dims.k * dims.n) * bits
 
 
-def matmul_online_bytes(dims: MatmulDims, ring_bytes: int = 8) -> int:
+def matmul_online_bytes(dims: MatmulDims, bits: int) -> int:
     """Exact online-phase wire bytes of :func:`matmul_online` (both parties).
 
     Each party opens its shares of ``D`` (m*k) and ``E`` (k*n) in one
-    message of uint64 ring elements; no OT traffic remains online.
+    frame of ``bits``-wide lanes; no OT traffic remains online.
     """
-    return 2 * (dims.m * dims.k + dims.k * dims.n) * ring_bytes
+    return 2 * lanes_bytes(dims.m * dims.k + dims.k * dims.n, bits)
 
 
-def matmul_preproc_bytes(
-    dims: MatmulDims, bits: int, ring_bytes: int = 8
-) -> int:
+def matmul_preproc_bytes(dims: MatmulDims, bits: int) -> int:
     """Exact preprocessing wire bytes of :func:`generate_matrix_triples`.
 
     Per Gilboa correlation the receiver contributes one derandomization
-    bit and the sender one masked ring element per payload slot: the
-    activation term carries rows of B (n slots), the weight term
-    columns of A (m slots).  Bit vectors ride in one length-prefixed
-    message per term (8-byte header, bit-packed).
+    bit and the sender one masked ``bits``-wide lane per payload slot:
+    the activation term carries rows of B (n slots), the weight term
+    columns of A (m slots).  Each term's correction bits are one 1-bit
+    frame.
 
     Chunked payload streaming (``GILBOA_CHUNK_ROWS``) splits each
-    term's payload into ``ceil(t / chunk)`` ring messages, but ring
-    payloads are raw uint64 bytes with no per-message framing, so the
-    byte count is chunking-invariant -- the equality tests assert this
-    model against the measured bytes of the streamed protocol.
+    term's payload into ``ceil(t / chunk)`` frames, but lanes of two or
+    more bits carry no per-frame header, so for ``bits >= 2`` the byte
+    count is chunking-invariant -- the equality tests assert this model
+    against the measured bytes of the streamed protocol.
     """
     t_act = dims.m * dims.k * bits
     t_wgt = dims.k * dims.n * bits
-    payload = (t_act * dims.n + t_wgt * dims.m) * ring_bytes
-    corrections = (8 + (t_act + 7) // 8) + (8 + (t_wgt + 7) // 8)
-    return payload + corrections
+    payload = lanes_bytes(t_act * dims.n, bits) + lanes_bytes(t_wgt * dims.m, bits)
+    return payload + lanes_bytes(t_act, 1) + lanes_bytes(t_wgt, 1)
 
 
 def generate_matrix_triples(
@@ -274,13 +271,11 @@ def matmul_online(
     e_share = (y_share - triple.b) & mask
     mine = np.concatenate([d_share.reshape(-1), e_share.reshape(-1)])
     if party == 0:
-        channel.send_ring(mine)
-        theirs = channel.recv_ring()
+        channel.send_lanes(mine, triple.bits)
+        theirs = channel.recv_lanes(mine.shape[0], triple.bits)
     else:
-        theirs = channel.recv_ring()
-        channel.send_ring(mine)
-    if theirs.shape[0] != mine.shape[0]:
-        raise ProtocolError("peer opening has the wrong length")
+        theirs = channel.recv_lanes(mine.shape[0], triple.bits)
+        channel.send_lanes(mine, triple.bits)
     d = (d_share + theirs[: m * k].reshape(m, k)) & mask
     e = (e_share + theirs[m * k :].reshape(k, n)) & mask
     z = (triple.c + d @ triple.b + triple.a @ e) & mask

@@ -16,13 +16,14 @@ the holder of y (the OT *sender*) offers the correlated pair
 ``(r_t, r_t + y*2^t)`` and the holder of x selects with its t-th bit.
 On a COT correlation the chosen-message pair collapses to *half a
 message*: the receiver derandomizes with one correction bit and the
-sender ships a single masked ring element per correlation
+sender ships one masked ``bits``-wide lane per payload slot
 (:func:`gilboa_send` / :func:`gilboa_receive`), the per-COT online
-payload the analytical models charge.  The masks are ``bits``-wide
-lanes of the COT block's CRHF output (:func:`_expand_ring_pads`), so on
-a 16-bit ring one AES block pads eight payload slots.  Matrix triples
-batch whole rows/columns of the peer operand as the correlated payload, which
-is how one secure MatMul costs ``(m*k + k*n) * bits`` COTs rather than
+payload the analytical models charge.  The masks are lanes of the same
+width cut from the COT block's CRHF output (:func:`_expand_ring_pads`),
+so on a 16-bit ring one AES block pads eight payload slots and the
+wire carries 2 bytes per slot.  Matrix triples batch whole
+rows/columns of the peer operand as the correlated payload, which is
+how one secure MatMul costs ``(m*k + k*n) * bits`` COTs rather than
 ``m*k*n`` (see :mod:`repro.mpc.matmul`).
 """
 
@@ -35,7 +36,7 @@ import numpy as np
 from repro.crypto import blocks
 from repro.crypto.crhf import DEFAULT_CRHF, Crhf
 from repro.errors import ParameterError, ProtocolError
-from repro.ot.channel import Channel
+from repro.ot.channel import Channel, lane_bytes
 from repro.ot.cot import CotPool, CotReceiverBatch, CotSenderBatch
 
 # Unused here but bound: benchmarks/ledger/spans.py patches these names
@@ -132,34 +133,24 @@ def _expand_ring_pads(
 ) -> np.ndarray:
     """Stretch one block per COT into ``width`` mod-2^bits ring pads.
 
-    Every 128-bit hash output is cut into the narrowest little-endian
-    lanes that hold ``bits`` (8 / 16 / 32 / 64 bits wide: 16 / 8 / 4 / 2
-    pads per hash), so a COT costs ``ceil(width / lanes)`` AES blocks.
+    Every 128-bit hash output is cut into wire-width little-endian
+    lanes (:func:`repro.ot.channel.lane_bytes`: 16 / 8 / 4 / 2 pads per
+    hash), so a COT costs ``ceil(width / lanes)`` AES blocks.
     Disjoint slices of one CRHF output are as pseudorandom as the
     truncation to ``bits`` itself.  Pad derivation is part of the
     protocol: all four ``gilboa_*`` functions, on both parties, go
     through here.
     """
-    lane_bytes = next(b for b in (1, 2, 4, 8) if 8 * b >= bits)
-    lanes = blocks.BLOCK_BYTES // lane_bytes
+    lane = lane_bytes(bits)
+    lanes = blocks.BLOCK_BYTES // lane
     out = np.empty((x.shape[0], width), dtype=np.uint64)
     tweaks = np.asarray(tweaks, dtype=np.uint64)
     for j in range(-(-width // lanes)):
         h = crhf.hash_tweaked(x, tweaks + np.uint64(j) * _PAD_STRIDE)
         cols = out[:, j * lanes : (j + 1) * lanes]  # the last hash may be cut short
-        cols[...] = h.view(f"<u{lane_bytes}")[:, : cols.shape[1]]
+        cols[...] = h.view(f"<u{lane}")[:, : cols.shape[1]]
     out &= ring_mask_u64(bits)
     return out
-
-
-def _recv_payload(channel: Channel, rows: int, width: int) -> np.ndarray:
-    """The sender's masked ``(rows, width)`` ring payload, length-checked."""
-    c = channel.recv_ring()
-    if c.shape[0] != rows * width:
-        raise ProtocolError(
-            f"masked payload has {c.shape[0]} ring elements, expected {rows * width}"
-        )
-    return c.reshape(rows, width)
 
 
 def gilboa_send(
@@ -176,7 +167,7 @@ def gilboa_send(
     choice_i*corr[i]`` and this side returns ``-pad_i``, so the two
     outputs are additive shares of the selected correlated value.  Wire
     cost is the Gilboa half-message: the receiver's one derandomization
-    bit plus ONE masked ring element per payload slot (not the two
+    bit plus ONE masked ``bits``-wide lane per payload slot (not the two
     full messages of a chosen-message OT).
 
     Args:
@@ -188,9 +179,7 @@ def gilboa_send(
     if corr.ndim != 2 or corr.shape[0] != len(cots):
         raise ProtocolError("corr must be (n_cots, width)")
     mask = ring_mask_u64(bits)
-    d = channel.recv_bits()
-    if d.shape[0] != len(cots):
-        raise ProtocolError("correction bit vector has the wrong length")
+    d = channel.recv_lanes(len(cots), 1)
     width = corr.shape[1]
     # Pad for logical choice j is expand(z XOR (j XOR d) * Delta).
     pad0 = _expand_ring_pads(
@@ -199,7 +188,7 @@ def gilboa_send(
     pad1 = _expand_ring_pads(
         blocks.xor(cots.z, blocks.mul_bit(cots.delta, d ^ 1)), tweaks, width, bits, crhf
     )
-    channel.send_ring((corr + pad0 + pad1) & mask)
+    channel.send_lanes((corr + pad0 + pad1) & mask, bits)
     return (np.uint64(0) - pad0) & mask
 
 
@@ -217,9 +206,9 @@ def gilboa_receive(
     if choices.shape[0] != len(cots):
         raise ProtocolError("COT batch and choice vector must have equal length")
     mask = ring_mask_u64(bits)
-    channel.send_bits(cots.x ^ choices)
+    channel.send_lanes(cots.x ^ choices, 1)
     pad_mine = _expand_ring_pads(cots.y, tweaks, width, bits, crhf)
-    c = _recv_payload(channel, choices.shape[0], width)
+    c = channel.recv_lanes(choices.shape[0] * width, bits).reshape(-1, width)
     return np.where(choices[:, None].astype(bool), (c - pad_mine) & mask, pad_mine)
 
 
@@ -237,18 +226,16 @@ def gilboa_send_stream(
 
     The correction matrix is built row block by row block through
     ``corr_fn(start, stop) -> (stop-start, width)`` and shipped as one
-    ring message per block, so neither the correlations nor the pad
+    lane frame per block, so neither the correlations nor the pad
     arrays are ever materialized at full ``(n_cots, width)`` size --
-    the caller reduces each yielded share chunk immediately.  Ring
-    payloads carry no per-message framing, so total wire bytes are
-    IDENTICAL to the one-shot path (only the message count changes),
-    and per-row pads make the yielded values bit-identical too.  Both
-    parties must agree on ``chunk_rows``.
+    the caller reduces each yielded share chunk immediately.  Lanes
+    wider than one bit carry no per-frame header, so total wire bytes
+    are IDENTICAL to the one-shot path (only the message count
+    changes), and per-row pads make the yielded values bit-identical
+    too.  Both parties must agree on ``chunk_rows``.
     """
     mask = ring_mask_u64(bits)
-    d = channel.recv_bits()
-    if d.shape[0] != len(cots):
-        raise ProtocolError("correction bit vector has the wrong length")
+    d = channel.recv_lanes(len(cots), 1)
     tweaks = np.asarray(tweaks, dtype=np.uint64)
     for start in range(0, len(cots), chunk_rows):
         stop = min(start + chunk_rows, len(cots))
@@ -264,7 +251,7 @@ def gilboa_send_stream(
         pad1 = _expand_ring_pads(
             blocks.xor(z, blocks.mul_bit(cots.delta, d_chunk ^ 1)), tw, width, bits, crhf
         )
-        channel.send_ring((corr + pad0 + pad1) & mask)
+        channel.send_lanes((corr + pad0 + pad1) & mask, bits)
         yield start, (np.uint64(0) - pad0) & mask
 
 
@@ -289,14 +276,14 @@ def gilboa_receive_stream(
     if choices.shape[0] != len(cots):
         raise ProtocolError("COT batch and choice vector must have equal length")
     mask = ring_mask_u64(bits)
-    channel.send_bits(cots.x ^ choices)
+    channel.send_lanes(cots.x ^ choices, 1)
     tweaks = np.asarray(tweaks, dtype=np.uint64)
     for start in range(0, len(cots), chunk_rows):
         stop = min(start + chunk_rows, len(cots))
         pad_mine = _expand_ring_pads(
             cots.y[start:stop], tweaks[start:stop], width, bits, crhf
         )
-        c = _recv_payload(channel, stop - start, width)
+        c = channel.recv_lanes((stop - start) * width, bits).reshape(-1, width)
         picked = choices[start:stop, None].astype(bool)
         yield start, np.where(picked, (c - pad_mine) & mask, pad_mine)
 
@@ -384,13 +371,11 @@ def and_shared(
     d_share = x ^ batch.a
     e_share = y ^ batch.b
     if party == 0:
-        channel.send_bits(np.concatenate([d_share, e_share]))
-        theirs = channel.recv_bits()
+        channel.send_lanes(np.concatenate([d_share, e_share]), 1)
+        theirs = channel.recv_lanes(2 * n, 1)
     else:
-        theirs = channel.recv_bits()
-        channel.send_bits(np.concatenate([d_share, e_share]))
-    if theirs.shape[0] != 2 * n:
-        raise ProtocolError("peer opening has the wrong length")
+        theirs = channel.recv_lanes(2 * n, 1)
+        channel.send_lanes(np.concatenate([d_share, e_share]), 1)
     d = d_share ^ theirs[:n]
     e = e_share ^ theirs[n:]
     share = batch.c ^ (d & batch.b) ^ (e & batch.a)

@@ -35,7 +35,6 @@ import numpy as np
 
 from repro.errors import ParameterError
 from repro.mpc.compare import (
-    _bits_msg,
     cots_needed,
     millionaire_bytes,
     millionaire_messages,
@@ -44,7 +43,7 @@ from repro.mpc.compare import (
     triples_needed,
 )
 from repro.mpc.triples import BitTriples, gilboa_receive, gilboa_send, ring_mask_u64
-from repro.ot.channel import Channel
+from repro.ot.channel import Channel, lanes_bytes
 from repro.ot.cot import CotPool
 
 #: Tweak offset separating the second (low-part) millionaires' run from
@@ -155,8 +154,8 @@ def trunc_draws(n: int, cfg: FixedPointConfig) -> list:
 def trunc_bytes(n: int, cfg: FixedPointConfig) -> int:
     """Exact wire bytes (both parties) of one n-element truncation: two
     millionaires' comparisons plus the Gilboa B2A half-messages (one bit
-    + one masked ring element per correlation, 2n correlations)."""
-    gilboa = _bits_msg(2 * n) + 2 * n * 8
+    + one masked ``bits``-wide lane per correlation, 2n correlations)."""
+    gilboa = lanes_bytes(2 * n, 1) + lanes_bytes(2 * n, cfg.bits)
     return (
         millionaire_bytes(n, cfg.bits)
         + millionaire_bytes(n, cfg.frac_bits)

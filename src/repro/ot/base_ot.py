@@ -78,7 +78,7 @@ def base_ot_send(
     n = messages0.shape[0]
     a = group.random_scalar()
     big_a = group.gexp(a)
-    channel.send_int(n)
+    channel.send_lanes([n], 64)
     channel.send_bytes(group.element_bytes(big_a))
     big_a_inv_a = group.exp(group.inv(big_a), a)  # A^{-a}, reused per OT
     width = len(group.element_bytes(big_a))
@@ -97,7 +97,7 @@ def base_ot_send(
         pads += _pad(group, b_to_a, 0, i)
         pads += _pad(group, group.mul(b_to_a, big_a_inv_a), 1, i)
     pairs = np.stack([messages0, messages1], axis=1).reshape(2 * n, 2)
-    channel.send_bytes(blocks.to_bytes(blocks.xor(pairs, blocks.from_bytes(bytes(pads)))))
+    channel.send_blocks(blocks.xor(pairs, blocks.from_bytes(bytes(pads))))
 
 
 def base_ot_receive(
@@ -108,7 +108,7 @@ def base_ot_receive(
     """Receiver side: obtain messages[choices[i]][i] for each i."""
     choices = np.asarray(choices, dtype=np.uint8)
     n = choices.shape[0]
-    n_sender = channel.recv_int()
+    n_sender = int(channel.recv_lanes(1, 64)[0])
     if n_sender != n:
         raise ProtocolError(
             f"sender offers {n_sender} OTs but receiver has {n} choices"
@@ -129,13 +129,7 @@ def base_ot_receive(
         elems += group.element_bytes(b_elem)
         pads += _pad(group, a_table.exp(b), int(choices[i]), i)
     channel.send_bytes(bytes(elems))
-    payload = channel.recv_bytes()
-    if len(payload) != 2 * blocks.BLOCK_BYTES * n:
-        raise ProtocolError(
-            f"sender payload has {len(payload)} bytes, expected "
-            f"{2 * blocks.BLOCK_BYTES * n}"
-        )
-    pairs = blocks.from_bytes(payload).reshape(n, 2, 2)
+    pairs = channel.recv_blocks(2 * n).reshape(n, 2, 2)
     chosen = pairs[np.arange(n), choices]
     return blocks.xor(chosen, blocks.from_bytes(bytes(pads)))
 
@@ -163,7 +157,7 @@ def base_cot_send(
     bits = unpack_bits(blocks.to_bytes(delta), KAPPA)
     seeds = base_ot_receive(channel, bits, group=group)
     nbytes = (n + 7) // 8
-    n_receiver = channel.recv_int()
+    n_receiver = int(channel.recv_lanes(1, 64)[0])
     if n_receiver != n:
         raise ProtocolError(
             f"receiver extends to {n_receiver} COTs but sender wants {n}"
@@ -202,6 +196,6 @@ def base_cot_receive(
     nbytes = (n + 7) // 8
     t = stream_expand(seeds, nbytes)
     x = np.packbits(choices, bitorder="little")
-    channel.send_int(n)
+    channel.send_lanes([n], 64)
     channel.send_bytes((t[:KAPPA] ^ t[KAPPA:] ^ x).tobytes())
     return transpose_128(t[:KAPPA], n)

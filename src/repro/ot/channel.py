@@ -15,6 +15,16 @@ implement it:
 * :class:`repro.runtime.mux.MuxChannel` sub-channels -- tagged logical
   channels multiplexed over either of the above.
 
+Protocols never pack bytes themselves: one codec on :class:`Channel`
+decides the wire format of every typed message.  Integers and bits
+travel as :meth:`Channel.send_lanes` frames at their declared width
+(the narrowest of 1 / 2 / 4 / 8 bytes per lane, 1-bit lanes bit-packed
+behind an 8-byte count) and 128-bit blocks as
+:meth:`Channel.send_blocks` frames; the receiver names the shape it
+expects and gets a :class:`~repro.errors.ProtocolError` for any other
+frame.  Byte models count through :func:`lanes_bytes`.  The format is
+protocol: both parties must run the same version.
+
 A round is counted IKNP-style: the channel's round counter increments
 each time a party sends after having received (i.e. each direction
 flip), which matches how MPC papers report round complexity.
@@ -33,7 +43,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.crypto import blocks
-from repro.errors import ChannelClosed, ChannelError, ChannelTimeout
+from repro.errors import (
+    ChannelClosed,
+    ChannelError,
+    ChannelTimeout,
+    ParameterError,
+    ProtocolError,
+)
 
 
 @dataclass
@@ -87,51 +103,88 @@ class Channel:
         transport honouring this parameter."""
         raise NotImplementedError
 
-    # -- typed helpers used by the protocol code ----------------------------
+    # -- the wire codec: every typed message goes through these four ---------
+    def send_lanes(self, values, bits: int) -> None:
+        """Send integers below ``2^bits`` as one frame of ``bits``-wide
+        lanes (:func:`lanes_bytes` bytes); a value that does not fit
+        raises :class:`ParameterError` instead of being truncated."""
+        values = np.asarray(values).reshape(-1)
+        lane = lane_bytes(bits)
+        if values.size and (
+            int(values.max()) >> bits or values.dtype.kind == "i" and int(values.min()) < 0
+        ):
+            raise ParameterError(f"lane values must lie in [0, 2^{bits})")
+        if bits == 1:
+            packed = np.packbits(values.astype(np.uint8), bitorder="little")
+            self.send_bytes(values.size.to_bytes(_COUNT_BYTES, "little") + packed.tobytes())
+        else:
+            self.send_bytes(values.astype(f"<u{lane}").tobytes())
+
+    def recv_lanes(self, n: int, bits: int) -> np.ndarray:
+        """Receive the frame of exactly ``n`` ``bits``-wide lanes sent by
+        :meth:`send_lanes`: ``(n,)`` uint8 for 1-bit lanes, uint64
+        otherwise.  Any other length (or, for 1-bit lanes, count) is a
+        :class:`ProtocolError` naming the declared shape."""
+        lane = lane_bytes(bits)
+        data = self.recv_bytes()
+        expected = lanes_bytes(n, bits)
+        if len(data) != expected:
+            raise _shape_error(f"{n} {bits}-bit lanes", expected, len(data))
+        if bits > 1:
+            return np.frombuffer(data, dtype=f"<u{lane}").astype(np.uint64)
+        count = int.from_bytes(data[:_COUNT_BYTES], "little")
+        if count != n:
+            raise ProtocolError(f"frame of {n} 1-bit lanes claims {count} lanes")
+        packed = np.frombuffer(data, dtype=np.uint8, offset=_COUNT_BYTES)
+        return np.unpackbits(packed, count=n, bitorder="little")
+
     def send_blocks(self, arr: np.ndarray) -> None:
-        """Send a (n, 2) uint64 block array."""
+        """Send an (n, 2) uint64 block array, 16 bytes per block."""
         self.send_bytes(blocks.to_bytes(arr))
 
-    def recv_blocks(self) -> np.ndarray:
-        """Receive a block array sent by :meth:`send_blocks`."""
-        return blocks.from_bytes(self.recv_bytes())
-
-    def send_bits(self, bits: np.ndarray) -> None:
-        """Send a 0/1 uint8 vector, bit-packed, prefixed with its length."""
-        bits = np.asarray(bits, dtype=np.uint8)
-        header = np.uint64(bits.shape[0]).tobytes()
-        self.send_bytes(header + np.packbits(bits, bitorder="little").tobytes())
-
-    def recv_bits(self) -> np.ndarray:
+    def recv_blocks(self, n: int) -> np.ndarray:
+        """Receive exactly ``n`` blocks sent by :meth:`send_blocks`."""
         data = self.recv_bytes()
-        n = int(np.frombuffer(data[:8], dtype=np.uint64)[0])
-        bits = np.unpackbits(np.frombuffer(data[8:], dtype=np.uint8), bitorder="little")
-        return bits[:n].copy()
+        if len(data) != n * blocks.BLOCK_BYTES:
+            raise _shape_error(f"{n} blocks", n * blocks.BLOCK_BYTES, len(data))
+        return blocks.from_bytes(data)
 
-    def send_ring(self, arr: np.ndarray) -> None:
-        """Send a uint64 ring-element array (flattened, raw bytes)."""
-        self.send_bytes(np.ascontiguousarray(arr, dtype=np.uint64).tobytes())
 
-    def recv_ring(self) -> np.ndarray:
-        """Receive a flat uint64 ring-element vector."""
-        return np.frombuffer(self.recv_bytes(), dtype=np.uint64).copy()
+#: Bytes of the lane count that heads a 1-bit frame (the only width
+#: whose byte length cannot carry its lane count).
+_COUNT_BYTES = 8
 
-    def send_int(self, value: int, width: int = 8) -> None:
-        """Send a non-negative integer in ``width`` little-endian bytes."""
-        self.send_bytes(int(value).to_bytes(width, "little"))
 
-    def recv_int(self, width: int = 8) -> int:
-        data = self.recv_bytes()
-        if len(data) != width:
-            raise ChannelError(
-                f"expected a {width}-byte integer, received {len(data)} bytes"
-            )
-        return int.from_bytes(data, "little")
+def lane_bytes(bits: int) -> int:
+    """Wire bytes of one ``bits``-wide lane: the narrowest of 1 / 2 / 4 / 8."""
+    if not 1 <= bits <= 64:
+        raise ParameterError("lane width must be in [1, 64] bits")
+    return next(b for b in (1, 2, 4, 8) if 8 * b >= bits)
+
+
+def lanes_bytes(n: int, bits: int) -> int:
+    """Wire bytes of one :meth:`Channel.send_lanes` frame of ``n`` lanes
+    -- the one byte model every protocol's predictor builds on: 1-bit
+    lanes are an 8-byte count plus ``n`` packed bits, wider ones ``n``
+    raw little-endian lanes of :func:`lane_bytes` each."""
+    if bits == 1:
+        return _COUNT_BYTES + (n + 7) // 8
+    return n * lane_bytes(bits)
+
+
+def _shape_error(shape: str, expected: int, got: int) -> ProtocolError:
+    return ProtocolError(f"frame of {shape} must be {expected} bytes, got {got}")
 
 
 #: Default blocking-receive timeout; generous enough for CI, short
 #: enough that a deadlocked protocol fails loudly.
 DEFAULT_RECV_TIMEOUT = 60.0
+
+
+#: Largest frame a :class:`SocketChannel` accepts.  The length prefix
+#: comes from the peer, so it is checked before anything is buffered;
+#: the largest real frame (one FIG16 Gilboa chunk) is about 25 MiB.
+MAX_FRAME_BYTES = 1 << 30
 
 
 #: Queue sentinel a closing :class:`LocalChannel` endpoint posts to its peer.
@@ -193,8 +246,10 @@ class SocketChannel(Channel):
 
     Framing is a fixed 8-byte little-endian length header followed by
     the payload, preserving the message boundaries every protocol here
-    relies on.  Sends are serialized with a lock so multiplexed callers
-    (:class:`repro.runtime.mux.MuxChannel`) can share one endpoint.
+    relies on; a header over :data:`MAX_FRAME_BYTES` is refused before
+    any of its payload is buffered.  Sends are serialized with a lock so
+    multiplexed callers (:class:`repro.runtime.mux.MuxChannel`) can
+    share one endpoint.
 
     The socket stays in blocking mode (sends must never time out
     mid-stream -- a partial ``sendall`` would desynchronize the
@@ -292,6 +347,10 @@ class SocketChannel(Channel):
             deadline = None if timeout is None else time.monotonic() + timeout
             self._fill(8, deadline)
             (length,) = struct.unpack_from("<Q", self._rx)
+            if length > MAX_FRAME_BYTES:
+                raise ProtocolError(
+                    f"peer announced a {length}-byte frame; the bound is {MAX_FRAME_BYTES}"
+                )
             self._fill(8 + length, deadline)
             data = bytes(self._rx[8 : 8 + length])
             del self._rx[: 8 + length]

@@ -1079,7 +1079,7 @@ class ServiceSession:
         returns (``("cot/fwd", (), n)``, ``("mtri", (m, k, n), 1)``).
         Both parties ensure the pools exist locally; party 0
         reserves every range in list order and announces ALL offsets in
-        one message (a uint64 vector), party 1 receives them; each then
+        one frame of 64-bit lanes, party 1 receives them; each then
         takes its own role's typed batch of every range -- a warm pool
         serves instantly, a cold one stalls here while the service
         produces on demand.
@@ -1088,14 +1088,9 @@ class ServiceSession:
         wanted = [(svc.pool(kind, key).name, count) for kind, key, count in requests]
         if self.party == 0:
             offsets = [svc.reserve(name, count) for name, count in wanted]
-            self.channel.send_ring(np.asarray(offsets, dtype=np.uint64))
+            self.channel.send_lanes(offsets, 64)
         else:
-            got = self.channel.recv_ring()
-            if got.shape[0] != len(wanted):
-                raise ServiceError(
-                    f"allocation expected {len(wanted)} offsets, got {got.shape[0]}"
-                )
-            offsets = [int(v) for v in got]
+            offsets = [int(v) for v in self.channel.recv_lanes(len(wanted), 64)]
         tr = svc.tracer
         if tr.enabled:
             tr.instant(

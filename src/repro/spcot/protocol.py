@@ -56,7 +56,7 @@ import numpy as np
 from repro.crypto import blocks
 from repro.crypto.crhf import DEFAULT_CRHF, Crhf
 from repro.crypto.prg import ChaChaTreePrg, TreePrg
-from repro.errors import ParameterError, ProtocolError
+from repro.errors import ParameterError
 from repro.ot.channel import Channel
 from repro.ot.cot import CotPool
 from repro.ot.ot_from_cot import ot_receive_from_cot, ot_send_from_cot
@@ -248,12 +248,8 @@ def spcot_receive_batch(
     known = ot_receive_from_cot(
         channel, pool.take_receiver(n_ots), choices, tweaks=ot_tweaks, crhf=crhf
     )
-    reply = channel.recv_blocks()
     n_masked = 0 if m == 2 else depth * t * m
-    if reply.shape[0] != n_masked + t:
-        raise ProtocolError(
-            f"masked sums / psi reply has {reply.shape[0]} blocks, expected {n_masked + t}"
-        )
+    reply = channel.recv_blocks(n_masked + t)  # the masked sums, then psi
     # One offered pair per OT with only the chosen side filled in; the
     # reconstructors ignore the entry at each punctured digit.
     pairs = np.zeros((n_ots, 2, 2), dtype=blocks.BLOCK_DTYPE)

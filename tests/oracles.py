@@ -123,12 +123,12 @@ def spcot_receive(channel, pool, alpha, prg, depth, tweak_base=0, crhf=DEFAULT_C
                 )
                 kt_recon.feed_level({1 - kt_digit: known})
             keys, _ = kt_recon.leaves()
-            masked = channel.recv_blocks()  # (m, 2)
+            masked = channel.recv_blocks(m)
             mask_tweaks = np.arange(m, dtype=np.uint64) + np.uint64(tweak + _MASK_TWEAK_OFFSET)
             unmasked = blocks.xor(masked, crhf.hash_tweaked(keys, mask_tweaks))
             recon.feed_level({j: unmasked[j] for j in range(m) if j != digit})
     v, hole = recon.leaves()
-    psi = channel.recv_blocks()
+    psi = channel.recv_blocks(1)
     # v[hole] is currently zero, so the reduce covers exactly the known leaves.
     v[hole] = blocks.xor(psi, blocks.xor_reduce(v)).reshape(2)
     return v

@@ -9,7 +9,6 @@ conftest import ...`` resolves to whichever was loaded last.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.errors import ChannelError
@@ -51,6 +50,10 @@ class ScriptedChannel(Channel):
         return self._inbound.pop(0)
 
 
-def packed_bits(n):
-    """What ``send_bits`` puts on the wire for ``n`` zero bits."""
-    return np.uint64(n).tobytes() + bytes((n + 7) // 8)
+def frame(n, bits):
+    """The wire frame of ``n`` zero lanes ``bits`` wide, spelled out
+    independently of the codec: an 8-byte count and the packed bits for
+    1-bit lanes, raw lanes of 1 / 2 / 4 / 8 bytes otherwise."""
+    if bits == 1:
+        return n.to_bytes(8, "little") + bytes((n + 7) // 8)
+    return bytes(n * next(b for b in (1, 2, 4, 8) if 8 * b >= bits))

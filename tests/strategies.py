@@ -1,9 +1,9 @@
 """Hypothesis strategies shared by the property tests.
 
 One place for the generators later property tests compose (graph
-shapes, data-plane kernel inputs and stream partitions today; fault
-schedules and pool op sequences belong here too) instead of
-re-declaring them per test file.
+shapes, data-plane kernel inputs, stream partitions and hostile wire
+frames today; fault schedules and pool op sequences belong here too)
+instead of re-declaring them per test file.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 from hypothesis import strategies as st
+from parties import frame
 
 from repro.crypto import blocks
 from repro.lpn.matrix import LpnMatrix
@@ -73,6 +74,43 @@ class StreamStrategies:
             return st.just([(lo, hi)])
         cuts = st.sets(st.integers(lo + 1, hi - 1), max_size=max_cuts).map(sorted)
         return cuts.map(lambda c: list(zip([lo] + c, c + [hi])))
+
+
+class WireStrategies:
+    """Frames a peer can send for a declared ``(n, bits)`` lane shape,
+    built from :func:`parties.frame` rather than the codec under test."""
+
+    @staticmethod
+    def shapes(max_n: int = 64) -> st.SearchStrategy[tuple]:
+        """``(n, bits)`` with 0 <= n <= max_n and every lane width 1..64."""
+        return st.tuples(st.integers(0, max_n), st.integers(1, 64))
+
+    @staticmethod
+    def lanes(n: int, bits: int) -> st.SearchStrategy[np.ndarray]:
+        """``(n,)`` uint64 values below ``2^bits``."""
+        return st.lists(st.integers(0, (1 << bits) - 1), min_size=n, max_size=n).map(
+            lambda v: np.array(v, dtype=np.uint64)
+        )
+
+    @staticmethod
+    def bad_frames(n: int, bits: int) -> st.SearchStrategy[bytes]:
+        """Frames whose length or count differs from ``n`` lanes of
+        ``bits``: truncated, extended and -- for 1-bit lanes, the only
+        frames that carry a count -- a count with one bit flipped or a
+        count of 2^63 in front of an honest-length body."""
+        honest = frame(n, bits)
+
+        def counted(count: int) -> bytes:
+            return count.to_bytes(8, "little") + honest[8:]
+
+        extended = st.binary(min_size=1, max_size=16).map(lambda tail: honest + tail)
+        bad = [extended]
+        if honest:
+            bad.append(st.integers(0, len(honest) - 1).map(lambda k: honest[:k]))
+        if bits == 1:
+            bad.append(st.integers(0, 63).map(lambda i: counted(n ^ (1 << i))))
+            bad.append(st.just(counted(1 << 63)))
+        return st.one_of(bad)
 
 
 class EncodeCase(NamedTuple):

@@ -95,8 +95,8 @@ class TestPadPacking:
 
         def pads(width):
             def send(ch):
-                ch.recv_bits()
-                ch.send_ring(np.zeros(n * width, dtype=np.uint64))
+                ch.recv_lanes(n, 1)
+                ch.send_lanes(np.zeros(n * width, dtype=np.uint64), bits)
 
             _, got, _, _ = run_pair(
                 send, lambda ch: gilboa_receive(ch, receiver, zero, width, bits, tweaks)
@@ -127,7 +127,7 @@ class TestGilboaPrimitive:
         assert np.array_equal((s + t) & mask, expect)
 
     def test_half_message_wire_cost(self):
-        """Per COT: one derandomization bit + width ring elements."""
+        """Per COT: one derandomization bit + width ``bits``-wide lanes."""
         n, bits, width = 32, 32, 4
         sender, receiver = fake_cots(n)
         corr = np.zeros((n, width), dtype=np.uint64)
@@ -136,7 +136,7 @@ class TestGilboaPrimitive:
             lambda ch: gilboa_send(ch, sender, corr, bits, tweaks),
             lambda ch: gilboa_receive(ch, receiver, np.ones(n, np.uint8), width, bits, tweaks),
         )
-        assert st_s.bytes_sent == n * width * 8  # corrections only
+        assert st_s.bytes_sent == n * width * 4  # corrections only, 4-byte lanes
         assert st_r.bytes_sent == 8 + (n + 7) // 8  # packed bits + header
 
 

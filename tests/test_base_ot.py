@@ -21,7 +21,7 @@ from repro.ot.base_ot import (
     base_ot_receive,
     base_ot_send,
 )
-from repro.ot.channel import PartyError, run_pair
+from repro.ot.channel import Channel, PartyError, run_pair
 from repro.ot.cot import CotReceiverBatch, CotSenderBatch, verify_cot
 
 
@@ -164,7 +164,7 @@ def sequential_ot_send(channel, messages0, messages1, group=DEFAULT_GROUP):
     n = messages0.shape[0]
     a = group.random_scalar()
     big_a = pow(group.g, a, group.p)
-    channel.send_int(n)
+    channel.send_lanes([n], 64)
     channel.send_bytes(group.element_bytes(big_a))
     payload = b""
     for i in range(n):
@@ -177,7 +177,7 @@ def sequential_ot_send(channel, messages0, messages1, group=DEFAULT_GROUP):
 
 
 def sequential_ot_receive(channel, choices, group=DEFAULT_GROUP):
-    n = channel.recv_int()
+    n = int(channel.recv_lanes(1, 64)[0])
     assert n == len(choices)
     choices = [int(c) for c in choices]
     big_a = int.from_bytes(channel.recv_bytes(), "big")
@@ -197,21 +197,24 @@ def sequential_ot_receive(channel, choices, group=DEFAULT_GROUP):
     return blocks.from_bytes(out)
 
 
-class TamperedChannel:
-    """Rewrites the one outgoing message that has ``length`` bytes."""
+class TamperedChannel(Channel):
+    """Rewrites the one outgoing message that has ``length`` bytes (a
+    Channel, so the codec's typed sends pass through it too)."""
 
     def __init__(self, inner, length, rewrite):
+        super().__init__()
+        self.stats = inner.stats
         self._inner = inner
         self._length = length
         self._rewrite = rewrite
-
-    def __getattr__(self, name):
-        return getattr(self._inner, name)
 
     def send_bytes(self, data):
         if len(data) == self._length:
             data = self._rewrite(bytes(data))
         self._inner.send_bytes(data)
+
+    def recv_bytes(self, timeout=None):
+        return self._inner.recv_bytes(timeout)
 
 
 def assert_protocol_error(party_a, party_b, match):
@@ -299,7 +302,7 @@ class TestMalformedMessages:
                 TamperedChannel(ch, 32 * n, lambda data: data[:-16]), m0, m1
             ),
             lambda ch: base_ot_receive(ch, choices),
-            match="sender payload has 176 bytes, expected 192",
+            match="frame of 12 blocks must be 192 bytes, got 176",
         )
 
     @pytest.mark.parametrize("rewrite", [lambda d: d[:-1], lambda d: d + b"\0"])

@@ -1,13 +1,23 @@
-"""Channel accounting + pair-runner tests."""
+"""Channel codec, accounting and pair-runner tests."""
 
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from parties import ScriptedChannel
+from strategies import WireStrategies
 
 from repro.crypto import blocks
-from repro.errors import ChannelClosed, ChannelError, ChannelTimeout
-from repro.ot.channel import LocalChannel, PartyError, run_pair
+from repro.errors import (
+    ChannelClosed,
+    ChannelError,
+    ChannelTimeout,
+    ParameterError,
+    ProtocolError,
+)
+from repro.ot.channel import LocalChannel, PartyError, lane_bytes, lanes_bytes, run_pair
 
 
 class TestLocalChannel:
@@ -20,35 +30,38 @@ class TestLocalChannel:
         a, b = LocalChannel.pair()
         data = blocks.random_blocks(5, rng)
         a.send_blocks(data)
-        assert np.array_equal(b.recv_blocks(), data)
+        assert np.array_equal(b.recv_blocks(5), data)
 
     def test_roundtrip_bits(self, rng):
         a, b = LocalChannel.pair()
         bits = rng.integers(0, 2, 37).astype(np.uint8)
-        a.send_bits(bits)
-        assert np.array_equal(b.recv_bits(), bits)
+        a.send_lanes(bits, 1)
+        assert np.array_equal(b.recv_lanes(37, 1), bits)
 
     def test_roundtrip_int(self):
+        """A count travels as one 64-bit lane, 8 bytes."""
         a, b = LocalChannel.pair()
-        a.send_int(123456789)
-        assert b.recv_int() == 123456789
+        a.send_lanes([123456789], 64)
+        assert b.recv_lanes(1, 64)[0] == 123456789
+        assert a.stats.bytes_sent == 8
 
     def test_roundtrip_int_narrow_width(self):
         a, b = LocalChannel.pair()
-        a.send_int(77, width=2)
-        assert b.recv_int(width=2) == 77
+        a.send_lanes([77], 16)
+        assert b.recv_lanes(1, 16)[0] == 77
+        assert a.stats.bytes_sent == 2
 
-    def test_recv_int_width_mismatch_raises(self):
+    def test_lane_width_mismatch_raises(self):
         a, b = LocalChannel.pair()
-        a.send_int(5, width=4)
-        with pytest.raises(ChannelError, match="4 bytes"):
-            b.recv_int(width=8)
+        a.send_lanes([5], 32)
+        with pytest.raises(ProtocolError, match="must be 8 bytes, got 4"):
+            b.recv_lanes(1, 64)
 
-    def test_recv_int_rejects_arbitrary_payload(self):
+    def test_recv_lanes_rejects_arbitrary_payload(self):
         a, b = LocalChannel.pair()
         a.send_bytes(b"not-eight-bytes!")
-        with pytest.raises(ChannelError):
-            b.recv_int()
+        with pytest.raises(ProtocolError):
+            b.recv_lanes(1, 64)
 
     def test_fifo_order(self):
         a, b = LocalChannel.pair()
@@ -142,9 +155,63 @@ class TestAccounting:
 
     def test_bit_packing_is_compact(self, rng):
         a, b = LocalChannel.pair()
-        a.send_bits(rng.integers(0, 2, 800).astype(np.uint8))
-        b.recv_bits()
-        assert a.stats.bytes_sent == 8 + 100  # 8-byte header + packed bits
+        a.send_lanes(rng.integers(0, 2, 800).astype(np.uint8), 1)
+        b.recv_lanes(800, 1)
+        assert a.stats.bytes_sent == 8 + 100  # 8-byte count + packed bits
+
+
+class TestCodec:
+    """One codec for every typed message: lanes at their declared width,
+    blocks at 16 bytes, every received frame checked against the shape
+    the receiver declares."""
+
+    def test_lane_widths(self):
+        assert [lane_bytes(b) for b in (1, 8, 9, 16, 17, 32, 33, 64)] == [1, 1, 2, 2, 4, 4, 8, 8]
+        for bad in (0, 65):
+            with pytest.raises(ParameterError):
+                lane_bytes(bad)
+
+    def test_byte_model(self):
+        assert lanes_bytes(37, 1) == 8 + 5  # the count, then the packed bits
+        assert lanes_bytes(37, 16) == 37 * 2  # raw lanes, no header
+        assert lanes_bytes(0, 64) == 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), shape=WireStrategies.shapes())
+    def test_roundtrip_at_declared_width(self, data, shape):
+        n, bits = shape
+        values = data.draw(WireStrategies.lanes(n, bits))
+        a, b = LocalChannel.pair()
+        a.send_lanes(values, bits)
+        got = b.recv_lanes(n, bits)
+        assert got.dtype == (np.uint8 if bits == 1 else np.uint64)
+        assert np.array_equal(got, values)
+        assert a.stats.bytes_sent == lanes_bytes(n, bits)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), shape=WireStrategies.shapes())
+    def test_any_other_frame_is_a_protocol_error(self, data, shape):
+        n, bits = shape
+        frame = data.draw(WireStrategies.bad_frames(n, bits))
+        with pytest.raises(ProtocolError, match=f"{n} {bits}-bit lanes"):
+            ScriptedChannel([frame]).recv_lanes(n, bits)
+
+    @pytest.mark.parametrize("bits", [1, 2, 16, 63])
+    def test_value_past_the_width_is_the_senders_error(self, bits):
+        """Sending it would put a truncated value on the wire: wrong
+        shares, and no error anywhere."""
+        channel = ScriptedChannel([])
+        with pytest.raises(ParameterError, match=f"2\\^{bits}"):
+            channel.send_lanes(np.array([0, 1 << bits], dtype=np.uint64), bits)
+        with pytest.raises(ParameterError):
+            channel.send_lanes(np.array([-1]), bits)
+        assert channel.stats.messages_sent == 0
+
+    def test_blocks_are_checked_against_the_declared_count(self, rng):
+        a, b = LocalChannel.pair()
+        a.send_blocks(blocks.random_blocks(3, rng))
+        with pytest.raises(ProtocolError, match="frame of 4 blocks must be 64 bytes, got 48"):
+            b.recv_blocks(4)
 
 
 class TestRunPair:
@@ -218,7 +285,7 @@ class TestRunPair:
         def receiver(ch):
             got = []
             for i in range(4):
-                got.append(ch.recv_blocks())
+                got.append(ch.recv_blocks(1))
                 ch.send_bytes(b"ack%d" % i)
             return np.concatenate(got)
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import bit_leaf_triples, millionaire_p0_reference, millionaire_p1_reference
-from parties import ScriptedChannel, packed_bits
+from parties import ScriptedChannel, frame
 
 from repro.errors import ProtocolError
 from repro.mpc import compare
@@ -148,7 +148,7 @@ class TestMalformedComparisonMessages:
     # A 4-bit comparison is one digit with no tree, so one over as many
     # elements as there are digits here moves the same correction bits
     # and reply, and nothing else.
-    REPLY = millionaire_bytes(COTS // 4, 4) - len(packed_bits(COTS))
+    REPLY = millionaire_bytes(COTS // 4, 4) - len(frame(COTS, 1))
 
     def p0(self, inbound):
         sender, _ = fake_cots(self.COTS)
@@ -168,22 +168,22 @@ class TestMalformedComparisonMessages:
 
     @pytest.mark.parametrize("delta", [-1, 1])
     def test_corrections(self, delta):
-        with pytest.raises(ProtocolError, match="correction bit vector"):
-            self.p0([packed_bits(self.COTS + delta)])
+        with pytest.raises(ProtocolError, match=f"{self.COTS} 1-bit lanes"):
+            self.p0([frame(self.COTS + delta, 1)])
 
     @pytest.mark.parametrize("size", [REPLY - 1, REPLY + 1, 1])
     def test_ot_reply(self, size):
-        with pytest.raises(ProtocolError, match="OT reply"):
+        with pytest.raises(ProtocolError, match=f"{self.COTS // 4} 32-bit lanes"):
             self.p1([bytes(size)])
 
     def test_whole_reply_is_accepted(self):
         # The derived size is the real one: the receiver gets past the
         # reply and stops at the first tree opening.
-        with pytest.raises(ProtocolError, match="opening"):
-            self.p1([bytes(self.REPLY), packed_bits(1)])
+        with pytest.raises(ProtocolError, match=f"{2 * 3 * self.N} 1-bit lanes"):
+            self.p1([bytes(self.REPLY), frame(1, 1)])
 
     @pytest.mark.parametrize("n_bits", [2 * 3 * N - 1, 2 * 3 * N + 1, 1])
     def test_first_tree_opening(self, n_bits):
         # The first level of a 4-leaf tree opens 3 ANDs per element.
-        with pytest.raises(ProtocolError, match="opening"):
-            self.p0([packed_bits(self.COTS), packed_bits(n_bits)])
+        with pytest.raises(ProtocolError, match=f"{2 * 3 * self.N} 1-bit lanes"):
+            self.p0([frame(self.COTS, 1), frame(n_bits, 1)])

@@ -1,16 +1,20 @@
 """Every online opening checks the length the peer sent: a short, an
 over-long or a 1-element reply is a ProtocolError at the receiving
 site, never a numpy error or -- for a 1-element reply that numpy would
-broadcast -- silently wrong shares."""
+broadcast -- silently wrong shares.  The check itself lives in the
+channel codec (``Channel.recv_lanes``); these sites pin that every
+opening goes through it with the shape an honest peer sends."""
 
 import numpy as np
 import pytest
-from parties import ScriptedChannel, packed_bits
+from parties import ScriptedChannel, frame
 
 from repro.errors import ProtocolError
+from repro.mpc.matmul import matmul_online
 from repro.mpc.triples import (
     and_shared,
     dealer_bit_triples,
+    dealer_matrix_triples,
     gilboa_receive,
     gilboa_receive_stream,
     gilboa_send,
@@ -18,16 +22,13 @@ from repro.mpc.triples import (
 from repro.ot.testing import fake_cots
 
 N, BITS = 5, 16
-
-
-def ring(count):
-    return np.zeros(count, np.uint64).tobytes()
+M, K = 2, 3  # a (M, K) @ (K, N) matmul opens M*K + K*N lanes
 
 
 def and_site(count):
     t0, _ = dealer_bit_triples(N, np.random.default_rng(0))
     zeros = np.zeros(N, np.uint8)
-    and_shared(ScriptedChannel([packed_bits(count)]), t0, zeros, zeros, party=0)
+    and_shared(ScriptedChannel([frame(count, 1)]), t0, zeros, zeros, party=0)
 
 
 def gilboa_send_site(count):
@@ -35,21 +36,27 @@ def gilboa_send_site(count):
     sender, _ = fake_cots(N)
     tweaks = np.arange(N, dtype=np.uint64)
     corr = np.ones((N, 1), np.uint64)
-    gilboa_send(ScriptedChannel([packed_bits(count)]), sender, corr, BITS, tweaks)
+    gilboa_send(ScriptedChannel([frame(count, 1)]), sender, corr, BITS, tweaks)
 
 
 def gilboa_site(count):
     _, receiver = fake_cots(N)
     tweaks = np.arange(N, dtype=np.uint64)
-    gilboa_receive(ScriptedChannel([ring(count)]), receiver, np.ones(N, np.uint8), 1, BITS, tweaks)
+    gilboa_receive(ScriptedChannel([frame(count, BITS)]), receiver, np.ones(N, np.uint8), 1, BITS, tweaks)
 
 
 def gilboa_stream_site(count):
     _, receiver = fake_cots(N)
     tweaks = np.arange(N, dtype=np.uint64)
     list(gilboa_receive_stream(
-        ScriptedChannel([ring(count)]), receiver, np.ones(N, np.uint8), 1, BITS, tweaks, N
+        ScriptedChannel([frame(count, BITS)]), receiver, np.ones(N, np.uint8), 1, BITS, tweaks, N
     ))
+
+
+def matmul_site(count):
+    t0, _ = dealer_matrix_triples(M, K, N, BITS, np.random.default_rng(0))
+    x, y = np.zeros((M, K), np.uint64), np.zeros((K, N), np.uint64)
+    matmul_online(ScriptedChannel([frame(count, BITS)]), x, y, t0, party=0)
 
 
 #: (site, the element count an honest peer sends).
@@ -58,6 +65,7 @@ SITES = {
     "gilboa_send": (gilboa_send_site, N),
     "gilboa_receive": (gilboa_site, N),
     "gilboa_receive_stream": (gilboa_stream_site, N),
+    "matmul_online": (matmul_site, M * K + K * N),
 }
 
 

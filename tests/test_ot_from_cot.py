@@ -1,16 +1,14 @@
-"""Derandomized OT-from-COT and Figure 2 conversion tests."""
+"""Derandomized 1-out-of-2 and 1-out-of-N OT-from-COT tests."""
 
 import numpy as np
 import pytest
-from parties import ScriptedChannel, packed_bits
+from parties import ScriptedChannel, frame
 
 from repro.crypto import blocks
 from repro.errors import ParameterError, ProtocolError
 from repro.ot.channel import PartyError, run_pair
 from repro.ot.cot import CotPool
 from repro.ot.ot_from_cot import (
-    cot_to_random_ot_receiver,
-    cot_to_random_ot_sender,
     ot_n_receive_from_cot,
     ot_n_reply_bytes,
     ot_n_send_from_cot,
@@ -74,7 +72,7 @@ class TestChosenMessageOt:
             ),
         )
         assert s_stats.bytes_sent == 2 * 16 * n  # the two masked vectors
-        assert r_stats.bytes_sent == 8 + (n + 7) // 8  # packed corrections
+        assert r_stats.bytes_sent == len(frame(n, 1))  # packed corrections
 
 
 class TestNarrowPayloads:
@@ -93,10 +91,10 @@ class TestNarrowPayloads:
         assert np.array_equal(got, np.where(choices.astype(bool), m1, m0))
         assert s_stats.messages_sent == 1
         assert s_stats.bytes_sent == ot_reply_bytes(n, bits)
-        assert r_stats.bytes_sent == 8 + (n + 7) // 8
+        assert r_stats.bytes_sent == len(frame(n, 1))
 
     def test_reply_sizes(self):
-        assert ot_reply_bytes(96, 1) == 24  # two 1-bit lanes per OT
+        assert ot_reply_bytes(96, 1) == 8 + 24  # two 1-bit lanes per OT, and the count
         assert ot_reply_bytes(96, 16) == 2 * 2 * 96
         assert ot_reply_bytes(96) == 2 * 16 * 96
 
@@ -123,7 +121,7 @@ class TestOneOutOfN:
         assert np.array_equal(got, table[np.arange(n), choices])
         assert s_stats.messages_sent == 1
         assert s_stats.bytes_sent == ot_n_reply_bytes(n, 16, 2) == 4 * n
-        assert r_stats.bytes_sent == len(packed_bits(4 * n))
+        assert r_stats.bytes_sent == len(frame(4 * n, 1))
 
     def test_unchosen_pads_do_not_cancel(self):
         """Every message reads its own slice of each hash.  XORed
@@ -140,7 +138,7 @@ class TestOneOutOfN:
 
         # An all-zero table: the reply is the pads themselves.
         ot_n_send_from_cot(
-            Capture([packed_bits(4 * n)]), sender, np.zeros((n, 16), np.uint64), 2
+            Capture([frame(4 * n, 1)]), sender, np.zeros((n, 16), np.uint64), 2
         )
         words = np.frombuffer(replies[0], dtype="<u4").astype(np.uint64)
         pads = (words[:, None] >> (2 * np.arange(16, dtype=np.uint64))) & np.uint64(3)
@@ -151,12 +149,12 @@ class TestOneOutOfN:
     def test_peer_lengths_are_protocol_errors(self, delta):
         n = 5
         sender, receiver = fake_cots(4 * n)
-        with pytest.raises(ProtocolError, match="correction bit vector"):
+        with pytest.raises(ProtocolError, match="20 1-bit lanes"):
             ot_n_send_from_cot(
-                ScriptedChannel([packed_bits(4 * n + delta)]), sender,
+                ScriptedChannel([frame(4 * n + delta, 1)]), sender,
                 np.zeros((n, 16), np.uint64), 2,
             )
-        with pytest.raises(ProtocolError, match="OT reply"):
+        with pytest.raises(ProtocolError, match="5 32-bit lanes"):
             ot_n_receive_from_cot(
                 ScriptedChannel([bytes(4 * n + delta)]), receiver,
                 np.zeros(n, np.uint64), 16, 2,
@@ -171,24 +169,3 @@ class TestOneOutOfN:
         with pytest.raises(ParameterError):
             ot_n_reply_bytes(1, 64, 2)  # 128 lanes' bits exceed one hash word
 
-
-class TestRandomOtConversion:
-    def test_figure2_conversion_consistent(self, shared_cots):
-        s, r = shared_cots
-        h0, h1 = cot_to_random_ot_sender(s)
-        bits, hb = cot_to_random_ot_receiver(r)
-        chosen = np.where(bits[:, None].astype(bool), h1, h0)
-        assert np.array_equal(chosen, hb)
-
-    def test_figure2_unchosen_differs(self, shared_cots):
-        s, r = shared_cots
-        h0, h1 = cot_to_random_ot_sender(s)
-        bits, hb = cot_to_random_ot_receiver(r)
-        other = np.where(bits[:, None].astype(bool), h0, h1)
-        assert not np.any(blocks.equal(other, hb))
-
-    def test_tweak_base_changes_pads(self, shared_cots):
-        s, _ = shared_cots
-        a0, _ = cot_to_random_ot_sender(s, tweak_base=0)
-        b0, _ = cot_to_random_ot_sender(s, tweak_base=10_000)
-        assert not np.any(blocks.equal(a0, b0))

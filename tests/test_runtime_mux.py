@@ -45,12 +45,12 @@ class TestFraming:
         m0, m1 = mux_pair()
         data = blocks.random_blocks(7, rng)
         m0.sub("t").send_blocks(data)
-        m0.sub("t").send_int(99)
+        m0.sub("t").send_lanes([99], 64)
         bits = rng.integers(0, 2, 19).astype(np.uint8)
-        m0.sub("t").send_bits(bits)
-        assert np.array_equal(m1.sub("t").recv_blocks(), data)
-        assert m1.sub("t").recv_int() == 99
-        assert np.array_equal(m1.sub("t").recv_bits(), bits)
+        m0.sub("t").send_lanes(bits, 1)
+        assert np.array_equal(m1.sub("t").recv_blocks(7), data)
+        assert m1.sub("t").recv_lanes(1, 64)[0] == 99
+        assert np.array_equal(m1.sub("t").recv_lanes(19, 1), bits)
         m0.close(), m1.close()
 
     def test_recv_timeout_on_empty_subchannel(self):

@@ -85,9 +85,9 @@ class TestPipelineSmall:
         dims = SMALL_DIMS[0]
         bits = 16
         _, _, metrics = run_matmul_pipeline(dims, bits, ot_sender=1)
-        predicted = matmul_preproc_bytes(dims, bits) + matmul_online_bytes(dims)
+        predicted = matmul_preproc_bytes(dims, bits) + matmul_online_bytes(dims, bits)
         assert metrics["bytes"] == predicted
-        assert matmul_online_bytes(dims) <= matmul_comm_bytes(dims, bits)
+        assert matmul_online_bytes(dims, bits) <= matmul_comm_bytes(dims, bits)
 
 
 class TestPadPacking:
@@ -152,7 +152,7 @@ class TestFig16Online:
         )
         assert np.array_equal((z0 + z1) & mask, (x @ y) & mask)
         measured = st0.bytes_sent + st1.bytes_sent
-        assert measured == matmul_online_bytes(dims)
+        assert measured == matmul_online_bytes(dims, bits)
         # Online bytes sit far inside the analytical COT-model budget:
         # preprocessing moved the OT traffic off the critical path.
         assert measured <= matmul_comm_bytes(dims, unified=True)

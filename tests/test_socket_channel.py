@@ -12,12 +12,12 @@ import numpy as np
 import pytest
 
 from repro.crypto import blocks
-from repro.errors import ChannelClosed, ChannelTimeout
+from repro.errors import ChannelClosed, ChannelTimeout, ProtocolError
 from repro.ferret.config import FerretConfig
 from repro.ferret.protocol import FerretReceiver, FerretSender
 from repro.mpc.sharing import from_signed, reconstruct_arith, share_arith, to_signed
 from repro.ot.base_ot import base_cot_receive, base_cot_send
-from repro.ot.channel import SocketChannel
+from repro.ot.channel import MAX_FRAME_BYTES, SocketChannel
 from repro.ot.cot import CotReceiverBatch, CotSenderBatch, verify_cot
 
 
@@ -64,7 +64,7 @@ class TestFraming:
             a.send_blocks(data)
 
         def recv():
-            out["got"] = b.recv_blocks()
+            out["got"] = b.recv_blocks(100_000)
 
         ts = [threading.Thread(target=f) for f in (send, recv)]
         for t in ts:
@@ -191,6 +191,34 @@ class TestFraming:
             chan.recv_bytes(timeout=2.0)
         chan.close()
 
+    def test_oversized_length_prefix_is_refused_before_buffering(self):
+        """A peer-sent length over MAX_FRAME_BYTES is a ProtocolError at
+        once: the receiver does not wait for (or buffer toward) a frame
+        it would never accept, and later receives fail the same way."""
+        import socket as socket_mod
+        import struct
+
+        sa, sb = socket_mod.socketpair()
+        chan = SocketChannel(sb, timeout=5.0)
+        sa.sendall(struct.pack("<Q", MAX_FRAME_BYTES + 1) + b"x" * 16)
+        for _ in range(2):
+            with pytest.raises(ProtocolError, match=f"{MAX_FRAME_BYTES + 1}-byte frame"):
+                chan.recv_bytes(timeout=2.0)
+        sa.close(), chan.close()
+
+    def test_length_prefix_at_the_bound_is_accepted(self):
+        """The bound itself is a legal length: the receiver waits for the
+        payload (here: times out) instead of refusing the header."""
+        import socket as socket_mod
+        import struct
+
+        sa, sb = socket_mod.socketpair()
+        chan = SocketChannel(sb, timeout=5.0)
+        sa.sendall(struct.pack("<Q", MAX_FRAME_BYTES))
+        with pytest.raises(ChannelTimeout):
+            chan.recv_bytes(timeout=0.2)
+        sa.close(), chan.close()
+
 
 class TestListener:
     def test_accept_timeout_keeps_listener_usable(self):
@@ -272,7 +300,7 @@ _CHILD_CODE = """
 import sys
 import numpy as np
 from repro.ot.base_ot import base_cot_receive
-from repro.ot.channel import SocketChannel
+from repro.ot.channel import MAX_FRAME_BYTES, SocketChannel
 
 port = int(sys.argv[1])
 n = int(sys.argv[2])

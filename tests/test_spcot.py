@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from parties import ScriptedChannel, packed_bits
+from parties import ScriptedChannel, frame
 
 from repro.crypto import blocks
 from repro.crypto.prg import AesTreePrg, ChaChaTreePrg
@@ -144,21 +144,21 @@ class TestMalformedPeerMessages:
     @pytest.mark.parametrize("n_bits", [N_OTS - 1, N_OTS + 1, 0])
     def test_sender_rejects_wrong_length_corrections(self, cot_pools, delta, rng, n_bits):
         ps, _ = cot_pools
-        channel = ScriptedChannel([packed_bits(n_bits)])
-        with pytest.raises(ProtocolError, match="correction bit vector"):
+        channel = ScriptedChannel([frame(n_bits, 1)])
+        with pytest.raises(ProtocolError, match=f"{self.N_OTS} 1-bit lanes"):
             spcot_send_batch(channel, ps, delta, ChaChaTreePrg(4), self.DEPTH, self.T, rng)
         assert channel.stats.messages_sent == 0  # nothing was answered
 
     @pytest.mark.parametrize("n_e0,n_e1", [(N_OTS - 1, N_OTS), (N_OTS, N_OTS + 1)])
     def test_receiver_rejects_wrong_length_ot_reply(self, cot_pools, n_e0, n_e1):
         inbound = [bytes(16 * n_e0), bytes(16 * n_e1), bytes(16 * self.REPLY)]
-        with pytest.raises(ProtocolError, match="OT reply"):
+        with pytest.raises(ProtocolError, match=f"frame of {self.N_OTS} blocks"):
             self.receive(cot_pools, inbound)
 
     @pytest.mark.parametrize("n_reply", [REPLY - 1, REPLY + 1, T])
     def test_receiver_rejects_wrong_length_sums_and_psi(self, cot_pools, n_reply):
         inbound = [bytes(16 * self.N_OTS)] * 2 + [bytes(16 * n_reply)]
-        with pytest.raises(ProtocolError, match="masked sums / psi reply"):
+        with pytest.raises(ProtocolError, match=f"frame of {self.REPLY} blocks"):
             self.receive(cot_pools, inbound)
 
     def test_well_formed_script_is_accepted(self, cot_pools):

@@ -128,9 +128,10 @@ class TestByteModels:
 
     def test_millionaire_bytes_helper_composition(self):
         """The online model decomposes into two comparisons + one Gilboa
-        B2A of 2n bits -- the shape the documentation claims."""
+        B2A of 2n bits -- the shape the documentation claims: 2n
+        correction bits behind their count, then 2n 4-byte lanes."""
         cfg = FixedPointConfig(32, 8)
         n = 10
         assert trunc_bytes(n, cfg) == (
-            millionaire_bytes(n, 32) + millionaire_bytes(n, 8) + (8 + 3) + 2 * n * 8
+            millionaire_bytes(n, 32) + millionaire_bytes(n, 8) + (8 + 3) + 2 * n * 4
         )
