@@ -22,8 +22,10 @@ travel as :meth:`Channel.send_lanes` frames at their declared width
 behind an 8-byte count) and 128-bit blocks as
 :meth:`Channel.send_blocks` frames; the receiver names the shape it
 expects and gets a :class:`~repro.errors.ProtocolError` for any other
-frame.  Byte models count through :func:`lanes_bytes`.  The format is
-protocol: both parties must run the same version.
+frame.  Byte models count through :func:`lanes_bytes`.  Control
+messages are compact JSON objects, ``{"op": ..., field: ...}``, parsed
+only by :func:`decode_msg` against the receiver's schema (see there).
+The format is protocol: both parties must run the same version.
 
 A round is counted IKNP-style: the channel's round counter increments
 each time a party sends after having received (i.e. each direction
@@ -32,7 +34,9 @@ flip), which matches how MPC papers report round complexity.
 
 from __future__ import annotations
 
+import json
 import queue
+import re
 import select
 import socket
 import struct
@@ -120,13 +124,13 @@ class Channel:
         else:
             self.send_bytes(values.astype(f"<u{lane}").tobytes())
 
-    def recv_lanes(self, n: int, bits: int) -> np.ndarray:
+    def recv_lanes(self, n: int, bits: int, timeout: float = None) -> np.ndarray:
         """Receive the frame of exactly ``n`` ``bits``-wide lanes sent by
         :meth:`send_lanes`: ``(n,)`` uint8 for 1-bit lanes, uint64
         otherwise.  Any other length (or, for 1-bit lanes, count) is a
         :class:`ProtocolError` naming the declared shape."""
         lane = lane_bytes(bits)
-        data = self.recv_bytes()
+        data = self.recv_bytes(timeout=timeout)
         expected = lanes_bytes(n, bits)
         if len(data) != expected:
             raise _shape_error(f"{n} {bits}-bit lanes", expected, len(data))
@@ -148,6 +152,14 @@ class Channel:
         if len(data) != n * blocks.BLOCK_BYTES:
             raise _shape_error(f"{n} blocks", n * blocks.BLOCK_BYTES, len(data))
         return blocks.from_bytes(data)
+
+    def send_msg(self, op: str, **fields) -> None:
+        """Send one control message (:func:`encode_msg`)."""
+        self.send_bytes(encode_msg(op, **fields))
+
+    def recv_msg(self, schema: dict, timeout: float = None) -> dict:
+        """Receive one control message of ``schema`` (:func:`decode_msg`)."""
+        return decode_msg(self.recv_bytes(timeout=timeout), schema)
 
 
 #: Bytes of the lane count that heads a 1-bit frame (the only width
@@ -174,6 +186,52 @@ def lanes_bytes(n: int, bits: int) -> int:
 
 def _shape_error(shape: str, expected: int, got: int) -> ProtocolError:
     return ProtocolError(f"frame of {shape} must be {expected} bytes, got {got}")
+
+
+def encode_msg(op: str, **fields) -> bytes:
+    """One control message: the compact JSON object ``{"op": op, **fields}``."""
+    return json.dumps({"op": op, **fields}, separators=(",", ":")).encode()
+
+
+def decode_msg(frame, schema: dict) -> dict:
+    """The one parser of control bytes: the message (op included) if it
+    is a UTF-8 JSON object whose op ``schema`` declares, ``op -> {field:
+    spec}``, with exactly those fields, each of its spec: ``int``
+    (non-negative, below 2^63, never a bool), ``str``, ``[int]``,
+    ``{str: int}`` or ``dict`` (any object).  Otherwise a
+    :class:`ProtocolError` naming the op and the field."""
+    try:
+        msg = json.loads(bytes(frame).decode())
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or nesting
+        raise ProtocolError(f"control frame {bytes(frame)[:64]!r} is not JSON: {exc}") from None
+    if not isinstance(msg, dict):
+        raise ProtocolError(f"control frame holds a {type(msg).__name__}, not an object")
+    op = msg.get("op")
+    fields = schema.get(op) if isinstance(op, str) else None
+    if fields is None:
+        raise ProtocolError(f"unknown control op {op!r}; expected one of {sorted(schema)}")
+    got = msg.keys() - {"op"}
+    if got != fields.keys():
+        missing, extra = sorted(fields.keys() - got), sorted(got - fields.keys())
+        raise ProtocolError(f"control op {op!r}: missing fields {missing}, extra fields {extra}")
+    for name, spec in fields.items():
+        if not _fits(msg[name], spec):
+            spec = re.sub(r"<class '(\w+)'>", r"\1", repr(spec))  # "[int]", "{str: int}"
+            raise ProtocolError(
+                f"control op {op!r}: field {name!r} must be {spec}, got {repr(msg[name])[:64]}"
+            )
+    return msg
+
+
+def _fits(value, spec) -> bool:
+    if spec is int:  # fits a signed 64-bit lane
+        return type(value) is int and 0 <= value < 1 << 63
+    if spec in (str, dict):
+        return type(value) is spec
+    if isinstance(spec, list):  # [item]
+        return type(value) is list and all(_fits(v, spec[0]) for v in value)
+    ((key, item),) = spec.items()  # {key: item}
+    return type(value) is dict and all(_fits(k, key) and _fits(v, item) for k, v in value.items())
 
 
 #: Default blocking-receive timeout; generous enough for CI, short

@@ -17,7 +17,8 @@ retry budget into invisible hiccups:
   it.
 * A failed receive triggers the reconnect loop: redial under the
   :class:`repro.ot.retry.RetryPolicy` (capped exponential backoff with
-  seeded jitter), then a resume handshake (``H`` frames) exchanging the
+  seeded jitter), then a resume handshake (``H`` frames: the
+  discriminator, then one :data:`HANDSHAKE` message) exchanging the
   session epoch, each side's next-expected receive sequence, and an
   opaque application state dict (the mux contributes per-tag receive
   counts, the service per-pool absolute stream positions -- the
@@ -38,7 +39,6 @@ a kept-open listener).
 
 from __future__ import annotations
 
-import json
 import struct
 import threading
 import time
@@ -46,7 +46,7 @@ from collections import OrderedDict
 
 from repro.errors import ChannelClosed, ChannelError, ChannelTimeout
 from repro.obs.trace import NULL_TRACER
-from repro.ot.channel import Channel
+from repro.ot.channel import Channel, decode_msg, encode_msg
 from repro.ot.retry import RetryPolicy
 
 _SEQ = struct.Struct("<Q")
@@ -55,6 +55,10 @@ _SEQ = struct.Struct("<Q")
 _DATA = b"D"
 _ACK = b"A"
 _HELLO = b"H"
+
+#: The resume handshake after the ``H`` discriminator.  DATA and ACK
+#: headers ride every frame, so they are binary.
+HANDSHAKE = {"hello": {"epoch": int, "rx": int, "state": dict}}
 
 
 class ReconnectingChannel(Channel):
@@ -223,20 +227,22 @@ class ReconnectingChannel(Channel):
     def _handshake(self, transport: Channel) -> int:
         """Exchange HELLO frames; return the peer's next-expected seq."""
         state = self.state_provider() if self.state_provider is not None else {}
-        blob = json.dumps(state, sort_keys=True).encode()
-        hello = _HELLO + _SEQ.pack(self.epoch + 1) + _SEQ.pack(self._rx_seq) + blob
-        transport.send_bytes(hello)
-
+        transport.send_bytes(
+            _HELLO + encode_msg("hello", epoch=self.epoch + 1, rx=self._rx_seq, state=state)
+        )
         frame = transport.recv_bytes(timeout=self.policy.deadline_s)
-        if not frame or frame[:1] != _HELLO or len(frame) < 17:
+        if frame[:1] != _HELLO:
             raise ChannelError(
                 f"resume handshake expected HELLO, got "
                 f"{frame[:1]!r} ({len(frame)} bytes)"
             )
-        peer_rx = _SEQ.unpack_from(frame, 9)[0]
-        if frame[17:]:
-            self.peer_state = json.loads(frame[17:].decode())
-        return peer_rx
+        return self._on_hello(frame)
+
+    def _on_hello(self, frame: bytes) -> int:
+        """Parse a peer HELLO; keep its state, return its next-expected seq."""
+        hello = decode_msg(frame[1:], HANDSHAKE)
+        self.peer_state = hello["state"]
+        return hello["rx"]
 
     def _replay_from(self, transport: Channel, peer_rx: int) -> None:
         """Trim acked frames and resend everything the peer is missing.
@@ -343,9 +349,7 @@ class ReconnectingChannel(Channel):
                 # Peer re-handshook on a transport we still hold (can
                 # only happen when the link itself survived): honor the
                 # resume request in place.
-                peer_rx = _SEQ.unpack_from(frame, 9)[0]
-                if frame[17:]:
-                    self.peer_state = json.loads(frame[17:].decode())
+                peer_rx = self._on_hello(frame)
                 with self._send_lock:
                     self._replay_from(transport, peer_rx)
                 if self.tracer.enabled:

@@ -26,14 +26,13 @@ plan's draws and its derived production reserve are plan constants.
 
 from __future__ import annotations
 
-import json
 import math
 import threading
 import time
 from collections import Counter
 from dataclasses import dataclass, field
 
-from repro.errors import ParameterError, ServiceError, WaitTimeout
+from repro.errors import ParameterError, ProtocolError, ServiceError, WaitTimeout
 from repro.mpc.matmul import matmul_draws
 from repro.mpc.maxpool import max_draws
 from repro.mpc.relu import relu_draws
@@ -271,6 +270,11 @@ def plan_graph(
     return PreprocessingPlan(graph.name, bits, total, per_layer, graph, fx)
 
 
+#: The leader's stream positions, as the ``pipe/<plan>`` message
+#: (:func:`repro.ot.channel.decode_msg`) ships them: pool name -> start.
+START = {"start": {"positions": {str: int}}}
+
+
 class PipelinedPrefill:
     """Streaming preprocessing: layer-by-layer production overlapping
     the online phase.
@@ -354,11 +358,12 @@ class PipelinedPrefill:
                 start = self._start
                 if start is None:
                     start = {kind: svc.pools[kind].reserved for kind in totals}
-                self._channel.send_bytes(json.dumps(start).encode())
+                self._channel.send_msg("start", positions=start)
             else:
-                start = json.loads(
-                    self._channel.recv_bytes(timeout=self.timeout).decode()
-                )
+                start = self._channel.recv_msg(START, timeout=self.timeout)["positions"]
+                missing = sorted(totals.keys() - start.keys())
+                if missing:
+                    raise ProtocolError(f"start positions lack the plan's pools {missing}")
             self.end = {kind: start[kind] + count for kind, count in totals.items()}
             for i, layer in enumerate(self._layers):
                 deadline = time.monotonic() + self.timeout

@@ -53,7 +53,6 @@ fails every pending and live request at once with a typed
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 import time
@@ -98,27 +97,12 @@ class DaemonConfig:
 #: Base seed of the party-local online masking RNG.
 ONLINE_SEED = 0x1207
 
-#: The leader's ``daemon/ctl`` messages: op -> the fields it carries.
-_CTL_FIELDS = {
-    "stop": (),
-    "reject": ("session", "inflight", "limit"),
-    "admit": ("seq", "session", "batch", "token"),
+#: The leader's ``daemon/ctl`` messages (:func:`repro.ot.channel.decode_msg`).
+VERDICTS = {
+    "stop": {},
+    "reject": {"session": str, "inflight": int, "limit": int},
+    "admit": {"seq": int, "session": str, "batch": int, "token": str},
 }
-
-
-def _parse_ctl(frame) -> dict:
-    """One ``daemon/ctl`` message, or a ProtocolError saying what is
-    wrong with it (not JSON, not an object, unknown op, missing field)."""
-    try:
-        msg = json.loads(bytes(frame).decode())
-        missing = [name for name in _CTL_FIELDS[msg["op"]] if name not in msg]
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ProtocolError(
-            f"malformed daemon/ctl frame {bytes(frame)[:64]!r}: {exc!r}"
-        ) from exc
-    if missing:
-        raise ProtocolError(f"daemon/ctl {msg['op']!r} frame lacks {missing}")
-    return msg
 
 
 @dataclass
@@ -366,7 +350,7 @@ class InferenceDaemon:
         for req in live:
             req.done.wait(max(0.0, deadline - time.monotonic()))
         if self.party == 0:
-            self._ctl.send_bytes(json.dumps({"op": "stop"}).encode())
+            self._ctl.send_msg("stop")
             self._stopped.set()
         else:
             # The follower's ctl loop sets the event on the leader's
@@ -433,13 +417,10 @@ class InferenceDaemon:
             inflight = self.admitted - self.completed - self.failed
             if inflight >= self.cfg.max_inflight:
                 self.rejected += 1
-                verdict = {
-                    "op": "reject",
-                    "session": session,
-                    "inflight": inflight,
-                    "limit": self.cfg.max_inflight,
-                }
-                self._ctl.send_bytes(json.dumps(verdict).encode())
+                self._ctl.send_msg(
+                    "reject", session=session, inflight=inflight,
+                    limit=self.cfg.max_inflight,
+                )
                 if tracer.enabled:
                     tracer.instant(
                         "request.admit", cat="daemon", session=session,
@@ -454,16 +435,8 @@ class InferenceDaemon:
             seq = self._seq
             self._seq += 1
             token = f"lease-{seq}-{os.urandom(4).hex()}"
-            self._ctl.send_bytes(
-                json.dumps(
-                    {
-                        "op": "admit",
-                        "seq": seq,
-                        "session": session,
-                        "batch": len(inputs),
-                        "token": token,
-                    }
-                ).encode()
+            self._ctl.send_msg(
+                "admit", seq=seq, session=session, batch=len(inputs), token=token
             )
             req = self._admit_locked(seq, session, inputs, token)
         if tracer.enabled:
@@ -578,17 +551,15 @@ class InferenceDaemon:
     def _apply_ctl(self) -> None:
         while not self._closing:
             try:
-                frame = self._ctl.recv_bytes(timeout=0.25)
+                msg = self._ctl.recv_msg(VERDICTS, timeout=0.25)
             except ChannelTimeout:
                 continue
+            except ProtocolError as exc:
+                self._fail_all(exc)
+                return
             except Exception as exc:  # noqa: BLE001 - crossing a thread
                 if not self._closing:
                     self._fail_all(DaemonError(f"daemon ctl stream died: {exc!r}"))
-                return
-            try:
-                msg = _parse_ctl(frame)
-            except ProtocolError as exc:
-                self._fail_all(exc)
                 return
             op = msg["op"]
             if op == "stop":

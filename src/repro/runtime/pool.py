@@ -278,35 +278,38 @@ class CorrelationPool:
                 "pool.wait", end - dur, end, cat="stall", pool=self.name, what=what
             )
 
+    def _wait_locked(self, target: int, start: float, timeout: float, what: str) -> None:
+        """The one wait for production (caller holds ``_cond``): until
+        ``target`` items are produced, probe the service's liveness, ask
+        for a refill and look again at least every 0.2 s.  PoolTimeout
+        ``timeout`` seconds after ``start`` (default
+        :data:`DEFAULT_WAIT_TIMEOUT_S`), PoolClosed if the pool closes
+        first."""
+        deadline = start + (DEFAULT_WAIT_TIMEOUT_S if timeout is None else timeout)
+        while self._produced < target and not self._closed:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                raise PoolTimeout(
+                    f"pool {self.name}: timed out waiting for {what} "
+                    f"(produced {self._produced}, reserved {self._reserved})",
+                    pool=self.name, what=what,
+                )
+            if self.failure_probe is not None:
+                self.failure_probe()
+            self.refill.set()
+            self._cond.wait(min(remaining, 0.2))
+        if self._produced < target:
+            raise PoolClosed(f"pool {self.name} closed while waiting for {what}", pool=self.name)
+
     def wait_produced(self, target: int, timeout: float = None) -> None:
         """Block until the absolute produced count reaches ``target``."""
-        if timeout is None:
-            timeout = DEFAULT_WAIT_TIMEOUT_S
-        deadline = time.monotonic() + timeout
         start = time.monotonic()
         what = f"produced {target}"
         waited = False
         try:
             with self._cond:
-                while self._produced < target and not self._closed:
-                    waited = True
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        raise PoolTimeout(
-                            f"pool {self.name}: timed out waiting for {what} "
-                            f"(produced {self._produced}, reserved {self._reserved})",
-                            pool=self.name,
-                            what=what,
-                        )
-                    if self.failure_probe is not None:
-                        self.failure_probe()
-                    self.refill.set()
-                    self._cond.wait(min(remaining, 0.2))
-                if self._produced < target:
-                    raise PoolClosed(
-                        f"pool {self.name} closed while waiting for {what}",
-                        pool=self.name,
-                    )
+                waited = self._produced < target and not self._closed
+                self._wait_locked(target, start, timeout, what)
         finally:
             if waited:
                 self._note_stall(start, what)
@@ -345,34 +348,16 @@ class CorrelationPool:
         the service is degraded -- only waits for *future* production
         are subject to the liveness probe and the bounded timeout.
         """
-        if timeout is None:
-            timeout = DEFAULT_WAIT_TIMEOUT_S
-        deadline = time.monotonic() + timeout
         start = time.monotonic()
         stalled = False
         try:
             with self._cond:
-                while self._produced < lo + n and not self._closed:
-                    stalled = True
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        self.stats.stall_time_s += time.monotonic() - start
-                        raise PoolTimeout(
-                            f"pool {self.name}: timed out waiting for "
-                            f"[{lo}, {lo + n}) (produced {self._produced})",
-                            pool=self.name,
-                            what=f"[{lo}, {lo + n})",
-                        )
-                    if self.failure_probe is not None:
-                        self.failure_probe()
-                    self.refill.set()
-                    self._cond.wait(timeout=min(remaining, 0.2))
-                if self._produced < lo + n:  # closed before the range arrived
-                    raise PoolClosed(
-                        f"pool {self.name} closed while waiting for "
-                        f"[{lo}, {lo + n})",
-                        pool=self.name,
-                    )
+                stalled = self._produced < lo + n and not self._closed
+                try:
+                    self._wait_locked(lo + n, start, timeout, f"[{lo}, {lo + n})")
+                except PoolTimeout:
+                    self.stats.stall_time_s += time.monotonic() - start
+                    raise
                 if lo < self._base:
                     raise ServiceError(
                         f"pool {self.name}: range [{lo}, {lo + n}) already trimmed"

@@ -1,11 +1,12 @@
 """The recipe table: every production op of the service, stated once.
 
 One :class:`Recipe` per op says everything that is particular to a
-correlation kind -- opcode, ``prov/ctl`` frame layout, ``prov/*`` data
-tag, pool spec, the pools it consumes and how many items of each one
-output item costs, its batch cap, and the generator call.  The generic
+correlation kind -- its name (the op of its ``prov/ctl`` command
+message and its ``produce.<NAME>`` span), pool key length, ``prov/*``
+data tag, pool spec, the pools it consumes and how many items of each
+one output item costs, its batch cap, and the generator call.  The generic
 halves read it: :class:`repro.runtime.service.CorrelationService`
-(scheduler, frame codec, executor, stale-command alignment, pool
+(scheduler, command schema, executor, stale-command alignment, pool
 factory), :meth:`repro.runtime.service.ServiceSession.draw` (a
 consumer's ``(pool kind, key, count)`` requests name kinds of this
 table) and the planner in :mod:`repro.ppml.plan` (the same requests,
@@ -24,7 +25,6 @@ one extend and never by other derived production.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -48,18 +48,15 @@ _PLAN_DRIVEN = {"low_watermark": 0, "high_watermark": 0}
 class Recipe:
     """How one kind of correlation is commanded, fed, made and pooled.
 
-    ``layout`` names the u64 slots of the command frame after the
-    4-byte opcode: ``n`` item count (absent: one item per command),
-    ``k`` one element of the target pool's key, ``o`` the reserved
-    offset of the next input (zero once the inputs run out).
-    ``inputs(bits, *key)`` lists ``(source pool kind, source items per
-    output item)``; every command consumes all of them.  ``produce(svc,
-    channel, pool, cmd, *taken)`` returns the batch to append, given the
-    inputs taken in ``inputs`` order.
+    A command names the recipe and carries the target pool's key
+    (``key_len`` elements), the item count ``n`` and the reserved
+    offset of each input.  ``inputs(bits, *key)`` lists ``(source pool
+    kind, source items per output item)``; every command consumes all
+    of them.  ``produce(svc, channel, pool, cmd, *taken)`` returns the
+    batch to append, given the inputs taken in ``inputs`` order.
     """
 
-    op: bytes
-    layout: str
+    name: str  # the command op and the ``produce.<NAME>`` span
     kind: str  # pool name, or its prefix when ``key_for`` names keyed pools
     label: str  # for error messages
     pool: Callable  # (svc, name, *key) -> CorrelationPool
@@ -69,10 +66,7 @@ class Recipe:
     cap: Callable = None  # (tuning) -> most items one command produces
     key_for: Callable = None
     direction: str = None  # extends only: the Ferret endpoint they run
-
-    def __post_init__(self):
-        self.frame = struct.Struct("<4s" + "Q" * len(self.layout))
-        self.name = self.op.rstrip(b"\x00").decode()  # the ``produce.<OP>`` span
+    key_len: int = 0  # elements of a keyed pool's key
 
     def pool_name(self, *key) -> str:
         return self.key_for(*key) if key else self.kind
@@ -130,9 +124,9 @@ def _matrix_triple(svc, ch, pool, cmd, cots):
 
 
 # -- the table ----------------------------------------------------------------
-def _extend(op: bytes, direction: str, label: str) -> Recipe:
+def _extend(name: str, direction: str, label: str) -> Recipe:
     return Recipe(
-        op=op, layout="noo", kind=f"cot/{direction}", label=label,
+        name=name, kind=f"cot/{direction}", label=label,
         tag=f"prov/{direction}", direction=direction,
         pool=_cot_pool(direction),
         inputs=lambda bits: (),
@@ -140,18 +134,18 @@ def _extend(op: bytes, direction: str, label: str) -> Recipe:
     )
 
 
-EXT0 = _extend(b"EXT0", "fwd", "forward-COT")
-EXT1 = _extend(b"EXT1", "rev", "reverse-COT")
+EXT0 = _extend("EXT0", "fwd", "forward-COT")
+EXT1 = _extend("EXT1", "rev", "reverse-COT")
 TRI = Recipe(
-    op=b"TRI\x00", layout="noo", kind="tri", label="bit-triple", tag="prov/tri",
+    name="TRI", kind="tri", label="bit-triple", tag="prov/tri",
     pool=lambda svc, name: TriplePool(name, **_PLAN_DRIVEN),
     inputs=lambda bits: (("cot/fwd", 1), ("cot/rev", 1)),
     cap=lambda t: t.triple_chunk,
     produce=_bit_triples,
 )
 MTRI = Recipe(
-    op=b"MTRI", layout="kkko", kind="mtri", label="matrix-triple", tag="prov/mtri",
-    key_for=MatrixTriplePool.key_for,
+    name="MTRI", kind="mtri", label="matrix-triple", tag="prov/mtri",
+    key_for=MatrixTriplePool.key_for, key_len=3,
     pool=lambda svc, name, m, k, n: MatrixTriplePool(
         name, m, k, n, svc.tuning.ring_bits, **_PLAN_DRIVEN
     ),
@@ -160,7 +154,7 @@ MTRI = Recipe(
     produce=_matrix_triple,
 )
 RECIPES = (EXT0, EXT1, TRI, MTRI)
-BY_OP = {recipe.op: recipe for recipe in RECIPES}
+BY_NAME = {recipe.name: recipe for recipe in RECIPES}
 BY_KIND = {recipe.kind: recipe for recipe in RECIPES}
 
 

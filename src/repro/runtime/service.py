@@ -25,14 +25,14 @@ same one, so all allocation decisions are made on party 0 (the
   verb is;
 * production: every op -- the two extends and each derived kind -- is
   one entry of the recipe table (:mod:`repro.runtime.recipes`), which
-  states its opcode, frame layout, pool, input pools and per-item
-  counts, batch cap and generator.  The code here is generic over it:
-  the leader's scheduler walks the table in priority order, reserves
-  the inputs of the first pool that asks for a refill, and sends one
-  command frame on the ``prov/ctl`` sub-channel naming the op, the item
-  count and the exact input ranges; both workers execute it the same
-  way (take the inputs, generate, append), the follower replaying
-  commands in order.
+  states its name, pool, input pools and per-item counts, batch cap
+  and generator.  The code here is generic over it: the leader's
+  scheduler walks the table in priority order, reserves the inputs of
+  the first pool that asks for a refill, and sends one command message
+  (:data:`CONTROL`) on the ``prov/ctl`` sub-channel naming the recipe,
+  the pool key, the item count and the exact input ranges; both
+  workers execute it the same way (take the inputs, generate, append),
+  the follower replaying commands in order.
 
 Thread interleaving on either host therefore cannot desynchronize the
 two parties: the command stream and the per-session offset streams are
@@ -49,8 +49,6 @@ level is exactly the demand signal the leader tops up.
 
 from __future__ import annotations
 
-import json
-import struct
 import threading
 import time
 from dataclasses import dataclass, field
@@ -61,6 +59,7 @@ from repro.errors import (
     ChannelClosed,
     ChannelError,
     ChannelTimeout,
+    ProtocolError,
     ServiceDegraded,
     ServiceError,
 )
@@ -68,22 +67,26 @@ from repro.ferret.config import FerretConfig
 from repro.ferret.protocol import FerretReceiver, FerretSender
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER
+from repro.ot.channel import decode_msg, encode_msg
 from repro.ot.retry import RetryingChannel, RetryPolicy
 from repro.runtime.mux import MuxChannel
-from repro.runtime.recipes import BY_KIND, BY_OP, RECIPES, Command, expand, sends
+from repro.runtime.recipes import BY_KIND, BY_NAME, RECIPES, Command, expand, sends
 from repro.runtime.shard import ShardManager
 
-#: Control frames open with a 4-byte opcode.  Production ops and their
-#: frame layouts are the recipe table's; STOP keeps the commonest
-#: layout's three (unused) u64 arguments.
-OP_STOP = b"STOP"
-_STOP_FRAME = struct.pack("<4sQQQ", OP_STOP, 0, 0, 0)
-#: Resync frames (variable length: opcode + JSON payload).  SYNC is the
-#: leader's recovery barrier, SACK the follower's reply, NACK the
-#: follower's prompt "my command execution failed" signal.
-OP_SYNC = b"SYNC"
-OP_SYNC_ACK = b"SACK"
-OP_NACK = b"NACK"
+#: The ``prov/ctl`` messages (:func:`repro.ot.channel.decode_msg`): one
+#: command op per recipe, named by ``Recipe.name``; STOP winds the
+#: follower down; SYNC is the leader's recovery barrier, SACK the
+#: follower's reply, NACK the follower's prompt "my command execution
+#: failed" signal.
+_COMMAND = {"key": [int], "n": int, "offsets": [int]}
+_PRODUCED = {"nonce": int, "produced": {str: int}}
+CONTROL = {
+    **{recipe.name: _COMMAND for recipe in RECIPES},
+    "STOP": {},
+    "SYNC": _PRODUCED,
+    "SACK": _PRODUCED,
+    "NACK": {"detail": str},
+}
 
 #: Transient transport faults the worker survives by degrading (and
 #: later resyncing) instead of dying.
@@ -657,7 +660,7 @@ class CorrelationService:
                     # the leader loop died on an exception -- so its
                     # consumers fail fast instead of polling forever.
                     try:
-                        self._ctl.send_bytes(_STOP_FRAME)
+                        self._ctl.send_msg("STOP")
                     except Exception:  # noqa: BLE001 - link may be gone
                         pass
             else:
@@ -727,20 +730,20 @@ class CorrelationService:
     def _follower_loop(self) -> None:
         while True:
             try:
-                frame = self._ctl.recv_bytes(timeout=0.2)
+                msg = self._ctl.recv_msg(CONTROL, timeout=0.2)
             except ChannelTimeout:
                 if self._stop.is_set():
                     return
                 continue
-            op = bytes(frame[:4])
-            if op == OP_STOP:
+            op = msg["op"]
+            if op == "STOP":
                 return
-            if op == OP_SYNC:
-                self._follower_resync(frame)
+            if op == "SYNC":
+                self._follower_resync(msg)
                 continue
-            if op in (OP_SYNC_ACK, OP_NACK):
+            if op in ("SACK", "NACK"):
                 continue  # stale resync chatter; barriers are leader-driven
-            cmd = self._decode(frame)
+            cmd = self._decode(msg)
             if self.degraded_since is not None:
                 # Commands issued before the leader noticed our failure:
                 # keep pool consumption aligned without running the
@@ -757,10 +760,10 @@ class CorrelationService:
     def _check_peer_nack(self) -> None:
         """Leader: drain ctl for a follower failure report (NACK)."""
         for frame in self._ctl.drain():
-            if bytes(frame[:4]) == OP_NACK:
-                detail = frame[4:].decode(errors="replace")
+            msg = decode_msg(frame, CONTROL)
+            if msg["op"] == "NACK":
                 self._enter_degraded(
-                    ChannelError(f"peer reported command failure: {detail}")
+                    ChannelError(f"peer reported command failure: {msg['detail']}")
                 )
 
     def _send_nack(self, exc: Exception) -> None:
@@ -769,7 +772,7 @@ class CorrelationService:
         if self._nack_sent:
             return
         try:
-            self._ctl.send_bytes(OP_NACK + repr(exc).encode()[:512])
+            self._ctl.send_msg("NACK", detail=repr(exc)[:512])
             self._nack_sent = True
         except ChannelError:
             pass  # link fully down; the leader will notice by timeout
@@ -790,22 +793,17 @@ class CorrelationService:
         (commands are sequential), so at most one pool moves.
         """
         self._sync_nonce += 1
-        payload = {"nonce": self._sync_nonce, "produced": self._produced_counts()}
         try:
-            self._ctl.send_bytes(OP_SYNC + json.dumps(payload).encode())
+            self._ctl.send_msg("SYNC", nonce=self._sync_nonce, produced=self._produced_counts())
             deadline = time.monotonic() + self.tuning.retry.deadline_s
             while True:
                 remaining = max(0.05, deadline - time.monotonic())
-                frame = self._ctl.recv_bytes(timeout=remaining)
-                op = bytes(frame[:4])
-                if op == OP_NACK:
+                reply = self._ctl.recv_msg(CONTROL, timeout=remaining)
+                if reply["op"] == "NACK":
                     continue  # already degraded; the barrier supersedes it
-                if op != OP_SYNC_ACK:
-                    raise ChannelError(
-                        f"resync expected SACK, got {op!r}"
-                    )
-                reply = json.loads(frame[4:].decode())
-                if reply.get("nonce") == self._sync_nonce:
+                if reply["op"] != "SACK":
+                    raise ProtocolError(f"resync expected SACK, got {reply['op']!r}")
+                if reply["nonce"] == self._sync_nonce:
                     break
                 # A stale ack from an earlier attempt: keep waiting.
             # All follower frames from the abandoned command precede its
@@ -823,9 +821,8 @@ class CorrelationService:
         self._clear_degraded()
         return True
 
-    def _follower_resync(self, frame: bytes) -> None:
+    def _follower_resync(self, sync: dict) -> None:
         """Answer a leader resync barrier (see :meth:`_leader_resync`)."""
-        payload = json.loads(frame[4:].decode())
         # Every leader frame from the abandoned command precedes the
         # SYNC on the wire, so the stray data frames are queued: drain
         # them before acking, then roll back to the mutual minimum.
@@ -833,21 +830,18 @@ class CorrelationService:
             ch.base.drain()
         mine = self._produced_counts()
         try:
-            self._ctl.send_bytes(
-                OP_SYNC_ACK
-                + json.dumps({"nonce": payload["nonce"], "produced": mine}).encode()
-            )
+            self._ctl.send_msg("SACK", nonce=sync["nonce"], produced=mine)
         except ChannelError as exc:
             self._enter_degraded(exc)
             return
-        self._rollback_pools(payload["produced"])
+        self._rollback_pools(sync["produced"])
         self.resyncs += 1
         if self.tracer.enabled:
             self.tracer.instant(
                 "service.resync",
                 cat="resync",
                 role="follower",
-                nonce=payload["nonce"],
+                nonce=sync["nonce"],
             )
         self._clear_degraded()
 
@@ -861,7 +855,7 @@ class CorrelationService:
         with self._alloc_lock:
             pools = dict(self.pools)
         for kind, pool in pools.items():
-            target = min(pool.produced, int(peer_produced.get(kind, pool.produced)))
+            target = min(pool.produced, peer_produced.get(kind, pool.produced))
             if target >= pool.produced:
                 continue
             direction = pool.recipe.direction
@@ -928,32 +922,21 @@ class CorrelationService:
             ep._spcot_pool._cursor = snap["spcot_cursor"]
         ep.iterations = snap["iterations"]
 
-    # -- command frames ------------------------------------------------------
+    # -- command messages ----------------------------------------------------
     @staticmethod
     def _encode(cmd: Command) -> bytes:
-        """Frame a command by its recipe's slot layout."""
-        key, offsets = iter(cmd.key), iter(cmd.offsets)
-        slots = {
-            "n": lambda: cmd.n,
-            "k": lambda: next(key),
-            "o": lambda: next(offsets, 0),
-        }
-        recipe = cmd.recipe
-        return recipe.frame.pack(recipe.op, *(slots[c]() for c in recipe.layout))
+        return encode_msg(cmd.recipe.name, key=list(cmd.key), n=cmd.n, offsets=list(cmd.offsets))
 
-    @staticmethod
-    def _decode(frame: bytes) -> Command:
-        recipe = BY_OP.get(bytes(frame[:4]))
-        if recipe is None:
-            raise ServiceError(f"unknown provisioning opcode {bytes(frame[:4])!r}")
-        n = 1  # a frame without a count carries one item
-        lists = {"k": [], "o": []}
-        for c, value in zip(recipe.layout, recipe.frame.unpack(frame)[1:]):
-            if c in lists:
-                lists[c].append(value)
-            else:
-                n = value
-        return Command(recipe, tuple(lists["k"]), n, tuple(lists["o"]))
+    def _decode(self, msg: dict) -> Command:
+        """The command of a ``CONTROL`` message, if its key and offsets
+        have the lengths its recipe declares."""
+        recipe, key, offsets = BY_NAME[msg["op"]], tuple(msg["key"]), tuple(msg["offsets"])
+        if len(key) != recipe.key_len:
+            raise ProtocolError(f"{recipe.name} command key {key} is not {recipe.key_len} long")
+        want = len(recipe.inputs(self.tuning.ring_bits, *key))
+        if len(offsets) != want:
+            raise ProtocolError(f"{recipe.name} command has {len(offsets)} offsets, not {want}")
+        return Command(recipe, key, msg["n"], offsets)
 
     # -- scheduling (leader) and execution (both) ----------------------------
     def _input_ranges(self, cmd: Command) -> list:

@@ -23,9 +23,9 @@ Correlation survives sharding because offsets are assigned by ONE
 authority: the party-0 leader.  Shards return finished extend batches
 to their parent over a result queue; the leader's merger appends each
 batch at its pool's produced frontier (arrival order) and announces
-``(seq, direction, lo, n)`` to the follower *in-band* on the
-``shard/ctl`` mux sub-channel -- the same way :class:`MuxChannel`
-multiplexes tags, so no new wire assumptions are introduced.  The
+``(seq, direction, lo, n)`` to the follower *in-band* as
+:data:`SHARD_CTL` messages on the ``shard/ctl`` mux sub-channel -- the
+same way :class:`MuxChannel` multiplexes tags, so no new wire assumptions are introduced.  The
 follower merger pairs each announcement with its local copy of that
 batch (shard i's sequence of extends is identical on both parties, so
 seq identifies the batch) and lands batches in announced order per
@@ -52,25 +52,23 @@ from __future__ import annotations
 import collections
 import multiprocessing
 import queue
-import struct
 import threading
 import time
 
-from repro.errors import ServiceError
+from repro.errors import ProtocolError, ServiceError
 from repro.ferret.protocol import FerretReceiver, FerretSender
-from repro.ot.channel import ChannelClosed, ChannelError, ChannelTimeout, SocketChannel
+from repro.ot.channel import ChannelClosed, ChannelError, ChannelTimeout, SocketChannel, decode_msg
 from repro.ot.cot import CotSenderBatch
 
-#: In-band shard control frames on the ``shard/ctl`` sub-channel
-#: (leader -> follower only).  SCMD dispatches extend ``seq`` to shard
-#: ``shard``; SOFF announces the merged pool offset of ``seq``'s batch.
-OP_SHARD_CMD = b"SCMD"
-OP_SHARD_OFF = b"SOFF"
-_SHARD_CMD = struct.Struct("<4sQQQ")  # op, seq, shard, direction
-_SHARD_OFF = struct.Struct("<4sQQQQ")  # op, seq, direction, lo, n
-
-_DIR_CODE = {"fwd": 0, "rev": 1}
-_DIR_NAME = {0: "fwd", 1: "rev"}
+#: In-band shard control messages on the ``shard/ctl`` sub-channel
+#: (leader -> follower only; :func:`repro.ot.channel.decode_msg`).
+#: SCMD dispatches extend ``seq`` to shard ``shard``; SOFF announces
+#: the merged pool offset of ``seq``'s batch.
+SHARD_CTL = {
+    "SCMD": {"seq": int, "shard": int, "direction": str},
+    "SOFF": {"seq": int, "direction": str, "lo": int, "n": int},
+}
+DIRECTIONS = ("fwd", "rev")
 
 #: Rendezvous budget for one start-up step: a spawned worker booting,
 #: the per-shard socket handshake, the hand-over of its base COTs.  No
@@ -220,7 +218,7 @@ class ShardManager:
         #: per direction, the FIFO of announced (seq, lo, n) not yet
         #: landed; seq -> local result not yet landed.
         self._expected: dict = {}
-        self._announced = {d: collections.deque() for d in _DIR_CODE}
+        self._announced = {d: collections.deque() for d in DIRECTIONS}
         self._results: dict = {}
         #: Per shard.  ``setup_s`` is the worker's time-to-ready from its
         #: entry point: interpreter boot, socket rendezvous and loading
@@ -271,21 +269,20 @@ class ShardManager:
                 if msg[0] != "port":
                     raise ServiceError(f"shard handshake: unexpected {msg[0]!r}")
                 ports[msg[1]] = msg[2]
-            self._hs.send_bytes(struct.pack(f"<{self.shards}Q", *ports))
+            self._hs.send_lanes(ports, 64)
         else:
             deadline = time.monotonic() + _SETUP_TIMEOUT_S
-            frame = None
-            while frame is None:
+            ports = None
+            while ports is None:
                 try:
-                    frame = self._hs.recv_bytes(timeout=_POLL_S)
+                    ports = self._hs.recv_lanes(self.shards, 64, timeout=_POLL_S)
                 except ChannelTimeout:
                     if (dead := self._exited_worker()) is not None:
                         raise dead from None
                     if time.monotonic() >= deadline:
                         raise
-            ports = struct.unpack(f"<{self.shards}Q", frame)
             for i, port in enumerate(ports):
-                self._cmd_qs[i].put(("connect", "127.0.0.1", port))
+                self._cmd_qs[i].put(("connect", "127.0.0.1", int(port)))
         for i in range(self.shards):
             self._cmd_qs[i].put(("seed", fwd_seeds[i], rev_seeds[i]))
         for _ in range(self.shards):
@@ -429,9 +426,7 @@ class ShardManager:
         self._next_seq += 1
         # The SCMD frame goes out BEFORE the local command so the
         # follower's replay order per shard always matches ours.
-        self._ctl.send_bytes(
-            _SHARD_CMD.pack(OP_SHARD_CMD, seq, shard, _DIR_CODE[direction])
-        )
+        self._ctl.send_msg("SCMD", seq=seq, shard=shard, direction=direction)
         self._cmd_qs[shard].put(("ext", seq, direction))
         self._busy[shard] = (seq, direction, self.service.tracer.now())
         self._inflight[direction] += self.service.config.net_output
@@ -459,9 +454,7 @@ class ShardManager:
                 if self._stop.is_set():
                     return  # pool closed during shutdown: benign
                 raise
-            self._ctl.send_bytes(
-                _SHARD_OFF.pack(OP_SHARD_OFF, seq, _DIR_CODE[direction], lo, n)
-            )
+            self._ctl.send_msg("SOFF", seq=seq, direction=direction, lo=lo, n=n)
             self._record(shard, direction, n, elapsed)
             busy = self._busy[shard]
             if busy is not None and service.tracer.enabled:
@@ -495,18 +488,20 @@ class ShardManager:
             self._merge_ready()
 
     def _on_ctl(self, frame) -> None:
-        """Follower: replay one leader frame -- dispatch the commanded
+        """Follower: replay one leader message -- dispatch the commanded
         extend, or queue the announced offset behind its direction's
         earlier ones."""
-        op = bytes(frame[:4])
-        if op == OP_SHARD_CMD:
-            _, seq, shard, code = _SHARD_CMD.unpack(frame)
-            direction = _DIR_NAME[code]
-            self._expected[seq] = (shard, direction)
-            self._cmd_qs[shard].put(("ext", seq, direction))
-        elif op == OP_SHARD_OFF:
-            _, seq, code, lo, n = _SHARD_OFF.unpack(frame)
-            self._announced[_DIR_NAME[code]].append((seq, lo, n))
+        msg = decode_msg(frame, SHARD_CTL)
+        direction = msg["direction"]
+        if direction not in DIRECTIONS:
+            raise ProtocolError(f"shard/ctl {msg['op']}: unknown direction {direction!r}")
+        if msg["op"] == "SCMD":
+            if msg["shard"] >= self.shards:
+                raise ProtocolError(f"shard/ctl SCMD names shard {msg['shard']} of {self.shards}")
+            self._expected[msg["seq"]] = (msg["shard"], direction)
+            self._cmd_qs[msg["shard"]].put(("ext", msg["seq"], direction))
+        else:
+            self._announced[direction].append((msg["seq"], msg["lo"], msg["n"]))
 
     def _merge_ready(self) -> None:
         """Land, per direction and in announced order, every batch whose

@@ -8,6 +8,7 @@ instead of re-declaring them per test file.
 
 from __future__ import annotations
 
+import json
 from typing import NamedTuple
 
 import numpy as np
@@ -76,9 +77,51 @@ class StreamStrategies:
         return cuts.map(lambda c: list(zip([lo] + c, c + [hi])))
 
 
+#: Frames that are not a JSON object at all: bad UTF-8 (bare, and
+#: inside a string), not JSON, nesting past the parser's recursion
+#: limit, and JSON that is not an object.
+_NOT_AN_OBJECT = (
+    b"\xff\xfe\xfd", b'{"op": "\xc3"}', b"", b"{not json", b"[" * 100_000,
+    b"[]", b'"op"', b"17", b"null",
+)
+_INT = st.integers(0, (1 << 63) - 1)
+_TEXT = st.text(max_size=12)
+
+
+def _values(spec) -> st.SearchStrategy:
+    """Values a control-message field of ``spec`` accepts."""
+    if spec is int:
+        return _INT
+    if spec is str:
+        return _TEXT
+    if spec is dict:
+        scalars = st.one_of(_INT, _TEXT, st.booleans(), st.none())
+        return st.dictionaries(_TEXT, scalars, max_size=4)
+    if isinstance(spec, list):
+        return st.lists(_values(spec[0]), max_size=4)
+    ((key, item),) = spec.items()
+    return st.dictionaries(_values(key), _values(item), max_size=4)
+
+
+def _bad_values(spec) -> list:
+    """Values a field of ``spec`` refuses: a wrong type, a negative int,
+    ``true`` or 2^63 where an int belongs, a list holding a string, a
+    dict holding a float."""
+    if spec is int:
+        return ["7", -1, True, 1 << 63, 1.5, None, [1]]
+    if spec is str:
+        return [1, None, ["a"], True]
+    if spec is dict:
+        return [[], "x", 5, None]
+    if isinstance(spec, list):
+        return ["x", {"a": 1}, ["x"], [-1], [True], [1 << 63], [1.5]]
+    return [[1], 5, {"a": 1.5}, {"a": -1}, {"a": True}, {"a": "x"}, {"a": 1 << 63}]
+
+
 class WireStrategies:
     """Frames a peer can send for a declared ``(n, bits)`` lane shape,
-    built from :func:`parties.frame` rather than the codec under test."""
+    built from :func:`parties.frame` rather than the codec under test,
+    and control messages for a declared schema, built with :mod:`json`."""
 
     @staticmethod
     def shapes(max_n: int = 64) -> st.SearchStrategy[tuple]:
@@ -111,6 +154,48 @@ class WireStrategies:
             bad.append(st.integers(0, 63).map(lambda i: counted(n ^ (1 << i))))
             bad.append(st.just(counted(1 << 63)))
         return st.one_of(bad)
+
+    @staticmethod
+    def messages(schema: dict) -> st.SearchStrategy[tuple]:
+        """``(op, fields)`` of a message ``schema`` (``op -> {field:
+        spec}``) accepts."""
+        return st.sampled_from(sorted(schema)).flatmap(
+            lambda op: st.fixed_dictionaries(
+                {name: _values(spec) for name, spec in schema[op].items()}
+            ).map(lambda fields: (op, fields))
+        )
+
+    @staticmethod
+    def bad_messages(schema: dict) -> st.SearchStrategy[bytes]:
+        """Frames ``schema`` refuses: not a UTF-8 JSON object, an unknown
+        or missing op, a missing or extra field, or one field holding a
+        value outside its spec (see :func:`_bad_values`)."""
+
+        def dump(msg) -> bytes:
+            return json.dumps(msg).encode()
+
+        @st.composite
+        def mutated(draw):
+            op, fields = draw(WireStrategies.messages(schema))
+            fields = dict(fields)
+            moves = ["extra"] + ["missing", "value"] * bool(fields)
+            move = draw(st.sampled_from(moves))
+            if move == "extra":
+                fields[draw(_TEXT.filter(lambda t: t not in fields and t != "op"))] = 0
+            else:
+                name = draw(st.sampled_from(sorted(fields)))
+                if move == "missing":
+                    del fields[name]
+                else:
+                    fields[name] = draw(st.sampled_from(_bad_values(schema[op][name])))
+            return dump({"op": op, **fields})
+
+        unknown_op = st.one_of(
+            _TEXT.filter(lambda t: t not in schema), st.none(), _INT, st.just(["STOP"])
+        ).map(lambda op: dump({"op": op}))
+        return st.one_of(
+            st.sampled_from(_NOT_AN_OBJECT), unknown_op, st.just(dump({})), mutated()
+        )
 
 
 class EncodeCase(NamedTuple):

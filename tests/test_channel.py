@@ -1,6 +1,8 @@
 """Channel codec, accounting and pair-runner tests."""
 
+import re
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +19,19 @@ from repro.errors import (
     ParameterError,
     ProtocolError,
 )
-from repro.ot.channel import LocalChannel, PartyError, lane_bytes, lanes_bytes, run_pair
+from repro.ot.channel import (
+    LocalChannel,
+    PartyError,
+    decode_msg,
+    lane_bytes,
+    lanes_bytes,
+    run_pair,
+)
+from repro.ot.reconnect import HANDSHAKE
+from repro.ppml.plan import START
+from repro.runtime.daemon import VERDICTS
+from repro.runtime.service import CONTROL
+from repro.runtime.shard import SHARD_CTL
 
 
 class TestLocalChannel:
@@ -212,6 +226,98 @@ class TestCodec:
         a.send_blocks(blocks.random_blocks(3, rng))
         with pytest.raises(ProtocolError, match="frame of 4 blocks must be 64 bytes, got 48"):
             b.recv_blocks(4)
+
+
+#: Every module's control schema, plus one op declaring each spec.
+SCHEMAS = {
+    "prov/ctl": CONTROL,
+    "daemon/ctl": VERDICTS,
+    "pipe": START,
+    "shard/ctl": SHARD_CTL,
+    "hello": HANDSHAKE,
+    "specs": {"every": {"i": int, "s": str, "l": [int], "m": {str: int}, "d": dict}, "bare": {}},
+}
+
+
+class TestControlCodec:
+    """Control messages: compact JSON objects checked against the
+    schema the receiver declares."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), name=st.sampled_from(sorted(SCHEMAS)))
+    def test_messages_round_trip(self, data, name):
+        op, fields = data.draw(WireStrategies.messages(SCHEMAS[name]))
+        a, b = LocalChannel.pair()
+        a.send_msg(op, **fields)
+        assert b.recv_msg(SCHEMAS[name]) == {"op": op, **fields}
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), name=st.sampled_from(sorted(SCHEMAS)))
+    def test_every_bad_frame_is_a_protocol_error(self, data, name):
+        frame = data.draw(WireStrategies.bad_messages(SCHEMAS[name]))
+        with pytest.raises(ProtocolError):
+            ScriptedChannel([frame]).recv_msg(SCHEMAS[name])
+
+    @pytest.mark.parametrize(
+        "frame, match",
+        [
+            (b'{"op": "admit", "seq": true, "session": "a", "batch": 1, "token": "t"}',
+             "'admit': field 'seq' must be int, got True"),
+            (b'{"op": "reject", "session": "a", "inflight": 1}',
+             r"'reject': missing fields \['limit'\], extra fields \[\]"),
+            (b'{"op": "stop", "x": 1}', r"'stop': missing fields \[\], extra fields \['x'\]"),
+            (b'{"op": "go"}', "unknown control op 'go'"),
+            (b"[1]", "holds a list, not an object"),
+            (b"\xff", "is not JSON"),
+        ],
+    )
+    def test_error_names_the_op_and_the_field(self, frame, match):
+        with pytest.raises(ProtocolError, match=match):
+            decode_msg(frame, VERDICTS)
+
+    def test_one_compact_object_per_message(self):
+        a, b = LocalChannel.pair()
+        a.send_msg("reject", session="cli", inflight=4, limit=4)
+        assert b.recv_bytes() == b'{"op":"reject","session":"cli","inflight":4,"limit":4}'
+
+
+#: The only places under ``src/repro`` allowed to parse bytes with
+#: ``json`` or ``struct``, each with the one call form it may use and
+#: why.  Everything a peer sends is parsed by the codec in
+#: ``ot/channel.py``.
+PARSE_ALLOWED = {
+    "ot/channel.py": (r".", "the codec: socket length prefix and control messages"),
+    "runtime/mux.py": (
+        r"_TAG_HEADER\.unpack_from\(",
+        "decode_frame's tag header, which raises typed errors",
+    ),
+    "ot/reconnect.py": (
+        r"_SEQ\.unpack_from\(",
+        "the DATA / ACK sequence headers: per frame, on the hot path",
+    ),
+    "nmp/isa.py": (r"_WIRE\.unpack\(", "the simulator ISA, not peer input"),
+    "obs/report.py": (r"json\.load\(fh\)", "reads a local trace file"),
+}
+PARSE_CALL = re.compile(r"json\.loads?\(|struct\.unpack|\.unpack\(|unpack_from")
+
+
+def parse_sites(root: Path) -> list:
+    """``module:line: text`` of every json / struct parse outside the
+    allowed forms under ``root`` (a ``src/repro`` tree)."""
+    hits = []
+    for path in sorted(root.rglob("*.py")):
+        module = path.relative_to(root).as_posix()
+        allowed = PARSE_ALLOWED.get(module, (None, ""))[0]
+        for lineno, line in enumerate(path.read_text().splitlines(), 1):
+            if PARSE_CALL.search(line) and not (allowed and re.search(allowed, line)):
+                hits.append(f"{module}:{lineno}: {line.strip()}")
+    return hits
+
+
+def test_peer_bytes_are_parsed_in_one_place():
+    """No module but the codec parses control bytes itself."""
+    root = Path(__file__).parents[1] / "src" / "repro"
+    assert parse_sites(root) == []
 
 
 class TestRunPair:

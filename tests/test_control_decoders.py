@@ -1,0 +1,223 @@
+"""Every decoder of control bytes, fed hostile frames by a scripted peer.
+
+Each site that reads a control message -- the service follower's
+command loop, the leader's resync barrier and NACK drain, the daemon's
+verdict stream, the pipelined prefill's start positions, the shard
+follower's ``shard/ctl`` replay and both reconnect HELLO sites -- reads
+it through :func:`repro.ot.channel.decode_msg`.  A frame outside the
+declared shape must surface as a :class:`ProtocolError` at once: never
+a ``KeyError``, ``struct.error`` or ``JSONDecodeError``, a hang, or a
+silently dropped frame.
+"""
+
+import time
+from types import SimpleNamespace
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from parties import ScriptedChannel
+from strategies import WireStrategies
+
+from repro.errors import ProtocolError
+from repro.ferret.config import FerretConfig
+from repro.obs.trace import NULL_TRACER
+from repro.ot.channel import LocalChannel, encode_msg
+from repro.ot.reconnect import HANDSHAKE, ReconnectingChannel
+from repro.ot.retry import RetryPolicy
+from repro.ppml.layers import Graph, Linear
+from repro.ppml.plan import START, PipelinedPrefill, plan_graph
+from repro.runtime import CorrelationService, MuxChannel, ServiceTuning, shard
+from repro.runtime.daemon import VERDICTS, InferenceDaemon
+from repro.runtime.service import CONTROL
+
+HOSTILE = settings(
+    max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+CFG = FerretConfig.small(scale=1024, arity=4, prg_kind="chacha8")
+
+#: Messages that fit the ``prov/ctl`` schema but not the recipe they
+#: name: a key of the wrong length, a wrong number of input offsets.
+BAD_COMMANDS = [
+    encode_msg("MTRI", key=[2, 3], n=1, offsets=[0]),
+    encode_msg("TRI", key=[4], n=1, offsets=[0, 0]),
+    encode_msg("TRI", key=[], n=1, offsets=[0]),
+    encode_msg("EXT0", key=[], n=0, offsets=[0, 0]),
+]
+
+
+class DrainableScript(ScriptedChannel):
+    """A scripted peer that also serves a mux sub-channel's ``drain``."""
+
+    def drain(self):
+        out, self._inbound = self._inbound, []
+        return out
+
+
+@pytest.fixture(scope="module")
+def services():
+    """An unstarted service per party: only their decoders are driven."""
+    muxes = [MuxChannel(end) for end in LocalChannel.pair()]
+    yield [CorrelationService(party, mux, CFG, ServiceTuning()) for party, mux in enumerate(muxes)]
+    for mux in muxes:
+        mux.close()
+
+
+# -- correlation service ---------------------------------------------------------
+@HOSTILE
+@given(frame=WireStrategies.bad_messages(CONTROL))
+def test_follower_command_loop(services, frame):
+    follower = services[1]
+    follower._ctl = ScriptedChannel([frame])
+    with pytest.raises(ProtocolError):
+        follower._follower_loop()
+
+
+@pytest.mark.parametrize("frame", BAD_COMMANDS)
+def test_follower_command_of_the_wrong_shape(services, frame):
+    follower = services[1]
+    follower._ctl = ScriptedChannel([frame])
+    with pytest.raises(ProtocolError, match="key|offsets"):
+        follower._follower_loop()
+
+
+def test_follower_worker_fails_typed_and_fast():
+    """Through the whole worker: ``service.error`` is the ProtocolError,
+    set at once (the loop's receive slice is 0.2 s; the bound leaves
+    room for a loaded host)."""
+    mux = MuxChannel(LocalChannel.pair()[0])
+    try:
+        follower = CorrelationService(1, mux, CFG, ServiceTuning())
+        follower.ferret_fwd.setup = follower.ferret_rev.setup = lambda channel: None
+        follower._ctl = ScriptedChannel([b'{"op": "MTRI", "key": [2, 3, 2]}'])
+        start = time.monotonic()
+        follower._run()
+        assert time.monotonic() - start < 1.0
+        assert isinstance(follower.error, ProtocolError)
+        assert "MTRI" in str(follower.error) and "missing fields ['n', 'offsets']" in str(
+            follower.error
+        )
+    finally:
+        mux.close()
+
+
+@HOSTILE
+@given(frame=WireStrategies.bad_messages(CONTROL))
+def test_leader_resync_barrier(services, frame):
+    leader = services[0]
+    leader._ctl = ScriptedChannel([frame])
+    with pytest.raises(ProtocolError):
+        leader._leader_resync()
+
+
+def test_leader_resync_refuses_a_command_for_its_ack(services):
+    leader = services[0]
+    leader._ctl = ScriptedChannel([encode_msg("TRI", key=[], n=1, offsets=[0, 0])])
+    with pytest.raises(ProtocolError, match="resync expected SACK, got 'TRI'"):
+        leader._leader_resync()
+
+
+@HOSTILE
+@given(frame=WireStrategies.bad_messages(CONTROL))
+def test_leader_nack_drain(services, frame):
+    leader = services[0]
+    leader._ctl = DrainableScript([frame])
+    with pytest.raises(ProtocolError):
+        leader._check_peer_nack()
+
+
+# -- inference daemon ---------------------------------------------------------------
+@HOSTILE
+@given(frame=WireStrategies.bad_messages(VERDICTS))
+def test_daemon_verdict_stream(frame):
+    """The follower's ctl loop fails every request with the error and
+    stops reading."""
+    failed = []
+    follower = SimpleNamespace(
+        _closing=False, _ctl=ScriptedChannel([frame]), _fail_all=failed.append
+    )
+    InferenceDaemon._apply_ctl(follower)
+    (exc,) = failed
+    assert isinstance(exc, ProtocolError)
+
+
+# -- pipelined prefill ----------------------------------------------------------------
+def _follower_pipeline(frame):
+    graph = Graph("g", (4, 16))
+    graph.add(Linear(8))
+    plan = plan_graph(graph, bits=16)
+    pipe = PipelinedPrefill(
+        plan, SimpleNamespace(party=1), 5.0, None, channel=ScriptedChannel([frame])
+    )
+    pipe._thread.join(1.0)
+    assert not pipe._thread.is_alive()
+    return pipe
+
+
+@HOSTILE
+@given(frame=WireStrategies.bad_messages(START))
+def test_pipeline_start_positions(frame):
+    assert isinstance(_follower_pipeline(frame).error, ProtocolError)
+
+
+def test_pipeline_start_lacking_a_plan_pool():
+    frame = encode_msg("start", positions={"cot/fwd": 0})
+    error = _follower_pipeline(frame).error
+    assert isinstance(error, ProtocolError) and "mtri/4x16x8" in str(error)
+
+
+# -- shard follower -------------------------------------------------------------------
+def _shard_follower(frame):
+    service = SimpleNamespace(
+        party=1, mux=SimpleNamespace(sub=lambda tag: None), pools={}, tracer=NULL_TRACER
+    )
+    mgr = shard.ShardManager(service, 2, seed=0)
+    mgr._ctl = ScriptedChannel([frame])
+    return mgr
+
+
+@HOSTILE
+@given(frame=WireStrategies.bad_messages(shard.SHARD_CTL))
+def test_shard_ctl_replay(frame):
+    with pytest.raises(ProtocolError):
+        _shard_follower(frame)._follower_merge_loop()
+
+
+@pytest.mark.parametrize(
+    "frame, match",
+    [
+        (encode_msg("SCMD", seq=0, shard=0, direction="up"), "unknown direction 'up'"),
+        (encode_msg("SOFF", seq=0, direction="", lo=0, n=1), "unknown direction ''"),
+        (encode_msg("SCMD", seq=0, shard=2, direction="fwd"), "names shard 2 of 2"),
+    ],
+)
+def test_shard_ctl_values_outside_the_fleet(frame, match):
+    """Shape-valid messages naming a direction or shard that does not
+    exist."""
+    with pytest.raises(ProtocolError, match=match):
+        _shard_follower(frame)._follower_merge_loop()
+
+
+# -- reconnect HELLO --------------------------------------------------------------------
+ONE_SHOT = RetryPolicy(attempts=1, backoff_s=0.01, max_backoff_s=0.01, deadline_s=1.0)
+HELLO = b"H" + encode_msg("hello", epoch=1, rx=0, state={})
+
+
+@HOSTILE
+@given(frame=WireStrategies.bad_messages(HANDSHAKE))
+def test_reconnect_handshake(frame):
+    with pytest.raises(ProtocolError):
+        ReconnectingChannel(lambda: ScriptedChannel([b"H" + frame]), policy=ONE_SHOT)
+
+
+@HOSTILE
+@given(frame=WireStrategies.bad_messages(HANDSHAKE))
+def test_reconnect_in_place_hello(frame):
+    channel = ReconnectingChannel(lambda: ScriptedChannel([HELLO, b"H" + frame]), policy=ONE_SHOT)
+    with pytest.raises(ProtocolError):
+        channel.recv_bytes(timeout=0.5)
+
+
+def test_reconnect_keeps_the_peer_state():
+    hello = b"H" + encode_msg("hello", epoch=1, rx=0, state={"mux": {"sess/a": 3}})
+    channel = ReconnectingChannel(lambda: ScriptedChannel([hello]), policy=ONE_SHOT)
+    assert channel.peer_state == {"mux": {"sess/a": 3}} and channel.epoch == 1

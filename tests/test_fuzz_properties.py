@@ -22,7 +22,7 @@ from strategies import StreamStrategies  # noqa: E402
 
 from repro.errors import ChannelError, ServiceError  # noqa: E402
 from repro.obs.trace import NULL_TRACER  # noqa: E402
-from repro.ot.channel import LocalChannel  # noqa: E402
+from repro.ot.channel import LocalChannel, encode_msg  # noqa: E402
 from repro.runtime import shard  # noqa: E402
 from repro.runtime.mux import MuxChannel, decode_frame, encode_frame  # noqa: E402
 from repro.runtime.pool import CorrelationPool  # noqa: E402
@@ -196,7 +196,7 @@ def test_rollback_respects_taken_frontier(produced, taken, rollback):
 
 
 # -- shard merge -------------------------------------------------------------
-DIRECTIONS = tuple(shard._DIR_CODE)
+DIRECTIONS = shard.DIRECTIONS
 
 
 def _follower():
@@ -235,7 +235,7 @@ def _leader_stream(data):
 
 
 def _soff(seq, direction, lo, n):
-    return shard._SHARD_OFF.pack(shard.OP_SHARD_OFF, seq, shard._DIR_CODE[direction], lo, n)
+    return encode_msg("SOFF", seq=seq, direction=direction, lo=lo, n=n)
 
 
 def _content(direction, lo, hi):

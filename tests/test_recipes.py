@@ -20,11 +20,12 @@ from repro.mpc.matmul import matmul_draws
 from repro.mpc.maxpool import max_draws
 from repro.mpc.relu import relu_draws
 from repro.mpc.truncation import FixedPointConfig, trunc_draws
-from repro.ot.channel import LocalChannel
+from repro.ot.channel import LocalChannel, decode_msg, encode_msg
 from repro.ppml.layers import Activation, Conv2d, Graph, Linear, MaxPool2d, Rescale
 from repro.ppml.plan import plan_graph
 from repro.runtime import CorrelationService, MuxChannel, ServiceTuning
 from repro.runtime.recipes import BY_KIND, RECIPES, Command, expand
+from repro.runtime.service import CONTROL
 
 CFG = FerretConfig.small(scale=1024, arity=4, prg_kind="chacha8")  # 1008 COTs/extend
 MTRI_KEY = (2, 3, 2)  # 384 COTs/triple
@@ -80,14 +81,21 @@ def service_pair(tuning):
 #: digests are the parent tree's streams of these scenarios with only
 #: the ``tprc/8`` target removed, reproduced byte for byte: 10 frames
 #: each, ``EXT0 EXT1 TRI TRI TRI MTRI MTRI EXT0 MTRI STOP``.
+#: Re-pinned when commands became JSON control messages
+#: (``{"op": name, "key": [...], "n": n, "offsets": [...]}``, STOP as
+#: ``{"op": "STOP"}``).  Both digests are the parent tree's 10-frame
+#: streams with each struct frame translated field by field: extends
+#: carry ``n`` 0 and no offsets (the struct frame sent two zeros), TRI
+#: its count and two offsets, MTRI its key, ``n`` 1 (the struct frame
+#: left it implicit) and one offset.  Nothing else moved.
 GOLDEN = {
     "watermarks": (
         dict(triple_chunk=96),
-        "628cecb0d36d469c2ec121470d3b76119b31348b8632849628475e71c6136ef0",
+        "cc80f832ece16876c0e5651ddec964d5244401719e51804ad78c6adbfd519810",
     ),
     "starved": (
         dict(cot_low=0, cot_high=0, triple_chunk=80),
-        "9c9489937f0a0016027413d1976c13dc6cca29c6bad4408939a332e546c2615c",
+        "0269e1562a0261ccb0dc2885c06ace6023472e84e3013f25a55de7be0455ba84",
     ),
 }
 
@@ -126,7 +134,7 @@ def test_command_stream_matches_golden_transcript(case):
     for frame in frames:
         sha.update(struct.pack("<I", len(frame)))
         sha.update(frame)
-    ops = " ".join(frame[:4].rstrip(b"\x00").decode() for frame in frames)
+    ops = " ".join(json.loads(frame)["op"] for frame in frames)
     assert sha.hexdigest() == digest, f"{len(frames)} frames: {ops}"
     assert follower.pools["mtri/2x3x2"].produced == 3
 
@@ -146,14 +154,14 @@ def stock(pool, n):
     [
         # Bit triples take one COT from each direction: of two short
         # directions forward extends first, a stocked one is left alone...
-        ({"cot/fwd": 0, "cot/rev": 0}, "tri", (b"EXT0", 0, 0, 0)),
-        ({"cot/fwd": 0, "cot/rev": 5}, "tri", (b"EXT0", 0, 0, 0)),
-        ({"cot/fwd": 5, "cot/rev": 0}, "tri", (b"EXT1", 0, 0, 0)),
+        ({"cot/fwd": 0, "cot/rev": 0}, "tri", ("EXT0", 0, [])),
+        ({"cot/fwd": 0, "cot/rev": 5}, "tri", ("EXT0", 0, [])),
+        ({"cot/fwd": 5, "cot/rev": 0}, "tri", ("EXT1", 0, [])),
         # ...and with both stocked the batch itself runs, cut to stock.
-        ({"cot/fwd": 1, "cot/rev": 40}, "tri", (b"TRI\x00", 1, 0, 0)),
+        ({"cot/fwd": 1, "cot/rev": 40}, "tri", ("TRI", 1, [0, 0])),
         # A matrix triple short of its 384 forward COTs extends forward,
         # whatever the reverse stock.
-        ({"cot/fwd": 100, "cot/rev": 0}, "mtri/2x3x2", (b"EXT0", 0, 0, 0)),
+        ({"cot/fwd": 100, "cot/rev": 0}, "mtri/2x3x2", ("EXT0", 0, [])),
     ],
 )
 def test_starved_kind_schedules_its_short_input(levels, wanted, frame):
@@ -163,7 +171,8 @@ def test_starved_kind_schedules_its_short_input(levels, wanted, frame):
     for kind, n in levels.items():
         stock(leader.pools[kind], n)
     leader.pools[wanted].raise_produce_target(1)
-    assert leader._encode(leader._decide()) == struct.pack("<4sQQQ", *frame)
+    op, n, offsets = frame
+    assert leader._encode(leader._decide()) == encode_msg(op, key=[], n=n, offsets=offsets)
     for mux in muxes:
         mux.close()
 
@@ -196,9 +205,9 @@ def test_derived_inputs_are_raw_cot_pools():
 @pytest.mark.parametrize("recipe", RECIPES, ids=lambda recipe: recipe.name)
 def test_stale_command_takes_inputs_times_n_at_frame_offsets(recipe):
     """A degraded follower consumes exactly what the leader's command
-    reserved: per input, ``n x per-item`` items at the frame's offset."""
+    reserved: per input, ``n x per-item`` items at the message's offset."""
     key = {"mtri": MTRI_KEY}.get(recipe.kind, ())
-    n = 3 if "n" in recipe.layout else 1
+    n = 3
     inputs = recipe.inputs(32, *key)
     (_, follower), muxes = service_pair(ServiceTuning(ring_bits=32))
     offsets = tuple(5 + 2 * i for i in range(len(inputs)))
@@ -212,7 +221,7 @@ def test_stale_command_takes_inputs_times_n_at_frame_offsets(recipe):
             taken.append((src, lo, count)) or real(lo, count, timeout)
         )
     cmd = Command(recipe, key, n if inputs else 0, offsets)
-    follower._align_stale_command(follower._decode(follower._encode(cmd)))
+    follower._align_stale_command(follower._decode(decode_msg(follower._encode(cmd), CONTROL)))
     assert taken == [(src, lo, n * per) for (src, per), lo in zip(inputs, offsets)]
     for mux in muxes:
         mux.close()

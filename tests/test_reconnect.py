@@ -361,7 +361,12 @@ def test_mux_counts_exclude_replayed_duplicates():
 
 def test_socket_redial_with_kept_open_listener():
     """The real deployment shape: the client redials connect(), the
-    server re-accepts on a listener kept open across epochs."""
+    server re-accepts on a listener kept open across epochs.
+
+    The client's healer starts only after the last send: a healer
+    already running could notice the dead wire mid-loop and redial, so
+    the remaining frames would go straight out on the new transport
+    instead of through replay."""
     listener = SocketChannel.listen()
     port = listener.port
     server, client = build_pair(
@@ -370,7 +375,6 @@ def test_socket_redial_with_kept_open_listener():
     )
     stop = threading.Event()
     heal_c = threading.Thread(target=healer, args=(client, stop))
-    heal_c.start()
     got = []
     receiver = threading.Thread(target=pump, args=(server, 20, got))
     receiver.start()
@@ -380,11 +384,13 @@ def test_socket_redial_with_kept_open_listener():
         client._transport.close()  # yank the wire mid-stream
         for i in range(12):
             client.send_bytes(f"b{i}".encode())
+        heal_c.start()
         receiver.join(20.0)
         assert not receiver.is_alive(), f"receiver hung; got {len(got)} frames"
     finally:
         stop.set()
-        heal_c.join(5.0)
+        if heal_c.is_alive():
+            heal_c.join(5.0)
         listener.close()
         client.close()
         server.close()

@@ -373,15 +373,22 @@ class TestAdmissionControl:
 
 class TestMalformedControlFrame:
     """A ``daemon/ctl`` frame the follower cannot parse -- not JSON, an
-    unknown op, a missing field -- used to kill the follower's control
-    thread silently, leaving every pending ``submit`` to wait out
-    ``request_timeout_s``.  It now fails them at once, typed."""
+    unknown op, a missing or extra field, a value outside its spec --
+    used to kill the follower's control thread silently, leaving every
+    pending ``submit`` to wait out ``request_timeout_s``.  It now fails
+    them at once, typed."""
 
     @pytest.mark.parametrize(
         "frame",
         [b"{not json", b'["admit"]', b'{"op": "bogus", "session": "cli"}',
-         b'{"op": "admit", "session": "cli"}'],
-        ids=["not-json", "not-an-object", "unknown-op", "missing-field"],
+         b'{"op": "admit", "session": "cli"}', b'{"op": "\xff"}',
+         b'{"op": "stop", "session": "cli"}',
+         b'{"op": "admit", "seq": "0", "session": "cli", "batch": 1, "token": "t"}',
+         b'{"op": "admit", "seq": -1, "session": "cli", "batch": 1, "token": "t"}',
+         b'{"op": "admit", "seq": 0, "session": "cli", "batch": true, "token": "t"}',
+         b'{"op": "reject", "session": "cli", "inflight": 9223372036854775808, "limit": 4}'],
+        ids=["not-json", "not-an-object", "unknown-op", "missing-field", "not-utf8",
+             "extra-field", "wrong-type", "negative-int", "bool-as-int", "int-2^63"],
     )
     def test_pending_follower_submit_fails_fast(self, frame):
         dcfg = DaemonConfig(lease_ttl_s=30.0, request_timeout_s=120.0)
