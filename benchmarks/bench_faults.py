@@ -254,16 +254,26 @@ def run_scenario(shape, window=None, tracers=None) -> dict:
         client.arm(sched_client)
 
         t0 = time.perf_counter()
-        pipe0 = plan.prefill_pipelined(svc0, timeout=600.0)
-        pipe1 = plan.prefill_pipelined(svc1, timeout=600.0)
+        pipes = [plan.prefill_pipelined(svc, timeout=600.0) for svc in (svc0, svc1)]
+        # Each pipeline produces on a thread of its own while the
+        # online phase below runs against it.
+        producers = [
+            threading.Thread(target=pipe.run, name=f"pipelined-prefill-p{p}", daemon=True)
+            for p, pipe in enumerate(pipes)
+        ]
+        for producer in producers:
+            producer.start()
         z0, z1 = run_concurrently(
-            online_fn(svc0, 0, plan, shares, pipe0),
-            online_fn(svc1, 1, plan, shares, pipe1),
+            online_fn(svc0, 0, plan, shares, pipes[0]),
+            online_fn(svc1, 1, plan, shares, pipes[1]),
             timeout=600.0,
         )
         e2e_s = time.perf_counter() - t0
-        pipe0.finish(), pipe1.finish()
-        ttfo_s = pipe0.ready_elapsed(first_gate(plan))
+        for producer, pipe in zip(producers, pipes):
+            producer.join()
+            if pipe.error is not None:
+                raise pipe.error
+        ttfo_s = pipes[0].ready_elapsed(first_gate(plan))
 
         # Bit-exactness and plan exactness survive the fault schedule.
         assert np.array_equal((z0 + z1) & MASK, expect), (

@@ -36,7 +36,7 @@ from repro.mpc.triples import ring_mask_u64
 from repro.mpc.truncation import FixedPointConfig, trunc_draws, trunc_via_service
 from repro.obs import NULL_TRACER, Tracer
 from repro.ot.channel import LocalChannel, run_concurrently
-from repro.ppml.plan import CorrelationDemand
+from repro.ppml.plan import CorrelationDemand, PreprocessingPlan
 from repro.runtime import CorrelationService, MuxChannel, ServiceTuning
 from repro.utils.tables import print_table
 
@@ -76,13 +76,13 @@ def run_all(n: int, iters: int) -> dict:
     svc0, svc1, mux0, mux1 = start_services()
     try:
         demand = CorrelationDemand().add(trunc_draws(n, FX))
+        plan = PreprocessingPlan("trunc", RING_BITS, demand, [("trunc", demand)])
         # Prefill every iteration's demand up front (plus the warmup
         # pass) so the timed onlines never wait on production.
         runs = 2 * iters + 1
-        targets = {k: v * runs for k, v in demand.as_pool_targets().items()}
         run_concurrently(
-            lambda: svc0.prefill(targets, 600.0),
-            lambda: svc1.prefill(targets, 600.0),
+            lambda: plan.prefill_pipelined(svc0, 600.0, batch=runs).run(),
+            lambda: plan.prefill_pipelined(svc1, 600.0, batch=runs).run(),
             timeout=600.0,
         )
 

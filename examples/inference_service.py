@@ -20,9 +20,9 @@ This example runs the whole shape end to end:
   bit triples, the comparison and B2A COTs of secure truncation);
 * the **pipelined preprocessing** phase (``plan.prefill_pipelined``)
   then streams that demand layer by layer: the online phase of layer i
-  starts as soon as layer i's correlations are pooled, while a
-  background thread keeps layer i+1's production running under the
-  online rounds -- the software analogue of Ironman's Fig. 8 schedule
+  starts as soon as layer i's correlations are pooled, while the
+  pipeline, run on a thread of its own, keeps layer i+1's production
+  running under the online rounds -- the software analogue of Ironman's Fig. 8 schedule
   overlap.  The online phase is ``repro.runtime.run_online``, the one
   executor of a planned graph: it gates each op on
   ``pipe.wait_layer`` and runs each linear+rescale block on the fused
@@ -37,6 +37,7 @@ Run:  python examples/inference_service.py
 """
 
 import argparse
+import threading
 
 import numpy as np
 
@@ -116,10 +117,14 @@ def main():
     stall_before = {k: s["stalled_draws"] for k, s in svc0.pool_stats().items()}
     draws_before = svc0.session_draw_counts()
 
-    # Pipelined mode: production is scheduled layer by layer and the
-    # online phase below starts as soon as layer 0's demand is pooled.
+    # Pipelined mode: production is scheduled layer by layer, on one
+    # thread per party, and the online phase below starts as soon as
+    # layer 0's demand is pooled.
     pipe0 = plan.prefill_pipelined(svc0, timeout=180.0)
     pipe1 = plan.prefill_pipelined(svc1, timeout=180.0)
+    producers = [threading.Thread(target=pipe.run, daemon=True) for pipe in (pipe0, pipe1)]
+    for producer in producers:
+        producer.start()
 
     # ---- secret fixed-point inputs ----------------------------------------
     x_plain = rng.integers(-8, 8, (M, K))
@@ -144,8 +149,10 @@ def main():
     z0, z1 = run_concurrently(
         online(svc0, pipe0, 0, 30), online(svc1, pipe1, 1, 40), timeout=300.0
     )
-    pipe0.finish()
-    pipe1.finish()
+    for producer, pipe in zip(producers, (pipe0, pipe1)):
+        producer.join()
+        if pipe.error is not None:
+            raise pipe.error
     got = (z0 + z1) & MASK
     expect = fixed_point_oracle(x_plain, w1_plain, w2_plain, w3_plain)
     assert np.array_equal(got, expect), "quantized inference != fixed-point oracle"

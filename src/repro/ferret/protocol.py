@@ -53,6 +53,26 @@ class ExtendStats:
     rounds: int
 
 
+def _stream_state(ep) -> dict:
+    """The mid-stream state both endpoints share: the rng, the SPCOT
+    base-COT pool and its cursor, the iteration count."""
+    pool = ep._spcot_pool
+    return {
+        "rng": ep.rng.bit_generator.state,
+        "spcot_pool": pool,
+        "spcot_cursor": None if pool is None else pool._cursor,
+        "iterations": ep.iterations,
+    }
+
+
+def _restore_stream_state(ep, snap: dict) -> None:
+    ep.rng.bit_generator.state = snap["rng"]
+    ep._spcot_pool = snap["spcot_pool"]
+    if ep._spcot_pool is not None:
+        ep._spcot_pool._cursor = snap["spcot_cursor"]
+    ep.iterations = snap["iterations"]
+
+
 def _require_base_cots(config: FerretConfig, *columns: np.ndarray) -> None:
     for column in columns:
         if column.shape[0] != config.base_cots_needed:
@@ -98,6 +118,19 @@ class FerretSender:
         self._spcot_pool = CotPool(
             sender=CotSenderBatch(self.delta, r[cfg.params.k :])
         )
+
+    def snapshot(self) -> dict:
+        """This endpoint's mutable mid-stream state.  ``extend`` is
+        compute-then-commit except for the rng, the SPCOT base-COT
+        cursor and the LPN seeds it swaps at the end, so restoring a
+        snapshot makes a retried extend bit-compatible with the peer's
+        fresh run."""
+        return {**_stream_state(self), "lpn_r": self._lpn_r}
+
+    def restore(self, snap: dict) -> None:
+        """Roll back to a :meth:`snapshot`."""
+        _restore_stream_state(self, snap)
+        self._lpn_r = snap["lpn_r"]
 
     def extend(self, channel: Channel) -> CotSenderBatch:
         """One OTE iteration; returns the net-new sender correlations."""
@@ -168,6 +201,15 @@ class FerretReceiver:
         self._spcot_pool = CotPool(
             receiver=CotReceiverBatch(bits[cfg.params.k :], y[cfg.params.k :])
         )
+
+    def snapshot(self) -> dict:
+        """Mirror of :meth:`FerretSender.snapshot`."""
+        return {**_stream_state(self), "lpn_e": self._lpn_e, "lpn_s": self._lpn_s}
+
+    def restore(self, snap: dict) -> None:
+        """Roll back to a :meth:`snapshot`."""
+        _restore_stream_state(self, snap)
+        self._lpn_e, self._lpn_s = snap["lpn_e"], snap["lpn_s"]
 
     def extend(self, channel: Channel) -> CotReceiverBatch:
         """One OTE iteration; returns the net-new receiver correlations."""

@@ -42,8 +42,8 @@ from repro.errors import ParameterError, ProtocolError
 from repro.mpc.triples import (
     MatrixTriples,
     _bit_decompose,
-    gilboa_receive_stream,
-    gilboa_send_stream,
+    gilboa_receive,
+    gilboa_send,
     ring_mask_u64,
 )
 from repro.mpc.truncation import require_service_ring, trunc_draws, truncate_shares
@@ -209,26 +209,26 @@ def generate_matrix_triples(
     if party != ot_sender:
         # Activation term: choices = bits of my A (flattened (i,j) then t);
         # payload slot = the peer's B[j, :].
-        chunks = gilboa_receive_stream(
+        chunks = gilboa_receive(
             channel, pool.take_receiver(t_act), _bit_decompose(a, bits),
             n, bits, tweaks_act, chunk_rows,
         )
         cross_act = reduce_term(chunks, k * bits, m, n)
         # Weight term: choices = bits of my B ((j,l) then t); payload =
         # the peer's A[:, j].
-        chunks = gilboa_receive_stream(
+        chunks = gilboa_receive(
             channel, pool.take_receiver(t_wgt), _bit_decompose(b, bits),
             m, bits, tweaks_wgt, chunk_rows,
         )
     else:
         # Activation term payloads: corr[(i,j,t)] = B_me[j, :] << t.
-        chunks = gilboa_send_stream(
+        chunks = gilboa_send(
             channel, pool.take_sender(t_act), act_corr, n, bits,
             tweaks_act, chunk_rows,
         )
         cross_act = reduce_term(chunks, k * bits, m, n)
         # Weight term payloads: corr[(j,l,t)] = A_me[:, j] << t.
-        chunks = gilboa_send_stream(
+        chunks = gilboa_send(
             channel, pool.take_sender(t_wgt), wgt_corr, m, bits,
             tweaks_wgt, chunk_rows,
         )

@@ -138,8 +138,8 @@ def _expand_ring_pads(
     hash), so a COT costs ``ceil(width / lanes)`` AES blocks.
     Disjoint slices of one CRHF output are as pseudorandom as the
     truncation to ``bits`` itself.  Pad derivation is part of the
-    protocol: all four ``gilboa_*`` functions, on both parties, go
-    through here.
+    protocol: both ``gilboa_*`` functions, on both parties, go through
+    here.
     """
     lane = lane_bytes(bits)
     lanes = blocks.BLOCK_BYTES // lane
@@ -156,65 +156,6 @@ def _expand_ring_pads(
 def gilboa_send(
     channel: Channel,
     cots: CotSenderBatch,
-    corr: np.ndarray,
-    bits: int,
-    tweaks: np.ndarray,
-    crhf: Crhf = DEFAULT_CRHF,
-) -> np.ndarray:
-    """Correlated-OT sender: additive share of ``choice_i * corr[i]``.
-
-    For each correlation i the receiver ends with ``pad_i +
-    choice_i*corr[i]`` and this side returns ``-pad_i``, so the two
-    outputs are additive shares of the selected correlated value.  Wire
-    cost is the Gilboa half-message: the receiver's one derandomization
-    bit plus ONE masked ``bits``-wide lane per payload slot (not the two
-    full messages of a chosen-message OT).
-
-    Args:
-        corr: (n, width) uint64 ring correlations (already reduced).
-        bits: ring width (mod 2^bits).
-        tweaks: (n,) per-COT hash tweaks (absolute COT indices).
-    """
-    corr = np.ascontiguousarray(corr, dtype=np.uint64)
-    if corr.ndim != 2 or corr.shape[0] != len(cots):
-        raise ProtocolError("corr must be (n_cots, width)")
-    mask = ring_mask_u64(bits)
-    d = channel.recv_lanes(len(cots), 1)
-    width = corr.shape[1]
-    # Pad for logical choice j is expand(z XOR (j XOR d) * Delta).
-    pad0 = _expand_ring_pads(
-        blocks.xor(cots.z, blocks.mul_bit(cots.delta, d)), tweaks, width, bits, crhf
-    )
-    pad1 = _expand_ring_pads(
-        blocks.xor(cots.z, blocks.mul_bit(cots.delta, d ^ 1)), tweaks, width, bits, crhf
-    )
-    channel.send_lanes((corr + pad0 + pad1) & mask, bits)
-    return (np.uint64(0) - pad0) & mask
-
-
-def gilboa_receive(
-    channel: Channel,
-    cots: CotReceiverBatch,
-    choices: np.ndarray,
-    width: int,
-    bits: int,
-    tweaks: np.ndarray,
-    crhf: Crhf = DEFAULT_CRHF,
-) -> np.ndarray:
-    """Correlated-OT receiver: additive share of ``choice_i * corr[i]``."""
-    choices = np.asarray(choices, dtype=np.uint8) & 1
-    if choices.shape[0] != len(cots):
-        raise ProtocolError("COT batch and choice vector must have equal length")
-    mask = ring_mask_u64(bits)
-    channel.send_lanes(cots.x ^ choices, 1)
-    pad_mine = _expand_ring_pads(cots.y, tweaks, width, bits, crhf)
-    c = channel.recv_lanes(choices.shape[0] * width, bits).reshape(-1, width)
-    return np.where(choices[:, None].astype(bool), (c - pad_mine) & mask, pad_mine)
-
-
-def gilboa_send_stream(
-    channel: Channel,
-    cots: CotSenderBatch,
     corr_fn,
     width: int,
     bits: int,
@@ -222,22 +163,32 @@ def gilboa_send_stream(
     chunk_rows: int,
     crhf: Crhf = DEFAULT_CRHF,
 ):
-    """Chunked :func:`gilboa_send`: yields ``(start, share_chunk)``.
+    """Correlated-OT sender: yields ``(start, share_chunk)``, additive
+    shares of ``choice_i * corr[i]``.
+
+    For each correlation i the receiver ends with ``pad_i +
+    choice_i*corr[i]`` and this side holds ``-pad_i``, so the two
+    outputs are additive shares of the selected correlated value.  Wire
+    cost is the Gilboa half-message: the receiver's one derandomization
+    bit plus ONE masked ``bits``-wide lane per payload slot (not the two
+    full messages of a chosen-message OT).
 
     The correction matrix is built row block by row block through
-    ``corr_fn(start, stop) -> (stop-start, width)`` and shipped as one
-    lane frame per block, so neither the correlations nor the pad
-    arrays are ever materialized at full ``(n_cots, width)`` size --
-    the caller reduces each yielded share chunk immediately.  Lanes
-    wider than one bit carry no per-frame header, so total wire bytes
-    are IDENTICAL to the one-shot path (only the message count
-    changes), and per-row pads make the yielded values bit-identical
-    too.  Both parties must agree on ``chunk_rows``.
+    ``corr_fn(start, stop) -> (stop-start, width)`` uint64 ring values
+    and shipped as one lane frame per block (an empty batch still
+    ships one, empty), so neither the correlations nor the pad arrays
+    are ever materialized at full ``(n_cots, width)`` size -- the
+    caller reduces each yielded share chunk immediately.  Lanes wider
+    than one bit carry no per-frame header, so the wire bytes do not
+    depend on ``chunk_rows`` (only the message count does), and
+    per-row pads make the yielded values bit-identical too.  Both
+    parties must agree on ``chunk_rows``.  ``tweaks`` are the per-COT
+    hash tweaks (absolute COT indices).
     """
     mask = ring_mask_u64(bits)
     d = channel.recv_lanes(len(cots), 1)
     tweaks = np.asarray(tweaks, dtype=np.uint64)
-    for start in range(0, len(cots), chunk_rows):
+    for start in range(0, len(cots) or 1, chunk_rows):
         stop = min(start + chunk_rows, len(cots))
         corr = np.ascontiguousarray(corr_fn(start, stop), dtype=np.uint64)
         if corr.shape != (stop - start, width):
@@ -245,6 +196,7 @@ def gilboa_send_stream(
         z = cots.z[start:stop]
         d_chunk = d[start:stop]
         tw = tweaks[start:stop]
+        # Pad for logical choice j is expand(z XOR (j XOR d) * Delta).
         pad0 = _expand_ring_pads(
             blocks.xor(z, blocks.mul_bit(cots.delta, d_chunk)), tw, width, bits, crhf
         )
@@ -255,7 +207,7 @@ def gilboa_send_stream(
         yield start, (np.uint64(0) - pad0) & mask
 
 
-def gilboa_receive_stream(
+def gilboa_receive(
     channel: Channel,
     cots: CotReceiverBatch,
     choices: np.ndarray,
@@ -265,12 +217,13 @@ def gilboa_receive_stream(
     chunk_rows: int,
     crhf: Crhf = DEFAULT_CRHF,
 ):
-    """Chunked :func:`gilboa_receive`: yields ``(start, share_chunk)``.
+    """Correlated-OT receiver: yields ``(start, share_chunk)``, additive
+    shares of ``choice_i * corr[i]``.
 
-    Mirror of :func:`gilboa_send_stream`: the derandomization bits go
-    out in one message (as in the one-shot path), then each correction
-    row block is received and unpadded separately so the full
-    ``(n_cots, width)`` result never exists in memory at once.
+    Mirror of :func:`gilboa_send`: the derandomization bits go out in
+    one message, then each correction row block is received and
+    unpadded separately so the full ``(n_cots, width)`` result never
+    exists in memory at once.
     """
     choices = np.asarray(choices, dtype=np.uint8) & 1
     if choices.shape[0] != len(cots):
@@ -278,7 +231,7 @@ def gilboa_receive_stream(
     mask = ring_mask_u64(bits)
     channel.send_lanes(cots.x ^ choices, 1)
     tweaks = np.asarray(tweaks, dtype=np.uint64)
-    for start in range(0, len(cots), chunk_rows):
+    for start in range(0, len(cots) or 1, chunk_rows):
         stop = min(start + chunk_rows, len(cots))
         pad_mine = _expand_ring_pads(
             cots.y[start:stop], tweaks[start:stop], width, bits, crhf

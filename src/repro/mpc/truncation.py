@@ -197,17 +197,22 @@ def _b2a_gilboa(
     payload is ``(1 - 2*b_0) * scale`` and party 1 selects with its bit,
     so the outputs sum to ``b_1*(1 - 2*b_0)*scale``; party 0 adds
     ``b_0*scale`` locally to complete ``(b_0 + b_1 - 2*b_0*b_1)*scale``.
+    All n rows travel as one chunk: one correction-bit frame, one
+    payload frame.
     """
     mask = ring_mask_u64(bits)
     n = bit_shares.shape[0]
     tweaks = np.arange(tweak_base, tweak_base + n, dtype=np.uint64)
     b = bit_shares.astype(np.uint64)
     scales = np.asarray(scales, dtype=np.uint64)
+    chunk = max(n, 1)
     if party == 0:
         corr = ((_U64_ONE - np.uint64(2) * b) * scales & mask).reshape(n, 1)
-        share = gilboa_send(channel, pool.take_sender(n), corr, bits, tweaks)
+        [(_, share)] = gilboa_send(
+            channel, pool.take_sender(n), lambda lo, hi: corr[lo:hi], 1, bits, tweaks, chunk
+        )
         return (share.reshape(n) + b * scales) & mask
-    got = gilboa_receive(channel, pool.take_receiver(n), b, 1, bits, tweaks)
+    [(_, got)] = gilboa_receive(channel, pool.take_receiver(n), b, 1, bits, tweaks, chunk)
     return got.reshape(n) & mask
 
 

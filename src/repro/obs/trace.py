@@ -5,8 +5,8 @@ counter samples -- into an in-memory list, stamping each with the
 injected clock and the emitting thread.  One tracer per party; the
 party index becomes the Perfetto process lane and each thread its own
 track, so a two-party timeline shows the leader's scheduler, both mux
-pumps, the pipelined-prefill producers and every online session thread
-as parallel lanes (see :mod:`repro.obs.export`).
+pumps, the threads that drive preprocessing pipelines and every online
+session thread as parallel lanes (see :mod:`repro.obs.export`).
 
 **Disabled-by-default contract.**  Every instrumented object in the
 runtime holds :data:`NULL_TRACER` until something attaches a real

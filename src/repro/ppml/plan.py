@@ -7,8 +7,10 @@ bridge from a model to that contract: walk a :class:`repro.ppml.layers.Graph`
 trace, charge every layer its exact correlation demand and drive a
 :class:`repro.runtime.CorrelationService` to produce it, layer by
 layer, as absolute produce targets -- stream positions -- on every pool
-the plan reaches (:class:`PipelinedPrefill`; :meth:`PreprocessingPlan.prefill`
-is that pipeline run to completion).
+the plan reaches (:class:`PipelinedPrefill`, the one preprocessing
+driver; :meth:`PreprocessingPlan.prefill` runs it on the calling
+thread).  An ad-hoc draw list is prefilled the same way, as a one-layer
+plan: ``PreprocessingPlan(name, bits, demand, [(name, demand)])``.
 
 What a layer consumes is not restated here.  Every online verb
 declares its ordered ``(pool kind, key, count)`` list once, beside
@@ -88,8 +90,8 @@ class CorrelationDemand:
         return sum(wanted.get(recipe.kind, 0) for recipe in RECIPES if recipe.direction)
 
     def as_pool_targets(self) -> dict:
-        """Pool name -> item count, the :meth:`CorrelationService.prefill`
-        input and the shape of ``service.session_draw_counts()``."""
+        """Pool name -> item count, the shape of
+        ``service.session_draw_counts()``."""
         return {recipe.pool_name(*key): n for recipe, key, n in self.drawn()}
 
 
@@ -176,12 +178,10 @@ class PreprocessingPlan:
 
     def prefill(self, service, timeout: float = None) -> None:
         """Drive one party's service through the whole preprocessing
-        phase: :meth:`prefill_pipelined` run to completion.  Both
+        phase: :meth:`prefill_pipelined` run on this thread.  Both
         parties call this; afterwards the online phase runs stall-free.
         """
-        pipe = self.prefill_pipelined(service, timeout)
-        pipe.wait_all(timeout)
-        pipe.finish(timeout)
+        self.prefill_pipelined(service, timeout).run()
 
     def cumulative_production(self) -> list:
         """Per layer i, pool name -> items production adds for layers
@@ -198,22 +198,20 @@ class PreprocessingPlan:
         self,
         service,
         timeout: float = None,
-        tag: str = None,
         batch: int = 1,
         channel=None,
-        start: dict = None,
     ) -> "PipelinedPrefill":
-        """Start the streaming preprocessing pipeline (non-blocking).
+        """The streaming preprocessing pipeline of this plan on one
+        party, not yet running: :meth:`PipelinedPrefill.run` drives it
+        on the calling thread.
 
-        Both parties call this with their service, then run the online
-        phase layer by layer, gating each layer's draws on
-        :meth:`PipelinedPrefill.wait_layer`.  Layer i's online rounds
-        run while the worker produces layer i+1's correlations in the
-        background -- the software analogue of Ironman's schedule
-        overlap (Fig. 8) -- so time-to-first-layer-online is one
-        layer's preprocessing, not the whole plan's.  Call
-        :meth:`PipelinedPrefill.finish` after the online phase to
-        surface worker errors.
+        A caller that overlaps the online phase with production runs
+        the pipeline on a thread of its own and gates each layer's
+        draws on :meth:`PipelinedPrefill.wait_layer`.  Layer i's online
+        rounds then run while layer i+1's correlations are produced --
+        the software analogue of Ironman's schedule overlap (Fig. 8) --
+        so time-to-first-layer-online is one layer's preprocessing, not
+        the whole plan's.
 
         ``batch`` scales every per-layer produce target by B: the online
         phase then pushes B inputs through the same plan (B
@@ -222,16 +220,11 @@ class PreprocessingPlan:
         existing sub-channel for the in-band start exchange instead of
         allocating a fresh ``pipe/<plan>`` tag -- long-lived daemons
         start many pipelines and per-pipeline tags would leak mux
-        queues.  ``start`` (read on the leader only) is the stream
-        position, pool name -> items, this run's draws begin at; by
-        default the leader's ``reserved`` counts.  A pipeline
-        overlapping a previous request's online tail passes where that
-        request's positions end, so the tail's still-pending draws are
-        not counted as its own.
+        queues.
         """
         self._validate_service(service)
         self._ensure_pools(service)
-        return PipelinedPrefill(self, service, timeout, tag, batch, channel, start)
+        return PipelinedPrefill(self, service, timeout, batch, channel)
 
     def summary_rows(self) -> list:
         """Printable plan table, header row first: one column per pool
@@ -276,33 +269,35 @@ START = {"start": {"positions": {str: int}}}
 
 
 class PipelinedPrefill:
-    """Streaming preprocessing: layer-by-layer production overlapping
-    the online phase.
+    """Streaming preprocessing: layer-by-layer production, the one
+    driver of every preprocessing run.
 
-    Created by :meth:`PreprocessingPlan.prefill_pipelined` on BOTH
-    parties.  A background thread walks the plan's layers in order; for
-    each layer it raises a produce target of ``start + cumulative
-    count`` on every pool the plan reaches
+    Made by :meth:`PreprocessingPlan.prefill_pipelined` on BOTH
+    parties; :meth:`run` drives it on the calling thread.  It walks the
+    plan's layers in order; for each layer it raises a produce target
+    of ``start + cumulative count`` on every pool the plan reaches
     (:meth:`PreprocessingPlan.cumulative_production`, times the batch)
     -- the raw-COT pools first, so their stock covers every consumer
     draw and derived reservation through the layer before derived
     production reserves any -- waits for it to land, and marks the
-    layer ready; then it moves on to the next layer while the caller
-    runs the current layer's online rounds.  The online phase gates
-    each layer's draws on :meth:`wait_layer`, so it starts after ONE
-    layer's preprocessing instead of the whole plan's, and never stalls
-    a pool afterwards.  The pipeline never reads or writes a watermark.
+    layer ready.  A caller running the online phase on another thread
+    gates each layer's draws on :meth:`wait_layer`, so it starts after
+    ONE layer's preprocessing instead of the whole plan's, and never
+    stalls a pool afterwards.  The pipeline never reads or writes a
+    watermark, and starts no thread.
 
-    Determinism: ``start`` is the leader's stream position, shipped to
-    the follower in-band over a ``pipe/<plan>`` sub-channel (production
-    streams are mirrored command by command, so leader stream positions
-    are valid on both sides).  Only the leader schedules; both wait on
-    the same produced counts.  :attr:`end` is where this run's
-    positions end, ``start`` plus the batch-scaled plan totals.
+    Determinism: :meth:`run` is the one place a run's stream positions
+    start.  The leader's are what its driver passes, by default its
+    pools' ``reserved`` counts; they ship to the follower in-band over
+    the pipeline's sub-channel (production streams are mirrored command
+    by command, so leader stream positions are valid on both sides).
+    Only the leader schedules; both wait on the same produced counts.
+    :attr:`end` is where this run's positions end, ``start`` plus the
+    batch-scaled plan totals.
 
     The pipeline assumes the planned workload is the only consumer
-    while it runs (same contract as ``prefill``): concurrent unplanned
-    sessions may re-introduce stalls, never wrong results.
+    while it runs: concurrent unplanned sessions may re-introduce
+    stalls, never wrong results.
     """
 
     def __init__(
@@ -310,10 +305,8 @@ class PipelinedPrefill:
         plan: PreprocessingPlan,
         service,
         timeout: float,
-        tag: str,
         batch: int = 1,
         channel=None,
-        start: dict = None,
     ):
         if batch < 1:
             raise ParameterError(f"batch must be >= 1, got {batch}")
@@ -332,30 +325,32 @@ class PipelinedPrefill:
             {kind: count * batch for kind, count in layer.items()}
             for layer in plan.cumulative_production()
         ]
-        self._start = start
         self.end = None
         self._ready = [threading.Event() for _ in range(self.n_layers)]
-        self._t0 = time.monotonic()
+        self._t0 = None
         self._ready_elapsed = [None] * self.n_layers
         self._channel = (
             channel if channel is not None
-            else service.mux.sub(tag or f"pipe/{plan.model}")
+            else service.mux.sub(f"pipe/{plan.model}")
         )
-        self._finished = False
-        self._thread = threading.Thread(
-            target=self._run,
-            name=f"pipelined-prefill-p{service.party}",
-            daemon=True,
-        )
-        self._thread.start()
 
-    # -- background production driver ---------------------------------------
-    def _run(self) -> None:
+    def run(self, start: dict = None) -> None:
+        """Produce every layer, in order, on the calling thread.  What
+        fails is raised, and left in :attr:`error` for :meth:`wait_layer`
+        callers on other threads.
+
+        ``start`` (read on the leader only) is the stream position,
+        pool name -> items, this run's draws begin at; by default the
+        leader's ``reserved`` counts.  A pipeline overlapping a previous
+        request's online tail passes where that request's positions
+        end, so the tail's still-pending draws are not counted as its
+        own.
+        """
+        self._t0 = time.monotonic()
         try:
             svc = self.service
             totals = self._layers[-1] if self._layers else {}
             if svc.party == 0:
-                start = self._start
                 if start is None:
                     start = {kind: svc.pools[kind].reserved for kind in totals}
                 self._channel.send_msg("start", positions=start)
@@ -384,10 +379,10 @@ class PipelinedPrefill:
                         "prefill.ready", cat="prefill",
                         layer=i, elapsed_s=self._ready_elapsed[i],
                     )
-        except BaseException as exc:  # noqa: BLE001 - crossing a thread
+        except BaseException as exc:
             self.error = exc
+            raise
 
-    # -- caller side ---------------------------------------------------------
     def _check_failed(self) -> None:
         if self.error is not None:
             raise ServiceError(
@@ -425,26 +420,6 @@ class PipelinedPrefill:
                     )
         self._check_failed()
 
-    def wait_all(self, timeout: float = None) -> None:
-        if self.n_layers:
-            self.wait_layer(self.n_layers - 1, timeout)
-
     def ready_elapsed(self, i: int) -> float:
-        """Seconds from pipeline start until layer i was ready."""
+        """Seconds from :meth:`run`'s start until layer i was ready."""
         return self._ready_elapsed[i]
-
-    def finish(self, timeout: float = None) -> None:
-        """Join the producer thread; raises if either the pipeline
-        thread or the service worker failed.  Idempotent.  The produce
-        targets are absolute, so nothing is left to undo."""
-        if self._finished:
-            self._check_failed()
-            return
-        self._thread.join(self.timeout if timeout is None else timeout)
-        if self._thread.is_alive():
-            raise WaitTimeout(
-                "pipelined prefill producer did not finish in time",
-                what="producer join",
-            )
-        self._finished = True
-        self._check_failed()

@@ -14,7 +14,8 @@ amortization argument assumes):
 * :mod:`repro.runtime.service` -- a per-party background worker that
   keeps the pools filled by scheduling and running those recipes, with
   deterministic leader-side allocation so the two parties' draws stay
-  correlated, plus ``prefill`` for planner-driven preprocessing;
+  correlated, plus the absolute produce targets that planner-driven
+  preprocessing (:class:`repro.ppml.plan.PipelinedPrefill`) sets;
 * :mod:`repro.runtime.mux` -- tagged sub-channel multiplexing so the
   provisioning traffic and any number of consumer sessions share one
   duplex link (in-memory or a real socket).

@@ -12,15 +12,16 @@ serving loop into that daemon:
   graph and their half of the weight shares.  Clients submit input
   shares per named session; the daemon runs the MPC online phase itself
   and holds the result share under a lease.
-* **Cross-request pipelining.**  A scheduler thread chains one
-  batch-scaled :class:`repro.ppml.plan.PipelinedPrefill` per request:
-  request r+1's layer-0 produce targets are raised the moment request
-  r's *production* finishes -- while r's online tail is still draining
-  -- so the pool never idles between requests.  The chain is
-  arithmetic: request r+1's stream positions start where request r's
-  end, ``start + batch x plan totals``, because a request's draws and
-  the derived production behind them are plan constants.  Nothing about
-  the pools' watermarks changes, at any point.
+* **Cross-request pipelining.**  Each request's batch-scaled
+  :class:`repro.ppml.plan.PipelinedPrefill` is built at admission; the
+  scheduler thread runs them inline, one after the other: request
+  r+1's layer-0 produce targets are raised the moment request r's
+  *production* finishes -- while r's online tail is still draining on
+  the online thread -- so the pool never idles between requests.  The
+  chain is arithmetic: request r+1's stream positions start where
+  request r's end, ``start + batch x plan totals``, because a request's
+  draws and the derived production behind them are plan constants.
+  Nothing about the pools' watermarks changes, at any point.
 * **Batched inference.**  A request may carry B>1 inputs through one
   pipelined plan: every per-layer produce target scales by B, linear
   layers draw B matrix triples, and nonlinears fuse the whole batch
@@ -132,21 +133,20 @@ class Lease:
 class DaemonRequest:
     """One admitted request: inputs in, lease out, result share held."""
 
-    def __init__(self, seq, session, inputs, lease, timeout_s, on_claim=None):
+    def __init__(self, seq, session, inputs, lease, timeout_s, on_claim=None, pipe=None):
         self.seq = seq
         self.session = session
         self.inputs = inputs  # list of B input shares
         self.batch = len(inputs)
+        self.pipe = pipe  # built at admission, run by the scheduler thread
         self.lease = lease
         self.timeout_s = timeout_s
-        self.pipe = None
         self.output = None  # list of B output shares once done
         self.error = None
         self.claimed = False
         self._on_claim = on_claim  # the daemon forgets a claimed request
         self.expired = False
         self.done = threading.Event()
-        self._pipe_ready = threading.Event()
         #: Seconds the online worker blocked waiting for this request's
         #: first layer -- the cross-request-overlap figure of merit
         #: (near zero in steady state, full layer-0 production cold).
@@ -413,6 +413,7 @@ class InferenceDaemon:
 
     def _submit_leader(self, session: str, inputs: list) -> DaemonRequest:
         tracer = self.service.tracer
+        pipe = self._pipeline(len(inputs))
         with self._lock:
             inflight = self.admitted - self.completed - self.failed
             if inflight >= self.cfg.max_inflight:
@@ -438,7 +439,7 @@ class InferenceDaemon:
             self._ctl.send_msg(
                 "admit", seq=seq, session=session, batch=len(inputs), token=token
             )
-            req = self._admit_locked(seq, session, inputs, token)
+            req = self._admit_locked(seq, session, inputs, token, pipe)
         if tracer.enabled:
             tracer.instant(
                 "request.admit", cat="daemon", session=session,
@@ -474,10 +475,20 @@ class InferenceDaemon:
             )
         return pending.request
 
-    def _admit_locked(self, seq, session, inputs, token) -> DaemonRequest:
+    def _pipeline(self, batch: int):
+        """A request's pipeline, built before admission takes the
+        daemon lock (pool creation takes the service's own)."""
+        return self.plan.prefill_pipelined(
+            self.service,
+            timeout=self.cfg.request_timeout_s,
+            batch=batch,
+            channel=self._pipe_ch,
+        )
+
+    def _admit_locked(self, seq, session, inputs, token, pipe) -> DaemonRequest:
         lease = Lease(token, session, self.cfg.lease_ttl_s)
         req = DaemonRequest(
-            seq, session, inputs, lease, self.cfg.request_timeout_s, self._forget
+            seq, session, inputs, lease, self.cfg.request_timeout_s, self._forget, pipe
         )
         self._requests[seq] = req
         self.admitted += 1
@@ -488,8 +499,8 @@ class InferenceDaemon:
         return req
 
     def _forget(self, req: DaemonRequest) -> None:
-        """Drop a claimed request (and with it its pipeline's thread,
-        events and schedule) from the live table; from here on its
+        """Drop a claimed request (and with it its pipeline's events
+        and schedule) from the live table; from here on its
         lease is gone, as after expiry."""
         with self._lock:
             self._requests.pop(req.seq, None)
@@ -590,9 +601,10 @@ class InferenceDaemon:
                 pending.event.set()
                 self._fail_all(exc)
                 return
+            pipe = self._pipeline(msg["batch"])
             with self._lock:
                 req = self._admit_locked(
-                    msg["seq"], msg["session"], pending.inputs, msg["token"]
+                    msg["seq"], msg["session"], pending.inputs, msg["token"], pipe
                 )
             if self.service.tracer.enabled:
                 self.service.tracer.instant(
@@ -624,7 +636,7 @@ class InferenceDaemon:
                 self._q_cond.wait(0.1)
 
     def _schedule_loop(self) -> None:
-        """Chain one batch-scaled pipeline per request, in admission
+        """Run each request's pipeline on this thread, in admission
         order.  Request r+1's pipeline starts the moment r's PRODUCTION
         is done -- r's online tail still draining -- which is the whole
         cross-request overlap -- at the stream positions where r's end.
@@ -634,23 +646,13 @@ class InferenceDaemon:
             if req is None:
                 return
             try:
-                req.pipe = self.plan.prefill_pipelined(
-                    self.service,
-                    timeout=self.cfg.request_timeout_s,
-                    batch=req.batch,
-                    channel=self._pipe_ch,
-                    start=self._start,
-                )
-                req._pipe_ready.set()
-                req.pipe.wait_all(self.cfg.request_timeout_s)
+                req.pipe.run(self._start)
                 self._start = req.pipe.end
             except BaseException as exc:  # noqa: BLE001 - crossing a thread
                 self._start = None
                 self._finish_request(req, error=exc)
-                req._pipe_ready.set()
-                if not self._closing:
-                    continue
-                return
+                if self._closing:
+                    return
 
     def _online_loop(self) -> None:
         """Execute admitted requests' online phases, FIFO."""
@@ -658,12 +660,7 @@ class InferenceDaemon:
             req = self._next(self._online_q)
             if req is None:
                 return
-            if not req._pipe_ready.wait(self.cfg.request_timeout_s):
-                self._finish_request(
-                    req, error=DaemonError(f"request {req.seq}: pipeline never started")
-                )
-                continue
-            if req.error is not None or req.pipe is None:
+            if req.error is not None:
                 continue  # scheduler already failed it
             tracer = self.service.tracer
             t0 = time.monotonic()
@@ -696,10 +693,6 @@ class InferenceDaemon:
         if req.done.is_set():
             return
         req.error = error
-        if req.pipe is not None and error is None:
-            # The producer thread already finished (wait_all gated the
-            # next pipeline on it).
-            req.pipe.finish(self.cfg.request_timeout_s)
         with self._lock:
             if error is None:
                 self.completed += 1

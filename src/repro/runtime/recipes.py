@@ -11,9 +11,10 @@ factory), :meth:`repro.runtime.service.ServiceSession.draw` (a
 consumer's ``(pool kind, key, count)`` requests name kinds of this
 table) and the planner in :mod:`repro.ppml.plan` (the same requests,
 summed).  :func:`expand` is the one walk over ``inputs`` that turns
-draws into the production behind them; the planner, the pipelined
-prefill and :meth:`repro.runtime.service.CorrelationService.prefill`
-all ask for production through it.  Adding a kind is one entry here
+draws into the production behind them; the planner, and through it
+the one preprocessing driver
+(:class:`repro.ppml.plan.PipelinedPrefill`), asks for production
+through it.  Adding a kind is one entry here
 plus its generator and its pool class; a verb consumes it by naming it
 in its ``*_draws`` list.
 

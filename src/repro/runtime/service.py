@@ -6,7 +6,7 @@ and the *reverse* direction (party 1 is the sender), because every
 role-switching workload (bit triples, the ReLU multiplexer) needs OTs
 both ways -- and a worker thread that runs ``extend()`` and derived
 production while consumers draw: out to the absolute produce targets
-plans and prefills set, and for the raw-COT pools also back up to their
+preprocessing plans set, and for the raw-COT pools also back up to their
 high watermark whenever their level dips below the low one.  This is
 the Figure 1(b) amortization realized as a long-lived runtime: the
 base-COT Init (128 PKC OTs) runs once per direction, then extends
@@ -70,7 +70,7 @@ from repro.obs.trace import NULL_TRACER
 from repro.ot.channel import decode_msg, encode_msg
 from repro.ot.retry import RetryingChannel, RetryPolicy
 from repro.runtime.mux import MuxChannel
-from repro.runtime.recipes import BY_KIND, BY_NAME, RECIPES, Command, expand, sends
+from repro.runtime.recipes import BY_KIND, BY_NAME, RECIPES, Command, sends
 from repro.runtime.shard import ShardManager
 
 #: The ``prov/ctl`` messages (:func:`repro.ot.channel.decode_msg`): one
@@ -582,35 +582,6 @@ class CorrelationService:
         return ServiceSession(self, self.mux.sub(f"sess/{name}"), name)
 
     # -- preprocessing phase -------------------------------------------------
-    def prefill(self, targets: dict, timeout: float = None) -> None:
-        """Run the preprocessing phase: block until every pool in
-        ``targets`` holds that many items past this party's position.
-
-        ``targets`` maps pool name (``mtri/...`` pools are made on first
-        use) to the number of items the online phase will draw.  The
-        targets expand through the recipes' inputs
-        (:func:`repro.runtime.recipes.expand`) into absolute produce
-        targets at this party's position plus the expanded count: the
-        leader's position is a pool's ``reserved`` count, the follower's
-        (which never reserves) the items it has taken -- equal when both
-        parties call this with no draws in flight.  The leader schedules
-        the targets; both wait for them.  Targets go inert once
-        production passes them, so no refill pressure outlives the
-        call.
-        """
-        timeout = self.tuning.take_timeout_s if timeout is None else timeout
-        pools = self._named_pools(targets, "prefill")
-        wanted = expand(
-            [(pool.recipe, pool.key, targets[kind]) for kind, pool in pools.items()],
-            self.tuning.ring_bits,
-        )
-        goals = {}
-        for kind, count in wanted.items():
-            pool = self.pools[kind]
-            position = pool.reserved if self.party == 0 else pool.stats.items_drawn
-            goals[kind] = position + count
-        self.produce_to(goals, timeout)
-
     def produce_to(self, goals: dict, timeout: float) -> None:
         """Schedule (leader) and wait for (both parties) absolute
         produced-count ``goals``, pool name -> position."""
@@ -868,7 +839,7 @@ class CorrelationService:
                         f"{None if last is None else last[1]}; more than one "
                         f"extend diverged -- state unrecoverable"
                     )
-                self._ferret_restore(direction, last[0])
+                self._endpoint(direction).restore(last[0])
             self.rolled_back += pool.rollback_to(target)
 
     def _align_stale_command(self, cmd: Command) -> None:
@@ -886,41 +857,9 @@ class CorrelationService:
             if n > 0 and pool.produced >= lo + n:
                 pool.take_columns(lo, n)
 
-    # -- ferret endpoint snapshots -------------------------------------------
+    # -- ferret endpoints -----------------------------------------------------
     def _endpoint(self, direction: str):
         return self.ferret_fwd if direction == "fwd" else self.ferret_rev
-
-    def _ferret_snapshot(self, direction: str) -> dict:
-        """Capture the mutable mid-stream state of one Ferret endpoint.
-
-        ``extend`` is compute-then-commit except for the endpoint's own
-        rng, the SPCOT base-COT cursor, and the LPN seed refs it swaps
-        at the end -- exactly the fields below.  Restoring them makes a
-        retried extend bit-compatible with the peer's fresh run.
-        """
-        ep = self._endpoint(direction)
-        return {
-            "rng_state": ep.rng.bit_generator.state,
-            "lpn_r": getattr(ep, "_lpn_r", None),
-            "lpn_e": getattr(ep, "_lpn_e", None),
-            "lpn_s": getattr(ep, "_lpn_s", None),
-            "spcot_pool": ep._spcot_pool,
-            "spcot_cursor": None if ep._spcot_pool is None else ep._spcot_pool._cursor,
-            "iterations": ep.iterations,
-        }
-
-    def _ferret_restore(self, direction: str, snap: dict) -> None:
-        ep = self._endpoint(direction)
-        ep.rng.bit_generator.state = snap["rng_state"]
-        if hasattr(ep, "_lpn_r"):
-            ep._lpn_r = snap["lpn_r"]
-        if hasattr(ep, "_lpn_e"):
-            ep._lpn_e = snap["lpn_e"]
-            ep._lpn_s = snap["lpn_s"]
-        ep._spcot_pool = snap["spcot_pool"]
-        if ep._spcot_pool is not None:
-            ep._spcot_pool._cursor = snap["spcot_cursor"]
-        ep.iterations = snap["iterations"]
 
     # -- command messages ----------------------------------------------------
     @staticmethod
@@ -1025,11 +964,12 @@ class CorrelationService:
         extend keeps its snapshot in ``_last_extend`` so a later resync
         can undo it if the peer's half never finished.
         """
-        snap = self._ferret_snapshot(direction)
+        ep = self._endpoint(direction)
+        snap = ep.snapshot()
         try:
-            batch = self._endpoint(direction).extend(channel)
+            batch = ep.extend(channel)
         except _TRANSIENT:
-            self._ferret_restore(direction, snap)
+            ep.restore(snap)
             raise
         self._last_extend[direction] = (snap, self.pools[f"cot/{direction}"].produced)
         self.extends[direction] += 1

@@ -1,6 +1,8 @@
 """The one party-pair harness of the service-level tests: run two
 parties in lockstep, and start a CorrelationService pair to run them on;
-plus a one-sided :class:`ScriptedChannel` that plays a misbehaving peer.
+state a draw list as a one-layer plan, and run a pipeline on a thread
+of its own; plus a one-sided :class:`ScriptedChannel` that plays a
+misbehaving peer.
 
 A plain module, not ``conftest.py``: the whole-tree run also loads
 ``benchmarks/conftest.py`` under the same module name, so ``from
@@ -9,10 +11,14 @@ conftest import ...`` resolves to whichever was loaded last.
 
 from __future__ import annotations
 
+import contextlib
+import threading
+
 import pytest
 
 from repro.errors import ChannelError
 from repro.ot.channel import Channel, LocalChannel, run_concurrently
+from repro.ppml.plan import CorrelationDemand, PreprocessingPlan
 from repro.runtime import CorrelationService, MuxChannel
 
 
@@ -34,6 +40,36 @@ def start_service_pair(cfg, tuning, seed):
     svc0 = CorrelationService(0, mux0, cfg, tuning, seed=seed).start()
     svc1 = CorrelationService(1, mux1, cfg, tuning, seed=seed).start()
     return svc0, svc1, mux0, mux1
+
+
+def draws_plan(draws, bits, name="draws"):
+    """An ad-hoc ``(pool kind, key, count)`` draw list as a one-layer
+    :class:`PreprocessingPlan`: the way to prefill correlations no
+    model graph asks for (``draws_plan(...).prefill(svc)`` on both
+    parties)."""
+    demand = CorrelationDemand().add(draws)
+    return PreprocessingPlan(name, bits, demand, [(name, demand)])
+
+
+def in_background(pipe):
+    """Run ``pipe`` on a thread of its own, for a test that overlaps an
+    online phase with it.  Returns ``join()``: wait for the pipeline and
+    raise what it raised."""
+
+    def target():
+        with contextlib.suppress(Exception):  # kept in pipe.error
+            pipe.run()
+
+    thread = threading.Thread(target=target, name="test-pipeline", daemon=True)
+    thread.start()
+
+    def join(timeout=60.0):
+        thread.join(timeout)
+        assert not thread.is_alive(), "pipeline still running"
+        if pipe.error is not None:
+            raise pipe.error
+
+    return join
 
 
 class ScriptedChannel(Channel):

@@ -9,9 +9,7 @@ from repro.errors import ParameterError
 from repro.mpc.triples import (
     dealer_matrix_triples,
     gilboa_receive,
-    gilboa_receive_stream,
     gilboa_send,
-    gilboa_send_stream,
     ring_mask_u64,
 )
 from repro.ot.channel import run_pair
@@ -35,6 +33,27 @@ class CountingCrhf(Crhf):
         return super().hash_tweaked(x, tweaks)
 
 
+def gilboa_pair(sender, receiver, corr, choices, bits, tweaks, chunk_rows, crhf=DEFAULT_CRHF):
+    """Both halves of one Gilboa run, each party's share chunks stitched
+    back into its ``(n, width)`` matrix, plus both channel stats."""
+    n, width = corr.shape
+
+    def stitch(chunks):
+        out = np.empty((n, width), dtype=np.uint64)
+        for start, share in chunks:
+            out[start : start + share.shape[0]] = share
+        return out
+
+    return run_pair(
+        lambda ch: stitch(gilboa_send(
+            ch, sender, lambda a, b: corr[a:b], width, bits, tweaks, chunk_rows, crhf
+        )),
+        lambda ch: stitch(gilboa_receive(
+            ch, receiver, choices, width, bits, tweaks, chunk_rows, crhf
+        )),
+    )
+
+
 def lanes_per_hash(bits):
     """Ring pads one 128-bit hash output yields: its narrowest lanes >= bits."""
     return 128 // next(w for w in (8, 16, 32, 64) if w >= bits)
@@ -46,6 +65,8 @@ class TestPadPacking:
     @pytest.mark.parametrize("bits", [8, 12, 16, 32, 64])
     @pytest.mark.parametrize("width", [1, 7, 8, 9, 24])
     def test_one_shot_and_streamed_agree_share_for_share(self, bits, width):
+        """One chunk of every row (what a B2A sends) and uneven row
+        blocks (what a matrix triple streams) yield the same shares."""
         n = 37
         sender, receiver = fake_cots(n, seed=bits + width)
         gen = np.random.default_rng(bits * 100 + width)
@@ -55,34 +76,17 @@ class TestPadPacking:
         tweaks = np.arange(5000, 5000 + n, dtype=np.uint64)
         counter = CountingCrhf()
 
-        s, t, _, _ = run_pair(
-            lambda ch: gilboa_send(ch, sender, corr, bits, tweaks, counter),
-            lambda ch: gilboa_receive(ch, receiver, choices, width, bits, tweaks, counter),
-        )
+        s, t, _, _ = gilboa_pair(sender, receiver, corr, choices, bits, tweaks, n, counter)
         # Sender hashes both pads of a COT, receiver one; never more
         # hashes than it takes to cover ``width`` lanes.
         assert counter.blocks == 3 * n * -(-width // lanes_per_hash(bits))
         assert np.array_equal((s + t) & mask, corr * choices[:, None] & mask)
         assert s.max() <= mask and t.max() <= mask
 
-        for chunk_rows in (1, 5, 36, n, n + 1):  # uneven splits, one short tail
-            def stream_send(ch):
-                out = np.empty((n, width), dtype=np.uint64)
-                for start, share in gilboa_send_stream(
-                    ch, sender, lambda a, b: corr[a:b], width, bits, tweaks, chunk_rows
-                ):
-                    out[start : start + share.shape[0]] = share
-                return out
-
-            def stream_receive(ch):
-                out = np.empty((n, width), dtype=np.uint64)
-                for start, share in gilboa_receive_stream(
-                    ch, receiver, choices, width, bits, tweaks, chunk_rows
-                ):
-                    out[start : start + share.shape[0]] = share
-                return out
-
-            s_stream, t_stream, _, _ = run_pair(stream_send, stream_receive)
+        for chunk_rows in (1, 5, 36, n + 1):  # uneven splits, one short tail
+            s_stream, t_stream, _, _ = gilboa_pair(
+                sender, receiver, corr, choices, bits, tweaks, chunk_rows
+            )
             assert np.array_equal(s_stream, s) and np.array_equal(t_stream, t)
 
     def test_pads_of_one_cot_are_distinct_lanes(self):
@@ -99,7 +103,7 @@ class TestPadPacking:
                 ch.send_lanes(np.zeros(n * width, dtype=np.uint64), bits)
 
             _, got, _, _ = run_pair(
-                send, lambda ch: gilboa_receive(ch, receiver, zero, width, bits, tweaks)
+                send, lambda ch: next(gilboa_receive(ch, receiver, zero, width, bits, tweaks, n))[1]
             )
             return got
 
@@ -119,10 +123,7 @@ class TestGilboaPrimitive:
         choices = gen.integers(0, 2, n).astype(np.uint8)
         tweaks = np.arange(100, 100 + n, dtype=np.uint64)
 
-        s, t, _, _ = run_pair(
-            lambda ch: gilboa_send(ch, sender, corr, bits, tweaks),
-            lambda ch: gilboa_receive(ch, receiver, choices, width, bits, tweaks),
-        )
+        s, t, _, _ = gilboa_pair(sender, receiver, corr, choices, bits, tweaks, n)
         expect = (corr * choices[:, None].astype(np.uint64)) & mask
         assert np.array_equal((s + t) & mask, expect)
 
@@ -132,12 +133,25 @@ class TestGilboaPrimitive:
         sender, receiver = fake_cots(n)
         corr = np.zeros((n, width), dtype=np.uint64)
         tweaks = np.arange(n, dtype=np.uint64)
-        _, _, st_s, st_r = run_pair(
-            lambda ch: gilboa_send(ch, sender, corr, bits, tweaks),
-            lambda ch: gilboa_receive(ch, receiver, np.ones(n, np.uint8), width, bits, tweaks),
+        _, _, st_s, st_r = gilboa_pair(
+            sender, receiver, corr, np.ones(n, np.uint8), bits, tweaks, n
         )
         assert st_s.bytes_sent == n * width * 4  # corrections only, 4-byte lanes
         assert st_r.bytes_sent == 8 + (n + 7) // 8  # packed bits + header
+        assert st_s.messages_sent == st_r.messages_sent == 1
+
+    def test_empty_batch_still_sends_both_frames(self):
+        """Zero rows: the correction bits and one empty payload frame,
+        so a B2A of nothing keeps its message count."""
+        sender, receiver = fake_cots(0)
+        corr = np.zeros((0, 1), dtype=np.uint64)
+        tweaks = np.zeros(0, dtype=np.uint64)
+        s, t, st_s, st_r = gilboa_pair(
+            sender, receiver, corr, np.zeros(0, np.uint8), 16, tweaks, 1
+        )
+        assert s.shape == t.shape == (0, 1)
+        assert (st_s.messages_sent, st_s.bytes_sent) == (1, 0)
+        assert (st_r.messages_sent, st_r.bytes_sent) == (1, 8)
 
 
 class TestRingMask:

@@ -141,28 +141,28 @@ def test_daemon_verdict_stream(frame):
 
 
 # -- pipelined prefill ----------------------------------------------------------------
-def _follower_pipeline(frame):
+def _follower_start_error(frame):
     graph = Graph("g", (4, 16))
     graph.add(Linear(8))
     plan = plan_graph(graph, bits=16)
     pipe = PipelinedPrefill(
-        plan, SimpleNamespace(party=1), 5.0, None, channel=ScriptedChannel([frame])
+        plan, SimpleNamespace(party=1), 5.0, channel=ScriptedChannel([frame])
     )
-    pipe._thread.join(1.0)
-    assert not pipe._thread.is_alive()
-    return pipe
+    with pytest.raises(ProtocolError) as info:
+        pipe.run()
+    assert pipe.error is info.value
+    return info.value
 
 
 @HOSTILE
 @given(frame=WireStrategies.bad_messages(START))
 def test_pipeline_start_positions(frame):
-    assert isinstance(_follower_pipeline(frame).error, ProtocolError)
+    _follower_start_error(frame)
 
 
 def test_pipeline_start_lacking_a_plan_pool():
     frame = encode_msg("start", positions={"cot/fwd": 0})
-    error = _follower_pipeline(frame).error
-    assert isinstance(error, ProtocolError) and "mtri/4x16x8" in str(error)
+    assert "mtri/4x16x8" in str(_follower_start_error(frame))
 
 
 # -- shard follower -------------------------------------------------------------------

@@ -89,6 +89,34 @@ class TestProtocol:
         assert verify_cot(s_out[0], r_out[0])
 
 
+class TestSnapshot:
+    def test_restored_extend_repeats_bit_for_bit(self):
+        """Each endpoint's snapshot covers all it mutates mid-stream: an
+        extend rerun from a restored snapshot on both parties yields the
+        same batches as the first run, and the stream goes on from it."""
+        sender = FerretSender(SMALL, seed=21)
+        receiver = FerretReceiver(SMALL, seed=22)
+
+        def party(ep):
+            def run(channel):
+                ep.setup(channel)
+                ep.extend(channel)  # snapshot mid-stream, not at setup
+                snap = ep.snapshot()
+                first = ep.extend(channel)
+                ep.restore(snap)
+                again = ep.extend(channel)
+                return first, again, ep.iterations, ep.extend(channel)
+
+            return run
+
+        s, r, _, _ = run_pair(party(sender), party(receiver))
+        (s_first, s_again, s_iters, s_next), (r_first, r_again, r_iters, r_next) = s, r
+        assert np.array_equal(s_first.z, s_again.z)
+        assert np.array_equal(r_first.x, r_again.x) and np.array_equal(r_first.y, r_again.y)
+        assert s_iters == r_iters == 2
+        assert verify_cot(s_again, r_again) and verify_cot(s_next, r_next)
+
+
 def run_ferret_session(config, rounds=1, seed=7):
     """Like ferret_pair but also hands back the party objects."""
     sender = FerretSender(config, seed=seed)

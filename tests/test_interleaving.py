@@ -27,7 +27,7 @@ import threading
 
 import numpy as np
 from oracles import crhf_hash_reference
-from parties import start_service_pair
+from parties import draws_plan, start_service_pair
 
 from repro.crypto import blocks
 from repro.crypto.crhf import _DEFAULT_KEY, DEFAULT_CRHF
@@ -210,8 +210,7 @@ def test_derived_production_under_a_tiny_switch_interval():
     concurrently, then draw them; every triple must reconstruct."""
 
     def body(idx, p, svc):
-        targets = {svc.pool(kind, key).name: count for kind, key, count in DERIVED_DRAWS}
-        svc.prefill(targets, 4 * JOIN_TIMEOUT_S)
+        draws_plan(DERIVED_DRAWS, svc.tuning.ring_bits).prefill(svc, 4 * JOIN_TIMEOUT_S)
         batches, _ = svc.session("derived").draw(DERIVED_DRAWS)
         return batches
 

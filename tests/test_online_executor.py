@@ -9,7 +9,7 @@ the oracle and stay independent of ``compile_ops``.
 
 import numpy as np
 import pytest
-from parties import run_both, start_service_pair
+from parties import in_background, run_both, start_service_pair
 
 from repro.errors import ParameterError
 from repro.ferret.config import FerretConfig
@@ -189,11 +189,8 @@ class TestThreeWaysOneAnswer:
             )
 
         def all_at_once(batch):
-            targets = {k: n * batch for k, n in plan.pool_targets().items()}
-
             def go(party):
-                plan._ensure_pools(svcs[party])
-                svcs[party].prefill(targets, 240.0)
+                plan.prefill_pipelined(svcs[party], timeout=240.0, batch=batch).run()
                 return online("allat", party, batch)
 
             return go
@@ -201,8 +198,9 @@ class TestThreeWaysOneAnswer:
         def pipelined(batch):
             def go(party):
                 pipe = plan.prefill_pipelined(svcs[party], timeout=240.0, batch=batch)
+                join = in_background(pipe)
                 out = online("piped", party, batch, pipe.wait_layer)
-                pipe.finish()
+                join()
                 return out
 
             return go

@@ -16,7 +16,6 @@ from repro.mpc.triples import (
     dealer_bit_triples,
     dealer_matrix_triples,
     gilboa_receive,
-    gilboa_receive_stream,
     gilboa_send,
 )
 from repro.ot.testing import fake_cots
@@ -36,20 +35,28 @@ def gilboa_send_site(count):
     sender, _ = fake_cots(N)
     tweaks = np.arange(N, dtype=np.uint64)
     corr = np.ones((N, 1), np.uint64)
-    gilboa_send(ScriptedChannel([frame(count, 1)]), sender, corr, BITS, tweaks)
+    list(gilboa_send(
+        ScriptedChannel([frame(count, 1)]), sender, lambda a, b: corr[a:b], 1, BITS, tweaks, N
+    ))
 
 
 def gilboa_site(count):
+    """Party 1 of the B2A: all N payload lanes in one frame."""
     _, receiver = fake_cots(N)
     tweaks = np.arange(N, dtype=np.uint64)
-    gilboa_receive(ScriptedChannel([frame(count, BITS)]), receiver, np.ones(N, np.uint8), 1, BITS, tweaks)
+    list(gilboa_receive(
+        ScriptedChannel([frame(count, BITS)]), receiver, np.ones(N, np.uint8), 1, BITS, tweaks, N
+    ))
 
 
 def gilboa_stream_site(count):
+    """A matrix triple's streamed payload: the first of several row
+    blocks is the wrong length."""
     _, receiver = fake_cots(N)
     tweaks = np.arange(N, dtype=np.uint64)
-    list(gilboa_receive_stream(
-        ScriptedChannel([frame(count, BITS)]), receiver, np.ones(N, np.uint8), 1, BITS, tweaks, N
+    list(gilboa_receive(
+        ScriptedChannel([frame(count, BITS), frame(2, BITS), frame(1, BITS)]),
+        receiver, np.ones(N, np.uint8), 1, BITS, tweaks, 2,
     ))
 
 
@@ -64,7 +71,7 @@ SITES = {
     "and_shared": (and_site, 2 * N),
     "gilboa_send": (gilboa_send_site, N),
     "gilboa_receive": (gilboa_site, N),
-    "gilboa_receive_stream": (gilboa_stream_site, N),
+    "gilboa_receive_stream": (gilboa_stream_site, 2),
     "matmul_online": (matmul_site, M * K + K * N),
 }
 

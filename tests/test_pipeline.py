@@ -4,7 +4,7 @@ matmul+rescale session verb."""
 
 import numpy as np
 import pytest
-from parties import run_both, start_service_pair
+from parties import draws_plan, in_background, run_both, start_service_pair
 
 from repro.ferret.config import FerretConfig
 from repro.mpc.matmul import matmul_rescale_via_service, matmul_via_service
@@ -79,15 +79,14 @@ def small_shares(gen, shape):
 
 class TestOneShotPrefill:
     def test_every_way_of_asking_leaves_watermarks_as_constructed(self, services):
-        """Every way to ask for production -- ``service.prefill``,
+        """Every way to ask for production -- a draw-list plan,
         ``plan.prefill``, a finished pipeline, a daemon's requests --
         raises absolute produce targets only: afterwards every pool's
         watermarks are the ones it was built with (the raw-COT marks;
         none on a derived pool) and every target is met, so no refill
         pressure is left behind on either party."""
         svc0, svc1, _, _ = services
-        # Shapes no other test here draws (a keyed pool is made before
-        # a prefill names it): TestPipelinedPrefill pins
+        # Shapes no other test here draws: TestPipelinedPrefill pins
         # that its last matrix triple was never produced before it.
         g = Graph("NoPressure", (2, K))
         for layer in (Linear(4), Rescale(), Activation("relu"), Linear(3)):
@@ -106,13 +105,11 @@ class TestOneShotPrefill:
                     assert pool.watermarks == built, (way, svc.party, kind)
                     assert pool.produce_target <= pool.produced, (way, svc.party, kind)
 
-        mtri = svc0.pool("mtri", (3, 5, 2)).name
-        svc1.pool("mtri", (3, 5, 2))
-        targets = {"tri": 600, mtri: 2}
-        run_both(lambda: svc0.prefill(targets, 180.0),
-                 lambda: svc1.prefill(targets, 180.0), ctx=ctx)
-        assert svc0.pools["tri"].level >= 600 and svc0.pools[mtri].level >= 2
-        assert_no_pressure("service.prefill")
+        draws = draws_plan([("tri", (), 600), ("mtri", (3, 5, 2), 2)], BITS)
+        run_both(lambda: draws.prefill(svc0, 180.0),
+                 lambda: draws.prefill(svc1, 180.0), ctx=ctx)
+        assert svc0.pools["tri"].level >= 600 and svc0.pools["mtri/3x5x2"].level >= 2
+        assert_no_pressure("draw-list plan")
 
         run_both(lambda: plan.prefill(svc0, 180.0),
                  lambda: plan.prefill(svc1, 180.0), ctx=ctx)
@@ -120,11 +117,12 @@ class TestOneShotPrefill:
 
         def pipelined(svc, party):
             pipe = plan.prefill_pipelined(svc, timeout=180.0)
+            join = in_background(pipe)
             run_online(
                 plan, svc.session("no-pressure"), [w[party] for w in weights],
                 [x[party]], np.random.default_rng(party), pipe.wait_layer,
             )
-            pipe.finish()
+            join()
 
         run_both(lambda: pipelined(svc0, 0), lambda: pipelined(svc1, 1), ctx=ctx)
         assert_no_pressure("finished pipeline")
@@ -170,6 +168,7 @@ class TestPipelinedPrefill:
 
         pipe0 = plan.prefill_pipelined(svc0, timeout=240.0)
         pipe1 = plan.prefill_pipelined(svc1, timeout=240.0)
+        joins = [in_background(pipe0), in_background(pipe1)]
 
         def infer(svc, pipe, party):
             def wait_layer(gate):
@@ -192,8 +191,8 @@ class TestPipelinedPrefill:
             infer(svc0, pipe0, 0), infer(svc1, pipe1, 1),
             ctx=(svc0.error, svc1.error),
         )
-        pipe0.finish()
-        pipe1.finish()
+        for join in joins:
+            join()
         return {
             "plan": plan,
             "svc0": svc0,
@@ -266,6 +265,7 @@ class TestForwardOnlyPipeline:
             plan = plan_graph(g, bits=BITS)
             pipe0 = plan.prefill_pipelined(svc0, timeout=120.0)
             pipe1 = plan.prefill_pipelined(svc1, timeout=120.0)
+            joins = [in_background(pipe0), in_background(pipe1)]
             gen = np.random.default_rng(9)
             x = gen.integers(0, 1 << BITS, (3, 5), dtype=np.uint64)
             y = gen.integers(0, 1 << BITS, (5, 4), dtype=np.uint64)
@@ -282,8 +282,8 @@ class TestForwardOnlyPipeline:
                 go(svc0, pipe0, 0), go(svc1, pipe1, 1),
                 ctx=(svc0.error, svc1.error),
             )
-            pipe0.finish()
-            pipe1.finish()
+            for join in joins:
+                join()
             assert np.array_equal((z0 + z1) & MASK, (x @ y) & MASK)
         finally:
             svc0.stop(), svc1.stop()

@@ -3,9 +3,11 @@ pooled matrix triples and truncation pairs, planner-driven prefill,
 stall-free online.
 """
 
+import time
+
 import numpy as np
 import pytest
-from parties import run_both, start_service_pair
+from parties import draws_plan, run_both, start_service_pair
 
 from repro.ferret.config import FerretConfig
 from repro.mpc.matmul import matmul_draws, matmul_via_service
@@ -71,9 +73,9 @@ class TestPooledArithmeticTriples:
         before = tri_bytes()
         produced = svc0.pool("tri").produced
         svc1.pool("tri")
-        targets = {"tri": n}
-        run_both(lambda: svc0.prefill(targets, 120.0),
-                 lambda: svc1.prefill(targets, 120.0), ctx=ctx)
+        plan = draws_plan([("tri", (), n)], BITS)
+        run_both(lambda: plan.prefill(svc0, 120.0),
+                 lambda: plan.prefill(svc1, 120.0), ctx=ctx)
         t0, t1 = (batches[0] for batches in run_both(
             lambda: svc0.session("tri-bytes").draw([("tri", (), n)])[0],
             lambda: svc1.session("tri-bytes").draw([("tri", (), n)])[0],
@@ -83,6 +85,34 @@ class TestPooledArithmeticTriples:
         assert np.array_equal(t0.c ^ t1.c, (t0.a ^ t1.a) & (t0.b ^ t1.b))
         assert tri_bytes() == before == 0
 
+    def test_late_follower_prefills_from_the_leaders_positions(self, services):
+        """A follower that enters a prefill after production already ran
+        on its side takes its stream positions from the leader, in
+        band.  Counting its own taken items instead overshoots the
+        raw-COT target by the COTs the first TRI command took, and the
+        follower waits for production the leader never schedules."""
+        svc0, svc1 = services
+        n = 700  # two TRI commands at triple_chunk 512
+        ctx = (svc0.error, svc1.error)
+        plan = draws_plan([("tri", (), n)], BITS)
+        tri1 = svc1.pool("tri")
+        began = tri1.produced
+
+        def follower():
+            deadline = time.monotonic() + 60.0
+            while tri1.produced < began + TUNING.triple_chunk:
+                assert time.monotonic() < deadline, "the leader's first TRI never ran"
+                time.sleep(0.005)
+            plan.prefill(svc1, 10.0)
+
+        run_both(lambda: plan.prefill(svc0, 10.0), follower, ctx=ctx)
+        t0, t1 = (batches[0] for batches in run_both(
+            lambda: svc0.session("late-follower").draw([("tri", (), n)])[0],
+            lambda: svc1.session("late-follower").draw([("tri", (), n)])[0],
+            ctx=ctx,
+        ))
+        assert np.array_equal(t0.c ^ t1.c, (t0.a ^ t1.a) & (t0.b ^ t1.b))
+
     def test_repeated_prefill_waits_for_fresh_production(self, services):
         """A second prefill after consumption must provide NEW items on
         both parties -- the follower's wait cannot be satisfied by
@@ -90,18 +120,18 @@ class TestPooledArithmeticTriples:
         svc0, svc1 = services
         kind = svc0.pool("tri").name
         svc1.pool("tri")
-        targets = {kind: 15}
+        plan = draws_plan([("tri", (), 15)], BITS)
         ctx = (svc0.error, svc1.error)
-        run_both(lambda: svc0.prefill(targets, 120.0),
-                 lambda: svc1.prefill(targets, 120.0), ctx=ctx)
+        run_both(lambda: plan.prefill(svc0, 120.0),
+                 lambda: plan.prefill(svc1, 120.0), ctx=ctx)
         run_both(
             lambda: svc0.session("pre-again").draw([("tri", (), 15)]),
             lambda: svc1.session("pre-again").draw([("tri", (), 15)]),
             ctx=ctx,
         )
         drawn_after_consume = svc1.pools[kind].stats.items_drawn
-        run_both(lambda: svc0.prefill(targets, 120.0),
-                 lambda: svc1.prefill(targets, 120.0), ctx=ctx)
+        run_both(lambda: plan.prefill(svc0, 120.0),
+                 lambda: plan.prefill(svc1, 120.0), ctx=ctx)
         assert svc0.pools[kind].level >= 15
         assert svc1.pools[kind].produced - drawn_after_consume >= 15
 
@@ -205,5 +235,5 @@ class TestServiceValidation:
         from repro.errors import ServiceError
 
         with pytest.raises(ServiceError, match="unknown pool kind"):
-            svc0.prefill({"mtri/9x9x9": 1}, timeout=1.0)
+            draws_plan([("nope", (), 1)], BITS).prefill(svc0, timeout=1.0)
         mux0.close()

@@ -286,6 +286,63 @@ class TestStreamPositions:
             stop_daemon_pair(stack)
 
 
+class TestThreadCensus:
+    """A daemon starts every thread it runs in ``start()``: a request's
+    pipeline runs on the scheduler thread, so serving starts none."""
+
+    def test_warm_requests_start_no_threads(self, monkeypatch):
+        dcfg = DaemonConfig(
+            max_inflight=4, session_inflight=2,
+            lease_ttl_s=30.0, request_timeout_s=120.0,
+        )
+        stack = start_daemon_pair(dcfg, seed=0x7C)
+        rng, k = stack["rng"], 4
+        xs = [rng.integers(-8, 8, (M, K)) for _ in range(k + 1)]
+        shares = [share_input(x, rng) for x in xs]
+        warm, go = threading.Barrier(3), threading.Event()
+        outs, errors = {}, []
+
+        def party(d, i):
+            try:
+                d.submit("census", shares[0][i]).result(120.0)
+                warm.wait(120.0)
+                go.wait(120.0)
+                outs[i] = [d.submit("census", sh[i]).result(120.0)[0] for sh in shares[1:]]
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        # The two client threads start before the census does.
+        clients = [
+            threading.Thread(target=party, args=(stack[f"d{i}"], i), daemon=True)
+            for i in (0, 1)
+        ]
+        try:
+            for t in clients:
+                t.start()
+            warm.wait(120.0)
+            started, real_start = [], threading.Thread.start
+
+            def counting_start(thread):
+                started.append(thread.name)
+                return real_start(thread)
+
+            monkeypatch.setattr(threading.Thread, "start", counting_start)
+            go.set()
+            for t in clients:
+                t.join(240.0)
+            monkeypatch.undo()
+            assert not any(t.is_alive() for t in clients), "a client never finished"
+            assert not errors, errors
+            for x, a, b in zip(xs[1:], outs[0], outs[1]):
+                assert np.array_equal((a + b) & MASK, stack["oracle"](x))
+            per_party = {p: [n for n in started if n.endswith(f"p{p}")] for p in (0, 1)}
+            assert started == [], per_party
+        finally:
+            monkeypatch.undo()
+            go.set()
+            stop_daemon_pair(stack)
+
+
 class TestAdmissionControl:
     """The leader's window rejects with a typed error on both parties.
 

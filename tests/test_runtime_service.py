@@ -11,6 +11,8 @@ import time
 import numpy as np
 import pytest
 
+from parties import draws_plan
+
 from repro.errors import ServiceError
 from repro.ferret.config import FerretConfig
 from repro.mpc.maxpool import max_via_service
@@ -290,8 +292,8 @@ class TestServiceLifecycle:
 
 class TestPoolsOnFirstUse:
     """A pool exists because something draws it: the constructor makes
-    the raw-COT pools of its endpoints, and a draw, a plan or a named
-    prefill target makes the rest -- the same ones on both parties."""
+    the raw-COT pools of its endpoints, and a draw or a plan makes the
+    rest -- the same ones on both parties."""
 
     def test_fresh_service_holds_only_raw_cot_pools(self):
         for tuning, kinds in (
@@ -307,7 +309,9 @@ class TestPoolsOnFirstUse:
         svc0, svc1, mux0, mux1 = start_service_pair(seed=0xF1)
         try:
             run_sessions(svc0, svc1, [
-                ("fill", lambda session, party: session.service.prefill({"tri": 64})),
+                ("fill", lambda session, party: draws_plan(
+                    [("tri", (), 64)], session.service.tuning.ring_bits
+                ).prefill(session.service)),
             ])
             for svc in (svc0, svc1):
                 assert svc.pools["tri"].produced >= 64

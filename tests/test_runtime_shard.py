@@ -13,6 +13,7 @@ import time
 
 import numpy as np
 import pytest
+from parties import in_background
 
 from repro.errors import ServiceError
 from repro.ferret.config import FerretConfig
@@ -429,6 +430,7 @@ class TestShardedPipelinedMlp:
 
         pipe0 = plan.prefill_pipelined(svc0, timeout=240.0)
         pipe1 = plan.prefill_pipelined(svc1, timeout=240.0)
+        joins = [in_background(pipe0), in_background(pipe1)]
 
         def infer(svc, pipe, party):
             return lambda: run_online(
@@ -444,8 +446,8 @@ class TestShardedPipelinedMlp:
             )
         except ChannelError as exc:
             pytest.fail(f"{exc!r} (svc errors: {svc0.error}, {svc1.error})")
-        pipe0.finish()
-        pipe1.finish()
+        for join in joins:
+            join()
         yield {
             "plan": plan,
             "svc0": svc0,
