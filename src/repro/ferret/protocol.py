@@ -2,12 +2,16 @@
 
 One protocol instance lives through three phases (Section 2.3):
 
-1. **setup** -- runs once: kappa = 128 PKC base OTs plus an IKNP-style
+1. **setup** -- runs once: kappa = 128 seed OTs plus an IKNP-style
    COT extension (:mod:`repro.ot.base_ot`) create ``k + c`` genuine COT
    correlations (``k`` feeding LPN, ``c`` feeding SPCOT's per-level
-   OTs).  This is the "Init" bar of Figure 1(b).  A party that already
-   holds such correlations (a shard worker given its slice of the
-   parent's) loads them with ``seed_base_cots`` and runs no PKC at all.
+   OTs).  This is the "Init" bar of Figure 1(b).  The seed OTs are PKC
+   unless ``mint_base_cots`` is handed ``seed_cots``, kappa COTs of an
+   extension already running the other way (a service's reverse
+   direction takes them from its forward mint, which asks for them as
+   ``spare`` rows).  A party that already holds base correlations (a
+   shard worker given its slice of the parent's) loads them with
+   ``seed_base_cots`` and runs no OT at all.
 2. **extend** -- repeatable: an interactive multi-point SPCOT produces
    ``w = v XOR u*Delta`` over n points, then both parties *locally*
    LPN-encode, stretching k correlations into n.  The first
@@ -102,12 +106,16 @@ class FerretSender:
         """One-time init: mint the first iteration's base COTs."""
         self.seed_base_cots(*self.mint_base_cots(channel))
 
-    def mint_base_cots(self, channel: Channel, copies: int = 1) -> tuple:
+    def mint_base_cots(
+        self, channel: Channel, copies: int = 1, spare: int = 0, seed_cots=None
+    ) -> tuple:
         """Run the base-COT protocol under ``self.delta`` for ``copies``
         first iterations at once; returns ``(r,)``, whose consecutive
-        ``base_cots_needed``-row slices each fit :meth:`seed_base_cots`."""
-        need = copies * self.config.base_cots_needed
-        return (base_cot_send(channel, need, self.delta, self.rng),)
+        ``base_cots_needed``-row slices each fit :meth:`seed_base_cots`,
+        followed by ``spare`` more rows.  ``seed_cots`` (``KAPPA``
+        receiver COTs of the peer's extension) replace the PKC seed OTs."""
+        need = copies * self.config.base_cots_needed + spare
+        return (base_cot_send(channel, need, self.delta, self.rng, seed_cots),)
 
     def seed_base_cots(self, r: np.ndarray) -> None:
         """Load ``base_cots_needed`` sender COTs under ``self.delta`` as
@@ -185,11 +193,14 @@ class FerretReceiver:
         """One-time init, mirror of the sender's."""
         self.seed_base_cots(*self.mint_base_cots(channel))
 
-    def mint_base_cots(self, channel: Channel, copies: int = 1) -> tuple:
-        """Mirror of the sender's; returns ``(bits, y)``."""
-        need = copies * self.config.base_cots_needed
+    def mint_base_cots(
+        self, channel: Channel, copies: int = 1, spare: int = 0, seed_cots=None
+    ) -> tuple:
+        """Mirror of the sender's (``seed_cots``: ``KAPPA`` sender COTs of
+        this party's extension to the peer); returns ``(bits, y)``."""
+        need = copies * self.config.base_cots_needed + spare
         bits = self.rng.integers(0, 2, need).astype(np.uint8)
-        return bits, base_cot_receive(channel, bits, self.rng)
+        return bits, base_cot_receive(channel, bits, self.rng, seed_cots)
 
     def seed_base_cots(self, bits: np.ndarray, y: np.ndarray) -> None:
         """Load ``base_cots_needed`` receiver COTs ``(bits, y)`` as the

@@ -1,18 +1,25 @@
-"""Base COTs for the OTE "Init" phase: kappa PKC OTs, then extend.
+"""Base COTs for the OTE "Init" phase: kappa seed OTs, then extend.
 
 Ferret's first iteration needs ``base_cots_needed`` (thousands of)
 genuine COT correlations before its own extension can run.  Public-key
 OTs cost modular exponentiations, so -- as Ferret and EMP do -- only
-``KAPPA = 128`` of them are ever run, whatever ``n`` is, and a
-semi-honest IKNP-style COT extension [IKNP03] stretches those to ``n``:
+``KAPPA = 128`` of them are ever run per service pair, whatever ``n``
+is, and a semi-honest IKNP-style COT extension [IKNP03] stretches those
+to ``n``:
 
-1. **PKC, reversed.**  The Delta-holder (the COT *sender*) is the
-   base-OT *receiver*; its 128 choice bits are the bits of Delta.  The
+1. **Seed OTs, reversed.**  The Delta-holder (the COT *sender*) is the
+   seed-OT *receiver*; its 128 choice bits are the bits of Delta.  The
    COT receiver offers 128 random seed pairs ``(k_i^0, k_i^1)`` and the
-   Delta-holder learns ``k_i^{Delta_i}``.  The OTs are the simplest-OT
-   flavour of Chou-Orlandi over a Schnorr group: one group element from
-   the sender, one per choice from the receiver, hashed Diffie-Hellman
-   values as one-time pads.
+   Delta-holder learns ``k_i^{Delta_i}``.  The first direction of a
+   pair runs them as PKC: the simplest-OT flavour of Chou-Orlandi over
+   a Schnorr group (one group element from the sender, one per choice
+   from the receiver, hashed Diffie-Hellman values as one-time pads).
+   A caller that already holds ``KAPPA`` COTs of another extension in
+   which the seed offerer is the COT sender passes them as
+   ``seed_cots``: the seed OTs are then derandomized OTs over those
+   COTs (:mod:`repro.ot.ot_from_cot`, tweaks from
+   :data:`BOOTSTRAP_TWEAK`) and no public-key operation runs.  That is
+   how a service's reverse direction bootstraps from its forward one.
 2. **Expand.**  One batched ChaCha8 call turns every seed into an
    n-bit row: the COT receiver holds ``t_i^0, t_i^1``, the Delta-holder
    ``t_i^{Delta_i}``.
@@ -27,8 +34,8 @@ semi-honest IKNP-style COT extension [IKNP03] stretches those to ``n``:
 
 This is the "Init" bar of the paper's Figure 1(b): a fixed ~0.3 s of
 PKC plus a per-COT cost of a few nanoseconds, instead of ~5 ms of
-modexps per COT.  ``n <= KAPPA`` has nothing to extend and runs the PKC
-OTs directly on ``(r, r XOR Delta)``.
+modexps per COT.  ``n <= KAPPA`` without ``seed_cots`` has nothing to
+extend and runs the PKC OTs directly on ``(r, r XOR Delta)``.
 
 :func:`base_ot_send` / :func:`base_ot_receive` are the chosen-message
 PKC OTs on their own: two messages from the sender, one element blob
@@ -43,13 +50,20 @@ from repro.crypto import blocks
 from repro.crypto.group import DEFAULT_GROUP, SchnorrGroup
 from repro.crypto.kernels import transpose_128
 from repro.crypto.prg import stream_expand
-from repro.errors import ProtocolError
+from repro.errors import ParameterError, ProtocolError
 from repro.ot.channel import Channel
+from repro.ot.cot import CotReceiverBatch, CotSenderBatch
+from repro.ot.ot_from_cot import ot_receive_from_cot, ot_send_from_cot
 from repro.utils.bitops import unpack_bits
 
 #: Computational security parameter: the number of PKC OTs behind any
 #: number of base COTs, and the bit width of Delta.
 KAPPA = 128
+
+#: CRHF tweak of seed OT i run over ``seed_cots`` is ``BOOTSTRAP_TWEAK +
+#: i``: far above every other tweak range (SPCOT trees, comparison
+#: digits, Gilboa pads stride 2^48), so no pad is shared with them.
+BOOTSTRAP_TWEAK = 1 << 62
 
 
 def _pad(group: SchnorrGroup, dh_value: int, choice: int, index: int) -> bytes:
@@ -134,11 +148,17 @@ def base_ot_receive(
     return blocks.xor(chosen, blocks.from_bytes(bytes(pads)))
 
 
+def _require_seed_cots(seed_cots) -> None:
+    if len(seed_cots) != KAPPA:
+        raise ParameterError(f"seed OTs need {KAPPA} COTs, got {len(seed_cots)}")
+
+
 def base_cot_send(
     channel: Channel,
     n: int,
     delta: np.ndarray,
     rng: np.random.Generator,
+    seed_cots: CotReceiverBatch = None,
     group: SchnorrGroup = DEFAULT_GROUP,
 ) -> np.ndarray:
     """Delta-correlated base COTs, sender side: returns r (n blocks).
@@ -146,16 +166,22 @@ def base_cot_send(
     The receiver obtains ``r XOR b*Delta`` for its choice bits ``b``; the
     pair of sides therefore holds genuine COT correlations, exactly what
     the Ferret setup consumes.  ``rng`` is drawn from only when
-    ``n <= KAPPA``; beyond that ``r`` is fixed by the receiver's seeds
-    and Delta.
+    ``n <= KAPPA`` and no ``seed_cots`` are given; otherwise ``r`` is
+    fixed by the receiver's seeds and Delta.  ``seed_cots`` (``KAPPA``
+    receiver COTs whose sender is this call's peer) replace the PKC
+    seed OTs.
     """
-    if n <= KAPPA:
+    if n <= KAPPA and seed_cots is None:
         r = blocks.random_blocks(n, rng)
         base_ot_send(channel, r, blocks.xor(r, delta), group=group)
         return r
     # Bit i of Delta, in the order transpose_128 gives row i.
     bits = unpack_bits(blocks.to_bytes(delta), KAPPA)
-    seeds = base_ot_receive(channel, bits, group=group)
+    if seed_cots is None:
+        seeds = base_ot_receive(channel, bits, group=group)
+    else:
+        _require_seed_cots(seed_cots)
+        seeds = ot_receive_from_cot(channel, seed_cots, bits, tweak_base=BOOTSTRAP_TWEAK)
     nbytes = (n + 7) // 8
     n_receiver = int(channel.recv_lanes(1, 64)[0])
     if n_receiver != n:
@@ -179,20 +205,29 @@ def base_cot_receive(
     channel: Channel,
     choices: np.ndarray,
     rng: np.random.Generator,
+    seed_cots: CotSenderBatch = None,
     group: SchnorrGroup = DEFAULT_GROUP,
 ) -> np.ndarray:
     """Delta-correlated base COTs, receiver side: returns r XOR b*Delta.
 
     ``rng`` supplies the KAPPA seed pairs of the extension (the mirror
-    of :func:`base_cot_send`: drawn from only when ``n > KAPPA``), so
-    the output is reproducible from the caller's seed.
+    of :func:`base_cot_send`: drawn from unless ``n <= KAPPA`` without
+    ``seed_cots``), so the output is reproducible from the caller's
+    seed.  ``seed_cots`` (``KAPPA`` sender COTs whose receiver is this
+    call's peer) carry the seed pairs in place of PKC OTs.
     """
     choices = np.asarray(choices, dtype=np.uint8)
     n = choices.shape[0]
-    if n <= KAPPA:
+    if n <= KAPPA and seed_cots is None:
         return base_ot_receive(channel, choices, group=group)
     seeds = blocks.random_blocks(2 * KAPPA, rng)
-    base_ot_send(channel, seeds[:KAPPA], seeds[KAPPA:], group=group)
+    if seed_cots is None:
+        base_ot_send(channel, seeds[:KAPPA], seeds[KAPPA:], group=group)
+    else:
+        _require_seed_cots(seed_cots)
+        ot_send_from_cot(
+            channel, seed_cots, seeds[:KAPPA], seeds[KAPPA:], tweak_base=BOOTSTRAP_TWEAK
+        )
     nbytes = (n + 7) // 8
     t = stream_expand(seeds, nbytes)
     x = np.packbits(choices, bitorder="little")

@@ -45,6 +45,7 @@ import time
 from collections import OrderedDict
 
 from repro.errors import ChannelClosed, ChannelError, ChannelTimeout
+from repro.fingerprint import PROTOCOL, check_peer_protocol
 from repro.obs.trace import NULL_TRACER
 from repro.ot.channel import Channel, decode_msg, encode_msg
 from repro.ot.retry import RetryPolicy
@@ -57,8 +58,10 @@ _ACK = b"A"
 _HELLO = b"H"
 
 #: The resume handshake after the ``H`` discriminator.  DATA and ACK
-#: headers ride every frame, so they are binary.
-HANDSHAKE = {"hello": {"epoch": int, "rx": int, "state": dict}}
+#: headers ride every frame, so they are binary.  ``protocol`` is the
+#: sender's :data:`repro.fingerprint.PROTOCOL`; a peer on another version
+#: is refused before any frame is replayed.
+HANDSHAKE = {"hello": {"epoch": int, "rx": int, "state": dict, "protocol": str}}
 
 
 class ReconnectingChannel(Channel):
@@ -228,7 +231,9 @@ class ReconnectingChannel(Channel):
         """Exchange HELLO frames; return the peer's next-expected seq."""
         state = self.state_provider() if self.state_provider is not None else {}
         transport.send_bytes(
-            _HELLO + encode_msg("hello", epoch=self.epoch + 1, rx=self._rx_seq, state=state)
+            _HELLO + encode_msg(
+                "hello", epoch=self.epoch + 1, rx=self._rx_seq, state=state, protocol=PROTOCOL
+            )
         )
         frame = transport.recv_bytes(timeout=self.policy.deadline_s)
         if frame[:1] != _HELLO:
@@ -241,6 +246,7 @@ class ReconnectingChannel(Channel):
     def _on_hello(self, frame: bytes) -> int:
         """Parse a peer HELLO; keep its state, return its next-expected seq."""
         hello = decode_msg(frame[1:], HANDSHAKE)
+        check_peer_protocol(hello["protocol"])
         self.peer_state = hello["state"]
         return hello["rx"]
 

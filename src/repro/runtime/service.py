@@ -9,8 +9,10 @@ production while consumers draw: out to the absolute produce targets
 preprocessing plans set, and for the raw-COT pools also back up to their
 high watermark whenever their level dips below the low one.  This is
 the Figure 1(b) amortization realized as a long-lived runtime: the
-base-COT Init (128 PKC OTs) runs once per direction, then extends
-stream correlations to any number of sessions.
+base-COT Init runs once per service pair (128 PKC OTs for the forward
+direction, whose IKNP mints 128 spare COTs that seed the reverse one,
+see :meth:`CorrelationService.mint_base_cots`), then extends stream
+correlations to any number of sessions.
 
 **Determinism.**  A correlation only works if both parties consume the
 same one, so all allocation decisions are made on party 0 (the
@@ -65,22 +67,27 @@ from repro.errors import (
 )
 from repro.ferret.config import FerretConfig
 from repro.ferret.protocol import FerretReceiver, FerretSender
+from repro.fingerprint import PROTOCOL, check_peer_protocol
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER
+from repro.ot.base_ot import KAPPA
 from repro.ot.channel import decode_msg, encode_msg
+from repro.ot.cot import CotReceiverBatch, CotSenderBatch
 from repro.ot.retry import RetryingChannel, RetryPolicy
 from repro.runtime.mux import MuxChannel
 from repro.runtime.recipes import BY_KIND, BY_NAME, RECIPES, Command, sends
 from repro.runtime.shard import ShardManager
 
-#: The ``prov/ctl`` messages (:func:`repro.ot.channel.decode_msg`): one
-#: command op per recipe, named by ``Recipe.name``; STOP winds the
-#: follower down; SYNC is the leader's recovery barrier, SACK the
-#: follower's reply, NACK the follower's prompt "my command execution
-#: failed" signal.
+#: The ``prov/ctl`` messages (:func:`repro.ot.channel.decode_msg`):
+#: hello, each party's first message, carries its
+#: :data:`repro.fingerprint.PROTOCOL`; one command op per recipe, named
+#: by ``Recipe.name``; STOP winds the follower down; SYNC is the
+#: leader's recovery barrier, SACK the follower's reply, NACK the
+#: follower's prompt "my command execution failed" signal.
 _COMMAND = {"key": [int], "n": int, "offsets": [int]}
 _PRODUCED = {"nonce": int, "produced": {str: int}}
 CONTROL = {
+    "hello": {"protocol": str},
     **{recipe.name: _COMMAND for recipe in RECIPES},
     "STOP": {},
     "SYNC": _PRODUCED,
@@ -613,15 +620,17 @@ class CorrelationService:
     # -- worker -------------------------------------------------------------
     def _run(self) -> None:
         try:
+            self._hello()
             if self._shard_mgr is not None:
                 # Sharded mode: the parent endpoints mint every shard's
                 # base COTs in one run (ShardManager.start) and are
                 # themselves never set up or extended.
                 self._shard_mgr.start()
             else:
-                self.ferret_fwd.setup(self._data["prov/fwd"])
-                if self.ferret_rev is not None:
-                    self.ferret_rev.setup(self._data["prov/rev"])
+                fwd, rev = self.mint_base_cots(self._data["prov/fwd"], self._data["prov/rev"])
+                self.ferret_fwd.seed_base_cots(*fwd)
+                if rev is not None:
+                    self.ferret_rev.seed_base_cots(*rev)
             self._ready.set()
             if self.party == 0:
                 try:
@@ -656,6 +665,44 @@ class CorrelationService:
                 pools = list(self.pools.values())
             for pool in pools:
                 pool.close()
+
+    def _hello(self) -> None:
+        """Exchange :data:`PROTOCOL` with the peer; a mismatch fails the
+        worker before any base OT runs.  The wait is sliced like every
+        worker receive, so a stop request ends it."""
+        self._ctl.send_msg("hello", protocol=PROTOCOL)
+        ctl = RetryingChannel(
+            self._ctl, self.tuning.retry, probe=self._worker_probe,
+            default_timeout=self.mux.timeout,
+        )
+        msg = ctl.recv_msg(CONTROL)
+        if msg["op"] != "hello":
+            raise ProtocolError(f"expected the peer's hello, got {msg['op']!r}")
+        check_peer_protocol(msg["protocol"])
+
+    def mint_base_cots(self, fwd_channel, rev_channel, copies: int = 1) -> tuple:
+        """Both directions' base COTs for ``copies`` first iterations,
+        with ONE PKC run per service pair.
+
+        The forward endpoint mints ``copies x base_cots_needed`` COTs
+        plus ``KAPPA`` spare ones carved after them; those are the
+        reverse direction's seed OTs (P0, the forward COT sender, offers
+        the reverse IKNP's seed pairs; P1, the reverse Delta-holder,
+        chooses with the bits of its Delta), so the reverse mint runs no
+        PKC.  Without a reverse endpoint nothing spare is minted.
+        Returns ``(fwd columns, rev columns or None)``, each of
+        ``copies x base_cots_needed`` rows.
+        """
+        fwd, rev = self.ferret_fwd, self.ferret_rev
+        need = copies * self.config.base_cots_needed
+        spare = KAPPA if rev is not None else 0
+        columns = fwd.mint_base_cots(fwd_channel, copies, spare=spare)
+        head = tuple(column[:need] for column in columns)
+        if rev is None:
+            return head, None
+        tail = tuple(column[need:] for column in columns)
+        seed_cots = CotSenderBatch(fwd.delta, *tail) if self.party == 0 else CotReceiverBatch(*tail)
+        return head, rev.mint_base_cots(rev_channel, copies, seed_cots=seed_cots)
 
     def _run_loop(self, loop) -> None:
         """Run the party loop, restarting it once after a transient
@@ -869,7 +916,10 @@ class CorrelationService:
     def _decode(self, msg: dict) -> Command:
         """The command of a ``CONTROL`` message, if its key and offsets
         have the lengths its recipe declares."""
-        recipe, key, offsets = BY_NAME[msg["op"]], tuple(msg["key"]), tuple(msg["offsets"])
+        recipe = BY_NAME.get(msg["op"])
+        if recipe is None:
+            raise ProtocolError(f"control op {msg['op']!r} is not a production command")
+        key, offsets = tuple(msg["key"]), tuple(msg["offsets"])
         if len(key) != recipe.key_len:
             raise ProtocolError(f"{recipe.name} command key {key} is not {recipe.key_len} long")
         want = len(recipe.inputs(self.tuning.ring_bits, *key))

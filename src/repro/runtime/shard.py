@@ -13,11 +13,13 @@ the parent service worker and consumes the merged pools exactly as
 before.
 
 Start-up is PKC-free in the workers: the two parent managers mint
-``shards x base_cots_needed`` base COTs per direction in ONE
-``base_cot_*`` run over the ``shard/hs`` sub-channel (128 public-key
-OTs whatever the shard count) and hand every worker its slice, which
-it loads with ``seed_base_cots``.  Cold start therefore does not grow
-with the number of shards.
+``shards x base_cots_needed`` base COTs per direction over the
+``shard/hs`` sub-channel with the service's one cold-start helper
+(:meth:`~repro.runtime.service.CorrelationService.mint_base_cots`: 128
+public-key OTs per service pair whatever the shard count, the reverse
+direction seeded from 128 spare forward COTs) and hand every worker its
+slice, which it loads with ``seed_base_cots``.  Cold start therefore
+does not grow with the number of shards.
 
 Correlation survives sharding because offsets are assigned by ONE
 authority: the party-0 leader.  Shards return finished extend batches
@@ -84,16 +86,12 @@ def _shard_seed(seed: int, shard: int) -> int:
     return seed + 0x51AD + ((shard + 1) << 4)
 
 
-def _mint_base_cots(endpoint, channel, shards: int) -> list:
-    """One base-COT run covering every shard's first iteration.
-
-    ``endpoint`` is the parent's (otherwise idle) Ferret endpoint of one
-    direction: it contributes Delta or the choice bits, and its rng.
-    Returns, per shard, the columns its worker endpoint of the same role
-    takes in ``seed_base_cots``.
-    """
-    need = endpoint.config.base_cots_needed
-    columns = endpoint.mint_base_cots(channel, copies=shards)
+def _shard_slices(columns, need: int, shards: int) -> list:
+    """Cut base-COT columns minted for ``shards`` first iterations into
+    the per-shard columns a worker endpoint takes in ``seed_base_cots``
+    (``[None] * shards`` for a direction that was not minted)."""
+    if columns is None:
+        return [None] * shards
     return [
         tuple(column[i * need : (i + 1) * need] for column in columns)
         for i in range(shards)
@@ -241,12 +239,10 @@ class ShardManager:
             else None
         )
         enable_reverse = service.tuning.enable_reverse
-        fwd_seeds = _mint_base_cots(service.ferret_fwd, self._hs, self.shards)
-        rev_seeds = (
-            _mint_base_cots(service.ferret_rev, self._hs, self.shards)
-            if enable_reverse
-            else [None] * self.shards
-        )
+        need = service.config.base_cots_needed
+        fwd_cols, rev_cols = service.mint_base_cots(self._hs, self._hs, copies=self.shards)
+        fwd_seeds = _shard_slices(fwd_cols, need, self.shards)
+        rev_seeds = _shard_slices(rev_cols, need, self.shards)
         # Workers start only now, so their rendezvous clocks never run
         # while a parent is still waiting for a late peer above.
         for i in range(self.shards):

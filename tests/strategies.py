@@ -156,6 +156,43 @@ class WireStrategies:
         return st.one_of(bad)
 
     @staticmethod
+    def cold_start_inbound(n: int) -> st.SearchStrategy[list]:
+        """What the Delta-holder of a bootstrapped cold start
+        (``base_cot_send(channel, n, delta, rng, seed_cots)``) receives,
+        in order -- the seed-OT reply (two frames of 128 blocks), the
+        IKNP ``n`` header (one 64-bit lane) and the 128 x ceil(n/8)-byte
+        correction matrix -- with exactly one frame truncated, extended
+        or carrying a wrong count: a reply of 127 / 129 blocks, a header
+        naming another ``n`` (one bit flipped, or 2^63), a matrix of
+        one byte column too few or too many."""
+        kappa, nbytes = 128, (n + 7) // 8
+        honest = [
+            bytes(16 * kappa), bytes(16 * kappa), n.to_bytes(8, "little"), bytes(kappa * nbytes)
+        ]
+        wrong_counts = [
+            [bytes(16 * (kappa - 1)), bytes(16 * (kappa + 1))],
+            [bytes(16 * (kappa - 1)), bytes(16 * (kappa + 1))],
+            [(n ^ (1 << i)).to_bytes(8, "little") for i in range(64)]
+            + [(1 << 63).to_bytes(8, "little")],
+            [bytes(kappa * (nbytes - 1)), bytes(kappa * (nbytes + 1))],
+        ]
+
+        @st.composite
+        def build(draw):
+            at = draw(st.integers(0, len(honest) - 1))
+            good = honest[at]
+            bad = draw(
+                st.one_of(
+                    st.integers(0, len(good) - 1).map(lambda k: good[:k]),
+                    st.binary(min_size=1, max_size=16).map(lambda tail: good + tail),
+                    st.sampled_from(wrong_counts[at]),
+                )
+            )
+            return honest[:at] + [bad] + honest[at + 1 :]
+
+        return build()
+
+    @staticmethod
     def messages(schema: dict) -> st.SearchStrategy[tuple]:
         """``(op, fields)`` of a message ``schema`` (``op -> {field:
         spec}``) accepts."""

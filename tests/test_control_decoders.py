@@ -18,8 +18,9 @@ from hypothesis import HealthCheck, given, settings
 from parties import ScriptedChannel
 from strategies import WireStrategies
 
-from repro.errors import ProtocolError
+from repro.errors import ProtocolError, ServiceError
 from repro.ferret.config import FerretConfig
+from repro.fingerprint import PROTOCOL
 from repro.obs.trace import NULL_TRACER
 from repro.ot.channel import LocalChannel, encode_msg
 from repro.ot.reconnect import HANDSHAKE, ReconnectingChannel
@@ -87,8 +88,13 @@ def test_follower_worker_fails_typed_and_fast():
     mux = MuxChannel(LocalChannel.pair()[0])
     try:
         follower = CorrelationService(1, mux, CFG, ServiceTuning())
-        follower.ferret_fwd.setup = follower.ferret_rev.setup = lambda channel: None
-        follower._ctl = ScriptedChannel([b'{"op": "MTRI", "key": [2, 3, 2]}'])
+        follower.mint_base_cots = lambda fwd_channel, rev_channel: ((), ())
+        follower.ferret_fwd.seed_base_cots = follower.ferret_rev.seed_base_cots = (
+            lambda *columns: None
+        )
+        follower._ctl = ScriptedChannel(
+            [encode_msg("hello", protocol=PROTOCOL), b'{"op": "MTRI", "key": [2, 3, 2]}']
+        )
         start = time.monotonic()
         follower._run()
         assert time.monotonic() - start < 1.0
@@ -98,6 +104,43 @@ def test_follower_worker_fails_typed_and_fast():
         )
     finally:
         mux.close()
+
+
+def test_follower_refuses_a_hello_mid_stream(services):
+    follower = services[1]
+    follower._ctl = ScriptedChannel([encode_msg("hello", protocol=PROTOCOL)])
+    with pytest.raises(ProtocolError, match="'hello' is not a production command"):
+        follower._follower_loop()
+
+
+@pytest.mark.parametrize("party", [0, 1])
+def test_service_refuses_a_peer_on_another_protocol(party, monkeypatch):
+    """The hello is each party's first control message: a peer that
+    announces another fingerprint fails the worker in milliseconds
+    (not at the 60 s receive timeout), named with both values, before
+    any base OT runs."""
+    import repro.ferret.protocol as protocol
+
+    base_calls = []
+    for name in ("base_cot_send", "base_cot_receive"):
+        monkeypatch.setattr(protocol, name, lambda *args, _n=name: base_calls.append(_n))
+    ends = LocalChannel.pair(timeout=60.0)
+    mux, peer = MuxChannel(ends[party], timeout=60.0), MuxChannel(ends[1 - party], timeout=60.0)
+    try:
+        svc = CorrelationService(party, mux, CFG, ServiceTuning())
+        peer.sub("prov/ctl").send_msg("hello", protocol="0:0000")
+        start = time.monotonic()
+        svc.start()
+        with pytest.raises(ServiceError) as info:
+            svc.wait_ready(30.0)
+        assert time.monotonic() - start < 1.0
+        cause = info.value.__cause__
+        assert isinstance(cause, ProtocolError)
+        assert "'0:0000'" in str(cause) and repr(PROTOCOL) in str(cause)
+        assert peer.sub("prov/ctl").recv_msg(CONTROL) == {"op": "hello", "protocol": PROTOCOL}
+        assert base_calls == []
+    finally:
+        mux.close(), peer.close()
 
 
 @HOSTILE
@@ -199,7 +242,7 @@ def test_shard_ctl_values_outside_the_fleet(frame, match):
 
 # -- reconnect HELLO --------------------------------------------------------------------
 ONE_SHOT = RetryPolicy(attempts=1, backoff_s=0.01, max_backoff_s=0.01, deadline_s=1.0)
-HELLO = b"H" + encode_msg("hello", epoch=1, rx=0, state={})
+HELLO = b"H" + encode_msg("hello", epoch=1, rx=0, state={}, protocol=PROTOCOL)
 
 
 @HOSTILE
@@ -218,6 +261,23 @@ def test_reconnect_in_place_hello(frame):
 
 
 def test_reconnect_keeps_the_peer_state():
-    hello = b"H" + encode_msg("hello", epoch=1, rx=0, state={"mux": {"sess/a": 3}})
+    hello = b"H" + encode_msg(
+        "hello", epoch=1, rx=0, state={"mux": {"sess/a": 3}}, protocol=PROTOCOL
+    )
     channel = ReconnectingChannel(lambda: ScriptedChannel([hello]), policy=ONE_SHOT)
     assert channel.peer_state == {"mux": {"sess/a": 3}} and channel.epoch == 1
+
+
+def test_reconnect_refuses_another_protocol():
+    """A peer on another wire version is refused at the first HELLO,
+    named with both fingerprints, and never retried."""
+    hello = b"H" + encode_msg("hello", epoch=1, rx=0, state={}, protocol="0:0000")
+    dials = []
+
+    def dial():
+        dials.append(1)
+        return ScriptedChannel([hello])
+
+    with pytest.raises(ProtocolError, match=f"'0:0000'.*'{PROTOCOL}'"):
+        ReconnectingChannel(dial, policy=RetryPolicy(attempts=3, backoff_s=0.01))
+    assert len(dials) == 1

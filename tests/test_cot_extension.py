@@ -3,23 +3,29 @@
 Properties of ``base_cot_send`` / ``base_cot_receive`` beyond kappa
 COTs, of the two kernels they add (``stream_expand``,
 ``transpose_128``), and the counting tests that pin what the change is
-for: one Ferret setup is exactly 128 public-key OTs, and a sharded
-service start is 128 per direction in the parents and none in the
-workers.
+for: one Ferret setup is exactly 128 public-key OTs, and a
+two-direction service pair -- sharded or not -- is ONE 128-OT batch
+per side (the reverse direction's seed OTs ride on 128 spare forward
+COTs), with none in the shard workers.
 """
 
+import contextlib
 import queue
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from parties import ScriptedChannel, frame
+from strategies import WireStrategies
 
+import repro.ferret.protocol as protocol
 from repro.crypto import blocks, kernels
 from repro.crypto.chacha import keystream
 from repro.crypto.prg import stream_expand
-from repro.errors import ParameterError
+from repro.errors import ParameterError, ProtocolError
 from repro.ferret.config import FerretConfig
 from repro.ferret.protocol import FerretReceiver, FerretSender
 from repro.ot import base_ot
@@ -27,7 +33,7 @@ from repro.ot.base_ot import KAPPA, base_cot_receive, base_cot_send
 from repro.ot.channel import LocalChannel, run_concurrently, run_pair
 from repro.ot.cot import CotReceiverBatch, CotSenderBatch, verify_cot
 from repro.runtime import CorrelationService, MuxChannel, ServiceTuning
-from repro.runtime.shard import _mint_base_cots, _worker_main
+from repro.runtime.shard import _shard_slices, _worker_main
 
 CFG = FerretConfig.small(scale=1024, arity=4, prg_kind="chacha8")
 
@@ -50,6 +56,14 @@ def base_cot_pair(n, seed):
         lambda ch: base_cot_receive(ch, choices, r_rng),
     )
     return delta, choices, r, y
+
+
+def seed_cot_pair(seed=9):
+    """KAPPA dealt COTs (sender batch, receiver batch) under a fresh Delta."""
+    rng = np.random.default_rng(seed)
+    delta, z = blocks.random_blocks(1, rng), blocks.random_blocks(KAPPA, rng)
+    x = rng.integers(0, 2, KAPPA).astype(np.uint8)
+    return CotSenderBatch(delta, z), CotReceiverBatch(x, blocks.xor(z, blocks.mul_bit(delta, x)))
 
 
 class TestTransposeKernel:
@@ -163,6 +177,81 @@ class TestExtension:
             mux_a.close(), mux_b.close()
 
 
+class TestBootstrappedSeeds:
+    """``seed_cots``: the seed OTs run over KAPPA COTs of another
+    extension, with no public-key operation."""
+
+    @pytest.mark.parametrize("n", [1, KAPPA, KAPPA + 1, 1001])
+    def test_correlation_holds_without_pkc(self, n, pkc_counts):
+        s_rng, r_rng = np.random.default_rng(n), np.random.default_rng(n + 1)
+        delta = blocks.random_blocks(1, s_rng)
+        choices = r_rng.integers(0, 2, n).astype(np.uint8)
+        # The seed offerer (this extension's COT receiver) holds the
+        # sender side of the bootstrap COTs; the Delta-holder chooses.
+        offerer, chooser = seed_cot_pair()
+        r, y, _, _ = run_pair(
+            lambda ch: base_cot_send(ch, n, delta, s_rng, chooser),
+            lambda ch: base_cot_receive(ch, choices, r_rng, offerer),
+        )
+        assert verify_cot(CotSenderBatch(delta, r), CotReceiverBatch(choices, y))
+        assert pkc_counts == {"send": [], "receive": []}
+
+    def test_wrong_number_of_seed_cots_is_refused(self):
+        offerer, _ = seed_cot_pair()
+        short, _ = offerer.split(KAPPA - 1)
+        with pytest.raises(ParameterError, match="seed OTs need 128 COTs, got 127"):
+            base_cot_receive(
+                ScriptedChannel([]), np.zeros(300, np.uint8), np.random.default_rng(0), short
+            )
+
+
+class TestHostileColdStart:
+    """Every frame of a bootstrapped cold start is peer-controlled: a
+    truncated, extended or miscounted one is a ProtocolError at once --
+    never a hang (the script has no frame past the bad one), a numpy
+    error or an allocation sized by the peer's count."""
+
+    N = 300
+
+    def delta_holder(self, inbound):
+        rng = np.random.default_rng(0)
+        _, chooser = seed_cot_pair()
+        return base_cot_send(
+            ScriptedChannel(inbound), self.N, blocks.random_blocks(1, rng), rng, chooser
+        )
+
+    def test_honest_script_is_accepted(self):
+        inbound = [bytes(16 * KAPPA)] * 2 + [self.N.to_bytes(8, "little"), bytes(KAPPA * 38)]
+        assert self.delta_holder(inbound).shape == (self.N, 2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(inbound=WireStrategies.cold_start_inbound(N))
+    def test_delta_holder_refuses_a_bad_frame(self, inbound):
+        with pytest.raises(ProtocolError):
+            self.delta_holder(inbound)
+
+    @settings(max_examples=25, deadline=None)
+    @given(bad=WireStrategies.bad_frames(KAPPA, 1))
+    def test_seed_offerer_refuses_bad_choice_corrections(self, bad):
+        offerer, _ = seed_cot_pair()
+        with pytest.raises(ProtocolError):
+            base_cot_receive(
+                ScriptedChannel([bad]), np.zeros(self.N, np.uint8),
+                np.random.default_rng(0), offerer,
+            )
+
+    def test_a_huge_announced_count_allocates_nothing(self):
+        inbound = [bytes(16 * KAPPA)] * 2 + [(1 << 63).to_bytes(8, "little"), frame(0, 8)]
+        tracemalloc.start()
+        try:
+            with pytest.raises(ProtocolError, match="extends to 9223372036854775808 COTs"):
+                self.delta_holder(inbound)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
 @pytest.fixture
 def pkc_counts(monkeypatch):
     """Sizes of every PKC OT batch run in this process, by role."""
@@ -197,9 +286,10 @@ class TestPkcCounts:
         sees it: parents mint for two shards, shard 1's pair is seeded
         from its slices and extends -- with no PKC of its own."""
         parents = FerretSender(CFG, seed=1), FerretReceiver(CFG, seed=2)
+        need = CFG.base_cots_needed
         slices0, slices1, _, _ = run_pair(
-            lambda ch: _mint_base_cots(parents[0], ch, 2),
-            lambda ch: _mint_base_cots(parents[1], ch, 2),
+            lambda ch: _shard_slices(parents[0].mint_base_cots(ch, copies=2), need, 2),
+            lambda ch: _shard_slices(parents[1].mint_base_cots(ch, copies=2), need, 2),
         )
         assert pkc_counts == {"send": [KAPPA], "receive": [KAPPA]}
         pkc_counts["send"].clear(), pkc_counts["receive"].clear()
@@ -237,32 +327,73 @@ class TestPkcCounts:
         assert verify_cot(CotSenderBatch(parents[0].delta, z), CotReceiverBatch(x, y))
         assert pkc_counts == {"send": [], "receive": []}
 
-    def test_two_shard_start_is_kappa_pkc_ots_per_direction(self, pkc_counts):
-        """Both parents live in this process: each direction is one
-        128-OT batch on its PKC-sender side and one on its PKC-receiver
-        side, whatever the shard count.  (The spawned workers cannot be
-        patched; the test above covers their entry point.)"""
-        base_a, base_b = LocalChannel.pair(timeout=120.0)
-        muxes = MuxChannel(base_a, timeout=120.0), MuxChannel(base_b, timeout=120.0)
-        tuning = ServiceTuning(shards=2)
-        services = [
-            CorrelationService(party, muxes[party], CFG, tuning, seed=0x5AD1).start()
-            for party in (0, 1)
-        ]
-        try:
-            for svc in services:
-                svc.wait_ready(120.0)
-            assert pkc_counts == {"send": [KAPPA] * 2, "receive": [KAPPA] * 2}
-            n = CFG.net_output + 10  # crosses a shard batch boundary
-            s, r = run_concurrently(
-                lambda: services[0].session("c").draw([("cot/fwd", (), n)])[0][0],
-                lambda: services[1].session("c").draw([("cot/fwd", (), n)])[0][0],
-                timeout=120.0,
-            )
-            assert verify_cot(s, r)
-            assert pkc_counts == {"send": [KAPPA] * 2, "receive": [KAPPA] * 2}
-        finally:
-            for svc in services:
-                svc.stop()
-            for mux in muxes:
-                mux.close()
+    def test_service_pair_is_one_kappa_pkc_batch_per_side(self, pkc_counts):
+        """Both directions of an unsharded pair: the forward mint is the
+        only PKC run, and both directions' first extends correlate."""
+        with service_pair(ServiceTuning(), seed=0x5AD0) as services:
+            assert pkc_counts == {"send": [KAPPA], "receive": [KAPPA]}
+            verify_first_extends(services, CFG.net_output)
+        assert pkc_counts == {"send": [KAPPA], "receive": [KAPPA]}
+
+    def test_forward_only_pair_mints_no_spare_cots(self, pkc_counts, monkeypatch):
+        """``enable_reverse=False``: exactly ``base_cots_needed`` forward
+        COTs, one PKC batch, no bootstrap OTs."""
+        sizes = []
+        for name, size in (
+            ("base_cot_send", lambda a: a[1]), ("base_cot_receive", lambda a: len(a[1]))
+        ):
+            def counted(*args, _real=getattr(protocol, name), _size=size):
+                sizes.append(_size(args))
+                return _real(*args)
+
+            monkeypatch.setattr(protocol, name, counted)
+        with service_pair(ServiceTuning(enable_reverse=False), seed=0x5AD2) as services:
+            assert sizes == [CFG.base_cots_needed] * 2
+            assert pkc_counts == {"send": [KAPPA], "receive": [KAPPA]}
+            verify_first_extends(services, CFG.net_output, directions=("fwd",))
+
+    def test_two_shard_start_is_one_kappa_pkc_batch_per_pair(self, pkc_counts):
+        """Both parents live in this process: the pair's start is one
+        128-OT batch on the PKC-sender side and one on the PKC-receiver
+        side, whatever the shard count, and the reverse direction's
+        seeds come from the forward mint.  (The spawned workers cannot
+        be patched; the test above covers their entry point.)"""
+        with service_pair(ServiceTuning(shards=2), seed=0x5AD1) as services:
+            assert pkc_counts == {"send": [KAPPA], "receive": [KAPPA]}
+            # Each direction crosses a shard batch boundary.
+            verify_first_extends(services, CFG.net_output + 10)
+            assert pkc_counts == {"send": [KAPPA], "receive": [KAPPA]}
+
+
+@contextlib.contextmanager
+def service_pair(tuning, seed):
+    """A started, ready CorrelationService pair in this process."""
+    base_a, base_b = LocalChannel.pair(timeout=120.0)
+    muxes = MuxChannel(base_a, timeout=120.0), MuxChannel(base_b, timeout=120.0)
+    services = [
+        CorrelationService(party, muxes[party], CFG, tuning, seed=seed).start()
+        for party in (0, 1)
+    ]
+    try:
+        for svc in services:
+            svc.wait_ready(120.0)
+        yield services
+    finally:
+        for svc in services:
+            svc.stop()
+        for mux in muxes:
+            mux.close()
+
+
+def verify_first_extends(services, n, directions=("fwd", "rev")):
+    """Draw ``n`` COTs of each direction on both parties and check the
+    correlation (party 0 sends forward, party 1 in reverse)."""
+    for direction in directions:
+        kind = f"cot/{direction}"
+        got = run_concurrently(
+            lambda: services[0].session(kind).draw([(kind, (), n)])[0][0],
+            lambda: services[1].session(kind).draw([(kind, (), n)])[0][0],
+            timeout=120.0,
+        )
+        sender, receiver = got if direction == "fwd" else got[::-1]
+        assert verify_cot(sender, receiver), direction

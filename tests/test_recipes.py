@@ -16,6 +16,7 @@ import pytest
 
 from repro.crypto import blocks
 from repro.ferret.config import FerretConfig
+from repro.fingerprint import PROTOCOL
 from repro.mpc.matmul import matmul_draws
 from repro.mpc.maxpool import max_draws
 from repro.mpc.relu import relu_draws
@@ -88,6 +89,9 @@ def service_pair(tuning):
 #: carry ``n`` 0 and no offsets (the struct frame sent two zeros), TRI
 #: its count and two offsets, MTRI its key, ``n`` 1 (the struct frame
 #: left it implicit) and one offset.  Nothing else moved.
+#: Since the protocol fingerprint, the leader's first frame is its
+#: ``hello``; it is checked on its own and the digests still cover the
+#: command stream after it, unchanged.
 GOLDEN = {
     "watermarks": (
         dict(triple_chunk=96),
@@ -130,6 +134,7 @@ def test_command_stream_matches_golden_transcript(case):
         follower.stop()
         for mux in muxes:
             mux.close()
+    assert decode_msg(frames.pop(0), CONTROL) == {"op": "hello", "protocol": PROTOCOL}
     sha = hashlib.sha256()
     for frame in frames:
         sha.update(struct.pack("<I", len(frame)))
