@@ -1,14 +1,15 @@
-"""Schnorr group arithmetic for the PKC base OTs.
+"""Schnorr group arithmetic and element format for the PKC base OTs.
 
 PCG-style OTE needs a handful of public-key base OTs in its one-time
 initialization (the "Init" bar in Figure 1(b)).  We implement the
-group layer from scratch: a safe-prime multiplicative group (the RFC
-2409 Oakley Group 1 768-bit prime by default, whose subgroup of
-quadratic residues has prime order) plus exponentiation helpers.
+group layer from scratch: the subgroup of quadratic residues modulo
+the RFC 2409 Oakley Group 1 768-bit safe prime (prime order q), plus
+exponentiation helpers and the one wire format of an element
+(:meth:`SchnorrGroup.encode` / :meth:`SchnorrGroup.decode`).
 
 768 bits is *not* a production-strength modulus; it keeps the
 pure-Python base OT fast while exercising exactly the real protocol
-flow.  The 2048-bit RFC 3526 group is included for realism.
+flow.  :data:`DEFAULT_GROUP` is the only group the base OTs use.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import secrets
 
-from repro.errors import ParameterError
+from repro.errors import ParameterError, ProtocolError
 
 #: RFC 2409 Oakley Group 1: 768-bit safe prime, generator 2.
 OAKLEY_768_P = int(
@@ -25,20 +26,6 @@ OAKLEY_768_P = int(
     "4FE1356D6D51C245E485B576625E7EC6F44C42E9A63A3620FFFFFFFFFFFFFFFF",
     16,
 )
-
-#: RFC 3526 group 14: 2048-bit safe prime, generator 2.
-MODP_2048_P = int(
-    "FFFFFFFFFFFFFFFFC90FDAA22168C234C4C6628B80DC1CD129024E088A67CC74"
-    "020BBEA63B139B22514A08798E3404DDEF9519B3CD3A431B302B0A6DF25F1437"
-    "4FE1356D6D51C245E485B576625E7EC6F44C42E9A637ED6B0BFF5CB6F406B7ED"
-    "EE386BFB5A899FA5AE9F24117C4B1FE649286651ECE45B3DC2007CB8A163BF05"
-    "98DA48361C55D39A69163FA8FD24CF5F83655D23DCA3AD961C62F356208552BB"
-    "9ED529077096966D670C354E4ABC9804F1746C08CA18217C32905E462E36CE3B"
-    "E39E772C180E86039B2783A2EC07A28FB5C55DF06F4C52C9DE2BCBF695581718"
-    "3995497CEA956AE515D2261898FA051015728E5A8AACAA68FFFFFFFFFFFFFFFF",
-    16,
-)
-
 
 class FixedBaseExp:
     """Windowed fixed-base modular exponentiation.
@@ -95,6 +82,8 @@ class SchnorrGroup:
         self.q = (p - 1) // 2
         # Square the generator so it lands in the QR subgroup of order q.
         self.g = pow(g, 2, p)
+        #: Wire bytes of one element.
+        self.width = (p.bit_length() + 7) // 8
         self._g_table = None  # fixed-base table, built on first gexp()
 
     def random_scalar(self) -> int:
@@ -131,13 +120,32 @@ class SchnorrGroup:
 
     def element_bytes(self, a: int) -> bytes:
         """Fixed-width big-endian encoding of a group element."""
-        width = (self.p.bit_length() + 7) // 8
-        return a.to_bytes(width, "big")
+        return a.to_bytes(self.width, "big")
+
+    def encode(self, elements) -> bytes:
+        """The wire format of ``elements``: :attr:`width` big-endian bytes
+        each, concatenated."""
+        return b"".join(map(self.element_bytes, elements))
+
+    def decode(self, data: bytes, n: int) -> list:
+        """The ``n`` elements :meth:`encode` made ``data`` from.  A wrong
+        length, or a degenerate element (outside ``1 < x < p - 1``, the
+        values that would pin a pad), is a :class:`ProtocolError`."""
+        width = self.width
+        if len(data) != n * width:
+            raise ProtocolError(
+                f"{n} group elements must be {n * width} bytes, got {len(data)}"
+            )
+        out = [int.from_bytes(data[i : i + width], "big") for i in range(0, n * width, width)]
+        for i, x in enumerate(out):
+            if not 1 < x < self.p - 1:
+                raise ProtocolError(f"group element {i} of {n} is degenerate")
+        return out
 
     def hash_to_key(self, element: int, tweak: bytes = b"") -> bytes:
         """Derive a 16-byte symmetric key from a group element (KDF)."""
         return hashlib.sha256(self.element_bytes(element) + tweak).digest()[:16]
 
 
-#: Default group used by the base OT (fast enough for pure Python).
+#: The group of every base OT (fast enough for pure Python).
 DEFAULT_GROUP = SchnorrGroup()

@@ -2,25 +2,30 @@
 
 One protocol instance lives through three phases (Section 2.3):
 
-1. **setup** -- runs once: kappa = 128 seed OTs plus an IKNP-style
-   COT extension (:mod:`repro.ot.base_ot`) create ``k + c`` genuine COT
-   correlations (``k`` feeding LPN, ``c`` feeding SPCOT's per-level
-   OTs).  This is the "Init" bar of Figure 1(b).  The seed OTs are PKC
-   unless ``mint_base_cots`` is handed ``seed_cots``, kappa COTs of an
-   extension already running the other way (a service's reverse
-   direction takes them from its forward mint, which asks for them as
-   ``spare`` rows).  A party that already holds base correlations (a
-   shard worker given its slice of the parent's) loads them with
-   ``seed_base_cots`` and runs no OT at all.
+1. **setup** -- runs once: ``mint_base_cots(channel, n)`` creates ``n``
+   genuine COT correlations with kappa = 128 seed OTs plus an
+   IKNP-style COT extension (:mod:`repro.ot.base_ot`), and
+   ``seed_base_cots`` carves the first ``k + c`` of them into the first
+   iteration's state (``k`` feeding LPN, ``c`` feeding SPCOT's
+   per-level OTs).  This is the "Init" bar of Figure 1(b).  The seed
+   OTs are PKC unless ``mint_base_cots`` is handed ``seed_cots``, kappa
+   COTs of an extension already running the other way (a service's
+   reverse direction takes them from its forward mint).  A party that
+   already holds base correlations (a shard worker given its slice of
+   the parent's) loads them with ``seed_base_cots`` and runs no OT at
+   all.
 2. **extend** -- repeatable: an interactive multi-point SPCOT produces
    ``w = v XOR u*Delta`` over n points, then both parties *locally*
    LPN-encode, stretching k correlations into n.  The first
-   ``k + c`` fresh correlations are reserved to bootstrap the next
-   iteration; the rest are the protocol's output.
+   ``k + c`` fresh correlations are carved, by the same
+   ``seed_base_cots``, into the next iteration's state; the rest are
+   the protocol's output.
 3. Outputs can be converted to standard OTs via
    :mod:`repro.ot.ot_from_cot` (Figure 2).
 
-Sender and receiver are symmetric classes speaking over a
+Sender and receiver share one endpoint lifecycle (setup, carving,
+snapshot / restore, :class:`ExtendStats`); each role adds only its mint
+call and its protocol body.  They speak over a
 :class:`repro.ot.channel.Channel`; :func:`ferret_pair` wires two of
 them together in threads for tests and examples.
 """
@@ -57,26 +62,6 @@ class ExtendStats:
     rounds: int
 
 
-def _stream_state(ep) -> dict:
-    """The mid-stream state both endpoints share: the rng, the SPCOT
-    base-COT pool and its cursor, the iteration count."""
-    pool = ep._spcot_pool
-    return {
-        "rng": ep.rng.bit_generator.state,
-        "spcot_pool": pool,
-        "spcot_cursor": None if pool is None else pool._cursor,
-        "iterations": ep.iterations,
-    }
-
-
-def _restore_stream_state(ep, snap: dict) -> None:
-    ep.rng.bit_generator.state = snap["rng"]
-    ep._spcot_pool = snap["spcot_pool"]
-    if ep._spcot_pool is not None:
-        ep._spcot_pool._cursor = snap["spcot_cursor"]
-    ep.iterations = snap["iterations"]
-
-
 def _require_base_cots(config: FerretConfig, *columns: np.ndarray) -> None:
     for column in columns:
         if column.shape[0] != config.base_cots_needed:
@@ -86,46 +71,37 @@ def _require_base_cots(config: FerretConfig, *columns: np.ndarray) -> None:
             )
 
 
-class FerretSender:
-    """The COT sender: holds the global Delta."""
+class _Endpoint:
+    """What both roles share: the rng, PRG and LPN matrix, the carving of
+    base COTs into an iteration's state, snapshot / restore and the
+    per-extend accounting.  A role's base COTs are a tuple of columns
+    (the sender's ``(r,)``, the receiver's ``(bits, y)``); it supplies
+    :meth:`mint_base_cots`, :meth:`_batch` and :meth:`_iterate`."""
 
-    def __init__(self, config: FerretConfig, seed: int = 1):
+    def __init__(self, config: FerretConfig, seed: int):
         self.config = config
         self.rng = np.random.default_rng(seed)
-        self.delta = blocks.random_blocks(1, self.rng)
         self.prg = config.make_prg()
         self.matrix = generate_matrix(
             config.params.n, config.params.k, config.matrix_seed
         )
-        self._lpn_r = None  # (k, 2) blocks feeding the next LPN encode
+        self._lpn = None  # columns of k COTs feeding the next LPN encode
         self._spcot_pool = None  # CotPool for SPCOT per-level OTs
         self.iterations = 0
         self.last_stats = None
 
     def setup(self, channel: Channel) -> None:
         """One-time init: mint the first iteration's base COTs."""
-        self.seed_base_cots(*self.mint_base_cots(channel))
+        self.seed_base_cots(*self.mint_base_cots(channel, self.config.base_cots_needed))
 
-    def mint_base_cots(
-        self, channel: Channel, copies: int = 1, spare: int = 0, seed_cots=None
-    ) -> tuple:
-        """Run the base-COT protocol under ``self.delta`` for ``copies``
-        first iterations at once; returns ``(r,)``, whose consecutive
-        ``base_cots_needed``-row slices each fit :meth:`seed_base_cots`,
-        followed by ``spare`` more rows.  ``seed_cots`` (``KAPPA``
-        receiver COTs of the peer's extension) replace the PKC seed OTs."""
-        need = copies * self.config.base_cots_needed + spare
-        return (base_cot_send(channel, need, self.delta, self.rng, seed_cots),)
-
-    def seed_base_cots(self, r: np.ndarray) -> None:
-        """Load ``base_cots_needed`` sender COTs under ``self.delta`` as
-        the first iteration's state (what :meth:`setup` mints itself)."""
+    def seed_base_cots(self, *columns: np.ndarray) -> None:
+        """Load ``base_cots_needed`` COTs of this role as the next
+        iteration's state: the first ``k`` feed LPN, the rest SPCOT."""
         cfg = self.config
-        _require_base_cots(cfg, r)
-        self._lpn_r = r[: cfg.params.k]
-        self._spcot_pool = CotPool(
-            sender=CotSenderBatch(self.delta, r[cfg.params.k :])
-        )
+        _require_base_cots(cfg, *columns)
+        k = cfg.params.k
+        self._lpn = tuple(column[:k] for column in columns)
+        self._spcot_pool = CotPool.of(self._batch(*(column[k:] for column in columns)))
 
     def snapshot(self) -> dict:
         """This endpoint's mutable mid-stream state.  ``extend`` is
@@ -133,21 +109,63 @@ class FerretSender:
         cursor and the LPN seeds it swaps at the end, so restoring a
         snapshot makes a retried extend bit-compatible with the peer's
         fresh run."""
-        return {**_stream_state(self), "lpn_r": self._lpn_r}
+        pool = self._spcot_pool
+        return {
+            "rng": self.rng.bit_generator.state,
+            "lpn": self._lpn,
+            "spcot_pool": pool,
+            "spcot_cursor": None if pool is None else pool._cursor,
+            "iterations": self.iterations,
+        }
 
     def restore(self, snap: dict) -> None:
         """Roll back to a :meth:`snapshot`."""
-        _restore_stream_state(self, snap)
-        self._lpn_r = snap["lpn_r"]
+        self.rng.bit_generator.state = snap["rng"]
+        self._lpn = snap["lpn"]
+        self._spcot_pool = snap["spcot_pool"]
+        if self._spcot_pool is not None:
+            self._spcot_pool._cursor = snap["spcot_cursor"]
+        self.iterations = snap["iterations"]
 
-    def extend(self, channel: Channel) -> CotSenderBatch:
-        """One OTE iteration; returns the net-new sender correlations."""
-        if self._lpn_r is None:
+    def extend(self, channel: Channel):
+        """One OTE iteration; returns the net-new correlations."""
+        if self._lpn is None:
             raise ProtocolError("setup() must run before extend()")
         cfg = self.config
         prev_calls = self.prg.total_calls
         prev_bytes = channel.stats.bytes_sent
         prev_rounds = channel.stats.rounds
+        columns = self._iterate(channel)
+        reserve = cfg.base_cots_needed
+        self.seed_base_cots(*(column[:reserve].copy() for column in columns))
+        self.iterations += 1
+        self.last_stats = ExtendStats(
+            n_output=cfg.params.n - reserve,
+            prg_calls=self.prg.total_calls - prev_calls,
+            bytes_sent=channel.stats.bytes_sent - prev_bytes,
+            rounds=channel.stats.rounds - prev_rounds,
+        )
+        return self._batch(*(column[reserve:] for column in columns))
+
+
+class FerretSender(_Endpoint):
+    """The COT sender: holds the global Delta."""
+
+    def __init__(self, config: FerretConfig, seed: int = 1):
+        super().__init__(config, seed)
+        self.delta = blocks.random_blocks(1, self.rng)
+
+    def mint_base_cots(self, channel: Channel, n: int, seed_cots=None) -> tuple:
+        """Run the base-COT protocol under ``self.delta`` for ``n`` COTs;
+        returns ``(r,)``.  ``seed_cots`` (``KAPPA`` receiver COTs of the
+        peer's extension) replace the PKC seed OTs."""
+        return (base_cot_send(channel, n, self.delta, seed_cots),)
+
+    def _batch(self, r: np.ndarray) -> CotSenderBatch:
+        return CotSenderBatch(self.delta, r)
+
+    def _iterate(self, channel: Channel) -> tuple:
+        cfg = self.config
         w = mpcot_send(
             channel,
             self._spcot_pool,
@@ -157,79 +175,25 @@ class FerretSender:
             cfg.params.t,
             self.rng,
         )
-        z = encode_blocks(self.matrix, self._lpn_r, w)
-        reserve = cfg.base_cots_needed
-        self._lpn_r = z[: cfg.params.k].copy()
-        self._spcot_pool = CotPool(
-            sender=CotSenderBatch(self.delta, z[cfg.params.k : reserve].copy())
-        )
-        self.iterations += 1
-        self.last_stats = ExtendStats(
-            n_output=cfg.params.n - reserve,
-            prg_calls=self.prg.total_calls - prev_calls,
-            bytes_sent=channel.stats.bytes_sent - prev_bytes,
-            rounds=channel.stats.rounds - prev_rounds,
-        )
-        return CotSenderBatch(self.delta, z[reserve:])
+        return (encode_blocks(self.matrix, self._lpn[0], w),)
 
 
-class FerretReceiver:
+class FerretReceiver(_Endpoint):
     """The COT receiver: ends up with choice bits x and blocks y."""
 
     def __init__(self, config: FerretConfig, seed: int = 2):
-        self.config = config
-        self.rng = np.random.default_rng(seed)
-        self.prg = config.make_prg()
-        self.matrix = generate_matrix(
-            config.params.n, config.params.k, config.matrix_seed
-        )
-        self._lpn_e = None  # (k,) choice bits
-        self._lpn_s = None  # (k, 2) blocks
-        self._spcot_pool = None
-        self.iterations = 0
-        self.last_stats = None
+        super().__init__(config, seed)
 
-    def setup(self, channel: Channel) -> None:
-        """One-time init, mirror of the sender's."""
-        self.seed_base_cots(*self.mint_base_cots(channel))
-
-    def mint_base_cots(
-        self, channel: Channel, copies: int = 1, spare: int = 0, seed_cots=None
-    ) -> tuple:
+    def mint_base_cots(self, channel: Channel, n: int, seed_cots=None) -> tuple:
         """Mirror of the sender's (``seed_cots``: ``KAPPA`` sender COTs of
         this party's extension to the peer); returns ``(bits, y)``."""
-        need = copies * self.config.base_cots_needed + spare
-        bits = self.rng.integers(0, 2, need).astype(np.uint8)
+        bits = self.rng.integers(0, 2, n).astype(np.uint8)
         return bits, base_cot_receive(channel, bits, self.rng, seed_cots)
 
-    def seed_base_cots(self, bits: np.ndarray, y: np.ndarray) -> None:
-        """Load ``base_cots_needed`` receiver COTs ``(bits, y)`` as the
-        first iteration's state (what :meth:`setup` mints itself)."""
+    _batch = CotReceiverBatch
+
+    def _iterate(self, channel: Channel) -> tuple:
         cfg = self.config
-        _require_base_cots(cfg, bits, y)
-        self._lpn_e = bits[: cfg.params.k]
-        self._lpn_s = y[: cfg.params.k]
-        self._spcot_pool = CotPool(
-            receiver=CotReceiverBatch(bits[cfg.params.k :], y[cfg.params.k :])
-        )
-
-    def snapshot(self) -> dict:
-        """Mirror of :meth:`FerretSender.snapshot`."""
-        return {**_stream_state(self), "lpn_e": self._lpn_e, "lpn_s": self._lpn_s}
-
-    def restore(self, snap: dict) -> None:
-        """Roll back to a :meth:`snapshot`."""
-        _restore_stream_state(self, snap)
-        self._lpn_e, self._lpn_s = snap["lpn_e"], snap["lpn_s"]
-
-    def extend(self, channel: Channel) -> CotReceiverBatch:
-        """One OTE iteration; returns the net-new receiver correlations."""
-        if self._lpn_e is None:
-            raise ProtocolError("setup() must run before extend()")
-        cfg = self.config
-        prev_calls = self.prg.total_calls
-        prev_bytes = channel.stats.bytes_sent
-        prev_rounds = channel.stats.rounds
         alphas = sample_alphas(cfg.params.n, cfg.params.t, self.rng)
         u, v = mpcot_receive(
             channel,
@@ -239,24 +203,8 @@ class FerretReceiver:
             cfg.params.n,
             cfg.params.t,
         )
-        x = encode_bits(self.matrix, self._lpn_e, u)
-        y = encode_blocks(self.matrix, self._lpn_s, v)
-        reserve = cfg.base_cots_needed
-        self._lpn_e = x[: cfg.params.k].copy()
-        self._lpn_s = y[: cfg.params.k].copy()
-        self._spcot_pool = CotPool(
-            receiver=CotReceiverBatch(
-                x[cfg.params.k : reserve].copy(), y[cfg.params.k : reserve].copy()
-            )
-        )
-        self.iterations += 1
-        self.last_stats = ExtendStats(
-            n_output=cfg.params.n - reserve,
-            prg_calls=self.prg.total_calls - prev_calls,
-            bytes_sent=channel.stats.bytes_sent - prev_bytes,
-            rounds=channel.stats.rounds - prev_rounds,
-        )
-        return CotReceiverBatch(x[reserve:], y[reserve:])
+        lpn_e, lpn_s = self._lpn
+        return encode_bits(self.matrix, lpn_e, u), encode_blocks(self.matrix, lpn_s, v)
 
 
 def ferret_pair(config: FerretConfig, rounds: int = 1, seed: int = 7) -> tuple:

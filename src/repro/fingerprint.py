@@ -29,7 +29,7 @@ from repro.ot.channel import lanes_bytes
 from repro.spcot.protocol import _LEVEL_TWEAK_STRIDE, _MASK_TWEAK_OFFSET
 
 #: Wire version of the protocol stack.
-VERSION = 1
+VERSION = 2
 
 #: Every declared constant a pad or a frame size depends on.  The lane
 #: rule is the byte length of a 9-lane frame at each width: the 1-bit

@@ -5,7 +5,7 @@ Two complementary surfaces, both disabled-by-default on the hot path:
 * :mod:`repro.obs.metrics` -- a lock-cheap :class:`MetricsRegistry`
   unifying the runtime's stats classes (pool levels, per-tag mux
   bytes, ferret extends, retry/degraded/journal accounting) into one
-  coherent ``service.telemetry()`` snapshot with delta support.
+  coherent ``service.telemetry()`` snapshot.
 * :mod:`repro.obs.trace` -- a :class:`Tracer` recording structured
   spans and instant events (prefill layers, online compute, pool
   stalls, production commands, redials, resync barriers, heartbeats)
@@ -14,7 +14,7 @@ Two complementary surfaces, both disabled-by-default on the hot path:
   tables by ``python -m repro.obs.report``.
 """
 
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
 from repro.obs.export import (
     chrome_trace,
@@ -23,8 +23,6 @@ from repro.obs.export import (
 )
 
 __all__ = [
-    "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "NULL_TRACER",

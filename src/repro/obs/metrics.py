@@ -1,24 +1,22 @@
-"""Unified metrics registry: counters, gauges, histograms, collectors.
+"""Unified metrics registry: histograms and collectors.
 
 The runtime grew six disjoint stats surfaces (``PoolStats``,
 ``ExtendStats``, ``ChannelStats``, ``FaultStats``, ``stats_by_tag``,
 ``session_draws``); this module gives them one read side.  Two kinds of
 sources register here:
 
-* **Instruments** (:class:`Counter` / :class:`Gauge` /
-  :class:`Histogram`) own their storage and are written directly by
-  instrumented code -- e.g. the per-pool stall-duration histogram the
-  service feeds from ``CorrelationPool.stall_observer``.
+* **Histograms** (:class:`Histogram`) own their storage and are written
+  directly by instrumented code -- the per-pool stall-duration
+  histogram the service feeds from ``CorrelationPool.stall_observer``.
 * **Collectors** are ``(prefix, fn)`` callbacks returning a flat
   ``name -> value`` dict read at snapshot time.  The existing stats
   classes stay the storage (their hot paths are untouched); the
   service registers one collector per surface, so
   ``service.telemetry()`` is a single :meth:`MetricsRegistry.snapshot`.
 
-Lock discipline: the registry lock guards only registration and the
-delta baseline.  Instrument updates take one tiny per-instrument lock
-(counter bumps, histogram observes); collector reads take none -- they
-read monotonic ints the GIL already keeps coherent.
+Lock discipline: the registry lock guards only registration.  A
+histogram observe takes one tiny per-histogram lock; collector reads
+take none -- they read monotonic ints the GIL already keeps coherent.
 """
 
 from __future__ import annotations
@@ -31,45 +29,6 @@ import threading
 DEFAULT_STALL_BUCKETS_MS = (1.0, 5.0, 20.0, 100.0, 500.0, 2000.0)
 
 
-class Counter:
-    """A monotonically increasing count."""
-
-    __slots__ = ("name", "_lock", "_value")
-
-    def __init__(self, name: str):
-        self.name = name
-        self._lock = threading.Lock()
-        self._value = 0
-
-    def inc(self, n: int = 1) -> None:
-        with self._lock:
-            self._value += n
-
-    @property
-    def value(self):
-        return self._value
-
-
-class Gauge:
-    """A point-in-time value: set directly or backed by a callable."""
-
-    __slots__ = ("name", "fn", "_value")
-
-    def __init__(self, name: str, fn=None):
-        self.name = name
-        self.fn = fn
-        self._value = 0
-
-    def set(self, value) -> None:
-        self._value = value
-
-    @property
-    def value(self):
-        if self.fn is not None:
-            return self.fn()
-        return self._value
-
-
 class Histogram:
     """Fixed-bucket histogram with inclusive upper bounds.
 
@@ -77,8 +36,7 @@ class Histogram:
     (prometheus-style edges: observing exactly a bound counts into that
     bound's bucket); anything past the last bound lands in the implicit
     ``inf`` bucket.  ``value`` flattens to a numeric dict (``count``,
-    ``sum``, one ``le_<bound>`` per bucket) so snapshot deltas work on
-    histograms like on any other number.
+    ``sum``, one ``le_<bound>`` per bucket).
     """
 
     __slots__ = ("name", "bounds", "_lock", "_counts", "_count", "_sum")
@@ -104,11 +62,6 @@ class Histogram:
             self._count += 1
             self._sum += v
 
-    def bucket_counts(self) -> list:
-        """Per-bucket counts, last entry being the overflow bucket."""
-        with self._lock:
-            return list(self._counts)
-
     @property
     def value(self) -> dict:
         with self._lock:
@@ -119,49 +72,20 @@ class Histogram:
         return out
 
 
-def _delta(cur, prev):
-    """Numeric difference, recursing into dicts (histogram values)."""
-    if isinstance(cur, dict):
-        prev = prev if isinstance(prev, dict) else {}
-        return {k: _delta(v, prev.get(k, 0)) for k, v in cur.items()}
-    if isinstance(cur, (int, float)) and isinstance(prev, (int, float)):
-        return cur - prev
-    return cur
-
-
 class MetricsRegistry:
-    """One read surface over instruments and collector callbacks."""
+    """One read surface over histograms and collector callbacks."""
 
     def __init__(self):
         self._lock = threading.Lock()
-        self._instruments: dict = {}
+        self._histograms: dict = {}
         self._collectors: list = []  # (prefix, fn)
-        self._last: dict = None
-
-    def _instrument(self, name: str, cls, *args, **kwargs):
-        with self._lock:
-            inst = self._instruments.get(name)
-            if inst is None:
-                inst = cls(name, *args, **kwargs)
-                self._instruments[name] = inst
-            elif not isinstance(inst, cls):
-                raise TypeError(
-                    f"metric {name!r} already registered as "
-                    f"{type(inst).__name__}, not {cls.__name__}"
-                )
-            return inst
-
-    def counter(self, name: str) -> Counter:
-        return self._instrument(name, Counter)
-
-    def gauge(self, name: str, fn=None) -> Gauge:
-        gauge = self._instrument(name, Gauge)
-        if fn is not None:
-            gauge.fn = fn
-        return gauge
 
     def histogram(self, name: str, bounds=DEFAULT_STALL_BUCKETS_MS) -> Histogram:
-        return self._instrument(name, Histogram, bounds)
+        """The histogram registered as ``name``, created on first use."""
+        with self._lock:
+            if name not in self._histograms:
+                self._histograms[name] = Histogram(name, bounds)
+            return self._histograms[name]
 
     def add_collector(self, prefix: str, fn) -> None:
         """Register a callback returning a flat ``name -> value`` dict;
@@ -172,26 +96,12 @@ class MetricsRegistry:
     def snapshot(self) -> dict:
         """One coherent ``name -> value`` view of every source."""
         with self._lock:
-            instruments = list(self._instruments.values())
+            histograms = list(self._histograms.values())
             collectors = list(self._collectors)
         out = {}
-        for inst in instruments:
-            out[inst.name] = inst.value
+        for hist in histograms:
+            out[hist.name] = hist.value
         for prefix, fn in collectors:
             for key, value in fn().items():
                 out[f"{prefix}/{key}"] = value
         return out
-
-    def snapshot_delta(self) -> dict:
-        """Changes since the previous :meth:`snapshot_delta` call.
-
-        Numeric values (and histogram dicts) are differenced against
-        the last delta baseline; the first call baselines against zero,
-        so it returns the full current values.  Plain :meth:`snapshot`
-        never moves the baseline.
-        """
-        cur = self.snapshot()
-        with self._lock:
-            prev = self._last or {}
-            self._last = cur
-        return {name: _delta(value, prev.get(name, 0)) for name, value in cur.items()}

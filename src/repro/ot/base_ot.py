@@ -5,28 +5,29 @@ genuine COT correlations before its own extension can run.  Public-key
 OTs cost modular exponentiations, so -- as Ferret and EMP do -- only
 ``KAPPA = 128`` of them are ever run per service pair, whatever ``n``
 is, and a semi-honest IKNP-style COT extension [IKNP03] stretches those
-to ``n``:
+to any ``n >= 1``:
 
 1. **Seed OTs, reversed.**  The Delta-holder (the COT *sender*) is the
    seed-OT *receiver*; its 128 choice bits are the bits of Delta.  The
    COT receiver offers 128 random seed pairs ``(k_i^0, k_i^1)`` and the
    Delta-holder learns ``k_i^{Delta_i}``.  The first direction of a
    pair runs them as PKC: the simplest-OT flavour of Chou-Orlandi over
-   a Schnorr group (one group element from the sender, one per choice
-   from the receiver, hashed Diffie-Hellman values as one-time pads).
-   A caller that already holds ``KAPPA`` COTs of another extension in
-   which the seed offerer is the COT sender passes them as
-   ``seed_cots``: the seed OTs are then derandomized OTs over those
-   COTs (:mod:`repro.ot.ot_from_cot`, tweaks from
-   :data:`BOOTSTRAP_TWEAK`) and no public-key operation runs.  That is
-   how a service's reverse direction bootstraps from its forward one.
+   :data:`~repro.crypto.group.DEFAULT_GROUP` (one group element from
+   the sender, one per choice from the receiver, hashed Diffie-Hellman
+   values as one-time pads).  A caller that already holds ``KAPPA``
+   COTs of another extension in which the seed offerer is the COT
+   sender passes them as ``seed_cots``: the seed OTs are then
+   derandomized OTs over those COTs (:mod:`repro.ot.ot_from_cot`,
+   tweaks from :data:`BOOTSTRAP_TWEAK`) and no public-key operation
+   runs.  That is how a service's reverse direction bootstraps from its
+   forward one.
 2. **Expand.**  One batched ChaCha8 call turns every seed into an
    n-bit row: the COT receiver holds ``t_i^0, t_i^1``, the Delta-holder
    ``t_i^{Delta_i}``.
-3. **Correct.**  The COT receiver sends the 128 x ceil(n/8)-byte
-   matrix ``u_i = t_i^0 XOR t_i^1 XOR x`` (``x`` its n choice bits);
-   the Delta-holder folds ``Delta_i * u_i`` into its rows, leaving
-   ``q_i = t_i^0 XOR Delta_i * x``.
+3. **Correct.**  The COT receiver sends ``n`` and the 128 x ceil(n/8)
+   matrix ``u_i = t_i^0 XOR t_i^1 XOR x`` (``x`` its n choice bits) as
+   one frame of 8-bit lanes; the Delta-holder folds ``Delta_i * u_i``
+   into its rows, leaving ``q_i = t_i^0 XOR Delta_i * x``.
 4. **Transpose** (:func:`repro.crypto.kernels.transpose_128`).  Column
    ``j`` of the two 128 x n matrices is ``q_j = t_j XOR x_j * Delta``:
    the sender's block ``r_j = q_j`` and the receiver's ``y_j = t_j``
@@ -34,12 +35,16 @@ to ``n``:
 
 This is the "Init" bar of the paper's Figure 1(b): a fixed ~0.3 s of
 PKC plus a per-COT cost of a few nanoseconds, instead of ~5 ms of
-modexps per COT.  ``n <= KAPPA`` without ``seed_cots`` has nothing to
-extend and runs the PKC OTs directly on ``(r, r XOR Delta)``.
+modexps per COT.
 
 :func:`base_ot_send` / :func:`base_ot_receive` are the chosen-message
-PKC OTs on their own: two messages from the sender, one element blob
-from the receiver, O(1) round trips for any ``n``.
+PKC OTs on their own: an ``n`` header and one element from the sender,
+one element blob from the receiver, one payload of ``2n`` blocks --
+O(1) round trips for any ``n``.  Every frame goes through the channel
+codec at a declared shape (elements as 8-bit lanes in the group's
+:meth:`~repro.crypto.group.SchnorrGroup.encode` format), so
+:func:`~repro.ot.channel.lanes_bytes` is the byte model of the whole
+cold start.
 """
 
 from __future__ import annotations
@@ -47,7 +52,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.crypto import blocks
-from repro.crypto.group import DEFAULT_GROUP, SchnorrGroup
+from repro.crypto.group import DEFAULT_GROUP
 from repro.crypto.kernels import transpose_128
 from repro.crypto.prg import stream_expand
 from repro.errors import ParameterError, ProtocolError
@@ -66,18 +71,26 @@ KAPPA = 128
 BOOTSTRAP_TWEAK = 1 << 62
 
 
-def _pad(group: SchnorrGroup, dh_value: int, choice: int, index: int) -> bytes:
+def _pad(dh_value: int, choice: int, index: int) -> bytes:
     """One-time pad for message ``choice`` of OT ``index``: the KDF output
     itself, with both folded into the tweak."""
-    return group.hash_to_key(dh_value, b"|%d|%d" % (choice, index))
+    return DEFAULT_GROUP.hash_to_key(dh_value, b"|%d|%d" % (choice, index))
 
 
-def base_ot_send(
-    channel: Channel,
-    messages0: np.ndarray,
-    messages1: np.ndarray,
-    group: SchnorrGroup = DEFAULT_GROUP,
-) -> None:
+def _send_elements(channel: Channel, elements) -> None:
+    channel.send_lanes(np.frombuffer(DEFAULT_GROUP.encode(elements), dtype=np.uint8), 8)
+
+
+def _recv_octets(channel: Channel, n: int) -> np.ndarray:
+    """One frame of ``n`` 8-bit lanes, as uint8."""
+    return channel.recv_lanes(n, 8).astype(np.uint8)
+
+
+def _recv_elements(channel: Channel, n: int) -> list:
+    return DEFAULT_GROUP.decode(_recv_octets(channel, n * DEFAULT_GROUP.width).tobytes(), n)
+
+
+def base_ot_send(channel: Channel, messages0: np.ndarray, messages1: np.ndarray) -> None:
     """Sender side: transfer one of (messages0[i], messages1[i]) per i.
 
     Args:
@@ -90,35 +103,22 @@ def base_ot_send(
     if messages0.shape != messages1.shape:
         raise ProtocolError("message arrays must have identical shape")
     n = messages0.shape[0]
-    a = group.random_scalar()
-    big_a = group.gexp(a)
+    a = DEFAULT_GROUP.random_scalar()
+    big_a = DEFAULT_GROUP.gexp(a)
     channel.send_lanes([n], 64)
-    channel.send_bytes(group.element_bytes(big_a))
-    big_a_inv_a = group.exp(group.inv(big_a), a)  # A^{-a}, reused per OT
-    width = len(group.element_bytes(big_a))
-    blob = channel.recv_bytes()
-    if len(blob) != n * width:
-        raise ProtocolError(
-            f"element blob has {len(blob)} bytes, expected {n * width}"
-        )
+    _send_elements(channel, [big_a])
+    big_a_inv_a = DEFAULT_GROUP.exp(DEFAULT_GROUP.inv(big_a), a)  # A^{-a}, reused per OT
     pads = bytearray()
-    for i in range(n):
-        b_elem = int.from_bytes(blob[i * width : (i + 1) * width], "big")
-        if not 1 < b_elem < group.p - 1:
-            raise ProtocolError("receiver sent a degenerate group element")
-        b_to_a = group.exp(b_elem, a)
+    for i, b_elem in enumerate(_recv_elements(channel, n)):
+        b_to_a = DEFAULT_GROUP.exp(b_elem, a)
         # If B = g^b * A^c then B^a * A^{-ac} = g^{ab}: pad_c is the DH value's.
-        pads += _pad(group, b_to_a, 0, i)
-        pads += _pad(group, group.mul(b_to_a, big_a_inv_a), 1, i)
+        pads += _pad(b_to_a, 0, i)
+        pads += _pad(DEFAULT_GROUP.mul(b_to_a, big_a_inv_a), 1, i)
     pairs = np.stack([messages0, messages1], axis=1).reshape(2 * n, 2)
     channel.send_blocks(blocks.xor(pairs, blocks.from_bytes(bytes(pads))))
 
 
-def base_ot_receive(
-    channel: Channel,
-    choices: np.ndarray,
-    group: SchnorrGroup = DEFAULT_GROUP,
-) -> np.ndarray:
+def base_ot_receive(channel: Channel, choices: np.ndarray) -> np.ndarray:
     """Receiver side: obtain messages[choices[i]][i] for each i."""
     choices = np.asarray(choices, dtype=np.uint8)
     n = choices.shape[0]
@@ -127,22 +127,20 @@ def base_ot_receive(
         raise ProtocolError(
             f"sender offers {n_sender} OTs but receiver has {n} choices"
         )
-    big_a = int.from_bytes(channel.recv_bytes(), "big")
-    if not 1 < big_a < group.p - 1:
-        raise ProtocolError("sender sent a degenerate group element")
+    (big_a,) = _recv_elements(channel, 1)
     # Every OT raises the same A: one window table (~7 pow() calls' worth
     # to build) replaces a full ladder per OT.
-    a_table = group.fixed_base(big_a)
+    a_table = DEFAULT_GROUP.fixed_base(big_a)
     pads = bytearray()
-    elems = bytearray()
+    elems = []
     for i in range(n):
-        b = group.random_scalar()
-        b_elem = group.gexp(b)
+        b = DEFAULT_GROUP.random_scalar()
+        b_elem = DEFAULT_GROUP.gexp(b)
         if choices[i]:
-            b_elem = group.mul(b_elem, big_a)
-        elems += group.element_bytes(b_elem)
-        pads += _pad(group, a_table.exp(b), int(choices[i]), i)
-    channel.send_bytes(bytes(elems))
+            b_elem = DEFAULT_GROUP.mul(b_elem, big_a)
+        elems.append(b_elem)
+        pads += _pad(a_table.exp(b), int(choices[i]), i)
+    _send_elements(channel, elems)
     pairs = channel.recv_blocks(2 * n).reshape(n, 2, 2)
     chosen = pairs[np.arange(n), choices]
     return blocks.xor(chosen, blocks.from_bytes(bytes(pads)))
@@ -154,31 +152,21 @@ def _require_seed_cots(seed_cots) -> None:
 
 
 def base_cot_send(
-    channel: Channel,
-    n: int,
-    delta: np.ndarray,
-    rng: np.random.Generator,
-    seed_cots: CotReceiverBatch = None,
-    group: SchnorrGroup = DEFAULT_GROUP,
+    channel: Channel, n: int, delta: np.ndarray, seed_cots: CotReceiverBatch = None
 ) -> np.ndarray:
     """Delta-correlated base COTs, sender side: returns r (n blocks).
 
     The receiver obtains ``r XOR b*Delta`` for its choice bits ``b``; the
     pair of sides therefore holds genuine COT correlations, exactly what
-    the Ferret setup consumes.  ``rng`` is drawn from only when
-    ``n <= KAPPA`` and no ``seed_cots`` are given; otherwise ``r`` is
-    fixed by the receiver's seeds and Delta.  ``seed_cots`` (``KAPPA``
-    receiver COTs whose sender is this call's peer) replace the PKC
-    seed OTs.
+    the Ferret setup consumes.  ``r`` is fixed by the receiver's seeds
+    and Delta, so this side draws no randomness of its own beyond the
+    PKC scalars.  ``seed_cots`` (``KAPPA`` receiver COTs whose sender is
+    this call's peer) replace the PKC seed OTs.
     """
-    if n <= KAPPA and seed_cots is None:
-        r = blocks.random_blocks(n, rng)
-        base_ot_send(channel, r, blocks.xor(r, delta), group=group)
-        return r
     # Bit i of Delta, in the order transpose_128 gives row i.
     bits = unpack_bits(blocks.to_bytes(delta), KAPPA)
     if seed_cots is None:
-        seeds = base_ot_receive(channel, bits, group=group)
+        seeds = base_ot_receive(channel, bits)
     else:
         _require_seed_cots(seed_cots)
         seeds = ot_receive_from_cot(channel, seed_cots, bits, tweak_base=BOOTSTRAP_TWEAK)
@@ -188,13 +176,7 @@ def base_cot_send(
         raise ProtocolError(
             f"receiver extends to {n_receiver} COTs but sender wants {n}"
         )
-    correction = channel.recv_bytes()
-    if len(correction) != KAPPA * nbytes:
-        raise ProtocolError(
-            f"correction matrix has {len(correction)} bytes, expected "
-            f"{KAPPA * nbytes}"
-        )
-    u = np.frombuffer(correction, dtype=np.uint8).reshape(KAPPA, nbytes)
+    u = _recv_octets(channel, KAPPA * nbytes).reshape(KAPPA, nbytes)
     q = stream_expand(seeds, nbytes)
     held_one = bits.astype(bool)
     q[held_one] ^= u[held_one]
@@ -206,23 +188,19 @@ def base_cot_receive(
     choices: np.ndarray,
     rng: np.random.Generator,
     seed_cots: CotSenderBatch = None,
-    group: SchnorrGroup = DEFAULT_GROUP,
 ) -> np.ndarray:
     """Delta-correlated base COTs, receiver side: returns r XOR b*Delta.
 
-    ``rng`` supplies the KAPPA seed pairs of the extension (the mirror
-    of :func:`base_cot_send`: drawn from unless ``n <= KAPPA`` without
-    ``seed_cots``), so the output is reproducible from the caller's
-    seed.  ``seed_cots`` (``KAPPA`` sender COTs whose receiver is this
-    call's peer) carry the seed pairs in place of PKC OTs.
+    ``rng`` supplies the KAPPA seed pairs of the extension, so the
+    output is reproducible from the caller's seed.  ``seed_cots``
+    (``KAPPA`` sender COTs whose receiver is this call's peer) carry the
+    seed pairs in place of PKC OTs.
     """
     choices = np.asarray(choices, dtype=np.uint8)
     n = choices.shape[0]
-    if n <= KAPPA and seed_cots is None:
-        return base_ot_receive(channel, choices, group=group)
     seeds = blocks.random_blocks(2 * KAPPA, rng)
     if seed_cots is None:
-        base_ot_send(channel, seeds[:KAPPA], seeds[KAPPA:], group=group)
+        base_ot_send(channel, seeds[:KAPPA], seeds[KAPPA:])
     else:
         _require_seed_cots(seed_cots)
         ot_send_from_cot(
@@ -232,5 +210,5 @@ def base_cot_receive(
     t = stream_expand(seeds, nbytes)
     x = np.packbits(choices, bitorder="little")
     channel.send_lanes([n], 64)
-    channel.send_bytes((t[:KAPPA] ^ t[KAPPA:] ^ x).tobytes())
+    channel.send_lanes(t[:KAPPA] ^ t[KAPPA:] ^ x, 8)
     return transpose_128(t[:KAPPA], n)

@@ -420,8 +420,8 @@ class CorrelationService:
         """One coherent snapshot of every stats surface, flat-keyed:
         ``pool/<kind>/...``, ``mux/<tag>/...``, ``ferret/<dir>/...``,
         ``service/...``, ``reconnect/...``, ``draws/<kind>`` plus the
-        ``pool/stall_ms`` histogram.  Pure read; see
-        ``metrics.snapshot_delta()`` for periodic deltas."""
+        ``pool/stall_ms`` histogram.  Pure read: for per-phase
+        accounting, difference two snapshots."""
         return self.metrics.snapshot()
 
     def session_draw_counts(self) -> dict:
@@ -696,13 +696,13 @@ class CorrelationService:
         fwd, rev = self.ferret_fwd, self.ferret_rev
         need = copies * self.config.base_cots_needed
         spare = KAPPA if rev is not None else 0
-        columns = fwd.mint_base_cots(fwd_channel, copies, spare=spare)
+        columns = fwd.mint_base_cots(fwd_channel, need + spare)
         head = tuple(column[:need] for column in columns)
         if rev is None:
             return head, None
         tail = tuple(column[need:] for column in columns)
         seed_cots = CotSenderBatch(fwd.delta, *tail) if self.party == 0 else CotReceiverBatch(*tail)
-        return head, rev.mint_base_cots(rev_channel, copies, seed_cots=seed_cots)
+        return head, rev.mint_base_cots(rev_channel, need, seed_cots)
 
     def _run_loop(self, loop) -> None:
         """Run the party loop, restarting it once after a transient

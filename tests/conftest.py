@@ -48,7 +48,7 @@ def shared_cots(delta):
     gen = np.random.default_rng(42)
     choices = gen.integers(0, 2, N_SHARED_COTS).astype(np.uint8)
     r, y, _, _ = run_pair(
-        lambda ch: base_cot_send(ch, N_SHARED_COTS, delta, gen),
+        lambda ch: base_cot_send(ch, N_SHARED_COTS, delta),
         lambda ch: base_cot_receive(ch, choices, np.random.default_rng(43)),
     )
     return CotSenderBatch(delta, r), CotReceiverBatch(choices, y)

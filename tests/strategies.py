@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from parties import frame
 
 from repro.crypto import blocks
+from repro.crypto.group import OAKLEY_768_P
 from repro.lpn.matrix import LpnMatrix
 from repro.ppml.layers import Activation, Graph, Linear, Rescale
 
@@ -158,7 +159,7 @@ class WireStrategies:
     @staticmethod
     def cold_start_inbound(n: int) -> st.SearchStrategy[list]:
         """What the Delta-holder of a bootstrapped cold start
-        (``base_cot_send(channel, n, delta, rng, seed_cots)``) receives,
+        (``base_cot_send(channel, n, delta, seed_cots)``) receives,
         in order -- the seed-OT reply (two frames of 128 blocks), the
         IKNP ``n`` header (one 64-bit lane) and the 128 x ceil(n/8)-byte
         correction matrix -- with exactly one frame truncated, extended
@@ -189,6 +190,56 @@ class WireStrategies:
                 )
             )
             return honest[:at] + [bad] + honest[at + 1 :]
+
+        return build()
+
+    @staticmethod
+    def pkc_inbound(n: int) -> st.SearchStrategy[tuple]:
+        """``(role, frames)``: what one role of ``n`` PKC base OTs
+        receives, in order, with exactly one frame truncated, extended or
+        carrying a wrong value.  The ``"sender"`` (``base_ot_send``)
+        receives the element blob (``n`` 96-byte big-endian elements);
+        the ``"receiver"`` (``base_ot_receive``) the ``n`` header (one
+        64-bit lane), the element ``A`` and the payload of ``2n`` blocks.
+        Wrong values: a header naming another ``n`` (one bit flipped, or
+        2^63) or one element of 0, 1 or p - 1 (degenerate)."""
+        width = 96
+
+        def element(x: int) -> bytes:
+            return x.to_bytes(width, "big")
+
+        def with_element(blob: bytes, i: int, x: int) -> bytes:
+            return blob[: i * width] + element(x) + blob[(i + 1) * width :]
+
+        degenerate = (0, 1, OAKLEY_768_P - 1)
+        blob = element(2) * n
+        honest = {
+            "sender": [blob],
+            "receiver": [n.to_bytes(8, "little"), element(2), bytes(32 * n)],
+        }
+        wrong_values = {
+            "sender": [[with_element(blob, i, x) for i in range(n) for x in degenerate]],
+            "receiver": [
+                [(n ^ (1 << i)).to_bytes(8, "little") for i in range(64)]
+                + [(1 << 63).to_bytes(8, "little")],
+                [element(x) for x in degenerate],
+                [],
+            ],
+        }
+
+        @st.composite
+        def build(draw):
+            role = draw(st.sampled_from(sorted(honest)))
+            frames = honest[role]
+            at = draw(st.integers(0, len(frames) - 1))
+            good = frames[at]
+            bad = [
+                st.integers(0, len(good) - 1).map(lambda k: good[:k]),
+                st.binary(min_size=1, max_size=16).map(lambda tail: good + tail),
+            ]
+            if wrong_values[role][at]:
+                bad.append(st.sampled_from(wrong_values[role][at]))
+            return role, frames[:at] + [draw(st.one_of(bad))] + frames[at + 1 :]
 
         return build()
 

@@ -4,15 +4,12 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from parties import ScriptedChannel
+from strategies import WireStrategies
 
 from repro.crypto import blocks
-from repro.crypto.group import (
-    DEFAULT_GROUP,
-    MODP_2048_P,
-    OAKLEY_768_P,
-    FixedBaseExp,
-    SchnorrGroup,
-)
+from repro.crypto.group import DEFAULT_GROUP, OAKLEY_768_P, FixedBaseExp
 from repro.errors import ProtocolError
 from repro.ot.base_ot import (
     KAPPA,
@@ -49,13 +46,20 @@ class TestGroup:
     def test_element_bytes_fixed_width(self):
         assert len(DEFAULT_GROUP.element_bytes(1)) == 96  # 768 bits
 
+    def test_encode_decode_round_trip(self):
+        elements = [2, DEFAULT_GROUP.gexp(7), DEFAULT_GROUP.p - 2]
+        data = DEFAULT_GROUP.encode(elements)
+        assert data == b"".join(map(DEFAULT_GROUP.element_bytes, elements))
+        assert DEFAULT_GROUP.decode(data, 3) == elements
+
+    @pytest.mark.parametrize("length", [0, 95, 97, 192])
+    def test_decode_refuses_a_wrong_length(self, length):
+        with pytest.raises(ProtocolError, match=f"1 group elements must be 96 bytes, got {length}"):
+            DEFAULT_GROUP.decode(bytes(length), 1)
+
     def test_hash_to_key_tweak_separation(self):
         e = DEFAULT_GROUP.gexp(12345)
         assert DEFAULT_GROUP.hash_to_key(e, b"|0") != DEFAULT_GROUP.hash_to_key(e, b"|1")
-
-    def test_modp2048_also_constructs(self):
-        g = SchnorrGroup(p=MODP_2048_P)
-        assert g.q == (MODP_2048_P - 1) // 2
 
 
 class TestFixedBaseExp:
@@ -83,11 +87,6 @@ class TestFixedBaseExp:
         beyond = (1 << q.bit_length() + 64) + 12345  # past the table
         assert DEFAULT_GROUP.gexp(beyond) == pow(g, beyond, p)
         assert DEFAULT_GROUP.gexp(-3) == pow(g, -3, p)
-
-    def test_table_on_2048_bit_group(self):
-        grp = SchnorrGroup(MODP_2048_P)
-        x = grp.random_scalar()
-        assert grp.gexp(x) == pow(grp.g, x, grp.p)
 
     def test_standalone_table_small_window(self):
         table = FixedBaseExp(7, 1009, exp_bits=20, window=3)
@@ -137,7 +136,7 @@ class TestBaseOt:
         delta = blocks.random_blocks(1, rng)
         choices = rng.integers(0, 2, n).astype(np.uint8)
         r, y, _, _ = run_pair(
-            lambda ch: base_cot_send(ch, n, delta, rng),
+            lambda ch: base_cot_send(ch, n, delta),
             lambda ch: base_cot_receive(ch, choices, rng),
         )
         assert verify_cot(CotSenderBatch(delta, r), CotReceiverBatch(choices, y))
@@ -280,12 +279,12 @@ class TestBatchedSchedule:
         """The shipped sender against a per-OT receiver must not hang or
         silently mis-deliver."""
         gen = np.random.default_rng(5)
-        delta = blocks.random_blocks(1, gen)
+        m0, m1 = blocks.random_blocks(4, gen), blocks.random_blocks(4, gen)
         choices = gen.integers(0, 2, 4).astype(np.uint8)
         assert_protocol_error(
-            lambda ch: base_cot_send(ch, 4, delta, gen),
+            lambda ch: base_ot_send(ch, m0, m1),
             lambda ch: sequential_ot_receive(ch, choices),
-            match="element blob",
+            match="frame of 384 8-bit lanes must be 384 bytes, got 96",
         )
 
 
@@ -311,11 +310,11 @@ class TestMalformedMessages:
         delta = blocks.random_blocks(1, rng)
         choices = rng.integers(0, 2, n).astype(np.uint8)
         assert_protocol_error(
-            lambda ch: base_cot_send(ch, n, delta, rng),
+            lambda ch: base_cot_send(ch, n, delta),
             lambda ch: base_cot_receive(
                 TamperedChannel(ch, KAPPA * 25, rewrite), choices, rng
             ),
-            match="correction matrix has",
+            match="frame of 3200 8-bit lanes must be 3200 bytes",
         )
 
     def test_disagreeing_cot_counts_are_a_protocol_error(self, rng):
@@ -324,7 +323,7 @@ class TestMalformedMessages:
         delta = blocks.random_blocks(1, rng)
         choices = rng.integers(0, 2, 199).astype(np.uint8)
         assert_protocol_error(
-            lambda ch: base_cot_send(ch, 200, delta, rng),
+            lambda ch: base_cot_send(ch, 200, delta),
             lambda ch: base_cot_receive(ch, choices, rng),
             match="receiver extends to 199 COTs but sender wants 200",
         )
@@ -342,7 +341,7 @@ class TestMalformedMessages:
                 blocks.zeros(4),
             ),
             lambda ch: base_ot_receive(ch, choices),
-            match="sender sent a degenerate group element",
+            match="group element 0 of 1 is degenerate",
         )
 
     @pytest.mark.parametrize("element", [0, 1, DEFAULT_GROUP.p - 1])
@@ -360,5 +359,41 @@ class TestMalformedMessages:
                 ),
                 choices,
             ),
-            match="receiver sent a degenerate group element",
+            match="group element 1 of 4 is degenerate",
         )
+
+
+class TestHostilePkc:
+    """Every frame a PKC role receives is peer-controlled: a truncated,
+    extended or wrong-valued one is a ProtocolError at once -- never a
+    hang (the script has no frame past the bad one) and never a reply
+    sent on bad input."""
+
+    N = 3
+
+    def run_role(self, role, inbound):
+        channel = ScriptedChannel(inbound)
+        if role == "sender":
+            base_ot_send(channel, blocks.zeros(self.N), blocks.zeros(self.N))
+        else:
+            base_ot_receive(channel, np.array([0, 1, 1], dtype=np.uint8))
+        return channel
+
+    def test_honest_scripts_are_accepted(self):
+        element = (2).to_bytes(96, "big")
+        self.run_role("sender", [element * self.N])
+        self.run_role("receiver", [self.N.to_bytes(8, "little"), element, bytes(32 * self.N)])
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=WireStrategies.pkc_inbound(N))
+    def test_each_role_refuses_a_bad_frame(self, case):
+        with pytest.raises(ProtocolError):
+            self.run_role(*case)
+
+    def test_a_short_element_frame_is_refused_before_the_blob(self):
+        """A 1-byte ``A`` frame used to parse as ``A = 5``: the receiver
+        sent its element blob and the pair failed only at a timeout."""
+        channel = ScriptedChannel([self.N.to_bytes(8, "little"), b"\x05"])
+        with pytest.raises(ProtocolError, match="frame of 96 8-bit lanes must be 96 bytes, got 1"):
+            base_ot_receive(channel, np.zeros(self.N, dtype=np.uint8))
+        assert channel.stats.messages_sent == 0

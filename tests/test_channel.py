@@ -320,6 +320,44 @@ def test_peer_bytes_are_parsed_in_one_place():
     assert parse_sites(root) == []
 
 
+#: The only modules under ``src/repro`` that call ``recv_bytes(``
+#: themselves, and why.  Every protocol receives through the codec
+#: (``recv_lanes`` / ``recv_blocks`` / ``recv_msg``), so each frame it
+#: reads has a declared shape and a length check.
+RAW_ALLOWED = {
+    "ot/channel.py": "the transports, and the codec that every typed receive bottoms out in",
+    "runtime/mux.py": "the pump reads link frames and routes them by tag",
+    "ot/reconnect.py": "reads DATA / ACK / HELLO frames off the transport it heals",
+    "ot/retry.py": "forwards frames untouched, waiting in policy-sized slices",
+    "ot/faults.py": "forwards frames untouched between scheduled faults",
+    "runtime/shard.py": "the follower's control loop polls in 50 ms slices (decode_msg parses)",
+}
+RAW_CALL = re.compile(r"\brecv_bytes\(")
+
+
+def raw_receive_sites(root: Path) -> list:
+    """``module:line: text`` of every ``recv_bytes(`` call under ``root``
+    (a ``src/repro`` tree) outside the :data:`RAW_ALLOWED` modules."""
+    hits = []
+    for path in sorted(root.rglob("*.py")):
+        module = path.relative_to(root).as_posix()
+        if module in RAW_ALLOWED:
+            continue
+        for lineno, line in enumerate(path.read_text().splitlines(), 1):
+            if RAW_CALL.search(line) and not line.lstrip().startswith("def "):
+                hits.append(f"{module}:{lineno}: {line.strip()}")
+    return hits
+
+
+def test_frames_are_received_through_the_codec():
+    """No protocol module reads raw frames: each allowed module still
+    does (a stale entry is an error too), and nothing else does."""
+    root = Path(__file__).parents[1] / "src" / "repro"
+    assert raw_receive_sites(root) == []
+    for module in RAW_ALLOWED:
+        assert RAW_CALL.search((root / module).read_text()), module
+
+
 class TestRunPair:
     def test_returns_both_results_and_stats(self):
         def ping(ch):

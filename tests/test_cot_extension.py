@@ -1,7 +1,7 @@
 """The cold start: kappa = 128 PKC OTs + IKNP-style COT extension.
 
-Properties of ``base_cot_send`` / ``base_cot_receive`` beyond kappa
-COTs, of the two kernels they add (``stream_expand``,
+Properties of ``base_cot_send`` / ``base_cot_receive`` for any n, of
+the two kernels they add (``stream_expand``,
 ``transpose_128``), and the counting tests that pin what the change is
 for: one Ferret setup is exactly 128 public-key OTs, and a
 two-direction service pair -- sharded or not -- is ONE 128-OT batch
@@ -24,14 +24,16 @@ from strategies import WireStrategies
 import repro.ferret.protocol as protocol
 from repro.crypto import blocks, kernels
 from repro.crypto.chacha import keystream
+from repro.crypto.group import DEFAULT_GROUP
 from repro.crypto.prg import stream_expand
 from repro.errors import ParameterError, ProtocolError
 from repro.ferret.config import FerretConfig
 from repro.ferret.protocol import FerretReceiver, FerretSender
 from repro.ot import base_ot
 from repro.ot.base_ot import KAPPA, base_cot_receive, base_cot_send
-from repro.ot.channel import LocalChannel, run_concurrently, run_pair
+from repro.ot.channel import LocalChannel, lanes_bytes, run_concurrently, run_pair
 from repro.ot.cot import CotReceiverBatch, CotSenderBatch, verify_cot
+from repro.ot.ot_from_cot import ot_reply_bytes
 from repro.runtime import CorrelationService, MuxChannel, ServiceTuning
 from repro.runtime.shard import _shard_slices, _worker_main
 
@@ -52,7 +54,7 @@ def base_cot_pair(n, seed):
     delta = blocks.random_blocks(1, s_rng)
     choices = r_rng.integers(0, 2, n).astype(np.uint8)
     r, y, _, _ = run_pair(
-        lambda ch: base_cot_send(ch, n, delta, s_rng),
+        lambda ch: base_cot_send(ch, n, delta),
         lambda ch: base_cot_receive(ch, choices, r_rng),
     )
     return delta, choices, r, y
@@ -108,8 +110,9 @@ class TestStreamExpand:
 class TestExtension:
     @settings(max_examples=10)
     @given(n=st.integers(1, 4096), seed=st.integers(0, 2**20))
-    @example(n=KAPPA, seed=1)  # last size that is plain PKC
-    @example(n=KAPPA + 1, seed=1)  # first size that extends
+    @example(n=1, seed=1)
+    @example(n=KAPPA, seed=1)
+    @example(n=KAPPA + 1, seed=1)
     @example(n=1001, seed=1)  # not a multiple of 8
     @example(n=4096, seed=1)
     def test_correlation_holds(self, n, seed):
@@ -126,17 +129,16 @@ class TestExtension:
         assert first[3].tobytes() != other[3].tobytes()
 
     def test_sender_rng_untouched_beyond_kappa(self):
-        """r is fixed by the receiver's seeds and Delta: the sender's
-        generator must not advance, or every later draw would shift."""
-        s_rng = np.random.default_rng(3)
-        delta = blocks.random_blocks(1, s_rng)
-        before = s_rng.bit_generator.state
-        choices = np.ones(300, dtype=np.uint8)
+        """r is fixed by the receiver's seeds and Delta: a Ferret
+        sender's mint must not advance its generator, or every later
+        draw (SPCOT's, the next extend's) would shift."""
+        sender = FerretSender(CFG, seed=3)
+        before = sender.rng.bit_generator.state
         run_pair(
-            lambda ch: base_cot_send(ch, 300, delta, s_rng),
-            lambda ch: base_cot_receive(ch, choices, np.random.default_rng(4)),
+            lambda ch: sender.mint_base_cots(ch, 300),
+            lambda ch: FerretReceiver(CFG, seed=4).mint_base_cots(ch, 300),
         )
-        assert s_rng.bit_generator.state == before
+        assert sender.rng.bit_generator.state == before
 
     def both_directions(self, chan_a, chan_b, n):
         """Party a sends then receives; party b mirrors -- on ONE channel."""
@@ -149,7 +151,7 @@ class TestExtension:
             for sending in (first_sender, not first_sender):
                 if sending:
                     out[name, "send"] = CotSenderBatch(
-                        delta, base_cot_send(channel, n, delta, rng)
+                        delta, base_cot_send(channel, n, delta)
                     )
                 else:
                     out[name, "recv"] = CotReceiverBatch(
@@ -190,7 +192,7 @@ class TestBootstrappedSeeds:
         # sender side of the bootstrap COTs; the Delta-holder chooses.
         offerer, chooser = seed_cot_pair()
         r, y, _, _ = run_pair(
-            lambda ch: base_cot_send(ch, n, delta, s_rng, chooser),
+            lambda ch: base_cot_send(ch, n, delta, chooser),
             lambda ch: base_cot_receive(ch, choices, r_rng, offerer),
         )
         assert verify_cot(CotSenderBatch(delta, r), CotReceiverBatch(choices, y))
@@ -217,7 +219,7 @@ class TestHostileColdStart:
         rng = np.random.default_rng(0)
         _, chooser = seed_cot_pair()
         return base_cot_send(
-            ScriptedChannel(inbound), self.N, blocks.random_blocks(1, rng), rng, chooser
+            ScriptedChannel(inbound), self.N, blocks.random_blocks(1, rng), chooser
         )
 
     def test_honest_script_is_accepted(self):
@@ -288,8 +290,8 @@ class TestPkcCounts:
         parents = FerretSender(CFG, seed=1), FerretReceiver(CFG, seed=2)
         need = CFG.base_cots_needed
         slices0, slices1, _, _ = run_pair(
-            lambda ch: _shard_slices(parents[0].mint_base_cots(ch, copies=2), need, 2),
-            lambda ch: _shard_slices(parents[1].mint_base_cots(ch, copies=2), need, 2),
+            lambda ch: _shard_slices(parents[0].mint_base_cots(ch, 2 * need), need, 2),
+            lambda ch: _shard_slices(parents[1].mint_base_cots(ch, 2 * need), need, 2),
         )
         assert pkc_counts == {"send": [KAPPA], "receive": [KAPPA]}
         pkc_counts["send"].clear(), pkc_counts["receive"].clear()
@@ -363,6 +365,63 @@ class TestPkcCounts:
             # Each direction crosses a shard batch boundary.
             verify_first_extends(services, CFG.net_output + 10)
             assert pkc_counts == {"send": [KAPPA], "receive": [KAPPA]}
+
+
+def cold_start_bytes(n: int) -> dict:
+    """``(direction, party) -> bytes sent`` of a service pair's cold
+    start minting ``n`` COTs per direction, from the frame shapes alone.
+    Forward: P1 (the COT receiver) is the PKC sender -- ``n`` header,
+    ``A``, the 2 x 128-block payload -- then sends IKNP's header and
+    correction matrix for ``n + KAPPA`` COTs; P0 sends the element blob.
+    Reverse: P0 offers the seed pairs as derandomized OTs over the 128
+    spare forward COTs, then sends IKNP for ``n``; P1 sends its choice
+    corrections."""
+    header = lanes_bytes(1, 64)
+
+    def iknp(m: int) -> int:
+        return header + lanes_bytes(KAPPA * ((m + 7) // 8), 8)
+
+    return {
+        ("fwd", 0): lanes_bytes(KAPPA * DEFAULT_GROUP.width, 8),
+        ("fwd", 1): header + lanes_bytes(DEFAULT_GROUP.width, 8) + ot_reply_bytes(KAPPA)
+        + iknp(n + KAPPA),
+        ("rev", 0): ot_reply_bytes(KAPPA) + iknp(n),
+        ("rev", 1): lanes_bytes(KAPPA, 1),
+    }
+
+
+class TestColdStartBytes:
+    @pytest.mark.parametrize("copies", [1, 2])
+    def test_service_pair_mint_matches_the_byte_model(self, copies):
+        """``CorrelationService.mint_base_cots`` of both parties: the bytes
+        each sends on its forward and reverse channel equal
+        :func:`cold_start_bytes`."""
+        bases = LocalChannel.pair(timeout=60.0)
+        muxes = [MuxChannel(base, timeout=60.0) for base in bases]
+        links = {direction: LocalChannel.pair(timeout=60.0) for direction in ("fwd", "rev")}
+        try:
+            services = [
+                CorrelationService(party, muxes[party], CFG, ServiceTuning(), seed=0x5AD3)
+                for party in (0, 1)
+            ]
+            run_concurrently(
+                *(
+                    lambda party=party: services[party].mint_base_cots(
+                        links["fwd"][party], links["rev"][party], copies
+                    )
+                    for party in (0, 1)
+                ),
+                timeout=120.0,
+            )
+        finally:
+            for mux in muxes:
+                mux.close()
+        sent = {
+            (direction, party): links[direction][party].stats.bytes_sent
+            for direction in ("fwd", "rev")
+            for party in (0, 1)
+        }
+        assert sent == cold_start_bytes(copies * CFG.base_cots_needed)
 
 
 @contextlib.contextmanager

@@ -35,7 +35,7 @@ def make_pools(n, seed, direction):
     delta = blocks.random_blocks(1, gen)
     choices = gen.integers(0, 2, n).astype(np.uint8)
     r, y, _, _ = run_pair(
-        lambda ch: base_cot_send(ch, n, delta, gen),
+        lambda ch: base_cot_send(ch, n, delta),
         lambda ch: base_cot_receive(ch, choices, np.random.default_rng(seed + 1)),
     )
     del direction

@@ -122,7 +122,7 @@ class TestConcurrency:
         out = {}
 
         def sender():
-            out["r"] = base_cot_send(m0.sub("ot"), n, delta, rng)
+            out["r"] = base_cot_send(m0.sub("ot"), n, delta)
 
         def receiver():
             out["y"] = base_cot_receive(m1.sub("ot"), choices, rng)

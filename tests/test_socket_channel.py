@@ -271,7 +271,7 @@ class TestProtocolsOverSocketpair:
         delta = blocks.random_blocks(1, rng)
         choices = rng.integers(0, 2, n).astype(np.uint8)
         r, y, _, _ = socket_run_pair(
-            lambda ch: base_cot_send(ch, n, delta, rng),
+            lambda ch: base_cot_send(ch, n, delta),
             lambda ch: base_cot_receive(ch, choices, rng),
         )
         assert verify_cot(CotSenderBatch(delta, r), CotReceiverBatch(choices, y))
@@ -336,7 +336,7 @@ class TestTwoRealProcesses:
         )
         try:
             chan = listener.accept(accept_timeout=30.0)
-            r = base_cot_send(chan, n, delta, rng)
+            r = base_cot_send(chan, n, delta)
             out, err = child.communicate(timeout=60.0)
             assert child.returncode == 0, err.decode()[-2000:]
             y = np.load(io.BytesIO(out))
@@ -365,7 +365,7 @@ class TestMpcOverSockets:
             delta = blocks.random_blocks(1, gen)
             choices = gen.integers(0, 2, count).astype(np.uint8)
             r, y, _, _ = socket_run_pair(
-                lambda ch: base_cot_send(ch, count, delta, gen),
+                lambda ch: base_cot_send(ch, count, delta),
                 lambda ch: base_cot_receive(ch, choices, np.random.default_rng(seed + 1)),
             )
             return (
