@@ -1,12 +1,13 @@
 """Calibrated CPU baseline: Ferret on the paper's Xeon Gold 5220R.
 
-We cannot run AES-NI in this environment, so the CPU cost model is
-*calibrated to the paper's own measurements* (Figure 1(b): per-
-execution latency with Init / SPCOT / LPN split for each Table 4 set).
-The functional Ferret implementation in :mod:`repro.ferret` proves
-protocol correctness; this module prices it on the paper's hardware so
-all speedup ratios are taken against the paper's baseline, not against
-Python.
+The functional runtime does run AES-NI (:mod:`repro.crypto.aes` calls
+libcrypto), but its GGM, LPN and OT layers are numpy on whatever host
+runs them, so the CPU cost model is *calibrated to the paper's own
+measurements* (Figure 1(b): per-execution latency with Init / SPCOT /
+LPN split for each Table 4 set).  The functional Ferret implementation
+in :mod:`repro.ferret` proves protocol correctness; this module prices
+it on the paper's hardware so all speedup ratios are taken against the
+paper's baseline, not against Python.
 
 Model structure (constants documented below, fit in
 ``repro.core.calibration``):

@@ -81,13 +81,8 @@ def _send_elements(channel: Channel, elements) -> None:
     channel.send_lanes(np.frombuffer(DEFAULT_GROUP.encode(elements), dtype=np.uint8), 8)
 
 
-def _recv_octets(channel: Channel, n: int) -> np.ndarray:
-    """One frame of ``n`` 8-bit lanes, as uint8."""
-    return channel.recv_lanes(n, 8).astype(np.uint8)
-
-
 def _recv_elements(channel: Channel, n: int) -> list:
-    return DEFAULT_GROUP.decode(_recv_octets(channel, n * DEFAULT_GROUP.width).tobytes(), n)
+    return DEFAULT_GROUP.decode(channel.recv_lanes(n * DEFAULT_GROUP.width, 8).tobytes(), n)
 
 
 def base_ot_send(channel: Channel, messages0: np.ndarray, messages1: np.ndarray) -> None:
@@ -176,7 +171,7 @@ def base_cot_send(
         raise ProtocolError(
             f"receiver extends to {n_receiver} COTs but sender wants {n}"
         )
-    u = _recv_octets(channel, KAPPA * nbytes).reshape(KAPPA, nbytes)
+    u = channel.recv_lanes(KAPPA * nbytes, 8).reshape(KAPPA, nbytes)
     q = stream_expand(seeds, nbytes)
     held_one = bits.astype(bool)
     q[held_one] ^= u[held_one]

@@ -126,8 +126,11 @@ class Channel:
 
     def recv_lanes(self, n: int, bits: int, timeout: float = None) -> np.ndarray:
         """Receive the frame of exactly ``n`` ``bits``-wide lanes sent by
-        :meth:`send_lanes`: ``(n,)`` uint8 for 1-bit lanes, uint64
-        otherwise.  Any other length (or, for 1-bit lanes, count) is a
+        :meth:`send_lanes`, as a writable ``(n,)`` array of the lane's own
+        unsigned dtype: uint8 for 1-bit lanes, else uint8 / uint16 /
+        uint32 / uint64 as :func:`lane_bytes` says (arithmetic with a
+        uint64 operand widens; alone it wraps at the lane width).  Any
+        other length (or, for 1-bit lanes, count) is a
         :class:`ProtocolError` naming the declared shape."""
         lane = lane_bytes(bits)
         data = self.recv_bytes(timeout=timeout)
@@ -135,7 +138,7 @@ class Channel:
         if len(data) != expected:
             raise _shape_error(f"{n} {bits}-bit lanes", expected, len(data))
         if bits > 1:
-            return np.frombuffer(data, dtype=f"<u{lane}").astype(np.uint64)
+            return np.frombuffer(data, dtype=f"<u{lane}").astype(f"u{lane}")
         count = int.from_bytes(data[:_COUNT_BYTES], "little")
         if count != n:
             raise ProtocolError(f"frame of {n} 1-bit lanes claims {count} lanes")
@@ -469,30 +472,33 @@ def run_concurrently(fn_a, fn_b, timeout: float = 300.0) -> tuple:
 
     Like :func:`run_pair` but for callables already bound to their
     endpoints (service sessions, prefill drivers): returns
-    ``(result_a, result_b)``, re-raises either side's exception as
-    :class:`PartyError`, and treats a join timeout as a deadlock --
-    failures can never be silently swallowed in a worker thread.
+    ``(result_a, result_b)``, re-raises the first side's exception as
+    :class:`PartyError` as soon as that side's thread ends (its peer,
+    left blocked on a receive, is not waited for), and treats a party
+    still running after ``timeout`` as a deadlock -- failures can never
+    be silently swallowed in a worker thread.
     """
-    results = {}
-    errors = {}
+    finished = queue.SimpleQueue()
 
     def runner(name, fn):
         try:
-            results[name] = fn()
+            finished.put((name, fn(), None))
         except BaseException as exc:  # noqa: BLE001 - must cross the thread
-            errors[name] = exc
+            finished.put((name, None, exc))
 
-    t_a = threading.Thread(target=runner, args=("a", fn_a), daemon=True)
-    t_b = threading.Thread(target=runner, args=("b", fn_b), daemon=True)
-    t_a.start()
-    t_b.start()
-    t_a.join(timeout)
-    t_b.join(timeout)
-    for name, exc in errors.items():
-        raise PartyError(f"party {name!r} failed: {exc!r}") from exc
-    if t_a.is_alive() or t_b.is_alive():
-        raise ChannelError("parties deadlocked (thread still alive after timeout)")
-    return results.get("a"), results.get("b")
+    for name, fn in (("a", fn_a), ("b", fn_b)):
+        threading.Thread(target=runner, args=(name, fn), daemon=True).start()
+    deadline = time.monotonic() + timeout
+    results = {}
+    while len(results) < 2:
+        try:
+            name, result, exc = finished.get(timeout=max(0.0, deadline - time.monotonic()))
+        except queue.Empty:
+            raise ChannelError("parties deadlocked (thread still alive after timeout)") from None
+        if exc is not None:
+            raise PartyError(f"party {name!r} failed: {exc!r}") from exc
+        results[name] = result
+    return results["a"], results["b"]
 
 
 def run_pair(

@@ -21,11 +21,14 @@ also pins the shipped schedule.
 chacha`` and ``repro.lpn.encode`` shipped before their in-place kernels
 (one ``(n,)`` array per ChaCha state word; gather all ``d`` rows, then
 ``np.bitwise_xor.reduce``), kept word for word: the kernels must match
-them bit for bit.  ``aes_encrypt_blocks_reference`` is likewise the
-T-table formulation ``repro.crypto.aes`` shipped before its column-major
-kernel (one ``(n,)`` array per state column, bytes pulled out with
-``>>`` and ``& 0xFF``), and ``crhf_hash_reference`` the MMO hash as
-``repro.crypto.crhf`` wrote it then (copy, tweak, sigma, encrypt, XOR).
+them bit for bit.  ``aes_encrypt_blocks_reference`` is the numpy
+FIPS-197 AES that ``repro.crypto.aes`` shipped before it moved onto
+libcrypto: T-tables over one ``(n,)`` array per state column, bytes
+pulled out with ``>>`` and ``& 0xFF``, with its own S-box (built from
+GF(2^8) inversion), T-tables and key schedule (``expand_key``).  It is
+the one AES here that does not call the library.  ``crhf_hash_reference``
+is the MMO hash written out step by step (copy, tweak, sigma, encrypt,
+XOR) over it.
 
 ``millionaire_p0_reference`` / ``millionaire_p1_reference`` are the
 bit-leaf comparison ``repro.mpc.compare`` shipped before its 4-bit
@@ -43,9 +46,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.crypto import blocks
-from repro.crypto.aes import _SBOX, _build_tables, expand_key
 from repro.crypto.crhf import DEFAULT_CRHF
 from repro.crypto.prg import ChaChaTreePrg
+from repro.errors import ParameterError
 from repro.mpc.triples import and_shared
 from repro.ot.ot_from_cot import ot_receive_from_cot, ot_send_from_cot
 from repro.spcot.ggm import PuncturedReconstructor, alpha_digits, expand_full, level_sums
@@ -237,6 +240,99 @@ def encode_bits_reference(matrix, bits, addend_bits):
 
 
 # -- AES: one (n,) array per state column, bytes shifted and masked out --
+
+
+def _xtime(a: int) -> int:
+    """Multiply by x in GF(2^8) with the AES polynomial x^8+x^4+x^3+x+1."""
+    a <<= 1
+    if a & 0x100:
+        a ^= 0x11B
+    return a & 0xFF
+
+
+def _gf_mul(a: int, b: int) -> int:
+    """Full GF(2^8) multiplication (schoolbook, used only at import time)."""
+    result = 0
+    while b:
+        if b & 1:
+            result ^= a
+        a = _xtime(a)
+        b >>= 1
+    return result
+
+
+def _build_sbox() -> np.ndarray:
+    """Construct the AES S-box from inversion + affine map (FIPS-197 5.1.1)."""
+    # Multiplicative inverses via exhaustive search (256 elements, import-time).
+    inv = [0] * 256
+    for x in range(1, 256):
+        for y in range(1, 256):
+            if _gf_mul(x, y) == 1:
+                inv[x] = y
+                break
+    sbox = np.zeros(256, dtype=np.uint8)
+    for x in range(256):
+        b = inv[x]
+        res = 0x63
+        for i in range(8):
+            bit = (
+                (b >> i)
+                ^ (b >> ((i + 4) % 8))
+                ^ (b >> ((i + 5) % 8))
+                ^ (b >> ((i + 6) % 8))
+                ^ (b >> ((i + 7) % 8))
+            ) & 1
+            res ^= bit << i
+        sbox[x] = res
+    return sbox
+
+
+_SBOX = _build_sbox()
+
+_RCON = np.array([0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36], dtype=np.uint8)
+
+
+def _build_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Build the four encryption T-tables in little-endian packing.
+
+    With state columns packed little-endian (byte r of a column lives at
+    bits [8r, 8r+8)), the contribution of input byte ``x`` feeding
+    MixColumns row slot ``i`` is ``T_i[x]``.
+    """
+    s = _SBOX.astype(np.uint32)
+    s2 = np.array([_gf_mul(int(v), 2) for v in _SBOX], dtype=np.uint32)
+    s3 = np.array([_gf_mul(int(v), 3) for v in _SBOX], dtype=np.uint32)
+    t0 = s2 | (s << 8) | (s << 16) | (s3 << 24)
+    t1 = s3 | (s2 << 8) | (s << 16) | (s << 24)
+    t2 = s | (s3 << 8) | (s2 << 16) | (s << 24)
+    t3 = s | (s << 8) | (s3 << 16) | (s2 << 24)
+    return t0, t1, t2, t3
+
+
+def expand_key(key: bytes) -> np.ndarray:
+    """AES-128 key schedule.
+
+    Returns an array of shape (11, 4) uint32: one little-endian-packed
+    round key per round, matching the state packing used by
+    :func:`aes_encrypt_blocks_reference`.
+    """
+    if len(key) != 16:
+        raise ParameterError(f"AES-128 key must be 16 bytes, got {len(key)}")
+    words = [list(key[4 * i : 4 * i + 4]) for i in range(4)]
+    for i in range(4, 44):
+        temp = list(words[i - 1])
+        if i % 4 == 0:
+            temp = temp[1:] + temp[:1]  # RotWord
+            temp = [int(_SBOX[b]) for b in temp]  # SubWord
+            temp[0] ^= int(_RCON[i // 4 - 1])
+        words.append([a ^ b for a, b in zip(words[i - 4], temp)])
+    packed = np.zeros((11, 4), dtype=np.uint32)
+    for rnd in range(11):
+        for col in range(4):
+            b = words[4 * rnd + col]
+            packed[rnd, col] = b[0] | (b[1] << 8) | (b[2] << 16) | (b[3] << 24)
+    return packed
+
 
 _T0, _T1, _T2, _T3 = _build_tables()
 _SBOX_U32 = _SBOX.astype(np.uint32)

@@ -308,12 +308,9 @@ def _laid_out(draw, make, rows: int) -> np.ndarray:
     return make(rows)
 
 
-#: A small stand-in for ``repro.crypto.aes.CHUNK_BLOCKS`` (tests patch it
-#: in) and the batch sizes that sit on and around its boundaries.
-AES_TEST_CHUNK = 8
-AES_CHUNK_EDGE_SIZES = (
-    0, 1, 2, AES_TEST_CHUNK - 1, AES_TEST_CHUNK, AES_TEST_CHUNK + 1, 2 * AES_TEST_CHUNK + 3
-)
+#: Batch sizes for the AES / CRHF kernels: empty, one block, a few, and
+#: up to a few thousand.
+AES_SIZES = (0, 1, 2, 3, 17, 64, 255, 1024, 3001)
 
 
 class KernelStrategies:
@@ -323,13 +320,19 @@ class KernelStrategies:
     @staticmethod
     def block_arrays(sizes) -> st.SearchStrategy[np.ndarray]:
         """(n, 2) uint64 block arrays, n from ``sizes`` (0 allowed):
-        contiguous, the tail of a longer array or every second row."""
+        contiguous, the tail of a longer array or every second row, any
+        of them possibly as a Fortran-order copy or read-only."""
 
         @st.composite
         def build(draw):
             n = draw(st.sampled_from(sizes))
             rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-            return _laid_out(draw, lambda rows: blocks.random_blocks(rows, rng), n)
+            x = _laid_out(draw, lambda rows: blocks.random_blocks(rows, rng), n)
+            if draw(st.booleans()):
+                x = np.asfortranarray(x)
+            if draw(st.booleans()):
+                x.setflags(write=False)
+            return x
 
         return build()
 

@@ -1,14 +1,23 @@
-"""AES-128 known-answer and structural tests."""
+"""AES-128 known-answer, structural and thread tests.
+
+The shipped cipher runs on libcrypto; the S-box and key-schedule tests
+pin the numpy reference in ``tests/oracles.py`` that the property test
+compares it with.
+"""
+
+import gc
+import threading
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import aes_encrypt_blocks_reference
-from strategies import AES_CHUNK_EDGE_SIZES, AES_TEST_CHUNK, KernelStrategies
+from oracles import _AES_ROUNDS, _SBOX, aes_encrypt_blocks_reference, expand_key
+from strategies import AES_SIZES, KernelStrategies
 
 from repro.crypto import aes, blocks
-from repro.crypto.aes import AES128, ROUNDS, _SBOX, expand_key
+from repro.crypto.aes import AES128
 from repro.errors import ParameterError
 
 # FIPS-197 Appendix C.1.
@@ -25,9 +34,15 @@ APPB_CT = bytes.fromhex("3925841d02dc09fbdc118597196a0b32")
 class TestKnownAnswers:
     def test_fips_c1_vector(self):
         assert AES128(FIPS_KEY).encrypt_bytes(FIPS_PT) == FIPS_CT
+        assert blocks.to_bytes(
+            aes_encrypt_blocks_reference(FIPS_KEY, blocks.from_bytes(FIPS_PT))
+        ) == FIPS_CT
 
     def test_fips_appendix_b_vector(self):
         assert AES128(APPB_KEY).encrypt_bytes(APPB_PT) == APPB_CT
+        assert blocks.to_bytes(
+            aes_encrypt_blocks_reference(APPB_KEY, blocks.from_bytes(APPB_PT))
+        ) == APPB_CT
 
     def test_sbox_spot_values(self):
         # S-box corners from the FIPS-197 table.
@@ -41,8 +56,10 @@ class TestKnownAnswers:
 
 
 class TestKeySchedule:
+    """The reference's key schedule (the shipped one is libcrypto's)."""
+
     def test_shape(self):
-        assert expand_key(FIPS_KEY).shape == (ROUNDS + 1, 4)
+        assert expand_key(FIPS_KEY).shape == (_AES_ROUNDS + 1, 4)
 
     def test_round0_is_the_key(self):
         rk = expand_key(APPB_KEY)
@@ -58,29 +75,40 @@ class TestKeySchedule:
     def test_rejects_wrong_key_length(self):
         with pytest.raises(ParameterError):
             expand_key(b"short")
+        with pytest.raises(ParameterError, match="16 bytes"):
+            AES128(b"short")
 
 
 class TestBatchKernel:
     @given(
-        data=KernelStrategies.block_arrays(AES_CHUNK_EDGE_SIZES),
+        data=KernelStrategies.block_arrays(AES_SIZES),
         key=st.binary(min_size=16, max_size=16),
-        chunk=st.sampled_from((AES_TEST_CHUNK, aes.CHUNK_BLOCKS)),
     )
     @settings(max_examples=80, deadline=None)
-    def test_property_kernel_matches_word_at_a_time_reference(self, data, key, chunk):
-        """The column-major in-place kernel against the per-column
-        reference, on contiguous and strided batches, whole and split into
-        chunks; the input comes back untouched (at n = 1 a transposed view
-        of it is already contiguous, so an in-place first round would
-        write through)."""
+    def test_property_kernel_matches_word_at_a_time_reference(self, data, key):
+        """libcrypto against the numpy reference on contiguous, strided,
+        Fortran-order and read-only batches: the input comes back
+        untouched and the output is a fresh writable array (the CRHF
+        XORs its feed-forward into it in place)."""
         kept = data.copy()
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(aes, "CHUNK_BLOCKS", chunk)
-            got = AES128(key).encrypt_blocks(data)
+        got = AES128(key).encrypt_blocks(data)
         assert got.dtype == np.uint64 and got.shape == data.shape
+        assert got.flags.writeable and got.flags.c_contiguous
         assert np.array_equal(got, aes_encrypt_blocks_reference(key, data))
         assert np.array_equal(data, kept)
         assert not np.shares_memory(got, data)
+
+    def test_batches_past_one_library_call_are_split(self, rng, monkeypatch):
+        """``EVP_EncryptUpdate`` takes an int length, so a batch over
+        ``UPDATE_BLOCKS`` goes through in slices; shrunk here to 3."""
+        monkeypatch.setattr(aes, "UPDATE_BLOCKS", 3)
+        data = blocks.random_blocks(10, rng)
+        got = AES128(FIPS_KEY).encrypt_blocks(data)
+        assert np.array_equal(got, aes_encrypt_blocks_reference(FIPS_KEY, data))
+
+    def test_rejects_what_is_not_a_block_array(self):
+        with pytest.raises(ParameterError):
+            AES128(FIPS_KEY).encrypt_blocks(np.zeros(4, dtype=np.uint64))
 
     def test_batch_matches_per_block(self, rng):
         cipher = AES128(FIPS_KEY)
@@ -118,3 +146,42 @@ class TestBatchKernel:
         ca, cb = cipher.encrypt_blocks(a), cipher.encrypt_blocks(b)
         diff = bin(blocks.to_int(ca) ^ blocks.to_int(cb)).count("1")
         assert 40 <= diff <= 88  # ~64 expected for a random permutation
+
+
+class TestContexts:
+    """Every thread keys its own cipher context per instance, since
+    ctypes drops the GIL for the library call."""
+
+    def test_each_thread_gets_its_own_context(self):
+        cipher = AES128(FIPS_KEY)
+        seen = []
+        thread = threading.Thread(target=lambda: seen.append(cipher._context()))
+        thread.start()
+        thread.join()
+        assert seen[0] is not cipher._context()
+
+    def test_short_lived_threads_free_their_contexts(self, rng):
+        cipher = AES128(FIPS_KEY)
+        data = blocks.random_blocks(4, rng)
+        refs = []
+
+        def work():
+            cipher.encrypt_blocks(data)
+            refs.append(weakref.ref(cipher._context()))
+
+        threads = [threading.Thread(target=work) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        gc.collect()
+        assert len(refs) == 8
+        assert all(ref() is None for ref in refs)
+        assert cipher._context() is not None  # the caller's own one lives on
+
+    def test_a_collected_instance_frees_its_contexts(self):
+        cipher = AES128(FIPS_KEY)
+        ref = weakref.ref(cipher._context())
+        del cipher
+        gc.collect()
+        assert ref() is None

@@ -2,6 +2,7 @@
 
 import re
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -198,7 +199,8 @@ class TestCodec:
         a, b = LocalChannel.pair()
         a.send_lanes(values, bits)
         got = b.recv_lanes(n, bits)
-        assert got.dtype == (np.uint8 if bits == 1 else np.uint64)
+        assert got.dtype == (np.uint8 if bits == 1 else np.dtype(f"u{lane_bytes(bits)}"))
+        assert got.flags.writeable
         assert np.array_equal(got, values)
         assert a.stats.bytes_sent == lanes_bytes(n, bits)
 
@@ -220,6 +222,21 @@ class TestCodec:
         with pytest.raises(ParameterError):
             channel.send_lanes(np.array([-1]), bits)
         assert channel.stats.messages_sent == 0
+
+    def test_narrow_lanes_are_not_widened(self):
+        """A paper-scale IKNP correction matrix is one frame of 8-bit
+        lanes; widening it to uint64 peaked at 8x the frame."""
+        frame = 4 << 20
+        a, b = LocalChannel.pair()
+        a.send_lanes(np.arange(frame, dtype=np.uint64) & 0xFF, 8)
+        tracemalloc.start()
+        try:
+            got = b.recv_lanes(frame, 8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got.dtype == np.uint8 and got.shape == (frame,)
+        assert peak <= 2 * frame
 
     def test_blocks_are_checked_against_the_declared_count(self, rng):
         a, b = LocalChannel.pair()

@@ -12,6 +12,7 @@ COTs), with none in the shard workers.
 import contextlib
 import queue
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -31,7 +32,7 @@ from repro.ferret.config import FerretConfig
 from repro.ferret.protocol import FerretReceiver, FerretSender
 from repro.ot import base_ot
 from repro.ot.base_ot import KAPPA, base_cot_receive, base_cot_send
-from repro.ot.channel import LocalChannel, lanes_bytes, run_concurrently, run_pair
+from repro.ot.channel import LocalChannel, PartyError, lanes_bytes, run_concurrently, run_pair
 from repro.ot.cot import CotReceiverBatch, CotSenderBatch, verify_cot
 from repro.ot.ot_from_cot import ot_reply_bytes
 from repro.runtime import CorrelationService, MuxChannel, ServiceTuning
@@ -390,38 +391,57 @@ def cold_start_bytes(n: int) -> dict:
     }
 
 
+def mint_service_pair(copies: tuple) -> dict:
+    """Run ``CorrelationService.mint_base_cots`` on both parties, party p
+    asking for ``copies[p]`` first iterations; returns the ``fwd`` /
+    ``rev`` channel pairs."""
+    bases = LocalChannel.pair(timeout=60.0)
+    muxes = [MuxChannel(base, timeout=60.0) for base in bases]
+    links = {direction: LocalChannel.pair(timeout=60.0) for direction in ("fwd", "rev")}
+    try:
+        services = [
+            CorrelationService(party, muxes[party], CFG, ServiceTuning(), seed=0x5AD3)
+            for party in (0, 1)
+        ]
+        run_concurrently(
+            *(
+                lambda party=party: services[party].mint_base_cots(
+                    links["fwd"][party], links["rev"][party], copies[party]
+                )
+                for party in (0, 1)
+            ),
+            timeout=120.0,
+        )
+    finally:
+        for mux in muxes:
+            mux.close()
+    return links
+
+
 class TestColdStartBytes:
     @pytest.mark.parametrize("copies", [1, 2])
     def test_service_pair_mint_matches_the_byte_model(self, copies):
         """``CorrelationService.mint_base_cots`` of both parties: the bytes
         each sends on its forward and reverse channel equal
         :func:`cold_start_bytes`."""
-        bases = LocalChannel.pair(timeout=60.0)
-        muxes = [MuxChannel(base, timeout=60.0) for base in bases]
-        links = {direction: LocalChannel.pair(timeout=60.0) for direction in ("fwd", "rev")}
-        try:
-            services = [
-                CorrelationService(party, muxes[party], CFG, ServiceTuning(), seed=0x5AD3)
-                for party in (0, 1)
-            ]
-            run_concurrently(
-                *(
-                    lambda party=party: services[party].mint_base_cots(
-                        links["fwd"][party], links["rev"][party], copies
-                    )
-                    for party in (0, 1)
-                ),
-                timeout=120.0,
-            )
-        finally:
-            for mux in muxes:
-                mux.close()
+        links = mint_service_pair((copies, copies))
         sent = {
             (direction, party): links[direction][party].stats.bytes_sent
             for direction in ("fwd", "rev")
             for party in (0, 1)
         }
         assert sent == cold_start_bytes(copies * CFG.base_cots_needed)
+
+    def test_a_desynced_pair_fails_in_seconds_not_a_recv_timeout(self):
+        """Party 1 asks for one more first iteration than party 0: the
+        side that sees the IKNP ``n`` header mismatch raises, and the
+        caller gets that error at once, while the peer is still blocked
+        on its 60 s receive."""
+        started = time.monotonic()
+        with pytest.raises(PartyError, match="COTs") as err:
+            mint_service_pair((1, 2))
+        assert time.monotonic() - started < 5.0
+        assert isinstance(err.value.__cause__, ProtocolError)
 
 
 @contextlib.contextmanager

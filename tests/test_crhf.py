@@ -1,13 +1,16 @@
 """Correlation-robust hash (MMO) tests."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import crhf_hash_reference
-from strategies import AES_CHUNK_EDGE_SIZES, AES_TEST_CHUNK, KernelStrategies
+from strategies import AES_SIZES, KernelStrategies
 
-from repro.crypto import aes, blocks
+from repro.crypto import blocks
 from repro.crypto.crhf import Crhf, DEFAULT_CRHF, sigma
 from repro.errors import ParameterError
 
@@ -103,25 +106,69 @@ class TestAgainstReference:
     written out step by step over the reference cipher."""
 
     @given(
-        x=KernelStrategies.block_arrays(AES_CHUNK_EDGE_SIZES),
+        x=KernelStrategies.block_arrays(AES_SIZES),
         tweak_seed=st.one_of(st.none(), st.integers(0, 2**32 - 1)),
-        chunk=st.sampled_from((AES_TEST_CHUNK, aes.CHUNK_BLOCKS)),
     )
     @settings(max_examples=80, deadline=None)
-    def test_property_hash_and_hash_tweaked(self, x, tweak_seed, chunk):
+    def test_property_hash_and_hash_tweaked(self, x, tweak_seed):
         kept = x.copy()
         crhf = Crhf(KEY)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(aes, "CHUNK_BLOCKS", chunk)
-            if tweak_seed is None:
-                tweaks = None
-                got = crhf.hash(x)
-            else:
-                tweaks = np.random.default_rng(tweak_seed).integers(
-                    0, 2**64, x.shape[0], dtype=np.uint64
-                )
-                got = crhf.hash_tweaked(x, tweaks)
+        if tweak_seed is None:
+            tweaks = None
+            got = crhf.hash(x)
+        else:
+            tweaks = np.random.default_rng(tweak_seed).integers(
+                0, 2**64, x.shape[0], dtype=np.uint64
+            )
+            got = crhf.hash_tweaked(x, tweaks)
         assert got.dtype == np.uint64 and got.shape == x.shape
         assert np.array_equal(got, crhf_hash_reference(KEY, x, tweaks))
         assert np.array_equal(x, kept)
         assert not np.shares_memory(got, x)
+
+
+class TestThreads:
+    """``DEFAULT_CRHF`` is shared by both parties' threads, and the
+    cipher call runs without the GIL: threads hashing distinct inputs at
+    once must each get exactly the single-threaded result."""
+
+    THREADS = 8
+    CALLS = 60
+
+    def test_eight_threads_hammer_the_default_crhf(self):
+        gen = np.random.default_rng(9)
+        work = []
+        for t in range(self.THREADS):
+            n = (1, 64, 150, 1024)[t % 4]
+            x = blocks.random_blocks(self.CALLS * n, gen).reshape(self.CALLS, n, 2)
+            tweaks = gen.integers(0, 2**64, (self.CALLS, n), dtype=np.uint64)
+            work.append((x, tweaks))
+        expected = [
+            [DEFAULT_CRHF.hash_tweaked(x[c], tweaks[c]) for c in range(self.CALLS)]
+            for x, tweaks in work
+        ]
+        got = [None] * self.THREADS
+        start = threading.Barrier(self.THREADS)
+
+        def hammer(t):
+            x, tweaks = work[t]
+            start.wait()
+            got[t] = [DEFAULT_CRHF.hash_tweaked(x[c], tweaks[c]) for c in range(self.CALLS)]
+
+        threads = [
+            threading.Thread(target=hammer, args=(t,), daemon=True) for t in range(self.THREADS)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for t in range(self.THREADS):
+            assert got[t] is not None, f"thread {t} raised"
+            for c in range(self.CALLS):
+                assert np.array_equal(got[t][c], expected[t][c]), (t, c)

@@ -104,8 +104,9 @@ def test_extend_is_bit_exact_under_a_tiny_switch_interval():
 
 
 def test_shared_default_crhf_under_a_tiny_switch_interval():
-    """Both parties' threads hash through ``DEFAULT_CRHF``; AES scratch
-    kept on the instance instead of the call would mix their states."""
+    """Both parties' threads hash through ``DEFAULT_CRHF``; one cipher
+    context shared between threads (the library call drops the GIL)
+    would mix their states."""
     mismatches, finished, threads = [], [], []
 
     def hammer(seed, n):
