@@ -27,7 +27,7 @@ from repro.mpc.triples import dealer_bit_triples, ring_mask_u64
 from repro.ot.channel import run_pair
 from repro.ot.cot import CotPool, verify_cot
 from repro.ot.testing import fake_cots
-from repro.spcot.ggm import expand_full
+from repro.spcot.ggm import batched_expand_full
 
 RNG = np.random.default_rng(99)
 BATCH = blocks.random_blocks(1 << 14, RNG)
@@ -117,7 +117,7 @@ def test_kernel_chacha8_keystream(benchmark):
 def test_kernel_ggm_expand_chacha_4ary(benchmark):
     prg = ChaChaTreePrg(4)
     seed = blocks.random_blocks(1, RNG)
-    levels = benchmark(expand_full, prg, seed, 7)  # 16384 leaves
+    levels = benchmark(batched_expand_full, prg, seed, 7)  # 16384 leaves
     assert levels[-1].shape[0] == 4**7
 
 
@@ -126,7 +126,7 @@ def test_kernel_ggm_expand_aes_2ary(benchmark):
     0.27 ms on the same host (6.8 ms with the numpy AES)."""
     prg = AesTreePrg(2)
     seed = blocks.random_blocks(1, RNG)
-    levels = benchmark(expand_full, prg, seed, 12)  # 4096 leaves
+    levels = benchmark(batched_expand_full, prg, seed, 12)  # 4096 leaves
     assert levels[-1].shape[0] == 2**12
 
 

@@ -64,11 +64,7 @@ def run_scenario(
 ) -> dict:
     """One sweep point: a service pair at ``shards`` producer shards."""
     cfg = make_config(smoke)
-    tuning = ServiceTuning(
-        shards=shards,
-        enable_reverse=False,
-        take_timeout_s=600.0,
-    )
+    tuning = ServiceTuning(shards=shards, take_timeout_s=600.0)
     base_a, base_b = LocalChannel.pair(timeout=600.0)
     mux0, mux1 = MuxChannel(base_a, timeout=600.0), MuxChannel(base_b, timeout=600.0)
     svc0 = CorrelationService(0, mux0, cfg, tuning, seed=0x5A8D).start()

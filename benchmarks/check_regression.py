@@ -8,8 +8,10 @@ same machine, where machine speed cancels:
 
 * ``faults`` -- recovery efficiency, clean e2e / chaos e2e
   (``bench_faults``: a resume path that limps collapses it);
-* ``obs`` -- traced / untraced warm online time (``bench_obs``: a fixed
-  ceiling, the flight recorder's <= 1.05x contract);
+* ``obs`` -- traced / untraced warm online time, the median of
+  per-pair ratios over pairs whose first side alternates
+  (``bench_obs``: a fixed ceiling, the flight recorder's <= 1.05x
+  contract);
 * ``sharded`` -- 2-shard / 1-shard serve throughput (``bench_sharded``:
   a stalled merge path collapses it; gated only on >= 4 cores);
 * ``daemon`` -- first-request / steady-state time-to-first-layer-online

@@ -23,15 +23,20 @@ import json
 from repro.crypto.group import DEFAULT_GROUP
 from repro.errors import ProtocolError
 from repro.mpc.compare import DIGIT
+from repro.mpc.relu import _MUX_TWEAK
 from repro.mpc.triples import _PAD_STRIDE
+from repro.mpc.truncation import _B2A_TWEAK, _CARRY_TWEAK
 from repro.ot.base_ot import BOOTSTRAP_TWEAK, KAPPA
 from repro.ot.channel import lanes_bytes
+from repro.spcot.mpcot import _TREE_TWEAK_STRIDE
 from repro.spcot.protocol import _LEVEL_TWEAK_STRIDE, _MASK_TWEAK_OFFSET
 
 #: Wire version of the protocol stack.
 VERSION = 2
 
-#: Every declared constant a pad or a frame size depends on.  The lane
+#: Every declared constant a pad or a frame size depends on (every
+#: module-level tweak, stride and offset of ``repro``, which
+#: ``tests/test_control_decoders.py`` checks).  The lane
 #: rule is the byte length of a 9-lane frame at each width: the 1-bit
 #: count header and the 1 / 2 / 4 / 8-byte lane steps.
 CONSTANTS = {
@@ -39,6 +44,10 @@ CONSTANTS = {
     "_PAD_STRIDE": int(_PAD_STRIDE),
     "_LEVEL_TWEAK_STRIDE": _LEVEL_TWEAK_STRIDE,
     "_MASK_TWEAK_OFFSET": _MASK_TWEAK_OFFSET,
+    "_TREE_TWEAK_STRIDE": _TREE_TWEAK_STRIDE,
+    "_CARRY_TWEAK": _CARRY_TWEAK,
+    "_B2A_TWEAK": _B2A_TWEAK,
+    "_MUX_TWEAK": _MUX_TWEAK,
     "KAPPA": KAPPA,
     "BOOTSTRAP_TWEAK": BOOTSTRAP_TWEAK,
     "group": [DEFAULT_GROUP.p, DEFAULT_GROUP.g],

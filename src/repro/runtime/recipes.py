@@ -59,7 +59,6 @@ class Recipe:
 
     name: str  # the command op and the ``produce.<NAME>`` span
     kind: str  # pool name, or its prefix when ``key_for`` names keyed pools
-    label: str  # for error messages
     pool: Callable  # (svc, name, *key) -> CorrelationPool
     inputs: Callable
     produce: Callable
@@ -125,9 +124,9 @@ def _matrix_triple(svc, ch, pool, cmd, cots):
 
 
 # -- the table ----------------------------------------------------------------
-def _extend(name: str, direction: str, label: str) -> Recipe:
+def _extend(name: str, direction: str) -> Recipe:
     return Recipe(
-        name=name, kind=f"cot/{direction}", label=label,
+        name=name, kind=f"cot/{direction}",
         tag=f"prov/{direction}", direction=direction,
         pool=_cot_pool(direction),
         inputs=lambda bits: (),
@@ -135,17 +134,17 @@ def _extend(name: str, direction: str, label: str) -> Recipe:
     )
 
 
-EXT0 = _extend("EXT0", "fwd", "forward-COT")
-EXT1 = _extend("EXT1", "rev", "reverse-COT")
+EXT0 = _extend("EXT0", "fwd")
+EXT1 = _extend("EXT1", "rev")
 TRI = Recipe(
-    name="TRI", kind="tri", label="bit-triple", tag="prov/tri",
+    name="TRI", kind="tri", tag="prov/tri",
     pool=lambda svc, name: TriplePool(name, **_PLAN_DRIVEN),
     inputs=lambda bits: (("cot/fwd", 1), ("cot/rev", 1)),
     cap=lambda t: t.triple_chunk,
     produce=_bit_triples,
 )
 MTRI = Recipe(
-    name="MTRI", kind="mtri", label="matrix-triple", tag="prov/mtri",
+    name="MTRI", kind="mtri", tag="prov/mtri",
     key_for=MatrixTriplePool.key_for, key_len=3,
     pool=lambda svc, name, m, k, n: MatrixTriplePool(
         name, m, k, n, svc.tuning.ring_bits, **_PLAN_DRIVEN

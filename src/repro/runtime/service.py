@@ -1,7 +1,7 @@
 """The background correlation provisioning service.
 
-One :class:`CorrelationService` runs per party.  It owns up to two
-Ferret endpoints -- the *forward* direction (party 0 is the COT sender)
+One :class:`CorrelationService` runs per party.  It owns two Ferret
+endpoints -- the *forward* direction (party 0 is the COT sender)
 and the *reverse* direction (party 1 is the sender), because every
 role-switching workload (bit triples, the ReLU multiplexer) needs OTs
 both ways -- and a worker thread that runs ``extend()`` and derived
@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -107,6 +107,10 @@ DEGRADED_RETRY_S = 0.5
 #: How many times a worker whose loop died on a transient transport
 #: fault is restarted before the error becomes fatal.
 MAX_WORKER_RESTARTS = 1
+#: Retry/backoff bounds of the worker's blocking receives: sliced waits
+#: that re-check liveness between slices.  ``deadline_s`` also bounds a
+#: resync barrier's wait for the peer's SACK.
+RETRY = RetryPolicy()
 
 
 class _StopRequested(Exception):
@@ -118,17 +122,15 @@ class ServiceTuning:
     """Raw-COT watermarks and batch sizes for the provisioning worker.
 
     The raw-COT pools are the only ones with a standing watermark
-    refill; every derived pool is filled by produce targets and by
-    draws that outrun it.  ``None`` watermarks are derived from the
+    refill, from the first draw that names their direction on; every
+    derived pool is filled by produce targets and by draws that outrun
+    it.  ``None`` watermarks are derived from the
     Ferret config at service construction (keep about one extend's
     output in flight).
     ``ring_bits`` fixes the ring Z_2^bits of every arithmetic
     correlation (matrix triples) the service produces -- both parties
     must agree, and preprocessing plans must be computed at the same
     width.
-    ``enable_reverse`` builds the reverse-direction Ferret endpoint;
-    without it, a kind that consumes reverse COTs (bit triples) fails on
-    first use.
     ``shards`` moves raw-COT production into that many producer
     *process pairs* (see :mod:`repro.runtime.shard`); 1 keeps today's
     in-thread extends byte-identically.  Derived ``None`` COT
@@ -144,13 +146,8 @@ class ServiceTuning:
     triple_chunk: int = 1024
     ring_bits: int = 32
     rtri_chunk: int = 256  # unread; benchmarks/ledger/fixture.py is its only writer
-    enable_reverse: bool = True
     enable_rots: bool = True  # unread; benchmarks/ledger/fixture.py is its only writer
     take_timeout_s: float = 300.0
-    #: Retry/backoff bounds for the worker's blocking receives (sliced
-    #: waits that re-check liveness) and, when the transport stack
-    #: includes a ReconnectingChannel, its redial loop.
-    retry: RetryPolicy = field(default_factory=RetryPolicy)
 
 
 class CorrelationService:
@@ -163,7 +160,7 @@ class CorrelationService:
             ``sess/<name>`` sub-channels.
         config: the Ferret configuration (shared by both directions).
         tuning: watermarks / batch sizes; both parties should pass
-            equal ``enable_reverse``.
+            equal ones.
         seed: base seed for the Ferret endpoints; both parties must
             pass the same value (they derive distinct per-role seeds
             from it, mirroring :func:`repro.ferret.protocol.ferret_pair`).
@@ -191,7 +188,7 @@ class CorrelationService:
         # (mux-default) receive timeout.
         self._data = {
             recipe.tag: RetryingChannel(
-                mux.sub(recipe.tag), self.tuning.retry,
+                mux.sub(recipe.tag), RETRY,
                 probe=self._worker_probe, default_timeout=mux.timeout,
             )
             for recipe in RECIPES
@@ -205,7 +202,7 @@ class CorrelationService:
             return role(config, seed=seed + offset + party)
 
         self.ferret_fwd = endpoint("fwd", 0)
-        self.ferret_rev = endpoint("rev", 2) if self.tuning.enable_reverse else None
+        self.ferret_rev = endpoint("rev", 2)
 
         # One wake event shared by every pool: any demand pulse (a
         # reserve dipping below the low watermark, a blocked take)
@@ -245,12 +242,9 @@ class CorrelationService:
         #: Set (under the allocation lock) once the worker has exited:
         #: the pool factory hands out pools created later already closed.
         self._worker_done = False
+        #: Every pool, raw-COT ones included, is made on first use (see
+        #: _pool): a direction nothing draws has no pool and no refill.
         self.pools: dict = {}
-        # The raw-COT pools of the endpoints built above; every derived
-        # pool is made on first use (see _pool).
-        for recipe in RECIPES:
-            if recipe.direction is not None and self._endpoint(recipe.direction) is not None:
-                self._pool(recipe)
 
         # Process-sharded raw-COT production (repro.runtime.shard):
         # shards=1 constructs none of the machinery, keeping the
@@ -464,8 +458,6 @@ class CorrelationService:
         out = {}
         for direction in ("fwd", "rev"):
             ep = self._endpoint(direction)
-            if ep is None:
-                continue
             out[f"{direction}/extends"] = self.extends[direction]
             out[f"{direction}/iterations"] = ep.iterations
             last = ep.last_stats
@@ -549,27 +541,20 @@ class CorrelationService:
         """The one pool factory: the pool ``recipe`` fills under ``key``,
         created on first use.
 
-        A raw-COT pool exists when its Ferret endpoint does.  A derived
-        pool first ensures its raw-COT inputs, so a kind that needs a
-        missing endpoint fails here, when something first asks for it.
-        Creation is local and idempotent, so sessions, plans and the
-        command replay can each ensure a pool exists on their side
-        without any cross-party coordination.  A pool made after the
+        A derived pool first ensures its raw-COT inputs; a raw-COT pool,
+        and with it its direction's watermark refill, exists from the
+        first draw, plan, produce target, command or shard merge that
+        names it.  Creation is local and idempotent, so sessions, plans,
+        the command replay and the shard mergers can each ensure a pool
+        exists on their side without any cross-party coordination.  A pool made after the
         worker exited is closed at birth: waits on it fail with
         ``PoolClosed`` at once instead of burning their timeout on a
         producer that is gone.
         """
         name = recipe.pool_name(*key)
         if name not in self.pools:
-            if recipe.direction is not None and self._endpoint(recipe.direction) is None:
-                raise ServiceError(f"no {recipe.label} production (enable_reverse=False)")
             for src, _ in recipe.inputs(self.tuning.ring_bits, *key):
-                source = BY_KIND[src]
-                if self._endpoint(source.direction) is None:
-                    raise ServiceError(
-                        f"{recipe.label} production needs {source.label} production"
-                    )
-                self._pool(source)
+                self._pool(BY_KIND[src])
         with self._alloc_lock:
             pool = self.pools.get(name)
             if pool is None:
@@ -629,8 +614,7 @@ class CorrelationService:
             else:
                 fwd, rev = self.mint_base_cots(self._data["prov/fwd"], self._data["prov/rev"])
                 self.ferret_fwd.seed_base_cots(*fwd)
-                if rev is not None:
-                    self.ferret_rev.seed_base_cots(*rev)
+                self.ferret_rev.seed_base_cots(*rev)
             self._ready.set()
             if self.party == 0:
                 try:
@@ -672,7 +656,7 @@ class CorrelationService:
         worker receive, so a stop request ends it."""
         self._ctl.send_msg("hello", protocol=PROTOCOL)
         ctl = RetryingChannel(
-            self._ctl, self.tuning.retry, probe=self._worker_probe,
+            self._ctl, RETRY, probe=self._worker_probe,
             default_timeout=self.mux.timeout,
         )
         msg = ctl.recv_msg(CONTROL)
@@ -689,17 +673,15 @@ class CorrelationService:
         reverse direction's seed OTs (P0, the forward COT sender, offers
         the reverse IKNP's seed pairs; P1, the reverse Delta-holder,
         chooses with the bits of its Delta), so the reverse mint runs no
-        PKC.  Without a reverse endpoint nothing spare is minted.
-        Returns ``(fwd columns, rev columns or None)``, each of
+        PKC.  Both directions are minted whether or not anything ever
+        draws the reverse one: its mint costs no public-key OT.
+        Returns ``(fwd columns, rev columns)``, each of
         ``copies x base_cots_needed`` rows.
         """
         fwd, rev = self.ferret_fwd, self.ferret_rev
         need = copies * self.config.base_cots_needed
-        spare = KAPPA if rev is not None else 0
-        columns = fwd.mint_base_cots(fwd_channel, need + spare)
+        columns = fwd.mint_base_cots(fwd_channel, need + KAPPA)
         head = tuple(column[:need] for column in columns)
-        if rev is None:
-            return head, None
         tail = tuple(column[need:] for column in columns)
         seed_cots = CotSenderBatch(fwd.delta, *tail) if self.party == 0 else CotReceiverBatch(*tail)
         return head, rev.mint_base_cots(rev_channel, need, seed_cots)
@@ -813,7 +795,7 @@ class CorrelationService:
         self._sync_nonce += 1
         try:
             self._ctl.send_msg("SYNC", nonce=self._sync_nonce, produced=self._produced_counts())
-            deadline = time.monotonic() + self.tuning.retry.deadline_s
+            deadline = time.monotonic() + RETRY.deadline_s
             while True:
                 remaining = max(0.05, deadline - time.monotonic())
                 reply = self._ctl.recv_msg(CONTROL, timeout=remaining)
@@ -932,7 +914,7 @@ class CorrelationService:
         """``(source pool, offset, count)`` per input of a command."""
         inputs = cmd.recipe.inputs(self.tuning.ring_bits, *cmd.key)
         return [
-            (self.pools[src], lo, cmd.n * per)
+            (self._pool(BY_KIND[src]), lo, cmd.n * per)
             for (src, per), lo in zip(inputs, cmd.offsets)
         ]
 

@@ -88,10 +88,7 @@ def _shard_seed(seed: int, shard: int) -> int:
 
 def _shard_slices(columns, need: int, shards: int) -> list:
     """Cut base-COT columns minted for ``shards`` first iterations into
-    the per-shard columns a worker endpoint takes in ``seed_base_cots``
-    (``[None] * shards`` for a direction that was not minted)."""
-    if columns is None:
-        return [None] * shards
+    the per-shard columns a worker endpoint takes in ``seed_base_cots``."""
     return [
         tuple(column[i * need : (i + 1) * need] for column in columns)
         for i in range(shards)
@@ -104,7 +101,6 @@ def _worker_main(
     config,
     seed: int,
     sender_delta,
-    enable_reverse: bool,
     cmd_q,
     res_q,
 ) -> None:
@@ -134,19 +130,17 @@ def _worker_main(
         base = _shard_seed(seed, shard)
         if party == 0:
             fwd = FerretSender(config, seed=base)
+            rev = FerretReceiver(config, seed=base + 2)
             fwd.delta = sender_delta.copy()
-            rev = FerretReceiver(config, seed=base + 2) if enable_reverse else None
         else:
             fwd = FerretReceiver(config, seed=base + 1)
-            rev = FerretSender(config, seed=base + 3) if enable_reverse else None
-            if rev is not None:
-                rev.delta = sender_delta.copy()
+            rev = FerretSender(config, seed=base + 3)
+            rev.delta = sender_delta.copy()
         msg = cmd_q.get(timeout=_SETUP_TIMEOUT_S)
         if msg[0] != "seed":
             raise ServiceError(f"shard {shard}: expected seed, got {msg[0]!r}")
         fwd.seed_base_cots(*msg[1])
-        if rev is not None:
-            rev.seed_base_cots(*msg[2])
+        rev.seed_base_cots(*msg[2])
         res_q.put(("ready", shard, time.monotonic() - t0))
         endpoints = {"fwd": fwd, "rev": rev}
         while True:
@@ -154,11 +148,8 @@ def _worker_main(
             if msg[0] == "stop":
                 break
             _, seq, direction = msg
-            endpoint = endpoints[direction]
-            if endpoint is None:
-                raise ServiceError(f"shard {shard}: direction {direction} disabled")
             t0 = time.monotonic()
-            batch = endpoint.extend(channel)
+            batch = endpoints[direction].extend(channel)
             elapsed = time.monotonic() - t0
             if isinstance(batch, CotSenderBatch):
                 payload = (batch.z,)
@@ -233,12 +224,7 @@ class ShardManager:
         handshake in-band, hand the COTs over, wait for every shard to
         be ready, then start the merge thread."""
         service = self.service
-        sender_delta = (
-            service.ferret_fwd.delta if self.party == 0
-            else service.ferret_rev.delta if service.ferret_rev is not None
-            else None
-        )
-        enable_reverse = service.tuning.enable_reverse
+        sender_delta = (service.ferret_fwd if self.party == 0 else service.ferret_rev).delta
         need = service.config.base_cots_needed
         fwd_cols, rev_cols = service.mint_base_cots(self._hs, self._hs, copies=self.shards)
         fwd_seeds = _shard_slices(fwd_cols, need, self.shards)
@@ -250,8 +236,7 @@ class ShardManager:
                 target=_worker_main,
                 args=(
                     self.party, i, service.config, self.seed,
-                    sender_delta, enable_reverse,
-                    self._cmd_qs[i], self._res_q,
+                    sender_delta, self._cmd_qs[i], self._res_q,
                 ),
                 name=f"corr-shard-p{self.party}-{i}",
                 daemon=True,
@@ -378,12 +363,13 @@ class ShardManager:
     def request_refills(self) -> None:
         """Dispatch extends to idle shards for every direction whose
         pool is below target net of what is already in flight.  Called
-        from the leader's scheduling loop in place of OP_EXTEND."""
+        from the leader's scheduling loop in place of OP_EXTEND.  A
+        direction nothing has drawn yet has no pool, so no refill."""
         self.check_failed()
-        pools = self.service.pools
-        self._dispatch_deficit("fwd", pools["cot/fwd"])
-        if self.service.tuning.enable_reverse:
-            self._dispatch_deficit("rev", pools["cot/rev"])
+        for direction in DIRECTIONS:
+            pool = self.service.pools.get(f"cot/{direction}")
+            if pool is not None:
+                self._dispatch_deficit(direction, pool)
 
     def request_extend(self, direction: str) -> None:
         """Derived production starved on raw COTs: make sure at least
@@ -442,7 +428,7 @@ class ShardManager:
             if msg is None or msg[0] != "ext":
                 continue
             _, shard, seq, direction, payload, elapsed = msg
-            pool = service.pools[f"cot/{direction}"]
+            pool = service.pool(f"cot/{direction}")
             n = payload[0].shape[0]
             try:
                 lo = pool.append_columns(payload)
@@ -511,7 +497,9 @@ class ShardManager:
                 seq, lo, n = announced.popleft()
                 shard, local_dir, payload, elapsed = self._results.pop(seq)
                 self._expected.pop(seq, None)
-                pool = service.pools[f"cot/{local_dir}"]
+                # The first batch of a direction this party has not
+                # drawn yet makes its pool.
+                pool = service.pool(f"cot/{local_dir}")
                 local = (local_dir, pool.produced, payload[0].shape[0])
                 if local != (direction, lo, n):
                     raise ServiceError(

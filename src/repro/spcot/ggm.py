@@ -10,10 +10,12 @@ all sums except slot ``alpha_i`` can reconstruct every leaf except the
 one at position ``alpha`` -- that reconstruction lives here too so the
 protocol module stays purely about message flow.
 
-Besides the single-tree primitives (the full-tree reference), this
-module carries their *batched* counterparts (:func:`batched_expand_full`,
+The shipped forms are *batched* (:func:`batched_expand_full`,
 :func:`batched_level_sums`, :class:`BatchedTreeLevels`,
-:class:`BatchedPuncturedReconstructor`).  MPCOT runs t independent
+:class:`BatchedPuncturedReconstructor`); of the single-tree
+primitives only :func:`level_sums` and :func:`alpha_digits` stay here.
+The single-tree reference (full expansion and level-by-level punctured
+reconstruction) lives in ``tests/oracles.py``.  MPCOT runs t independent
 trees, and Ironman's hybrid expansion schedule (Figure 8) gets its
 pipeline utilization exactly from that inter-tree parallelism: all t
 trees advance level-synchronously, so every PRG expansion operates on
@@ -45,21 +47,6 @@ from repro.errors import ParameterError
 from repro.utils.bitops import int_to_digits
 
 
-def expand_full(prg: TreePrg, seed: np.ndarray, depth: int) -> list:
-    """Expand ``seed`` into all tree levels.
-
-    Returns a list of block arrays: ``levels[i]`` has ``arity ** i``
-    rows; ``levels[0]`` is the seed itself.
-    """
-    if depth < 1:
-        raise ParameterError("tree depth must be >= 1")
-    seed = np.asarray(seed, dtype=blocks.BLOCK_DTYPE).reshape(1, 2)
-    levels = [seed]
-    for lvl in range(depth):
-        levels.append(prg.expand(levels[-1], lvl))
-    return levels
-
-
 def level_sums(nodes: np.ndarray, arity: int) -> np.ndarray:
     """Per-slot XOR sums of one tree level.
 
@@ -83,83 +70,6 @@ def alpha_digits(alpha: int, arity: int, depth: int) -> list:
     if not 0 <= alpha < arity**depth:
         raise ParameterError(f"alpha {alpha} out of range for {arity}^{depth} leaves")
     return list(reversed(int_to_digits(alpha, arity, depth)))
-
-
-class PuncturedReconstructor:
-    """Receiver-side level-by-level tree reconstruction.
-
-    Feed it, per level, the known sums (all slots except the punctured
-    digit); it maintains the partially known level and the hole
-    position.  After ``depth`` levels, :attr:`nodes` holds every leaf
-    except index :attr:`hole` (which is zero-filled).
-    """
-
-    def __init__(self, prg: TreePrg, depth: int, digits: list):
-        self.prg = prg
-        self.arity = prg.arity
-        self.depth = depth
-        self.digits = list(digits)
-        if len(self.digits) != depth:
-            raise ParameterError("digit count must equal tree depth")
-        self.level = 0
-        self.nodes = None
-        self.hole = None
-
-    def feed_level(self, known_sums: dict) -> None:
-        """Consume level ``self.level + 1`` given sums for slots != digit.
-
-        Args:
-            known_sums: mapping slot j -> (1, 2) block, defined for every
-                j in [0, arity) except the punctured digit of this level.
-        """
-        m = self.arity
-        digit = self.digits[self.level]
-        expected_slots = set(range(m)) - {digit}
-        if set(known_sums) != expected_slots:
-            raise ParameterError(
-                f"level {self.level + 1} needs sums for slots {sorted(expected_slots)}"
-            )
-        if self.level == 0:
-            nodes = blocks.zeros(m)
-            for j, value in known_sums.items():
-                nodes[j] = value.reshape(2)
-            self.nodes = nodes
-            self.hole = digit
-        else:
-            children = self.prg.expand(self.nodes, self.level)
-            # The hole parent's children came from expanding a zero stand-in;
-            # blank them so the slot sums below only cover known nodes.
-            start = self.hole * m
-            children[start : start + m] = 0
-            partial = level_sums(children, m)
-            for j, value in known_sums.items():
-                children[start + j] = blocks.xor(value.reshape(1, 2), partial[j : j + 1])
-            self.nodes = children
-            self.hole = self.hole * m + digit
-        self.level += 1
-
-    @property
-    def done(self) -> bool:
-        return self.level == self.depth
-
-    def leaves(self) -> tuple:
-        """Return (leaves with zero at the hole, hole index)."""
-        if not self.done:
-            raise ParameterError("tree reconstruction is not finished")
-        return self.nodes, self.hole
-
-
-def reconstruct_punctured(
-    prg: TreePrg, depth: int, alpha: int, sums_per_level: list
-) -> tuple:
-    """Convenience wrapper: reconstruct all leaves except ``alpha``.
-
-    ``sums_per_level[i]`` is the dict of known slot sums for level i+1.
-    """
-    recon = PuncturedReconstructor(prg, depth, alpha_digits(alpha, prg.arity, depth))
-    for known in sums_per_level:
-        recon.feed_level(known)
-    return recon.leaves()
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +181,8 @@ class BatchedTreeLevels:
 class BatchedPuncturedReconstructor:
     """Receiver-side level-synchronous reconstruction of ``t`` trees.
 
-    The batched analogue of :class:`PuncturedReconstructor`: all trees
+    The batched analogue of the single-tree reconstructor in
+    ``tests/oracles.py``: all trees
     advance one level per :meth:`feed_level` call, carried as a single
     tree-major block array, with the per-tree holes tracked as an index
     vector.  ``digits`` is a ``(t, depth)`` int array of per-tree

@@ -16,6 +16,11 @@ leaf below it (``repro.spcot.mpcot.mpcot_prg_calls``).  The tweak layout and
 the key-tree PRG are spelled out here, not imported, so the comparison
 also pins the shipped schedule.
 
+``expand_full``, ``PuncturedReconstructor`` and ``reconstruct_punctured``
+are the single-tree GGM expansion and level-by-level punctured
+reconstruction these SPCOT references run on; the shipped path uses
+the batched, pruned forms in ``repro.spcot.ggm``.
+
 ``chacha_core_reference`` and ``encode_blocks_reference`` /
 ``encode_bits_reference`` are the numpy formulations ``repro.crypto.
 chacha`` and ``repro.lpn.encode`` shipped before their in-place kernels
@@ -47,11 +52,11 @@ import numpy as np
 
 from repro.crypto import blocks
 from repro.crypto.crhf import DEFAULT_CRHF
-from repro.crypto.prg import ChaChaTreePrg
+from repro.crypto.prg import ChaChaTreePrg, TreePrg
 from repro.errors import ParameterError
 from repro.mpc.triples import and_shared
 from repro.ot.ot_from_cot import ot_receive_from_cot, ot_send_from_cot
-from repro.spcot.ggm import PuncturedReconstructor, alpha_digits, expand_full, level_sums
+from repro.spcot.ggm import alpha_digits, level_sums
 from repro.spcot.mpcot import block_sizes, tree_depth_for
 from repro.utils.bitops import log_base
 
@@ -59,6 +64,104 @@ _KEY_TREE_PRG = ChaChaTreePrg(arity=2, rounds=8, salt=b"ironman-key-tree")
 _TREE_TWEAK_STRIDE = 1 << 20  # per tree
 _LEVEL_TWEAK_STRIDE = 64  # per GGM level inside a tree's stride
 _MASK_TWEAK_OFFSET = 32  # a level's masked sums, above its key-tree OT pads
+
+
+# -- GGM: one tree, level by level --
+
+
+def expand_full(prg: TreePrg, seed: np.ndarray, depth: int) -> list:
+    """Expand ``seed`` into all tree levels.
+
+    Returns a list of block arrays: ``levels[i]`` has ``arity ** i``
+    rows; ``levels[0]`` is the seed itself.
+    """
+    if depth < 1:
+        raise ParameterError("tree depth must be >= 1")
+    seed = np.asarray(seed, dtype=blocks.BLOCK_DTYPE).reshape(1, 2)
+    levels = [seed]
+    for lvl in range(depth):
+        levels.append(prg.expand(levels[-1], lvl))
+    return levels
+
+
+class PuncturedReconstructor:
+    """Receiver-side level-by-level tree reconstruction.
+
+    Feed it, per level, the known sums (all slots except the punctured
+    digit); it maintains the partially known level and the hole
+    position.  After ``depth`` levels, :attr:`nodes` holds every leaf
+    except index :attr:`hole` (which is zero-filled).
+    """
+
+    def __init__(self, prg: TreePrg, depth: int, digits: list):
+        self.prg = prg
+        self.arity = prg.arity
+        self.depth = depth
+        self.digits = list(digits)
+        if len(self.digits) != depth:
+            raise ParameterError("digit count must equal tree depth")
+        self.level = 0
+        self.nodes = None
+        self.hole = None
+
+    def feed_level(self, known_sums: dict) -> None:
+        """Consume level ``self.level + 1`` given sums for slots != digit.
+
+        Args:
+            known_sums: mapping slot j -> (1, 2) block, defined for every
+                j in [0, arity) except the punctured digit of this level.
+        """
+        m = self.arity
+        digit = self.digits[self.level]
+        expected_slots = set(range(m)) - {digit}
+        if set(known_sums) != expected_slots:
+            raise ParameterError(
+                f"level {self.level + 1} needs sums for slots {sorted(expected_slots)}"
+            )
+        if self.level == 0:
+            nodes = blocks.zeros(m)
+            for j, value in known_sums.items():
+                nodes[j] = value.reshape(2)
+            self.nodes = nodes
+            self.hole = digit
+        else:
+            children = self.prg.expand(self.nodes, self.level)
+            # The hole parent's children came from expanding a zero stand-in;
+            # blank them so the slot sums below only cover known nodes.
+            start = self.hole * m
+            children[start : start + m] = 0
+            partial = level_sums(children, m)
+            for j, value in known_sums.items():
+                children[start + j] = blocks.xor(value.reshape(1, 2), partial[j : j + 1])
+            self.nodes = children
+            self.hole = self.hole * m + digit
+        self.level += 1
+
+    @property
+    def done(self) -> bool:
+        return self.level == self.depth
+
+    def leaves(self) -> tuple:
+        """Return (leaves with zero at the hole, hole index)."""
+        if not self.done:
+            raise ParameterError("tree reconstruction is not finished")
+        return self.nodes, self.hole
+
+
+def reconstruct_punctured(
+    prg: TreePrg, depth: int, alpha: int, sums_per_level: list
+) -> tuple:
+    """Convenience wrapper: reconstruct all leaves except ``alpha``.
+
+    ``sums_per_level[i]`` is the dict of known slot sums for level i+1.
+    """
+    recon = PuncturedReconstructor(prg, depth, alpha_digits(alpha, prg.arity, depth))
+    for known in sums_per_level:
+        recon.feed_level(known)
+    return recon.leaves()
+
+
+# -- SPCOT / MPCOT: one tree, one round trip per level --
 
 
 def spcot_send(channel, pool, delta, prg, depth, rng, tweak_base=0, crhf=DEFAULT_CRHF):

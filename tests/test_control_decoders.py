@@ -10,17 +10,21 @@ a ``KeyError``, ``struct.error`` or ``JSONDecodeError``, a hang, or a
 silently dropped frame.
 """
 
+import importlib
 import time
+from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from parties import ScriptedChannel
 from strategies import WireStrategies
 
+import repro
 from repro.errors import ProtocolError, ServiceError
 from repro.ferret.config import FerretConfig
-from repro.fingerprint import PROTOCOL
+from repro.fingerprint import CONSTANTS, PROTOCOL
 from repro.obs.trace import NULL_TRACER
 from repro.ot.channel import LocalChannel, encode_msg
 from repro.ot.reconnect import HANDSHAKE, ReconnectingChannel
@@ -141,6 +145,25 @@ def test_service_refuses_a_peer_on_another_protocol(party, monkeypatch):
         assert base_calls == []
     finally:
         mux.close(), peer.close()
+
+
+def test_every_tweak_stride_and_offset_is_fingerprinted():
+    """Two peers differing in a tweak base, stride or offset compute
+    wrong shares and raise nothing: each module-level integer of
+    ``repro`` whose name says it is one must be in the fingerprint."""
+    root = Path(repro.__file__).parent
+    missing = []
+    for path in sorted(root.rglob("*.py")):
+        parts = path.relative_to(root.parent).with_suffix("").parts
+        module = importlib.import_module(".".join(parts[:-1] if parts[-1] == "__init__" else parts))
+        missing += [
+            f"{module.__name__}.{name}"
+            for name, value in vars(module).items()
+            if any(word in name for word in ("TWEAK", "STRIDE", "OFFSET"))
+            and isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and name not in CONSTANTS
+        ]
+    assert not missing, f"not in repro.fingerprint.CONSTANTS: {missing}"
 
 
 @HOSTILE

@@ -286,23 +286,24 @@ class TestPkcCounts:
 
     def test_worker_loads_parent_slices_without_pkc(self, pkc_counts):
         """The shard worker entry point, run on threads so the counter
-        sees it: parents mint for two shards, shard 1's pair is seeded
-        from its slices and extends -- with no PKC of its own."""
-        parents = FerretSender(CFG, seed=1), FerretReceiver(CFG, seed=2)
+        sees it: two service parents mint for two shards, shard 1's pair
+        is seeded from its slices of both directions and extends each --
+        with no PKC of its own."""
         need = CFG.base_cots_needed
-        slices0, slices1, _, _ = run_pair(
-            lambda ch: _shard_slices(parents[0].mint_base_cots(ch, 2 * need), need, 2),
-            lambda ch: _shard_slices(parents[1].mint_base_cots(ch, 2 * need), need, 2),
-        )
+        _, parents, minted = mint_service_pair((2, 2))
         assert pkc_counts == {"send": [KAPPA], "receive": [KAPPA]}
         pkc_counts["send"].clear(), pkc_counts["receive"].clear()
+        # Each party's shard-1 slice of both directions, and the Delta
+        # of the direction it sends.
+        seeds = [[_shard_slices(cols, need, 2)[1] for cols in minted[p]] for p in (0, 1)]
+        deltas = parents[0].ferret_fwd.delta, parents[1].ferret_rev.delta
 
         cmd = queue.Queue(), queue.Queue()
         res = queue.Queue(), queue.Queue()
         workers = [
             threading.Thread(
                 target=_worker_main,
-                args=(party, 1, CFG, 7, parents[0].delta, False, cmd[party], res[party]),
+                args=(party, 1, CFG, 7, deltas[party], cmd[party], res[party]),
                 daemon=True,
             )
             for party in (0, 1)
@@ -313,21 +314,24 @@ class TestPkcCounts:
             kind, _, port = res[0].get(timeout=30.0)
             assert kind == "port"
             cmd[1].put(("connect", "127.0.0.1", port))
-            cmd[0].put(("seed", slices0[1], None))
-            cmd[1].put(("seed", slices1[1], None))
+            for party in (0, 1):
+                cmd[party].put(("seed", *seeds[party]))
             for q in res:
                 assert q.get(timeout=30.0)[0] == "ready"
-            for q in cmd:
-                q.put(("ext", 0, "fwd"))
-            (z,) = res[0].get(timeout=60.0)[4]
-            x, y = res[1].get(timeout=60.0)[4]
+            got = {}
+            for seq, direction in enumerate(("fwd", "rev")):
+                for q in cmd:
+                    q.put(("ext", seq, direction))
+                got[direction] = [q.get(timeout=60.0)[4] for q in res]
         finally:
             for q in cmd:
                 q.put(("stop",))
             for w in workers:
                 w.join(30.0)
         assert not any(w.is_alive() for w in workers)
-        assert verify_cot(CotSenderBatch(parents[0].delta, z), CotReceiverBatch(x, y))
+        for direction, sender in (("fwd", 0), ("rev", 1)):
+            (z,), (x, y) = got[direction][sender], got[direction][1 - sender]
+            assert verify_cot(CotSenderBatch(deltas[sender], z), CotReceiverBatch(x, y))
         assert pkc_counts == {"send": [], "receive": []}
 
     def test_service_pair_is_one_kappa_pkc_batch_per_side(self, pkc_counts):
@@ -338,9 +342,11 @@ class TestPkcCounts:
             verify_first_extends(services, CFG.net_output)
         assert pkc_counts == {"send": [KAPPA], "receive": [KAPPA]}
 
-    def test_forward_only_pair_mints_no_spare_cots(self, pkc_counts, monkeypatch):
-        """``enable_reverse=False``: exactly ``base_cots_needed`` forward
-        COTs, one PKC batch, no bootstrap OTs."""
+    def test_forward_only_pair_mints_both_directions(self, pkc_counts, monkeypatch):
+        """The cold start does not depend on what is drawn: forward-only
+        traffic still mints ``base_cots_needed + KAPPA`` forward COTs
+        and ``base_cots_needed`` reverse ones from the spare, in one PKC
+        batch, and builds and extends no reverse pool."""
         sizes = []
         for name, size in (
             ("base_cot_send", lambda a: a[1]), ("base_cot_receive", lambda a: len(a[1]))
@@ -350,10 +356,13 @@ class TestPkcCounts:
                 return _real(*args)
 
             monkeypatch.setattr(protocol, name, counted)
-        with service_pair(ServiceTuning(enable_reverse=False), seed=0x5AD2) as services:
-            assert sizes == [CFG.base_cots_needed] * 2
+        need = CFG.base_cots_needed
+        with service_pair(ServiceTuning(), seed=0x5AD2) as services:
+            assert sorted(sizes) == [need, need, need + KAPPA, need + KAPPA]
             assert pkc_counts == {"send": [KAPPA], "receive": [KAPPA]}
             verify_first_extends(services, CFG.net_output, directions=("fwd",))
+            for svc in services:
+                assert "cot/rev" not in svc.pools and svc.extends["rev"] == 0
 
     def test_two_shard_start_is_one_kappa_pkc_batch_per_pair(self, pkc_counts):
         """Both parents live in this process: the pair's start is one
@@ -391,10 +400,11 @@ def cold_start_bytes(n: int) -> dict:
     }
 
 
-def mint_service_pair(copies: tuple) -> dict:
+def mint_service_pair(copies: tuple) -> tuple:
     """Run ``CorrelationService.mint_base_cots`` on both parties, party p
     asking for ``copies[p]`` first iterations; returns the ``fwd`` /
-    ``rev`` channel pairs."""
+    ``rev`` channel pairs, the two services and each party's
+    ``(fwd columns, rev columns)``."""
     bases = LocalChannel.pair(timeout=60.0)
     muxes = [MuxChannel(base, timeout=60.0) for base in bases]
     links = {direction: LocalChannel.pair(timeout=60.0) for direction in ("fwd", "rev")}
@@ -403,7 +413,7 @@ def mint_service_pair(copies: tuple) -> dict:
             CorrelationService(party, muxes[party], CFG, ServiceTuning(), seed=0x5AD3)
             for party in (0, 1)
         ]
-        run_concurrently(
+        minted = run_concurrently(
             *(
                 lambda party=party: services[party].mint_base_cots(
                     links["fwd"][party], links["rev"][party], copies[party]
@@ -415,7 +425,7 @@ def mint_service_pair(copies: tuple) -> dict:
     finally:
         for mux in muxes:
             mux.close()
-    return links
+    return links, services, minted
 
 
 class TestColdStartBytes:
@@ -424,7 +434,7 @@ class TestColdStartBytes:
         """``CorrelationService.mint_base_cots`` of both parties: the bytes
         each sends on its forward and reverse channel equal
         :func:`cold_start_bytes`."""
-        links = mint_service_pair((copies, copies))
+        links, _, _ = mint_service_pair((copies, copies))
         sent = {
             (direction, party): links[direction][party].stats.bytes_sent
             for direction in ("fwd", "rev")

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from parties import run_both, start_service_pair
 
-from repro.errors import ParameterError, ServiceError
+from repro.errors import ParameterError
 from repro.ferret.config import FerretConfig
 from repro.mpc.matmul import matmul_rescale_via_service, matmul_via_service
 from repro.mpc.sharing import from_signed, share_arith_nd
@@ -215,16 +215,17 @@ class TestTruncationService:
         )
         assert measured == expect
 
-    def test_forward_only_refuses_truncation(self):
-        """Truncation draws bit triples, which consume reverse COTs: a
-        forward-only service refuses the ``tri`` pool when it is first
-        asked for, naming the missing production, before any draw."""
+    def test_truncation_names_both_directions_into_being(self):
+        """Truncation draws bit triples, which consume reverse COTs: the
+        pools its draws name bring the reverse pool with them, and
+        nothing else does."""
         base_a, _ = LocalChannel.pair()
         mux0 = MuxChannel(base_a)
-        svc = CorrelationService(0, mux0, CFG, ServiceTuning(enable_reverse=False))
-        with pytest.raises(ServiceError, match="reverse-COT"):
-            svc.session("fwd-only").draw(trunc_draws(4, FX))
-        assert set(svc.pools) == {"cot/fwd"}
+        svc = CorrelationService(0, mux0, CFG, ServiceTuning())
+        assert svc.pools == {}
+        for kind, key, _ in trunc_draws(4, FX):
+            svc.pool(kind, key)
+        assert set(svc.pools) == {"cot/fwd", "cot/rev", "tri"}
         mux0.close()
 
 

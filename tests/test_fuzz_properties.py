@@ -207,6 +207,7 @@ def _follower():
         party=1,
         mux=SimpleNamespace(sub=lambda tag: None),
         pools=pools,
+        pool=pools.__getitem__,
         tracer=NULL_TRACER,
         extends=dict.fromkeys(DIRECTIONS, 0),
     )

@@ -4,17 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import PuncturedReconstructor, expand_full, reconstruct_punctured
 
 from repro.crypto import blocks
 from repro.crypto.prg import AesTreePrg, ChaChaTreePrg
 from repro.errors import ParameterError
-from repro.spcot.ggm import (
-    PuncturedReconstructor,
-    alpha_digits,
-    expand_full,
-    level_sums,
-    reconstruct_punctured,
-)
+from repro.spcot.ggm import alpha_digits, level_sums
 
 
 def sums_for_receiver(levels, arity, digits):

@@ -24,7 +24,6 @@ from repro.spcot.ggm import (
     alpha_digits,
     batched_expand_full,
     batched_level_sums,
-    expand_full,
     level_sums,
     pruned_widths,
     tree_xor,
@@ -41,7 +40,7 @@ from repro.spcot.mpcot import (
 )
 from repro.spcot.protocol import cots_needed, spcot_receive_batch, spcot_send_batch
 
-from oracles import mpcot_receive_sequential, mpcot_send_sequential
+from oracles import expand_full, mpcot_receive_sequential, mpcot_send_sequential
 
 
 def make_pools(n_cots, delta, seed=99):

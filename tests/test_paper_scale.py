@@ -29,9 +29,9 @@ PATIENCE = 3600.0
 def test_table4_2pow20_through_service():
     cfg = FerretConfig.paper("2^20", arity=4, prg_kind="chacha8")
     tuning = ServiceTuning(
-        # Forward direction only: the Table 4 rows measure one COT
-        # stream, and reverse would double the setup for nothing.
-        enable_reverse=False,
+        # The Table 4 rows measure one COT stream: only cot/fwd is
+        # drawn, so the reverse direction builds no pool and never
+        # extends (its base COTs still come with the one cold start).
         cot_low=1,
         cot_high=cfg.net_output,
         take_timeout_s=PATIENCE,
@@ -95,7 +95,6 @@ def test_table4_2pow20_through_4shard_service():
     cfg = FerretConfig.paper("2^20", arity=4, prg_kind="chacha8")
     tuning = ServiceTuning(
         shards=shards,
-        enable_reverse=False,
         cot_low=1,
         cot_high=cfg.net_output,
         take_timeout_s=PATIENCE,

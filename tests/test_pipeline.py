@@ -252,12 +252,10 @@ class TestPipelinedPrefill:
 
 class TestForwardOnlyPipeline:
     def test_linear_plan_on_forward_only_service(self):
-        """A forward-only service (no cot/rev pool) must still pipeline
-        a linear-layer plan: matrix triples draw forward COTs only."""
-        tuning = ServiceTuning(
-            ring_bits=BITS,
-            enable_reverse=False,
-        )
+        """A linear-layer plan pipelines on forward COTs alone: matrix
+        triples draw only ``cot/fwd``, so no party builds or extends a
+        ``cot/rev`` pool."""
+        tuning = ServiceTuning(ring_bits=BITS)
         svc0, svc1, mux0, mux1 = start_service_pair(CFG, tuning, seed=0x1F0)
         try:
             g = Graph("FwdOnly", (3, 5))
@@ -285,6 +283,8 @@ class TestForwardOnlyPipeline:
             for join in joins:
                 join()
             assert np.array_equal((z0 + z1) & MASK, (x @ y) & MASK)
+            for svc in (svc0, svc1):
+                assert "cot/rev" not in svc.pools and svc.extends["rev"] == 0
         finally:
             svc0.stop(), svc1.stop()
             mux0.close(), mux1.close()

@@ -218,7 +218,7 @@ def test_stale_command_takes_inputs_times_n_at_frame_offsets(recipe):
     offsets = tuple(5 + 2 * i for i in range(len(inputs)))
     taken = []
     for (src, per), lo in zip(inputs, offsets):
-        pool = follower.pools[src]
+        pool = follower.pool(src)
         stock(pool, lo + n * per)
         real = pool.take_columns
         pool.take_columns = (

@@ -279,31 +279,55 @@ class TestServiceLifecycle:
             CorrelationService(2, mux0, CFG)
         mux0.close()
 
-    def test_triples_require_reverse_direction(self):
-        """A forward-only service builds; its first bit-triple draw
-        fails, naming the reverse-COT production triples need."""
-        base_a, _ = LocalChannel.pair()
-        mux0 = MuxChannel(base_a)
-        svc0 = CorrelationService(0, mux0, CFG, ServiceTuning(enable_reverse=False))
-        with pytest.raises(ServiceError, match="bit-triple production needs reverse-COT"):
-            svc0.session("tri").draw([("tri", (), 4)])
-        mux0.close()
+
+MTRI_KEY = (2, 3, 2)
 
 
 class TestPoolsOnFirstUse:
-    """A pool exists because something draws it: the constructor makes
-    the raw-COT pools of its endpoints, and a draw or a plan makes the
-    rest -- the same ones on both parties."""
+    """A pool exists because something draws it: a draw, a plan or a
+    produce target makes it -- the raw-COT pools included -- and the
+    same ones on both parties."""
 
-    def test_fresh_service_holds_only_raw_cot_pools(self):
-        for tuning, kinds in (
-            (ServiceTuning(), {"cot/fwd", "cot/rev"}),
-            (ServiceTuning(enable_reverse=False), {"cot/fwd"}),
-        ):
-            base_a, _ = LocalChannel.pair()
-            mux0 = MuxChannel(base_a)
-            assert set(CorrelationService(0, mux0, CFG, tuning).pools) == kinds
-            mux0.close()
+    def test_fresh_service_holds_no_pool(self):
+        base_a, _ = LocalChannel.pair()
+        mux0 = MuxChannel(base_a)
+        assert CorrelationService(0, mux0, CFG).pools == {}
+        mux0.close()
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_forward_only_traffic_extends_no_reverse_pool(self, shards):
+        """Sessions drawing only ``cot/fwd`` and ``mtri`` run no reverse
+        extend, and neither party holds a ``cot/rev`` pool; the first
+        ``tri`` draw after them makes it and yields AND triples."""
+        tuning = ServiceTuning(shards=shards, ring_bits=16)
+        svc0, svc1, mux0, mux1 = start_service_pair(tuning, seed=0xF0 + shards)
+        forward = [("cot/fwd", (), 300), ("mtri", MTRI_KEY, 1)]
+        try:
+            out = run_sessions(svc0, svc1, [
+                (f"fwd{i}", lambda session, party: session.draw(forward)[0])
+                for i in range(2)
+            ])
+            for svc in (svc0, svc1):
+                assert svc.extends["rev"] == 0 and svc.extends["fwd"] >= 1
+                assert svc.telemetry()["ferret/rev/extends"] == 0
+                assert set(svc.pools) == {"cot/fwd", "mtri/2x3x2"}
+            mask = (1 << 16) - 1
+            for i in range(2):
+                (cots0, mtri0), (cots1, mtri1) = out[0, f"fwd{i}"], out[1, f"fwd{i}"]
+                assert verify_cot(cots0, cots1)
+                a, b = (mtri0.a + mtri1.a) & mask, (mtri0.b + mtri1.b) & mask
+                assert np.array_equal((mtri0.c + mtri1.c) & mask, (a @ b) & mask)
+
+            out = run_sessions(svc0, svc1, [
+                ("tri", lambda session, party: session.draw([("tri", (), 200)])[0][0]),
+            ])
+            tri0, tri1 = out[0, "tri"], out[1, "tri"]
+            assert np.array_equal(tri0.c ^ tri1.c, (tri0.a ^ tri1.a) & (tri0.b ^ tri1.b))
+            for svc in (svc0, svc1):
+                assert "cot/rev" in svc.pools and svc.extends["rev"] >= 1
+        finally:
+            svc0.stop(), svc1.stop()
+            mux0.close(), mux1.close()
 
     def test_prefill_names_an_unkeyed_pool_into_being(self):
         svc0, svc1, mux0, mux1 = start_service_pair(seed=0xF1)

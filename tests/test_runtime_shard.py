@@ -200,9 +200,7 @@ class TestWorkerDeath:
         the managers have to notice the exit code themselves, not sit
         out the 30 s rendezvous budget."""
         monkeypatch.setattr(shard, "_worker_main", _die_at_boot)
-        tuning = ServiceTuning(
-            shards=SHARDS, enable_reverse=False,
-        )
+        tuning = ServiceTuning(shards=SHARDS)
         svc0, svc1, mux0, mux1 = start_service_pair(tuning)
         try:
             # The clock starts once the workers are dead: booting four
@@ -232,9 +230,7 @@ class TestWorkerDeath:
         """A killed worker posts nothing either; the leader's merge loop
         notices on its idle tick and closes the pools, so a draw waiting
         on production fails at once instead of after its take timeout."""
-        tuning = ServiceTuning(
-            shards=SHARDS, enable_reverse=False,
-        )
+        tuning = ServiceTuning(shards=SHARDS)
         svc0, svc1, mux0, mux1 = start_service_pair(tuning)
         try:
             svc0.wait_ready(240.0), svc1.wait_ready(240.0)

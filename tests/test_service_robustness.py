@@ -63,7 +63,11 @@ def test_transient_fault_degrades_resyncs_and_recovers():
             real_execute(cmd)
 
         svc0._execute = failing_execute
-        svc0._wake.set()  # make sure the scheduler issues a command
+        # A pool exists from its first use on: making the forward-COT
+        # pool starts its watermark refill, so the scheduler issues a
+        # command.
+        svc0.pool("cot/fwd")
+        svc0._wake.set()
 
         wait_until(tripped.is_set, what="fault injection")
         wait_until(
