@@ -57,12 +57,20 @@ def test_kernel_crhf_hash_tweaked(benchmark, n):
     assert out.shape == (n, 2)
 
 
-def test_kernel_matrix_triple_pair(benchmark):
-    """Both parties of one Gilboa matrix triple at the ledger's first
-    layer, (4,24,24) on a 16-bit ring: 41472 AES blocks.  Best 6.3 ms on
-    the same host (32.6 ms with the numpy AES): the hash is no longer
-    the triple's cost."""
-    dims, bits = MatmulDims(4, 24, 24), 16
+@pytest.mark.parametrize(
+    "dims",
+    # The ledger's two layers on a 16-bit ring: 41472 and 23040 AES blocks.
+    [MatmulDims(4, 24, 24), MatmulDims(4, 24, 12)],
+    ids=lambda d: d.label,
+)
+def test_kernel_matrix_triple_pair(benchmark, dims):
+    """Both parties of one Gilboa matrix triple at one of the ledger's
+    layers.  Best 3.1 / 2.1 ms at (4,24,24) / (4,24,12) on the same
+    host (medians 5.0 / 3.4 ms), with pads, payloads and shares at the
+    ring's lane dtype; the uint64 path with one hash call per pad slice
+    and ``np.add.at`` reductions read 6.3 / 2.9 ms (medians 9.4 /
+    4.8 ms), and 32.6 ms at (4,24,24) with the numpy AES."""
+    bits = 16
     sender, receiver = fake_cots(int(matmul_cots(dims, bits)), seed=5)
 
     def run():

@@ -6,7 +6,9 @@ shares: no :class:`~repro.errors.ProtocolError`, just a broken
 correlation.  :data:`PROTOCOL` names the version both must speak: a
 version integer plus a digest of the declared protocol constants.  A
 correlation service sends it as its first control message
-(``{"op": "hello", "protocol": PROTOCOL}`` on ``prov/ctl``) and
+(``{"op": "hello", "protocol": PROTOCOL, ...}`` on ``prov/ctl``, next
+to the wire-shaping settings of
+:data:`repro.runtime.service.HELLO_CONFIG`) and
 :class:`repro.ot.reconnect.ReconnectingChannel` in its HELLO; a
 mismatch is a ``ProtocolError`` naming both values before any base OT
 runs.
@@ -32,7 +34,7 @@ from repro.spcot.mpcot import _TREE_TWEAK_STRIDE
 from repro.spcot.protocol import _LEVEL_TWEAK_STRIDE, _MASK_TWEAK_OFFSET
 
 #: Wire version of the protocol stack.
-VERSION = 2
+VERSION = 3
 
 #: Every declared constant a pad or a frame size depends on (every
 #: module-level tweak, stride and offset of ``repro``, which

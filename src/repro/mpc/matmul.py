@@ -44,6 +44,7 @@ from repro.mpc.triples import (
     _bit_decompose,
     gilboa_receive,
     gilboa_send,
+    ring_dtype,
     ring_mask_u64,
 )
 from repro.mpc.truncation import require_service_ring, trunc_draws, truncate_shares
@@ -64,7 +65,8 @@ BYTES_PER_COT = 17
 #: triples used to materialize the full (t, width) correction matrix --
 #: ~1 GiB at (64, 4096, 64) x 8 bits -- so the payload now streams in
 #: blocks of this many COT rows; peak working set per term becomes
-#: ``GILBOA_CHUNK_ROWS * width * 8`` bytes regardless of t.
+#: ``GILBOA_CHUNK_ROWS * width`` ring lanes regardless of t, plus the
+#: sender's ``(k*bits, width)`` payload table.
 GILBOA_CHUNK_ROWS = 1 << 12
 
 
@@ -136,6 +138,32 @@ def matmul_preproc_bytes(dims: MatmulDims, bits: int) -> int:
     return payload + lanes_bytes(t_act, 1) + lanes_bytes(t_wgt, 1)
 
 
+def _reduce_rows(chunks, group: int, out_rows: int, width: int) -> np.ndarray:
+    """Sum Gilboa share rows into a ``(out_rows, width)`` uint64 matrix:
+    COT row r lands in row ``(r // group) % out_rows``.
+
+    ``chunks`` yields ``(start, share)`` row blocks in stream order.
+    Each block's rows fall into contiguous groups of ``group`` rows
+    (its first and last group possibly cut by the block's ends): one
+    ``np.add.reduceat`` sums them, widening to uint64, and the group
+    sums fold onto their output rows by reshaping whole cycles of
+    ``out_rows`` groups.  Sums wrap mod 2^64, so the caller's final
+    reduction mod 2^bits is exact.
+    """
+    acc = np.zeros((out_rows, width), dtype=np.uint64)
+    for start, share in chunks:
+        stop = start + share.shape[0]
+        first = start // group
+        heads = np.arange(first, -(-stop // group)) * group - start
+        sums = np.add.reduceat(share, np.maximum(heads, 0), axis=0, dtype=np.uint64)
+        lead = first % out_rows
+        cycles = -(-(lead + len(sums)) // out_rows)
+        folded = np.zeros((cycles * out_rows, width), dtype=np.uint64)
+        folded[lead : lead + len(sums)] = sums
+        acc += folded.reshape(cycles, out_rows, width).sum(axis=0, dtype=np.uint64)
+    return acc
+
+
 def generate_matrix_triples(
     channel: Channel,
     dims: MatmulDims,
@@ -183,29 +211,12 @@ def generate_matrix_triples(
     tweaks_wgt = np.arange(
         tweak_base + t_act, tweak_base + t_act + t_wgt, dtype=np.uint64
     )
-    shifts = np.uint64(1) << np.arange(bits, dtype=np.uint64)
 
-    # Both cross terms stream in row blocks: COT row r of the activation
-    # term is (i, j, t) = (r // (k*bits), (r // bits) % k, r % bits) with
-    # payload B[j, :] << t, reduced into acc[i, :]; the weight term's row
-    # is (j, l, t) = (r // (n*bits), (r // bits) % n, r % bits) with
-    # payload A[:, j] << t, reduced into acc[l, :].  Sums wrap mod 2^64
-    # exactly like the one-shot reshape().sum() they replace.
-    def act_corr(start, stop):
-        r = np.arange(start, stop)
-        return (b[(r // bits) % k, :] * shifts[r % bits][:, None]) & mask
-
-    def wgt_corr(start, stop):
-        r = np.arange(start, stop)
-        return (a.T[r // (n * bits), :] * shifts[r % bits][:, None]) & mask
-
-    def reduce_term(chunks, group, out_rows, width):
-        acc = np.zeros((out_rows, width), dtype=np.uint64)
-        for start, share in chunks:
-            rows = np.arange(start, start + share.shape[0]) // group
-            np.add.at(acc, rows, share)
-        return acc
-
+    # COT row r of the activation term is (i, j, t) = (r // (k*bits),
+    # (r // bits) % k, r % bits) with payload B[j, :] << t, reduced into
+    # row i; the weight term's row is (j, l, t) = (r // (n*bits),
+    # (r // bits) % n, r % bits) with payload A[:, j] << t, reduced into
+    # row l.
     if party != ot_sender:
         # Activation term: choices = bits of my A (flattened (i,j) then t);
         # payload slot = the peer's B[j, :].
@@ -213,7 +224,7 @@ def generate_matrix_triples(
             channel, pool.take_receiver(t_act), _bit_decompose(a, bits),
             n, bits, tweaks_act, chunk_rows,
         )
-        cross_act = reduce_term(chunks, k * bits, m, n)
+        cross_act = _reduce_rows(chunks, k * bits, m, n)
         # Weight term: choices = bits of my B ((j,l) then t); payload =
         # the peer's A[:, j].
         chunks = gilboa_receive(
@@ -221,25 +232,31 @@ def generate_matrix_triples(
             m, bits, tweaks_wgt, chunk_rows,
         )
     else:
-        # Activation term payloads: corr[(i,j,t)] = B_me[j, :] << t.
+        # Payload rows are one take on a (k*bits, width) table whose row
+        # j*bits + t is that payload, at the ring's lane dtype.
+        shifts = np.arange(bits, dtype=np.uint64)[None, :, None]
+        act_table, wgt_table = (
+            (cols[:, None, :] << shifts).astype(ring_dtype(bits)).reshape(k * bits, -1)
+            for cols in (b, a.T)
+        )
+
+        def act_corr(start, stop):
+            return act_table.take(np.arange(start, stop) % (k * bits), axis=0)
+
+        def wgt_corr(start, stop):
+            r = np.arange(start, stop)
+            return wgt_table.take(r // (n * bits) * bits + r % bits, axis=0)
+
         chunks = gilboa_send(
             channel, pool.take_sender(t_act), act_corr, n, bits,
             tweaks_act, chunk_rows,
         )
-        cross_act = reduce_term(chunks, k * bits, m, n)
-        # Weight term payloads: corr[(j,l,t)] = A_me[:, j] << t.
+        cross_act = _reduce_rows(chunks, k * bits, m, n)
         chunks = gilboa_send(
             channel, pool.take_sender(t_wgt), wgt_corr, m, bits,
             tweaks_wgt, chunk_rows,
         )
-    # Weight reduction groups rows by l = (r // bits) % n, which is NOT
-    # monotone in r -- fold the leading j axis away first by reducing
-    # modulo the (n, bits) tail.
-    acc = np.zeros((n, m), dtype=np.uint64)
-    for start, share in chunks:
-        rows = (np.arange(start, start + share.shape[0]) // bits) % n
-        np.add.at(acc, rows, share)
-    cross_wgt = acc.T
+    cross_wgt = _reduce_rows(chunks, bits, n, m).T
     c = (a @ b + cross_act + cross_wgt) & mask
     return MatrixTriples(a, b, c, bits)
 

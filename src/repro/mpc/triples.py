@@ -21,10 +21,11 @@ sender ships one masked ``bits``-wide lane per payload slot
 payload the analytical models charge.  The masks are lanes of the same
 width cut from the COT block's CRHF output (:func:`_expand_ring_pads`),
 so on a 16-bit ring one AES block pads eight payload slots and the
-wire carries 2 bytes per slot.  Matrix triples batch whole
-rows/columns of the peer operand as the correlated payload, which is
-how one secure MatMul costs ``(m*k + k*n) * bits`` COTs rather than
-``m*k*n`` (see :mod:`repro.mpc.matmul`).
+wire carries 2 bytes per slot; pads, payloads and shares are held at
+that lane dtype (:func:`ring_dtype`) in memory too.  Matrix triples
+batch whole rows/columns of the peer operand as the correlated
+payload, which is how one secure MatMul costs ``(m*k + k*n) * bits``
+COTs rather than ``m*k*n`` (see :mod:`repro.mpc.matmul`).
 """
 
 from __future__ import annotations
@@ -128,29 +129,50 @@ def ring_mask_u64(bits: int) -> np.uint64:
     return np.uint64((1 << bits) - 1)
 
 
+def ring_dtype(bits: int) -> np.dtype:
+    """The unsigned dtype a ``bits``-wide ring value lives in: its wire
+    lane's (:func:`repro.ot.channel.lane_bytes`), uint16 on a 16-bit
+    ring.  Arithmetic at this dtype wraps mod 2^(8*lane)."""
+    return np.dtype(f"u{lane_bytes(bits)}")
+
+
+def _wrap(values: np.ndarray, bits: int) -> np.ndarray:
+    """Reduce lane-dtype ``values`` mod 2^bits in place (a no-op when
+    ``bits`` fills the lane) and return them."""
+    if bits < 8 * values.dtype.itemsize:
+        values &= values.dtype.type((1 << bits) - 1)
+    return values
+
+
 def _expand_ring_pads(
     x: np.ndarray, tweaks: np.ndarray, width: int, bits: int, crhf: Crhf
 ) -> np.ndarray:
-    """Stretch one block per COT into ``width`` mod-2^bits ring pads.
+    """Stretch each block of ``x`` into ``width`` ring pads, in ONE
+    ``hash_tweaked`` call.
 
     Every 128-bit hash output is cut into wire-width little-endian
     lanes (:func:`repro.ot.channel.lane_bytes`: 16 / 8 / 4 / 2 pads per
-    hash), so a COT costs ``ceil(width / lanes)`` AES blocks.
-    Disjoint slices of one CRHF output are as pseudorandom as the
-    truncation to ``bits`` itself.  Pad derivation is part of the
-    protocol: both ``gilboa_*`` functions, on both parties, go through
-    here.
+    hash), so a block costs ``ceil(width / lanes)`` AES blocks: it is
+    hashed that many times, its j-th copy under ``tweak + j *
+    _PAD_STRIDE``, as consecutive rows of the one call.  Disjoint
+    slices of one CRHF output are as pseudorandom as the truncation to
+    ``bits`` itself.  Returns the hash output as contiguous ``(rows,
+    per * lanes)`` lanes at :func:`ring_dtype`, not yet reduced mod
+    2^bits: a row's first ``width`` lanes are its pads (the caller cuts
+    them late, because numpy is several times slower on the strided
+    ``[:, :width]`` view than on whole rows).  Pad derivation is part
+    of the protocol: both ``gilboa_*`` functions, on both parties, go
+    through here.
     """
     lane = lane_bytes(bits)
     lanes = blocks.BLOCK_BYTES // lane
-    out = np.empty((x.shape[0], width), dtype=np.uint64)
-    tweaks = np.asarray(tweaks, dtype=np.uint64)
-    for j in range(-(-width // lanes)):
-        h = crhf.hash_tweaked(x, tweaks + np.uint64(j) * _PAD_STRIDE)
-        cols = out[:, j * lanes : (j + 1) * lanes]  # the last hash may be cut short
-        cols[...] = h.view(f"<u{lane}")[:, : cols.shape[1]]
-    out &= ring_mask_u64(bits)
-    return out
+    per = -(-width // lanes)
+    if per > 1:
+        x = np.repeat(x, per, axis=0)
+        strides = _PAD_STRIDE * np.arange(per, dtype=np.uint64)
+        tweaks = (tweaks[:, None] + strides).reshape(-1)
+    h = crhf.hash_tweaked(x, tweaks)
+    return h.view(f"<u{lane}").reshape(-1, per * lanes)
 
 
 def gilboa_send(
@@ -174,37 +196,39 @@ def gilboa_send(
     full messages of a chosen-message OT).
 
     The correction matrix is built row block by row block through
-    ``corr_fn(start, stop) -> (stop-start, width)`` uint64 ring values
-    and shipped as one lane frame per block (an empty batch still
-    ships one, empty), so neither the correlations nor the pad arrays
-    are ever materialized at full ``(n_cots, width)`` size -- the
-    caller reduces each yielded share chunk immediately.  Lanes wider
-    than one bit carry no per-frame header, so the wire bytes do not
-    depend on ``chunk_rows`` (only the message count does), and
-    per-row pads make the yielded values bit-identical too.  Both
-    parties must agree on ``chunk_rows``.  ``tweaks`` are the per-COT
-    hash tweaks (absolute COT indices).
+    ``corr_fn(start, stop) -> (stop-start, width)`` ring values (any
+    unsigned dtype; only their low ``bits`` count) and shipped as one
+    lane frame per block (an empty batch still ships one, empty), so
+    neither the correlations nor the pad arrays are ever materialized
+    at full ``(n_cots, width)`` size -- the caller reduces each yielded
+    share chunk immediately.  Shares are :func:`ring_dtype` arrays.
+    Lanes wider than one bit carry no per-frame header, so the wire
+    bytes do not depend on ``chunk_rows`` (only the message count
+    does), and per-row pads make the yielded values bit-identical too.
+    Both parties must agree on ``chunk_rows``.  ``tweaks`` are the
+    per-COT hash tweaks (absolute COT indices).
     """
-    mask = ring_mask_u64(bits)
-    d = channel.recv_lanes(len(cots), 1)
+    dtype = ring_dtype(bits)
+    d = channel.recv_lanes(len(cots), 1).astype(np.intp)
     tweaks = np.asarray(tweaks, dtype=np.uint64)
     for start in range(0, len(cots) or 1, chunk_rows):
         stop = min(start + chunk_rows, len(cots))
-        corr = np.ascontiguousarray(corr_fn(start, stop), dtype=np.uint64)
-        if corr.shape != (stop - start, width):
+        rows = stop - start
+        corr = np.asarray(corr_fn(start, stop)).astype(dtype, copy=False)
+        if corr.shape != (rows, width):
             raise ProtocolError("corr_fn returned a wrongly shaped chunk")
         z = cots.z[start:stop]
-        d_chunk = d[start:stop]
         tw = tweaks[start:stop]
-        # Pad for logical choice j is expand(z XOR (j XOR d) * Delta).
-        pad0 = _expand_ring_pads(
-            blocks.xor(z, blocks.mul_bit(cots.delta, d_chunk)), tw, width, bits, crhf
+        # P(z) and P(z XOR Delta) in one hash call, as rows [0, rows) and
+        # [rows, 2*rows).  The pad of logical choice 0 is P(z XOR d*Delta)
+        # (one take row by row), so the pair sums to P(z) + P(z XOR Delta).
+        pads = _expand_ring_pads(
+            np.concatenate([z, blocks.xor(z, cots.delta)]),
+            np.concatenate([tw, tw]), width, bits, crhf,
         )
-        pad1 = _expand_ring_pads(
-            blocks.xor(z, blocks.mul_bit(cots.delta, d_chunk ^ 1)), tw, width, bits, crhf
-        )
-        channel.send_lanes((corr + pad0 + pad1) & mask, bits)
-        yield start, (np.uint64(0) - pad0) & mask
+        channel.send_lanes(_wrap((pads[:rows] + pads[rows:])[:, :width] + corr, bits), bits)
+        pad0 = pads.take(np.arange(rows) + rows * d[start:stop], axis=0)[:, :width]
+        yield start, _wrap(np.negative(pad0), bits)
 
 
 def gilboa_receive(
@@ -218,7 +242,7 @@ def gilboa_receive(
     crhf: Crhf = DEFAULT_CRHF,
 ):
     """Correlated-OT receiver: yields ``(start, share_chunk)``, additive
-    shares of ``choice_i * corr[i]``.
+    shares of ``choice_i * corr[i]`` at :func:`ring_dtype`.
 
     Mirror of :func:`gilboa_send`: the derandomization bits go out in
     one message, then each correction row block is received and
@@ -228,17 +252,17 @@ def gilboa_receive(
     choices = np.asarray(choices, dtype=np.uint8) & 1
     if choices.shape[0] != len(cots):
         raise ProtocolError("COT batch and choice vector must have equal length")
-    mask = ring_mask_u64(bits)
     channel.send_lanes(cots.x ^ choices, 1)
+    picked = choices.astype(bool)
     tweaks = np.asarray(tweaks, dtype=np.uint64)
     for start in range(0, len(cots) or 1, chunk_rows):
         stop = min(start + chunk_rows, len(cots))
-        pad_mine = _expand_ring_pads(
+        pad = _expand_ring_pads(
             cots.y[start:stop], tweaks[start:stop], width, bits, crhf
-        )
+        )[:, :width]
         c = channel.recv_lanes((stop - start) * width, bits).reshape(-1, width)
-        picked = choices[start:stop, None].astype(bool)
-        yield start, np.where(picked, (c - pad_mine) & mask, pad_mine)
+        c -= pad
+        yield start, _wrap(np.where(picked[start:stop, None], c, pad), bits)
 
 
 @dataclass

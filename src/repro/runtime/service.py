@@ -80,14 +80,24 @@ from repro.runtime.shard import ShardManager
 
 #: The ``prov/ctl`` messages (:func:`repro.ot.channel.decode_msg`):
 #: hello, each party's first message, carries its
-#: :data:`repro.fingerprint.PROTOCOL`; one command op per recipe, named
+#: :data:`repro.fingerprint.PROTOCOL` and its :data:`HELLO_CONFIG`
+#: settings; one command op per recipe, named
 #: by ``Recipe.name``; STOP winds the follower down; SYNC is the
 #: leader's recovery barrier, SACK the follower's reply, NACK the
 #: follower's prompt "my command execution failed" signal.
 _COMMAND = {"key": [int], "n": int, "offsets": [int]}
 _PRODUCED = {"nonce": int, "produced": {str: int}}
+#: The settings that shape what crosses the wire, each a hello field:
+#: the Ferret config's LPN ``(n, k, t)``, GGM arity, tree PRG and LPN
+#: matrix seed, and the service's ring width.  Two parties that differ
+#: in any of them exchange frames of the right sizes and compute broken
+#: correlations, so the hello refuses the mismatch instead.
+HELLO_CONFIG = {
+    "n": int, "k": int, "t": int, "arity": int, "prg_kind": str, "matrix_seed": int,
+    "ring_bits": int,
+}
 CONTROL = {
-    "hello": {"protocol": str},
+    "hello": {"protocol": str, **HELLO_CONFIG},
     **{recipe.name: _COMMAND for recipe in RECIPES},
     "STOP": {},
     "SYNC": _PRODUCED,
@@ -650,11 +660,22 @@ class CorrelationService:
             for pool in pools:
                 pool.close()
 
+    def hello_config(self) -> dict:
+        """This party's :data:`HELLO_CONFIG` values."""
+        cfg = self.config
+        return {
+            "n": cfg.params.n, "k": cfg.params.k, "t": cfg.params.t,
+            "arity": cfg.arity, "prg_kind": cfg.prg_kind, "matrix_seed": cfg.matrix_seed,
+            "ring_bits": self.tuning.ring_bits,
+        }
+
     def _hello(self) -> None:
-        """Exchange :data:`PROTOCOL` with the peer; a mismatch fails the
-        worker before any base OT runs.  The wait is sliced like every
+        """Exchange :data:`PROTOCOL` and :meth:`hello_config` with the
+        peer; a mismatch fails the worker before any base OT runs,
+        naming every differing setting.  The wait is sliced like every
         worker receive, so a stop request ends it."""
-        self._ctl.send_msg("hello", protocol=PROTOCOL)
+        mine = self.hello_config()
+        self._ctl.send_msg("hello", protocol=PROTOCOL, **mine)
         ctl = RetryingChannel(
             self._ctl, RETRY, probe=self._worker_probe,
             default_timeout=self.mux.timeout,
@@ -663,6 +684,12 @@ class CorrelationService:
         if msg["op"] != "hello":
             raise ProtocolError(f"expected the peer's hello, got {msg['op']!r}")
         check_peer_protocol(msg["protocol"])
+        differ = [
+            f"{name} {msg[name]!r} (this party {value!r})"
+            for name, value in mine.items() if msg[name] != value
+        ]
+        if differ:
+            raise ProtocolError(f"peer's service config differs: {', '.join(differ)}")
 
     def mint_base_cots(self, fwd_channel, rev_channel, copies: int = 1) -> tuple:
         """Both directions' base COTs for ``copies`` first iterations,

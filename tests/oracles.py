@@ -44,6 +44,15 @@ free, folded by the same log-depth AND tree over ``l`` leaves
 (:func:`bit_leaf_triples` triples, ``l*n`` COTs).  The shipped
 comparison must reconstruct to the same ``[Y > X]``; shares, COT and
 triple counts and wire bytes differ.
+
+``gilboa_send_reference`` / ``gilboa_receive_reference`` and
+``generate_matrix_triples_reference`` are the Gilboa path
+``repro.mpc`` shipped before it ran at the ring's lane dtype: every
+pad, payload and share a uint64, one ``hash_tweaked`` call per
+``lanes``-wide pad slice (``expand_ring_pads_reference``), the sender
+hashing ``z XOR d*Delta`` and ``z XOR (1-d)*Delta`` separately, and
+each cross term reduced by ``np.add.at`` over its COT rows.  The
+shipped path must reproduce their shares and frames bit for bit.
 """
 
 from __future__ import annotations
@@ -54,7 +63,8 @@ from repro.crypto import blocks
 from repro.crypto.crhf import DEFAULT_CRHF
 from repro.crypto.prg import ChaChaTreePrg, TreePrg
 from repro.errors import ParameterError
-from repro.mpc.triples import and_shared
+from repro.mpc.triples import MatrixTriples, _bit_decompose, and_shared, ring_mask_u64
+from repro.ot.channel import lane_bytes
 from repro.ot.ot_from_cot import ot_receive_from_cot, ot_send_from_cot
 from repro.spcot.ggm import alpha_digits, level_sums
 from repro.spcot.mpcot import block_sizes, tree_depth_for
@@ -585,3 +595,116 @@ def millionaire_p1_reference(channel, y_private, bits, pool, triples, tweak_base
     )
     t = t.astype(np.uint8).reshape(y_levels.shape)
     return _fold(channel, triples, t, y_levels[:-1], party=1)
+
+
+# -- Gilboa multiplication at uint64, one hash call per pad slice --
+
+_PAD_STRIDE = np.uint64(1) << np.uint64(48)  # per extra hash of one COT
+
+
+def expand_ring_pads_reference(x, tweaks, width, bits, crhf):
+    """``(rows, width)`` uint64 ring pads: hash j of a block (tweak +
+    j * 2^48) fills pad columns ``[j*lanes, (j+1)*lanes)`` with its
+    little-endian lanes of ``lane_bytes(bits)``, one call per j."""
+    lane = lane_bytes(bits)
+    lanes = blocks.BLOCK_BYTES // lane
+    out = np.empty((x.shape[0], width), dtype=np.uint64)
+    tweaks = np.asarray(tweaks, dtype=np.uint64)
+    for j in range(-(-width // lanes)):
+        h = crhf.hash_tweaked(x, tweaks + np.uint64(j) * _PAD_STRIDE)
+        cols = out[:, j * lanes : (j + 1) * lanes]  # the last hash may be cut short
+        cols[...] = h.view(f"<u{lane}")[:, : cols.shape[1]]
+    out &= ring_mask_u64(bits)
+    return out
+
+
+def gilboa_send_reference(
+    channel, cots, corr_fn, width, bits, tweaks, chunk_rows, crhf=DEFAULT_CRHF
+):
+    """Sender: both pads expanded from ``z XOR (j XOR d) * Delta``;
+    yields ``(start, -pad0)`` uint64 chunks."""
+    mask = ring_mask_u64(bits)
+    d = channel.recv_lanes(len(cots), 1)
+    tweaks = np.asarray(tweaks, dtype=np.uint64)
+    for start in range(0, len(cots) or 1, chunk_rows):
+        stop = min(start + chunk_rows, len(cots))
+        corr = np.ascontiguousarray(corr_fn(start, stop), dtype=np.uint64)
+        z, d_chunk, tw = cots.z[start:stop], d[start:stop], tweaks[start:stop]
+        pad0 = expand_ring_pads_reference(
+            blocks.xor(z, blocks.mul_bit(cots.delta, d_chunk)), tw, width, bits, crhf
+        )
+        pad1 = expand_ring_pads_reference(
+            blocks.xor(z, blocks.mul_bit(cots.delta, d_chunk ^ 1)), tw, width, bits, crhf
+        )
+        channel.send_lanes((corr + pad0 + pad1) & mask, bits)
+        yield start, (np.uint64(0) - pad0) & mask
+
+
+def gilboa_receive_reference(
+    channel, cots, choices, width, bits, tweaks, chunk_rows, crhf=DEFAULT_CRHF
+):
+    """Receiver: yields ``(start, share)`` uint64 chunks, the pad or
+    the unpadded correction by choice."""
+    choices = np.asarray(choices, dtype=np.uint8) & 1
+    mask = ring_mask_u64(bits)
+    channel.send_lanes(cots.x ^ choices, 1)
+    tweaks = np.asarray(tweaks, dtype=np.uint64)
+    for start in range(0, len(cots) or 1, chunk_rows):
+        stop = min(start + chunk_rows, len(cots))
+        pad_mine = expand_ring_pads_reference(
+            cots.y[start:stop], tweaks[start:stop], width, bits, crhf
+        )
+        c = channel.recv_lanes((stop - start) * width, bits).reshape(-1, width)
+        picked = choices[start:stop, None].astype(bool)
+        yield start, np.where(picked, (c - pad_mine) & mask, pad_mine)
+
+
+def generate_matrix_triples_reference(
+    channel, dims, bits, pool, rng, party, ot_sender=1, tweak_base=0, chunk_rows=1 << 12
+):
+    """A matrix triple through the references above: payload rows
+    gathered by fancy index at uint64, each cross term reduced by
+    ``np.add.at`` over its COT rows."""
+    m, k, n = dims.m, dims.k, dims.n
+    mask = ring_mask_u64(bits)
+    a = rng.integers(0, 1 << bits, (m, k), dtype=np.uint64)
+    b = rng.integers(0, 1 << bits, (k, n), dtype=np.uint64)
+    t_act, t_wgt = m * k * bits, k * n * bits
+    tweaks_act = np.arange(tweak_base, tweak_base + t_act, dtype=np.uint64)
+    tweaks_wgt = np.arange(tweak_base + t_act, tweak_base + t_act + t_wgt, dtype=np.uint64)
+    shifts = np.uint64(1) << np.arange(bits, dtype=np.uint64)
+
+    def act_corr(start, stop):  # row (i, j, t): B[j, :] << t
+        r = np.arange(start, stop)
+        return (b[(r // bits) % k, :] * shifts[r % bits][:, None]) & mask
+
+    def wgt_corr(start, stop):  # row (j, l, t): A[:, j] << t
+        r = np.arange(start, stop)
+        return (a.T[r // (n * bits), :] * shifts[r % bits][:, None]) & mask
+
+    def reduce_term(chunks, out_rows, width, row_of):
+        acc = np.zeros((out_rows, width), dtype=np.uint64)
+        for start, share in chunks:
+            np.add.at(acc, row_of(np.arange(start, start + share.shape[0])), share)
+        return acc
+
+    if party != ot_sender:
+        chunks = gilboa_receive_reference(
+            channel, pool.take_receiver(t_act), _bit_decompose(a, bits), n, bits, tweaks_act,
+            chunk_rows,
+        )
+        cross_act = reduce_term(chunks, m, n, lambda r: r // (k * bits))
+        chunks = gilboa_receive_reference(
+            channel, pool.take_receiver(t_wgt), _bit_decompose(b, bits), m, bits, tweaks_wgt,
+            chunk_rows,
+        )
+    else:
+        chunks = gilboa_send_reference(
+            channel, pool.take_sender(t_act), act_corr, n, bits, tweaks_act, chunk_rows
+        )
+        cross_act = reduce_term(chunks, m, n, lambda r: r // (k * bits))
+        chunks = gilboa_send_reference(
+            channel, pool.take_sender(t_wgt), wgt_corr, m, bits, tweaks_wgt, chunk_rows
+        )
+    cross_wgt = reduce_term(chunks, n, m, lambda r: (r // bits) % n).T
+    return MatrixTriples(a, b, (a @ b + cross_act + cross_wgt) & mask, bits)

@@ -392,3 +392,79 @@ class KernelStrategies:
             return states(n)
 
         return build()
+
+
+#: Ring widths the Gilboa property tests cover: both edges of every
+#: lane width (1 / 2 / 4 / 8 bytes), a 1-bit ring and odd widths whose
+#: pads need masking.
+GILBOA_BITS = (1, 2, 8, 12, 13, 16, 31, 32, 33, 64)
+
+
+def lanes_per_hash(bits: int) -> int:
+    """Ring pads one 128-bit hash output yields: 16 / lane bytes."""
+    return 16 // next(b for b in (1, 2, 4, 8) if 8 * b >= bits)
+
+
+def _pad_widths(bits: int) -> st.SearchStrategy[int]:
+    """Payload widths one short of, equal to and one past a hash's lanes."""
+    lanes = lanes_per_hash(bits)
+    return st.sampled_from((lanes - 1, lanes, lanes + 1))
+
+
+class GilboaCase(NamedTuple):
+    """One matrix triple: its shape, ring, sending party and row block."""
+
+    dims: tuple
+    bits: int
+    ot_sender: int
+    chunk_rows: int
+    seed: int
+
+
+class GilboaStrategies:
+    """Inputs for Gilboa multiplication and the matrix triples over it."""
+
+    @staticmethod
+    def primitive_cases() -> st.SearchStrategy[tuple]:
+        """``(bits, width, rows, chunk_rows, seed)`` of one Gilboa run:
+        bits from :data:`GILBOA_BITS`, a width of lanes-per-hash -1 / +0 /
+        +1, 0..40 COT rows and any row block up to one past the batch."""
+
+        @st.composite
+        def build(draw):
+            bits = draw(st.sampled_from(GILBOA_BITS))
+            rows = draw(st.integers(0, 40))
+            return (
+                bits,
+                draw(_pad_widths(bits)),
+                rows,
+                draw(st.integers(1, rows + 1)),
+                draw(st.integers(0, 2**32 - 1)),
+            )
+
+        return build()
+
+    @staticmethod
+    def matrix_cases(max_k: int = 3) -> st.SearchStrategy[GilboaCase]:
+        """Matrix triples whose activation width n and weight width m
+        are each lanes-per-hash -1 / +0 / +1, with 1 <= k <= max_k, either
+        ``ot_sender`` and a row block that divides none of ``k*bits``,
+        ``n*bits`` and ``bits`` (so chunks cut reduction groups)."""
+
+        @st.composite
+        def build(draw):
+            bits = draw(st.sampled_from(GILBOA_BITS))
+            m, n = draw(_pad_widths(bits)), draw(_pad_widths(bits))
+            k = draw(st.integers(1, max_k))
+            rows = (m + n) * k * bits
+            chunk_rows = draw(
+                st.integers(2, rows + 1).filter(
+                    lambda c: (k * bits) % c and (n * bits) % c and bits % c
+                )
+            )
+            return GilboaCase(
+                (m, k, n), bits, draw(st.sampled_from((0, 1))), chunk_rows,
+                draw(st.integers(0, 2**32 - 1)),
+            )
+
+        return build()

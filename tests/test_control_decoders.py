@@ -33,7 +33,7 @@ from repro.ppml.layers import Graph, Linear
 from repro.ppml.plan import START, PipelinedPrefill, plan_graph
 from repro.runtime import CorrelationService, MuxChannel, ServiceTuning, shard
 from repro.runtime.daemon import VERDICTS, InferenceDaemon
-from repro.runtime.service import CONTROL
+from repro.runtime.service import CONTROL, HELLO_CONFIG
 
 HOSTILE = settings(
     max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
@@ -96,9 +96,10 @@ def test_follower_worker_fails_typed_and_fast():
         follower.ferret_fwd.seed_base_cots = follower.ferret_rev.seed_base_cots = (
             lambda *columns: None
         )
-        follower._ctl = ScriptedChannel(
-            [encode_msg("hello", protocol=PROTOCOL), b'{"op": "MTRI", "key": [2, 3, 2]}']
-        )
+        follower._ctl = ScriptedChannel([
+            encode_msg("hello", protocol=PROTOCOL, **follower.hello_config()),
+            b'{"op": "MTRI", "key": [2, 3, 2]}',
+        ])
         start = time.monotonic()
         follower._run()
         assert time.monotonic() - start < 1.0
@@ -112,17 +113,19 @@ def test_follower_worker_fails_typed_and_fast():
 
 def test_follower_refuses_a_hello_mid_stream(services):
     follower = services[1]
-    follower._ctl = ScriptedChannel([encode_msg("hello", protocol=PROTOCOL)])
+    follower._ctl = ScriptedChannel(
+        [encode_msg("hello", protocol=PROTOCOL, **follower.hello_config())]
+    )
     with pytest.raises(ProtocolError, match="'hello' is not a production command"):
         follower._follower_loop()
 
 
-@pytest.mark.parametrize("party", [0, 1])
-def test_service_refuses_a_peer_on_another_protocol(party, monkeypatch):
-    """The hello is each party's first control message: a peer that
-    announces another fingerprint fails the worker in milliseconds
-    (not at the 60 s receive timeout), named with both values, before
-    any base OT runs."""
+def refused_hello(party, monkeypatch, **changes) -> ProtocolError:
+    """Start ``party``'s service against a scripted peer whose hello is
+    this party's own with ``changes`` applied; the worker must fail in
+    milliseconds (not at the 60 s receive timeout), before any base OT
+    runs, having sent its own honest hello.  Returns the error and
+    that hello."""
     import repro.ferret.protocol as protocol
 
     base_calls = []
@@ -132,19 +135,56 @@ def test_service_refuses_a_peer_on_another_protocol(party, monkeypatch):
     mux, peer = MuxChannel(ends[party], timeout=60.0), MuxChannel(ends[1 - party], timeout=60.0)
     try:
         svc = CorrelationService(party, mux, CFG, ServiceTuning())
-        peer.sub("prov/ctl").send_msg("hello", protocol="0:0000")
+        honest = {"protocol": PROTOCOL, **svc.hello_config()}
+        peer.sub("prov/ctl").send_msg("hello", **{**honest, **changes})
         start = time.monotonic()
         svc.start()
         with pytest.raises(ServiceError) as info:
             svc.wait_ready(30.0)
         assert time.monotonic() - start < 1.0
-        cause = info.value.__cause__
-        assert isinstance(cause, ProtocolError)
-        assert "'0:0000'" in str(cause) and repr(PROTOCOL) in str(cause)
-        assert peer.sub("prov/ctl").recv_msg(CONTROL) == {"op": "hello", "protocol": PROTOCOL}
+        assert peer.sub("prov/ctl").recv_msg(CONTROL) == {"op": "hello", **honest}
         assert base_calls == []
+        assert isinstance(info.value.__cause__, ProtocolError)
+        return info.value.__cause__, honest
     finally:
         mux.close(), peer.close()
+
+
+@pytest.mark.parametrize("party", [0, 1])
+def test_service_refuses_a_peer_on_another_protocol(party, monkeypatch):
+    """The hello is each party's first control message: a peer that
+    announces another fingerprint is named with both values."""
+    cause, _ = refused_hello(party, monkeypatch, protocol="0:0000")
+    assert "'0:0000'" in str(cause) and repr(PROTOCOL) in str(cause)
+
+
+#: One peer setting per hello config field that differs from ``CFG``
+#: and the default tuning.
+OTHER_CONFIG = {
+    "n": CFG.params.n + 1, "k": CFG.params.k + 1, "t": CFG.params.t + 1, "arity": 2,
+    "prg_kind": "aes", "matrix_seed": CFG.matrix_seed + 1, "ring_bits": 16,
+}
+
+
+def test_every_hello_config_field_has_a_hostile_case():
+    assert OTHER_CONFIG.keys() == HELLO_CONFIG.keys()
+
+
+@pytest.mark.parametrize("party", [0, 1])
+@pytest.mark.parametrize("field", sorted(OTHER_CONFIG))
+def test_service_refuses_a_peer_with_another_config(party, field, monkeypatch):
+    """A peer on the same protocol but another wire-shaping setting (a
+    ``chacha8`` tree PRG against an ``aes`` one extends to COTs that do
+    not verify) is refused, the field named with both values."""
+    cause, mine = refused_hello(party, monkeypatch, **{field: OTHER_CONFIG[field]})
+    assert f"{field} {OTHER_CONFIG[field]!r} (this party {mine[field]!r})" in str(cause)
+    assert str(cause).count("(this party") == 1
+
+
+def test_service_names_every_differing_config_field(monkeypatch):
+    cause, _ = refused_hello(0, monkeypatch, **OTHER_CONFIG)
+    assert all(f"{field} {value!r} " in str(cause) for field, value in OTHER_CONFIG.items())
+    assert str(cause).count("(this party") == len(OTHER_CONFIG)
 
 
 def test_every_tweak_stride_and_offset_is_fingerprinted():

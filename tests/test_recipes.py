@@ -134,7 +134,9 @@ def test_command_stream_matches_golden_transcript(case):
         follower.stop()
         for mux in muxes:
             mux.close()
-    assert decode_msg(frames.pop(0), CONTROL) == {"op": "hello", "protocol": PROTOCOL}
+    assert decode_msg(frames.pop(0), CONTROL) == {
+        "op": "hello", "protocol": PROTOCOL, **leader.hello_config()
+    }
     sha = hashlib.sha256()
     for frame in frames:
         sha.update(struct.pack("<I", len(frame)))
