@@ -6,12 +6,12 @@ shares: no :class:`~repro.errors.ProtocolError`, just a broken
 correlation.  :data:`PROTOCOL` names the version both must speak: a
 version integer plus a digest of the declared protocol constants.  A
 correlation service sends it as its first control message
-(``{"op": "hello", "protocol": PROTOCOL, ...}`` on ``prov/ctl``, next
-to the wire-shaping settings of
-:data:`repro.runtime.service.HELLO_CONFIG`) and
-:class:`repro.ot.reconnect.ReconnectingChannel` in its HELLO; a
-mismatch is a ``ProtocolError`` naming both values before any base OT
-runs.
+(``{"op": "hello", "protocol": PROTOCOL}`` on ``prov/ctl``, nothing
+else in it, so that every version parses it; the wire-shaping
+settings of :data:`repro.runtime.service.HELLO_CONFIG` follow in a
+``config`` message) and :class:`repro.ot.reconnect.ReconnectingChannel`
+in its HELLO; a mismatch is a ``ProtocolError`` naming both values
+before any base OT runs.
 
 Bump :data:`VERSION` when a wire format changes in a way the digested
 constants do not show.

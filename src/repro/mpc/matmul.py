@@ -66,7 +66,9 @@ BYTES_PER_COT = 17
 #: ~1 GiB at (64, 4096, 64) x 8 bits -- so the payload now streams in
 #: blocks of this many COT rows; peak working set per term becomes
 #: ``GILBOA_CHUNK_ROWS * width`` ring lanes regardless of t, plus the
-#: sender's ``(k*bits, width)`` payload table.
+#: sender's two payload tables, ``(k*bits, n)`` and ``(k*bits, m)``
+#: ring lanes (built at the lane dtype, no wider intermediate): e.g.
+#: 18.9 + 1.6 MB at (64, 768, 768) x 16 bits.
 GILBOA_CHUNK_ROWS = 1 << 12
 
 
@@ -234,9 +236,12 @@ def generate_matrix_triples(
     else:
         # Payload rows are one take on a (k*bits, width) table whose row
         # j*bits + t is that payload, at the ring's lane dtype.
-        shifts = np.arange(bits, dtype=np.uint64)[None, :, None]
+        # A shift by less than the lane width wraps like the uint64
+        # shift cast down would.
+        dt = ring_dtype(bits)
+        shifts = np.arange(bits, dtype=dt)[None, :, None]
         act_table, wgt_table = (
-            (cols[:, None, :] << shifts).astype(ring_dtype(bits)).reshape(k * bits, -1)
+            (cols.astype(dt)[:, None, :] << shifts).reshape(k * bits, -1)
             for cols in (b, a.T)
         )
 

@@ -79,25 +79,27 @@ from repro.runtime.recipes import BY_KIND, BY_NAME, RECIPES, Command, sends
 from repro.runtime.shard import ShardManager
 
 #: The ``prov/ctl`` messages (:func:`repro.ot.channel.decode_msg`):
-#: hello, each party's first message, carries its
-#: :data:`repro.fingerprint.PROTOCOL` and its :data:`HELLO_CONFIG`
-#: settings; one command op per recipe, named
+#: hello, each party's first message, carries only its
+#: :data:`repro.fingerprint.PROTOCOL`, so a peer on any version parses
+#: it and the version check runs first; config, the second, carries
+#: its :data:`HELLO_CONFIG` settings; one command op per recipe, named
 #: by ``Recipe.name``; STOP winds the follower down; SYNC is the
 #: leader's recovery barrier, SACK the follower's reply, NACK the
 #: follower's prompt "my command execution failed" signal.
 _COMMAND = {"key": [int], "n": int, "offsets": [int]}
 _PRODUCED = {"nonce": int, "produced": {str: int}}
-#: The settings that shape what crosses the wire, each a hello field:
+#: The settings that shape what crosses the wire, each a config field:
 #: the Ferret config's LPN ``(n, k, t)``, GGM arity, tree PRG and LPN
 #: matrix seed, and the service's ring width.  Two parties that differ
 #: in any of them exchange frames of the right sizes and compute broken
-#: correlations, so the hello refuses the mismatch instead.
+#: correlations, so the handshake refuses the mismatch instead.
 HELLO_CONFIG = {
     "n": int, "k": int, "t": int, "arity": int, "prg_kind": str, "matrix_seed": int,
     "ring_bits": int,
 }
 CONTROL = {
-    "hello": {"protocol": str, **HELLO_CONFIG},
+    "hello": {"protocol": str},
+    "config": HELLO_CONFIG,
     **{recipe.name: _COMMAND for recipe in RECIPES},
     "STOP": {},
     "SYNC": _PRODUCED,
@@ -670,12 +672,14 @@ class CorrelationService:
         }
 
     def _hello(self) -> None:
-        """Exchange :data:`PROTOCOL` and :meth:`hello_config` with the
-        peer; a mismatch fails the worker before any base OT runs,
-        naming every differing setting.  The wait is sliced like every
-        worker receive, so a stop request ends it."""
+        """Exchange :data:`PROTOCOL`, then :meth:`hello_config`, with
+        the peer; a mismatch fails the worker before any base OT runs,
+        naming both fingerprints or every differing setting.  The
+        config is compared only once the versions match.  The waits are
+        sliced like every worker receive, so a stop request ends them."""
         mine = self.hello_config()
-        self._ctl.send_msg("hello", protocol=PROTOCOL, **mine)
+        self._ctl.send_msg("hello", protocol=PROTOCOL)
+        self._ctl.send_msg("config", **mine)
         ctl = RetryingChannel(
             self._ctl, RETRY, probe=self._worker_probe,
             default_timeout=self.mux.timeout,
@@ -684,6 +688,9 @@ class CorrelationService:
         if msg["op"] != "hello":
             raise ProtocolError(f"expected the peer's hello, got {msg['op']!r}")
         check_peer_protocol(msg["protocol"])
+        msg = ctl.recv_msg(CONTROL)
+        if msg["op"] != "config":
+            raise ProtocolError(f"expected the peer's config, got {msg['op']!r}")
         differ = [
             f"{name} {msg[name]!r} (this party {value!r})"
             for name, value in mine.items() if msg[name] != value

@@ -97,7 +97,8 @@ def test_follower_worker_fails_typed_and_fast():
             lambda *columns: None
         )
         follower._ctl = ScriptedChannel([
-            encode_msg("hello", protocol=PROTOCOL, **follower.hello_config()),
+            encode_msg("hello", protocol=PROTOCOL),
+            encode_msg("config", **follower.hello_config()),
             b'{"op": "MTRI", "key": [2, 3, 2]}',
         ])
         start = time.monotonic()
@@ -113,19 +114,24 @@ def test_follower_worker_fails_typed_and_fast():
 
 def test_follower_refuses_a_hello_mid_stream(services):
     follower = services[1]
-    follower._ctl = ScriptedChannel(
-        [encode_msg("hello", protocol=PROTOCOL, **follower.hello_config())]
-    )
+    follower._ctl = ScriptedChannel([encode_msg("hello", protocol=PROTOCOL)])
     with pytest.raises(ProtocolError, match="'hello' is not a production command"):
         follower._follower_loop()
 
 
-def refused_hello(party, monkeypatch, **changes) -> ProtocolError:
-    """Start ``party``'s service against a scripted peer whose hello is
-    this party's own with ``changes`` applied; the worker must fail in
-    milliseconds (not at the 60 s receive timeout), before any base OT
-    runs, having sent its own honest hello.  Returns the error and
-    that hello."""
+def test_follower_refuses_a_config_mid_stream(services):
+    follower = services[1]
+    follower._ctl = ScriptedChannel([encode_msg("config", **follower.hello_config())])
+    with pytest.raises(ProtocolError, match="'config' is not a production command"):
+        follower._follower_loop()
+
+
+@pytest.mark.parametrize("party", [0, 1])
+def test_service_refuses_a_peer_on_another_protocol(party, monkeypatch):
+    """The hello is each party's first control message: a peer that
+    announces another fingerprint fails the worker in milliseconds
+    (not at the 60 s receive timeout), named with both values, before
+    any base OT runs."""
     import repro.ferret.protocol as protocol
 
     base_calls = []
@@ -135,27 +141,76 @@ def refused_hello(party, monkeypatch, **changes) -> ProtocolError:
     mux, peer = MuxChannel(ends[party], timeout=60.0), MuxChannel(ends[1 - party], timeout=60.0)
     try:
         svc = CorrelationService(party, mux, CFG, ServiceTuning())
-        honest = {"protocol": PROTOCOL, **svc.hello_config()}
-        peer.sub("prov/ctl").send_msg("hello", **{**honest, **changes})
+        peer.sub("prov/ctl").send_msg("hello", protocol="0:0000")
         start = time.monotonic()
         svc.start()
         with pytest.raises(ServiceError) as info:
             svc.wait_ready(30.0)
         assert time.monotonic() - start < 1.0
-        assert peer.sub("prov/ctl").recv_msg(CONTROL) == {"op": "hello", **honest}
+        cause = info.value.__cause__
+        assert isinstance(cause, ProtocolError)
+        assert "'0:0000'" in str(cause) and repr(PROTOCOL) in str(cause)
+        assert peer.sub("prov/ctl").recv_msg(CONTROL) == {"op": "hello", "protocol": PROTOCOL}
+        assert base_calls == []
+    finally:
+        mux.close(), peer.close()
+
+
+def test_a_peer_on_the_previous_version_names_both_protocols(monkeypatch):
+    """The hello is ``{"protocol": str}`` in every version, so a peer
+    on the version before (whose schema has no ``config`` op) parses
+    this party's hello and refuses it by both fingerprints, instead of
+    failing on the message's shape."""
+    from repro import fingerprint
+
+    previous = {"hello": {"protocol": str}}
+    ends = LocalChannel.pair(timeout=60.0)
+    mux, peer = MuxChannel(ends[0], timeout=60.0), MuxChannel(ends[1], timeout=60.0)
+    try:
+        svc = CorrelationService(0, mux, CFG, ServiceTuning())
+        svc.start()
+        hello = peer.sub("prov/ctl").recv_msg(previous)
+        svc.stop()
+    finally:
+        mux.close(), peer.close()
+    monkeypatch.setattr(fingerprint, "PROTOCOL", "2:0000")
+    with pytest.raises(ProtocolError) as info:
+        fingerprint.check_peer_protocol(hello["protocol"])
+    assert repr(PROTOCOL) in str(info.value) and "'2:0000'" in str(info.value)
+
+
+def refused_config(party, monkeypatch, second=None, **changes) -> tuple:
+    """Start ``party``'s service against a scripted peer on the same
+    protocol whose config is this party's own with ``changes`` applied
+    (or whose second message is ``second``, an op and its fields); the
+    worker must fail in milliseconds (not at the
+    60 s receive timeout), before any base OT runs, having sent its own
+    honest hello and config.  Returns the error and that config."""
+    import repro.ferret.protocol as protocol
+
+    base_calls = []
+    for name in ("base_cot_send", "base_cot_receive"):
+        monkeypatch.setattr(protocol, name, lambda *args, _n=name: base_calls.append(_n))
+    ends = LocalChannel.pair(timeout=60.0)
+    mux, peer = MuxChannel(ends[party], timeout=60.0), MuxChannel(ends[1 - party], timeout=60.0)
+    try:
+        svc = CorrelationService(party, mux, CFG, ServiceTuning())
+        honest = svc.hello_config()
+        peer.sub("prov/ctl").send_msg("hello", protocol=PROTOCOL)
+        op, fields = second or ("config", {**honest, **changes})
+        peer.sub("prov/ctl").send_msg(op, **fields)
+        start = time.monotonic()
+        svc.start()
+        with pytest.raises(ServiceError) as info:
+            svc.wait_ready(30.0)
+        assert time.monotonic() - start < 1.0
+        assert peer.sub("prov/ctl").recv_msg(CONTROL) == {"op": "hello", "protocol": PROTOCOL}
+        assert peer.sub("prov/ctl").recv_msg(CONTROL) == {"op": "config", **honest}
         assert base_calls == []
         assert isinstance(info.value.__cause__, ProtocolError)
         return info.value.__cause__, honest
     finally:
         mux.close(), peer.close()
-
-
-@pytest.mark.parametrize("party", [0, 1])
-def test_service_refuses_a_peer_on_another_protocol(party, monkeypatch):
-    """The hello is each party's first control message: a peer that
-    announces another fingerprint is named with both values."""
-    cause, _ = refused_hello(party, monkeypatch, protocol="0:0000")
-    assert "'0:0000'" in str(cause) and repr(PROTOCOL) in str(cause)
 
 
 #: One peer setting per hello config field that differs from ``CFG``
@@ -176,15 +231,22 @@ def test_service_refuses_a_peer_with_another_config(party, field, monkeypatch):
     """A peer on the same protocol but another wire-shaping setting (a
     ``chacha8`` tree PRG against an ``aes`` one extends to COTs that do
     not verify) is refused, the field named with both values."""
-    cause, mine = refused_hello(party, monkeypatch, **{field: OTHER_CONFIG[field]})
+    cause, mine = refused_config(party, monkeypatch, **{field: OTHER_CONFIG[field]})
     assert f"{field} {OTHER_CONFIG[field]!r} (this party {mine[field]!r})" in str(cause)
     assert str(cause).count("(this party") == 1
 
 
 def test_service_names_every_differing_config_field(monkeypatch):
-    cause, _ = refused_hello(0, monkeypatch, **OTHER_CONFIG)
+    cause, _ = refused_config(0, monkeypatch, **OTHER_CONFIG)
     assert all(f"{field} {value!r} " in str(cause) for field, value in OTHER_CONFIG.items())
     assert str(cause).count("(this party") == len(OTHER_CONFIG)
+
+
+def test_service_refuses_a_peer_that_skips_its_config(monkeypatch):
+    """A peer that follows its hello with anything but its config is
+    refused before any base OT; the message is named."""
+    cause, _ = refused_config(0, monkeypatch, second=("STOP", {}))
+    assert "expected the peer's config, got 'STOP'" in str(cause)
 
 
 def test_every_tweak_stride_and_offset_is_fingerprinted():

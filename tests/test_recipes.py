@@ -89,9 +89,9 @@ def service_pair(tuning):
 #: carry ``n`` 0 and no offsets (the struct frame sent two zeros), TRI
 #: its count and two offsets, MTRI its key, ``n`` 1 (the struct frame
 #: left it implicit) and one offset.  Nothing else moved.
-#: Since the protocol fingerprint, the leader's first frame is its
-#: ``hello``; it is checked on its own and the digests still cover the
-#: command stream after it, unchanged.
+#: Since the protocol fingerprint, the leader's first frames are its
+#: ``hello`` and its ``config``; they are checked on their own and the
+#: digests still cover the command stream after them, unchanged.
 GOLDEN = {
     "watermarks": (
         dict(triple_chunk=96),
@@ -134,9 +134,8 @@ def test_command_stream_matches_golden_transcript(case):
         follower.stop()
         for mux in muxes:
             mux.close()
-    assert decode_msg(frames.pop(0), CONTROL) == {
-        "op": "hello", "protocol": PROTOCOL, **leader.hello_config()
-    }
+    assert decode_msg(frames.pop(0), CONTROL) == {"op": "hello", "protocol": PROTOCOL}
+    assert decode_msg(frames.pop(0), CONTROL) == {"op": "config", **leader.hello_config()}
     sha = hashlib.sha256()
     for frame in frames:
         sha.update(struct.pack("<I", len(frame)))
