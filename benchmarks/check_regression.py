@@ -1,6 +1,6 @@
 """CI benchmark regression gate: smoke runs vs. the committed baseline.
 
-Four legacy runtime benches still hold a behaviour no perf-ledger
+Three legacy runtime benches still hold a behaviour no perf-ledger
 workload gates yet.  CI runs each at its ``--smoke`` shape, so raw
 times are not comparable across scales (or runner hardware); what IS
 comparable is one **ratio** of two runs at the same smoke scale on the
@@ -12,8 +12,6 @@ same machine, where machine speed cancels:
   per-pair ratios over pairs whose first side alternates
   (``bench_obs``: a fixed ceiling, the flight recorder's <= 1.05x
   contract);
-* ``sharded`` -- 2-shard / 1-shard serve throughput (``bench_sharded``:
-  a stalled merge path collapses it; gated only on >= 4 cores);
 * ``daemon`` -- first-request / steady-state time-to-first-layer-online
   (``bench_daemon``: a daemon that stopped overlapping request r+1's
   production with request r collapses it toward 1).
@@ -62,7 +60,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -72,25 +69,13 @@ BASELINE_PATH = Path(__file__).resolve().parents[1] / "BENCH_smoke_baseline.json
 METRICS = {
     "faults": lambda p: p["recovery_efficiency"],
     "obs": lambda p: p["instrumentation_overhead"],
-    "sharded": lambda p: p["scaling"]["2"],
     "daemon": lambda p: p["cross_request_speedup"],
-}
-
-#: Metrics that only make sense on runners with enough cores, mapped to
-#: the minimum count.  The 2-shard ratio runs 4 producer processes plus
-#: both service parties: on a <4-core host the measurement is pure
-#: scheduling noise on either side of 1.0, so the floor fails
-#: spuriously.  (PR 8 already gates the >=2.5x@4-shard *assertion* on
-#: core count; the smoke ratio floor needs the same guard.)
-MIN_CORES = {
-    "sharded": 4,
 }
 
 #: What each metric means, for the failure message.
 DESCRIPTIONS = {
     "faults": "chaos recovery efficiency (clean e2e / faulted e2e)",
     "obs": "enabled-instrumentation overhead (traced / untraced online)",
-    "sharded": "2-shard vs 1-shard COT serve throughput ratio",
     "daemon": "warm steady-state vs first-request time-to-first-layer-online",
 }
 
@@ -116,12 +101,6 @@ FLOORS = {
     # hangs (and fails CI) when recovery breaks outright, so the floor
     # only needs to catch "recovers, but pathologically slowly".
     "faults": 0.05,
-    # Shard scaling is core-count-bound: 1-2 core CI runners measure
-    # BELOW 1.0x (process overhead, no parallelism), so the floor only
-    # guards against a merge path that has collapsed outright -- a
-    # stalled merger shows up as a near-zero ratio (or a bench hang)
-    # long before it shows up as "merely not scaling".
-    "sharded": 0.3,
     # Cross-request pipelining: a daemon whose prefill scheduler stopped
     # overlapping request r+1's production with request r's online tail
     # collapses the steady-state/first-request ratio to ~1.0x.
@@ -326,7 +305,7 @@ def update_baseline(metrics: dict, path: Path) -> None:
         "bench": "smoke_baseline",
         "note": (
             "ratio metrics of the legacy runtime benches (faults, obs, "
-            "sharded, daemon) measured at --smoke scale on a healthy tree; "
+            "daemon) measured at --smoke scale on a healthy tree; "
             "refreshed via benchmarks/check_regression.py --update"
         ),
         "metrics": metrics,
@@ -335,19 +314,10 @@ def update_baseline(metrics: dict, path: Path) -> None:
     print(f"wrote {path}")
 
 
-def check(metrics: dict, baseline: dict, factor: float, cores: int = None) -> list:
+def check(metrics: dict, baseline: dict, factor: float) -> list:
     """Returns failure strings; empty means the gate passes."""
-    if cores is None:
-        cores = os.cpu_count() or 1
     failures = []
     for name, value in sorted(metrics.items()):
-        need = MIN_CORES.get(name)
-        if need is not None and cores < need:
-            print(
-                f"  {name:16s} {value:8.2f}x  skipped: host has {cores} "
-                f"core(s), metric needs >= {need} to be meaningful"
-            )
-            continue
         base = baseline.get(name)
         if name in CEILINGS:
             ceiling = base if base is not None else CEILINGS[name]

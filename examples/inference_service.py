@@ -36,7 +36,6 @@ This example runs the whole shape end to end:
 Run:  python examples/inference_service.py
 """
 
-import argparse
 import threading
 
 import numpy as np
@@ -82,25 +81,14 @@ def fixed_point_oracle(x, w1, w2, w3):
 
 
 def main():
-    # --shards N produces raw COTs in N producer process pairs
-    # (runtime/shard.py); everything downstream is unchanged.
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--shards", type=int, default=1)
-    args = parser.parse_args()
-
     rng = np.random.default_rng(77)
     cfg = FerretConfig.small(scale=1024, arity=4, prg_kind="chacha8")
     print(f"ferret config: n={cfg.params.n}, net {cfg.net_output} COTs/extend")
-    if args.shards > 1:
-        print(f"sharded production: {args.shards} producer process pairs")
 
     # One duplex link; everything below shares it through the mux.
     base0, base1 = LocalChannel.pair(timeout=120.0)
     mux0, mux1 = MuxChannel(base0), MuxChannel(base1)
-    tuning = ServiceTuning(
-        shards=args.shards,
-        ring_bits=RING_BITS, triple_chunk=512
-    )
+    tuning = ServiceTuning(ring_bits=RING_BITS, triple_chunk=512)
     svc0 = CorrelationService(0, mux0, cfg, tuning).start()
     svc1 = CorrelationService(1, mux1, cfg, tuning).start()
 

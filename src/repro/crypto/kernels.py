@@ -21,8 +21,8 @@ def transpose_128(rows: np.ndarray, n: int) -> np.ndarray:
 
     8x8 bit tiles as uint64 lanes, three delta swaps each (Hacker's
     Delight 7-3), so nothing is ever unpacked to one byte per bit.
-    ~0.1 ms at n = 2709 (one Ferret setup), ~35 ms at the
-    695k of a paper-scale 4-shard mint.
+    ~0.1 ms at n = 2709 (one Ferret setup), ~25 ms at the 174k of
+    a paper-scale (2^20) service mint on a 2-core x86 host.
 
     Args:
         rows: (128, ceil(n / 8)) uint8; bit ``j`` of row ``i`` sits in

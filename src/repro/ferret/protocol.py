@@ -11,9 +11,8 @@ One protocol instance lives through three phases (Section 2.3):
    OTs are PKC unless ``mint_base_cots`` is handed ``seed_cots``, kappa
    COTs of an extension already running the other way (a service's
    reverse direction takes them from its forward mint).  A party that
-   already holds base correlations (a shard worker given its slice of
-   the parent's) loads them with ``seed_base_cots`` and runs no OT at
-   all.
+   already holds base correlations (dealt ones in a test, say) loads
+   them with ``seed_base_cots`` and runs no OT at all.
 2. **extend** -- repeatable: an interactive multi-point SPCOT produces
    ``w = v XOR u*Delta`` over n points, then both parties *locally*
    LPN-encode, stretching k correlations into n.  The first

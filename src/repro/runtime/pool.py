@@ -188,25 +188,22 @@ class CorrelationPool:
             self._columns[i] = fresh
         self._columns[i][used:need] = arr
 
-    def append_columns(self, arrays: tuple) -> int:
+    def append_columns(self, arrays: tuple) -> None:
         """Append one production batch (equal-length column arrays) at
-        the produced frontier; returns the absolute offset it landed at
-        (what a shard leader announces to its follower)."""
+        the produced frontier."""
         n = arrays[0].shape[0]
         if any(a.shape[0] != n for a in arrays):
             raise ServiceError(f"pool {self.name}: column lengths disagree")
         with self._cond:
             if self._closed:
                 raise ServiceError(f"pool {self.name} is closed")
-            lo = self._produced
-            used = lo - self._base
+            used = self._produced - self._base
             for i, arr in enumerate(arrays):
                 self._grow(i, arr, used)
             self._produced += n
             self.stats.refills += 1
             self.stats.items_refilled += n
             self._cond.notify_all()
-            return lo
 
     def rollback_to(self, produced: int) -> int:
         """Discard production past absolute position ``produced``.

@@ -76,7 +76,6 @@ from repro.ot.cot import CotReceiverBatch, CotSenderBatch
 from repro.ot.retry import RetryingChannel, RetryPolicy
 from repro.runtime.mux import MuxChannel
 from repro.runtime.recipes import BY_KIND, BY_NAME, RECIPES, Command, sends
-from repro.runtime.shard import ShardManager
 
 #: The ``prov/ctl`` messages (:func:`repro.ot.channel.decode_msg`):
 #: hello, each party's first message, carries only its
@@ -136,23 +135,17 @@ class ServiceTuning:
     The raw-COT pools are the only ones with a standing watermark
     refill, from the first draw that names their direction on; every
     derived pool is filled by produce targets and by draws that outrun
-    it.  ``None`` watermarks are derived from the
-    Ferret config at service construction (keep about one extend's
-    output in flight).
+    it.  ``None`` watermarks are derived from the Ferret config at
+    service construction: a quarter of one extend's output low, one
+    extend's output high, so about one extend's output is in flight.
     ``ring_bits`` fixes the ring Z_2^bits of every arithmetic
     correlation (matrix triples) the service produces -- both parties
     must agree, and preprocessing plans must be computed at the same
     width.
-    ``shards`` moves raw-COT production into that many producer
-    *process pairs* (see :mod:`repro.runtime.shard`); 1 keeps today's
-    in-thread extends byte-identically.  Derived ``None`` COT
-    watermarks scale with the shard count so every shard can keep one
-    extend's output in flight.
     """
 
     cot_low: int = None
     cot_high: int = None
-    shards: int = 1
     triple_low: int = 128  # unread; benchmarks/ledger/fixture.py is its only writer
     triple_high: int = 1024  # unread; benchmarks/ledger/fixture.py is its only writer
     triple_chunk: int = 1024
@@ -236,19 +229,11 @@ class CorrelationService:
         self.metrics.add_collector("draws", self.session_draw_counts)
 
         t = self.tuning
-        if t.shards < 1:
-            raise ServiceError("shards must be >= 1")
-        # Shard-aware defaults: with N producer shards, keep N extends'
-        # worth of output in flight so no shard idles against a full pool.
         self._cot_marks = {
             "low_watermark": (
-                t.cot_low if t.cot_low is not None
-                else max(1, config.net_output * t.shards // 4)
+                t.cot_low if t.cot_low is not None else max(1, config.net_output // 4)
             ),
-            "high_watermark": (
-                t.cot_high if t.cot_high is not None
-                else config.net_output * t.shards
-            ),
+            "high_watermark": t.cot_high if t.cot_high is not None else config.net_output,
         }
         self._alloc_lock = threading.Lock()
         #: Set (under the allocation lock) once the worker has exited:
@@ -257,14 +242,6 @@ class CorrelationService:
         #: Every pool, raw-COT ones included, is made on first use (see
         #: _pool): a direction nothing draws has no pool and no refill.
         self.pools: dict = {}
-
-        # Process-sharded raw-COT production (repro.runtime.shard):
-        # shards=1 constructs none of the machinery, keeping the
-        # single-worker stream byte-identical.
-        self._shard_mgr = None
-        if t.shards > 1:
-            self._shard_mgr = ShardManager(self, t.shards, seed=seed)
-            self.metrics.add_collector("shard", self._shard_mgr.collect)
 
         #: Leader-side per-kind totals of consumer (session) draws --
         #: what the preprocessing planner's demand is validated against.
@@ -555,10 +532,10 @@ class CorrelationService:
 
         A derived pool first ensures its raw-COT inputs; a raw-COT pool,
         and with it its direction's watermark refill, exists from the
-        first draw, plan, produce target, command or shard merge that
-        names it.  Creation is local and idempotent, so sessions, plans,
-        the command replay and the shard mergers can each ensure a pool
-        exists on their side without any cross-party coordination.  A pool made after the
+        first draw, plan, produce target or command that names it.
+        Creation is local and idempotent, so sessions, plans and the
+        command replay can each ensure a pool exists on their side
+        without any cross-party coordination.  A pool made after the
         worker exited is closed at birth: waits on it fail with
         ``PoolClosed`` at once instead of burning their timeout on a
         producer that is gone.
@@ -618,15 +595,9 @@ class CorrelationService:
     def _run(self) -> None:
         try:
             self._hello()
-            if self._shard_mgr is not None:
-                # Sharded mode: the parent endpoints mint every shard's
-                # base COTs in one run (ShardManager.start) and are
-                # themselves never set up or extended.
-                self._shard_mgr.start()
-            else:
-                fwd, rev = self.mint_base_cots(self._data["prov/fwd"], self._data["prov/rev"])
-                self.ferret_fwd.seed_base_cots(*fwd)
-                self.ferret_rev.seed_base_cots(*rev)
+            fwd, rev = self.mint_base_cots(self._data["prov/fwd"], self._data["prov/rev"])
+            self.ferret_fwd.seed_base_cots(*fwd)
+            self.ferret_rev.seed_base_cots(*rev)
             self._ready.set()
             if self.party == 0:
                 try:
@@ -646,12 +617,6 @@ class CorrelationService:
         except BaseException as exc:  # noqa: BLE001 - crossing a thread
             self.error = exc
         finally:
-            if self._shard_mgr is not None:
-                try:
-                    self._shard_mgr.stop()
-                except Exception as exc:  # noqa: BLE001 - already unwinding
-                    if self.error is None:
-                        self.error = exc
             self._ready.set()
             # Sessions may still be creating pools from other threads:
             # snapshot under the lock, and have the factory close any
@@ -698,22 +663,22 @@ class CorrelationService:
         if differ:
             raise ProtocolError(f"peer's service config differs: {', '.join(differ)}")
 
-    def mint_base_cots(self, fwd_channel, rev_channel, copies: int = 1) -> tuple:
-        """Both directions' base COTs for ``copies`` first iterations,
-        with ONE PKC run per service pair.
+    def mint_base_cots(self, fwd_channel, rev_channel) -> tuple:
+        """Both directions' base COTs for one first iteration, with ONE
+        PKC run per service pair.
 
-        The forward endpoint mints ``copies x base_cots_needed`` COTs
-        plus ``KAPPA`` spare ones carved after them; those are the
+        The forward endpoint mints ``base_cots_needed`` COTs plus
+        ``KAPPA`` spare ones carved after them; those are the
         reverse direction's seed OTs (P0, the forward COT sender, offers
         the reverse IKNP's seed pairs; P1, the reverse Delta-holder,
         chooses with the bits of its Delta), so the reverse mint runs no
         PKC.  Both directions are minted whether or not anything ever
         draws the reverse one: its mint costs no public-key OT.
         Returns ``(fwd columns, rev columns)``, each of
-        ``copies x base_cots_needed`` rows.
+        ``base_cots_needed`` rows.
         """
         fwd, rev = self.ferret_fwd, self.ferret_rev
-        need = copies * self.config.base_cots_needed
+        need = self.config.base_cots_needed
         columns = fwd.mint_base_cots(fwd_channel, need + KAPPA)
         head = tuple(column[:need] for column in columns)
         tail = tuple(column[need:] for column in columns)
@@ -958,19 +923,9 @@ class CorrelationService:
         Of the pools asking for a refill, schedules the one whose recipe
         comes first in the table's priority order -- extends (the only
         source of raw COTs), then derived production.
-
-        In sharded mode extends never become commands: raw-COT deficits
-        are dispatched to the shard workers instead, and derived
-        production waits for the merged pools to fill.
         """
-        sharded = self._shard_mgr is not None
-        if sharded:
-            self._shard_mgr.request_refills()
         with self._alloc_lock:
-            asking = [
-                pool for pool in self.pools.values()
-                if pool.needs_refill() and not (sharded and pool.recipe.direction)
-            ]
+            asking = [pool for pool in self.pools.values() if pool.needs_refill()]
             if not asking:
                 return None
             # min() keeps the first created among one recipe's pools.
@@ -979,17 +934,15 @@ class CorrelationService:
 
     def _schedule(self, pool, want: int):
         """One command adding up to ``want`` items to ``pool`` (caller
-        holds the allocation lock), or ``None`` when nothing can run.
+        holds the allocation lock).
 
         Inputs are reserved only over ranges that are *already
         produced*, so the worker never deadlocks on its own output.
         Every derived recipe's inputs are raw-COT pools, so a pool whose
         inputs cannot cover a single item is starved on a direction: the
-        command becomes that direction's extend (sharded: a nudge to the
-        shard fleet to keep one extend of that direction in flight, and
-        ``None`` so the loop sleeps on ``_wake`` until the merger lands
-        a batch).  Of two short directions the lower level is extended
-        first, ties going to the first listed (forward).
+        command becomes that direction's extend.  Of two short
+        directions the lower level is extended first, ties going to the
+        first listed (forward).
         """
         recipe = pool.recipe
         inputs = recipe.inputs(self.tuning.ring_bits, *pool.key)
@@ -1005,10 +958,7 @@ class CorrelationService:
                 (src for src, per in sources if src.level < per),
                 key=lambda src: src.level,
             ).recipe
-        if self._shard_mgr is None:
-            return Command(recipe)
-        self._shard_mgr.request_extend(recipe.direction)
-        return None
+        return Command(recipe)
 
     def _execute(self, cmd: Command) -> None:
         """Run one command -- take its inputs at the commanded offsets,

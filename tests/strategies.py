@@ -1,7 +1,7 @@
 """Hypothesis strategies shared by the property tests.
 
 One place for the generators later property tests compose (graph
-shapes, data-plane kernel inputs, stream partitions and hostile wire
+shapes, data-plane kernel inputs and hostile wire
 frames today; fault schedules and pool op sequences belong here too)
 instead of re-declaring them per test file.
 """
@@ -62,20 +62,6 @@ class VerbStrategies:
         if verb.startswith("matmul"):
             return st.tuples(*[st.integers(1, max_dim)] * 3)
         return st.tuples(st.integers(1, max_elements))
-
-
-class StreamStrategies:
-    """Strategies over a pool's absolute-index production stream."""
-
-    @staticmethod
-    def partitions(lo: int, hi: int, max_cuts: int = 8) -> st.SearchStrategy[list]:
-        """Consecutive ``(lo, hi)`` segments covering ``[lo, hi)`` -- the
-        batches a shard fleet lands a stream in.  Compose with
-        ``st.permutations`` for an arrival order."""
-        if hi - lo <= 1:
-            return st.just([(lo, hi)])
-        cuts = st.sets(st.integers(lo + 1, hi - 1), max_size=max_cuts).map(sorted)
-        return cuts.map(lambda c: list(zip([lo] + c, c + [hi])))
 
 
 #: Frames that are not a JSON object at all: bad UTF-8 (bare, and

@@ -32,7 +32,6 @@ from repro.ot.reconnect import HANDSHAKE
 from repro.ppml.plan import START
 from repro.runtime.daemon import VERDICTS
 from repro.runtime.service import CONTROL
-from repro.runtime.shard import SHARD_CTL
 
 
 class TestLocalChannel:
@@ -250,7 +249,6 @@ SCHEMAS = {
     "prov/ctl": CONTROL,
     "daemon/ctl": VERDICTS,
     "pipe": START,
-    "shard/ctl": SHARD_CTL,
     "hello": HANDSHAKE,
     "specs": {"every": {"i": int, "s": str, "l": [int], "m": {str: int}, "d": dict}, "bare": {}},
 }
@@ -347,7 +345,6 @@ RAW_ALLOWED = {
     "ot/reconnect.py": "reads DATA / ACK / HELLO frames off the transport it heals",
     "ot/retry.py": "forwards frames untouched, waiting in policy-sized slices",
     "ot/faults.py": "forwards frames untouched between scheduled faults",
-    "runtime/shard.py": "the follower's control loop polls in 50 ms slices (decode_msg parses)",
 }
 RAW_CALL = re.compile(r"\brecv_bytes\(")
 

@@ -2,8 +2,8 @@
 
 Each site that reads a control message -- the service follower's
 command loop, the leader's resync barrier and NACK drain, the daemon's
-verdict stream, the pipelined prefill's start positions, the shard
-follower's ``shard/ctl`` replay and both reconnect HELLO sites -- reads
+verdict stream, the pipelined prefill's start positions and both
+reconnect HELLO sites -- reads
 it through :func:`repro.ot.channel.decode_msg`.  A frame outside the
 declared shape must surface as a :class:`ProtocolError` at once: never
 a ``KeyError``, ``struct.error`` or ``JSONDecodeError``, a hang, or a
@@ -25,13 +25,12 @@ import repro
 from repro.errors import ProtocolError, ServiceError
 from repro.ferret.config import FerretConfig
 from repro.fingerprint import CONSTANTS, PROTOCOL
-from repro.obs.trace import NULL_TRACER
 from repro.ot.channel import LocalChannel, encode_msg
 from repro.ot.reconnect import HANDSHAKE, ReconnectingChannel
 from repro.ot.retry import RetryPolicy
 from repro.ppml.layers import Graph, Linear
 from repro.ppml.plan import START, PipelinedPrefill, plan_graph
-from repro.runtime import CorrelationService, MuxChannel, ServiceTuning, shard
+from repro.runtime import CorrelationService, MuxChannel, ServiceTuning
 from repro.runtime.daemon import VERDICTS, InferenceDaemon
 from repro.runtime.service import CONTROL, HELLO_CONFIG
 
@@ -331,38 +330,6 @@ def test_pipeline_start_positions(frame):
 def test_pipeline_start_lacking_a_plan_pool():
     frame = encode_msg("start", positions={"cot/fwd": 0})
     assert "mtri/4x16x8" in str(_follower_start_error(frame))
-
-
-# -- shard follower -------------------------------------------------------------------
-def _shard_follower(frame):
-    service = SimpleNamespace(
-        party=1, mux=SimpleNamespace(sub=lambda tag: None), pools={}, tracer=NULL_TRACER
-    )
-    mgr = shard.ShardManager(service, 2, seed=0)
-    mgr._ctl = ScriptedChannel([frame])
-    return mgr
-
-
-@HOSTILE
-@given(frame=WireStrategies.bad_messages(shard.SHARD_CTL))
-def test_shard_ctl_replay(frame):
-    with pytest.raises(ProtocolError):
-        _shard_follower(frame)._follower_merge_loop()
-
-
-@pytest.mark.parametrize(
-    "frame, match",
-    [
-        (encode_msg("SCMD", seq=0, shard=0, direction="up"), "unknown direction 'up'"),
-        (encode_msg("SOFF", seq=0, direction="", lo=0, n=1), "unknown direction ''"),
-        (encode_msg("SCMD", seq=0, shard=2, direction="fwd"), "names shard 2 of 2"),
-    ],
-)
-def test_shard_ctl_values_outside_the_fleet(frame, match):
-    """Shape-valid messages naming a direction or shard that does not
-    exist."""
-    with pytest.raises(ProtocolError, match=match):
-        _shard_follower(frame)._follower_merge_loop()
 
 
 # -- reconnect HELLO --------------------------------------------------------------------

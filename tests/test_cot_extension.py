@@ -4,14 +4,11 @@ Properties of ``base_cot_send`` / ``base_cot_receive`` for any n, of
 the two kernels they add (``stream_expand``,
 ``transpose_128``), and the counting tests that pin what the change is
 for: one Ferret setup is exactly 128 public-key OTs, and a
-two-direction service pair -- sharded or not -- is ONE 128-OT batch
-per side (the reverse direction's seed OTs ride on 128 spare forward
-COTs), with none in the shard workers.
+two-direction service pair is ONE 128-OT batch per side (the reverse
+direction's seed OTs ride on 128 spare forward COTs).
 """
 
 import contextlib
-import queue
-import threading
 import time
 import tracemalloc
 
@@ -36,7 +33,6 @@ from repro.ot.channel import LocalChannel, PartyError, lanes_bytes, run_concurre
 from repro.ot.cot import CotReceiverBatch, CotSenderBatch, verify_cot
 from repro.ot.ot_from_cot import ot_reply_bytes
 from repro.runtime import CorrelationService, MuxChannel, ServiceTuning
-from repro.runtime.shard import _shard_slices, _worker_main
 
 CFG = FerretConfig.small(scale=1024, arity=4, prg_kind="chacha8")
 
@@ -175,7 +171,7 @@ class TestExtension:
         base_a, base_b = LocalChannel.pair(timeout=30.0)
         mux_a, mux_b = MuxChannel(base_a, timeout=30.0), MuxChannel(base_b, timeout=30.0)
         try:
-            self.both_directions(mux_a.sub("shard/hs"), mux_b.sub("shard/hs"), 500)
+            self.both_directions(mux_a.sub("cold/hs"), mux_b.sub("cold/hs"), 500)
         finally:
             mux_a.close(), mux_b.close()
 
@@ -284,59 +280,9 @@ class TestPkcCounts:
         assert verify_cot(s, r)
         assert pkc_counts == {"send": [KAPPA], "receive": [KAPPA]}
 
-    def test_worker_loads_parent_slices_without_pkc(self, pkc_counts):
-        """The shard worker entry point, run on threads so the counter
-        sees it: two service parents mint for two shards, shard 1's pair
-        is seeded from its slices of both directions and extends each --
-        with no PKC of its own."""
-        need = CFG.base_cots_needed
-        _, parents, minted = mint_service_pair((2, 2))
-        assert pkc_counts == {"send": [KAPPA], "receive": [KAPPA]}
-        pkc_counts["send"].clear(), pkc_counts["receive"].clear()
-        # Each party's shard-1 slice of both directions, and the Delta
-        # of the direction it sends.
-        seeds = [[_shard_slices(cols, need, 2)[1] for cols in minted[p]] for p in (0, 1)]
-        deltas = parents[0].ferret_fwd.delta, parents[1].ferret_rev.delta
-
-        cmd = queue.Queue(), queue.Queue()
-        res = queue.Queue(), queue.Queue()
-        workers = [
-            threading.Thread(
-                target=_worker_main,
-                args=(party, 1, CFG, 7, deltas[party], cmd[party], res[party]),
-                daemon=True,
-            )
-            for party in (0, 1)
-        ]
-        for w in workers:
-            w.start()
-        try:
-            kind, _, port = res[0].get(timeout=30.0)
-            assert kind == "port"
-            cmd[1].put(("connect", "127.0.0.1", port))
-            for party in (0, 1):
-                cmd[party].put(("seed", *seeds[party]))
-            for q in res:
-                assert q.get(timeout=30.0)[0] == "ready"
-            got = {}
-            for seq, direction in enumerate(("fwd", "rev")):
-                for q in cmd:
-                    q.put(("ext", seq, direction))
-                got[direction] = [q.get(timeout=60.0)[4] for q in res]
-        finally:
-            for q in cmd:
-                q.put(("stop",))
-            for w in workers:
-                w.join(30.0)
-        assert not any(w.is_alive() for w in workers)
-        for direction, sender in (("fwd", 0), ("rev", 1)):
-            (z,), (x, y) = got[direction][sender], got[direction][1 - sender]
-            assert verify_cot(CotSenderBatch(deltas[sender], z), CotReceiverBatch(x, y))
-        assert pkc_counts == {"send": [], "receive": []}
-
     def test_service_pair_is_one_kappa_pkc_batch_per_side(self, pkc_counts):
-        """Both directions of an unsharded pair: the forward mint is the
-        only PKC run, and both directions' first extends correlate."""
+        """Both directions of a pair: the forward mint is the only PKC
+        run, and both directions' first extends correlate."""
         with service_pair(ServiceTuning(), seed=0x5AD0) as services:
             assert pkc_counts == {"send": [KAPPA], "receive": [KAPPA]}
             verify_first_extends(services, CFG.net_output)
@@ -364,18 +310,6 @@ class TestPkcCounts:
             for svc in services:
                 assert "cot/rev" not in svc.pools and svc.extends["rev"] == 0
 
-    def test_two_shard_start_is_one_kappa_pkc_batch_per_pair(self, pkc_counts):
-        """Both parents live in this process: the pair's start is one
-        128-OT batch on the PKC-sender side and one on the PKC-receiver
-        side, whatever the shard count, and the reverse direction's
-        seeds come from the forward mint.  (The spawned workers cannot
-        be patched; the test above covers their entry point.)"""
-        with service_pair(ServiceTuning(shards=2), seed=0x5AD1) as services:
-            assert pkc_counts == {"send": [KAPPA], "receive": [KAPPA]}
-            # Each direction crosses a shard batch boundary.
-            verify_first_extends(services, CFG.net_output + 10)
-            assert pkc_counts == {"send": [KAPPA], "receive": [KAPPA]}
-
 
 def cold_start_bytes(n: int) -> dict:
     """``(direction, party) -> bytes sent`` of a service pair's cold
@@ -400,23 +334,23 @@ def cold_start_bytes(n: int) -> dict:
     }
 
 
-def mint_service_pair(copies: tuple) -> tuple:
+def mint_service_pair(configs: tuple) -> tuple:
     """Run ``CorrelationService.mint_base_cots`` on both parties, party p
-    asking for ``copies[p]`` first iterations; returns the ``fwd`` /
-    ``rev`` channel pairs, the two services and each party's
-    ``(fwd columns, rev columns)``."""
+    configured with ``configs[p]``; returns the ``fwd`` / ``rev``
+    channel pairs, the two services and each party's ``(fwd columns,
+    rev columns)``."""
     bases = LocalChannel.pair(timeout=60.0)
     muxes = [MuxChannel(base, timeout=60.0) for base in bases]
     links = {direction: LocalChannel.pair(timeout=60.0) for direction in ("fwd", "rev")}
     try:
         services = [
-            CorrelationService(party, muxes[party], CFG, ServiceTuning(), seed=0x5AD3)
+            CorrelationService(party, muxes[party], configs[party], ServiceTuning(), seed=0x5AD3)
             for party in (0, 1)
         ]
         minted = run_concurrently(
             *(
                 lambda party=party: services[party].mint_base_cots(
-                    links["fwd"][party], links["rev"][party], copies[party]
+                    links["fwd"][party], links["rev"][party]
                 )
                 for party in (0, 1)
             ),
@@ -429,27 +363,30 @@ def mint_service_pair(copies: tuple) -> tuple:
 
 
 class TestColdStartBytes:
-    @pytest.mark.parametrize("copies", [1, 2])
-    def test_service_pair_mint_matches_the_byte_model(self, copies):
+    @pytest.mark.parametrize("scale", [1024, 512])
+    def test_service_pair_mint_matches_the_byte_model(self, scale):
         """``CorrelationService.mint_base_cots`` of both parties: the bytes
         each sends on its forward and reverse channel equal
         :func:`cold_start_bytes`."""
-        links, _, _ = mint_service_pair((copies, copies))
+        cfg = FerretConfig.small(scale=scale, arity=4, prg_kind="chacha8")
+        links, _, _ = mint_service_pair((cfg, cfg))
         sent = {
             (direction, party): links[direction][party].stats.bytes_sent
             for direction in ("fwd", "rev")
             for party in (0, 1)
         }
-        assert sent == cold_start_bytes(copies * CFG.base_cots_needed)
+        assert sent == cold_start_bytes(cfg.base_cots_needed)
 
     def test_a_desynced_pair_fails_in_seconds_not_a_recv_timeout(self):
-        """Party 1 asks for one more first iteration than party 0: the
-        side that sees the IKNP ``n`` header mismatch raises, and the
+        """Party 1's Ferret config needs fewer base COTs than party 0's:
+        the side that sees the IKNP ``n`` header mismatch raises, and the
         caller gets that error at once, while the peer is still blocked
         on its 60 s receive."""
+        other = FerretConfig.small(scale=512, arity=4, prg_kind="chacha8")
+        assert other.base_cots_needed != CFG.base_cots_needed
         started = time.monotonic()
         with pytest.raises(PartyError, match="COTs") as err:
-            mint_service_pair((1, 2))
+            mint_service_pair((CFG, other))
         assert time.monotonic() - started < 5.0
         assert isinstance(err.value.__cause__, ProtocolError)
 

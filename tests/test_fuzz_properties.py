@@ -4,13 +4,9 @@ Hypothesis drives randomized-but-reproducible inputs through the
 runtime's pure-ish cores: the mux frame codec must round-trip and
 reject malformed bytes with a typed error, per-tag byte attribution
 must partition the base channel's totals exactly under any tag
-interleaving, the pool's absolute-index accounting must hold under
-any legal sequence of append/reserve/take/target/rollback operations,
-and a follower shard merger must land the leader's stream under any
-arrival order of its own workers' results.
+interleaving, and the pool's absolute-index accounting must hold under
+any legal sequence of append/reserve/take/target/rollback operations.
 """
-
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,12 +14,8 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from strategies import StreamStrategies  # noqa: E402
-
 from repro.errors import ChannelError, ServiceError  # noqa: E402
-from repro.obs.trace import NULL_TRACER  # noqa: E402
-from repro.ot.channel import LocalChannel, encode_msg  # noqa: E402
-from repro.runtime import shard  # noqa: E402
+from repro.ot.channel import LocalChannel  # noqa: E402
 from repro.runtime.mux import MuxChannel, decode_frame, encode_frame  # noqa: E402
 from repro.runtime.pool import CorrelationPool  # noqa: E402
 
@@ -193,121 +185,3 @@ def test_rollback_respects_taken_frontier(produced, taken, rollback):
         dropped = pool.rollback_to(rollback)
         assert dropped == max(0, produced - rollback)
         assert pool.produced == min(produced, max(rollback, taken))
-
-
-# -- shard merge -------------------------------------------------------------
-DIRECTIONS = shard.DIRECTIONS
-
-
-def _follower():
-    """A follower ``ShardManager`` over two bare pools: no service
-    worker, no mux, no processes -- only the merge step is driven."""
-    pools = {f"cot/{d}": CorrelationPool(f"cot/{d}", 1) for d in DIRECTIONS}
-    service = SimpleNamespace(
-        party=1,
-        mux=SimpleNamespace(sub=lambda tag: None),
-        pools=pools,
-        pool=pools.__getitem__,
-        tracer=NULL_TRACER,
-        extends=dict.fromkeys(DIRECTIONS, 0),
-    )
-    return shard.ShardManager(service, 2, seed=0), pools
-
-
-def _leader_stream(data):
-    """A two-direction stream as the leader landed it: per direction a
-    partition of ``[0, n)`` into batches, the two announcement orders
-    merged at random, and sequence numbers (dispatch order) unrelated
-    to landing order.  Returns ``[(seq, direction, lo, hi), ...]`` in
-    announcement order."""
-    per_dir = {
-        d: data.draw(
-            StreamStrategies.partitions(0, data.draw(st.integers(1, 40), label=f"n-{d}")),
-            label=f"batches-{d}",
-        )
-        for d in DIRECTIONS
-    }
-    merge = data.draw(
-        st.permutations([d for d in DIRECTIONS for _ in per_dir[d]]), label="merge"
-    )
-    seqs = data.draw(st.permutations(range(len(merge))), label="seqs")
-    queues = {d: iter(per_dir[d]) for d in DIRECTIONS}
-    return [(seq, d, *next(queues[d])) for seq, d in zip(seqs, merge)]
-
-
-def _soff(seq, direction, lo, n):
-    return encode_msg("SOFF", seq=seq, direction=direction, lo=lo, n=n)
-
-
-def _content(direction, lo, hi):
-    """The stream's values: absolute index, tagged with its direction."""
-    return np.arange(lo, hi, dtype=np.uint64) + (1000 if direction == "rev" else 0)
-
-
-@settings(max_examples=60, deadline=None)
-@given(data=st.data())
-def test_follower_lands_announced_and_arrived_prefix(data):
-    """Announcements arrive in leader order, local results in any
-    permutation, the two interleaved at random: after every step each
-    pool has advanced over exactly the longest prefix of its
-    direction's announcements whose results are all in (so one
-    direction never waits on the other), and the final streams are the
-    leader's."""
-    stream = _leader_stream(data)
-    arrivals = data.draw(st.permutations(stream), label="arrivals")
-    steps = data.draw(
-        st.permutations(["announce"] * len(stream) + ["arrive"] * len(stream)),
-        label="interleave",
-    )
-    mgr, pools = _follower()
-    announce, arrive = iter(stream), iter(arrivals)
-    announced = {d: [] for d in DIRECTIONS}
-    arrived = set()
-    for step in steps:
-        if step == "announce":
-            seq, d, lo, hi = next(announce)
-            announced[d].append((seq, hi))
-            mgr._on_ctl(_soff(seq, d, lo, hi - lo))
-        else:
-            seq, d, lo, hi = next(arrive)
-            arrived.add(seq)
-            mgr._results[seq] = (seq % 2, d, (_content(d, lo, hi),), 0.0)
-        mgr._merge_ready()
-        for d in DIRECTIONS:
-            frontier = 0
-            for seq, hi in announced[d]:
-                if seq not in arrived:
-                    break
-                frontier = hi
-            assert pools[f"cot/{d}"].produced == frontier, (d, step)
-    assert mgr.collect()["pending_merge"] == 0
-    for d in DIRECTIONS:
-        n = max(hi for _, dd, _, hi in stream if dd == d)
-        (got,) = pools[f"cot/{d}"].take_columns(0, n, timeout=1.0)
-        assert np.array_equal(got, _content(d, 0, n))
-    assert sum(s["extends"] for s in mgr.stats) == len(stream)
-
-
-@settings(max_examples=60, deadline=None)
-@given(data=st.data())
-def test_follower_rejects_an_announcement_that_disagrees(data):
-    """The announced ``(direction, lo, n)`` is the peer's word: one that
-    is not this party's frontier, or not this party's batch, is a typed
-    error at its landing, never a silently shifted stream."""
-    stream = _leader_stream(data)
-    victim = data.draw(st.integers(0, len(stream) - 1), label="victim")
-    lie = data.draw(st.sampled_from(["lo", "n", "direction"]), label="lie")
-    mgr, pools = _follower()
-    for seq, d, lo, hi in stream:  # every local result is already in
-        mgr._results[seq] = (seq % 2, d, (_content(d, lo, hi),), 0.0)
-    with pytest.raises(ServiceError, match="shard merge mismatch"):
-        for i, (seq, d, lo, hi) in enumerate(stream):
-            n = hi - lo
-            if i == victim and lie == "lo":
-                lo = data.draw(st.integers(0, hi + 3).filter(lambda v: v != lo), label="lo")
-            elif i == victim and lie == "n":
-                n += 1
-            elif i == victim:
-                d = DIRECTIONS[1 - DIRECTIONS.index(d)]
-            mgr._on_ctl(_soff(seq, d, lo, n))
-            mgr._merge_ready()

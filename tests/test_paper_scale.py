@@ -10,7 +10,6 @@ net-output accounting.
 """
 
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -79,66 +78,4 @@ def test_table4_2pow20_through_service():
     assert pool.reserved == n_draw
     assert np.int64(pool.level) == 1
 
-    mux0.close(), mux1.close()
-
-
-@pytest.mark.slow
-def test_table4_2pow20_through_4shard_service():
-    """The same Table 4 2^20 row, produced by a 4-shard service.
-
-    Setup is one base-COT run in the parents covering all 4 shards'
-    first iterations; the assertions shift from the parent endpoints (which
-    never extend in sharded mode) to the merged pool accounting and the
-    per-shard telemetry.
-    """
-    shards = 4
-    cfg = FerretConfig.paper("2^20", arity=4, prg_kind="chacha8")
-    tuning = ServiceTuning(
-        shards=shards,
-        cot_low=1,
-        cot_high=cfg.net_output,
-        take_timeout_s=PATIENCE,
-    )
-    base_a, base_b = LocalChannel.pair(timeout=PATIENCE)
-    mux0 = MuxChannel(base_a, timeout=PATIENCE)
-    mux1 = MuxChannel(base_b, timeout=PATIENCE)
-    svc0 = CorrelationService(0, mux0, cfg, tuning, seed=0x2020).start()
-    svc1 = CorrelationService(1, mux1, cfg, tuning, seed=0x2020).start()
-    svc0.wait_ready(PATIENCE)
-    svc1.wait_ready(PATIENCE)
-
-    n_draw = cfg.net_output - 1
-    out = {}
-
-    def consumer(party, svc):
-        (out[party],), _ = svc.session("table4-sharded").draw(
-            [("cot/fwd", (), n_draw)]
-        )
-
-    t0 = threading.Thread(target=consumer, args=(0, svc0))
-    t1 = threading.Thread(target=consumer, args=(1, svc1))
-    t0.start(), t1.start()
-    t0.join(PATIENCE), t1.join(PATIENCE)
-    assert 0 in out and 1 in out, (svc0.error, svc1.error)
-
-    assert verify_cot(out[0], out[1])
-    assert 0.49 < out[1].x.mean() < 0.51
-
-    # Merged-pool accounting: every landed extend contributes exactly
-    # net_output columns, and the per-shard counters own all of them.
-    # Let any extend still in flight at draw-completion land first.
-    tel0 = svc0.telemetry()
-    deadline = time.monotonic() + 600.0
-    while tel0.get("shard/inflight/fwd", 0) and time.monotonic() < deadline:
-        time.sleep(0.5)
-        tel0 = svc0.telemetry()
-    assert tel0["shard/shards"] == shards
-    per_shard = [tel0[f"shard/{i}/extends"] for i in range(shards)]
-    assert sum(per_shard) == svc0.extends["fwd"] >= 1
-    pool = svc0.pools["cot/fwd"]
-    assert pool.produced == svc0.extends["fwd"] * cfg.net_output
-    assert pool.reserved == n_draw
-
-    svc0.stop(120.0)
-    svc1.stop(120.0)
     mux0.close(), mux1.close()

@@ -337,14 +337,14 @@ class TestTypedPools:
 
 
 class TestAppendColumns:
-    """append_columns: every landing is at the frontier, and says where."""
+    """append_columns: every landing is at the frontier, whole."""
 
     def test_racing_appenders_get_disjoint_contiguous_offsets(self):
-        # The shard leader announces the returned offset to its peer, so
-        # under racing appenders it must be where THAT batch landed:
-        # reading ``produced`` around the call could not promise it.
+        # Two threads append tagged batches at once: each batch must
+        # land as one contiguous run at the frontier, in each
+        # appender's call order, never interleaved with the other's.
         pool = CorrelationPool("race", 1)
-        per_thread, landed = 200, {0: [], 1: []}
+        per_thread, sent = 200, {0: [], 1: []}
         start = threading.Barrier(2)
 
         def appender(who):
@@ -352,8 +352,9 @@ class TestAppendColumns:
             start.wait(5.0)
             for i in range(per_thread):
                 n = int(gen.integers(1, 6))
-                tag = np.full(n, who * per_thread + i, dtype=np.uint64)
-                landed[who].append((pool.append_columns((tag,)), n, tag[0]))
+                tag = who * per_thread + i
+                sent[who].append((tag, n))
+                pool.append_columns((np.full(n, tag, dtype=np.uint64),))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -366,17 +367,17 @@ class TestAppendColumns:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
-        for who in (0, 1):  # landing order is call order, per appender
-            offsets = [lo for lo, _, _ in landed[who]]
-            assert offsets == sorted(offsets) and len(offsets) == per_thread
-        frontier = 0
-        for lo, n, tag in sorted(landed[0] + landed[1]):
-            assert lo == frontier  # disjoint and contiguous
-            (got,) = pool.take_columns(lo, n, timeout=1.0)
-            assert (got == tag).all()  # and it is that batch that sits there
-            frontier += n
-        assert pool.produced == frontier
+        total = sum(n for batches in sent.values() for _, n in batches)
+        assert pool.produced == total
         assert pool.stats.refills == 2 * per_thread
+        (stream,) = pool.take_columns(0, total, timeout=1.0)
+        # Runs of one tag, in stream order: disjoint and contiguous iff
+        # every tag forms exactly one run of its batch's length.
+        starts = np.flatnonzero(np.diff(stream, prepend=np.uint64(2 * per_thread)))
+        runs = [(int(stream[lo]), int(hi - lo)) for lo, hi in zip(starts, [*starts[1:], total])]
+        assert sorted(runs) == sorted(sent[0] + sent[1])
+        for who in (0, 1):  # landing order is call order, per appender
+            assert [run for run in runs if run[0] // per_thread == who] == sent[who]
 
     def test_column_length_mismatch_rejected(self):
         pool = CorrelationPool("cols", 2)

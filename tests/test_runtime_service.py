@@ -294,13 +294,12 @@ class TestPoolsOnFirstUse:
         assert CorrelationService(0, mux0, CFG).pools == {}
         mux0.close()
 
-    @pytest.mark.parametrize("shards", [1, 2])
-    def test_forward_only_traffic_extends_no_reverse_pool(self, shards):
+    def test_forward_only_traffic_extends_no_reverse_pool(self):
         """Sessions drawing only ``cot/fwd`` and ``mtri`` run no reverse
         extend, and neither party holds a ``cot/rev`` pool; the first
         ``tri`` draw after them makes it and yields AND triples."""
-        tuning = ServiceTuning(shards=shards, ring_bits=16)
-        svc0, svc1, mux0, mux1 = start_service_pair(tuning, seed=0xF0 + shards)
+        tuning = ServiceTuning(ring_bits=16)
+        svc0, svc1, mux0, mux1 = start_service_pair(tuning, seed=0xF1)
         forward = [("cot/fwd", (), 300), ("mtri", MTRI_KEY, 1)]
         try:
             out = run_sessions(svc0, svc1, [
