@@ -334,11 +334,10 @@ def cold_start_bytes(n: int) -> dict:
     }
 
 
-def mint_service_pair(configs: tuple) -> tuple:
+def mint_service_pair(configs: tuple) -> dict:
     """Run ``CorrelationService.mint_base_cots`` on both parties, party p
     configured with ``configs[p]``; returns the ``fwd`` / ``rev``
-    channel pairs, the two services and each party's ``(fwd columns,
-    rev columns)``."""
+    channel pairs it ran over."""
     bases = LocalChannel.pair(timeout=60.0)
     muxes = [MuxChannel(base, timeout=60.0) for base in bases]
     links = {direction: LocalChannel.pair(timeout=60.0) for direction in ("fwd", "rev")}
@@ -347,7 +346,7 @@ def mint_service_pair(configs: tuple) -> tuple:
             CorrelationService(party, muxes[party], configs[party], ServiceTuning(), seed=0x5AD3)
             for party in (0, 1)
         ]
-        minted = run_concurrently(
+        run_concurrently(
             *(
                 lambda party=party: services[party].mint_base_cots(
                     links["fwd"][party], links["rev"][party]
@@ -359,7 +358,7 @@ def mint_service_pair(configs: tuple) -> tuple:
     finally:
         for mux in muxes:
             mux.close()
-    return links, services, minted
+    return links
 
 
 class TestColdStartBytes:
@@ -369,7 +368,7 @@ class TestColdStartBytes:
         each sends on its forward and reverse channel equal
         :func:`cold_start_bytes`."""
         cfg = FerretConfig.small(scale=scale, arity=4, prg_kind="chacha8")
-        links, _, _ = mint_service_pair((cfg, cfg))
+        links = mint_service_pair((cfg, cfg))
         sent = {
             (direction, party): links[direction][party].stats.bytes_sent
             for direction in ("fwd", "rev")

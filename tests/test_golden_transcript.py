@@ -76,7 +76,7 @@ def deal_seed_cots(services, seed):
     for svc, seed_cots in zip(services, dealt):
         mint = svc.ferret_fwd.mint_base_cots
         svc.ferret_fwd.mint_base_cots = (
-            lambda channel, n, _=None, mint=mint, seed_cots=seed_cots: mint(channel, n, seed_cots)
+            lambda channel, n, mint=mint, seed_cots=seed_cots: mint(channel, n, seed_cots)
         )
 
 
