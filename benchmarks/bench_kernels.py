@@ -123,6 +123,9 @@ def test_kernel_chacha8_keystream(benchmark):
 
 
 def test_kernel_ggm_expand_chacha_4ary(benchmark):
+    """5 461 ChaCha8 core calls in 7 level calls, word-major states
+    permuted in place: best 1.38 ms (median 1.48) on a 2-core x86 host,
+    where the transposing kernel it replaced read 1.90 ms (2.18)."""
     prg = ChaChaTreePrg(4)
     seed = blocks.random_blocks(1, RNG)
     levels = benchmark(batched_expand_full, prg, seed, 7)  # 16384 leaves
@@ -131,7 +134,8 @@ def test_kernel_ggm_expand_chacha_4ary(benchmark):
 
 def test_kernel_ggm_expand_aes_2ary(benchmark):
     """4095 binary expansions, 8190 AES blocks in 12 level calls: best
-    0.27 ms on the same host (6.8 ms with the numpy AES)."""
+    0.27 ms on the same host (6.8 ms with the numpy AES).  The SPCOT key
+    trees are this PRG (arity 2, their own master key)."""
     prg = AesTreePrg(2)
     seed = blocks.random_blocks(1, RNG)
     levels = benchmark(batched_expand_full, prg, seed, 12)  # 4096 leaves

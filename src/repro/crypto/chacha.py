@@ -6,12 +6,15 @@ naturally with 4-ary GGM-tree expansion (Section 4.1, Table 2).  The
 core's built-in feed-forward (initial state added to the permuted
 state) provides the one-wayness a GGM PRG needs.
 
-The batch kernel runs ``n`` independent ChaCha states in parallel,
-held word-major as four ``(4, n)`` uint32 row groups (a, b, c, d), so
-one quarter-round call covers four lanes -- ~20 in-place vector ops --
-and a whole GGM level expands without Python-level per-block loops.
-The word-at-a-time formulation straight from the RFC is the reference
-in ``tests/oracles.py``.
+The batch kernel (:func:`chacha_permute`) runs ``n`` independent ChaCha
+states in parallel, held word-major as one ``(16, n)`` uint32 array
+viewed as four ``(4, n)`` row groups (a, b, c, d), so one quarter-round
+call covers four lanes -- ~20 in-place vector ops -- and a whole GGM
+level expands without Python-level per-block loops.  The tree PRG
+builds its states word-major; :func:`chacha_core` is the state-major
+``(n, 16)`` wrapper for the keystream helpers and the RFC tests.  The
+word-at-a-time formulation straight from the RFC is the reference in
+``tests/oracles.py``.
 
 ``chacha20_block`` is pinned to the RFC 8439 test vector by the test
 suite; ChaCha8 reuses the identical machinery with 8 rounds.
@@ -50,15 +53,12 @@ def _quarter_x4(a, b, c, d, tmp) -> None:
         np.bitwise_or(z, tmp, out=z)
 
 
-def _permute(initial: np.ndarray, double_rounds: int, out: np.ndarray) -> None:
-    """``out = permutation(initial) + initial``; all scratch is call-local
-    (both parties' threads share PRG instances, see ``ChaChaTreePrg``)."""
-    n = initial.shape[0]
-    state = np.empty((4, 4, n), dtype=np.uint32)  # state[g, i] is word 4g + i
-    state.reshape(16, n)[...] = initial.T
-    diag = np.empty((3, 4, n), dtype=np.uint32)
-    tmp = np.empty((4, n), dtype=np.uint32)
-    (a, b, c, d), (b2, c2, d2) = state, diag
+def _permute(words: np.ndarray, double_rounds: int, scratch: np.ndarray) -> None:
+    """Permute one chunk of word-major states, ``(16, n)``, in place;
+    ``scratch`` is a C-contiguous ``(16, n)`` buffer it overwrites."""
+    n = words.shape[1]
+    (a, b, c, d), (b2, c2, d2) = words.reshape(4, 4, n), scratch[:12].reshape(3, 4, n)
+    tmp = scratch[12:]
     up1, up2, up3 = _ROTATE
     for _ in range(double_rounds):
         _quarter_x4(a, b, c, d, tmp)
@@ -73,11 +73,41 @@ def _permute(initial: np.ndarray, double_rounds: int, out: np.ndarray) -> None:
         b2.take(up3, axis=0, out=b, mode="clip")
         c2.take(up2, axis=0, out=c, mode="clip")
         d2.take(up1, axis=0, out=d, mode="clip")
-    np.add(state.reshape(16, n).T, initial, out=out)
+
+
+def chacha_permute(words: np.ndarray, rounds: int, scratch: np.ndarray = None) -> None:
+    """Run the ChaCha permutation in place on word-major states; the
+    caller adds the initial states (the feed-forward) to what it keeps.
+
+    Args:
+        words: C-contiguous uint32 array of shape (16, n) -- one ChaCha
+            state per column, row ``w`` holding word ``w`` of every state.
+        rounds: total round count (8, 12 or 20); must be even.
+        scratch: a flat uint32 buffer of at least ``16 * min(n,
+            CHUNK_STATES)`` words that the kernel overwrites; allocated
+            here when not given.  It must belong to this call alone
+            (both parties' threads share PRG instances, see
+            ``ChaChaTreePrg``).
+
+    States go through in chunks of :data:`CHUNK_STATES`, so the state and
+    scratch of a chunk stay in L2 however wide a GGM level is.
+    """
+    if rounds % 2 != 0 or rounds <= 0:
+        raise ParameterError(f"ChaCha round count must be a positive even number, got {rounds}")
+    if words.dtype != np.uint32 or words.ndim != 2 or words.shape[0] != 16:
+        raise ParameterError("word-major ChaCha states must be a (16, n) uint32 array")
+    if not words.flags.c_contiguous:
+        raise ParameterError("word-major ChaCha states must be C-contiguous")
+    n = words.shape[1]
+    if scratch is None:
+        scratch = np.empty(16 * min(n, CHUNK_STATES), dtype=np.uint32)
+    for start in range(0, n, CHUNK_STATES):
+        chunk = words[:, start : start + CHUNK_STATES]
+        _permute(chunk, rounds // 2, scratch[: chunk.size].reshape(16, -1))
 
 
 def chacha_core(initial: np.ndarray, rounds: int) -> np.ndarray:
-    """Run the ChaCha permutation + feed-forward on batched states.
+    """:func:`chacha_permute` plus feed-forward on state-major batches.
 
     Args:
         initial: uint32 array of shape (n, 16) -- one ChaCha state per row.
@@ -86,15 +116,12 @@ def chacha_core(initial: np.ndarray, rounds: int) -> np.ndarray:
     Returns:
         uint32 array (n, 16): permuted states plus the initial states.
     """
-    if rounds % 2 != 0 or rounds <= 0:
-        raise ParameterError(f"ChaCha round count must be a positive even number, got {rounds}")
     if initial.ndim != 2 or initial.shape[1] != 16:
         raise ParameterError("ChaCha state batch must have shape (n, 16)")
-    out = np.empty_like(initial)
-    for start in range(0, initial.shape[0], CHUNK_STATES):
-        chunk = slice(start, start + CHUNK_STATES)
-        _permute(initial[chunk], rounds // 2, out[chunk])
-    return out
+    words = np.array(initial.T, dtype=np.uint32, order="C")
+    chacha_permute(words, rounds)
+    words += initial.T
+    return np.ascontiguousarray(words.T)
 
 
 def make_states(

@@ -5,7 +5,7 @@ transpose is the extension that mints Ferret's first base COTs
 (:mod:`repro.ot.base_ot`).  Its packed 128 x n kernel lives here, in
 numpy -- it runs once per setup.  The two data-plane kernels have one
 implementation each, next to their callers:
-:func:`repro.crypto.chacha.chacha_core` and the column-at-a-time loop
+:func:`repro.crypto.chacha.chacha_permute` and the column-at-a-time loop
 in :mod:`repro.lpn.encode`.
 """
 

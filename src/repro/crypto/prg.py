@@ -23,7 +23,7 @@ import numpy as np
 from repro.crypto import blocks
 from repro.crypto.aes import AES128
 from repro.crypto.chacha import CONSTANTS as CHACHA_CONSTANTS
-from repro.crypto.chacha import chacha_core, make_states
+from repro.crypto.chacha import chacha_core, chacha_permute, make_states
 from repro.errors import ParameterError
 from repro.utils.bitops import log_base
 
@@ -91,6 +91,7 @@ class AesTreePrg(TreePrg):
             raise ParameterError("tree arity must be >= 2")
         self.arity = arity
         self.calls_per_expand = arity
+        self.master_key = master_key
         self._ciphers = [AES128(k) for k in _derive_aes_keys(master_key, arity)]
 
     def expand(self, nodes: np.ndarray, level: int) -> np.ndarray:
@@ -111,6 +112,10 @@ class ChaChaTreePrg(TreePrg):
     block is replicated into the 256-bit ChaCha key and the (public)
     level / lane indices go into the nonce, so expansion is a pure
     function of (parent value, level) shared by sender and receiver.
+    A level's states are built word-major, ``(16, n * calls)``, and
+    permuted in place by :func:`repro.crypto.chacha.chacha_permute`;
+    the feed-forward adds the initial words back, and one transpose
+    turns the kept words into child blocks.
     """
 
     def __init__(self, arity: int = 4, rounds: int = 8, salt: bytes = b"ironman-chacha"):
@@ -121,20 +126,22 @@ class ChaChaTreePrg(TreePrg):
         self.rounds = rounds
         self.name = f"chacha{rounds}"
         self.calls_per_expand = -(-arity // CHACHA_BLOCKS_PER_CALL)  # ceil division
-        digest = hashlib.sha256(salt).digest()
-        self._salt_words = np.frombuffer(digest[:16], dtype="<u4")
-        # State schedule, derived once (the AesTreePrg analogue of its
-        # cached key schedule): everything in the (n*calls, 16) ChaCha
-        # state that does not depend on the parent values or the level --
-        # constants, zero counter, lane indices, salt word -- keyed by
-        # batch size, since batched GGM levels reuse the same few sizes
-        # on every extend.  expand() then only writes key words + level.
-        # The template is mutated in place per expand, so the cache must
-        # be per-thread: shared instances (e.g. the module-level key-tree
-        # PRG in spcot.protocol) are hit concurrently from both parties'
-        # worker threads in in-process two-party runs, and a shared
-        # template lets one thread rewrite key words while the other is
-        # mid-permutation -- silently corrupting a few children.
+        salt_words = np.frombuffer(hashlib.sha256(salt).digest()[:16], dtype="<u4")
+        self._salt = salt_words.reshape(4, 1)
+        # Row groups 0 and 3 of a parent's lanes: the constants; zero
+        # counter, level (set per expand), lane index, salt word.
+        calls = self.calls_per_expand
+        self._ends = np.zeros((2, 4, calls), dtype=np.uint32)
+        self._ends[0] = CHACHA_CONSTANTS[:, None]
+        self._ends[1, 2] = np.arange(calls)
+        self._ends[1, 3] = salt_words[0]
+        # The word-major (16, n*calls) state buffer, kept per batch size
+        # (batched GGM levels reuse the same few sizes on every extend) so
+        # that an expand allocates no state.  It is overwritten in place
+        # per expand, so the cache is per thread: a buffer shared by both
+        # parties' threads would let one thread rewrite key words while
+        # the other is mid-permutation -- silently corrupting a few
+        # children.
         self._state_local = threading.local()
 
     @property
@@ -144,37 +151,43 @@ class ChaChaTreePrg(TreePrg):
             cache = self._state_local.cache = {}
         return cache
 
-    def _state_template(self, n: int) -> np.ndarray:
-        calls = self.calls_per_expand
-        state = self._state_cache.get(n)
-        if state is None:
-            state = np.empty((n * calls, 16), dtype=np.uint32)
-            state[:, 0:4] = CHACHA_CONSTANTS
-            state[:, 12] = 0  # counter
-            state[:, 14] = np.tile(np.arange(calls, dtype=np.uint32), n)  # lane
-            state[:, 15] = self._salt_words[0]
-            self._state_cache[n] = state
-        return state
-
     def expand(self, nodes: np.ndarray, level: int) -> np.ndarray:
         blocks.require_blocks(nodes, "nodes")
         n = nodes.shape[0]
         calls = self.calls_per_expand
+        width = n * calls  # states, parent-major: column p * calls + lane
+        state = self._state_cache.get(n)
+        if state is None:
+            state = self._state_cache[n] = np.empty((16, width), dtype=np.uint32)
         # Key = seed words || seed words XOR salt (a cheap domain separation
-        # that fills the 256-bit key from a 128-bit node value).
-        seed_words = blocks.to_uint32(nodes)
-        state = self._state_template(n)
-        repeated = np.repeat(seed_words, calls, axis=0)
-        state[:, 4:8] = repeated
-        state[:, 8:12] = repeated ^ self._salt_words
-        state[:, 13] = np.uint32(level)
-        stream = chacha_core(state, self.rounds)  # (n*calls, 16) uint32
-        # Each call row holds 4 candidate children; keep the first `arity`
-        # children per parent in order.
-        children = stream.reshape(n, calls * CHACHA_BLOCKS_PER_CALL, 4)
-        wanted = children[:, : self.arity, :].reshape(-1, 4)
-        self.total_calls += n * calls
-        return blocks.from_uint32(np.ascontiguousarray(wanted))
+        # that fills the 256-bit key from a 128-bit node value); both are
+        # made contiguous once, since the fill and the feed-forward read
+        # them.
+        seed = np.ascontiguousarray(blocks.to_uint32(nodes).T)
+        ends = self._ends.copy()
+        ends[1, 1] = level
+        if calls > 1:
+            seed = np.repeat(seed, calls, axis=1)
+            ends = np.tile(ends, n)
+        salted = seed ^ self._salt
+        groups = state.reshape(4, 4, width)
+        groups[::3] = ends
+        groups[1] = seed
+        groups[2] = salted
+        # Each state yields 4 candidate children (16 words); keep the
+        # first `arity` children per parent, in order.  A full-width
+        # output doubles as the permutation's scratch: a level allocates
+        # no state-sized array beyond its children.
+        keep = min(4 * self.arity, 16)
+        out = np.empty((width, keep), dtype=np.uint32)
+        chacha_permute(state, self.rounds, out.reshape(-1) if keep == 16 else None)
+        groups[::3] += ends  # the feed-forward
+        groups[1] += seed
+        groups[2] += salted
+        out[...] = state[:keep].T
+        self.total_calls += width
+        children = out.reshape(n, calls * keep)[:, : 4 * self.arity]
+        return np.ascontiguousarray(children).view(blocks.BLOCK_DTYPE).reshape(-1, 2)
 
 
 #: Nonce of :func:`stream_expand`; the tree PRGs put (level, lane, salt)

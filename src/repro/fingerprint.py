@@ -31,16 +31,17 @@ from repro.mpc.truncation import _B2A_TWEAK, _CARRY_TWEAK
 from repro.ot.base_ot import BOOTSTRAP_TWEAK, KAPPA
 from repro.ot.channel import lanes_bytes
 from repro.spcot.mpcot import _TREE_TWEAK_STRIDE
-from repro.spcot.protocol import _LEVEL_TWEAK_STRIDE, _MASK_TWEAK_OFFSET
+from repro.spcot.protocol import _KEY_TREE_PRG, _LEVEL_TWEAK_STRIDE, _MASK_TWEAK_OFFSET
 
 #: Wire version of the protocol stack.
-VERSION = 3
+VERSION = 4
 
 #: Every declared constant a pad or a frame size depends on (every
 #: module-level tweak, stride and offset of ``repro``, which
 #: ``tests/test_control_decoders.py`` checks).  The lane
 #: rule is the byte length of a 9-lane frame at each width: the 1-bit
-#: count header and the 1 / 2 / 4 / 8-byte lane steps.
+#: count header and the 1 / 2 / 4 / 8-byte lane steps.  The key tree
+#: (kind, arity, master-key digest) masks every m-ary SPCOT level sum.
 CONSTANTS = {
     "DIGIT": DIGIT,
     "_PAD_STRIDE": int(_PAD_STRIDE),
@@ -53,6 +54,11 @@ CONSTANTS = {
     "KAPPA": KAPPA,
     "BOOTSTRAP_TWEAK": BOOTSTRAP_TWEAK,
     "group": [DEFAULT_GROUP.p, DEFAULT_GROUP.g],
+    "key_tree": [
+        _KEY_TREE_PRG.name,
+        _KEY_TREE_PRG.arity,
+        hashlib.sha256(_KEY_TREE_PRG.master_key).hexdigest()[:16],
+    ],
     "lanes": [lanes_bytes(9, bits) for bits in range(1, 65)],
 }
 

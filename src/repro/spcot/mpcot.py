@@ -27,6 +27,10 @@ core calls are fewer, exactly :func:`mpcot_prg_calls`.
 
 from __future__ import annotations
 
+import functools
+import itertools
+from typing import NamedTuple
+
 import numpy as np
 
 from repro.crypto import blocks
@@ -62,10 +66,7 @@ def tree_depth_for(block_size: int, arity: int) -> int:
 
 def mpcot_cots_needed(n: int, t: int, arity: int) -> int:
     """Total base COTs consumed by one multi-point execution."""
-    return sum(
-        cots_needed(arity ** tree_depth_for(size, arity), arity)
-        for size in block_sizes(n, t)
-    )
+    return mpcot_plan(n, t, arity).cots
 
 
 def mpcot_prg_calls(n: int, t: int, arity: int, prg_kind: str) -> tuple:
@@ -77,10 +78,9 @@ def mpcot_prg_calls(n: int, t: int, arity: int, prg_kind: str) -> tuple:
     so its count is the sender's minus ``t`` root expansions (``t``
     calls for ChaCha at arity <= 4).  Key-tree PRG calls are not counted.
     """
-    _, runs = _schedule(block_sizes(n, t), arity)
     sender = sum(
         count * pruned_expansion_calls(kept, arity**depth, arity, prg_kind)
-        for _, count, depth, kept, _ in runs
+        for _, count, depth, kept, _ in mpcot_plan(n, t, arity).runs
     )
     return sender, sender - t * calls_per_node(arity, prg_kind)
 
@@ -110,30 +110,44 @@ def depth_runs(sizes: list, arity: int) -> list:
     return [tuple(r) for r in runs]
 
 
-def _schedule(sizes: list, arity: int) -> tuple:
-    """Shared sender/receiver plan of one execution.
+class MpcotPlan(NamedTuple):
+    """Shared sender/receiver plan of one execution (:func:`mpcot_plan`)."""
 
-    Returns ``(offsets, runs)`` where ``offsets[i]`` is tree i's start
-    in the length-n output and ``runs`` holds ``(first, count, depth,
-    kept, tweak_bases)`` per same-depth run, ``kept`` being the run's
-    largest block: the leaves each of its trees is pruned to.  Both
-    parties must derive the identical tree shapes and per-tree tweak
-    schedule from this single place -- a desync would silently garble
-    the OT pads or the level sums.
+    #: regular-noise block sizes, one per tree.
+    sizes: tuple
+    #: ``offsets[i]`` is tree i's start in the length-n output.
+    offsets: tuple
+    #: ``(first, count, depth, kept, tweak_bases)`` per same-depth run.
+    runs: tuple
+    #: base COTs the execution consumes.
+    cots: int
+
+
+@functools.lru_cache(maxsize=32)
+def mpcot_plan(n: int, t: int, arity: int) -> MpcotPlan:
+    """The tree shapes and tweak schedule of every execution at ``(n, t,
+    arity)``, derived once: ``kept`` is each run's largest block, the
+    leaves each of its trees is pruned to.  Both parties must derive the
+    identical tree shapes and per-tree tweak schedule from this single
+    place -- a desync would silently garble the OT pads or the level
+    sums.  The cached tweak arrays are read-only.
     """
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    runs = [
-        (
-            first,
-            count,
-            depth,
-            max(sizes[first : first + count]),
-            np.arange(first, first + count, dtype=np.uint64)
-            * np.uint64(_TREE_TWEAK_STRIDE),
+    sizes = block_sizes(n, t)
+    runs = []
+    for first, count, depth in depth_runs(sizes, arity):
+        tweak_bases = np.arange(first, first + count, dtype=np.uint64) * np.uint64(
+            _TREE_TWEAK_STRIDE
         )
-        for first, count, depth in depth_runs(sizes, arity)
-    ]
-    return offsets, runs
+        tweak_bases.flags.writeable = False
+        runs.append((first, count, depth, max(sizes[first : first + count]), tweak_bases))
+    return MpcotPlan(
+        sizes=tuple(sizes),
+        offsets=tuple(itertools.accumulate(sizes, initial=0)),
+        runs=tuple(runs),
+        cots=sum(
+            count * cots_needed(arity**depth, arity) for _, count, depth, _, _ in runs
+        ),
+    )
 
 
 def mpcot_send(
@@ -147,9 +161,8 @@ def mpcot_send(
     crhf: Crhf = DEFAULT_CRHF,
 ) -> np.ndarray:
     """Sender side: returns the length-n block vector ``w``."""
-    sizes = block_sizes(n, t)
+    sizes, offsets, runs, _ = mpcot_plan(n, t, prg.arity)
     out = blocks.zeros(n)
-    offsets, runs = _schedule(sizes, prg.arity)
     for first, count, depth, kept, tweak_bases in runs:
         leaves = spcot_send_batch(
             channel, pool, delta, prg, depth, count, rng,
@@ -177,7 +190,7 @@ def mpcot_receive(
     puncture positions); ``v`` the length-n block vector satisfying
     ``w = v XOR u * Delta``.
     """
-    sizes = block_sizes(n, t)
+    sizes, offsets, runs, _ = mpcot_plan(n, t, prg.arity)
     alphas = np.asarray(alphas, dtype=np.int64)
     if alphas.shape[0] != t:
         raise ParameterError(f"need {t} puncture positions, got {alphas.shape[0]}")
@@ -188,7 +201,6 @@ def mpcot_receive(
             )
     u = np.zeros(n, dtype=np.uint8)
     v = blocks.zeros(n)
-    offsets, runs = _schedule(sizes, prg.arity)
     for first, count, depth, kept, tweak_bases in runs:
         run_v, _ = spcot_receive_batch(
             channel, pool, alphas[first : first + count], prg, depth,

@@ -55,7 +55,7 @@ import numpy as np
 
 from repro.crypto import blocks
 from repro.crypto.crhf import DEFAULT_CRHF, Crhf
-from repro.crypto.prg import ChaChaTreePrg, TreePrg
+from repro.crypto.prg import AesTreePrg, TreePrg
 from repro.errors import ParameterError
 from repro.ot.channel import Channel
 from repro.ot.cot import CotPool
@@ -70,9 +70,13 @@ from repro.spcot.ggm import (
 )
 from repro.utils.bitops import log_base
 
-#: Binary PRG shared by both parties for the (m-1)-out-of-m key trees.
-#: Deterministic module-level construction keeps sender/receiver in sync.
-_KEY_TREE_PRG = ChaChaTreePrg(arity=2, rounds=8, salt=b"ironman-key-tree")
+#: Binary PRG shared by both parties for the (m-1)-out-of-m key trees:
+#: fixed-key AES (Guo et al., S&P'20).  A run's key-tree levels hold
+#: only ``depth * t`` nodes or a few times that, where a ChaCha core
+#: call is all fixed numpy overhead and two libcrypto AES calls are
+#: not.  Deterministic module-level construction keeps sender/receiver
+#: in sync; its calls are not counted in the Ferret PRG's ``total_calls``.
+_KEY_TREE_PRG = AesTreePrg(arity=2, master_key=b"ironman-key-tree")
 
 #: Tweak-space stride reserved per SPCOT level (OT pads + masked sums).
 _LEVEL_TWEAK_STRIDE = 64

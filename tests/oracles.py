@@ -21,6 +21,9 @@ are the single-tree GGM expansion and level-by-level punctured
 reconstruction these SPCOT references run on; the shipped path uses
 the batched, pruned forms in ``repro.spcot.ggm``.
 
+``chacha_tree_expand_reference`` builds a tree PRG's children state by
+state from the RFC layout over ``chacha_core_reference``.
+
 ``chacha_core_reference`` and ``encode_blocks_reference`` /
 ``encode_bits_reference`` are the numpy formulations ``repro.crypto.
 chacha`` and ``repro.lpn.encode`` shipped before their in-place kernels
@@ -57,11 +60,13 @@ shipped path must reproduce their shares and frames bit for bit.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 
 from repro.crypto import blocks
 from repro.crypto.crhf import DEFAULT_CRHF
-from repro.crypto.prg import ChaChaTreePrg, TreePrg
+from repro.crypto.prg import AesTreePrg, TreePrg
 from repro.errors import ParameterError
 from repro.mpc.triples import MatrixTriples, _bit_decompose, and_shared, ring_mask_u64
 from repro.ot.channel import lane_bytes
@@ -70,7 +75,7 @@ from repro.spcot.ggm import alpha_digits, level_sums
 from repro.spcot.mpcot import block_sizes, tree_depth_for
 from repro.utils.bitops import log_base
 
-_KEY_TREE_PRG = ChaChaTreePrg(arity=2, rounds=8, salt=b"ironman-key-tree")
+_KEY_TREE_PRG = AesTreePrg(arity=2, master_key=b"ironman-key-tree")
 _TREE_TWEAK_STRIDE = 1 << 20  # per tree
 _LEVEL_TWEAK_STRIDE = 64  # per GGM level inside a tree's stride
 _MASK_TWEAK_OFFSET = 32  # a level's masked sums, above its key-tree OT pads
@@ -323,6 +328,26 @@ def chacha_core_reference(initial: np.ndarray, rounds: int) -> np.ndarray:
     for i in range(16):
         out[:, i] = work[i] + initial[:, i]
     return out
+
+
+def chacha_tree_expand_reference(nodes, level, arity, rounds, salt=b"ironman-chacha"):
+    """``ChaChaTreePrg.expand`` spelled out state by state: parent ``p``'s
+    lane ``j`` is the RFC layout constants | seed words | seed words XOR
+    salt | counter 0 | nonce (level, j, salt word 0), and its children
+    are the first ``arity`` 128-bit blocks of its lanes' outputs."""
+    salt_words = np.frombuffer(hashlib.sha256(salt).digest()[:16], dtype="<u4")
+    lanes = -(-arity // 4)
+    seed_words = np.ascontiguousarray(nodes).view(np.uint32).reshape(-1, 4)
+    states = np.zeros((seed_words.shape[0], lanes, 16), dtype=np.uint32)
+    states[:, :, 0:4] = [0x61707865, 0x3320646E, 0x79622D32, 0x6B206574]
+    states[:, :, 4:8] = seed_words[:, None, :]
+    states[:, :, 8:12] = (seed_words ^ salt_words)[:, None, :]
+    states[:, :, 13] = level
+    states[:, :, 14] = np.arange(lanes)
+    states[:, :, 15] = salt_words[0]
+    stream = chacha_core_reference(states.reshape(-1, 16), rounds)
+    children = stream.reshape(-1, lanes * 4, 4)[:, :arity]
+    return np.ascontiguousarray(children).view(np.uint64).reshape(-1, 2)
 
 
 # -- LPN: gather a chunk's d rows at once, XOR-reduce them --

@@ -1,7 +1,7 @@
-"""The ChaChaTreePrg state-template cache (the hoisted key schedule)
+"""The ChaChaTreePrg state buffers, kept per thread and batch size,
 must not change a single expanded block.  ``chacha_core`` itself and
 the LPN gather-XOR are pinned to their oracles in ``tests/test_chacha.py``
-and ``tests/test_lpn.py``.
+and ``tests/test_lpn.py``; the tree PRG's children in ``tests/test_prg.py``.
 """
 
 import numpy as np
@@ -11,7 +11,7 @@ from repro.crypto import blocks
 
 
 class TestChaChaTemplateCache:
-    """The hoisted state schedule is a pure cache: expansion output is a
+    """The cached state buffer is a pure cache: expansion output is a
     function of (parent values, level) only."""
 
     def test_cached_template_does_not_change_expansion(self):
@@ -43,12 +43,13 @@ class TestChaChaTemplateCache:
 
     def test_shared_instance_concurrent_expand_bit_exact(self):
         # Regression: the state template is mutated in place per expand,
-        # and module-level PRG instances (spcot.protocol._KEY_TREE_PRG)
-        # are hit from both parties' worker threads when a two-party
-        # protocol runs in one process.  With a process-wide template
-        # cache, one thread rewrites key words while the other is
-        # mid-permutation, corrupting a few children; the cache must be
-        # per-thread so concurrent expands stay bit-exact.
+        # and a shared PRG instance is hit from both parties' worker
+        # threads when a two-party protocol runs in one process (the
+        # SPCOT key tree was one until it moved onto AES).  With a
+        # process-wide template cache, one thread rewrites key words
+        # while the other is mid-permutation, corrupting a few children;
+        # the cache must be per-thread so concurrent expands stay
+        # bit-exact.
         import sys
         import threading
 

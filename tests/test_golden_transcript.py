@@ -43,19 +43,19 @@ SHAPE = (2, 3, 2)
 DRAWS = matmul_draws(*SHAPE) + relu_draws(ELEMENTS, FX.bits) + trunc_draws(ELEMENTS, FX)
 
 #: The protocol the digests below were recorded under.
-GOLDEN_PROTOCOL = "3:3b486dfd9b3916d4"
+GOLDEN_PROTOCOL = "4:1d8660db04f68556"
 #: SHA-256 of the frames (tag header included) party p sent on each tag.
 GOLDEN = {
     "p0 pipe/draws": "b9602265615793f9779ac9ad9183a44c6f9435aec821ff357e9c6b789d401090",
-    "p0 prov/ctl": "59fb94779b7358cd7ae4fafaf8d4415b30f9d70f2c8c24192bcd01e105691e3f",
-    "p0 prov/fwd": "a1b2eca87360312df03a9481b826c60e298f741080bb44957e0c4cb011a9bf8d",
+    "p0 prov/ctl": "62b2ae88ad240e3fa1494ec4fbd250ca605e693dd4dcd32f5b6c49811ced2be7",
+    "p0 prov/fwd": "214e1aaaf02ae7869950e098340f25663459166ca4d819f668033cb7802794c4",
     "p0 prov/mtri": "30c01a8db1235658ec40fbaa7a703b0caa3da36a85e997cad118ba6601908ebc",
     "p0 prov/rev": "f46ee55481e424a7ad34778421a967fb66abbccf094896f2464262dd0984c3e9",
     "p0 sess/golden": "28166e035d5837d59cbb275f98e61bbba8d6355fe272caad401cc2440d0af249",
-    "p1 prov/ctl": "fb6595c10e9957c31aa9a21cae3a29bfe7fbae77c5008fc757e44e2f3d7a6743",
+    "p1 prov/ctl": "45cbd7e10f26f31ad570ca227b5d9564275bc52244a0f745f06e20318c39c616",
     "p1 prov/fwd": "98a2988e13b315037145f5917a7e43408178c2aad32ca0b7ab969b41ac23bb87",
     "p1 prov/mtri": "834a1eca7f3d219f8267af3cca564300cd2007c1700d4bc774e163f86e235d2a",
-    "p1 prov/rev": "3aff7e5fcefbe2695104e98f5dff43c27d5ac8eea6ea30f72e472e13fd350f11",
+    "p1 prov/rev": "ac1043fc65ef91c3c5a445f9eca0d1a4bf084db04b8b24a02d55942f28872bd4",
     "p1 sess/golden": "6d9bbd776f0d8f416979b42b16583618493ce7e53870b422a2105fe91fe35581",
 }
 

@@ -1,11 +1,14 @@
 """Seeded thread-interleaving hammer over Ferret's extend.
 
 In-process two-party runs put both parties' threads through the same
-module-level objects -- the key-tree PRG of ``repro.spcot.protocol``
-(one large batched expansion per extend), the default CRHF, the ChaCha
+module-level objects -- the AES key-tree PRG of ``repro.spcot.protocol``,
+the default CRHF (both on per-thread libcrypto contexts), the ChaCha
 kernels.  A cache or scratch buffer shared between threads there does
-not crash; it hands one party a few wrong blocks (the PR 9 ChaCha
-state-template race was exactly that and was found by luck).  This
+not crash; it hands one party a few wrong blocks (a ChaCha
+state-template race shared by both parties was exactly that and was
+found by luck).  Every Ferret endpoint now owns its ChaCha tree PRG, so
+no ChaCha instance is shared here any more: the guard of a shared
+``ChaChaTreePrg`` is ``tests/test_prg.py::TestWordMajorKernel``.  This
 test shrinks the interpreter's switch interval so threads are
 preempted inside those calls, runs more party threads than the host
 has cores, checks every batch, and requires the output stream to be

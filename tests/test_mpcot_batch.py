@@ -125,7 +125,7 @@ class TestBatchedGgm:
         expect[np.arange(t), alphas] = 0
         assert np.array_equal(leaves, expect)
 
-    @pytest.mark.parametrize("shape", [(1, 1, 2), (3, 5, 8), (7, 2728, 2)])
+    @pytest.mark.parametrize("shape", [(1, 1, 2), (3, 5, 8), (7, 2728, 2), (2, 3, 4096)])
     def test_tree_xor_matches_middle_axis_reduce(self, shape, rng):
         per_tree = blocks.random_blocks(int(np.prod(shape)) // 2, rng).reshape(shape)
         assert np.array_equal(tree_xor(per_tree), np.bitwise_xor.reduce(per_tree, axis=1))

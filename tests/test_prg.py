@@ -1,9 +1,16 @@
-"""Tree-PRG tests: arity semantics, call accounting, closed forms."""
+"""Tree-PRG tests: arity semantics, call accounting, closed forms, the
+word-major ChaCha kernel against its state-by-state reference."""
+
+import sys
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import chacha_tree_expand_reference
 
-from repro.crypto import blocks
+from repro.crypto import blocks, chacha
 from repro.crypto.prg import (
     AesTreePrg,
     CHACHA_BLOCKS_PER_CALL,
@@ -13,6 +20,7 @@ from repro.crypto.prg import (
     pruned_expansion_calls,
 )
 from repro.errors import ParameterError
+from repro.spcot.ggm import _expand_prefix
 
 
 @pytest.mark.parametrize("prg_factory", [lambda m: AesTreePrg(m), lambda m: ChaChaTreePrg(m)])
@@ -161,3 +169,74 @@ class TestFactory:
 
     def test_chacha_blocks_per_call_constant(self):
         assert CHACHA_BLOCKS_PER_CALL == 4  # 512-bit output
+
+
+class TestWordMajorKernel:
+    """``ChaChaTreePrg.expand`` builds its states word-major, ``(16, N)``,
+    and permutes them chunk by chunk; children must equal the RFC layout
+    run state by state through ``chacha_core_reference``."""
+
+    @given(
+        arity=st.sampled_from((2, 4, 8, 16)),
+        rounds=st.sampled_from((8, 20)),
+        chunk=st.sampled_from((4, 16)),
+        size=st.sampled_from(("one", "seven", "chunk-1", "chunk+1")),
+        level=st.integers(0, 2**32 - 1),
+        pruned=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_property_expand_matches_state_by_state_reference(
+        self, arity, rounds, chunk, size, level, pruned, seed
+    ):
+        """Contiguous parents, or the first ``n`` of every tree of a wider
+        batched level (the pruned GGM forest's prefix); the parent count
+        straddles the patched chunk size."""
+        n = {"one": 1, "seven": 7, "chunk-1": chunk - 1, "chunk+1": chunk + 1}[size]
+        gen = np.random.default_rng(seed)
+        prg = ChaChaTreePrg(arity=arity, rounds=rounds)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(chacha, "CHUNK_STATES", chunk)
+            if pruned:
+                level_nodes = blocks.random_blocks(3 * (n + 2), gen)
+                nodes = level_nodes.reshape(3, n + 2, 2)[:, :n].reshape(-1, 2)
+                got = _expand_prefix(prg, level_nodes, 3, n, level)
+            else:
+                nodes = blocks.random_blocks(n, gen)
+                got = prg.expand(nodes, level)
+        want = chacha_tree_expand_reference(nodes, level, arity, rounds)
+        assert got.shape == (nodes.shape[0] * arity, 2)
+        assert np.array_equal(got, want)
+        assert prg.total_calls == nodes.shape[0] * -(-arity // CHACHA_BLOCKS_PER_CALL)
+
+    def test_shared_instance_under_a_tiny_switch_interval(self):
+        """Eight threads expand through one instance, at equal and
+        different batch sizes; the per-thread state templates must keep
+        every result equal to the single-thread one."""
+        gen = np.random.default_rng(21)
+        prg = ChaChaTreePrg(arity=4)
+        jobs = []
+        for idx, n in enumerate((7, 7, 42, 42, 171, 171, 3, 3)):
+            nodes = blocks.random_blocks(n, gen)
+            jobs.append((nodes, idx % 5, ChaChaTreePrg(arity=4).expand(nodes, idx % 5)))
+        bad = [0] * len(jobs)
+        barrier = threading.Barrier(len(jobs))
+
+        def hammer(idx, nodes, level, want):
+            barrier.wait()
+            for _ in range(60):
+                if not np.array_equal(prg.expand(nodes, level), want):
+                    bad[idx] += 1
+
+        threads = [threading.Thread(target=hammer, args=(i, *job)) for i, job in enumerate(jobs)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert bad == [0] * len(jobs)
