@@ -7,6 +7,10 @@ scaled-down OTE iteration.  They guard against performance regressions in the li
 itself.
 """
 
+import resource
+import statistics
+import time
+
 import numpy as np
 import pytest
 
@@ -16,7 +20,7 @@ from repro.crypto.chacha import keystream
 from repro.crypto.crhf import DEFAULT_CRHF
 from repro.crypto.prg import AesTreePrg, ChaChaTreePrg
 from repro.ferret.config import FerretConfig
-from repro.ferret.protocol import ferret_pair
+from repro.ferret.protocol import FerretReceiver, FerretSender
 from repro.lpn.encode import encode_blocks
 from repro.lpn.matrix import generate_matrix
 from repro.lpn.params import TABLE4_BY_LABEL
@@ -165,13 +169,58 @@ def test_kernel_index_sorting(benchmark):
     assert layout.n_accesses == matrix.n * matrix.d
 
 
+#: Extends each party runs before :func:`test_kernel_ote_iteration`
+#: measures, and how many it measures.
+OTE_WARMUP, OTE_MEASURED = 2, 8
+
+
+def _measured_extends(endpoint):
+    """One party: setup, warm-up extends, then extends under
+    ``getrusage(RUSAGE_THREAD)`` -- its minor faults and thread CPU.
+    Each batch is dropped when the next one arrives, as the correlation
+    pool does after copying it: batches kept alive would make every
+    extend's fresh output arrays fault in new pages."""
+
+    def run(channel):
+        endpoint.setup(channel)
+        for _ in range(OTE_WARMUP):
+            endpoint.extend(channel)
+        batch, faults, cpu = None, [], []
+        for _ in range(OTE_MEASURED):
+            before, started = resource.getrusage(resource.RUSAGE_THREAD), time.thread_time()
+            batch = endpoint.extend(channel)
+            cpu.append(time.thread_time() - started)
+            faults.append(resource.getrusage(resource.RUSAGE_THREAD).ru_minflt - before.ru_minflt)
+        return batch, faults, cpu
+
+    return run
+
+
 @pytest.mark.parametrize("arity,prg", [(2, "aes"), (4, "chacha8")])
 def test_kernel_ote_iteration(benchmark, arity, prg):
-    """One full scaled OTE iteration (setup amortized out)."""
-    config = FerretConfig.small(scale=1024, arity=arity, prg_kind=prg)
+    """Scaled OTE iterations at the perf ledger's set (n = 19 086, k =
+    2 625, t = 7), setup included in the timing.  Prints each party's
+    minor page faults and thread CPU per extend after warm-up.  With the
+    endpoint's extend workspace, on a 2-core x86 host: 0 / 0 (median,
+    max 0-1) for 4-ary ChaCha8, 3 / 0 (max ~65) for 2-ary AES, whose
+    cipher calls still allocate their outputs.  With per-extend level
+    and encode arrays the medians were 100-205 / 174 for AES and, for
+    ChaCha8, 96 / 129 in a fresh process but 0 after the AES case had
+    run: how often they fault depends on what the allocator saw
+    before."""
+    config = FerretConfig.small(scale=64, arity=arity, prg_kind=prg)
 
     def run():
-        return ferret_pair(config, rounds=1, seed=8)
+        return run_pair(
+            _measured_extends(FerretSender(config, seed=8)),
+            _measured_extends(FerretReceiver(config, seed=9)),
+        )
 
-    s_out, r_out, _, _ = benchmark.pedantic(run, rounds=1, iterations=1)
-    assert verify_cot(s_out[0], r_out[0])
+    sent, received, _, _ = benchmark.pedantic(run, rounds=1, iterations=1)
+    assert verify_cot(sent[0], received[0])
+    for party, (_, faults, cpu) in zip(("sender", "receiver"), (sent, received)):
+        print(
+            f"\n{prg} arity {arity} {party}: minor faults per extend median "
+            f"{statistics.median(faults)} (max {max(faults)}), thread CPU "
+            f"{statistics.median(cpu) * 1e3:.2f} ms per extend"
+        )

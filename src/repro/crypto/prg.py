@@ -16,11 +16,10 @@ hardware pipeline model.
 from __future__ import annotations
 
 import hashlib
-import threading
 
 import numpy as np
 
-from repro.crypto import blocks
+from repro.crypto import blocks, chacha
 from repro.crypto.aes import AES128
 from repro.crypto.chacha import CONSTANTS as CHACHA_CONSTANTS
 from repro.crypto.chacha import chacha_core, chacha_permute, make_states
@@ -49,22 +48,57 @@ class TreePrg:
     def __init__(self):
         self.total_calls = 0
 
-    def expand(self, nodes: np.ndarray, level: int) -> np.ndarray:
+    def expand(
+        self, nodes: np.ndarray, level: int, out: np.ndarray = None, state: np.ndarray = None
+    ) -> np.ndarray:
         """Expand parents into children.
 
         Args:
-            nodes: (n, 2) block array of parent values.
+            nodes: ``(..., 2)`` uint64 block array of the ``n`` parent
+                values, taken in row-major order; it may be a strided view
+                (the first nodes of every tree of a batched level).
             level: tree level of the parents (used as a public tweak).
+            out: C-contiguous ``(n * arity, 2)`` block array the children
+                are written into; a fresh one when not given.
+            state: a buffer from :meth:`state_buffer` for at least ``n``
+                parents, overwritten as scratch; one per call when not
+                given.  It must belong to this call alone.
 
         Returns:
-            (n * arity, 2) block array; children of parent ``i`` occupy
-            rows ``[i * arity, (i + 1) * arity)``.
+            ``out``: children of parent ``i`` occupy rows ``[i * arity,
+            (i + 1) * arity)``.
         """
         raise NotImplementedError
+
+    def state_buffer(self, n: int):
+        """Scratch :meth:`expand` can reuse for up to ``n`` parents, or
+        None when it needs none."""
+        return None
 
     def reset_counter(self) -> None:
         """Zero the core-invocation counter."""
         self.total_calls = 0
+
+
+def _parents(nodes: np.ndarray) -> np.ndarray:
+    if not (
+        isinstance(nodes, np.ndarray)
+        and nodes.dtype == blocks.BLOCK_DTYPE
+        and nodes.ndim >= 2
+        and nodes.shape[-1] == 2
+    ):
+        raise ParameterError(f"nodes must be a (..., 2) uint64 block array, got {nodes!r}")
+    return nodes
+
+
+def _children(out, rows: int) -> np.ndarray:
+    if out is None:
+        return np.empty((rows, 2), dtype=blocks.BLOCK_DTYPE)
+    if not (
+        blocks.is_block_array(out) and out.shape[0] == rows and out.flags.c_contiguous
+    ):
+        raise ParameterError(f"out must be a C-contiguous ({rows}, 2) block array")
+    return out
 
 
 def _derive_aes_keys(master: bytes, count: int) -> list:
@@ -94,12 +128,12 @@ class AesTreePrg(TreePrg):
         self.master_key = master_key
         self._ciphers = [AES128(k) for k in _derive_aes_keys(master_key, arity)]
 
-    def expand(self, nodes: np.ndarray, level: int) -> np.ndarray:
-        blocks.require_blocks(nodes, "nodes")
+    def expand(self, nodes, level, out=None, state=None):
+        nodes = np.ascontiguousarray(_parents(nodes)).reshape(-1, 2)
         n = nodes.shape[0]
-        out = np.empty((n * self.arity, 2), dtype=blocks.BLOCK_DTYPE)
+        out = _children(out, n * self.arity)
         for j, cipher in enumerate(self._ciphers):
-            out[j :: self.arity] = blocks.xor(cipher.encrypt_blocks(nodes), nodes)
+            np.bitwise_xor(cipher.encrypt_blocks(nodes), nodes, out=out[j :: self.arity])
         self.total_calls += n * self.arity
         return out
 
@@ -112,10 +146,12 @@ class ChaChaTreePrg(TreePrg):
     block is replicated into the 256-bit ChaCha key and the (public)
     level / lane indices go into the nonce, so expansion is a pure
     function of (parent value, level) shared by sender and receiver.
-    A level's states are built word-major, ``(16, n * calls)``, and
-    permuted in place by :func:`repro.crypto.chacha.chacha_permute`;
-    the feed-forward adds the initial words back, and one transpose
-    turns the kept words into child blocks.
+    A level's states are built word-major, ``(16, n * calls)``, in the
+    state buffer and permuted in place by
+    :func:`repro.crypto.chacha.chacha_permute`; the feed-forward adds
+    the initial words back, and one transpose writes the kept words
+    into the children.  The instance holds no mutable state besides its
+    call counter, so threads may share it.
     """
 
     def __init__(self, arity: int = 4, rounds: int = 8, salt: bytes = b"ironman-chacha"):
@@ -126,68 +162,66 @@ class ChaChaTreePrg(TreePrg):
         self.rounds = rounds
         self.name = f"chacha{rounds}"
         self.calls_per_expand = -(-arity // CHACHA_BLOCKS_PER_CALL)  # ceil division
+        # Each state yields 4 candidate children (16 words); the first
+        # `arity` children per parent are kept, in order: 4 * arity words.
+        self._keep = min(4 * arity, 16)
         salt_words = np.frombuffer(hashlib.sha256(salt).digest()[:16], dtype="<u4")
         self._salt = salt_words.reshape(4, 1)
         # Row groups 0 and 3 of a parent's lanes: the constants; zero
         # counter, level (set per expand), lane index, salt word.
         calls = self.calls_per_expand
-        self._ends = np.zeros((2, 4, calls), dtype=np.uint32)
-        self._ends[0] = CHACHA_CONSTANTS[:, None]
+        self._ends = np.zeros((2, 4, 1, calls), dtype=np.uint32)  # (group, row, parent, lane)
+        self._ends[0] = CHACHA_CONSTANTS[:, None, None]
         self._ends[1, 2] = np.arange(calls)
         self._ends[1, 3] = salt_words[0]
-        # The word-major (16, n*calls) state buffer, kept per batch size
-        # (batched GGM levels reuse the same few sizes on every extend) so
-        # that an expand allocates no state.  It is overwritten in place
-        # per expand, so the cache is per thread: a buffer shared by both
-        # parties' threads would let one thread rewrite key words while
-        # the other is mid-permutation -- silently corrupting a few
-        # children.
-        self._state_local = threading.local()
 
-    @property
-    def _state_cache(self) -> dict:
-        cache = getattr(self._state_local, "cache", None)
-        if cache is None:
-            cache = self._state_local.cache = {}
-        return cache
+    def _layout(self, n: int) -> tuple:
+        """``(width, words)`` of a state buffer for ``n`` parents: the
+        ``(16, width)`` states, then the parents' key words and their
+        salted copy, ``(2, 4, n)``, then the permutation's scratch when
+        the children (``4 * arity`` words per state) are too narrow to
+        double as it (arity 2)."""
+        width = n * self.calls_per_expand
+        scratch = 0 if self._keep == 16 else 16 * min(width, chacha.CHUNK_STATES)
+        return width, 16 * width + 8 * n + scratch
 
-    def expand(self, nodes: np.ndarray, level: int) -> np.ndarray:
-        blocks.require_blocks(nodes, "nodes")
-        n = nodes.shape[0]
+    def state_buffer(self, n: int) -> np.ndarray:
+        """The states, key words and scratch of ``n`` parents."""
+        return np.empty(self._layout(n)[1], dtype=np.uint32)
+
+    def expand(self, nodes, level, out=None, state=None):
+        words = _parents(nodes).view(np.uint32)  # (..., 4), strides kept
+        n = words.size // 4
         calls = self.calls_per_expand
-        width = n * calls  # states, parent-major: column p * calls + lane
-        state = self._state_cache.get(n)
+        width, size = self._layout(n)  # states, parent-major: column p * calls + lane
+        out = _children(out, n * self.arity)
         if state is None:
-            state = self._state_cache[n] = np.empty((16, width), dtype=np.uint32)
+            state = np.empty(size, dtype=np.uint32)
+        elif state.dtype != np.uint32 or state.ndim != 1 or state.size < size:
+            raise ParameterError(f"state must be a flat uint32 buffer for {n} parents")
+        states = state[: 16 * width].reshape(16, width)
+        seed, salted = state[16 * width : 16 * width + 8 * n].reshape(2, 4, n)
+        children = out.view(np.uint32).reshape(width, self._keep)
+        scratch = children.reshape(-1) if self._keep == 16 else state[16 * width + 8 * n : size]
         # Key = seed words || seed words XOR salt (a cheap domain separation
         # that fills the 256-bit key from a 128-bit node value); both are
         # made contiguous once, since the fill and the feed-forward read
         # them.
-        seed = np.ascontiguousarray(blocks.to_uint32(nodes).T)
+        seed.reshape((4,) + words.shape[:-1])[...] = words.transpose(-1, *range(words.ndim - 1))
+        np.bitwise_xor(seed, self._salt, out=salted)
         ends = self._ends.copy()
         ends[1, 1] = level
-        if calls > 1:
-            seed = np.repeat(seed, calls, axis=1)
-            ends = np.tile(ends, n)
-        salted = seed ^ self._salt
-        groups = state.reshape(4, 4, width)
+        groups = states.reshape(4, 4, n, calls)
         groups[::3] = ends
-        groups[1] = seed
-        groups[2] = salted
-        # Each state yields 4 candidate children (16 words); keep the
-        # first `arity` children per parent, in order.  A full-width
-        # output doubles as the permutation's scratch: a level allocates
-        # no state-sized array beyond its children.
-        keep = min(4 * self.arity, 16)
-        out = np.empty((width, keep), dtype=np.uint32)
-        chacha_permute(state, self.rounds, out.reshape(-1) if keep == 16 else None)
+        groups[1] = seed[:, :, None]
+        groups[2] = salted[:, :, None]
+        chacha_permute(states, self.rounds, scratch)
         groups[::3] += ends  # the feed-forward
-        groups[1] += seed
-        groups[2] += salted
-        out[...] = state[:keep].T
+        groups[1] += seed[:, :, None]
+        groups[2] += salted[:, :, None]
+        children[...] = states[: self._keep].T
         self.total_calls += width
-        children = out.reshape(n, calls * keep)[:, : 4 * self.arity]
-        return np.ascontiguousarray(children).view(blocks.BLOCK_DTYPE).reshape(-1, 2)
+        return out
 
 
 #: Nonce of :func:`stream_expand`; the tree PRGs put (level, lane, salt)

@@ -27,6 +27,14 @@ snapshot / restore, :class:`ExtendStats`); each role adds only its mint
 call and its protocol body.  They speak over a
 :class:`repro.ot.channel.Channel`; :func:`ferret_pair` wires two of
 them together in threads for tests and examples.
+
+Each endpoint owns one extend workspace, sized once from its
+configuration: the GGM level buffers and PRG state of
+:func:`repro.spcot.mpcot.mpcot_buffers` and an LPN gather buffer.
+MPCOT's output is a fresh array that the endpoint LPN-encodes in place,
+so an extend allocates nothing large besides what it returns.  Endpoints
+of one LPN shape and matrix seed share one read-only matrix
+(:func:`repro.lpn.matrix.shared_matrix`).
 """
 
 from __future__ import annotations
@@ -38,12 +46,12 @@ import numpy as np
 from repro.crypto import blocks
 from repro.errors import ProtocolError
 from repro.ferret.config import FerretConfig
-from repro.lpn.encode import encode_bits, encode_blocks
-from repro.lpn.matrix import generate_matrix
+from repro.lpn.encode import encode_bits, encode_blocks, gather_buffer
+from repro.lpn.matrix import shared_matrix
 from repro.ot.base_ot import base_cot_receive, base_cot_send
 from repro.ot.channel import Channel, run_pair
 from repro.ot.cot import CotPool, CotReceiverBatch, CotSenderBatch
-from repro.spcot.mpcot import mpcot_receive, mpcot_send, sample_alphas
+from repro.spcot.mpcot import mpcot_buffers, mpcot_receive, mpcot_send, sample_alphas
 
 
 @dataclass
@@ -71,19 +79,23 @@ def _require_base_cots(config: FerretConfig, *columns: np.ndarray) -> None:
 
 
 class _Endpoint:
-    """What both roles share: the rng, PRG and LPN matrix, the carving of
-    base COTs into an iteration's state, snapshot / restore and the
-    per-extend accounting.  A role's base COTs are a tuple of columns
-    (the sender's ``(r,)``, the receiver's ``(bits, y)``); it supplies
-    :meth:`mint_base_cots`, :meth:`_batch` and :meth:`_iterate`."""
+    """What both roles share: the rng, PRG, LPN matrix and extend
+    workspace, the carving of base COTs into an iteration's state,
+    snapshot / restore and the per-extend accounting.  A role's base
+    COTs are a tuple of columns (the sender's ``(r,)``, the receiver's
+    ``(bits, y)``); it supplies :meth:`mint_base_cots`, :meth:`_batch`
+    and :meth:`_iterate`."""
 
     def __init__(self, config: FerretConfig, seed: int):
+        p = config.params
         self.config = config
         self.rng = np.random.default_rng(seed)
         self.prg = config.make_prg()
-        self.matrix = generate_matrix(
-            config.params.n, config.params.k, config.matrix_seed
-        )
+        self.matrix = shared_matrix(p.n, p.k, config.matrix_seed)
+        # The extend workspace: scratch every extend reuses, one
+        # extend at a time.
+        self._levels = mpcot_buffers(self.prg, p.n, p.t)
+        self._gather = gather_buffer(p.n)
         self._lpn = None  # columns of k COTs feeding the next LPN encode
         self._spcot_pool = None  # CotPool for SPCOT per-level OTs
         self.iterations = 0
@@ -107,7 +119,10 @@ class _Endpoint:
         compute-then-commit except for the rng, the SPCOT base-COT
         cursor and the LPN seeds it swaps at the end, so restoring a
         snapshot makes a retried extend bit-compatible with the peer's
-        fresh run."""
+        fresh run.  The extend workspace is not part of it: it holds
+        nothing from one extend to the next (the LPN seeds are copied
+        out of the encoded output), and every extend overwrites it
+        before reading it."""
         pool = self._spcot_pool
         return {
             "rng": self.rng.bit_generator.state,
@@ -173,8 +188,9 @@ class FerretSender(_Endpoint):
             cfg.params.n,
             cfg.params.t,
             self.rng,
+            buffers=self._levels,
         )
-        return (encode_blocks(self.matrix, self._lpn[0], w),)
+        return (encode_blocks(self.matrix, self._lpn[0], w, out=w, gather=self._gather),)
 
 
 class FerretReceiver(_Endpoint):
@@ -201,9 +217,13 @@ class FerretReceiver(_Endpoint):
             self.prg,
             cfg.params.n,
             cfg.params.t,
+            buffers=self._levels,
         )
         lpn_e, lpn_s = self._lpn
-        return encode_bits(self.matrix, lpn_e, u), encode_blocks(self.matrix, lpn_s, v)
+        return (
+            encode_bits(self.matrix, lpn_e, u, out=u, gather=self._gather),
+            encode_blocks(self.matrix, lpn_s, v, out=v, gather=self._gather),
+        )
 
 
 def ferret_pair(config: FerretConfig, rounds: int = 1, seed: int = 7) -> tuple:

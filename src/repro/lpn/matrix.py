@@ -9,10 +9,15 @@ discussion) -- the object the NMP rank modules stream from DRAM.
 
 The matrix is expanded deterministically from a public seed (both
 parties regenerate it locally; it is fixed across all iterations,
-which is what makes offline index sorting pay off).
+which is what makes offline index sorting pay off).  It is read-only,
+so every Ferret endpoint of a process with the same shape and seed
+holds one copy (:func:`shared_matrix`).
 """
 
 from __future__ import annotations
+
+import threading
+import weakref
 
 import numpy as np
 
@@ -81,3 +86,26 @@ def generate_matrix(n: int, k: int, seed: int, d: int = LPN_LOCALITY) -> LpnMatr
     rng = np.random.default_rng(np.random.SeedSequence([seed, n, k, d]))
     indices = rng.integers(0, k, size=(n, d), dtype=np.int32)
     return LpnMatrix(indices, k)
+
+
+_SHARED = weakref.WeakValueDictionary()
+_SHARED_LOCK = threading.Lock()
+
+
+def shared_matrix(n: int, k: int, seed: int, d: int = LPN_LOCALITY) -> LpnMatrix:
+    """:func:`generate_matrix`'s matrix, built once per process for each
+    ``(n, k, seed, d)`` while anything holds it.
+
+    The map holds its matrices weakly, so an entry goes once the last
+    holder (a Ferret endpoint) does; a process that runs the 2^20 set
+    does not keep its 49 MB index array for good.  The lock makes a
+    second caller wait for a build in progress rather than build its
+    own copy.
+    """
+    key = (n, k, seed, d)
+    with _SHARED_LOCK:
+        matrix = _SHARED.get(key)
+        if matrix is None:
+            matrix = generate_matrix(n, k, seed, d)
+            _SHARED[key] = matrix
+    return matrix

@@ -10,8 +10,8 @@ all sums except slot ``alpha_i`` can reconstruct every leaf except the
 one at position ``alpha`` -- that reconstruction lives here too so the
 protocol module stays purely about message flow.
 
-The shipped forms are *batched* (:func:`batched_expand_full`,
-:func:`batched_level_sums`, :class:`BatchedTreeLevels`,
+The shipped forms are *batched* (:func:`expand_forest`,
+:func:`batched_expand_full`, :func:`batched_level_sums`,
 :class:`BatchedPuncturedReconstructor`); of the single-tree
 primitives only :func:`level_sums` and :func:`alpha_digits` stay here.
 The single-tree reference (full expansion and level-by-level punctured
@@ -35,6 +35,13 @@ a multiple of the arity, and its slot sums cover exactly those.  The
 surplus nodes are never computed, by either party.  Kept leaves depend
 only on their root path, so they equal the full tree's bit for bit.
 Without ``kept`` the whole tree is built.
+
+A caller that expands forests of the same shapes over and over (a
+Ferret endpoint, once per extend) passes :class:`LevelBuffers`: level
+``i`` is then written into buffer ``i % 2`` and expanded straight from
+there into the other, reading each tree's prefix in place, so no
+level-sized array is allocated.  The sender takes each level's slot
+sums as the level is made, so two buffers hold the whole forest.
 """
 
 from __future__ import annotations
@@ -94,14 +101,53 @@ def pruned_widths(arity: int, depth: int, kept: int = None) -> list:
     return [-(-kept // arity ** (depth - i)) for i in range(depth + 1)]
 
 
+class LevelBuffers:
+    """Reusable storage for expanding batched GGM levels.
+
+    Sized once for a set of forests, each ``(n_trees, depth, kept)``:
+    two node buffers (level ``i`` of any of them lives in buffer ``i %
+    2``, so each buffer is as long as the longest level of its parity)
+    and the PRG's state buffer for the widest expansion.  Arrays handed
+    out are views into it, valid until the next expansion through the
+    same buffers; one user at a time.
+    """
+
+    def __init__(self, prg: TreePrg, forests):
+        rows, parents = [0, 0], 0
+        for n_trees, depth, kept in forests:
+            widths = pruned_widths(prg.arity, depth, kept)
+            for lvl in range(1, depth + 1):
+                rows[lvl % 2] = max(rows[lvl % 2], n_trees * prg.arity * widths[lvl - 1])
+            parents = max(parents, n_trees * widths[depth - 1])
+        self._levels = tuple(np.empty((r, 2), dtype=blocks.BLOCK_DTYPE) for r in rows)
+        self.state = prg.state_buffer(parents)
+
+    def level(self, index: int, rows: int) -> np.ndarray:
+        """The first ``rows`` rows of level ``index``'s buffer."""
+        buf = self._levels[index % 2]
+        if rows > buf.shape[0]:
+            raise ParameterError(
+                f"level {index} needs {rows} rows, the buffer holds {buf.shape[0]}"
+            )
+        return buf[:rows]
+
+
 def _expand_prefix(
-    prg: TreePrg, nodes: np.ndarray, n_trees: int, count: int, level: int
+    prg: TreePrg,
+    nodes: np.ndarray,
+    n_trees: int,
+    count: int,
+    level: int,
+    buffers: LevelBuffers = None,
 ) -> np.ndarray:
-    """Expand the first ``count`` nodes of every tree of a batched level."""
-    if nodes.shape[0] != n_trees * count:
-        nodes = np.ascontiguousarray(nodes.reshape(n_trees, -1, 2)[:, :count])
-        nodes = nodes.reshape(-1, 2)
-    return prg.expand(nodes, level)
+    """Expand the first ``count`` nodes of every tree of a batched level;
+    into ``buffers``' next level when given.  The PRG reads the prefixes
+    in place."""
+    parents = nodes.reshape(n_trees, -1, 2)[:, :count]
+    if buffers is None:
+        return prg.expand(parents, level)
+    out = buffers.level(level + 1, n_trees * count * prg.arity)
+    return prg.expand(parents, level, out=out, state=buffers.state)
 
 
 def batched_expand_full(
@@ -125,6 +171,33 @@ def batched_expand_full(
     return levels
 
 
+def expand_forest(
+    prg: TreePrg,
+    seeds: np.ndarray,
+    depth: int,
+    kept: int = None,
+    buffers: LevelBuffers = None,
+) -> tuple:
+    """The sender's view of ``t`` same-depth trees expanded together.
+
+    Returns ``(sums, leaves)``: the ``(depth, t, arity, 2)`` slot sums of
+    levels 1 .. ``depth``, each taken as its level is made, and the
+    computed leaves as a ``(t, arity * p_{depth-1}, 2)`` per-tree matrix
+    whose first ``kept`` columns are the kept leaves.  The levels are
+    those of :func:`batched_expand_full`; with ``buffers`` the leaves are
+    a view into them.
+    """
+    seeds = blocks.require_blocks(np.ascontiguousarray(seeds), "seeds")
+    t = seeds.shape[0]
+    widths = pruned_widths(prg.arity, depth, kept)
+    sums = np.empty((depth, t, prg.arity, 2), dtype=blocks.BLOCK_DTYPE)
+    nodes = seeds
+    for lvl in range(depth):
+        nodes = _expand_prefix(prg, nodes, t, widths[lvl], lvl, buffers)
+        sums[lvl] = batched_level_sums(nodes, prg.arity, t)
+    return sums, nodes.reshape(t, -1, 2)
+
+
 #: Elements (32 KB of uint64) per transposed chunk of :func:`tree_xor`.
 _XOR_CHUNK = 1 << 12
 
@@ -135,10 +208,13 @@ def tree_xor(per_tree: np.ndarray) -> np.ndarray:
     Reduces contiguous ``(t, k, rows)`` copies along their last axis:
     numpy's reduce over the middle axis walks ``k``-element inner loops
     and is ~10x slower at the ledger's leaf level (7 x 2 728 blocks).
-    The copies go ``_XOR_CHUNK`` elements at a time: a whole-level copy
-    (305 KB at that leaf level) is handed back to the OS when freed and
-    faults in as fresh pages on every extend, which cost 7 % of an
-    extend pair's CPU on a 2-core x86 VM.
+    The copies go ``_XOR_CHUNK`` elements at a time.  A whole-level copy
+    (305 KB at that leaf level) is a fresh allocation per call that the
+    allocator may hand back to the OS when freed: measured per party per
+    extend at the ledger's shape on a 2-core x86 VM, with the levels in
+    an endpoint's reused buffers, whole-level copies faulted in up to
+    ~120 fresh pages on some extends, where the 32 KB chunks, reused
+    from the allocator's free lists, faulted in at most one.
     """
     t, rows, k = per_tree.shape
     step = max(1, _XOR_CHUNK // (t * k))
@@ -164,34 +240,6 @@ def batched_level_sums(nodes: np.ndarray, arity: int, n_trees: int) -> np.ndarra
     return tree_xor(nodes.reshape(n_trees, -1, arity * 2)).reshape(n_trees, arity, 2)
 
 
-class BatchedTreeLevels:
-    """Sender-side view of ``t`` same-depth trees expanded together.
-
-    Thin convenience over :func:`batched_expand_full` that exposes the
-    per-level slot sums and the final per-tree leaf matrix the batched
-    SPCOT sender needs.  With ``kept`` given, only the nodes above the
-    first ``kept`` leaves of each tree are computed.
-    """
-
-    def __init__(self, prg: TreePrg, seeds: np.ndarray, depth: int, kept: int = None):
-        self.prg = prg
-        self.arity = prg.arity
-        self.depth = depth
-        self.n_trees = np.ascontiguousarray(seeds).shape[0]
-        self.levels = batched_expand_full(prg, seeds, depth, kept)
-
-    def sums(self, level: int) -> np.ndarray:
-        """``(t, arity, 2)`` slot sums of level ``level`` (1-based)."""
-        if not 1 <= level <= self.depth:
-            raise ParameterError(f"level {level} out of range [1, {self.depth}]")
-        return batched_level_sums(self.levels[level], self.arity, self.n_trees)
-
-    def leaves(self) -> np.ndarray:
-        """The computed leaves as a ``(t, arity * p_{depth-1}, 2)`` per-tree
-        matrix; the first ``kept`` columns are the kept leaves."""
-        return self.levels[-1].reshape(self.n_trees, -1, 2)
-
-
 class BatchedPuncturedReconstructor:
     """Receiver-side level-synchronous reconstruction of ``t`` trees.
 
@@ -202,12 +250,22 @@ class BatchedPuncturedReconstructor:
     vector.  ``digits`` is a ``(t, depth)`` int array of per-tree
     punctured digits (big-endian, as from :func:`alpha_digits`).  With
     ``kept`` given it rebuilds the same pruned forest as
-    :class:`BatchedTreeLevels`; every puncture must then lie among the
-    kept leaves, so each hole path is among the computed nodes.
+    :func:`expand_forest`; every puncture must then lie among the kept
+    leaves, so each hole path is among the computed nodes.  With
+    ``buffers`` every level past the first, the leaves included, is a
+    view into them.
     """
 
-    def __init__(self, prg: TreePrg, depth: int, digits: np.ndarray, kept: int = None):
+    def __init__(
+        self,
+        prg: TreePrg,
+        depth: int,
+        digits: np.ndarray,
+        kept: int = None,
+        buffers: LevelBuffers = None,
+    ):
         self.prg = prg
+        self.buffers = buffers
         self.arity = prg.arity
         self.depth = depth
         self.digits = np.asarray(digits, dtype=np.int64)
@@ -251,7 +309,9 @@ class BatchedPuncturedReconstructor:
             self.holes = digit.copy()
         else:
             per_tree = self.widths[self.level]
-            children = _expand_prefix(self.prg, self.nodes, t, per_tree, self.level)
+            children = _expand_prefix(
+                self.prg, self.nodes, t, per_tree, self.level, self.buffers
+            )
             # Each hole parent expanded a zero stand-in; blank its children
             # so the vectorized slot sums below cover only known nodes.
             hole_parents = tree_ids * per_tree + self.holes
@@ -271,8 +331,8 @@ class BatchedPuncturedReconstructor:
     def leaves(self) -> tuple:
         """Return ``((t, leaves, 2)`` per-tree leaves, ``(t,)`` holes).
 
-        ``leaves`` counts the computed leaves, as
-        :meth:`BatchedTreeLevels.leaves`.  Each tree's hole leaf is
+        ``leaves`` counts the computed leaves, as the sender's
+        :func:`expand_forest`.  Each tree's hole leaf is
         zero-filled, exactly like the single-tree reconstructor.
         """
         if not self.done:

@@ -39,6 +39,7 @@ from repro.crypto.prg import TreePrg, calls_per_node, pruned_expansion_calls
 from repro.errors import ParameterError
 from repro.ot.channel import Channel
 from repro.ot.cot import CotPool
+from repro.spcot.ggm import LevelBuffers
 from repro.spcot.protocol import cots_needed, spcot_receive_batch, spcot_send_batch
 from repro.utils.bitops import next_power
 
@@ -150,6 +151,14 @@ def mpcot_plan(n: int, t: int, arity: int) -> MpcotPlan:
     )
 
 
+def mpcot_buffers(prg: TreePrg, n: int, t: int) -> LevelBuffers:
+    """GGM level buffers that every execution at ``(n, t, prg.arity)``
+    expands in, on either side: reused, they spare each execution its
+    level-sized allocations."""
+    runs = mpcot_plan(n, t, prg.arity).runs
+    return LevelBuffers(prg, [(count, depth, kept) for _, count, depth, kept, _ in runs])
+
+
 def mpcot_send(
     channel: Channel,
     pool: CotPool,
@@ -159,14 +168,16 @@ def mpcot_send(
     t: int,
     rng: np.random.Generator,
     crhf: Crhf = DEFAULT_CRHF,
+    buffers: LevelBuffers = None,
 ) -> np.ndarray:
-    """Sender side: returns the length-n block vector ``w``."""
+    """Sender side: returns the length-n block vector ``w``, a fresh
+    array; ``buffers`` (from :func:`mpcot_buffers`) hold the trees."""
     sizes, offsets, runs, _ = mpcot_plan(n, t, prg.arity)
-    out = blocks.zeros(n)
+    out = np.empty((n, 2), dtype=blocks.BLOCK_DTYPE)  # the blocks tile [0, n)
     for first, count, depth, kept, tweak_bases in runs:
         leaves = spcot_send_batch(
             channel, pool, delta, prg, depth, count, rng,
-            tweak_bases=tweak_bases, crhf=crhf, kept=kept,
+            tweak_bases=tweak_bases, crhf=crhf, kept=kept, buffers=buffers,
         )
         for i in range(count):
             size = sizes[first + i]
@@ -183,12 +194,14 @@ def mpcot_receive(
     n: int,
     t: int,
     crhf: Crhf = DEFAULT_CRHF,
+    buffers: LevelBuffers = None,
 ) -> tuple:
     """Receiver side: returns (u, v) with u one-hot per block.
 
     ``u`` is the length-n 0/1 noise vector (t set bits at the global
     puncture positions); ``v`` the length-n block vector satisfying
-    ``w = v XOR u * Delta``.
+    ``w = v XOR u * Delta``.  Both are fresh arrays; ``buffers`` as for
+    :func:`mpcot_send`.
     """
     sizes, offsets, runs, _ = mpcot_plan(n, t, prg.arity)
     alphas = np.asarray(alphas, dtype=np.int64)
@@ -200,11 +213,11 @@ def mpcot_receive(
                 f"alpha[{tree_idx}]={alphas[tree_idx]} outside its block of size {size}"
             )
     u = np.zeros(n, dtype=np.uint8)
-    v = blocks.zeros(n)
+    v = np.empty((n, 2), dtype=blocks.BLOCK_DTYPE)  # the blocks tile [0, n)
     for first, count, depth, kept, tweak_bases in runs:
         run_v, _ = spcot_receive_batch(
             channel, pool, alphas[first : first + count], prg, depth,
-            tweak_bases=tweak_bases, crhf=crhf, kept=kept,
+            tweak_bases=tweak_bases, crhf=crhf, kept=kept, buffers=buffers,
         )
         for i in range(count):
             size = sizes[first + i]

@@ -62,10 +62,9 @@ from repro.ot.cot import CotPool
 from repro.ot.ot_from_cot import ot_receive_from_cot, ot_send_from_cot
 from repro.spcot.ggm import (
     BatchedPuncturedReconstructor,
-    BatchedTreeLevels,
+    LevelBuffers,
     alpha_digits,
-    batched_expand_full,
-    batched_level_sums,
+    expand_forest,
     tree_xor,
 )
 from repro.utils.bitops import log_base
@@ -165,6 +164,7 @@ def spcot_send_batch(
     tweak_bases: np.ndarray = None,
     crhf: Crhf = DEFAULT_CRHF,
     kept: int = None,
+    buffers: LevelBuffers = None,
 ) -> np.ndarray:
     """Run ``n_trees`` same-depth SPCOT instances in one shot.
 
@@ -175,7 +175,9 @@ def spcot_send_batch(
     vectors, then the masked sums of every level followed by the psi
     blocks.  Returns the per-tree matrix of computed leaves, ``(n_trees,
     arity**depth, 2)`` for full trees; its first ``kept`` columns are
-    the kept leaves.
+    the kept leaves.  With ``buffers`` (:class:`repro.spcot.ggm.
+    LevelBuffers`) the tree levels are expanded in them and the leaves
+    are a view into them.
     """
     m = prg.arity
     t = n_trees
@@ -183,26 +185,18 @@ def spcot_send_batch(
         raise ParameterError("need at least one tree")
     tweak_bases = _resolve_tweak_bases(tweak_bases, t)
     seeds, kt_seeds = _batch_seeds(rng, t, depth, m)
-    trees = BatchedTreeLevels(prg, seeds, depth, kept)
-    sums = np.stack([trees.sums(lvl) for lvl in range(1, depth + 1)])  # (depth, t, m, 2)
+    sums, leaves = expand_forest(prg, seeds, depth, kept, buffers)  # (depth, t, m, 2), (t, l, 2)
     level_tweaks, ot_tweaks = _ot_tweaks(tweak_bases, depth, m)
-    leaves = trees.leaves()  # (t, l, 2)
     # psi, (t, 2): the leaf level's slot sums XOR to all computed leaves.
     reply = blocks.xor(delta, np.bitwise_xor.reduce(sums[-1], axis=1))
     if m == 2:
         offers = sums
     else:
         kt_depth = _key_tree_depth(m)
-        kt_levels = batched_expand_full(_KEY_TREE_PRG, kt_seeds, kt_depth)
+        kt_sums, keys = expand_forest(_KEY_TREE_PRG, kt_seeds, kt_depth)
         # (depth, kt_depth, t, 2, 2): the key trees' even/odd sums in COT order.
-        offers = np.stack(
-            [
-                batched_level_sums(kt_levels[kt], 2, depth * t).reshape(depth, t, 2, 2)
-                for kt in range(1, kt_depth + 1)
-            ],
-            axis=1,
-        )
-        keys = kt_levels[-1]  # (depth * t * m, 2) one-time keys q_j, (level, tree, slot)
+        offers = kt_sums.reshape(kt_depth, depth, t, 2, 2).swapaxes(0, 1)
+        keys = keys.reshape(-1, 2)  # (depth * t * m, 2) one-time keys q_j, (level, tree, slot)
         masked = blocks.xor(
             sums.reshape(-1, 2), crhf.hash_tweaked(keys, _mask_tweaks(level_tweaks, m))
         )
@@ -223,14 +217,16 @@ def spcot_receive_batch(
     tweak_bases: np.ndarray = None,
     crhf: Crhf = DEFAULT_CRHF,
     kept: int = None,
+    buffers: LevelBuffers = None,
 ) -> tuple:
     """Receiver side of :func:`spcot_send_batch` (same ``kept``; every
     alpha must be below it).
 
     Returns ``(v, holes)``: the per-tree vectors over the computed
     leaves, shaped like the sender's, with each tree's alpha slot fixed
-    up, and the per-tree hole indices.  A reply of the wrong length
-    raises :class:`ProtocolError`.
+    up, and the per-tree hole indices; with ``buffers``, ``v`` is a view
+    into them.  A reply of the wrong length raises
+    :class:`ProtocolError`.
     """
     m = prg.arity
     alphas = np.asarray(alphas, dtype=np.int64)
@@ -273,7 +269,7 @@ def spcot_receive_batch(
             reply[:n_masked],
             crhf.hash_tweaked(keys.reshape(-1, 2), _mask_tweaks(level_tweaks, m)),
         ).reshape(depth, t, m, 2)
-    recon = BatchedPuncturedReconstructor(prg, depth, digits, kept)
+    recon = BatchedPuncturedReconstructor(prg, depth, digits, kept, buffers)
     for level_sums in sums:
         recon.feed_level(level_sums)
     v, holes = recon.leaves()

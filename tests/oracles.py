@@ -255,8 +255,9 @@ def spcot_receive(channel, pool, alpha, prg, depth, tweak_base=0, crhf=DEFAULT_C
     return v
 
 
-def mpcot_send_sequential(channel, pool, delta, prg, n, t, rng, crhf=DEFAULT_CRHF):
-    """Sender side of MPCOT, one tree after the other."""
+def mpcot_send_sequential(channel, pool, delta, prg, n, t, rng, crhf=DEFAULT_CRHF, buffers=None):
+    """Sender side of MPCOT, one tree after the other (``buffers`` is
+    taken for the shipped signature's sake and not used)."""
     out = blocks.zeros(n)
     offset = 0
     for tree_idx, size in enumerate(block_sizes(n, t)):
@@ -269,8 +270,9 @@ def mpcot_send_sequential(channel, pool, delta, prg, n, t, rng, crhf=DEFAULT_CRH
     return out
 
 
-def mpcot_receive_sequential(channel, pool, alphas, prg, n, t, crhf=DEFAULT_CRHF):
-    """Receiver side of MPCOT, one tree after the other; returns (u, v)."""
+def mpcot_receive_sequential(channel, pool, alphas, prg, n, t, crhf=DEFAULT_CRHF, buffers=None):
+    """Receiver side of MPCOT, one tree after the other; returns (u, v)
+    (``buffers`` as for the sender)."""
     u = np.zeros(n, dtype=np.uint8)
     v = blocks.zeros(n)
     offset = 0

@@ -1,7 +1,7 @@
-"""The ChaChaTreePrg state buffers, kept per thread and batch size,
-must not change a single expanded block.  ``chacha_core`` itself and
-the LPN gather-XOR are pinned to their oracles in ``tests/test_chacha.py``
-and ``tests/test_lpn.py``; the tree PRG's children in ``tests/test_prg.py``.
+"""A tree PRG's reused output and state buffers must not change a
+single expanded block.  ``chacha_core`` itself and the LPN gather-XOR
+are pinned to their oracles in ``tests/test_chacha.py`` and
+``tests/test_lpn.py``; the tree PRG's children in ``tests/test_prg.py``.
 """
 
 import numpy as np
@@ -10,29 +10,35 @@ from repro.crypto.prg import ChaChaTreePrg, make_tree_prg
 from repro.crypto import blocks
 
 
-class TestChaChaTemplateCache:
-    """The cached state buffer is a pure cache: expansion output is a
-    function of (parent values, level) only."""
+class TestChaChaBuffers:
+    """Expansion output is a function of (parent values, level) only,
+    whatever buffers the caller hands in."""
 
-    def test_cached_template_does_not_change_expansion(self):
+    def test_reused_buffers_do_not_change_expansion(self):
         rng = np.random.default_rng(11)
-        nodes = blocks.random_blocks(6, rng)
-        fresh = ChaChaTreePrg(arity=4, rounds=8)
-        warmed = ChaChaTreePrg(arity=4, rounds=8)
-        for level in (0, 1, 5):  # re-hitting the same (n,) cache entry
-            a = fresh.expand(nodes, level)
-            b = warmed.expand(nodes, level)
-            c = warmed.expand(nodes, level)
-            assert np.array_equal(a, b)
-            assert np.array_equal(b, c)
-        assert list(warmed._state_cache) == [6]
+        for arity in (2, 4, 8, 16):
+            nodes = blocks.random_blocks(6, rng)
+            fresh = ChaChaTreePrg(arity=arity, rounds=8)
+            reused = ChaChaTreePrg(arity=arity, rounds=8)
+            out = np.full((6 * arity, 2), 0xA5, dtype=blocks.BLOCK_DTYPE)
+            state = reused.state_buffer(6)
+            state[:] = 0x5A5A5A5A
+            for level in (0, 1, 5):  # the same buffers, dirty from the last level
+                want = fresh.expand(nodes, level)
+                got = reused.expand(nodes, level, out=out, state=state)
+                assert got is out
+                assert np.array_equal(got, want), (arity, level)
+            assert reused.total_calls == fresh.total_calls
 
-    def test_template_cache_keyed_by_batch_size(self):
+    def test_one_state_buffer_serves_smaller_batches(self):
         rng = np.random.default_rng(12)
-        prg = ChaChaTreePrg(arity=4, rounds=8)
-        prg.expand(blocks.random_blocks(3, rng), 0)
-        prg.expand(blocks.random_blocks(5, rng), 0)
-        assert sorted(prg._state_cache) == [3, 5]
+        for arity in (2, 4, 8, 16):
+            prg = ChaChaTreePrg(arity=arity, rounds=8)
+            state = prg.state_buffer(5)
+            for n in (5, 3, 1):
+                nodes = blocks.random_blocks(n, rng)
+                want = ChaChaTreePrg(arity=arity, rounds=8).expand(nodes, 3)
+                assert np.array_equal(prg.expand(nodes, 3, state=state), want), (arity, n)
 
     def test_factory_output_stable_across_instances(self):
         rng = np.random.default_rng(13)
@@ -42,14 +48,13 @@ class TestChaChaTemplateCache:
         assert np.array_equal(a, b)
 
     def test_shared_instance_concurrent_expand_bit_exact(self):
-        # Regression: the state template is mutated in place per expand,
-        # and a shared PRG instance is hit from both parties' worker
-        # threads when a two-party protocol runs in one process (the
-        # SPCOT key tree was one until it moved onto AES).  With a
-        # process-wide template cache, one thread rewrites key words
-        # while the other is mid-permutation, corrupting a few children;
-        # the cache must be per-thread so concurrent expands stay
-        # bit-exact.
+        # Regression: a shared PRG instance is hit from both parties'
+        # worker threads when a two-party protocol runs in one process
+        # (the SPCOT key tree was one until it moved onto AES).  A state
+        # buffer held by the instance let one thread rewrite key words
+        # while the other was mid-permutation, corrupting a few
+        # children; without a caller's buffer each call builds its
+        # states in its own, so concurrent expands stay bit-exact.
         import sys
         import threading
 

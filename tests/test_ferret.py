@@ -222,3 +222,21 @@ class TestVariants:
         a = FerretSender(SMALL, seed=1).matrix
         b = FerretReceiver(SMALL, seed=99).matrix
         assert np.array_equal(a.indices, b.indices)
+
+    def test_equal_configs_hold_one_matrix(self):
+        """Endpoints of equal configurations share one read-only matrix
+        (a service's forward and reverse pair: four endpoints, one
+        copy); another matrix seed gets its own."""
+        import gc
+        import weakref
+
+        cfg = FerretConfig(params=SMALL.params, arity=4, prg_kind="chacha8", matrix_seed=0x5EED)
+        sender, receiver = FerretSender(cfg, seed=1), FerretReceiver(cfg, seed=2)
+        assert sender.matrix is receiver.matrix
+        assert FerretSender(FerretConfig(SMALL.params, 2, "aes", 0x5EED)).matrix is sender.matrix
+        other = FerretConfig(params=SMALL.params, arity=4, prg_kind="chacha8", matrix_seed=5)
+        assert FerretReceiver(other, seed=4).matrix is not sender.matrix
+        held = weakref.ref(sender.matrix)
+        del sender, receiver
+        gc.collect()
+        assert held() is None

@@ -12,7 +12,8 @@ from repro.crypto import blocks
 from repro.errors import ParameterError
 from repro.lpn import encode as lpn_encode
 from repro.lpn.encode import encode_bits, encode_blocks, encode_streamed
-from repro.lpn.matrix import LpnMatrix, generate_matrix
+from repro.lpn import matrix as lpn_matrix
+from repro.lpn.matrix import LpnMatrix, generate_matrix, shared_matrix
 from repro.lpn.params import LPN_LOCALITY, TABLE4, TABLE4_BY_LABEL, scaled_params
 from repro.lpn.security import estimate_security, gauss_attack_bits, meets_128_bits
 from repro.lpn.sorting import baseline_layout, column_first_use_permutation, sort_indices
@@ -117,6 +118,64 @@ class TestMatrix:
         assert not generate_matrix(10, 4, seed=1).indices.flags.writeable
         assert not m.permuted_columns(np.arange(4)[::-1]).indices.flags.writeable
 
+    def test_shared_matrix_is_one_object_per_shape_and_seed(self):
+        a = shared_matrix(40, 16, seed=2)
+        assert shared_matrix(40, 16, seed=2) is a
+        assert shared_matrix(40, 16, seed=2, d=LPN_LOCALITY) is a
+        others = [
+            shared_matrix(40, 16, seed=3),
+            shared_matrix(41, 16, seed=2),
+            shared_matrix(40, 17, seed=2),
+            shared_matrix(40, 16, seed=2, d=4),
+        ]
+        assert all(other is not a for other in others)
+        assert np.array_equal(a.indices, generate_matrix(40, 16, seed=2).indices)
+        assert not a.indices.flags.writeable
+
+    def test_shared_matrix_is_built_once_under_concurrent_callers(self, monkeypatch):
+        """Eight threads ask for one new key at once, at a 10 us switch
+        interval: one build, one object."""
+        import sys
+        import threading
+
+        builds = []
+
+        def counting(*args):
+            builds.append(args)
+            return generate_matrix(*args)
+
+        monkeypatch.setattr(lpn_matrix, "generate_matrix", counting)
+        barrier = threading.Barrier(8)
+        got = [None] * 8
+
+        def ask(i):
+            barrier.wait()
+            got[i] = shared_matrix(2000, 300, seed=0xC0C0)
+
+        threads = [threading.Thread(target=ask, args=(i,)) for i in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(builds) == 1
+        assert all(matrix is got[0] for matrix in got)
+
+    def test_shared_matrix_is_freed_with_its_last_holder(self):
+        import gc
+        import weakref
+
+        key = (43, 16, 7, LPN_LOCALITY)
+        held = weakref.ref(shared_matrix(*key))
+        gc.collect()
+        assert held() is None
+        assert key not in lpn_matrix._SHARED
+
 
 #: A chunk small enough for Hypothesis-sized encodes to cross it.
 SMALL_CHUNK = 8
@@ -195,6 +254,28 @@ class TestEncode:
             assert np.array_equal(before, after)
         assert not np.shares_memory(got_blocks, case.addend)
         assert not np.shares_memory(got_bits, case.addend_bits)
+
+    @given(case=KernelStrategies.lpn_encode_cases(sizes=CHUNK_EDGES))
+    @settings(max_examples=60, deadline=None)
+    def test_property_in_place_encode_matches_reference(self, case):
+        """``out=addend`` with a reused gather buffer (a Ferret endpoint's
+        extend) gives the references' values in the caller's array."""
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(lpn_encode, "CHUNK_ROWS", SMALL_CHUNK)
+            gather = lpn_encode.gather_buffer(case.matrix.n)
+            addend = np.array(case.addend, order="C")
+            addend_bits = np.array(case.addend_bits, dtype=np.uint8)
+            got_blocks = encode_blocks(case.matrix, case.vec, addend, out=addend, gather=gather)
+            got_bits = encode_bits(
+                case.matrix, case.bits, addend_bits, out=addend_bits, gather=gather
+            )
+        assert got_blocks is addend and got_bits is addend_bits
+        assert np.array_equal(
+            got_blocks, encode_blocks_reference(case.matrix, case.vec, case.addend)
+        )
+        assert np.array_equal(
+            got_bits, encode_bits_reference(case.matrix, case.bits, case.addend_bits)
+        )
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=20, deadline=None)

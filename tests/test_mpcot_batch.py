@@ -20,10 +20,10 @@ from repro.ot.channel import run_pair
 from repro.ot.cot import CotPool, CotReceiverBatch, CotSenderBatch
 from repro.spcot.ggm import (
     BatchedPuncturedReconstructor,
-    BatchedTreeLevels,
     alpha_digits,
     batched_expand_full,
     batched_level_sums,
+    expand_forest,
     level_sums,
     pruned_widths,
     tree_xor,
@@ -150,18 +150,19 @@ class TestPrunedGgm:
             which
         ]
         seeds = blocks.random_blocks(t, rng)
-        full = BatchedTreeLevels(ChaChaTreePrg(arity), seeds, depth)
-        pruned = BatchedTreeLevels(ChaChaTreePrg(arity), seeds, depth, kept)
-        full_leaves = full.leaves()
-        assert np.array_equal(pruned.leaves()[:, :kept], full_leaves[:, :kept])
+        _, full_leaves = expand_forest(ChaChaTreePrg(arity), seeds, depth)
+        sums, pruned_leaves = expand_forest(ChaChaTreePrg(arity), seeds, depth, kept)
+        assert np.array_equal(pruned_leaves[:, :kept], full_leaves[:, :kept])
 
         widths = pruned_widths(arity, depth, kept)
+        levels = batched_expand_full(ChaChaTreePrg(arity), seeds, depth, kept)
         alphas = rng.integers(0, kept, t)
         digits = np.array([alpha_digits(int(a), arity, depth) for a in alphas])
         recon = BatchedPuncturedReconstructor(ChaChaTreePrg(arity), depth, digits, kept)
         for lvl in range(1, depth + 1):
-            assert pruned.levels[lvl].shape[0] == t * arity * widths[lvl - 1]
-            recon.feed_level(pruned.sums(lvl))
+            assert levels[lvl].shape[0] == t * arity * widths[lvl - 1]
+            assert np.array_equal(sums[lvl - 1], batched_level_sums(levels[lvl], arity, t))
+            recon.feed_level(sums[lvl - 1])
         leaves, holes = recon.leaves()
         assert np.array_equal(holes, alphas)
         expect = full_leaves[:, :kept].copy()
@@ -170,7 +171,7 @@ class TestPrunedGgm:
 
     def test_pruned_tree_expands_only_the_kept_paths(self):
         prg = ChaChaTreePrg(4)
-        BatchedTreeLevels(prg, blocks.zeros(3), 3, kept=17)
+        expand_forest(prg, blocks.zeros(3), 3, kept=17)
         # p = 1, 2, 5 nodes expanded at levels 0, 1, 2 of each tree.
         assert pruned_widths(4, 3, 17) == [1, 2, 5, 17]
         assert prg.total_calls == 3 * (1 + 2 + 5)
@@ -178,7 +179,7 @@ class TestPrunedGgm:
     @pytest.mark.parametrize("kept", [0, 65])
     def test_kept_outside_the_tree_raises(self, kept):
         with pytest.raises(ParameterError):
-            BatchedTreeLevels(ChaChaTreePrg(4), blocks.zeros(2), 3, kept)
+            expand_forest(ChaChaTreePrg(4), blocks.zeros(2), 3, kept)
         with pytest.raises(ParameterError):
             BatchedPuncturedReconstructor(ChaChaTreePrg(4), 3, np.zeros((2, 3)), kept)
 

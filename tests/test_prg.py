@@ -211,8 +211,8 @@ class TestWordMajorKernel:
 
     def test_shared_instance_under_a_tiny_switch_interval(self):
         """Eight threads expand through one instance, at equal and
-        different batch sizes; the per-thread state templates must keep
-        every result equal to the single-thread one."""
+        different batch sizes; the instance holds no state an expand
+        writes, so every result must equal the single-thread one."""
         gen = np.random.default_rng(21)
         prg = ChaChaTreePrg(arity=4)
         jobs = []
