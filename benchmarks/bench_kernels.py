@@ -31,7 +31,7 @@ from repro.mpc.triples import dealer_bit_triples, ring_mask_u64
 from repro.ot.channel import run_pair
 from repro.ot.cot import CotPool, verify_cot
 from repro.ot.testing import fake_cots
-from repro.spcot.ggm import batched_expand_full
+from repro.spcot.ggm import alpha_digits, expand_forest, reconstruct_forest
 
 RNG = np.random.default_rng(99)
 BATCH = blocks.random_blocks(1 << 14, RNG)
@@ -127,13 +127,29 @@ def test_kernel_chacha8_keystream(benchmark):
 
 
 def test_kernel_ggm_expand_chacha_4ary(benchmark):
-    """5 461 ChaCha8 core calls in 7 level calls, word-major states
-    permuted in place: best 1.38 ms (median 1.48) on a 2-core x86 host,
-    where the transposing kernel it replaced read 1.90 ms (2.18)."""
+    """The sender's forest: 5 461 ChaCha8 core calls in 7 level calls,
+    word-major states permuted in place, and every level's slot sums.
+    The levels alone read best 1.38 ms (median 1.48) on a 2-core x86
+    host, where the transposing kernel it replaced read 1.90 ms (2.18);
+    with the sums, best ~1.65 ms by timeit on the same host."""
     prg = ChaChaTreePrg(4)
     seed = blocks.random_blocks(1, RNG)
-    levels = benchmark(batched_expand_full, prg, seed, 7)  # 16384 leaves
-    assert levels[-1].shape[0] == 4**7
+    _, leaves = benchmark(expand_forest, prg, seed, 7)  # 16384 leaves
+    assert leaves.shape == (1, 4**7, 2)
+
+
+def test_kernel_ggm_reconstruct_chacha_4ary(benchmark):
+    """The receiver's side of the tree above: 5 460 core calls in 6
+    level calls (the level-1 nodes are the sums themselves), plus the
+    hole patch-up of every level: best ~1.65 ms by timeit on the same
+    host, level with the sender."""
+    prg = ChaChaTreePrg(4)
+    sums, leaves = expand_forest(prg, blocks.random_blocks(1, RNG), 7)
+    alpha = 12345
+    digits = np.array([alpha_digits(alpha, 4, 7)])
+    got, holes = benchmark(reconstruct_forest, prg, digits, sums)
+    assert holes[0] == alpha
+    assert np.array_equal(np.delete(got[0], alpha, 0), np.delete(leaves[0], alpha, 0))
 
 
 def test_kernel_ggm_expand_aes_2ary(benchmark):
@@ -142,8 +158,8 @@ def test_kernel_ggm_expand_aes_2ary(benchmark):
     trees are this PRG (arity 2, their own master key)."""
     prg = AesTreePrg(2)
     seed = blocks.random_blocks(1, RNG)
-    levels = benchmark(batched_expand_full, prg, seed, 12)  # 4096 leaves
-    assert levels[-1].shape[0] == 2**12
+    _, leaves = benchmark(expand_forest, prg, seed, 12)  # 4096 leaves
+    assert leaves.shape == (1, 2**12, 2)
 
 
 @pytest.mark.parametrize(

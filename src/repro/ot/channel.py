@@ -247,6 +247,10 @@ DEFAULT_RECV_TIMEOUT = 60.0
 #: the largest real frame (one FIG16 Gilboa chunk) is about 25 MiB.
 MAX_FRAME_BYTES = 1 << 30
 
+#: Size of a :class:`SocketChannel`'s reused receive buffer: the most
+#: one ``recv_into`` call takes off the socket.
+_RECV_CHUNK = 1 << 20
+
 
 #: Queue sentinel a closing :class:`LocalChannel` endpoint posts to its peer.
 _CLOSED = object()
@@ -327,6 +331,10 @@ class SocketChannel(Channel):
         self._send_lock = threading.Lock()
         self._recv_lock = threading.Lock()
         self._rx = bytearray()  # partial-message buffer (survives timeouts)
+        # One receive buffer for the channel's life: a fresh 1 MiB
+        # ``recv`` result per call is a malloc the OS may fault in anew.
+        # Uninitialised, so only the pages a receive writes are resident.
+        self._chunk = memoryview(np.empty(_RECV_CHUNK, dtype=np.uint8))
 
     # -- constructors -------------------------------------------------------
     @staticmethod
@@ -379,18 +387,18 @@ class SocketChannel(Channel):
                         raise ChannelTimeout(
                             "socket recv timed out; is the peer still running?"
                         )
-                chunk = self._sock.recv(1 << 20)
+                got = self._sock.recv_into(self._chunk)
             except (OSError, ValueError) as exc:  # reset, EBADF, closed fd
                 raise ChannelClosed(
                     f"socket receive failed after {len(self._rx)} of {n} "
                     f"frame bytes: {exc}"
                 ) from exc
-            if not chunk:
+            if not got:
                 raise ChannelClosed(
                     f"peer closed the connection mid-frame "
                     f"({len(self._rx)} of {n} expected bytes buffered)"
                 )
-            self._rx += chunk
+            self._rx += self._chunk[:got]
 
     def send_bytes(self, data: bytes) -> None:
         with self._send_lock:
@@ -531,8 +539,9 @@ def run_pair(
     t_b = threading.Thread(target=runner, args=("b", party_b, chan_b), daemon=True)
     t_a.start()
     t_b.start()
+    deadline = time.monotonic() + timeout
     t_a.join(timeout)
-    t_b.join(timeout)
+    t_b.join(max(0.0, deadline - time.monotonic()))
     if t_a.is_alive() or t_b.is_alive():
         raise ChannelError("protocol deadlocked (thread still alive after timeout)")
     if errors:

@@ -160,7 +160,7 @@ class InferenceBreakdown:
 def nonlinear_layer_count(model: Graph) -> int:
     """Layers whose evaluation needs online interaction."""
     interactive = {"act", "maxpool", "softmax", "layernorm", "avgpool", "gap"}
-    return sum(1 for name, _ in model.layer_log if name in interactive)
+    return sum(1 for layer, _, _ in model.trace if layer.name in interactive)
 
 
 def estimate_inference(

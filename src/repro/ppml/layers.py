@@ -223,11 +223,6 @@ class Graph:
         #: into exact per-layer correlation demand.
         self.trace: list = []
 
-    @property
-    def layer_log(self) -> list:
-        """(name, out_shape) view of the trace (legacy accessor)."""
-        return [(layer.name, out) for layer, _, out in self.trace]
-
     def add(self, layer: Layer) -> "Graph":
         in_shape = self.shape
         self.shape, cost = layer.apply(self.shape)

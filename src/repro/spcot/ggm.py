@@ -10,12 +10,14 @@ all sums except slot ``alpha_i`` can reconstruct every leaf except the
 one at position ``alpha`` -- that reconstruction lives here too so the
 protocol module stays purely about message flow.
 
-The shipped forms are *batched* (:func:`expand_forest`,
-:func:`batched_expand_full`, :func:`batched_level_sums`,
-:class:`BatchedPuncturedReconstructor`); of the single-tree
-primitives only :func:`level_sums` and :func:`alpha_digits` stay here.
-The single-tree reference (full expansion and level-by-level punctured
-reconstruction) lives in ``tests/oracles.py``.  MPCOT runs t independent
+Each party's role is one function over a whole *batched* forest: the
+sender's :func:`expand_forest` makes every level's slot sums and the
+leaves, and the receiver's :func:`reconstruct_forest` takes all those
+sums at once (SPCOT delivers them in one message) and rebuilds every
+leaf but the holes.  Of the single-tree primitives only
+:func:`level_sums` and :func:`alpha_digits` stay here; the single-tree
+reference (full expansion and level-by-level punctured reconstruction)
+lives in ``tests/oracles.py``.  MPCOT runs t independent
 trees, and Ironman's hybrid expansion schedule (Figure 8) gets its
 pipeline utilization exactly from that inter-tree parallelism: all t
 trees advance level-synchronously, so every PRG expansion operates on
@@ -41,7 +43,8 @@ Ferret endpoint, once per extend) passes :class:`LevelBuffers`: level
 ``i`` is then written into buffer ``i % 2`` and expanded straight from
 there into the other, reading each tree's prefix in place, so no
 level-sized array is allocated.  The sender takes each level's slot
-sums as the level is made, so two buffers hold the whole forest.
+sums as the level is made, and the receiver needs only the level it
+expands from, so two buffers hold either party's forest.
 """
 
 from __future__ import annotations
@@ -150,27 +153,6 @@ def _expand_prefix(
     return prg.expand(parents, level, out=out, state=buffers.state)
 
 
-def batched_expand_full(
-    prg: TreePrg, seeds: np.ndarray, depth: int, kept: int = None
-) -> list:
-    """Expand ``t`` seeds into all computed levels of ``t`` trees at once.
-
-    ``seeds`` is a ``(t, 2)`` block array; ``levels[i]`` holds all trees'
-    computed level-``i`` nodes as one ``(t * arity * p_{i-1}, 2)`` array,
-    tree-major (see :func:`pruned_widths`; ``kept=None`` builds full
-    trees, ``arity**i`` nodes per tree).  Because :meth:`TreePrg.expand`
-    places the children of parent ``p`` at rows ``[p * arity, (p + 1) *
-    arity)``, tree-major layout is preserved level to level, and every
-    computed node equals its full-tree counterpart.
-    """
-    seeds = blocks.require_blocks(np.ascontiguousarray(seeds), "seeds")
-    widths = pruned_widths(prg.arity, depth, kept)
-    levels = [seeds]
-    for lvl in range(depth):
-        levels.append(_expand_prefix(prg, levels[-1], seeds.shape[0], widths[lvl], lvl))
-    return levels
-
-
 def expand_forest(
     prg: TreePrg,
     seeds: np.ndarray,
@@ -183,9 +165,13 @@ def expand_forest(
     Returns ``(sums, leaves)``: the ``(depth, t, arity, 2)`` slot sums of
     levels 1 .. ``depth``, each taken as its level is made, and the
     computed leaves as a ``(t, arity * p_{depth-1}, 2)`` per-tree matrix
-    whose first ``kept`` columns are the kept leaves.  The levels are
-    those of :func:`batched_expand_full`; with ``buffers`` the leaves are
-    a view into them.
+    whose first ``kept`` columns are the kept leaves.  Level ``i`` holds
+    all trees' computed nodes as one ``(t * arity * p_{i-1}, 2)`` array,
+    tree-major (see :func:`pruned_widths`): :meth:`TreePrg.expand`
+    places the children of parent ``p`` at rows ``[p * arity, (p + 1) *
+    arity)``, so the layout is preserved level to level and every
+    computed node equals its full-tree counterpart.  With ``buffers``
+    the leaves are a view into them.
     """
     seeds = blocks.require_blocks(np.ascontiguousarray(seeds), "seeds")
     t = seeds.shape[0]
@@ -196,6 +182,58 @@ def expand_forest(
         nodes = _expand_prefix(prg, nodes, t, widths[lvl], lvl, buffers)
         sums[lvl] = batched_level_sums(nodes, prg.arity, t)
     return sums, nodes.reshape(t, -1, 2)
+
+
+def reconstruct_forest(
+    prg: TreePrg,
+    digits: np.ndarray,
+    sums: np.ndarray,
+    kept: int = None,
+    buffers: LevelBuffers = None,
+) -> tuple:
+    """The receiver's view of ``t`` punctured trees, the mirror of
+    :func:`expand_forest`.
+
+    ``digits`` is the ``(t, depth)`` array of per-tree punctured digits
+    (big-endian, as from :func:`alpha_digits`) and ``sums`` the ``(depth,
+    t, arity, 2)`` slot sums of levels 1 .. ``depth``; the entry at each
+    tree's punctured digit is ignored (the OT never delivers it, so it
+    may hold garbage).  Returns ``(leaves, holes)``: the computed leaves
+    shaped as :func:`expand_forest`'s, each tree's hole leaf zero-filled,
+    and the ``(t,)`` hole indices.  With ``kept`` every puncture must lie
+    among the kept leaves, so each hole path is computed.  With
+    ``buffers`` every level past the first is expanded in them.
+    """
+    m = prg.arity
+    digits = np.asarray(digits, dtype=np.int64)
+    sums = np.asarray(sums, dtype=blocks.BLOCK_DTYPE)
+    if digits.ndim != 2 or digits.shape[0] < 1:
+        raise ParameterError("digits must be a (n_trees, depth) array")
+    t, depth = digits.shape
+    if sums.shape != (depth, t, m, 2):
+        raise ParameterError(f"sums must have shape {(depth, t, m, 2)}, got {sums.shape}")
+    if np.any((digits < 0) | (digits >= m)):
+        raise ParameterError(f"digits must lie in [0, {m})")
+    widths = pruned_widths(m, depth, kept)
+    if np.any(digits @ (m ** np.arange(depth - 1, -1, -1, dtype=np.int64)) >= widths[-1]):
+        raise ParameterError(f"punctures must lie among the first {widths[-1]} leaves")
+    tree_ids = np.arange(t)
+    holes = digits[:, 0].copy()
+    nodes = sums[0].reshape(t * m, 2).copy()
+    nodes[tree_ids * m + holes] = 0
+    for lvl in range(1, depth):
+        children = _expand_prefix(prg, nodes, t, widths[lvl], lvl, buffers)
+        # Each hole parent expanded a zero stand-in; blank its children
+        # so the vectorized slot sums below cover only known nodes.
+        hole_parents = tree_ids * widths[lvl] + holes
+        child_rows = (hole_parents[:, None] * m + np.arange(m)).ravel()
+        children[child_rows] = 0
+        partial = batched_level_sums(children, m, t)
+        children[child_rows] = blocks.xor(sums[lvl], partial).reshape(t * m, 2)
+        children[hole_parents * m + digits[:, lvl]] = 0
+        nodes = children
+        holes = holes * m + digits[:, lvl]
+    return nodes.reshape(t, -1, 2), holes
 
 
 #: Elements (32 KB of uint64) per transposed chunk of :func:`tree_xor`.
@@ -238,103 +276,3 @@ def batched_level_sums(nodes: np.ndarray, arity: int, n_trees: int) -> np.ndarra
     if nodes.shape[0] % (n_trees * arity) != 0:
         raise ParameterError("level size must be a multiple of n_trees * arity")
     return tree_xor(nodes.reshape(n_trees, -1, arity * 2)).reshape(n_trees, arity, 2)
-
-
-class BatchedPuncturedReconstructor:
-    """Receiver-side level-synchronous reconstruction of ``t`` trees.
-
-    The batched analogue of the single-tree reconstructor in
-    ``tests/oracles.py``: all trees
-    advance one level per :meth:`feed_level` call, carried as a single
-    tree-major block array, with the per-tree holes tracked as an index
-    vector.  ``digits`` is a ``(t, depth)`` int array of per-tree
-    punctured digits (big-endian, as from :func:`alpha_digits`).  With
-    ``kept`` given it rebuilds the same pruned forest as
-    :func:`expand_forest`; every puncture must then lie among the kept
-    leaves, so each hole path is among the computed nodes.  With
-    ``buffers`` every level past the first, the leaves included, is a
-    view into them.
-    """
-
-    def __init__(
-        self,
-        prg: TreePrg,
-        depth: int,
-        digits: np.ndarray,
-        kept: int = None,
-        buffers: LevelBuffers = None,
-    ):
-        self.prg = prg
-        self.buffers = buffers
-        self.arity = prg.arity
-        self.depth = depth
-        self.digits = np.asarray(digits, dtype=np.int64)
-        if self.digits.ndim != 2 or self.digits.shape[1] != depth:
-            raise ParameterError("digits must be a (n_trees, depth) array")
-        if self.digits.shape[0] < 1:
-            raise ParameterError("need at least one tree")
-        if np.any((self.digits < 0) | (self.digits >= self.arity)):
-            raise ParameterError(f"digits must lie in [0, {self.arity})")
-        self.widths = pruned_widths(self.arity, depth, kept)
-        holes = self.digits @ (self.arity ** np.arange(depth - 1, -1, -1, dtype=np.int64))
-        if np.any(holes >= self.widths[-1]):
-            raise ParameterError(f"punctures must lie among the first {self.widths[-1]} leaves")
-        self.n_trees = self.digits.shape[0]
-        self.level = 0
-        self.nodes = None
-        self.holes = None
-
-    def feed_level(self, sums: np.ndarray) -> None:
-        """Consume level ``self.level + 1`` from per-tree slot sums.
-
-        Args:
-            sums: ``(t, arity, 2)`` array; row ``[i, j]`` is tree ``i``'s
-                slot-``j`` sum.  The entry at each tree's punctured digit
-                is ignored (the OT never delivers it, so callers may
-                leave garbage there).
-        """
-        m = self.arity
-        t = self.n_trees
-        sums = np.asarray(sums, dtype=blocks.BLOCK_DTYPE)
-        if sums.shape != (t, m, 2):
-            raise ParameterError(f"sums must have shape ({t}, {m}, 2), got {sums.shape}")
-        if self.level >= self.depth:
-            raise ParameterError("all levels have already been fed")
-        digit = self.digits[:, self.level]
-        tree_ids = np.arange(t)
-        if self.level == 0:
-            nodes = sums.reshape(t * m, 2).copy()
-            nodes[tree_ids * m + digit] = 0
-            self.nodes = nodes
-            self.holes = digit.copy()
-        else:
-            per_tree = self.widths[self.level]
-            children = _expand_prefix(
-                self.prg, self.nodes, t, per_tree, self.level, self.buffers
-            )
-            # Each hole parent expanded a zero stand-in; blank its children
-            # so the vectorized slot sums below cover only known nodes.
-            hole_parents = tree_ids * per_tree + self.holes
-            child_rows = hole_parents[:, None] * m + np.arange(m)[None, :]
-            children[child_rows.ravel()] = 0
-            partial = batched_level_sums(children, m, t)
-            children[child_rows.ravel()] = blocks.xor(sums, partial).reshape(t * m, 2)
-            children[hole_parents * m + digit] = 0
-            self.nodes = children
-            self.holes = self.holes * m + digit
-        self.level += 1
-
-    @property
-    def done(self) -> bool:
-        return self.level == self.depth
-
-    def leaves(self) -> tuple:
-        """Return ``((t, leaves, 2)`` per-tree leaves, ``(t,)`` holes).
-
-        ``leaves`` counts the computed leaves, as the sender's
-        :func:`expand_forest`.  Each tree's hole leaf is
-        zero-filled, exactly like the single-tree reconstructor.
-        """
-        if not self.done:
-            raise ParameterError("tree reconstruction is not finished")
-        return self.nodes.reshape(self.n_trees, -1, 2), self.holes

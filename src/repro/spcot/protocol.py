@@ -60,13 +60,7 @@ from repro.errors import ParameterError
 from repro.ot.channel import Channel
 from repro.ot.cot import CotPool
 from repro.ot.ot_from_cot import ot_receive_from_cot, ot_send_from_cot
-from repro.spcot.ggm import (
-    BatchedPuncturedReconstructor,
-    LevelBuffers,
-    alpha_digits,
-    expand_forest,
-    tree_xor,
-)
+from repro.spcot.ggm import LevelBuffers, expand_forest, reconstruct_forest, tree_xor
 from repro.utils.bitops import log_base
 
 #: Binary PRG shared by both parties for the (m-1)-out-of-m key trees:
@@ -220,13 +214,16 @@ def spcot_receive_batch(
     buffers: LevelBuffers = None,
 ) -> tuple:
     """Receiver side of :func:`spcot_send_batch` (same ``kept``; every
-    alpha must be below it).
+    alpha must be below it, and an alpha outside the tree raises
+    :class:`ParameterError`).
 
-    Returns ``(v, holes)``: the per-tree vectors over the computed
-    leaves, shaped like the sender's, with each tree's alpha slot fixed
-    up, and the per-tree hole indices; with ``buffers``, ``v`` is a view
-    into them.  A reply of the wrong length raises
-    :class:`ProtocolError`.
+    Sends the correction bits of every OT, receives the one reply, and
+    rebuilds all key trees, then all main trees, each in one
+    :func:`repro.spcot.ggm.reconstruct_forest` call.  Returns ``(v,
+    holes)``: the per-tree vectors over the computed leaves, shaped like
+    the sender's, with each tree's alpha slot fixed up, and the per-tree
+    hole indices; with ``buffers``, ``v`` is a view into them.  A reply
+    of the wrong length raises :class:`ProtocolError`.
     """
     m = prg.arity
     alphas = np.asarray(alphas, dtype=np.int64)
@@ -234,7 +231,10 @@ def spcot_receive_batch(
     if t < 1:
         raise ParameterError("need at least one tree")
     tweak_bases = _resolve_tweak_bases(tweak_bases, t)
-    digits = np.array([alpha_digits(int(a), m, depth) for a in alphas], dtype=np.int64)
+    if np.any((alphas < 0) | (alphas >= m**depth)):
+        raise ParameterError(f"an alpha is out of range for {m}^{depth} leaves")
+    # (t, depth) big-endian base-m digits of every alpha.
+    digits = alphas[:, None] // m ** np.arange(depth - 1, -1, -1, dtype=np.int64) % m
     level_tweaks, ot_tweaks = _ot_tweaks(tweak_bases, depth, m)
     if m == 2:
         ot_digits = digits.T  # (depth, t): the slot each OT must not reveal
@@ -250,29 +250,26 @@ def spcot_receive_batch(
     )
     n_masked = 0 if m == 2 else depth * t * m
     reply = channel.recv_blocks(n_masked + t)  # the masked sums, then psi
-    # One offered pair per OT with only the chosen side filled in; the
-    # reconstructors ignore the entry at each punctured digit.
+    # One offered pair per OT with only the chosen side filled in;
+    # reconstruct_forest ignores the entry at each punctured digit.
     pairs = np.zeros((n_ots, 2, 2), dtype=blocks.BLOCK_DTYPE)
     pairs[np.arange(n_ots), choices] = known
     if m == 2:
         sums = pairs.reshape(depth, t, 2, 2)
     else:
-        kt_recon = BatchedPuncturedReconstructor(
-            _KEY_TREE_PRG, kt_depth, kt_digits.reshape(depth * t, kt_depth)
-        )
-        pairs = pairs.reshape(depth, kt_depth, t, 2, 2)
-        for kt in range(kt_depth):
-            kt_recon.feed_level(pairs[:, kt].reshape(depth * t, 2, 2))
-        keys, _ = kt_recon.leaves()  # (depth * t, m, 2); hole keys are zero
+        # Key-tree level major; the key trees in (level, tree) order, as kt_digits.
+        kt_sums = pairs.reshape(depth, kt_depth, t, 2, 2).swapaxes(0, 1)
+        keys, _ = reconstruct_forest(
+            _KEY_TREE_PRG,
+            kt_digits.reshape(depth * t, kt_depth),
+            kt_sums.reshape(kt_depth, depth * t, 2, 2),
+        )  # (depth * t, m, 2); hole keys are zero
         # Each tree's punctured slot unmasks with a zero key and is garbage.
         sums = blocks.xor(
             reply[:n_masked],
             crhf.hash_tweaked(keys.reshape(-1, 2), _mask_tweaks(level_tweaks, m)),
         ).reshape(depth, t, m, 2)
-    recon = BatchedPuncturedReconstructor(prg, depth, digits, kept, buffers)
-    for level_sums in sums:
-        recon.feed_level(level_sums)
-    v, holes = recon.leaves()
+    v, holes = reconstruct_forest(prg, digits, sums, kept, buffers)
     # Hole slots are zero, so the per-tree reduce covers exactly the
     # known computed leaves of each tree.
     known_xor = tree_xor(v)

@@ -414,6 +414,22 @@ class TestRunPair:
             assert time.monotonic() - started < 2.0
             assert isinstance(err.value.__cause__, ValueError)
 
+    def test_timeout_bounds_the_whole_execution(self):
+        """Both parties blocked on a receive: the deadlock is reported once
+        ``timeout`` has passed, not after one ``timeout`` per party."""
+        chans = []
+
+        def wait(ch):
+            chans.append(ch)
+            ch.recv_bytes()
+
+        started = time.monotonic()
+        with pytest.raises(ChannelError, match="deadlocked"):
+            run_pair(wait, wait, timeout=0.5, recv_timeout=5.0)
+        assert time.monotonic() - started < 0.8
+        for ch in chans:
+            ch.close()  # release both blocked receives
+
     def test_recv_timeout_surfaced_through_run_pair(self):
         """run_pair(recv_timeout=...) reaches the channels, so paper-sized
         runs can wait longer than the default without dying spuriously."""

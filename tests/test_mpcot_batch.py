@@ -19,19 +19,20 @@ from repro.lpn.params import TABLE4_BY_LABEL
 from repro.ot.channel import run_pair
 from repro.ot.cot import CotPool, CotReceiverBatch, CotSenderBatch
 from repro.spcot.ggm import (
-    BatchedPuncturedReconstructor,
     alpha_digits,
-    batched_expand_full,
     batched_level_sums,
     expand_forest,
     level_sums,
     pruned_widths,
+    reconstruct_forest,
     tree_xor,
 )
 from repro.spcot.mpcot import (
     block_sizes,
     depth_runs,
+    mpcot_buffers,
     mpcot_cots_needed,
+    mpcot_plan,
     mpcot_prg_calls,
     mpcot_receive,
     mpcot_send,
@@ -40,7 +41,12 @@ from repro.spcot.mpcot import (
 )
 from repro.spcot.protocol import cots_needed, spcot_receive_batch, spcot_send_batch
 
-from oracles import expand_full, mpcot_receive_sequential, mpcot_send_sequential
+from oracles import (
+    expand_full,
+    mpcot_receive_sequential,
+    mpcot_send_sequential,
+    reconstruct_punctured,
+)
 
 
 def make_pools(n_cots, delta, seed=99):
@@ -90,13 +96,12 @@ class TestBatchedGgm:
     def test_batched_expand_matches_per_tree(self, arity, depth, t, rng):
         prg_batch, prg_one = ChaChaTreePrg(arity), ChaChaTreePrg(arity)
         seeds = blocks.random_blocks(t, rng)
-        batched = batched_expand_full(prg_batch, seeds, depth)
+        sums, leaves = expand_forest(prg_batch, seeds, depth)
         for i in range(t):
             single = expand_full(prg_one, seeds[i : i + 1], depth)
-            for lvl in range(depth + 1):
-                per_tree = arity**lvl
-                got = batched[lvl][i * per_tree : (i + 1) * per_tree]
-                assert np.array_equal(got, single[lvl])
+            for lvl in range(1, depth + 1):
+                assert np.array_equal(sums[lvl - 1, i], level_sums(single[lvl], arity))
+            assert np.array_equal(leaves[i], single[-1])
         # prg_one expanded all t trees one by one: identical call totals.
         assert prg_batch.total_calls == prg_one.total_calls
 
@@ -115,12 +120,11 @@ class TestBatchedGgm:
         seeds = blocks.random_blocks(t, rng)
         alphas = rng.integers(0, arity**depth, t)
         digits = np.array([alpha_digits(int(a), arity, depth) for a in alphas])
-        levels = batched_expand_full(ChaChaTreePrg(arity), seeds, depth)
-        recon = BatchedPuncturedReconstructor(prg, depth, digits)
-        for lvl in range(1, depth + 1):
-            recon.feed_level(batched_level_sums(levels[lvl], arity, t))
-        leaves, holes = recon.leaves()
-        expect = levels[-1].reshape(t, -1, 2).copy()
+        sums, full = expand_forest(ChaChaTreePrg(arity), seeds, depth)
+        # The OT never delivers the punctured slot's sum: garbage there is ignored.
+        sums[np.arange(depth)[:, None], np.arange(t), digits.T] = 0xBAD
+        leaves, holes = reconstruct_forest(prg, digits, sums)
+        expect = full.copy()
         assert np.array_equal(holes, alphas)
         expect[np.arange(t), alphas] = 0
         assert np.array_equal(leaves, expect)
@@ -130,13 +134,35 @@ class TestBatchedGgm:
         per_tree = blocks.random_blocks(int(np.prod(shape)) // 2, rng).reshape(shape)
         assert np.array_equal(tree_xor(per_tree), np.bitwise_xor.reduce(per_tree, axis=1))
 
+    @pytest.mark.parametrize("arity,t", [(2, 3), (4, 4), (8, 2)])
+    @pytest.mark.parametrize("with_buffers", [False, True])
+    def test_reconstruction_matches_single_tree_oracle(self, arity, t, with_buffers, rng):
+        depth = {2: 5, 4: 3, 8: 2}[arity]
+        n = t * arity**depth  # full blocks: the oracle rebuilds full trees
+        ((_, count, run_depth, kept, _),) = mpcot_plan(n, t, arity).runs
+        assert (count, run_depth, kept) == (t, depth, arity**depth)
+        prg = ChaChaTreePrg(arity)
+        buffers = mpcot_buffers(prg, n, t) if with_buffers else None
+        seeds = blocks.random_blocks(t, rng)
+        alphas = rng.integers(0, kept, t)
+        digits = np.array([alpha_digits(int(a), arity, depth) for a in alphas])
+        sums, _ = expand_forest(ChaChaTreePrg(arity), seeds, depth, kept)
+        leaves, holes = reconstruct_forest(prg, digits, sums, kept, buffers)
+        for i, alpha in enumerate(alphas):
+            known = [
+                {j: sums[lvl, i, j : j + 1] for j in range(arity) if j != digits[i, lvl]}
+                for lvl in range(depth)
+            ]
+            one, hole = reconstruct_punctured(ChaChaTreePrg(arity), depth, int(alpha), known)
+            assert hole == holes[i] == alpha
+            assert np.array_equal(leaves[i], one)
+
     def test_reconstructor_validates_digit_shape(self):
-        with pytest.raises(Exception):
-            BatchedPuncturedReconstructor(ChaChaTreePrg(4), 3, np.zeros((2, 2)))
-        with pytest.raises(Exception):
-            BatchedPuncturedReconstructor(
-                ChaChaTreePrg(4), 2, np.full((2, 2), 7)
-            )  # digit out of range
+        sums = np.zeros((3, 2, 4, 2), dtype=blocks.BLOCK_DTYPE)
+        with pytest.raises(ParameterError):
+            reconstruct_forest(ChaChaTreePrg(4), np.zeros((2, 2)), sums)  # depth 2 vs 3
+        with pytest.raises(ParameterError):
+            reconstruct_forest(ChaChaTreePrg(4), np.full((2, 3), 7), sums)  # digit out of range
 
 
 class TestPrunedGgm:
@@ -155,15 +181,15 @@ class TestPrunedGgm:
         assert np.array_equal(pruned_leaves[:, :kept], full_leaves[:, :kept])
 
         widths = pruned_widths(arity, depth, kept)
-        levels = batched_expand_full(ChaChaTreePrg(arity), seeds, depth, kept)
+        assert pruned_leaves.shape == (t, arity * widths[-2], 2)
+        for i in range(t):
+            single = expand_full(ChaChaTreePrg(arity), seeds[i : i + 1], depth)
+            for lvl in range(1, depth + 1):
+                computed = single[lvl][: arity * widths[lvl - 1]]
+                assert np.array_equal(sums[lvl - 1, i], level_sums(computed, arity))
         alphas = rng.integers(0, kept, t)
         digits = np.array([alpha_digits(int(a), arity, depth) for a in alphas])
-        recon = BatchedPuncturedReconstructor(ChaChaTreePrg(arity), depth, digits, kept)
-        for lvl in range(1, depth + 1):
-            assert levels[lvl].shape[0] == t * arity * widths[lvl - 1]
-            assert np.array_equal(sums[lvl - 1], batched_level_sums(levels[lvl], arity, t))
-            recon.feed_level(sums[lvl - 1])
-        leaves, holes = recon.leaves()
+        leaves, holes = reconstruct_forest(ChaChaTreePrg(arity), digits, sums, kept)
         assert np.array_equal(holes, alphas)
         expect = full_leaves[:, :kept].copy()
         expect[np.arange(t), alphas] = 0
@@ -180,13 +206,15 @@ class TestPrunedGgm:
     def test_kept_outside_the_tree_raises(self, kept):
         with pytest.raises(ParameterError):
             expand_forest(ChaChaTreePrg(4), blocks.zeros(2), 3, kept)
+        sums = np.zeros((3, 2, 4, 2), dtype=blocks.BLOCK_DTYPE)
         with pytest.raises(ParameterError):
-            BatchedPuncturedReconstructor(ChaChaTreePrg(4), 3, np.zeros((2, 3)), kept)
+            reconstruct_forest(ChaChaTreePrg(4), np.zeros((2, 3)), sums, kept)
 
     def test_puncture_past_the_kept_leaves_raises(self):
         digits = np.array([alpha_digits(17, 4, 3)])
+        sums = np.zeros((3, 1, 4, 2), dtype=blocks.BLOCK_DTYPE)
         with pytest.raises(ParameterError):
-            BatchedPuncturedReconstructor(ChaChaTreePrg(4), 3, digits, kept=17)
+            reconstruct_forest(ChaChaTreePrg(4), digits, sums, kept=17)
 
 
 class TestBatchedSpcot:
@@ -224,6 +252,12 @@ class TestBatchedSpcot:
                 assert s_stats.rounds == 1
                 assert s_stats.messages_sent == 3  # e0, e1, masked sums + psi
                 assert r_stats.messages_sent == 1  # the correction bits
+
+    @pytest.mark.parametrize("alpha", [-1, 64])
+    def test_alpha_outside_the_tree_raises(self, alpha):
+        """Checked before any message: the channel and pool go unused."""
+        with pytest.raises(ParameterError, match="out of range for 4\\^3"):
+            spcot_receive_batch(None, None, np.array([3, alpha]), ChaChaTreePrg(4), 3)
 
 
 class TestEquivalence:

@@ -113,10 +113,10 @@ class TestGraph:
         g.set_shape((12, 8, 8))
         assert g.shape == (12, 8, 8)
 
-    def test_layer_log_tracks_names(self):
+    def test_trace_tracks_names(self):
         g = Graph("toy", (3, 8, 8))
         g.add(Conv2d(4, 3, 1, 1)).add(Activation("relu"))
-        assert [name for name, _ in g.layer_log] == ["conv", "act"]
+        assert [layer.name for layer, _, _ in g.trace] == ["conv", "act"]
 
     def test_nonlinear_total(self):
         g = Graph("toy", (2, 4, 4))
