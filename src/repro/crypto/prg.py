@@ -115,6 +115,9 @@ class AesTreePrg(TreePrg):
 
     ``child_j(s) = AES_{k_j}(s) XOR s`` -- the XOR feed-forward makes
     each branch a one-way (Davies-Meyer style) function of the parent.
+    Each cipher encrypts all parents in one call into the state buffer
+    (one block per parent), and the feed-forward XOR writes its output
+    into slot ``j`` of every parent's children.
     """
 
     name = "aes"
@@ -128,12 +131,22 @@ class AesTreePrg(TreePrg):
         self.master_key = master_key
         self._ciphers = [AES128(k) for k in _derive_aes_keys(master_key, arity)]
 
+    def state_buffer(self, n: int) -> np.ndarray:
+        """One cipher's output for ``n`` parents."""
+        return np.empty((n, 2), dtype=blocks.BLOCK_DTYPE)
+
     def expand(self, nodes, level, out=None, state=None):
         nodes = np.ascontiguousarray(_parents(nodes)).reshape(-1, 2)
         n = nodes.shape[0]
         out = _children(out, n * self.arity)
+        if state is None:
+            state = self.state_buffer(n)
+        elif not (blocks.is_block_array(state) and state.shape[0] >= n):
+            raise ParameterError(f"state must be a block array of at least {n} rows")
+        cipher_out = state[:n]
         for j, cipher in enumerate(self._ciphers):
-            np.bitwise_xor(cipher.encrypt_blocks(nodes), nodes, out=out[j :: self.arity])
+            cipher.encrypt_blocks(nodes, out=cipher_out)
+            np.bitwise_xor(cipher_out, nodes, out=out[j :: self.arity])
         self.total_calls += n * self.arity
         return out
 

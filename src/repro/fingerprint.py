@@ -34,7 +34,7 @@ from repro.spcot.mpcot import _TREE_TWEAK_STRIDE
 from repro.spcot.protocol import _KEY_TREE_PRG, _LEVEL_TWEAK_STRIDE, _MASK_TWEAK_OFFSET
 
 #: Wire version of the protocol stack.
-VERSION = 4
+VERSION = 5
 
 #: Every declared constant a pad or a frame size depends on (every
 #: module-level tweak, stride and offset of ``repro``, which
@@ -53,7 +53,7 @@ CONSTANTS = {
     "_MUX_TWEAK": _MUX_TWEAK,
     "KAPPA": KAPPA,
     "BOOTSTRAP_TWEAK": BOOTSTRAP_TWEAK,
-    "group": [DEFAULT_GROUP.p, DEFAULT_GROUP.g],
+    "group": [DEFAULT_GROUP.name, "sec1-compressed"],
     "key_tree": [
         _KEY_TREE_PRG.name,
         _KEY_TREE_PRG.arity,

@@ -2,21 +2,21 @@
 
 Ferret's first iteration needs ``base_cots_needed`` (thousands of)
 genuine COT correlations before its own extension can run.  Public-key
-OTs cost modular exponentiations, so -- as Ferret and EMP do -- only
-``KAPPA = 128`` of them are ever run per service pair, whatever ``n``
-is, and a semi-honest IKNP-style COT extension [IKNP03] stretches those
-to any ``n >= 1``:
+OTs cost elliptic-curve scalar multiplications, so -- as Ferret and EMP
+do -- only ``KAPPA = 128`` of them are ever run per service pair,
+whatever ``n`` is, and a semi-honest IKNP-style COT extension [IKNP03]
+stretches those to any ``n >= 1``:
 
 1. **Seed OTs, reversed.**  The Delta-holder (the COT *sender*) is the
    seed-OT *receiver*; its 128 choice bits are the bits of Delta.  The
    COT receiver offers 128 random seed pairs ``(k_i^0, k_i^1)`` and the
    Delta-holder learns ``k_i^{Delta_i}``.  The first direction of a
-   pair runs them as PKC: the simplest-OT flavour of Chou-Orlandi over
-   :data:`~repro.crypto.group.DEFAULT_GROUP` (one group element from
-   the sender, one per choice from the receiver, hashed Diffie-Hellman
-   values as one-time pads).  A caller that already holds ``KAPPA``
-   COTs of another extension in which the seed offerer is the COT
-   sender passes them as ``seed_cots``: the seed OTs are then
+   pair runs them as PKC: the simplest-OT flavour of Chou-Orlandi on
+   the P-256 curve, :data:`~repro.crypto.group.DEFAULT_GROUP` (one
+   point from the sender, one per choice from the receiver, hashed
+   Diffie-Hellman points as one-time pads).  A caller that already
+   holds ``KAPPA`` COTs of another extension in which the seed offerer
+   is the COT sender passes them as ``seed_cots``: the seed OTs are then
    derandomized OTs over those COTs (:mod:`repro.ot.ot_from_cot`,
    tweaks from :data:`BOOTSTRAP_TWEAK`) and no public-key operation
    runs.  That is how a service's reverse direction bootstraps from its
@@ -33,18 +33,20 @@ to any ``n >= 1``:
    the sender's block ``r_j = q_j`` and the receiver's ``y_j = t_j``
    are exactly this repo's COT convention ``y = r XOR x * Delta``.
 
-This is the "Init" bar of the paper's Figure 1(b): a fixed ~0.3 s of
-PKC plus a per-COT cost of a few nanoseconds, instead of ~5 ms of
-modexps per COT.
+This is the "Init" bar of the paper's Figure 1(b): a fixed ~30-40 ms
+of PKC (128 OTs, three P-256 scalar multiplications each) plus a
+per-COT cost of a few nanoseconds.
 
 :func:`base_ot_send` / :func:`base_ot_receive` are the chosen-message
-PKC OTs on their own: an ``n`` header and one element from the sender,
-one element blob from the receiver, one payload of ``2n`` blocks --
-O(1) round trips for any ``n``.  Every frame goes through the channel
-codec at a declared shape (elements as 8-bit lanes in the group's
-:meth:`~repro.crypto.group.SchnorrGroup.encode` format), so
-:func:`~repro.ot.channel.lanes_bytes` is the byte model of the whole
-cold start.
+PKC OTs on their own, in additive notation: the sender sends an ``n``
+header and A = aG; the receiver sends one blob of B_i = b_i G (+ A when
+its choice is 1) and keeps the pad KDF(b_i A); the sender's pads are
+KDF(a B_i) and KDF(a B_i - a A), and it sends one payload of ``2n``
+blocks -- O(1) round trips for any ``n``.  Every frame goes through the
+channel codec at a declared shape (points as 8-bit lanes in the
+group's :meth:`~repro.crypto.group.P256.encode` format, 33 bytes each),
+so :func:`~repro.ot.channel.lanes_bytes` is the byte model of the
+whole cold start.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.crypto import blocks
-from repro.crypto.group import DEFAULT_GROUP
+from repro.crypto.group import DEFAULT_GROUP, Point
 from repro.crypto.kernels import transpose_128
 from repro.crypto.prg import stream_expand
 from repro.errors import ParameterError, ProtocolError
@@ -71,7 +73,7 @@ KAPPA = 128
 BOOTSTRAP_TWEAK = 1 << 62
 
 
-def _pad(dh_value: int, choice: int, index: int) -> bytes:
+def _pad(dh_value: Point, choice: int, index: int) -> bytes:
     """One-time pad for message ``choice`` of OT ``index``: the KDF output
     itself, with both folded into the tweak."""
     return DEFAULT_GROUP.hash_to_key(dh_value, b"|%d|%d" % (choice, index))
@@ -99,16 +101,16 @@ def base_ot_send(channel: Channel, messages0: np.ndarray, messages1: np.ndarray)
         raise ProtocolError("message arrays must have identical shape")
     n = messages0.shape[0]
     a = DEFAULT_GROUP.random_scalar()
-    big_a = DEFAULT_GROUP.gexp(a)
+    big_a = DEFAULT_GROUP.base_mul(a)
     channel.send_lanes([n], 64)
     _send_elements(channel, [big_a])
-    big_a_inv_a = DEFAULT_GROUP.exp(DEFAULT_GROUP.inv(big_a), a)  # A^{-a}, reused per OT
+    minus_aa = DEFAULT_GROUP.neg(DEFAULT_GROUP.mul(big_a, a))  # -aA, reused per OT
     pads = bytearray()
-    for i, b_elem in enumerate(_recv_elements(channel, n)):
-        b_to_a = DEFAULT_GROUP.exp(b_elem, a)
-        # If B = g^b * A^c then B^a * A^{-ac} = g^{ab}: pad_c is the DH value's.
-        pads += _pad(b_to_a, 0, i)
-        pads += _pad(DEFAULT_GROUP.mul(b_to_a, big_a_inv_a), 1, i)
+    for i, big_b in enumerate(_recv_elements(channel, n)):
+        ab = DEFAULT_GROUP.mul(big_b, a)
+        # If B = bG + cA then aB - c aA = b(aG): pad_c is the DH value's.
+        pads += _pad(ab, 0, i)
+        pads += _pad(DEFAULT_GROUP.add(ab, minus_aa), 1, i)
     pairs = np.stack([messages0, messages1], axis=1).reshape(2 * n, 2)
     channel.send_blocks(blocks.xor(pairs, blocks.from_bytes(bytes(pads))))
 
@@ -123,18 +125,15 @@ def base_ot_receive(channel: Channel, choices: np.ndarray) -> np.ndarray:
             f"sender offers {n_sender} OTs but receiver has {n} choices"
         )
     (big_a,) = _recv_elements(channel, 1)
-    # Every OT raises the same A: one window table (~7 pow() calls' worth
-    # to build) replaces a full ladder per OT.
-    a_table = DEFAULT_GROUP.fixed_base(big_a)
     pads = bytearray()
     elems = []
     for i in range(n):
         b = DEFAULT_GROUP.random_scalar()
-        b_elem = DEFAULT_GROUP.gexp(b)
+        big_b = DEFAULT_GROUP.base_mul(b)
         if choices[i]:
-            b_elem = DEFAULT_GROUP.mul(b_elem, big_a)
-        elems.append(b_elem)
-        pads += _pad(a_table.exp(b), int(choices[i]), i)
+            big_b = DEFAULT_GROUP.add(big_b, big_a)
+        elems.append(big_b)
+        pads += _pad(DEFAULT_GROUP.mul(big_a, b), int(choices[i]), i)
     _send_elements(channel, elems)
     pairs = channel.recv_blocks(2 * n).reshape(n, 2, 2)
     chosen = pairs[np.arange(n), choices]

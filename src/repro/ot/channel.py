@@ -421,7 +421,10 @@ class SocketChannel(Channel):
                     f"peer announced a {length}-byte frame; the bound is {MAX_FRAME_BYTES}"
                 )
             self._fill(8 + length, deadline)
-            data = bytes(self._rx[8 : 8 + length])
+            # One copy out of the buffer; the view must be released
+            # before the bytearray may resize.
+            with memoryview(self._rx) as view:
+                data = bytes(view[8 : 8 + length])
             del self._rx[: 8 + length]
         self.stats.record_recv(len(data))
         return data

@@ -56,6 +56,16 @@ pad, payload and share a uint64, one ``hash_tweaked`` call per
 hashing ``z XOR d*Delta`` and ``z XOR (1-d)*Delta`` separately, and
 each cross term reduced by ``np.add.at`` over its COT rows.  The
 shipped path must reproduce their shares and frames bit for bit.
+
+``P256Reference`` is affine arithmetic on the P-256 curve in pure
+Python (the point at infinity is ``None``): addition and doubling by
+the chord-and-tangent formulas, double-and-add multiplication, SEC1
+compression and decompression.  Its constants (p, a, b, n and the
+generator) are read back from libcrypto through
+``repro.crypto.group.DEFAULT_GROUP``, and the generator is checked to
+lie on the curve and to have order n, so no external test vector is
+needed.  ``repro.crypto.group``'s multiplications, additions, encoder
+and decoder must agree with it.
 """
 
 from __future__ import annotations
@@ -735,3 +745,75 @@ def generate_matrix_triples_reference(
         )
     cross_wgt = reduce_term(chunks, n, m, lambda r: (r // bits) % n).T
     return MatrixTriples(a, b, (a @ b + cross_act + cross_wgt) & mask, bits)
+
+
+# -- P-256: affine point arithmetic --
+
+
+class P256Reference:
+    """Affine P-256 in pure Python; points are ``(x, y)`` or ``None``."""
+
+    def __init__(self, group):
+        self.p, self.a, self.b, self.order = group.p, group.a, group.b, group.order
+        if self.p % 4 != 3:
+            raise ParameterError("square roots below assume p = 3 (mod 4)")
+        self.g = self.decompress(group.point_bytes(group.generator))
+        if self.g is None or not self.on_curve(self.g) or self.mul(self.g, self.order):
+            raise ParameterError("libcrypto's generator is not of order n on the curve")
+
+    def on_curve(self, point) -> bool:
+        if point is None:
+            return True
+        x, y = point
+        return (y * y - (x * x * x + self.a * x + self.b)) % self.p == 0
+
+    def neg(self, point):
+        return None if point is None else (point[0], -point[1] % self.p)
+
+    def add(self, u, v):
+        p = self.p
+        if u is None:
+            return v
+        if v is None:
+            return u
+        (x1, y1), (x2, y2) = u, v
+        if x1 == x2:
+            if (y1 + y2) % p == 0:
+                return None
+            slope = (3 * x1 * x1 + self.a) * pow(2 * y1, -1, p) % p
+        else:
+            slope = (y2 - y1) * pow(x2 - x1, -1, p) % p
+        x3 = (slope * slope - x1 - x2) % p
+        return x3, (slope * (x1 - x3) - y1) % p
+
+    def mul(self, point, k: int):
+        acc = None
+        for bit in bin(k)[2:] if k > 0 else "":
+            acc = self.add(acc, acc)
+            if bit == "1":
+                acc = self.add(acc, point)
+        return acc
+
+    def compress(self, point) -> bytes:
+        if point is None:
+            return b"\x00"
+        x, y = point
+        return bytes([2 + (y & 1)]) + x.to_bytes(32, "big")
+
+    def sqrt(self, value: int):
+        """A square root of ``value`` mod p, or None when there is none."""
+        root = pow(value, (self.p + 1) // 4, self.p)
+        return root if root * root % self.p == value % self.p else None
+
+    def decompress(self, data: bytes):
+        """The point a 33-byte compressed encoding names, or None when it
+        names none (bad length or prefix, x >= p, no square root)."""
+        if len(data) != 33 or data[0] not in (2, 3):
+            return None
+        x = int.from_bytes(data[1:], "big")
+        if x >= self.p:
+            return None
+        y = self.sqrt(x * x * x + self.a * x + self.b)
+        if y is None:
+            return None
+        return x, y if y & 1 == data[0] - 2 else self.p - y

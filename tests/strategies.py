@@ -16,9 +16,32 @@ from hypothesis import strategies as st
 from parties import frame
 
 from repro.crypto import blocks
-from repro.crypto.group import OAKLEY_768_P
+from repro.crypto.group import DEFAULT_GROUP
 from repro.lpn.matrix import LpnMatrix
 from repro.ppml.layers import Activation, Graph, Linear, Rescale
+
+
+def invalid_points() -> dict:
+    """Encodings that name no point of the P-256 group, by name: the
+    SEC1 point at infinity (one 0x00 byte, and zero-padded to the 33 of
+    a compressed point), a valid point under prefix 0x00, 0x04 or 0x05,
+    x = p and x = 2^256 - 1 (x >= p), and the smallest x with no square
+    root of x^3 + ax + b, found here rather than written down."""
+    g = DEFAULT_GROUP
+    x_bytes = g.encode([g.generator])[1:]
+    no_root = next(
+        x for x in range(g.p) if pow(x**3 + g.a * x + g.b, (g.p - 1) // 2, g.p) == g.p - 1
+    )
+    return {
+        "infinity": b"\x00",
+        "infinity-padded": bytes(33),
+        "prefix-00": b"\x00" + x_bytes,
+        "prefix-04": b"\x04" + x_bytes,
+        "prefix-05": b"\x05" + x_bytes,
+        "x-is-p": b"\x02" + g.p.to_bytes(32, "big"),
+        "x-max": b"\x03" + (2**256 - 1).to_bytes(32, "big"),
+        "no-square-root": b"\x02" + no_root.to_bytes(32, "big"),
+    }
 
 
 class GraphStrategies:
@@ -184,31 +207,30 @@ class WireStrategies:
         """``(role, frames)``: what one role of ``n`` PKC base OTs
         receives, in order, with exactly one frame truncated, extended or
         carrying a wrong value.  The ``"sender"`` (``base_ot_send``)
-        receives the element blob (``n`` 96-byte big-endian elements);
-        the ``"receiver"`` (``base_ot_receive``) the ``n`` header (one
-        64-bit lane), the element ``A`` and the payload of ``2n`` blocks.
-        Wrong values: a header naming another ``n`` (one bit flipped, or
-        2^63) or one element of 0, 1 or p - 1 (degenerate)."""
-        width = 96
+        receives the element blob (``n`` 33-byte compressed points, all
+        the generator here); the ``"receiver"`` (``base_ot_receive``)
+        the ``n`` header (one 64-bit lane), the point ``A`` and the
+        payload of ``2n`` blocks.  Wrong values: a header naming another
+        ``n`` (one bit flipped, or 2^63) or one element replaced by an
+        :func:`invalid_points` encoding."""
+        width = DEFAULT_GROUP.width
+        point = DEFAULT_GROUP.encode([DEFAULT_GROUP.generator])
+        bad_points = list(invalid_points().values())
 
-        def element(x: int) -> bytes:
-            return x.to_bytes(width, "big")
+        def with_element(blob: bytes, i: int, data: bytes) -> bytes:
+            return blob[: i * width] + data + blob[(i + 1) * width :]
 
-        def with_element(blob: bytes, i: int, x: int) -> bytes:
-            return blob[: i * width] + element(x) + blob[(i + 1) * width :]
-
-        degenerate = (0, 1, OAKLEY_768_P - 1)
-        blob = element(2) * n
+        blob = point * n
         honest = {
             "sender": [blob],
-            "receiver": [n.to_bytes(8, "little"), element(2), bytes(32 * n)],
+            "receiver": [n.to_bytes(8, "little"), point, bytes(32 * n)],
         }
         wrong_values = {
-            "sender": [[with_element(blob, i, x) for i in range(n) for x in degenerate]],
+            "sender": [[with_element(blob, i, x) for i in range(n) for x in bad_points]],
             "receiver": [
                 [(n ^ (1 << i)).to_bytes(8, "little") for i in range(64)]
                 + [(1 << 63).to_bytes(8, "little")],
-                [element(x) for x in degenerate],
+                bad_points,
                 [],
             ],
         }

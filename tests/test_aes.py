@@ -106,6 +106,26 @@ class TestBatchKernel:
         got = AES128(FIPS_KEY).encrypt_blocks(data)
         assert np.array_equal(got, aes_encrypt_blocks_reference(FIPS_KEY, data))
 
+    @pytest.mark.parametrize("n", [1, 42, 4096])
+    def test_out_receives_the_ciphertext(self, rng, n):
+        """Into a caller's buffer, or in place over the input."""
+        data = blocks.random_blocks(n, rng)
+        want = aes_encrypt_blocks_reference(FIPS_KEY, data)
+        out = np.empty_like(data)
+        assert AES128(FIPS_KEY).encrypt_blocks(data, out=out) is out
+        assert np.array_equal(out, want)
+        assert AES128(FIPS_KEY).encrypt_blocks(data, out=data) is data
+        assert np.array_equal(data, want)
+
+    @pytest.mark.parametrize(
+        "out",
+        [blocks.zeros(3), blocks.zeros(8)[::2], np.zeros((4, 2), dtype=np.uint32)],
+        ids=["short", "strided", "uint32"],
+    )
+    def test_out_must_be_a_contiguous_block_array_of_the_batch(self, rng, out):
+        with pytest.raises(ParameterError, match="out must be a C-contiguous"):
+            AES128(FIPS_KEY).encrypt_blocks(blocks.random_blocks(4, rng), out=out)
+
     def test_rejects_what_is_not_a_block_array(self):
         with pytest.raises(ParameterError):
             AES128(FIPS_KEY).encrypt_blocks(np.zeros(4, dtype=np.uint64))

@@ -1,16 +1,20 @@
-"""Schnorr group + PKC base OT tests (the OTE Init phase)."""
+"""P-256 group + PKC base OT tests (the OTE Init phase)."""
 
 import hashlib
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import P256Reference
 from parties import ScriptedChannel
-from strategies import WireStrategies
+from strategies import WireStrategies, invalid_points
 
 from repro.crypto import blocks
-from repro.crypto.group import DEFAULT_GROUP, OAKLEY_768_P, FixedBaseExp
-from repro.errors import ProtocolError
+from repro.crypto.group import DEFAULT_GROUP
+from repro.errors import ParameterError, ProtocolError
 from repro.ot.base_ot import (
     KAPPA,
     base_cot_receive,
@@ -21,77 +25,201 @@ from repro.ot.base_ot import (
 from repro.ot.channel import Channel, PartyError, run_pair
 from repro.ot.cot import CotReceiverBatch, CotSenderBatch, verify_cot
 
+ORACLE = P256Reference(DEFAULT_GROUP)
+WIDTH = DEFAULT_GROUP.width
+#: The generator's wire encoding: a valid element for hand-written frames.
+G_BYTES = DEFAULT_GROUP.encode([DEFAULT_GROUP.generator])
+scalars = st.integers(0, DEFAULT_GROUP.order)
+#: What decoding each ``invalid_points`` case as element 1 of 2 says.
+DECODE_ERRORS = {
+    "infinity": "2 group elements must be 66 bytes, got 34",
+    "infinity-padded": "element 1 of 2 has prefix 0x00",
+    "prefix-00": "element 1 of 2 has prefix 0x00",
+    "prefix-04": "element 1 of 2 has prefix 0x04",
+    "prefix-05": "element 1 of 2 has prefix 0x05",
+    "x-is-p": "element 1 of 2 has x >= p",
+    "x-max": "element 1 of 2 has x >= p",
+    "no-square-root": "element 1 of 2 is not on the curve",
+}
+
+
+def is_probable_prime(n: int) -> bool:
+    """Miller-Rabin over the first twelve prime bases."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n in bases:
+        return True
+    if n < 2 or any(n % b == 0 for b in bases):
+        return False
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for b in bases:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
 
 class TestGroup:
-    def test_oakley_modulus_is_odd_and_large(self):
-        assert OAKLEY_768_P % 2 == 1
-        assert OAKLEY_768_P.bit_length() == 768
+    def test_curve_constants_read_from_libcrypto(self):
+        """p is the P-256 prime, a = -3, and p and n are 256-bit primes
+        (n, the group order, is below p: cofactor 1)."""
+        g = DEFAULT_GROUP
+        assert g.p == 2**256 - 2**224 + 2**192 + 2**96 - 1
+        assert g.a == g.p - 3
+        assert g.order.bit_length() == 256 and g.order < g.p
+        assert is_probable_prime(g.p) and is_probable_prime(g.order)
 
-    def test_generator_is_quadratic_residue(self):
-        g = DEFAULT_GROUP.g
-        # g = 4 is a QR; its order divides q.
-        assert pow(g, DEFAULT_GROUP.q, DEFAULT_GROUP.p) == 1
+    def test_generator_has_order_n(self):
+        assert ORACLE.on_curve(ORACLE.g)
+        assert ORACLE.mul(ORACLE.g, DEFAULT_GROUP.order) is None
+        assert DEFAULT_GROUP.is_infinity(DEFAULT_GROUP.base_mul(DEFAULT_GROUP.order))
+        assert not DEFAULT_GROUP.is_infinity(DEFAULT_GROUP.generator)
 
     def test_exp_inverse(self):
-        a = DEFAULT_GROUP.random_scalar()
-        ga = DEFAULT_GROUP.gexp(a)
-        assert DEFAULT_GROUP.mul(ga, DEFAULT_GROUP.inv(ga)) == 1
+        """P + (-P) is the point at infinity."""
+        point = DEFAULT_GROUP.base_mul(DEFAULT_GROUP.random_scalar())
+        assert DEFAULT_GROUP.is_infinity(DEFAULT_GROUP.add(point, DEFAULT_GROUP.neg(point)))
 
     def test_dh_agreement(self):
         a, b = DEFAULT_GROUP.random_scalar(), DEFAULT_GROUP.random_scalar()
-        left = DEFAULT_GROUP.exp(DEFAULT_GROUP.gexp(a), b)
-        right = DEFAULT_GROUP.exp(DEFAULT_GROUP.gexp(b), a)
-        assert left == right
+        left = DEFAULT_GROUP.mul(DEFAULT_GROUP.base_mul(a), b)
+        right = DEFAULT_GROUP.mul(DEFAULT_GROUP.base_mul(b), a)
+        assert DEFAULT_GROUP.point_bytes(left) == DEFAULT_GROUP.point_bytes(right)
 
     def test_element_bytes_fixed_width(self):
-        assert len(DEFAULT_GROUP.element_bytes(1)) == 96  # 768 bits
+        assert len(G_BYTES) == WIDTH == 33
+        infinity = DEFAULT_GROUP.base_mul(0)
+        assert DEFAULT_GROUP.point_bytes(infinity) == b"\x00"
+        with pytest.raises(ParameterError, match="point at infinity has no wire encoding"):
+            DEFAULT_GROUP.encode([infinity])
 
     def test_encode_decode_round_trip(self):
-        elements = [2, DEFAULT_GROUP.gexp(7), DEFAULT_GROUP.p - 2]
-        data = DEFAULT_GROUP.encode(elements)
-        assert data == b"".join(map(DEFAULT_GROUP.element_bytes, elements))
-        assert DEFAULT_GROUP.decode(data, 3) == elements
+        points = [DEFAULT_GROUP.base_mul(k) for k in (1, 7, DEFAULT_GROUP.order - 1)]
+        data = DEFAULT_GROUP.encode(points)
+        assert data == b"".join(map(DEFAULT_GROUP.point_bytes, points))
+        assert DEFAULT_GROUP.encode(DEFAULT_GROUP.decode(data, 3)) == data
 
-    @pytest.mark.parametrize("length", [0, 95, 97, 192])
+    @pytest.mark.parametrize("length", [0, 32, 34, 66, 95, 97, 192])
     def test_decode_refuses_a_wrong_length(self, length):
-        with pytest.raises(ProtocolError, match=f"1 group elements must be 96 bytes, got {length}"):
+        with pytest.raises(ProtocolError, match=f"1 group elements must be 33 bytes, got {length}"):
             DEFAULT_GROUP.decode(bytes(length), 1)
 
+    @pytest.mark.parametrize("case", sorted(DECODE_ERRORS))
+    def test_decode_refuses_an_invalid_point(self, case):
+        """Each invalid encoding, as element 1 of 2, by its own check."""
+        data = invalid_points()[case]
+        assert ORACLE.decompress(data) is None
+        with pytest.raises(ProtocolError, match=DECODE_ERRORS[case]):
+            DEFAULT_GROUP.decode(G_BYTES + data, 2)
+
+    def test_every_invalid_point_has_its_decode_error(self):
+        assert sorted(DECODE_ERRORS) == sorted(invalid_points())
+
     def test_hash_to_key_tweak_separation(self):
-        e = DEFAULT_GROUP.gexp(12345)
+        e = DEFAULT_GROUP.base_mul(12345)
         assert DEFAULT_GROUP.hash_to_key(e, b"|0") != DEFAULT_GROUP.hash_to_key(e, b"|1")
+        assert DEFAULT_GROUP.hash_to_key(e, b"|0") == hashlib.sha256(
+            ORACLE.compress(ORACLE.mul(ORACLE.g, 12345)) + b"|0"
+        ).digest()[:16]
 
 
-class TestFixedBaseExp:
-    """The windowed fixed-base table must be a drop-in for pow()."""
+class TestThreads:
+    """Both parties' threads share DEFAULT_GROUP; each thread has its own
+    BN_CTX and scalar BIGNUM, and ctypes drops the GIL in every call."""
 
-    def test_gexp_matches_pow_random_scalars(self):
-        rng = np.random.default_rng(0xF1)
-        for _ in range(16):
-            x = int(rng.integers(1, 1 << 62)) * int(rng.integers(1, 1 << 62))
-            x %= DEFAULT_GROUP.q
-            assert DEFAULT_GROUP.gexp(x) == pow(DEFAULT_GROUP.g, x, DEFAULT_GROUP.p)
+    def test_shared_group_under_a_tiny_switch_interval(self):
+        g = DEFAULT_GROUP
+        jobs = []
+        for _ in range(8):
+            a, b = g.random_scalar(), g.random_scalar()
+            big_a = g.base_mul(a)
+            want = g.encode([g.mul(big_a, b), g.add(big_a, g.base_mul(b))])
+            jobs.append((a, b, want))
+        bad = [0] * len(jobs)
+        barrier = threading.Barrier(len(jobs))
 
-    def test_gexp_matches_pow_full_width_scalars(self):
-        for _ in range(4):
-            x = DEFAULT_GROUP.random_scalar()
-            assert DEFAULT_GROUP.gexp(x) == pow(DEFAULT_GROUP.g, x, DEFAULT_GROUP.p)
+        def hammer(idx, a, b, want):
+            barrier.wait()
+            for _ in range(40):
+                big_a = g.decode(g.encode([g.base_mul(a)]), 1)[0]
+                got = g.encode([g.mul(big_a, b), g.add(big_a, g.base_mul(b))])
+                bad[idx] += got != want
 
-    def test_gexp_edge_scalars(self):
-        g, p, q = DEFAULT_GROUP.g, DEFAULT_GROUP.p, DEFAULT_GROUP.q
-        for x in (0, 1, 2, q - 1, q):
-            assert DEFAULT_GROUP.gexp(x) == pow(g, x, p)
+        threads = [threading.Thread(target=hammer, args=(i, *job)) for i, job in enumerate(jobs)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert bad == [0] * len(jobs)
 
-    def test_out_of_range_scalars_fall_back_to_pow(self):
-        g, p, q = DEFAULT_GROUP.g, DEFAULT_GROUP.p, DEFAULT_GROUP.q
-        beyond = (1 << q.bit_length() + 64) + 12345  # past the table
-        assert DEFAULT_GROUP.gexp(beyond) == pow(g, beyond, p)
-        assert DEFAULT_GROUP.gexp(-3) == pow(g, -3, p)
 
-    def test_standalone_table_small_window(self):
-        table = FixedBaseExp(7, 1009, exp_bits=20, window=3)
-        for x in (0, 1, 5, 255, (1 << 20) - 1):
-            assert table.exp(x) == pow(7, x, 1009)
+class TestAgainstOracle:
+    """The libcrypto binding against pure-Python affine arithmetic."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(k=scalars)
+    def test_base_mul_matches_oracle(self, k):
+        got = DEFAULT_GROUP.point_bytes(DEFAULT_GROUP.base_mul(k))
+        assert got == ORACLE.compress(ORACLE.mul(ORACLE.g, k))
+
+    @settings(max_examples=15, deadline=None)
+    @given(j=scalars, k=scalars)
+    def test_mul_matches_oracle(self, j, k):
+        point = DEFAULT_GROUP.base_mul(j)
+        got = DEFAULT_GROUP.point_bytes(DEFAULT_GROUP.mul(point, k))
+        assert got == ORACLE.compress(ORACLE.mul(ORACLE.mul(ORACLE.g, j), k))
+
+    @settings(max_examples=25, deadline=None)
+    @given(j=scalars, k=st.one_of(scalars, st.just(None)))
+    def test_add_and_neg_match_oracle(self, j, k):
+        """P + Q and -P, including P + P (doubling) and P + (-P)."""
+        u = ORACLE.mul(ORACLE.g, j)
+        v = u if k is None else ORACLE.mul(ORACLE.g, k)
+        g = DEFAULT_GROUP
+        p = g.base_mul(j)
+        q = p if k is None else g.base_mul(k)
+        assert g.point_bytes(g.add(p, q)) == ORACLE.compress(ORACLE.add(u, v))
+        assert g.point_bytes(g.neg(p)) == ORACLE.compress(ORACLE.neg(u))
+        assert g.is_infinity(g.add(p, g.neg(p))) and ORACLE.add(u, ORACLE.neg(u)) is None
+
+    @settings(max_examples=25, deadline=None)
+    @given(a=scalars.filter(bool), b=scalars.filter(bool))
+    def test_dh_commutes(self, a, b):
+        ga, gb = DEFAULT_GROUP.base_mul(a), DEFAULT_GROUP.base_mul(b)
+        left = DEFAULT_GROUP.point_bytes(DEFAULT_GROUP.mul(gb, a))
+        assert left == DEFAULT_GROUP.point_bytes(DEFAULT_GROUP.mul(ga, b))
+
+    @settings(max_examples=25, deadline=None)
+    @given(ks=st.lists(st.integers(1, DEFAULT_GROUP.order - 1), min_size=1, max_size=4))
+    def test_encode_decode_round_trip(self, ks):
+        data = DEFAULT_GROUP.encode([DEFAULT_GROUP.base_mul(k) for k in ks])
+        assert data == b"".join(ORACLE.compress(ORACLE.mul(ORACLE.g, k)) for k in ks)
+        assert DEFAULT_GROUP.encode(DEFAULT_GROUP.decode(data, len(ks))) == data
+
+    @settings(max_examples=60, deadline=None)
+    @given(prefix=st.sampled_from([2, 3]), x=st.integers(0, 2**256 - 1))
+    def test_decode_accepts_exactly_the_oracles_points(self, prefix, x):
+        """About half of all x are on the curve; x >= p never is."""
+        data = bytes([prefix]) + x.to_bytes(32, "big")
+        point = ORACLE.decompress(data)
+        if point is None:
+            with pytest.raises(ProtocolError, match="group element 0 of 1"):
+                DEFAULT_GROUP.decode(data, 1)
+        else:
+            assert DEFAULT_GROUP.encode(DEFAULT_GROUP.decode(data, 1)) == data
 
 
 class TestBaseOt:
@@ -148,51 +276,51 @@ class TestBaseOt:
         assert 0 < r.x.mean() < 1
 
 
-def _oracle_pad(group, dh_value, choice, index, message):
-    """message XOR SHA-256(element || "|choice|index")[:16], bytewise."""
+def _oracle_pad(point, choice, index, message):
+    """message XOR SHA-256(SEC1(point) || "|choice|index")[:16], bytewise."""
     digest = hashlib.sha256(
-        group.element_bytes(dh_value) + b"|%d|%d" % (choice, index)
+        DEFAULT_GROUP.point_bytes(point) + b"|%d|%d" % (choice, index)
     ).digest()
     return bytes(m ^ d for m, d in zip(blocks.to_bytes(message), digest))
 
 
-def sequential_ot_send(channel, messages0, messages1, group=DEFAULT_GROUP):
-    """The per-OT reference schedule (one element message per OT, plain
-    ``pow``, one pad at a time) the shipped batched code is checked
-    against.  It lives here, not in ``src/``: one path ships."""
+def sequential_ot_send(channel, messages0, messages1):
+    """The per-OT reference schedule (one element message per OT, one
+    pad at a time) the shipped batched code is checked against.  It
+    lives here, not in ``src/``: one path ships."""
+    g = DEFAULT_GROUP
     n = messages0.shape[0]
-    a = group.random_scalar()
-    big_a = pow(group.g, a, group.p)
+    a = g.random_scalar()
+    big_a = g.base_mul(a)
     channel.send_lanes([n], 64)
-    channel.send_bytes(group.element_bytes(big_a))
+    channel.send_bytes(g.point_bytes(big_a))
     payload = b""
     for i in range(n):
-        b_elem = int.from_bytes(channel.recv_bytes(), "big")
-        dh0 = pow(b_elem, a, group.p)
-        dh1 = dh0 * pow(big_a, -a, group.p) % group.p
-        payload += _oracle_pad(group, dh0, 0, i, messages0[i : i + 1])
-        payload += _oracle_pad(group, dh1, 1, i, messages1[i : i + 1])
+        (big_b,) = g.decode(channel.recv_bytes(), 1)
+        dh0 = g.mul(big_b, a)
+        dh1 = g.add(dh0, g.neg(g.mul(big_a, a)))
+        payload += _oracle_pad(dh0, 0, i, messages0[i : i + 1])
+        payload += _oracle_pad(dh1, 1, i, messages1[i : i + 1])
     channel.send_bytes(payload)
 
 
-def sequential_ot_receive(channel, choices, group=DEFAULT_GROUP):
+def sequential_ot_receive(channel, choices):
+    g = DEFAULT_GROUP
     n = int(channel.recv_lanes(1, 64)[0])
     assert n == len(choices)
     choices = [int(c) for c in choices]
-    big_a = int.from_bytes(channel.recv_bytes(), "big")
+    (big_a,) = g.decode(channel.recv_bytes(), 1)
     scalars = []
     for c in choices:
-        b = group.random_scalar()
-        b_elem = pow(group.g, b, group.p) * (big_a if c else 1) % group.p
-        channel.send_bytes(group.element_bytes(b_elem))
+        b = g.random_scalar()
+        big_b = g.add(g.base_mul(b), big_a) if c else g.base_mul(b)
+        channel.send_bytes(g.point_bytes(big_b))
         scalars.append(b)
     payload = channel.recv_bytes()
     out = b""
     for i, (b, c) in enumerate(zip(scalars, choices)):
         cipher = payload[32 * i + 16 * c : 32 * i + 16 * c + 16]
-        out += _oracle_pad(
-            group, pow(big_a, b, group.p), c, i, blocks.from_bytes(cipher)
-        )
+        out += _oracle_pad(g.mul(big_a, b), c, i, blocks.from_bytes(cipher))
     return blocks.from_bytes(out)
 
 
@@ -284,7 +412,7 @@ class TestBatchedSchedule:
         assert_protocol_error(
             lambda ch: base_ot_send(ch, m0, m1),
             lambda ch: sequential_ot_receive(ch, choices),
-            match="frame of 384 8-bit lanes must be 384 bytes, got 96",
+            match="frame of 132 8-bit lanes must be 132 bytes, got 33",
         )
 
 
@@ -328,38 +456,34 @@ class TestMalformedMessages:
             match="receiver extends to 199 COTs but sender wants 200",
         )
 
-    @pytest.mark.parametrize("element", [0, 1, DEFAULT_GROUP.p - 1])
-    def test_degenerate_sender_element_rejected(self, rng, element):
+    @pytest.mark.parametrize("case", sorted(invalid_points()))
+    def test_invalid_sender_point_rejected(self, rng, case):
+        element = invalid_points()[case]
         choices = rng.integers(0, 2, 4).astype(np.uint8)
-        width = len(DEFAULT_GROUP.element_bytes(1))
         assert_protocol_error(
             lambda ch: base_ot_send(
-                TamperedChannel(
-                    ch, width, lambda _: DEFAULT_GROUP.element_bytes(element)
-                ),
+                TamperedChannel(ch, WIDTH, lambda _: element),
                 blocks.zeros(4),
                 blocks.zeros(4),
             ),
             lambda ch: base_ot_receive(ch, choices),
-            match="group element 0 of 1 is degenerate",
+            match="group element 0 of 1|frame of 33 8-bit lanes",
         )
 
-    @pytest.mark.parametrize("element", [0, 1, DEFAULT_GROUP.p - 1])
-    def test_degenerate_receiver_element_rejected(self, rng, element):
+    @pytest.mark.parametrize("case", sorted(invalid_points()))
+    def test_invalid_receiver_point_rejected(self, rng, case):
+        element = invalid_points()[case]
         n = 4
         choices = rng.integers(0, 2, n).astype(np.uint8)
-        width = len(DEFAULT_GROUP.element_bytes(1))
         assert_protocol_error(
             lambda ch: base_ot_send(ch, blocks.zeros(n), blocks.zeros(n)),
             lambda ch: base_ot_receive(
                 TamperedChannel(
-                    ch,
-                    n * width,
-                    lambda d: d[:width] + DEFAULT_GROUP.element_bytes(element) + d[2 * width :],
+                    ch, n * WIDTH, lambda d: d[:WIDTH] + element + d[2 * WIDTH :]
                 ),
                 choices,
             ),
-            match="group element 1 of 4 is degenerate",
+            match="group element 1 of 4|frame of 132 8-bit lanes",
         )
 
 
@@ -379,10 +503,14 @@ class TestHostilePkc:
             base_ot_receive(channel, np.array([0, 1, 1], dtype=np.uint8))
         return channel
 
+    def honest(self, role):
+        if role == "sender":
+            return [G_BYTES * self.N]
+        return [self.N.to_bytes(8, "little"), G_BYTES, bytes(32 * self.N)]
+
     def test_honest_scripts_are_accepted(self):
-        element = (2).to_bytes(96, "big")
-        self.run_role("sender", [element * self.N])
-        self.run_role("receiver", [self.N.to_bytes(8, "little"), element, bytes(32 * self.N)])
+        self.run_role("sender", self.honest("sender"))
+        self.run_role("receiver", self.honest("receiver"))
 
     @settings(max_examples=60, deadline=None)
     @given(case=WireStrategies.pkc_inbound(N))
@@ -394,6 +522,26 @@ class TestHostilePkc:
         """A 1-byte ``A`` frame used to parse as ``A = 5``: the receiver
         sent its element blob and the pair failed only at a timeout."""
         channel = ScriptedChannel([self.N.to_bytes(8, "little"), b"\x05"])
-        with pytest.raises(ProtocolError, match="frame of 96 8-bit lanes must be 96 bytes, got 1"):
+        with pytest.raises(ProtocolError, match="frame of 33 8-bit lanes must be 33 bytes, got 1"):
             base_ot_receive(channel, np.zeros(self.N, dtype=np.uint8))
         assert channel.stats.messages_sent == 0
+
+    @pytest.mark.parametrize("case", sorted(invalid_points()))
+    def test_each_invalid_point_is_refused_before_the_next_send(self, case):
+        """Every invalid encoding, in every element slot of either role,
+        is a ProtocolError before the role sends again: the receiver
+        has sent nothing when ``A`` is bad, the sender only its ``n``
+        header and ``A`` when an element of the blob is."""
+        bad = invalid_points()[case]
+        for role, at, slots in (("sender", 0, self.N), ("receiver", 1, 1)):
+            for i in range(slots):
+                frames = self.honest(role)
+                good = frames[at]
+                frames[at] = good[: i * WIDTH] + bad + good[(i + 1) * WIDTH :]
+                channel = ScriptedChannel(frames)
+                with pytest.raises(ProtocolError):
+                    if role == "sender":
+                        base_ot_send(channel, blocks.zeros(self.N), blocks.zeros(self.N))
+                    else:
+                        base_ot_receive(channel, np.array([0, 1, 1], dtype=np.uint8))
+                assert channel.stats.messages_sent == (2 if role == "sender" else 0)

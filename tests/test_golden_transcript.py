@@ -43,16 +43,16 @@ SHAPE = (2, 3, 2)
 DRAWS = matmul_draws(*SHAPE) + relu_draws(ELEMENTS, FX.bits) + trunc_draws(ELEMENTS, FX)
 
 #: The protocol the digests below were recorded under.
-GOLDEN_PROTOCOL = "4:1d8660db04f68556"
+GOLDEN_PROTOCOL = "5:bcda13e6df61b8f9"
 #: SHA-256 of the frames (tag header included) party p sent on each tag.
 GOLDEN = {
     "p0 pipe/draws": "b9602265615793f9779ac9ad9183a44c6f9435aec821ff357e9c6b789d401090",
-    "p0 prov/ctl": "62b2ae88ad240e3fa1494ec4fbd250ca605e693dd4dcd32f5b6c49811ced2be7",
+    "p0 prov/ctl": "b4bb2aa5958628caa65d7458e58958f0816f0a680a00f559f2dc6e44846e1d4e",
     "p0 prov/fwd": "214e1aaaf02ae7869950e098340f25663459166ca4d819f668033cb7802794c4",
     "p0 prov/mtri": "30c01a8db1235658ec40fbaa7a703b0caa3da36a85e997cad118ba6601908ebc",
     "p0 prov/rev": "f46ee55481e424a7ad34778421a967fb66abbccf094896f2464262dd0984c3e9",
     "p0 sess/golden": "28166e035d5837d59cbb275f98e61bbba8d6355fe272caad401cc2440d0af249",
-    "p1 prov/ctl": "45cbd7e10f26f31ad570ca227b5d9564275bc52244a0f745f06e20318c39c616",
+    "p1 prov/ctl": "6fcb7009dbb8e0528f91a06c9789e132f753e38700662749f5e4f87e2e3e1116",
     "p1 prov/fwd": "98a2988e13b315037145f5917a7e43408178c2aad32ca0b7ab969b41ac23bb87",
     "p1 prov/mtri": "834a1eca7f3d219f8267af3cca564300cd2007c1700d4bc774e163f86e235d2a",
     "p1 prov/rev": "ac1043fc65ef91c3c5a445f9eca0d1a4bf084db04b8b24a02d55942f28872bd4",

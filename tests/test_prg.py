@@ -8,13 +8,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import chacha_tree_expand_reference
+from oracles import aes_encrypt_blocks_reference, chacha_tree_expand_reference
 
 from repro.crypto import blocks, chacha
 from repro.crypto.prg import (
     AesTreePrg,
     CHACHA_BLOCKS_PER_CALL,
     ChaChaTreePrg,
+    _derive_aes_keys,
     expansion_calls,
     make_tree_prg,
     pruned_expansion_calls,
@@ -169,6 +170,44 @@ class TestFactory:
 
     def test_chacha_blocks_per_call_constant(self):
         assert CHACHA_BLOCKS_PER_CALL == 4  # 512-bit output
+
+
+class TestAesTreeKernel:
+    """``AesTreePrg.expand`` encrypts every parent once per cipher into
+    its state buffer and XORs into the caller's children; children must
+    equal ``AES_{k_j}(s) XOR s`` from the numpy reference AES."""
+
+    @given(
+        arity=st.sampled_from((2, 4)),
+        n=st.integers(1, 40),
+        pruned=st.booleans(),
+        buffers=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_property_expand_matches_reference(self, arity, n, pruned, buffers, seed):
+        gen = np.random.default_rng(seed)
+        prg = AesTreePrg(arity=arity, master_key=b"test-aes-tree")
+        if pruned:
+            level_nodes = blocks.random_blocks(2 * (n + 3), gen)
+            nodes = level_nodes.reshape(2, n + 3, 2)[:, :n].reshape(-1, 2)
+            parents = level_nodes.reshape(2, n + 3, 2)[:, :n]
+        else:
+            nodes = parents = blocks.random_blocks(n, gen)
+        rows = nodes.shape[0] * arity
+        out = np.empty((rows, 2), dtype=blocks.BLOCK_DTYPE) if buffers else None
+        state = prg.state_buffer(nodes.shape[0] + 5) if buffers else None
+        for _ in range(2):  # the state buffer is reused
+            got = prg.expand(parents, 1, out=out, state=state)
+            assert out is None or got is out
+            for j, key in enumerate(_derive_aes_keys(b"test-aes-tree", arity)):
+                want = aes_encrypt_blocks_reference(key, nodes) ^ nodes
+                assert np.array_equal(got[j::arity], want)
+
+    def test_a_short_state_buffer_is_refused(self, rng):
+        prg = AesTreePrg(arity=2)
+        with pytest.raises(ParameterError, match="state must be a block array"):
+            prg.expand(blocks.random_blocks(4, rng), 0, state=prg.state_buffer(3))
 
 
 class TestWordMajorKernel:

@@ -7,6 +7,7 @@ between two processes, with at least one test using a real socketpair.
 import subprocess
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from repro.ferret.config import FerretConfig
 from repro.ferret.protocol import FerretReceiver, FerretSender
 from repro.mpc.sharing import from_signed, reconstruct_arith, share_arith, to_signed
 from repro.ot.base_ot import base_cot_receive, base_cot_send
-from repro.ot.channel import MAX_FRAME_BYTES, SocketChannel
+from repro.ot.channel import _RECV_CHUNK, MAX_FRAME_BYTES, SocketChannel
 from repro.ot.cot import CotReceiverBatch, CotSenderBatch, verify_cot
 
 
@@ -80,6 +81,35 @@ class TestFraming:
             a.send_bytes(bytes([i]) * (i + 1))
         for i in range(10):
             assert b.recv_bytes() == bytes([i]) * (i + 1)
+        a.close(), b.close()
+
+    def test_frames_of_every_size_class_arrive_whole(self, rng):
+        """0 B, 1 B, 250 KB and past one receive chunk, sent back to back
+        (the buffer holds parts of several frames at once), then one
+        frame written to the socket in two pieces."""
+        import struct
+
+        sizes = [0, 1, 250_000, _RECV_CHUNK + 12_345, 3]
+        payloads = [rng.integers(0, 256, size, dtype=np.uint8).tobytes() for size in sizes]
+        split = rng.integers(0, 256, 250_000, dtype=np.uint8).tobytes()
+        a, b = SocketChannel.pair(timeout=30.0)
+        raw = b"".join(struct.pack("<Q", len(p)) + p for p in payloads)
+        raw += struct.pack("<Q", len(split)) + split
+
+        def send():  # one raw byte stream; the last frame in two writes
+            cut = len(raw) - len(split) // 2
+            a._sock.sendall(raw[:cut])
+            time.sleep(0.05)
+            a._sock.sendall(raw[cut:])
+
+        sender = threading.Thread(target=send)
+        sender.start()
+        got = [b.recv_bytes() for _ in range(len(payloads) + 1)]
+        sender.join(30.0)
+        assert got == payloads + [split]
+        assert all(type(frame) is bytes for frame in got)
+        assert b.stats.bytes_received == sum(sizes) + len(split)
+        assert len(b._rx) == 0
         a.close(), b.close()
 
     def test_recv_timeout(self):
@@ -300,7 +330,7 @@ _CHILD_CODE = """
 import sys
 import numpy as np
 from repro.ot.base_ot import base_cot_receive
-from repro.ot.channel import MAX_FRAME_BYTES, SocketChannel
+from repro.ot.channel import _RECV_CHUNK, MAX_FRAME_BYTES, SocketChannel
 
 port = int(sys.argv[1])
 n = int(sys.argv[2])
