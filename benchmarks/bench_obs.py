@@ -59,11 +59,7 @@ OVERHEAD_CEILING = 1.05
 
 
 def start_services():
-    # No raw-COT watermark refill: every correlation is prefilled, so
-    # no extend runs beside a timed online and competes for the GIL.
     tuning = ServiceTuning(
-        cot_low=0,
-        cot_high=0,
         ring_bits=RING_BITS,
         triple_chunk=1024,
         take_timeout_s=600.0,

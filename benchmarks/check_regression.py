@@ -44,11 +44,7 @@ cancels runner speed too.  A traced ``infer_single`` run
 call sites from outside, so a refactor that moves them reads as zero.
 The same run carries three exact per-request counts under ceilings
 (``LEDGER_INFER_CEILINGS``): the online phase's wire bytes, the
-provisioning traffic's bytes and the link's mux frames.  One more
-ratio, of two runs in the same job, holds the cold start to one
-public-key run per service pair: ``setup_s`` of ``infer_single`` (both
-directions) may be at most ``COLD_START_RATIO`` x that of
-``ote_stream`` (one Ferret pair, one direction).
+provisioning traffic's bytes and the link's mux frames.
 
 Usage:
     # in CI, after running each bench with --smoke --json-out <dir>/...
@@ -177,17 +173,6 @@ LEDGER_INFER_CEILINGS = {
 }
 
 
-#: ``infer_single``'s service pair runs 128 PKC OTs for its forward
-#: direction and seeds the reverse one from 128 spare forward COTs, so
-#: its ``setup_s`` reads about 1x ``ote_stream``'s (one direction, one
-#: PKC run): 0.89-1.20x over five traced smoke pairs at 0.035-0.067 s.
-#: A second PKC run would add ~0.03 s, about 1.8x.  At these sizes a
-#: few milliseconds of jitter move the ratio by 0.1-0.2, so the exact
-#: check of one PKC run per pair is ``tests/test_cot_extension.py::
-#: TestPkcCounts::test_service_pair_is_one_kappa_pkc_batch_per_side``.
-COLD_START_RATIO = 1.5
-
-
 def load_ledger(path: Path) -> dict:
     if not path.exists():
         raise SystemExit(
@@ -265,24 +250,6 @@ def check_ledger(path: Path) -> list:
             f"{result['attempted']} operations failed: {result['problems']}"
         )
     return failures
-
-
-def check_cold_start(smoke_dir: Path) -> list:
-    """``setup_s`` of the infer_single smoke run within
-    ``COLD_START_RATIO`` x that of the ote_stream one."""
-    infer = load_ledger(smoke_dir / LEDGER_INFER_SMOKE)["end_to_end"]["setup_s"]
-    ote = load_ledger(smoke_dir / LEDGER_SMOKE)["end_to_end"]["setup_s"]
-    ceiling = COLD_START_RATIO * ote
-    ok = infer <= ceiling
-    print(f"  ledger/setup_s infer   {infer:8.3f}   ceiling  {ceiling:7.3f} "
-          f"({COLD_START_RATIO} x ote_stream)   {'ok' if ok else 'OVER'}")
-    if ok:
-        return []
-    return [
-        f"ledger infer_single: setup_s = {infer:.3f}, over {COLD_START_RATIO} x "
-        f"ote_stream's {ote:.3f} -- does the reverse direction run its own "
-        "public-key base OTs again (CorrelationService.mint_base_cots)?"
-    ]
 
 
 def load_smoke(smoke_dir: Path) -> dict:
@@ -402,7 +369,6 @@ def main(argv=None) -> int:
     failures = check(metrics, baseline, args.factor)
     failures += check_ledger(args.smoke_dir / LEDGER_SMOKE)
     failures += check_ledger_infer(args.smoke_dir / LEDGER_INFER_SMOKE)
-    failures += check_cold_start(args.smoke_dir)
     if failures:
         print("\nFAIL:")
         for line in failures:

@@ -13,7 +13,7 @@ This example runs the whole shape end to end:
 * a :class:`repro.runtime.CorrelationService` per party fills typed
   pools (COTs both directions, bit and matrix triples)
   in a worker thread: out to the absolute produce targets a plan sets,
-  and the raw-COT pools also above their low watermarks;
+  and to what a draw reserves ahead of production -- nothing else;
 * a **preprocessing planner** walks a quantized 3-layer MLP graph --
   matmul -> trunc -> ReLU -> matmul -> trunc -> matmul -- computes its
   exact per-layer correlation demand (matrix triples, comparison COTs,

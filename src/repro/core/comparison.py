@@ -7,8 +7,6 @@ the power-efficiency ratio.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.baselines.cpu import DEFAULT_CPU, CpuModel
 from repro.baselines.gpu import DEFAULT_GPU, GpuModel
 from repro.lpn.params import TABLE4, LpnParams
@@ -19,16 +17,6 @@ from repro.utils.units import KIB
 
 #: Total OT budget used by Figure 12 (2^25 correlations).
 FIG12_TOTAL_OTS = 1 << 25
-
-
-@dataclass(frozen=True)
-class PlatformPoint:
-    """One platform's latency for one parameter set."""
-
-    platform: str
-    params_label: str
-    latency_s: float
-    speedup_vs_cpu: float
 
 
 def figure12_sweep(

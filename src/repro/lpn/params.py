@@ -47,10 +47,6 @@ class LpnParams:
         """Leaf count of each GGM tree for the given expansion arity."""
         return max(next_power(self.block_size, arity), arity)
 
-    @property
-    def noise_rate(self) -> float:
-        return self.t / self.n
-
     def executions_for(self, total_ots: int) -> int:
         """Protocol executions needed to output ``total_ots`` COTs."""
         return -(-total_ots // self.usable_output)

@@ -12,7 +12,6 @@ the published sizes (e.g. ResNet-50 25.6M, BERT-Base 110M).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from repro.errors import ParameterError
@@ -346,7 +345,3 @@ def build(name: str) -> Graph:
     if name not in MODEL_BUILDERS:
         raise ParameterError(f"unknown model {name!r}; have {sorted(MODEL_BUILDERS)}")
     return MODEL_BUILDERS[name]()
-
-
-def math_prod(values) -> int:
-    return math.prod(values)

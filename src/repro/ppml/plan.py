@@ -283,8 +283,8 @@ class PipelinedPrefill:
     layer ready.  A caller running the online phase on another thread
     gates each layer's draws on :meth:`wait_layer`, so it starts after
     ONE layer's preprocessing instead of the whole plan's, and never
-    stalls a pool afterwards.  The pipeline never reads or writes a
-    watermark, and starts no thread.
+    stalls a pool afterwards.  The pipeline asks for production only
+    by stream position, and starts no thread.
 
     Determinism: :meth:`run` is the one place a run's stream positions
     start.  The leader's are what its driver passes, by default its

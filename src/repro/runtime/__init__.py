@@ -5,8 +5,7 @@ producer/consumer system (the deployment shape the paper's Figure 1(b)
 amortization argument assumes):
 
 * :mod:`repro.runtime.pool` -- thread-safe typed correlation pools with
-  produce targets, raw-COT watermark refill, backpressure, and per-pool
-  statistics;
+  produce targets, backpressure, and per-pool statistics;
 * :mod:`repro.runtime.recipes` -- the declarative table of production
   ops (extends, bit and matrix triples): what each
   consumes, how it is commanded, made and pooled, and the one walk that

@@ -21,7 +21,7 @@ serving loop into that daemon:
   chain is arithmetic: request r+1's stream positions start where
   request r's end, ``start + batch x plan totals``, because a request's
   draws and the derived production behind them are plan constants.
-  Nothing about the pools' watermarks changes, at any point.
+  Stream positions are the only way the daemon asks for production.
 * **Batched inference.**  A request may carry B>1 inputs through one
   pipelined plan: every per-layer produce target scales by B, linear
   layers draw B matrix triples, and nonlinears fuse the whole batch

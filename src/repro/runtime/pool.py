@@ -17,15 +17,15 @@ Party 0 reserves and tells party 1 the offsets in-band (one message on
 the session's sub-channel per consumer verb), so draws land on mirrored correlations no
 matter how threads interleave on either host.
 
-Production is asked for in two ways, both fixed at construction or
-stated as stream positions: the watermarks (set once, when the pool is
-made) keep ``level`` between them, and an absolute produce target
-(:meth:`CorrelationPool.raise_produce_target`) asks for production out
-to a position and goes inert once it is passed.  Backpressure is
-demand-driven: ``reserve`` may run ahead of production (level goes
-negative, below any low watermark), which trips the ``refill`` event
-the service worker waits on; ``take`` blocks until the worker catches
-up, with the wait recorded as stall time in :class:`PoolStats`.
+Production is asked for only by stream position: an absolute produce
+target (:meth:`CorrelationPool.raise_produce_target`) asks for
+production out to a position and goes inert once it is passed, and a
+reservation that runs ahead of production (``level`` goes negative)
+asks for the items it claimed.  Either trips the ``refill`` event the
+service worker waits on; ``take`` blocks until the worker catches up,
+with the wait recorded as stall time in :class:`PoolStats`.  Nothing
+else asks: a pool that nobody reserves from or targets produces
+nothing.
 """
 
 from __future__ import annotations
@@ -87,27 +87,14 @@ class CorrelationPool:
 
     Subclasses fix the column layout and hide it behind :meth:`take` /
     :meth:`append`, which speak the kind's typed batch.
-    ``low_watermark`` is the produced-ahead level below which
-    the pool asks the service for a refill; ``high_watermark`` is the
-    level the service tops up to.  Both are fixed for the pool's life.
     """
 
     #: Nothing parks in a pool; benchmarks/ledger/fixture.py's teardown
     #: gate still reads this, and goes with it in the next benchmark PR.
     pending_segments = 0
 
-    def __init__(
-        self,
-        name: str,
-        n_columns: int,
-        low_watermark: int = 0,
-        high_watermark: int = None,
-    ):
+    def __init__(self, name: str, n_columns: int):
         self.name = name
-        self.low_watermark = low_watermark
-        self.high_watermark = high_watermark if high_watermark is not None else max(
-            low_watermark * 2, low_watermark + 1
-        )
         self.stats = PoolStats()
         self.refill = threading.Event()
         self._columns = [None] * n_columns
@@ -156,19 +143,12 @@ class CorrelationPool:
 
     @property
     def deficit(self) -> int:
-        """Items production should add: back to the high watermark, or
-        out to the absolute produce target, whichever asks for more."""
-        return max(
-            0,
-            self.high_watermark - self.level,
-            self._produce_target - self._produced,
-        )
+        """Items production should add: out to the reserved count or the
+        absolute produce target, whichever is further."""
+        return max(0, max(self._reserved, self._produce_target) - self._produced)
 
     def needs_refill(self) -> bool:
-        return (
-            self.level < self.low_watermark
-            or self._produced < self._produce_target
-        )
+        return self._produced < max(self._reserved, self._produce_target)
 
     # -- producer side ------------------------------------------------------
     def _grow(self, i: int, arr: np.ndarray, used: int) -> None:
@@ -238,18 +218,12 @@ class CorrelationPool:
             return dropped
 
     # -- produce targets / waiting -------------------------------------------
-    @property
-    def watermarks(self) -> tuple:
-        """(low, high) refill watermarks, as constructed."""
-        return (self.low_watermark, self.high_watermark)
-
     def raise_produce_target(self, produced: int) -> None:
         """Ask production for an absolute produced-count floor.
 
-        Unlike a watermark (a *level*: produced ahead of reservations,
-        so consumer draws re-trigger refills forever), a produce target
-        is an absolute position in the production stream: once
-        ``self.produced`` reaches it, it is inert.  Prefills and the
+        A produce target is an absolute position in the production
+        stream: once ``self.produced`` reaches it, it is inert, and
+        consumer draws do not re-trigger it.  Prefills and the
         pipelined preprocessing planner use this to schedule exactly the
         demand they price without leaving refill pressure behind.  Never
         lowers an existing target.
@@ -406,8 +380,8 @@ class CorrelationPool:
 class SenderCotPool(CorrelationPool):
     """This party's sender-role COTs (holds the direction's Delta)."""
 
-    def __init__(self, name: str, delta: np.ndarray, **kwargs):
-        super().__init__(name, n_columns=1, **kwargs)
+    def __init__(self, name: str, delta: np.ndarray):
+        super().__init__(name, n_columns=1)
         self.delta = delta
 
     def append(self, batch: CotSenderBatch) -> None:
@@ -421,8 +395,8 @@ class SenderCotPool(CorrelationPool):
 class ReceiverCotPool(CorrelationPool):
     """This party's receiver-role COTs (choice bits + blocks)."""
 
-    def __init__(self, name: str, **kwargs):
-        super().__init__(name, n_columns=2, **kwargs)
+    def __init__(self, name: str):
+        super().__init__(name, n_columns=2)
 
     def append(self, batch: CotReceiverBatch) -> None:
         self.append_columns((batch.x, batch.y))
@@ -435,8 +409,8 @@ class ReceiverCotPool(CorrelationPool):
 class TriplePool(CorrelationPool):
     """Beaver bit-triple shares (a, b, c)."""
 
-    def __init__(self, name: str, **kwargs):
-        super().__init__(name, n_columns=3, **kwargs)
+    def __init__(self, name: str):
+        super().__init__(name, n_columns=3)
 
     def append(self, triples) -> None:
         self.append_columns((triples.a, triples.b, triples.c))
@@ -457,8 +431,8 @@ class MatrixTriplePool(CorrelationPool):
     :meth:`key_for` string.
     """
 
-    def __init__(self, name: str, m: int, k: int, n: int, bits: int, **kwargs):
-        super().__init__(name, n_columns=3, **kwargs)
+    def __init__(self, name: str, m: int, k: int, n: int, bits: int):
+        super().__init__(name, n_columns=3)
         self.m, self.k, self.n = m, k, n
         self.bits = bits
 

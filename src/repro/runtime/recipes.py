@@ -39,12 +39,6 @@ from repro.runtime.pool import (
     TriplePool,
 )
 
-#: Pools filled by absolute produce targets (plans, prefills) and by
-#: draws that outrun production: no standing watermark refill.  Only
-#: the raw-COT pools keep one.
-_PLAN_DRIVEN = {"low_watermark": 0, "high_watermark": 0}
-
-
 @dataclass(eq=False)
 class Recipe:
     """How one kind of correlation is commanded, fed, made and pooled.
@@ -90,8 +84,8 @@ def sends(party: int, direction: str) -> bool:
 def _cot_pool(direction: str):
     def make(svc, name):
         if sends(svc.party, direction):
-            return SenderCotPool(name, svc._endpoint(direction).delta, **svc._cot_marks)
-        return ReceiverCotPool(name, **svc._cot_marks)
+            return SenderCotPool(name, svc._endpoint(direction).delta)
+        return ReceiverCotPool(name)
 
     return make
 
@@ -138,7 +132,7 @@ EXT0 = _extend("EXT0", "fwd")
 EXT1 = _extend("EXT1", "rev")
 TRI = Recipe(
     name="TRI", kind="tri", tag="prov/tri",
-    pool=lambda svc, name: TriplePool(name, **_PLAN_DRIVEN),
+    pool=lambda svc, name: TriplePool(name),
     inputs=lambda bits: (("cot/fwd", 1), ("cot/rev", 1)),
     cap=lambda t: t.triple_chunk,
     produce=_bit_triples,
@@ -146,9 +140,7 @@ TRI = Recipe(
 MTRI = Recipe(
     name="MTRI", kind="mtri", tag="prov/mtri",
     key_for=MatrixTriplePool.key_for, key_len=3,
-    pool=lambda svc, name, m, k, n: MatrixTriplePool(
-        name, m, k, n, svc.tuning.ring_bits, **_PLAN_DRIVEN
-    ),
+    pool=lambda svc, name, m, k, n: MatrixTriplePool(name, m, k, n, svc.tuning.ring_bits),
     inputs=lambda bits, m, k, n: (("cot/fwd", matmul_cots(MatmulDims(m, k, n), bits)),),
     cap=lambda t: 1,
     produce=_matrix_triple,

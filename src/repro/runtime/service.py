@@ -6,13 +6,13 @@ and the *reverse* direction (party 1 is the sender), because every
 role-switching workload (bit triples, the ReLU multiplexer) needs OTs
 both ways -- and a worker thread that runs ``extend()`` and derived
 production while consumers draw: out to the absolute produce targets
-preprocessing plans set, and for the raw-COT pools also back up to their
-high watermark whenever their level dips below the low one.  This is
-the Figure 1(b) amortization realized as a long-lived runtime: the
-base-COT Init runs once per service pair (128 PKC OTs for the forward
-direction, whose IKNP mints 128 spare COTs that seed the reverse one,
-see :meth:`CorrelationService.mint_base_cots`), then extends stream
-correlations to any number of sessions.
+preprocessing plans set, and out to what draws reserve ahead of
+production.  Nothing else asks for production: an idle service extends
+nothing.  This is the Figure 1(b) amortization realized as a long-lived
+runtime: the base-COT Init runs once per service pair (128 PKC OTs for
+the forward direction, whose IKNP mints 128 spare COTs that seed the
+reverse one, see :meth:`CorrelationService.mint_base_cots`), then
+extends stream correlations to any number of sessions.
 
 **Determinism.**  A correlation only works if both parties consume the
 same one, so all allocation decisions are made on party 0 (the
@@ -130,22 +130,16 @@ class _StopRequested(Exception):
 
 @dataclass
 class ServiceTuning:
-    """Raw-COT watermarks and batch sizes for the provisioning worker.
+    """Batch sizes and ring width for the provisioning worker.
 
-    The raw-COT pools are the only ones with a standing watermark
-    refill, from the first draw that names their direction on; every
-    derived pool is filled by produce targets and by draws that outrun
-    it.  ``None`` watermarks are derived from the Ferret config at
-    service construction: a quarter of one extend's output low, one
-    extend's output high, so about one extend's output is in flight.
+    Every pool, raw-COT ones included, is filled by produce targets and
+    by draws that outrun it; no setting here asks for production.
     ``ring_bits`` fixes the ring Z_2^bits of every arithmetic
     correlation (matrix triples) the service produces -- both parties
     must agree, and preprocessing plans must be computed at the same
     width.
     """
 
-    cot_low: int = None
-    cot_high: int = None
     triple_low: int = 128  # unread; benchmarks/ledger/fixture.py is its only writer
     triple_high: int = 1024  # unread; benchmarks/ledger/fixture.py is its only writer
     triple_chunk: int = 1024
@@ -164,7 +158,7 @@ class CorrelationService:
             claims the ``prov/*`` sub-channels and hands sessions
             ``sess/<name>`` sub-channels.
         config: the Ferret configuration (shared by both directions).
-        tuning: watermarks / batch sizes; both parties should pass
+        tuning: batch sizes and ring width; both parties should pass
             equal ones.
         seed: base seed for the Ferret endpoints; both parties must
             pass the same value (they derive distinct per-role seeds
@@ -210,7 +204,7 @@ class CorrelationService:
         self.ferret_rev = endpoint("rev", 2)
 
         # One wake event shared by every pool: any demand pulse (a
-        # reserve dipping below the low watermark, a blocked take)
+        # reserve outrunning production, a raised target, a blocked take)
         # nudges the leader's scheduling loop.
         self._wake = threading.Event()
 
@@ -228,19 +222,12 @@ class CorrelationService:
         self.metrics.add_collector("reconnect", self._collect_reconnect)
         self.metrics.add_collector("draws", self.session_draw_counts)
 
-        t = self.tuning
-        self._cot_marks = {
-            "low_watermark": (
-                t.cot_low if t.cot_low is not None else max(1, config.net_output // 4)
-            ),
-            "high_watermark": t.cot_high if t.cot_high is not None else config.net_output,
-        }
         self._alloc_lock = threading.Lock()
         #: Set (under the allocation lock) once the worker has exited:
         #: the pool factory hands out pools created later already closed.
         self._worker_done = False
         #: Every pool, raw-COT ones included, is made on first use (see
-        #: _pool): a direction nothing draws has no pool and no refill.
+        #: _pool): a direction nothing draws has no pool and no extend.
         self.pools: dict = {}
 
         #: Leader-side per-kind totals of consumer (session) draws --
@@ -423,7 +410,6 @@ class CorrelationService:
             stats["level"] = pool.level
             stats["produced"] = pool.produced
             stats["deficit"] = pool.deficit
-            stats["low_watermark"], stats["high_watermark"] = pool.watermarks
             out[kind] = stats
         return out
 
@@ -530,9 +516,9 @@ class CorrelationService:
         """The one pool factory: the pool ``recipe`` fills under ``key``,
         created on first use.
 
-        A derived pool first ensures its raw-COT inputs; a raw-COT pool,
-        and with it its direction's watermark refill, exists from the
-        first draw, plan, produce target or command that names it.
+        A derived pool first ensures its raw-COT inputs; a raw-COT pool
+        exists from the first draw, plan, produce target or command that
+        names it.  Making a pool asks for no production.
         Creation is local and idempotent, so sessions, plans and the
         command replay can each ensure a pool exists on their side
         without any cross-party coordination.  A pool made after the

@@ -32,8 +32,3 @@ def fmt_seconds(t: float) -> str:
 def fmt_ratio(x: float) -> str:
     """Render a speedup like the paper (e.g. '39.26x')."""
     return f"{x:.2f}x"
-
-
-def mhz(cycles: float, freq_hz: float) -> float:
-    """Convert a cycle count to seconds at the given clock frequency."""
-    return cycles / freq_hz

@@ -112,13 +112,13 @@ OPS = st.lists(
 
 
 @settings(max_examples=100, deadline=None)
-@given(ops=OPS, low=st.integers(0, 8))
-def test_pool_accounting_invariants(ops, low):
+@given(ops=OPS)
+def test_pool_accounting_invariants(ops):
     """Under any legal op sequence: level == produced - reserved, takes
     return exactly the appended stream (also across rollbacks, which
     must refuse to cross the taken frontier), and produce targets go
     inert once passed."""
-    pool = CorrelationPool("fuzz", 1, low_watermark=low)
+    pool = CorrelationPool("fuzz", 1)
     stream = []  # model: the values produced and retained
     counter = 0  # global value source, never reused across rollbacks
     reserved = 0
@@ -158,10 +158,10 @@ def test_pool_accounting_invariants(ops, low):
         assert pool.produced == len(stream)
         assert pool.reserved == reserved
         assert pool.level == len(stream) - reserved
-        assert pool.deficit >= 0
+        assert pool.deficit == max(0, reserved - len(stream), target - len(stream))
         if pool.produced >= target:
-            # The target is inert: refill pressure is the watermark's.
-            assert pool.needs_refill() == (pool.level < low)
+            # The target is inert: refill pressure is the reservations'.
+            assert pool.needs_refill() == (pool.level < 0)
         else:
             assert pool.needs_refill()
 

@@ -33,9 +33,9 @@ from repro.runtime import CorrelationService, MuxChannel, ServiceTuning
 from repro.runtime.mux import decode_frame
 
 CFG = FerretConfig.small(scale=1024, arity=4, prg_kind="chacha8")  # 1008 COTs/extend
-#: No standing watermark: production is exactly what the plan targets,
-#: so the command stream is a pure function of the plan.
-TUNING = ServiceTuning(ring_bits=16, cot_low=0, cot_high=0)
+#: Production is exactly what the plan targets, so the command stream
+#: is a pure function of the plan.
+TUNING = ServiceTuning(ring_bits=16)
 FX = FixedPointConfig(bits=16, frac_bits=4)
 SEED = 0x601D
 ELEMENTS = 8

@@ -27,14 +27,10 @@ PATIENCE = 3600.0
 @pytest.mark.slow
 def test_table4_2pow20_through_service():
     cfg = FerretConfig.paper("2^20", arity=4, prg_kind="chacha8")
-    tuning = ServiceTuning(
-        # The Table 4 rows measure one COT stream: only cot/fwd is
-        # drawn, so the reverse direction builds no pool and never
-        # extends (its base COTs still come with the one cold start).
-        cot_low=1,
-        cot_high=cfg.net_output,
-        take_timeout_s=PATIENCE,
-    )
+    # The Table 4 rows measure one COT stream: only cot/fwd is drawn,
+    # so the reverse direction builds no pool and never extends (its
+    # base COTs still come with the one cold start).
+    tuning = ServiceTuning(take_timeout_s=PATIENCE)
     base_a, base_b = LocalChannel.pair(timeout=PATIENCE)
     mux0 = MuxChannel(base_a, timeout=PATIENCE)
     mux1 = MuxChannel(base_b, timeout=PATIENCE)
@@ -44,7 +40,8 @@ def test_table4_2pow20_through_service():
     svc1.wait_ready(PATIENCE)
 
     # Draw one extend's worth minus one, so exactly one extend serves
-    # the demand (leaving level == cot_low afterwards).
+    # the demand (leaving level == 1 afterwards) and nothing asks for
+    # a second.
     n_draw = cfg.net_output - 1
     out = {}
 
@@ -64,8 +61,9 @@ def test_table4_2pow20_through_service():
     # Choice bits of a million-COT batch must look uniform.
     assert 0.49 < out[1].x.mean() < 0.51
 
-    # net_output accounting: one extend produced exactly n - (k + spcot)
-    # usable COTs, and the stats agree on both parties.
+    # net_output accounting: exactly one extend served the draw and
+    # produced exactly n - (k + spcot) usable COTs, and the stats agree
+    # on both parties.
     assert svc0.extends == {"fwd": 1, "rev": 0}
     assert svc1.extends == {"fwd": 1, "rev": 0}
     for svc in (svc0, svc1):

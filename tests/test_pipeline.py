@@ -49,10 +49,10 @@ def pipelined_model():
 
 
 class TestPoolProduceTargets:
-    """Unit semantics of the absolute produce target vs. watermarks."""
+    """Unit semantics of the absolute produce target."""
 
     def test_target_drives_deficit_and_goes_inert(self):
-        pool = TriplePool("tri", low_watermark=0, high_watermark=0)
+        pool = TriplePool("tri")
         assert not pool.needs_refill()
         pool.raise_produce_target(10)
         assert pool.needs_refill()
@@ -62,12 +62,12 @@ class TestPoolProduceTargets:
         # Target met: inert, even though nothing was ever reserved.
         assert not pool.needs_refill()
         assert pool.deficit == 0
-        # Unlike a watermark, consumption does NOT re-trigger it.
+        # Consumption of produced stock does NOT re-trigger it.
         pool.reserve(10)
         assert not pool.needs_refill()
 
     def test_target_never_lowers(self):
-        pool = TriplePool("tri", low_watermark=0, high_watermark=0)
+        pool = TriplePool("tri")
         pool.raise_produce_target(10)
         pool.raise_produce_target(4)
         assert pool.produce_target == 10
@@ -78,13 +78,11 @@ def small_shares(gen, shape):
 
 
 class TestOneShotPrefill:
-    def test_every_way_of_asking_leaves_watermarks_as_constructed(self, services):
+    def test_every_way_of_asking_leaves_no_pressure(self, services):
         """Every way to ask for production -- a draw-list plan,
         ``plan.prefill``, a finished pipeline, a daemon's requests --
-        raises absolute produce targets only: afterwards every pool's
-        watermarks are the ones it was built with (the raw-COT marks;
-        none on a derived pool) and every target is met, so no refill
-        pressure is left behind on either party."""
+        raises absolute produce targets only: afterwards every target
+        is met, so no refill pressure is left behind on either party."""
         svc0, svc1, _, _ = services
         # Shapes no other test here draws: TestPipelinedPrefill pins
         # that its last matrix triple was never produced before it.
@@ -99,10 +97,7 @@ class TestOneShotPrefill:
 
         def assert_no_pressure(way):
             for svc in (svc0, svc1):
-                cot = (svc._cot_marks["low_watermark"], svc._cot_marks["high_watermark"])
                 for kind, pool in svc.pools.items():
-                    built = cot if pool.recipe.direction else (0, 0)
-                    assert pool.watermarks == built, (way, svc.party, kind)
                     assert pool.produce_target <= pool.produced, (way, svc.party, kind)
 
         draws = draws_plan([("tri", (), 600), ("mtri", (3, 5, 2), 2)], BITS)
@@ -161,9 +156,6 @@ class TestPipelinedPrefill:
             kind: s["stalled_draws"] for kind, s in svc0.pool_stats().items()
         }
         draws_before = dict(svc0.session_draws)
-        cot_marks_before = {
-            kind: svc0.pools[kind].watermarks for kind in ("cot/fwd", "cot/rev")
-        }
         overlap = {}
 
         pipe0 = plan.prefill_pipelined(svc0, timeout=240.0)
@@ -201,7 +193,6 @@ class TestPipelinedPrefill:
             "expect": expect,
             "stall_before": stall_before,
             "draws_before": draws_before,
-            "cot_marks_before": cot_marks_before,
             "overlap": overlap,
         }
 
@@ -234,14 +225,6 @@ class TestPipelinedPrefill:
         after = {k: s["stalled_draws"] for k, s in svc0.pool_stats().items()}
         for kind in planned_run["plan"].pool_targets():
             assert after[kind] == planned_run["stall_before"].get(kind, 0), kind
-
-    def test_finish_restored_cot_watermarks(self, planned_run):
-        """No inflated refill targets left behind: the pipeline asks
-        for production by stream position only, so the raw-COT
-        watermarks are their pre-pipeline values."""
-        svc0 = planned_run["svc0"]
-        for kind, marks in planned_run["cot_marks_before"].items():
-            assert svc0.pools[kind].watermarks == marks, kind
 
     def test_wait_layer_bounds_checked(self, planned_run):
         from repro.errors import ParameterError

@@ -48,7 +48,6 @@ def service_pair(tuning):
 #: Recorded at commit 29417b5 (the per-kind ``_decide`` chain).  With
 #: every pool pre-created, absolute produce targets set before start and
 #: no consumer, the leader's schedule is a pure function of pool state.
-#: ``watermarks`` extends on the COT low watermark and fuses TPRC chunks;
 #: ``starved`` has no COT watermark, so every extend is a derived kind
 #: starving: it starts from the fwd/rev tie, and its one-pair TPRC
 #: commands reach "30 forward COTs short of a pair AND bit triples short"
@@ -72,10 +71,7 @@ def service_pair(tuning):
 #: draw ``cot/fwd``.  Both digests equal the parent tree's streams with
 #: the MTRI choice forced to forward (``MTRI.choose = lambda pools: 0``)
 #: and the then always-zero ``v`` slot cut out of each MTRI frame:
-#: same 22 / 75 frames, same op sequence, same counts and offsets --
-#: ``watermarks`` runs ``EXT0 EXT1 TRI TRI TRI MTRI MTRI EXT0 MTRI TPRC
-#: ...``, where stock had sent the three triples to whichever direction
-#: was richer.
+#: same 22 / 75 frames, same op sequence, same counts and offsets.
 #: Re-pinned when truncation pairs went: the TPRC recipe and
 #: ``tprc_chunk`` are gone, so ``tprc/8`` left the produce targets and
 #: no command feeds a derived kind from another derived kind.  Both
@@ -92,13 +88,12 @@ def service_pair(tuning):
 #: Since the protocol fingerprint, the leader's first frames are its
 #: ``hello`` and its ``config``; they are checked on their own and the
 #: digests still cover the command stream after them, unchanged.
+#: The ``watermarks`` scenario (a standing raw-COT refill) went with the
+#: refill itself; ``starved``, recorded with that refill switched off,
+#: is what every tuning schedules now, and its digest did not move.
 GOLDEN = {
-    "watermarks": (
-        dict(triple_chunk=96),
-        "cc80f832ece16876c0e5651ddec964d5244401719e51804ad78c6adbfd519810",
-    ),
     "starved": (
-        dict(cot_low=0, cot_high=0, triple_chunk=80),
+        dict(triple_chunk=80),
         "0269e1562a0261ccb0dc2885c06ace6023472e84e3013f25a55de7be0455ba84",
     ),
 }
@@ -171,8 +166,7 @@ def stock(pool, n):
     ],
 )
 def test_starved_kind_schedules_its_short_input(levels, wanted, frame):
-    tuning = ServiceTuning(cot_low=0, cot_high=0)
-    (leader, _), muxes = service_pair(tuning)
+    (leader, _), muxes = service_pair(ServiceTuning())
     leader.pool("tri")
     for kind, n in levels.items():
         stock(leader.pools[kind], n)

@@ -44,20 +44,15 @@ class TestLevelsAndWatermarks:
         assert lo2 == 10
 
     def test_level_goes_negative_on_demand(self):
-        pool = TriplePool("tri", low_watermark=8)
+        pool = TriplePool("tri")
         assert pool.level == 0
+        assert not pool.needs_refill()
+        assert not pool.refill.is_set()
         pool.reserve(20)
         assert pool.level == -20
         assert pool.needs_refill()
-        assert pool.deficit >= 20
-
-    def test_refill_event_set_below_watermark(self):
-        delta, z, _, _ = make_cot_arrays(32)
-        pool = SenderCotPool("p", delta, low_watermark=16, high_watermark=32)
-        pool.append(CotSenderBatch(delta, z))
-        assert not pool.refill.is_set()
-        pool.reserve(20)  # level 12 < 16
         assert pool.refill.is_set()
+        assert pool.deficit == 20
 
     def test_try_reserve_produced_refuses_unproduced(self):
         delta, z, _, _ = make_cot_arrays(16)
@@ -146,22 +141,8 @@ class TestBlockingAndBackpressure:
 
 
 class TestWatermarkEdges:
-    """Satellite coverage: exact-boundary refill, ranges spanning a
-    refill, and backpressure timing out loudly instead of deadlocking."""
-
-    def test_refill_fires_exactly_at_low_watermark(self):
-        """needs_refill is strict: level == low is healthy, one below
-        trips the event on that very reserve."""
-        delta, z, _, _ = make_cot_arrays(64)
-        pool = SenderCotPool("p", delta, low_watermark=16, high_watermark=64)
-        pool.append(CotSenderBatch(delta, z))
-        pool.reserve(48)  # level == 16 == low: no refill yet
-        assert pool.level == pool.low_watermark
-        assert not pool.needs_refill()
-        assert not pool.refill.is_set()
-        pool.reserve(1)  # level 15 < 16: the boundary crossing
-        assert pool.needs_refill()
-        assert pool.refill.is_set()
+    """Ranges spanning a refill, and backpressure timing out loudly
+    instead of deadlocking."""
 
     def test_reserve_spanning_a_refill_boundary(self):
         """One reserved range served by two production batches must come
@@ -203,7 +184,7 @@ class TestWatermarkEdges:
     def test_wait_produced_and_raise_produce_target(self):
         """prefill's pool contract: a raise-only absolute produce
         target, a blocking wait on the produced count."""
-        pool = TriplePool("tri", low_watermark=4, high_watermark=8)
+        pool = TriplePool("tri")
         pool.raise_produce_target(32)
         pool.raise_produce_target(16)  # never lowers
         assert pool.produce_target == 32
@@ -220,7 +201,6 @@ class TestWatermarkEdges:
         pool.wait_produced(32, timeout=10.0)
         t.join(5.0)
         assert pool.produced >= 32
-        assert pool.watermarks == (4, 8)
         with pytest.raises(ServiceError, match="timed out"):
             pool.wait_produced(1000, timeout=0.1)
 
@@ -274,8 +254,7 @@ class TestTypedPools:
     def test_matrix_triple_pool_roundtrip(self):
         gen = np.random.default_rng(22)
         t0, _ = dealer_matrix_triples(3, 5, 4, 32, gen)
-        pool = MatrixTriplePool("mtri/3x5x4", 3, 5, 4, bits=32,
-                                low_watermark=0, high_watermark=0)
+        pool = MatrixTriplePool("mtri/3x5x4", 3, 5, 4, bits=32)
         assert pool.name == MatrixTriplePool.key_for(3, 5, 4)
         assert MTRI.inputs(32, 3, 5, 4)[0] == ("cot/fwd", (3 * 5 + 5 * 4) * 32)
         pool.append(t0)

@@ -220,10 +220,9 @@ def test_one_setup_serves_every_session_and_extend(monkeypatch):
             for i in range(6)
         ])
         assert svc0.extends["fwd"] >= 2
-        # A watermark refill may still be in flight: each worker counts
-        # an extend when its own half returns, so the follower can be
-        # one behind for a moment.  Production quiesces at the high
-        # watermark, and then the counts agree.
+        # Each worker counts an extend when its own half returns, so
+        # the follower can be one behind for a moment.  Production
+        # quiesces once the draws are served, and then the counts agree.
         deadline = time.monotonic() + 30.0
         while svc1.extends != svc0.extends and time.monotonic() < deadline:
             time.sleep(0.01)
@@ -324,6 +323,29 @@ class TestPoolsOnFirstUse:
             assert np.array_equal(tri0.c ^ tri1.c, (tri0.a ^ tri1.a) & (tri0.b ^ tri1.b))
             for svc in (svc0, svc1):
                 assert "cot/rev" in svc.pools and svc.extends["rev"] >= 1
+        finally:
+            svc0.stop(), svc1.stop()
+            mux0.close(), mux1.close()
+
+    def test_idle_service_extends_nothing(self):
+        """Making a pool asks for no production: only a draw or a
+        produce target does, and a draw gets no more than it needs."""
+        svc0, svc1, mux0, mux1 = start_service_pair(seed=0xF3)
+        try:
+            for svc in (svc0, svc1):
+                svc.wait_ready()
+                svc.pool("cot/fwd")
+                svc.pool("tri")
+            time.sleep(1.0)
+            for svc in (svc0, svc1):
+                assert svc.extends == {"fwd": 0, "rev": 0}, svc.party
+            n = 100
+            run_sessions(svc0, svc1, [
+                ("cots", lambda session, party: session.draw([("cot/fwd", (), n)])),
+            ])
+            for svc in (svc0, svc1):
+                assert svc.pools["cot/fwd"].produced - n < CFG.net_output, svc.party
+                assert svc.extends["rev"] == 0, svc.party
         finally:
             svc0.stop(), svc1.stop()
             mux0.close(), mux1.close()

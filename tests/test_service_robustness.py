@@ -63,11 +63,9 @@ def test_transient_fault_degrades_resyncs_and_recovers():
             real_execute(cmd)
 
         svc0._execute = failing_execute
-        # A pool exists from its first use on: making the forward-COT
-        # pool starts its watermark refill, so the scheduler issues a
-        # command.
-        svc0.pool("cot/fwd")
-        svc0._wake.set()
+        # A produce target is what asks for production: one forward
+        # COT makes the scheduler issue an extend command.
+        svc0.raise_produce_targets({"cot/fwd": 1})
 
         wait_until(tripped.is_set, what="fault injection")
         wait_until(
